@@ -2,6 +2,7 @@
 //! §5 and the checkpointing of §2.2.3 / §3.2.4, quantified as
 //! work-lost-at-crash vs checkpoint interval.
 
+use super::scaled;
 use crate::report::{f2, ms, Table};
 use crate::workload::{bench_config, seed_table, TABLE};
 use mohan_common::{IndexEntry, Rid};
@@ -225,5 +226,59 @@ pub fn e9_ib_restart(quick: bool) -> Vec<Table> {
     t.note(
         "Redone keys ≤ one checkpoint interval; re-insertions are rejected as duplicates (NSF).",
     );
-    vec![t]
+    vec![t, e9_pages_forced()]
+}
+
+/// E9b: what the checkpoints of one uninterrupted, quiescent build
+/// write, in pages (the `cache.force` delta across the build) — an
+/// exact count, the same on every run. A checkpoint forces the pages
+/// dirtied since the last one, so a build writes each page of its tree
+/// about once, whatever the number of checkpoints.
+fn e9_pages_forced() -> Table {
+    let mut t = Table::new(
+        "E9b: pages forced by one build's checkpoints (default interval, quiescent)",
+        &[
+            "algorithm",
+            "rows",
+            "checkpoints",
+            "tree pages",
+            "pages forced",
+            "forced / tree",
+        ],
+    );
+    let cfg = bench_config();
+    let interval = cfg.ib_checkpoint_every_keys as i64;
+    for rows in [100_000, 300_000, 500_000].map(scaled) {
+        let (db, _) = seed_table(cfg.clone(), rows, 99);
+        for algo in [BuildAlgorithm::Nsf, BuildAlgorithm::Sf] {
+            let force_count = || db.obs.snapshot().counter("cache.force").expect("gauge");
+            let before = force_count();
+            let id = build_index(
+                &db,
+                TABLE,
+                IndexSpec {
+                    name: format!("e9b_{algo:?}"),
+                    key_cols: vec![0],
+                    unique: false,
+                },
+                algo,
+            )
+            .expect("build");
+            let forced = force_count() - before;
+            let pages = db.index(id).expect("idx").tree.cache.num_pages();
+            t.row(vec![
+                format!("{algo:?}"),
+                rows.to_string(),
+                (rows / interval).to_string(),
+                pages.to_string(),
+                forced.to_string(),
+                f2(forced as f64 / f64::from(pages)),
+            ]);
+        }
+    }
+    t.note(
+        "Forcing the whole tree at every checkpoint cost the sum of the tree's sizes at its \
+         checkpoints: about checkpoints / 2 trees.",
+    );
+    t
 }

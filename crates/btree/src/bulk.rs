@@ -243,8 +243,9 @@ impl<'t> BulkLoader<'t> {
         self.promote(sep, new_node.id, depth - 1)
     }
 
-    /// §3.2.4 checkpoint: force all index pages, then describe the
-    /// loader state for stable storage.
+    /// §3.2.4 checkpoint: force all dirty index pages (the leaves
+    /// filled since the last checkpoint plus the rightmost branch),
+    /// then describe the loader state for stable storage.
     pub fn checkpoint(&self, flushed: Lsn) -> Result<BulkCheckpoint> {
         self.tree.force_all(flushed)?;
         let anchor = self.tree.cache.frame(PageId(0))?;
@@ -325,9 +326,9 @@ impl<'t> BulkLoader<'t> {
         self.last.as_ref()
     }
 
-    /// Complete the load, forcing the finished tree.
+    /// Complete the load, forcing what the last checkpoint did not.
     pub fn finish(self, flushed: Lsn) -> Result<u64> {
-        self.tree.cache.force_all(flushed)?;
+        self.tree.force_all(flushed)?;
         Ok(self.count)
     }
 }
@@ -415,6 +416,37 @@ mod tests {
         assert_eq!(BulkCheckpoint::decode(&cp.encode()), Some(cp.clone()));
         assert_eq!(cp.count, 500);
         assert_eq!(cp.highest, Some(e(499)));
+    }
+
+    #[test]
+    fn a_checkpoint_forces_what_was_loaded_since_not_the_tree() {
+        let t = tree();
+        let mut bl = BulkLoader::new(&t).unwrap();
+        let mut checkpoints = 0u64;
+        let mut tree_sizes = 0u64;
+        for k in 0..20_000i64 {
+            bl.append(e(k)).unwrap();
+            if (k + 1) % 500 == 0 {
+                bl.checkpoint(Lsn::NULL).unwrap();
+                checkpoints += 1;
+                tree_sizes += u64::from(t.cache.num_pages());
+            }
+        }
+        bl.finish(Lsn::NULL).unwrap();
+        let height = match t.cache.frame(PageId(0)).unwrap().latch.share().payload {
+            Node::Anchor { height, .. } => u64::from(height),
+            _ => unreachable!(),
+        };
+        // Every page once, when the load moves past it, plus per
+        // checkpoint the still-growing rightmost branch and the anchor.
+        let forced = t.cache.stats.forces.get();
+        let bound = u64::from(t.cache.num_pages()) + (checkpoints + 1) * (height + 1);
+        assert!(forced <= bound, "{forced} pages forced, bound {bound}");
+        // Forcing the whole tree each time cost the sum of its sizes.
+        assert!(forced * 10 <= tree_sizes, "{forced} against {tree_sizes}");
+        t.cache.crash();
+        verify_structure(&t).unwrap();
+        assert_eq!(collect_all(&t, true).unwrap().len(), 20_000);
     }
 
     #[test]

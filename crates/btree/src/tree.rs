@@ -12,11 +12,17 @@
 //! under one leaf latch.
 
 use crate::node::{LeafEntry, Node};
+use mohan_common::failpoint::{FailpointSet, Failpoints};
 use mohan_common::stats::Counter;
 use mohan_common::{Error, FileId, IndexEntry, KeyValue, Lsn, PageId, Result, Rid};
 use mohan_storage::cache::PageBuf;
-use mohan_storage::{ExclusiveGuard, PageCache, ShareGuard};
+use mohan_storage::{ExclusiveGuard, Latch, LatchStats, PageCache, ShareGuard};
 use parking_lot::Mutex;
+use std::sync::Arc;
+
+/// Failpoint inside [`BTree::force_all`], after every dirty page has
+/// been staged and before anything is published.
+pub const FORCE_STAGED_FAILPOINT: &str = "btree.force.staged";
 
 /// Tree tuning knobs.
 #[derive(Debug, Clone)]
@@ -120,12 +126,21 @@ pub struct BTree {
     pub stats: BTreeStats,
     hint: Mutex<Option<PageId>>,
     /// Structure lock: every mutating operation holds it shared;
-    /// [`BTree::force_all`] holds it exclusively so the durable image
-    /// never captures a half-applied split. Per-entry content
-    /// staleness across pages is fine — logical redo repairs it — but
-    /// a torn *structure* (an internal page naming a never-forced
-    /// child) would not be recoverable.
-    structure: parking_lot::RwLock<()>,
+    /// [`BTree::force_all`] holds it exclusively for the instant at
+    /// which it publishes a new durable image, so that image never
+    /// captures a half-applied split. Per-entry content staleness
+    /// across pages is fine — logical redo repairs it — but a torn
+    /// *structure* (an internal page naming a never-forced child) would
+    /// not be recoverable. A [`Latch`] with stats of its own, so time
+    /// spent blocked on it is measured the way page-latch waits are.
+    structure: Latch<()>,
+    /// Serializes checkpointers (an IB checkpoint and an engine
+    /// checkpoint may meet on one tree) and [`BTree::clear`] against
+    /// them; never taken by readers or writers of the tree.
+    force: Mutex<()>,
+    /// Crash injection for this tree's own sites
+    /// ([`FORCE_STAGED_FAILPOINT`]); disarmed unless a test arms it.
+    pub failpoints: Failpoints,
 }
 
 impl BTree {
@@ -145,14 +160,24 @@ impl BTree {
             cfg,
             stats: BTreeStats::default(),
             hint: Mutex::new(None),
-            structure: parking_lot::RwLock::new(()),
+            structure: Latch::new((), LatchStats::new()),
+            force: Mutex::new(()),
+            failpoints: FailpointSet::new(),
         }
     }
 
     /// Hold the structure lock shared for the duration of a mutating
-    /// operation (splits stay invisible to `force_all`).
+    /// operation (no new durable image is published mid-split).
     pub(crate) fn structure_shared(&self) -> parking_lot::RwLockReadGuard<'_, ()> {
-        self.structure.read()
+        self.structure.share()
+    }
+
+    /// Acquisition and wait counters of the structure lock. Its
+    /// `wait_us` is the time writers spent blocked behind a checkpoint's
+    /// publication (and the checkpoint behind writers).
+    #[must_use]
+    pub fn structure_stats(&self) -> &Arc<LatchStats> {
+        self.structure.stats()
     }
 
     /// Configuration in force.
@@ -171,7 +196,8 @@ impl BTree {
     pub fn clear(&self) {
         // Exclude force_all for the duration: a concurrent engine
         // checkpoint must never capture a half-cleared tree.
-        let _structure = self.structure.write();
+        let _force = self.force.lock();
+        let _structure = self.structure.exclusive();
         self.cache.truncate_from(PageId(1));
         let root = self.cache.allocate(Node::empty_leaf());
         let anchor = self.cache.frame(PageId(0)).expect("anchor");
@@ -183,12 +209,27 @@ impl BTree {
         *self.hint.lock() = None;
     }
 
-    /// Force every page (IB checkpoints and engine checkpoints).
-    /// Excludes structure changes for the duration so the durable
-    /// image is a structurally consistent tree.
+    /// Force all dirty index pages (IB checkpoints and engine
+    /// checkpoints), in two phases so that writers never wait for more
+    /// than a handful of page encodes.
+    ///
+    /// Phase 1 holds no structure lock: each dirty page is encoded
+    /// under its own S latch into the cache's volatile staging area;
+    /// writers keep running and re-dirty what they touch. Phase 2 holds
+    /// the structure lock exclusively: with every writer out of the
+    /// tree it stages the few pages dirtied again meanwhile and
+    /// publishes the whole staging area. At that instant every page's
+    /// staged-or-durable image equals its volatile image, so the
+    /// durable tree is structurally consistent; a crash any time
+    /// before it leaves the previous checkpoint's image untouched.
     pub fn force_all(&self, flushed: Lsn) -> Result<()> {
-        let _structure = self.structure.write();
-        self.cache.force_all(flushed)
+        let _force = self.force.lock();
+        self.cache.stage_dirty(flushed)?;
+        self.failpoints.hit(FORCE_STAGED_FAILPOINT)?;
+        let _structure = self.structure.exclusive();
+        self.cache.stage_dirty(flushed)?;
+        self.cache.publish_staged();
+        Ok(())
     }
 
     // ----- descents -------------------------------------------------

@@ -91,6 +91,23 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
         ));
     }
     out.push('\n');
+    // Once a build has checkpointed: what its checkpoints cost the
+    // builder (`build.checkpoint_us`), what they wrote (`cache.force`),
+    // and what they cost writers — time blocked on a tree's structure
+    // lock (`btree.structure_wait_us`), which no latch or lock metric
+    // shows.
+    if let Some(cp) = report.hist("build.checkpoint_us") {
+        let blocked = report.hist("btree.structure_wait_us");
+        out.push_str(&format!(
+            "build    checkpoints {} (p99 {} µs, max {} µs)   pages forced {}   structure waits {} (max {} µs)\n",
+            cp.count,
+            cp.p99,
+            cp.max,
+            report.counter("cache.force").unwrap_or(0),
+            blocked.map_or(0, |h| h.count),
+            blocked.map_or(0, |h| h.max),
+        ));
+    }
     // A primary with WAL subscribers shows the broadcast fan-out ring:
     // live subscriber count, ring occupancy, shared scan/encode totals,
     // and how many lagging streams were cut loose.

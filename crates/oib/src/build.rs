@@ -8,7 +8,7 @@ use crate::runtime::{IndexRuntime, IndexState};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
 use mohan_btree::{BulkLoader, InsertMode, InsertOutcome};
 use mohan_common::{
-    EngineConfig, Error, IndexEntry, IndexId, PageId, Result, Rid, SlotId, TableId, TxId,
+    EngineConfig, Error, IndexEntry, IndexId, Lsn, PageId, Result, Rid, SlotId, TableId, TxId,
 };
 use mohan_lock::{LockMode, LockName};
 use mohan_sort::{
@@ -54,6 +54,33 @@ impl Drop for PhaseTimer<'_> {
             0,
         );
     }
+}
+
+/// The page-forcing half of an IB checkpoint (§2.2.3, §3.2.4): flush
+/// the log, then run `force` — a [`mohan_btree::BTree::force_all`] on
+/// `idx`'s tree, directly or through the bulk loader — with the
+/// flushed LSN. Its duration lands in the `build.checkpoint_us`
+/// histogram and a `build.checkpoint` trace event whose detail is the
+/// number of pages it wrote.
+pub(crate) fn force_index_pages<R>(
+    db: &Db,
+    idx: &IndexRuntime,
+    site: &'static str,
+    force: impl FnOnce(Lsn) -> Result<R>,
+) -> Result<R> {
+    db.wal.flush_all();
+    let forced_before = idx.tree.cache.stats.forces.get();
+    let started = Instant::now();
+    let out = force(db.wal.flushed_lsn())?;
+    let d = started.elapsed();
+    db.obs.histogram("build.checkpoint_us").record_micros(d);
+    db.obs.trace().span_event(
+        "build.checkpoint",
+        site,
+        d.as_micros().min(u128::from(u64::MAX)) as u64,
+        idx.tree.cache.stats.forces.get() - forced_before,
+    );
+    Ok(out)
 }
 
 /// What the caller wants indexed.
@@ -403,9 +430,8 @@ fn create_descriptors(
 /// Descriptor creation is a durable catalog update: force the empty
 /// tree (anchor + root) so restart always finds a structurally valid
 /// index to recover into.
-fn force_empty_tree(db: &Db, rt: &IndexRuntime) -> mohan_common::Result<()> {
-    db.wal.flush_all();
-    rt.tree.force_all(db.wal.flushed_lsn())
+pub(crate) fn force_empty_tree(db: &Db, rt: &IndexRuntime) -> Result<()> {
+    force_index_pages(db, rt, "create", |flushed| rt.tree.force_all(flushed))
 }
 
 fn set_scan_bounds(rt: &IndexRuntime, tbl: &mohan_heap::HeapTable) {
@@ -871,11 +897,7 @@ fn enter_final_phase(
 
 /// Mark the index complete: record the completion horizon, flip the
 /// state, persist the catalog and drop the progress record.
-fn complete_index(
-    db: &Arc<Db>,
-    idx: &Arc<IndexRuntime>,
-    completed_at: mohan_common::Lsn,
-) -> Result<()> {
+fn complete_index(db: &Arc<Db>, idx: &Arc<IndexRuntime>, completed_at: Lsn) -> Result<()> {
     idx.set_completed_lsn(completed_at);
     idx.set_state(IndexState::Complete);
     db.obs
@@ -883,9 +905,7 @@ fn complete_index(
         .event("build.phase", "flip", u64::from(idx.def.id.0));
     db.persist_catalog();
     progress::clear(db, idx.def.id);
-    db.wal.flush_all();
-    idx.tree.force_all(db.wal.flushed_lsn())?;
-    Ok(())
+    force_index_pages(db, idx, "complete", |flushed| idx.tree.force_all(flushed))
 }
 
 // ===================================================================
@@ -931,10 +951,9 @@ fn nsf_insert_phase(
             if since_cp >= cp_every {
                 since_cp = 0;
                 flush_ib_batch(db, ib, idx, &mut batch)?;
-                // §2.2.3 periodic checkpointing: force the tree, commit
-                // the inserts, record the position.
-                db.wal.flush_all();
-                idx.tree.force_all(db.wal.flushed_lsn())?;
+                // §2.2.3 periodic checkpointing: force the dirty index
+                // pages, commit the inserts, record the position.
+                force_index_pages(db, idx, "insert", |flushed| idx.tree.force_all(flushed))?;
                 db.ib_commit_cycle(&mut ib)?;
                 if db.cfg.nsf_gradual_reads {
                     // Footnote 3: everything at or below the committed
@@ -1105,8 +1124,8 @@ fn sf_load_phase(
                 }
                 if pending.is_none() {
                     since_cp = 0;
-                    db.wal.flush_all();
-                    let bulk = loader.checkpoint(db.wal.flushed_lsn())?;
+                    let bulk =
+                        force_index_pages(db, idx, "load", |flushed| loader.checkpoint(flushed))?;
                     progress::store(
                         db,
                         idx.def.id,
@@ -1149,8 +1168,7 @@ fn sf_load_phase(
         if let Some(p) = pending.take() {
             loader.append(p)?;
         }
-        db.wal.flush_all();
-        loader.finish(db.wal.flushed_lsn())?;
+        force_index_pages(db, idx, "load", |flushed| loader.finish(flushed))?;
         db.commit(ib)?;
         progress::store(db, idx.def.id, &BuildProgress::Draining { pos: 0 });
         Ok(())
@@ -1168,9 +1186,8 @@ fn sf_load_phase(
 /// deterministically even if a crash hits before the first real
 /// checkpoint.
 fn loader_init_checkpoint(db: &Db, idx: &IndexRuntime) -> Result<mohan_btree::BulkCheckpoint> {
-    db.wal.flush_all();
     let loader = BulkLoader::new(&idx.tree)?;
-    loader.checkpoint(db.wal.flushed_lsn())
+    force_index_pages(db, idx, "load", |flushed| loader.checkpoint(flushed))
 }
 
 /// §2.2.3-style arbitration for a sorted group of equal keys during
@@ -1445,8 +1462,7 @@ fn offline_load(db: &Arc<Db>, idx: &Arc<IndexRuntime>, merge_cp: MergeCheckpoint
         prev = Some(entry.clone());
         loader.append(entry)?;
     }
-    db.wal.flush_all();
-    loader.finish(db.wal.flushed_lsn())?;
+    force_index_pages(db, idx, "load", |flushed| loader.finish(flushed))?;
     Ok(())
 }
 

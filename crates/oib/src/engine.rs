@@ -255,12 +255,24 @@ impl Db {
         IndexId(self.next_index.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Register a new index descriptor and persist the catalog.
-    pub(crate) fn register_index(&self, rt: Arc<IndexRuntime>) {
+    /// Publish an index tree's wait histograms: page latches under
+    /// `latch.wait_us`, and the structure lock — neither a latch nor a
+    /// record lock, so it would otherwise show in neither — under
+    /// `btree.structure_wait_us`.
+    fn adopt_tree_histograms(&self, rt: &IndexRuntime) {
         self.obs.adopt_histogram(
             "latch.wait_us",
             Arc::clone(&rt.tree.cache.latch_stats().wait_us),
         );
+        self.obs.adopt_histogram(
+            "btree.structure_wait_us",
+            Arc::clone(&rt.tree.structure_stats().wait_us),
+        );
+    }
+
+    /// Register a new index descriptor and persist the catalog.
+    pub(crate) fn register_index(&self, rt: Arc<IndexRuntime>) {
+        self.adopt_tree_histograms(&rt);
         self.indexes.write().push(rt);
         self.persist_catalog();
     }
@@ -343,10 +355,7 @@ impl Db {
                         &self.cfg,
                     ));
                     rt.apply_catalog_entry(&e);
-                    self.obs.adopt_histogram(
-                        "latch.wait_us",
-                        Arc::clone(&rt.tree.cache.latch_stats().wait_us),
-                    );
+                    self.adopt_tree_histograms(&rt);
                     if e.state == IndexState::Complete {
                         completed.push(Arc::clone(&rt));
                     }
@@ -517,8 +526,8 @@ impl Db {
 
     // ----- checkpoint / crash / restart --------------------------------
 
-    /// Engine checkpoint: force the log, then every page of every
-    /// table and index. Retries if concurrent activity outruns the
+    /// Engine checkpoint: force the log, then every dirty page of
+    /// every table and index. Retries if concurrent activity outruns the
     /// flush.
     pub fn checkpoint(&self) -> Result<()> {
         let mut last_err = None;

@@ -53,8 +53,7 @@ pub fn build_secondary_via_primary(
     let mut rt = IndexRuntime::new(def, BuildAlgorithm::Sf, IndexState::SfBuilding, &db.cfg);
     rt.key_cursor = Some(KeyCursor::for_pk_cols(prim.def.key_cols.clone()));
     let idx = Arc::new(rt);
-    db.wal.flush_all();
-    idx.tree.force_all(db.wal.flushed_lsn())?;
+    crate::build::force_empty_tree(db, &idx)?;
     db.register_index(Arc::clone(&idx));
     let id = idx.def.id;
 

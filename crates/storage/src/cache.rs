@@ -19,8 +19,20 @@
 //! The write-ahead-log rule is enforced at the boundary: `force`
 //! requires the caller to pass the WAL's flushed LSN and refuses to
 //! write a page whose LSN is newer ("write-ahead logging", §1.1).
+//!
+//! Forcing costs what was dirtied. A frame is *dirty* iff its latch
+//! has been granted exclusively since the frame was last encoded; the
+//! latch keeps the bit and lists the page in its shard's dirty list on
+//! the clean→dirty transition, so [`PageCache::force_all`] visits only
+//! those pages. Encoding and publishing are separate steps:
+//! [`PageCache::stage_dirty`] encodes dirty pages into a volatile
+//! staging area and [`PageCache::publish_staged`] moves the staged
+//! images into the durable maps. A caller that needs the durable image
+//! to change as a unit (the B+-tree) stages without excluding writers
+//! and publishes at an instant of its choosing; a crash in between
+//! drops the staging area and leaves the previous durable image whole.
 
-use crate::latch::{Latch, LatchStats};
+use crate::latch::{DirtyList, Latch, LatchStats};
 use mohan_common::stats::{Counter, ShardDist};
 use mohan_common::{Error, FileId, Lsn, PageId, Result};
 use parking_lot::{Mutex, RwLock};
@@ -101,6 +113,12 @@ impl Default for CacheStats {
 struct Shard<T> {
     volatile: RwLock<HashMap<PageId, Arc<Frame<T>>>>,
     durable: Mutex<HashMap<PageId, Vec<u8>>>,
+    /// Pages whose frames went clean→dirty since the list was last
+    /// taken (shared with those frames' latches).
+    dirty: Arc<DirtyList>,
+    /// Encoded images not yet published to `durable`. Volatile: a
+    /// crash drops them.
+    staged: Mutex<HashMap<PageId, Vec<u8>>>,
 }
 
 impl<T> Shard<T> {
@@ -108,6 +126,8 @@ impl<T> Shard<T> {
         Shard {
             volatile: RwLock::new(HashMap::new()),
             durable: Mutex::new(HashMap::new()),
+            dirty: Arc::default(),
+            staged: Mutex::new(HashMap::new()),
         }
     }
 }
@@ -159,11 +179,27 @@ impl<T: PagePayload> PageCache<T> {
         &self.latch_stats
     }
 
-    fn make_frame(&self, id: PageId, lsn: Lsn, payload: T) -> Arc<Frame<T>> {
+    /// `dirty`: does the volatile image differ from the durable one
+    /// from the start (a fresh page) or not (one just decoded from it)?
+    /// A dirty frame must be put on its shard's dirty list *after* it
+    /// is in the volatile map ([`Self::list_dirty`]).
+    fn make_frame(&self, id: PageId, lsn: Lsn, payload: T, dirty: bool) -> Arc<Frame<T>> {
         Arc::new(Frame {
             id,
-            latch: Latch::new(PageBuf { lsn, payload }, Arc::clone(&self.latch_stats)),
+            latch: Latch::tracked(
+                PageBuf { lsn, payload },
+                Arc::clone(&self.latch_stats),
+                id.0,
+                Arc::clone(&self.shards[Self::shard_of(id)].dirty),
+                dirty,
+            ),
         })
+    }
+
+    /// List a frame created dirty, now that the volatile map holds it:
+    /// a force that takes the listing must be able to find the frame.
+    fn list_dirty(&self, id: PageId) {
+        self.shards[Self::shard_of(id)].dirty.extend([id.0]);
     }
 
     /// Allocate a fresh page holding `payload`. The allocation is
@@ -172,11 +208,12 @@ impl<T: PagePayload> PageCache<T> {
     /// lock.
     pub fn allocate(&self, payload: T) -> Arc<Frame<T>> {
         let id = PageId(self.next_page.fetch_add(1, Ordering::AcqRel));
-        let frame = self.make_frame(id, Lsn::NULL, payload);
+        let frame = self.make_frame(id, Lsn::NULL, payload, true);
         self.shards[Self::shard_of(id)]
             .volatile
             .write()
             .insert(id, Arc::clone(&frame));
+        self.list_dirty(id);
         self.stats.allocations.bump();
         frame
     }
@@ -215,7 +252,7 @@ impl<T: PagePayload> PageCache<T> {
         l8.copy_from_slice(&bytes[..8]);
         let lsn = Lsn(u64::from_be_bytes(l8));
         drop(d);
-        let frame = self.make_frame(id, lsn, payload);
+        let frame = self.make_frame(id, lsn, payload, false);
         v.insert(id, Arc::clone(&frame));
         self.stats.misses.bump();
         Ok(frame)
@@ -234,8 +271,9 @@ impl<T: PagePayload> PageCache<T> {
         if let Some(f) = v.get(&id) {
             return Ok(Arc::clone(f));
         }
-        let frame = self.make_frame(id, Lsn::NULL, make());
+        let frame = self.make_frame(id, Lsn::NULL, make(), true);
         v.insert(id, Arc::clone(&frame));
+        self.list_dirty(id);
         self.next_page.fetch_max(id.0 + 1, Ordering::AcqRel);
         self.stats.allocations.bump();
         Ok(frame)
@@ -248,44 +286,115 @@ impl<T: PagePayload> PageCache<T> {
         shard.volatile.read().contains_key(&id) || shard.durable.lock().contains_key(&id)
     }
 
-    /// Force one page to the durable image. Enforces the WAL rule: the
-    /// page's LSN must not exceed `flushed_lsn`.
-    pub fn force(&self, id: PageId, flushed_lsn: Lsn) -> Result<()>
-    where
-        T: PagePayload,
-    {
-        let frame = self.frame(id)?;
+    /// Under `frame`'s S latch: clear its dirty bit, encode it and hand
+    /// the image to `sink`. Does nothing if `only_dirty` is set and the
+    /// frame is clean. `sink` runs before the latch is released, so
+    /// images of one page reach it in the order the page went through
+    /// them even when two forcers meet.
+    /// Enforces the WAL rule: a page whose LSN exceeds `flushed_lsn` is
+    /// refused and stays dirty, so a retry after a log flush finds it
+    /// again.
+    fn write_out(
+        &self,
+        frame: &Frame<T>,
+        flushed_lsn: Lsn,
+        only_dirty: bool,
+        sink: impl FnOnce(Vec<u8>),
+    ) -> Result<()> {
         let buf = frame.latch.share();
+        if only_dirty && !frame.latch.is_dirty() {
+            return Ok(());
+        }
         if buf.lsn > flushed_lsn {
             return Err(Error::Corruption(format!(
-                "WAL violation: forcing {} {id} with page LSN {} > flushed {}",
-                self.file, buf.lsn, flushed_lsn
+                "WAL violation: forcing {} {} with page LSN {} > flushed {}",
+                self.file, frame.id, buf.lsn, flushed_lsn
             )));
         }
+        frame.latch.clear_dirty();
         let mut bytes = Vec::with_capacity(64);
         bytes.extend_from_slice(&buf.lsn.0.to_be_bytes());
         buf.payload.encode(&mut bytes);
-        drop(buf);
-        self.shards[Self::shard_of(id)]
-            .durable
-            .lock()
-            .insert(id, bytes);
+        sink(bytes);
+        Ok(())
+    }
+
+    /// Force one page to the durable image, dirty or not. Enforces the
+    /// WAL rule: the page's LSN must not exceed `flushed_lsn`.
+    pub fn force(&self, id: PageId, flushed_lsn: Lsn) -> Result<()> {
+        let frame = self.frame(id)?;
+        let shard = &self.shards[Self::shard_of(id)];
+        self.write_out(&frame, flushed_lsn, false, |bytes| {
+            // An older staged image must not overwrite this one later.
+            shard.staged.lock().remove(&id);
+            shard.durable.lock().insert(id, bytes);
+        })?;
         self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
         self.stats.forces.bump();
         Ok(())
     }
 
-    /// Force every allocated page (used by checkpoints that require a
-    /// consistent durable image, §3.2.4).
-    pub fn force_all(&self, flushed_lsn: Lsn) -> Result<()> {
-        let mut pages: Vec<PageId> = Vec::new();
+    /// Encode every dirty page into the staging area, clearing its
+    /// dirty bit; the durable image does not change. Each page is
+    /// encoded under its own S latch, so writers are held up for one
+    /// page encode at most, and a page they touch afterwards is dirty
+    /// again. Work is proportional to the pages dirtied since the last
+    /// call. On a WAL-rule refusal the refused page and those not yet
+    /// visited stay dirty.
+    pub fn stage_dirty(&self, flushed_lsn: Lsn) -> Result<()> {
         for shard in &self.shards {
-            pages.extend(shard.volatile.read().keys().copied());
-        }
-        for id in pages {
-            self.force(id, flushed_lsn)?;
+            let mut ids = shard.dirty.take().into_iter();
+            while let Some(raw) = ids.next() {
+                let id = PageId(raw);
+                // Listed but gone: truncated since it was dirtied.
+                let Some(frame) = shard.volatile.read().get(&id).cloned() else {
+                    continue;
+                };
+                // A clean frame was listed twice, or forced singly in
+                // between: nothing to write.
+                if let Err(e) = self.write_out(&frame, flushed_lsn, true, |bytes| {
+                    shard.staged.lock().insert(id, bytes);
+                }) {
+                    shard.dirty.extend(std::iter::once(raw).chain(ids));
+                    return Err(e);
+                }
+            }
         }
         Ok(())
+    }
+
+    /// Move every staged image into the durable maps (the write I/Os)
+    /// and advance the durable high-water mark. The images are moved,
+    /// not copied.
+    pub fn publish_staged(&self) {
+        let mut written = 0u64;
+        for shard in &self.shards {
+            let mut staged = shard.staged.lock();
+            if staged.is_empty() {
+                continue;
+            }
+            let mut durable = shard.durable.lock();
+            durable.reserve(staged.len());
+            for (id, bytes) in staged.drain() {
+                self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
+                durable.insert(id, bytes);
+                written += 1;
+            }
+        }
+        self.stats.forces.add(written);
+    }
+
+    /// Force every dirty page (checkpoints, §2.2.3 and §3.2.4: "all
+    /// the dirty pages"). Writers are not excluded, so the pages are
+    /// written as they stood at different instants — right for heap
+    /// pages, whose page-LSN redo tolerates any mix of old and new
+    /// images; a structure spanning pages must publish at a consistent
+    /// instant instead (see `BTree::force_all`). On a WAL-rule refusal
+    /// the pages staged so far are still written.
+    pub fn force_all(&self, flushed_lsn: Lsn) -> Result<()> {
+        let staged = self.stage_dirty(flushed_lsn);
+        self.publish_staged();
+        staged
     }
 
     /// Deallocate every page with id ≥ `from`, volatile *and* durable.
@@ -296,17 +405,21 @@ impl<T: PagePayload> PageCache<T> {
         for shard in &self.shards {
             shard.volatile.write().retain(|id, _| *id < from);
             shard.durable.lock().retain(|id, _| *id < from);
+            shard.staged.lock().retain(|id, _| *id < from);
+            shard.dirty.retain(|id| *id < from.0);
         }
         self.next_page.fetch_min(from.0, Ordering::AcqRel);
         self.durable_count.fetch_min(from.0, Ordering::AcqRel);
     }
 
     /// Simulated system failure: drop all volatile frames (in every
-    /// shard) and reset the allocation cursor to the durable
-    /// high-water mark.
+    /// shard) together with the dirty lists and the staging area, and
+    /// reset the allocation cursor to the durable high-water mark.
     pub fn crash(&self) {
         for shard in &self.shards {
             shard.volatile.write().clear();
+            shard.staged.lock().clear();
+            shard.dirty.clear();
         }
         self.next_page.store(
             self.durable_count.load(Ordering::Acquire),
@@ -455,6 +568,158 @@ mod tests {
         for i in 0..10u8 {
             let f = c.frame(PageId(u32::from(i))).unwrap();
             assert_eq!(f.latch.share().payload, Blob(vec![i]));
+        }
+    }
+
+    #[test]
+    fn force_all_forces_only_what_was_x_latched_since() {
+        let c = cache();
+        for i in 0..10u8 {
+            c.allocate(Blob(vec![i]));
+        }
+        // Fresh pages start dirty.
+        c.force_all(Lsn::NULL).unwrap();
+        assert_eq!(c.stats.forces.get(), 10);
+        // Nothing X-latched since: nothing to do, S latches included.
+        let _ = c.frame(PageId(3)).unwrap().latch.share();
+        c.force_all(Lsn::NULL).unwrap();
+        assert_eq!(c.stats.forces.get(), 10);
+        // Each way of getting the X latch re-dirties, once per page.
+        c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 33;
+        c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 34;
+        drop(c.frame(PageId(4)).unwrap().latch.exclusive_arc());
+        drop(c.frame(PageId(5)).unwrap().latch.try_exclusive().unwrap());
+        c.force_all(Lsn::NULL).unwrap();
+        assert_eq!(c.stats.forces.get(), 13);
+        c.crash();
+        assert_eq!(
+            c.frame(PageId(3)).unwrap().latch.share().payload,
+            Blob(vec![34])
+        );
+    }
+
+    #[test]
+    fn decoded_frames_start_clean() {
+        let c = cache();
+        c.allocate(Blob(vec![1]));
+        c.force_all(Lsn::NULL).unwrap();
+        c.crash();
+        let f = c.frame(PageId(0)).unwrap();
+        assert!(!f.latch.is_dirty());
+        c.force_all(Lsn::NULL).unwrap();
+        assert_eq!(c.stats.forces.get(), 1);
+    }
+
+    #[test]
+    fn wal_rule_refusal_leaves_the_page_dirty() {
+        let c = cache();
+        let early = c.allocate(Blob(vec![0]));
+        let late = c.allocate(Blob(vec![1]));
+        let other = c.allocate(Blob(vec![2]));
+        early.latch.exclusive().lsn = Lsn(5);
+        late.latch.exclusive().lsn = Lsn(10);
+        other.latch.exclusive().lsn = Lsn(5);
+        assert!(c.force_all(Lsn(9)).is_err());
+        assert!(late.latch.is_dirty());
+        // The retry, after the log caught up, forces the refused page
+        // and whatever the failed pass had not reached — and no page
+        // twice.
+        c.force_all(Lsn(10)).unwrap();
+        assert_eq!(c.stats.forces.get(), 3);
+        assert!(!late.latch.is_dirty());
+        c.crash();
+        assert_eq!(c.num_pages(), 3);
+        assert_eq!(c.frame(late.id).unwrap().latch.share().lsn, Lsn(10));
+    }
+
+    #[test]
+    fn reallocation_after_truncate_yields_a_dirty_frame() {
+        let c = cache();
+        for i in 0..4u8 {
+            c.allocate(Blob(vec![i]));
+        }
+        c.force_all(Lsn::NULL).unwrap();
+        // Dirty, then truncated away: the stale listing must neither
+        // fail the next force nor resurrect the page.
+        c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 9;
+        c.truncate_from(PageId(2));
+        c.force_all(Lsn::NULL).unwrap();
+        assert_eq!(c.stats.forces.get(), 4);
+        assert_eq!(c.durable_pages(), 2);
+        let f = c.allocate(Blob(vec![7]));
+        assert_eq!(f.id, PageId(2));
+        assert!(f.latch.is_dirty());
+        c.force_all(Lsn::NULL).unwrap();
+        assert_eq!(c.stats.forces.get(), 5);
+        c.crash();
+        assert_eq!(
+            c.frame(PageId(2)).unwrap().latch.share().payload,
+            Blob(vec![7])
+        );
+    }
+
+    #[test]
+    fn staged_images_are_volatile_until_published() {
+        let c = cache();
+        let f = c.allocate(Blob(vec![1]));
+        c.force_all(Lsn::NULL).unwrap();
+        f.latch.exclusive().payload.0[0] = 2;
+        c.stage_dirty(Lsn::NULL).unwrap();
+        assert_eq!(c.stats.forces.get(), 1, "staging writes nothing");
+        c.crash();
+        assert_eq!(
+            c.frame(PageId(0)).unwrap().latch.share().payload,
+            Blob(vec![1])
+        );
+        c.publish_staged();
+        assert_eq!(
+            c.stats.forces.get(),
+            1,
+            "the crash dropped the staging area"
+        );
+        // Staged, dirtied again, staged again: one image is published,
+        // the newer one.
+        let f = c.frame(PageId(0)).unwrap();
+        f.latch.exclusive().payload.0[0] = 3;
+        c.stage_dirty(Lsn::NULL).unwrap();
+        f.latch.exclusive().payload.0[0] = 4;
+        c.stage_dirty(Lsn::NULL).unwrap();
+        c.publish_staged();
+        assert_eq!(c.stats.forces.get(), 2);
+        c.crash();
+        assert_eq!(
+            c.frame(PageId(0)).unwrap().latch.share().payload,
+            Blob(vec![4])
+        );
+    }
+
+    #[test]
+    fn pages_allocated_while_a_force_runs_are_not_forgotten() {
+        // A page is listed dirty only once the volatile map holds it;
+        // listed earlier, a concurrent force takes the listing, finds
+        // no frame, and the page is never written.
+        let c = cache();
+        let allocating = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..20_000u32 {
+                    c.allocate(Blob(i.to_be_bytes().to_vec()));
+                }
+                allocating.store(false, Ordering::Release);
+            });
+            while allocating.load(Ordering::Acquire) {
+                c.force_all(Lsn::NULL).unwrap();
+            }
+        });
+        c.force_all(Lsn::NULL).unwrap();
+        assert_eq!(c.stats.forces.get(), 20_000);
+        c.crash();
+        assert_eq!(c.num_pages(), 20_000);
+        for i in (0..20_000u32).step_by(97) {
+            assert_eq!(
+                c.frame(PageId(i)).unwrap().latch.share().payload,
+                Blob(i.to_be_bytes().to_vec())
+            );
         }
     }
 

@@ -10,7 +10,8 @@
 use mohan_common::stats::Counter;
 use mohan_obs::Histogram;
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
-use parking_lot::{RawRwLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RawRwLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,11 +48,56 @@ impl LatchStats {
     }
 }
 
+/// Tags of the latches that went clean→dirty since the list was last
+/// taken. A family of tracked latches (one page-cache shard) shares
+/// one list, so a checkpoint finds its work without visiting clean
+/// pages. The list may name a tag twice or name a latch that no longer
+/// exists; the latch's own bit is the truth.
+#[derive(Debug, Default)]
+pub struct DirtyList(Mutex<Vec<u32>>);
+
+impl DirtyList {
+    /// Take every tag recorded so far, leaving the list empty.
+    #[must_use]
+    pub fn take(&self) -> Vec<u32> {
+        std::mem::take(&mut *self.0.lock())
+    }
+
+    /// Put tags back (a force that stopped early returns the tags it
+    /// did not get to).
+    pub fn extend(&self, tags: impl IntoIterator<Item = u32>) {
+        self.0.lock().extend(tags);
+    }
+
+    /// Forget tags for which `keep` is false.
+    pub fn retain(&self, keep: impl FnMut(&u32) -> bool) {
+        self.0.lock().retain(keep);
+    }
+
+    /// Forget every tag.
+    pub fn clear(&self) {
+        self.0.lock().clear();
+    }
+}
+
+/// Dirty state of one tracked latch.
+#[derive(Debug)]
+struct Dirty {
+    /// Set iff the latch was granted exclusively since the bit was last
+    /// cleared. Only ever written while the latch is held — set under X,
+    /// cleared under S — so the latch itself orders every access and
+    /// `Relaxed` suffices.
+    bit: AtomicBool,
+    tag: u32,
+    list: Arc<DirtyList>,
+}
+
 /// A share/exclusive latch protecting one value (typically a page).
 #[derive(Debug)]
 pub struct Latch<T> {
     lock: Arc<RwLock<T>>,
     stats: Arc<LatchStats>,
+    dirty: Option<Dirty>,
 }
 
 impl<T> Latch<T> {
@@ -60,7 +106,63 @@ impl<T> Latch<T> {
         Latch {
             lock: Arc::new(RwLock::new(value)),
             stats,
+            dirty: None,
         }
+    }
+
+    /// Like [`Latch::new`], with dirty tracking: the first exclusive
+    /// grant after each [`Latch::clear_dirty`] pushes `tag` on `list`.
+    /// `dirty` is the initial state of the bit; a latch created dirty
+    /// is *not* listed — its creator lists it once the latch can be
+    /// found under `tag`, or a force racing with the creation would
+    /// take the tag, find nothing, and drop it.
+    pub fn tracked(
+        value: T,
+        stats: Arc<LatchStats>,
+        tag: u32,
+        list: Arc<DirtyList>,
+        dirty: bool,
+    ) -> Latch<T> {
+        Latch {
+            lock: Arc::new(RwLock::new(value)),
+            stats,
+            dirty: Some(Dirty {
+                bit: AtomicBool::new(dirty),
+                tag,
+                list,
+            }),
+        }
+    }
+
+    /// Called with the exclusive latch *held*. Marking before the grant
+    /// would race with a checkpointer that holds S: it clears the bit,
+    /// encodes the old image, and the change made once X is granted
+    /// would never be forced.
+    fn mark_dirty(&self) {
+        if let Some(d) = &self.dirty {
+            if !d.bit.load(Ordering::Relaxed) {
+                d.bit.store(true, Ordering::Relaxed);
+                d.list.extend([d.tag]);
+            }
+        }
+    }
+
+    /// Clear the dirty bit. The caller must hold the latch (S suffices)
+    /// and must then write out the value it sees: exclusive holders are
+    /// excluded, so what it sees is everything the bit stood for.
+    pub fn clear_dirty(&self) {
+        if let Some(d) = &self.dirty {
+            d.bit.store(false, Ordering::Relaxed);
+        }
+    }
+
+    /// Has the latch been granted exclusively since the last
+    /// [`Latch::clear_dirty`]? Exact only while the latch is held.
+    #[must_use]
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
+            .as_ref()
+            .is_some_and(|d| d.bit.load(Ordering::Relaxed))
     }
 
     /// Acquire in share mode, returning an owned guard suitable for
@@ -81,14 +183,17 @@ impl<T> Latch<T> {
     /// for storing in a descent path (latch crabbing).
     pub fn exclusive_arc(&self) -> ExclusiveGuard<T> {
         self.stats.exclusive.bump();
-        if self.lock.try_write().is_none() {
+        let g = if self.lock.try_write().is_none() {
             self.stats.wait_events.bump();
             let started = Instant::now();
             let g = ExclusiveGuard::lock(Arc::clone(&self.lock));
             self.stats.wait_us.record_micros(started.elapsed());
-            return g;
-        }
-        ExclusiveGuard::lock(Arc::clone(&self.lock))
+            g
+        } else {
+            ExclusiveGuard::lock(Arc::clone(&self.lock))
+        };
+        self.mark_dirty();
+        g
     }
 
     /// Acquire in share (S) mode; blocks until granted.
@@ -109,7 +214,7 @@ impl<T> Latch<T> {
     /// Acquire in exclusive (X) mode; blocks until granted.
     pub fn exclusive(&self) -> RwLockWriteGuard<'_, T> {
         self.stats.exclusive.bump();
-        match self.lock.try_write() {
+        let g = match self.lock.try_write() {
             Some(g) => g,
             None => {
                 self.stats.wait_events.bump();
@@ -118,7 +223,9 @@ impl<T> Latch<T> {
                 self.stats.wait_us.record_micros(started.elapsed());
                 g
             }
-        }
+        };
+        self.mark_dirty();
+        g
     }
 
     /// Conditional exclusive acquisition (never blocks). Used by
@@ -127,6 +234,7 @@ impl<T> Latch<T> {
         match self.lock.try_write() {
             Some(g) => {
                 self.stats.exclusive.bump();
+                self.mark_dirty();
                 Some(g)
             }
             None => {
