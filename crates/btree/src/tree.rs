@@ -13,10 +13,11 @@
 
 use crate::node::{LeafEntry, Node};
 use mohan_common::failpoint::{FailpointSet, Failpoints};
+use mohan_common::pace::{Ticker, OPS_PER_PACE};
 use mohan_common::stats::Counter;
 use mohan_common::{Error, FileId, IndexEntry, KeyValue, Lsn, PageId, Result, Rid};
 use mohan_storage::cache::PageBuf;
-use mohan_storage::{ExclusiveGuard, Latch, LatchStats, PageCache, ShareGuard};
+use mohan_storage::{ExclusiveGuard, Latch, LatchStats, PageCache, ShareGuard, ShareRef};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -168,7 +169,7 @@ impl BTree {
 
     /// Hold the structure lock shared for the duration of a mutating
     /// operation (no new durable image is published mid-split).
-    pub(crate) fn structure_shared(&self) -> parking_lot::RwLockReadGuard<'_, ()> {
+    pub(crate) fn structure_shared(&self) -> ShareRef<'_, ()> {
         self.structure.share()
     }
 
@@ -222,12 +223,18 @@ impl BTree {
     /// staged-or-durable image equals its volatile image, so the
     /// durable tree is structurally consistent; a crash any time
     /// before it leaves the previous checkpoint's image untouched.
+    ///
+    /// Phase 1 is as long as the tree is dirty, so it gives way between
+    /// pages ([`mohan_common::pace`]): all it holds there is `force`,
+    /// which only another checkpointer or [`BTree::clear`] waits for.
+    /// Phase 2 must not: every writer of the tree waits for it.
     pub fn force_all(&self, flushed: Lsn) -> Result<()> {
         let _force = self.force.lock();
-        self.cache.stage_dirty(flushed)?;
+        let mut pacer = Ticker::new(OPS_PER_PACE);
+        self.cache.stage_dirty(flushed, || pacer.tick())?;
         self.failpoints.hit(FORCE_STAGED_FAILPOINT)?;
         let _structure = self.structure.exclusive();
-        self.cache.stage_dirty(flushed)?;
+        self.cache.stage_dirty(flushed, || {})?;
         self.cache.publish_staged();
         Ok(())
     }

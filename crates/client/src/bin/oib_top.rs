@@ -95,17 +95,19 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
     // builder (`build.checkpoint_us`), what they wrote (`cache.force`),
     // and what they cost writers — time blocked on a tree's structure
     // lock (`btree.structure_wait_us`), which no latch or lock metric
-    // shows.
+    // shows; and how often the builders offered the processor to
+    // everyone else (`build.pace_points`).
     if let Some(cp) = report.hist("build.checkpoint_us") {
         let blocked = report.hist("btree.structure_wait_us");
         out.push_str(&format!(
-            "build    checkpoints {} (p99 {} µs, max {} µs)   pages forced {}   structure waits {} (max {} µs)\n",
+            "build    checkpoints {} (p99 {} µs, max {} µs)   pages forced {}   structure waits {} (max {} µs)   pace points {}\n",
             cp.count,
             cp.p99,
             cp.max,
             report.counter("cache.force").unwrap_or(0),
             blocked.map_or(0, |h| h.count),
             blocked.map_or(0, |h| h.max),
+            report.counter("build.pace_points").unwrap_or(0),
         ));
     }
     // A primary with WAL subscribers shows the broadcast fan-out ring:

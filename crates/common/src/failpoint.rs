@@ -7,7 +7,11 @@
 //! [`FailpointSet::hit`] at interesting sites; when a trigger's
 //! countdown reaches zero the site returns
 //! [`Error::InjectedCrash`](crate::error::Error::InjectedCrash), which
-//! callers propagate to the crash orchestrator.
+//! callers propagate to the crash orchestrator. A trigger can instead
+//! carry a closure ([`FailpointSet::arm_hook`]): the site then runs it
+//! and carries on, which is how a test places another thread's work at
+//! an exact point of the builder's — an interleaving forced, not raced
+//! for.
 //!
 //! Failpoints are *instance-scoped* (carried by the `Db`), not global,
 //! so parallel tests never interfere with each other. For binaries and
@@ -33,6 +37,7 @@ pub const KNOWN_SITES: &[&str] = &[
     "build.insert",
     "build.load",
     "build.reduce",
+    "build.registered",
     "build.scan",
     "build.scan.record",
     "nsf.insert.key",
@@ -47,12 +52,20 @@ pub struct FailpointSet {
     inner: Mutex<HashMap<String, Trigger>>,
 }
 
-#[derive(Debug)]
 struct Trigger {
     /// Remaining hits before firing. Fires when a hit sees 0.
     remaining: u64,
-    /// Number of times the site has actually fired.
-    fired: u64,
+    /// Run this instead of crashing.
+    hook: Option<Box<dyn FnOnce() + Send>>,
+}
+
+impl std::fmt::Debug for Trigger {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trigger")
+            .field("remaining", &self.remaining)
+            .field("hook", &self.hook.is_some())
+            .finish()
+    }
 }
 
 /// Shared handle to a failpoint set.
@@ -71,7 +84,20 @@ impl FailpointSet {
             site.to_owned(),
             Trigger {
                 remaining: skip,
-                fired: 0,
+                hook: None,
+            },
+        );
+    }
+
+    /// Arm `site` to run `hook` on its `(skip + 1)`-th hit, on the
+    /// thread that hits it and in place of the crash; the site then
+    /// continues. One-shot, like a crash trigger.
+    pub fn arm_hook(&self, site: &str, skip: u64, hook: impl FnOnce() + Send + 'static) {
+        self.inner.lock().insert(
+            site.to_owned(),
+            Trigger {
+                remaining: skip,
+                hook: Some(Box::new(hook)),
             },
         );
     }
@@ -139,29 +165,30 @@ impl FailpointSet {
         self.inner.lock().clear();
     }
 
-    /// Number of times `site` has fired.
-    #[must_use]
-    pub fn fired(&self, site: &str) -> u64 {
-        self.inner.lock().get(site).map_or(0, |t| t.fired)
-    }
-
     /// Called by instrumented code. Returns `Err(InjectedCrash)` when
-    /// the armed countdown for `site` expires; otherwise `Ok(())`.
+    /// the armed countdown for `site` expires (or runs the trigger's
+    /// hook and returns `Ok`); otherwise `Ok(())`.
     pub fn hit(&self, site: &'static str) -> Result<()> {
         let mut map = self.inner.lock();
-        if let Some(t) = map.get_mut(site) {
-            if t.remaining == 0 {
-                t.fired += 1;
-                // One-shot: a fired trigger disarms itself so recovery
-                // code re-running the same path does not crash again.
-                let fired = t.fired;
-                map.remove(site);
-                let _ = fired;
-                return Err(Error::InjectedCrash(site));
-            }
+        let Some(t) = map.get_mut(site) else {
+            return Ok(());
+        };
+        if t.remaining > 0 {
             t.remaining -= 1;
+            return Ok(());
         }
-        Ok(())
+        // One-shot: a fired trigger disarms itself so recovery code
+        // re-running the same path does not crash again.
+        let hook = map.remove(site).and_then(|t| t.hook);
+        drop(map);
+        match hook {
+            // Outside the lock: a hook is free to hit other sites.
+            Some(hook) => {
+                hook();
+                Ok(())
+            }
+            None => Err(Error::InjectedCrash(site)),
+        }
     }
 }
 
@@ -187,6 +214,23 @@ mod tests {
         assert_eq!(err, Error::InjectedCrash("x"));
         // One-shot: re-hitting after firing is fine.
         assert!(fp.hit("x").is_ok());
+    }
+
+    #[test]
+    fn hook_runs_once_in_place_of_the_crash() {
+        let fp = FailpointSet::new();
+        let ran = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let ran2 = Arc::clone(&ran);
+        let fp2 = Arc::clone(&fp);
+        fp.arm_hook("h", 1, move || {
+            ran2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            // The set is not locked while a hook runs.
+            fp2.hit("other").unwrap();
+        });
+        for _ in 0..4 {
+            fp.hit("h").unwrap();
+        }
+        assert_eq!(ran.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
     #[test]

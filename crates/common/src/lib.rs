@@ -4,8 +4,9 @@
 //! identifiers ([`ids`]), order-preserving key encoding ([`key`]), the
 //! error type ([`error`]), deterministic crash injection
 //! ([`failpoint`]), lightweight atomic counters ([`stats`]), engine
-//! configuration ([`config`]) and the read-side API surface shared by
-//! sessions, wire clients and follower reads ([`api`]).
+//! configuration ([`config`]), the index builder's pace points
+//! ([`pace`]) and the read-side API surface shared by sessions, wire
+//! clients and follower reads ([`api`]).
 //!
 //! The vocabulary follows Mohan & Narang (SIGMOD 1992): records live on
 //! *data pages* and are addressed by a [`ids::Rid`]; index entries are
@@ -20,6 +21,7 @@ pub mod error;
 pub mod failpoint;
 pub mod ids;
 pub mod key;
+pub mod pace;
 pub mod stats;
 
 pub use api::ReadApi;

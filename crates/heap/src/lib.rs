@@ -9,12 +9,14 @@
 //! what creates the paper's race conditions between transactions and
 //! the index builder.
 //!
-//! The scan side ([`HeapTable::scan_from`]) latches each page in share
-//! mode, extracts records in RID order, and accounts simulated
-//! sequential-prefetch I/O batches (§2.2.2).
+//! The scan side ([`HeapTable::scan_pages`]) latches each page in share
+//! mode only to copy its records, hands them out in RID order with the
+//! latch released, and accounts simulated sequential-prefetch I/O
+//! batches (§2.2.2).
 
 #![warn(missing_docs)]
 
+use mohan_common::pace::pace;
 use mohan_common::stats::{Counter, ShardDist};
 use mohan_common::{Error, Lsn, PageId, Result, Rid, TableId};
 use mohan_storage::{PageCache, SlottedPage};
@@ -305,10 +307,10 @@ impl HeapTable {
 
     /// Scan records in RID order, visiting pages up to and including
     /// `last_page`. `from = None` scans from the beginning;
-    /// `Some(rid)` resumes strictly *after* `rid` (IB restart). Each
-    /// page is S-latched while `f` runs on its records; `f` returns
-    /// `false` to stop early. Returns the RID of the last record
-    /// visited.
+    /// `Some(rid)` resumes strictly *after* `rid` (IB restart). `f`
+    /// runs on a copy of each page's records with no latch held and
+    /// returns `false` to stop early. Returns the RID of the last
+    /// record visited.
     pub fn scan_from(
         &self,
         from: Option<Rid>,
@@ -318,22 +320,43 @@ impl HeapTable {
         self.scan_pages(from, last_page, f, |_| {})
     }
 
-    /// [`HeapTable::scan_from`] with a per-page hook: `page_done`
-    /// runs after the last record of each page *while the page's S
-    /// latch is still held*. The SF index builder needs the hook to
-    /// advance Current-RID past the whole page before any updater can
-    /// latch the page again — an insert that reuses the page's free
-    /// space after the scan has left must compare below the cursor
-    /// and go to the side-file, or its key would be lost.
+    /// [`HeapTable::scan_from`] with a per-page hook. The scan latches
+    /// a page to copy it, not to work on it (§3.2.2: latch, extract,
+    /// set Current-RID, unlatch): under the page's S latch it copies
+    /// the live records into a buffer it reuses and runs `under_latch`
+    /// once; then it releases the latch, feeds the copies to `f`, and
+    /// gives way ([`pace`]) before the next page.
+    ///
+    /// The SF index builder's hook advances Current-RID past the whole
+    /// page. Updaters decide side-file or not under the page's X latch,
+    /// so every change to the page after the copy was taken — an update
+    /// or delete of a copied record, or an insert into the page's free
+    /// space — sees the advanced cursor and goes to the side-file,
+    /// while `f` is still working on the old images.
+    ///
+    /// A page with no frame is a crash-lost hole, or a page whose
+    /// allocator has advanced the page count but not yet published the
+    /// frame. The hook runs latchless and the scan looks once more:
+    /// whoever latches the page after the hook sees what the hook did,
+    /// and a frame latched before it is one the second look finds.
     pub fn scan_pages(
         &self,
         from: Option<Rid>,
         last_page: PageId,
         mut f: impl FnMut(Rid, &[u8]) -> Result<bool>,
-        mut page_done: impl FnMut(PageId),
+        mut under_latch: impl FnMut(PageId),
     ) -> Result<Option<Rid>> {
+        let lookup = |page| match self.cache.frame(page) {
+            Ok(fr) => Ok(Some(fr)),
+            Err(Error::NotFound(_)) => Ok(None),
+            Err(e) => Err(e),
+        };
         let mut last_seen = None;
         let mut pages_in_batch = 0usize;
+        // The copy of one page: record bytes end to end, and each
+        // record's slot with the end of its bytes.
+        let mut bytes: Vec<u8> = Vec::with_capacity(self.page_size);
+        let mut slots: Vec<(mohan_common::SlotId, usize)> = Vec::new();
         let first_page = from.map_or(PageId(0), |r| r.page);
         for pnum in first_page.0..=last_page.0.min(self.cache.num_pages().saturating_sub(1)) {
             let page = PageId(pnum);
@@ -342,30 +365,37 @@ impl HeapTable {
             }
             pages_in_batch = (pages_in_batch + 1) % self.prefetch;
             self.stats.scan_pages.bump();
-            let frame = match self.cache.frame(page) {
-                Ok(fr) => fr,
-                Err(Error::NotFound(_)) => {
-                    // Hole (crash-lost page): there is no frame to
-                    // latch, and none will reappear — allocation only
-                    // ever extends the file — so the hook runs
-                    // latchless.
-                    page_done(page);
-                    continue;
+            bytes.clear();
+            slots.clear();
+            let mut frame = lookup(page)?;
+            let hole = frame.is_none();
+            if hole {
+                under_latch(page);
+                frame = lookup(page)?;
+            }
+            if let Some(frame) = frame {
+                let g = frame.latch.share();
+                for (slot, data) in g.payload.records() {
+                    if from.is_some_and(|f| Rid { page, slot } <= f) {
+                        continue;
+                    }
+                    bytes.extend_from_slice(data);
+                    slots.push((slot, bytes.len()));
                 }
-                Err(e) => return Err(e),
-            };
-            let g = frame.latch.share();
-            for (slot, data) in g.payload.records() {
-                let rid = Rid { page, slot };
-                if from.is_some_and(|f| rid <= f) {
-                    continue;
-                }
-                last_seen = Some(rid);
-                if !f(rid, data)? {
-                    return Ok(last_seen);
+                if !hole {
+                    under_latch(page);
                 }
             }
-            page_done(page);
+            let mut start = 0;
+            for &(slot, end) in &slots {
+                let rid = Rid { page, slot };
+                last_seen = Some(rid);
+                if !f(rid, &bytes[start..end])? {
+                    return Ok(last_seen);
+                }
+                start = end;
+            }
+            pace();
         }
         Ok(last_seen)
     }
@@ -587,47 +617,105 @@ mod tests {
     }
 
     #[test]
-    fn scan_pages_hook_fires_after_each_pages_records() {
+    fn scan_pages_latches_to_copy_and_hooks_once_per_page_before_its_records() {
         let t = table();
         for i in 0..60u8 {
             t.insert_with(&[i; 20], no_log).unwrap();
         }
+        // A never-allocated page in the middle of the range: a hole.
+        let hole = PageId(t.num_pages());
+        t.redo_insert(Rid::new(hole.0 + 1, 0), &[99; 20], Lsn(1))
+            .unwrap();
         let pages = t.num_pages();
-        assert!(pages >= 2, "need a multi-page table");
+        assert_eq!(pages, hole.0 + 2);
         #[derive(Debug, PartialEq)]
         enum Ev {
+            Hook(PageId),
             Rec(Rid),
-            Done(PageId),
         }
         let events = std::cell::RefCell::new(Vec::new());
         t.scan_pages(
             None,
             PageId(pages - 1),
             |rid, _| {
+                // The page being delivered is not latched any more.
+                let frame = t.cache.frame(rid.page).unwrap();
+                assert!(frame.latch.try_exclusive().is_some());
                 events.borrow_mut().push(Ev::Rec(rid));
                 Ok(true)
             },
-            |page| events.borrow_mut().push(Ev::Done(page)),
+            |page| {
+                // The hook runs under the page's S latch (a hole has
+                // no frame to latch).
+                if let Ok(frame) = t.cache.frame(page) {
+                    assert!(frame.latch.try_exclusive().is_none());
+                } else {
+                    assert_eq!(page, hole);
+                }
+                events.borrow_mut().push(Ev::Hook(page));
+            },
         )
         .unwrap();
         let events = events.into_inner();
-        // Every page is closed out exactly once, and only after its
-        // last record and before the next page's first.
-        let mut current = None;
-        let mut done = Vec::new();
+        // One hook per page, in page order, each before any record of
+        // its page and after every record of the pages before it.
+        let hooks: Vec<PageId> = events
+            .iter()
+            .filter_map(|e| match e {
+                Ev::Hook(p) => Some(*p),
+                Ev::Rec(_) => None,
+            })
+            .collect();
+        assert_eq!(hooks, (0..pages).map(PageId).collect::<Vec<_>>());
+        let mut hooked = None;
+        let mut recs = 0;
         for ev in &events {
             match ev {
+                Ev::Hook(p) => hooked = Some(*p),
                 Ev::Rec(rid) => {
-                    assert!(!done.contains(&rid.page), "record after page_done");
-                    current = Some(rid.page);
-                }
-                Ev::Done(p) => {
-                    assert_eq!(Some(*p), current, "hook out of order");
-                    done.push(*p);
+                    assert_eq!(Some(rid.page), hooked, "record outside its page's turn");
+                    recs += 1;
                 }
             }
         }
-        assert_eq!(done.len(), pages as usize);
+        assert_eq!(recs, 61);
+    }
+
+    #[test]
+    fn scan_pages_finds_a_frame_published_while_the_hook_ran() {
+        let t = table();
+        t.insert_with(&[1; 20], no_log).unwrap();
+        // Page 1 counts as allocated but has no frame yet, as between
+        // the two steps of `PageCache::allocate`.
+        t.redo_insert(Rid::new(2, 0), &[3; 20], Lsn(1)).unwrap();
+        let mut hooks = Vec::new();
+        let mut seen = Vec::new();
+        t.scan_pages(
+            None,
+            PageId(2),
+            |rid, data| {
+                seen.push((rid, data[0]));
+                Ok(true)
+            },
+            |page| {
+                hooks.push(page);
+                if page == PageId(1) {
+                    // The allocator publishes the frame and its owner
+                    // inserts, all before the hook's effect is visible.
+                    t.redo_insert(Rid::new(1, 0), &[2; 20], Lsn(2)).unwrap();
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(hooks, vec![PageId(0), PageId(1), PageId(2)]);
+        assert_eq!(
+            seen,
+            vec![
+                (Rid::new(0, 0), 1),
+                (Rid::new(1, 0), 2),
+                (Rid::new(2, 0), 3)
+            ]
+        );
     }
 
     #[test]

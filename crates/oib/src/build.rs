@@ -7,6 +7,7 @@ use crate::progress::{self, BuildProgress, PartCheckpoint};
 use crate::runtime::{IndexRuntime, IndexState};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
 use mohan_btree::{BulkLoader, InsertMode, InsertOutcome};
+use mohan_common::pace::{pace, Ticker, KEYS_PER_PACE, OPS_PER_PACE};
 use mohan_common::{
     EngineConfig, Error, IndexEntry, IndexId, Lsn, PageId, Result, Rid, SlotId, TableId, TxId,
 };
@@ -376,8 +377,20 @@ fn make_runtime(
     Arc::new(IndexRuntime::new(def, algorithm, state, &db.cfg))
 }
 
-/// NSF: short quiesce (table S lock) around descriptor creation so no
-/// update transaction straddles it (§2.2.1). SF: no quiesce (§3.2.1).
+/// Create and register the descriptors, then fix the scan bound.
+/// NSF: short quiesce (table S lock) around it so no update
+/// transaction straddles it (§2.2.1) — or the §3.2.3 no-quiesce
+/// alternative, where transactions straddling the creation are
+/// compensated via the visible-index-count comparison at rollback.
+/// SF: no quiesce (§3.2.1).
+///
+/// The order matters (§2.3.1, §3.2.1): every record must be on a page
+/// at or below the bound, or have been written by a transaction that
+/// already saw the index. Fixing the bound first and registering second
+/// loses an insert that allocates a fresh data page in between: above
+/// the bound, so never scanned; before the registration, so never
+/// maintained. The `build.registered` failpoint sits between the two
+/// steps (tests put exactly that insert there).
 fn create_descriptors(
     db: &Arc<Db>,
     table: TableId,
@@ -385,48 +398,38 @@ fn create_descriptors(
     algorithm: BuildAlgorithm,
 ) -> Result<Vec<Arc<IndexRuntime>>> {
     let tbl = db.table(table)?;
-    let mut out = Vec::with_capacity(specs.len());
-    match algorithm {
-        BuildAlgorithm::Nsf => {
-            // §2.2.1's short quiesce — or the §3.2.3 no-quiesce
-            // alternative, where transactions straddling the creation
-            // are compensated via the visible-index-count comparison
-            // at rollback.
-            let quiesce_tx = if db.cfg.nsf_descriptor_quiesce {
-                let tx = db.begin();
-                db.locks.lock(tx, LockName::Table(table), LockMode::S)?;
-                Some(tx)
-            } else {
-                None
-            };
-            for spec in specs {
-                let rt = make_runtime(db, table, spec, algorithm, IndexState::NsfBuilding);
-                set_scan_bounds(&rt, &tbl);
-                force_empty_tree(db, &rt)?;
-                db.register_index(Arc::clone(&rt));
-                out.push(rt);
-            }
-            if let Some(tx) = quiesce_tx {
-                // End the quiesce: update transactions may run again.
-                db.commit(tx)?;
-            }
-        }
-        BuildAlgorithm::Sf => {
-            for spec in specs {
-                let rt = make_runtime(db, table, spec, algorithm, IndexState::SfBuilding);
-                set_scan_bounds(&rt, &tbl);
-                force_empty_tree(db, &rt)?;
-                db.register_index(Arc::clone(&rt));
-                out.push(rt);
-            }
-        }
+    let state = match algorithm {
+        BuildAlgorithm::Nsf => IndexState::NsfBuilding,
+        BuildAlgorithm::Sf => IndexState::SfBuilding,
         BuildAlgorithm::Offline => unreachable!("offline uses offline_build"),
+    };
+    let quiesce_tx = if algorithm == BuildAlgorithm::Nsf && db.cfg.nsf_descriptor_quiesce {
+        let tx = db.begin();
+        db.locks.lock(tx, LockName::Table(table), LockMode::S)?;
+        Some(tx)
+    } else {
+        None
+    };
+    let mut out = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let rt = make_runtime(db, table, spec, algorithm, state);
+        force_empty_tree(db, &rt)?;
+        db.register_index(Arc::clone(&rt));
+        out.push(rt);
+    }
+    db.failpoints.hit("build.registered")?;
+    for rt in &out {
+        publish_scan_bounds(rt, &tbl);
+    }
+    // The catalog written at registration has no bound yet.
+    db.persist_catalog();
+    if let Some(tx) = quiesce_tx {
+        // End the quiesce: update transactions may run again.
+        db.commit(tx)?;
     }
     Ok(out)
 }
 
-/// Note the last data page before the scan starts (§2.3.1): records
-/// added to later pages are the transactions' responsibility.
 /// Descriptor creation is a durable catalog update: force the empty
 /// tree (anchor + root) so restart always finds a structurally valid
 /// index to recover into.
@@ -434,13 +437,35 @@ pub(crate) fn force_empty_tree(db: &Db, rt: &IndexRuntime) -> Result<()> {
     force_index_pages(db, rt, "create", |flushed| rt.tree.force_all(flushed))
 }
 
-fn set_scan_bounds(rt: &IndexRuntime, tbl: &mohan_heap::HeapTable) {
-    let pages = tbl.num_pages();
-    if pages == 0 {
-        rt.set_scan_end(PageId(u32::MAX));
-        rt.finish_scan();
-    } else {
-        rt.set_scan_end(PageId(pages - 1));
+/// Note the last data page before the scan starts (§2.3.1): records
+/// added to later pages are the transactions' responsibility.
+///
+/// With updaters running (SF, and NSF without its quiesce) one read of
+/// the page count is not enough: allocating a page is a lock-free
+/// `fetch_add`, so a transaction can allocate page *n* after this
+/// thread read a count of *n* and evaluate `sf_visible` before the
+/// bound is stored. So the bound is published and the count read again
+/// until it has not moved: an allocation either precedes the last read,
+/// and is inside the bound, or follows a store it must observe, and is
+/// side-filed. (Store-then-load here against add-then-load there needs
+/// a single order over all four, hence `SeqCst` on the bound, the
+/// cursor's end mark and the page count.) A page covered twice — bound
+/// raised over a page whose insert already went to the side-file — is
+/// the over-visibility a post-crash rescan produces, absorbed by
+/// duplicate rejection at drain.
+fn publish_scan_bounds(rt: &IndexRuntime, tbl: &mohan_heap::HeapTable) {
+    loop {
+        let pages = tbl.num_pages();
+        if pages == 0 {
+            // Nothing to scan: every page yet to come is past the end.
+            rt.set_scan_end(PageId(u32::MAX));
+            rt.finish_scan();
+        } else {
+            rt.set_scan_end(PageId(pages - 1));
+        }
+        if tbl.num_pages() == pages {
+            return;
+        }
     }
 }
 
@@ -464,7 +489,14 @@ fn run_from_scratch(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>], opts: &BuildOption
 fn resume_one(db: &Arc<Db>, idx: &Arc<IndexRuntime>, opts: &BuildOptions) -> Result<()> {
     match progress::load(db, idx.def.id)? {
         None => {
-            // Crash before the first sort checkpoint: start over.
+            // Crash before the first sort checkpoint: start over. If it
+            // came between registration and the bound's publication,
+            // publish it now (restart made every record visible, so
+            // any bound that covers the table will do).
+            if idx.scan_end() == PageId(u32::MAX) {
+                publish_scan_bounds(idx, &*db.table(idx.def.table)?);
+                db.persist_catalog();
+            }
             run_from_scratch(db, std::slice::from_ref(idx), opts)
         }
         Some(BuildProgress::Scanning { sort }) => {
@@ -489,6 +521,25 @@ fn resume_one(db: &Arc<Db>, idx: &Arc<IndexRuntime>, opts: &BuildOptions) -> Res
             nsf_insert_phase(db, idx, merge, inserted, opts)
         }
         Some(BuildProgress::Draining { pos }) => sf_drain_phase(db, idx, pos, opts),
+    }
+}
+
+/// The scan's under-latch hook (§3.2.2): with page `page` S-latched
+/// and its records copied, advance every SF index's Current-RID past
+/// every slot the page could ever hold. The keys of the copied records
+/// are the IB's from here on; whatever changes the page once the latch
+/// drops — an update or delete of a copied record, or an insert into
+/// the page's free space, which a last-record cursor would leave above
+/// itself and lose — compares below the cursor under the page's X latch
+/// and goes to the side-file.
+fn advance_current_rid(idxs: &[Arc<IndexRuntime>], page: PageId) {
+    for idx in idxs {
+        if idx.algorithm == BuildAlgorithm::Sf {
+            idx.set_current_rid(Rid {
+                page,
+                slot: SlotId(u16::MAX),
+            });
+        }
     }
 }
 
@@ -542,13 +593,6 @@ fn scan_and_sort(
                         let entry = idx.def.entry_of(&rec, rid)?;
                         rfs[i].push(entry, pos)?;
                     }
-                    if idx.algorithm == BuildAlgorithm::Sf {
-                        // Advance Current-RID under the page's S latch
-                        // (§3.2.2): this record's key is now the IB's
-                        // responsibility; everything before it is the
-                        // transactions'.
-                        idx.set_current_rid(rid);
-                    }
                 }
                 db.failpoints.hit("build.scan.record")?;
                 since_cp += 1;
@@ -562,25 +606,7 @@ fn scan_and_sort(
                 }
                 Ok(true)
             },
-            |page| {
-                for idx in idxs {
-                    if idx.algorithm == BuildAlgorithm::Sf {
-                        // The scan is done with this page. Advance
-                        // Current-RID past every slot the page could
-                        // ever hold *before* the S latch drops: an
-                        // insert that reuses the page's free space
-                        // after the scan has left must compare below
-                        // the cursor and go to the side-file — with
-                        // only the last-record cursor it would land
-                        // above it and its key would never reach the
-                        // index.
-                        idx.set_current_rid(Rid {
-                            page,
-                            slot: SlotId(u16::MAX),
-                        });
-                    }
-                }
-            },
+            |page| advance_current_rid(idxs, page),
         )?;
     }
     for idx in idxs {
@@ -739,7 +765,7 @@ fn parallel_scan_and_sort(
                     // Resume strictly after the checkpointed position.
                     // A fresh partition starts just before its first
                     // page: every RID of page `lo - 1` compares ≤
-                    // `from`, so only the page_done hook re-fires there
+                    // `from`, so only the under-latch hook fires there
                     // — harmless, Current-RID only grows.
                     let min_floor = floors.iter().copied().min().unwrap_or(0);
                     let from = if min_floor > 0 {
@@ -767,9 +793,6 @@ fn parallel_scan_and_sort(
                                     let entry = idx.def.entry_of(&rec, rid)?;
                                     rfs[i].push(entry, pos)?;
                                 }
-                                if idx.algorithm == BuildAlgorithm::Sf {
-                                    idx.set_current_rid(rid);
-                                }
                             }
                             db.failpoints.hit("build.scan.record")?;
                             since_cp += 1;
@@ -788,16 +811,7 @@ fn parallel_scan_and_sort(
                             }
                             Ok(true)
                         },
-                        |page| {
-                            for idx in idxs {
-                                if idx.algorithm == BuildAlgorithm::Sf {
-                                    idx.set_current_rid(Rid {
-                                        page,
-                                        slot: SlotId(u16::MAX),
-                                    });
-                                }
-                            }
-                        },
+                        |page| advance_current_rid(idxs, page),
                     );
                     if let Err(e) = r {
                         stop.store(true, Ordering::Relaxed);
@@ -927,9 +941,12 @@ fn nsf_insert_phase(
     let mut batch: Vec<IndexEntry> = Vec::with_capacity(db.cfg.ib_multi_key_batch);
     let mut since_cp = 0usize;
     let mut last_key: Option<mohan_common::KeyValue> = None;
+    let mut pacer = Ticker::new(KEYS_PER_PACE);
 
     let result = (|| -> Result<()> {
         while let Some(entry) = merge.next() {
+            // The previous key's `tree.insert` has returned: no latch.
+            pacer.tick();
             db.failpoints.hit("nsf.insert.key")?;
             last_key = Some(entry.key.clone());
             match idx.tree.insert(entry.clone(), InsertMode::Ib)? {
@@ -1109,9 +1126,12 @@ fn sf_load_phase(
     let unique = idx.def.unique;
     let mut since_cp = 0usize;
     let mut pending: Option<IndexEntry> = None;
+    let mut pacer = Ticker::new(KEYS_PER_PACE);
 
     let result = (|| -> Result<()> {
         loop {
+            // The loader latches inside `append` only.
+            pacer.tick();
             if since_cp >= cp_keys {
                 // The unique-path lookahead may hold one consumed
                 // entry; it can be flushed (making the merge counters
@@ -1224,6 +1244,11 @@ pub(crate) fn sf_drain_phase(
     let _phase = PhaseTimer::new(db, "drain");
     idx.side_file.set_drained(pos);
     let mut ib = db.begin_ib();
+    // Each drained operation latches and unlatches inside
+    // `apply_drain_op`; between two of them the IB holds only its own
+    // transaction — until the final catch-up takes the quiesce lock,
+    // which every writer waits for: no giving way from there on.
+    let mut pacer = Ticker::new(OPS_PER_PACE);
     let result = (|| -> Result<()> {
         // First pass: optionally sort the backlog for clustered index
         // access, preserving the relative order of identical keys
@@ -1236,6 +1261,7 @@ pub(crate) fn sf_drain_phase(
                 ops.sort_by(|a, b| a.entry.cmp(&b.entry)); // stable
                 for op in ops {
                     apply_drain_op(db, ib, idx, op)?;
+                    pacer.tick();
                     db.failpoints.hit("sf.drain.op")?;
                 }
                 db.ib_commit_cycle(&mut ib)?;
@@ -1266,13 +1292,20 @@ pub(crate) fn sf_drain_phase(
                         db.commit(ib)?;
                         return complete_index(db, idx, completed_at);
                     }
-                    std::thread::yield_now();
+                    // An append slipped in between the read and the
+                    // close: go round again.
+                    if quiesce_tx.is_none() {
+                        pace();
+                    }
                     continue;
                 }
                 for op in batch {
                     apply_drain_op(db, ib, idx, op)?;
                     pos += 1;
                     idx.side_file.set_drained(pos);
+                    if quiesce_tx.is_none() {
+                        pacer.tick();
+                    }
                     db.failpoints.hit("sf.drain.op")?;
                 }
                 db.ib_commit_cycle(&mut ib)?;
@@ -1400,7 +1433,7 @@ fn offline_build(
                 BuildAlgorithm::Offline,
                 IndexState::Complete,
             );
-            set_scan_bounds(&rt, &tbl);
+            publish_scan_bounds(&rt, &tbl);
             rt.configure_run_store(opts.compress_runs);
             idxs.push(rt);
         }
@@ -1448,7 +1481,9 @@ fn offline_load(db: &Arc<Db>, idx: &Arc<IndexRuntime>, merge_cp: MergeCheckpoint
     let merge = Merge::resume(&store, &merge_cp)?;
     let mut loader = BulkLoader::new(&idx.tree)?;
     let mut prev: Option<IndexEntry> = None;
+    let mut pacer = Ticker::new(KEYS_PER_PACE);
     for entry in merge {
+        pacer.tick();
         if idx.def.unique {
             if let Some(p) = &prev {
                 if p.key == entry.key {

@@ -151,6 +151,7 @@ impl Db {
                 .sum()
         });
         gauge("build.sort_workers", |db| db.build_sort_workers.get());
+        gauge("build.pace_points", |_| mohan_common::pace::points());
         gauge("build.run_bytes", |db| {
             db.indexes
                 .read()

@@ -25,6 +25,7 @@ use crate::runtime::{IndexRuntime, IndexState, KeyCursor};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
 use mohan_btree::scan::for_each_leaf;
 use mohan_btree::{BulkLoader, Node};
+use mohan_common::pace::{Ticker, KEYS_PER_PACE};
 use mohan_common::{Error, IndexEntry, IndexId, Result, Rid};
 use mohan_sort::{ExternalSort, MergeCheckpoint};
 use std::sync::Arc;
@@ -114,8 +115,10 @@ pub fn build_secondary_via_primary(
         // (duplicate rejection, missing-key deletes) absorbs the
         // overlap.
         idx.finish_scan();
+        let mut pacer = Ticker::new(KEYS_PER_PACE);
         for batch in leaves {
             for (_pk, rid) in batch {
+                pacer.tick();
                 match heap.read(rid) {
                     Ok(data) => {
                         let rec = Record::decode(&data)?;
@@ -168,6 +171,7 @@ pub fn build_secondary_via_primary(
             }
         }
         for e in sorted {
+            pacer.tick();
             loader.append(e)?;
         }
         db.wal.flush_all();

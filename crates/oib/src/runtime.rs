@@ -106,7 +106,9 @@ pub struct IndexRuntime {
     pub side_file: SideFile,
     state: AtomicU8,
     /// SF scan cursor: `0` = nothing processed, `u64::MAX` = done,
-    /// otherwise `rid.pack() + 1` of the last record processed.
+    /// otherwise `rid.pack() + 1` of the last RID the scan has taken
+    /// responsibility for (the last possible slot of the last page it
+    /// copied).
     current_rid: AtomicU64,
     /// Last data page the SF scan will visit; records on later pages
     /// are visible by definition (§2.3.1: "transactions would insert
@@ -222,18 +224,24 @@ impl IndexRuntime {
         Lsn(self.completed_lsn.load(Ordering::Acquire))
     }
 
-    /// Set the last page the SF scan will visit.
+    /// Set the last page the SF scan will visit. `SeqCst`, like the
+    /// loads in [`IndexRuntime::sf_visible`] and the heap's page count:
+    /// the builder stores the bound and then re-reads the page count,
+    /// an inserter bumps the page count and then reads the bound, and
+    /// one of the two must see the other (`build::publish_scan_bounds`).
     pub fn set_scan_end(&self, page: PageId) {
-        self.scan_end_page.store(page.0, Ordering::Release);
+        self.scan_end_page.store(page.0, Ordering::SeqCst);
     }
 
     /// Last page of the SF scan.
     #[must_use]
     pub fn scan_end(&self) -> PageId {
-        PageId(self.scan_end_page.load(Ordering::Acquire))
+        PageId(self.scan_end_page.load(Ordering::SeqCst))
     }
 
-    /// Advance the SF scan cursor (IB, under the data page S latch).
+    /// Advance the SF scan cursor. The IB calls it once per data page,
+    /// under the page's S latch and before it processes the keys it
+    /// copied from the page, with the page's last possible RID.
     /// Monotone: the cursor never regresses, so a resumed scan that
     /// restarts behind a conservatively-restored cursor cannot shrink
     /// visibility.
@@ -252,13 +260,13 @@ impl IndexRuntime {
     /// Mark the SF scan finished: Current-RID becomes infinity
     /// (§3.2.2).
     pub fn finish_scan(&self) {
-        self.current_rid.store(CURRENT_INFINITY, Ordering::Release);
+        self.current_rid.store(CURRENT_INFINITY, Ordering::SeqCst);
         if let Some(kc) = &self.key_cursor {
             kc.finish();
         }
     }
 
-    /// Current-RID of the SF scan (the last record processed;
+    /// Current-RID of the SF scan (the end of the last page copied;
     /// [`Rid::MIN`] before the scan touches anything).
     #[must_use]
     pub fn current_rid(&self) -> Rid {
@@ -270,21 +278,21 @@ impl IndexRuntime {
     }
 
     /// The SF visibility rule evaluated for a record (Figure 1):
-    /// the record has been *processed* by the scan
-    /// (`Target-RID ≤ Current-RID` with the cursor naming the last
-    /// record consumed — the paper's `Target < Current` with a
+    /// the record's page has been *copied* by the scan
+    /// (`Target-RID ≤ Current-RID` with the cursor naming the last RID
+    /// of the last page copied — the paper's `Target < Current` with a
     /// next-to-process cursor), or the record lives beyond the scan's
     /// end bound, or (storage-model extension) its primary key is
     /// behind the key cursor. The inclusive boundary matters: the page
-    /// latch serializes the scan against updaters, so an operation on
-    /// the boundary record necessarily happens *after* the IB consumed
-    /// its old image and must go to the side-file.
+    /// latch serializes the copy against updaters, so an operation on
+    /// a record of the boundary page necessarily happens *after* the IB
+    /// took its old image and must go to the side-file.
     #[must_use]
     pub fn sf_visible(&self, rid: Rid, primary_key: Option<&KeyValue>) -> bool {
         if let (Some(kc), Some(pk)) = (&self.key_cursor, primary_key) {
             return kc.passed(pk);
         }
-        match self.current_rid.load(Ordering::Acquire) {
+        match self.current_rid.load(Ordering::SeqCst) {
             CURRENT_INFINITY => true,
             CURRENT_NONE => rid.page > self.scan_end(),
             cur => rid.pack() < cur || rid.page > self.scan_end(),
@@ -454,7 +462,7 @@ mod tests {
         // the last-record cursor — with only that cursor its key
         // would be lost (neither scanned nor side-filed) ...
         assert!(!r.sf_visible(Rid::new(3, 8), None));
-        // ... so the scan's page-done hook advances Current-RID past
+        // ... so the scan's under-latch hook advances Current-RID past
         // the whole page before releasing the page latch.
         r.set_current_rid(Rid::new(3, u16::MAX));
         assert!(r.sf_visible(Rid::new(3, 8), None));

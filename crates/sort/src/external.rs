@@ -16,6 +16,7 @@ use crate::item::SortItem;
 use crate::merge::Merge;
 use crate::run_formation::RunFormation;
 use crate::run_store::RunStore;
+use mohan_common::pace::{Ticker, KEYS_PER_PACE};
 use mohan_common::{Error, Result};
 use std::sync::Arc;
 
@@ -137,10 +138,22 @@ impl<T: SortItem> ExternalSort<T> {
     ) -> Result<Vec<u64>> {
         let inputs = merge.checkpoint().inputs;
         let mut since_cp = 0usize;
-        let mut batch: Vec<T> = Vec::with_capacity(self.checkpoint_every.min(1024));
+        // The output goes to the store a pace block at a time: a whole
+        // checkpoint interval's keys in one `append` would be a
+        // millisecond of encoding that gives way to nobody.
+        let block = KEYS_PER_PACE as usize;
+        let mut batch: Vec<T> = Vec::with_capacity(block);
+        // Between keys the step holds nothing (the run store's locks
+        // are taken and dropped inside `append` and the cursor reads).
+        let mut pacer = Ticker::new(KEYS_PER_PACE);
         while let Some(item) = merge.next() {
+            pacer.tick();
             batch.push(item);
             since_cp += 1;
+            if batch.len() >= block {
+                self.store.append(output, &batch)?;
+                batch.clear();
+            }
             if since_cp >= self.checkpoint_every {
                 self.store.append(output, &batch)?;
                 batch.clear();

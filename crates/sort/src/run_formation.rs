@@ -10,6 +10,7 @@
 use crate::checkpoint::{RunMeta, SortCheckpoint};
 use crate::item::SortItem;
 use crate::run_store::RunStore;
+use mohan_common::pace::{Ticker, KEYS_PER_PACE};
 use mohan_common::Result;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -142,12 +143,7 @@ impl<T: SortItem> RunFormation<T> {
     /// extracted"), force every run, and return the metadata the
     /// caller must record on stable storage.
     pub fn checkpoint(&mut self) -> Result<SortCheckpoint<T>> {
-        while !self.workspace.is_empty() {
-            self.emit_min()?;
-        }
-        for &id in &self.runs {
-            self.store.force_run(id)?;
-        }
+        self.drain()?;
         let mut metas = Vec::with_capacity(self.runs.len());
         for &id in &self.runs {
             metas.push(RunMeta {
@@ -165,13 +161,24 @@ impl<T: SortItem> RunFormation<T> {
     /// Finish the sort phase: drain, force, and return the run ids in
     /// creation order.
     pub fn finish(mut self) -> Result<Vec<u64>> {
+        self.drain()?;
+        Ok(self.runs)
+    }
+
+    /// Emit everything the workspace holds and force every run. A full
+    /// workspace is the better part of a millisecond of work, so the
+    /// drain gives way as it goes: its callers (the scan's checkpoint,
+    /// between two records, and the end of the scan) hold nothing.
+    fn drain(&mut self) -> Result<()> {
+        let mut pacer = Ticker::new(KEYS_PER_PACE);
         while !self.workspace.is_empty() {
             self.emit_min()?;
+            pacer.tick();
         }
         for &id in &self.runs {
             self.store.force_run(id)?;
         }
-        Ok(self.runs)
+        Ok(())
     }
 
     /// Runs produced so far (the last may be open).

@@ -207,7 +207,10 @@ impl<T: PagePayload> PageCache<T> {
     /// shared atomic cursor, so concurrent allocators never meet a
     /// lock.
     pub fn allocate(&self, payload: T) -> Arc<Frame<T>> {
-        let id = PageId(self.next_page.fetch_add(1, Ordering::AcqRel));
+        // `SeqCst` here and in `num_pages`: an index build publishes
+        // its scan bound and re-reads the page count, an inserter
+        // allocates and then reads the bound; one must see the other.
+        let id = PageId(self.next_page.fetch_add(1, Ordering::SeqCst));
         let frame = self.make_frame(id, Lsn::NULL, payload, true);
         self.shards[Self::shard_of(id)]
             .volatile
@@ -221,7 +224,7 @@ impl<T: PagePayload> PageCache<T> {
     /// Number of allocated pages (volatile view).
     #[must_use]
     pub fn num_pages(&self) -> u32 {
-        self.next_page.load(Ordering::Acquire)
+        self.next_page.load(Ordering::SeqCst)
     }
 
     /// Fetch a page frame, decoding the durable image on a miss.
@@ -340,8 +343,10 @@ impl<T: PagePayload> PageCache<T> {
     /// page encode at most, and a page they touch afterwards is dirty
     /// again. Work is proportional to the pages dirtied since the last
     /// call. On a WAL-rule refusal the refused page and those not yet
-    /// visited stay dirty.
-    pub fn stage_dirty(&self, flushed_lsn: Lsn) -> Result<()> {
+    /// visited stay dirty. `between_pages` runs after each page, with
+    /// that page's latch released and no lock of the cache held — the
+    /// one place a caller that holds nothing itself may give way.
+    pub fn stage_dirty(&self, flushed_lsn: Lsn, mut between_pages: impl FnMut()) -> Result<()> {
         for shard in &self.shards {
             let mut ids = shard.dirty.take().into_iter();
             while let Some(raw) = ids.next() {
@@ -358,6 +363,7 @@ impl<T: PagePayload> PageCache<T> {
                     shard.dirty.extend(std::iter::once(raw).chain(ids));
                     return Err(e);
                 }
+                between_pages();
             }
         }
         Ok(())
@@ -392,7 +398,7 @@ impl<T: PagePayload> PageCache<T> {
     /// instant instead (see `BTree::force_all`). On a WAL-rule refusal
     /// the pages staged so far are still written.
     pub fn force_all(&self, flushed_lsn: Lsn) -> Result<()> {
-        let staged = self.stage_dirty(flushed_lsn);
+        let staged = self.stage_dirty(flushed_lsn, || {});
         self.publish_staged();
         staged
     }
@@ -664,7 +670,7 @@ mod tests {
         let f = c.allocate(Blob(vec![1]));
         c.force_all(Lsn::NULL).unwrap();
         f.latch.exclusive().payload.0[0] = 2;
-        c.stage_dirty(Lsn::NULL).unwrap();
+        c.stage_dirty(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 1, "staging writes nothing");
         c.crash();
         assert_eq!(
@@ -681,9 +687,9 @@ mod tests {
         // the newer one.
         let f = c.frame(PageId(0)).unwrap();
         f.latch.exclusive().payload.0[0] = 3;
-        c.stage_dirty(Lsn::NULL).unwrap();
+        c.stage_dirty(Lsn::NULL, || {}).unwrap();
         f.latch.exclusive().payload.0[0] = 4;
-        c.stage_dirty(Lsn::NULL).unwrap();
+        c.stage_dirty(Lsn::NULL, || {}).unwrap();
         c.publish_staged();
         assert_eq!(c.stats.forces.get(), 2);
         c.crash();

@@ -6,20 +6,63 @@
 //! (S) latch, while updaters acquire an exclusive (X) latch" (§1.1,
 //! footnote 2). We wrap `parking_lot::RwLock` and count acquisitions so
 //! the benchmark harness can report latch pathlengths.
+//!
+//! Every guard handed out here is a [`Guard`]: the lock's own guard
+//! plus a [`Held`] token, so that [`mohan_common::pace::pace`] can
+//! assert in debug builds that the index builder gives way only where
+//! it holds no latch.
 
+use mohan_common::pace::Held;
 use mohan_common::stats::Counter;
 use mohan_obs::Histogram;
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{Mutex, RawRwLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// A granted latch: the lock guard `G`, counted as held by this thread
+/// until it drops.
+#[derive(Debug)]
+pub struct Guard<G> {
+    // Declared first so the latch is released before the count drops.
+    inner: G,
+    _held: Held,
+}
+
+impl<G> Guard<G> {
+    /// Call with the latch granted.
+    fn granted(inner: G) -> Guard<G> {
+        Guard {
+            inner,
+            _held: Held::new(),
+        }
+    }
+}
+
+impl<G: Deref> Deref for Guard<G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
+        &self.inner
+    }
+}
+
+impl<G: DerefMut> DerefMut for Guard<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.inner
+    }
+}
+
 /// Owned share-mode latch guard (keeps the latch alive; storable in a
 /// descent path without self-referential borrows).
-pub type ShareGuard<T> = ArcRwLockReadGuard<RawRwLock, T>;
+pub type ShareGuard<T> = Guard<ArcRwLockReadGuard<RawRwLock, T>>;
 /// Owned exclusive-mode latch guard.
-pub type ExclusiveGuard<T> = ArcRwLockWriteGuard<RawRwLock, T>;
+pub type ExclusiveGuard<T> = Guard<ArcRwLockWriteGuard<RawRwLock, T>>;
+/// Share-mode latch guard borrowing the latch.
+pub type ShareRef<'a, T> = Guard<RwLockReadGuard<'a, T>>;
+/// Exclusive-mode latch guard borrowing the latch.
+pub type ExclusiveRef<'a, T> = Guard<RwLockWriteGuard<'a, T>>;
 
 /// Shared acquisition counters for a family of latches (e.g. all data
 /// pages of a table, or all pages of one index).
@@ -172,11 +215,11 @@ impl<T> Latch<T> {
         if self.lock.try_read().is_none() {
             self.stats.wait_events.bump();
             let started = Instant::now();
-            let g = ShareGuard::lock(Arc::clone(&self.lock));
+            let g = ArcRwLockReadGuard::lock(Arc::clone(&self.lock));
             self.stats.wait_us.record_micros(started.elapsed());
-            return g;
+            return Guard::granted(g);
         }
-        ShareGuard::lock(Arc::clone(&self.lock))
+        Guard::granted(ArcRwLockReadGuard::lock(Arc::clone(&self.lock)))
     }
 
     /// Acquire in exclusive mode, returning an owned guard suitable
@@ -186,20 +229,20 @@ impl<T> Latch<T> {
         let g = if self.lock.try_write().is_none() {
             self.stats.wait_events.bump();
             let started = Instant::now();
-            let g = ExclusiveGuard::lock(Arc::clone(&self.lock));
+            let g = ArcRwLockWriteGuard::lock(Arc::clone(&self.lock));
             self.stats.wait_us.record_micros(started.elapsed());
             g
         } else {
-            ExclusiveGuard::lock(Arc::clone(&self.lock))
+            ArcRwLockWriteGuard::lock(Arc::clone(&self.lock))
         };
         self.mark_dirty();
-        g
+        Guard::granted(g)
     }
 
     /// Acquire in share (S) mode; blocks until granted.
-    pub fn share(&self) -> RwLockReadGuard<'_, T> {
+    pub fn share(&self) -> ShareRef<'_, T> {
         self.stats.share.bump();
-        match self.lock.try_read() {
+        Guard::granted(match self.lock.try_read() {
             Some(g) => g,
             None => {
                 self.stats.wait_events.bump();
@@ -208,11 +251,11 @@ impl<T> Latch<T> {
                 self.stats.wait_us.record_micros(started.elapsed());
                 g
             }
-        }
+        })
     }
 
     /// Acquire in exclusive (X) mode; blocks until granted.
-    pub fn exclusive(&self) -> RwLockWriteGuard<'_, T> {
+    pub fn exclusive(&self) -> ExclusiveRef<'_, T> {
         self.stats.exclusive.bump();
         let g = match self.lock.try_write() {
             Some(g) => g,
@@ -225,17 +268,17 @@ impl<T> Latch<T> {
             }
         };
         self.mark_dirty();
-        g
+        Guard::granted(g)
     }
 
     /// Conditional exclusive acquisition (never blocks). Used by
     /// lock-free-ish paths that retry rather than risk latch deadlock.
-    pub fn try_exclusive(&self) -> Option<RwLockWriteGuard<'_, T>> {
+    pub fn try_exclusive(&self) -> Option<ExclusiveRef<'_, T>> {
         match self.lock.try_write() {
             Some(g) => {
                 self.stats.exclusive.bump();
                 self.mark_dirty();
-                Some(g)
+                Some(Guard::granted(g))
             }
             None => {
                 self.stats.contended_tries.bump();
@@ -245,11 +288,11 @@ impl<T> Latch<T> {
     }
 
     /// Conditional share acquisition (never blocks).
-    pub fn try_share(&self) -> Option<RwLockReadGuard<'_, T>> {
+    pub fn try_share(&self) -> Option<ShareRef<'_, T>> {
         match self.lock.try_read() {
             Some(g) => {
                 self.stats.share.bump();
-                Some(g)
+                Some(Guard::granted(g))
             }
             None => {
                 self.stats.contended_tries.bump();
@@ -305,6 +348,31 @@ mod tests {
         });
         assert_eq!(h.join().unwrap(), 0);
         drop(g1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "latch guard held")]
+    fn pace_under_a_guard_panics() {
+        let l = Latch::new((), LatchStats::new());
+        let _g = l.share();
+        mohan_common::pace::pace();
+    }
+
+    #[test]
+    fn every_guard_flavour_is_released_for_pace() {
+        let l = Latch::new(0u8, LatchStats::new());
+        drop(l.share());
+        drop(l.exclusive());
+        drop(l.share_arc());
+        drop(l.exclusive_arc());
+        drop(l.try_share());
+        drop(l.try_exclusive());
+        {
+            let _s = l.share();
+            assert!(l.try_exclusive().is_none());
+        }
+        mohan_common::pace::pace();
     }
 
     #[test]

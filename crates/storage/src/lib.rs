@@ -26,5 +26,5 @@ pub mod latch;
 pub mod slotted;
 
 pub use cache::{PageCache, PagePayload};
-pub use latch::{ExclusiveGuard, Latch, LatchStats, ShareGuard};
+pub use latch::{ExclusiveGuard, ExclusiveRef, Latch, LatchStats, ShareGuard, ShareRef};
 pub use slotted::SlottedPage;
