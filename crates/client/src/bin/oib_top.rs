@@ -77,10 +77,14 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
         // threaded backend, stays near-flat on an idle reactor.
         report.counter("server.wakeups").unwrap_or(0),
     ));
+    // The table holds what is locked now: `entries` names held or
+    // queued for, `held` of them on open transactions' release lists.
     out.push_str(&format!(
-        "   lock waits {} ({} timeouts)",
+        "   lock waits {} ({} timeouts)  entries {} (held {})",
         report.counter("lock.waits").unwrap_or(0),
         report.counter("lock.timeouts").unwrap_or(0),
+        report.counter("lock.entries").unwrap_or(0),
+        report.counter("lock.held_names").unwrap_or(0),
     ));
     // Only a replication follower registers repl.* gauges; on a
     // primary the header stays unchanged.

@@ -171,6 +171,8 @@ impl Db {
         gauge("lock.calls", |db| db.locks.stats.calls.get());
         gauge("lock.waits", |db| db.locks.stats.waits.get());
         gauge("lock.timeouts", |db| db.locks.stats.timeouts.get());
+        gauge("lock.entries", |db| db.locks.entries());
+        gauge("lock.held_names", |db| db.locks.held_names());
         gauge("engine.active_txs", |db| db.active_txs() as u64);
         gauge("latch.wait_events", |db| {
             let mut n = 0;

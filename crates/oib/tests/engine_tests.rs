@@ -343,3 +343,55 @@ fn reads_of_building_index_are_refused() {
         Err(mohan_common::Error::IndexNotReadable(_))
     ));
 }
+
+/// The registry's reading of a lock-table gauge.
+fn lock_gauge(db: &Db, name: &str) -> u64 {
+    db.obs.snapshot().counter(name).expect("registered gauge")
+}
+
+#[test]
+fn lock_table_holds_exactly_what_open_transactions_hold() {
+    let db = db();
+    let sizes = |db: &Db| {
+        (
+            lock_gauge(db, "lock.entries"),
+            lock_gauge(db, "lock.held_names"),
+        )
+    };
+    let mut rids = Vec::new();
+    for batch in 0..20 {
+        let tx = db.begin();
+        for k in 0..500u64 {
+            // The table's IX plus one X per row touched so far.
+            if k % 100 == 1 {
+                assert_eq!(sizes(&db), (k + 1, k + 1));
+            }
+            rids.push(
+                db.insert_record(tx, T, &rec(batch * 500 + k as i64, 0))
+                    .unwrap(),
+            );
+        }
+        assert_eq!(sizes(&db), (501, 501));
+        db.commit(tx).unwrap();
+        assert_eq!(sizes(&db), (0, 0));
+    }
+    assert_eq!(rids.len(), 10_000);
+
+    // Updates re-lock committed rows; rollback lets go of all of them.
+    let tx = db.begin();
+    for (k, rid) in rids.iter().take(7).enumerate() {
+        db.update_record(tx, T, *rid, &rec(k as i64, 1)).unwrap();
+    }
+    assert_eq!(sizes(&db), (8, 8));
+    db.rollback(tx).unwrap();
+    assert_eq!(sizes(&db), (0, 0));
+
+    // A crash forgets locks with the rest of volatile state.
+    let tx = db.begin();
+    db.delete_record(tx, T, rids[0]).unwrap();
+    assert_eq!(sizes(&db), (2, 2));
+    db.simulate_crash();
+    assert_eq!(sizes(&db), (0, 0));
+    db.restart().unwrap();
+    assert_eq!(sizes(&db), (0, 0));
+}
