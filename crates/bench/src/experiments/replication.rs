@@ -520,8 +520,8 @@ pub fn e22_fanout(quick: bool) -> Vec<Table> {
         ]);
         srv.drain();
     }
-    t.note("Suffix scans / encode passes are the shared ring's counters: every flushed batch is scanned and encoded once for ALL subscribers (scans/batch ~constant from 1 to 16).");
-    t.note("delivered total = subscribers x records: decode-once fan-out, with zero records lost.");
+    t.note("Suffix scans / encode passes are the shared ring's counters (range copies out of the log / chunks cut): every flushed batch is copied and chunked once for ALL subscribers (scans/batch ~constant from 1 to 16).");
+    t.note("delivered total = subscribers x records: copy-once fan-out, with zero records lost.");
 
     // Idle leg: subscribers attached, nothing flushing. The flush-waker
     // gate plus the ring's head hint must make this window free —

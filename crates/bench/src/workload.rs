@@ -93,6 +93,9 @@ pub struct ChurnStats {
     pub rollbacks: u64,
     /// Operations that failed (lock timeouts etc.).
     pub errors: u64,
+    /// What each failed `rollback` said: the transaction is still open
+    /// and still holds its locks.
+    pub rollback_failures: Vec<String>,
     /// Total operation latency (for mean latency).
     pub total_latency: Duration,
     /// Wall-clock the churn ran.
@@ -145,6 +148,7 @@ impl ChurnHandle {
             agg.ops += s.ops;
             agg.rollbacks += s.rollbacks;
             agg.errors += s.errors;
+            agg.rollback_failures.extend(s.rollback_failures);
             agg.total_latency += s.total_latency;
         }
         agg
@@ -231,7 +235,9 @@ fn churn_thread(
         match res {
             Ok(()) => {
                 if roll {
-                    let _ = db.rollback(tx);
+                    if let Err(e) = db.rollback(tx) {
+                        stats.rollback_failures.push(format!("{tx:?}: {e}"));
+                    }
                     stats.rollbacks += 1;
                 } else if db.commit(tx).is_ok() {
                     stats.ops += 1;
@@ -239,8 +245,12 @@ fn churn_thread(
                     stats.total_latency += started.elapsed();
                 }
             }
-            Err(_) => {
-                let _ = db.rollback(tx);
+            Err(op_err) => {
+                if let Err(e) = db.rollback(tx) {
+                    stats
+                        .rollback_failures
+                        .push(format!("{tx:?} after `{op_err}`: {e}"));
+                }
                 stats.errors += 1;
             }
         }

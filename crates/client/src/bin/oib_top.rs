@@ -114,6 +114,17 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
             report.counter("build.pace_points").unwrap_or(0),
         ));
     }
+    // The log: what was appended, what the log holds in memory for it
+    // (stored record bytes + slot directory), and how flushes grouped.
+    out.push_str(&format!(
+        "wal      records {} / {} KiB   resident {} records / {} KiB   flushes {} (coalesced {})\n",
+        report.counter("wal.records").unwrap_or(0),
+        report.counter("wal.bytes").unwrap_or(0) / 1024,
+        report.counter("wal.resident_records").unwrap_or(0),
+        report.counter("wal.resident_bytes").unwrap_or(0) / 1024,
+        report.counter("wal.flushes").unwrap_or(0),
+        report.counter("wal.group_flush_coalesced").unwrap_or(0),
+    ));
     // A primary with WAL subscribers shows the broadcast fan-out ring:
     // live subscriber count, ring occupancy, shared scan/encode totals,
     // and how many lagging streams were cut loose.

@@ -419,9 +419,26 @@ impl Client {
     /// disconnecting (the protocol's way to unsubscribe — hence the
     /// method consumes the client).
     pub fn subscribe_wal(
-        mut self,
+        self,
         from_lsn: u64,
         mut on_frame: impl FnMut(u64, Vec<mohan_wal::LogRecord>, Vec<(u64, u64)>) -> bool,
+    ) -> ClientResult<()> {
+        self.subscribe_wal_raw(from_lsn, |flushed, count, records, traces| {
+            let records = mohan_wal::decode_records(&records, count as usize)
+                .ok_or_else(|| ClientError::Protocol("undecodable WAL records".into()))?;
+            Ok(on_frame(flushed, records, traces))
+        })
+    }
+
+    /// [`Client::subscribe_wal`] without the decode: `on_frame`
+    /// receives the flushed LSN, the record count, the frame's record
+    /// bytes exactly as the primary's log stores them, and the trace
+    /// tags. A follower that mirrors the log keeps these bytes. An
+    /// `Err` from `on_frame` ends the stream and is returned.
+    pub fn subscribe_wal_raw(
+        mut self,
+        from_lsn: u64,
+        mut on_frame: impl FnMut(u64, u32, Vec<u8>, Vec<(u64, u64)>) -> ClientResult<bool>,
     ) -> ClientResult<()> {
         self.send(&Request::SubscribeWal { from_lsn })?;
         loop {
@@ -432,10 +449,7 @@ impl Client {
                     records,
                     traces,
                 } => {
-                    let Some(records) = mohan_wal::decode_records(&records, count as usize) else {
-                        return Err(ClientError::Protocol("undecodable WAL records".into()));
-                    };
-                    if !on_frame(flushed, records, traces) {
+                    if !on_frame(flushed, count, records, traces)? {
                         return Ok(()); // drop disconnects
                     }
                 }

@@ -118,6 +118,9 @@ impl Db {
             self.obs
                 .gauge_fn(name, move || w.upgrade().map_or(0, |db| f(&db)));
         };
+        // Exported at zero, so a dashboard can tell "never" from "not
+        // reported".
+        let _ = self.obs.counter("tx.rollback_failed");
         gauge("wal.records", |db| db.wal.stats.records.get());
         gauge("wal.bytes", |db| db.wal.stats.bytes.get());
         gauge("wal.flushes", |db| db.wal.stats.flushes.get());
@@ -125,6 +128,8 @@ impl Db {
             db.wal.stats.group_flush_coalesced.get()
         });
         gauge("wal.ib_records", |db| db.wal.stats.ib_records.get());
+        gauge("wal.resident_bytes", |db| db.wal.resident_bytes());
+        gauge("wal.resident_records", |db| db.wal.resident_records());
         gauge("cache.hit", |db| db.fold_caches(|s| s.hits.get()));
         gauge("cache.miss", |db| db.fold_caches(|s| s.misses.get()));
         gauge("cache.force", |db| db.fold_caches(|s| s.forces.get()));
@@ -506,7 +511,19 @@ impl Db {
             txs.insert(tx, abort);
             abort
         };
-        let new_last = mohan_wal::rollback_tx(&self.wal, self, tx, last, Lsn::NULL)?;
+        let new_last = match mohan_wal::rollback_tx(&self.wal, self, tx, last, Lsn::NULL) {
+            Ok(new_last) => new_last,
+            Err(e) => {
+                // The transaction stays open with its locks held: undo
+                // stopped part-way, so nothing it touched may be let
+                // go. Say so where an operator will see it.
+                self.obs.counter("tx.rollback_failed").bump();
+                self.obs
+                    .trace()
+                    .event("tx.rollback_failed", e.to_string(), tx.0);
+                return Err(e);
+            }
+        };
         let end = self
             .wal
             .append(tx, new_last, RecKind::RedoOnly, LogPayload::TxEnd);

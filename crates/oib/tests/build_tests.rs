@@ -50,13 +50,15 @@ fn seed(db: &Arc<Db>, n: i64) -> Vec<Rid> {
 /// Run `updaters` threads doing a random insert/delete/update mix
 /// (with occasional rollbacks) until `stop` is set; returns when all
 /// have finished. Key space is partitioned per thread so unique
-/// indexes stay satisfiable.
+/// indexes stay satisfiable. Each thread returns its operation count
+/// and what every failed `rollback` said (such a transaction stays
+/// open, locks held).
 fn churn(
     db: &Arc<Db>,
     stop: &Arc<AtomicBool>,
     updaters: usize,
     base_key: i64,
-) -> Vec<std::thread::JoinHandle<u64>> {
+) -> Vec<std::thread::JoinHandle<(u64, Vec<String>)>> {
     (0..updaters)
         .map(|u| {
             let db = Arc::clone(db);
@@ -66,10 +68,11 @@ fn churn(
                 let mut mine: Vec<Rid> = Vec::new();
                 let mut next_key = base_key + (u as i64) * 1_000_000;
                 let mut ops = 0u64;
+                let mut rollback_failures = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     let tx = db.begin();
                     let roll = rng.random_bool(0.15);
-                    let mut ok = true;
+                    let mut op_err = None;
                     for _ in 0..rng.random_range(1..4) {
                         let action = rng.random_range(0..3);
                         let res: Result<(), Error> = match action {
@@ -101,24 +104,22 @@ fn churn(
                             }
                             _ => Ok(()),
                         };
-                        if res.is_err() {
-                            ok = false;
+                        if let Err(e) = res {
+                            op_err = Some(e);
                             break;
                         }
                         ops += 1;
                     }
-                    if ok && !roll {
+                    if op_err.is_none() && !roll {
                         let _ = db.commit(tx);
-                    } else {
-                        let _ = db.rollback(tx);
-                        if roll {
-                            // Deletes tracked optimistically: rebuild
-                            // `mine` is overkill; rolls only affect
-                            // inserts we didn't track. Nothing to fix.
-                        }
+                    } else if let Err(e) = db.rollback(tx) {
+                        rollback_failures.push(match &op_err {
+                            Some(op) => format!("{tx:?} after `{op}`: {e}"),
+                            None => format!("{tx:?}: {e}"),
+                        });
                     }
                 }
-                ops
+                (ops, rollback_failures)
             })
         })
         .collect()
@@ -131,11 +132,18 @@ fn online_build_with_churn(algorithm: BuildAlgorithm, unique: bool) {
     let handles = churn(&db, &stop, 3, 10_000);
     // Let the churn get going.
     std::thread::sleep(std::time::Duration::from_millis(30));
-    let idx = build_index(&db, T, spec("online", unique), algorithm).unwrap();
+    let built = build_index(&db, T, spec("online", unique), algorithm);
     stop.store(true, Ordering::Relaxed);
-    let total_ops: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    let (mut total_ops, mut rollback_failures) = (0, Vec::new());
+    for h in handles {
+        let (ops, failures) = h.join().unwrap();
+        total_ops += ops;
+        rollback_failures.extend(failures);
+    }
+    let failed = format!("failed rollbacks: {rollback_failures:#?}");
+    let idx = built.unwrap_or_else(|e| panic!("build: {e}; {failed}"));
     assert!(total_ops > 0, "churn never ran");
-    assert_eq!(db.active_txs(), 0);
+    assert_eq!(db.active_txs(), 0, "leaked a transaction; {failed}");
     verify_index(&db, idx).unwrap();
 }
 

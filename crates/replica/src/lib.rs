@@ -27,11 +27,12 @@
 //! depth is the `repl.queue_depth` gauge; a full queue blocks the
 //! receive thread, which turns into TCP backpressure on the primary).
 //! The *apply* thread drains the queue: each record is first
-//! **mirrored into the follower's own log** — `LogManager::append`
-//! allocates LSNs sequentially, so in-order mirroring reproduces the
-//! primary's LSNs exactly, and a mismatch means divergence and stalls
-//! the apply — then redone, then the batch is made durable with one
-//! `flush_to` per frame. Mirroring is what makes [`Replica::promote`]
+//! **mirrored into the follower's own log** — the bytes the primary
+//! shipped are stored as they are (`LogManager::append_encoded`); the
+//! log allocates LSNs sequentially, so in-order mirroring reproduces
+//! the primary's LSNs exactly, and a mismatch means divergence and
+//! stalls the apply — then redone, then the batch is made durable with
+//! one `flush_to` per frame. Mirroring is what makes [`Replica::promote`]
 //! possible: promotion stops the stream and runs ordinary ARIES
 //! restart over the mirrored log, so the undo pass rolls back
 //! whatever transactions were still in flight on the dead primary.
@@ -47,7 +48,7 @@ use mohan_common::stats::Counter;
 use mohan_common::{Error, IndexId, KeyValue, Lsn, ReadApi, Result, Rid, TableId};
 use mohan_obs::Histogram;
 use mohan_oib::Db;
-use mohan_wal::{LogRecord, RecoveryTarget};
+use mohan_wal::{decode_record, LogRecord, RecoveryTarget};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -91,9 +92,33 @@ pub struct PromotionReport {
     pub downtime: Duration,
 }
 
-/// One received frame's records plus its trace tags
-/// (`(lsn, trace_id)` pairs for the sampled traces covering them).
-type TaggedBatch = (Vec<LogRecord>, Vec<(u64, u64)>);
+/// One received frame: its record bytes as shipped, each record
+/// decoded once (for the contiguity check and for redo) with the
+/// offset its bytes end at, and the frame's trace tags (`(lsn,
+/// trace_id)` pairs for the sampled traces covering them).
+struct Frame {
+    bytes: Vec<u8>,
+    records: Vec<(LogRecord, usize)>,
+    traces: Vec<(u64, u64)>,
+}
+
+impl Frame {
+    /// Decode exactly `count` records from `bytes`; `None` if any is
+    /// malformed or bytes are left over.
+    fn decode(bytes: Vec<u8>, count: u32, traces: Vec<(u64, u64)>) -> Option<Frame> {
+        let mut pos = 0;
+        let mut records = Vec::with_capacity((count as usize).min(4096));
+        for _ in 0..count {
+            let rec = decode_record(&bytes, &mut pos)?;
+            records.push((rec, pos));
+        }
+        (pos == bytes.len()).then_some(Frame {
+            bytes,
+            records,
+            traces,
+        })
+    }
+}
 
 /// A replication follower: owns the local engine's apply position,
 /// the reconnect loop, and the promotion state machine.
@@ -122,7 +147,7 @@ pub struct Replica {
     /// total record count across them; both are only updated with the
     /// queue lock held so clear-and-stall can never interleave with an
     /// enqueue.
-    queue: Mutex<VecDeque<TaggedBatch>>,
+    queue: Mutex<VecDeque<Frame>>,
     queued_records: AtomicU64,
     /// Held for the duration of each frame's apply. Promotion takes it
     /// to wait out (and then exclude) the apply thread without joining
@@ -301,8 +326,10 @@ impl Replica {
                     .event("repl.subscribe", addr.clone(), from);
                 let me = Arc::clone(self);
                 let mut expected = from;
-                client.subscribe_wal(from, move |flushed, records, traces| {
-                    me.on_frame(flushed, records, traces, &mut expected)
+                client.subscribe_wal_raw(from, move |flushed, count, bytes, traces| {
+                    let frame = Frame::decode(bytes, count, traces)
+                        .ok_or_else(|| ClientError::Protocol("undecodable WAL records".into()))?;
+                    Ok(me.on_frame(flushed, frame, &mut expected))
                 })
             });
             if self.stop.load(Ordering::Acquire) {
@@ -447,20 +474,14 @@ impl Replica {
     /// Receive one frame (runs on the receive thread). Returning false
     /// drops the connection; the outer loop resubscribes from
     /// `applied + 1`.
-    fn on_frame(
-        &self,
-        flushed: u64,
-        records: Vec<LogRecord>,
-        traces: Vec<(u64, u64)>,
-        expected: &mut u64,
-    ) -> bool {
+    fn on_frame(&self, flushed: u64, frame: Frame, expected: &mut u64) -> bool {
         if self.stop.load(Ordering::Acquire) || self.apply_stalled.load(Ordering::Acquire) {
             return false;
         }
         *self.last_frame.lock() = Instant::now();
         self.primary_flushed.fetch_max(flushed, Ordering::AcqRel);
         self.db.set_repl_lag(self.lag());
-        for rec in &records {
+        for (rec, _) in &frame.records {
             if rec.lsn.0 != *expected {
                 // Gap or replay: never enqueue out of order;
                 // resubscribe from the position we trust.
@@ -473,10 +494,10 @@ impl Replica {
             *expected += 1;
         }
         self.progressed.store(true, Ordering::Release);
-        if records.is_empty() {
+        if frame.records.is_empty() {
             return true; // heartbeat
         }
-        let n = records.len() as u64;
+        let n = frame.records.len() as u64;
         while self.queued_records.load(Ordering::Acquire) + n > QUEUE_MAX {
             if self.stop.load(Ordering::Acquire) || self.apply_stalled.load(Ordering::Acquire) {
                 return false;
@@ -489,7 +510,7 @@ impl Replica {
         if self.apply_stalled.load(Ordering::Acquire) {
             return false;
         }
-        q.push_back((records, traces));
+        q.push_back(frame);
         self.queued_records.fetch_add(n, Ordering::AcqRel);
         true
     }
@@ -497,14 +518,14 @@ impl Replica {
     /// The apply thread: drain the queue until stopped.
     fn apply_loop(&self) {
         loop {
-            let Some((records, traces)) = self.queue.lock().pop_front() else {
+            let Some(frame) = self.queue.lock().pop_front() else {
                 if self.stop.load(Ordering::Acquire) {
                     return;
                 }
                 std::thread::sleep(POLL);
                 continue;
             };
-            let n = records.len() as u64;
+            let n = frame.records.len() as u64;
             let gate = self.apply_gate.lock();
             if self.stop.load(Ordering::Acquire) {
                 // Promotion or shutdown raced in between pop and gate:
@@ -517,13 +538,16 @@ impl Replica {
             let started = Instant::now();
             let mut failed = false;
             let mut last = Lsn::NULL;
-            for rec in &records {
+            let mut start = 0;
+            for (rec, end) in &frame.records {
+                let encoded = &frame.bytes[start..*end];
+                start = *end;
                 let t = Instant::now();
                 // A trace tag on this record's LSN means the primary
                 // sampled the originating request: continue the same
                 // trace across the process boundary so one id links
                 // wire receive, WAL flush, and follower apply.
-                let tag = traces.iter().find(|&&(lsn, _)| lsn == rec.lsn.0);
+                let tag = frame.traces.iter().find(|&&(lsn, _)| lsn == rec.lsn.0);
                 let _trace_scope =
                     tag.map(|&(_, tid)| mohan_obs::install_ctx(mohan_obs::ctx_for(tid)));
                 let apply_span = tag.map(|_| {
@@ -533,7 +557,7 @@ impl Replica {
                         .span("repl.apply", format!("{:?}", rec.kind))
                         .with_detail(rec.lsn.0)
                 });
-                if let Err(e) = self.apply_record(rec) {
+                if let Err(e) = self.apply_record(rec, encoded) {
                     self.apply_errors.fetch_add(1, Ordering::Relaxed);
                     self.db
                         .obs
@@ -581,24 +605,17 @@ impl Replica {
         drop(q);
     }
 
-    /// Mirror one record into the local log, then redo it.
-    fn apply_record(&self, rec: &LogRecord) -> Result<()> {
+    /// Mirror one record into the local log — `encoded` is the bytes
+    /// `rec` was decoded from — then redo it.
+    fn apply_record(&self, rec: &LogRecord, encoded: &[u8]) -> Result<()> {
         // Mirror first: promotion's restart pass reads the local log,
         // so every applied record must exist in it. The local
         // allocator hands out LSNs sequentially and nothing else
         // appends on a follower (sessions refuse writes), so in-order
         // mirroring reproduces the primary's LSNs exactly — anything
-        // else is divergence and must stall the apply.
-        let lsn = self
-            .db
-            .wal
-            .append(rec.tx, rec.prev, rec.kind, rec.payload.clone());
-        if lsn != rec.lsn {
-            return Err(Error::Corruption(format!(
-                "replica log mirror diverged: local {} vs primary {}",
-                lsn.0, rec.lsn.0
-            )));
-        }
+        // else is divergence (the append reports it) and must stall
+        // the apply.
+        self.db.wal.append_encoded(encoded)?;
         // Transactions begun after promotion must never collide with
         // ids the old primary handed out.
         self.db.bump_tx_floor(rec.tx);

@@ -157,10 +157,9 @@ struct WalSubJob {
 pub(crate) const WAL_SUB_HEARTBEAT: Duration = Duration::from_millis(200);
 /// Most records one `WalFrame` carries.
 const WAL_SUB_MAX_RECORDS: usize = 1024;
-/// Approximate byte budget for one frame's record blob, far under
-/// `MAX_FRAME`.
+/// Byte budget for one frame's record blob, far under `MAX_FRAME`.
 const WAL_SUB_MAX_BYTES: usize = 1 << 20;
-/// Most pre-encoded ring chunks one [`pump_wal_sub`] call ships
+/// Most ring chunks one [`pump_wal_sub`] call ships
 /// before re-checking the socket; [`pump_wal_burst`] keeps pumping
 /// until the backlog pushes back or the cursor catches up.
 const WAL_BURST_CHUNKS: usize = 4;
@@ -1277,37 +1276,27 @@ fn ship_scan(inner: &Arc<Inner>, conn: &mut Conn, through: u64) -> bool {
     let Some(job) = &conn.wal_sub else {
         return false;
     };
-    let next = job.next;
-    let mut batch: Vec<Arc<mohan_wal::LogRecord>> = Vec::new();
-    let mut bytes = 0usize;
-    for rec in inner
-        .db
-        .wal
-        .scan_range(mohan_common::Lsn(next - 1), WAL_SUB_MAX_RECORDS)
-    {
-        if rec.lsn.0 > through {
-            break;
-        }
-        let size = rec.payload.encoded_size() + 32;
-        // Cap *before* pushing so a full batch is never extended past
-        // the budget; a record that alone exceeds it (e.g. a catalog
-        // snapshot) travels in its own frame.
-        if !batch.is_empty() && bytes + size > WAL_SUB_MAX_BYTES {
-            break;
-        }
-        bytes += size;
-        batch.push(rec);
-    }
-    let Some(last) = batch.last() else {
+    let first = job.next;
+    // The byte cap applies before a record is taken, so a full frame is
+    // never extended past the budget; a record that alone exceeds it
+    // (e.g. a catalog snapshot) travels in its own frame.
+    let mut records = Vec::new();
+    let (count, last) = inner.db.wal.copy_range(
+        mohan_common::Lsn(first - 1),
+        mohan_common::Lsn(through),
+        WAL_SUB_MAX_RECORDS,
+        WAL_SUB_MAX_BYTES,
+        &mut records,
+    );
+    if count == 0 {
         return false;
-    };
+    }
     let flushed = inner.db.wal.flushed_lsn().0;
-    let count = batch.len() as u32;
+    let count = count as u32;
     // Trace tags ride the frame so the follower's apply spans join
     // the primary-side trace that caused each record.
-    let traces = inner.db.wal.trace_tags_for(batch[0].lsn.0, last.lsn.0);
-    let next = last.lsn.0 + 1;
-    let records = mohan_wal::encode_records(batch.iter().map(|r| &**r));
+    let traces = inner.db.wal.trace_tags_for(first, last.0);
+    let next = last.0 + 1;
     if let Some(j) = conn.wal_sub.as_mut() {
         j.next = next;
         j.primed = true;

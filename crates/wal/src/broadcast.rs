@@ -1,12 +1,11 @@
-//! Decode-once WAL fan-out: a bounded ring of pre-encoded chunks.
+//! WAL fan-out: a bounded ring of chunks copied out of the log.
 //!
-//! The per-subscriber pump used to run one [`LogManager::scan_range`]
-//! and one [`crate::encode_records`] per `SubscribeWal` connection per
-//! tick, so a primary slowed down linearly with every attached read
-//! replica. [`WalBroadcast`] amortizes that: each newly flushed WAL
-//! suffix is scanned, encoded, and trace-tagged **once** into a chunk,
-//! and every subscriber tails the ring at its own cursor, fanning out
-//! the same pre-encoded bytes.
+//! Records are encoded once, at append, into the bytes the log stores;
+//! a `WalFrame` carries those same bytes. [`WalBroadcast`] copies each
+//! newly flushed WAL suffix out of the log ([`LogManager::copy_range`])
+//! and trace-tags it **once** into a chunk, and every subscriber tails
+//! the ring at its own cursor, fanning out the same bytes — a primary
+//! does not slow down with every attached read replica.
 //!
 //! The ring is bounded by bytes. When it overflows, the oldest chunks
 //! are evicted and the retained window advances; a subscriber whose
@@ -24,31 +23,23 @@ use std::sync::{Arc, OnceLock};
 use mohan_common::Lsn;
 use parking_lot::Mutex;
 
-use crate::codec::encode_records;
 use crate::log::LogManager;
-use crate::record::LogRecord;
 
-/// Per-chunk record-count cap: one ring chunk never holds more
-/// records than one `scan_range` batch.
+/// Per-chunk record-count cap.
 pub const CHUNK_MAX_RECORDS: usize = 1024;
 
-/// Per-chunk byte cap (approximate encoded size). Enforced *before*
-/// pushing a record, so a chunk only exceeds it when a single record
-/// does — and that record travels alone in its own chunk (and its own
-/// wire frame), instead of overshooting a full batch past the wire
-/// frame limit.
+/// Per-chunk byte cap. Enforced *before* taking a record, so a chunk
+/// only exceeds it when a single record does — and that record travels
+/// alone in its own chunk (and its own wire frame), instead of
+/// overshooting a full batch past the wire frame limit.
 pub const CHUNK_MAX_BYTES: usize = 1 << 20;
 
-/// Per-record fixed overhead added to `payload.encoded_size()` when
-/// accounting chunk bytes (tag + LSN + prev + tx, rounded up).
-const REC_OVERHEAD: usize = 32;
-
-/// One pre-encoded run of contiguous flushed records.
+/// One run of contiguous flushed records, as the log stores them.
 ///
-/// `records` is the [`crate::encode_records`] blob — exactly what a
+/// `records` is the records' encodings back-to-back — exactly what a
 /// `WalFrame` carries on the wire — and `traces` the sparse trace
-/// attributions for `first_lsn..=last_lsn`. Both are computed once
-/// when the chunk is cut, no matter how many subscribers consume it.
+/// attributions for `first_lsn..=last_lsn`. Both are taken once when
+/// the chunk is cut, no matter how many subscribers consume it.
 #[derive(Debug)]
 pub struct WalChunk {
     /// LSN of the first record in the chunk.
@@ -162,45 +153,37 @@ impl WalBroadcast {
         let mut progressed = false;
         while ring.next_lsn <= flushed {
             self.scans.fetch_add(1, Ordering::Relaxed);
-            let recs = log.scan_range(Lsn(ring.next_lsn - 1), CHUNK_MAX_RECORDS);
-            let mut pending: Vec<Arc<LogRecord>> = Vec::new();
-            let mut pending_bytes = 0usize;
-            for rec in recs {
-                if rec.lsn.0 > flushed {
-                    break;
-                }
-                let size = rec.payload.encoded_size() + REC_OVERHEAD;
-                // Cap *before* push: an oversized record only ever
-                // starts a fresh chunk, which then holds it alone.
-                if !pending.is_empty() && pending_bytes + size > CHUNK_MAX_BYTES {
-                    self.cut(&mut ring, &mut pending, flushed, log);
-                    pending_bytes = 0;
-                }
-                pending_bytes += size;
-                pending.push(rec);
-            }
-            if pending.is_empty() {
+            let mut records = Vec::new();
+            let (count, last) = log.copy_range(
+                Lsn(ring.next_lsn - 1),
+                Lsn(flushed),
+                CHUNK_MAX_RECORDS,
+                CHUNK_MAX_BYTES,
+                &mut records,
+            );
+            if count == 0 {
                 break;
             }
-            self.cut(&mut ring, &mut pending, flushed, log);
+            self.cut(&mut ring, records, count, last.0, flushed, log);
             progressed = true;
         }
         self.head_hint.store(ring.next_lsn, Ordering::Release);
         progressed
     }
 
-    /// Cut `pending` into a chunk: encode once, trace-tag once, push,
-    /// and evict from the front past the byte budget.
+    /// Push `records` (`count` encodings ending at LSN `last`) as a
+    /// chunk: trace-tag once, and evict from the front past the byte
+    /// budget.
     fn cut(
         &self,
         ring: &mut Ring,
-        pending: &mut Vec<Arc<LogRecord>>,
+        records: Vec<u8>,
+        count: usize,
+        last: u64,
         flushed: u64,
         log: &LogManager,
     ) {
-        let first = pending.first().expect("cut of empty batch").lsn.0;
-        let last = pending.last().expect("cut of empty batch").lsn.0;
-        let records = encode_records(pending.iter().map(|r| &**r));
+        let first = ring.next_lsn;
         self.encodes.fetch_add(1, Ordering::Relaxed);
         self.encoded_bytes
             .fetch_add(records.len() as u64, Ordering::Relaxed);
@@ -208,7 +191,7 @@ impl WalBroadcast {
             first_lsn: first,
             last_lsn: last,
             flushed,
-            count: pending.len() as u32,
+            count: count as u32,
             records,
             traces: log.trace_tags_for(first, last),
             wire_cache: OnceLock::new(),
@@ -216,7 +199,6 @@ impl WalBroadcast {
         ring.bytes += chunk.records.len();
         ring.chunks.push_back(chunk);
         ring.next_lsn = last + 1;
-        pending.clear();
         // Always keep the newest chunk so live tails never starve.
         while ring.bytes > self.max_bytes && ring.chunks.len() > 1 {
             let old = ring.chunks.pop_front().expect("len > 1");
@@ -293,19 +275,19 @@ impl WalBroadcast {
         self.ring.lock().bytes as u64
     }
 
-    /// Cumulative `scan_range` calls made filling the ring.
+    /// Cumulative log range copies made filling the ring.
     #[must_use]
     pub fn scans(&self) -> u64 {
         self.scans.load(Ordering::Relaxed)
     }
 
-    /// Cumulative chunk encodes (one per cut chunk).
+    /// Cumulative chunks cut.
     #[must_use]
     pub fn encodes(&self) -> u64 {
         self.encodes.load(Ordering::Relaxed)
     }
 
-    /// Cumulative encoded bytes over all cut chunks.
+    /// Cumulative record bytes over all cut chunks.
     #[must_use]
     pub fn encoded_bytes(&self) -> u64 {
         self.encoded_bytes.load(Ordering::Relaxed)
@@ -426,7 +408,7 @@ mod tests {
         for c in &chunks {
             if c.count > 1 {
                 assert!(
-                    c.records.len() <= CHUNK_MAX_BYTES + REC_OVERHEAD + 16,
+                    c.records.len() <= CHUNK_MAX_BYTES,
                     "multi-record chunk {} exceeds cap: {} bytes",
                     c.first_lsn,
                     c.records.len()

@@ -10,11 +10,13 @@
 //!
 //! Modules:
 //! * [`record`] — typed log records and payloads.
-//! * [`codec`] — byte encoding of records, for WAL stream replication.
-//! * [`broadcast`] — decode-once fan-out: a bounded ring of
-//!   pre-encoded chunks shared by every WAL subscriber.
-//! * [`log`] — the log manager: append/flush, flushed-prefix crash
-//!   semantics, per-transaction `prev_lsn` chains.
+//! * [`codec`] — byte encoding of records: what a log slot stores and
+//!   what WAL stream replication ships.
+//! * [`broadcast`] — fan-out: a bounded ring of chunks copied out of
+//!   the log once and shared by every WAL subscriber.
+//! * [`log`] — the log manager: encoded write-once slots,
+//!   append/flush, flushed-prefix crash semantics, per-transaction
+//!   `prev_lsn` chains.
 //! * [`recovery`] — the analysis / redo / undo driver, generic over a
 //!   [`recovery::RecoveryTarget`] implemented by the engine. The same
 //!   undo machinery performs normal transaction rollback, including
@@ -29,7 +31,7 @@ pub mod record;
 pub mod recovery;
 
 pub use broadcast::{Tail, WalBroadcast, WalChunk};
-pub use codec::{decode_record, decode_records, encode_record, encode_records};
+pub use codec::{decode_record, decode_records, encode_record, encode_records, RecordHeader};
 pub use log::{LogManager, WalStats};
 pub use record::{LogPayload, LogRecord, RecKind, SideFileOp};
 pub use recovery::{

@@ -1,12 +1,21 @@
 //! The log manager.
 //!
-//! Appends reserve an LSN with a single `fetch_add` and then publish
-//! the record into a pre-addressed slot of an exponentially-growing
-//! segment directory, so the hot path takes **no lock at all**: one
-//! atomic reservation, two atomic loads to translate the LSN to its
-//! physical slot, and one write-once slot publish. Durability happens
-//! at [`LogManager::flush_to`] / [`LogManager::flush_all`]; concurrent
-//! flushers coalesce into one durable-prefix advance (group flush).
+//! The log keeps bytes, not object graphs: a slot holds a record's
+//! codec encoding ([`crate::codec`], the format a `WalFrame` carries)
+//! in one exact-size allocation, written once. Readers decode on
+//! demand ([`LogManager::get`], [`LogManager::iter_from`]), parse only
+//! the fixed header ([`LogManager::header`],
+//! [`LogManager::headers_from`]) or copy the stored bytes
+//! ([`LogManager::copy_range`]).
+//!
+//! Appends encode, reserve an LSN with a single `fetch_add`, and then
+//! publish the bytes into a pre-addressed slot of an
+//! exponentially-growing segment directory, so the hot path takes **no
+//! lock at all**: one atomic reservation, two atomic loads to
+//! translate the LSN to its physical slot, and one write-once slot
+//! publish. Durability happens at [`LogManager::flush_to`] /
+//! [`LogManager::flush_all`]; concurrent flushers coalesce into one
+//! durable-prefix advance (group flush).
 //!
 //! A simulated crash truncates the log back to the flushed prefix,
 //! which is what lets tests observe the difference between, say, SF's
@@ -19,11 +28,13 @@
 //! their worker threads before calling [`LogManager::crash`], exactly
 //! as a real failure stops all appenders.
 
+use crate::codec::{decode_record, encode_record, RecordHeader, LSN_BYTES};
 use crate::record::{LogPayload, LogRecord, RecKind};
 use mohan_common::stats::{Counter, StripedCounter};
-use mohan_common::{Lsn, TxId};
+use mohan_common::{Error, Lsn, Result, TxId};
 use mohan_obs::{Histogram, TraceSink};
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -51,17 +62,30 @@ impl<T> std::ops::Deref for Pad<T> {
     }
 }
 
-/// One run of log slots. A slot is written exactly once by the
-/// appender that reserved its LSN; `OnceLock` gives that publish its
-/// release/acquire pairing without any per-slot lock. Slots are
-/// deliberately *not* padded to cache lines: adjacent publishes share
-/// a line, but reservation order makes the sharing sequential (at most
-/// one handoff per line quarter), and the dense layout keeps the
-/// prefetcher effective for appends and scans alike — measured, the
-/// padded variant is ~2x slower single-threaded and no faster at 4
-/// threads.
+/// A log slot: the record's encoding, set exactly once by the
+/// appender that reserved its LSN. `OnceLock` gives that publish its
+/// release/acquire pairing without any per-slot lock.
+type Slot = OnceLock<Box<[u8]>>;
+
+/// Encode buffers larger than this are not kept by the per-thread
+/// scratch (a catalog snapshot can run to megabytes; a thread that
+/// logged one should not hold that much for good).
+const SCRATCH_KEEP: usize = 64 << 10;
+
+thread_local! {
+    /// Where [`LogManager::append`] encodes before it knows the size
+    /// of the slot's allocation.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One run of log slots. Slots are deliberately *not* padded to cache
+/// lines: adjacent publishes share a line, but reservation order makes
+/// the sharing sequential (at most one handoff per line quarter), and
+/// the dense layout keeps the prefetcher effective for appends and
+/// scans alike — measured, the padded variant is ~2x slower
+/// single-threaded and no faster at 4 threads.
 struct Segment {
-    slots: Vec<OnceLock<Arc<LogRecord>>>,
+    slots: Vec<Slot>,
 }
 
 impl Segment {
@@ -101,11 +125,11 @@ fn translate(epochs: &[(u64, u64)], idx: u64) -> u64 {
 pub struct WalStats {
     /// Records appended in total.
     pub records: StripedCounter,
-    /// Approximate bytes appended in total.
+    /// Bytes appended in total (length of each stored encoding).
     pub bytes: StripedCounter,
     /// Records appended by index-builder transactions.
     pub ib_records: Counter,
-    /// Approximate bytes appended by index-builder transactions.
+    /// Bytes appended by index-builder transactions.
     pub ib_bytes: Counter,
     /// Flush (force) calls that actually advanced the durable prefix.
     pub flushes: Counter,
@@ -136,9 +160,8 @@ pub struct LogManager {
     /// `next + 1`).
     next: Pad<AtomicU64>,
     /// Contiguous published prefix: every LSN `<= published` has its
-    /// record visible. Advanced *lazily* by readers (`tail_lsn`,
-    /// `scan_from`) and by the group-flush leader rather than by every
-    /// append.
+    /// record visible. Advanced *lazily* by readers (`tail_lsn`) and
+    /// by the group-flush leader rather than by every append.
     published: Pad<AtomicU64>,
     /// Current crash epoch, inlined for the append fast path: physical
     /// slot = `idx - epoch_logical + epoch_physical`. Mutated only by
@@ -285,10 +308,21 @@ impl LogManager {
         })
     }
 
-    /// Record at physical slot `phys`, if published.
-    fn slot(&self, phys: u64) -> Option<&Arc<LogRecord>> {
+    /// Encoding at physical slot `phys`, if published.
+    fn slot(&self, phys: u64) -> Option<&[u8]> {
         let (s, off) = seg_slot(phys);
-        self.segs[s].get().and_then(|seg| seg.slots[off].get())
+        let seg = self.segs[s].get()?;
+        seg.slots[off].get().map(|bytes| &**bytes)
+    }
+
+    /// Stored encoding of the record at `lsn`. `None` for the null LSN
+    /// or a truncated tail.
+    fn stored(&self, lsn: Lsn) -> Option<&[u8]> {
+        if !lsn.is_valid() || lsn.0 > self.next.load(Ordering::Acquire) {
+            return None;
+        }
+        let phys = translate(&self.epochs.read(), lsn.0 - 1);
+        self.slot(phys)
     }
 
     /// Advance the contiguous published watermark past every slot that
@@ -313,32 +347,74 @@ impl LogManager {
     }
 
     /// Append a record and return its LSN. LSNs are dense and start
-    /// at 1 (so [`Lsn::NULL`] never names a record). The LSN is
-    /// reserved with one `fetch_add`; the record is then published
-    /// into its pre-addressed segment slot without taking any lock.
+    /// at 1 (so [`Lsn::NULL`] never names a record). The record is
+    /// encoded into its slot-sized allocation first; the LSN is then
+    /// reserved with one `fetch_add`, patched into the bytes, and the
+    /// slot published without taking any lock.
     pub fn append(&self, tx: TxId, prev: Lsn, kind: RecKind, payload: LogPayload) -> Lsn {
-        let size = payload.encoded_size() as u64;
-        // Build the record *before* reserving: every instruction
-        // between reservation and publish is a hole in the log that
-        // flushers must wait out (fatal if this thread is descheduled
-        // in that window), so the allocation stays outside it and only
-        // the LSN is patched in after.
-        let mut rec = Arc::new(LogRecord {
+        // Encode *before* reserving: every instruction between
+        // reservation and publish is a hole in the log that flushers
+        // must wait out (fatal if this thread is descheduled in that
+        // window), so the encode, the allocation and the release of
+        // the payload's own buffers all stay outside it.
+        let rec = LogRecord {
             lsn: Lsn::NULL,
             tx,
             prev,
             kind,
             payload,
+        };
+        let bytes = SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.clear();
+            encode_record(&rec, &mut scratch);
+            let bytes = Box::<[u8]>::from(scratch.as_slice());
+            if scratch.capacity() > SCRATCH_KEEP {
+                *scratch = Vec::new();
+            }
+            bytes
         });
+        drop(rec);
+        self.publish(tx, bytes)
+    }
+
+    /// Append a record that is already encoded — a follower mirroring
+    /// its primary's log stores the bytes it received instead of
+    /// re-encoding what it decoded. `encoded` must be one whole record
+    /// as [`decode_record`] delimits it; only its header is parsed
+    /// here. The record is stored under the LSN this log reserves, and
+    /// it is an error (after the append — the log stays dense) if the
+    /// bytes named a different one: the two logs have diverged.
+    pub fn append_encoded(&self, encoded: &[u8]) -> Result<Lsn> {
+        let header = RecordHeader::parse(encoded)
+            .ok_or_else(|| Error::Corruption("malformed log record header".into()))?;
+        debug_assert!(
+            {
+                let mut pos = 0;
+                decode_record(encoded, &mut pos).is_some() && pos == encoded.len()
+            },
+            "append_encoded wants exactly one well-formed record"
+        );
+        let lsn = self.publish(header.tx, Box::from(encoded));
+        if lsn != header.lsn {
+            return Err(Error::Corruption(format!(
+                "log mirror diverged: local {} vs primary {}",
+                lsn.0, header.lsn.0
+            )));
+        }
+        Ok(lsn)
+    }
+
+    /// Reserve the next LSN, stamp it into `bytes` and publish them.
+    fn publish(&self, tx: TxId, mut bytes: Box<[u8]>) -> Lsn {
+        let size = bytes.len() as u64;
         let idx = self.next.fetch_add(1, Ordering::AcqRel);
         let lsn = Lsn(idx + 1);
-        Arc::get_mut(&mut rec)
-            .expect("record not shared before publish")
-            .lsn = lsn;
+        bytes[LSN_BYTES].copy_from_slice(&lsn.0.to_be_bytes());
         let phys = idx - self.epoch_logical.load(Ordering::Acquire)
             + self.epoch_physical.load(Ordering::Acquire);
         let (s, off) = seg_slot(phys);
-        let fresh = self.segment(s).slots[off].set(rec).is_ok();
+        let fresh = self.segment(s).slots[off].set(bytes).is_ok();
         debug_assert!(fresh, "log slot {phys} double-published");
         self.stats.records.bump();
         self.stats.bytes.add(size);
@@ -476,47 +552,110 @@ impl LogManager {
         self.flush_to(self.tail_lsn());
     }
 
-    /// Fetch a record by LSN (used by undo chains). `None` for the
-    /// null LSN or a truncated tail.
+    /// Fetch a record by LSN, decoded from its slot (undo chains and
+    /// CLR walks: one record at a time). `None` for the null LSN or a
+    /// truncated tail.
     #[must_use]
-    pub fn get(&self, lsn: Lsn) -> Option<Arc<LogRecord>> {
-        if !lsn.is_valid() || lsn.0 > self.next.load(Ordering::Acquire) {
-            return None;
+    pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
+        self.stored(lsn).map(decode_stored)
+    }
+
+    /// Header of the record at `lsn` — the first 26 bytes (34 for a
+    /// CLR) of its slot; the payload is neither read nor allocated.
+    #[must_use]
+    pub fn header(&self, lsn: Lsn) -> Option<RecordHeader> {
+        self.stored(lsn).map(header_of)
+    }
+
+    /// Stored encodings of `(after, through]` in LSN order, following
+    /// the published tail until it stops moving.
+    fn encodings(&self, after: Lsn, through: Lsn) -> Encodings<'_> {
+        Encodings {
+            log: self,
+            epochs: self.epochs.read().clone(),
+            idx: after.0,
+            end: after.0,
+            through: through.0,
         }
-        let idx = lsn.0 - 1;
-        let phys = translate(&self.epochs.read(), idx);
-        self.slot(phys).cloned()
     }
 
-    /// Snapshot of up to `max` records in `(from, ..]` LSN order. The
-    /// bounded form is what redo scans and the WAL-subscription
-    /// tail-follower use, so catching up over a long log allocates in
-    /// batches instead of one burst covering the whole suffix.
-    #[must_use]
-    pub fn scan_range(&self, from: Lsn, max: usize) -> Vec<Arc<LogRecord>> {
-        let tail = self.tail_lsn().0;
-        let epochs = self.epochs.read();
-        (from.0..tail)
-            .take(max)
-            .map(|idx| {
-                self.slot(translate(&epochs, idx))
-                    .cloned()
-                    .expect("record below published watermark must be set")
-            })
-            .collect()
+    /// Records after `after` in LSN order, each decoded as the
+    /// iterator reaches it (restart redo). Follows the published tail:
+    /// records appended while the walk runs are visited too.
+    pub fn iter_from(&self, after: Lsn) -> impl Iterator<Item = LogRecord> + '_ {
+        self.encodings(after, Lsn(u64::MAX)).map(decode_stored)
     }
 
-    /// Snapshot of all records in `(from, ..]` LSN order, for redo and
-    /// analysis scans. Thin wrapper over [`LogManager::scan_range`].
+    /// Headers of the records after `after` in LSN order (restart
+    /// analysis): like [`LogManager::iter_from`] without decoding a
+    /// payload.
+    pub fn headers_from(&self, after: Lsn) -> impl Iterator<Item = RecordHeader> + '_ {
+        self.encodings(after, Lsn(u64::MAX)).map(header_of)
+    }
+
+    /// Append the stored encodings of `(after, through]` to `out`,
+    /// back-to-back — a `WalFrame` body, by copy. Stops at the
+    /// published tail, after `max_records` records, or before the
+    /// record that would take the bytes added past `max_bytes`; the
+    /// first record is always taken, so one larger than the budget
+    /// travels alone. Returns the number of records copied and the LSN
+    /// of the last ([`Lsn::NULL`] when none).
+    pub fn copy_range(
+        &self,
+        after: Lsn,
+        through: Lsn,
+        max_records: usize,
+        max_bytes: usize,
+        out: &mut Vec<u8>,
+    ) -> (usize, Lsn) {
+        let start = out.len();
+        let mut count = 0;
+        for bytes in self.encodings(after, through).take(max_records) {
+            if count > 0 && out.len() - start + bytes.len() > max_bytes {
+                break;
+            }
+            out.extend_from_slice(bytes);
+            count += 1;
+        }
+        let last = if count == 0 {
+            Lsn::NULL
+        } else {
+            Lsn(after.0 + count as u64)
+        };
+        (count, last)
+    }
+
+    /// Bytes of the slot directory allocated so far (every slot of
+    /// every touched segment, filled or not).
     #[must_use]
-    pub fn scan_from(&self, from: Lsn) -> Vec<Arc<LogRecord>> {
-        self.scan_range(from, usize::MAX)
+    pub fn directory_bytes(&self) -> u64 {
+        self.segs
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|seg| (seg.slots.len() * std::mem::size_of::<Slot>()) as u64)
+            .sum()
+    }
+
+    /// Memory the log holds: every stored encoding plus the slot
+    /// directory. Nothing is reclaimed before the log is dropped — the
+    /// burned tail of a crashed epoch included — so the stored part is
+    /// the running total of appended bytes.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        self.stats.bytes.get() + self.directory_bytes()
+    }
+
+    /// Records the log holds in memory (burned ones included; see
+    /// [`LogManager::resident_bytes`]).
+    #[must_use]
+    pub fn resident_records(&self) -> u64 {
+        self.stats.records.get()
     }
 
     /// Simulated system failure: everything after the flushed prefix
     /// is gone. The truncated logical LSN range is remapped onto fresh
     /// physical slots (a published `OnceLock` slot cannot be un-set in
-    /// place); the abandoned slots stay allocated until the log is
+    /// place); the abandoned slots keep their bytes until the log is
     /// dropped, bounded by the unflushed tail per crash.
     pub fn crash(&self) {
         let mut epochs = self.epochs.write();
@@ -546,6 +685,50 @@ impl LogManager {
     }
 }
 
+/// Decode a slot's bytes. Slots only ever hold what `encode_record`
+/// wrote (or what `decode_record` delimited, on a follower).
+fn decode_stored(bytes: &[u8]) -> LogRecord {
+    decode_record(bytes, &mut 0).expect("log slot holds a well-formed record")
+}
+
+fn header_of(bytes: &[u8]) -> RecordHeader {
+    RecordHeader::parse(bytes).expect("log slot holds a well-formed record")
+}
+
+/// Cursor behind [`LogManager::iter_from`], [`LogManager::headers_from`]
+/// and [`LogManager::copy_range`]. The crash-epoch table is copied
+/// once (it has one entry per crash, and crashes are quiescent), so a
+/// step is a slot lookup with no lock; the published tail is re-read
+/// only when the cursor catches up with what it last saw.
+struct Encodings<'a> {
+    log: &'a LogManager,
+    epochs: Vec<(u64, u64)>,
+    /// Logical index of the next record (= LSN of the last one taken).
+    idx: u64,
+    /// Published tail as last read, clamped to `through`.
+    end: u64,
+    through: u64,
+}
+
+impl<'a> Iterator for Encodings<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.idx >= self.end {
+            self.end = self.log.tail_lsn().0.min(self.through);
+            if self.idx >= self.end {
+                return None;
+            }
+        }
+        let bytes = self
+            .log
+            .slot(translate(&self.epochs, self.idx))
+            .expect("record below published watermark must be set");
+        self.idx += 1;
+        Some(bytes)
+    }
+}
+
 impl std::fmt::Debug for LogManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogManager")
@@ -558,9 +741,254 @@ impl std::fmt::Debug for LogManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::{arb_kind, arb_payload, entry, samples};
+    use crate::codec::{decode_records, payload_tag};
+    use proptest::prelude::*;
 
     fn begin(log: &LogManager, tx: u64) -> Lsn {
         log.append(TxId(tx), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxBegin)
+    }
+
+    /// `get` returns what was appended under the LSN `append`
+    /// returned, and the header view agrees with it field by field.
+    fn assert_stored(log: &LogManager, lsn: Lsn, want: &LogRecord) {
+        let got = log.get(lsn).expect("appended record");
+        assert_eq!(got.lsn, lsn);
+        assert_eq!(
+            (got.tx, got.prev, got.kind, &got.payload),
+            (want.tx, want.prev, want.kind, &want.payload)
+        );
+        let head = log.header(lsn).expect("appended record");
+        assert_eq!(
+            (head.lsn, head.tx, head.prev, head.kind, head.tag),
+            (lsn, got.tx, got.prev, got.kind, payload_tag(&got.payload))
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn append_then_get_roundtrips(
+            tx in any::<u64>(),
+            prev in any::<u64>(),
+            kind in arb_kind(),
+            payload in arb_payload()
+        ) {
+            let log = LogManager::new();
+            begin(&log, 0);
+            let want = LogRecord { lsn: Lsn::NULL, tx: TxId(tx), prev: Lsn(prev), kind, payload };
+            let lsn = log.append(want.tx, want.prev, want.kind, want.payload.clone());
+            prop_assert_eq!(lsn, Lsn(2));
+            assert_stored(&log, lsn, &want);
+        }
+    }
+
+    #[test]
+    fn every_variant_roundtrips_through_a_slot() {
+        let log = LogManager::new();
+        let mut stored = 0;
+        for (i, want) in samples().into_iter().enumerate() {
+            let lsn = log.append(want.tx, want.prev, want.kind, want.payload.clone());
+            assert_eq!(lsn, Lsn(i as u64 + 1));
+            assert_stored(&log, lsn, &want);
+            // A follower storing the same bytes gets the same record.
+            let mut bytes = Vec::new();
+            encode_record(&log.get(lsn).unwrap(), &mut bytes);
+            stored += bytes.len() as u64;
+            let mirror = LogManager::new();
+            for _ in 1..lsn.0 {
+                begin(&mirror, 0);
+            }
+            assert_eq!(mirror.append_encoded(&bytes).unwrap(), lsn);
+            assert_eq!(mirror.get(lsn), log.get(lsn));
+            // Off by one position, the mirror reports the divergence
+            // and still keeps its own log dense.
+            assert!(mirror.append_encoded(&bytes).is_err());
+            assert_eq!(mirror.get(Lsn(lsn.0 + 1)).unwrap().lsn, Lsn(lsn.0 + 1));
+            assert!(mirror.append_encoded(&bytes[..20]).is_err());
+            assert_eq!(mirror.tail_lsn(), Lsn(lsn.0 + 1));
+        }
+        assert_eq!(log.stats.bytes.get(), stored);
+        assert_eq!(log.resident_bytes(), stored + log.directory_bytes());
+        assert_eq!(
+            log.directory_bytes(),
+            (SEGMENT_CAP * std::mem::size_of::<Slot>()) as u64
+        );
+    }
+
+    /// Everything `log` can be read through, for LSNs `1..=txs.len()`:
+    /// `get`, `header`, both iterators and the range copy.
+    fn assert_reads(log: &LogManager, txs: &[u64]) {
+        let n = txs.len() as u64;
+        assert_eq!(log.tail_lsn(), Lsn(n));
+        for (i, &tx) in txs.iter().enumerate() {
+            let lsn = Lsn(i as u64 + 1);
+            let rec = log.get(lsn).unwrap();
+            assert_eq!((rec.lsn, rec.tx), (lsn, TxId(tx)));
+            let head = log.header(lsn).unwrap();
+            assert_eq!((head.lsn, head.tx), (lsn, TxId(tx)));
+        }
+        assert!(log.get(Lsn(n + 1)).is_none() && log.header(Lsn(n + 1)).is_none());
+        let want: Vec<(Lsn, TxId)> = (1..=n).map(Lsn).zip(txs.iter().map(|&t| TxId(t))).collect();
+        let via_iter: Vec<_> = log.iter_from(Lsn::NULL).map(|r| (r.lsn, r.tx)).collect();
+        assert_eq!(via_iter, want);
+        let via_headers: Vec<_> = log.headers_from(Lsn::NULL).map(|h| (h.lsn, h.tx)).collect();
+        assert_eq!(via_headers, want);
+        let mut blob = Vec::new();
+        let (count, last) =
+            log.copy_range(Lsn::NULL, Lsn(u64::MAX), usize::MAX, usize::MAX, &mut blob);
+        assert_eq!((count as u64, last), (n, Lsn(n)));
+        let via_copy: Vec<_> = decode_records(&blob, count)
+            .expect("copied bytes decode")
+            .iter()
+            .map(|r| (r.lsn, r.tx))
+            .collect();
+        assert_eq!(via_copy, want);
+    }
+
+    #[test]
+    fn every_reader_sees_the_new_epoch_after_a_crash() {
+        let log = LogManager::new();
+        let mut txs: Vec<u64> = (0..100).collect();
+        for &tx in &txs {
+            begin(&log, tx);
+        }
+        log.flush_to(Lsn(60));
+        log.crash();
+        txs.truncate(60);
+        assert_reads(&log, &txs);
+        for tx in 1000..1050 {
+            // Different bytes, not only a different tx: the burned
+            // slots held `TxBegin`s.
+            let lsn = log.append(TxId(tx), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxEnd);
+            assert_eq!(lsn.0, txs.len() as u64 + 1);
+            txs.push(tx);
+        }
+        assert_reads(&log, &txs);
+        assert_eq!(log.get(Lsn(61)).unwrap().payload, LogPayload::TxEnd);
+
+        // Again with nothing flushed in between: the second crash
+        // replaces the burned epoch instead of stacking another.
+        log.crash();
+        assert_eq!(log.epochs.read().len(), 2);
+        txs.truncate(60);
+        assert_reads(&log, &txs);
+        for tx in 2000..2050 {
+            log.append(TxId(tx), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxCommit);
+            txs.push(tx);
+        }
+        assert_reads(&log, &txs);
+        assert_eq!(log.get(Lsn(110)).unwrap().payload, LogPayload::TxCommit);
+        // The burned slots still hold their bytes.
+        assert_eq!(log.resident_records(), 200);
+    }
+
+    /// A payload whose size depends on `i`: nothing, a row image, or a
+    /// leaf's worth of keys.
+    fn mixed(i: u64) -> LogPayload {
+        match i % 3 {
+            0 => LogPayload::TxBegin,
+            1 => LogPayload::HeapInsert {
+                table: mohan_common::TableId(1),
+                rid: mohan_common::Rid::new(i as u32, 0),
+                data: vec![i as u8; (i % 97) as usize],
+                visible_indexes: 0,
+            },
+            _ => LogPayload::IndexBulkInsert {
+                index: mohan_common::IndexId(1),
+                entries: (0..i % 5).map(|k| entry(k as i64, k)).collect(),
+            },
+        }
+    }
+
+    /// Appends race a header walk: whatever prefix the walk sees is
+    /// dense and in order, and in the end nothing is missing. (No
+    /// sleeps: the walker runs flat out until the appenders are done.)
+    #[test]
+    fn header_walk_races_appenders() {
+        const THREADS: u64 = 4;
+        const PER: u64 = 50_000;
+        let log = LogManager::new();
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(THREADS as usize + 1);
+        let walk = |log: &LogManager| {
+            let mut seen = 0u64;
+            for head in log.headers_from(Lsn::NULL) {
+                seen += 1;
+                assert_eq!(head.lsn, Lsn(seen), "header out of position");
+                assert!(head.tx.0 < THREADS);
+            }
+            seen
+        };
+        std::thread::scope(|s| {
+            let appenders: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (log, start) = (&log, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..PER {
+                            log.append(TxId(t), Lsn::NULL, RecKind::UndoRedo, mixed(i));
+                        }
+                    })
+                })
+                .collect();
+            let walker = s.spawn(|| {
+                start.wait();
+                let mut walks = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    let seen = walk(&log);
+                    assert!(seen <= THREADS * PER);
+                    walks += 1;
+                }
+                walks
+            });
+            for a in appenders {
+                a.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            assert!(walker.join().unwrap() >= 1);
+        });
+        assert_eq!(walk(&log), THREADS * PER);
+    }
+
+    #[test]
+    fn range_copy_equals_what_get_returns() {
+        let log = LogManager::new();
+        for i in 0..300u64 {
+            log.append(TxId(i), Lsn(i / 2), RecKind::UndoRedo, mixed(i));
+        }
+        log.flush_to(Lsn(200));
+        let check = |after: u64, through: u64, max_records: usize, max_bytes: usize| {
+            let mut out = vec![0xAA; 3]; // appended to, not overwritten
+            let (count, last) =
+                log.copy_range(Lsn(after), Lsn(through), max_records, max_bytes, &mut out);
+            assert_eq!(&out[..3], &[0xAA; 3]);
+            let want: Vec<LogRecord> = (after + 1..=after + count as u64)
+                .map(|l| log.get(Lsn(l)).unwrap())
+                .collect();
+            assert_eq!(decode_records(&out[3..], count).expect("decodes"), want);
+            assert_eq!(last, want.last().map_or(Lsn::NULL, |r| r.lsn));
+            (count, out.len() - 3)
+        };
+        // Whole log; from the middle; up to the flushed mark.
+        assert_eq!(check(0, u64::MAX, usize::MAX, usize::MAX).0, 300);
+        assert_eq!(check(123, u64::MAX, usize::MAX, usize::MAX).0, 177);
+        assert_eq!(
+            check(150, log.flushed_lsn().0, usize::MAX, usize::MAX).0,
+            50
+        );
+        assert_eq!(check(200, log.flushed_lsn().0, usize::MAX, usize::MAX).0, 0);
+        assert_eq!(check(300, u64::MAX, usize::MAX, usize::MAX), (0, 0));
+        // A record count.
+        assert_eq!(check(17, u64::MAX, 10, usize::MAX).0, 10);
+        // A byte budget: never exceeded by more than one record, and
+        // the next record would not have fitted.
+        for budget in [1, 30, 100, 1000, 5000] {
+            let (count, bytes) = check(40, u64::MAX, usize::MAX, budget);
+            assert!(count >= 1, "the first record always travels");
+            assert!(count == 1 || bytes <= budget);
+            let (_, with_next) = check(40, u64::MAX, count + 1, usize::MAX);
+            assert!(with_next > budget);
+        }
     }
 
     #[test]
@@ -670,21 +1098,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_bounds_the_batch() {
-        let log = LogManager::new();
-        for i in 0..10 {
-            begin(&log, i);
-        }
-        let batch = log.scan_range(Lsn(2), 3);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0].lsn, Lsn(3));
-        assert_eq!(batch[2].lsn, Lsn(5));
-        // A batch past the tail is empty; a huge max returns the rest.
-        assert!(log.scan_range(Lsn(10), 100).is_empty());
-        assert_eq!(log.scan_range(Lsn(5), usize::MAX).len(), 5);
-    }
-
-    #[test]
     fn ib_attribution() {
         let log = LogManager::new();
         log.register_ib_tx(TxId(99));
@@ -693,17 +1106,6 @@ mod tests {
         assert_eq!(log.stats.records.get(), 2);
         assert_eq!(log.stats.ib_records.get(), 1);
         assert!(log.stats.ib_bytes.get() > 0);
-    }
-
-    #[test]
-    fn scan_from_returns_suffix() {
-        let log = LogManager::new();
-        for i in 0..5 {
-            begin(&log, i);
-        }
-        let suffix = log.scan_from(Lsn(3));
-        assert_eq!(suffix.len(), 2);
-        assert_eq!(suffix[0].lsn, Lsn(4));
     }
 
     #[test]
@@ -738,7 +1140,7 @@ mod tests {
         let boundary = SEGMENT_CAP as u64;
         assert_eq!(log.get(Lsn(boundary)).unwrap().tx, TxId(boundary - 1));
         assert_eq!(log.get(Lsn(boundary + 1)).unwrap().tx, TxId(boundary));
-        let suffix = log.scan_from(Lsn(boundary - 1));
+        let suffix: Vec<LogRecord> = log.iter_from(Lsn(boundary - 1)).collect();
         assert_eq!(suffix.len(), 6);
         assert_eq!(suffix[0].lsn, Lsn(boundary));
     }
@@ -779,7 +1181,7 @@ mod tests {
         assert_eq!(log.get(Lsn(6)).unwrap().tx, TxId(101));
         assert!(log.get(Lsn(7)).is_none());
         assert_eq!(begin(&log, 103), Lsn(7));
-        assert_eq!(log.scan_from(Lsn::NULL).len(), 7);
+        assert_eq!(log.iter_from(Lsn::NULL).count(), 7);
         assert_eq!(log.tail_lsn(), Lsn(7));
     }
 

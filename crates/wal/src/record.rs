@@ -44,12 +44,6 @@ impl SideFileOp {
             entry: self.entry.clone(),
         }
     }
-
-    /// Approximate encoded size in bytes (for log-volume accounting).
-    #[must_use]
-    pub fn encoded_size(&self) -> usize {
-        1 + self.entry.encoded_size()
-    }
 }
 
 /// The logged operation.
@@ -202,36 +196,6 @@ pub enum LogPayload {
 }
 
 impl LogPayload {
-    /// Approximate encoded size in bytes. The simulation keeps records
-    /// as structs, but benches report log *volume*, so every payload
-    /// knows what it would cost on disk (tag + fields).
-    #[must_use]
-    pub fn encoded_size(&self) -> usize {
-        let body = match self {
-            LogPayload::TxBegin
-            | LogPayload::TxCommit
-            | LogPayload::TxAbort
-            | LogPayload::TxEnd => 0,
-            LogPayload::HeapInsert { data, .. } => 10 + data.len() + 4,
-            LogPayload::HeapDelete { old, .. } => 10 + old.len() + 4,
-            LogPayload::HeapUpdate { old, new, .. } => 10 + old.len() + new.len() + 4,
-            LogPayload::IndexInsert { entry, .. }
-            | LogPayload::IndexPseudoDelete { entry, .. }
-            | LogPayload::IndexInsertTombstone { entry, .. }
-            | LogPayload::IndexReactivate { entry, .. }
-            | LogPayload::IndexPhysicalDelete { entry, .. } => 4 + entry.encoded_size(),
-            LogPayload::IndexBulkInsert { entries, .. }
-            | LogPayload::IndexBulkRemove { entries, .. } => {
-                4 + entries.iter().map(IndexEntry::encoded_size).sum::<usize>()
-            }
-            LogPayload::SideFileAppend { op, .. } => 4 + op.encoded_size(),
-            LogPayload::Checkpoint { .. } => 8,
-            LogPayload::CatalogUpdate { bytes } => 4 + bytes.len(),
-        };
-        // Tag + LSN + prev LSN + tx id.
-        body + 1 + 8 + 8 + 8
-    }
-
     /// True for payloads that change an index tree.
     #[must_use]
     pub fn is_index_op(&self) -> bool {
@@ -316,18 +280,35 @@ mod tests {
         assert_eq!(inv.inverse(), op);
     }
 
+    /// §2.3.1's "one log record for multiple keys": a ten-key bulk
+    /// insert is bigger than one single-key record and smaller than
+    /// ten of them.
     #[test]
     fn sizes_scale_with_content() {
-        let small = LogPayload::IndexInsert {
+        let size = |payload| {
+            let mut out = Vec::new();
+            crate::encode_record(
+                &LogRecord {
+                    lsn: Lsn(1),
+                    tx: TxId(1),
+                    prev: Lsn::NULL,
+                    kind: RecKind::UndoRedo,
+                    payload,
+                },
+                &mut out,
+            );
+            out.len()
+        };
+        let small = size(LogPayload::IndexInsert {
             index: IndexId(1),
             entry: entry(),
-        };
-        let bulk = LogPayload::IndexBulkInsert {
+        });
+        let bulk = size(LogPayload::IndexBulkInsert {
             index: IndexId(1),
             entries: vec![entry(); 10],
-        };
-        assert!(bulk.encoded_size() < 10 * small.encoded_size());
-        assert!(bulk.encoded_size() > small.encoded_size());
+        });
+        assert!(bulk < 10 * small);
+        assert!(bulk > small);
     }
 
     #[test]

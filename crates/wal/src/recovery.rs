@@ -11,6 +11,7 @@
 //! `undo_next` pointer guarantees no update is undone twice even if
 //! recovery itself crashes.
 
+use crate::codec::{P_CHECKPOINT, P_TX_BEGIN, P_TX_COMMIT, P_TX_END};
 use crate::log::LogManager;
 use crate::record::{LogPayload, LogRecord, RecKind};
 use mohan_common::{Lsn, Result, TxId};
@@ -38,36 +39,26 @@ pub struct AnalysisResult {
     pub scanned: u64,
 }
 
-/// Records per [`LogManager::scan_range`] batch during analysis and
-/// redo, bounding the clone burst a long log would otherwise cause.
-const SCAN_BATCH: usize = 4096;
-
 /// Scan the whole log and find loser transactions. Analysis always
 /// starts from the log head — a loser's `TxBegin` may predate the last
-/// checkpoint — but walks in bounded batches.
+/// checkpoint — and reads only each record's fixed header: begin,
+/// commit and end are told apart by the payload tag, so no payload is
+/// decoded.
 #[must_use]
 pub fn analyze(log: &LogManager) -> AnalysisResult {
     let mut res = AnalysisResult::default();
-    let mut cur = Lsn::NULL;
-    loop {
-        let batch = log.scan_range(cur, SCAN_BATCH);
-        let Some(last) = batch.last() else {
-            break;
-        };
-        cur = last.lsn;
-        for rec in &batch {
-            res.scanned += 1;
-            match rec.payload {
-                LogPayload::TxBegin => {
-                    res.losers.insert(rec.tx, rec.lsn);
-                }
-                LogPayload::TxCommit | LogPayload::TxEnd => {
-                    res.losers.remove(&rec.tx);
-                }
-                _ => {
-                    if let Some(last) = res.losers.get_mut(&rec.tx) {
-                        *last = rec.lsn;
-                    }
+    for rec in log.headers_from(Lsn::NULL) {
+        res.scanned += 1;
+        match rec.tag {
+            P_TX_BEGIN => {
+                res.losers.insert(rec.tx, rec.lsn);
+            }
+            P_TX_COMMIT | P_TX_END => {
+                res.losers.remove(&rec.tx);
+            }
+            _ => {
+                if let Some(last) = res.losers.get_mut(&rec.tx) {
+                    *last = rec.lsn;
                 }
             }
         }
@@ -80,14 +71,15 @@ pub fn analyze(log: &LogManager) -> AnalysisResult {
 /// may begin with the record *after* the returned LSN, because the
 /// checkpoint forced every page up to it and its `redo_start` was
 /// already lowered to cover any open side-file's logged history.
-/// Found by walking backwards from the tail, so the cost is bounded by
+/// Found by walking headers backwards from the tail — only the record
+/// whose tag says checkpoint is decoded — so the cost is bounded by
 /// the post-checkpoint suffix the caller is about to redo anyway.
 #[must_use]
 pub fn checkpoint_redo_start(log: &LogManager) -> Lsn {
     let mut cur = log.tail_lsn();
     while cur.is_valid() {
-        if let Some(rec) = log.get(cur) {
-            if let LogPayload::Checkpoint { redo_start } = rec.payload {
+        if log.header(cur).is_some_and(|h| h.tag == P_CHECKPOINT) {
+            if let Some(LogPayload::Checkpoint { redo_start }) = log.get(cur).map(|r| r.payload) {
                 return redo_start;
             }
         }
@@ -161,18 +153,11 @@ pub fn recover<T: RecoveryTarget>(log: &LogManager, target: &T) -> Result<Recove
     // the log head: the checkpoint forced every page, so earlier
     // records can only re-apply as no-ops — skipping them is what
     // keeps restart cost proportional to work since the checkpoint.
-    let mut cur = redo_start;
-    loop {
-        let batch = log.scan_range(cur, SCAN_BATCH);
-        let Some(last) = batch.last() else {
-            break;
-        };
-        cur = last.lsn;
-        for rec in &batch {
-            if rec.is_redoable() {
-                target.redo(rec)?;
-                stats.redone += 1;
-            }
+    // Each record is decoded as the walk reaches it and dropped after.
+    for rec in log.iter_from(redo_start) {
+        if rec.is_redoable() {
+            target.redo(&rec)?;
+            stats.redone += 1;
         }
     }
 

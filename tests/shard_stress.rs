@@ -72,6 +72,7 @@ fn eight_way_churn_crash_resume_matches_offline_oracle() {
         assert!(err.is_crash(), "{algo:?}: {err}");
         let stats = churn.stop();
         assert!(stats.ops > 0, "{algo:?}: churn never ran");
+        let mut rollback_failures = stats.rollback_failures;
 
         db.simulate_crash();
         db.restart()
@@ -95,9 +96,17 @@ fn eight_way_churn_crash_resume_matches_offline_oracle() {
             },
         );
         let id = db.indexes_of(TABLE).last().expect("descriptor").def.id;
-        resume_build(&db, id).unwrap_or_else(|e| panic!("{algo:?} resume: {e}"));
-        churn.stop();
-        assert_eq!(db.active_txs(), 0, "{algo:?} leaked a transaction");
+        let resumed = resume_build(&db, id);
+        rollback_failures.extend(churn.stop().rollback_failures);
+        // A rollback that failed left its transaction open with its
+        // locks held; whatever goes wrong below, say what it said.
+        let failed = format!("failed rollbacks: {rollback_failures:#?}");
+        resumed.unwrap_or_else(|e| panic!("{algo:?} resume: {e}; {failed}"));
+        assert_eq!(
+            db.active_txs(),
+            0,
+            "{algo:?} leaked a transaction; {failed}"
+        );
         assert_eq!(
             db.index(id).unwrap().state(),
             IndexState::Complete,
@@ -119,7 +128,7 @@ fn eight_way_churn_crash_resume_matches_offline_oracle() {
             },
             BuildAlgorithm::Offline,
         )
-        .unwrap_or_else(|e| panic!("{algo:?} oracle build: {e}"));
+        .unwrap_or_else(|e| panic!("{algo:?} oracle build: {e}; {failed}"));
         verify_index(&db, oracle).unwrap_or_else(|e| panic!("{algo:?} oracle verify: {e}"));
         assert_eq!(
             live_entries(&db, id),
