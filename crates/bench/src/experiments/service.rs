@@ -244,13 +244,10 @@ fn p99(lat: &[u64]) -> Duration {
 
 /// E16b: the idle-connection sweep — the reactor's reason to exist.
 /// A wall of parked connections sits alongside a small set of
-/// closed-loop readers for a fixed window, once per io backend. The
-/// sleep-poll loop pays ~2 000 wakeups per shard per second just to
-/// discover that nothing happened, so its wakeup rate is a function of
-/// ticks; a readiness backend's wakeups track delivered events, so the
-/// parked wall is free. The active path must not pay for the savings:
-/// p99 RTT under epoll should be no worse than under threaded (which
-/// adds up to 500µs of sleep-poll discovery latency per request).
+/// closed-loop readers for a fixed window, once per io backend. A
+/// readiness backend's wakeups track delivered events, so the parked
+/// wall is free under either; what differs is the per-wait cost —
+/// poll(2) rescans every registered fd, epoll pays for the ready ones.
 fn idle_sweep(quick: bool) -> Table {
     use mohan_common::IoBackendChoice;
     let (idle_n, active_n) = if quick { (128, 8) } else { (1_000, 100) };
@@ -267,11 +264,7 @@ fn idle_sweep(quick: bool) -> Table {
             "ops/wakeup",
         ],
     );
-    for choice in [
-        IoBackendChoice::ThreadedSleep,
-        IoBackendChoice::Poll,
-        IoBackendChoice::Epoll,
-    ] {
+    for choice in [IoBackendChoice::Poll, IoBackendChoice::Epoll] {
         let (db, rids) = seed_table(bench_config(), 5_000, 91);
         let cfg = ServerConfig {
             workers: 4,
@@ -363,9 +356,6 @@ fn idle_sweep(quick: bool) -> Table {
             f2(ops / woke.max(1) as f64),
         ]);
     }
-    t.note(
-        "threaded wakes every shard ~2 000x/s regardless of load; reactor wakeups track events.",
-    );
     t.note("ops/wakeup near or above 1 means dispatch is event-driven; parked connections cost 0.");
     t
 }

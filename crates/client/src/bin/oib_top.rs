@@ -73,8 +73,8 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
         report.counter("build.drain_lag").unwrap_or(0),
         report.counter("engine.active_txs").unwrap_or(0),
         report.counter("server.inflight").unwrap_or(0),
-        // Cumulative shard wakeups: grows ~2000/s per shard under the
-        // threaded backend, stays near-flat on an idle reactor.
+        // Cumulative shard wakeups: tracks delivered events, so it
+        // stays near-flat while the server is idle.
         report.counter("server.wakeups").unwrap_or(0),
     ));
     // The table holds what is locked now: `entries` names held or

@@ -150,22 +150,16 @@ pub enum IoBackendChoice {
     /// Portable poll(2) — O(registered fds) per wait, still
     /// event-driven.
     Poll,
-    /// Legacy sleep-polling worker loop (500µs ticks). Kept as the
-    /// no-reactor fallback and as the baseline the reactor's wakeup
-    /// metrics are compared against.
-    ThreadedSleep,
 }
 
 impl IoBackendChoice {
-    /// Parse a CLI/env spelling. Accepts `auto`, `epoll`, `poll`,
-    /// and `threaded` (also `threaded-sleep`/`sleep`).
+    /// Parse a CLI/env spelling: `auto`, `epoll` or `poll`.
     #[must_use]
     pub fn parse(s: &str) -> Option<IoBackendChoice> {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(IoBackendChoice::Auto),
             "epoll" => Some(IoBackendChoice::Epoll),
             "poll" => Some(IoBackendChoice::Poll),
-            "threaded" | "threaded-sleep" | "sleep" => Some(IoBackendChoice::ThreadedSleep),
             _ => None,
         }
     }
@@ -188,7 +182,6 @@ impl IoBackendChoice {
             IoBackendChoice::Auto => "auto",
             IoBackendChoice::Epoll => "epoll",
             IoBackendChoice::Poll => "poll",
-            IoBackendChoice::ThreadedSleep => "threaded",
         }
     }
 }
@@ -203,15 +196,16 @@ mod tests {
             IoBackendChoice::Auto,
             IoBackendChoice::Epoll,
             IoBackendChoice::Poll,
-            IoBackendChoice::ThreadedSleep,
         ] {
             assert_eq!(IoBackendChoice::parse(c.name()), Some(c));
         }
         assert_eq!(
-            IoBackendChoice::parse("Threaded-Sleep"),
-            Some(IoBackendChoice::ThreadedSleep)
+            IoBackendChoice::parse(" EPoll "),
+            Some(IoBackendChoice::Epoll)
         );
         assert_eq!(IoBackendChoice::parse("uring"), None);
+        // The sleep-polling driver is gone, and so is its spelling.
+        assert_eq!(IoBackendChoice::parse("threaded"), None);
     }
 
     #[test]

@@ -474,11 +474,7 @@ fn publish_scan_bounds(rt: &IndexRuntime, tbl: &mohan_heap::HeapTable) {
 // ===================================================================
 
 fn run_from_scratch(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>], opts: &BuildOptions) -> Result<()> {
-    let runs = if opts.parallel_workers > 1 {
-        parallel_scan_and_sort(db, idxs, &vec![None; idxs.len()], opts)?
-    } else {
-        scan_and_sort(db, idxs, &vec![None; idxs.len()], opts)?
-    };
+    let runs = parallel_scan_and_sort(db, idxs, &vec![None; idxs.len()], opts)?;
     for (idx, idx_runs) in idxs.iter().zip(runs) {
         let finals = reduce_phase(db, idx, idx_runs, None, opts)?;
         enter_final_phase(db, idx, finals, opts)?;
@@ -498,11 +494,6 @@ fn resume_one(db: &Arc<Db>, idx: &Arc<IndexRuntime>, opts: &BuildOptions) -> Res
                 db.persist_catalog();
             }
             run_from_scratch(db, std::slice::from_ref(idx), opts)
-        }
-        Some(BuildProgress::Scanning { sort }) => {
-            let runs = scan_and_sort(db, std::slice::from_ref(idx), &[Some(sort)], opts)?;
-            let finals = reduce_phase(db, idx, runs.into_iter().next().expect("one"), None, opts)?;
-            enter_final_phase(db, idx, finals, opts)
         }
         Some(BuildProgress::ScanningParallel { parts }) => {
             let runs = parallel_scan_and_sort(db, std::slice::from_ref(idx), &[Some(parts)], opts)?;
@@ -543,84 +534,6 @@ fn advance_current_rid(idxs: &[Arc<IndexRuntime>], page: PageId) {
     }
 }
 
-/// Scan the data pages once, feeding every index's run formation;
-/// checkpoint all sorters together (§5.1). `resumes[i]` repositions
-/// index `i` after a crash.
-fn scan_and_sort(
-    db: &Arc<Db>,
-    idxs: &[Arc<IndexRuntime>],
-    resumes: &[Option<SortCheckpoint<IndexEntry>>],
-    opts: &BuildOptions,
-) -> Result<Vec<Vec<u64>>> {
-    let _phase = PhaseTimer::new(db, "scan");
-    let cp_every = opts.sort_checkpoint_keys(&db.cfg);
-    let table = db.table(idxs[0].def.table)?;
-    let ws = db.cfg.sort_workspace_keys;
-    let mut rfs: Vec<RunFormation<IndexEntry>> = Vec::with_capacity(idxs.len());
-    let mut floors: Vec<u64> = Vec::with_capacity(idxs.len());
-    for (idx, resume) in idxs.iter().zip(resumes) {
-        let store = idx.run_store();
-        match resume {
-            Some(cp) => {
-                floors.push(cp.scan_pos);
-                rfs.push(RunFormation::resume(store, ws, cp)?);
-            }
-            None => {
-                floors.push(0);
-                rfs.push(RunFormation::new(store, ws));
-            }
-        }
-    }
-    let scan_end = idxs[0].scan_end();
-    if scan_end != PageId(u32::MAX) && table.num_pages() > 0 {
-        // Scan positions are `rid.pack() + 1` so that position 0
-        // unambiguously means "nothing fed" (RID (0,0) packs to 0).
-        let min_floor = floors.iter().copied().min().unwrap_or(0);
-        let from = if min_floor == 0 {
-            None
-        } else {
-            Some(Rid::unpack(min_floor - 1))
-        };
-        let mut since_cp = 0usize;
-        table.scan_pages(
-            from,
-            scan_end,
-            |rid, data| {
-                let rec = Record::decode(data)?;
-                let pos = rid.pack() + 1;
-                for (i, idx) in idxs.iter().enumerate() {
-                    if pos > floors[i] {
-                        let entry = idx.def.entry_of(&rec, rid)?;
-                        rfs[i].push(entry, pos)?;
-                    }
-                }
-                db.failpoints.hit("build.scan.record")?;
-                since_cp += 1;
-                if since_cp >= cp_every {
-                    since_cp = 0;
-                    for (i, idx) in idxs.iter().enumerate() {
-                        let cp = rfs[i].checkpoint()?;
-                        progress::store(db, idx.def.id, &BuildProgress::Scanning { sort: cp });
-                    }
-                    db.failpoints.hit("build.scan")?;
-                }
-                Ok(true)
-            },
-            |page| advance_current_rid(idxs, page),
-        )?;
-    }
-    for idx in idxs {
-        if idx.algorithm == BuildAlgorithm::Sf {
-            idx.finish_scan();
-        }
-    }
-    let mut all_runs = Vec::with_capacity(idxs.len());
-    for rf in rfs {
-        all_runs.push(rf.finish()?);
-    }
-    Ok(all_runs)
-}
-
 /// Persist one [`BuildProgress::ScanningParallel`] record per index
 /// from the combined per-worker checkpoint state. Callers hold the
 /// state lock, so concurrent workers never interleave half-updated
@@ -649,13 +562,15 @@ fn persist_parallel_parts(
     }
 }
 
-/// [`scan_and_sort`] on several worker threads: the scan range is
-/// split into one contiguous page partition per worker, and each
-/// worker runs its own §5.1 replacement selection per index into the
-/// index's shared run store. Checkpoints are per-partition
-/// ([`PartCheckpoint`]): each worker's checkpoint is a valid serial
-/// restart point for its page range, so a crash resumes every worker
-/// from its own position (re-using the checkpointed partition table).
+/// Scan the data pages once, feeding every index's run formation.
+/// The scan range is split into one contiguous page partition per
+/// worker (`opts.parallel_workers`; a sole partition runs on the
+/// calling thread), and each worker runs its own §5.1 replacement
+/// selection per index into the index's shared run store. Checkpoints
+/// are per-partition ([`PartCheckpoint`]): each worker's checkpoint is
+/// a valid serial restart point for its page range, so a crash resumes
+/// every worker from its own position (re-using the checkpointed
+/// partition table; `resumes[i]` repositions index `i`).
 ///
 /// Safety of the §3.2.2 visibility rule under out-of-order page
 /// completion: Current-RID only ever advances (`fetch_max`), so a
@@ -685,7 +600,9 @@ fn parallel_scan_and_sort(
     // (they define which runs belong to which worker); a fresh build
     // splits the scan range evenly.
     let parts: Vec<(u32, u32)> = match resumes.iter().flatten().next() {
-        Some(cps) => cps.iter().map(|p| (p.lo, p.hi)).collect(),
+        // A checkpoint from before partitions existed covers "to the
+        // end of the scan", whatever that was: clamp to the bound.
+        Some(cps) => cps.iter().map(|p| (p.lo, p.hi.min(scan_end.0))).collect(),
         None if empty => vec![(0, 0)],
         None => {
             let pages = u64::from(scan_end.0) + 1;
@@ -749,86 +666,87 @@ fn parallel_scan_and_sort(
     // cp_state[i][w]: index `i`'s latest checkpoint for partition `w`.
     let cp_state = Mutex::new(cp_init);
 
-    if !empty {
-        let finished: Vec<Vec<RunFormation<IndexEntry>>> = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(nw);
-            for (w, (row, floors)) in worker_rfs
-                .drain(..)
-                .zip(worker_floors.drain(..))
-                .enumerate()
-            {
-                let (lo, hi) = parts[w];
-                let (stop, first_err, cp_state) = (&stop, &first_err, &cp_state);
-                let (table, parts) = (&table, &parts);
-                handles.push(s.spawn(move || {
-                    let mut rfs = row;
-                    // Resume strictly after the checkpointed position.
-                    // A fresh partition starts just before its first
-                    // page: every RID of page `lo - 1` compares ≤
-                    // `from`, so only the under-latch hook fires there
-                    // — harmless, Current-RID only grows.
-                    let min_floor = floors.iter().copied().min().unwrap_or(0);
-                    let from = if min_floor > 0 {
-                        Some(Rid::unpack(min_floor - 1))
-                    } else if lo == 0 {
-                        None
-                    } else {
-                        Some(Rid {
-                            page: PageId(lo - 1),
-                            slot: SlotId(u16::MAX),
-                        })
-                    };
-                    let mut since_cp = 0usize;
-                    let r = table.scan_pages(
-                        from,
-                        PageId(hi),
-                        |rid, data| {
-                            if stop.load(Ordering::Relaxed) {
-                                return Ok(false);
-                            }
-                            let rec = Record::decode(data)?;
-                            let pos = rid.pack() + 1;
-                            for (i, idx) in idxs.iter().enumerate() {
-                                if pos > floors[i] {
-                                    let entry = idx.def.entry_of(&rec, rid)?;
-                                    rfs[i].push(entry, pos)?;
-                                }
-                            }
-                            db.failpoints.hit("build.scan.record")?;
-                            since_cp += 1;
-                            if since_cp >= cp_every {
-                                since_cp = 0;
-                                let mut cps = Vec::with_capacity(idxs.len());
-                                for rf in rfs.iter_mut() {
-                                    cps.push(rf.checkpoint()?);
-                                }
-                                let mut state = cp_state.lock();
-                                for (i, cp) in cps.into_iter().enumerate() {
-                                    state[i][w] = cp;
-                                }
-                                persist_parallel_parts(db, idxs, parts, &state);
-                                db.failpoints.hit("build.scan")?;
-                            }
-                            Ok(true)
-                        },
-                        |page| advance_current_rid(idxs, page),
-                    );
-                    if let Err(e) = r {
-                        stop.store(true, Ordering::Relaxed);
-                        let mut g = first_err.lock();
-                        if g.is_none() {
-                            *g = Some(e);
-                        }
+    // One partition's scan: feed `rfs` (one sorter per index) from the
+    // pages `parts[w]`, checkpointing every `cp_every` records.
+    let scan_part = |w: usize, mut rfs: Vec<RunFormation<IndexEntry>>, floors: Vec<u64>| {
+        let (lo, hi) = parts[w];
+        // Resume strictly after the checkpointed position. Scan
+        // positions are `rid.pack() + 1` so that position 0
+        // unambiguously means "nothing fed" (RID (0,0) packs to 0). A
+        // fresh partition starts just before its first page: every RID
+        // of page `lo - 1` compares ≤ `from`, so only the under-latch
+        // hook fires there — harmless, Current-RID only grows.
+        let min_floor = floors.iter().copied().min().unwrap_or(0);
+        let from = if min_floor > 0 {
+            Some(Rid::unpack(min_floor - 1))
+        } else if lo == 0 {
+            None
+        } else {
+            Some(Rid {
+                page: PageId(lo - 1),
+                slot: SlotId(u16::MAX),
+            })
+        };
+        let mut since_cp = 0usize;
+        let r = table.scan_pages(
+            from,
+            PageId(hi),
+            |rid, data| {
+                if stop.load(Ordering::Relaxed) {
+                    return Ok(false);
+                }
+                let rec = Record::decode(data)?;
+                let pos = rid.pack() + 1;
+                for (i, idx) in idxs.iter().enumerate() {
+                    if pos > floors[i] {
+                        let entry = idx.def.entry_of(&rec, rid)?;
+                        rfs[i].push(entry, pos)?;
                     }
-                    rfs
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
+                }
+                db.failpoints.hit("build.scan.record")?;
+                since_cp += 1;
+                if since_cp >= cp_every {
+                    since_cp = 0;
+                    let mut cps = Vec::with_capacity(idxs.len());
+                    for rf in rfs.iter_mut() {
+                        cps.push(rf.checkpoint()?);
+                    }
+                    let mut state = cp_state.lock();
+                    for (i, cp) in cps.into_iter().enumerate() {
+                        state[i][w] = cp;
+                    }
+                    persist_parallel_parts(db, idxs, &parts, &state);
+                    db.failpoints.hit("build.scan")?;
+                }
+                Ok(true)
+            },
+            |page| advance_current_rid(idxs, page),
+        );
+        if let Err(e) = r {
+            stop.store(true, Ordering::Relaxed);
+            first_err.lock().get_or_insert(e);
+        }
+        rfs
+    };
+    if !empty {
+        let work = worker_rfs.drain(..).zip(worker_floors.drain(..));
+        worker_rfs = if nw == 1 {
+            // No spawn: the build thread's name and trace context stay.
+            work.map(|(row, floors)| scan_part(0, row, floors))
                 .collect()
-        });
-        worker_rfs = finished;
+        } else {
+            std::thread::scope(|s| {
+                let scan_part = &scan_part;
+                let handles: Vec<_> = work
+                    .enumerate()
+                    .map(|(w, (row, floors))| s.spawn(move || scan_part(w, row, floors)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("scan worker panicked"))
+                    .collect()
+            })
+        };
     }
     if let Some(e) = first_err.into_inner() {
         return Err(e);
@@ -1440,11 +1358,7 @@ fn offline_build(
         on_ids(&idxs.iter().map(|i| i.def.id).collect::<Vec<_>>());
         // One shared scan, unregistered runtimes: a crash leaves no
         // trace (the offline strategy is restart-from-scratch).
-        let runs = if opts.parallel_workers > 1 {
-            parallel_scan_and_sort(db, &idxs, &vec![None; idxs.len()], opts)?
-        } else {
-            scan_and_sort(db, &idxs, &vec![None; idxs.len()], opts)?
-        };
+        let runs = parallel_scan_and_sort(db, &idxs, &vec![None; idxs.len()], opts)?;
         for (idx, idx_runs) in idxs.iter().zip(runs) {
             let finals = reduce_phase(db, idx, idx_runs, None, opts)?;
             let merge_cp = MergeCheckpoint {

@@ -49,13 +49,9 @@ impl PartCheckpoint {
 /// Where an interrupted build resumes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildProgress {
-    /// Scanning data pages and forming sorted runs (§5.1).
-    Scanning {
-        /// Sort-phase checkpoint (includes the data-scan position).
-        sort: SortCheckpoint<IndexEntry>,
-    },
-    /// Partitioned scan on several workers: one §5.1 checkpoint per
-    /// scan partition, restarted per-partition.
+    /// Scanning data pages and forming sorted runs (§5.1): one
+    /// checkpoint per scan partition (a serial build has one
+    /// partition), restarted per-partition.
     ScanningParallel {
         /// Per-worker partition checkpoints, in partition order.
         parts: Vec<PartCheckpoint>,
@@ -93,10 +89,6 @@ impl BuildProgress {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            BuildProgress::Scanning { sort } => {
-                out.push(0);
-                out.extend_from_slice(&sort.encode());
-            }
             BuildProgress::Reducing { pass } => {
                 out.push(1);
                 out.extend_from_slice(&pass.encode());
@@ -134,8 +126,16 @@ impl BuildProgress {
     #[must_use]
     pub fn decode(buf: &[u8]) -> Option<BuildProgress> {
         match *buf.first()? {
-            0 => Some(BuildProgress::Scanning {
-                sort: SortCheckpoint::decode(&buf[1..])?,
+            // Tag 0 was the serial scan's bare sort checkpoint (no
+            // longer written): one partition from page 0 to the end
+            // of the scan, which the build clamps to the index's
+            // scan bound.
+            0 => Some(BuildProgress::ScanningParallel {
+                parts: vec![PartCheckpoint {
+                    lo: 0,
+                    hi: u32::MAX,
+                    sort: SortCheckpoint::decode(&buf[1..])?,
+                }],
             }),
             1 => Some(BuildProgress::Reducing {
                 pass: MergePassCheckpoint::decode(&buf[1..])?,
@@ -226,13 +226,6 @@ mod tests {
     fn all_variants_roundtrip() {
         let e = IndexEntry::from_i64(5, Rid::new(1, 1));
         let cases = vec![
-            BuildProgress::Scanning {
-                sort: SortCheckpoint {
-                    runs: vec![RunMeta { id: 1, len: 10 }],
-                    scan_pos: 99,
-                    last_run_high: Some(e.clone()),
-                },
-            },
             BuildProgress::Reducing {
                 pass: MergePassCheckpoint {
                     remaining: vec![1, 2],
@@ -296,6 +289,27 @@ mod tests {
         for c in cases {
             assert_eq!(BuildProgress::decode(&c.encode()), Some(c));
         }
+    }
+
+    #[test]
+    fn serial_scan_blob_decodes_as_one_partition() {
+        let sort = SortCheckpoint {
+            runs: vec![RunMeta { id: 1, len: 10 }],
+            scan_pos: 99,
+            last_run_high: Some(IndexEntry::from_i64(5, Rid::new(1, 1))),
+        };
+        let mut blob = vec![0u8];
+        blob.extend_from_slice(&sort.encode());
+        assert_eq!(
+            BuildProgress::decode(&blob),
+            Some(BuildProgress::ScanningParallel {
+                parts: vec![PartCheckpoint {
+                    lo: 0,
+                    hi: u32::MAX,
+                    sort,
+                }],
+            })
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! oib-server [--addr HOST:PORT] [--pg-port PORT|HOST:PORT]
 //!            [--http-port PORT|HOST:PORT] [--workers N]
 //!            [--max-inflight N] [--seed-rows N]
-//!            [--io-backend auto|epoll|poll|threaded]
+//!            [--io-backend auto|epoll|poll]
 //! ```
 //!
 //! Creates a fresh in-memory engine with table 1 (optionally
@@ -64,7 +64,7 @@ fn main() {
             "--io-backend" => {
                 let v = value("--io-backend");
                 cfg.io_backend = mohan_common::IoBackendChoice::parse(&v).unwrap_or_else(|| {
-                    eprintln!("bad --io-backend {v:?}: want auto|epoll|poll|threaded");
+                    eprintln!("bad --io-backend {v:?}: want auto|epoll|poll");
                     std::process::exit(2);
                 });
             }

@@ -24,7 +24,7 @@
 //! response sent while draining closes its connection, so probes
 //! cannot prolong the drain past their own answer.
 
-use crate::worker::{self, Conn};
+use crate::conn::{send_raw, Conn};
 use crate::Inner;
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,7 +53,7 @@ pub(crate) fn split_frames(inner: &Arc<Inner>, conn: &mut Conn) {
         else {
             if conn.buf.len() > MAX_HEADER {
                 inner.stats.malformed.bump();
-                worker::send_raw(
+                send_raw(
                     inner,
                     conn,
                     b"HTTP/1.1 431 Request Header Fields Too Large\r\n\
@@ -122,7 +122,7 @@ pub(crate) fn handle_payload(inner: &Arc<Inner>, conn: &mut Conn, payload: &[u8]
     }
     out.push_str("\r\n");
     out.push_str(&body);
-    worker::send_raw(inner, conn, out.as_bytes());
+    send_raw(inner, conn, out.as_bytes());
     if close && !conn.has_backlog() {
         conn.dead = true;
     }

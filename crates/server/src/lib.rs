@@ -1,4 +1,4 @@
-//! Threaded TCP service exposing the engine over the wire protocol.
+//! TCP service exposing the engine over the wire protocol.
 //!
 //! The paper's availability story (§2.2.1 NSF's short descriptor
 //! quiesce, §3.2.1 SF's zero quiesce) is a claim about what *clients*
@@ -9,16 +9,15 @@
 //! pool of worker threads, each owning a set of non-blocking
 //! connections with a per-connection [`mohan_oib::Session`].
 //!
-//! Connections are driven by a **readiness reactor** (see the
+//! Connections have one driver, a **readiness reactor** (see the
 //! `reactor` module): each shard registers its sockets with an epoll
 //! or poll(2) backend — thin in-tree FFI, no crates — and blocks
-//! until the kernel reports readiness or a coarse timer-wheel
-//! deadline (idle reaping, stream emission, write timeouts) arrives.
-//! Idle connections therefore cost zero wakeups. The original
-//! sleep-polling worker loop survives config-gated
-//! ([`mohan_common::IoBackendChoice::ThreadedSleep`]) as the portable
-//! fallback and as the baseline for the `server.wakeups` /
-//! `server.idle_scan_skipped` metrics.
+//! until the kernel reports readiness, another thread wakes it, or a
+//! coarse timer-wheel deadline (idle reaping, stream emission, write
+//! timeouts) arrives. Idle connections therefore cost zero wakeups.
+//! Whatever the reason, a connection is moved forward by one function
+//! (`conn::service`), and the streaming exchange that may own it
+//! (build watch, metrics stream, WAL stream) is one `job::Job`.
 //!
 //! Service behaviours, all bounded by configuration rather than left
 //! to queue without limit:
@@ -46,80 +45,29 @@
 
 #![warn(missing_docs)]
 
-mod http;
-mod pg;
-#[cfg(unix)]
-mod reactor;
-mod worker;
-
-/// Non-unix stub: only the threaded backend exists, and wakers are
-/// no-ops (the sleep loop polls everything anyway).
 #[cfg(not(unix))]
-mod reactor {
-    use mohan_common::IoBackendChoice;
-    use std::io;
+compile_error!(
+    "mohan-server drives its connections with poll(2)/epoll and runs on unix hosts only"
+);
 
-    pub(crate) mod driver {
-        use crate::pg::ConnKind;
-        use crate::worker::{self, ShardCtx};
-        use crate::Inner;
-        use std::net::TcpStream;
-        use std::sync::{mpsc, Arc};
+mod accept;
+mod conn;
+mod http;
+mod job;
+mod native;
+mod pg;
+mod reactor;
+mod stats;
 
-        pub(crate) fn run(
-            inner: &Arc<Inner>,
-            ctx: &ShardCtx,
-            rx: &mpsc::Receiver<(TcpStream, ConnKind)>,
-            _kind: super::ResolvedBackend,
-            _wake: super::WakeRx,
-        ) {
-            worker::worker_loop(inner, ctx, rx);
-        }
-    }
+pub use stats::ServerStats;
 
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub(crate) enum ResolvedBackend {
-        ThreadedSleep,
-    }
-
-    impl ResolvedBackend {
-        pub(crate) fn name(self) -> &'static str {
-            "threaded"
-        }
-    }
-
-    pub(crate) struct Waker;
-
-    impl Waker {
-        pub(crate) fn wake(&self) {}
-    }
-
-    pub(crate) struct WakeRx;
-
-    pub(crate) fn waker_pair() -> io::Result<(Waker, WakeRx)> {
-        Ok((Waker, WakeRx))
-    }
-
-    pub(crate) fn resolve(choice: IoBackendChoice) -> io::Result<ResolvedBackend> {
-        match choice {
-            IoBackendChoice::Auto | IoBackendChoice::ThreadedSleep => {
-                Ok(ResolvedBackend::ThreadedSleep)
-            }
-            IoBackendChoice::Epoll | IoBackendChoice::Poll => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "reactor backends require a unix host",
-            )),
-        }
-    }
-}
-
-use mohan_common::stats::{Counter, ShardDist};
+use mohan_common::stats::Counter;
 use mohan_common::IoBackendChoice;
 use mohan_obs::Histogram;
 use mohan_oib::Db;
 use parking_lot::Mutex;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -207,8 +155,7 @@ pub struct ServerConfig {
     pub fanout_ring_bytes: usize,
     /// Which I/O readiness backend drives the connection layer.
     /// `Auto` detects at startup (epoll where available, else
-    /// poll(2)); `ThreadedSleep` selects the legacy sleep-polling
-    /// loop. The default honors the `MOHAN_IO_BACKEND` environment
+    /// poll(2)). The default honors the `MOHAN_IO_BACKEND` environment
     /// variable when set, so whole test suites can be re-run under a
     /// different backend without touching call sites.
     pub io_backend: IoBackendChoice,
@@ -275,9 +222,9 @@ impl Default for ServerConfig {
             io_backend: IoBackendChoice::from_env()
                 .unwrap_or_else(|bad| {
                     eprintln!(
-                    "warning: {}={bad:?} is not a backend (auto|epoll|poll|threaded); using auto",
-                    mohan_common::config::IO_BACKEND_ENV
-                );
+                        "warning: {}={bad:?} is not a backend (auto|epoll|poll); using auto",
+                        mohan_common::config::IO_BACKEND_ENV
+                    );
                     None
                 })
                 .unwrap_or_default(),
@@ -297,142 +244,6 @@ fn bind_addr_from_env(env: &str) -> Option<String> {
     })
 }
 
-/// Server-side counters, exposed over the wire via `Request::Stats`.
-#[derive(Debug)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub conns_accepted: Counter,
-    /// Connections refused at the `max_connections` cap.
-    pub conns_rejected: Counter,
-    /// Connections closed (any reason).
-    pub conns_closed: Counter,
-    /// Connections closed by the idle timeout.
-    pub idle_closed: Counter,
-    /// Connections closed by the write (slow-client) timeout.
-    pub slow_closed: Counter,
-    /// Requests executed (admitted past admission control).
-    pub requests: Counter,
-    /// Requests refused with `Busy`.
-    pub busy_rejects: Counter,
-    /// Requests refused with `DeadlineExceeded` before execution.
-    pub deadline_rejects: Counter,
-    /// Requests that executed but finished past their deadline.
-    pub deadline_overruns: Counter,
-    /// Frames that failed to decode.
-    pub malformed: Counter,
-    /// `CreateIndex` builds started.
-    pub builds_started: Counter,
-    /// Builds finished successfully.
-    pub builds_done: Counter,
-    /// Builds that returned an error.
-    pub builds_failed: Counter,
-    /// Progress frames streamed.
-    pub progress_frames: Counter,
-    /// Metrics frames streamed to `ObserveStats` subscribers.
-    pub observe_frames: Counter,
-    /// `SubscribeWal` subscriptions accepted.
-    pub wal_subs: Counter,
-    /// WAL frames streamed to subscribers (heartbeats included).
-    pub wal_frames: Counter,
-    /// Log records shipped inside those frames.
-    pub wal_records: Counter,
-    /// Open transactions rolled back by a drain.
-    pub drain_rollbacks: Counter,
-    /// Times a worker shard woke up — reactor `wait` returns, or
-    /// sleep-loop ticks under the threaded backend. The headline
-    /// backend-cost number: an idle reactor shard holds this flat
-    /// while the threaded loop burns ~2000/s per shard.
-    pub wakeups: Counter,
-    /// Idle connections a wakeup did *not* scan (live minus touched,
-    /// summed per wait) — the per-tick work the sleep-poll loop would
-    /// have done. Always zero under the threaded backend, which scans
-    /// everything every tick.
-    pub idle_scan_skipped: Counter,
-    /// Accept-loop errors (excluding `WouldBlock`), whether transient
-    /// or resource exhaustion.
-    pub accept_errors: Counter,
-    /// Connections handed to a shard's executor thread because a
-    /// queued frame could block on engine locks (reactor mode only —
-    /// the event loop never sits in a lock wait).
-    pub exec_offloads: Counter,
-    /// Connection count per worker shard.
-    pub conn_shards: ShardDist,
-}
-
-impl ServerStats {
-    fn new(workers: usize) -> ServerStats {
-        ServerStats {
-            conns_accepted: Counter::default(),
-            conns_rejected: Counter::default(),
-            conns_closed: Counter::default(),
-            idle_closed: Counter::default(),
-            slow_closed: Counter::default(),
-            requests: Counter::default(),
-            busy_rejects: Counter::default(),
-            deadline_rejects: Counter::default(),
-            deadline_overruns: Counter::default(),
-            malformed: Counter::default(),
-            builds_started: Counter::default(),
-            builds_done: Counter::default(),
-            builds_failed: Counter::default(),
-            progress_frames: Counter::default(),
-            observe_frames: Counter::default(),
-            wal_subs: Counter::default(),
-            wal_frames: Counter::default(),
-            wal_records: Counter::default(),
-            drain_rollbacks: Counter::default(),
-            wakeups: Counter::default(),
-            idle_scan_skipped: Counter::default(),
-            accept_errors: Counter::default(),
-            exec_offloads: Counter::default(),
-            conn_shards: ShardDist::new(workers.max(1)),
-        }
-    }
-
-    /// Flat `(name, value)` snapshot for the `Stats` response.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut out = vec![
-            ("server.conns_accepted".into(), self.conns_accepted.get()),
-            ("server.conns_rejected".into(), self.conns_rejected.get()),
-            ("server.conns_closed".into(), self.conns_closed.get()),
-            ("server.idle_closed".into(), self.idle_closed.get()),
-            ("server.slow_closed".into(), self.slow_closed.get()),
-            ("server.requests".into(), self.requests.get()),
-            ("server.busy_rejects".into(), self.busy_rejects.get()),
-            (
-                "server.deadline_rejects".into(),
-                self.deadline_rejects.get(),
-            ),
-            (
-                "server.deadline_overruns".into(),
-                self.deadline_overruns.get(),
-            ),
-            ("server.malformed".into(), self.malformed.get()),
-            ("server.builds_started".into(), self.builds_started.get()),
-            ("server.builds_done".into(), self.builds_done.get()),
-            ("server.builds_failed".into(), self.builds_failed.get()),
-            ("server.progress_frames".into(), self.progress_frames.get()),
-            ("server.observe_frames".into(), self.observe_frames.get()),
-            ("server.wal_subs".into(), self.wal_subs.get()),
-            ("server.wal_frames".into(), self.wal_frames.get()),
-            ("server.wal_records".into(), self.wal_records.get()),
-            ("server.drain_rollbacks".into(), self.drain_rollbacks.get()),
-            ("server.wakeups".into(), self.wakeups.get()),
-            (
-                "server.idle_scan_skipped".into(),
-                self.idle_scan_skipped.get(),
-            ),
-            ("server.accept_errors".into(), self.accept_errors.get()),
-            ("server.exec_offloads".into(), self.exec_offloads.get()),
-        ];
-        for (i, n) in self.conn_shards.snapshot().into_iter().enumerate() {
-            out.push((format!("server.conn_shard.{i}"), n));
-        }
-        out
-    }
-}
-
 const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 
@@ -447,7 +258,7 @@ pub(crate) struct Inner {
     pub(crate) conn_count: AtomicUsize,
     /// Live HTTP sidecar connections (a subset of `conn_count`). When
     /// every remaining connection is an HTTP probe, a drain has
-    /// nothing left to wait for (see `worker::drain_mark`).
+    /// nothing left to wait for (see `conn::drain_mark`).
     pub(crate) http_conns: AtomicUsize,
     /// Live connections per shard, for least-occupied accept routing.
     /// Incremented at hand-off, decremented when the shard reaps (or
@@ -473,14 +284,13 @@ pub(crate) struct Inner {
     /// replica.
     pub(crate) reads_served: Arc<Counter>,
     pub(crate) reads_stale: Arc<Counter>,
-    /// Events delivered per reactor wait (`server.events_per_wait`);
-    /// under the threaded backend, connections progressed per tick.
+    /// Events delivered per reactor wait (`server.events_per_wait`).
     pub(crate) events_per_wait: Arc<Histogram>,
-    /// One waker per shard under a reactor backend (empty under the
-    /// threaded backend): cross-thread state changes — a new
-    /// connection handed off, a build result deposited, the WAL
-    /// flushed past a subscriber, a drain starting — wake the blocked
-    /// shard instead of waiting out its timer.
+    /// One waker per shard: cross-thread state changes — a new
+    /// connection handed off, one handed back by the executor, a
+    /// build result deposited, the WAL flushed past a subscriber, a
+    /// drain starting — wake the blocked shard instead of waiting out
+    /// its timer.
     wakers: Vec<Arc<reactor::Waker>>,
 }
 
@@ -510,9 +320,9 @@ impl Inner {
         self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// The waker for `shard`, if the server runs a reactor backend.
-    pub(crate) fn shard_waker(&self, shard: usize) -> Option<Arc<reactor::Waker>> {
-        self.wakers.get(shard).cloned()
+    /// The waker for `shard`.
+    pub(crate) fn shard_waker(&self, shard: usize) -> Arc<reactor::Waker> {
+        Arc::clone(&self.wakers[shard])
     }
 
     /// Wake every shard (drain kick-off).
@@ -536,7 +346,7 @@ pub struct DrainReport {
     pub conns_closed: u64,
 }
 
-/// A running server: accept thread + worker pool over a shared [`Db`].
+/// A running server: accept threads + worker pool over a shared [`Db`].
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
@@ -544,16 +354,10 @@ pub struct Server {
     pg_addr: Option<SocketAddr>,
     /// Bound address of the HTTP sidecar listener, when configured.
     http_addr: Option<SocketAddr>,
-    accept: Option<JoinHandle<()>>,
-    pg_accept: Option<JoinHandle<()>>,
-    http_accept: Option<JoinHandle<()>>,
+    /// One accept thread per listener, each with the waker that ends
+    /// its wait at drain time.
+    acceptors: Vec<(reactor::Waker, JoinHandle<()>)>,
     workers: Vec<JoinHandle<()>>,
-    /// Wakes a reactor-blocked accept thread at drain time.
-    accept_waker: Option<reactor::Waker>,
-    /// Same, for the pg listener's accept thread.
-    pg_accept_waker: Option<reactor::Waker>,
-    /// Same, for the HTTP sidecar's accept thread.
-    http_accept_waker: Option<reactor::Waker>,
     /// WAL flush-waker registrations to undo after the workers join.
     flush_hooks: Vec<u64>,
     /// What the configured `io_backend` resolved to on this host.
@@ -561,45 +365,35 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind and start serving `db` per `cfg`. Fails if `cfg.io_backend`
-    /// names a backend this host cannot run (e.g. epoll elsewhere than
-    /// Linux); `Auto` always succeeds.
+    /// Bind and start serving `db` per `cfg`. Fails if an address
+    /// cannot be bound, if `cfg.io_backend` names a backend this host
+    /// cannot run (e.g. epoll elsewhere than Linux), or if a thread's
+    /// backend cannot be set up (out of descriptors).
     pub fn start(db: Arc<Db>, cfg: ServerConfig) -> io::Result<Server> {
         let backend = reactor::resolve(cfg.io_backend)?;
-        let reactor_mode = !matches!(backend, reactor::ResolvedBackend::ThreadedSleep);
         // Process-wide by design: the sampling decision must be a pure
         // function of the trace id so every layer (and every follower
         // configured with the same rate) agrees which traces record.
         mohan_obs::set_trace_sampling(cfg.trace_sample_one_in);
-        let listener = TcpListener::bind(&cfg.bind_addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let pg_listener = match &cfg.pg_bind_addr {
-            Some(bind) => {
-                let l = TcpListener::bind(bind)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
+        let bind = |addr: &String| -> io::Result<TcpListener> {
+            let l = TcpListener::bind(addr)?;
+            l.set_nonblocking(true)?;
+            Ok(l)
         };
+        let listener = bind(&cfg.bind_addr)?;
+        let addr = listener.local_addr()?;
+        let pg_listener = cfg.pg_bind_addr.as_ref().map(bind).transpose()?;
         let pg_addr = pg_listener
             .as_ref()
             .map(TcpListener::local_addr)
             .transpose()?;
-        let http_listener = match &cfg.http_bind_addr {
-            Some(bind) => {
-                let l = TcpListener::bind(bind)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
+        let http_listener = cfg.http_bind_addr.as_ref().map(bind).transpose()?;
         let http_addr = http_listener
             .as_ref()
             .map(TcpListener::local_addr)
             .transpose()?;
         let workers = cfg.workers.max(1);
-        let req_us = worker::OPCODES
+        let req_us = native::OPCODES
             .iter()
             .map(|op| db.obs.histogram(&format!("server.req_us.{op}")))
             .collect();
@@ -635,17 +429,14 @@ impl Server {
             gauge("repl.fanout.cut_loose", |b| b.cut_loose());
         }
 
-        // Wake pipes exist only under a reactor backend; the sleep
-        // loop polls everything anyway, and an undrained pipe would
-        // just fill up.
-        let mut wakers = Vec::new();
-        let mut wake_rxs = Vec::new();
-        if reactor_mode {
-            for _ in 0..workers {
-                let (w, rx) = reactor::waker_pair()?;
-                wakers.push(Arc::new(w));
-                wake_rxs.push(rx);
-            }
+        // Every shard's event source, before any thread exists: a host
+        // that cannot provide one fails the start, not a shard.
+        let mut wakers = Vec::with_capacity(workers);
+        let mut sources = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            let (io, wake_rx, waker) = reactor::open(backend)?;
+            wakers.push(Arc::new(waker));
+            sources.push((io, wake_rx));
         }
 
         let inner = Arc::new(Inner {
@@ -671,99 +462,73 @@ impl Server {
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         let mut flush_hooks = Vec::new();
-        for shard in 0..workers {
-            let (tx, rx) = mpsc::channel::<(TcpStream, pg::ConnKind)>();
+        for (shard, (io, wake_rx)) in sources.into_iter().enumerate() {
+            let (tx, rx) = mpsc::channel();
             senders.push(tx);
             let wal_subs = Arc::new(AtomicUsize::new(0));
-            if let Some(waker) = inner.shard_waker(shard) {
-                // Event-driven WAL shipping: when the durable prefix
-                // advances, wake exactly the shards that have live
-                // subscribers (the AtomicUsize gate keeps everyone
-                // else asleep).
-                let gate = Arc::clone(&wal_subs);
-                flush_hooks.push(inner.db.wal.register_flush_waker(Box::new(move || {
-                    if gate.load(Ordering::Acquire) > 0 {
-                        waker.wake();
-                    }
-                })));
-            }
-            let ctx = worker::ShardCtx { shard, wal_subs };
+            // Event-driven WAL shipping: when the durable prefix
+            // advances, wake exactly the shards that have live
+            // subscribers (the AtomicUsize gate keeps everyone else
+            // asleep).
+            let gate = Arc::clone(&wal_subs);
+            let waker = inner.shard_waker(shard);
+            flush_hooks.push(inner.db.wal.register_flush_waker(Box::new(move || {
+                if gate.load(Ordering::Acquire) > 0 {
+                    waker.wake();
+                }
+            })));
+            let ctx = conn::ShardCtx { shard, wal_subs };
             let inner2 = Arc::clone(&inner);
-            let wake_rx = if reactor_mode {
-                Some(wake_rxs.remove(0))
-            } else {
-                None
-            };
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("oib-worker-{shard}"))
-                    .spawn(move || match wake_rx {
-                        Some(wrx) => reactor::driver::run(&inner2, &ctx, &rx, backend, wrx),
-                        None => worker::worker_loop(&inner2, &ctx, &rx),
-                    })
+                    .spawn(move || reactor::driver::run(&inner2, &ctx, &rx, io, &wake_rx))
                     .expect("spawn worker"),
             );
         }
 
-        let (pg_accept_waker, pg_accept) = match pg_listener {
-            Some(l) => {
-                let (w, h) = spawn_accept(
-                    &inner,
-                    l,
-                    senders.clone(),
-                    pg::ConnKind::Pg,
-                    backend,
-                    reactor_mode,
-                    "oib-pg-accept",
-                )?;
-                (w, Some(h))
-            }
-            None => (None, None),
-        };
-        let (http_accept_waker, http_accept) = match http_listener {
-            Some(l) => {
-                let (w, h) = spawn_accept(
-                    &inner,
-                    l,
-                    senders.clone(),
-                    pg::ConnKind::Http,
-                    backend,
-                    reactor_mode,
-                    "oib-http-accept",
-                )?;
-                (w, Some(h))
-            }
-            None => (None, None),
-        };
-        let (accept_waker, accept) = spawn_accept(
-            &inner,
-            listener,
-            senders,
-            pg::ConnKind::Native,
-            backend,
-            reactor_mode,
-            "oib-accept",
-        )?;
-
-        Ok(Server {
+        let mut server = Server {
             inner,
             addr,
             pg_addr,
             http_addr,
-            accept: Some(accept),
-            pg_accept,
-            http_accept,
+            acceptors: Vec::new(),
             workers: handles,
-            accept_waker,
-            pg_accept_waker,
-            http_accept_waker,
             flush_hooks,
             backend,
-        })
+        };
+        let listeners = [
+            (Some(listener), conn::Proto::Native, "oib-accept"),
+            (
+                pg_listener,
+                conn::Proto::Pg(Default::default()),
+                "oib-pg-accept",
+            ),
+            (http_listener, conn::Proto::Http, "oib-http-accept"),
+        ];
+        for (listener, proto, name) in listeners {
+            let Some(listener) = listener else { continue };
+            match accept::spawn(
+                &server.inner,
+                listener,
+                senders.clone(),
+                proto,
+                backend,
+                name,
+            ) {
+                Ok(acceptor) => server.acceptors.push(acceptor),
+                Err(e) => {
+                    // Stop the threads already running before failing.
+                    server.drain();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// The backend name the configured choice resolved to
-    /// (`"epoll"`, `"poll"`, or `"threaded"`).
+    /// (`"epoll"` or `"poll"`).
     #[must_use]
     pub fn io_backend(&self) -> &'static str {
         self.backend.name()
@@ -809,25 +574,13 @@ impl Server {
         let drain_started = Instant::now();
         *self.inner.drain_started.lock() = Some(drain_started);
         self.inner.state.store(STATE_DRAINING, Ordering::Release);
-        // Reactor threads may be blocked in wait() with no deadline;
-        // kick them so they observe the drain immediately.
-        if let Some(w) = &self.accept_waker {
-            w.wake();
-        }
-        if let Some(w) = &self.pg_accept_waker {
-            w.wake();
-        }
-        if let Some(w) = &self.http_accept_waker {
-            w.wake();
+        // Threads may be blocked in wait() with no deadline; kick them
+        // so they observe the drain immediately.
+        for (waker, _) in &self.acceptors {
+            waker.wake();
         }
         self.inner.wake_all();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.pg_accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.http_accept.take() {
+        for (_, h) in self.acceptors.drain(..) {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
@@ -865,235 +618,4 @@ impl Server {
             conns_closed: self.inner.stats.conns_closed.get(),
         }
     }
-}
-
-/// Accept-error classes. Most errors the accept syscall reports are
-/// about the *one* connection being accepted (the peer reset during
-/// the handshake, a protocol error on that socket) — backing off
-/// would penalize every other client in the backlog for one bad peer.
-/// Only resource exhaustion (out of fds/memory) is about *us*, and
-/// retrying it hot would spin: those back off.
-enum AcceptError {
-    /// EMFILE / ENFILE / ENOMEM / ENOBUFS: accepting again immediately
-    /// will fail again until resources free up.
-    Exhausted,
-    /// Everything else: specific to the connection just attempted;
-    /// keep accepting at full speed.
-    Transient,
-}
-
-fn classify_accept_error(e: &io::Error) -> AcceptError {
-    // EMFILE=24, ENFILE=23, ENOMEM=12, ENOBUFS=105 on Linux; matching
-    // by kind where std has one keeps this portable.
-    match e.raw_os_error() {
-        Some(12 | 23 | 24 | 105) => AcceptError::Exhausted,
-        _ => AcceptError::Transient,
-    }
-}
-
-/// Spawn one accept thread for `listener`, tagging every accepted
-/// connection with `kind` so the shard knows which protocol to speak.
-fn spawn_accept(
-    inner: &Arc<Inner>,
-    listener: TcpListener,
-    senders: Vec<mpsc::Sender<(TcpStream, pg::ConnKind)>>,
-    kind: pg::ConnKind,
-    backend: reactor::ResolvedBackend,
-    reactor_mode: bool,
-    name: &str,
-) -> io::Result<(Option<reactor::Waker>, JoinHandle<()>)> {
-    if reactor_mode {
-        let (w, rx) = reactor::waker_pair()?;
-        let inner2 = Arc::clone(inner);
-        let h = std::thread::Builder::new()
-            .name(name.into())
-            .spawn(move || accept_loop(&inner2, &listener, &senders, kind, backend, Some(rx)))
-            .expect("spawn acceptor");
-        Ok((Some(w), h))
-    } else {
-        let inner2 = Arc::clone(inner);
-        let h = std::thread::Builder::new()
-            .name(name.into())
-            .spawn(move || accept_loop(&inner2, &listener, &senders, kind, backend, None))
-            .expect("spawn acceptor");
-        Ok((None, h))
-    }
-}
-
-/// Pick the shard with the fewest live connections, starting the scan
-/// at a rotating offset so ties spread round-robin. Both listeners
-/// route through here, so a shard loaded with long-lived pg sessions
-/// receives fewer native connections and vice versa.
-fn pick_shard(inner: &Arc<Inner>, next: &mut usize) -> usize {
-    let n = inner.shard_conns.len();
-    let start = *next % n;
-    *next = next.wrapping_add(1);
-    let mut best = start;
-    let mut best_count = inner.shard_conns[start].load(Ordering::Acquire);
-    for off in 1..n {
-        let i = (start + off) % n;
-        let count = inner.shard_conns[i].load(Ordering::Acquire);
-        if count < best_count {
-            best = i;
-            best_count = count;
-        }
-    }
-    best
-}
-
-/// Accept until `WouldBlock` (socket drained) or drain. Classifies
-/// errors per [`AcceptError`]: exhaustion backs off with a doubling
-/// sleep, transient errors keep the loop accepting. Each error burst
-/// is traced once (first error after a successful accept), not per
-/// error — an fd-exhaustion storm must not flood the trace ring.
-fn accept_burst(
-    inner: &Arc<Inner>,
-    listener: &TcpListener,
-    senders: &[mpsc::Sender<(TcpStream, pg::ConnKind)>],
-    kind: pg::ConnKind,
-    next: &mut usize,
-    burst_logged: &mut bool,
-) {
-    let mut backoff = Duration::from_millis(1);
-    loop {
-        if inner.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                *burst_logged = false;
-                backoff = Duration::from_millis(1);
-                if inner.conn_count.load(Ordering::Acquire) >= inner.cfg.max_connections {
-                    inner.stats.conns_rejected.bump();
-                    drop(stream);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                    continue;
-                }
-                inner.conn_count.fetch_add(1, Ordering::AcqRel);
-                if matches!(kind, pg::ConnKind::Http) {
-                    inner.http_conns.fetch_add(1, Ordering::AcqRel);
-                }
-                inner.stats.conns_accepted.bump();
-                let shard = pick_shard(inner, next);
-                inner.stats.conn_shards.bump(shard);
-                inner.shard_conns[shard].fetch_add(1, Ordering::AcqRel);
-                // A worker only disappears at drain time; if the send
-                // races that, the stream just drops (client sees EOF).
-                if senders[shard].send((stream, kind)).is_err() {
-                    inner.conn_count.fetch_sub(1, Ordering::AcqRel);
-                    if matches!(kind, pg::ConnKind::Http) {
-                        inner.http_conns.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    inner.shard_conns[shard].fetch_sub(1, Ordering::AcqRel);
-                } else if let Some(w) = inner.shard_waker(shard) {
-                    w.wake();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                inner.stats.accept_errors.bump();
-                match classify_accept_error(&e) {
-                    AcceptError::Exhausted => {
-                        if !*burst_logged {
-                            *burst_logged = true;
-                            inner.db.obs.trace().event(
-                                "server.accept_exhausted",
-                                e.to_string(),
-                                backoff.as_micros().min(u128::from(u64::MAX)) as u64,
-                            );
-                        }
-                        // Out of fds/memory: hammering accept cannot
-                        // help, and closing an idle connection or a
-                        // finishing request is what frees resources.
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(Duration::from_millis(100));
-                    }
-                    AcceptError::Transient => {
-                        if !*burst_logged {
-                            *burst_logged = true;
-                            inner
-                                .db
-                                .obs
-                                .trace()
-                                .event("server.accept_error", e.to_string(), 0);
-                        }
-                        // The failed handshake already consumed the
-                        // backlog entry; keep accepting.
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn accept_loop(
-    inner: &Arc<Inner>,
-    listener: &TcpListener,
-    senders: &[mpsc::Sender<(TcpStream, pg::ConnKind)>],
-    kind: pg::ConnKind,
-    backend: reactor::ResolvedBackend,
-    wake_rx: Option<reactor::WakeRx>,
-) {
-    #[cfg(unix)]
-    if let Some(rx) = wake_rx {
-        if accept_reactor_loop(inner, listener, senders, kind, backend, &rx).is_ok() {
-            return;
-        }
-        // Backend construction failed; fall through to sleep-polling.
-    }
-    #[cfg(not(unix))]
-    let _ = wake_rx;
-    let _ = backend;
-
-    let mut next = 0usize;
-    let mut burst_logged = false;
-    while !inner.draining() {
-        accept_burst(inner, listener, senders, kind, &mut next, &mut burst_logged);
-        std::thread::sleep(Duration::from_micros(500));
-    }
-}
-
-/// Reactor-driven accept: block until the listener is readable or the
-/// drain waker fires — no polling sleep at all.
-#[cfg(unix)]
-fn accept_reactor_loop(
-    inner: &Arc<Inner>,
-    listener: &TcpListener,
-    senders: &[mpsc::Sender<(TcpStream, pg::ConnKind)>],
-    kind: pg::ConnKind,
-    backend: reactor::ResolvedBackend,
-    wake_rx: &reactor::WakeRx,
-) -> io::Result<()> {
-    use std::os::fd::AsRawFd;
-    let mut b = reactor::new_backend(backend)?;
-    b.register(listener.as_raw_fd(), 0, reactor::Interest::READ)?;
-    b.register(
-        reactor::raw_fd(wake_rx),
-        reactor::WAKE_TOKEN,
-        reactor::Interest::READ,
-    )?;
-    let mut events = Vec::new();
-    let mut next = 0usize;
-    let mut burst_logged = false;
-    while !inner.draining() {
-        if let Err(e) = b.wait(&mut events, None) {
-            inner
-                .db
-                .obs
-                .trace()
-                .event("server.accept_wait_error", e.to_string(), 0);
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        for ev in &events {
-            if ev.token == reactor::WAKE_TOKEN {
-                reactor::drain_wake(wake_rx);
-            }
-        }
-        accept_burst(inner, listener, senders, kind, &mut next, &mut burst_logged);
-    }
-    Ok(())
 }

@@ -14,38 +14,16 @@
 //! lines instead of `Progress` frames, and its concurrent DML on
 //! *other* connections keeps flowing throughout.
 
-use crate::worker::{self, Conn, ShardCtx};
-use crate::Inner;
+use crate::conn::{send_raw, Conn, Proto, ShardCtx};
+use crate::{job, native, Inner};
 use mohan_pgwire::exec::execute_statement;
 use mohan_pgwire::proto::{self, FrameError, Startup};
 use mohan_pgwire::{sql, ExecEnv, Statement, StmtOutcome};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which wire protocol a connection speaks, decided by the listener
-/// that accepted it and carried through the shard hand-off channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ConnKind {
-    /// The native length-prefixed binary protocol.
-    Native,
-    /// Postgres protocol v3 (simple query).
-    Pg,
-    /// HTTP/1.1 sidecar (`/metrics`, `/healthz`, `/readyz`).
-    Http,
-}
-
-/// Per-connection protocol state.
-pub(crate) enum Proto {
-    /// Native binary protocol: frames are `Request`s.
-    Native,
-    /// Postgres protocol v3.
-    Pg(PgState),
-    /// HTTP/1.1 sidecar: frames are request head blocks.
-    Http,
-}
-
 /// Mutable pg-session state.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 pub(crate) struct PgState {
     /// Startup packet consumed and greeting sent; typed messages flow.
     pub(crate) started: bool,
@@ -122,7 +100,7 @@ fn send_err_rfq(inner: &Arc<Inner>, conn: &mut Conn, sqlstate: &str, message: &s
     let mut out = Vec::new();
     proto::error_response(&mut out, sqlstate, message);
     proto::ready_for_query(&mut out, tx_status(conn));
-    worker::send_raw(inner, conn, &out);
+    send_raw(inner, conn, &out);
 }
 
 /// Split pg frames off `conn.buf` into `conn.pending`. Startup
@@ -141,7 +119,7 @@ pub(crate) fn split_frames(inner: &Arc<Inner>, conn: &mut Conn) {
                 Ok(Some(Startup::Ssl | Startup::Gssenc)) => {
                     // Not supported; 'N' tells the client to continue
                     // in the clear (psql's default sslmode=prefer).
-                    worker::send_raw(inner, conn, b"N");
+                    send_raw(inner, conn, b"N");
                 }
                 Ok(Some(Startup::Cancel)) => {
                     // Cancel keys are never issued, so there is
@@ -167,7 +145,7 @@ pub(crate) fn split_frames(inner: &Arc<Inner>, conn: &mut Conn) {
                     }
                     proto::backend_key_data(&mut greet, std::process::id(), 0);
                     proto::ready_for_query(&mut greet, b'I');
-                    worker::send_raw(inner, conn, &greet);
+                    send_raw(inner, conn, &greet);
                 }
                 Err(e) => {
                     inner.stats.malformed.bump();
@@ -181,7 +159,7 @@ pub(crate) fn split_frames(inner: &Arc<Inner>, conn: &mut Conn) {
                     };
                     let mut out = Vec::new();
                     proto::error_response(&mut out, state, &msg);
-                    worker::send_raw(inner, conn, &out);
+                    send_raw(inner, conn, &out);
                     conn.dead = true;
                 }
             }
@@ -201,7 +179,7 @@ pub(crate) fn split_frames(inner: &Arc<Inner>, conn: &mut Conn) {
                 inner.stats.malformed.bump();
                 let mut out = Vec::new();
                 proto::error_response(&mut out, "08P01", "protocol violation: bad message framing");
-                worker::send_raw(inner, conn, &out);
+                send_raw(inner, conn, &out);
                 conn.dead = true;
             }
         }
@@ -229,7 +207,7 @@ pub(crate) fn handle_payload(
         b'S' => {
             let mut out = Vec::new();
             proto::ready_for_query(&mut out, tx_status(conn));
-            worker::send_raw(inner, conn, &out);
+            send_raw(inner, conn, &out);
         }
         b'Q' => match proto::query_string(body) {
             Some(sql) => handle_query(inner, ctx, conn, &sql, arrived, draining),
@@ -278,7 +256,7 @@ fn handle_query(
         let mut out = Vec::new();
         proto::empty_query_response(&mut out);
         proto::ready_for_query(&mut out, tx_status(conn));
-        worker::send_raw(inner, conn, &out);
+        send_raw(inner, conn, &out);
         return;
     }
 
@@ -400,10 +378,10 @@ fn handle_query(
                 }
                 // Flush what earlier statements produced, then hand
                 // off; the build's frames follow in order.
-                worker::send_raw(inner, conn, &out);
+                send_raw(inner, conn, &out);
                 out.clear();
                 build_started =
-                    worker::start_build_engine(inner, ctx, conn, table, algorithm, specs, options);
+                    job::start_build(inner, ctx, conn, table, algorithm, specs, options);
                 break;
             }
             Err(e) => {
@@ -419,16 +397,16 @@ fn handle_query(
     // rendered tree contains its own root.
     query_span.commit();
     if let Some((kind, ran)) = slowest {
-        worker::log_slow_trace(inner, kind, ran);
+        native::log_slow_trace(inner, kind, ran);
     }
     if build_started {
-        // `ReadyForQuery` is deferred to build completion
-        // (`watch_build`), and the admission slot rides with the
-        // build, exactly like the native `CreateIndex` exchange.
+        // `ReadyForQuery` is deferred to build completion, and the
+        // admission slot rides with the build's job, exactly like the
+        // native `CreateIndex` exchange.
         return;
     }
     proto::ready_for_query(&mut out, tx_status(conn));
-    worker::send_raw(inner, conn, &out);
+    send_raw(inner, conn, &out);
     if admitted {
         inner.release();
     }

@@ -4,11 +4,15 @@
 //! Each connection's fd is registered under its slab index; the wake
 //! pipe is registered under [`WAKE_TOKEN`]. The loop blocks in
 //! `wait` until a socket is ready, a timer-wheel deadline arrives, or
-//! someone wakes the shard (new connection handed off, build result
-//! deposited, WAL flushed with live subscribers, drain started). An
-//! idle shard therefore makes *zero* wakeups — the contrast with the
-//! threaded fallback's 2000 ticks per second, and the number the
-//! `server.wakeups` counter exists to expose.
+//! someone wakes the shard (new connection handed off, connection back
+//! from the executor, build result deposited, WAL flushed with live
+//! subscribers, drain started). An idle shard therefore makes *zero*
+//! wakeups — the number the `server.wakeups` counter exists to expose.
+//!
+//! Whatever the reason a connection needs attention, it gets the same
+//! treatment: one [`conn::service`] pass, then either a hand-off to
+//! the executor or its interest and timer brought up to date
+//! ([`Shard::service`]).
 //!
 //! Timer deadlines are coarse (1ms wheel) one-shot hints: when one
 //! fires the connection is re-examined and re-armed from its actual
@@ -30,13 +34,12 @@
 //! the peer's `Commit` holding the contended lock.
 
 use super::timer::TimerWheel;
-use super::{Event, Interest, IoBackend, ResolvedBackend, WAKE_TOKEN};
-use crate::worker::{self, Conn, ShardCtx};
+use super::{Event, Interest, IoBackend, WAKE_TOKEN};
+use crate::conn::{self, Conn, Proto, ShardCtx};
 use crate::Inner;
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -117,13 +120,9 @@ impl Slab {
     }
 
     /// Put a returned connection back under its parked token.
-    fn check_in(&mut self, token: usize, conn: Conn) -> &mut Conn {
+    fn check_in(&mut self, token: usize, conn: Conn) {
         debug_assert!(matches!(self.slots[token], Some(Slot::Out)));
         self.slots[token] = Some(Slot::Live(conn));
-        match self.slots[token] {
-            Some(Slot::Live(ref mut c)) => c,
-            _ => unreachable!(),
-        }
     }
 
     /// Remove a live connection (reaping).
@@ -141,59 +140,44 @@ impl Slab {
         }
     }
 
-    /// Free a parked token whose returned connection was reaped by
-    /// the caller instead of checked back in.
-    fn release_out(&mut self, token: usize) {
-        debug_assert!(matches!(self.slots[token], Some(Slot::Out)));
-        self.slots[token] = None;
-        self.free.push(token);
-        self.live -= 1;
-    }
-
-    /// Tokens of connections present on this loop (not checked out).
-    fn tokens(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Some(Slot::Live(_)) => Some(i),
-            _ => None,
-        })
-    }
-
+    /// Connections present on this loop (not checked out).
     fn live_conns(&mut self) -> impl Iterator<Item = &mut Conn> {
         self.slots.iter_mut().filter_map(|s| match s {
             Some(Slot::Live(conn)) => Some(conn),
             _ => None,
         })
     }
+
+    /// Append to `out` the tokens of the connections present on this
+    /// loop that `pred` picks.
+    fn tokens_where(&self, out: &mut Vec<usize>, pred: impl Fn(&Conn) -> bool) {
+        out.extend(self.slots.iter().enumerate().filter_map(|(i, s)| match s {
+            Some(Slot::Live(conn)) if pred(conn) => Some(i),
+            _ => None,
+        }));
+    }
 }
 
-/// Run one shard under a reactor backend. Falls back to the threaded
-/// sleep loop if the backend cannot be constructed (e.g. fd
-/// exhaustion at startup) — a degraded server beats a dead shard.
+/// One shard's event loop state.
+struct Shard<'a> {
+    inner: &'a Arc<Inner>,
+    ctx: &'a ShardCtx,
+    backend: Box<dyn IoBackend>,
+    slab: Slab,
+    wheel: TimerWheel,
+    /// Connections on their way to the executor thread.
+    exec_tx: mpsc::Sender<(usize, Conn)>,
+}
+
+/// Run one shard on `backend`, whose wake pipe (`wake_rx`) is already
+/// registered, until a drain has emptied it.
 pub(crate) fn run(
     inner: &Arc<Inner>,
     ctx: &ShardCtx,
-    rx: &mpsc::Receiver<(TcpStream, crate::pg::ConnKind)>,
-    kind: ResolvedBackend,
-    wake_rx: UnixStream,
+    rx: &mpsc::Receiver<(TcpStream, Proto)>,
+    backend: Box<dyn IoBackend>,
+    wake_rx: &UnixStream,
 ) {
-    let mut backend = match super::new_backend(kind) {
-        Ok(b) => b,
-        Err(e) => {
-            inner.db.obs.trace().event(
-                "server.reactor_fallback",
-                format!("shard {}: {e}", ctx.shard),
-                0,
-            );
-            return worker::worker_loop(inner, ctx, rx);
-        }
-    };
-    if backend
-        .register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)
-        .is_err()
-    {
-        return worker::worker_loop(inner, ctx, rx);
-    }
-
     // The executor: receives checked-out connections, runs their
     // queued frames (which may sit in lock waits), and hands them
     // back with a wake. One per shard — serial like the loop, but a
@@ -209,76 +193,38 @@ pub(crate) fn run(
             .spawn(move || {
                 let waker = inner.shard_waker(ctx.shard);
                 while let Ok((token, mut conn)) = exec_rx.recv() {
-                    worker::run_pending(&inner, &ctx, &mut conn, inner.draining());
+                    conn::run_pending(&inner, &ctx, &mut conn, inner.draining());
                     if ret_tx.send((token, conn)).is_err() {
                         return;
                     }
-                    if let Some(w) = &waker {
-                        w.wake();
-                    }
+                    waker.wake();
                 }
             })
             .expect("spawn executor thread")
     };
 
-    let mut slab = Slab::new();
-    let mut wheel = TimerWheel::new(TIMER_GRANULARITY);
+    let mut shard = Shard {
+        inner,
+        ctx,
+        backend,
+        slab: Slab::new(),
+        wheel: TimerWheel::new(TIMER_GRANULARITY),
+        exec_tx,
+    };
     let mut events: Vec<Event> = Vec::new();
-    let mut fired: Vec<usize> = Vec::new();
-    let mut dead: Vec<usize> = Vec::new();
+    let mut tokens: Vec<usize> = Vec::new();
 
     loop {
-        let draining = inner.draining();
-
-        // New connections handed off by the accept loop (it wakes us
-        // after each send).
-        while let Ok((stream, kind)) = rx.try_recv() {
-            if draining {
-                inner.conn_count.fetch_sub(1, Ordering::AcqRel);
-                if matches!(kind, crate::pg::ConnKind::Http) {
-                    inner.http_conns.fetch_sub(1, Ordering::AcqRel);
-                }
-                inner.shard_conns[ctx.shard].fetch_sub(1, Ordering::AcqRel);
-                drop(stream); // accepted in the race window; EOF to client
-                continue;
-            }
-            let conn = Conn::new(stream, inner, kind);
-            let token = slab.insert(conn);
-            let conn = slab.get_mut(token).unwrap();
-            let fd = conn.stream.as_raw_fd();
-            if backend.register(fd, token, Interest::READ).is_err() {
-                let mut conn = slab.remove(token).unwrap();
-                worker::reap_conn(inner, ctx, &mut conn);
-                continue;
-            }
-            arm(inner, &mut wheel, conn, token);
-        }
-
-        // Connections back from the executor: re-register and resume.
-        while let Ok((token, conn)) = ret_rx.try_recv() {
-            if let Some(token) = take_back(
-                inner,
-                ctx,
-                &mut slab,
-                &mut *backend,
-                &mut wheel,
-                token,
-                conn,
-            ) {
-                check_out(inner, ctx, &mut slab, &mut *backend, &exec_tx, token);
-            }
-        }
-
-        let mut timeout = wheel.next_deadline();
-        if draining {
+        let mut timeout = shard.wheel.next_deadline();
+        if inner.draining() {
             timeout = Some(timeout.map_or(DRAIN_TICK, |t| t.min(DRAIN_TICK)));
         }
-        if let Err(e) = backend.wait(&mut events, timeout) {
+        if let Err(e) = shard.backend.wait(&mut events, timeout) {
             // A failing wait would otherwise spin; pace it and keep
             // the shard alive (timers still make progress).
             inner.db.obs.trace().event(
                 "server.reactor_wait_error",
-                format!("{}: {e}", backend.name()),
+                format!("{}: {e}", shard.backend.name()),
                 0,
             );
             std::thread::sleep(Duration::from_millis(1));
@@ -286,239 +232,135 @@ pub(crate) fn run(
         }
         inner.stats.wakeups.bump();
         inner.events_per_wait.record(events.len() as u64);
+        let draining = inner.draining();
 
         let mut woke = false;
-        let mut touched = 0u64;
         for &ev in &events {
             if ev.token == WAKE_TOKEN {
-                super::drain_wake(&wake_rx);
+                super::drain_wake(wake_rx);
                 woke = true;
-                continue;
-            }
-            touched += 1;
-            let mut needs_exec = false;
-            {
-                let Some(conn) = slab.get_mut(ev.token) else {
-                    continue;
-                };
-                if ev.writable {
-                    worker::try_flush(conn);
-                    if !conn.has_backlog() {
-                        // Socket drained: resume whatever the backlog
-                        // had paused.
-                        worker::pump_observe(inner, conn);
-                        worker::pump_wal_burst(inner, ctx, conn);
-                        worker::watch_build(inner, conn);
-                    }
-                }
-                if ev.readable || ev.failed {
-                    worker::read_socket(inner, conn);
-                    if !conn.dead {
-                        needs_exec = worker::run_pending_inline(inner, ctx, conn, draining);
-                    }
-                }
-                if !needs_exec {
-                    sync_interest(&mut *backend, conn, ev.token);
-                    arm(inner, &mut wheel, conn, ev.token);
-                }
-            }
-            if needs_exec {
-                check_out(inner, ctx, &mut slab, &mut *backend, &exec_tx, ev.token);
+            } else {
+                shard.service(ev.token, ev.readable || ev.failed, draining);
             }
         }
-        // One wait servicing k connections means live−k idle ones
-        // were *not* scanned — the work the sleep-poll loop would
-        // have done every tick.
-        inner
-            .stats
-            .idle_scan_skipped
-            .add((slab.live as u64).saturating_sub(touched));
 
+        // Connections handed off by an accept loop, and handed back by
+        // the executor (each comes with a wake).
+        while let Ok((stream, proto)) = rx.try_recv() {
+            shard.adopt(stream, proto, draining);
+        }
+        while let Ok((token, conn)) = ret_rx.try_recv() {
+            shard.take_back(token, conn, draining);
+        }
+        // A wake also means a job's other thread may have moved it: a
+        // build result deposited, the WAL flushed past a subscriber.
         if woke {
-            // A wake means cross-thread state changed: a build result
-            // landed or the WAL flushed past a subscriber. Re-check
-            // the connections that can care (new-connection handoff
-            // and executor returns were handled at the top).
-            let job_tokens: Vec<usize> = slab
-                .tokens()
-                .filter(|&t| {
-                    slab.get(t)
-                        .is_some_and(|c| c.has_build() || c.has_wal_sub())
-                })
-                .collect();
-            for token in job_tokens {
-                let mut needs_exec = false;
-                {
-                    let Some(conn) = slab.get_mut(token) else {
-                        continue;
-                    };
-                    if conn.has_build() && worker::watch_build(inner, conn) && !conn.has_build() {
-                        // Build finished: queued frames are runnable.
-                        needs_exec = worker::run_pending_inline(inner, ctx, conn, draining);
-                    }
-                    if conn.has_wal_sub() {
-                        worker::pump_wal_burst(inner, ctx, conn);
-                    }
-                    if !needs_exec {
-                        sync_interest(&mut *backend, conn, token);
-                        arm(inner, &mut wheel, conn, token);
-                    }
-                }
-                if needs_exec {
-                    check_out(inner, ctx, &mut slab, &mut *backend, &exec_tx, token);
-                }
+            shard.slab.tokens_where(&mut tokens, Conn::wants_wake);
+            for token in tokens.drain(..) {
+                shard.service(token, false, draining);
             }
         }
 
-        wheel.expire(&mut fired);
-        for &token in &fired {
-            let mut needs_exec = false;
-            {
-                let Some(conn) = slab.get_mut(token) else {
-                    continue;
-                };
+        shard.wheel.expire(&mut tokens);
+        for token in tokens.drain(..) {
+            if let Some(conn) = shard.slab.get_mut(token) {
                 conn.timer_at = None;
-                // A fired deadline is a hint: run every due-aware
-                // check and re-arm from actual state.
-                worker::check_write_timeout(inner, conn);
-                if !conn.dead {
-                    worker::try_flush(conn);
-                    if conn.has_build() && worker::watch_build(inner, conn) && !conn.has_build() {
-                        needs_exec = worker::run_pending_inline(inner, ctx, conn, draining);
-                    }
-                    worker::pump_observe(inner, conn);
-                    worker::pump_wal_burst(inner, ctx, conn);
-                    worker::check_idle(inner, conn);
-                }
-                if !needs_exec {
-                    sync_interest(&mut *backend, conn, token);
-                    arm(inner, &mut wheel, conn, token);
-                }
-            }
-            if needs_exec {
-                check_out(inner, ctx, &mut slab, &mut *backend, &exec_tx, token);
+                shard.service(token, false, draining);
             }
         }
-        fired.clear();
 
         if draining {
-            worker::drain_mark(inner, slab.live_conns());
+            conn::drain_mark(inner, shard.slab.live_conns());
         }
-
-        dead.extend(
-            slab.tokens()
-                .filter(|&t| slab.get(t).is_some_and(|c| c.dead)),
-        );
-        for &token in &dead {
-            if let Some(mut conn) = slab.remove(token) {
-                let _ = backend.deregister(conn.stream.as_raw_fd());
-                worker::reap_conn(inner, ctx, &mut conn);
+        shard.slab.tokens_where(&mut tokens, |c| c.dead);
+        for token in tokens.drain(..) {
+            if let Some(mut conn) = shard.slab.remove(token) {
+                let _ = shard.backend.deregister(conn.stream.as_raw_fd());
+                conn::reap_conn(inner, ctx, &mut conn);
             }
         }
-        dead.clear();
 
-        if draining && slab.live == 0 {
+        if draining && shard.slab.live == 0 {
             break;
         }
     }
     // live == 0 means nothing is checked out; closing the channel
     // stops the executor.
-    drop(exec_tx);
+    drop(shard);
     let _ = exec_handle.join();
 }
 
-impl Slab {
-    /// Shared read access (used by token scans).
-    fn get(&self, token: usize) -> Option<&Conn> {
-        match self.slots.get(token) {
-            Some(Some(Slot::Live(conn))) => Some(conn),
-            _ => None,
+impl Shard<'_> {
+    /// Service the connection at `token` (see [`conn::service`]), then
+    /// decide where it waits next: on the executor thread when a
+    /// lock-acquiring frame heads its queue, otherwise here, with its
+    /// registered interest and its timer matching its state. Every
+    /// reason to look at a connection — socket event, wake, timer
+    /// fire, return from the executor, adoption — ends in this call.
+    fn service(&mut self, token: usize, readable: bool, draining: bool) {
+        let Some(conn) = self.slab.get_mut(token) else {
+            return; // checked out, or reaped since the event was queued
+        };
+        if conn::service(self.inner, self.ctx, conn, readable, draining) {
+            self.check_out(token);
+        } else if !conn.dead {
+            sync_interest(&mut *self.backend, conn, token);
+            arm(self.inner, &mut self.wheel, conn, token);
         }
     }
-}
 
-/// Hand a connection with lock-acquiring frames queued to the
-/// executor thread. If the executor is gone (send fails), run the
-/// frames here — correctness over responsiveness.
-fn check_out(
-    inner: &Arc<Inner>,
-    ctx: &ShardCtx,
-    slab: &mut Slab,
-    backend: &mut dyn IoBackend,
-    exec_tx: &mpsc::Sender<(usize, Conn)>,
-    token: usize,
-) {
-    let Some(mut conn) = slab.check_out(token) else {
-        return;
-    };
-    let _ = backend.deregister(conn.stream.as_raw_fd());
-    conn.want_write = false; // no registration while away
-    inner.stats.exec_offloads.bump();
-    if let Err(mpsc::SendError((token, mut conn))) = exec_tx.send((token, conn)) {
-        // Executor unavailable: degrade to inline execution.
-        worker::run_pending(inner, ctx, &mut conn, inner.draining());
-        let conn = slab.check_in(token, conn);
-        if backend
-            .register(conn.stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
+    /// Take on a connection an accept loop handed off.
+    fn adopt(&mut self, stream: TcpStream, proto: Proto, draining: bool) {
+        if draining {
+            // Accepted in the race window; EOF to the client.
+            conn::uncount_conn(self.inner, self.ctx.shard, &proto);
+            return;
+        }
+        let fd = stream.as_raw_fd();
+        let token = self.slab.insert(Conn::new(stream, self.inner, proto));
+        if self.backend.register(fd, token, Interest::READ).is_err() {
+            self.slab.get_mut(token).expect("just inserted").dead = true;
+        }
+        self.service(token, false, draining);
+    }
+
+    /// Hand a connection with a lock-acquiring frame queued to the
+    /// executor thread. If the executor is gone (send fails), run the
+    /// frames here — correctness over responsiveness.
+    fn check_out(&mut self, token: usize) {
+        let Some(conn) = self.slab.check_out(token) else {
+            return;
+        };
+        let _ = self.backend.deregister(conn.stream.as_raw_fd());
+        self.inner.stats.exec_offloads.bump();
+        if let Err(mpsc::SendError((token, mut conn))) = self.exec_tx.send((token, conn)) {
+            let draining = self.inner.draining();
+            conn::run_pending(self.inner, self.ctx, &mut conn, draining);
+            self.take_back(token, conn, draining);
+        }
+    }
+
+    /// Re-admit a connection the executor finished with: re-register
+    /// its fd and service it — its job may have advanced while it was
+    /// away, and a pipelined client may already have the next
+    /// lock-acquiring frame queued, which sends it straight back out.
+    fn take_back(&mut self, token: usize, mut conn: Conn, draining: bool) {
+        // Whatever was armed for this token fired (or will fire stale)
+        // while the connection was away, and nothing is registered.
+        conn.timer_at = None;
+        conn.want_write = false;
+        let fd = conn.stream.as_raw_fd();
+        if !conn.dead && self.backend.register(fd, token, Interest::READ).is_err() {
             conn.dead = true;
         }
+        self.slab.check_in(token, conn);
+        self.service(token, false, draining);
     }
-}
-
-/// Re-admit a connection the executor finished with: re-register its
-/// fd, resume anything that advanced while it was away, and re-arm
-/// its timer. Returns `Some(token)` when the connection *already*
-/// has another lock-acquiring frame queued (pipelined client) and
-/// must go straight back out.
-fn take_back(
-    inner: &Arc<Inner>,
-    ctx: &ShardCtx,
-    slab: &mut Slab,
-    backend: &mut dyn IoBackend,
-    wheel: &mut TimerWheel,
-    token: usize,
-    mut conn: Conn,
-) -> Option<usize> {
-    // Whatever was armed for this token fired (or will fire stale)
-    // while the connection was away.
-    conn.timer_at = None;
-    conn.want_write = false;
-    if conn.dead {
-        worker::reap_conn(inner, ctx, &mut conn);
-        slab.release_out(token);
-        return None;
-    }
-    let fd = conn.stream.as_raw_fd();
-    if backend.register(fd, token, Interest::READ).is_err() {
-        conn.dead = true;
-        worker::reap_conn(inner, ctx, &mut conn);
-        slab.release_out(token);
-        return None;
-    }
-    let conn = slab.check_in(token, conn);
-    // Streams and builds may have advanced while the connection was
-    // at the executor; catch up now rather than wait for a timer.
-    worker::try_flush(conn);
-    worker::watch_build(inner, conn);
-    worker::pump_observe(inner, conn);
-    worker::pump_wal_burst(inner, ctx, conn);
-    let needs_exec = worker::run_pending_inline(inner, ctx, conn, inner.draining());
-    if needs_exec {
-        return Some(token);
-    }
-    sync_interest(backend, conn, token);
-    arm(inner, wheel, conn, token);
-    None
 }
 
 /// Reconcile registered interest with the connection's actual state:
 /// read always, write only while a backlog exists.
 fn sync_interest(backend: &mut dyn IoBackend, conn: &mut Conn, token: usize) {
-    if conn.dead {
-        return;
-    }
     let want = conn.has_backlog();
     if want != conn.want_write {
         let interest = if want {
@@ -539,9 +381,6 @@ fn sync_interest(backend: &mut dyn IoBackend, conn: &mut Conn, token: usize) {
 /// earlier is already pending for it. Entries are one-shot and never
 /// cancelled; a stale fire is a cheap re-check.
 fn arm(inner: &Arc<Inner>, wheel: &mut TimerWheel, conn: &mut Conn, token: usize) {
-    if conn.dead {
-        return;
-    }
     let Some(at) = conn.next_deadline(&inner.cfg) else {
         return;
     };

@@ -72,7 +72,6 @@ impl IoBackend for Epoll {
             out.push(Event {
                 token: data as usize,
                 readable: events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                writable: events & EPOLLOUT != 0,
                 failed: events & (EPOLLERR | EPOLLHUP) != 0,
             });
         }

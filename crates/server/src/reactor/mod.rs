@@ -1,22 +1,18 @@
 //! Readiness reactor: the server's I/O backends.
 //!
-//! The worker pool used to sleep-poll every non-blocking socket, so an
-//! idle connection cost a wakeup every 500µs per shard forever — the
-//! opposite of thousands-of-connections cheap. This module inverts
-//! that: each shard owns an [`IoBackend`] instance, registers the fds
-//! it cares about, and blocks in `wait` until the kernel reports
-//! readiness (or the shard's earliest timer deadline arrives). Three
-//! implementations exist behind [`mohan_common::config::IoBackendChoice`]:
+//! Each shard (and each accept thread) owns an [`IoBackend`]
+//! instance, registers the fds it cares about, and blocks in `wait`
+//! until the kernel reports readiness, another thread wakes it, or
+//! the shard's earliest timer deadline arrives — an idle connection
+//! costs no wakeups. Two implementations exist behind
+//! [`mohan_common::config::IoBackendChoice`]:
 //!
 //! * **epoll** ([`epoll::Epoll`]) — Linux, O(ready) dispatch, the
 //!   production path;
 //! * **poll(2)** ([`poll::Poll`]) — portable POSIX fallback, O(fds)
-//!   per wait but still zero wakeups while nothing is ready;
-//! * **threaded sleep** — the legacy sleep-poll worker loop, kept
-//!   config-gated as the no-syscall-surprises fallback (it never
-//!   constructs an `IoBackend` at all).
+//!   per wait but still zero wakeups while nothing is ready.
 //!
-//! Both reactor backends are level-triggered: interest is re-armed by
+//! Both backends are level-triggered: interest is re-armed by
 //! simply not draining the source, and write interest is only
 //! registered while a connection actually has unwritten bytes, so a
 //! writable socket never busy-wakes a shard.
@@ -58,8 +54,10 @@ impl Interest {
 pub(crate) struct Event {
     /// The token the fd was registered under.
     pub token: usize,
+    /// Set for read readiness; an event without it reports write
+    /// readiness alone (the driver flushes whenever a backlog exists,
+    /// so it never needs to be told).
     pub readable: bool,
-    pub writable: bool,
     /// Error or hangup. The fd is still dispatched to its read path,
     /// which observes the concrete EOF/error itself.
     pub failed: bool,
@@ -96,7 +94,6 @@ pub(crate) trait IoBackend: Send {
 pub(crate) enum ResolvedBackend {
     Epoll,
     Poll,
-    ThreadedSleep,
 }
 
 impl ResolvedBackend {
@@ -104,7 +101,6 @@ impl ResolvedBackend {
         match self {
             ResolvedBackend::Epoll => "epoll",
             ResolvedBackend::Poll => "poll",
-            ResolvedBackend::ThreadedSleep => "threaded",
         }
     }
 }
@@ -132,7 +128,7 @@ pub(crate) fn epoll_available() -> bool {
 /// Resolve a configured choice against what the machine supports.
 /// `Auto` prefers epoll, then poll; an explicit `Epoll` on a machine
 /// without it is an error (the operator asked for something this host
-/// cannot do), while `Poll` and `ThreadedSleep` always work.
+/// cannot do), while `Poll` always works.
 pub(crate) fn resolve(choice: IoBackendChoice) -> io::Result<ResolvedBackend> {
     match choice {
         IoBackendChoice::Auto => Ok(if epoll_available() {
@@ -151,13 +147,11 @@ pub(crate) fn resolve(choice: IoBackendChoice) -> io::Result<ResolvedBackend> {
             }
         }
         IoBackendChoice::Poll => Ok(ResolvedBackend::Poll),
-        IoBackendChoice::ThreadedSleep => Ok(ResolvedBackend::ThreadedSleep),
     }
 }
 
-/// Instantiate a reactor backend. Never called for `ThreadedSleep`
-/// (that path has no reactor).
-pub(crate) fn new_backend(kind: ResolvedBackend) -> io::Result<Box<dyn IoBackend>> {
+/// Instantiate a backend.
+fn new_backend(kind: ResolvedBackend) -> io::Result<Box<dyn IoBackend>> {
     match kind {
         #[cfg(target_os = "linux")]
         ResolvedBackend::Epoll => Ok(Box::new(epoll::Epoll::new()?)),
@@ -167,10 +161,6 @@ pub(crate) fn new_backend(kind: ResolvedBackend) -> io::Result<Box<dyn IoBackend
             "epoll backend is Linux-only",
         )),
         ResolvedBackend::Poll => Ok(Box::new(poll::Poll::new())),
-        ResolvedBackend::ThreadedSleep => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "threaded-sleep backend has no reactor",
-        )),
     }
 }
 
@@ -186,19 +176,20 @@ pub(crate) struct Waker {
 /// Token reserved for a shard's wake pipe (never a slab index).
 pub(crate) const WAKE_TOKEN: usize = usize::MAX;
 
-/// The read end of a wake pipe (aliased so call sites in `lib.rs`
-/// stay identical under the non-unix stub module).
-pub(crate) type WakeRx = UnixStream;
-
-/// Construct a wake pipe — [`Waker::new`] under a portable name.
-pub(crate) fn waker_pair() -> io::Result<(Waker, WakeRx)> {
-    Waker::new()
+/// One thread's event source: a backend with a wake pipe's read end
+/// already registered under [`WAKE_TOKEN`], that read end (to drain
+/// with [`drain_wake`]), and the waker other threads hold.
+pub(crate) fn open(kind: ResolvedBackend) -> io::Result<(Box<dyn IoBackend>, UnixStream, Waker)> {
+    let mut backend = new_backend(kind)?;
+    let (waker, wake_rx) = Waker::new()?;
+    backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
+    Ok((backend, wake_rx, waker))
 }
 
 impl Waker {
     /// `(waker, read_end)` — the read end gets registered with the
     /// reactor and drained by [`drain_wake`].
-    pub(crate) fn new() -> io::Result<(Waker, UnixStream)> {
+    fn new() -> io::Result<(Waker, UnixStream)> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -225,12 +216,6 @@ pub(crate) fn drain_wake(rx: &UnixStream) {
     }
 }
 
-/// Raw fd of the wake pipe's read end (helper so the driver does not
-/// import `AsRawFd` everywhere).
-pub(crate) fn raw_fd(s: &UnixStream) -> RawFd {
-    s.as_raw_fd()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,11 +235,15 @@ mod tests {
         assert_eq!(out[0].token, 3);
         assert!(out[0].readable);
 
-        // Write interest on an empty socket buffer is immediately
-        // ready; read interest alone must not report writable.
+        // Read interest alone never reports a merely writable socket;
+        // write interest on an empty socket buffer is ready at once.
+        let mut c = c;
+        c.read_exact(&mut [0u8; 2]).unwrap();
+        b.wait(&mut out, Some(Duration::ZERO)).unwrap();
+        assert!(out.is_empty(), "{}: drained, read interest only", b.name());
         b.modify(c.as_raw_fd(), 3, Interest::READ_WRITE).unwrap();
         b.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
-        assert!(out.iter().any(|e| e.writable));
+        assert!(out.iter().any(|e| e.token == 3 && !e.readable));
 
         b.deregister(c.as_raw_fd()).unwrap();
         b.wait(&mut out, Some(Duration::ZERO)).unwrap();
@@ -277,10 +266,7 @@ mod tests {
 
     #[test]
     fn waker_wakes_a_blocked_wait() {
-        let mut b = new_backend(ResolvedBackend::Poll).unwrap();
-        let (waker, rx) = Waker::new().unwrap();
-        b.register(rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)
-            .unwrap();
+        let (mut b, rx, waker) = open(ResolvedBackend::Poll).unwrap();
         let mut out = Vec::new();
         waker.wake();
         waker.wake(); // coalesces, no error
@@ -294,7 +280,11 @@ mod tests {
 
     #[test]
     fn auto_resolves_to_a_reactor() {
-        let r = resolve(IoBackendChoice::Auto).unwrap();
-        assert_ne!(r, ResolvedBackend::ThreadedSleep);
+        let want = if epoll_available() {
+            ResolvedBackend::Epoll
+        } else {
+            ResolvedBackend::Poll
+        };
+        assert_eq!(resolve(IoBackendChoice::Auto).unwrap(), want);
     }
 }

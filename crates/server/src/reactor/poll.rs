@@ -112,7 +112,6 @@ impl IoBackend for Poll {
             out.push(Event {
                 token,
                 readable: r & (POLLIN | POLLHUP) != 0,
-                writable: r & POLLOUT != 0,
                 failed: r & (POLLERR | POLLHUP | POLLNVAL) != 0,
             });
             if out.len() == n {

@@ -585,12 +585,11 @@ fn observer_disconnect_releases_its_admission_slot() {
 /// Reactor regression: idle shards must not tick. Eight parked
 /// connections produce (nearly) no events for one second; the wakeup
 /// counter may move a handful of times — timer-wheel deadlines, stray
-/// wake bytes — but nothing like the ~2 000 ticks per shard per second
-/// the sleep-poll loop burns. A ceiling of 200 wakeups over the window
-/// sits two orders of magnitude under the threaded rate, so a
-/// regression back to tick-polling fails loudly. `Poll` is requested
-/// explicitly so a `MOHAN_IO_BACKEND=threaded` test run cannot turn
-/// this into a false failure.
+/// wake bytes — but nothing like the thousands per second a loop that
+/// polled its connections on a timer would make. A ceiling of 200
+/// wakeups over the window fails a regression to tick-polling loudly.
+/// `Poll` is requested explicitly: it is the backend every unix host
+/// has, and the one whose idle cost is easiest to get wrong.
 #[test]
 fn reactor_idle_shards_quiesce() {
     use mohan_common::IoBackendChoice;
@@ -599,11 +598,7 @@ fn reactor_idle_shards_quiesce() {
         io_backend: IoBackendChoice::Poll,
         ..ServerConfig::default()
     };
-    let srv = match Server::start(Arc::clone(&db), cfg) {
-        Ok(s) => s,
-        // A host without a readiness backend has nothing to regress.
-        Err(_) => return,
-    };
+    let srv = server(&db, cfg);
     let addr = addr_of(&srv);
     let mut conns: Vec<Client> = (0..8).map(|_| Client::connect(&addr).unwrap()).collect();
     for c in &mut conns {
@@ -625,6 +620,48 @@ fn reactor_idle_shards_quiesce() {
     for c in &mut conns {
         c.ping().unwrap();
     }
+    srv.drain();
+}
+
+/// Frames pipelined behind a `CreateIndex` run the moment the build's
+/// exchange ends — whatever prompted the pass that saw it end — not at
+/// the connection's next socket event: the client sends nothing more,
+/// so there may never be one before the idle timeout.
+#[test]
+fn frames_queued_behind_a_build_run_when_it_ends() {
+    let db = engine(2_000);
+    seed(&db, 1_500);
+    let srv = server(&db, ServerConfig::default());
+    let mut stream = std::net::TcpStream::connect(srv.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+
+    let build = Request::CreateIndexV2 {
+        table: T.0,
+        algo: BuildAlgo::Sf,
+        specs: vec![IndexSpecWire {
+            name: "ix_pipelined".into(),
+            key_cols: vec![0],
+            unique: false,
+        }],
+        options: BuildOptionsWire::default(),
+    };
+    let mut both = Vec::new();
+    write_frame(&mut both, &build.encode()).unwrap();
+    write_frame(&mut both, &Request::Ping.encode()).unwrap();
+    stream.write_all(&both).unwrap();
+
+    let ids = loop {
+        match Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap() {
+            Response::Progress { .. } => {}
+            Response::IndexCreated { ids } => break ids,
+            other => panic!("expected Progress or IndexCreated, got {other:?}"),
+        }
+    };
+    let next = read_frame(&mut stream).expect("the queued Ping was never answered");
+    assert_eq!(Response::decode(&next.unwrap()).unwrap(), Response::Pong);
+    verify_index(&db, IndexId(ids[0])).unwrap();
     srv.drain();
 }
 

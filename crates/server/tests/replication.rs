@@ -19,6 +19,7 @@ use mohan_oib::Db;
 use mohan_replica::Replica;
 use mohan_server::{Server, ServerConfig};
 use mohan_wal::{LogPayload, RecKind};
+use mohan_wire::frame::{read_frame, write_frame};
 use mohan_wire::message::{BuildAlgo, ErrorCode, IndexSpecWire, Request, Response};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -625,6 +626,72 @@ fn stalled_subscriber_cut_loose_with_structured_error() {
         }) => assert!(retained_from > 1, "retained_from {retained_from}"),
         other => panic!("expected SubscriptionLagged cut-loose, got {other:?}"),
     }
+    srv.drain();
+}
+
+/// A frame pipelined behind a `SubscribeWal` waits while the stream
+/// owns the connection, and runs as soon as the stream is cut loose —
+/// without the client sending another byte.
+#[test]
+fn frame_queued_behind_a_cut_loose_subscription_runs() {
+    let primary = primary_engine();
+    seed(&primary, 50);
+    primary.wal.flush_all();
+    let srv = server(
+        &primary,
+        ServerConfig {
+            write_timeout: Duration::from_secs(60),
+            fanout_ring_bytes: 1 << 20,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = addr_of(&srv);
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let from_lsn = primary.wal.flushed_lsn().0 + 1;
+    let mut both = Vec::new();
+    write_frame(&mut both, &Request::SubscribeWal { from_lsn }.encode()).unwrap();
+    write_frame(&mut both, &Request::Ping.encode()).unwrap();
+    stream.write_all(&both).unwrap();
+
+    // Read nothing while whole ring windows churn past the cursor.
+    let mut statsc = Client::connect(&addr).unwrap();
+    let mut cut = 0u64;
+    for _ in 0..48 {
+        for _ in 0..16 {
+            primary.wal.append(
+                TxId(999_999),
+                Lsn::NULL,
+                RecKind::RedoOnly,
+                LogPayload::CatalogUpdate {
+                    bytes: vec![0xAB; 64 << 10],
+                },
+            );
+        }
+        primary.wal.flush_all();
+        cut = stat(&mut statsc, "repl.fanout.cut_loose");
+        if cut >= 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(cut >= 1, "stalled subscriber was never cut loose");
+
+    loop {
+        match Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap() {
+            Response::WalFrame { .. } => {}
+            Response::Err {
+                code: ErrorCode::SubscriptionLagged { .. },
+                ..
+            } => break,
+            other => panic!("expected WalFrame or SubscriptionLagged, got {other:?}"),
+        }
+    }
+    let next = read_frame(&mut stream).expect("the queued Ping was never answered");
+    assert_eq!(Response::decode(&next.unwrap()).unwrap(), Response::Pong);
     srv.drain();
 }
 
