@@ -462,8 +462,9 @@ impl Client {
         }
     }
 
-    /// Build indexes online, streaming progress to `on_progress` until
-    /// the terminal `IndexCreated` (or error) frame arrives.
+    /// Build indexes online with the server's default build options,
+    /// streaming progress to `on_progress` until the terminal
+    /// `IndexCreated` (or error) frame arrives.
     ///
     /// The exchange blocks this connection for the whole build — run it
     /// on its own connection if DML must continue concurrently (that
@@ -475,39 +476,26 @@ impl Client {
         specs: Vec<IndexSpecWire>,
         on_progress: impl FnMut(IndexId, BuildPhase, u64),
     ) -> ClientResult<Vec<IndexId>> {
-        self.send(&Request::CreateIndex {
-            table: table.0,
-            algo,
-            specs,
-        })?;
-        self.follow_build(on_progress)
+        self.create_index_with(table, algo, specs, BuildOptionsWire::default(), on_progress)
     }
 
     /// [`Client::create_index`] with build tuning options (worker
-    /// count, run compression, drain policy, checkpoint interval),
-    /// carried by the minor-3 `CreateIndexV2` request. Same exchange
-    /// and connection-occupancy semantics.
+    /// count, run compression, drain policy, checkpoint interval).
+    /// Same exchange and connection-occupancy semantics.
     pub fn create_index_with(
         &mut self,
         table: TableId,
         algo: BuildAlgo,
         specs: Vec<IndexSpecWire>,
         options: BuildOptionsWire,
-        on_progress: impl FnMut(IndexId, BuildPhase, u64),
+        mut on_progress: impl FnMut(IndexId, BuildPhase, u64),
     ) -> ClientResult<Vec<IndexId>> {
-        self.send(&Request::CreateIndexV2 {
+        self.send(&Request::CreateIndex {
             table: table.0,
             algo,
             specs,
             options,
         })?;
-        self.follow_build(on_progress)
-    }
-
-    fn follow_build(
-        &mut self,
-        mut on_progress: impl FnMut(IndexId, BuildPhase, u64),
-    ) -> ClientResult<Vec<IndexId>> {
         loop {
             match self.recv()? {
                 Response::Progress {

@@ -98,7 +98,7 @@ pub struct IndexSpec {
 /// How a build runs. One configuration type shared by every layer:
 /// the engine API ([`build_indexes_with`] /
 /// [`crate::Session::create_index_with`]), the wire protocol
-/// (`Request::CreateIndexV2`), the native client, and SQL
+/// (`Request::CreateIndex`), the native client, and SQL
 /// `CREATE INDEX ... WITH (...)`.
 ///
 /// The durable per-build options blob (`build/{id}/options`) records

@@ -2,12 +2,12 @@
 //! mirrors.
 //!
 //! The wire crate deliberately depends only on `mohan-common`, so it
-//! carries *mirrors* of [`IndexSpec`] and [`BuildOptions`] rather than
-//! the types themselves. These `From` impls are the one place the two
-//! shapes meet; the server and client call sites convert with
-//! `.into()` instead of copying fields by hand, so a field added to
-//! either side fails to compile here instead of silently dropping on
-//! the wire.
+//! carries *mirrors* of [`IndexSpec`], [`BuildOptions`] and
+//! [`BuildAlgorithm`] rather than the types themselves. These `From`
+//! impls are the one place the two shapes meet; the server and client
+//! call sites convert with `.into()` instead of copying fields by
+//! hand, so a field or variant added to either side fails to compile
+//! here instead of silently dropping on the wire.
 //!
 //! Width notes: key column positions are `usize` in the engine and
 //! `u16` on the wire (the protocol caps list lengths at
@@ -16,7 +16,18 @@
 //! "unset". Values in range — every real value — round-trip exactly.
 
 use crate::build::{BuildOptions, IndexSpec};
-use mohan_wire::message::{BuildOptionsWire, IndexSpecWire};
+use crate::schema::BuildAlgorithm;
+use mohan_wire::message::{BuildAlgo, BuildOptionsWire, IndexSpecWire};
+
+impl From<BuildAlgo> for BuildAlgorithm {
+    fn from(w: BuildAlgo) -> Self {
+        match w {
+            BuildAlgo::Offline => BuildAlgorithm::Offline,
+            BuildAlgo::Nsf => BuildAlgorithm::Nsf,
+            BuildAlgo::Sf => BuildAlgorithm::Sf,
+        }
+    }
+}
 
 impl From<IndexSpecWire> for IndexSpec {
     fn from(w: IndexSpecWire) -> Self {

@@ -247,20 +247,41 @@ pub enum Statement {
 }
 
 impl Statement {
+    /// Every statement kind's metric label, in [`Statement::kind_index`]
+    /// order: the server keeps one `server.pg_req_us.<kind>` histogram
+    /// per entry.
+    pub const KINDS: &'static [&'static str] = &[
+        "CreateTable",
+        "CreateIndex",
+        "Insert",
+        "Select",
+        "Update",
+        "Delete",
+        "Begin",
+        "Commit",
+        "Rollback",
+    ];
+
+    /// This statement's position in [`Statement::KINDS`].
+    #[must_use]
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Statement::CreateTable { .. } => 0,
+            Statement::CreateIndex { .. } => 1,
+            Statement::Insert { .. } => 2,
+            Statement::Select { .. } => 3,
+            Statement::Update { .. } => 4,
+            Statement::Delete { .. } => 5,
+            Statement::Begin => 6,
+            Statement::Commit => 7,
+            Statement::Rollback => 8,
+        }
+    }
+
     /// Metric label for `server.pg_req_us.<kind>`.
     #[must_use]
     pub fn kind(&self) -> &'static str {
-        match self {
-            Statement::CreateTable { .. } => "CreateTable",
-            Statement::CreateIndex { .. } => "CreateIndex",
-            Statement::Insert { .. } => "Insert",
-            Statement::Select { .. } => "Select",
-            Statement::Update { .. } => "Update",
-            Statement::Delete { .. } => "Delete",
-            Statement::Begin => "Begin",
-            Statement::Commit => "Commit",
-            Statement::Rollback => "Rollback",
-        }
+        Self::KINDS[self.kind_index()]
     }
 
     /// Transaction-control statements: exempt from admission control

@@ -65,6 +65,7 @@ use mohan_common::stats::Counter;
 use mohan_common::IoBackendChoice;
 use mohan_obs::Histogram;
 use mohan_oib::Db;
+use mohan_wire::Request;
 use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -393,11 +394,11 @@ impl Server {
             .map(TcpListener::local_addr)
             .transpose()?;
         let workers = cfg.workers.max(1);
-        let req_us = native::OPCODES
+        let req_us = Request::NAMES
             .iter()
             .map(|op| db.obs.histogram(&format!("server.req_us.{op}")))
             .collect();
-        let pg_req_us = pg::PG_OPS
+        let pg_req_us = mohan_pgwire::Statement::KINDS
             .iter()
             .map(|op| db.obs.histogram(&format!("server.pg_req_us.{op}")))
             .collect();

@@ -7,64 +7,15 @@ use crate::conn::{send_raw, Conn, ShardCtx};
 use crate::job::{self, Job};
 use crate::Inner;
 use mohan_common::{IndexId, KeyValue, Rid, TableId};
-use mohan_oib::build::{BuildOptions, IndexSpec};
-use mohan_oib::schema::{BuildAlgorithm, Record};
+use mohan_oib::schema::Record;
 use mohan_wire::frame::{take_frame, write_frame, MAX_FRAME};
 use mohan_wire::message::{
-    proto_major, proto_version, BuildAlgo, BuildOptionsWire, ErrorCode, HistogramSummaryWire,
-    IndexSpecWire, Request, Response, Role, PROTO_MAJOR,
+    proto_major, proto_version, ErrorCode, HistogramSummaryWire, Request, Response, Role,
+    PROTO_MAJOR,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Opcode names in [`opcode_index`] order; `Inner::req_us` holds one
-/// `server.req_us.<opcode>` histogram per entry.
-pub(crate) const OPCODES: &[&str] = &[
-    "Ping",
-    "Begin",
-    "Commit",
-    "Rollback",
-    "Insert",
-    "Update",
-    "Delete",
-    "Read",
-    "Lookup",
-    "CreateIndex",
-    "Stats",
-    "Metrics",
-    "ObserveStats",
-    "SubscribeWal",
-    "Hello",
-    "Promote",
-    "TraceDump",
-    "CreateIndexV2",
-];
-
-/// Index of a request's opcode into [`OPCODES`] / `Inner::req_us`.
-/// Kept in lockstep with [`Request::name`] by a unit test.
-fn opcode_index(req: &Request) -> usize {
-    match req {
-        Request::Ping => 0,
-        Request::Begin => 1,
-        Request::Commit => 2,
-        Request::Rollback => 3,
-        Request::Insert { .. } => 4,
-        Request::Update { .. } => 5,
-        Request::Delete { .. } => 6,
-        Request::Read { .. } => 7,
-        Request::Lookup { .. } => 8,
-        Request::CreateIndex { .. } => 9,
-        Request::Stats => 10,
-        Request::Metrics => 11,
-        Request::ObserveStats { .. } => 12,
-        Request::SubscribeWal { .. } => 13,
-        Request::Hello { .. } => 14,
-        Request::Promote => 15,
-        Request::TraceDump { .. } => 16,
-        Request::CreateIndexV2 { .. } => 17,
-    }
-}
 
 /// Split complete native frames off `conn.buf` into `conn.pending`.
 pub(crate) fn split_frames(inner: &Arc<Inner>, conn: &mut Conn) {
@@ -168,7 +119,7 @@ pub(crate) fn handle_payload(
 
     inner.stats.requests.bump();
     let opcode = req.name();
-    let op_idx = opcode_index(&req);
+    let op_idx = req.index();
     // Every executed request runs under a trace context: the client's
     // id when the frame arrived enveloped, a fresh one otherwise. The
     // `wire.recv` span is the trace's root on this process — engine
@@ -239,8 +190,7 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
             | Request::Insert { .. }
             | Request::Update { .. }
             | Request::Delete { .. }
-            | Request::CreateIndex { .. }
-            | Request::CreateIndexV2 { .. } => {
+            | Request::CreateIndex { .. } => {
                 send(
                     inner,
                     conn,
@@ -332,27 +282,9 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
                 Err(e) => Response::from_error(&e),
             }
         }
-        Request::Stats => {
-            let mut counters = inner.stats.snapshot();
-            counters.push(("engine.active_txs".into(), inner.db.active_txs() as u64));
-            counters.push((
-                "server.inflight".into(),
-                inner.inflight.load(Ordering::Acquire) as u64,
-            ));
-            let b = &inner.broadcast;
-            counters.push(("repl.fanout.subscribers".into(), b.subscribers()));
-            counters.push(("repl.fanout.ring_chunks".into(), b.ring_chunks()));
-            counters.push(("repl.fanout.ring_bytes".into(), b.ring_bytes()));
-            counters.push(("repl.fanout.scans".into(), b.scans()));
-            counters.push(("repl.fanout.encodes".into(), b.encodes()));
-            counters.push(("repl.fanout.evicted".into(), b.chunks_evicted()));
-            counters.push(("repl.fanout.cut_loose".into(), b.cut_loose()));
-            // Sorted so responses are deterministic and clients can
-            // binary-search; `ServerStats::snapshot` emits in struct
-            // order and the two gauges above land at the tail.
-            counters.sort_by(|a, b| a.0.cmp(&b.0));
-            Response::Stats { counters }
-        }
+        Request::Stats => Response::Stats {
+            counters: all_counters(inner, inner.db.obs.snapshot().counters),
+        },
         Request::Metrics => metrics_response(inner),
         Request::ObserveStats { interval_ms } => {
             let interval = Duration::from_millis(u64::from(interval_ms).clamp(10, 60_000));
@@ -387,17 +319,21 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
             job::pump(inner, ctx, conn);
             return true; // slot stays held while the stream is live
         }
-        Request::CreateIndex { table, algo, specs } => {
-            let options = BuildOptionsWire::default();
-            return start_build(inner, ctx, conn, table, algo, specs, options);
-        }
-        Request::CreateIndexV2 {
+        Request::CreateIndex {
             table,
             algo,
             specs,
             options,
         } => {
-            return start_build(inner, ctx, conn, table, algo, specs, options);
+            return job::start_build(
+                inner,
+                ctx,
+                conn,
+                TableId(table),
+                algo.into(),
+                specs.into_iter().map(Into::into).collect(),
+                options.into(),
+            );
         }
         Request::Hello {
             proto_version: theirs,
@@ -459,45 +395,25 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
     false
 }
 
-/// A native `CreateIndex`/`CreateIndexV2`: wire types to engine types,
-/// then the build both protocols share.
-fn start_build(
-    inner: &Arc<Inner>,
-    ctx: &ShardCtx,
-    conn: &mut Conn,
-    table: u32,
-    algo: BuildAlgo,
-    specs: Vec<IndexSpecWire>,
-    options: BuildOptionsWire,
-) -> bool {
-    let algorithm = match algo {
-        BuildAlgo::Offline => BuildAlgorithm::Offline,
-        BuildAlgo::Nsf => BuildAlgorithm::Nsf,
-        BuildAlgo::Sf => BuildAlgorithm::Sf,
-    };
-    job::start_build(
-        inner,
-        ctx,
-        conn,
-        TableId(table),
-        algorithm,
-        specs.into_iter().map(IndexSpec::from).collect(),
-        BuildOptions::from(options),
-    )
-}
-
-/// Assemble one [`Response::Metrics`] frame: the engine registry's
-/// counters, gauges, and histogram summaries merged with the server's
-/// own counters and live gauges, everything sorted by name.
-pub(crate) fn metrics_response(inner: &Arc<Inner>) -> Response {
-    let snap = inner.db.obs.snapshot();
-    let mut counters = snap.counters; // includes the engine.active_txs gauge
+/// The registry's counters and gauges (`counters`, one snapshot's
+/// worth) merged with the server's own counters and its in-flight
+/// level, sorted by name so responses are deterministic and clients
+/// can binary-search. The one counter list: `Stats` answers with it,
+/// `Metrics` adds the histograms.
+fn all_counters(inner: &Inner, mut counters: Vec<(String, u64)>) -> Vec<(String, u64)> {
     counters.extend(inner.stats.snapshot());
     counters.push((
         "server.inflight".into(),
         inner.inflight.load(Ordering::Acquire) as u64,
     ));
     counters.sort_by(|a, b| a.0.cmp(&b.0));
+    counters
+}
+
+/// Assemble one [`Response::Metrics`] frame: [`all_counters`] plus
+/// the engine registry's histogram summaries, sorted by name.
+pub(crate) fn metrics_response(inner: &Arc<Inner>) -> Response {
+    let snap = inner.db.obs.snapshot();
     let hists = snap
         .histograms
         .into_iter()
@@ -513,13 +429,16 @@ pub(crate) fn metrics_response(inner: &Arc<Inner>) -> Response {
             (name, summary)
         })
         .collect();
-    Response::Metrics { counters, hists }
+    Response::Metrics {
+        counters: all_counters(inner, snap.counters),
+        hists,
+    }
 }
 
 /// Queue one response on a connection and flush as far as the socket
 /// accepts. Never blocks: a `WouldBlock` tail stays in the outbound
-/// buffer and resumes on write-readiness (reactor) or next tick
-/// (threaded), bounded by the write timeout and the backlog cap.
+/// buffer and resumes on write-readiness, bounded by the write timeout
+/// and the backlog cap.
 pub(crate) fn send(inner: &Arc<Inner>, conn: &mut Conn, resp: &Response) {
     if conn.dead {
         return;
@@ -533,81 +452,7 @@ pub(crate) fn send(inner: &Arc<Inner>, conn: &mut Conn, resp: &Response) {
         // response constructor.)
         payload = protocol_err(ErrorCode::Internal, "response exceeds frame cap").encode();
     }
-    debug_assert!({
-        // write_frame and this manual framing must agree.
-        let mut check = Vec::new();
-        write_frame(&mut check, &payload).unwrap();
-        let mut framed = Vec::with_capacity(4 + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        framed.extend_from_slice(&payload);
-        check == framed
-    });
     let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    framed.extend_from_slice(&payload);
+    write_frame(&mut framed, &payload).expect("payload is under the cap and a Vec takes any write");
     send_raw(inner, conn, &framed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// One value per `Request` variant — a new variant that misses
-    /// this list fails the exhaustiveness check in `opcode_index`.
-    fn one_of_each() -> Vec<Request> {
-        vec![
-            Request::Ping,
-            Request::Begin,
-            Request::Commit,
-            Request::Rollback,
-            Request::Insert {
-                table: 1,
-                cols: vec![],
-            },
-            Request::Update {
-                table: 1,
-                rid: 0,
-                cols: vec![],
-            },
-            Request::Delete { table: 1, rid: 0 },
-            Request::Read { table: 1, rid: 0 },
-            Request::Lookup {
-                index: 1,
-                key: vec![],
-            },
-            Request::CreateIndex {
-                table: 1,
-                algo: BuildAlgo::Sf,
-                specs: vec![],
-            },
-            Request::Stats,
-            Request::Metrics,
-            Request::ObserveStats { interval_ms: 100 },
-            Request::SubscribeWal { from_lsn: 1 },
-            Request::Hello {
-                proto_version: proto_version(),
-                role: Role::Client,
-            },
-            Request::Promote,
-            Request::TraceDump {
-                trace_id: 0,
-                since_seq: 0,
-            },
-            Request::CreateIndexV2 {
-                table: 1,
-                algo: BuildAlgo::Sf,
-                specs: vec![],
-                options: BuildOptionsWire::default(),
-            },
-        ]
-    }
-
-    #[test]
-    fn opcode_table_matches_request_names() {
-        let all = one_of_each();
-        assert_eq!(all.len(), OPCODES.len());
-        for req in &all {
-            assert_eq!(OPCODES[opcode_index(req)], req.name());
-        }
-    }
 }

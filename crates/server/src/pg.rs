@@ -32,36 +32,6 @@ pub(crate) struct PgState {
     pub(crate) failed: bool,
 }
 
-/// Statement kinds in [`pg_op_index`] order; `Inner::pg_req_us` holds
-/// one `server.pg_req_us.<kind>` histogram per entry.
-pub(crate) const PG_OPS: &[&str] = &[
-    "Begin",
-    "Commit",
-    "Rollback",
-    "CreateTable",
-    "CreateIndex",
-    "Insert",
-    "Select",
-    "Update",
-    "Delete",
-];
-
-/// Index of a statement's kind into [`PG_OPS`] / `Inner::pg_req_us`.
-/// Kept in lockstep with [`Statement::kind`] by a unit test.
-fn pg_op_index(stmt: &Statement) -> usize {
-    match stmt {
-        Statement::Begin => 0,
-        Statement::Commit => 1,
-        Statement::Rollback => 2,
-        Statement::CreateTable { .. } => 3,
-        Statement::CreateIndex { .. } => 4,
-        Statement::Insert { .. } => 5,
-        Statement::Select { .. } => 6,
-        Statement::Update { .. } => 7,
-        Statement::Delete { .. } => 8,
-    }
-}
-
 /// The transaction-status byte of a `ReadyForQuery`: `'E'` in a
 /// failed block, `'T'` inside an open transaction, `'I'` idle.
 pub(crate) fn tx_status(conn: &Conn) -> u8 {
@@ -345,7 +315,7 @@ fn handle_query(
         let started = Instant::now();
         let result = execute_statement(stmt, &mut conn.session, &inner.catalog, &env, &mut out);
         let ran = started.elapsed();
-        inner.pg_req_us[pg_op_index(stmt)].record_micros(ran);
+        inner.pg_req_us[stmt.kind_index()].record_micros(ran);
         if ran >= inner.cfg.slow_request {
             inner.db.obs.trace().span_event(
                 "server.slow_request",
@@ -415,50 +385,6 @@ fn handle_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pg_ops_table_matches_statement_kinds() {
-        let one_of_each = [
-            Statement::Begin,
-            Statement::Commit,
-            Statement::Rollback,
-            Statement::CreateTable {
-                name: "t".into(),
-                cols: vec!["k".into()],
-            },
-            Statement::CreateIndex {
-                unique: false,
-                name: "i".into(),
-                table: "t".into(),
-                cols: vec!["k".into()],
-                algo: None,
-                with_options: vec![],
-            },
-            Statement::Insert {
-                table: "t".into(),
-                cols: None,
-                rows: vec![vec![1]],
-            },
-            Statement::Select {
-                table: "t".into(),
-                cols: mohan_pgwire::sql::SelectCols::Star,
-                filter: None,
-            },
-            Statement::Update {
-                table: "t".into(),
-                set: vec![("k".into(), 1)],
-                filter: mohan_pgwire::sql::Filter::Eq("k".into(), 1),
-            },
-            Statement::Delete {
-                table: "t".into(),
-                filter: mohan_pgwire::sql::Filter::Eq("k".into(), 1),
-            },
-        ];
-        assert_eq!(one_of_each.len(), PG_OPS.len());
-        for stmt in &one_of_each {
-            assert_eq!(PG_OPS[pg_op_index(stmt)], stmt.kind());
-        }
-    }
 
     #[test]
     fn query_frames_classify_like_native_dml() {

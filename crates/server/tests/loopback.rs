@@ -257,6 +257,7 @@ fn dropped_connection_mid_build_releases_admission_slot() {
             key_cols: vec![0],
             unique: false,
         }],
+        options: BuildOptionsWire::default(),
     };
     write_frame(&mut stream, &req.encode()).unwrap();
     stream.flush().unwrap();
@@ -623,6 +624,18 @@ fn reactor_idle_shards_quiesce() {
     srv.drain();
 }
 
+/// Read a raw connection's `Progress` frames up to the `IndexCreated`
+/// that ends a build's exchange; its ids.
+fn read_build_frames(stream: &mut std::net::TcpStream) -> Vec<u32> {
+    loop {
+        match Response::decode(&read_frame(stream).unwrap().unwrap()).unwrap() {
+            Response::Progress { .. } => {}
+            Response::IndexCreated { ids } => return ids,
+            other => panic!("expected Progress or IndexCreated, got {other:?}"),
+        }
+    }
+}
+
 /// Frames pipelined behind a `CreateIndex` run the moment the build's
 /// exchange ends — whatever prompted the pass that saw it end — not at
 /// the connection's next socket event: the client sends nothing more,
@@ -637,7 +650,7 @@ fn frames_queued_behind_a_build_run_when_it_ends() {
         .set_read_timeout(Some(Duration::from_secs(20)))
         .unwrap();
 
-    let build = Request::CreateIndexV2 {
+    let build = Request::CreateIndex {
         table: T.0,
         algo: BuildAlgo::Sf,
         specs: vec![IndexSpecWire {
@@ -652,26 +665,20 @@ fn frames_queued_behind_a_build_run_when_it_ends() {
     write_frame(&mut both, &Request::Ping.encode()).unwrap();
     stream.write_all(&both).unwrap();
 
-    let ids = loop {
-        match Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap() {
-            Response::Progress { .. } => {}
-            Response::IndexCreated { ids } => break ids,
-            other => panic!("expected Progress or IndexCreated, got {other:?}"),
-        }
-    };
+    let ids = read_build_frames(&mut stream);
     let next = read_frame(&mut stream).expect("the queued Ping was never answered");
     assert_eq!(Response::decode(&next.unwrap()).unwrap(), Response::Pong);
     verify_index(&db, IndexId(ids[0])).unwrap();
     srv.drain();
 }
 
-/// `CreateIndexV2` round-trip: `BuildOptions` chosen client-side
+/// `CreateIndex` round-trip: `BuildOptions` chosen client-side
 /// reach the engine (the `build.sort_workers` gauge reports the
 /// requested parallelism, the compressed-run gauges account spilled
-/// bytes), the built index verifies, and the old tag-10 `CreateIndex`
-/// still works beside it on the same server.
+/// bytes), the built index verifies, and the option-less tag-10
+/// encoding an older peer sends still builds on the same server.
 #[test]
-fn create_index_v2_options_reach_the_engine() {
+fn create_index_options_reach_the_engine() {
     let db = engine(5_000);
     seed(&db, 1_500);
     let srv = server(&db, ServerConfig::default());
@@ -695,9 +702,9 @@ fn create_index_v2_options_reach_the_engine() {
             },
             |_, _, _| frames += 1,
         )
-        .expect("parallel compressed build over CreateIndexV2");
+        .expect("parallel compressed build");
     assert_eq!(ids.len(), 1);
-    assert!(frames > 0, "V2 streams BuildProgress like tag-10 does");
+    assert!(frames > 0, "the build streams BuildProgress");
     verify_index(&db, ids[0]).unwrap();
 
     let report = c.metrics().unwrap();
@@ -729,19 +736,23 @@ fn create_index_v2_options_reach_the_engine() {
     }
     c.ping().unwrap();
 
-    // The v1 request still builds on the same server.
-    let ids = c
-        .create_index(
-            T,
-            BuildAlgo::Sf,
-            vec![IndexSpecWire {
-                name: "ix_v1".into(),
-                key_cols: vec![1],
-                unique: false,
-            }],
-            |_, _, _| {},
-        )
-        .expect("legacy CreateIndex beside V2");
-    verify_index(&db, ids[0]).unwrap();
+    // What a peer older than protocol minor 3 sends — tag 10, no
+    // options — cannot come from this client any more, so the frame
+    // is written out by hand. It still builds.
+    #[rustfmt::skip]
+    let tag_10: &[u8] = &[
+        10,                                          // old `CreateIndex`
+        0, 0, 0, T.0 as u8,                          // table
+        2,                                           // Sf
+        0, 1,                                        // one spec:
+        0, 0, 0, 5, b'i', b'x', b'_', b'v', b'1',    //   name
+        0, 1, 0, 1,                                  //   key columns [1]
+        0,                                           //   not unique
+    ];
+    let mut stream = std::net::TcpStream::connect(srv.addr()).unwrap();
+    write_frame(&mut stream, tag_10).unwrap();
+    stream.flush().unwrap();
+    let ids = read_build_frames(&mut stream);
+    verify_index(&db, IndexId(ids[0])).unwrap();
     srv.drain();
 }

@@ -125,6 +125,138 @@ pub fn put_string(out: &mut Vec<u8>, v: &str) {
     put_bytes(out, v.as_bytes());
 }
 
+/// Explicit protocol cap on every `u16`-counted list (columns, index
+/// specs, key columns, created ids, stat counters). Encoders clamp to
+/// it — count and emitted elements always agree — instead of letting
+/// `as u16` wrap the count and produce a frame the peer rejects as
+/// malformed (trailing bytes). Real lists are orders of magnitude
+/// smaller; the clamp is a wire-format invariant, not a working limit.
+pub const MAX_LIST: usize = u16::MAX as usize;
+
+/// Most elements a list decoder reserves on the strength of a count it
+/// has only read, not yet seen the elements of: a forged count costs
+/// one small allocation before truncation rejects the frame.
+const RESERVE_CAP: usize = 256;
+
+/// How one field type travels. Implemented once per type, here for
+/// the shapes every message shares and in [`crate::message`] for the
+/// structs and enums that nest; the message tables call it per field,
+/// in declaration order. `get` is strict: `None` on truncation or on
+/// a value the type cannot hold.
+pub(crate) trait Wire: Sized {
+    /// Append this value's encoding.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Read one value, advancing the cursor.
+    fn get(c: &mut Cursor<'_>) -> Option<Self>;
+}
+
+macro_rules! wire_int {
+    ($($ty:ty: $put:ident / $get:ident),+) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $put(out, *self);
+            }
+            #[inline]
+            fn get(c: &mut Cursor<'_>) -> Option<Self> {
+                c.$get()
+            }
+        }
+    )+};
+}
+wire_int!(u16: put_u16 / get_u16, u32: put_u32 / get_u32, u64: put_u64 / get_u64, i64: put_i64 / get_i64);
+
+/// One byte, 0 or 1; anything else is malformed.
+impl Wire for bool {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u8(out, u8::from(*self));
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>) -> Option<Self> {
+        match c.get_u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+}
+
+impl Wire for String {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_string(out, self);
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>) -> Option<Self> {
+        c.get_string()
+    }
+}
+
+/// A `u32`-length byte string, not a list of `u8` (which has no
+/// `Wire` impl of its own, so the two cannot be confused).
+impl Wire for Vec<u8> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self);
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>) -> Option<Self> {
+        c.get_bytes()
+    }
+}
+
+/// A `u16`-counted list, clamped at [`MAX_LIST`] on encode.
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_list(self, out);
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>) -> Option<Self> {
+        let n = c.get_u16()? as usize;
+        get_items(c, n)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>) -> Option<Self> {
+        Some((A::get(c)?, B::get(c)?))
+    }
+}
+
+/// Append a `u16` count, clamped at [`MAX_LIST`], and that many items.
+#[inline]
+pub(crate) fn put_list<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    let n = items.len().min(MAX_LIST);
+    put_u16(out, n as u16);
+    put_items(&items[..n], out);
+}
+
+/// Append `items` back to back; the caller has written their count.
+#[inline]
+pub(crate) fn put_items<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    for item in items {
+        item.put(out);
+    }
+}
+
+/// Read `n` items back to back; the caller has read (and bounded) `n`.
+#[inline]
+pub(crate) fn get_items<T: Wire>(c: &mut Cursor<'_>, n: usize) -> Option<Vec<T>> {
+    let mut items = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
+        items.push(T::get(c)?);
+    }
+    Some(items)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,11 +19,26 @@
 //!   [`message::Response::IndexCreated`]), server stats, and
 //!   structured errors ([`message::ErrorCode`] mapped from
 //!   [`mohan_common::Error`]).
-//! * [`codec`] — the big-endian primitive encoding shared by both.
+//! * [`codec`] — the big-endian primitive encoding shared by both,
+//!   and the crate-private `Wire` trait that says how each field type
+//!   travels (ints, the strict 0/1 `bool`, strings, byte strings,
+//!   `u16`-counted lists, pairs).
 //!
-//! Everything encodes to explicit bytes (no `serde`, no derive
-//! macros): the container has no crates.io access, and an explicit
-//! codec keeps the protocol's compatibility surface auditable.
+//! Everything encodes to explicit bytes (no `serde`, no proc-macro
+//! derives: the container has no crates.io access). The protocol's
+//! compatibility surface is one place to audit: the `wire_enum!`
+//! tables in `src/message.rs`, where each message is **one row** —
+//! doc comment, `Variant = tag`, an optional `[may_block]`, and the
+//! fields in wire order. The enum, encoder, decoder, `NAMES`/`index()`
+//! /`name()` and the blocking classification are generated from that
+//! row by a `macro_rules!` in the same file, so nothing else lists the
+//! variants. To add a message, add a row with an unused tag (tags are
+//! never renumbered or reused), add a sample of it to the tests'
+//! `sample_requests()`/`sample_responses()` and its line to
+//! `src/golden_frames.txt` (the `golden_frames` test prints the line
+//! it expected), and bump [`PROTO_MINOR`] with a history note. The
+//! two encodings older peers send that the tables do not describe are
+//! two commented arms at the top of [`Request::decode`].
 
 #![warn(missing_docs)]
 

@@ -4,14 +4,27 @@
 //! is strict: unknown tags, truncated bodies and trailing bytes all
 //! return `None`, which the peer reports as [`ErrorCode::Malformed`].
 //!
+//! Every enum that travels — [`Request`], [`Response`], [`ErrorCode`],
+//! [`Role`], [`BuildAlgo`], [`BuildPhase`] — is declared once, as a
+//! `wire_enum!` table with **one row per variant**: its doc comment,
+//! `Variant = tag`, an optional `[may_block]`, and its fields in wire
+//! order. The enum, its encoder and decoder, `NAMES`/`index()`/`name()`
+//! and the blocking classification are all generated from that row, so
+//! adding a message is adding a row (and, if a field has a new type,
+//! one `Wire` impl for that type in [`crate::codec`]). A tag, once
+//! shipped, is never renumbered or reused; `golden_frames.txt` pins
+//! the bytes of every variant.
+//!
 //! The crate deliberately depends only on `mohan-common`: records
 //! travel as `Vec<i64>` column values (the engine's `Record` is a
 //! newtype over exactly that), RIDs as their packed `u64` form, and
 //! index keys as the order-preserving `KeyValue` bytes — so the
 //! protocol can be spoken without linking the engine.
 
-use crate::codec::{put_bytes, put_i64, put_string, put_u16, put_u32, put_u64, put_u8, Cursor};
+use crate::codec::{get_items, put_items, put_list, put_u32, put_u64, put_u8, Cursor, Wire};
 use mohan_common::error::Error;
+
+pub use crate::codec::MAX_LIST;
 
 /// Protocol major version. A server rejects a [`Request::Hello`]
 /// whose major differs from its own — majors gate incompatible
@@ -31,12 +44,13 @@ pub const PROTO_MAJOR: u16 = 1;
 /// it as a malformed error code and treat the disconnect as a plain
 /// stream error, which still lands them in reconnect-catch-up.
 ///
-/// 3 added [`Request::CreateIndexV2`] — `CreateIndex` carrying a
-/// [`BuildOptionsWire`] (parallel workers, run compression, drain
-/// policy, checkpoint interval) — and [`ErrorCode::InvalidArg`] for
-/// statement-level argument rejection. The tag-10 `CreateIndex`
-/// encoding is unchanged and still decodes; a client that never sends
-/// options keeps using it.
+/// 3 added a [`BuildOptionsWire`] (parallel workers, run compression,
+/// drain policy, checkpoint interval) to [`Request::CreateIndex`],
+/// under a new tag, 19 — and [`ErrorCode::InvalidArg`] for
+/// statement-level argument rejection. Tag 19 is the only encoding
+/// this build sends. Tag 10, the same body without the options, is
+/// what a peer older than minor 3 sends; it is still read, as a
+/// `CreateIndex` with default options, and never written.
 pub const PROTO_MINOR: u16 = 3;
 
 /// This build's packed protocol version (`major << 16 | minor`).
@@ -51,68 +65,176 @@ pub fn proto_major(version: u32) -> u16 {
     (version >> 16) as u16
 }
 
-/// What a peer is, announced in [`Request::Hello`] and answered in
-/// [`Response::Welcome`]. A server is `Primary` or `Replica`; a
-/// connecting peer is usually `Client`, or `Replica` when the
-/// connection is a follower's WAL subscription.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// An engine that accepts writes.
-    Primary,
-    /// A replication follower: serves bounded-staleness reads, refuses
-    /// writes with [`ErrorCode::NotWritable`] until promoted.
-    Replica,
-    /// An ordinary client.
-    Client,
+/// Declare a wire enum from a table, one row per variant:
+///
+/// ```text
+/// /// Doc comment.
+/// Variant = tag [may_block] {
+///     /// Field doc comment.
+///     field: Type,
+///     other: Type as override_module,
+/// },
+/// ```
+///
+/// `[may_block]` and the braces are optional. A field is encoded by
+/// its type's `Wire` impl, fields in the order written; `as module`
+/// names a module whose `put`/`get` replace that impl for the one
+/// field whose shape is not its type's. Generated: the enum with every
+/// attribute and doc comment passed through, `NAMES`, `index()`,
+/// `name()`, `tag_may_block()` and the `Wire` impl (tag byte, then
+/// the fields).
+macro_rules! wire_enum {
+    (@flag) => { false };
+    (@flag may_block) => { true };
+    (@put $field:ident, $out:ident) => { Wire::put($field, $out) };
+    (@put $field:ident, $out:ident, $via:ident) => { $via::put($field, $out) };
+    (@get $c:ident) => { Wire::get($c)? };
+    (@get $c:ident, $via:ident) => { $via::get($c)? };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal $([$flag:ident])? $({
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $fty:ty $(as $via:ident)?
+                    ),+ $(,)?
+                })?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({
+                    $(
+                        $(#[$fmeta])*
+                        $field: $fty
+                    ),+
+                })?
+            ),+
+        }
+
+        impl $name {
+            /// Every variant's name, in table order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($variant)),+];
+
+            /// This variant's position in [`Self::NAMES`] — a dense
+            /// index for per-variant arrays (the tag bytes have gaps).
+            #[must_use]
+            pub fn index(&self) -> usize {
+                enum Row {
+                    $($variant),+
+                }
+                match self {
+                    $($name::$variant { .. } => Row::$variant as usize),+
+                }
+            }
+
+            /// This variant's name, stable across releases (metric
+            /// and trace labels are built from it).
+            #[must_use]
+            pub fn name(&self) -> &'static str {
+                Self::NAMES[self.index()]
+            }
+
+            /// Is the row with this tag byte marked `[may_block]`?
+            #[allow(dead_code)] // only `Request` rows carry the flag
+            fn tag_may_block(tag: u8) -> bool {
+                match tag {
+                    $($tag => wire_enum!(@flag $($flag)?),)+
+                    _ => false,
+                }
+            }
+        }
+
+        impl Wire for $name {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $({ $($field),+ })? => {
+                        put_u8(out, $tag);
+                        $($(wire_enum!(@put $field, out $(, $via)?);)+)?
+                    })+
+                }
+            }
+
+            #[inline]
+            fn get(c: &mut Cursor<'_>) -> Option<Self> {
+                Some(match c.get_u8()? {
+                    $($tag => $name::$variant $({
+                        $($field: wire_enum!(@get c $(, $via)?)),+
+                    })?,)+
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
-impl Role {
-    fn tag(self) -> u8 {
-        match self {
-            Role::Primary => 0,
-            Role::Replica => 1,
-            Role::Client => 2,
-        }
-    }
+/// Encode a whole payload: the value and nothing else. The reserve
+/// holds a DML request or its answer, so the common message costs one
+/// allocation where growing from empty cost four.
+fn encode_payload<T: Wire>(value: &T) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    value.put(&mut out);
+    out
+}
 
-    fn from_tag(t: u8) -> Option<Self> {
-        match t {
-            0 => Some(Role::Primary),
-            1 => Some(Role::Replica),
-            2 => Some(Role::Client),
-            _ => None,
-        }
+wire_enum! {
+    /// What a peer is, announced in [`Request::Hello`] and answered in
+    /// [`Response::Welcome`]. A server is `Primary` or `Replica`; a
+    /// connecting peer is usually `Client`, or `Replica` when the
+    /// connection is a follower's WAL subscription.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Role {
+        /// An engine that accepts writes.
+        Primary = 0,
+        /// A replication follower: serves bounded-staleness reads, refuses
+        /// writes with [`ErrorCode::NotWritable`] until promoted.
+        Replica = 1,
+        /// An ordinary client.
+        Client = 2,
     }
 }
 
-/// Build algorithm selector carried by `CreateIndex` (§1: offline
-/// baseline, §2 NSF, §3 SF).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildAlgo {
-    /// Quiesced baseline build.
-    Offline,
-    /// No-side-file online build (§2).
-    Nsf,
-    /// Side-file online build (§3).
-    Sf,
+wire_enum! {
+    /// Build algorithm selector carried by `CreateIndex` (§1: offline
+    /// baseline, §2 NSF, §3 SF).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BuildAlgo {
+        /// Quiesced baseline build.
+        Offline = 0,
+        /// No-side-file online build (§2).
+        Nsf = 1,
+        /// Side-file online build (§3).
+        Sf = 2,
+    }
 }
 
-impl BuildAlgo {
-    fn tag(self) -> u8 {
-        match self {
-            BuildAlgo::Offline => 0,
-            BuildAlgo::Nsf => 1,
-            BuildAlgo::Sf => 2,
-        }
-    }
-
-    fn from_tag(t: u8) -> Option<Self> {
-        match t {
-            0 => Some(BuildAlgo::Offline),
-            1 => Some(BuildAlgo::Nsf),
-            2 => Some(BuildAlgo::Sf),
-            _ => None,
-        }
+wire_enum! {
+    /// Phase of an in-flight build, streamed in
+    /// [`Response::Progress`] frames. Mirrors `oib::BuildProgress`
+    /// checkpoints plus a `Starting` state emitted before the build thread
+    /// has stored its first checkpoint.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BuildPhase {
+        /// Build accepted; no checkpoint stored yet.
+        Starting = 0,
+        /// Scanning the table / feeding the external sort.
+        Scanning = 1,
+        /// Reducing sorted runs (merge passes).
+        Reducing = 2,
+        /// Bulk-loading the tree from the final merge.
+        Loading = 3,
+        /// Inserting sorted keys one by one (non-bulk path).
+        Inserting = 4,
+        /// Draining the side file (§3.2.5, SF only).
+        Draining = 5,
+        /// Build finished; `IndexCreated` follows.
+        Done = 6,
     }
 }
 
@@ -128,33 +250,18 @@ pub struct IndexSpecWire {
     pub unique: bool,
 }
 
-impl IndexSpecWire {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_string(out, &self.name);
-        let n = self.key_cols.len().min(MAX_LIST);
-        put_u16(out, n as u16);
-        for &c in &self.key_cols[..n] {
-            put_u16(out, c);
-        }
-        put_u8(out, u8::from(self.unique));
+impl Wire for IndexSpecWire {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.name.put(out);
+        self.key_cols.put(out);
+        self.unique.put(out);
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Option<Self> {
-        let name = c.get_string()?;
-        let n = c.get_u16()? as usize;
-        let mut key_cols = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            key_cols.push(c.get_u16()?);
-        }
-        let unique = match c.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
+    fn get(c: &mut Cursor<'_>) -> Option<Self> {
         Some(IndexSpecWire {
-            name,
-            key_cols,
-            unique,
+            name: Wire::get(c)?,
+            key_cols: Wire::get(c)?,
+            unique: Wire::get(c)?,
         })
     }
 }
@@ -191,9 +298,9 @@ impl Default for BuildOptionsWire {
     }
 }
 
-impl BuildOptionsWire {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u16(out, self.parallel_workers);
+impl Wire for BuildOptionsWire {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.parallel_workers.put(out);
         let mut flags = 0u8;
         if self.compress_runs {
             flags |= 1;
@@ -205,10 +312,10 @@ impl BuildOptionsWire {
             }
         }
         put_u8(out, flags);
-        put_u32(out, self.checkpoint_every);
+        self.checkpoint_every.put(out);
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Option<Self> {
+    fn get(c: &mut Cursor<'_>) -> Option<Self> {
         let parallel_workers = c.get_u16()?;
         let flags = c.get_u8()?;
         if flags & !0b111 != 0 {
@@ -224,55 +331,6 @@ impl BuildOptionsWire {
             },
             checkpoint_every: c.get_u32()?,
         })
-    }
-}
-
-/// Phase of an in-flight build, streamed in
-/// [`Response::Progress`] frames. Mirrors `oib::BuildProgress`
-/// checkpoints plus a `Starting` state emitted before the build thread
-/// has stored its first checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildPhase {
-    /// Build accepted; no checkpoint stored yet.
-    Starting,
-    /// Scanning the table / feeding the external sort.
-    Scanning,
-    /// Reducing sorted runs (merge passes).
-    Reducing,
-    /// Bulk-loading the tree from the final merge.
-    Loading,
-    /// Inserting sorted keys one by one (non-bulk path).
-    Inserting,
-    /// Draining the side file (§3.2.5, SF only).
-    Draining,
-    /// Build finished; `IndexCreated` follows.
-    Done,
-}
-
-impl BuildPhase {
-    fn tag(self) -> u8 {
-        match self {
-            BuildPhase::Starting => 0,
-            BuildPhase::Scanning => 1,
-            BuildPhase::Reducing => 2,
-            BuildPhase::Loading => 3,
-            BuildPhase::Inserting => 4,
-            BuildPhase::Draining => 5,
-            BuildPhase::Done => 6,
-        }
-    }
-
-    fn from_tag(t: u8) -> Option<Self> {
-        match t {
-            0 => Some(BuildPhase::Starting),
-            1 => Some(BuildPhase::Scanning),
-            2 => Some(BuildPhase::Reducing),
-            3 => Some(BuildPhase::Loading),
-            4 => Some(BuildPhase::Inserting),
-            5 => Some(BuildPhase::Draining),
-            6 => Some(BuildPhase::Done),
-            _ => None,
-        }
     }
 }
 
@@ -296,17 +354,14 @@ pub struct HistogramSummaryWire {
     pub p99: u64,
 }
 
-impl HistogramSummaryWire {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.count);
-        put_u64(out, self.sum);
-        put_u64(out, self.max);
-        put_u64(out, self.p50);
-        put_u64(out, self.p90);
-        put_u64(out, self.p99);
+impl Wire for HistogramSummaryWire {
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in [self.count, self.sum, self.max, self.p50, self.p90, self.p99] {
+            put_u64(out, v);
+        }
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Option<Self> {
+    fn get(c: &mut Cursor<'_>) -> Option<Self> {
         Some(HistogramSummaryWire {
             count: c.get_u64()?,
             sum: c.get_u64()?,
@@ -316,7 +371,9 @@ impl HistogramSummaryWire {
             p99: c.get_u64()?,
         })
     }
+}
 
+impl HistogramSummaryWire {
     /// Mean observation (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -328,155 +385,138 @@ impl HistogramSummaryWire {
     }
 }
 
-/// Everything a client can ask the server to do.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Liveness / RTT probe.
-    Ping,
-    /// Open a transaction on this connection's session.
-    Begin,
-    /// Commit the session's open transaction.
-    Commit,
-    /// Roll back the session's open transaction.
-    Rollback,
-    /// Insert a record; auto-commits if no transaction is open.
-    Insert {
-        /// Target table.
-        table: u32,
-        /// Column values.
-        cols: Vec<i64>,
-    },
-    /// Replace the record at `rid`.
-    Update {
-        /// Target table.
-        table: u32,
-        /// Packed RID (see `Rid::pack`).
-        rid: u64,
-        /// Replacement column values.
-        cols: Vec<i64>,
-    },
-    /// Delete the record at `rid`.
-    Delete {
-        /// Target table.
-        table: u32,
-        /// Packed RID.
-        rid: u64,
-    },
-    /// Read the record at `rid` (no transaction needed).
-    Read {
-        /// Target table.
-        table: u32,
-        /// Packed RID.
-        rid: u64,
-    },
-    /// Exact-match probe of an index.
-    Lookup {
-        /// Target index.
-        index: u32,
-        /// Order-preserving key bytes (`KeyValue`).
-        key: Vec<u8>,
-    },
-    /// Build one or more indexes online; the server streams
-    /// [`Response::Progress`] frames, then [`Response::IndexCreated`].
-    CreateIndex {
-        /// Table to index.
-        table: u32,
-        /// Build algorithm.
-        algo: BuildAlgo,
-        /// Index definitions (multiple = §5 multi-index single scan).
-        specs: Vec<IndexSpecWire>,
-    },
-    /// [`Request::CreateIndex`] plus build tuning options (minor 3).
-    /// Same exchange: the server streams [`Response::Progress`]
-    /// frames, then [`Response::IndexCreated`].
-    CreateIndexV2 {
-        /// Table to index.
-        table: u32,
-        /// Build algorithm.
-        algo: BuildAlgo,
-        /// Index definitions (multiple = §5 multi-index single scan).
-        specs: Vec<IndexSpecWire>,
-        /// Parallelism / compression / checkpoint tuning.
-        options: BuildOptionsWire,
-    },
-    /// Snapshot of the server's counters.
-    Stats,
-    /// Full metrics snapshot: engine + server counters/gauges and
-    /// histogram summaries, sorted by name.
-    Metrics,
-    /// Subscribe this connection to periodic [`Response::Metrics`]
-    /// frames until it disconnects. The stream occupies the
-    /// connection (like `CreateIndex`); other requests on it are
-    /// serviced after disconnect only.
-    ObserveStats {
-        /// Emission interval in milliseconds (server clamps to its
-        /// supported range).
-        interval_ms: u32,
-    },
-    /// Subscribe this connection to the primary's WAL stream,
-    /// starting at `from_lsn`. The connection becomes a tail-following
-    /// subscription (same occupancy semantics as `ObserveStats`)
-    /// carrying [`Response::WalFrame`]s that cover only the *flushed*
-    /// prefix of the log. Valid starts are `1 ..= flushed + 1`;
-    /// anything else is answered with an error, since those records
-    /// either never existed or could still be discarded by a crash.
-    SubscribeWal {
-        /// First LSN the subscriber wants (1-based; `applied + 1` on
-        /// reconnect).
-        from_lsn: u64,
-    },
-    /// Versioned handshake. Optional and backward-compatible: a peer
-    /// that never sends it gets the legacy behaviour. The server
-    /// answers [`Response::Welcome`] when the major versions agree and
-    /// [`ErrorCode::UnsupportedProto`] otherwise.
-    Hello {
-        /// The peer's packed protocol version (see [`proto_version`]).
-        proto_version: u32,
-        /// What the peer is (informational; traced server-side).
-        role: Role,
-    },
-    /// Promote a replica server to primary: stop its WAL subscription,
-    /// roll back any in-flight replicated tail via restart undo, and
-    /// open the engine for writes. Only meaningful on a replica's own
-    /// socket; a primary answers with an error.
-    Promote,
-    /// Dump the server's span trace ring as JSON lines (one span per
-    /// line, newest last). Diagnostic; the ring is bounded, so the
-    /// reply is too.
-    TraceDump {
-        /// Only events of this trace (0 = every trace) — the bound
-        /// that keeps dumps from a busy server readable.
-        trace_id: u64,
-        /// Only events with sequence number ≥ this (0 = from the
-        /// oldest retained), so pollers can fetch increments.
-        since_seq: u64,
-    },
+wire_enum! {
+    /// Everything a client can ask the server to do. [`Request::name`]
+    /// is the opcode name in per-opcode latency metrics
+    /// (`server.req_us.<opcode>`). A row marked `[may_block]` acquires
+    /// engine locks; see [`Request::frame_may_block`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request {
+        /// Liveness / RTT probe.
+        Ping = 1,
+        /// Open a transaction on this connection's session.
+        Begin = 2,
+        /// Commit the session's open transaction.
+        Commit = 3,
+        /// Roll back the session's open transaction.
+        Rollback = 4,
+        /// Insert a record; auto-commits if no transaction is open.
+        Insert = 5 [may_block] {
+            /// Target table.
+            table: u32,
+            /// Column values.
+            cols: Vec<i64>,
+        },
+        /// Replace the record at `rid`.
+        Update = 6 [may_block] {
+            /// Target table.
+            table: u32,
+            /// Packed RID (see `Rid::pack`).
+            rid: u64,
+            /// Replacement column values.
+            cols: Vec<i64>,
+        },
+        /// Delete the record at `rid`.
+        Delete = 7 [may_block] {
+            /// Target table.
+            table: u32,
+            /// Packed RID.
+            rid: u64,
+        },
+        /// Read the record at `rid` (no transaction needed).
+        Read = 8 [may_block] {
+            /// Target table.
+            table: u32,
+            /// Packed RID.
+            rid: u64,
+        },
+        /// Exact-match probe of an index.
+        Lookup = 9 [may_block] {
+            /// Target index.
+            index: u32,
+            /// Order-preserving key bytes (`KeyValue`).
+            key: Vec<u8>,
+        },
+        /// Build one or more indexes online; the server streams
+        /// [`Response::Progress`] frames, then [`Response::IndexCreated`].
+        /// Tag 10 is this request as peers older than minor 3 send it,
+        /// without `options`: read by [`Request::decode`], never sent.
+        CreateIndex = 19 [may_block] {
+            /// Table to index.
+            table: u32,
+            /// Build algorithm.
+            algo: BuildAlgo,
+            /// Index definitions (multiple = §5 multi-index single scan).
+            specs: Vec<IndexSpecWire>,
+            /// Parallelism / compression / checkpoint tuning.
+            options: BuildOptionsWire,
+        },
+        /// Snapshot of the server's counters.
+        Stats = 11,
+        /// Full metrics snapshot: engine + server counters/gauges and
+        /// histogram summaries, sorted by name.
+        Metrics = 12,
+        /// Subscribe this connection to periodic [`Response::Metrics`]
+        /// frames until it disconnects. The stream occupies the
+        /// connection (like `CreateIndex`); other requests on it are
+        /// serviced after disconnect only.
+        ObserveStats = 13 {
+            /// Emission interval in milliseconds (server clamps to its
+            /// supported range).
+            interval_ms: u32,
+        },
+        /// Subscribe this connection to the primary's WAL stream,
+        /// starting at `from_lsn`. The connection becomes a tail-following
+        /// subscription (same occupancy semantics as `ObserveStats`)
+        /// carrying [`Response::WalFrame`]s that cover only the *flushed*
+        /// prefix of the log. Valid starts are `1 ..= flushed + 1`;
+        /// anything else is answered with an error, since those records
+        /// either never existed or could still be discarded by a crash.
+        SubscribeWal = 14 {
+            /// First LSN the subscriber wants (1-based; `applied + 1` on
+            /// reconnect).
+            from_lsn: u64,
+        },
+        /// Versioned handshake. Optional and backward-compatible: a peer
+        /// that never sends it gets the legacy behaviour. The server
+        /// answers [`Response::Welcome`] when the major versions agree and
+        /// [`ErrorCode::UnsupportedProto`] otherwise.
+        Hello = 15 {
+            /// The peer's packed protocol version (see [`proto_version`]).
+            proto_version: u32,
+            /// What the peer is (informational; traced server-side).
+            role: Role,
+        },
+        /// Promote a replica server to primary: stop its WAL subscription,
+        /// roll back any in-flight replicated tail via restart undo, and
+        /// open the engine for writes. Only meaningful on a replica's own
+        /// socket; a primary answers with an error.
+        Promote = 16 [may_block],
+        /// Dump the server's span trace ring as JSON lines (one span per
+        /// line, newest last). Diagnostic; the ring is bounded, so the
+        /// reply is too.
+        TraceDump = 17 {
+            /// Only events of this trace (0 = every trace) — the bound
+            /// that keeps dumps from a busy server readable.
+            trace_id: u64,
+            /// Only events with sequence number ≥ this (0 = from the
+            /// oldest retained), so pollers can fetch increments.
+            since_seq: u64,
+        },
+    }
 }
 
-const REQ_PING: u8 = 1;
-const REQ_BEGIN: u8 = 2;
-const REQ_COMMIT: u8 = 3;
-const REQ_ROLLBACK: u8 = 4;
-const REQ_INSERT: u8 = 5;
-const REQ_UPDATE: u8 = 6;
-const REQ_DELETE: u8 = 7;
-const REQ_READ: u8 = 8;
-const REQ_LOOKUP: u8 = 9;
-const REQ_CREATE_INDEX: u8 = 10;
-const REQ_STATS: u8 = 11;
-const REQ_METRICS: u8 = 12;
-const REQ_OBSERVE_STATS: u8 = 13;
-const REQ_SUBSCRIBE_WAL: u8 = 14;
-const REQ_HELLO: u8 = 15;
-const REQ_PROMOTE: u8 = 16;
-const REQ_TRACE_DUMP: u8 = 17;
 /// Tag of the trace envelope: `[REQ_TRACED][u64 trace id][inner
 /// request payload]`. Deliberately *not* a [`Request`] variant — the
 /// envelope is transport dressing peeled by [`peel_traced`] before
 /// decode, so the opcode table, executor classification and every
 /// `match` over requests stay untouched by tracing.
 pub const REQ_TRACED: u8 = 18;
-const REQ_CREATE_INDEX_V2: u8 = 19;
+/// `CreateIndex` as peers older than minor 3 send it: the tag-19 body
+/// without its trailing options.
+const REQ_CREATE_INDEX_NO_OPTIONS: u8 = 10;
+/// The `TraceDump` row's tag, which minor 0 sent with no body.
+const REQ_TRACE_DUMP: u8 = 17;
 
 /// Wrap an encoded request in the trace envelope, attributing it to
 /// `trace_id`. The server installs the id as the request's trace
@@ -487,7 +527,7 @@ pub fn encode_traced(trace_id: u64, req: &Request) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
     put_u8(&mut out, REQ_TRACED);
     put_u64(&mut out, trace_id);
-    out.extend_from_slice(&req.encode());
+    req.put(&mut out);
     out
 }
 
@@ -506,418 +546,143 @@ pub fn peel_traced(payload: &[u8]) -> (Option<u64>, &[u8]) {
     }
 }
 
-/// Explicit protocol cap on every `u16`-counted list (columns, index
-/// specs, key columns, created ids, stat counters). Encoders clamp to
-/// it — count and emitted elements always agree — instead of letting
-/// `as u16` wrap the count and produce a frame the peer rejects as
-/// malformed (trailing bytes). Real lists are orders of magnitude
-/// smaller; the clamp is a wire-format invariant, not a working limit.
-pub const MAX_LIST: usize = u16::MAX as usize;
-
-/// Most RIDs one [`Response::Rids`] can carry and still fit
-/// [`crate::frame::MAX_FRAME`] (tag + u32 count + 8 bytes per RID).
-pub const MAX_RIDS: usize = (crate::frame::MAX_FRAME - 8) / 8;
-
-fn put_cols(out: &mut Vec<u8>, cols: &[i64]) {
-    let n = cols.len().min(MAX_LIST);
-    put_u16(out, n as u16);
-    for &v in &cols[..n] {
-        put_i64(out, v);
-    }
-}
-
-fn get_cols(c: &mut Cursor<'_>) -> Option<Vec<i64>> {
-    let n = c.get_u16()? as usize;
-    let mut cols = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        cols.push(c.get_i64()?);
-    }
-    Some(cols)
-}
-
 impl Request {
-    /// Stable opcode name, e.g. for per-opcode latency metrics
-    /// (`server.req_us.<opcode>`).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Request::Ping => "Ping",
-            Request::Begin => "Begin",
-            Request::Commit => "Commit",
-            Request::Rollback => "Rollback",
-            Request::Insert { .. } => "Insert",
-            Request::Update { .. } => "Update",
-            Request::Delete { .. } => "Delete",
-            Request::Read { .. } => "Read",
-            Request::Lookup { .. } => "Lookup",
-            Request::CreateIndex { .. } => "CreateIndex",
-            Request::CreateIndexV2 { .. } => "CreateIndexV2",
-            Request::Stats => "Stats",
-            Request::Metrics => "Metrics",
-            Request::ObserveStats { .. } => "ObserveStats",
-            Request::SubscribeWal { .. } => "SubscribeWal",
-            Request::Hello { .. } => "Hello",
-            Request::Promote => "Promote",
-            Request::TraceDump { .. } => "TraceDump",
-        }
-    }
-
     /// Encode to a frame payload (tag + body).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Request::Ping => put_u8(&mut out, REQ_PING),
-            Request::Begin => put_u8(&mut out, REQ_BEGIN),
-            Request::Commit => put_u8(&mut out, REQ_COMMIT),
-            Request::Rollback => put_u8(&mut out, REQ_ROLLBACK),
-            Request::Insert { table, cols } => {
-                put_u8(&mut out, REQ_INSERT);
-                put_u32(&mut out, *table);
-                put_cols(&mut out, cols);
-            }
-            Request::Update { table, rid, cols } => {
-                put_u8(&mut out, REQ_UPDATE);
-                put_u32(&mut out, *table);
-                put_u64(&mut out, *rid);
-                put_cols(&mut out, cols);
-            }
-            Request::Delete { table, rid } => {
-                put_u8(&mut out, REQ_DELETE);
-                put_u32(&mut out, *table);
-                put_u64(&mut out, *rid);
-            }
-            Request::Read { table, rid } => {
-                put_u8(&mut out, REQ_READ);
-                put_u32(&mut out, *table);
-                put_u64(&mut out, *rid);
-            }
-            Request::Lookup { index, key } => {
-                put_u8(&mut out, REQ_LOOKUP);
-                put_u32(&mut out, *index);
-                put_bytes(&mut out, key);
-            }
-            Request::CreateIndex { table, algo, specs } => {
-                put_u8(&mut out, REQ_CREATE_INDEX);
-                put_u32(&mut out, *table);
-                put_u8(&mut out, algo.tag());
-                let n = specs.len().min(MAX_LIST);
-                put_u16(&mut out, n as u16);
-                for s in &specs[..n] {
-                    s.encode(&mut out);
-                }
-            }
-            Request::CreateIndexV2 {
-                table,
-                algo,
-                specs,
-                options,
-            } => {
-                put_u8(&mut out, REQ_CREATE_INDEX_V2);
-                put_u32(&mut out, *table);
-                put_u8(&mut out, algo.tag());
-                let n = specs.len().min(MAX_LIST);
-                put_u16(&mut out, n as u16);
-                for s in &specs[..n] {
-                    s.encode(&mut out);
-                }
-                options.encode(&mut out);
-            }
-            Request::Stats => put_u8(&mut out, REQ_STATS),
-            Request::Metrics => put_u8(&mut out, REQ_METRICS),
-            Request::ObserveStats { interval_ms } => {
-                put_u8(&mut out, REQ_OBSERVE_STATS);
-                put_u32(&mut out, *interval_ms);
-            }
-            Request::SubscribeWal { from_lsn } => {
-                put_u8(&mut out, REQ_SUBSCRIBE_WAL);
-                put_u64(&mut out, *from_lsn);
-            }
-            Request::Hello {
-                proto_version,
-                role,
-            } => {
-                put_u8(&mut out, REQ_HELLO);
-                put_u32(&mut out, *proto_version);
-                put_u8(&mut out, role.tag());
-            }
-            Request::Promote => put_u8(&mut out, REQ_PROMOTE),
-            Request::TraceDump {
-                trace_id,
-                since_seq,
-            } => {
-                put_u8(&mut out, REQ_TRACE_DUMP);
-                put_u64(&mut out, *trace_id);
-                put_u64(&mut out, *since_seq);
-            }
-        }
-        out
+        encode_payload(self)
     }
 
     /// Decode from a frame payload. `None` means malformed.
+    ///
+    /// The two encodings older peers send that the table does not
+    /// describe are read here, ahead of it, and nowhere else; both
+    /// re-encode in today's form.
     #[must_use]
     pub fn decode(payload: &[u8]) -> Option<Request> {
         let mut c = Cursor::new(payload);
-        let req = match c.get_u8()? {
-            REQ_PING => Request::Ping,
-            REQ_BEGIN => Request::Begin,
-            REQ_COMMIT => Request::Commit,
-            REQ_ROLLBACK => Request::Rollback,
-            REQ_INSERT => Request::Insert {
-                table: c.get_u32()?,
-                cols: get_cols(&mut c)?,
-            },
-            REQ_UPDATE => Request::Update {
-                table: c.get_u32()?,
-                rid: c.get_u64()?,
-                cols: get_cols(&mut c)?,
-            },
-            REQ_DELETE => Request::Delete {
-                table: c.get_u32()?,
-                rid: c.get_u64()?,
-            },
-            REQ_READ => Request::Read {
-                table: c.get_u32()?,
-                rid: c.get_u64()?,
-            },
-            REQ_LOOKUP => Request::Lookup {
-                index: c.get_u32()?,
-                key: c.get_bytes()?,
-            },
-            REQ_CREATE_INDEX => {
-                let table = c.get_u32()?;
-                let algo = BuildAlgo::from_tag(c.get_u8()?)?;
-                let n = c.get_u16()? as usize;
-                let mut specs = Vec::with_capacity(n.min(16));
-                for _ in 0..n {
-                    specs.push(IndexSpecWire::decode(&mut c)?);
-                }
-                Request::CreateIndex { table, algo, specs }
-            }
-            REQ_CREATE_INDEX_V2 => {
-                let table = c.get_u32()?;
-                let algo = BuildAlgo::from_tag(c.get_u8()?)?;
-                let n = c.get_u16()? as usize;
-                let mut specs = Vec::with_capacity(n.min(16));
-                for _ in 0..n {
-                    specs.push(IndexSpecWire::decode(&mut c)?);
-                }
-                let options = BuildOptionsWire::decode(&mut c)?;
-                Request::CreateIndexV2 {
-                    table,
-                    algo,
-                    specs,
-                    options,
+        let req = match payload {
+            // Minor 0: a bodyless dump is everything, from the oldest
+            // retained event.
+            [REQ_TRACE_DUMP] => {
+                c.get_u8()?;
+                Request::TraceDump {
+                    trace_id: 0,
+                    since_seq: 0,
                 }
             }
-            REQ_STATS => Request::Stats,
-            REQ_METRICS => Request::Metrics,
-            REQ_OBSERVE_STATS => Request::ObserveStats {
-                interval_ms: c.get_u32()?,
-            },
-            REQ_SUBSCRIBE_WAL => Request::SubscribeWal {
-                from_lsn: c.get_u64()?,
-            },
-            REQ_HELLO => Request::Hello {
-                proto_version: c.get_u32()?,
-                role: Role::from_tag(c.get_u8()?)?,
-            },
-            REQ_PROMOTE => Request::Promote,
-            // A bodyless dump is the minor-0 encoding: everything,
-            // from the oldest retained event.
-            REQ_TRACE_DUMP if c.remaining() == 0 => Request::TraceDump {
-                trace_id: 0,
-                since_seq: 0,
-            },
-            REQ_TRACE_DUMP => Request::TraceDump {
-                trace_id: c.get_u64()?,
-                since_seq: c.get_u64()?,
-            },
-            _ => return None,
+            // Before minor 3: the `CreateIndex` row's body cut before
+            // `options`, and no options means the defaults.
+            [REQ_CREATE_INDEX_NO_OPTIONS, ..] => {
+                c.get_u8()?;
+                Request::CreateIndex {
+                    table: Wire::get(&mut c)?,
+                    algo: Wire::get(&mut c)?,
+                    specs: Wire::get(&mut c)?,
+                    options: BuildOptionsWire::default(),
+                }
+            }
+            _ => Request::get(&mut c)?,
         };
         c.finish(req)
     }
 
     /// Can the operation this encoded frame names block on engine
-    /// locks? Decided from the opcode byte alone so an event loop can
-    /// classify a frame without decoding it. Lock-acquiring work
-    /// (DML, reads, index builds) must not run on a thread that also
-    /// services `Commit`/`Rollback`: those release the very locks a
-    /// waiter may be queued behind, so stalling them behind a lock
-    /// wait deadlocks until the wait times out. Malformed frames are
-    /// "cannot block" — their error reply is immediate. The
-    /// [`REQ_TRACED`] envelope is looked through: classification
-    /// follows the inner opcode.
+    /// locks? Decided from the opcode byte alone — the `[may_block]`
+    /// mark on its row — so an event loop can classify a frame without
+    /// decoding it. Lock-acquiring work (DML, reads, index builds) must
+    /// not run on a thread that also services `Commit`/`Rollback`:
+    /// those release the very locks a waiter may be queued behind, so
+    /// stalling them behind a lock wait deadlocks until the wait times
+    /// out. Malformed frames are "cannot block" — their error reply is
+    /// immediate. The [`REQ_TRACED`] envelope is looked through:
+    /// classification follows the inner opcode.
     #[must_use]
     pub fn frame_may_block(payload: &[u8]) -> bool {
         let (_, inner) = peel_traced(payload);
-        matches!(
-            inner.first(),
-            Some(
-                &(REQ_INSERT
-                    | REQ_UPDATE
-                    | REQ_DELETE
-                    | REQ_READ
-                    | REQ_LOOKUP
-                    | REQ_CREATE_INDEX
-                    | REQ_CREATE_INDEX_V2
-                    | REQ_PROMOTE),
-            )
-        )
+        inner
+            .first()
+            .is_some_and(|&tag| tag == REQ_CREATE_INDEX_NO_OPTIONS || Request::tag_may_block(tag))
     }
 }
 
-/// Structured error classes a [`Response::Err`] carries.
-///
-/// The first block mirrors [`mohan_common::error::Error`] one-to-one;
-/// the second block is protocol/service-level conditions the engine
-/// itself never raises. Two variants carry data a client is expected
-/// to act on programmatically — the leader to redirect writes to, the
-/// lag that made a read too stale — so the enum is `Clone`, not
-/// `Copy`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// [`Error::UniqueViolation`].
-    UniqueViolation,
-    /// [`Error::LockTimeout`].
-    LockTimeout,
-    /// [`Error::LockBusy`].
-    LockBusy,
-    /// [`Error::NotFound`].
-    NotFound,
-    /// [`Error::PageFull`].
-    PageFull,
-    /// [`Error::Corruption`].
-    Corruption,
-    /// [`Error::BuildCancelled`].
-    BuildCancelled,
-    /// [`Error::InjectedCrash`].
-    InjectedCrash,
-    /// [`Error::TxNotActive`].
-    TxNotActive,
-    /// [`Error::NoSuchIndex`].
-    NoSuchIndex,
-    /// [`Error::IndexNotReadable`].
-    IndexNotReadable,
-    /// [`Error::NoOpenTx`]: commit/rollback with no open transaction.
-    NoOpenTx,
-    /// [`Error::TxAlreadyOpen`]: `Begin` while one is already open.
-    TxAlreadyOpen,
-    /// [`Error::InvalidArg`]: a structurally invalid caller argument
-    /// (empty spec list, zero worker count, unknown option).
-    InvalidArg {
-        /// What was wrong, for the human behind the statement.
-        msg: String,
-    },
-    /// The request payload failed to decode.
-    Malformed,
-    /// The request missed its per-request deadline before execution.
-    DeadlineExceeded,
-    /// The server is draining and no longer accepts new work.
-    Draining,
-    /// Internal service failure not expressible as an engine error.
-    Internal,
-    /// The server is a replication follower and refuses writes.
-    NotWritable {
-        /// Where writes should go instead (the follower's primary
-        /// address); empty when the follower does not know one.
-        leader_hint: String,
-    },
-    /// A follower read was refused because replication lag exceeded
-    /// the server's staleness bound (`max_lag_lsn`).
-    Stale {
-        /// The lag, in LSNs, at refusal time.
-        lag: u64,
-    },
-    /// The peer's [`Request::Hello`] carried a protocol major version
-    /// this server does not speak.
-    UnsupportedProto,
-    /// A `SubscribeWal` stream was cut loose: the subscriber's cursor
-    /// fell behind the broadcast ring's retained window and the
-    /// primary will not keep scanning the log privately for it. The
-    /// follower should resubscribe from its applied LSN — the server
-    /// serves fresh subscriptions below the window with bounded
-    /// catch-up scans until they re-enter it.
-    SubscriptionLagged {
-        /// Oldest LSN still retained in the broadcast window when the
-        /// stream was cut.
-        retained_from: u64,
-    },
-}
-
-impl ErrorCode {
-    fn tag(&self) -> u8 {
-        match self {
-            ErrorCode::UniqueViolation => 1,
-            ErrorCode::LockTimeout => 2,
-            ErrorCode::LockBusy => 3,
-            ErrorCode::NotFound => 4,
-            ErrorCode::PageFull => 5,
-            ErrorCode::Corruption => 6,
-            ErrorCode::BuildCancelled => 7,
-            ErrorCode::InjectedCrash => 8,
-            ErrorCode::TxNotActive => 9,
-            ErrorCode::NoSuchIndex => 10,
-            ErrorCode::IndexNotReadable => 11,
-            ErrorCode::NoOpenTx => 12,
-            ErrorCode::TxAlreadyOpen => 13,
-            ErrorCode::InvalidArg { .. } => 14,
-            ErrorCode::Malformed => 32,
-            ErrorCode::DeadlineExceeded => 33,
-            ErrorCode::Draining => 34,
-            ErrorCode::Internal => 35,
-            ErrorCode::NotWritable { .. } => 36,
-            ErrorCode::Stale { .. } => 37,
-            ErrorCode::UnsupportedProto => 38,
-            ErrorCode::SubscriptionLagged { .. } => 39,
-        }
-    }
-
-    /// Tag byte plus the tag-specific body (only the data-carrying
-    /// variants have one).
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u8(out, self.tag());
-        match self {
-            ErrorCode::InvalidArg { msg } => put_string(out, msg),
-            ErrorCode::NotWritable { leader_hint } => put_string(out, leader_hint),
-            ErrorCode::Stale { lag } => put_u64(out, *lag),
-            ErrorCode::SubscriptionLagged { retained_from } => put_u64(out, *retained_from),
-            _ => {}
-        }
-    }
-
-    fn decode(c: &mut Cursor<'_>) -> Option<Self> {
-        Some(match c.get_u8()? {
-            1 => ErrorCode::UniqueViolation,
-            2 => ErrorCode::LockTimeout,
-            3 => ErrorCode::LockBusy,
-            4 => ErrorCode::NotFound,
-            5 => ErrorCode::PageFull,
-            6 => ErrorCode::Corruption,
-            7 => ErrorCode::BuildCancelled,
-            8 => ErrorCode::InjectedCrash,
-            9 => ErrorCode::TxNotActive,
-            10 => ErrorCode::NoSuchIndex,
-            11 => ErrorCode::IndexNotReadable,
-            12 => ErrorCode::NoOpenTx,
-            13 => ErrorCode::TxAlreadyOpen,
-            14 => ErrorCode::InvalidArg {
-                msg: c.get_string()?,
-            },
-            32 => ErrorCode::Malformed,
-            33 => ErrorCode::DeadlineExceeded,
-            34 => ErrorCode::Draining,
-            35 => ErrorCode::Internal,
-            36 => ErrorCode::NotWritable {
-                leader_hint: c.get_string()?,
-            },
-            37 => ErrorCode::Stale { lag: c.get_u64()? },
-            38 => ErrorCode::UnsupportedProto,
-            39 => ErrorCode::SubscriptionLagged {
-                retained_from: c.get_u64()?,
-            },
-            _ => return None,
-        })
+wire_enum! {
+    /// Structured error classes a [`Response::Err`] carries.
+    ///
+    /// The first block mirrors [`mohan_common::error::Error`] one-to-one;
+    /// the second block is protocol/service-level conditions the engine
+    /// itself never raises. Some variants carry data a client is expected
+    /// to act on programmatically — the leader to redirect writes to, the
+    /// lag that made a read too stale — so the enum is `Clone`, not
+    /// `Copy`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ErrorCode {
+        /// [`Error::UniqueViolation`].
+        UniqueViolation = 1,
+        /// [`Error::LockTimeout`].
+        LockTimeout = 2,
+        /// [`Error::LockBusy`].
+        LockBusy = 3,
+        /// [`Error::NotFound`].
+        NotFound = 4,
+        /// [`Error::PageFull`].
+        PageFull = 5,
+        /// [`Error::Corruption`].
+        Corruption = 6,
+        /// [`Error::BuildCancelled`].
+        BuildCancelled = 7,
+        /// [`Error::InjectedCrash`].
+        InjectedCrash = 8,
+        /// [`Error::TxNotActive`].
+        TxNotActive = 9,
+        /// [`Error::NoSuchIndex`].
+        NoSuchIndex = 10,
+        /// [`Error::IndexNotReadable`].
+        IndexNotReadable = 11,
+        /// [`Error::NoOpenTx`]: commit/rollback with no open transaction.
+        NoOpenTx = 12,
+        /// [`Error::TxAlreadyOpen`]: `Begin` while one is already open.
+        TxAlreadyOpen = 13,
+        /// [`Error::InvalidArg`]: a structurally invalid caller argument
+        /// (empty spec list, zero worker count, unknown option).
+        InvalidArg = 14 {
+            /// What was wrong, for the human behind the statement.
+            msg: String,
+        },
+        /// The request payload failed to decode.
+        Malformed = 32,
+        /// The request missed its per-request deadline before execution.
+        DeadlineExceeded = 33,
+        /// The server is draining and no longer accepts new work.
+        Draining = 34,
+        /// Internal service failure not expressible as an engine error.
+        Internal = 35,
+        /// The server is a replication follower and refuses writes.
+        NotWritable = 36 {
+            /// Where writes should go instead (the follower's primary
+            /// address); empty when the follower does not know one.
+            leader_hint: String,
+        },
+        /// A follower read was refused because replication lag exceeded
+        /// the server's staleness bound (`max_lag_lsn`).
+        Stale = 37 {
+            /// The lag, in LSNs, at refusal time.
+            lag: u64,
+        },
+        /// The peer's [`Request::Hello`] carried a protocol major version
+        /// this server does not speak.
+        UnsupportedProto = 38,
+        /// A `SubscribeWal` stream was cut loose: the subscriber's cursor
+        /// fell behind the broadcast ring's retained window and the
+        /// primary will not keep scanning the log privately for it. The
+        /// follower should resubscribe from its applied LSN — the server
+        /// serves fresh subscriptions below the window with bounded
+        /// catch-up scans until they re-enter it.
+        SubscriptionLagged = 39 {
+            /// Oldest LSN still retained in the broadcast window when the
+            /// stream was cut.
+            retained_from: u64,
+        },
     }
 }
 
@@ -948,372 +713,184 @@ pub fn error_code_of(e: &Error) -> ErrorCode {
     }
 }
 
-/// Everything the server can answer with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// Answer to [`Request::Ping`].
-    Pong,
-    /// Transaction opened.
-    TxBegun {
-        /// Engine transaction id, for observability.
-        tx: u64,
-    },
-    /// Transaction committed (WAL flushed to the commit LSN).
-    Committed,
-    /// Transaction rolled back.
-    RolledBack,
-    /// Record inserted.
-    Inserted {
-        /// Packed RID of the new record.
-        rid: u64,
-    },
-    /// Record updated in place (or moved; same RID semantics as the
-    /// engine's `update_record`).
-    Updated,
-    /// Record deleted.
-    Deleted,
-    /// Answer to [`Request::Read`].
-    Record {
-        /// Column values.
-        cols: Vec<i64>,
-    },
-    /// Answer to [`Request::Lookup`].
-    Rids {
-        /// Packed RIDs of matching records.
-        rids: Vec<u64>,
-    },
-    /// Build progress frame; zero or more precede `IndexCreated`.
-    Progress {
-        /// Index being built (0 until the id is known).
-        index: u32,
-        /// Current phase.
-        phase: BuildPhase,
-        /// Phase-specific progress figure (records scanned, keys
-        /// inserted, side-file drain position, ...).
-        detail: u64,
-    },
-    /// Build finished; terminal frame of a `CreateIndex` exchange.
-    IndexCreated {
-        /// Ids of the created indexes, in spec order.
-        ids: Vec<u32>,
-    },
-    /// Counter snapshot, answer to [`Request::Stats`].
-    Stats {
-        /// `(name, value)` pairs, sorted by name.
-        counters: Vec<(String, u64)>,
-    },
-    /// Metrics snapshot, answer to [`Request::Metrics`] and the
-    /// periodic frame of an [`Request::ObserveStats`] stream.
-    Metrics {
-        /// `(name, value)` for every counter and gauge, sorted by
-        /// name.
-        counters: Vec<(String, u64)>,
-        /// `(name, summary)` for every histogram, sorted by name.
-        hists: Vec<(String, HistogramSummaryWire)>,
-    },
-    /// One batch of a [`Request::SubscribeWal`] stream: `count` log
-    /// records in contiguous LSN order, encoded with
-    /// `mohan_wal::codec` (opaque at this layer — the wire crate only
-    /// depends on `mohan-common`). `records` may be empty: frames
-    /// double as heartbeats carrying the primary's advancing flushed
-    /// LSN, which is what the follower's lag gauge measures against.
-    WalFrame {
-        /// The primary's flushed LSN when the frame was cut; every
-        /// carried record's LSN is ≤ this.
-        flushed: u64,
-        /// Number of records in `records`.
-        count: u32,
-        /// Concatenated record encodings.
-        records: Vec<u8>,
-        /// `(lsn, trace_id)` tags for carried records that were
-        /// appended under a sampled trace — how one trace id follows
-        /// a write across the subscription into the follower's apply
-        /// path. Sparse: untagged records simply have no entry.
-        traces: Vec<(u64, u64)>,
-    },
-    /// Admission control rejected the request; retry after backoff.
-    Busy,
-    /// The request failed; terminal frame for its exchange.
-    Err {
-        /// Structured class, for programmatic handling.
-        code: ErrorCode,
-        /// Human-readable detail (the engine error's `Display`).
-        message: String,
-    },
-    /// Answer to an accepted [`Request::Hello`].
-    Welcome {
-        /// The server's packed protocol version.
-        proto_version: u32,
-        /// What the server is right now ([`Role::Primary`] or
-        /// [`Role::Replica`]; promotion changes later answers).
-        role: Role,
-        /// The server's flushed WAL LSN at handshake time — a
-        /// freshness reference point for follower reads.
-        flushed_lsn: u64,
-    },
-    /// Answer to a successful [`Request::Promote`]: the replica is now
-    /// a primary and accepts writes.
-    Promoted {
-        /// Highest LSN the replica had applied when promoted (its new
-        /// flushed tail).
-        last_lsn: u64,
-        /// In-flight transactions rolled back by the restart-undo pass.
-        losers_undone: u64,
-    },
-    /// Answer to [`Request::TraceDump`]: the span trace ring.
-    TraceDump {
-        /// JSON-lines dump, one completed span per line.
-        jsonl: String,
-    },
+/// Most RIDs one [`Response::Rids`] can carry and still fit
+/// [`crate::frame::MAX_FRAME`] (tag + u32 count + 8 bytes per RID).
+/// The encoder clamps to it and the decoder refuses a larger count.
+pub const MAX_RIDS: usize = (crate::frame::MAX_FRAME - 8) / 8;
+
+/// `Rids.rids` is not its type's `u16`-counted list: a lookup can
+/// match more than [`MAX_LIST`] records, so the count is a `u32`,
+/// capped at [`MAX_RIDS`] both ways.
+mod u32_counted_rids {
+    use super::{get_items, put_items, put_u32, Cursor, MAX_RIDS};
+
+    pub(super) fn put(rids: &[u64], out: &mut Vec<u8>) {
+        let n = rids.len().min(MAX_RIDS);
+        put_u32(out, n as u32);
+        put_items(&rids[..n], out);
+    }
+
+    pub(super) fn get(c: &mut Cursor<'_>) -> Option<Vec<u64>> {
+        let n = c.get_u32()? as usize;
+        if n > MAX_RIDS {
+            return None;
+        }
+        get_items(c, n)
+    }
 }
 
-const RESP_PONG: u8 = 1;
-const RESP_TX_BEGUN: u8 = 2;
-const RESP_COMMITTED: u8 = 3;
-const RESP_ROLLED_BACK: u8 = 4;
-const RESP_INSERTED: u8 = 5;
-const RESP_UPDATED: u8 = 6;
-const RESP_DELETED: u8 = 7;
-const RESP_RECORD: u8 = 8;
-const RESP_RIDS: u8 = 9;
-const RESP_PROGRESS: u8 = 10;
-const RESP_INDEX_CREATED: u8 = 11;
-const RESP_STATS: u8 = 12;
-const RESP_BUSY: u8 = 13;
-const RESP_ERR: u8 = 14;
-const RESP_METRICS: u8 = 15;
-const RESP_WAL_FRAME: u8 = 16;
-const RESP_WELCOME: u8 = 17;
-const RESP_PROMOTED: u8 = 18;
-const RESP_TRACE_DUMP: u8 = 19;
+/// `WalFrame.traces` was appended to the frame by minor 1: a frame
+/// that ends where the list would start is a minor-0 frame, and
+/// carries no tags. Sound only because the field is the row's last.
+mod absent_in_minor_0 {
+    use super::{put_list, Cursor, Wire};
+
+    pub(super) fn put(traces: &[(u64, u64)], out: &mut Vec<u8>) {
+        put_list(traces, out);
+    }
+
+    pub(super) fn get(c: &mut Cursor<'_>) -> Option<Vec<(u64, u64)>> {
+        if c.remaining() == 0 {
+            Some(Vec::new())
+        } else {
+            Wire::get(c)
+        }
+    }
+}
+
+wire_enum! {
+    /// Everything the server can answer with.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response {
+        /// Answer to [`Request::Ping`].
+        Pong = 1,
+        /// Transaction opened.
+        TxBegun = 2 {
+            /// Engine transaction id, for observability.
+            tx: u64,
+        },
+        /// Transaction committed (WAL flushed to the commit LSN).
+        Committed = 3,
+        /// Transaction rolled back.
+        RolledBack = 4,
+        /// Record inserted.
+        Inserted = 5 {
+            /// Packed RID of the new record.
+            rid: u64,
+        },
+        /// Record updated in place (or moved; same RID semantics as the
+        /// engine's `update_record`).
+        Updated = 6,
+        /// Record deleted.
+        Deleted = 7,
+        /// Answer to [`Request::Read`].
+        Record = 8 {
+            /// Column values.
+            cols: Vec<i64>,
+        },
+        /// Answer to [`Request::Lookup`].
+        Rids = 9 {
+            /// Packed RIDs of matching records.
+            rids: Vec<u64> as u32_counted_rids,
+        },
+        /// Build progress frame; zero or more precede `IndexCreated`.
+        Progress = 10 {
+            /// Index being built (0 until the id is known).
+            index: u32,
+            /// Current phase.
+            phase: BuildPhase,
+            /// Phase-specific progress figure (records scanned, keys
+            /// inserted, side-file drain position, ...).
+            detail: u64,
+        },
+        /// Build finished; terminal frame of a `CreateIndex` exchange.
+        IndexCreated = 11 {
+            /// Ids of the created indexes, in spec order.
+            ids: Vec<u32>,
+        },
+        /// Counter snapshot, answer to [`Request::Stats`].
+        Stats = 12 {
+            /// `(name, value)` pairs, sorted by name.
+            counters: Vec<(String, u64)>,
+        },
+        /// Admission control rejected the request; retry after backoff.
+        Busy = 13,
+        /// The request failed; terminal frame for its exchange.
+        Err = 14 {
+            /// Structured class, for programmatic handling.
+            code: ErrorCode,
+            /// Human-readable detail (the engine error's `Display`).
+            message: String,
+        },
+        /// Metrics snapshot, answer to [`Request::Metrics`] and the
+        /// periodic frame of an [`Request::ObserveStats`] stream.
+        Metrics = 15 {
+            /// `(name, value)` for every counter and gauge, sorted by
+            /// name.
+            counters: Vec<(String, u64)>,
+            /// `(name, summary)` for every histogram, sorted by name.
+            hists: Vec<(String, HistogramSummaryWire)>,
+        },
+        /// One batch of a [`Request::SubscribeWal`] stream: `count` log
+        /// records in contiguous LSN order, encoded with
+        /// `mohan_wal::codec` (opaque at this layer — the wire crate only
+        /// depends on `mohan-common`). `records` may be empty: frames
+        /// double as heartbeats carrying the primary's advancing flushed
+        /// LSN, which is what the follower's lag gauge measures against.
+        WalFrame = 16 {
+            /// The primary's flushed LSN when the frame was cut; every
+            /// carried record's LSN is ≤ this.
+            flushed: u64,
+            /// Number of records in `records`.
+            count: u32,
+            /// Concatenated record encodings.
+            records: Vec<u8>,
+            /// `(lsn, trace_id)` tags for carried records that were
+            /// appended under a sampled trace — how one trace id follows
+            /// a write across the subscription into the follower's apply
+            /// path. Sparse: untagged records simply have no entry.
+            traces: Vec<(u64, u64)> as absent_in_minor_0,
+        },
+        /// Answer to an accepted [`Request::Hello`].
+        Welcome = 17 {
+            /// The server's packed protocol version.
+            proto_version: u32,
+            /// What the server is right now ([`Role::Primary`] or
+            /// [`Role::Replica`]; promotion changes later answers).
+            role: Role,
+            /// The server's flushed WAL LSN at handshake time — a
+            /// freshness reference point for follower reads.
+            flushed_lsn: u64,
+        },
+        /// Answer to a successful [`Request::Promote`]: the replica is now
+        /// a primary and accepts writes.
+        Promoted = 18 {
+            /// Highest LSN the replica had applied when promoted (its new
+            /// flushed tail).
+            last_lsn: u64,
+            /// In-flight transactions rolled back by the restart-undo pass.
+            losers_undone: u64,
+        },
+        /// Answer to [`Request::TraceDump`]: the span trace ring.
+        TraceDump = 19 {
+            /// JSON-lines dump, one completed span per line.
+            jsonl: String,
+        },
+    }
+}
 
 impl Response {
     /// Encode to a frame payload (tag + body).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Response::Pong => put_u8(&mut out, RESP_PONG),
-            Response::TxBegun { tx } => {
-                put_u8(&mut out, RESP_TX_BEGUN);
-                put_u64(&mut out, *tx);
-            }
-            Response::Committed => put_u8(&mut out, RESP_COMMITTED),
-            Response::RolledBack => put_u8(&mut out, RESP_ROLLED_BACK),
-            Response::Inserted { rid } => {
-                put_u8(&mut out, RESP_INSERTED);
-                put_u64(&mut out, *rid);
-            }
-            Response::Updated => put_u8(&mut out, RESP_UPDATED),
-            Response::Deleted => put_u8(&mut out, RESP_DELETED),
-            Response::Record { cols } => {
-                put_u8(&mut out, RESP_RECORD);
-                put_cols(&mut out, cols);
-            }
-            Response::Rids { rids } => {
-                put_u8(&mut out, RESP_RIDS);
-                let n = rids.len().min(MAX_RIDS);
-                put_u32(&mut out, n as u32);
-                for &r in &rids[..n] {
-                    put_u64(&mut out, r);
-                }
-            }
-            Response::Progress {
-                index,
-                phase,
-                detail,
-            } => {
-                put_u8(&mut out, RESP_PROGRESS);
-                put_u32(&mut out, *index);
-                put_u8(&mut out, phase.tag());
-                put_u64(&mut out, *detail);
-            }
-            Response::IndexCreated { ids } => {
-                put_u8(&mut out, RESP_INDEX_CREATED);
-                let n = ids.len().min(MAX_LIST);
-                put_u16(&mut out, n as u16);
-                for &id in &ids[..n] {
-                    put_u32(&mut out, id);
-                }
-            }
-            Response::Stats { counters } => {
-                put_u8(&mut out, RESP_STATS);
-                let n = counters.len().min(MAX_LIST);
-                put_u16(&mut out, n as u16);
-                for (name, value) in &counters[..n] {
-                    put_string(&mut out, name);
-                    put_u64(&mut out, *value);
-                }
-            }
-            Response::Metrics { counters, hists } => {
-                put_u8(&mut out, RESP_METRICS);
-                let n = counters.len().min(MAX_LIST);
-                put_u16(&mut out, n as u16);
-                for (name, value) in &counters[..n] {
-                    put_string(&mut out, name);
-                    put_u64(&mut out, *value);
-                }
-                let n = hists.len().min(MAX_LIST);
-                put_u16(&mut out, n as u16);
-                for (name, h) in &hists[..n] {
-                    put_string(&mut out, name);
-                    h.encode(&mut out);
-                }
-            }
-            Response::WalFrame {
-                flushed,
-                count,
-                records,
-                traces,
-            } => {
-                put_u8(&mut out, RESP_WAL_FRAME);
-                put_u64(&mut out, *flushed);
-                put_u32(&mut out, *count);
-                put_bytes(&mut out, records);
-                let n = traces.len().min(MAX_LIST);
-                put_u16(&mut out, n as u16);
-                for &(lsn, trace_id) in &traces[..n] {
-                    put_u64(&mut out, lsn);
-                    put_u64(&mut out, trace_id);
-                }
-            }
-            Response::Busy => put_u8(&mut out, RESP_BUSY),
-            Response::Err { code, message } => {
-                put_u8(&mut out, RESP_ERR);
-                code.encode(&mut out);
-                put_string(&mut out, message);
-            }
-            Response::Welcome {
-                proto_version,
-                role,
-                flushed_lsn,
-            } => {
-                put_u8(&mut out, RESP_WELCOME);
-                put_u32(&mut out, *proto_version);
-                put_u8(&mut out, role.tag());
-                put_u64(&mut out, *flushed_lsn);
-            }
-            Response::Promoted {
-                last_lsn,
-                losers_undone,
-            } => {
-                put_u8(&mut out, RESP_PROMOTED);
-                put_u64(&mut out, *last_lsn);
-                put_u64(&mut out, *losers_undone);
-            }
-            Response::TraceDump { jsonl } => {
-                put_u8(&mut out, RESP_TRACE_DUMP);
-                put_string(&mut out, jsonl);
-            }
-        }
-        out
+        encode_payload(self)
     }
 
     /// Decode from a frame payload. `None` means malformed.
     #[must_use]
     pub fn decode(payload: &[u8]) -> Option<Response> {
         let mut c = Cursor::new(payload);
-        let resp = match c.get_u8()? {
-            RESP_PONG => Response::Pong,
-            RESP_TX_BEGUN => Response::TxBegun { tx: c.get_u64()? },
-            RESP_COMMITTED => Response::Committed,
-            RESP_ROLLED_BACK => Response::RolledBack,
-            RESP_INSERTED => Response::Inserted { rid: c.get_u64()? },
-            RESP_UPDATED => Response::Updated,
-            RESP_DELETED => Response::Deleted,
-            RESP_RECORD => Response::Record {
-                cols: get_cols(&mut c)?,
-            },
-            RESP_RIDS => {
-                let n = c.get_u32()? as usize;
-                if n > crate::frame::MAX_FRAME / 8 {
-                    return None;
-                }
-                let mut rids = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    rids.push(c.get_u64()?);
-                }
-                Response::Rids { rids }
-            }
-            RESP_PROGRESS => Response::Progress {
-                index: c.get_u32()?,
-                phase: BuildPhase::from_tag(c.get_u8()?)?,
-                detail: c.get_u64()?,
-            },
-            RESP_INDEX_CREATED => {
-                let n = c.get_u16()? as usize;
-                let mut ids = Vec::with_capacity(n.min(16));
-                for _ in 0..n {
-                    ids.push(c.get_u32()?);
-                }
-                Response::IndexCreated { ids }
-            }
-            RESP_STATS => {
-                let n = c.get_u16()? as usize;
-                let mut counters = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    let name = c.get_string()?;
-                    let value = c.get_u64()?;
-                    counters.push((name, value));
-                }
-                Response::Stats { counters }
-            }
-            RESP_METRICS => {
-                let n = c.get_u16()? as usize;
-                let mut counters = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    let name = c.get_string()?;
-                    let value = c.get_u64()?;
-                    counters.push((name, value));
-                }
-                let n = c.get_u16()? as usize;
-                let mut hists = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    let name = c.get_string()?;
-                    let h = HistogramSummaryWire::decode(&mut c)?;
-                    hists.push((name, h));
-                }
-                Response::Metrics { counters, hists }
-            }
-            RESP_WAL_FRAME => {
-                let flushed = c.get_u64()?;
-                let count = c.get_u32()?;
-                let records = c.get_bytes()?;
-                // Minor-0 frames end here; minor-1 appends the tags.
-                let mut traces = Vec::new();
-                if c.remaining() > 0 {
-                    let n = c.get_u16()? as usize;
-                    traces.reserve(n.min(256));
-                    for _ in 0..n {
-                        traces.push((c.get_u64()?, c.get_u64()?));
-                    }
-                }
-                Response::WalFrame {
-                    flushed,
-                    count,
-                    records,
-                    traces,
-                }
-            }
-            RESP_BUSY => Response::Busy,
-            RESP_ERR => Response::Err {
-                code: ErrorCode::decode(&mut c)?,
-                message: c.get_string()?,
-            },
-            RESP_WELCOME => Response::Welcome {
-                proto_version: c.get_u32()?,
-                role: Role::from_tag(c.get_u8()?)?,
-                flushed_lsn: c.get_u64()?,
-            },
-            RESP_PROMOTED => Response::Promoted {
-                last_lsn: c.get_u64()?,
-                losers_undone: c.get_u64()?,
-            },
-            RESP_TRACE_DUMP => Response::TraceDump {
-                jsonl: c.get_string()?,
-            },
-            _ => return None,
-        };
+        let resp = Response::get(&mut c)?;
         c.finish(resp)
     }
 
@@ -1373,8 +950,9 @@ mod tests {
                         unique: false,
                     },
                 ],
+                options: BuildOptionsWire::default(),
             },
-            Request::CreateIndexV2 {
+            Request::CreateIndex {
                 table: 1,
                 algo: BuildAlgo::Sf,
                 specs: vec![IndexSpecWire {
@@ -1389,7 +967,7 @@ mod tests {
                     checkpoint_every: 10_000,
                 },
             },
-            Request::CreateIndexV2 {
+            Request::CreateIndex {
                 table: 2,
                 algo: BuildAlgo::Nsf,
                 specs: vec![IndexSpecWire {
@@ -1398,6 +976,17 @@ mod tests {
                     unique: false,
                 }],
                 options: BuildOptionsWire::default(),
+            },
+            Request::CreateIndex {
+                table: 3,
+                algo: BuildAlgo::Offline,
+                specs: vec![],
+                options: BuildOptionsWire {
+                    parallel_workers: 0,
+                    compress_runs: false,
+                    sort_side_file_drain: Some(true),
+                    checkpoint_every: u32::MAX,
+                },
             },
             Request::Stats,
             Request::Metrics,
@@ -1426,7 +1015,65 @@ mod tests {
         ]
     }
 
+    /// One of every [`ErrorCode`], data-carrying kinds included.
+    fn every_error_code() -> Vec<ErrorCode> {
+        vec![
+            ErrorCode::UniqueViolation,
+            ErrorCode::LockTimeout,
+            ErrorCode::LockBusy,
+            ErrorCode::NotFound,
+            ErrorCode::PageFull,
+            ErrorCode::Corruption,
+            ErrorCode::BuildCancelled,
+            ErrorCode::InjectedCrash,
+            ErrorCode::TxNotActive,
+            ErrorCode::NoSuchIndex,
+            ErrorCode::IndexNotReadable,
+            ErrorCode::NoOpenTx,
+            ErrorCode::TxAlreadyOpen,
+            ErrorCode::InvalidArg {
+                msg: "no index specs".into(),
+            },
+            ErrorCode::Malformed,
+            ErrorCode::DeadlineExceeded,
+            ErrorCode::Draining,
+            ErrorCode::Internal,
+            ErrorCode::NotWritable {
+                leader_hint: "127.0.0.1:4050".into(),
+            },
+            ErrorCode::Stale { lag: 4096 },
+            ErrorCode::UnsupportedProto,
+            ErrorCode::SubscriptionLagged {
+                retained_from: 88_001,
+            },
+        ]
+    }
+
+    const EVERY_PHASE: [BuildPhase; 7] = [
+        BuildPhase::Starting,
+        BuildPhase::Scanning,
+        BuildPhase::Reducing,
+        BuildPhase::Loading,
+        BuildPhase::Inserting,
+        BuildPhase::Draining,
+        BuildPhase::Done,
+    ];
+
     fn sample_responses() -> Vec<Response> {
+        let mut all = fixed_sample_responses();
+        all.extend(EVERY_PHASE.map(|phase| Response::Progress {
+            index: 3,
+            phase,
+            detail: 1 << 40,
+        }));
+        all.extend(every_error_code().into_iter().map(|code| Response::Err {
+            code,
+            message: "why".into(),
+        }));
+        all
+    }
+
+    fn fixed_sample_responses() -> Vec<Response> {
         vec![
             Response::Pong,
             Response::TxBegun { tx: 42 },
@@ -1527,6 +1174,11 @@ mod tests {
                 role: Role::Replica,
                 flushed_lsn: 7_777,
             },
+            Response::Welcome {
+                proto_version: 1 << 16,
+                role: Role::Primary,
+                flushed_lsn: 0,
+            },
             Response::Promoted {
                 last_lsn: 9_999,
                 losers_undone: 3,
@@ -1535,6 +1187,111 @@ mod tests {
                 jsonl: "{\"name\":\"server.drain\",\"us\":12}\n".into(),
             },
         ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of every sample, one line each, recorded from
+    /// the build before the message table was introduced. A line that
+    /// changes here is a wire-format change: it needs a reason and a
+    /// `PROTO_MINOR` history entry, not a regenerated file.
+    #[test]
+    fn golden_frames() {
+        let mut got = Vec::new();
+        got.extend(
+            sample_requests()
+                .iter()
+                .map(|r| format!("req  {}", hex(&r.encode()))),
+        );
+        got.extend(
+            sample_responses()
+                .iter()
+                .map(|r| format!("resp {}", hex(&r.encode()))),
+        );
+        let want: Vec<&str> = include_str!("golden_frames.txt").lines().collect();
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "golden_frames.txt line {}", i + 1);
+        }
+        assert_eq!(got.len(), want.len(), "sample count vs golden lines");
+        // A row added to a table without a sample has no golden line.
+        let covered =
+            |indexes: Vec<usize>, names: &[&str]| (0..names.len()).all(|i| indexes.contains(&i));
+        assert!(covered(
+            sample_requests().iter().map(Request::index).collect(),
+            Request::NAMES
+        ));
+        assert!(covered(
+            sample_responses().iter().map(Response::index).collect(),
+            Response::NAMES
+        ));
+        assert!(covered(
+            every_error_code().iter().map(ErrorCode::index).collect(),
+            ErrorCode::NAMES
+        ));
+    }
+
+    /// The encodings older peers send, written out by hand: each still
+    /// decodes, and re-encodes in today's form.
+    #[test]
+    fn legacy_encodings_still_decode() {
+        #[rustfmt::skip]
+        let tag_10: &[u8] = &[
+            10,                     // `CreateIndex` before minor 3
+            0, 0, 0, 7,             // table 7
+            2,                      // Sf
+            0, 1,                   // one spec:
+            0, 0, 0, 2, b'i', b'x', //   name "ix"
+            0, 2, 0, 1, 0, 0,       //   key columns [1, 0]
+            1,                      //   unique
+        ];
+        let req = Request::CreateIndex {
+            table: 7,
+            algo: BuildAlgo::Sf,
+            specs: vec![IndexSpecWire {
+                name: "ix".into(),
+                key_cols: vec![1, 0],
+                unique: true,
+            }],
+            options: BuildOptionsWire::default(),
+        };
+        assert_eq!(Request::decode(tag_10), Some(req.clone()));
+        assert!(Request::frame_may_block(tag_10));
+        assert_eq!(req.encode()[0], 19);
+        assert_eq!(Request::decode(&req.encode()), Some(req));
+        // The old tag is as strict as the table's rows.
+        for cut in 0..tag_10.len() {
+            assert_eq!(Request::decode(&tag_10[..cut]), None, "cut {cut}");
+        }
+        let mut trailing = tag_10.to_vec();
+        trailing.push(0);
+        assert_eq!(Request::decode(&trailing), None);
+
+        let dump = Request::TraceDump {
+            trace_id: 0,
+            since_seq: 0,
+        };
+        assert_eq!(Request::decode(&[17]), Some(dump.clone()));
+        assert_eq!(dump.encode().len(), 17);
+
+        #[rustfmt::skip]
+        let minor_0_frame: &[u8] = &[
+            16,                      // `WalFrame`
+            0, 0, 0, 0, 0, 0, 2, 0,  // flushed 512
+            0, 0, 0, 1,              // one record,
+            0, 0, 0, 2, 0xAB, 0xCD,  // two bytes long
+        ]; // and no trace-tag list
+        let frame = Response::WalFrame {
+            flushed: 512,
+            count: 1,
+            records: vec![0xAB, 0xCD],
+            traces: vec![],
+        };
+        assert_eq!(Response::decode(minor_0_frame), Some(frame.clone()));
+        let mut canonical = minor_0_frame.to_vec();
+        canonical.extend_from_slice(&[0, 0]);
+        assert_eq!(frame.encode(), canonical);
     }
 
     #[test]
@@ -1663,11 +1420,6 @@ mod tests {
                 table: 1,
                 algo: BuildAlgo::Sf,
                 specs: vec![],
-            },
-            Request::CreateIndexV2 {
-                table: 1,
-                algo: BuildAlgo::Sf,
-                specs: vec![],
                 options: BuildOptionsWire::default(),
             },
             Request::Promote,
@@ -1720,6 +1472,7 @@ mod tests {
                 key_cols: vec![0],
                 unique: false,
             }],
+            options: BuildOptionsWire::default(),
         };
         let framed = encode_traced(0xfeed_face_0123_4567, &req);
         let (id, inner) = peel_traced(&framed);
@@ -1804,6 +1557,233 @@ mod tests {
                     assert_eq!(message, err.to_string());
                 }
                 other => panic!("expected Err, got {other:?}"),
+            }
+        }
+    }
+
+    // ---- fuzzing: untrusted bytes in, well-formed values round ----
+
+    use proptest::prelude::*;
+
+    /// Raw material for one arbitrary message: which sample to start
+    /// from and the values to overwrite its fields with.
+    type Parts = (usize, u32, u64, Vec<i64>, (Vec<u8>, String, bool));
+
+    fn arb_parts() -> impl Strategy<Value = Parts> {
+        (
+            any::<usize>(),
+            any::<u32>(),
+            any::<u64>(),
+            prop::collection::vec(any::<i64>(), 0..6),
+            (
+                prop::collection::vec(any::<u8>(), 0..12),
+                ".{0,10}",
+                any::<bool>(),
+            ),
+        )
+    }
+
+    fn arb_specs(cols: &[i64], bytes: &[u8], text: &str, flag: bool) -> Vec<IndexSpecWire> {
+        (0..bytes.len() % 3)
+            .map(|i| IndexSpecWire {
+                name: format!("{text}{i}"),
+                key_cols: cols.iter().map(|&c| c as u16).collect(),
+                unique: flag,
+            })
+            .collect()
+    }
+
+    /// A sample request with every field overwritten from `parts`.
+    fn arb_request((pick, a, b, cols, (bytes, text, flag)): Parts) -> Request {
+        let samples = sample_requests();
+        match samples[pick % samples.len()].clone() {
+            Request::Insert { .. } => Request::Insert { table: a, cols },
+            Request::Update { .. } => Request::Update {
+                table: a,
+                rid: b,
+                cols,
+            },
+            Request::Delete { .. } => Request::Delete { table: a, rid: b },
+            Request::Read { .. } => Request::Read { table: a, rid: b },
+            Request::Lookup { .. } => Request::Lookup {
+                index: a,
+                key: bytes,
+            },
+            Request::CreateIndex { algo, .. } => Request::CreateIndex {
+                table: a,
+                algo,
+                specs: arb_specs(&cols, &bytes, &text, flag),
+                options: BuildOptionsWire {
+                    parallel_workers: b as u16,
+                    compress_runs: flag,
+                    sort_side_file_drain: [None, Some(false), Some(true)][bytes.len() % 3],
+                    checkpoint_every: a,
+                },
+            },
+            Request::ObserveStats { .. } => Request::ObserveStats { interval_ms: a },
+            Request::SubscribeWal { .. } => Request::SubscribeWal { from_lsn: b },
+            Request::Hello { role, .. } => Request::Hello {
+                proto_version: a,
+                role,
+            },
+            Request::TraceDump { .. } => Request::TraceDump {
+                trace_id: b,
+                since_seq: u64::from(a),
+            },
+            bodyless => bodyless,
+        }
+    }
+
+    /// A sample response with every field overwritten from `parts`.
+    fn arb_response((pick, a, b, cols, (bytes, text, flag)): Parts) -> Response {
+        let samples = sample_responses();
+        let named =
+            |n: usize| -> Vec<String> { (0..n % 4).map(|i| format!("{text}.{i}")).collect() };
+        match samples[pick % samples.len()].clone() {
+            Response::TxBegun { .. } => Response::TxBegun { tx: b },
+            Response::Inserted { .. } => Response::Inserted { rid: b },
+            Response::Record { .. } => Response::Record { cols },
+            Response::Rids { .. } => Response::Rids {
+                rids: cols.iter().map(|&c| c as u64).collect(),
+            },
+            Response::Progress { phase, .. } => Response::Progress {
+                index: a,
+                phase,
+                detail: b,
+            },
+            Response::IndexCreated { .. } => Response::IndexCreated {
+                ids: bytes.iter().map(|&x| u32::from(x) ^ a).collect(),
+            },
+            Response::Stats { .. } => Response::Stats {
+                counters: named(cols.len()).into_iter().map(|n| (n, b)).collect(),
+            },
+            Response::Metrics { .. } => Response::Metrics {
+                counters: named(cols.len()).into_iter().map(|n| (n, b)).collect(),
+                hists: named(bytes.len())
+                    .into_iter()
+                    .map(|n| {
+                        let h = HistogramSummaryWire {
+                            count: b,
+                            sum: u64::from(a),
+                            max: b ^ 1,
+                            p50: 1,
+                            p90: 2,
+                            p99: b >> 1,
+                        };
+                        (n, h)
+                    })
+                    .collect(),
+            },
+            Response::WalFrame { .. } => Response::WalFrame {
+                flushed: b,
+                count: a,
+                records: bytes,
+                traces: cols.iter().map(|&c| (c as u64, b)).collect(),
+            },
+            Response::Err { code, .. } => Response::Err {
+                code: match code {
+                    ErrorCode::InvalidArg { .. } => ErrorCode::InvalidArg { msg: text.clone() },
+                    ErrorCode::NotWritable { .. } => ErrorCode::NotWritable {
+                        leader_hint: text.clone(),
+                    },
+                    ErrorCode::Stale { .. } => ErrorCode::Stale { lag: b },
+                    ErrorCode::SubscriptionLagged { .. } => {
+                        ErrorCode::SubscriptionLagged { retained_from: b }
+                    }
+                    bodyless => bodyless,
+                },
+                message: if flag {
+                    format!("{text} — naïve")
+                } else {
+                    text
+                },
+            },
+            Response::Welcome { role, .. } => Response::Welcome {
+                proto_version: a,
+                role,
+                flushed_lsn: b,
+            },
+            Response::Promoted { .. } => Response::Promoted {
+                last_lsn: b,
+                losers_undone: u64::from(a),
+            },
+            Response::TraceDump { .. } => Response::TraceDump { jsonl: text },
+            bodyless => bodyless,
+        }
+    }
+
+    /// Bytes a hostile or broken peer could send: pure noise, or — so
+    /// that decoders get past the tag byte — a well-formed encoding
+    /// with a few bytes overwritten and its tail cut or extended.
+    fn arb_frame(encodings: Vec<Vec<u8>>) -> impl Strategy<Value = Vec<u8>> {
+        let damaged = (
+            any::<usize>(),
+            prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            0..=12usize,
+        )
+            .prop_map(move |(pick, edits, tail)| {
+                let mut bytes = encodings[pick % encodings.len()].clone();
+                for (at, byte) in edits {
+                    let len = bytes.len();
+                    bytes[at % len] = byte;
+                }
+                match tail {
+                    0..=7 => {}
+                    8..=9 => bytes.truncate(bytes.len() - bytes.len().min(tail - 7)),
+                    _ => bytes.extend(std::iter::repeat_n(0xA5, tail - 9)),
+                }
+                bytes
+            });
+        prop_oneof![
+            1 => prop::collection::vec(any::<u8>(), 0..48),
+            3 => damaged,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        #[test]
+        fn well_formed_requests_roundtrip(parts in arb_parts()) {
+            let req = arb_request(parts);
+            prop_assert_eq!(Request::decode(&req.encode()), Some(req.clone()));
+            let traced = encode_traced(7, &req);
+            let (id, inner) = peel_traced(&traced);
+            prop_assert_eq!(id, Some(7));
+            prop_assert_eq!(Request::decode(inner), Some(req));
+        }
+
+        #[test]
+        fn well_formed_responses_roundtrip(parts in arb_parts()) {
+            let resp = arb_response(parts);
+            prop_assert_eq!(Response::decode(&resp.encode()), Some(resp));
+        }
+
+        #[test]
+        fn request_decoders_survive_any_bytes(
+            bytes in arb_frame(sample_requests().iter().map(Request::encode).collect()),
+            enveloped in any::<bool>()
+        ) {
+            let mut frame = bytes;
+            if enveloped {
+                frame.insert(0, REQ_TRACED);
+            }
+            let _ = Request::frame_may_block(&frame);
+            let (_, inner) = peel_traced(&frame);
+            // Whatever decodes re-encodes to something that decodes to
+            // the same value: the legacy forms canonicalise, nothing
+            // else changes.
+            if let Some(req) = Request::decode(inner) {
+                prop_assert_eq!(Request::decode(&req.encode()), Some(req));
+            }
+        }
+
+        #[test]
+        fn response_decoder_survives_any_bytes(
+            bytes in arb_frame(sample_responses().iter().map(Response::encode).collect())
+        ) {
+            if let Some(resp) = Response::decode(&bytes) {
+                prop_assert_eq!(Response::decode(&resp.encode()), Some(resp));
             }
         }
     }

@@ -56,7 +56,7 @@
 //! | [`heap`] | heap tables with WAL hooks and scan cursors |
 //! | [`oib`] | **the paper's contribution**: engine + NSF + SF |
 //! | [`wire`] | length-prefixed binary client/server protocol |
-//! | [`server`] | threaded TCP service: sessions, admission control, drain |
+//! | [`server`] | reactor-driven TCP service: sessions, admission control, drain |
 //! | [`client`] | blocking client with connection pooling |
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
