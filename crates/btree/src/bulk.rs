@@ -16,7 +16,7 @@
 //! checkpointed key disappear from the index" and marks pages
 //! allocated after the checkpoint deallocated.
 
-use crate::node::{LeafEntry, Node};
+use crate::node::{Kind, Node};
 use crate::tree::BTree;
 use mohan_common::codec::u32_counted;
 use mohan_common::{wire_struct, Error, IndexEntry, Lsn, PageId, Result};
@@ -55,16 +55,8 @@ pub struct BulkLoader<'t> {
 impl<'t> BulkLoader<'t> {
     /// Start loading into an *empty* tree.
     pub fn new(tree: &'t BTree) -> Result<BulkLoader<'t>> {
-        let anchor = tree.cache.frame(PageId(0))?;
-        let (root, height) = match anchor.latch.share().payload {
-            Node::Anchor { root, height } => (root, height),
-            _ => return Err(Error::Corruption("missing anchor".into())),
-        };
-        if height != 1 {
-            return Err(Error::Corruption("bulk load requires an empty tree".into()));
-        }
-        let root_frame = tree.cache.frame(root)?;
-        if !root_frame.latch.share().payload.leaf_entries().is_empty() {
+        let (root, height) = tree.root()?;
+        if height != 1 || tree.cache.frame(root)?.latch.share().payload.count() != 0 {
             return Err(Error::Corruption("bulk load requires an empty tree".into()));
         }
         Ok(BulkLoader {
@@ -85,111 +77,142 @@ impl<'t> BulkLoader<'t> {
                 )));
             }
         }
-        let fill =
-            ((self.tree.config().page_size as f64) * self.tree.config().fill_factor) as usize;
-        let leaf_page = *self.right_path.last().expect("path nonempty");
-        let frame = self.tree.cache.frame(leaf_page)?;
-        {
-            let mut g = frame.latch.exclusive();
-            let le = LeafEntry::live(entry.clone());
-            if g.payload.size() + le.size() <= fill || g.payload.leaf_entries().is_empty() {
-                if let Node::Leaf { entries, .. } = &mut g.payload {
-                    entries.push(le);
-                }
-                self.last = Some(entry);
-                self.count += 1;
-                return Ok(());
-            }
+        self.tree.check_entry_size(&entry)?;
+        let page_size = self.tree.config().page_size;
+        let frame = self.tree.cache.frame(self.leaf())?;
+        let mut g = frame.latch.exclusive();
+        let leaf = &mut g.payload;
+        let n = leaf.count();
+        if leaf.size() + Node::leaf_cost(&entry) <= self.tree.config().fill_target() || n == 0 {
+            leaf.insert(n, &entry, false)?;
+        } else if leaf.size() + Node::fence_cost(&entry) <= page_size {
+            // Leaf full: close it with the entry as its high fence; the
+            // entry opens the new rightmost leaf.
+            drop(g);
+            let mut fresh = Node::leaf(page_size);
+            fresh.insert(0, &entry, false)?;
+            self.close(&entry, fresh, false)?;
+        } else {
+            // The fence does not fit beside the full leaf's entries: its
+            // last entry moves over and becomes the fence (a fence is two
+            // bytes smaller than the entry and slot it replaces). That
+            // entry came after the last checkpoint, which left room for
+            // any fence ([`BulkLoader::checkpoint`]), so a resume from
+            // that checkpoint loads it again.
+            let moved = leaf.entry(n - 1).to_entry();
+            drop(g);
+            let mut fresh = Node::leaf(page_size);
+            fresh.insert(0, &moved, false)?;
+            fresh.insert(1, &entry, false)?;
+            self.close(&moved, fresh, true)?;
         }
-        // Leaf full: open a new rightmost leaf and promote a separator.
-        let new_leaf = self.tree.cache.allocate(Node::Leaf {
-            entries: vec![LeafEntry::live(entry.clone())],
-            next: None,
-            high_fence: None,
-        });
-        {
-            let mut g = frame.latch.exclusive();
-            if let Node::Leaf {
-                next, high_fence, ..
-            } = &mut g.payload
-            {
-                *next = Some(new_leaf.id);
-                *high_fence = Some(entry.clone());
-            }
-        }
-        let depth = self.right_path.len() - 1;
-        *self.right_path.last_mut().expect("path") = new_leaf.id;
-        self.promote(entry.clone(), new_leaf.id, depth)?;
         self.last = Some(entry);
         self.count += 1;
         Ok(())
     }
 
+    /// The rightmost leaf.
+    fn leaf(&self) -> PageId {
+        *self.right_path.last().expect("path nonempty")
+    }
+
+    /// Close the rightmost leaf: `fresh`, whose first entry is `sep`,
+    /// becomes the rightmost leaf, and `sep` the closed leaf's high
+    /// fence and the separator between the two. With `moved`, `sep` is
+    /// the closed leaf's last entry and leaves it.
+    fn close(&mut self, sep: &IndexEntry, fresh: Node, moved: bool) -> Result<()> {
+        let new_leaf = self.tree.cache.allocate(fresh).id;
+        {
+            let frame = self.tree.cache.frame(self.leaf())?;
+            let mut g = frame.latch.exclusive();
+            let leaf = &mut g.payload;
+            if moved {
+                leaf.truncate(leaf.count() - 1);
+            }
+            leaf.set_next(Some(new_leaf));
+            leaf.set_high_fence(Some(sep))?;
+        }
+        let depth = self.right_path.len() - 1;
+        *self.right_path.last_mut().expect("path") = new_leaf;
+        self.promote(sep.clone(), new_leaf, depth)
+    }
+
     /// Attach `child` (whose low fence is `sep`) at `depth - 1`,
     /// growing the tree if the new child was the root's sibling.
     fn promote(&mut self, sep: IndexEntry, child: PageId, depth: usize) -> Result<()> {
+        let page_size = self.tree.config().page_size;
         if depth == 0 {
             // The split page *was* the root: grow upward. The anchor
             // is authoritative for the old root — `right_path[0]` has
             // already been overwritten with the new rightmost node.
-            let old_root = {
-                let anchor = self.tree.cache.frame(PageId(0))?;
-                let g = anchor.latch.share();
-                match g.payload {
-                    Node::Anchor { root, .. } => root,
-                    _ => return Err(Error::Corruption("missing anchor".into())),
-                }
-            };
-            let new_root = self.tree.cache.allocate(Node::Internal {
-                seps: vec![sep],
-                children: vec![old_root, child],
-            });
+            let (old_root, height) = self.tree.root()?;
+            let mut root = Node::internal(page_size, old_root);
+            root.insert_sep(0, &sep, child)?;
+            let new_root = self.tree.cache.allocate(root).id;
             let anchor = self.tree.cache.frame(PageId(0))?;
-            let mut g = anchor.latch.exclusive();
-            if let Node::Anchor { root, height } = &mut g.payload {
-                *root = new_root.id;
-                *height += 1;
-            }
-            self.right_path.insert(0, new_root.id);
+            anchor
+                .latch
+                .exclusive()
+                .payload
+                .set_anchor(new_root, height + 1);
+            self.right_path.insert(0, new_root);
             return Ok(());
         }
-        let fill =
-            ((self.tree.config().page_size as f64) * self.tree.config().fill_factor) as usize;
         let parent_page = self.right_path[depth - 1];
         let frame = self.tree.cache.frame(parent_page)?;
         {
             let mut g = frame.latch.exclusive();
-            let fits = g.payload.size() + sep.encoded_size() + 4 <= fill;
-            if let Node::Internal { seps, children } = &mut g.payload {
-                if fits || seps.is_empty() {
-                    seps.push(sep);
-                    children.push(child);
-                    return Ok(());
-                }
-            } else {
+            let parent = &mut g.payload;
+            if parent.kind() != Kind::Internal {
                 return Err(Error::Corruption("bulk path parent not internal".into()));
+            }
+            let n = parent.count();
+            if parent.size() + Node::sep_cost(&sep) <= self.tree.config().fill_target() || n == 0 {
+                return parent.insert_sep(n, &sep, child);
             }
         }
         // Parent full: open a new rightmost internal node holding only
         // the new child, and promote the separator another level up.
-        let new_node = self.tree.cache.allocate(Node::Internal {
-            seps: vec![],
-            children: vec![child],
-        });
-        self.right_path[depth - 1] = new_node.id;
-        self.promote(sep, new_node.id, depth - 1)
+        let new_node = self
+            .tree
+            .cache
+            .allocate(Node::internal(page_size, child))
+            .id;
+        self.right_path[depth - 1] = new_node;
+        self.promote(sep, new_node, depth - 1)
     }
 
     /// §3.2.4 checkpoint: force all dirty index pages (the leaves
     /// filled since the last checkpoint plus the rightmost branch),
     /// then describe the loader state for stable storage.
-    pub fn checkpoint(&self, flushed: Lsn) -> Result<BulkCheckpoint> {
+    ///
+    /// An entry the checkpoint covers must stay in the rightmost leaf
+    /// until the leaf closes: [`BulkLoader::resume`] prunes that leaf
+    /// back to those entries, and a page forced later (an engine
+    /// checkpoint forces every tree) may already lack one that moved
+    /// over. So first, if the rightmost leaf has no room for the high
+    /// fence of the widest entry an index admits, it closes now, its
+    /// last entry moving to a new leaf before anything is forced.
+    pub fn checkpoint(&mut self, flushed: Lsn) -> Result<BulkCheckpoint> {
+        if let Some(last) = self.last.clone() {
+            let _structure = self.tree.structure_shared();
+            let page_size = self.tree.config().page_size;
+            let free = self
+                .tree
+                .cache
+                .frame(self.leaf())?
+                .latch
+                .share()
+                .payload
+                .free();
+            if free < self.tree.config().max_entry() {
+                let mut fresh = Node::leaf(page_size);
+                fresh.insert(0, &last, false)?;
+                self.close(&last, fresh, true)?;
+            }
+        }
         self.tree.force_all(flushed)?;
-        let anchor = self.tree.cache.frame(PageId(0))?;
-        let (root, height) = match anchor.latch.share().payload {
-            Node::Anchor { root, height } => (root, height),
-            _ => return Err(Error::Corruption("missing anchor".into())),
-        };
+        let (root, height) = self.tree.root()?;
         Ok(BulkCheckpoint {
             highest: self.last.clone(),
             count: self.count,
@@ -206,41 +229,38 @@ impl<'t> BulkLoader<'t> {
         // Pages allocated after the checkpoint go back to the
         // deallocated state.
         tree.cache.truncate_from(PageId(cp.allocated));
-        // Restore the anchor.
-        {
-            let anchor = tree.cache.frame(PageId(0))?;
-            let mut g = anchor.latch.exclusive();
-            g.payload = Node::Anchor {
-                root: cp.root,
-                height: cp.height,
-            };
-        }
-        // Prune the rightmost branch: keys above the checkpointed
-        // highest key, and children pointing at deallocated pages,
-        // disappear.
+        tree.cache
+            .frame(PageId(0))?
+            .latch
+            .exclusive()
+            .payload
+            .set_anchor(cp.root, cp.height);
+        // Prune the rightmost branch in place: keys above the
+        // checkpointed highest key, and children pointing at
+        // deallocated pages, disappear.
         for &page in &cp.right_path {
             let frame = tree.cache.frame(page)?;
             let mut g = frame.latch.exclusive();
-            match &mut g.payload {
-                Node::Leaf {
-                    entries,
-                    next,
-                    high_fence,
-                } => {
-                    match &cp.highest {
-                        Some(h) => entries.retain(|le| le.entry <= *h),
-                        None => entries.clear(),
-                    }
-                    *next = None; // rightmost leaf has no successor
-                    *high_fence = None;
+            let node = &mut g.payload;
+            match node.kind() {
+                Kind::Leaf => {
+                    let keep = match &cp.highest {
+                        Some(h) => (0..node.count())
+                            .take_while(|&i| node.entry(i).cmp_entry(h).is_le())
+                            .count(),
+                        None => 0,
+                    };
+                    node.truncate(keep);
+                    node.set_next(None); // rightmost leaf has no successor
+                    node.set_high_fence(None)?;
                 }
-                Node::Internal { seps, children } => {
-                    children.retain(|c| c.0 < cp.allocated);
-                    seps.truncate(children.len().saturating_sub(1));
+                Kind::Internal => {
+                    let keep = (0..node.count())
+                        .take_while(|&i| node.child(i + 1).0 < cp.allocated)
+                        .count();
+                    node.truncate(keep);
                 }
-                Node::Anchor { .. } => {
-                    return Err(Error::Corruption("anchor on right path".into()))
-                }
+                Kind::Anchor => return Err(Error::Corruption("anchor on right path".into())),
             }
         }
         Ok(BulkLoader {
@@ -371,10 +391,7 @@ mod tests {
             }
         }
         bl.finish(Lsn::NULL).unwrap();
-        let height = match t.cache.frame(PageId(0)).unwrap().latch.share().payload {
-            Node::Anchor { height, .. } => u64::from(height),
-            _ => unreachable!(),
-        };
+        let height = u64::from(t.root().unwrap().1);
         // Every page once, when the load moves past it, plus per
         // checkpoint the still-growing rightmost branch and the anchor.
         let forced = t.cache.stats.forces.get();
@@ -425,7 +442,7 @@ mod tests {
     #[test]
     fn resume_with_no_checkpointed_keys_restarts_clean() {
         let t = tree();
-        let bl = BulkLoader::new(&t).unwrap();
+        let mut bl = BulkLoader::new(&t).unwrap();
         let cp = bl.checkpoint(Lsn::NULL).unwrap();
         drop(bl);
         // Load some, crash before any further checkpoint.
@@ -443,6 +460,47 @@ mod tests {
         bl3.finish(Lsn::NULL).unwrap();
         assert_eq!(collect_all(&t, true).unwrap().len(), 50);
         verify_structure(&t).unwrap();
+    }
+
+    /// Wide keys on 256-byte pages: a full leaf has no room left for the
+    /// next entry as its high fence. Checkpoint after each key in turn,
+    /// append one more, force the tree as an engine checkpoint does,
+    /// crash and resume: whichever leaf the crash caught closing, the
+    /// load ends with every entry.
+    #[test]
+    fn a_close_forced_after_a_checkpoint_loses_no_entry() {
+        let wide = |k: i64| {
+            IndexEntry::new(
+                KeyValue(format!("{k:024}").into_bytes()),
+                Rid::new(1, k as u16),
+            )
+        };
+        let n = 40i64;
+        let reference: Vec<IndexEntry> = (0..n).map(wide).collect();
+        for cut in 0..n - 1 {
+            let t = tree();
+            let mut bl = BulkLoader::new(&t).unwrap();
+            for k in 0..=cut {
+                bl.append(wide(k)).unwrap();
+            }
+            let cp = bl.checkpoint(Lsn::NULL).unwrap();
+            bl.append(wide(cut + 1)).unwrap();
+            t.force_all(Lsn::NULL).unwrap();
+            drop(bl);
+            t.cache.crash();
+            let mut bl = BulkLoader::resume(&t, &cp).unwrap();
+            for k in cut + 1..n {
+                bl.append(wide(k)).unwrap();
+            }
+            bl.finish(Lsn::NULL).unwrap();
+            verify_structure(&t).unwrap();
+            let got: Vec<IndexEntry> = collect_all(&t, true)
+                .unwrap()
+                .into_iter()
+                .map(|(e, _)| e)
+                .collect();
+            assert_eq!(got, reference, "checkpoint after key {cut}");
+        }
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //! * a checkpointable **bottom-up bulk loader** for SF, whose restart
 //!   resets the index so "the keys higher than the checkpointed key
 //!   disappear" (§3.2.4);
-//! * leaf-chain scans, structural verification and the clustering
-//!   statistics experiment E4 reports.
+//! * a leaf cursor every reader streams through, structural
+//!   verification and the clustering statistics experiment E4 reports.
+//!
+//! Pages are bytes ([`node`]): a slotted layout of `page_size` bytes
+//! that the cache frame holds and the durable image copies.
 //!
 //! Latching: descents crab from an anchor page (which names the root)
 //! downward — share mode for reads, exclusive for updates, releasing
@@ -31,6 +34,6 @@ pub mod scan;
 pub mod tree;
 
 pub use bulk::{BulkCheckpoint, BulkLoader};
-pub use node::{LeafEntry, Node};
-pub use scan::{ClusteringStats, PrefetchStrategy, RangeScanStats};
+pub use node::{EntryRef, Kind, Node};
+pub use scan::{ClusteringStats, LeafCursor, PrefetchStrategy, RangeScanStats};
 pub use tree::{BTree, BTreeConfig, BTreeStats, EntryState, InsertMode, InsertOutcome};

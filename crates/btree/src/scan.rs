@@ -1,64 +1,139 @@
-//! Leaf-chain scans, structural verification and clustering metrics.
+//! Leaf-chain reads, structural verification and clustering metrics.
+//!
+//! Every reader streams: a [`LeafCursor`] holds one leaf under its S
+//! latch at a time and reads its entries in place, so a pass over the
+//! whole index costs a page of memory, not a copy of the tree.
 
-use crate::node::Node;
+use crate::node::{EntryRef, Kind, Node};
 use crate::tree::BTree;
 use mohan_common::{Error, IndexEntry, KeyValue, PageId, Result, Rid};
+use mohan_storage::cache::PageBuf;
+use mohan_storage::ShareGuard;
+use std::cmp::Ordering;
 
-/// Entry probe that sorts before every real entry (routes any descent
-/// to the leftmost leaf).
-fn min_probe() -> IndexEntry {
-    IndexEntry::new(KeyValue::empty(), Rid::MIN)
+/// A read position in the leaf chain: one leaf, S-latched, and an entry
+/// slot in it. Moving to the right sibling latches it before letting the
+/// current leaf go (latch coupling). The caller must not X-latch pages
+/// of the tree while it holds a cursor.
+pub struct LeafCursor<'t> {
+    tree: &'t BTree,
+    page: PageId,
+    leaf: ShareGuard<PageBuf<Node>>,
+    slot: usize,
 }
 
-/// Walk the leaf chain left to right, calling `f` for every leaf
-/// (share-latch coupling).
-pub fn for_each_leaf(tree: &BTree, mut f: impl FnMut(PageId, &Node)) -> Result<()> {
-    // Find the leftmost leaf by descending for the minimal probe.
-    let probe = min_probe();
-    let anchor = tree.cache.frame(PageId(0))?;
-    let mut guard = anchor.latch.share_arc();
-    let mut page;
-    loop {
-        let next = match &guard.payload {
-            Node::Anchor { root, .. } => *root,
-            Node::Internal { children, .. } => children[guard.payload.route(&probe)],
-            Node::Leaf { .. } => unreachable!("loop exits on leaves"),
-        };
-        let frame = tree.cache.frame(next)?;
-        let child = frame.latch.share_arc();
-        if matches!(child.payload, Node::Leaf { .. }) {
-            guard = child;
-            page = next;
-            break;
+impl<'t> LeafCursor<'t> {
+    /// At the first entry `≥ from`, in the leaf a descent for `from`
+    /// reaches.
+    fn seek(tree: &'t BTree, from: &IndexEntry) -> Result<Self> {
+        let (page, leaf) = tree.descend_s(from)?;
+        let slot = leaf.payload.search(from).unwrap_or_else(|p| p);
+        Ok(LeafCursor {
+            tree,
+            page,
+            leaf,
+            slot,
+        })
+    }
+
+    /// At the first entry carrying a key value `≥ key`.
+    pub fn seek_key(tree: &'t BTree, key: &KeyValue) -> Result<Self> {
+        Self::seek(tree, &IndexEntry::new(key.clone(), Rid::MIN))
+    }
+
+    /// At the first entry of the leftmost leaf.
+    pub fn first(tree: &'t BTree) -> Result<Self> {
+        Self::seek_key(tree, &KeyValue::empty())
+    }
+
+    /// At the first entry of leaf `page`, reached by its page id rather
+    /// than a descent ([`for_each_leaf_unlatched`]).
+    fn at(tree: &'t BTree, page: PageId) -> Result<Self> {
+        let leaf = tree.cache.frame(page)?.latch.share_arc();
+        if !leaf.payload.is_leaf() {
+            return Err(Error::Corruption(format!(
+                "{page} in the leaf chain is not a leaf"
+            )));
         }
-        guard = child;
+        Ok(LeafCursor {
+            tree,
+            page,
+            leaf,
+            slot: 0,
+        })
     }
-    loop {
-        f(page, &guard.payload);
-        let next = match &guard.payload {
-            Node::Leaf { next, .. } => *next,
-            _ => unreachable!(),
+
+    /// The current leaf's page id.
+    #[must_use]
+    pub fn page(&self) -> PageId {
+        self.page
+    }
+
+    /// The current leaf.
+    #[must_use]
+    pub fn leaf(&self) -> &Node {
+        &self.leaf.payload
+    }
+
+    /// Move to the right sibling, at its first entry; `false` at the
+    /// rightmost leaf.
+    pub fn next_leaf(&mut self) -> Result<bool> {
+        let Some(next) = self.leaf.payload.next() else {
+            return Ok(false);
         };
-        let Some(np) = next else { return Ok(()) };
-        let frame = tree.cache.frame(np)?;
-        let ng = frame.latch.share_arc();
-        guard = ng;
-        page = np;
+        let leaf = self.tree.cache.frame(next)?.latch.share_arc();
+        self.leaf = leaf;
+        self.page = next;
+        self.slot = 0;
+        Ok(true)
     }
+
+    /// The entry at the cursor, stepping past it; crosses to the right
+    /// sibling when the leaf is done. `None` past the last entry.
+    pub fn next_entry(&mut self) -> Result<Option<EntryRef<'_>>> {
+        while self.slot >= self.leaf.payload.count() {
+            if !self.next_leaf()? {
+                return Ok(None);
+            }
+        }
+        self.slot += 1;
+        Ok(Some(self.leaf.payload.entry(self.slot - 1)))
+    }
+}
+
+/// Walk the leaf chain without holding a latch while working: `note`
+/// reads each leaf under its S latch, the latch goes, and `work` gets
+/// what `note` returned. The walk goes on at the sibling the noted leaf
+/// named. That is sound because leaves are never freed while the tree
+/// lives, and a split of a walked leaf moves to its new sibling only
+/// keys in the range the caller already covered when it noted the leaf.
+pub fn for_each_leaf_unlatched<T>(
+    tree: &BTree,
+    mut note: impl FnMut(&Node) -> T,
+    mut work: impl FnMut(T) -> Result<()>,
+) -> Result<()> {
+    let mut cur = Some(LeafCursor::first(tree)?);
+    while let Some(leaf) = cur.take() {
+        let noted = note(leaf.leaf());
+        let next = leaf.leaf().next();
+        drop(leaf);
+        work(noted)?;
+        cur = next.map(|p| LeafCursor::at(tree, p)).transpose()?;
+    }
+    Ok(())
 }
 
 /// Collect every entry in key order as `(entry, pseudo_deleted)`.
 /// `include_pseudo = false` filters tombstones out (the view a reader
-/// of the finished index sees).
+/// of the finished index sees). A copy of the index: for tests.
 pub fn collect_all(tree: &BTree, include_pseudo: bool) -> Result<Vec<(IndexEntry, bool)>> {
     let mut out = Vec::new();
-    for_each_leaf(tree, |_, node| {
-        for le in node.leaf_entries() {
-            if include_pseudo || !le.pseudo_deleted {
-                out.push((le.entry.clone(), le.pseudo_deleted));
-            }
+    let mut cur = LeafCursor::first(tree)?;
+    while let Some(e) = cur.next_entry()? {
+        if include_pseudo || !e.pseudo {
+            out.push((e.to_entry(), e.pseudo));
         }
-    })?;
+    }
     Ok(out)
 }
 
@@ -107,145 +182,157 @@ pub fn clustering(tree: &BTree) -> Result<ClusteringStats> {
         pseudo_entries: 0,
     };
     let mut occupancy_sum = 0.0;
-    let mut prev: Option<PageId> = None;
-    for_each_leaf(tree, |page, node| {
+    let mut cur = LeafCursor::first(tree)?;
+    loop {
+        let node = cur.leaf();
         stats.leaves += 1;
         occupancy_sum += node.size() as f64 / page_size;
-        for le in node.leaf_entries() {
-            stats.entries += 1;
-            if le.pseudo_deleted {
-                stats.pseudo_entries += 1;
-            }
+        stats.entries += node.count() as u64;
+        stats.pseudo_entries += node.entries().filter(|e| e.pseudo).count() as u64;
+        let page = cur.page();
+        if !cur.next_leaf()? {
+            break;
         }
-        if let Some(p) = prev {
-            stats.transitions += 1;
-            if page > p {
-                stats.ascending += 1;
-            }
+        stats.transitions += 1;
+        if cur.page() > page {
+            stats.ascending += 1;
         }
-        prev = Some(page);
-    })?;
-    if stats.leaves > 0 {
-        stats.avg_occupancy = occupancy_sum / stats.leaves as f64;
     }
+    stats.avg_occupancy = occupancy_sum / stats.leaves as f64;
     Ok(stats)
 }
 
 /// Verify every structural invariant of the tree:
 /// * all leaves at the same depth;
 /// * entries sorted and unique within and across leaves;
-/// * every separator bounds its subtrees;
+/// * every separator bounds its subtrees, every high fence its leaf;
 /// * the leaf chain visits exactly the leaves of the in-order
 ///   traversal, in order.
+///
+/// One in-order pass: it holds the S latches of the path it is on,
+/// compares each entry with the one before it only, and checks each
+/// leaf's chain pointer against the next leaf the traversal reaches.
+/// Call at quiescent points.
 pub fn verify_structure(tree: &BTree) -> Result<()> {
-    let anchor = tree.cache.frame(PageId(0))?;
-    let (root, height) = {
-        let g = anchor.latch.share();
-        match g.payload {
-            Node::Anchor { root, height } => (root, height),
-            _ => return Err(Error::Corruption("page 0 is not the anchor".into())),
-        }
+    let (root, height) = tree.root()?;
+    let mut walk = Walk {
+        tree,
+        height,
+        prev: None,
+        chain: None,
     };
-    let mut leaves_in_order: Vec<PageId> = Vec::new();
-    verify_node(tree, root, height, 1, None, None, &mut leaves_in_order)?;
-
-    // The chain must match the in-order leaf sequence.
-    let mut chain: Vec<PageId> = Vec::new();
-    for_each_leaf(tree, |page, _| chain.push(page))?;
-    if chain != leaves_in_order {
-        return Err(Error::Corruption(format!(
-            "leaf chain {chain:?} disagrees with tree order {leaves_in_order:?}"
-        )));
+    walk.node(root, 1, None, None)?;
+    match walk.chain {
+        Some((leaf, Some(next))) => Err(Error::Corruption(format!(
+            "leaf chain runs on past the last leaf {leaf} to {next}"
+        ))),
+        _ => Ok(()),
     }
-
-    // Global ordering and exact-entry uniqueness.
-    let all = collect_all(tree, true)?;
-    for w in all.windows(2) {
-        if w[0].0 >= w[1].0 {
-            return Err(Error::Corruption(format!(
-                "entries out of order: {:?} !< {:?}",
-                w[0].0, w[1].0
-            )));
-        }
-    }
-    Ok(())
 }
 
-fn verify_node(
-    tree: &BTree,
-    page: PageId,
+/// The in-order pass of [`verify_structure`].
+struct Walk<'t> {
+    tree: &'t BTree,
     height: u32,
-    depth: u32,
-    low: Option<&IndexEntry>,
-    high: Option<&IndexEntry>,
-    leaves: &mut Vec<PageId>,
-) -> Result<()> {
-    let frame = tree.cache.frame(page)?;
-    let g = frame.latch.share();
-    match &g.payload {
-        Node::Anchor { .. } => Err(Error::Corruption("anchor inside tree".into())),
-        Node::Leaf {
-            entries,
-            high_fence,
-            ..
-        } => {
-            if depth != height {
-                return Err(Error::Corruption(format!(
-                    "leaf {page} at depth {depth}, height {height}"
-                )));
+    /// The last entry seen, as key bytes and RID (its buffer is reused).
+    prev: Option<(Vec<u8>, Rid)>,
+    /// The last leaf visited and the sibling its chain pointer names.
+    chain: Option<(PageId, Option<PageId>)>,
+}
+
+impl Walk<'_> {
+    fn node(
+        &mut self,
+        page: PageId,
+        depth: u32,
+        low: Option<EntryRef<'_>>,
+        high: Option<EntryRef<'_>>,
+    ) -> Result<()> {
+        let frame = self.tree.cache.frame(page)?;
+        let g = frame.latch.share();
+        let node = &g.payload;
+        let below = |a: EntryRef<'_>, b: Option<EntryRef<'_>>| {
+            b.is_none_or(|b| a.cmp_ref(&b) == Ordering::Less)
+        };
+        match node.kind() {
+            Kind::Anchor => Err(Error::Corruption("anchor inside tree".into())),
+            Kind::Internal => {
+                for i in 1..node.count() {
+                    if !below(node.entry(i - 1), Some(node.entry(i))) {
+                        return Err(Error::Corruption(format!("{page}: separators unsorted")));
+                    }
+                }
+                for i in 0..=node.count() {
+                    let lo = if i == 0 { low } else { Some(node.entry(i - 1)) };
+                    let hi = if i == node.count() {
+                        high
+                    } else {
+                        Some(node.entry(i))
+                    };
+                    self.node(node.child(i), depth + 1, lo, hi)?;
+                }
+                Ok(())
             }
-            if let (Some(f), Some(hi)) = (high_fence, high) {
-                if f > hi {
+            Kind::Leaf => {
+                if depth != self.height {
                     return Err(Error::Corruption(format!(
-                        "{page}: stored high fence exceeds parent bound"
+                        "leaf {page} at depth {depth}, height {}",
+                        self.height
                     )));
                 }
-            }
-            for le in entries {
-                if let Some(f) = high_fence {
-                    if le.entry >= *f {
+                let fence = node.high_fence();
+                if let (Some(f), Some(hi)) = (fence, high) {
+                    if f.cmp_ref(&hi) == Ordering::Greater {
+                        return Err(Error::Corruption(format!(
+                            "{page}: stored high fence exceeds parent bound"
+                        )));
+                    }
+                }
+                for e in node.entries() {
+                    if !below(e, fence) {
                         return Err(Error::Corruption(format!(
                             "{page}: entry at or above stored high fence"
                         )));
                     }
-                }
-                if let Some(lo) = low {
-                    if le.entry < *lo {
+                    if low.is_some_and(|lo| e.cmp_ref(&lo) == Ordering::Less) {
                         return Err(Error::Corruption(format!("{page}: entry below low fence")));
                     }
-                }
-                if let Some(hi) = high {
-                    if le.entry >= *hi {
+                    if !below(e, high) {
                         return Err(Error::Corruption(format!("{page}: entry above high fence")));
                     }
+                    self.follows(e)?;
                 }
-            }
-            leaves.push(page);
-            Ok(())
-        }
-        Node::Internal { seps, children } => {
-            if children.len() != seps.len() + 1 {
-                return Err(Error::Corruption(format!("{page}: arity mismatch")));
-            }
-            for w in seps.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(Error::Corruption(format!("{page}: separators unsorted")));
+                match self.chain {
+                    Some((_, next)) if next != Some(page) => {
+                        return Err(Error::Corruption(format!(
+                            "leaf chain reaches {next:?} where tree order has {page}"
+                        )))
+                    }
+                    _ => self.chain = Some((page, node.next())),
                 }
+                Ok(())
             }
-            let seps = seps.clone();
-            let children = children.clone();
-            drop(g);
-            for (i, child) in children.iter().enumerate() {
-                let lo = if i == 0 { low } else { Some(&seps[i - 1]) };
-                let hi = if i == seps.len() {
-                    high
-                } else {
-                    Some(&seps[i])
-                };
-                verify_node(tree, *child, height, depth + 1, lo, hi, leaves)?;
-            }
-            Ok(())
         }
+    }
+
+    /// Global ordering and exact-entry uniqueness: `e` sorts after the
+    /// entry before it.
+    fn follows(&mut self, e: EntryRef<'_>) -> Result<()> {
+        if let Some((key, rid)) = &self.prev {
+            let order = e.key.cmp(key).then(e.rid.cmp(rid));
+            if order != Ordering::Greater {
+                return Err(Error::Corruption(format!(
+                    "entries out of order: {:?} !< {:?}",
+                    IndexEntry::new(KeyValue(key.clone()), *rid),
+                    e.to_entry()
+                )));
+            }
+        }
+        let (key, rid) = self.prev.get_or_insert_with(|| (Vec::new(), e.rid));
+        key.clear();
+        key.extend_from_slice(e.key);
+        *rid = e.rid;
+        Ok(())
     }
 }
 
@@ -310,19 +397,19 @@ mod tests {
             t.insert(e(k), InsertMode::Transaction).unwrap();
         }
         // Corrupt a random leaf by reversing its entries.
-        let mut victim = None;
-        for_each_leaf(&t, |page, node| {
-            if node.leaf_entries().len() > 1 && victim.is_none() {
-                victim = Some(page);
-            }
-        })
-        .unwrap();
-        let frame = t.cache.frame(victim.unwrap()).unwrap();
+        let mut cur = LeafCursor::first(&t).unwrap();
+        while cur.leaf().count() < 2 {
+            assert!(cur.next_leaf().unwrap());
+        }
+        let victim = cur.page();
+        drop(cur);
+        let frame = t.cache.frame(victim).unwrap();
         {
             let mut g = frame.latch.exclusive();
-            if let Node::Leaf { entries, .. } = &mut g.payload {
-                entries.reverse();
-            }
+            let first = g.payload.entry(0).to_entry();
+            g.payload.remove(0);
+            let end = g.payload.count();
+            g.payload.insert(end, &first, false).unwrap();
         }
         assert!(verify_structure(&t).is_err());
     }
@@ -424,52 +511,26 @@ pub fn range_scan(
     let mut out = Vec::new();
     let mut pages: Vec<PageId> = Vec::new();
 
-    // Descend to the first leaf that can hold `lo`.
-    let probe = IndexEntry::new(lo.clone(), Rid::MIN);
-    let anchor = tree.cache.frame(PageId(0))?;
-    let mut guard = anchor.latch.share_arc();
-    let mut page;
+    // From the first leaf that can hold `lo`, walk right while the
+    // range continues.
+    let mut cur = LeafCursor::seek_key(tree, lo)?;
     loop {
-        let next = match &guard.payload {
-            Node::Anchor { root, .. } => *root,
-            Node::Internal { children, .. } => children[guard.payload.route(&probe)],
-            Node::Leaf { .. } => unreachable!("loop exits on leaves"),
-        };
-        let frame = tree.cache.frame(next)?;
-        let child = frame.latch.share_arc();
-        if matches!(child.payload, Node::Leaf { .. }) {
-            guard = child;
-            page = next;
-            break;
-        }
-        guard = child;
-    }
-    // Walk right while the range continues.
-    loop {
-        pages.push(page);
-        let (entries, next) = match &guard.payload {
-            Node::Leaf { entries, next, .. } => (entries, *next),
-            _ => unreachable!(),
-        };
+        pages.push(cur.page());
+        let leaf = cur.leaf();
         let mut past_range = false;
-        let start = guard.payload.leaf_lower_bound(lo);
-        for le in &entries[start..] {
-            if le.entry.key > *hi {
+        for i in leaf.lower_bound(lo)..leaf.count() {
+            let e = leaf.entry(i);
+            if e.key > hi.as_bytes() {
                 past_range = true;
                 break;
             }
-            if !le.pseudo_deleted {
-                out.push(le.entry.clone());
+            if !e.pseudo {
+                out.push(e.to_entry());
             }
         }
-        if past_range {
+        if past_range || !cur.next_leaf()? {
             break;
         }
-        let Some(np) = next else { break };
-        let frame = tree.cache.frame(np)?;
-        let ng = frame.latch.share_arc();
-        guard = ng;
-        page = np;
     }
 
     // I/O accounting over the visited page sequence.

@@ -11,7 +11,8 @@
 //! and the paper's pseudo-delete arbitration (§2.2.3) happen entirely
 //! under one leaf latch.
 
-use crate::node::{LeafEntry, Node};
+use crate::node::{self, Kind, Node, Prefer};
+use crate::scan::LeafCursor;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
 use mohan_common::pace::{Ticker, OPS_PER_PACE};
 use mohan_common::stats::Counter;
@@ -41,11 +42,27 @@ pub struct BTreeConfig {
 }
 
 impl BTreeConfig {
-    fn max_entry(&self) -> usize {
+    /// Refuse a page size the byte layout cannot address: 128 to 65 535
+    /// bytes (a page's offsets are `u16`).
+    pub fn check(&self) -> Result<()> {
+        if (128..=usize::from(u16::MAX)).contains(&self.page_size) {
+            Ok(())
+        } else {
+            Err(Error::InvalidArg(format!(
+                "index page size {} outside 128..=65535",
+                self.page_size
+            )))
+        }
+    }
+
+    /// Bytes an entry and its slot may cost a leaf at most. A high fence
+    /// costs less than the entry and slot it stands for, so this also
+    /// bounds every fence.
+    pub(crate) fn max_entry(&self) -> usize {
         self.page_size / 4
     }
 
-    fn fill_target(&self) -> usize {
+    pub(crate) fn fill_target(&self) -> usize {
         ((self.page_size as f64) * self.fill_factor) as usize
     }
 }
@@ -145,16 +162,18 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// Create a fresh tree: anchor + one empty leaf.
+    /// Create a fresh tree: anchor + one empty leaf. Pages are
+    /// `cfg.page_size` bytes; panics on a size [`BTreeConfig::check`]
+    /// refuses.
     #[must_use]
     pub fn create(file: FileId, cfg: BTreeConfig) -> BTree {
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
         let cache = PageCache::new(file);
-        let anchor = cache.allocate(Node::Anchor {
-            root: PageId(1),
-            height: 1,
-        });
+        let anchor = cache.allocate(Node::anchor(PageId(1), 1));
         debug_assert_eq!(anchor.id, PageId(0));
-        let root = cache.allocate(Node::empty_leaf());
+        let root = cache.allocate(Node::leaf(cfg.page_size));
         debug_assert_eq!(root.id, PageId(1));
         BTree {
             cache,
@@ -193,6 +212,16 @@ impl BTree {
         self.cfg.unique
     }
 
+    /// The anchor's root page and tree height.
+    pub fn root(&self) -> Result<(PageId, u32)> {
+        let anchor = self.cache.frame(PageId(0))?;
+        let g = anchor.latch.share();
+        match g.payload.kind() {
+            Kind::Anchor => Ok((g.payload.root(), g.payload.height())),
+            _ => Err(Error::Corruption("page 0 is not the anchor".into())),
+        }
+    }
+
     /// Reset the tree to empty (drop-index / cancel-build, §2.3.2).
     pub fn clear(&self) {
         // Exclude force_all for the duration: a concurrent engine
@@ -200,21 +229,17 @@ impl BTree {
         let _force = self.force.lock();
         let _structure = self.structure.exclusive();
         self.cache.truncate_from(PageId(1));
-        let root = self.cache.allocate(Node::empty_leaf());
+        let root = self.cache.allocate(Node::leaf(self.cfg.page_size));
         let anchor = self.cache.frame(PageId(0)).expect("anchor");
-        let mut g = anchor.latch.exclusive();
-        g.payload = Node::Anchor {
-            root: root.id,
-            height: 1,
-        };
+        anchor.latch.exclusive().payload.set_anchor(root.id, 1);
         *self.hint.lock() = None;
     }
 
     /// Force all dirty index pages (IB checkpoints and engine
     /// checkpoints), in two phases so that writers never wait for more
-    /// than a handful of page encodes.
+    /// than a handful of page copies.
     ///
-    /// Phase 1 holds no structure lock: each dirty page is encoded
+    /// Phase 1 holds no structure lock: each dirty page is copied
     /// under its own S latch into the cache's volatile staging area;
     /// writers keep running and re-dirty what they touch. Phase 2 holds
     /// the structure lock exclusively: with every writer out of the
@@ -242,25 +267,16 @@ impl BTree {
     // ----- descents -------------------------------------------------
 
     /// Share-mode descent to the leaf for `entry`.
-    fn descend_s(&self, entry: &IndexEntry) -> Result<(PageId, ShareGuard<PageBuf<Node>>)> {
+    pub(crate) fn descend_s(
+        &self,
+        entry: &IndexEntry,
+    ) -> Result<(PageId, ShareGuard<PageBuf<Node>>)> {
         self.stats.traversals.bump();
-        let anchor = self.cache.frame(PageId(0))?;
-        let mut guard = anchor.latch.share_arc();
+        let mut guard = self.cache.frame(PageId(0))?.latch.share_arc();
         loop {
-            let next = match &guard.payload {
-                Node::Anchor { root, .. } => *root,
-                Node::Internal { children, .. } => children[guard.payload.route(entry)],
-                Node::Leaf { .. } => {
-                    // `guard` already is the leaf; find its id by
-                    // re-deriving below. Leaf reached only via child
-                    // hop which returns early, so this arm is
-                    // unreachable in practice.
-                    unreachable!("leaf reached without page id")
-                }
-            };
-            let frame = self.cache.frame(next)?;
-            let child = frame.latch.share_arc();
-            if matches!(child.payload, Node::Leaf { .. }) {
+            let next = guard.payload.down(entry)?;
+            let child = self.cache.frame(next)?.latch.share_arc();
+            if child.payload.is_leaf() {
                 return Ok((next, child));
             }
             guard = child;
@@ -275,35 +291,28 @@ impl BTree {
     fn descend_x_with(&self, entry: &IndexEntry, leaf_capacity: usize) -> Result<Vec<PathFrame>> {
         self.stats.traversals.bump();
         let mut path: Vec<PathFrame> = Vec::with_capacity(4);
-        let anchor = self.cache.frame(PageId(0))?;
-        let g = anchor.latch.exclusive_arc();
         path.push(PathFrame {
             page: PageId(0),
-            guard: g,
+            guard: self.cache.frame(PageId(0))?.latch.exclusive_arc(),
         });
         loop {
-            let (next, is_last_internal_hop) = {
-                let top = &path.last().expect("path nonempty").guard.payload;
-                match top {
-                    Node::Anchor { root, .. } => (*root, false),
-                    Node::Internal { children, .. } => (children[top.route(entry)], false),
-                    Node::Leaf { .. } => return Ok(path),
-                }
-            };
-            let _ = is_last_internal_hop;
-            let frame = self.cache.frame(next)?;
-            let guard = frame.latch.exclusive_arc();
-            let safe = match &guard.payload {
-                Node::Leaf { .. } => guard.payload.size() + self.cfg.max_entry() <= leaf_capacity,
-                Node::Internal { .. } => {
-                    guard.payload.size() + self.cfg.max_entry() + 4 <= self.cfg.page_size
-                }
-                Node::Anchor { .. } => return Err(Error::Corruption("anchor below root".into())),
+            let next = path
+                .last()
+                .expect("path nonempty")
+                .guard
+                .payload
+                .down(entry)?;
+            let guard = self.cache.frame(next)?.latch.exclusive_arc();
+            let room = self.cfg.max_entry() + guard.payload.size();
+            let safe = match guard.payload.kind() {
+                Kind::Leaf => room <= leaf_capacity,
+                Kind::Internal => room + 4 <= self.cfg.page_size,
+                Kind::Anchor => return Err(Error::Corruption("anchor below root".into())),
             };
             if safe {
                 path.clear();
             }
-            let done = matches!(guard.payload, Node::Leaf { .. });
+            let done = guard.payload.is_leaf();
             path.push(PathFrame { page: next, guard });
             if done {
                 return Ok(path);
@@ -318,146 +327,46 @@ impl BTree {
 
     // ----- split machinery ------------------------------------------
 
-    /// Split point by accumulated byte size (half split).
-    fn half_split_point(entries: &[LeafEntry]) -> usize {
-        let total: usize = entries.iter().map(LeafEntry::size).sum();
-        let mut acc = 0;
-        for (i, le) in entries.iter().enumerate() {
-            acc += le.size();
-            if acc * 2 >= total {
-                return (i + 1).min(entries.len() - 1).max(1);
-            }
-        }
-        entries.len() / 2
-    }
-
-    /// Adjust a split point outward so it does not cut an equal-key run
-    /// (unique indexes keep key-value groups leaf-local).
-    fn adjust_for_unique(entries: &[LeafEntry], at: usize) -> Result<usize> {
-        if at == 0 || at >= entries.len() {
-            return Ok(at.clamp(1, entries.len().saturating_sub(1).max(1)));
-        }
-        let key = &entries[at - 1].entry.key;
-        if entries[at].entry.key != *key {
-            return Ok(at);
-        }
-        // Try moving right past the run, then left before it.
-        let right = entries[at..]
-            .iter()
-            .position(|e| e.entry.key != *key)
-            .map(|o| at + o);
-        if let Some(r) = right {
-            if r < entries.len() {
-                return Ok(r);
-            }
-        }
-        let left = entries[..at]
-            .iter()
-            .rposition(|e| e.entry.key != *key)
-            .map(|o| o + 1);
-        if let Some(l) = left {
-            if l > 0 {
-                return Ok(l);
-            }
-        }
-        Err(Error::Corruption(
-            "equal-key run fills an entire leaf of a unique index".into(),
-        ))
-    }
-
-    /// Split the leaf at the top of `path`, then insert `le` into the
-    /// proper half. `path` must still contain the leaf's retained
-    /// ancestors. `ib` selects the specialized split.
+    /// Split the leaf at the top of `path` around `entry`, which is
+    /// absent from it, and insert the entry into its half. `path` must
+    /// still contain the leaf's retained ancestors. `ib` selects the
+    /// specialized split. Returns the page the entry landed on.
     fn split_leaf_and_insert(
         &self,
         mut path: Vec<PathFrame>,
-        le: LeafEntry,
+        entry: &IndexEntry,
+        pseudo: bool,
         ib: bool,
     ) -> Result<PageId> {
         let mut leaf_frame = path.pop().expect("leaf frame");
-        let (mut left_entries, old_next, old_fence) = match &mut leaf_frame.guard.payload {
-            Node::Leaf {
-                entries,
-                next,
-                high_fence,
-            } => (std::mem::take(entries), *next, high_fence.take()),
-            _ => return Err(Error::Corruption("split target not a leaf".into())),
-        };
-
-        let pos = left_entries.partition_point(|e| e.entry < le.entry);
-        let mut split_at = if ib {
-            self.stats.ib_splits.bump();
+        let leaf = &leaf_frame.guard.payload;
+        if !leaf.is_leaf() {
+            return Err(Error::Corruption("split target not a leaf".into()));
+        }
+        let pos = leaf.search(entry).unwrap_or_else(|p| p);
+        let cell = node::cell(entry, pseudo, None);
+        let prefer = if ib {
             // Move only the keys higher than the one being inserted
             // (they must have come from transactions); if there are
             // none, open a fresh leaf for the new key (§2.3.1).
-            pos
+            self.stats.ib_splits.bump();
+            Prefer::HigherKeysOnly
         } else {
             self.stats.splits.bump();
-            Self::half_split_point(&left_entries)
+            Prefer::Half
         };
-        if self.cfg.unique && !ib {
-            split_at = Self::adjust_for_unique(&left_entries, split_at)?;
-        }
-        let right_entries: Vec<LeafEntry> = left_entries.split_off(split_at);
-        if let Node::Leaf { entries, .. } = &mut leaf_frame.guard.payload {
-            *entries = left_entries;
-        }
-
-        let _ = pos;
-        let new_frame = self.cache.allocate(Node::Leaf {
-            entries: right_entries,
-            next: old_next,
-            high_fence: old_fence,
-        });
-        let new_page = new_frame.id;
-
-        // Decide which side receives the new entry, insert it, and
-        // derive the separator from the right page's final contents.
-        // The fresh page is unreachable by others until the parent and
-        // chain pointers are updated, so latching it here cannot
-        // deadlock.
-        let (sep, target) = {
-            let mut right = new_frame.latch.exclusive();
-            let goes_right = match right.payload.leaf_entries().first() {
-                Some(first) => le.entry >= first.entry,
-                None => true, // IB append split: fresh leaf takes it
-            };
-            if goes_right {
-                if let Node::Leaf { entries, .. } = &mut right.payload {
-                    let p = entries.partition_point(|e| e.entry < le.entry);
-                    entries.insert(p, le.clone());
-                }
-            } else if let Node::Leaf { entries, .. } = &mut leaf_frame.guard.payload {
-                let p = entries.partition_point(|e| e.entry < le.entry);
-                entries.insert(p, le.clone());
-            }
-            let sep = right
-                .payload
-                .leaf_entries()
-                .first()
-                .map(|e| e.entry.clone())
-                .ok_or_else(|| Error::Corruption("empty right split".into()))?;
-            let target = if goes_right {
-                new_page
-            } else {
-                leaf_frame.page
-            };
-            (sep, target)
-        };
-
-        // Fix the chain and freeze the left page's new upper bound.
-        if let Node::Leaf {
-            next, high_fence, ..
-        } = &mut leaf_frame.guard.payload
-        {
-            *next = Some(new_page);
-            *high_fence = Some(sep.clone());
-        }
+        let at = leaf.split_point(pos, &cell, prefer, self.cfg.unique)?;
+        let (mut left, sep, right) = leaf.split(pos, &cell, at)?;
+        // The right page is complete before anyone can reach it: readers
+        // find it through the left page's chain pointer, which is set
+        // under the left page's X latch, or through the parent.
+        let new_page = self.cache.allocate(right).id;
+        left.set_next(Some(new_page));
+        leaf_frame.guard.payload = left;
         let left_page = leaf_frame.page;
         drop(leaf_frame);
-
         self.insert_separator(path, left_page, sep, new_page)?;
-        Ok(target)
+        Ok(if pos < at { left_page } else { new_page })
     }
 
     /// Propagate a split: link `(sep, new_child)` to the right of
@@ -474,59 +383,42 @@ impl BTree {
                 "split cascaded past retained path".into(),
             ));
         };
-        match &mut parent.guard.payload {
-            Node::Anchor { root, height } => {
+        let node = &mut parent.guard.payload;
+        match node.kind() {
+            Kind::Anchor => {
                 // Root split: grow the tree.
-                debug_assert_eq!(*root, left_child);
-                let new_root = self.cache.allocate(Node::Internal {
-                    seps: vec![sep],
-                    children: vec![left_child, new_child],
-                });
-                *root = new_root.id;
-                *height += 1;
+                debug_assert_eq!(node.root(), left_child);
+                let mut root = Node::internal(self.cfg.page_size, left_child);
+                root.insert_sep(0, &sep, new_child)?;
+                let new_root = self.cache.allocate(root);
+                let height = node.height();
+                node.set_anchor(new_root.id, height + 1);
                 Ok(())
             }
-            Node::Internal { seps, children } => {
-                let idx = children
-                    .iter()
-                    .position(|&c| c == left_child)
+            Kind::Internal => {
+                let pos = node
+                    .child_pos(left_child)
                     .ok_or_else(|| Error::Corruption("lost child during split".into()))?;
-                seps.insert(idx, sep);
-                children.insert(idx + 1, new_child);
-                if parent.guard.payload.size() <= self.cfg.page_size {
-                    return Ok(());
+                if node.size() + Node::sep_cost(&sep) <= self.cfg.page_size {
+                    return node.insert_sep(pos, &sep, new_child);
                 }
-                // Split this internal node: middle separator moves up.
-                let (mut lseps, mut lchildren) = match &mut parent.guard.payload {
-                    Node::Internal { seps, children } => {
-                        (std::mem::take(seps), std::mem::take(children))
-                    }
-                    _ => unreachable!(),
-                };
-                let mid = lseps.len() / 2;
-                let up = lseps[mid].clone();
-                let rseps = lseps.split_off(mid + 1);
-                lseps.pop(); // `up` moves up, not right
-                let rchildren = lchildren.split_off(mid + 1);
-                let new_node = self.cache.allocate(Node::Internal {
-                    seps: rseps,
-                    children: rchildren,
-                });
-                parent.guard.payload = Node::Internal {
-                    seps: lseps,
-                    children: lchildren,
-                };
+                // Split this internal node: one separator moves up.
+                let cell = node::cell(&sep, false, Some(new_child));
+                let at = node.split_point(pos, &cell, Prefer::Half, false)?;
+                let (left, up, right) = node.split(pos, &cell, at)?;
+                let new_node = self.cache.allocate(right).id;
+                parent.guard.payload = left;
                 let left_page = parent.page;
                 drop(parent);
-                self.insert_separator(path, left_page, up, new_node.id)
+                self.insert_separator(path, left_page, up, new_node)
             }
-            Node::Leaf { .. } => Err(Error::Corruption("leaf as split parent".into())),
+            Kind::Leaf => Err(Error::Corruption("leaf as split parent".into())),
         }
     }
 
     // ----- inserts ---------------------------------------------------
 
-    fn check_entry_size(&self, entry: &IndexEntry) -> Result<()> {
+    pub(crate) fn check_entry_size(&self, entry: &IndexEntry) -> Result<()> {
         if entry.encoded_size() + 1 > self.cfg.max_entry() {
             return Err(Error::Corruption(format!(
                 "key of {} bytes exceeds max entry size {}",
@@ -544,35 +436,29 @@ impl BTree {
             return None;
         }
         let page = (*self.hint.lock())?;
-        let frame = self.cache.frame(page).ok()?;
-        let guard = frame.latch.exclusive_arc();
+        let guard = self.cache.frame(page).ok()?.latch.exclusive_arc();
+        let leaf = &guard.payload;
         // The hinted path holds no ancestors, so it must never split:
         // reject leaves at the IB fill target and fall back to a full
         // crabbing descent.
-        let fits = guard.payload.size() + entry.encoded_size() < self.cfg.fill_target();
-        match &guard.payload {
-            Node::Leaf {
-                entries,
-                high_fence,
-                ..
-            } => {
-                let first = entries.first()?;
-                if *entry < first.entry || !fits {
-                    return None;
-                }
-                // The high fence is frozen at split time, so this
-                // containment check stays sound even after physical
-                // deletes shuffle the neighbours' first keys.
-                if let Some(fence) = high_fence {
-                    if *entry >= *fence {
-                        return None;
-                    }
-                }
-                self.stats.remembered_hits.bump();
-                Some(vec![PathFrame { page, guard }])
-            }
-            _ => None,
+        if !leaf.is_leaf()
+            || leaf.count() == 0
+            || leaf.size() + Node::leaf_cost(entry) > self.cfg.fill_target()
+            || leaf.entry(0).cmp_entry(entry).is_gt()
+        {
+            return None;
         }
+        // The high fence is frozen at split time, so this containment
+        // check stays sound even after physical deletes shuffle the
+        // neighbours' first keys.
+        if leaf
+            .high_fence()
+            .is_some_and(|f| f.cmp_entry(entry).is_le())
+        {
+            return None;
+        }
+        self.stats.remembered_hits.bump();
+        Some(vec![PathFrame { page, guard }])
     }
 
     /// Insert `entry` (live). See [`InsertOutcome`] for the cases.
@@ -589,40 +475,32 @@ impl BTree {
         let leaf_page = leaf.page;
 
         // Duplicate / uniqueness checks under the leaf latch.
-        match leaf.guard.payload.leaf_search(&entry) {
+        let pos = match leaf.guard.payload.search(&entry) {
             Ok(i) => {
-                let pseudo = leaf.guard.payload.leaf_entries()[i].pseudo_deleted;
+                let pseudo = leaf.guard.payload.entry(i).pseudo;
                 self.stats.duplicate_rejects.bump();
                 return Ok(InsertOutcome::DuplicateEntry { pseudo });
             }
-            Err(_) => {
-                if self.cfg.unique {
-                    if let Some((rid, pseudo)) = find_key_conflict(&leaf.guard.payload, &entry) {
-                        return Ok(InsertOutcome::DuplicateKeyValue {
-                            existing: rid,
-                            existing_pseudo: pseudo,
-                        });
-                    }
-                }
+            Err(pos) => pos,
+        };
+        if self.cfg.unique {
+            if let Some((rid, pseudo)) = find_key_conflict(&leaf.guard.payload, &entry) {
+                return Ok(InsertOutcome::DuplicateKeyValue {
+                    existing: rid,
+                    existing_pseudo: pseudo,
+                });
             }
         }
 
-        let le = LeafEntry::live(entry);
         let threshold = match mode {
             InsertMode::Ib => self.cfg.fill_target(),
             InsertMode::Transaction => self.cfg.page_size,
         };
-        let landed = if leaf.guard.payload.size() + le.size() <= threshold {
-            let pos = match leaf.guard.payload.leaf_search(&le.entry) {
-                Err(p) => p,
-                Ok(_) => unreachable!("checked above"),
-            };
-            if let Node::Leaf { entries, .. } = &mut leaf.guard.payload {
-                entries.insert(pos, le);
-            }
+        let landed = if leaf.guard.payload.size() + Node::leaf_cost(&entry) <= threshold {
+            leaf.guard.payload.insert(pos, &entry, false)?;
             leaf_page
         } else {
-            self.split_leaf_and_insert(path, le, mode == InsertMode::Ib)?
+            self.split_leaf_and_insert(path, &entry, false, mode == InsertMode::Ib)?
         };
         self.stats.inserts.bump();
         if mode == InsertMode::Ib {
@@ -638,23 +516,19 @@ impl BTree {
     pub fn set_pseudo(&self, entry: &IndexEntry, pseudo: bool) -> Result<bool> {
         let _structure = self.structure_shared();
         let mut path = self.descend_x(entry)?;
-        let leaf = path.last_mut().expect("leaf");
-        match leaf.guard.payload.leaf_search(entry) {
-            Ok(i) => {
-                if let Node::Leaf { entries, .. } = &mut leaf.guard.payload {
-                    if entries[i].pseudo_deleted != pseudo {
-                        entries[i].pseudo_deleted = pseudo;
-                        if pseudo {
-                            self.stats.pseudo_deletes.bump();
-                        } else {
-                            self.stats.reactivations.bump();
-                        }
-                    }
-                }
-                Ok(true)
+        let leaf = &mut path.last_mut().expect("leaf").guard.payload;
+        let Ok(i) = leaf.search(entry) else {
+            return Ok(false);
+        };
+        if leaf.entry(i).pseudo != pseudo {
+            leaf.set_pseudo(i, pseudo);
+            if pseudo {
+                self.stats.pseudo_deletes.bump();
+            } else {
+                self.stats.reactivations.bump();
             }
-            Err(_) => Ok(false),
         }
+        Ok(true)
     }
 
     /// Deleter path: mark the exact entry pseudo-deleted, or plant a
@@ -664,23 +538,18 @@ impl BTree {
     pub fn pseudo_delete_or_tombstone(&self, entry: &IndexEntry) -> Result<bool> {
         let _structure = self.structure_shared();
         let mut path = self.descend_x(entry)?;
-        let leaf = path.last_mut().expect("leaf");
-        match leaf.guard.payload.leaf_search(entry) {
+        let leaf = &mut path.last_mut().expect("leaf").guard.payload;
+        match leaf.search(entry) {
             Ok(i) => {
-                if let Node::Leaf { entries, .. } = &mut leaf.guard.payload {
-                    entries[i].pseudo_deleted = true;
-                }
+                leaf.set_pseudo(i, true);
                 self.stats.pseudo_deletes.bump();
                 Ok(true)
             }
             Err(pos) => {
-                let le = LeafEntry::tombstone(entry.clone());
-                if leaf.guard.payload.size() + le.size() <= self.cfg.page_size {
-                    if let Node::Leaf { entries, .. } = &mut leaf.guard.payload {
-                        entries.insert(pos, le);
-                    }
+                if leaf.size() + Node::leaf_cost(entry) <= self.cfg.page_size {
+                    leaf.insert(pos, entry, true)?;
                 } else {
-                    self.split_leaf_and_insert(path, le, false)?;
+                    self.split_leaf_and_insert(path, entry, true, false)?;
                 }
                 self.stats.tombstones.bump();
                 Ok(false)
@@ -690,19 +559,7 @@ impl BTree {
 
     /// Physically remove the exact entry (GC, drain deletes, cancel).
     pub fn physical_delete(&self, entry: &IndexEntry) -> Result<bool> {
-        let _structure = self.structure_shared();
-        let mut path = self.descend_x(entry)?;
-        let leaf = path.last_mut().expect("leaf");
-        match leaf.guard.payload.leaf_search(entry) {
-            Ok(i) => {
-                if let Node::Leaf { entries, .. } = &mut leaf.guard.payload {
-                    entries.remove(i);
-                }
-                self.stats.physical_deletes.bump();
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
+        self.remove_if(entry, |_| true)
     }
 
     /// Physically remove the exact entry only if it is still live.
@@ -712,21 +569,22 @@ impl BTree {
     /// resumed IB re-insert the stale key (§2.2.3) — so it stays.
     /// Returns `true` if the entry was removed.
     pub fn physical_delete_if_live(&self, entry: &IndexEntry) -> Result<bool> {
+        self.remove_if(entry, |pseudo| !pseudo)
+    }
+
+    /// Remove the exact entry if present and `when` accepts its
+    /// pseudo-deleted flag.
+    fn remove_if(&self, entry: &IndexEntry, when: impl Fn(bool) -> bool) -> Result<bool> {
         let _structure = self.structure_shared();
         let mut path = self.descend_x(entry)?;
-        let leaf = path.last_mut().expect("leaf");
-        match leaf.guard.payload.leaf_search(entry) {
-            Ok(i) => {
-                if let Node::Leaf { entries, .. } = &mut leaf.guard.payload {
-                    if entries[i].pseudo_deleted {
-                        return Ok(false);
-                    }
-                    entries.remove(i);
-                }
+        let leaf = &mut path.last_mut().expect("leaf").guard.payload;
+        match leaf.search(entry) {
+            Ok(i) if when(leaf.entry(i).pseudo) => {
+                leaf.remove(i);
                 self.stats.physical_deletes.bump();
                 Ok(true)
             }
-            Err(_) => Ok(false),
+            _ => Ok(false),
         }
     }
 
@@ -737,20 +595,16 @@ impl BTree {
         let _structure = self.structure_shared();
         let probe = IndexEntry::new(key.clone(), old_rid);
         let mut path = self.descend_x(&probe)?;
-        let leaf = path.last_mut().expect("leaf");
-        match leaf.guard.payload.leaf_search(&probe) {
-            Ok(i) => {
-                if let Node::Leaf { entries, .. } = &mut leaf.guard.payload {
-                    entries.remove(i);
-                    let fresh = LeafEntry::live(IndexEntry::new(key.clone(), new_rid));
-                    let pos = entries.partition_point(|e| e.entry < fresh.entry);
-                    entries.insert(pos, fresh);
-                }
-                self.stats.reactivations.bump();
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
+        let leaf = &mut path.last_mut().expect("leaf").guard.payload;
+        let Ok(i) = leaf.search(&probe) else {
+            return Ok(false);
+        };
+        leaf.remove(i);
+        let fresh = IndexEntry::new(key.clone(), new_rid);
+        let pos = leaf.search(&fresh).unwrap_or_else(|p| p);
+        leaf.insert(pos, &fresh, false)?;
+        self.stats.reactivations.bump();
+        Ok(true)
     }
 
     // ----- lookups ---------------------------------------------------
@@ -758,42 +612,21 @@ impl BTree {
     /// Look up the exact entry.
     pub fn lookup_exact(&self, entry: &IndexEntry) -> Result<Option<EntryState>> {
         let (_, guard) = self.descend_s(entry)?;
-        Ok(match guard.payload.leaf_search(entry) {
-            Ok(i) => Some(EntryState {
-                pseudo_deleted: guard.payload.leaf_entries()[i].pseudo_deleted,
-            }),
-            Err(_) => None,
-        })
+        Ok(guard.payload.search(entry).ok().map(|i| EntryState {
+            pseudo_deleted: guard.payload.entry(i).pseudo,
+        }))
     }
 
     /// All `(RID, pseudo)` pairs carrying `key`, in RID order. Walks
     /// right across leaves with share-latch coupling.
     pub fn lookup_key_group(&self, key: &KeyValue) -> Result<Vec<(Rid, bool)>> {
-        let probe = IndexEntry::new(key.clone(), Rid::MIN);
-        let (_, mut guard) = self.descend_s(&probe)?;
+        let mut cur = LeafCursor::seek_key(self, key)?;
         let mut out = Vec::new();
-        loop {
-            let (entries, next) = match &guard.payload {
-                Node::Leaf { entries, next, .. } => (entries, *next),
-                _ => unreachable!(),
-            };
-            let start = guard.payload.leaf_lower_bound(key);
-            let mut past_group = false;
-            for le in &entries[start..] {
-                if le.entry.key == *key {
-                    out.push((le.entry.rid, le.pseudo_deleted));
-                } else {
-                    past_group = true;
-                    break;
-                }
-            }
-            if past_group {
+        while let Some(e) = cur.next_entry()? {
+            if e.key != key.as_bytes() {
                 break;
             }
-            let Some(np) = next else { break };
-            let frame = self.cache.frame(np)?;
-            let next_guard = frame.latch.share_arc();
-            guard = next_guard;
+            out.push((e.rid, e.pseudo));
         }
         Ok(out)
     }
@@ -804,17 +637,17 @@ impl BTree {
 /// group invariant, the leaf alone is authoritative. Prefers a live
 /// conflict over a pseudo-deleted one.
 fn find_key_conflict(leaf: &Node, entry: &IndexEntry) -> Option<(Rid, bool)> {
-    let start = leaf.leaf_lower_bound(&entry.key);
     let mut pseudo_hit: Option<(Rid, bool)> = None;
-    for le in &leaf.leaf_entries()[start..] {
-        if le.entry.key != entry.key {
+    for i in leaf.lower_bound(&entry.key)..leaf.count() {
+        let le = leaf.entry(i);
+        if le.key != entry.key.as_bytes() {
             break;
         }
-        if le.entry.rid != entry.rid {
-            if le.pseudo_deleted {
-                pseudo_hit.get_or_insert((le.entry.rid, true));
+        if le.rid != entry.rid {
+            if le.pseudo {
+                pseudo_hit.get_or_insert((le.rid, true));
             } else {
-                return Some((le.entry.rid, false));
+                return Some((le.rid, false));
             }
         }
     }

@@ -8,7 +8,9 @@
 pub struct EngineConfig {
     /// Usable byte capacity of a data page (slotted heap page).
     pub data_page_size: usize,
-    /// Usable byte capacity of an index page (leaf or internal).
+    /// Usable byte capacity of an index page (leaf or internal),
+    /// 128 to 65 535 (a page's offsets are `u16`); creating an index
+    /// under any other size fails with `InvalidArg`.
     pub index_page_size: usize,
     /// Fraction of an index leaf left free by bulk / IB inserts for
     /// future growth (§2.2.3: "the proper amount of desired free space

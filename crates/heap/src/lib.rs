@@ -241,20 +241,23 @@ impl HeapTable {
         Ok(old)
     }
 
-    /// Release a slot and the bytes reserved by a (now committed)
-    /// delete, making them reusable.
+    /// The transaction that deleted or updated the record at `rid`
+    /// ended — committed, or finished rolling back: release the slot and
+    /// bytes its delete reserved, or the bytes its shrinking update or
+    /// its undo steps held, making them reusable.
     pub fn release_slot(&self, rid: Rid) -> Result<()> {
         let frame = self.cache.frame(rid.page)?;
-        let mut g = frame.latch.exclusive();
-        g.payload.free_slot(rid.slot);
-        drop(g);
-        self.fsm.note_free(rid.page);
+        let freed = frame.latch.exclusive().payload.free_slot(rid.slot);
+        if freed {
+            self.fsm.note_free(rid.page);
+        }
         Ok(())
     }
 
     /// Post-recovery sweep: every still-reserved slot belonged to a
     /// committed deleter (losers were rolled back, restoring their
-    /// records), so free them all.
+    /// records), so free them all, and end the holds the losers'
+    /// rollbacks kept.
     pub fn sweep_reserved(&self) -> Result<u64> {
         let mut freed = 0;
         for pnum in 0..self.cache.num_pages() {
@@ -262,16 +265,15 @@ impl HeapTable {
             let Ok(frame) = self.cache.frame(page) else {
                 continue;
             };
-            let mut g = frame.latch.exclusive();
-            for slot in g.payload.reserved_slots() {
-                g.payload.free_slot(slot);
-                freed += 1;
-            }
+            freed += frame.latch.exclusive().payload.sweep() as u64;
         }
         Ok(freed)
     }
 
-    /// Update a record in place, returning its before-image.
+    /// Update a record in place, returning its before-image. A shrink
+    /// holds the record's old length until the updater ends
+    /// ([`HeapTable::release_slot`] at its commit or at the end of its
+    /// rollback), so every [`HeapTable::undo_restore`] fits.
     pub fn update_with(
         &self,
         rid: Rid,
@@ -478,20 +480,13 @@ impl HeapTable {
         Ok(old)
     }
 
-    /// Undo of a delete restores the exact record at its original RID.
-    pub fn undo_delete(&self, rid: Rid, old: &[u8], log: impl FnOnce() -> Lsn) -> Result<()> {
+    /// Undo of a delete or an update: put the before-image back at its
+    /// original RID. Like every undo step it keeps the record's hold,
+    /// which the rollback's end releases ([`HeapTable::release_slot`]).
+    pub fn undo_restore(&self, rid: Rid, old: &[u8], log: impl FnOnce() -> Lsn) -> Result<()> {
         let frame = self.ensure(rid.page)?;
         let mut g = frame.latch.exclusive();
-        g.payload.insert_at(rid.slot, old)?;
-        g.lsn = log();
-        Ok(())
-    }
-
-    /// Undo of an update restores the before-image.
-    pub fn undo_update(&self, rid: Rid, old: &[u8], log: impl FnOnce() -> Lsn) -> Result<()> {
-        let frame = self.ensure(rid.page)?;
-        let mut g = frame.latch.exclusive();
-        g.payload.update_at(rid.slot, old)?;
+        g.payload.restore(rid.slot, old)?;
         g.lsn = log();
         Ok(())
     }
@@ -794,7 +789,7 @@ mod tests {
         let t = table();
         let rid = t.insert_with(b"keep-me", no_log).unwrap();
         let old = t.delete_with(rid, |_| Lsn(2)).unwrap();
-        t.undo_delete(rid, &old, || Lsn(3)).unwrap();
+        t.undo_restore(rid, &old, || Lsn(3)).unwrap();
         assert_eq!(t.read(rid).unwrap(), b"keep-me");
         let frame = t.cache.frame(rid.page).unwrap();
         assert_eq!(frame.latch.share().lsn, Lsn(3));
@@ -813,9 +808,84 @@ mod tests {
         assert_eq!(t.num_pages(), 1, "10 bytes left on the page");
         let old = t.delete_with(rid, |_| Lsn(2)).unwrap();
         let other = t.insert_with(&[3; 14], no_log).unwrap();
-        t.undo_delete(rid, &old, || Lsn(3)).unwrap();
+        t.undo_restore(rid, &old, || Lsn(3)).unwrap();
         assert_eq!(t.read(rid).unwrap(), vec![1; 18]);
         assert_ne!(other.page, rid.page);
+    }
+
+    /// A shrinking update keeps its record's old length until the
+    /// updater ends: the 22 bytes a 30 → 8-byte update frees cannot go
+    /// to an 18-byte insert, so the rollback to 30 bytes fits. After the
+    /// updater commits they are free.
+    #[test]
+    fn undo_update_fits_after_a_shrink_and_an_insert() {
+        let t = table();
+        let rid = t.insert_with(&[1; 30], no_log).unwrap();
+        for _ in 0..4 {
+            t.insert_with(&[2; 40], no_log).unwrap();
+        }
+        t.insert_with(&[3; 20], no_log).unwrap();
+        assert_eq!(t.num_pages(), 1, "18 bytes left on the page");
+        let old = t.update_with(rid, &[4; 8], |_| Lsn(2)).unwrap();
+        let other = t.insert_with(&[5; 18], no_log).unwrap();
+        assert_ne!(other.page, rid.page, "the shrink's bytes are held");
+        t.undo_restore(rid, &old, || Lsn(3)).unwrap();
+        assert_eq!(t.read(rid).unwrap(), vec![1; 30]);
+
+        t.update_with(rid, &[4; 8], |_| Lsn(4)).unwrap();
+        t.release_slot(rid).unwrap();
+        let after = t.insert_with(&[6; 18], no_log).unwrap();
+        assert_eq!(after.page, rid.page, "the committed shrink freed them");
+    }
+
+    /// A rollback undoes one step at a time and lets the page go between
+    /// steps, so its steps keep the hold as well: after a 30 → 8-byte
+    /// update and then a delete, or a second update to 5 bytes, undoing
+    /// the later step puts back 8 bytes, and an 18-byte insert that comes
+    /// before the next step still cannot take the 22 bytes it restores.
+    #[test]
+    fn undo_steps_keep_the_hold_between_them() {
+        for delete in [true, false] {
+            let t = table();
+            let rid = t.insert_with(&[1; 30], no_log).unwrap();
+            for _ in 0..4 {
+                t.insert_with(&[2; 40], no_log).unwrap();
+            }
+            t.insert_with(&[3; 20], no_log).unwrap();
+            let first = t.update_with(rid, &[4; 8], |_| Lsn(2)).unwrap();
+            if delete {
+                let old = t.delete_with(rid, |_| Lsn(3)).unwrap();
+                t.undo_restore(rid, &old, || Lsn(4)).unwrap();
+            } else {
+                let old = t.update_with(rid, &[5; 5], |_| Lsn(3)).unwrap();
+                t.undo_restore(rid, &old, || Lsn(4)).unwrap();
+            }
+            assert_eq!(t.read(rid).unwrap(), vec![4; 8]);
+            let other = t.insert_with(&[6; 18], no_log).unwrap();
+            assert_ne!(
+                other.page, rid.page,
+                "delete {delete}: the undo kept the hold"
+            );
+            t.undo_restore(rid, &first, || Lsn(5)).unwrap();
+            assert_eq!(t.read(rid).unwrap(), vec![1; 30]);
+            t.release_slot(rid).unwrap();
+        }
+    }
+
+    /// The end of a rollback releases what its steps held: undoing a
+    /// 20 → 40-byte update puts back 20 bytes and holds 40 until then.
+    #[test]
+    fn the_end_of_a_rollback_releases_its_holds() {
+        let t = table();
+        let rid = t.insert_with(&[1; 20], no_log).unwrap();
+        let old = t.update_with(rid, &[2; 40], |_| Lsn(2)).unwrap();
+        let frame = t.cache.frame(rid.page).unwrap();
+        let free = || frame.latch.share().payload.total_free();
+        let before = free();
+        t.undo_restore(rid, &old, || Lsn(3)).unwrap();
+        assert_eq!(free(), before, "held until the rollback ends");
+        t.release_slot(rid).unwrap();
+        assert_eq!(free(), before + 20);
     }
 
     /// A release writes no log record, so restart redoes an insert into

@@ -323,7 +323,7 @@ fn make_runtime(
     spec: &IndexSpec,
     algorithm: BuildAlgorithm,
     state: IndexState,
-) -> Arc<IndexRuntime> {
+) -> Result<Arc<IndexRuntime>> {
     let def = IndexDef {
         id: db.next_index_id(),
         name: spec.name.clone(),
@@ -331,7 +331,7 @@ fn make_runtime(
         unique: spec.unique,
         key_cols: spec.key_cols.clone(),
     };
-    Arc::new(IndexRuntime::new(def, algorithm, state, &db.cfg))
+    Ok(Arc::new(IndexRuntime::new(def, algorithm, state, &db.cfg)?))
 }
 
 /// Create and register the descriptors, then fix the scan bound.
@@ -360,6 +360,10 @@ fn create_descriptors(
         BuildAlgorithm::Sf => IndexState::SfBuilding,
         BuildAlgorithm::Offline => unreachable!("offline uses offline_build"),
     };
+    let runtimes = specs
+        .iter()
+        .map(|spec| make_runtime(db, table, spec, algorithm, state))
+        .collect::<Result<Vec<_>>>()?;
     let quiesce_tx = if algorithm == BuildAlgorithm::Nsf && db.cfg.nsf_descriptor_quiesce {
         let tx = db.begin();
         db.locks.lock(tx, LockName::Table(table), LockMode::S)?;
@@ -368,8 +372,7 @@ fn create_descriptors(
         None
     };
     let mut out = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let rt = make_runtime(db, table, spec, algorithm, state);
+    for rt in runtimes {
         force_empty_tree(db, &rt)?;
         db.register_index(Arc::clone(&rt));
         out.push(rt);
@@ -1081,7 +1084,7 @@ fn sf_load_phase(
 /// deterministically even if a crash hits before the first real
 /// checkpoint.
 fn loader_init_checkpoint(db: &Db, idx: &IndexRuntime) -> Result<mohan_btree::BulkCheckpoint> {
-    let loader = BulkLoader::new(&idx.tree)?;
+    let mut loader = BulkLoader::new(&idx.tree)?;
     force_index_pages(db, idx, "load", |flushed| loader.checkpoint(flushed))
 }
 
@@ -1307,7 +1310,7 @@ fn offline_build(
                 spec,
                 BuildAlgorithm::Offline,
                 IndexState::Complete,
-            );
+            )?;
             publish_scan_bounds(&rt, &tbl);
             rt.configure_run_store(opts.compress_runs);
             idxs.push(rt);

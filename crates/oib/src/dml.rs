@@ -143,7 +143,7 @@ impl Db {
             )
             .unwrap_or(Lsn::NULL)
         })?;
-        self.note_delete(tx, table_id, rid);
+        self.note_hold(tx, table_id, rid);
         let old_rec = Record::decode(&old)?;
         for (idx, mech) in &actions {
             let entry = idx.def.entry_of(&old_rec, rid)?;
@@ -192,6 +192,7 @@ impl Db {
             )
             .unwrap_or(Lsn::NULL)
         })?;
+        self.note_hold(tx, table_id, rid);
         let old_rec = Record::decode(&old)?;
         for (idx, mech) in actions {
             let old_e = idx.def.entry_of(&old_rec, rid)?;

@@ -59,9 +59,11 @@ pub struct Db {
     tables: RwLock<HashMap<TableId, Arc<HeapTable>>>,
     indexes: RwLock<Vec<Arc<IndexRuntime>>>,
     txs: Mutex<HashMap<TxId, Lsn>>,
-    /// Slots reserved by each transaction's deletes; released (made
-    /// reusable) at commit, restored in place by rollback.
-    tx_deletes: Mutex<HashMap<TxId, Vec<(TableId, Rid)>>>,
+    /// Records each transaction deleted or updated: the slots its
+    /// deletes reserved and the bytes its shrinking updates (and its
+    /// undo steps) held are released when it ends — at commit, or once
+    /// its rollback has put every record back.
+    tx_holds: Mutex<HashMap<TxId, Vec<(TableId, Rid)>>>,
     next_tx: AtomicU64,
     next_index: AtomicU32,
     /// Dynamic role. Seeded from `cfg.replica`; promotion flips it to
@@ -91,7 +93,7 @@ impl Db {
             tables: RwLock::new(HashMap::new()),
             indexes: RwLock::new(Vec::new()),
             txs: Mutex::new(HashMap::new()),
-            tx_deletes: Mutex::new(HashMap::new()),
+            tx_holds: Mutex::new(HashMap::new()),
             next_tx: AtomicU64::new(1),
             next_index: AtomicU32::new(1),
             replica,
@@ -343,7 +345,7 @@ impl Db {
                         e.algorithm,
                         e.state,
                         &self.cfg,
-                    ));
+                    )?);
                     rt.apply_catalog_entry(&e);
                     self.adopt_tree_histograms(&rt);
                     if e.state == IndexState::Complete {
@@ -442,25 +444,33 @@ impl Db {
         Ok(lsn)
     }
 
-    /// Commit: log, force the log, release locks and reserved slots.
+    /// Commit: log, force the log, release locks, reserved slots and
+    /// held bytes.
     pub fn commit(&self, tx: TxId) -> Result<()> {
         let lsn = self.log(tx, RecKind::RedoOnly, LogPayload::TxCommit)?;
         self.wal.flush_to(lsn);
-        if let Some(deleted) = self.tx_deletes.lock().remove(&tx) {
-            for (table, rid) in deleted {
-                if let Ok(t) = self.table(table) {
-                    let _ = t.release_slot(rid);
-                }
-            }
-        }
+        self.release_holds(tx);
         self.locks.release_all(tx);
         self.txs.lock().remove(&tx);
         Ok(())
     }
 
-    /// Record that `tx` deleted `rid` (slot released at commit).
-    pub(crate) fn note_delete(&self, tx: TxId, table: TableId, rid: Rid) {
-        self.tx_deletes
+    /// `tx` ended: release the slots its deletes reserved and the bytes
+    /// its updates and undo steps held.
+    fn release_holds(&self, tx: TxId) {
+        if let Some(held) = self.tx_holds.lock().remove(&tx) {
+            for (table, rid) in held {
+                if let Ok(t) = self.table(table) {
+                    let _ = t.release_slot(rid);
+                }
+            }
+        }
+    }
+
+    /// Record that `tx` deleted or updated `rid` (its reservation or
+    /// hold is released when `tx` ends).
+    pub(crate) fn note_hold(&self, tx: TxId, table: TableId, rid: Rid) {
+        self.tx_holds
             .lock()
             .entry(tx)
             .or_default()
@@ -495,9 +505,9 @@ impl Db {
             .wal
             .append(tx, new_last, RecKind::RedoOnly, LogPayload::TxEnd);
         self.wal.flush_to(end);
-        // Rollback restored the deleted records in place; the
-        // reservations simply lapse.
-        self.tx_deletes.lock().remove(&tx);
+        // Rollback restored the deleted and updated records in place,
+        // each step keeping the record's hold so the next one fits.
+        self.release_holds(tx);
         self.locks.release_all(tx);
         self.txs.lock().remove(&tx);
         Ok(())
@@ -565,7 +575,7 @@ impl Db {
         self.wal.crash();
         self.locks.crash();
         self.txs.lock().clear();
-        self.tx_deletes.lock().clear();
+        self.tx_holds.lock().clear();
         for t in self.tables.read().values() {
             t.crash();
         }
@@ -908,7 +918,7 @@ impl RecoveryTarget for Db {
                 let tbl = self.table(*table)?;
                 let mut plan = Vec::new();
                 let mut clr_lsn = Lsn::NULL;
-                tbl.undo_delete(*rid, old, || {
+                tbl.undo_restore(*rid, old, || {
                     let (count_now, _) = self.plan_forward(*table, *rid, old);
                     plan = self.plan_undo(*table, *rid, old, *visible_indexes, rec.lsn);
                     clr_lsn = clr(LogPayload::HeapInsert {
@@ -937,7 +947,7 @@ impl RecoveryTarget for Db {
                 let tbl = self.table(*table)?;
                 let mut plan = Vec::new();
                 let mut clr_lsn = Lsn::NULL;
-                tbl.undo_update(*rid, old, || {
+                tbl.undo_restore(*rid, old, || {
                     let (count_now, _) = self.plan_forward(*table, *rid, old);
                     plan = self.plan_undo(*table, *rid, old, *visible_indexes, rec.lsn);
                     clr_lsn = clr(LogPayload::HeapUpdate {

@@ -12,6 +12,7 @@
 //! probe itself; see DESIGN.md.)
 
 use crate::engine::Db;
+use mohan_btree::scan::for_each_leaf_unlatched;
 use mohan_common::{IndexId, Result};
 use mohan_lock::{LockMode, LockName};
 use mohan_wal::{LogPayload, RecKind};
@@ -28,47 +29,57 @@ pub struct GcStats {
     pub skipped: u64,
 }
 
-/// One background GC pass over an index.
+/// One background GC pass over an index, one leaf at a time: under the
+/// leaf's S latch note its pseudo-deleted keys and its right sibling,
+/// then let the latch go, probe and delete, and go on at the sibling.
 pub fn garbage_collect(db: &Arc<Db>, index: IndexId) -> Result<GcStats> {
     let idx = db.index(index)?;
     let mut stats = GcStats::default();
-    // Snapshot the pseudo-deleted keys (leaf scan), then probe each.
-    let all = mohan_btree::scan::collect_all(&idx.tree, true)?;
+    let (mut removed, mut skipped) = (0, 0);
     let tx = db.begin();
-    let result = (|| -> Result<()> {
-        for (entry, pseudo) in all {
-            stats.scanned += 1;
-            if !pseudo {
-                continue;
-            }
-            match db
-                .locks
-                .try_instant(tx, LockName::Record(idx.def.table, entry.rid), LockMode::S)
-            {
-                Ok(()) => {
-                    // The marking transaction has finished. A rollback
-                    // would have reactivated the key, so a still-pseudo
-                    // key is committed-dead: remove it.
-                    if idx.tree.physical_delete(&entry)? {
-                        db.log(
-                            tx,
-                            RecKind::UndoRedo,
-                            LogPayload::IndexPhysicalDelete {
-                                index,
-                                entry,
-                                was_pseudo: true,
-                            },
-                        )?;
-                        stats.removed += 1;
+    let result = for_each_leaf_unlatched(
+        &idx.tree,
+        |leaf| {
+            stats.scanned += leaf.count() as u64;
+            leaf.entries()
+                .filter(|e| e.pseudo)
+                .map(|e| e.to_entry())
+                .collect::<Vec<_>>()
+        },
+        |pseudo| {
+            for entry in pseudo {
+                match db.locks.try_instant(
+                    tx,
+                    LockName::Record(idx.def.table, entry.rid),
+                    LockMode::S,
+                ) {
+                    Ok(()) => {
+                        // The marking transaction has finished. A
+                        // rollback would have reactivated the key, so a
+                        // still-pseudo key is committed-dead: remove it.
+                        if idx.tree.physical_delete(&entry)? {
+                            db.log(
+                                tx,
+                                RecKind::UndoRedo,
+                                LogPayload::IndexPhysicalDelete {
+                                    index,
+                                    entry,
+                                    was_pseudo: true,
+                                },
+                            )?;
+                            removed += 1;
+                        }
+                    }
+                    Err(_) => {
+                        skipped += 1;
                     }
                 }
-                Err(_) => {
-                    stats.skipped += 1;
-                }
             }
-        }
-        Ok(())
-    })();
+            Ok(())
+        },
+    );
+    stats.removed = removed;
+    stats.skipped = skipped;
     match result {
         Ok(()) => {
             db.commit(tx)?;

@@ -13,20 +13,21 @@
 //! precisely the behavioural delta §6.2 describes.
 //!
 //! The scan snapshots one leaf at a time under its share latch and
-//! advances the key cursor to the leaf's last key before unlatching;
-//! operations racing on the boundary key go to the side-file and are
-//! reconciled at drain time (duplicate-insert rejection / missing-key
-//! deletes), so no key is lost or duplicated.
+//! advances the key cursor to the leaf's high fence before unlatching,
+//! then reads that leaf's records and moves on; operations racing on
+//! the boundary key go to the side-file and are reconciled at drain time
+//! (duplicate-insert rejection / missing-key deletes), so no key is lost
+//! or duplicated.
 
 use crate::build::IndexSpec;
 use crate::engine::Db;
 use crate::progress::{self, BuildProgress};
 use crate::runtime::{IndexRuntime, IndexState, KeyCursor};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
-use mohan_btree::scan::for_each_leaf;
-use mohan_btree::{BulkLoader, Node};
+use mohan_btree::scan::for_each_leaf_unlatched;
+use mohan_btree::BulkLoader;
 use mohan_common::pace::{Ticker, KEYS_PER_PACE};
-use mohan_common::{Error, IndexEntry, IndexId, Result, Rid};
+use mohan_common::{Error, IndexEntry, IndexId, KeyValue, Result};
 use mohan_sort::{ExternalSort, MergeCheckpoint};
 use std::sync::Arc;
 
@@ -51,7 +52,7 @@ pub fn build_secondary_via_primary(
         unique: spec.unique,
         key_cols: spec.key_cols.clone(),
     };
-    let mut rt = IndexRuntime::new(def, BuildAlgorithm::Sf, IndexState::SfBuilding, &db.cfg);
+    let mut rt = IndexRuntime::new(def, BuildAlgorithm::Sf, IndexState::SfBuilding, &db.cfg)?;
     rt.key_cursor = Some(KeyCursor::for_pk_cols(prim.def.key_cols.clone()));
     let idx = Arc::new(rt);
     crate::build::force_empty_tree(db, &idx)?;
@@ -60,82 +61,69 @@ pub fn build_secondary_via_primary(
 
     let result = (|| -> Result<()> {
         // Scan the primary index leaf by leaf: snapshot the live
-        // entries under the latch, advance the cursor to the leaf's
-        // last key, then read the records and feed the sorter.
+        // entries under the latch, advance the cursor past the leaf,
+        // then let the latch go and read the records into the sorter.
         let store = idx.run_store();
         let mut rf = mohan_sort::RunFormation::new(Arc::clone(&store), db.cfg.sort_workspace_keys);
         let mut seq = 0u64;
         let heap = db.table(table)?;
         let kc = idx.key_cursor.as_ref().expect("cursor installed");
-        let mut leaves: Vec<Vec<(mohan_common::KeyValue, Rid)>> = Vec::new();
-        // Two-stage per leaf: copy under latch + advance cursor...
-        for_each_leaf(&prim.tree, |_page, node| {
-            let mut batch = Vec::new();
-            for le in node.leaf_entries() {
-                if !le.pseudo_deleted {
-                    batch.push((le.entry.key.clone(), le.entry.rid));
-                }
-            }
-            // Advance the cursor to the leaf's *high fence* — the
-            // upper bound of its whole key range — not just its last
-            // existing key: a new primary key landing between the last
-            // key and the fence belongs to this (already walked) leaf
-            // and must count as visible.
-            match node {
-                Node::Leaf {
-                    high_fence: Some(f),
-                    ..
-                } => kc.advance(f.key.clone()),
-                _ => {
-                    if let Some((last_key, _)) = batch.last() {
-                        kc.advance(last_key.clone());
-                    }
-                }
-            }
-            if matches!(node, Node::Leaf { next: None, .. }) {
-                // Rightmost leaf: finish the cursor *under its latch*.
-                // A primary-entry insert above the walked key space
-                // needs this leaf's X latch, so it either landed before
-                // the walk (snapshotted) or will see the done flag and
-                // go to the side-file.
-                kc.finish();
-            }
-            leaves.push(batch);
-            // ...then process the snapshot. (The callback runs under
-            // the leaf latch; the heap reads below happen after
-            // `for_each_leaf` moves on, which is safe because the
-            // cursor already covers this leaf.)
-        })?;
-        // The key-space walk is complete: everything from here on —
-        // including primary keys above the highest walked key, the
-        // key-model analog of records on pages beyond the RID scan's
-        // end bound — is the transactions' responsibility. Finish the
-        // cursor *before* the deferred heap reads so operations racing
-        // those reads go to the side-file, where drain reconciliation
-        // (duplicate rejection, missing-key deletes) absorbs the
-        // overlap.
-        idx.finish_scan();
         let mut pacer = Ticker::new(KEYS_PER_PACE);
-        for batch in leaves {
-            for (_pk, rid) in batch {
-                pacer.tick();
-                match heap.read(rid) {
-                    Ok(data) => {
-                        let rec = Record::decode(&data)?;
-                        let entry = idx.def.entry_of(&rec, rid)?;
-                        seq += 1;
-                        rf.push(entry, seq)?;
-                    }
-                    Err(Error::NotFound(_)) => {
-                        // Deleted behind the cursor: the deleter's
-                        // side-file entry (or the absence of the key)
-                        // covers it.
-                    }
-                    Err(e) => return Err(e),
+        for_each_leaf_unlatched(
+            &prim.tree,
+            |leaf| {
+                // Advance the cursor to the leaf's *high fence* — the
+                // upper bound of its whole key range — not just its last
+                // existing key: a new primary key landing between the
+                // last key and the fence belongs to this (already
+                // walked) leaf and must count as visible.
+                match (leaf.high_fence(), leaf.count()) {
+                    (Some(f), _) => kc.advance(KeyValue(f.key.to_vec())),
+                    (None, 0) => {}
+                    (None, n) => kc.advance(KeyValue(leaf.entry(n - 1).key.to_vec())),
                 }
-                db.failpoints.hit("primary.scan.record")?;
-            }
-        }
+                if leaf.next().is_none() {
+                    // Rightmost leaf: the key-space walk is complete,
+                    // and it ends *under this leaf's latch*. A
+                    // primary-entry insert above the walked key space
+                    // needs this leaf's X latch, so it either landed
+                    // before the walk (snapshotted) or sees the scan
+                    // finished and goes to the side-file. From here on
+                    // everything — including primary keys above the
+                    // highest walked key, the key-model analog of
+                    // records on pages beyond the RID scan's end bound —
+                    // is the transactions' responsibility.
+                    idx.finish_scan();
+                }
+                leaf.entries()
+                    .filter(|e| !e.pseudo)
+                    .map(|e| e.rid)
+                    .collect::<Vec<_>>()
+            },
+            |rids| {
+                // The cursor covers this leaf, so operations racing
+                // these reads go to the side-file, where drain
+                // reconciliation absorbs the overlap.
+                for rid in rids {
+                    pacer.tick();
+                    match heap.read(rid) {
+                        Ok(data) => {
+                            let rec = Record::decode(&data)?;
+                            seq += 1;
+                            rf.push(idx.def.entry_of(&rec, rid)?, seq)?;
+                        }
+                        Err(Error::NotFound(_)) => {
+                            // Deleted behind the cursor: the deleter's
+                            // side-file entry (or the absence of the
+                            // key) covers it.
+                        }
+                        Err(e) => return Err(e),
+                    }
+                    db.failpoints.hit("primary.scan.record")?;
+                }
+                Ok(())
+            },
+        )?;
         let runs = rf.finish()?;
 
         // Reduce + bottom-up load, same as the RID-based SF build.
@@ -154,25 +142,26 @@ pub fn build_secondary_via_primary(
                 emitted: 0,
             },
         )?;
-        let mut sorted: Vec<IndexEntry> = merge.collect();
         // The sorter ran on a sequence number, not the entry order of
         // the *secondary* key — entries are already key-ordered by the
-        // sort itself; deduplicate exact repeats from boundary overlap.
-        sorted.dedup();
+        // sort itself; exact repeats from boundary overlap are skipped.
         let mut loader = BulkLoader::new(&idx.tree)?;
-        if idx.def.unique {
-            for w in sorted.windows(2) {
-                if w[0].key == w[1].key {
+        let mut prev: Option<IndexEntry> = None;
+        for e in merge {
+            if let Some(p) = &prev {
+                if *p == e {
+                    continue;
+                }
+                if idx.def.unique && p.key == e.key {
                     return Err(Error::UniqueViolation {
                         index: id,
-                        existing: w[0].rid,
+                        existing: p.rid,
                     });
                 }
             }
-        }
-        for e in sorted {
             pacer.tick();
-            loader.append(e)?;
+            loader.append(e.clone())?;
+            prev = Some(e);
         }
         db.wal.flush_all();
         loader.finish(db.wal.flushed_lsn())?;

@@ -131,24 +131,23 @@ pub struct IndexRuntime {
 
 impl IndexRuntime {
     /// Create the runtime for a new index. The tree's page file id is
-    /// derived from the index id.
-    #[must_use]
+    /// derived from the index id. `InvalidArg` if `cfg.index_page_size`
+    /// is outside 128..=65535.
     pub fn new(
         def: IndexDef,
         algorithm: BuildAlgorithm,
         initial_state: IndexState,
         cfg: &EngineConfig,
-    ) -> IndexRuntime {
-        let tree = BTree::create(
-            FileId(1_000_000 + def.id.0),
-            BTreeConfig {
-                page_size: cfg.index_page_size,
-                fill_factor: cfg.index_fill_factor,
-                unique: def.unique,
-                hint_enabled: cfg.ib_remembered_path,
-            },
-        );
-        IndexRuntime {
+    ) -> Result<IndexRuntime> {
+        let tree_cfg = BTreeConfig {
+            page_size: cfg.index_page_size,
+            fill_factor: cfg.index_fill_factor,
+            unique: def.unique,
+            hint_enabled: cfg.ib_remembered_path,
+        };
+        tree_cfg.check()?;
+        let tree = BTree::create(FileId(1_000_000 + def.id.0), tree_cfg);
+        Ok(IndexRuntime {
             def,
             algorithm,
             tree,
@@ -160,7 +159,7 @@ impl IndexRuntime {
             key_cursor: None,
             sort_store: Mutex::new(None),
             read_watermark: Mutex::new(None),
-        }
+        })
     }
 
     /// Advance the gradual-read watermark (NSF builder, after a
@@ -435,6 +434,25 @@ mod tests {
             state,
             &EngineConfig::small(),
         )
+        .unwrap()
+    }
+
+    #[test]
+    fn an_index_page_size_the_layout_cannot_address_is_refused() {
+        let def = rt(IndexState::Complete).def;
+        for page_size in [64, 127, 65_536] {
+            let cfg = EngineConfig {
+                index_page_size: page_size,
+                ..EngineConfig::small()
+            };
+            let made = IndexRuntime::new(
+                def.clone(),
+                BuildAlgorithm::Sf,
+                IndexState::SfBuilding,
+                &cfg,
+            );
+            assert!(matches!(made, Err(Error::InvalidArg(_))), "{page_size}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! message, shared by `golden_blobs.rs` (their exact bytes) and
 //! `hostile_bytes.rs` (their decoders under attack).
 
-use mohan_btree::{BulkCheckpoint, LeafEntry, Node};
+use mohan_btree::{BulkCheckpoint, Node};
 use mohan_common::codec::{encode, Wire};
 use mohan_common::{IndexEntry, IndexId, KeyValue, Lsn, PageId, Rid, TableId, TxId};
 use mohan_oib::progress::{BuildProgress, PartCheckpoint};
@@ -30,6 +30,29 @@ pub trait Sink {
 
 pub fn entry(key: i64, page: u32, slot: u16) -> IndexEntry {
     IndexEntry::new(KeyValue::from_i64(key), Rid::new(page, slot))
+}
+
+/// Index pages of the samples are this small, to keep their lines short.
+pub const PAGE: usize = 128;
+
+/// An internal page over children 1, then each separator's.
+fn internal(seps: &[(IndexEntry, PageId)]) -> Node {
+    let mut n = Node::internal(PAGE, PageId(1));
+    for (i, (sep, child)) in seps.iter().enumerate() {
+        n.insert_sep(i, sep, *child).unwrap();
+    }
+    n
+}
+
+/// A leaf of `entries` (with their pseudo-deleted flags).
+fn leaf(entries: &[(IndexEntry, bool)], next: Option<PageId>, fence: Option<IndexEntry>) -> Node {
+    let mut n = Node::leaf(PAGE);
+    for (i, (e, pseudo)) in entries.iter().enumerate() {
+        n.insert(i, e, *pseudo).unwrap();
+    }
+    n.set_next(next);
+    n.set_high_fence(fence.as_ref()).unwrap();
+    n
 }
 
 fn def(id: u32, name: &str, unique: bool, key_cols: Vec<usize>) -> IndexDef {
@@ -195,37 +218,16 @@ pub fn samples(sink: &mut impl Sink) {
     );
 
     for node in [
-        Node::Anchor {
-            root: PageId(7),
-            height: 3,
-        },
-        Node::Internal {
-            seps: vec![entry(10, 1, 0), entry(20, 1, 0)],
-            children: vec![PageId(1), PageId(2), PageId(3)],
-        },
-        Node::Leaf {
-            entries: vec![
-                LeafEntry::live(entry(1, 1, 1)),
-                LeafEntry::tombstone(entry(2, 1, 2)),
-            ],
-            next: Some(PageId(9)),
-            high_fence: Some(entry(5, 0, 0)),
-        },
-        Node::Leaf {
-            entries: vec![LeafEntry::live(entry(3, 2, 0))],
-            next: None,
-            high_fence: None,
-        },
-        Node::Leaf {
-            entries: vec![LeafEntry::tombstone(entry(4, 2, 1))],
-            next: None,
-            high_fence: Some(entry(8, 0, 0)),
-        },
-        Node::Leaf {
-            entries: vec![],
-            next: Some(PageId(4)),
-            high_fence: None,
-        },
+        Node::anchor(PageId(7), 3),
+        internal(&[(entry(10, 1, 0), PageId(2)), (entry(20, 1, 0), PageId(3))]),
+        leaf(
+            &[(entry(1, 1, 1), false), (entry(2, 1, 2), true)],
+            Some(PageId(9)),
+            Some(entry(5, 0, 0)),
+        ),
+        leaf(&[(entry(3, 2, 0), false)], None, None),
+        leaf(&[(entry(4, 2, 1), true)], None, Some(entry(8, 0, 0))),
+        leaf(&[], Some(PageId(4)), None),
     ] {
         sink.add("node", &node);
     }

@@ -2,8 +2,7 @@
 //! checkpointed that way under concurrent writers still resumes after
 //! a crash into an exact index.
 
-use mohan_btree::Node;
-use mohan_common::{EngineConfig, PageId, Rid, TableId};
+use mohan_common::{EngineConfig, Rid, TableId};
 use mohan_oib::build::{build_indexes_with, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::runtime::{IndexRuntime, IndexState};
 use mohan_oib::schema::{BuildAlgorithm, Record};
@@ -44,18 +43,7 @@ fn cache_force(db: &Db) -> u64 {
 }
 
 fn tree_height(idx: &IndexRuntime) -> u64 {
-    match idx
-        .tree
-        .cache
-        .frame(PageId(0))
-        .unwrap()
-        .latch
-        .share()
-        .payload
-    {
-        Node::Anchor { height, .. } => u64::from(height),
-        _ => unreachable!("page 0 is the anchor"),
-    }
+    u64::from(idx.tree.root().unwrap().1)
 }
 
 /// Build under `WRITERS` concurrent sessions until the armed `site`

@@ -69,6 +69,25 @@ fn rollback_restores_deleted_and_updated_records() {
     assert_eq!(db.read_record(T, rids[1]).unwrap(), rec(1, 10));
 }
 
+/// Each undo step keeps the record's hold so that the next step fits;
+/// the end of the rollback releases them, as a commit does. Rolling back
+/// a widening update leaves the page's free bytes as they were.
+#[test]
+fn rollback_releases_the_holds_its_undo_steps_kept() {
+    let db = db();
+    let rids = seed(&db, 1);
+    let table = db.table(T).unwrap();
+    let frame = table.cache.frame(rids[0].page).unwrap();
+    let free = || frame.latch.share().payload.total_free();
+    let before = free();
+    let tx = db.begin();
+    db.update_record(tx, T, rids[0], &Record::new(vec![0, 0, 7, 7]))
+        .unwrap();
+    db.rollback(tx).unwrap();
+    assert_eq!(db.read_record(T, rids[0]).unwrap(), rec(0, 0));
+    assert_eq!(free(), before);
+}
+
 #[test]
 fn two_phase_locking_blocks_concurrent_writers() {
     let db = db();

@@ -17,9 +17,9 @@
 mod blobs;
 
 use blobs::{samples, Blob, Sink};
-use mohan_btree::Node;
+use mohan_btree::{Kind, Node};
 use mohan_common::codec::{decode, encode, RESERVE_CAP};
-use mohan_common::{EngineConfig, Error, IndexEntry, KeyValue, Lsn, Rid, TableId, TxId};
+use mohan_common::{EngineConfig, Error, IndexEntry, KeyValue, Lsn, PageId, Rid, TableId, TxId};
 use mohan_oib::build::{build_index, IndexSpec};
 use mohan_oib::progress::{BuildProgress, PartCheckpoint};
 use mohan_oib::runtime::{CatalogEntry, IndexState};
@@ -86,7 +86,6 @@ fn largest_element() -> usize {
         std::mem::size_of::<LogRecord>(),
         std::mem::size_of::<CatalogEntry>(),
         std::mem::size_of::<PartCheckpoint>(),
-        std::mem::size_of::<mohan_btree::LeafEntry>(),
         std::mem::size_of::<IndexEntry>(),
         std::mem::size_of::<RunMeta>(),
     ]
@@ -299,16 +298,99 @@ fn probe_bulk_checkpoint_right_path_count() {
     refused("bulk", codec::<mohan_btree::BulkCheckpoint>, &bytes);
 }
 
-/// A leaf page claiming 2^32 - 1 entries.
+/// An empty leaf whose directory claims 2^16 - 1 entries.
 #[test]
 fn probe_leaf_node_entry_count() {
-    refused("leaf", codec::<Node>, &tagged(2, &ONES[..4]));
+    let mut page = encode(&Node::leaf(blobs::PAGE));
+    page[3..5].fill(0xFF);
+    refused("leaf", codec::<Node>, &page);
 }
 
-/// An internal page claiming 2^32 - 1 separators.
+/// An internal page whose length field claims 2^16 - 1 bytes.
 #[test]
-fn probe_internal_node_separator_count() {
-    refused("internal", codec::<Node>, &tagged(1, &ONES[..4]));
+fn probe_internal_node_length() {
+    let mut page = encode(&Node::internal(blobs::PAGE, PageId(1)));
+    page[1..3].fill(0xFF);
+    refused("internal", codec::<Node>, &page);
+}
+
+// ---- index pages: refused, or safe to read --------------------------------
+
+/// Read everything a page of its kind serves.
+fn read_all(page: &Node) {
+    let probe = blobs::entry(3, 1, 1);
+    let _ = (page.size(), page.free(), page.page_size());
+    match page.kind() {
+        Kind::Anchor => {
+            let _ = (page.root(), page.height());
+        }
+        Kind::Internal => {
+            let _: Vec<_> = page.entries().map(|e| e.to_entry()).collect();
+            let _: Vec<_> = (0..=page.count()).map(|i| page.child(i)).collect();
+            let _ = (
+                page.route(&probe),
+                page.down(&probe),
+                page.child_pos(PageId(3)),
+            );
+        }
+        Kind::Leaf => {
+            let _: Vec<_> = page.entries().map(|e| (e.to_entry(), e.pseudo)).collect();
+            let _ = (page.next(), page.high_fence().map(|f| f.to_entry()));
+            let _ = (page.search(&probe), page.lower_bound(&probe.key));
+        }
+    }
+}
+
+/// Every index-page sample cut, flipped and all-ones-windowed: each
+/// result is refused or yields a page every accessor of its kind reads
+/// without panicking, and no decode reserves more than the page.
+#[test]
+fn index_pages_under_attack_are_refused_or_safe_to_read() {
+    let mut cases = Cases::default();
+    samples(&mut cases);
+    let pages: Vec<Vec<u8>> = cases
+        .0
+        .into_iter()
+        .filter(|c| c.label == "node")
+        .map(|c| c.bytes)
+        .collect();
+    assert_eq!(pages.len(), 6);
+    let mut decoded = 0;
+    for good in &pages {
+        let mut inputs: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        for i in 0..good.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[i] ^= flip;
+                inputs.push(bad);
+            }
+        }
+        for width in [2, 4] {
+            for i in 0..=good.len() - width {
+                let mut bad = good.clone();
+                bad[i..i + width].fill(0xFF);
+                inputs.push(bad);
+            }
+        }
+        for bytes in inputs {
+            LARGEST.with(|l| l.set(0));
+            let page = decode::<Node>(&bytes);
+            let reserved = LARGEST.with(Cell::get);
+            assert!(
+                reserved <= bytes.len(),
+                "reserved {reserved} for {} bytes",
+                bytes.len()
+            );
+            if let Some(page) = page {
+                assert_eq!(encode(&page), bytes);
+                read_all(&page);
+                decoded += 1;
+            }
+        }
+    }
+    // Flips in free space, RIDs and keys leave valid pages: the check
+    // reads some.
+    assert!(decoded > 0);
 }
 
 // ---- the catalog: one decoder, three defects ----------------------------

@@ -3,7 +3,7 @@
 //! resume from the per-worker checkpoints, compression accounting,
 //! and the `BuildOptions` argument validation.
 
-use mohan_btree::scan::for_each_leaf;
+use mohan_btree::scan::collect_all;
 use mohan_common::{EngineConfig, Error, IndexId, Rid, TableId};
 use mohan_oib::build::{build_indexes_with, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::progress::{self, BuildProgress};
@@ -50,16 +50,11 @@ fn seed(db: &Arc<Db>, n: i64) -> Vec<Rid> {
 /// Every live (key, rid) entry of the index tree, in leaf order.
 fn tree_entries(db: &Arc<Db>, id: IndexId) -> Vec<(Vec<u8>, Rid)> {
     let idx = db.index(id).unwrap();
-    let mut out = Vec::new();
-    for_each_leaf(&idx.tree, |_page, node| {
-        for le in node.leaf_entries() {
-            if !le.pseudo_deleted {
-                out.push((le.entry.key.as_bytes().to_vec(), le.entry.rid));
-            }
-        }
-    })
-    .unwrap();
-    out
+    collect_all(&idx.tree, false)
+        .unwrap()
+        .into_iter()
+        .map(|(e, _)| (e.key.0, e.rid))
+        .collect()
 }
 
 #[test]

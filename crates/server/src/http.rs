@@ -88,6 +88,10 @@ pub(crate) fn handle_payload(inner: &Arc<Inner>, conn: &mut Conn, payload: &[u8]
         l.starts_with("connection:") && l.contains("close")
     });
 
+    // One reading of the drain flag decides both the answer and whether
+    // the connection closes after it: read twice, a drain starting in
+    // between sent a `200` that closed its connection.
+    let draining = inner.draining();
     let (status, ctype, body) = if method != "GET" {
         (
             "405 Method Not Allowed",
@@ -99,7 +103,7 @@ pub(crate) fn handle_payload(inner: &Arc<Inner>, conn: &mut Conn, payload: &[u8]
             "/metrics" => ("200 OK", OPENMETRICS_CTYPE, render_metrics(inner)),
             "/healthz" => ("200 OK", TEXT_CTYPE, "ok\n".to_string()),
             "/readyz" => {
-                let (ready, body) = readiness(inner);
+                let (ready, body) = readiness(inner, draining);
                 let status = if ready {
                     "200 OK"
                 } else {
@@ -111,7 +115,6 @@ pub(crate) fn handle_payload(inner: &Arc<Inner>, conn: &mut Conn, payload: &[u8]
         }
     };
 
-    let draining = inner.draining();
     let close = wants_close || draining;
     let mut out = format!(
         "HTTP/1.1 {status}\r\ncontent-type: {ctype}\r\ncontent-length: {}\r\n",
@@ -133,8 +136,7 @@ pub(crate) fn handle_payload(inner: &Arc<Inner>, conn: &mut Conn, payload: &[u8]
 /// configured staleness budget — the same bound follower reads are
 /// refused under, so a load balancer stops routing to a replica at
 /// exactly the point its reads would start failing with `Stale`.
-fn readiness(inner: &Arc<Inner>) -> (bool, String) {
-    let draining = inner.draining();
+fn readiness(inner: &Arc<Inner>, draining: bool) -> (bool, String) {
     let is_replica = inner.db.is_replica();
     let lag = inner.db.repl_lag();
     let lagging = is_replica && lag > inner.cfg.max_lag_lsn;

@@ -183,9 +183,13 @@ fn readyz_flips_during_drain_and_probes_survive_the_early_reap() {
         },
     );
 
-    // Pre-connect the probe, then widen the drain window with an open
-    // transaction on a native connection.
+    // Pre-connect the probe and wait for its first answer: a connection
+    // the server has not served yet when the drain starts is closed
+    // unanswered. Then widen the drain window with an open transaction
+    // on a native connection.
     let mut probe = connect(&srv);
+    let first = get_on(&mut probe, "/readyz").expect("readyz before the drain");
+    assert_eq!(first.status, "HTTP/1.1 200 OK");
     let mut holder = Client::connect(srv.addr().to_string()).unwrap();
     holder.begin().unwrap();
     holder.insert(T, vec![1, 1]).unwrap();

@@ -24,13 +24,27 @@
 //! `len` counts as used space, live or reserved, for forward work
 //! ([`SlottedPage::insert`], [`SlottedPage::update`]).
 //!
-//! The `_at` forms ([`SlottedPage::insert_at`], [`SlottedPage::update_at`])
-//! put back what the log says a slot held — redo and undo — and count
-//! only live records. A release is not logged, so redo replays every
-//! committed delete as a reservation that forward processing had
-//! already given away; a placement that fit forward fits among the live
-//! records redo rebuilds, and a rollback takes back its own reserved
-//! bytes.
+//! An update that *shrinks* a record follows the same rule: the slot
+//! keeps the record's longest length under its running updater as a
+//! **hold**, so the bytes the shrink freed stay out of forward work until
+//! the updater ends. A rollback undoes one step at a time and lets the
+//! page go between steps, so its steps keep the hold too
+//! ([`SlottedPage::restore`]): undoing a delete of a shrunk record, or
+//! the later of two updates, puts back a short image, and the longer one
+//! the next step restores must still fit. The transaction's end — commit
+//! or the end of its rollback — releases the hold
+//! ([`SlottedPage::free_slot`]). A hold lives in the page's frame, not
+//! in its bytes: it guards a transaction that is still running, and a
+//! crash ends them all. Restart's undo of the losers keeps holds like
+//! any rollback, and its sweep ends them ([`SlottedPage::sweep`]).
+//!
+//! The redo forms ([`SlottedPage::insert_at`], [`SlottedPage::update_at`])
+//! put back what the log says a slot held, and they and
+//! [`SlottedPage::restore`] count only live records. A release is not
+//! logged, so redo replays every committed delete as a reservation that
+//! forward processing had already given away; a placement that fit
+//! forward fits among the live records redo rebuilds, and a rollback
+//! takes back its own reserved or held bytes.
 
 use crate::cache::PagePayload;
 use mohan_common::{Error, Result, SlotId};
@@ -42,6 +56,9 @@ const SLOT_BYTES: usize = 4;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlottedPage {
     buf: Vec<u8>,
+    /// Holds of shrunk records whose updater has not ended: the slot
+    /// and the longest length the record had under that updater.
+    held: Vec<(u16, u16)>,
 }
 
 impl SlottedPage {
@@ -56,7 +73,10 @@ impl SlottedPage {
         let mut buf = vec![0u8; size];
         write_u16(&mut buf, 0, 0);
         write_u16(&mut buf, 2, HDR as u16);
-        SlottedPage { buf }
+        SlottedPage {
+            buf,
+            held: Vec::new(),
+        }
     }
 
     fn slot_count(&self) -> usize {
@@ -121,13 +141,25 @@ impl SlottedPage {
     }
 
     /// Free bytes recoverable by compaction plus the contiguous tail.
-    /// A reserved slot's bytes are not free. After redo, reservations
-    /// can exceed the bytes the live records leave (module doc); the
-    /// page then reports 0 free bytes until restart's sweep.
+    /// A reserved slot's bytes are not free, nor are the bytes a hold
+    /// keeps beside its record. After redo, reservations can exceed the
+    /// bytes the live records leave (module doc); the page then reports
+    /// 0 free bytes until restart's sweep.
     #[must_use]
     pub fn total_free(&self) -> usize {
         let used: usize = (0..self.slot_count()).map(|s| self.slot_entry(s).1).sum();
-        (self.buf.len() - HDR - self.slot_count() * SLOT_BYTES).saturating_sub(used)
+        let held: usize = self
+            .held
+            .iter()
+            .map(|&(s, len)| usize::from(len).saturating_sub(self.slot_entry(s.into()).1))
+            .sum();
+        (self.buf.len() - HDR - self.slot_count() * SLOT_BYTES).saturating_sub(used + held)
+    }
+
+    /// End slot `s`'s hold, returning the length it kept.
+    fn take_hold(&mut self, s: usize) -> Option<usize> {
+        let at = self.held.iter().position(|&(h, _)| usize::from(h) == s)?;
+        Some(self.held.swap_remove(at).1.into())
     }
 
     /// Would `insert` of `len` bytes succeed (possibly via compaction)?
@@ -156,12 +188,33 @@ impl SlottedPage {
         Ok(SlotId(slot as u16))
     }
 
-    /// Insert a record at a *specific* slot (redo, and rollback of a
-    /// delete, which must restore the original RID). The slot must be
+    /// Insert a record at a *specific* slot (redo). The slot must be
     /// empty, reserved, or beyond the current directory; reservations
     /// do not count against the record (module doc).
     pub fn insert_at(&mut self, slot: SlotId, data: &[u8]) -> Result<()> {
         self.place(slot.0 as usize, data, Self::unheld)
+    }
+
+    /// One rollback step: put `data` back at `slot`, whether a delete
+    /// reserved the slot or an update left a record there. Counts only
+    /// live records, and keeps the slot's hold at the longest length the
+    /// record had under the transaction, so its next step fits as well
+    /// (module doc).
+    pub fn restore(&mut self, slot: SlotId, data: &[u8]) -> Result<()> {
+        if self.get(slot).is_some() {
+            return self.replace(slot, data, Self::unheld, true).map(drop);
+        }
+        let s = usize::from(slot.0);
+        let reserved = if s < self.slot_count() {
+            self.slot_entry(s).1
+        } else {
+            0
+        };
+        self.place(s, data, Self::unheld)?;
+        if data.len() < reserved {
+            self.held.push((slot.0, reserved as u16));
+        }
+        Ok(())
     }
 
     /// Put `data` in slot `s` if `room` leaves space for it.
@@ -215,26 +268,32 @@ impl SlottedPage {
     }
 
     /// Delete a record, returning its bytes. The slot and the record's
-    /// bytes become *reserved* (not reusable) until
-    /// [`SlottedPage::free_slot`] releases them or a rollback restores
-    /// the record.
+    /// bytes — as many as its hold kept, if it was shrunk — become
+    /// *reserved* (not reusable) until [`SlottedPage::free_slot`]
+    /// releases them or a rollback restores the record.
     pub fn delete(&mut self, slot: SlotId) -> Result<Vec<u8>> {
         let old = self
             .get(slot)
             .ok_or_else(|| Error::NotFound(format!("record {slot}")))?
             .to_vec();
+        let s = slot.0 as usize;
+        let held = self.take_hold(s).unwrap_or(0);
         // An empty record still reserves one byte: `(0, 0)` is free.
-        self.set_slot_entry(slot.0 as usize, 0, old.len().max(1));
+        self.set_slot_entry(s, 0, old.len().max(held).max(1));
         Ok(old)
     }
 
-    /// Release a reserved slot and its bytes for reuse (the deleter
-    /// committed). Idempotent; a no-op on occupied or already-free
-    /// slots.
-    pub fn free_slot(&mut self, slot: SlotId) {
-        if self.is_reserved(slot) {
+    /// The transaction that deleted or updated the record at `slot`
+    /// ended (committed, or finished rolling back): release a reserved
+    /// slot and its bytes for reuse, or end a live record's hold.
+    /// Idempotent; a no-op on free slots and on records without a hold.
+    /// Returns whether any bytes came free.
+    pub fn free_slot(&mut self, slot: SlotId) -> bool {
+        let reserved = self.is_reserved(slot);
+        if reserved {
             self.set_slot_entry(slot.0 as usize, 0, 0);
         }
+        self.take_hold(slot.0 as usize).is_some() || reserved
     }
 
     fn reserved(&self, s: usize) -> bool {
@@ -249,7 +308,7 @@ impl SlottedPage {
         s < self.slot_count() && self.reserved(s)
     }
 
-    /// Slot numbers currently reserved (post-recovery sweep).
+    /// Slot numbers currently reserved.
     #[must_use]
     pub fn reserved_slots(&self) -> Vec<SlotId> {
         (0..self.slot_count())
@@ -258,45 +317,72 @@ impl SlottedPage {
             .collect()
     }
 
+    /// After restart's undo no transaction is running: release every
+    /// reserved slot (their deleters committed) and end every hold (the
+    /// losers' rollbacks are done). Returns the slots released.
+    pub fn sweep(&mut self) -> usize {
+        let reserved = self.reserved_slots();
+        for &slot in &reserved {
+            self.free_slot(slot);
+        }
+        self.held.clear();
+        reserved.len()
+    }
+
     /// Replace a record in place, returning the old bytes. Compacts if
-    /// needed; `PageFull` if the new image cannot fit.
+    /// needed; `PageFull` if the new image cannot fit. A shrink leaves
+    /// a hold on the longest image until [`SlottedPage::free_slot`]
+    /// (module doc); the record's own hold counts as room for it.
     pub fn update(&mut self, slot: SlotId, data: &[u8]) -> Result<Vec<u8>> {
-        self.replace(slot, data, Self::total_free)
+        self.replace(slot, data, Self::total_free, true)
     }
 
-    /// [`SlottedPage::update`] for redo and rollback: reservations do
-    /// not count against the new image (module doc).
+    /// [`SlottedPage::update`] for redo: reservations and holds do not
+    /// count against the new image, and no hold is kept (module doc).
     pub fn update_at(&mut self, slot: SlotId, data: &[u8]) -> Result<Vec<u8>> {
-        self.replace(slot, data, Self::unheld)
+        self.replace(slot, data, Self::unheld, false)
     }
 
-    fn replace(&mut self, slot: SlotId, data: &[u8], room: fn(&Self) -> usize) -> Result<Vec<u8>> {
+    fn replace(
+        &mut self,
+        slot: SlotId,
+        data: &[u8],
+        room: fn(&Self) -> usize,
+        hold: bool,
+    ) -> Result<Vec<u8>> {
         let s = slot.0 as usize;
         let old = self
             .get(slot)
             .ok_or_else(|| Error::NotFound(format!("record {slot}")))?
             .to_vec();
         let (off, old_len) = self.slot_entry(s);
+        // The record's own hold is room for it.
+        let prior = self.take_hold(s);
         if data.len() <= old_len {
             self.buf[off..off + data.len()].copy_from_slice(data);
             self.set_slot_entry(s, off, data.len());
-            return Ok(old);
+        } else {
+            // Needs more room: logically delete, then re-place.
+            self.set_slot_entry(s, 0, 0);
+            if room(self) < data.len() {
+                // Roll the deletion back so the page is unchanged.
+                self.set_slot_entry(s, off, old_len);
+                self.held.extend(prior.map(|len| (slot.0, len as u16)));
+                return Err(Error::PageFull);
+            }
+            let dir_start = self.buf.len() - self.slot_count() * SLOT_BYTES;
+            if dir_start - self.free_start() < data.len() {
+                self.compact();
+            }
+            let noff = self.free_start();
+            self.buf[noff..noff + data.len()].copy_from_slice(data);
+            self.set_free_start(noff + data.len());
+            self.set_slot_entry(s, noff, data.len());
         }
-        // Needs more room: logically delete, then re-place.
-        self.set_slot_entry(s, 0, 0);
-        if room(self) < data.len() {
-            // Roll the deletion back so the page is unchanged.
-            self.set_slot_entry(s, off, old_len);
-            return Err(Error::PageFull);
+        let longest = prior.unwrap_or(0).max(old_len);
+        if hold && data.len() < longest {
+            self.held.push((slot.0, longest as u16));
         }
-        let dir_start = self.buf.len() - self.slot_count() * SLOT_BYTES;
-        if dir_start - self.free_start() < data.len() {
-            self.compact();
-        }
-        let noff = self.free_start();
-        self.buf[noff..noff + data.len()].copy_from_slice(data);
-        self.set_free_start(noff + data.len());
-        self.set_slot_entry(s, noff, data.len());
         Ok(old)
     }
 
@@ -344,7 +430,10 @@ impl PagePayload for SlottedPage {
         if buf.len() < HDR {
             return Err(Error::Corruption("slotted page too small".into()));
         }
-        Ok(SlottedPage { buf: buf.to_vec() })
+        Ok(SlottedPage {
+            buf: buf.to_vec(),
+            held: Vec::new(),
+        })
     }
 }
 
@@ -529,76 +618,104 @@ mod tests {
 
     proptest! {
         /// Random op sequences against a model HashMap: slot stability,
-        /// contents, and free-space accounting never diverge. A deleted
-        /// record's slot and bytes stay reserved until its deleter ends:
-        /// a commit frees them, and a rollback puts the record back at
-        /// its slot and always fits, whatever was inserted meanwhile.
-        /// Redo of the log — from an empty page (a follower) or from
-        /// the page as it was before op `image_at` (restart) — never
-        /// fails and rebuilds the same records, though it never sees a
-        /// release.
+        /// contents, and free-space accounting never diverge. The deletes
+        /// and updates of a slot belong to one transaction until it ends.
+        /// A deleted record's slot and bytes stay reserved, and a shrunk
+        /// record's longest image stays held, until then: a commit frees
+        /// them, and a rollback takes one undo step per op — other ops,
+        /// other rollbacks' steps among them, run between its steps — puts
+        /// the record back at its slot, at its old length, and every step
+        /// fits, whatever was inserted meanwhile. Redo of the log — from
+        /// an empty page (a follower) or from the durable bytes of the
+        /// page as it was before op `image_at` (restart, holds gone) —
+        /// never fails and rebuilds the same records, though it never
+        /// sees a release.
         #[test]
         fn prop_model_check(ops in prop::collection::vec(
-            (0u8..8, prop::collection::vec(any::<u8>(), 1..24)), 0..60),
-            image_at in 0usize..60) {
+            (0u8..10, prop::collection::vec(any::<u8>(), 1..24)), 0..80),
+            image_at in 0usize..80) {
+            use std::collections::HashMap;
+            let durable = |p: &SlottedPage| {
+                let mut bytes = Vec::new();
+                p.encode(&mut bytes);
+                SlottedPage::decode(&bytes).unwrap()
+            };
             let mut p = SlottedPage::new(128);
-            let mut model: std::collections::HashMap<u16, Vec<u8>> =
-                std::collections::HashMap::new();
-            // Deleted by a transaction that has not ended: before-images.
-            let mut deleted: std::collections::HashMap<u16, Vec<u8>> =
-                std::collections::HashMap::new();
+            let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
+            // The transaction of each slot it deleted or updated and that
+            // has not ended: the images its undo steps restore, oldest
+            // first, and whether it is rolling back.
+            let mut open: HashMap<u16, (Vec<Vec<u8>>, bool)> = HashMap::new();
             let mut log = Vec::new();
             let mut image = None;
             for (i, (op, data)) in ops.into_iter().enumerate() {
                 if i == image_at {
-                    image = Some((p.clone(), log.len()));
+                    image = Some((durable(&p), log.len()));
                 }
-                // Inserts are half the mix, so the page fills.
+                let forward = |s: &&u16| open.get(*s).is_none_or(|(_, rolling)| !rolling);
+                // Inserts are 40 % of the mix, so the page fills.
                 match op {
                     0..=3 => {
                         if let Ok(s) = p.insert(&data) {
                             prop_assert!(!model.contains_key(&s.0));
-                            prop_assert!(!deleted.contains_key(&s.0));
+                            prop_assert!(!open.contains_key(&s.0));
                             log.push(Logged::Insert(s.0, data.clone()));
                             model.insert(s.0, data);
                         }
                     }
                     4 => {
-                        if let Some(&slot) = model.keys().min() {
+                        if let Some(&slot) = model.keys().filter(forward).min() {
                             let old = p.delete(SlotId(slot)).unwrap();
                             prop_assert_eq!(&old, model.get(&slot).unwrap());
                             log.push(Logged::Delete(slot));
                             model.remove(&slot);
-                            deleted.insert(slot, old);
+                            open.entry(slot).or_default().0.push(old);
                         }
                     }
-                    5 => {
-                        if let Some(&slot) = model.keys().max() {
-                            if p.update(SlotId(slot), &data).is_ok() {
+                    5 | 9 => {
+                        let live = model.keys().filter(forward);
+                        let slot = if op == 5 { live.max() } else { live.min() };
+                        if let Some(&slot) = slot {
+                            if let Ok(old) = p.update(SlotId(slot), &data) {
                                 log.push(Logged::Update(slot, data.clone()));
                                 model.insert(slot, data);
+                                open.entry(slot).or_default().0.push(old);
                             }
                         }
                     }
                     6 => {
-                        if let Some(&slot) = deleted.keys().min() {
+                        if let Some(&slot) = open.keys().filter(forward).min() {
                             p.free_slot(SlotId(slot));
-                            deleted.remove(&slot);
+                            open.remove(&slot);
                         }
                     }
                     _ => {
-                        if let Some(&slot) = deleted.keys().max() {
-                            let old = deleted.remove(&slot).unwrap();
-                            prop_assert!(p.insert_at(SlotId(slot), &old).is_ok());
-                            log.push(Logged::Insert(slot, old.clone()));
+                        let slot = if op == 7 { open.keys().max() } else { open.keys().min() };
+                        if let Some(&slot) = slot {
+                            let (steps, rolling) = open.get_mut(&slot).unwrap();
+                            *rolling = true;
+                            let old = steps.pop().unwrap();
+                            let done = steps.is_empty();
+                            prop_assert!(p.restore(SlotId(slot), &old).is_ok());
+                            log.push(if model.contains_key(&slot) {
+                                Logged::Update(slot, old.clone())
+                            } else {
+                                Logged::Insert(slot, old.clone())
+                            });
                             model.insert(slot, old);
+                            if done {
+                                p.free_slot(SlotId(slot));
+                                open.remove(&slot);
+                            }
                         }
                     }
                 }
                 for (&slot, val) in &model {
                     prop_assert_eq!(p.get(SlotId(slot)), Some(val.as_slice()));
                 }
-                for &slot in deleted.keys() {
+                let deleted: Vec<u16> =
+                    open.keys().filter(|s| !model.contains_key(s)).copied().collect();
+                for &slot in &deleted {
                     prop_assert_eq!(p.get(SlotId(slot)), None);
                     prop_assert!(p.is_reserved(SlotId(slot)));
                 }
@@ -607,7 +724,7 @@ mod tests {
                 prop_assert_eq!(p.reserved_slots().len(), deleted.len());
             }
             let live: Vec<(SlotId, &[u8])> = p.records().collect();
-            let (mut restarted, from) = image.unwrap_or_else(|| (p.clone(), log.len()));
+            let (mut restarted, from) = image.unwrap_or_else(|| (durable(&p), log.len()));
             let mut follower = SlottedPage::new(128);
             for (page, from) in [(&mut follower, 0), (&mut restarted, from)] {
                 for rec in &log[from..] {
