@@ -19,7 +19,7 @@
 use crate::node::{Kind, Node};
 use crate::tree::BTree;
 use mohan_common::codec::u32_counted;
-use mohan_common::{wire_struct, Error, IndexEntry, Lsn, PageId, Result};
+use mohan_common::{wire_struct, Error, IndexEntry, PageId, Result, WriteAhead};
 
 /// Stable-storage record of a bulk load's progress.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,7 +193,7 @@ impl<'t> BulkLoader<'t> {
     /// over. So first, if the rightmost leaf has no room for the high
     /// fence of the widest entry an index admits, it closes now, its
     /// last entry moving to a new leaf before anything is forced.
-    pub fn checkpoint(&mut self, flushed: Lsn) -> Result<BulkCheckpoint> {
+    pub fn checkpoint(&mut self, wal: impl WriteAhead) -> Result<BulkCheckpoint> {
         if let Some(last) = self.last.clone() {
             let _structure = self.tree.structure_shared();
             let page_size = self.tree.config().page_size;
@@ -211,7 +211,7 @@ impl<'t> BulkLoader<'t> {
                 self.close(&last, fresh, true)?;
             }
         }
-        self.tree.force_all(flushed)?;
+        self.tree.force_all(wal)?;
         let (root, height) = self.tree.root()?;
         Ok(BulkCheckpoint {
             highest: self.last.clone(),
@@ -284,8 +284,8 @@ impl<'t> BulkLoader<'t> {
     }
 
     /// Complete the load, forcing what the last checkpoint did not.
-    pub fn finish(self, flushed: Lsn) -> Result<u64> {
-        self.tree.force_all(flushed)?;
+    pub fn finish(self, wal: impl WriteAhead) -> Result<u64> {
+        self.tree.force_all(wal)?;
         Ok(self.count)
     }
 }
@@ -296,7 +296,7 @@ mod tests {
     use crate::scan::{clustering, collect_all, verify_structure};
     use crate::tree::BTreeConfig;
     use mohan_common::codec::{decode, encode};
-    use mohan_common::{FileId, KeyValue, Rid};
+    use mohan_common::{FileId, KeyValue, Lsn, Rid};
 
     fn tree() -> BTree {
         BTree::create(

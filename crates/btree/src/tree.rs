@@ -16,7 +16,7 @@ use crate::scan::LeafCursor;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
 use mohan_common::pace::{Ticker, OPS_PER_PACE};
 use mohan_common::stats::Counter;
-use mohan_common::{Error, FileId, IndexEntry, KeyValue, Lsn, PageId, Result, Rid};
+use mohan_common::{Error, FileId, IndexEntry, KeyValue, PageId, Result, Rid, WriteAhead};
 use mohan_storage::cache::PageBuf;
 use mohan_storage::{ExclusiveGuard, Latch, LatchStats, PageCache, ShareGuard, ShareRef};
 use parking_lot::Mutex;
@@ -253,13 +253,16 @@ impl BTree {
     /// pages ([`mohan_common::pace`]): all it holds there is `force`,
     /// which only another checkpointer or [`BTree::clear`] waits for.
     /// Phase 2 must not: every writer of the tree waits for it.
-    pub fn force_all(&self, flushed: Lsn) -> Result<()> {
+    ///
+    /// Both phases obey the WAL rule through `wal` (see
+    /// [`PageCache::force`]).
+    pub fn force_all(&self, wal: impl WriteAhead) -> Result<()> {
         let _force = self.force.lock();
         let mut pacer = Ticker::new(OPS_PER_PACE);
-        self.cache.stage_dirty(flushed, || pacer.tick())?;
+        self.cache.stage_dirty(&wal, || pacer.tick())?;
         self.failpoints.hit(FORCE_STAGED_FAILPOINT)?;
         let _structure = self.structure.exclusive();
-        self.cache.stage_dirty(flushed, || {})?;
+        self.cache.stage_dirty(&wal, || {})?;
         self.cache.publish_staged();
         Ok(())
     }

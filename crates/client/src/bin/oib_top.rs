@@ -125,6 +125,19 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
         report.counter("wal.flushes").unwrap_or(0),
         report.counter("wal.group_flush_coalesced").unwrap_or(0),
     ));
+    // What the log retains: it starts at `first lsn` (checkpoints
+    // truncate below what restart, rollback and subscribers need), and
+    // what the engine checkpoints cost.
+    let cp = report.hist("checkpoint.us");
+    out.push_str(&format!(
+        "retained from lsn {}   truncated {} records   checkpoints {} (failed {}, p99 {} µs, max {} µs)\n",
+        report.counter("wal.first_lsn").unwrap_or(0),
+        report.counter("wal.truncated_records").unwrap_or(0),
+        report.counter("checkpoint.count").unwrap_or(0),
+        report.counter("checkpoint.failed").unwrap_or(0),
+        cp.map_or(0, |h| h.p99),
+        cp.map_or(0, |h| h.max),
+    ));
     // A primary with WAL subscribers shows the broadcast fan-out ring:
     // live subscriber count, ring occupancy, shared scan/encode totals,
     // and how many lagging streams were cut loose.

@@ -39,6 +39,8 @@ pub const KNOWN_SITES: &[&str] = &[
     "build.registered",
     "build.scan",
     "build.scan.record",
+    "checkpoint.begin",
+    "checkpoint.forced",
     "nsf.insert.key",
     "primary.scan.record",
     "sf.drain.op",

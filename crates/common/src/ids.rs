@@ -124,6 +124,27 @@ impl fmt::Display for Lsn {
     }
 }
 
+/// The write-ahead-log rule a page force obeys (§1.1): a page reaches
+/// its durable image only once the log is durable through the page's
+/// LSN. The log manager makes itself durable that far; a bare [`Lsn`]
+/// is a log frozen at that flushed mark, which refuses anything newer.
+pub trait WriteAhead {
+    /// Make the log durable through `lsn`; `false` if it cannot be.
+    fn durable_through(&self, lsn: Lsn) -> bool;
+}
+
+impl WriteAhead for Lsn {
+    fn durable_through(&self, lsn: Lsn) -> bool {
+        lsn <= *self
+    }
+}
+
+impl<T: WriteAhead + ?Sized> WriteAhead for &T {
+    fn durable_through(&self, lsn: Lsn) -> bool {
+        (**self).durable_through(lsn)
+    }
+}
+
 /// Transaction identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);

@@ -904,7 +904,7 @@ mod tests {
         assert_eq!(t.num_pages(), 1, "the page is full");
         t.delete_with(a, |_| Lsn(2)).unwrap();
         t.delete_with(b, |_| Lsn(3)).unwrap();
-        t.cache.force_all(Lsn(3)).unwrap();
+        t.cache.force_all(Lsn(3), || {}).unwrap();
         t.release_slot(a).unwrap();
         t.release_slot(b).unwrap();
         let big = t.insert_with(&[5; 42], |_| Lsn(4)).unwrap();

@@ -15,7 +15,7 @@ use mohan_lock::{LockMode, LockName};
 use mohan_sort::{
     ExternalSort, Merge, MergeCheckpoint, MergePassCheckpoint, RunFormation, SortCheckpoint,
 };
-use mohan_wal::{LogPayload, RecKind};
+use mohan_wal::{LogManager, LogPayload, RecKind};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -59,20 +59,20 @@ impl Drop for PhaseTimer<'_> {
 
 /// The page-forcing half of an IB checkpoint (§2.2.3, §3.2.4): flush
 /// the log, then run `force` — a [`mohan_btree::BTree::force_all`] on
-/// `idx`'s tree, directly or through the bulk loader — with the
-/// flushed LSN. Its duration lands in the `build.checkpoint_us`
-/// histogram and a `build.checkpoint` trace event whose detail is the
-/// number of pages it wrote.
+/// `idx`'s tree, directly or through the bulk loader — under the WAL
+/// rule of the engine's log. Its duration lands in the
+/// `build.checkpoint_us` histogram and a `build.checkpoint` trace event
+/// whose detail is the number of pages it wrote.
 pub(crate) fn force_index_pages<R>(
     db: &Db,
     idx: &IndexRuntime,
     site: &'static str,
-    force: impl FnOnce(Lsn) -> Result<R>,
+    force: impl FnOnce(&LogManager) -> Result<R>,
 ) -> Result<R> {
     db.wal.flush_all();
     let forced_before = idx.tree.cache.stats.forces.get();
     let started = Instant::now();
-    let out = force(db.wal.flushed_lsn())?;
+    let out = force(&db.wal)?;
     let d = started.elapsed();
     db.obs.histogram("build.checkpoint_us").record_micros(d);
     db.obs.trace().span_event(
@@ -394,7 +394,7 @@ fn create_descriptors(
 /// tree (anchor + root) so restart always finds a structurally valid
 /// index to recover into.
 pub(crate) fn force_empty_tree(db: &Db, rt: &IndexRuntime) -> Result<()> {
-    force_index_pages(db, rt, "create", |flushed| rt.tree.force_all(flushed))
+    force_index_pages(db, rt, "create", |wal| rt.tree.force_all(wal))
 }
 
 /// Note the last data page before the scan starts (§2.3.1): records
@@ -797,7 +797,7 @@ fn complete_index(db: &Arc<Db>, idx: &Arc<IndexRuntime>, completed_at: Lsn) -> R
         .event("build.phase", "flip", u64::from(idx.def.id.0));
     db.persist_catalog();
     progress::clear(db, idx.def.id);
-    force_index_pages(db, idx, "complete", |flushed| idx.tree.force_all(flushed))
+    force_index_pages(db, idx, "complete", |wal| idx.tree.force_all(wal))
 }
 
 // ===================================================================
@@ -848,7 +848,7 @@ fn nsf_insert_phase(
                 flush_ib_batch(db, ib, idx, &mut batch)?;
                 // §2.2.3 periodic checkpointing: force the dirty index
                 // pages, commit the inserts, record the position.
-                force_index_pages(db, idx, "insert", |flushed| idx.tree.force_all(flushed))?;
+                force_index_pages(db, idx, "insert", |wal| idx.tree.force_all(wal))?;
                 db.ib_commit_cycle(&mut ib)?;
                 if db.cfg.nsf_gradual_reads {
                     // Footnote 3: everything at or below the committed
@@ -1022,8 +1022,7 @@ fn sf_load_phase(
                 }
                 if pending.is_none() {
                     since_cp = 0;
-                    let bulk =
-                        force_index_pages(db, idx, "load", |flushed| loader.checkpoint(flushed))?;
+                    let bulk = force_index_pages(db, idx, "load", |wal| loader.checkpoint(wal))?;
                     progress::store(
                         db,
                         idx.def.id,
@@ -1066,7 +1065,7 @@ fn sf_load_phase(
         if let Some(p) = pending.take() {
             loader.append(p)?;
         }
-        force_index_pages(db, idx, "load", |flushed| loader.finish(flushed))?;
+        force_index_pages(db, idx, "load", |wal| loader.finish(wal))?;
         db.commit(ib)?;
         progress::store(db, idx.def.id, &BuildProgress::Draining { pos: 0 });
         Ok(())
@@ -1085,7 +1084,7 @@ fn sf_load_phase(
 /// checkpoint.
 fn loader_init_checkpoint(db: &Db, idx: &IndexRuntime) -> Result<mohan_btree::BulkCheckpoint> {
     let mut loader = BulkLoader::new(&idx.tree)?;
-    force_index_pages(db, idx, "load", |flushed| loader.checkpoint(flushed))
+    force_index_pages(db, idx, "load", |wal| loader.checkpoint(wal))
 }
 
 /// §2.2.3-style arbitration for a sorted group of equal keys during
@@ -1371,7 +1370,7 @@ fn offline_load(db: &Arc<Db>, idx: &Arc<IndexRuntime>, merge_cp: MergeCheckpoint
         prev = Some(entry.clone());
         loader.append(entry)?;
     }
-    force_index_pages(db, idx, "load", |flushed| loader.finish(flushed))?;
+    force_index_pages(db, idx, "load", |wal| loader.finish(wal))?;
     Ok(())
 }
 

@@ -10,10 +10,12 @@
 //! ended) since the forward operation, and nothing for indexes whose
 //! maintenance the transaction logged itself.
 
+use crate::checkpointer::Checkpointer;
 use crate::runtime::{Catalog, IndexRuntime, IndexState};
 use crate::schema::{BuildAlgorithm, Record};
 use mohan_common::codec::encode;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
+use mohan_common::pace::{Ticker, OPS_PER_PACE};
 use mohan_common::stats::MaxGauge;
 use mohan_common::{EngineConfig, Error, IndexEntry, IndexId, Lsn, Result, Rid, TableId, TxId};
 use mohan_heap::HeapTable;
@@ -26,7 +28,30 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Failpoint in [`Db::begin`], after the transaction is registered and
+/// before its begin record is appended. Only a hook means anything
+/// here: `begin` cannot fail, so a crash trigger is ignored.
+pub const BEGIN_REGISTERED_FAILPOINT: &str = "tx.registered";
+
+/// Failpoint at the start of [`Db::checkpoint`], before it waits for
+/// any other checkpoint.
+pub const CHECKPOINT_BEGIN_FAILPOINT: &str = "checkpoint.begin";
+
+/// Failpoint in [`Db::checkpoint`] once every dirty page is forced and
+/// before the checkpoint record is written.
+pub const CHECKPOINT_FORCED_FAILPOINT: &str = "checkpoint.forced";
+
+/// The log span of an active transaction.
+#[derive(Debug, Clone, Copy)]
+struct TxLsns {
+    /// Its first record — or, until that is appended, an LSN no higher
+    /// than the one it will get. Truncation stays below it.
+    first: Lsn,
+    /// Its newest record, which the next one chains to.
+    last: Lsn,
+}
 
 /// How a transaction's key change reaches an index (Figure 1 / 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +83,7 @@ pub struct Db {
     pub build_sort_workers: MaxGauge,
     tables: RwLock<HashMap<TableId, Arc<HeapTable>>>,
     indexes: RwLock<Vec<Arc<IndexRuntime>>>,
-    txs: Mutex<HashMap<TxId, Lsn>>,
+    txs: Mutex<HashMap<TxId, TxLsns>>,
     /// Records each transaction deleted or updated: the slots its
     /// deletes reserved and the bytes its shrinking updates (and its
     /// undo steps) held are released when it ends — at commit, or once
@@ -74,6 +99,15 @@ pub struct Db {
     /// and read by the server's staleness gate (`max_lag_lsn`). Always
     /// 0 on a primary.
     repl_lag: AtomicU64,
+    /// The background checkpointer's side of this engine.
+    checkpointer: Arc<Checkpointer>,
+    /// Held by a checkpoint from start to end, and by a simulated crash
+    /// to wait one out: checkpoints run one at a time, and never across
+    /// a crash.
+    checkpoint_gate: Mutex<()>,
+    /// Between [`Db::simulate_crash`] and the end of [`Db::restart`]:
+    /// no checkpoint may run.
+    recovering: AtomicBool,
 }
 
 impl Db {
@@ -98,8 +132,17 @@ impl Db {
             next_index: AtomicU32::new(1),
             replica,
             repl_lag: AtomicU64::new(0),
+            checkpointer: Arc::default(),
+            checkpoint_gate: Mutex::new(()),
+            recovering: AtomicBool::new(false),
         });
         db.register_observability();
+        let w = Arc::downgrade(&db);
+        db.wal.register_flush_waker(Box::new(move || {
+            if let Some(db) = w.upgrade() {
+                db.checkpointer.after_flush(&db);
+            }
+        }));
         db
     }
 
@@ -133,6 +176,13 @@ impl Db {
         gauge("wal.ib_records", |db| db.wal.stats.ib_records.get());
         gauge("wal.resident_bytes", |db| db.wal.resident_bytes());
         gauge("wal.resident_records", |db| db.wal.resident_records());
+        gauge("wal.first_lsn", |db| db.wal.first_lsn().0);
+        gauge("wal.truncated_records", |db| {
+            db.wal.stats.truncated_records.get()
+        });
+        let _ = self.obs.counter("checkpoint.count");
+        let _ = self.obs.counter("checkpoint.failed");
+        let _ = self.obs.histogram("checkpoint.us");
         gauge("cache.hit", |db| db.fold_caches(|s| s.hits.get()));
         gauge("cache.miss", |db| db.fold_caches(|s| s.misses.get()));
         gauge("cache.force", |db| db.fold_caches(|s| s.forces.get()));
@@ -403,13 +453,30 @@ impl Db {
 
     // ----- transactions ----------------------------------------------
 
-    /// Begin an ordinary transaction.
+    /// Begin an ordinary transaction. It is registered before its
+    /// begin record is appended, under a first LSN no higher than the
+    /// record's: a checkpoint that computes its truncation floor in
+    /// between keeps the record, which restart's analysis needs to
+    /// find the transaction.
     pub fn begin(&self) -> TxId {
         let tx = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
+        // Every LSN still to be reserved is above the flushed mark.
+        let first = Lsn(self.wal.flushed_lsn().0 + 1);
+        self.txs.lock().insert(
+            tx,
+            TxLsns {
+                first,
+                last: Lsn::NULL,
+            },
+        );
+        let _ = self.failpoints.hit(BEGIN_REGISTERED_FAILPOINT);
         let lsn = self
             .wal
             .append(tx, Lsn::NULL, RecKind::RedoOnly, LogPayload::TxBegin);
-        self.txs.lock().insert(tx, lsn);
+        let mut txs = self.txs.lock();
+        let span = txs.get_mut(&tx).expect("registered above");
+        span.first = lsn;
+        span.last = lsn;
         tx
     }
 
@@ -438,9 +505,9 @@ impl Db {
     /// Append a log record for `tx`, chaining `prev_lsn`.
     pub(crate) fn log(&self, tx: TxId, kind: RecKind, payload: LogPayload) -> Result<Lsn> {
         let mut txs = self.txs.lock();
-        let last = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
-        let lsn = self.wal.append(tx, *last, kind, payload);
-        *last = lsn;
+        let span = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
+        let lsn = self.wal.append(tx, span.last, kind, payload);
+        span.last = lsn;
         Ok(lsn)
     }
 
@@ -481,12 +548,11 @@ impl Db {
     pub fn rollback(&self, tx: TxId) -> Result<()> {
         let last = {
             let mut txs = self.txs.lock();
-            let last = *txs.get(&tx).ok_or(Error::TxNotActive(tx))?;
-            let abort = self
+            let span = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
+            span.last = self
                 .wal
-                .append(tx, last, RecKind::RedoOnly, LogPayload::TxAbort);
-            txs.insert(tx, abort);
-            abort
+                .append(tx, span.last, RecKind::RedoOnly, LogPayload::TxAbort);
+            span.last
         };
         let new_last = match mohan_wal::rollback_tx(&self.wal, self, tx, last, Lsn::NULL) {
             Ok(new_last) => new_last,
@@ -524,54 +590,96 @@ impl Db {
     // ----- checkpoint / crash / restart --------------------------------
 
     /// Engine checkpoint: force the log, then every dirty page of
-    /// every table and index. Retries if concurrent activity outruns the
-    /// flush.
+    /// every table and index, write a checkpoint record, and truncate
+    /// the log below the oldest record restart, rollback or a WAL
+    /// subscriber still needs. Writers are not held up: a page a
+    /// writer changed after the log flush is written once the log is
+    /// forced through its LSN (the WAL rule), not refused. Refused
+    /// between [`Db::simulate_crash`] and the end of [`Db::restart`],
+    /// where a checkpoint record would tell restart to skip redo it has
+    /// not done. Counted in `checkpoint.count` or `checkpoint.failed`,
+    /// timed in `checkpoint.us`.
     pub fn checkpoint(&self) -> Result<()> {
-        let mut last_err = None;
-        for _ in 0..5 {
-            self.wal.flush_all();
-            let flushed = self.wal.flushed_lsn();
-            let result = (|| -> Result<()> {
-                for t in self.tables.read().values() {
-                    t.cache.force_all(flushed)?;
-                }
-                for i in self.indexes.read().iter() {
-                    i.tree.force_all(flushed)?;
-                }
-                Ok(())
-            })();
-            match result {
-                Ok(()) => {
-                    // Redo after a crash may start at the flushed
-                    // horizon — except that open side-files are
-                    // volatile and rebuilt purely from redo of their
-                    // logged appends, so the bound must not advance
-                    // past any open side-file's first logged append.
-                    // Appends racing with this computation get LSNs
-                    // above `flushed` and cannot lower the bound.
-                    let mut redo_start = flushed;
-                    for i in self.indexes.read().iter() {
-                        if let Some(first) = i.side_file.open_first_lsn() {
-                            redo_start = redo_start.min(Lsn(first.0.saturating_sub(1)));
-                        }
-                    }
-                    let lsn = self.wal.append(
-                        TxId(0),
-                        Lsn::NULL,
-                        RecKind::RedoOnly,
-                        LogPayload::Checkpoint { redo_start },
-                    );
-                    self.wal.flush_to(lsn);
-                    return Ok(());
-                }
-                Err(e) => last_err = Some(e),
+        self.failpoints.hit(CHECKPOINT_BEGIN_FAILPOINT)?;
+        let started = Instant::now();
+        let outcome = {
+            let _gate = self.checkpoint_gate.lock();
+            if self.recovering.load(Ordering::Acquire) {
+                Err(Error::InvalidArg(
+                    "no checkpoint between a crash and the end of restart".into(),
+                ))
+            } else {
+                self.checkpoint_locked()
+            }
+        };
+        match outcome {
+            Ok(()) => {
+                self.obs.counter("checkpoint.count").bump();
+                self.obs
+                    .histogram("checkpoint.us")
+                    .record_micros(started.elapsed());
+            }
+            Err(_) => self.obs.counter("checkpoint.failed").bump(),
+        }
+        outcome
+    }
+
+    fn checkpoint_locked(&self) -> Result<()> {
+        self.checkpointer.mark(self.wal.stats.bytes.get());
+        self.wal.flush_all();
+        let flushed = self.wal.flushed_lsn();
+        let tables: Vec<Arc<HeapTable>> = self.tables.read().values().cloned().collect();
+        let mut pacer = Ticker::new(OPS_PER_PACE);
+        for t in &tables {
+            t.cache.force_all(&self.wal, || pacer.tick())?;
+        }
+        let indexes = self.indexes.read().clone();
+        for i in &indexes {
+            i.tree.force_all(&self.wal)?;
+        }
+        self.failpoints.hit(CHECKPOINT_FORCED_FAILPOINT)?;
+        // Redo after a crash may start at the flushed horizon — except
+        // that open side-files are volatile and rebuilt purely from
+        // redo of their logged appends, so the bound must not advance
+        // past any open side-file's first logged append. Appends racing
+        // with this computation get LSNs above `flushed` and cannot
+        // lower the bound.
+        let mut redo_start = flushed;
+        for i in &indexes {
+            if let Some(first) = i.side_file.open_first_lsn() {
+                redo_start = redo_start.min(Lsn(first.0.saturating_sub(1)));
             }
         }
-        Err(last_err.unwrap_or_else(|| Error::Corruption("checkpoint failed".into())))
+        let lsn = self.wal.append(
+            TxId(0),
+            Lsn::NULL,
+            RecKind::RedoOnly,
+            LogPayload::Checkpoint { redo_start },
+        );
+        self.wal.flush_to(lsn);
+        // Restart redoes from `redo_start` + 1, and rollback and
+        // restart undo walk every active transaction back to its first
+        // record. A transaction that begins after this read gets LSNs
+        // above `flushed`; one still active at a later crash either
+        // began after it or is in it. The log keeps what its pins hold
+        // as well (WAL subscribers).
+        let floor = self
+            .txs
+            .lock()
+            .values()
+            .map(|span| span.first)
+            .fold(Lsn(redo_start.0 + 1), Lsn::min);
+        self.wal.truncate_below(floor);
+        Ok(())
     }
 
     /// Simulated system failure: every volatile structure is dropped.
+    /// A checkpoint in progress is waited out (the crash is
+    /// quiescent, like every other worker's), and none runs again
+    /// until [`Db::restart`] has finished.
     pub fn simulate_crash(&self) {
+        let _gate = self.checkpoint_gate.lock();
+        self.recovering.store(true, Ordering::Release);
         self.wal.crash();
         self.locks.crash();
         self.txs.lock().clear();
@@ -600,6 +708,7 @@ impl Db {
         for t in self.tables.read().values() {
             t.sweep_reserved()?;
         }
+        self.recovering.store(false, Ordering::Release);
         Ok(stats)
     }
 
@@ -789,6 +898,12 @@ impl Db {
     pub(crate) fn tree_ensure_pseudo(idx: &IndexRuntime, entry: &IndexEntry) -> Result<()> {
         let _ = idx.tree.pseudo_delete_or_tombstone(entry)?;
         Ok(())
+    }
+}
+
+impl Drop for Db {
+    fn drop(&mut self) {
+        self.checkpointer.shutdown();
     }
 }
 

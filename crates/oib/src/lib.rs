@@ -24,6 +24,8 @@
 //!   of work (§2.2.3, §3.2.4, §5).
 //! * [`gc::garbage_collect`] — background cleanup of pseudo-deleted
 //!   keys (§2.2.4).
+//! * [`checkpointer`] — the background engine checkpoint that keeps
+//!   the log, and restart, as long as the work since the last one.
 //! * [`verify`] — the correctness oracle used by every experiment: the
 //!   finished index must agree entry-for-entry with the table.
 //! * [`primary`] — the §6.2 storage-model extension: building a
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod build;
+pub mod checkpointer;
 pub mod convert;
 pub mod dml;
 pub mod engine;

@@ -1,9 +1,13 @@
 //! What an IB checkpoint costs, counted in pages, and that a build
 //! checkpointed that way under concurrent writers still resumes after
-//! a crash into an exact index.
+//! a crash into an exact index. And what an engine checkpoint leaves of
+//! the log: no more than the work since it, however long the history,
+//! and never a record that restart, rollback or an open side-file still
+//! needs.
 
-use mohan_common::{EngineConfig, Rid, TableId};
-use mohan_oib::build::{build_indexes_with, resume_build, BuildOptions, IndexSpec};
+use mohan_common::{EngineConfig, Lsn, Rid, TableId};
+use mohan_oib::build::{build_index, build_indexes_with, resume_build, BuildOptions, IndexSpec};
+use mohan_oib::checkpointer::CHECKPOINT_TRIGGER_BYTES;
 use mohan_oib::runtime::{IndexRuntime, IndexState};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
@@ -153,4 +157,150 @@ fn nsf_checkpoints_force_what_was_dirtied_and_the_build_resumes() {
 #[test]
 fn sf_checkpoints_force_what_was_loaded_and_the_build_resumes() {
     crash_under_writers(BuildAlgorithm::Sf, "build.load", false);
+}
+
+fn counter(db: &Db, name: &str) -> u64 {
+    db.obs.snapshot().counter(name).unwrap()
+}
+
+/// Rows wide enough that an update logs ≈ 3 KiB (both images).
+fn wide(k: i64, v: i64) -> Record {
+    let mut cols = vec![k, v];
+    cols.resize(200, v);
+    Record::new(cols)
+}
+
+/// Autocommit updates of a handful of wide rows until the log has grown
+/// by `bytes`, calling `after_commit` after each; the table does not
+/// grow. Returns the rows.
+fn grow_log(db: &Arc<Db>, bytes: u64, mut after_commit: impl FnMut()) -> Vec<Rid> {
+    let tx = db.begin();
+    let rids: Vec<Rid> = (0..16)
+        .map(|k| db.insert_record(tx, T, &wide(k, 0)).unwrap())
+        .collect();
+    db.commit(tx).unwrap();
+    let goal = db.wal.stats.bytes.get() + bytes;
+    let mut v = 1;
+    while db.wal.stats.bytes.get() < goal {
+        for (k, &rid) in rids.iter().enumerate() {
+            let tx = db.begin();
+            db.update_record(tx, T, rid, &wide(k as i64, v)).unwrap();
+            db.commit(tx).unwrap();
+            after_commit();
+        }
+        v += 1;
+    }
+    rids
+}
+
+/// With nothing open, the background checkpointer keeps the log within
+/// a few triggers' worth of bytes however much is appended: eight
+/// triggers' worth here.
+#[test]
+fn the_background_checkpointer_keeps_the_log_bounded() {
+    let db = Db::new(EngineConfig::default());
+    db.create_table(T);
+    let mut held_max = 0;
+    let rids = grow_log(&db, 8 * CHECKPOINT_TRIGGER_BYTES, || {
+        held_max = held_max.max(db.wal.resident_bytes() - db.wal.directory_bytes());
+    });
+    assert!(
+        held_max <= 3 * CHECKPOINT_TRIGGER_BYTES,
+        "the log held {held_max} bytes of records"
+    );
+    assert!(counter(&db, "checkpoint.count") >= 4);
+    assert_eq!(counter(&db, "checkpoint.failed"), 0);
+    assert!(counter(&db, "wal.first_lsn") > 1);
+    assert!(counter(&db, "wal.truncated_records") > 0);
+    // What is left restarts into the same rows.
+    let want: Vec<Record> = rids
+        .iter()
+        .map(|&r| db.read_record(T, r).unwrap())
+        .collect();
+    db.simulate_crash();
+    db.restart().unwrap();
+    let got: Vec<Record> = rids
+        .iter()
+        .map(|&r| db.read_record(T, r).unwrap())
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// An open transaction holds truncation at its first record: it rolls
+/// back after a checkpoint, and another one open across a checkpoint is
+/// undone by restart.
+#[test]
+fn an_open_transaction_holds_truncation_at_its_first_record() {
+    let (db, rids) = seeded_db();
+    let open = |row: usize| {
+        let tx = db.begin();
+        let first = db.wal.tail_lsn();
+        db.delete_record(tx, T, rids[row]).unwrap();
+        (tx, first)
+    };
+    let more = || {
+        let tx = db.begin();
+        for k in 0..200 {
+            db.insert_record(tx, T, &rec(-k - 1, 0)).unwrap();
+        }
+        db.commit(tx).unwrap();
+    };
+
+    let (tx, first) = open(1);
+    more();
+    db.checkpoint().unwrap();
+    assert_eq!(db.wal.first_lsn(), first);
+    db.rollback(tx).unwrap();
+    assert_eq!(db.read_record(T, rids[1]).unwrap(), rec(2, 1));
+    db.checkpoint().unwrap();
+    assert!(
+        db.wal.first_lsn() > first,
+        "the rolled-back transaction let go"
+    );
+
+    let (_loser, first) = open(2);
+    more();
+    db.checkpoint().unwrap();
+    assert_eq!(db.wal.first_lsn(), first);
+    db.simulate_crash();
+    assert_eq!(db.restart().unwrap().losers, 1);
+    assert_eq!(db.read_record(T, rids[2]).unwrap(), rec(4, 1));
+}
+
+/// An open side-file holds truncation at its first logged append: its
+/// entries are rebuilt from the log after a crash, and the resumed
+/// build then comes out exact.
+#[test]
+fn an_open_side_file_holds_truncation_at_its_first_append() {
+    let (db, rids) = seeded_db();
+    db.failpoints.arm_after("sf.load.key", 1_000);
+    let spec = IndexSpec {
+        name: "sf_open".into(),
+        key_cols: vec![0],
+        unique: false,
+    };
+    let err = build_index(&db, T, spec, BuildAlgorithm::Sf).unwrap_err();
+    assert!(err.is_crash(), "{err}");
+    let idx = db.indexes_of(T).last().cloned().unwrap();
+    assert_eq!(idx.state(), IndexState::SfBuilding);
+    // The scan is over: every change now goes to the side-file.
+    let mut session = Session::new(Arc::clone(&db));
+    for (i, &rid) in rids.iter().take(50).enumerate() {
+        session
+            .update(T, rid, &rec(10 * ROWS + i as i64, 3))
+            .unwrap();
+    }
+    let side_file_first = idx.side_file.open_first_lsn().expect("logged appends");
+    for k in 0..500 {
+        session.insert(T, &rec(-k - 1, 0)).unwrap();
+    }
+    db.checkpoint().unwrap();
+    assert!(db.wal.first_lsn() > Lsn(1));
+    assert!(db.wal.first_lsn() <= side_file_first);
+
+    db.simulate_crash();
+    db.restart().unwrap();
+    resume_build(&db, idx.def.id).unwrap();
+    assert_eq!(db.index(idx.def.id).unwrap().state(), IndexState::Complete);
+    verify_index(&db, idx.def.id).unwrap();
 }

@@ -3,8 +3,10 @@
 //! the build, and prove the finished index is exactly right — the
 //! paper's §2.2.3 / §3.2.4 / §5 restartability machinery end to end.
 
-use mohan_common::{EngineConfig, Error, Rid, TableId};
+use mohan_common::{EngineConfig, Error, Lsn, Rid, TableId};
 use mohan_oib::build::{build_index, resume_build, IndexSpec};
+use mohan_oib::checkpointer::CHECKPOINT_TRIGGER_BYTES;
+use mohan_oib::engine::{CHECKPOINT_BEGIN_FAILPOINT, CHECKPOINT_FORCED_FAILPOINT};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
@@ -350,4 +352,163 @@ fn restart_redo_is_bounded_by_the_last_checkpoint() {
 
     // Nothing was lost to the shortcut.
     assert_eq!(db.table_scan(T).unwrap().len(), 2_010);
+}
+
+/// Restart reads the log from the last checkpoint's truncation point
+/// on. With a checkpoint every `M` operations and none left open across
+/// the last, analysis reads exactly the records since it, and redo
+/// exactly those too — not the ten rounds before.
+#[test]
+fn restart_reads_exactly_the_records_since_the_last_checkpoint() {
+    const M: i64 = 300;
+    let db = db();
+    let insert = |k: i64| {
+        let tx = db.begin();
+        db.insert_record(tx, T, &rec(k, 1)).unwrap();
+        db.commit(tx).unwrap();
+    };
+    for round in 0..10 {
+        for k in 0..M {
+            insert(round * M + k);
+        }
+        db.checkpoint().unwrap();
+    }
+    // The checkpoint record is all the last checkpoint kept.
+    let since = db.wal.tail_lsn();
+    assert_eq!(db.wal.first_lsn(), since);
+    for k in 0..M / 2 {
+        insert(10 * M + k);
+    }
+    let in_flight = db.begin();
+    for k in 0..7 {
+        db.insert_record(in_flight, T, &rec(-k - 1, 1)).unwrap();
+    }
+    db.wal.flush_all();
+    let tail = db.wal.tail_lsn();
+    db.simulate_crash();
+    let stats = db.restart().unwrap();
+    assert_eq!(stats.analyzed, tail.0 - since.0 + 1);
+    assert_eq!(stats.redone, tail.0 - since.0 + 1);
+    assert_eq!(stats.losers, 1);
+    assert_eq!(db.table_scan(T).unwrap().len() as i64, 10 * M + M / 2);
+}
+
+/// An engine with rows wide enough that an update logs ≈ 3 KiB, and an
+/// index on them.
+fn wide_db() -> (Arc<Db>, Vec<Rid>, mohan_common::IndexId) {
+    let db = Db::new(EngineConfig {
+        lock_timeout_ms: 5_000,
+        ..EngineConfig::default()
+    });
+    db.create_table(T);
+    let tx = db.begin();
+    let rids = (0..16)
+        .map(|k| db.insert_record(tx, T, &wide(k, 0)).unwrap())
+        .collect();
+    db.commit(tx).unwrap();
+    let id = build_index(&db, T, spec(false), BuildAlgorithm::Offline).unwrap();
+    (db, rids, id)
+}
+
+fn wide(k: i64, v: i64) -> Record {
+    let mut cols = vec![k, v];
+    cols.resize(200, v);
+    Record::new(cols)
+}
+
+/// Autocommit updates of `rids`, round after round, until `done`; the
+/// background checkpointer sees the log grow. Returns the rows' last
+/// values.
+fn update_until(db: &Arc<Db>, rids: &[Rid], mut done: impl FnMut() -> bool) -> Vec<Record> {
+    let limit = db.wal.stats.bytes.get() + 32 * CHECKPOINT_TRIGGER_BYTES;
+    let mut last: Vec<Record> = rids
+        .iter()
+        .map(|&r| db.read_record(T, r).unwrap())
+        .collect();
+    for v in 1.. {
+        for (k, &rid) in rids.iter().enumerate() {
+            let tx = db.begin();
+            last[k] = wide(k as i64, v);
+            db.update_record(tx, T, rid, &last[k]).unwrap();
+            db.commit(tx).unwrap();
+            if done() {
+                return last;
+            }
+        }
+        assert!(db.wal.stats.bytes.get() < limit, "no background checkpoint");
+    }
+    unreachable!()
+}
+
+fn counter(db: &Db, name: &str) -> u64 {
+    db.obs.snapshot().counter(name).unwrap()
+}
+
+/// The background checkpointer dies between forcing the pages and
+/// writing its record; the engine then crashes. Restart starts from the
+/// log as the failed checkpoint left it, and loses nothing.
+#[test]
+fn a_crash_inside_a_background_checkpoint_recovers() {
+    let (db, rids, id) = wide_db();
+    db.failpoints.arm(CHECKPOINT_FORCED_FAILPOINT);
+    let want = update_until(&db, &rids, || counter(&db, "checkpoint.failed") == 1);
+    assert_eq!(counter(&db, "checkpoint.count"), 0);
+    assert_eq!(
+        db.wal.first_lsn(),
+        Lsn(1),
+        "a failed checkpoint truncates nothing"
+    );
+    db.simulate_crash();
+    let stats = db.restart().unwrap();
+    assert_eq!(stats.redo_start, Lsn::NULL);
+    let got: Vec<Record> = rids
+        .iter()
+        .map(|&r| db.read_record(T, r).unwrap())
+        .collect();
+    assert_eq!(got, want);
+    verify_index(&db, id).unwrap();
+}
+
+/// A checkpoint record written after a crash would tell restart to skip
+/// redo it has not done, so none is. The background checkpointer is
+/// held at the start of a checkpoint while the engine crashes; let go,
+/// it is refused, as is an explicit checkpoint; after restart both run.
+#[test]
+fn no_checkpoint_runs_between_a_crash_and_the_end_of_restart() {
+    let (db, rids, id) = wide_db();
+    let (entered, started) = std::sync::mpsc::channel();
+    let (go, release) = std::sync::mpsc::channel::<()>();
+    db.failpoints
+        .arm_hook(CHECKPOINT_BEGIN_FAILPOINT, 0, move || {
+            entered.send(()).unwrap();
+            release.recv().unwrap();
+        });
+    let want = update_until(&db, &rids, || started.try_recv().is_ok());
+    db.wal.flush_all();
+    db.simulate_crash();
+    let crashed_at = db.wal.tail_lsn();
+    assert!(
+        db.checkpoint().is_err(),
+        "an explicit checkpoint is refused"
+    );
+    go.send(()).unwrap();
+    while counter(&db, "checkpoint.failed") < 2 {
+        std::thread::yield_now();
+    }
+    assert_eq!(counter(&db, "checkpoint.count"), 0);
+    assert_eq!(db.wal.tail_lsn(), crashed_at, "nothing was written");
+
+    let stats = db.restart().unwrap();
+    assert_eq!(stats.redo_start, Lsn::NULL);
+    let got: Vec<Record> = rids
+        .iter()
+        .map(|&r| db.read_record(T, r).unwrap())
+        .collect();
+    assert_eq!(got, want);
+    verify_index(&db, id).unwrap();
+    db.checkpoint().unwrap();
+    // And the background one, once the log has grown by the trigger
+    // again.
+    let before = counter(&db, "checkpoint.count");
+    update_until(&db, &rids, || counter(&db, "checkpoint.count") > before);
 }

@@ -108,6 +108,18 @@ fn main() {
                     if replica.is_promoted() {
                         return;
                     }
+                    if let Some(first) = replica.severed_at() {
+                        // The primary is alive; it only no longer holds
+                        // what this follower needs. Promoting now would
+                        // make a second primary.
+                        eprintln!(
+                            "the primary's log starts at LSN {}, past this follower's \
+                             applied LSN {}: following stopped; seed the follower again",
+                            first.0,
+                            replica.applied_lsn().0
+                        );
+                        return;
+                    }
                     if replica.last_frame_elapsed() > after {
                         eprintln!(
                             "no WAL frame for {:.1}s; promoting to primary",

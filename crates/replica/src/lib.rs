@@ -138,6 +138,10 @@ pub struct Replica {
     /// `applied + 1` — the position is still trusted, only the
     /// stream was dropped.
     cut_loose: AtomicU64,
+    /// The primary's first LSN when it answered a subscription with
+    /// `ErrorCode::LogTruncated` (0 until then): it no longer holds
+    /// records this follower needs, so following has stopped for good.
+    severed: AtomicU64,
     apply_errors: AtomicU64,
     stop: AtomicBool,
     /// A frame was received since the last disconnect (resets backoff).
@@ -191,6 +195,7 @@ impl Replica {
             primary_flushed: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             cut_loose: AtomicU64::new(0),
+            severed: AtomicU64::new(0),
             apply_errors: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             progressed: AtomicBool::new(false),
@@ -272,6 +277,18 @@ impl Replica {
     #[must_use]
     pub fn cut_loose_count(&self) -> u64 {
         self.cut_loose.load(Ordering::Relaxed)
+    }
+
+    /// The primary's first retained LSN, once it refused this follower
+    /// because a checkpoint truncated records the follower still
+    /// needed; `None` while following. A severed follower has stopped
+    /// and must be seeded again — reconnecting cannot help it.
+    #[must_use]
+    pub fn severed_at(&self) -> Option<Lsn> {
+        match self.severed.load(Ordering::Acquire) {
+            0 => None,
+            first => Some(Lsn(first)),
+        }
     }
 
     /// How long since the last frame (heartbeats included) arrived
@@ -356,6 +373,24 @@ impl Replica {
                         .trace()
                         .event("repl.cut_loose", "resubscribing", retained_from);
                     immediate = true;
+                }
+                Err(ClientError::Server {
+                    code: ErrorCode::LogTruncated { first_lsn },
+                    ..
+                }) => {
+                    // Terminal: the records from `applied + 1` are gone
+                    // from the primary's log, and resubscribing would
+                    // only be told so again. The queue is empty (the
+                    // loop resubscribes only once it is), so stopping
+                    // loses nothing applied.
+                    self.severed.store(first_lsn.max(1), Ordering::Release);
+                    self.db.obs.trace().event(
+                        "repl.severed",
+                        format!("primary's log starts at {first_lsn}"),
+                        self.applied.load(Ordering::Acquire),
+                    );
+                    self.stop.store(true, Ordering::Release);
+                    break;
                 }
                 Err(e) => {
                     self.db

@@ -63,6 +63,9 @@ pub(crate) struct ObserveJob {
 pub(crate) struct WalSubJob {
     /// Next LSN to ship.
     next: u64,
+    /// Keeps `next` and everything after it in the log: a checkpoint
+    /// truncates no record this stream has yet to ship.
+    pin: mohan_wal::LogPin,
     /// When the last frame (records or heartbeat) went out.
     last_emit: Instant,
     /// Force an immediate first frame so the subscriber learns the
@@ -81,6 +84,7 @@ impl WalSubJob {
     /// A frame went out; the cursor now stands at `next`.
     fn emitted(&mut self, next: u64) {
         self.next = next;
+        self.pin.advance(mohan_common::Lsn(next));
         self.primed = true;
         self.last_emit = Instant::now();
     }
@@ -101,9 +105,10 @@ impl Job {
         })
     }
 
-    pub(crate) fn wal_sub(from_lsn: u64) -> Job {
+    pub(crate) fn wal_sub(from_lsn: u64, pin: mohan_wal::LogPin) -> Job {
         Job::WalSub(WalSubJob {
             next: from_lsn,
+            pin,
             last_emit: Instant::now(),
             primed: false,
             caught_up: false,

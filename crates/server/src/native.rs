@@ -314,8 +314,25 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
                 );
                 return false;
             }
+            // The stream pins the log at its cursor, so no checkpoint
+            // truncates what it has yet to ship; below the log's first
+            // record there is nothing left to pin.
+            let Some(pin) = inner.db.wal.pin(mohan_common::Lsn(from_lsn)) else {
+                let first_lsn = inner.db.wal.first_lsn().0;
+                send(
+                    inner,
+                    conn,
+                    &protocol_err(
+                        ErrorCode::LogTruncated { first_lsn },
+                        &format!(
+                            "from_lsn {from_lsn} was truncated; the log starts at {first_lsn}"
+                        ),
+                    ),
+                );
+                return false;
+            };
             inner.stats.wal_subs.bump();
-            job::begin(inner, ctx, conn, Job::wal_sub(from_lsn));
+            job::begin(inner, ctx, conn, Job::wal_sub(from_lsn, pin));
             job::pump(inner, ctx, conn);
             return true; // slot stays held while the stream is live
         }

@@ -896,3 +896,118 @@ fn cut_loose_follower_reconnects_and_converges_mid_build() {
     apply.join().unwrap();
     proxy.join().unwrap();
 }
+
+/// Append `mib` MiB of raw filler records to `db`'s log and flush.
+fn filler(db: &Db, mib: usize) {
+    for _ in 0..mib * 16 {
+        db.wal.append(
+            TxId(999_999),
+            Lsn::NULL,
+            RecKind::RedoOnly,
+            LogPayload::CatalogUpdate {
+                bytes: vec![0xAB; 64 << 10],
+            },
+        );
+    }
+    db.wal.flush_all();
+}
+
+/// A subscription that starts below the primary's first retained LSN
+/// is refused with `LogTruncated`, and a follower takes that as final:
+/// it stops, instead of resubscribing to the same answer forever.
+#[test]
+fn a_subscription_below_the_truncation_point_is_refused_for_good() {
+    let primary = primary_engine();
+    seed(&primary, 200);
+    primary.checkpoint().unwrap();
+    let first = primary.wal.first_lsn().0;
+    assert!(first > 1);
+    let srv = server(&primary, ServerConfig::default());
+    let mut c = Client::connect(addr_of(&srv)).unwrap();
+    match c.call(&Request::SubscribeWal { from_lsn: 1 }).unwrap() {
+        Response::Err { code, .. } => {
+            assert_eq!(code, ErrorCode::LogTruncated { first_lsn: first })
+        }
+        other => panic!("expected LogTruncated, got {other:?}"),
+    }
+    c.ping().unwrap();
+    match c.call(&Request::SubscribeWal { from_lsn: first }).unwrap() {
+        Response::WalFrame { .. } => {}
+        other => panic!("from the first LSN on the stream runs; got {other:?}"),
+    }
+    drop(c);
+
+    let follower = replica_engine();
+    let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv));
+    let run = replica.spawn();
+    let deadline = std::time::Instant::now() + CATCH_UP;
+    while replica.severed_at().is_none() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let severed = replica.severed_at();
+    replica.stop();
+    run.join().unwrap();
+    assert_eq!(severed, Some(Lsn(first)));
+    // It stopped on the first answer: no reconnect, nothing applied.
+    assert_eq!(replica.reconnects(), 0);
+    assert_eq!(replica.applied_lsn(), Lsn::NULL);
+    srv.drain();
+}
+
+/// A live subscription pins the primary's log at its cursor. The
+/// subscriber stalls inside its first frame while it is still catching
+/// up from the log (below the broadcast ring); the log grows past the
+/// checkpoint trigger and is checkpointed; every record the subscriber
+/// had yet to receive is still there, and it receives all of them, in
+/// order.
+#[test]
+fn a_stalled_subscriber_pins_the_log_at_its_cursor() {
+    let primary = primary_engine();
+    seed(&primary, 50);
+    // Below the checkpoint trigger, and far more than the socket
+    // buffers hold.
+    filler(&primary, 12);
+    let srv = server(
+        &primary,
+        ServerConfig {
+            write_timeout: Duration::from_secs(60),
+            ..ServerConfig::default()
+        },
+    );
+    let (stalled, on_stall) = std::sync::mpsc::channel();
+    let (go, release) = std::sync::mpsc::channel::<u64>();
+    let c = Client::connect(addr_of(&srv)).unwrap();
+    let sub = std::thread::spawn(move || {
+        let mut expected = 1u64;
+        let mut target = None;
+        c.subscribe_wal(1, |_flushed, records, _traces| {
+            for r in &records {
+                assert_eq!(r.lsn.0, expected, "gap in the stream");
+                expected += 1;
+            }
+            let target = *target.get_or_insert_with(|| {
+                stalled.send(()).unwrap();
+                release.recv().unwrap()
+            });
+            expected <= target
+        })
+        .map(|()| expected - 1)
+    });
+    on_stall.recv().unwrap();
+    // The stream's socket is full: its cursor is somewhere in the
+    // filler. Now the log grows past the trigger and is checkpointed.
+    filler(&primary, 12);
+    primary.checkpoint().unwrap();
+    let tail = primary.wal.tail_lsn().0;
+    let first = primary.wal.first_lsn().0;
+    assert!(first > 1, "nothing was truncated");
+    assert!(
+        first < tail - 16,
+        "the pin held nothing back: first {first}, tail {tail}"
+    );
+    go.send(tail).unwrap();
+    // Everything through the tail, in order (a checkpoint may have
+    // appended more since).
+    assert!(sub.join().unwrap().unwrap() >= tail);
+    srv.drain();
+}

@@ -16,25 +16,27 @@
 //! high-water mark are shared atomics. The crash/restart semantics are
 //! per-shard but observably identical to the unsharded cache.
 //!
-//! The write-ahead-log rule is enforced at the boundary: `force`
-//! requires the caller to pass the WAL's flushed LSN and refuses to
-//! write a page whose LSN is newer ("write-ahead logging", §1.1).
+//! The write-ahead-log rule is enforced at the boundary: every force
+//! takes the log ([`WriteAhead`]) and, for a page whose LSN the log is
+//! not yet durable through, forces the log that far before it writes
+//! the page ("write-ahead logging", §1.1).
 //!
 //! Forcing costs what was dirtied. A frame is *dirty* iff its latch
 //! has been granted exclusively since the frame was last encoded; the
 //! latch keeps the bit and lists the page in its shard's dirty list on
 //! the clean→dirty transition, so [`PageCache::force_all`] visits only
-//! those pages. Encoding and publishing are separate steps:
+//! those pages, and encodes each into its durable image in place.
+//! A caller that needs the durable image to change as a unit (the
+//! B+-tree) encodes and publishes in separate steps instead:
 //! [`PageCache::stage_dirty`] encodes dirty pages into a volatile
-//! staging area and [`PageCache::publish_staged`] moves the staged
-//! images into the durable maps. A caller that needs the durable image
-//! to change as a unit (the B+-tree) stages without excluding writers
-//! and publishes at an instant of its choosing; a crash in between
+//! staging area without excluding writers, and
+//! [`PageCache::publish_staged`] moves the staged images into the
+//! durable maps at an instant of its choosing; a crash in between
 //! drops the staging area and leaves the previous durable image whole.
 
 use crate::latch::{DirtyList, Latch, LatchStats};
 use mohan_common::stats::{Counter, ShardDist};
-use mohan_common::{Error, FileId, Lsn, PageId, Result};
+use mohan_common::{Error, FileId, Lsn, PageId, Result, WriteAhead};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -289,64 +291,65 @@ impl<T: PagePayload> PageCache<T> {
         shard.volatile.read().contains_key(&id) || shard.durable.lock().contains_key(&id)
     }
 
-    /// Under `frame`'s S latch: clear its dirty bit, encode it and hand
-    /// the image to `sink`. Does nothing if `only_dirty` is set and the
-    /// frame is clean. `sink` runs before the latch is released, so
-    /// images of one page reach it in the order the page went through
-    /// them even when two forcers meet.
-    /// Enforces the WAL rule: a page whose LSN exceeds `flushed_lsn` is
-    /// refused and stays dirty, so a retry after a log flush finds it
-    /// again.
+    /// Under `frame`'s S latch: clear its dirty bit and hand the page to
+    /// `sink`, which encodes it ([`encode_image`]). Does nothing if
+    /// `only_dirty` is set and the frame is clean. `sink` runs before
+    /// the latch is released, so images of one page reach it in the
+    /// order the page went through them even when two forcers meet.
+    /// Enforces the WAL rule: a page whose LSN the log is not yet
+    /// durable through is written only after `wal` made it so; one it
+    /// cannot be made durable through is refused and stays dirty.
     fn write_out(
         &self,
         frame: &Frame<T>,
-        flushed_lsn: Lsn,
+        wal: &impl WriteAhead,
         only_dirty: bool,
-        sink: impl FnOnce(Vec<u8>),
+        sink: impl FnOnce(&PageBuf<T>),
     ) -> Result<()> {
         let buf = frame.latch.share();
         if only_dirty && !frame.latch.is_dirty() {
             return Ok(());
         }
-        if buf.lsn > flushed_lsn {
+        if !wal.durable_through(buf.lsn) {
             return Err(Error::Corruption(format!(
-                "WAL violation: forcing {} {} with page LSN {} > flushed {}",
-                self.file, frame.id, buf.lsn, flushed_lsn
+                "WAL violation: forcing {} {} with page LSN {} the log cannot reach",
+                self.file, frame.id, buf.lsn
             )));
         }
         frame.latch.clear_dirty();
-        let mut bytes = Vec::with_capacity(64);
-        bytes.extend_from_slice(&buf.lsn.0.to_be_bytes());
-        buf.payload.encode(&mut bytes);
-        sink(bytes);
+        sink(&buf);
         Ok(())
     }
 
-    /// Force one page to the durable image, dirty or not. Enforces the
-    /// WAL rule: the page's LSN must not exceed `flushed_lsn`.
-    pub fn force(&self, id: PageId, flushed_lsn: Lsn) -> Result<()> {
+    /// Force one page to the durable image, dirty or not, under the WAL
+    /// rule.
+    pub fn force(&self, id: PageId, wal: impl WriteAhead) -> Result<()> {
         let frame = self.frame(id)?;
         let shard = &self.shards[Self::shard_of(id)];
-        self.write_out(&frame, flushed_lsn, false, |bytes| {
+        self.write_out(&frame, &wal, false, |buf| {
             // An older staged image must not overwrite this one later.
             shard.staged.lock().remove(&id);
-            shard.durable.lock().insert(id, bytes);
+            encode_image(buf, shard.durable.lock().entry(id).or_default());
         })?;
         self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
         self.stats.forces.bump();
         Ok(())
     }
 
-    /// Encode every dirty page into the staging area, clearing its
-    /// dirty bit; the durable image does not change. Each page is
-    /// encoded under its own S latch, so writers are held up for one
-    /// page encode at most, and a page they touch afterwards is dirty
-    /// again. Work is proportional to the pages dirtied since the last
-    /// call. On a WAL-rule refusal the refused page and those not yet
-    /// visited stay dirty. `between_pages` runs after each page, with
-    /// that page's latch released and no lock of the cache held — the
-    /// one place a caller that holds nothing itself may give way.
-    pub fn stage_dirty(&self, flushed_lsn: Lsn, mut between_pages: impl FnMut()) -> Result<()> {
+    /// Visit every dirty page, handing it to `write` under its S latch
+    /// and clearing its dirty bit. Each page is held for one encode, so
+    /// writers wait that long at most, and a page they touch afterwards
+    /// is dirty again: work is proportional to the pages dirtied since
+    /// the last visit. On a WAL-rule refusal the refused page and those
+    /// not yet visited stay dirty. `between_pages` runs after each page,
+    /// with that page's latch released and no lock of the cache held —
+    /// the one place a caller that holds nothing itself may give way.
+    fn write_dirty(
+        &self,
+        wal: &impl WriteAhead,
+        mut write: impl FnMut(&Shard<T>, PageId, &PageBuf<T>),
+        mut between_pages: impl FnMut(),
+    ) -> Result<()> {
         for shard in &self.shards {
             let mut ids = shard.dirty.take().into_iter();
             while let Some(raw) = ids.next() {
@@ -357,9 +360,7 @@ impl<T: PagePayload> PageCache<T> {
                 };
                 // A clean frame was listed twice, or forced singly in
                 // between: nothing to write.
-                if let Err(e) = self.write_out(&frame, flushed_lsn, true, |bytes| {
-                    shard.staged.lock().insert(id, bytes);
-                }) {
+                if let Err(e) = self.write_out(&frame, wal, true, |buf| write(shard, id, buf)) {
                     shard.dirty.extend(std::iter::once(raw).chain(ids));
                     return Err(e);
                 }
@@ -367,6 +368,16 @@ impl<T: PagePayload> PageCache<T> {
             }
         }
         Ok(())
+    }
+
+    /// Encode every dirty page into the staging area ([`Self::write_dirty`]);
+    /// the durable image does not change until [`Self::publish_staged`].
+    pub fn stage_dirty(&self, wal: impl WriteAhead, between_pages: impl FnMut()) -> Result<()> {
+        self.write_dirty(
+            &wal,
+            |shard, id, buf| encode_image(buf, shard.staged.lock().entry(id).or_default()),
+            between_pages,
+        )
     }
 
     /// Move every staged image into the durable maps (the write I/Os)
@@ -391,16 +402,24 @@ impl<T: PagePayload> PageCache<T> {
     }
 
     /// Force every dirty page (checkpoints, §2.2.3 and §3.2.4: "all
-    /// the dirty pages"). Writers are not excluded, so the pages are
-    /// written as they stood at different instants — right for heap
-    /// pages, whose page-LSN redo tolerates any mix of old and new
-    /// images; a structure spanning pages must publish at a consistent
-    /// instant instead (see `BTree::force_all`). On a WAL-rule refusal
-    /// the pages staged so far are still written.
-    pub fn force_all(&self, flushed_lsn: Lsn) -> Result<()> {
-        let staged = self.stage_dirty(flushed_lsn, || {});
-        self.publish_staged();
-        staged
+    /// the dirty pages"), each encoded straight into its durable image,
+    /// whose buffer it reuses ([`Self::write_dirty`]). Writers are not
+    /// excluded, so the pages are written as they stood at different
+    /// instants — right for heap pages, whose page-LSN redo tolerates
+    /// any mix of old and new images; a structure spanning pages must
+    /// publish at a consistent instant instead, through
+    /// [`Self::stage_dirty`] and [`Self::publish_staged`] (see
+    /// `BTree::force_all`), and does not mix the two on one cache.
+    pub fn force_all(&self, wal: impl WriteAhead, between_pages: impl FnMut()) -> Result<()> {
+        self.write_dirty(
+            &wal,
+            |shard, id, buf| {
+                encode_image(buf, shard.durable.lock().entry(id).or_default());
+                self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
+                self.stats.forces.bump();
+            },
+            between_pages,
+        )
     }
 
     /// Deallocate every page with id ≥ `from`, volatile *and* durable.
@@ -438,6 +457,14 @@ impl<T: PagePayload> PageCache<T> {
     pub fn durable_pages(&self) -> u32 {
         self.durable_count.load(Ordering::Acquire)
     }
+}
+
+/// Overwrite `image` with the page's durable form: its LSN (8 bytes,
+/// big-endian), then its payload. The buffer's allocation is kept.
+fn encode_image<T: PagePayload>(buf: &PageBuf<T>, image: &mut Vec<u8>) {
+    image.clear();
+    image.extend_from_slice(&buf.lsn.0.to_be_bytes());
+    buf.payload.encode(image);
 }
 
 impl<T: PagePayload> std::fmt::Debug for PageCache<T> {
@@ -530,6 +557,46 @@ mod tests {
         c.force(PageId(0), Lsn(10)).unwrap();
     }
 
+    /// A log that can always be forced, and remembers how far it was.
+    struct Forceable(std::sync::atomic::AtomicU64);
+
+    impl WriteAhead for Forceable {
+        fn durable_through(&self, lsn: Lsn) -> bool {
+            self.0.fetch_max(lsn.0, Ordering::AcqRel);
+            true
+        }
+    }
+
+    #[test]
+    fn a_page_past_the_flushed_mark_forces_the_log_then_itself() {
+        let c = cache();
+        let f = c.allocate(Blob(vec![1]));
+        f.latch.exclusive().lsn = Lsn(10);
+        let log = Forceable(3.into());
+        c.force_all(&log, || {}).unwrap();
+        assert_eq!(log.0.load(Ordering::Acquire), 10);
+        c.crash();
+        assert_eq!(c.frame(PageId(0)).unwrap().latch.share().lsn, Lsn(10));
+    }
+
+    #[test]
+    fn force_all_encodes_into_the_durable_image_it_replaces() {
+        let c = cache();
+        let f = c.allocate(Blob(vec![1; 100]));
+        c.force_all(Lsn::NULL, || {}).unwrap();
+        let image = |c: &PageCache<Blob>| {
+            let d = c.shards[PageCache::<Blob>::shard_of(PageId(0))]
+                .durable
+                .lock();
+            let v = &d[&PageId(0)];
+            (v.as_ptr() as usize, v[8])
+        };
+        let (before, _) = image(&c);
+        f.latch.exclusive().payload.0[0] = 2;
+        c.force_all(Lsn::NULL, || {}).unwrap();
+        assert_eq!(image(&c), (before, 2), "same buffer, new bytes");
+    }
+
     #[test]
     fn truncate_from_deallocates_tail() {
         let c = cache();
@@ -568,7 +635,7 @@ mod tests {
             let f = c.allocate(Blob(vec![i]));
             f.latch.exclusive().lsn = Lsn(u64::from(i));
         }
-        c.force_all(Lsn(100)).unwrap();
+        c.force_all(Lsn(100), || {}).unwrap();
         c.crash();
         assert_eq!(c.num_pages(), 10);
         for i in 0..10u8 {
@@ -584,18 +651,18 @@ mod tests {
             c.allocate(Blob(vec![i]));
         }
         // Fresh pages start dirty.
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 10);
         // Nothing X-latched since: nothing to do, S latches included.
         let _ = c.frame(PageId(3)).unwrap().latch.share();
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 10);
         // Each way of getting the X latch re-dirties, once per page.
         c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 33;
         c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 34;
         drop(c.frame(PageId(4)).unwrap().latch.exclusive_arc());
         drop(c.frame(PageId(5)).unwrap().latch.try_exclusive().unwrap());
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 13);
         c.crash();
         assert_eq!(
@@ -608,11 +675,11 @@ mod tests {
     fn decoded_frames_start_clean() {
         let c = cache();
         c.allocate(Blob(vec![1]));
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         c.crash();
         let f = c.frame(PageId(0)).unwrap();
         assert!(!f.latch.is_dirty());
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 1);
     }
 
@@ -625,12 +692,12 @@ mod tests {
         early.latch.exclusive().lsn = Lsn(5);
         late.latch.exclusive().lsn = Lsn(10);
         other.latch.exclusive().lsn = Lsn(5);
-        assert!(c.force_all(Lsn(9)).is_err());
+        assert!(c.force_all(Lsn(9), || {}).is_err());
         assert!(late.latch.is_dirty());
         // The retry, after the log caught up, forces the refused page
         // and whatever the failed pass had not reached — and no page
         // twice.
-        c.force_all(Lsn(10)).unwrap();
+        c.force_all(Lsn(10), || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 3);
         assert!(!late.latch.is_dirty());
         c.crash();
@@ -644,18 +711,18 @@ mod tests {
         for i in 0..4u8 {
             c.allocate(Blob(vec![i]));
         }
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         // Dirty, then truncated away: the stale listing must neither
         // fail the next force nor resurrect the page.
         c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 9;
         c.truncate_from(PageId(2));
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 4);
         assert_eq!(c.durable_pages(), 2);
         let f = c.allocate(Blob(vec![7]));
         assert_eq!(f.id, PageId(2));
         assert!(f.latch.is_dirty());
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 5);
         c.crash();
         assert_eq!(
@@ -668,7 +735,7 @@ mod tests {
     fn staged_images_are_volatile_until_published() {
         let c = cache();
         let f = c.allocate(Blob(vec![1]));
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         f.latch.exclusive().payload.0[0] = 2;
         c.stage_dirty(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 1, "staging writes nothing");
@@ -714,10 +781,10 @@ mod tests {
                 allocating.store(false, Ordering::Release);
             });
             while allocating.load(Ordering::Acquire) {
-                c.force_all(Lsn::NULL).unwrap();
+                c.force_all(Lsn::NULL, || {}).unwrap();
             }
         });
-        c.force_all(Lsn::NULL).unwrap();
+        c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 20_000);
         c.crash();
         assert_eq!(c.num_pages(), 20_000);

@@ -15,6 +15,9 @@
 //! fresh replica subscribing from LSN 1) are served by bounded private
 //! scans until their cursor reaches a retained chunk boundary — only
 //! subscribers that were *inside* the window and fell out get cut.
+//! The ring itself does not pin the log: if a truncation passes its
+//! head while no subscriber fills it, the next fill restarts the window
+//! at [`LogManager::first_lsn`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,6 +153,16 @@ impl WalBroadcast {
         let Some(mut ring) = self.ring.try_lock() else {
             return false;
         };
+        let first = log.first_lsn().0;
+        if ring.next_lsn < first {
+            // The log was truncated past the ring's head while nobody
+            // filled it. A subscriber still needing those records pins
+            // the log, so none does: restart the window at the log's
+            // first record.
+            ring.chunks.clear();
+            ring.bytes = 0;
+            ring.next_lsn = first;
+        }
         let mut progressed = false;
         while ring.next_lsn <= flushed {
             self.scans.fetch_add(1, Ordering::Relaxed);
@@ -479,5 +492,21 @@ mod tests {
         log.flush_all();
         bc.fill(&log);
         assert_eq!(bc.head_lsn(), 9);
+    }
+
+    #[test]
+    fn a_ring_left_behind_by_truncation_restarts_at_the_first_record() {
+        let log = LogManager::new();
+        let bc = WalBroadcast::new(1, 1 << 22);
+        append_n(&log, 5_000, 16);
+        bc.fill(&log);
+        append_n(&log, 10_000, 16);
+        // Nobody filled the ring while the log was truncated past its
+        // head.
+        assert_eq!(log.truncate_below(Lsn(12_000)), Lsn(12_000));
+        assert!(bc.fill(&log));
+        assert_eq!(bc.window_start(), 12_000);
+        assert_eq!(bc.head_lsn(), 15_001);
+        assert!(matches!(bc.tail_from(12_000, 64), Tail::Chunks(_)));
     }
 }

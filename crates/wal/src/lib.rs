@@ -14,9 +14,9 @@
 //!   what WAL stream replication ships.
 //! * [`broadcast`] — fan-out: a bounded ring of chunks copied out of
 //!   the log once and shared by every WAL subscriber.
-//! * [`log`] — the log manager: encoded write-once slots,
-//!   append/flush, flushed-prefix crash semantics, per-transaction
-//!   `prev_lsn` chains.
+//! * [`log`] — the log manager: encoded write-once slots in segments
+//!   that truncation frees, append/flush, flushed-prefix crash
+//!   semantics, per-transaction `prev_lsn` chains.
 //! * [`recovery`] — the analysis / redo / undo driver, generic over a
 //!   [`recovery::RecoveryTarget`] implemented by the engine. The same
 //!   undo machinery performs normal transaction rollback, including
@@ -32,7 +32,7 @@ pub mod recovery;
 
 pub use broadcast::{Tail, WalBroadcast, WalChunk};
 pub use codec::{decode_record, decode_records, encode_record, encode_records, RecordHeader};
-pub use log::{LogManager, WalStats};
+pub use log::{LogManager, LogPin, WalStats};
 pub use record::{LogPayload, LogRecord, RecKind, SideFileOp};
 pub use recovery::{
     checkpoint_redo_start, recover, rollback_tx, AnalysisResult, RecoveryStats, RecoveryTarget,

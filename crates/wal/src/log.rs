@@ -8,14 +8,23 @@
 //! [`LogManager::headers_from`]) or copy the stored bytes
 //! ([`LogManager::copy_range`]).
 //!
+//! Slots live in fixed-size segments of [`SEGMENT_SLOTS`], and the log
+//! is as long as the work since the last checkpoint: once a checkpoint
+//! no longer needs the records below some LSN,
+//! [`LogManager::truncate_below`] drops every segment that holds only
+//! such records, and nothing below [`LogManager::first_lsn`] can be
+//! read any more. A reader holds an `Arc` of the segment it reads, so
+//! a segment dropped under it stays whole until the reader lets go.
+//! Anyone who must read records a checkpoint would drop — a WAL
+//! subscriber that has not shipped them yet — holds a [`LogPin`].
+//!
 //! Appends encode, reserve an LSN with a single `fetch_add`, and then
-//! publish the bytes into a pre-addressed slot of an
-//! exponentially-growing segment directory, so the hot path takes **no
-//! lock at all**: one atomic reservation, two atomic loads to
-//! translate the LSN to its physical slot, and one write-once slot
-//! publish. Durability happens at [`LogManager::flush_to`] /
-//! [`LogManager::flush_all`]; concurrent flushers coalesce into one
-//! durable-prefix advance (group flush).
+//! publish the bytes into their pre-addressed slot. The hot path takes
+//! **no lock**: each thread keeps the segment it last appended to, so
+//! the directory lock is taken once per thread per segment. Durability
+//! happens at [`LogManager::flush_to`] / [`LogManager::flush_all`];
+//! concurrent flushers coalesce into one durable-prefix advance (group
+//! flush).
 //!
 //! A simulated crash truncates the log back to the flushed prefix,
 //! which is what lets tests observe the difference between, say, SF's
@@ -23,31 +32,24 @@
 //! write-once (`OnceLock`) and appends never lock the directory, a
 //! crash cannot scrub the truncated slots in place; instead it *burns*
 //! them: a new epoch remaps the reused logical LSN range onto fresh
-//! physical slots and the abandoned ones are reclaimed when the log is
-//! dropped. Crash simulation is quiescent by contract — callers join
-//! their worker threads before calling [`LogManager::crash`], exactly
-//! as a real failure stops all appenders.
+//! physical slots, and the abandoned ones go with their segment. Crash
+//! simulation is quiescent by contract — callers join their worker
+//! threads before calling [`LogManager::crash`], exactly as a real
+//! failure stops all appenders.
 
 use crate::codec::{decode_record, encode_record, RecordHeader, LSN_BYTES};
 use crate::record::{LogPayload, LogRecord, RecKind};
 use mohan_common::stats::{Counter, StripedCounter};
-use mohan_common::{Error, Lsn, Result, TxId};
+use mohan_common::{Error, Lsn, Result, TxId, WriteAhead};
 use mohan_obs::{Histogram, TraceSink};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
-/// Slots in the first log segment; segment `s` holds
-/// `SEGMENT_CAP << s` slots, so the directory is a fixed array of
-/// [`MAX_SEGMENTS`] lazily-initialized segments covering ~2^40
-/// records without ever relocating one.
-const SEGMENT_CAP: usize = 1024;
-
-/// Upper bound on directory entries (capacity `SEGMENT_CAP * (2^31 -
-/// 1)` slots — unreachable in practice).
-const MAX_SEGMENTS: usize = 31;
+/// Slots in a log segment, the unit the log is allocated and freed in.
+pub const SEGMENT_SLOTS: u64 = 4096;
 
 /// Pads a hot atomic onto its own cache line so unrelated writers do
 /// not false-share it.
@@ -76,35 +78,70 @@ thread_local! {
     /// Where [`LogManager::append`] encodes before it knows the size
     /// of the slot's allocation.
     static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// The segment this thread last appended to: `(log id, segment
+    /// number, segment)`. A thread that stops appending keeps one
+    /// segment alive after a truncation dropped it, until it appends
+    /// again or exits.
+    static APPEND_SEGMENT: RefCell<Option<(u64, u64, Arc<Segment>)>> =
+        const { RefCell::new(None) };
 }
 
-/// One run of log slots. Slots are deliberately *not* padded to cache
-/// lines: adjacent publishes share a line, but reservation order makes
-/// the sharing sequential (at most one handoff per line quarter), and
-/// the dense layout keeps the prefetcher effective for appends and
-/// scans alike — measured, the padded variant is ~2x slower
-/// single-threaded and no faster at 4 threads.
+/// Source of [`LogManager`] ids, which key the per-thread segment.
+static NEXT_LOG_ID: AtomicU64 = AtomicU64::new(0);
+
+/// One run of [`SEGMENT_SLOTS`] log slots. Slots are deliberately *not*
+/// padded to cache lines: adjacent publishes share a line, but
+/// reservation order makes the sharing sequential (at most one handoff
+/// per line quarter), and the dense layout keeps the prefetcher
+/// effective for appends and scans alike — measured, the padded variant
+/// is ~2x slower single-threaded and no faster at 4 threads.
 struct Segment {
-    slots: Vec<Slot>,
+    slots: Box<[Slot]>,
 }
 
 impl Segment {
-    fn new(cap: usize) -> Segment {
+    fn new() -> Segment {
         Segment {
-            slots: (0..cap).map(|_| OnceLock::new()).collect(),
+            slots: (0..SEGMENT_SLOTS).map(|_| OnceLock::new()).collect(),
         }
     }
 }
 
-/// Physical slot address of physical index `phys`: segment sizes
-/// double, so the segment is found from the high bit of
-/// `phys / SEGMENT_CAP + 1` and the offset by subtracting the slots
-/// held by all earlier segments.
-fn seg_slot(phys: u64) -> (usize, usize) {
-    let t = phys / SEGMENT_CAP as u64 + 1;
-    let s = (63 - t.leading_zeros()) as usize;
-    let off = (phys - SEGMENT_CAP as u64 * ((1u64 << s) - 1)) as usize;
-    (s, off)
+/// The segments the log holds, in physical order.
+struct Directory {
+    /// Physical segment number of `segs[0]`.
+    base: u64,
+    segs: VecDeque<Arc<Segment>>,
+}
+
+impl Directory {
+    fn get(&self, no: u64) -> Option<Arc<Segment>> {
+        let i = usize::try_from(no.checked_sub(self.base)?).ok()?;
+        self.segs.get(i).cloned()
+    }
+
+    /// Physical segment number one past the last held.
+    fn end(&self) -> u64 {
+        self.base + self.segs.len() as u64
+    }
+}
+
+/// Remembers the segment it last read, so a walk over consecutive
+/// slots takes the directory lock once per segment.
+#[derive(Default)]
+struct SegmentCursor(Option<(u64, Arc<Segment>)>);
+
+impl SegmentCursor {
+    /// Physical slot `phys`, or `None` if its segment is not held
+    /// (dropped by truncation, or not yet allocated).
+    fn slot(&mut self, dir: &RwLock<Directory>, phys: u64) -> Option<&Slot> {
+        let no = phys / SEGMENT_SLOTS;
+        if self.0.as_ref().map(|(n, _)| *n) != Some(no) {
+            self.0 = Some((no, dir.read().get(no)?));
+        }
+        let (_, seg) = self.0.as_ref()?;
+        Some(&seg.slots[(phys % SEGMENT_SLOTS) as usize])
+    }
 }
 
 /// Map a logical record index to its physical slot index given the
@@ -114,6 +151,20 @@ fn seg_slot(phys: u64) -> (usize, usize) {
 fn translate(epochs: &[(u64, u64)], idx: u64) -> u64 {
     let i = epochs.partition_point(|e| e.0 <= idx) - 1;
     idx - epochs[i].0 + epochs[i].1
+}
+
+/// Keeps the records at and above its LSN in the log: a truncation
+/// stops below the lowest live pin. Taken with [`LogManager::pin`],
+/// moved forward with [`LogPin::advance`] as its holder consumes the
+/// log, released by dropping it.
+#[derive(Debug)]
+pub struct LogPin(Arc<AtomicU64>);
+
+impl LogPin {
+    /// The holder no longer needs anything below `to`.
+    pub fn advance(&self, to: Lsn) {
+        self.0.fetch_max(to.0, Ordering::Release);
+    }
 }
 
 /// Log-volume counters, split by origin so benches can reproduce the
@@ -138,6 +189,10 @@ pub struct WalStats {
     pub group_flush_coalesced: Counter,
     /// Log segments allocated.
     pub segment_allocs: Counter,
+    /// Records freed by truncation (burned ones included).
+    pub truncated_records: Counter,
+    /// Stored bytes freed by truncation.
+    pub truncated_bytes: Counter,
     /// Latency of flush calls that reached the slow path (µs) —
     /// both actual forces and coalesced waiters; the fast path
     /// (already durable) records nothing.
@@ -152,10 +207,18 @@ type FlushWaker = (u64, Box<dyn Fn() + Send + Sync>);
 
 /// The write-ahead log.
 pub struct LogManager {
-    /// Directory of doubling-size segments, initialized on first
-    /// touch. Entries are write-once, so lookups are a single acquire
-    /// load — appends and reads never lock the directory.
-    segs: [OnceLock<Segment>; MAX_SEGMENTS],
+    /// Key of this log's entry in a thread's append segment.
+    id: u64,
+    /// The segments holding every record at or above `first`. Appends
+    /// take it once per thread per segment, readers once per segment
+    /// they walk into, truncation to drop segments from the front.
+    dir: RwLock<Directory>,
+    /// Lowest LSN the log still holds (1 until the first truncation).
+    first: Pad<AtomicU64>,
+    /// Live [`LogPin`]s. Held by a truncation from computing its floor
+    /// to publishing it, and by [`LogManager::pin`], so a pin cannot
+    /// be taken on a record a truncation is about to drop.
+    pins: Mutex<Vec<Weak<AtomicU64>>>,
     /// Count of reserved logical LSNs (the next append gets
     /// `next + 1`).
     next: Pad<AtomicU64>,
@@ -221,7 +284,13 @@ impl LogManager {
     #[must_use]
     pub fn new() -> LogManager {
         LogManager {
-            segs: std::array::from_fn(|_| OnceLock::new()),
+            id: NEXT_LOG_ID.fetch_add(1, Ordering::Relaxed),
+            dir: RwLock::new(Directory {
+                base: 0,
+                segs: VecDeque::new(),
+            }),
+            first: Pad(AtomicU64::new(1)),
+            pins: Mutex::new(Vec::new()),
             next: Pad(AtomicU64::new(0)),
             published: Pad(AtomicU64::new(0)),
             epoch_logical: Pad(AtomicU64::new(0)),
@@ -263,9 +332,11 @@ impl LogManager {
     /// Register a callback to run after the durable prefix advances
     /// (event-driven WAL shipping: a server shard with live
     /// `SubscribeWal` streams registers its reactor waker here instead
-    /// of polling the flushed LSN). The callback runs on the flushing
-    /// thread and must be cheap and non-blocking — a wake, not work.
-    /// Returns an id for [`LogManager::unregister_flush_waker`].
+    /// of polling the flushed LSN; the engine checks whether the log
+    /// has grown enough to checkpoint). The callback runs on the
+    /// flushing thread and must be cheap and non-blocking — a wake,
+    /// not work. Returns an id for
+    /// [`LogManager::unregister_flush_waker`].
     pub fn register_flush_waker(&self, f: Box<dyn Fn() + Send + Sync>) -> u64 {
         let id = self.next_flush_waker_id.fetch_add(1, Ordering::AcqRel);
         let mut wakers = self.flush_wakers.write();
@@ -299,30 +370,42 @@ impl LogManager {
         self.has_ib.store(true, Ordering::Release);
     }
 
-    /// Segment `s`, allocating it on first touch.
-    fn segment(&self, s: usize) -> &Segment {
-        assert!(s < MAX_SEGMENTS, "log capacity exceeded");
-        self.segs[s].get_or_init(|| {
-            self.stats.segment_allocs.bump();
-            Segment::new(SEGMENT_CAP << s)
-        })
+    /// Segment `no` for an append, allocating it (and any before it a
+    /// racing appender has not allocated yet) on first touch. The
+    /// allocation happens outside the directory lock.
+    fn segment_for_append(&self, no: u64) -> Arc<Segment> {
+        loop {
+            if let Some(seg) = self.dir.read().get(no) {
+                return seg;
+            }
+            let fresh = Arc::new(Segment::new());
+            let mut dir = self.dir.write();
+            assert!(
+                no >= dir.base,
+                "append into segment {no}, below the truncation point"
+            );
+            if dir.end() <= no {
+                dir.segs.push_back(fresh);
+                self.stats.segment_allocs.bump();
+            }
+        }
     }
 
-    /// Encoding at physical slot `phys`, if published.
-    fn slot(&self, phys: u64) -> Option<&[u8]> {
-        let (s, off) = seg_slot(phys);
-        let seg = self.segs[s].get()?;
-        seg.slots[off].get().map(|bytes| &**bytes)
+    /// Lowest LSN the log holds: everything below it was truncated.
+    #[must_use]
+    pub fn first_lsn(&self) -> Lsn {
+        Lsn(self.first.load(Ordering::Acquire))
     }
 
-    /// Stored encoding of the record at `lsn`. `None` for the null LSN
-    /// or a truncated tail.
-    fn stored(&self, lsn: Lsn) -> Option<&[u8]> {
-        if !lsn.is_valid() || lsn.0 > self.next.load(Ordering::Acquire) {
+    /// Run `f` on the stored encoding of the record at `lsn`. `None`
+    /// for the null LSN, a truncated record or a truncated tail.
+    fn with_stored<R>(&self, lsn: Lsn, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        if lsn < self.first_lsn() || lsn.0 > self.next.load(Ordering::Acquire) {
             return None;
         }
         let phys = translate(&self.epochs.read(), lsn.0 - 1);
-        self.slot(phys)
+        let mut segs = SegmentCursor::default();
+        segs.slot(&self.dir, phys)?.get().map(|bytes| f(bytes))
     }
 
     /// Advance the contiguous published watermark past every slot that
@@ -337,8 +420,13 @@ impl LogManager {
             return;
         }
         let epochs = self.epochs.read();
+        let mut segs = SegmentCursor::default();
         let start = p;
-        while p < next && self.slot(translate(&epochs, p)).is_some() {
+        while p < next
+            && segs
+                .slot(&self.dir, translate(&epochs, p))
+                .is_some_and(|slot| slot.get().is_some())
+        {
             p += 1;
         }
         if p > start {
@@ -413,8 +501,20 @@ impl LogManager {
         bytes[LSN_BYTES].copy_from_slice(&lsn.0.to_be_bytes());
         let phys = idx - self.epoch_logical.load(Ordering::Acquire)
             + self.epoch_physical.load(Ordering::Acquire);
-        let (s, off) = seg_slot(phys);
-        let fresh = self.segment(s).slots[off].set(bytes).is_ok();
+        let (no, off) = (phys / SEGMENT_SLOTS, (phys % SEGMENT_SLOTS) as usize);
+        let fresh = APPEND_SEGMENT.with(|cached| {
+            let mut cached = cached.borrow_mut();
+            match &*cached {
+                Some((log, n, seg)) if *log == self.id && *n == no => seg.slots[off].set(bytes),
+                _ => {
+                    let seg = self.segment_for_append(no);
+                    let set = seg.slots[off].set(bytes);
+                    *cached = Some((self.id, no, seg));
+                    set
+                }
+            }
+            .is_ok()
+        });
         debug_assert!(fresh, "log slot {phys} double-published");
         self.stats.records.bump();
         self.stats.bytes.add(size);
@@ -553,44 +653,54 @@ impl LogManager {
     }
 
     /// Fetch a record by LSN, decoded from its slot (undo chains and
-    /// CLR walks: one record at a time). `None` for the null LSN or a
-    /// truncated tail.
+    /// CLR walks: one record at a time). `None` for the null LSN, a
+    /// truncated record or a truncated tail.
     #[must_use]
     pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
-        self.stored(lsn).map(decode_stored)
+        self.with_stored(lsn, decode_stored)
     }
 
     /// Header of the record at `lsn` — the first 26 bytes (34 for a
     /// CLR) of its slot; the payload is neither read nor allocated.
     #[must_use]
     pub fn header(&self, lsn: Lsn) -> Option<RecordHeader> {
-        self.stored(lsn).map(header_of)
+        self.with_stored(lsn, header_of)
     }
 
-    /// Stored encodings of `(after, through]` in LSN order, following
-    /// the published tail until it stops moving.
-    fn encodings(&self, after: Lsn, through: Lsn) -> Encodings<'_> {
-        Encodings {
+    /// Walk the stored encodings of `(after, through]` in LSN order,
+    /// following the published tail until it stops moving. A walk
+    /// that would start below [`LogManager::first_lsn`] is empty.
+    fn walk(&self, after: Lsn, through: Lsn) -> Walk<'_> {
+        let through = if after.0 + 1 < self.first_lsn().0 {
+            after.0
+        } else {
+            through.0
+        };
+        Walk {
             log: self,
             epochs: self.epochs.read().clone(),
+            segs: SegmentCursor::default(),
             idx: after.0,
             end: after.0,
-            through: through.0,
+            through,
         }
     }
 
     /// Records after `after` in LSN order, each decoded as the
     /// iterator reaches it (restart redo). Follows the published tail:
-    /// records appended while the walk runs are visited too.
+    /// records appended while the walk runs are visited too. Nothing
+    /// when `after` is below [`LogManager::first_lsn`] − 1.
     pub fn iter_from(&self, after: Lsn) -> impl Iterator<Item = LogRecord> + '_ {
-        self.encodings(after, Lsn(u64::MAX)).map(decode_stored)
+        let mut walk = self.walk(after, Lsn(u64::MAX));
+        std::iter::from_fn(move || walk.next_with(decode_stored))
     }
 
     /// Headers of the records after `after` in LSN order (restart
     /// analysis): like [`LogManager::iter_from`] without decoding a
     /// payload.
     pub fn headers_from(&self, after: Lsn) -> impl Iterator<Item = RecordHeader> + '_ {
-        self.encodings(after, Lsn(u64::MAX)).map(header_of)
+        let mut walk = self.walk(after, Lsn(u64::MAX));
+        std::iter::from_fn(move || walk.next_with(header_of))
     }
 
     /// Append the stored encodings of `(after, through]` to `out`,
@@ -598,8 +708,9 @@ impl LogManager {
     /// published tail, after `max_records` records, or before the
     /// record that would take the bytes added past `max_bytes`; the
     /// first record is always taken, so one larger than the budget
-    /// travels alone. Returns the number of records copied and the LSN
-    /// of the last ([`Lsn::NULL`] when none).
+    /// travels alone. Copies nothing when `after` is below
+    /// [`LogManager::first_lsn`] − 1. Returns the number of records
+    /// copied and the LSN of the last ([`Lsn::NULL`] when none).
     pub fn copy_range(
         &self,
         after: Lsn,
@@ -610,11 +721,18 @@ impl LogManager {
     ) -> (usize, Lsn) {
         let start = out.len();
         let mut count = 0;
-        for bytes in self.encodings(after, through).take(max_records) {
-            if count > 0 && out.len() - start + bytes.len() > max_bytes {
+        let mut walk = self.walk(after, through);
+        while count < max_records {
+            let taken = walk.next_with(|bytes| {
+                let fits = count == 0 || out.len() - start + bytes.len() <= max_bytes;
+                if fits {
+                    out.extend_from_slice(bytes);
+                }
+                fits
+            });
+            if taken != Some(true) {
                 break;
             }
-            out.extend_from_slice(bytes);
             count += 1;
         }
         let last = if count == 0 {
@@ -625,38 +743,88 @@ impl LogManager {
         (count, last)
     }
 
-    /// Bytes of the slot directory allocated so far (every slot of
-    /// every touched segment, filled or not).
+    /// Take a [`LogPin`] at `from`: no truncation drops a record at or
+    /// above it while the pin lives. `None` if `from` is already below
+    /// [`LogManager::first_lsn`].
+    #[must_use]
+    pub fn pin(&self, from: Lsn) -> Option<LogPin> {
+        let mut pins = self.pins.lock();
+        if from < self.first_lsn() {
+            return None;
+        }
+        pins.retain(|p| p.strong_count() > 0);
+        let pin = Arc::new(AtomicU64::new(from.0));
+        pins.push(Arc::downgrade(&pin));
+        Some(LogPin(pin))
+    }
+
+    /// Drop every record below `floor` — or below the lowest live
+    /// [`LogPin`], or past the flushed mark, whichever is lower: a
+    /// record that is not durable yet is never dropped, so a crash
+    /// always finds the log it truncates back to. Whole segments go;
+    /// the records below the new [`LogManager::first_lsn`] that share a
+    /// segment with later ones stay in memory, unreadable, until their
+    /// segment goes too. Returns the new first LSN.
+    pub fn truncate_below(&self, floor: Lsn) -> Lsn {
+        let pins = self.pins.lock();
+        let mut floor = floor.0.min(self.flushed.load(Ordering::Acquire) + 1);
+        for pin in pins.iter().filter_map(Weak::upgrade) {
+            floor = floor.min(pin.load(Ordering::Acquire));
+        }
+        if floor <= self.first.load(Ordering::Acquire) {
+            return self.first_lsn();
+        }
+        self.first.store(floor, Ordering::Release);
+        drop(pins);
+        // Segments wholly below the floor's slot go. Nothing publishes
+        // into them any more: a record below the floor is flushed, so
+        // published, and a burned one was published before its
+        // (quiescent) crash.
+        let keep_from = translate(&self.epochs.read(), floor - 1) / SEGMENT_SLOTS;
+        let dropped: Vec<Arc<Segment>> = {
+            let mut dir = self.dir.write();
+            let n = keep_from
+                .saturating_sub(dir.base)
+                .min(dir.segs.len() as u64);
+            dir.base = dir.base.max(keep_from);
+            dir.segs.drain(..n as usize).collect()
+        };
+        for slot in dropped.iter().flat_map(|seg| seg.slots.iter()) {
+            if let Some(bytes) = slot.get() {
+                self.stats.truncated_records.bump();
+                self.stats.truncated_bytes.add(bytes.len() as u64);
+            }
+        }
+        Lsn(floor)
+    }
+
+    /// Bytes of the slot directory the log holds: every slot of every
+    /// segment it holds, filled or not.
     #[must_use]
     pub fn directory_bytes(&self) -> u64 {
-        self.segs
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(|seg| (seg.slots.len() * std::mem::size_of::<Slot>()) as u64)
-            .sum()
+        self.dir.read().segs.len() as u64 * SEGMENT_SLOTS * std::mem::size_of::<Slot>() as u64
     }
 
-    /// Memory the log holds: every stored encoding plus the slot
-    /// directory. Nothing is reclaimed before the log is dropped — the
-    /// burned tail of a crashed epoch included — so the stored part is
-    /// the running total of appended bytes.
+    /// Memory the log holds: the stored encoding of every record in a
+    /// segment it holds — burned ones and truncated ones that share a
+    /// segment with later records included — plus the slot directory.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.stats.bytes.get() + self.directory_bytes()
+        self.stats.bytes.get() - self.stats.truncated_bytes.get() + self.directory_bytes()
     }
 
-    /// Records the log holds in memory (burned ones included; see
+    /// Records the log holds in memory (counted as in
     /// [`LogManager::resident_bytes`]).
     #[must_use]
     pub fn resident_records(&self) -> u64 {
-        self.stats.records.get()
+        self.stats.records.get() - self.stats.truncated_records.get()
     }
 
     /// Simulated system failure: everything after the flushed prefix
     /// is gone. The truncated logical LSN range is remapped onto fresh
     /// physical slots (a published `OnceLock` slot cannot be un-set in
-    /// place); the abandoned slots keep their bytes until the log is
-    /// dropped, bounded by the unflushed tail per crash.
+    /// place); the abandoned slots keep their bytes until a truncation
+    /// drops their segment, bounded by the unflushed tail per crash.
     pub fn crash(&self) {
         let mut epochs = self.epochs.write();
         let flushed = self.flushed.load(Ordering::Acquire);
@@ -685,6 +853,15 @@ impl LogManager {
     }
 }
 
+/// The WAL rule through this log: a page force makes the log durable
+/// through the page's LSN first.
+impl WriteAhead for LogManager {
+    fn durable_through(&self, lsn: Lsn) -> bool {
+        self.flush_to(lsn);
+        self.flushed_lsn() >= lsn
+    }
+}
+
 /// Decode a slot's bytes. Slots only ever hold what `encode_record`
 /// wrote (or what `decode_record` delimited, on a follower).
 fn decode_stored(bytes: &[u8]) -> LogRecord {
@@ -697,12 +874,15 @@ fn header_of(bytes: &[u8]) -> RecordHeader {
 
 /// Cursor behind [`LogManager::iter_from`], [`LogManager::headers_from`]
 /// and [`LogManager::copy_range`]. The crash-epoch table is copied
-/// once (it has one entry per crash, and crashes are quiescent), so a
-/// step is a slot lookup with no lock; the published tail is re-read
-/// only when the cursor catches up with what it last saw.
-struct Encodings<'a> {
+/// once (it has one entry per crash, and crashes are quiescent), and
+/// the segment being read is held, so a step within a segment takes no
+/// lock; the published tail is re-read only when the cursor catches up
+/// with what it last saw. A walk whose next segment was truncated away
+/// ends there.
+struct Walk<'a> {
     log: &'a LogManager,
     epochs: Vec<(u64, u64)>,
+    segs: SegmentCursor,
     /// Logical index of the next record (= LSN of the last one taken).
     idx: u64,
     /// Published tail as last read, clamped to `through`.
@@ -710,22 +890,23 @@ struct Encodings<'a> {
     through: u64,
 }
 
-impl<'a> Iterator for Encodings<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
+impl Walk<'_> {
+    /// Run `f` on the next record's bytes.
+    fn next_with<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         if self.idx >= self.end {
             self.end = self.log.tail_lsn().0.min(self.through);
             if self.idx >= self.end {
                 return None;
             }
         }
+        let phys = translate(&self.epochs, self.idx);
         let bytes = self
-            .log
-            .slot(translate(&self.epochs, self.idx))
+            .segs
+            .slot(&self.log.dir, phys)?
+            .get()
             .expect("record below published watermark must be set");
         self.idx += 1;
-        Some(bytes)
+        Some(f(bytes))
     }
 }
 
@@ -811,7 +992,7 @@ mod tests {
         assert_eq!(log.resident_bytes(), stored + log.directory_bytes());
         assert_eq!(
             log.directory_bytes(),
-            (SEGMENT_CAP * std::mem::size_of::<Slot>()) as u64
+            SEGMENT_SLOTS * std::mem::size_of::<Slot>() as u64
         );
     }
 
@@ -1030,19 +1211,6 @@ mod tests {
     }
 
     #[test]
-    fn seg_slot_addresses_doubling_segments() {
-        assert_eq!(seg_slot(0), (0, 0));
-        assert_eq!(seg_slot(SEGMENT_CAP as u64 - 1), (0, SEGMENT_CAP - 1));
-        assert_eq!(seg_slot(SEGMENT_CAP as u64), (1, 0));
-        assert_eq!(
-            seg_slot(3 * SEGMENT_CAP as u64 - 1),
-            (1, 2 * SEGMENT_CAP - 1)
-        );
-        assert_eq!(seg_slot(3 * SEGMENT_CAP as u64), (2, 0));
-        assert_eq!(seg_slot(7 * SEGMENT_CAP as u64), (3, 0));
-    }
-
-    #[test]
     fn crash_truncates_to_flushed_prefix() {
         let log = LogManager::new();
         begin(&log, 1);
@@ -1130,14 +1298,14 @@ mod tests {
     #[test]
     fn appends_cross_segment_boundaries() {
         let log = LogManager::new();
-        let n = SEGMENT_CAP as u64 + 5;
+        let n = SEGMENT_SLOTS + 5;
         for i in 0..n {
             begin(&log, i);
         }
         assert_eq!(log.tail_lsn(), Lsn(n));
         assert!(log.stats.segment_allocs.get() >= 2);
         // Reads across the boundary.
-        let boundary = SEGMENT_CAP as u64;
+        let boundary = SEGMENT_SLOTS;
         assert_eq!(log.get(Lsn(boundary)).unwrap().tx, TxId(boundary - 1));
         assert_eq!(log.get(Lsn(boundary + 1)).unwrap().tx, TxId(boundary));
         let suffix: Vec<LogRecord> = log.iter_from(Lsn(boundary - 1)).collect();
@@ -1148,11 +1316,11 @@ mod tests {
     #[test]
     fn crash_mid_segment_keeps_earlier_segments() {
         let log = LogManager::new();
-        let n = SEGMENT_CAP as u64 + 10;
+        let n = SEGMENT_SLOTS + 10;
         for i in 0..n {
             begin(&log, i);
         }
-        let cut = SEGMENT_CAP as u64 + 3;
+        let cut = SEGMENT_SLOTS + 3;
         log.flush_to(Lsn(cut));
         log.crash();
         assert_eq!(log.tail_lsn(), Lsn(cut));
@@ -1239,5 +1407,204 @@ mod tests {
         let coalesced = log.stats.group_flush_coalesced.get();
         assert!(forces >= 1);
         assert!(forces + coalesced <= threads * per);
+    }
+
+    /// The stored size of records `from..=to`, as `get` reads them back.
+    fn stored_bytes(log: &LogManager, from: u64, to: u64) -> u64 {
+        let mut buf = Vec::new();
+        (from..=to)
+            .map(|lsn| {
+                buf.clear();
+                encode_record(&log.get(Lsn(lsn)).expect("held record"), &mut buf);
+                buf.len() as u64
+            })
+            .sum()
+    }
+
+    #[test]
+    fn truncation_drops_whole_segments_and_the_gauges_fall_exactly() {
+        let log = LogManager::new();
+        let n = 3 * SEGMENT_SLOTS + 100;
+        for i in 0..n {
+            log.append(TxId(i), Lsn::NULL, RecKind::UndoRedo, mixed(i));
+        }
+        let before = log.resident_bytes();
+        assert_eq!(log.resident_records(), n);
+        // Nothing past the flushed mark goes.
+        log.flush_to(Lsn(SEGMENT_SLOTS + 10));
+        assert_eq!(log.truncate_below(Lsn(n)), Lsn(SEGMENT_SLOTS + 11));
+        assert_eq!(log.first_lsn(), Lsn(SEGMENT_SLOTS + 11));
+        // One whole segment went; the records below the first LSN in
+        // the second stay in memory, unreadable.
+        assert_eq!(log.stats.truncated_records.get(), SEGMENT_SLOTS);
+        assert_eq!(log.resident_records(), n - SEGMENT_SLOTS);
+        assert_eq!(
+            log.directory_bytes(),
+            3 * SEGMENT_SLOTS * std::mem::size_of::<Slot>() as u64
+        );
+        assert!(log.resident_bytes() < before);
+        assert!(log.get(Lsn(SEGMENT_SLOTS + 10)).is_none());
+        assert!(log.header(Lsn(1)).is_none());
+        assert_eq!(
+            log.get(Lsn(SEGMENT_SLOTS + 11)).unwrap().lsn,
+            Lsn(SEGMENT_SLOTS + 11)
+        );
+        // Every reader starting below the first LSN gets nothing; from
+        // just below it, everything held.
+        assert_eq!(log.iter_from(Lsn::NULL).count(), 0);
+        assert_eq!(log.headers_from(Lsn(5)).count(), 0);
+        let mut out = Vec::new();
+        assert_eq!(
+            log.copy_range(Lsn(5), Lsn(u64::MAX), 10, usize::MAX, &mut out),
+            (0, Lsn::NULL)
+        );
+        assert!(out.is_empty());
+        let first = log.first_lsn().0;
+        assert_eq!(
+            log.headers_from(Lsn(first - 1)).count() as u64,
+            n - first + 1
+        );
+
+        // Everything flushed goes; the gauges count exactly what is held.
+        log.flush_all();
+        assert_eq!(log.truncate_below(Lsn(u64::MAX)), Lsn(n + 1));
+        assert_eq!(log.resident_records(), n % SEGMENT_SLOTS);
+        assert_eq!(
+            log.resident_bytes(),
+            log.stats.bytes.get() - log.stats.truncated_bytes.get() + log.directory_bytes()
+        );
+        // New records are appended and read as ever.
+        let lsn = begin(&log, 7);
+        assert_eq!(lsn, Lsn(n + 1));
+        assert_eq!(log.get(lsn).unwrap().tx, TxId(7));
+        let held_from = n - n % SEGMENT_SLOTS + 1;
+        log.flush_all();
+        assert_eq!(
+            log.resident_bytes() - log.directory_bytes(),
+            log.stats.bytes.get() - log.stats.truncated_bytes.get()
+        );
+        assert!(log.resident_bytes() - log.directory_bytes() > stored_bytes(&log, n + 1, n + 1));
+        assert_eq!(log.resident_records(), n + 1 - held_from + 1);
+    }
+
+    #[test]
+    fn a_pin_holds_truncation_below_it() {
+        let log = LogManager::new();
+        for i in 0..3 * SEGMENT_SLOTS {
+            begin(&log, i);
+        }
+        log.flush_all();
+        let pin = log.pin(Lsn(10)).expect("nothing truncated yet");
+        assert_eq!(log.truncate_below(Lsn(u64::MAX)), Lsn(10));
+        assert_eq!(
+            log.stats.truncated_records.get(),
+            0,
+            "LSN 10 shares segment 0"
+        );
+        pin.advance(Lsn(SEGMENT_SLOTS + 1));
+        pin.advance(Lsn(5)); // a pin never moves back
+        assert_eq!(log.truncate_below(Lsn(u64::MAX)), Lsn(SEGMENT_SLOTS + 1));
+        // Below the first LSN nothing can be pinned any more.
+        assert!(log.pin(Lsn(SEGMENT_SLOTS)).is_none());
+        let second = log.pin(Lsn(SEGMENT_SLOTS + 1)).expect("at the first LSN");
+        drop(pin);
+        assert_eq!(log.truncate_below(Lsn(u64::MAX)), Lsn(SEGMENT_SLOTS + 1));
+        drop(second);
+        assert_eq!(
+            log.truncate_below(Lsn(u64::MAX)),
+            Lsn(3 * SEGMENT_SLOTS + 1)
+        );
+    }
+
+    #[test]
+    fn a_crash_after_truncation_keeps_the_flushed_records_it_held() {
+        let log = LogManager::new();
+        for i in 0..2 * SEGMENT_SLOTS {
+            begin(&log, i);
+        }
+        log.flush_to(Lsn(SEGMENT_SLOTS + 50));
+        log.truncate_below(Lsn(u64::MAX));
+        assert_eq!(log.first_lsn(), Lsn(SEGMENT_SLOTS + 51));
+        log.crash();
+        assert_eq!(log.tail_lsn(), Lsn(SEGMENT_SLOTS + 50));
+        // Appends go on from the flushed mark into fresh slots, the
+        // burned ones among the records a later truncation frees.
+        for i in 0..2 * SEGMENT_SLOTS {
+            let lsn = begin(&log, 1_000_000 + i);
+            assert_eq!(lsn, Lsn(SEGMENT_SLOTS + 51 + i));
+        }
+        assert_eq!(
+            log.get(Lsn(SEGMENT_SLOTS + 51)).unwrap().tx,
+            TxId(1_000_000)
+        );
+        log.flush_all();
+        let appended = log.stats.records.get();
+        assert_eq!(
+            log.truncate_below(Lsn(u64::MAX)),
+            Lsn(3 * SEGMENT_SLOTS + 51)
+        );
+        assert_eq!(
+            log.resident_records(),
+            appended - log.stats.truncated_records.get()
+        );
+        assert_eq!(begin(&log, 9), Lsn(3 * SEGMENT_SLOTS + 51));
+        assert_eq!(log.iter_from(Lsn(3 * SEGMENT_SLOTS + 50)).count(), 1);
+    }
+
+    /// Appenders race a thread that flushes and truncates everything
+    /// durable: no append is lost or misplaced, what is held reads
+    /// back, and the counts add up. (No sleeps: the truncator runs flat
+    /// out until the appenders are done.)
+    #[test]
+    fn truncation_races_appenders() {
+        const THREADS: u64 = 4;
+        const PER: u64 = 20_000;
+        /// Counts an appender out when it ends, panicking or not, so
+        /// the truncator always stops.
+        struct Finished<'a>(&'a AtomicU64);
+        impl Drop for Finished<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Release);
+            }
+        }
+        let log = LogManager::new();
+        let finished = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (log, finished) = (&log, &finished);
+                s.spawn(move || {
+                    let _finished = Finished(finished);
+                    for i in 0..PER {
+                        let lsn = log.append(TxId(t), Lsn::NULL, RecKind::UndoRedo, mixed(i));
+                        // Readable, unless already flushed and dropped.
+                        if i % 97 == 0 {
+                            let head = log.header(lsn);
+                            assert!(
+                                head.is_some_and(|h| h.lsn == lsn) || lsn < log.first_lsn(),
+                                "{lsn} lost"
+                            );
+                        }
+                    }
+                });
+            }
+            let mut rounds = 0u64;
+            while finished.load(Ordering::Acquire) < THREADS {
+                log.flush_all();
+                let first = log.truncate_below(Lsn(u64::MAX));
+                assert!(first.0 <= log.flushed_lsn().0 + 1);
+                rounds += 1;
+            }
+            assert!(rounds >= 1);
+        });
+        let tail = log.tail_lsn().0;
+        assert_eq!(tail, THREADS * PER);
+        let first = log.first_lsn().0;
+        let held: Vec<RecordHeader> = log.headers_from(Lsn(first - 1)).collect();
+        assert_eq!(held.len() as u64, tail + 1 - first);
+        assert!(held.iter().zip(first..).all(|(h, lsn)| h.lsn == Lsn(lsn)));
+        assert_eq!(
+            log.resident_records(),
+            THREADS * PER - log.stats.truncated_records.get()
+        );
     }
 }

@@ -47,15 +47,17 @@ pub struct AnalysisResult {
     pub scanned: u64,
 }
 
-/// Scan the whole log and find loser transactions. Analysis always
-/// starts from the log head — a loser's `TxBegin` may predate the last
-/// checkpoint — and reads only each record's fixed header: begin,
-/// commit and end are told apart by the payload tag, so no payload is
-/// decoded.
+/// Scan the log and find loser transactions. Analysis starts from the
+/// first record the log holds, not the last checkpoint — a loser's
+/// `TxBegin` may predate it, which is why truncation never drops an
+/// active transaction's records — and reads only each record's fixed
+/// header: begin, commit and end are told apart by the payload tag, so
+/// no payload is decoded. A commit or end whose begin was truncated
+/// names a transaction that was never a loser.
 #[must_use]
 pub fn analyze(log: &LogManager) -> AnalysisResult {
     let mut res = AnalysisResult::default();
-    for rec in log.headers_from(Lsn::NULL) {
+    for rec in log.headers_from(Lsn(log.first_lsn().0 - 1)) {
         res.scanned += 1;
         match rec.tag {
             TX_BEGIN => {
@@ -81,11 +83,12 @@ pub fn analyze(log: &LogManager) -> AnalysisResult {
 /// already lowered to cover any open side-file's logged history.
 /// Found by walking headers backwards from the tail — only the record
 /// whose tag says checkpoint is decoded — so the cost is bounded by
-/// the post-checkpoint suffix the caller is about to redo anyway.
+/// the post-checkpoint suffix the caller is about to redo anyway. A
+/// truncated log always holds the checkpoint its truncation followed.
 #[must_use]
 pub fn checkpoint_redo_start(log: &LogManager) -> Lsn {
     let mut cur = log.tail_lsn();
-    while cur.is_valid() {
+    while cur >= log.first_lsn() {
         if log.header(cur).is_some_and(|h| h.tag == CHECKPOINT) {
             if let Some(LogPayload::Checkpoint { redo_start }) = log.get(cur).map(|r| r.payload) {
                 return redo_start;

@@ -52,7 +52,13 @@ pub const PROTO_MAJOR: u16 = 1;
 /// this build sends. Tag 10, the same body without the options, is
 /// what a peer older than minor 3 sends; it is still read, as a
 /// `CreateIndex` with default options, and never written.
-pub const PROTO_MINOR: u16 = 3;
+///
+/// 4 added [`ErrorCode::LogTruncated`]: a `SubscribeWal` that starts
+/// below the primary's first retained LSN ends with it, and a follower
+/// stops following on it instead of resubscribing. An older follower
+/// decodes it as a malformed error code and keeps reconnecting, to the
+/// same answer.
+pub const PROTO_MINOR: u16 = 4;
 
 /// This build's packed protocol version (`major << 16 | minor`).
 #[must_use]
@@ -558,6 +564,14 @@ wire_enum! {
             /// stream was cut.
             retained_from: u64,
         },
+        /// A `SubscribeWal` asked for records the primary's log no longer
+        /// holds: a checkpoint truncated them. Terminal — resubscribing
+        /// from the same position gets the same answer; the follower must
+        /// be seeded again.
+        LogTruncated = 40 {
+            /// The lowest LSN the primary's log holds.
+            first_lsn: u64,
+        },
     }
 }
 
@@ -919,6 +933,7 @@ mod tests {
             ErrorCode::SubscriptionLagged {
                 retained_from: 88_001,
             },
+            ErrorCode::LogTruncated { first_lsn: 70_001 },
         ]
     }
 
@@ -1563,6 +1578,7 @@ mod tests {
                     ErrorCode::SubscriptionLagged { .. } => {
                         ErrorCode::SubscriptionLagged { retained_from: b }
                     }
+                    ErrorCode::LogTruncated { .. } => ErrorCode::LogTruncated { first_lsn: b },
                     bodyless => bodyless,
                 },
                 message: if flag {

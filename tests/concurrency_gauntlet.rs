@@ -229,9 +229,10 @@ fn checkpoint_during_churn_and_build() {
     let db2 = Arc::clone(&db);
     let checkpointer = std::thread::spawn(move || {
         for _ in 0..10 {
-            // Checkpoints may transiently fail against heavy traffic;
-            // that is allowed, corruption is not.
-            let _ = db2.checkpoint();
+            // A page the churn changes after the checkpoint's log flush
+            // is written once the log is forced through its LSN: heavy
+            // traffic never fails a checkpoint.
+            db2.checkpoint().expect("checkpoint under churn");
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
     });
