@@ -19,14 +19,13 @@
 
 use crate::report::{f2, ms, us, Table};
 use crate::workload::{bench_config, seed_table, TABLE};
-use mohan_client::{Client, ClientError, ErrorCode};
-use mohan_common::{EngineConfig, Lsn, ReadApi, Rid, TxId};
+use mohan_client::{Client, ClientError};
+use mohan_common::{EngineConfig, ReadApi, Rid};
 use mohan_oib::schema::Record;
 use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
 use mohan_replica::{FollowerReader, Replica};
 use mohan_server::{PromoteHook, Promotion, Server, ServerConfig};
-use mohan_wal::{LogPayload, RecKind};
 use mohan_wire::message::{BuildAlgo, IndexSpecWire, Request, Response, Role};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -133,7 +132,7 @@ pub fn e18_replication(quick: bool) -> Vec<Table> {
     // the first window starts from lag 0 rather than a cold backlog.
     db.wal.flush_all();
     assert!(
-        replica.wait_caught_up(db.wal.flushed_lsn(), Duration::from_secs(60)),
+        replica.wait_applied(db.wal.flushed_lsn(), Duration::from_secs(60)),
         "follower never absorbed the seed history"
     );
 
@@ -204,7 +203,7 @@ pub fn e18_replication(quick: bool) -> Vec<Table> {
         db.wal.flush_all();
         let t0 = Instant::now();
         assert!(
-            replica.wait_caught_up(db.wal.flushed_lsn(), Duration::from_secs(60)),
+            replica.wait_applied(db.wal.flushed_lsn(), Duration::from_secs(60)),
             "follower never caught up after the window"
         );
         let catch_up = t0.elapsed();
@@ -319,7 +318,7 @@ pub fn e19_follower_reads(quick: bool) -> Vec<Table> {
     let apply = replica.spawn();
     db.wal.flush_all();
     assert!(
-        replica.wait_caught_up(db.wal.flushed_lsn(), Duration::from_secs(60)),
+        replica.wait_applied(db.wal.flushed_lsn(), Duration::from_secs(60)),
         "follower never absorbed the seed history"
     );
 
@@ -427,7 +426,7 @@ pub fn e19_follower_reads(quick: bool) -> Vec<Table> {
     // the wire, and time the client-visible write gap.
     db.wal.flush_all();
     assert!(
-        replica.wait_caught_up(db.wal.flushed_lsn(), Duration::from_secs(60)),
+        replica.wait_applied(db.wal.flushed_lsn(), Duration::from_secs(60)),
         "follower never converged before failover"
     );
     psrv.drain();
@@ -475,7 +474,7 @@ pub fn e19_follower_reads(quick: bool) -> Vec<Table> {
 }
 
 /// One named counter out of a `Request::Stats` round trip — how E22
-/// reads the primary's fan-out counters without touching internals.
+/// reads the primary's stream counters without touching internals.
 fn stat(c: &mut Client, key: &str) -> u64 {
     match c.call(&Request::Stats).expect("stats round trip") {
         Response::Stats { counters } => counters
@@ -486,28 +485,18 @@ fn stat(c: &mut Client, key: &str) -> u64 {
     }
 }
 
-/// E22: shared broadcast-pump fan-out — the primary's WAL-suffix scan
-/// and encode work must be O(1) per flushed batch no matter how many
-/// subscribers tail the stream, idle subscribers must cost zero
-/// scans, and a stalled subscriber must be cut loose and converge
-/// after reconnecting with nothing lost. All three claims are counter
-/// verified (`repl.fanout.*`), not timed.
+/// E22: WAL fan-out — every subscriber ships from the log at its own
+/// cursor. The scaling leg times how long the primary takes to deliver
+/// the same flushed batches to 1, 4 and 16 subscribers, with nothing
+/// lost; the idle leg checks that subscribers with nothing to receive
+/// cost no record shipping at all.
 pub fn e22_fanout(quick: bool) -> Vec<Table> {
     let batches: i64 = if quick { 20 } else { 60 };
     let rows_per_batch: i64 = if quick { 200 } else { 400 };
 
     let mut t = Table::new(
-        "E22: primary-side scan/encode cost per flushed batch vs subscriber count",
-        &[
-            "subscribers",
-            "flushed batches",
-            "suffix scans",
-            "encode passes",
-            "scans/batch",
-            "records/sub",
-            "delivered total",
-            "wall",
-        ],
+        "E22: delivering flushed batches to N subscribers",
+        &["subscribers", "records/sub", "delivered total", "wall"],
     );
 
     for &subs in &[1usize, 4, 16] {
@@ -544,8 +533,6 @@ pub fn e22_fanout(quick: bool) -> Vec<Table> {
         while stat(&mut statsc, "repl.fanout.subscribers") < subs as u64 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let scans0 = stat(&mut statsc, "repl.fanout.scans");
-        let encodes0 = stat(&mut statsc, "repl.fanout.encodes");
 
         let t0 = Instant::now();
         for b in 0..batches {
@@ -568,8 +555,6 @@ pub fn e22_fanout(quick: bool) -> Vec<Table> {
             std::thread::sleep(Duration::from_millis(2));
         }
         let wall = t0.elapsed();
-        let scans = stat(&mut statsc, "repl.fanout.scans") - scans0;
-        let encodes = stat(&mut statsc, "repl.fanout.encodes") - encodes0;
         stop.store(true, Ordering::Relaxed);
         for h in tails {
             h.join().expect("subscriber thread");
@@ -579,25 +564,21 @@ pub fn e22_fanout(quick: bool) -> Vec<Table> {
 
         t.row(vec![
             subs.to_string(),
-            batches.to_string(),
-            scans.to_string(),
-            encodes.to_string(),
-            f2(scans as f64 / batches as f64),
             wrote.to_string(),
             got.to_string(),
             ms(wall),
         ]);
         srv.drain();
     }
-    t.note("Suffix scans / encode passes are the shared ring's counters (range copies out of the log / chunks cut): every flushed batch is copied and chunked once for ALL subscribers (scans/batch ~constant from 1 to 16).");
-    t.note("delivered total = subscribers x records: copy-once fan-out, with zero records lost.");
+    t.note(format!("{batches} flushed batches of {rows_per_batch} inserts; wall runs from the first insert to the last record delivered to every subscriber."));
+    t.note("delivered total = subscribers x records: each subscriber copies its own frames out of the log, with zero records lost.");
 
     // Idle leg: subscribers attached, nothing flushing. The flush-waker
-    // gate plus the ring's head hint must make this window free —
-    // zero scans, zero encodes.
+    // gate and the cursor-vs-flushed check must make this window free of
+    // shipping: no record goes out, only timer-driven heartbeats.
     let mut t2 = Table::new(
         "E22: idle window with 16 attached subscribers",
-        &["window", "suffix scans", "encode passes", "shard wakeups"],
+        &["window", "records shipped", "heartbeats", "shard wakeups"],
     );
     {
         let (db, _rids) = seed_table(bench_config(), super::scaled(5_000), 99);
@@ -627,147 +608,28 @@ pub fn e22_fanout(quick: bool) -> Vec<Table> {
         while stat(&mut statsc, "repl.fanout.subscribers") < 16 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let scans0 = stat(&mut statsc, "repl.fanout.scans");
-        let encodes0 = stat(&mut statsc, "repl.fanout.encodes");
+        let records0 = stat(&mut statsc, "server.wal_records");
+        let frames0 = stat(&mut statsc, "server.wal_frames");
         let wakeups0 = stat(&mut statsc, "server.wakeups");
         let window = Duration::from_millis(if quick { 400 } else { 1000 });
         std::thread::sleep(window);
-        let scans = stat(&mut statsc, "repl.fanout.scans") - scans0;
-        let encodes = stat(&mut statsc, "repl.fanout.encodes") - encodes0;
+        let records = stat(&mut statsc, "server.wal_records") - records0;
+        let frames = stat(&mut statsc, "server.wal_frames") - frames0;
         let wakeups = stat(&mut statsc, "server.wakeups") - wakeups0;
-        assert_eq!(scans, 0, "idle subscribers caused WAL-suffix scans");
-        assert_eq!(encodes, 0, "idle subscribers caused encode passes");
+        assert_eq!(records, 0, "idle subscribers shipped records");
         stop.store(true, Ordering::Relaxed);
         for h in tails {
             h.join().expect("subscriber thread");
         }
         t2.row(vec![
             ms(window),
-            scans.to_string(),
-            encodes.to_string(),
+            records.to_string(),
+            frames.to_string(),
             wakeups.to_string(),
         ]);
         srv.drain();
     }
-    t2.note("No flushes in the window: the flush-waker gate and the ring's head hint leave nothing to scan; heartbeats are timer-driven and touch no WAL state.");
+    t2.note("No flushes in the window: a cursor past the flushed LSN copies nothing; heartbeats are timer-driven and touch no log record.");
 
-    // Cut-loose leg: one subscriber stalls while the log churns whole
-    // ring windows past it; the primary cuts it loose with the
-    // structured error, it resubscribes from its exact cursor, and the
-    // bounded catch-up scans walk it back — contiguity-checked, so a
-    // single lost or repeated LSN fails the experiment.
-    let mut t3 = Table::new(
-        "E22: slow-follower cut-loose and reconnect catch-up (zero loss)",
-        &["cut loose", "records", "catch-up scans", "lost"],
-    );
-    {
-        let (db, _rids) = seed_table(bench_config(), super::scaled(2_000), 99);
-        let srv = Server::start(
-            Arc::clone(&db),
-            ServerConfig {
-                workers: 2,
-                max_inflight: 16,
-                write_timeout: Duration::from_secs(60),
-                fanout_ring_bytes: 1 << 20,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
-        let addr = srv.addr().to_string();
-        db.wal.flush_all();
-        let start = db.wal.flushed_lsn().0;
-        let resume = Arc::new(AtomicBool::new(false));
-        let tail = Arc::new(AtomicU64::new(0));
-
-        let sub = {
-            let addr = addr.clone();
-            let resume = Arc::clone(&resume);
-            let tail = Arc::clone(&tail);
-            std::thread::spawn(move || {
-                let mut next = start + 1;
-                let mut cuts = 0u64;
-                let mut stalled_once = false;
-                loop {
-                    let c = Client::connect(&addr).expect("subscriber reconnect");
-                    let res = c.subscribe_wal(next, |_flushed, records, _traces| {
-                        if !stalled_once {
-                            stalled_once = true;
-                            let deadline = Instant::now() + Duration::from_secs(30);
-                            while !resume.load(Ordering::Acquire) && Instant::now() < deadline {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                        }
-                        for rec in &records {
-                            assert_eq!(rec.lsn.0, next, "gap or replay after cut-loose");
-                            next += 1;
-                        }
-                        let t = tail.load(Ordering::Acquire);
-                        t == 0 || next <= t
-                    });
-                    match res {
-                        Ok(()) => break,
-                        Err(ClientError::Server {
-                            code: ErrorCode::SubscriptionLagged { .. },
-                            ..
-                        }) => cuts += 1,
-                        Err(e) => panic!("subscriber stream failed: {e}"),
-                    }
-                }
-                (next, cuts)
-            })
-        };
-
-        // Churn ring windows past the stalled cursor until the cut
-        // lands, then a little more churn for the catch-up to cover.
-        let mut statsc = Client::connect(&addr).expect("stats connect");
-        let mut cut = 0u64;
-        for _ in 0..64 {
-            for _ in 0..16 {
-                db.wal.append(
-                    TxId(999_999),
-                    Lsn::NULL,
-                    RecKind::RedoOnly,
-                    LogPayload::CatalogUpdate {
-                        bytes: vec![0xAB; 64 << 10],
-                    },
-                );
-            }
-            db.wal.flush_all();
-            cut = stat(&mut statsc, "repl.fanout.cut_loose");
-            if cut >= 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(cut >= 1, "stalled subscriber was never cut loose");
-        let scans0 = stat(&mut statsc, "repl.fanout.scans");
-        resume.store(true, Ordering::Release);
-        for i in 0..256i64 {
-            db.wal.append(
-                TxId(999_999),
-                Lsn::NULL,
-                RecKind::RedoOnly,
-                LogPayload::CatalogUpdate {
-                    bytes: vec![i as u8; 1 << 10],
-                },
-            );
-        }
-        db.wal.flush_all();
-        tail.store(db.wal.flushed_lsn().0, Ordering::Release);
-
-        let (next, cuts) = sub.join().expect("subscriber thread");
-        let catch_up_scans = stat(&mut statsc, "repl.fanout.scans") - scans0;
-        let total = db.wal.flushed_lsn().0 - start;
-        assert_eq!(next, tail.load(Ordering::Acquire) + 1, "records lost");
-        t3.row(vec![
-            cuts.to_string(),
-            total.to_string(),
-            catch_up_scans.to_string(),
-            (tail.load(Ordering::Acquire) + 1 - next).to_string(),
-        ]);
-        srv.drain();
-    }
-    t3.note("The reconnecting cursor re-enters via bounded private scans until it reaches the ring; the contiguity assert makes 'zero committed records lost' a hard check.");
-
-    vec![t, t2, t3]
+    vec![t, t2]
 }

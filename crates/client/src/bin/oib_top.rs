@@ -138,18 +138,13 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
         cp.map_or(0, |h| h.p99),
         cp.map_or(0, |h| h.max),
     ));
-    // A primary with WAL subscribers shows the broadcast fan-out ring:
-    // live subscriber count, ring occupancy, shared scan/encode totals,
-    // and how many lagging streams were cut loose.
+    // A server shows its WAL streams: live subscribers, and the frames
+    // (heartbeats included) and records shipped to them so far.
     if let Some(subs) = report.counter("repl.fanout.subscribers") {
         out.push_str(&format!(
-            "fanout   subs {subs}   ring {} chunks / {} KiB   scans {}   encodes {}   evicted {}   cut loose {}\n",
-            report.counter("repl.fanout.ring_chunks").unwrap_or(0),
-            report.counter("repl.fanout.ring_bytes").unwrap_or(0) / 1024,
-            report.counter("repl.fanout.scans").unwrap_or(0),
-            report.counter("repl.fanout.encodes").unwrap_or(0),
-            report.counter("repl.fanout.evicted").unwrap_or(0),
-            report.counter("repl.fanout.cut_loose").unwrap_or(0),
+            "fanout   subs {subs}   frames {}   records {}\n",
+            report.counter("server.wal_frames").unwrap_or(0),
+            report.counter("server.wal_records").unwrap_or(0),
         ));
     }
     out.push_str(&format!(

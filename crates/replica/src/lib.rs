@@ -132,12 +132,6 @@ pub struct Replica {
     /// advance it even when no records flow).
     primary_flushed: AtomicU64,
     reconnects: AtomicU64,
-    /// Times the primary cut this follower loose
-    /// (`ErrorCode::SubscriptionLagged`) for falling behind its
-    /// broadcast window. Each one resubscribes immediately from
-    /// `applied + 1` — the position is still trusted, only the
-    /// stream was dropped.
-    cut_loose: AtomicU64,
     /// The primary's first LSN when it answered a subscription with
     /// `ErrorCode::LogTruncated` (0 until then): it no longer holds
     /// records this follower needs, so following has stopped for good.
@@ -178,7 +172,7 @@ impl Replica {
     /// Registers the follower's gauges and histograms on the engine's
     /// registry: `repl.lag_lsn`, `repl.applied_lsn`,
     /// `repl.primary_flushed_lsn`, `repl.queue_depth`,
-    /// `repl.reconnects`, `repl.cut_loose`, `repl.apply_errors`,
+    /// `repl.reconnects`, `repl.apply_errors`,
     /// `repl.batch_us`, `repl.apply_us`.
     #[must_use]
     pub fn new(db: Arc<Db>, addr: &str) -> Arc<Replica> {
@@ -194,7 +188,6 @@ impl Replica {
             applied: AtomicU64::new(0),
             primary_flushed: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
-            cut_loose: AtomicU64::new(0),
             severed: AtomicU64::new(0),
             apply_errors: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -220,7 +213,6 @@ impl Replica {
             r.queued_records.load(Ordering::Relaxed)
         });
         gauge("repl.reconnects", Replica::reconnects);
-        gauge("repl.cut_loose", Replica::cut_loose_count);
         gauge("repl.apply_errors", |r| {
             r.apply_errors.load(Ordering::Relaxed)
         });
@@ -270,13 +262,6 @@ impl Replica {
     #[must_use]
     pub fn reconnects(&self) -> u64 {
         self.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// Times the primary cut this follower loose for falling behind
-    /// its broadcast window.
-    #[must_use]
-    pub fn cut_loose_count(&self) -> u64 {
-        self.cut_loose.load(Ordering::Relaxed)
     }
 
     /// The primary's first retained LSN, once it refused this follower
@@ -352,28 +337,10 @@ impl Replica {
             if self.stop.load(Ordering::Acquire) {
                 break;
             }
-            let mut immediate = false;
             match outcome {
                 // `on_frame` returned false: stop, stall, backpressure
                 // abort or a gap — all roads lead to resubscribing.
                 Ok(()) => {}
-                Err(ClientError::Server {
-                    code: ErrorCode::SubscriptionLagged { retained_from },
-                    ..
-                }) => {
-                    // Deliberate cut-loose, not a failure: the primary
-                    // dropped the stream because this cursor fell out
-                    // of its broadcast window. `applied + 1` is still a
-                    // trusted position — resubscribe right away and let
-                    // the primary's catch-up scans walk us back into
-                    // the window.
-                    self.cut_loose.fetch_add(1, Ordering::Relaxed);
-                    self.db
-                        .obs
-                        .trace()
-                        .event("repl.cut_loose", "resubscribing", retained_from);
-                    immediate = true;
-                }
                 Err(ClientError::Server {
                     code: ErrorCode::LogTruncated { first_lsn },
                     ..
@@ -399,14 +366,12 @@ impl Replica {
                         .event("repl.disconnect", e.to_string(), 0);
                 }
             }
-            if immediate || self.progressed.swap(false, Ordering::AcqRel) {
+            if self.progressed.swap(false, Ordering::AcqRel) {
                 backoff = BACKOFF_MIN;
             }
             self.reconnects.fetch_add(1, Ordering::Relaxed);
-            if !immediate {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(BACKOFF_MAX);
-            }
+            std::thread::sleep(backoff);
+            backoff = (backoff * 2).min(BACKOFF_MAX);
         }
         let _ = apply.join();
     }
@@ -421,12 +386,13 @@ impl Replica {
     }
 
     /// Block until the follower has applied everything up to `target`
-    /// (inclusive). Returns false on timeout.
+    /// (inclusive). Returns false on timeout, or as soon as the follower
+    /// is severed (it will never get there).
     #[must_use]
-    pub fn wait_caught_up(&self, target: Lsn, timeout: Duration) -> bool {
+    pub fn wait_applied(&self, target: Lsn, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while self.applied_lsn() < target {
-            if Instant::now() >= deadline {
+            if Instant::now() >= deadline || self.severed_at().is_some() {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(2));

@@ -7,17 +7,17 @@
 //! * **`ObserveStats`** — one [`Response::Metrics`] frame per interval
 //!   until the client disconnects;
 //! * **`SubscribeWal`** — the log's *flushed* prefix in batched
-//!   [`Response::WalFrame`]s, from the shared broadcast ring, until
-//!   the client disconnects or falls out of the ring's window.
+//!   [`Response::WalFrame`]s, copied out of the log at the stream's
+//!   own cursor, until the client disconnects.
 //!
 //! A job holds the admission slot of the request that started it, and
-//! a WAL stream also holds its shard's flush-wakeup gate and a
-//! broadcast attachment: [`begin`] takes them, [`end`] — and nothing
-//! else — gives them back.
+//! a WAL stream also holds its shard's flush-wakeup gate: [`begin`]
+//! takes them, [`end`] — and nothing else — gives them back.
 
 use crate::conn::{send_raw, Conn, Proto, ShardCtx};
 use crate::native::{metrics_response, protocol_err, send};
 use crate::{Inner, ServerConfig};
+use mohan_common::codec::Wire;
 use mohan_common::{Error, IndexId, TableId};
 use mohan_oib::build::{build_indexes_observed, BuildOptions, IndexSpec};
 use mohan_oib::progress::{self, BuildProgress};
@@ -55,11 +55,8 @@ pub(crate) struct ObserveJob {
     last_emit: Instant,
 }
 
-/// A `SubscribeWal` subscription. Frames come from the shared
-/// broadcast ring (`Inner::broadcast`) — each flushed suffix is
-/// scanned and encoded once for every subscriber — with bounded
-/// private scans only while the cursor is below the ring's retained
-/// window.
+/// A `SubscribeWal` subscription: a cursor into the log, and the pin
+/// that keeps the log from truncating under it.
 pub(crate) struct WalSubJob {
     /// Next LSN to ship.
     next: u64,
@@ -71,13 +68,6 @@ pub(crate) struct WalSubJob {
     /// Force an immediate first frame so the subscriber learns the
     /// primary's flushed LSN without waiting out a heartbeat.
     primed: bool,
-    /// Whether this cursor has ever reached the broadcast ring's
-    /// retained window. Only a subscriber that was inside the window
-    /// and fell out of it is cut loose; one that started behind it
-    /// (a fresh replica subscribing from an old LSN) is served by
-    /// catch-up scans until it re-enters — otherwise every
-    /// resubscription below the window would be cut again, forever.
-    caught_up: bool,
 }
 
 impl WalSubJob {
@@ -111,7 +101,6 @@ impl Job {
             pin,
             last_emit: Instant::now(),
             primed: false,
-            caught_up: false,
         })
     }
 
@@ -138,26 +127,24 @@ impl Job {
 
 /// Hand the connection to `job`. The admission slot of the request
 /// being executed goes with it (the caller reports the slot as kept).
-pub(crate) fn begin(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, job: Job) {
+pub(crate) fn begin(ctx: &ShardCtx, conn: &mut Conn, job: Job) {
     debug_assert!(conn.job.is_none(), "queued frames wait for a job to end");
     if matches!(job, Job::WalSub(_)) {
         ctx.wal_subs.fetch_add(1, Ordering::AcqRel);
-        inner.broadcast.subscriber_attached();
     }
     conn.job = Some(job);
 }
 
 /// End the connection's job, if it has one, and give back what
 /// [`begin`] took — the admission slot, and for a WAL stream the
-/// shard's flush-wakeup gate and the broadcast attachment. However the
-/// job ends (finished, cut loose, connection reaped), it ends here.
+/// shard's flush-wakeup gate. However the job ends (finished, refused
+/// a record it cannot ship, connection reaped), it ends here.
 pub(crate) fn end(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
     let Some(job) = conn.job.take() else {
         return;
     };
     if matches!(job, Job::WalSub(_)) {
         ctx.wal_subs.fetch_sub(1, Ordering::AcqRel);
-        inner.broadcast.subscriber_detached();
     }
     inner.release();
 }
@@ -172,9 +159,9 @@ pub(crate) fn pump(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
     match conn.job {
         Some(Job::Build(_)) => watch_build(inner, ctx, conn),
         Some(Job::Observe(_)) => pump_observe(inner, conn),
-        // One step ships at most a burst of chunks; a flush that
-        // published a large suffix keeps stepping until nothing is
-        // ready or the socket pushes back.
+        // One step ships one frame; a flush that published a large
+        // suffix keeps stepping until nothing is ready or the socket
+        // pushes back.
         Some(Job::WalSub(_)) => while pump_wal_sub(inner, ctx, conn) {},
         None => {}
     }
@@ -213,9 +200,6 @@ const WAL_SUB_HEARTBEAT: Duration = Duration::from_millis(200);
 const WAL_SUB_MAX_RECORDS: usize = 1024;
 /// Byte budget for one frame's record blob, far under `MAX_FRAME`.
 const WAL_SUB_MAX_BYTES: usize = 1 << 20;
-/// Most ring chunks one [`pump_wal_sub`] step ships before re-checking
-/// the socket.
-const WAL_BURST_CHUNKS: usize = 4;
 
 fn wal_sub(conn: &mut Conn) -> Option<&mut WalSubJob> {
     match &mut conn.job {
@@ -224,96 +208,41 @@ fn wal_sub(conn: &mut Conn) -> Option<&mut WalSubJob> {
     }
 }
 
-/// What one pump step decided to do for a subscriber, derived from
-/// where its cursor sits relative to the broadcast ring.
-enum PumpPlan {
-    /// Cursor is inside the retained window: ship pre-encoded chunks.
-    Chunks(Vec<Arc<mohan_wal::WalChunk>>),
-    /// Cursor is below the window (or between chunk boundaries): a
-    /// bounded private scan through `through` inclusive, after which
-    /// the cursor lands on a chunk boundary and rejoins the ring.
-    Scan { through: u64 },
-    /// Cursor was inside the window and fell out of it: cut the
-    /// stream loose with a structured error so the follower
-    /// resubscribes instead of waiting forever.
-    CutLoose { retained_from: u64 },
-    /// Nothing flushed past the cursor: heartbeat when due.
-    Heartbeat,
-}
-
-/// Ship the next batch of a connection's WAL subscription, or a
-/// heartbeat when the log is quiet; `true` when records went out and
-/// more may be ready. Only the flushed prefix ever goes out: a record
-/// past the flushed tail could still be discarded by a crash, and a
-/// follower must never apply state the primary would not itself
+/// Ship the next frame of a connection's WAL subscription, or a
+/// heartbeat when there is nothing to ship; `true` when records went
+/// out and more may be ready. Only the flushed prefix ever goes out: a
+/// record past the flushed tail could still be discarded by a crash,
+/// and a follower must never apply state the primary would not itself
 /// recover.
 ///
-/// Records come from the shared broadcast ring: whichever subscriber
-/// pumps first scans and encodes the newly flushed suffix *once*, and
-/// every other subscriber ships the same pre-encoded chunks from its
-/// own cursor. A cursor below the ring's retained window gets bounded
-/// private scans (a fresh replica catching up); one that *fell out*
-/// of the window is cut loose — see [`PumpPlan`].
+/// Records wait while the socket has a backlog — they coalesce into
+/// bigger frames once it drains — but liveness must not: a backlogged
+/// follower still gets periodic heartbeats, so it can tell "I am slow"
+/// apart from "the primary is dead". The stream's pin holds every
+/// record it has yet to ship in the log however long it waits.
 fn pump_wal_sub(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) -> bool {
     let Some(job) = wal_sub(conn) else {
         return false;
     };
-    let cursor = job.next;
+    let next = job.next;
     let heartbeat_due = !job.primed || job.last_emit.elapsed() >= WAL_SUB_HEARTBEAT;
-
-    inner.broadcast.fill(&inner.db.wal);
-
-    let plan = match inner.broadcast.tail_from(cursor, WAL_BURST_CHUNKS) {
-        mohan_wal::Tail::Chunks(chunks) => PumpPlan::Chunks(chunks),
-        mohan_wal::Tail::CaughtUp => PumpPlan::Heartbeat,
-        mohan_wal::Tail::CatchUp { through } => PumpPlan::Scan { through },
-        mohan_wal::Tail::Behind { retained_from } if job.caught_up => {
-            PumpPlan::CutLoose { retained_from }
-        }
-        mohan_wal::Tail::Behind { retained_from } => PumpPlan::Scan {
-            through: retained_from.saturating_sub(1),
-        },
-    };
-    if matches!(plan, PumpPlan::Chunks(_) | PumpPlan::Heartbeat) {
-        job.caught_up = true;
+    let flushed = inner.db.wal.flushed_lsn().0;
+    if next <= flushed && !conn.has_backlog() && ship(inner, ctx, conn, next, flushed) {
+        return true;
     }
-
-    match plan {
-        PumpPlan::CutLoose { retained_from } => {
-            // Executes even against a backlog: the error frame rides
-            // the existing buffer and the ring no longer owes this
-            // cursor anything.
-            cut_loose(inner, ctx, conn, cursor, retained_from);
-            false
-        }
-        PumpPlan::Heartbeat => {
-            if heartbeat_due {
-                emit_heartbeat(inner, conn);
-            }
-            false
-        }
-        _ if conn.has_backlog() => {
-            // Records wait for the socket to drain and coalesce into
-            // bigger batches, but liveness must not: a backlogged
-            // follower still gets periodic heartbeats, so it can tell
-            // "I am slow" apart from "the primary is dead".
-            if heartbeat_due {
-                emit_heartbeat(inner, conn);
-            }
-            false
-        }
-        PumpPlan::Chunks(chunks) => ship_chunks(inner, ctx, conn, &chunks),
-        PumpPlan::Scan { through } => ship_scan(inner, conn, through),
+    if heartbeat_due {
+        emit_heartbeat(inner, conn, flushed);
     }
+    false
 }
 
 /// Emit an empty `WalFrame` carrying only the flushed LSN — the
-/// stream's liveness signal.
-fn emit_heartbeat(inner: &Arc<Inner>, conn: &mut Conn) {
-    let flushed = inner.db.wal.flushed_lsn().0;
-    if let Some(j) = wal_sub(conn) {
-        j.emitted(j.next);
-    }
+/// stream's liveness signal. Nothing once the stream has ended.
+fn emit_heartbeat(inner: &Arc<Inner>, conn: &mut Conn, flushed: u64) {
+    let Some(job) = wal_sub(conn) else {
+        return;
+    };
+    job.emitted(job.next);
     inner.stats.wal_frames.bump();
     send(
         inner,
@@ -327,75 +256,18 @@ fn emit_heartbeat(inner: &Arc<Inner>, conn: &mut Conn) {
     );
 }
 
-/// Ship pre-encoded ring chunks from the subscriber's cursor. The
-/// wire framing for each chunk is built once, on first ship, and
-/// cached on the chunk itself — later subscribers reuse the bytes.
-fn ship_chunks(
-    inner: &Arc<Inner>,
-    ctx: &ShardCtx,
-    conn: &mut Conn,
-    chunks: &[Arc<mohan_wal::WalChunk>],
-) -> bool {
-    let mut progressed = false;
-    for chunk in chunks {
-        let framed = chunk.wire_cache.get_or_init(|| {
-            let payload = Response::WalFrame {
-                flushed: chunk.flushed,
-                count: chunk.count,
-                records: chunk.records.clone(),
-                traces: chunk.traces.clone(),
-            }
-            .encode();
-            let mut framed = Vec::with_capacity(4 + payload.len());
-            framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            framed.extend_from_slice(&payload);
-            framed
-        });
-        if framed.len() > MAX_FRAME + 4 {
-            // A single record too large for any frame can never ship.
-            // End the stream with an explicit error instead of letting
-            // `send` substitute one mid-stream and silently desync the
-            // follower's cursor.
-            send(
-                inner,
-                conn,
-                &protocol_err(ErrorCode::Internal, "WAL record exceeds the wire frame cap"),
-            );
-            end(inner, ctx, conn);
-            return false;
-        }
-        inner.stats.wal_frames.bump();
-        inner.stats.wal_records.add(u64::from(chunk.count));
-        send_raw(inner, conn, framed);
-        if conn.dead {
-            return false;
-        }
-        if let Some(j) = wal_sub(conn) {
-            j.emitted(chunk.last_lsn + 1);
-        }
-        progressed = true;
-        if conn.has_backlog() {
-            break;
-        }
-    }
-    progressed
-}
-
-/// Bounded private scan for a cursor below the broadcast window,
-/// through `through` inclusive — at most a frame's worth per call, so
-/// one lagging follower cannot monopolise the shard.
-fn ship_scan(inner: &Arc<Inner>, conn: &mut Conn, through: u64) -> bool {
-    let Some(job) = wal_sub(conn) else {
-        return false;
-    };
-    let first = job.next;
-    // The byte cap applies before a record is taken, so a full frame is
-    // never extended past the budget; a record that alone exceeds it
-    // (e.g. a catalog snapshot) travels in its own frame.
+/// Copy one frame's worth of `next ..= flushed` out of the log and
+/// queue it, moving the cursor and its pin past what it carries. The
+/// byte cap applies before a record is taken, so a full frame is never
+/// extended past the budget; a record that alone exceeds it (e.g. a
+/// catalog snapshot) travels in its own frame. A record too large for
+/// any frame can never ship: the stream ends with an explicit error,
+/// before the cursor moves past it.
+fn ship(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, next: u64, flushed: u64) -> bool {
     let mut records = Vec::new();
     let (count, last) = inner.db.wal.copy_range(
-        mohan_common::Lsn(first - 1),
-        mohan_common::Lsn(through),
+        mohan_common::Lsn(next - 1),
+        mohan_common::Lsn(flushed),
         WAL_SUB_MAX_RECORDS,
         WAL_SUB_MAX_BYTES,
         &mut records,
@@ -403,47 +275,34 @@ fn ship_scan(inner: &Arc<Inner>, conn: &mut Conn, through: u64) -> bool {
     if count == 0 {
         return false;
     }
-    job.emitted(last.0 + 1);
-    let flushed = inner.db.wal.flushed_lsn().0;
-    let count = count as u32;
     // Trace tags ride the frame so the follower's apply spans join
     // the primary-side trace that caused each record.
-    let traces = inner.db.wal.trace_tags_for(first, last.0);
+    let traces = inner.db.wal.trace_tags_for(next, last.0);
+    // Encoded behind room for its length prefix: one buffer, one copy.
+    let mut framed = Vec::with_capacity(64 + records.len() + 16 * traces.len());
+    framed.extend_from_slice(&[0; 4]);
+    Response::WalFrame {
+        flushed,
+        count: count as u32,
+        records,
+        traces,
+    }
+    .put(&mut framed);
+    let len = framed.len() - 4;
+    if len > MAX_FRAME {
+        let msg = format!("WAL record {next} exceeds the wire frame cap");
+        send(inner, conn, &protocol_err(ErrorCode::Internal, &msg));
+        end(inner, ctx, conn);
+        return false;
+    }
+    framed[..4].copy_from_slice(&(len as u32).to_be_bytes());
     inner.stats.wal_frames.bump();
-    inner.stats.wal_records.add(u64::from(count));
-    send(
-        inner,
-        conn,
-        &Response::WalFrame {
-            flushed,
-            count,
-            records,
-            traces,
-        },
-    );
-    true
-}
-
-/// Terminate a lagging subscription with [`ErrorCode::SubscriptionLagged`],
-/// without closing the connection. The follower treats it as
-/// "resubscribe from where you are" — the catch-up scans in
-/// [`ship_scan`] then walk it back into the window.
-fn cut_loose(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, cursor: u64, retained_from: u64) {
-    inner.broadcast.note_cut_loose();
-    inner.db.obs.trace().event(
-        "repl.cut_loose",
-        format!("cursor {cursor} behind window start {retained_from}"),
-        retained_from,
-    );
-    send(
-        inner,
-        conn,
-        &protocol_err(
-            ErrorCode::SubscriptionLagged { retained_from },
-            &format!("subscriber cursor {cursor} fell behind the broadcast window"),
-        ),
-    );
-    end(inner, ctx, conn);
+    inner.stats.wal_records.add(count as u64);
+    if let Some(job) = wal_sub(conn) {
+        job.emitted(last.0 + 1);
+    }
+    send_raw(inner, conn, &framed);
+    !conn.dead
 }
 
 // ===================================================================
@@ -554,7 +413,7 @@ pub(crate) fn start_build(
         last_sent: Some(starting),
         last_poll: Instant::now(),
     };
-    begin(inner, ctx, conn, Job::Build(job));
+    begin(ctx, conn, Job::Build(job));
     true
 }
 

@@ -145,15 +145,6 @@ pub struct ServerConfig {
     /// The default honors the `MOHAN_TRACE_SAMPLE` environment
     /// variable.
     pub trace_sample_one_in: u32,
-    /// Byte budget for the WAL broadcast ring: each newly flushed
-    /// suffix is scanned and encoded **once** into pre-framed chunks
-    /// that every `SubscribeWal` connection tails at its own cursor.
-    /// When the retained window (bounded by this budget) moves past a
-    /// subscriber's cursor, that subscriber is cut loose with
-    /// [`mohan_wire::message::ErrorCode::SubscriptionLagged`] and
-    /// falls back to the replica layer's reconnect-catch-up path.
-    /// Clamped up to one chunk (`mohan_wal::broadcast::CHUNK_MAX_BYTES`).
-    pub fanout_ring_bytes: usize,
     /// Which I/O readiness backend drives the connection layer.
     /// `Auto` detects at startup (epoll where available, else
     /// poll(2)). The default honors the `MOHAN_IO_BACKEND` environment
@@ -219,7 +210,6 @@ impl Default for ServerConfig {
                 .ok()
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(1),
-            fanout_ring_bytes: 4 << 20,
             io_backend: IoBackendChoice::from_env()
                 .unwrap_or_else(|bad| {
                     eprintln!(
@@ -266,10 +256,6 @@ pub(crate) struct Inner {
     /// drops) the connection — unlike `stats.conn_shards`, which
     /// counts cumulative assignments.
     pub(crate) shard_conns: Vec<AtomicUsize>,
-    /// Shared WAL fan-out ring: every flushed suffix is scanned,
-    /// encoded, and trace-tagged once, and each `SubscribeWal`
-    /// connection tails the pre-encoded chunks at its own cursor.
-    pub(crate) broadcast: Arc<mohan_wal::WalBroadcast>,
     /// Table-name catalog shared by every pg session.
     pub(crate) catalog: Arc<mohan_pgwire::Catalog>,
     /// Per-statement-kind latency histograms
@@ -408,27 +394,16 @@ impl Server {
         let events_per_wait = db.obs.histogram("server.events_per_wait");
         db.obs.trace().event("server.io_backend", backend.name(), 0);
 
-        // The broadcast ring starts at the durable tail: records below
-        // it are served to late subscribers by bounded catch-up scans.
-        let broadcast = Arc::new(mohan_wal::WalBroadcast::new(
-            db.wal.flushed_lsn().0 + 1,
-            cfg.fanout_ring_bytes,
-        ));
-        // Fan-out gauges, weak so a drained server's ring can drop.
-        {
-            let gauge = |name: &str, f: fn(&mohan_wal::WalBroadcast) -> u64| {
-                let w = Arc::downgrade(&broadcast);
-                db.obs
-                    .gauge_fn(name, move || w.upgrade().map_or(0, |b| f(&b)));
-            };
-            gauge("repl.fanout.subscribers", |b| b.subscribers());
-            gauge("repl.fanout.ring_chunks", |b| b.ring_chunks());
-            gauge("repl.fanout.ring_bytes", |b| b.ring_bytes());
-            gauge("repl.fanout.scans", |b| b.scans());
-            gauge("repl.fanout.encodes", |b| b.encodes());
-            gauge("repl.fanout.evicted", |b| b.chunks_evicted());
-            gauge("repl.fanout.cut_loose", |b| b.cut_loose());
-        }
+        // Each shard's live `SubscribeWal` count, which gates its flush
+        // waker; their sum is the subscriber gauge.
+        let wal_subs: Vec<Arc<AtomicUsize>> = (0..workers).map(|_| Arc::default()).collect();
+        let gauge_subs = wal_subs.clone();
+        db.obs.gauge_fn("repl.fanout.subscribers", move || {
+            gauge_subs
+                .iter()
+                .map(|n| n.load(Ordering::Acquire) as u64)
+                .sum()
+        });
 
         // Every shard's event source, before any thread exists: a host
         // that cannot provide one fails the start, not a shard.
@@ -450,7 +425,6 @@ impl Server {
             conn_count: AtomicUsize::new(0),
             http_conns: AtomicUsize::new(0),
             shard_conns: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
-            broadcast,
             catalog,
             pg_req_us,
             req_us,
@@ -463,10 +437,9 @@ impl Server {
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         let mut flush_hooks = Vec::new();
-        for (shard, (io, wake_rx)) in sources.into_iter().enumerate() {
+        for (shard, ((io, wake_rx), wal_subs)) in sources.into_iter().zip(wal_subs).enumerate() {
             let (tx, rx) = mpsc::channel();
             senders.push(tx);
-            let wal_subs = Arc::new(AtomicUsize::new(0));
             // Event-driven WAL shipping: when the durable prefix
             // advances, wake exactly the shards that have live
             // subscribers (the AtomicUsize gate keeps everyone else

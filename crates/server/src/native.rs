@@ -293,7 +293,7 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
             inner.stats.observe_frames.bump();
             let first = metrics_response(inner);
             send(inner, conn, &first);
-            job::begin(inner, ctx, conn, Job::observe(interval));
+            job::begin(ctx, conn, Job::observe(interval));
             return true; // slot stays held while the stream is live
         }
         Request::SubscribeWal { from_lsn } => {
@@ -332,7 +332,7 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
                 return false;
             };
             inner.stats.wal_subs.bump();
-            job::begin(inner, ctx, conn, Job::wal_sub(from_lsn, pin));
+            job::begin(ctx, conn, Job::wal_sub(from_lsn, pin));
             job::pump(inner, ctx, conn);
             return true; // slot stays held while the stream is live
         }

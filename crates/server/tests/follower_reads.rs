@@ -88,7 +88,7 @@ fn converge(primary: &Arc<Db>, replica: &Replica) {
     primary.wal.flush_all();
     let target = primary.wal.flushed_lsn();
     assert!(
-        replica.wait_caught_up(target, CATCH_UP),
+        replica.wait_applied(target, CATCH_UP),
         "follower stuck at {} short of {} (lag {})",
         replica.applied_lsn().0,
         target.0,

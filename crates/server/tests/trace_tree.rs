@@ -182,7 +182,7 @@ fn pg_create_index_links_one_span_tree_across_primary_and_follower() {
     primary.wal.flush_all();
     let target = primary.wal.flushed_lsn();
     assert!(
-        replica.wait_caught_up(target, CATCH_UP),
+        replica.wait_applied(target, CATCH_UP),
         "follower stuck at {} short of {}",
         replica.applied_lsn().0,
         target.0

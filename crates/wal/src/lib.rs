@@ -12,11 +12,10 @@
 //! * [`record`] — typed log records and payloads.
 //! * [`codec`] — byte encoding of records: what a log slot stores and
 //!   what WAL stream replication ships.
-//! * [`broadcast`] — fan-out: a bounded ring of chunks copied out of
-//!   the log once and shared by every WAL subscriber.
 //! * [`log`] — the log manager: encoded write-once slots in segments
 //!   that truncation frees, append/flush, flushed-prefix crash
-//!   semantics, per-transaction `prev_lsn` chains.
+//!   semantics, per-transaction `prev_lsn` chains, and the pins and
+//!   range copies WAL subscribers ship from.
 //! * [`recovery`] — the analysis / redo / undo driver, generic over a
 //!   [`recovery::RecoveryTarget`] implemented by the engine. The same
 //!   undo machinery performs normal transaction rollback, including
@@ -24,13 +23,11 @@
 
 #![warn(missing_docs)]
 
-pub mod broadcast;
 pub mod codec;
 pub mod log;
 pub mod record;
 pub mod recovery;
 
-pub use broadcast::{Tail, WalBroadcast, WalChunk};
 pub use codec::{decode_record, decode_records, encode_record, encode_records, RecordHeader};
 pub use log::{LogManager, LogPin, WalStats};
 pub use record::{LogPayload, LogRecord, RecKind, SideFileOp};

@@ -267,10 +267,9 @@ pub struct LogManager {
     pub stats: WalStats,
 }
 
-/// Retained [`LogManager::trace_tags_for`] entries; old tags fall off
-/// once the tagged records are this far behind the tail (subscribers
-/// that lag further already reconnect through catch-up, which does
-/// not replay attribution).
+/// Retained [`LogManager::trace_tags_for`] entries: the oldest tag
+/// falls off once this many newer records are tagged. A subscriber
+/// shipping records older than that gets them without attribution.
 const TRACE_TAG_CAP: usize = 4096;
 
 impl Default for LogManager {

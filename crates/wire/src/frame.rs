@@ -57,22 +57,23 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Blocking read of one complete frame's payload.
 ///
 /// `Ok(None)` means the peer closed cleanly at a frame boundary; EOF
-/// mid-frame and an oversized length both surface as errors.
+/// mid-frame and an oversized length both surface as errors. A read
+/// interrupted by a signal — a stopped process resumed — is retried.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf)? {
-        0 => return Ok(None),
-        mut n => {
-            while n < 4 {
-                let m = r.read(&mut len_buf[n..])?;
-                if m == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof inside frame length",
-                    ));
-                }
-                n += m;
+    let mut n = 0;
+    while n < 4 {
+        match r.read(&mut len_buf[n..]) {
+            Ok(0) if n == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "eof inside frame length",
+                ))
             }
+            Ok(m) => n += m,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -134,6 +135,32 @@ mod tests {
             let mut r = &stream[..cut];
             assert!(read_frame(&mut r).is_err(), "cut at {cut}");
         }
+    }
+
+    /// A reader whose every other call is interrupted, and which hands
+    /// out one byte at a time otherwise.
+    struct Interrupting<'a>(&'a [u8], bool);
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.0.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"payload").unwrap();
+        let mut r = Interrupting(&stream, false);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"payload");
+        assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
     #[test]

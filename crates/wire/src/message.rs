@@ -39,11 +39,14 @@ pub const PROTO_MAJOR: u16 = 1;
 /// on [`Response::WalFrame`] (a frame without the trailing tag list
 /// still decodes, as minor 0 cut it).
 ///
-/// 2 added [`ErrorCode::SubscriptionLagged`] — the structured
-/// cut-loose a `SubscribeWal` stream receives when its cursor falls
-/// behind the broadcast ring's retained window. Older clients decode
-/// it as a malformed error code and treat the disconnect as a plain
-/// stream error, which still lands them in reconnect-catch-up.
+/// 2 added error code tag 39, `SubscriptionLagged { retained_from }`:
+/// the primary ended a `SubscribeWal` stream whose cursor fell behind
+/// a byte-bounded window of recent records it kept beside the log.
+/// That window is gone — a stream now ships from the log at its own
+/// pinned cursor and is never cut for lagging — and so is the code.
+/// Tag 39 is retired and never reused. A current follower that meets
+/// an older primary sending it decodes a malformed code and reconnects
+/// with backoff, as minor-0 and minor-1 clients always did.
 ///
 /// 3 added a [`BuildOptionsWire`] (parallel workers, run compression,
 /// drain policy, checkpoint interval) to [`Request::CreateIndex`],
@@ -553,17 +556,7 @@ wire_enum! {
         /// The peer's [`Request::Hello`] carried a protocol major version
         /// this server does not speak.
         UnsupportedProto = 38,
-        /// A `SubscribeWal` stream was cut loose: the subscriber's cursor
-        /// fell behind the broadcast ring's retained window and the
-        /// primary will not keep scanning the log privately for it. The
-        /// follower should resubscribe from its applied LSN — the server
-        /// serves fresh subscriptions below the window with bounded
-        /// catch-up scans until they re-enter it.
-        SubscriptionLagged = 39 {
-            /// Oldest LSN still retained in the broadcast window when the
-            /// stream was cut.
-            retained_from: u64,
-        },
+        // Tag 39 is retired (see `PROTO_MINOR`); never reuse it.
         /// A `SubscribeWal` asked for records the primary's log no longer
         /// holds: a checkpoint truncated them. Terminal — resubscribing
         /// from the same position gets the same answer; the follower must
@@ -930,9 +923,6 @@ mod tests {
             },
             ErrorCode::Stale { lag: 4096 },
             ErrorCode::UnsupportedProto,
-            ErrorCode::SubscriptionLagged {
-                retained_from: 88_001,
-            },
             ErrorCode::LogTruncated { first_lsn: 70_001 },
         ]
     }
@@ -1050,12 +1040,6 @@ mod tests {
                     msg: "no index specs".into(),
                 },
                 message: "invalid argument: no index specs".into(),
-            },
-            Response::Err {
-                code: ErrorCode::SubscriptionLagged {
-                    retained_from: 88_001,
-                },
-                message: "cursor fell behind the broadcast window".into(),
             },
             Response::Welcome {
                 proto_version: proto_version(),
@@ -1180,6 +1164,16 @@ mod tests {
         let mut canonical = minor_0_frame.to_vec();
         canonical.extend_from_slice(&[0, 0]);
         assert_eq!(frame.encode(), canonical);
+
+        // Error code 39 is retired: a minor-2..4 primary's
+        // `SubscriptionLagged { retained_from: 88_001 }` is malformed.
+        #[rustfmt::skip]
+        let tag_39: &[u8] = &[
+            14, 39,                         // `Err`, code 39
+            0, 0, 0, 0, 0, 1, 0x57, 0xC1,   // retained_from 88 001
+            0, 0, 0, 3, b'w', b'h', b'y',   // message "why"
+        ];
+        assert_eq!(Response::decode(tag_39), None);
     }
 
     #[test]
@@ -1575,9 +1569,6 @@ mod tests {
                         leader_hint: text.clone(),
                     },
                     ErrorCode::Stale { .. } => ErrorCode::Stale { lag: b },
-                    ErrorCode::SubscriptionLagged { .. } => {
-                        ErrorCode::SubscriptionLagged { retained_from: b }
-                    }
                     ErrorCode::LogTruncated { .. } => ErrorCode::LogTruncated { first_lsn: b },
                     bodyless => bodyless,
                 },
