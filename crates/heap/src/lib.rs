@@ -164,65 +164,52 @@ impl HeapTable {
         // held across the page latch and two inserters never chase
         // the same candidate; a page that still has room is
         // re-registered after the latch is dropped.
-        let mut candidates: Vec<PageId> = Vec::with_capacity(2);
-        if let Some((p, shard)) = self.fsm.take_candidate(self.fsm.preferred_shard()) {
-            self.stats.fsm_shard_hits.bump(shard);
-            candidates.push(p);
-        }
-        let n = self.cache.num_pages();
-        if n > 0 {
-            let last = PageId(n - 1);
-            if !candidates.contains(&last) {
-                candidates.push(last);
-            }
-        }
-        for page in candidates {
-            // Candidates are heuristics, not guarantees: the last-page
-            // candidate can be mid-allocation (cursor published before
-            // the frame) or a crash-lost hole. Skip and fall through.
-            let Ok(frame) = self.cache.frame(page) else {
-                continue;
+        let candidate = self
+            .fsm
+            .take_candidate(self.fsm.preferred_shard())
+            .map(|(page, shard)| {
+                self.stats.fsm_shard_hits.bump(shard);
+                page
+            });
+        let last = (self.cache.num_pages().checked_sub(1))
+            .map(PageId)
+            .filter(|&last| Some(last) != candidate);
+        // Candidates are heuristics, not guarantees: the last-page
+        // candidate can be mid-allocation (cursor published before the
+        // frame) or a crash-lost hole, and is skipped. After them come
+        // fresh pages. A new frame is visible to every other inserter
+        // (as their last-page candidate) the moment it is allocated, so
+        // by the time this thread holds the latch the page may already
+        // be full — those inserts were served, ours was not. Allocate
+        // again rather than surface a spurious `PageFull`.
+        let fresh =
+            std::iter::repeat_with(|| self.cache.allocate(SlottedPage::new(self.page_size)));
+        let frames = (candidate.into_iter().chain(last))
+            .filter_map(|page| self.cache.frame(page).ok())
+            .chain(fresh);
+        for frame in frames {
+            let mut g = frame.latch.exclusive();
+            // The insert is its own room check: a full page is left as
+            // it was, and stays out of the map.
+            let slot = match g.payload.insert(data) {
+                Ok(slot) => slot,
+                Err(Error::PageFull) => continue,
+                Err(e) => return Err(e),
             };
-            let mut g = frame.latch.exclusive();
-            if g.payload.fits(data.len()) {
-                let slot = g.payload.insert(data)?;
-                let rid = Rid { page, slot };
-                let lsn = log(rid);
-                g.lsn = lsn;
-                let still_free = g.payload.fits(64);
-                drop(g);
-                if still_free {
-                    self.fsm.note_free(page);
-                }
-                self.stats.inserts.bump();
-                return Ok(rid);
-            }
-            // Full: the candidate stays out of the map.
-        }
-        // Fresh page. A new frame is visible to every other inserter
-        // (as their last-page candidate) the moment it is allocated,
-        // so by the time this thread holds the latch the page may
-        // already be full — those inserts were served, ours was not.
-        // Allocate again rather than surface a spurious `PageFull`.
-        loop {
-            let frame = self.cache.allocate(SlottedPage::new(self.page_size));
-            let page = frame.id;
-            let mut g = frame.latch.exclusive();
-            if !g.payload.fits(data.len()) {
-                continue;
-            }
-            let slot = g.payload.insert(data)?;
-            let rid = Rid { page, slot };
-            let lsn = log(rid);
-            g.lsn = lsn;
+            let rid = Rid {
+                page: frame.id,
+                slot,
+            };
+            g.lsn = log(rid);
             let still_free = g.payload.fits(64);
             drop(g);
             if still_free {
-                self.fsm.note_free(page);
+                self.fsm.note_free(rid.page);
             }
             self.stats.inserts.bump();
             return Ok(rid);
         }
+        unreachable!("fresh pages never run out")
     }
 
     /// Delete a record, returning its before-image. `log` runs under

@@ -9,6 +9,7 @@ use mohan_oib::progress::{BuildProgress, PartCheckpoint};
 use mohan_oib::runtime::{Catalog, CatalogEntry, IndexState};
 use mohan_oib::schema::{BuildAlgorithm, IndexDef, Record};
 use mohan_sort::{MergeCheckpoint, MergePassCheckpoint, RunMeta, SortCheckpoint};
+use mohan_storage::SlottedPage;
 use mohan_wal::{LogPayload, LogRecord, RecKind, SideFileOp};
 use mohan_wire::message::BuildOptionsWire;
 use std::fmt::Debug;
@@ -32,7 +33,8 @@ pub fn entry(key: i64, page: u32, slot: u16) -> IndexEntry {
     IndexEntry::new(KeyValue::from_i64(key), Rid::new(page, slot))
 }
 
-/// Index pages of the samples are this small, to keep their lines short.
+/// Index and heap pages of the samples are this small, to keep their
+/// lines short and their attacks quick.
 pub const PAGE: usize = 128;
 
 /// An internal page over children 1, then each separator's.
@@ -53,6 +55,31 @@ fn leaf(entries: &[(IndexEntry, bool)], next: Option<PageId>, fence: Option<Inde
     n.set_next(next);
     n.set_high_fence(fence.as_ref()).unwrap();
     n
+}
+
+/// Heap pages of `PAGE` bytes: empty, full, with reserved slots, and
+/// after a compaction. They are not golden lines — the page's own tests
+/// pin its bytes — and hold no holds, which live outside the bytes.
+#[allow(dead_code)] // only `hostile_bytes.rs` attacks heap pages
+pub fn heap_pages() -> Vec<SlottedPage> {
+    let empty = SlottedPage::new(PAGE);
+    let mut full = SlottedPage::new(PAGE);
+    for i in 0u8.. {
+        if full.insert(&[i; 18]).is_err() {
+            break;
+        }
+    }
+    let mut reserved = SlottedPage::new(PAGE);
+    let slots: Vec<_> = (1..=5)
+        .map(|i| reserved.insert(&[i; 12]).unwrap())
+        .collect();
+    reserved.delete(slots[1]).unwrap();
+    reserved.delete(slots[3]).unwrap();
+    let mut compacted = reserved.clone();
+    compacted.free_slot(slots[1]);
+    compacted.free_slot(slots[3]);
+    compacted.insert(&[9; 50]).unwrap();
+    vec![empty, full, reserved, compacted]
 }
 
 fn def(id: u32, name: &str, unique: bool, key_cols: Vec<usize>) -> IndexDef {

@@ -13,19 +13,25 @@
 //! before they were declared on the shared codec: a forged all-ones
 //! count made them panic with `capacity overflow` or try to allocate
 //! tens of gigabytes, and a bad catalog entry length panicked restart.
+//! The `probe_heap_page_*` cases are heap page images the page decoder
+//! accepted before it checked its directory, and whose readers then
+//! indexed past the page.
 
 mod blobs;
 
 use blobs::{samples, Blob, Sink};
 use mohan_btree::{Kind, Node};
 use mohan_common::codec::{decode, encode, RESERVE_CAP};
-use mohan_common::{EngineConfig, Error, IndexEntry, KeyValue, Lsn, PageId, Rid, TableId, TxId};
+use mohan_common::{
+    EngineConfig, Error, IndexEntry, KeyValue, Lsn, PageId, Rid, SlotId, TableId, TxId,
+};
 use mohan_oib::build::{build_index, IndexSpec};
 use mohan_oib::progress::{BuildProgress, PartCheckpoint};
 use mohan_oib::runtime::{CatalogEntry, IndexState};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::Db;
 use mohan_sort::{MergeCheckpoint, RunMeta, SortCheckpoint};
+use mohan_storage::{PagePayload, SlottedPage};
 use mohan_wal::{
     decode_record, decode_records, LogPayload, LogRecord, RecKind, RecordHeader, RecoveryTarget,
 };
@@ -391,6 +397,100 @@ fn index_pages_under_attack_are_refused_or_safe_to_read() {
     // Flips in free space, RIDs and keys leave valid pages: the check
     // reads some.
     assert!(decoded > 0);
+}
+
+// ---- heap pages: refused, or safe to read and change ----------------------
+
+/// Read everything a heap page serves, then change it every way.
+fn use_heap_page(mut page: SlottedPage) {
+    let slots = page.slots();
+    for s in 0..=slots {
+        let _ = (page.get(SlotId(s)), page.is_reserved(SlotId(s)));
+    }
+    let live: Vec<SlotId> = page.records().map(|(slot, _)| slot).collect();
+    let _ = (page.live_records(), page.reserved_slots());
+    let _ = (page.total_free(), page.contiguous_free());
+    for n in [0, 1, 18, 200] {
+        let _ = page.fits(n);
+    }
+    if let Some(&slot) = live.first() {
+        let _ = page.update(slot, &[7; 30]);
+        let _ = page.delete(slot);
+    }
+    page.compact();
+    let _ = page.insert(&[8; 9]);
+    let _ = page.insert_at(SlotId(slots + 2), &[9; 3]);
+    page.sweep();
+}
+
+fn encode_heap(page: &SlottedPage) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    page.encode(&mut bytes);
+    bytes
+}
+
+/// Is `bytes` refused as a heap page? A page it decodes to is used.
+fn heap_page_refused(bytes: &[u8]) -> bool {
+    match SlottedPage::decode(bytes) {
+        Ok(page) => {
+            assert_eq!(encode_heap(&page), bytes);
+            use_heap_page(page);
+            false
+        }
+        Err(e) => {
+            assert!(matches!(e, Error::Corruption(_)), "{e}");
+            true
+        }
+    }
+}
+
+/// Every heap-page sample cut, flipped and all-ones-windowed: each
+/// result is refused, or yields a page that reads, inserts, updates,
+/// deletes and compacts without panicking.
+#[test]
+fn heap_pages_under_attack_are_refused_or_safe_to_read() {
+    let pages: Vec<Vec<u8>> = blobs::heap_pages().iter().map(encode_heap).collect();
+    let mut decoded = 0;
+    for good in &pages {
+        assert!(!heap_page_refused(good));
+        let mut inputs: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        for i in 0..good.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[i] ^= flip;
+                inputs.push(bad);
+            }
+        }
+        for width in [2, 4] {
+            for i in 0..=good.len() - width {
+                let mut bad = good.clone();
+                bad[i..i + width].fill(0xFF);
+                inputs.push(bad);
+            }
+        }
+        decoded += inputs.iter().filter(|b| !heap_page_refused(b)).count();
+    }
+    // Flips in record bytes and free space leave valid pages.
+    assert!(decoded > 0);
+}
+
+/// A 64-byte image whose directory claims 2^16 - 1 slots: `records`
+/// used to read entries before the start of the page.
+#[test]
+fn probe_heap_page_slot_count_past_the_page() {
+    let mut page = encode_heap(&SlottedPage::new(64));
+    page[0..2].fill(0xFF);
+    assert!(heap_page_refused(&page));
+}
+
+/// An image whose slot 0 claims 200 record bytes at offset 60 of 64:
+/// `get` used to slice past the end of the page.
+#[test]
+fn probe_heap_page_record_past_free_start() {
+    let mut page = encode_heap(&SlottedPage::new(64));
+    page[0..2].copy_from_slice(&1u16.to_be_bytes());
+    page[60..64].copy_from_slice(&[0, 60, 0, 200]);
+    assert!(heap_page_refused(&page));
 }
 
 // ---- the catalog: one decoder, three defects ----------------------------

@@ -45,6 +45,13 @@
 //! forward processing had already given away; a placement that fit
 //! forward fits among the live records redo rebuilds, and a rollback
 //! takes back its own reserved or held bytes.
+//!
+//! The space accounting is kept, not recomputed: the frame carries the
+//! sums the slot directory gives (`Counts`), derived in one pass when
+//! the page is made or decoded and changed only where a slot entry is
+//! written, so the room checks every insert and update makes under the
+//! X latch cost O(1) however many slots the page has. They live beside
+//! the bytes, not in them: the page format is unchanged.
 
 use crate::cache::PagePayload;
 use mohan_common::{Error, Result, SlotId};
@@ -59,6 +66,39 @@ pub struct SlottedPage {
     /// Holds of shrunk records whose updater has not ended: the slot
     /// and the longest length the record had under that updater.
     held: Vec<(u16, u16)>,
+    /// What the slot directory sums to; written only with an entry.
+    counts: Counts,
+}
+
+/// Sums over the slot directory's `(offset, len)` entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
+    /// Every entry's `len`, live or reserved.
+    used: usize,
+    /// The live records' lengths.
+    live: usize,
+    /// Entries that are `(0, 0)`: free slots.
+    free_slots: usize,
+}
+
+impl Counts {
+    fn add(&mut self, (off, len): (usize, usize)) {
+        self.used += len;
+        if off != 0 {
+            self.live += len;
+        } else if len == 0 {
+            self.free_slots += 1;
+        }
+    }
+
+    fn remove(&mut self, (off, len): (usize, usize)) {
+        self.used -= len;
+        if off != 0 {
+            self.live -= len;
+        } else if len == 0 {
+            self.free_slots -= 1;
+        }
+    }
 }
 
 impl SlottedPage {
@@ -76,6 +116,7 @@ impl SlottedPage {
         SlottedPage {
             buf,
             held: Vec::new(),
+            counts: Counts::default(),
         }
     }
 
@@ -108,9 +149,61 @@ impl SlottedPage {
     }
 
     fn set_slot_entry(&mut self, slot: usize, off: usize, len: usize) {
+        self.counts.remove(self.slot_entry(slot));
         let p = self.slot_entry_pos(slot);
         write_u16(&mut self.buf, p, off as u16);
         write_u16(&mut self.buf, p + 2, len as u16);
+        self.counts.add((off, len));
+    }
+
+    /// Extend the directory to `n` free slots. The bytes under a new
+    /// entry are whatever the record heap left there: they are
+    /// overwritten, never counted as an old entry.
+    fn grow_directory(&mut self, n: usize) {
+        for s in self.slot_count()..n {
+            let p = self.slot_entry_pos(s);
+            self.buf[p..p + SLOT_BYTES].fill(0);
+            self.counts.add((0, 0));
+        }
+        self.set_slot_count(n);
+    }
+
+    /// Bytes between the header and the slot directory.
+    fn space(&self) -> usize {
+        self.buf.len() - HDR - self.slot_count() * SLOT_BYTES
+    }
+
+    /// The accounting as the bytes give it, checking on the way that
+    /// every accessor reads in bounds: the directory fits in the page,
+    /// `free_start` lies between the header and the directory, and every
+    /// live record between the header and `free_start`, with no more
+    /// record bytes than that span holds.
+    fn tally(&self) -> Result<Counts> {
+        let refuse = |what: String| Err(Error::Corruption(format!("slotted page: {what}")));
+        let size = self.buf.len();
+        if !(HDR..=usize::from(u16::MAX)).contains(&size) {
+            return refuse(format!("{size} bytes"));
+        }
+        let slots = self.slot_count();
+        if slots * SLOT_BYTES > size - HDR {
+            return refuse(format!("{slots} slots in {size} bytes"));
+        }
+        let free_start = self.free_start();
+        if !(HDR..=size - slots * SLOT_BYTES).contains(&free_start) {
+            return refuse(format!("free space starts at {free_start}"));
+        }
+        let mut counts = Counts::default();
+        for s in 0..slots {
+            let (off, len) = self.slot_entry(s);
+            if off != 0 && (off < HDR || off + len > free_start) {
+                return refuse(format!("slot {s} at {off}..{}", off + len));
+            }
+            counts.add((off, len));
+        }
+        if counts.live > free_start - HDR {
+            return refuse(format!("{} record bytes below {free_start}", counts.live));
+        }
+        Ok(counts)
     }
 
     /// Number of slots ever used (including now-empty ones).
@@ -136,8 +229,7 @@ impl SlottedPage {
 
     /// Bytes no live record holds: free or reserved.
     fn unheld(&self) -> usize {
-        let live: usize = self.records().map(|(_, data)| data.len()).sum();
-        self.buf.len() - HDR - self.slot_count() * SLOT_BYTES - live
+        self.space() - self.counts.live
     }
 
     /// Free bytes recoverable by compaction plus the contiguous tail.
@@ -147,13 +239,12 @@ impl SlottedPage {
     /// 0 free bytes until restart's sweep.
     #[must_use]
     pub fn total_free(&self) -> usize {
-        let used: usize = (0..self.slot_count()).map(|s| self.slot_entry(s).1).sum();
         let held: usize = self
             .held
             .iter()
             .map(|&(s, len)| usize::from(len).saturating_sub(self.slot_entry(s.into()).1))
             .sum();
-        (self.buf.len() - HDR - self.slot_count() * SLOT_BYTES).saturating_sub(used + held)
+        self.space().saturating_sub(self.counts.used + held)
     }
 
     /// End slot `s`'s hold, returning the length it kept.
@@ -165,7 +256,7 @@ impl SlottedPage {
     /// Would `insert` of `len` bytes succeed (possibly via compaction)?
     #[must_use]
     pub fn fits(&self, len: usize) -> bool {
-        let dir_growth = if self.first_empty_slot().is_some() {
+        let dir_growth = if self.counts.free_slots > 0 {
             0
         } else {
             SLOT_BYTES
@@ -174,11 +265,16 @@ impl SlottedPage {
     }
 
     fn first_empty_slot(&self) -> Option<usize> {
+        if self.counts.free_slots == 0 {
+            return None;
+        }
         (0..self.slot_count()).find(|&s| self.slot_entry(s) == (0, 0))
     }
 
     /// Insert a record, reusing an empty slot if one exists.
-    /// Returns the assigned slot, or `PageFull`.
+    /// Returns the assigned slot, or `PageFull` with the page unchanged:
+    /// the insert is its own room check, the one [`SlottedPage::fits`]
+    /// answers.
     pub fn insert(&mut self, data: &[u8]) -> Result<SlotId> {
         let slot = match self.first_empty_slot() {
             Some(s) => s,
@@ -234,12 +330,7 @@ impl SlottedPage {
             if self.free_start() > new_dir_start {
                 self.compact();
             }
-            // Zero-filled entries are "empty".
-            for extra in self.slot_count()..new_slots {
-                let old_count = self.slot_count();
-                self.set_slot_count(old_count + 1);
-                self.set_slot_entry(extra, 0, 0);
-            }
+            self.grow_directory(new_slots);
         }
         let dir_start = self.buf.len() - self.slot_count() * SLOT_BYTES;
         if dir_start - self.free_start() < data.len() {
@@ -426,14 +517,16 @@ impl PagePayload for SlottedPage {
         out.extend_from_slice(&self.buf);
     }
 
+    /// Refuses a page some accessor could not read in bounds (see
+    /// `tally`), so every page it returns serves every method.
     fn decode(buf: &[u8]) -> Result<Self> {
-        if buf.len() < HDR {
-            return Err(Error::Corruption("slotted page too small".into()));
-        }
-        Ok(SlottedPage {
+        let mut page = SlottedPage {
             buf: buf.to_vec(),
             held: Vec::new(),
-        })
+            counts: Counts::default(),
+        };
+        page.counts = page.tally()?;
+        Ok(page)
     }
 }
 
@@ -572,6 +665,73 @@ mod tests {
         p.encode(&mut bytes);
         let q = SlottedPage::decode(&bytes).unwrap();
         assert_eq!(p, q);
+    }
+
+    /// The kept accounting equals a recount from the bytes, and `fits`
+    /// answers what the full scan of the directory used to.
+    fn assert_accounting(p: &SlottedPage) {
+        let entries: Vec<(usize, usize)> = (0..p.slot_count()).map(|s| p.slot_entry(s)).collect();
+        let recount = Counts {
+            used: entries.iter().map(|e| e.1).sum(),
+            live: entries.iter().filter(|e| e.0 != 0).map(|e| e.1).sum(),
+            free_slots: entries.iter().filter(|&&e| e == (0, 0)).count(),
+        };
+        assert_eq!(p.counts, recount);
+        assert_eq!(p.tally().unwrap(), recount);
+        let held: usize = p
+            .held
+            .iter()
+            .map(|&(s, len)| usize::from(len).saturating_sub(p.slot_entry(s.into()).1))
+            .sum();
+        let free = p.space().saturating_sub(recount.used + held);
+        let growth = if recount.free_slots > 0 {
+            0
+        } else {
+            SLOT_BYTES
+        };
+        for n in [0, 1, 7, 24, 64] {
+            assert_eq!(p.fits(n), free >= n + growth, "fits({n})");
+        }
+    }
+
+    /// A page image the format's previous implementation, which
+    /// recounted the directory on every call, wrote after these ops:
+    /// inserts, a reserved delete, a held shrink, releases, an insert
+    /// into a freed slot that compacts, and a redo insert that grows the
+    /// directory by three slots. The bytes are the same, and decoding
+    /// them yields the accounting the ops kept.
+    #[test]
+    fn page_bytes_match_the_previous_format() {
+        const IMAGE: &str = "0006004604040404040405050505050505050505050505050505050505050505\
+                             0505050505050505050505050505050505050505050505050505050505050505\
+                             0505060606060000000000000000000000000000000000000000000000000000\
+                             0000000000000000004200040000000000000000000a00380004000600000014";
+        let mut p = SlottedPage::new(128);
+        let a = p.insert(&[1; 20]).unwrap();
+        let b = p.insert(&[2; 20]).unwrap();
+        let c = p.insert(&[3; 20]).unwrap();
+        p.delete(a).unwrap();
+        p.update(b, &[4; 6]).unwrap();
+        p.delete(c).unwrap();
+        p.free_slot(c);
+        p.free_slot(b);
+        assert_eq!(p.insert(&[5; 56]).unwrap(), c);
+        p.insert_at(SlotId(5), &[6; 4]).unwrap();
+        let mut bytes = Vec::new();
+        p.encode(&mut bytes);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, IMAGE);
+        let q = SlottedPage::decode(&bytes).unwrap();
+        assert_eq!(q.counts, p.counts);
+        assert_eq!(
+            q.counts,
+            Counts {
+                used: 20 + 6 + 56 + 4,
+                live: 6 + 56 + 4,
+                free_slots: 2
+            }
+        );
+        assert_accounting(&q);
     }
 
     /// What the log holds of `prop_model_check`'s ops. A rollback logs
@@ -722,15 +882,19 @@ mod tests {
                 prop_assert_eq!(p.live_records(), model.len());
                 prop_assert_eq!(p.records().count(), model.len());
                 prop_assert_eq!(p.reserved_slots().len(), deleted.len());
+                assert_accounting(&p);
             }
             let live: Vec<(SlotId, &[u8])> = p.records().collect();
             let (mut restarted, from) = image.unwrap_or_else(|| (durable(&p), log.len()));
+            assert_accounting(&restarted);
             let mut follower = SlottedPage::new(128);
             for (page, from) in [(&mut follower, 0), (&mut restarted, from)] {
                 for rec in &log[from..] {
                     prop_assert!(redo(page, rec).is_ok());
+                    assert_accounting(page);
                 }
                 prop_assert_eq!(page.records().collect::<Vec<_>>(), live.clone());
+                assert_accounting(&durable(page));
             }
         }
     }
