@@ -100,11 +100,12 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
     // and what they cost writers — time blocked on a tree's structure
     // lock (`btree.structure_wait_us`), which no latch or lock metric
     // shows; and how often the builders offered the processor to
-    // everyone else (`build.pace_points`).
+    // everyone else (`build.pace_points`); and the build worker threads
+    // alive (`build.workers`: the peak number of concurrent builds).
     if let Some(cp) = report.hist("build.checkpoint_us") {
         let blocked = report.hist("btree.structure_wait_us");
         out.push_str(&format!(
-            "build    checkpoints {} (p99 {} µs, max {} µs)   pages forced {}   structure waits {} (max {} µs)   pace points {}\n",
+            "build    checkpoints {} (p99 {} µs, max {} µs)   pages forced {}   structure waits {} (max {} µs)   pace points {}   workers {}\n",
             cp.count,
             cp.p99,
             cp.max,
@@ -112,6 +113,7 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
             blocked.map_or(0, |h| h.count),
             blocked.map_or(0, |h| h.max),
             report.counter("build.pace_points").unwrap_or(0),
+            report.counter("build.workers").unwrap_or(0),
         ));
     }
     // The log: what was appended, what the log holds in memory for it

@@ -9,8 +9,9 @@
 //! installs (executor checkout, pg statement loops) compose.
 //!
 //! Crossing threads is explicit: capture [`current_ctx`] before the
-//! hop and [`install_ctx`] it on the other side (the build thread,
-//! the per-shard executor, the replica apply loop all do this).
+//! hop and [`install_ctx`] it on the other side (the engine's build
+//! workers, the per-shard executor, the replica apply loop all do
+//! this).
 //! Crossing *processes* ships only the trace id — span ids are
 //! process-local, so remote continuations start a fresh root span
 //! under the same trace id via [`ctx_for`].

@@ -243,7 +243,42 @@ pub fn build_indexes_with(
 /// observer — e.g. a server streaming progress frames — can then poll
 /// [`progress::load`] for exactly these ids instead of guessing which
 /// of the table's in-flight builds is this one.
+///
+/// The build runs on one of the engine's build workers
+/// ([`crate::workers`]) while the caller waits; a panic in it is
+/// raised again on the caller's thread.
 pub fn build_indexes_observed(
+    db: &Arc<Db>,
+    table: TableId,
+    specs: &[IndexSpec],
+    algorithm: BuildAlgorithm,
+    options: &BuildOptions,
+    on_ids: impl FnOnce(&[IndexId]) + Send + 'static,
+) -> Result<Vec<IndexId>> {
+    let (specs, options) = (specs.to_vec(), options.clone());
+    db.on_build_worker(move |db| build_now(db, table, &specs, algorithm, &options, on_ids))
+}
+
+/// [`build_indexes_observed`] without the wait: the build starts on a
+/// build worker and this returns at once. `done` gets the outcome on
+/// the worker — `Err` with the panic payload if the build panicked.
+pub fn spawn_build_indexes(
+    db: &Arc<Db>,
+    table: TableId,
+    specs: Vec<IndexSpec>,
+    algorithm: BuildAlgorithm,
+    options: BuildOptions,
+    on_ids: impl FnOnce(&[IndexId]) + Send + 'static,
+    done: impl FnOnce(std::thread::Result<Result<Vec<IndexId>>>) + Send + 'static,
+) {
+    db.spawn_on_build_worker(
+        move |db| build_now(db, table, &specs, algorithm, &options, on_ids),
+        done,
+    );
+}
+
+/// A build, on the thread it runs on.
+fn build_now(
     db: &Arc<Db>,
     table: TableId,
     specs: &[IndexSpec],
@@ -281,23 +316,25 @@ pub fn build_indexes_observed(
 
 /// Continue an interrupted build after [`Db::restart`], with the
 /// [`BuildOptions`] the build was started with (from the durable
-/// options blob).
+/// options blob). Like every build, it runs on a build worker while
+/// the caller waits.
 pub fn resume_build(db: &Arc<Db>, id: IndexId) -> Result<()> {
-    let idx = db.index(id)?;
-    if idx.state() == IndexState::Complete {
-        return Ok(());
-    }
-    let options = progress::load_options(db, id);
-    idx.configure_run_store(options.compress_runs);
-    let result = resume_one(db, &idx, &options);
-    match result {
-        Ok(()) => Ok(()),
-        Err(e) if e.is_crash() => Err(e),
-        Err(e) => {
-            cancel_builds(db, std::slice::from_ref(&idx))?;
-            Err(e)
+    db.on_build_worker(move |db| {
+        let idx = db.index(id)?;
+        if idx.state() == IndexState::Complete {
+            return Ok(());
         }
-    }
+        let options = progress::load_options(db, id);
+        idx.configure_run_store(options.compress_runs);
+        match resume_one(db, &idx, &options) {
+            Ok(()) => Ok(()),
+            Err(e) if e.is_crash() => Err(e),
+            Err(e) => {
+                cancel_builds(db, std::slice::from_ref(&idx))?;
+                Err(e)
+            }
+        }
+    })
 }
 
 /// Drop a completed index (or abandon one mid-build from the outside):
@@ -691,7 +728,7 @@ fn parallel_scan_and_sort(
     if !empty {
         let work = worker_rfs.drain(..).zip(worker_floors.drain(..));
         worker_rfs = if nw == 1 {
-            // No spawn: the build thread's name and trace context stay.
+            // No spawn: the build worker's name and trace context stay.
             work.map(|(row, floors)| scan_part(0, row, floors))
                 .collect()
         } else {

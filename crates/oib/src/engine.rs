@@ -13,6 +13,7 @@
 use crate::checkpointer::Checkpointer;
 use crate::runtime::{Catalog, IndexRuntime, IndexState};
 use crate::schema::{BuildAlgorithm, Record};
+use crate::workers::BuildWorkers;
 use mohan_common::codec::encode;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
 use mohan_common::pace::{Ticker, OPS_PER_PACE};
@@ -101,6 +102,8 @@ pub struct Db {
     repl_lag: AtomicU64,
     /// The background checkpointer's side of this engine.
     checkpointer: Arc<Checkpointer>,
+    /// The threads every index build runs on.
+    pub(crate) workers: Arc<BuildWorkers>,
     /// Held by a checkpoint from start to end, and by a simulated crash
     /// to wait one out: checkpoints run one at a time, and never across
     /// a crash.
@@ -133,6 +136,7 @@ impl Db {
             replica,
             repl_lag: AtomicU64::new(0),
             checkpointer: Arc::default(),
+            workers: Arc::default(),
             checkpoint_gate: Mutex::new(()),
             recovering: AtomicBool::new(false),
         });
@@ -209,6 +213,7 @@ impl Db {
                 .sum()
         });
         gauge("build.sort_workers", |db| db.build_sort_workers.get());
+        gauge("build.workers", |db| db.workers.live());
         gauge("build.pace_points", |_| mohan_common::pace::points());
         gauge("build.run_bytes", |db| {
             db.indexes
@@ -904,6 +909,7 @@ impl Db {
 impl Drop for Db {
     fn drop(&mut self) {
         self.checkpointer.shutdown();
+        self.workers.shutdown();
     }
 }
 

@@ -26,6 +26,8 @@
 //!   keys (§2.2.4).
 //! * [`checkpointer`] — the background engine checkpoint that keeps
 //!   the log, and restart, as long as the work since the last one.
+//! * [`workers`] — the parked threads every index build runs on, so
+//!   one build's freed pages serve the next.
 //! * [`verify`] — the correctness oracle used by every experiment: the
 //!   finished index must agree entry-for-entry with the table.
 //! * [`primary`] — the §6.2 storage-model extension: building a
@@ -50,6 +52,7 @@ pub mod schema;
 pub mod session;
 pub mod side_file;
 pub mod verify;
+pub mod workers;
 
 pub use build::{BuildOptions, IndexSpec};
 pub use engine::Db;

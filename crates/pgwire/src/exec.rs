@@ -5,8 +5,8 @@
 //! bytes for everything it can finish synchronously. `CREATE INDEX`
 //! is the exception: index builds are *online* and long-running, so
 //! the executor validates and returns [`StmtOutcome::StartBuild`] —
-//! the serving layer spawns the build thread and streams `NOTICE`
-//! progress lines from the build-progress hook until
+//! the serving layer starts the build on a build worker and streams
+//! `NOTICE` progress lines from the build-progress hook until
 //! `CommandComplete("CREATE INDEX")`.
 //!
 //! `SELECT` picks its access path the way the paper frames index

@@ -10,9 +10,10 @@
 //! the write timeout measured from when the backlog first appeared.
 //!
 //! One shard executes one request at a time (closed-loop per shard);
-//! concurrency comes from the shard count plus build threads. The
-//! global in-flight cap spans all shards, so admission control is a
-//! property of the server, not of a lucky shard assignment.
+//! concurrency comes from the shard count plus the engine's build
+//! workers. The global in-flight cap spans all shards, so admission
+//! control is a property of the server, not of a lucky shard
+//! assignment.
 
 use crate::job::{self, Job};
 use crate::pg::PgState;

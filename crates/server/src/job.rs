@@ -1,9 +1,9 @@
 //! The streaming exchanges that can own a connection. A connection
 //! holds at most one [`Job`]; while it does, its queued frames wait.
 //!
-//! * **build watch** — `CreateIndex` runs the build on its own thread
-//!   while the shard streams progress from the build's durable
-//!   checkpoints, then the final answer;
+//! * **build watch** — `CreateIndex` runs the build on one of the
+//!   engine's build workers while the shard streams progress from the
+//!   build's durable checkpoints, then the final answer;
 //! * **`ObserveStats`** — one [`Response::Metrics`] frame per interval
 //!   until the client disconnects;
 //! * **`SubscribeWal`** — the log's *flushed* prefix in batched
@@ -19,7 +19,7 @@ use crate::native::{metrics_response, protocol_err, send};
 use crate::{Inner, ServerConfig};
 use mohan_common::codec::Wire;
 use mohan_common::{Error, IndexId, TableId};
-use mohan_oib::build::{build_indexes_observed, BuildOptions, IndexSpec};
+use mohan_oib::build::{spawn_build_indexes, BuildOptions, IndexSpec};
 use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::schema::BuildAlgorithm;
 use mohan_pgwire::proto as pgproto;
@@ -30,14 +30,51 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a spawned build thread deposits its outcome.
-type BuildResult = Arc<Mutex<Option<Result<Vec<IndexId>, Error>>>>;
+/// Where a build deposits its outcome.
+type BuildResult = Arc<Mutex<Option<Result<Vec<IndexId>, Failure>>>>;
 
-/// Where the build thread publishes the index ids it registered, as
+/// Why a build answers with an error.
+enum Failure {
+    /// The engine refused or cancelled it.
+    Engine(Error),
+    /// It panicked (the message); the worker it ran on lives on.
+    Panicked(String),
+}
+
+impl Failure {
+    fn native(&self) -> Response {
+        match self {
+            Failure::Engine(e) => Response::from_error(e),
+            Failure::Panicked(msg) => protocol_err(ErrorCode::Internal, msg),
+        }
+    }
+
+    fn pg(&self, out: &mut Vec<u8>) {
+        match self {
+            Failure::Engine(e) => {
+                pgproto::error_response(out, mohan_pgwire::sqlstate_of(e), &e.to_string());
+            }
+            Failure::Panicked(msg) => pgproto::error_response(out, "XX000", msg),
+        }
+    }
+}
+
+/// What the client is told of a build's panic: its message, if it was a
+/// string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload");
+    format!("index build panicked: {msg}")
+}
+
+/// Where the build publishes the index ids it registered, as
 /// soon as they are allocated (before any scan work).
 type BuildIds = Arc<Mutex<Option<Vec<IndexId>>>>;
 
-/// A `CreateIndex` running on its own thread for one connection.
+/// A `CreateIndex` running on a build worker for one connection.
 pub(crate) struct BuildJob {
     result: BuildResult,
     /// Ids this build registered — the only ids whose progress this
@@ -118,7 +155,7 @@ impl Job {
     }
 
     /// Another thread moves this job along and wakes the shard when it
-    /// has: a build thread depositing its result, a WAL flush past a
+    /// has: a build worker depositing its result, a WAL flush past a
     /// subscriber. (A metrics stream moves on its timer alone.)
     pub(crate) fn wants_wake(&self) -> bool {
         matches!(self, Job::Build(_) | Job::WalSub(_))
@@ -327,7 +364,7 @@ fn send_per_proto(
     }
 }
 
-/// Refuse a build before it spawns.
+/// Refuse a build before it starts.
 fn build_refuse(inner: &Arc<Inner>, conn: &mut Conn, e: &Error) {
     send_per_proto(
         inner,
@@ -337,12 +374,13 @@ fn build_refuse(inner: &Arc<Inner>, conn: &mut Conn, e: &Error) {
     );
 }
 
-/// Spawn an online index build on its own thread and hand this
-/// connection to it. Both protocols land here — the native
-/// `CreateIndex` opcodes and a SQL `CREATE INDEX` (via the pg
+/// Start an online index build on one of the engine's build workers
+/// and hand this connection to it. Both protocols land here — the
+/// native `CreateIndex` opcodes and a SQL `CREATE INDEX` (via the pg
 /// executor's validated `StmtOutcome::StartBuild`). Returns `true`
 /// when the build started: the request's admission slot then stays
-/// held until the build's job ends.
+/// held until the build's job ends. The build runs under this
+/// request's trace context (the engine carries it to the worker).
 pub(crate) fn start_build(
     inner: &Arc<Inner>,
     ctx: &ShardCtx,
@@ -353,7 +391,7 @@ pub(crate) fn start_build(
     options: BuildOptions,
 ) -> bool {
     // The statement-level rejections the engine would raise, answered
-    // before a build thread spawns for nothing.
+    // before a build starts for nothing.
     if specs.is_empty() {
         build_refuse(inner, conn, &Error::InvalidArg("no index specs".into()));
         return false;
@@ -366,37 +404,26 @@ pub(crate) fn start_build(
     let ids: BuildIds = Arc::new(Mutex::new(None));
     let slot = Arc::clone(&result);
     let ids_slot = Arc::clone(&ids);
-    let db = Arc::clone(&inner.db);
     // Wake the owning shard when the result lands, so a blocked
     // reactor notices completion immediately instead of at the next
     // progress-poll deadline.
     let waker = inner.shard_waker(ctx.shard);
     inner.stats.builds_started.bump();
-    // Carry the requesting trace onto the build thread: the build's
-    // phase transitions, drain passes, and quiesce/flip spans then
-    // link into the same trace as the `CREATE INDEX` that caused them.
-    let trace_ctx = mohan_obs::current_ctx();
-    let spawned = std::thread::Builder::new()
-        .name("oib-build".into())
-        .spawn(move || {
-            let _trace_scope = trace_ctx.map(mohan_obs::install_ctx);
-            let r = build_indexes_observed(&db, table, &specs, algorithm, &options, |registered| {
-                *ids_slot.lock() = Some(registered.to_vec());
+    spawn_build_indexes(
+        &inner.db,
+        table,
+        specs,
+        algorithm,
+        options,
+        move |registered| *ids_slot.lock() = Some(registered.to_vec()),
+        move |outcome| {
+            *slot.lock() = Some(match outcome {
+                Ok(r) => r.map_err(Failure::Engine),
+                Err(payload) => Err(Failure::Panicked(panic_message(&*payload))),
             });
-            *slot.lock() = Some(r);
             waker.wake();
-        });
-    if spawned.is_err() {
-        inner.stats.builds_failed.bump();
-        let msg = "could not spawn build thread";
-        send_per_proto(
-            inner,
-            conn,
-            || protocol_err(ErrorCode::Internal, msg),
-            |out| pgproto::error_response(out, "XX000", msg),
-        );
-        return false;
-    }
+        },
+    );
     // First frame immediately: the client knows the build was admitted
     // before any checkpoint exists to poll.
     inner.stats.progress_frames.bump();
@@ -426,7 +453,7 @@ fn progress_frame((index, phase, detail): (u32, BuildPhase, u64)) -> Response {
 }
 
 /// Poll a connection's running build: stream progress on change, and
-/// finish the exchange when the build thread reports its result. The
+/// finish the exchange when the build worker reports its result. The
 /// final frames go out (into the buffer) even against a backlog —
 /// they end the exchange and are bounded — but progress frames pause
 /// until the socket drains.
@@ -457,9 +484,7 @@ fn watch_build(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
                     pgproto::notice_response(&mut out, &done);
                     pgproto::command_complete(&mut out, "CREATE INDEX");
                 }
-                Err(e) => {
-                    pgproto::error_response(&mut out, mohan_pgwire::sqlstate_of(&e), &e.to_string())
-                }
+                Err(f) => f.pg(&mut out),
             }
             pgproto::ready_for_query(&mut out, crate::pg::tx_status(conn));
             send_raw(inner, conn, &out);
@@ -472,7 +497,7 @@ fn watch_build(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
                 let ids = ids.into_iter().map(|id| id.0).collect();
                 send(inner, conn, &Response::IndexCreated { ids });
             }
-            Err(e) => send(inner, conn, &Response::from_error(&e)),
+            Err(f) => send(inner, conn, &f.native()),
         }
         return;
     }

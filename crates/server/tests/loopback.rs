@@ -772,3 +772,79 @@ fn create_index_options_reach_the_engine() {
     verify_index(&db, IndexId(ids[0])).unwrap();
     srv.drain();
 }
+
+fn ix(name: &str) -> Vec<IndexSpecWire> {
+    vec![IndexSpecWire {
+        name: name.into(),
+        key_cols: vec![0],
+        unique: false,
+    }]
+}
+
+/// A build that panics answers its client with `Internal` instead of
+/// leaving it waiting, gives back its admission slot, and leaves its
+/// build worker alive for the next `CREATE INDEX`.
+#[test]
+fn a_panicking_build_answers_its_client() {
+    let db = engine(5_000);
+    seed(&db, 500);
+    let srv = server(
+        &db,
+        ServerConfig {
+            max_inflight: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut c = Client::connect(addr_of(&srv)).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    // SF: no quiesce lock is held at this site.
+    db.failpoints.arm_hook("build.registered", 0, || {
+        panic!("build panics at registration")
+    });
+    match c.create_index(T, BuildAlgo::Sf, ix("ix_panics"), |_, _, _| {}) {
+        Err(ClientError::Server {
+            code: ErrorCode::Internal,
+            message,
+        }) => assert!(
+            message.contains("build panics at registration"),
+            "{message}"
+        ),
+        other => panic!("expected Internal within 10 s, got {other:?}"),
+    }
+    assert_eq!(srv.stats().builds_failed.get(), 1);
+
+    // With `max_inflight` 1, this build runs only if the slot came back.
+    let ids = c
+        .create_index(T, BuildAlgo::Sf, ix("ix_after"), |_, _, _| {})
+        .expect("the next build completes");
+    verify_index(&db, ids[0]).unwrap();
+    srv.drain();
+}
+
+/// `CREATE INDEX`es that follow each other over the wire run on one
+/// build worker: the thread that freed the last build's pages
+/// allocates the next build's.
+#[test]
+fn sequential_wire_builds_share_one_worker() {
+    let db = engine(5_000);
+    seed(&db, 500);
+    let srv = server(&db, ServerConfig::default());
+    let mut c = Client::connect(addr_of(&srv)).unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    for i in 0..3 {
+        let seen = Arc::clone(&seen);
+        db.failpoints.arm_hook("build.registered", 0, move || {
+            seen.lock().unwrap().push(std::thread::current().id());
+        });
+        let ids = c
+            .create_index(T, BuildAlgo::Sf, ix(&format!("ix_seq{i}")), |_, _, _| {})
+            .unwrap();
+        verify_index(&db, ids[0]).unwrap();
+    }
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 3);
+    assert!(seen.iter().all(|id| *id == seen[0]), "{seen:?}");
+    assert_eq!(c.metrics().unwrap().counter("build.workers"), Some(1));
+    srv.drain();
+}

@@ -571,3 +571,33 @@ fn create_index_with_clause_round_trips_build_options() {
     c.terminate();
     srv.drain();
 }
+
+/// A SQL `CREATE INDEX` whose build panics answers SQLSTATE XX000
+/// (internal_error) and `ReadyForQuery`, and the next one builds.
+#[test]
+fn a_panicking_build_answers_internal_error() {
+    let db = engine();
+    let srv = pg_server(&db, 2);
+    let mut c = PgConn::connect(&srv.pg_addr().unwrap().to_string());
+    expect_tag(
+        &c.query("CREATE TABLE kv (k BIGINT, v BIGINT)"),
+        "CREATE TABLE",
+    );
+    expect_tag(
+        &c.query("INSERT INTO kv VALUES (1, 10), (2, 20), (3, 30)"),
+        "INSERT 0 3",
+    );
+
+    db.failpoints.arm_hook("build.registered", 0, || {
+        panic!("build panics at registration")
+    });
+    let reply = c.query("CREATE INDEX kv_k ON kv USING sf (k)");
+    assert_eq!(sqlstate(&reply).as_deref(), Some("XX000"), "{reply:?}");
+    assert_eq!(tx_status(&reply), b'I');
+
+    expect_tag(
+        &c.query("CREATE INDEX kv_k2 ON kv USING sf (k)"),
+        "CREATE INDEX",
+    );
+    srv.drain();
+}

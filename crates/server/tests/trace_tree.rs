@@ -6,13 +6,19 @@
 //! fetches the primary's half of the tree over the wire with the
 //! filtered `TraceDump`, merges the follower's half, and asserts the
 //! rendered forest contains every hop.
+//!
+//! A second test checks that a build's trace context travels with the
+//! build onto the engine's build worker and leaves with it: the worker
+//! serves the next build under no trace.
 
 use mohan_client::{Client, ClientError};
 use mohan_common::{EngineConfig, TableId};
-use mohan_oib::schema::Record;
+use mohan_oib::build::{build_index, IndexSpec};
+use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::Db;
 use mohan_replica::Replica;
 use mohan_server::{Server, ServerConfig};
+use mohan_wire::message::{BuildAlgo, IndexSpecWire};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -233,5 +239,102 @@ fn pg_create_index_links_one_span_tree_across_primary_and_follower() {
 
     replica.stop();
     tail.join().unwrap();
+    srv.drain();
+}
+
+/// Trace context follows a build, not the worker that ran it. A traced
+/// wire `CreateIndex` and a blocking build under an installed context
+/// each link their `build.*` spans to their own trace; the next,
+/// untraced, build on the same worker records them under neither.
+#[test]
+fn build_trace_context_follows_the_job_not_the_worker() {
+    let db = Db::new(EngineConfig::small());
+    db.create_table(T);
+    let tx = db.begin();
+    for k in 0..512 {
+        db.insert_record(tx, T, &Record(vec![k, k * 3])).unwrap();
+    }
+    db.commit(tx).unwrap();
+    let srv = Server::start(
+        Arc::clone(&db),
+        ServerConfig {
+            bind_addr: "127.0.0.1:0".into(),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let spec = |name: &str| IndexSpec {
+        name: name.into(),
+        key_cols: vec![0],
+        unique: false,
+    };
+    // `build.*` events recorded from `since` on.
+    let build_events = |since: u64| {
+        db.obs
+            .trace()
+            .events_filtered(0, since)
+            .into_iter()
+            .filter(|e| e.kind.starts_with("build."))
+            .collect::<Vec<_>>()
+    };
+    let next_seq = || db.obs.trace().events().last().map_or(0, |e| e.seq + 1);
+
+    let mut c = Client::connect(srv.addr()).unwrap();
+    let wire_trace = mohan_obs::new_trace_id();
+    c.set_trace_id(Some(wire_trace));
+    let wire_spec = IndexSpecWire {
+        name: "ix_wire".into(),
+        key_cols: vec![0],
+        unique: false,
+    };
+    c.create_index(T, BuildAlgo::Sf, vec![wire_spec], |_, _, _| {})
+        .unwrap();
+    c.set_trace_id(None);
+
+    // A context inside a span, so its events have a parent to name.
+    let sync_ctx = mohan_obs::TraceCtx {
+        span_id: mohan_obs::next_span_id(),
+        ..mohan_obs::ctx_for(0)
+    };
+    {
+        let _ctx = mohan_obs::install_ctx(sync_ctx);
+        build_index(&db, T, spec("ix_sync"), BuildAlgorithm::Sf).unwrap();
+    }
+
+    let since = next_seq();
+    build_index(&db, T, spec("ix_untraced"), BuildAlgorithm::Sf).unwrap();
+    let workers = db.obs.snapshot().counter("build.workers");
+    assert_eq!(workers, Some(1), "all three builds ran on one worker");
+
+    // The wire build's parent is its request's span; the sync build's
+    // is the span the caller installed.
+    for (what, trace_id, parent) in [
+        ("wire", wire_trace, None),
+        ("sync", sync_ctx.trace_id, Some(sync_ctx.span_id)),
+    ] {
+        let linked: Vec<_> = build_events(0)
+            .into_iter()
+            .filter(|e| e.trace_id == trace_id && e.kind == "build.phase")
+            .collect();
+        assert!(
+            !linked.is_empty(),
+            "the {what} build has no build.phase span in its trace"
+        );
+        assert!(
+            linked
+                .iter()
+                .all(|e| e.parent_id != 0 && parent.is_none_or(|p| e.parent_id == p)),
+            "the {what} build's spans have the wrong parent: {linked:?}"
+        );
+    }
+    let untraced = build_events(since);
+    assert!(
+        untraced.iter().any(|e| e.kind == "build.phase"),
+        "the untraced build recorded its phases"
+    );
+    assert!(
+        untraced.iter().all(|e| e.trace_id == 0 && e.parent_id == 0),
+        "a trace context outlived its job on the worker: {untraced:?}"
+    );
     srv.drain();
 }

@@ -118,7 +118,7 @@ wire_enum! {
 wire_enum! {
     /// Phase of an in-flight build, streamed in
     /// [`Response::Progress`] frames. Mirrors `oib::BuildProgress`
-    /// checkpoints plus a `Starting` state emitted before the build thread
+    /// checkpoints plus a `Starting` state emitted before the build
     /// has stored its first checkpoint.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum BuildPhase {
