@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use mohan_bench::workload::{bench_config, seed_table, TABLE};
 use mohan_common::{Lsn, TableId};
 use mohan_heap::HeapTable;
-use mohan_oib::build::{build_indexes, IndexSpec};
+use mohan_oib::build::{build_indexes, BuildOptions, IndexSpec};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::Db;
 use mohan_storage::SlottedPage;
@@ -39,7 +39,14 @@ fn setup(indexes: usize) -> Arc<Db> {
                 unique: false,
             })
             .collect();
-        build_indexes(&db, TABLE, &specs, BuildAlgorithm::Sf).expect("build");
+        build_indexes(
+            &db,
+            TABLE,
+            &specs,
+            BuildAlgorithm::Sf,
+            &BuildOptions::default(),
+        )
+        .expect("build");
     }
     db
 }

@@ -4,7 +4,7 @@
 use super::spec;
 use crate::report::{f2, ms, Table};
 use crate::workload::{bench_config, seed_table, start_churn, ChurnConfig, TABLE};
-use mohan_oib::build::{build_index, build_indexes, IndexSpec};
+use mohan_oib::build::{build_index, build_indexes, BuildOptions, IndexSpec};
 use mohan_oib::schema::BuildAlgorithm;
 use mohan_oib::verify::verify_index;
 use std::time::Instant;
@@ -193,7 +193,14 @@ pub fn e12_multi_index(quick: bool) -> Vec<Table> {
         {
             let (db, _) = seed_table(bench_config(), n, 44);
             let before = db.table(TABLE).unwrap().stats.scan_pages.get();
-            build_indexes(&db, TABLE, &specs, BuildAlgorithm::Sf).expect("build");
+            build_indexes(
+                &db,
+                TABLE,
+                &specs,
+                BuildAlgorithm::Sf,
+                &BuildOptions::default(),
+            )
+            .expect("build");
             let pages = db.table(TABLE).unwrap().stats.scan_pages.get() - before;
             t.row(vec![
                 k.to_string(),

@@ -6,7 +6,7 @@
 use super::spec;
 use crate::report::{f2, ms, Table};
 use crate::workload::{bench_config, seed_table, TABLE};
-use mohan_oib::build::{build_indexes_with, BuildOptions, IndexSpec};
+use mohan_oib::build::{build_indexes, BuildOptions, IndexSpec};
 use mohan_oib::schema::BuildAlgorithm;
 use mohan_oib::verify::verify_index;
 use std::time::{Duration, Instant};
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 fn one_build(n: i64, specs: &[IndexSpec], opts: &BuildOptions) -> (Duration, u64, u64) {
     let (db, _) = seed_table(bench_config(), n, 2323);
     let started = Instant::now();
-    let ids = build_indexes_with(&db, TABLE, specs, BuildAlgorithm::Sf, opts).expect("build");
+    let ids = build_indexes(&db, TABLE, specs, BuildAlgorithm::Sf, opts).expect("build");
     let took = started.elapsed();
     let (mut raw, mut stored) = (0u64, 0u64);
     for id in ids {

@@ -96,8 +96,8 @@ pub struct IndexSpec {
 }
 
 /// How a build runs. One configuration type shared by every layer:
-/// the engine API ([`build_indexes_with`] /
-/// [`crate::Session::create_index_with`]), the wire protocol
+/// the engine API ([`build_indexes`] /
+/// [`crate::Session::create_indexes`]), the wire protocol
 /// (`Request::CreateIndex`), the native client, and SQL
 /// `CREATE INDEX ... WITH (...)`.
 ///
@@ -203,64 +203,41 @@ impl BuildOptions {
     }
 }
 
-/// Build one index.
+/// Build one index with the default [`BuildOptions`].
 pub fn build_index(
     db: &Arc<Db>,
     table: TableId,
     spec: IndexSpec,
     algorithm: BuildAlgorithm,
 ) -> Result<IndexId> {
-    Ok(build_indexes(db, table, &[spec], algorithm)?[0])
+    Ok(build_indexes(db, table, &[spec], algorithm, &BuildOptions::default())?[0])
 }
 
 /// Build several indexes in **one scan of the data** (§6.2). Returns
 /// their ids. On a unique-key violation every index of the batch is
 /// cancelled; on an injected crash the builds stay resumable via
 /// [`resume_build`].
+///
+/// The build runs on one of the engine's build workers
+/// ([`crate::workers`]) while the caller waits; a panic in it is
+/// raised again on the caller's thread.
 pub fn build_indexes(
     db: &Arc<Db>,
     table: TableId,
     specs: &[IndexSpec],
     algorithm: BuildAlgorithm,
-) -> Result<Vec<IndexId>> {
-    build_indexes_with(db, table, specs, algorithm, &BuildOptions::default())
-}
-
-/// [`build_indexes`] with explicit [`BuildOptions`].
-pub fn build_indexes_with(
-    db: &Arc<Db>,
-    table: TableId,
-    specs: &[IndexSpec],
-    algorithm: BuildAlgorithm,
     options: &BuildOptions,
-) -> Result<Vec<IndexId>> {
-    build_indexes_observed(db, table, specs, algorithm, options, |_| {})
-}
-
-/// [`build_indexes_with`] with an observer hook: `on_ids` fires once
-/// the batch's index ids are allocated (descriptors registered for
-/// NSF/SF, runtimes created for offline), before any scan work. An
-/// observer — e.g. a server streaming progress frames — can then poll
-/// [`progress::load`] for exactly these ids instead of guessing which
-/// of the table's in-flight builds is this one.
-///
-/// The build runs on one of the engine's build workers
-/// ([`crate::workers`]) while the caller waits; a panic in it is
-/// raised again on the caller's thread.
-pub fn build_indexes_observed(
-    db: &Arc<Db>,
-    table: TableId,
-    specs: &[IndexSpec],
-    algorithm: BuildAlgorithm,
-    options: &BuildOptions,
-    on_ids: impl FnOnce(&[IndexId]) + Send + 'static,
 ) -> Result<Vec<IndexId>> {
     let (specs, options) = (specs.to_vec(), options.clone());
-    db.on_build_worker(move |db| build_now(db, table, &specs, algorithm, &options, on_ids))
+    db.on_build_worker(move |db| build_now(db, table, &specs, algorithm, &options, |_| {}))
 }
 
-/// [`build_indexes_observed`] without the wait: the build starts on a
-/// build worker and this returns at once. `done` gets the outcome on
+/// [`build_indexes`] without the wait: the build starts on a build
+/// worker and this returns at once. `on_ids` fires once the batch's
+/// index ids are allocated (descriptors registered for NSF/SF,
+/// runtimes created for offline), before any scan work, so an observer
+/// — e.g. a server streaming progress frames — can poll
+/// [`progress::load`] for exactly these ids. `done` gets the outcome on
 /// the worker — `Err` with the panic payload if the build panicked.
 pub fn spawn_build_indexes(
     db: &Arc<Db>,
@@ -502,8 +479,7 @@ fn resume_one(db: &Arc<Db>, idx: &Arc<IndexRuntime>, opts: &BuildOptions) -> Res
             enter_final_phase(db, idx, finals, opts)
         }
         Some(BuildProgress::Loading { merge, bulk }) => {
-            sf_load_phase(db, idx, merge, Some(bulk), opts)?;
-            sf_drain_phase(db, idx, 0, opts)
+            sf_load_and_drain(db, idx, merge, Some(bulk), opts)
         }
         Some(BuildProgress::Inserting { merge, inserted }) => {
             nsf_insert_phase(db, idx, merge, inserted, opts)
@@ -767,7 +743,7 @@ fn parallel_scan_and_sort(
 }
 
 /// Reduce runs below the merge fan-in, persisting §5.2 checkpoints.
-fn reduce_phase(
+pub(crate) fn reduce_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
     runs: Vec<u64>,
@@ -793,7 +769,7 @@ fn reduce_phase(
 }
 
 /// Persist the initial final-phase progress record, then run it.
-fn enter_final_phase(
+pub(crate) fn enter_final_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
     finals: Vec<u64>,
@@ -816,11 +792,8 @@ fn enter_final_phase(
             );
             nsf_insert_phase(db, idx, merge_cp, 0, opts)
         }
-        BuildAlgorithm::Sf => {
-            sf_load_phase(db, idx, merge_cp, None, opts)?;
-            sf_drain_phase(db, idx, 0, opts)
-        }
-        BuildAlgorithm::Offline => offline_load(db, idx, merge_cp),
+        BuildAlgorithm::Sf => sf_load_and_drain(db, idx, merge_cp, None, opts),
+        BuildAlgorithm::Offline => load_phase(db, idx, merge_cp, None, opts),
     }
 }
 
@@ -1007,10 +980,29 @@ fn ib_resolve_unique(
 }
 
 // ===================================================================
-// SF: bottom-up load + side-file drain (§3.2)
+// bottom-up load (§3.2.4) + SF side-file drain (§3.2.5)
 // ===================================================================
 
-fn sf_load_phase(
+/// SF's last two phases: the bottom-up load, then the side-file drain.
+fn sf_load_and_drain(
+    db: &Arc<Db>,
+    idx: &Arc<IndexRuntime>,
+    merge_cp: MergeCheckpoint,
+    bulk_cp: Option<mohan_btree::BulkCheckpoint>,
+    opts: &BuildOptions,
+) -> Result<()> {
+    load_phase(db, idx, merge_cp, bulk_cp, opts)?;
+    progress::store(db, idx.def.id, &BuildProgress::Draining { pos: 0 });
+    sf_drain_phase(db, idx, 0, opts)
+}
+
+/// Load the final merge into the empty tree bottom-up, checkpointing
+/// as it goes: the one load every builder but NSF ends with — SF, the
+/// offline baseline and the §6.2 primary-index walk. An entry equal to
+/// the one before it is dropped (the primary-index walk reads a reused
+/// RID twice); a unique index settles each run of equal keys against
+/// the data pages ([`resolve_unique_group`]).
+fn load_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
     merge_cp: MergeCheckpoint,
@@ -1074,6 +1066,9 @@ fn sf_load_phase(
             let Some(entry) = merge.next() else { break };
             db.failpoints.hit("sf.load.key")?;
             since_cp += 1;
+            if pending.as_ref().or(loader.highest()) == Some(&entry) {
+                continue;
+            }
             if !unique {
                 loader.append(entry)?;
                 continue;
@@ -1093,6 +1088,7 @@ fn sf_load_phase(
                         group.push(merge.next().expect("peeked"));
                         since_cp += 1;
                     }
+                    group.dedup();
                     if let Some(survivor) = resolve_unique_group(db, ib, idx, group)? {
                         loader.append(survivor)?;
                     }
@@ -1103,9 +1099,7 @@ fn sf_load_phase(
             loader.append(p)?;
         }
         force_index_pages(db, idx, "load", |wal| loader.finish(wal))?;
-        db.commit(ib)?;
-        progress::store(db, idx.def.id, &BuildProgress::Draining { pos: 0 });
-        Ok(())
+        db.commit(ib)
     })();
 
     if let Err(e) = &result {
@@ -1149,7 +1143,7 @@ fn resolve_unique_group(
     Ok(survivor)
 }
 
-pub(crate) fn sf_drain_phase(
+fn sf_drain_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
     mut pos: u64,
@@ -1326,7 +1320,11 @@ fn apply_drain_op(
 // Offline baseline
 // ===================================================================
 
-/// The pre-paper way: quiesce *all* updates for the whole build.
+/// The pre-paper way: quiesce *all* updates for the whole build, then
+/// run the shared scan, reduce and load. The runtimes stay unregistered
+/// until the load is done, so a crash leaves nothing to resume (the
+/// offline strategy is restart-from-scratch); restart removes the
+/// progress records the build left ([`progress::clear_orphans`]).
 fn offline_build(
     db: &Arc<Db>,
     table: TableId,
@@ -1336,9 +1334,9 @@ fn offline_build(
 ) -> Result<Vec<IndexId>> {
     let tx = db.begin();
     db.locks.lock(tx, LockName::Table(table), LockMode::S)?;
-    let result = (|| -> Result<Vec<IndexId>> {
+    let mut idxs = Vec::with_capacity(specs.len());
+    let result = (|| -> Result<()> {
         let tbl = db.table(table)?;
-        let mut idxs = Vec::with_capacity(specs.len());
         for spec in specs {
             let rt = make_runtime(
                 db,
@@ -1352,63 +1350,24 @@ fn offline_build(
             idxs.push(rt);
         }
         on_ids(&idxs.iter().map(|i| i.def.id).collect::<Vec<_>>());
-        // One shared scan, unregistered runtimes: a crash leaves no
-        // trace (the offline strategy is restart-from-scratch).
-        let runs = parallel_scan_and_sort(db, &idxs, &vec![None; idxs.len()], opts)?;
-        for (idx, idx_runs) in idxs.iter().zip(runs) {
-            let finals = reduce_phase(db, idx, idx_runs, None, opts)?;
-            let merge_cp = MergeCheckpoint {
-                counters: vec![0; finals.len()],
-                inputs: finals,
-                emitted: 0,
-            };
-            offline_load(db, idx, merge_cp)?;
-        }
-        let ids = idxs.iter().map(|i| i.def.id).collect();
-        for idx in idxs {
-            idx.set_completed_lsn(db.wal.tail_lsn());
-            progress::clear(db, idx.def.id);
-            db.register_index(idx);
-        }
-        Ok(ids)
+        run_from_scratch(db, &idxs, opts)
     })();
-    match result {
-        Ok(ids) => {
-            db.commit(tx)?;
-            Ok(ids)
-        }
-        Err(e) => {
-            let _ = db.rollback(tx);
-            Err(e)
-        }
-    }
-}
-
-/// Plain bottom-up load for the offline baseline (quiesced, so no
-/// uniqueness races: adjacent equal keys are a straight violation).
-fn offline_load(db: &Arc<Db>, idx: &Arc<IndexRuntime>, merge_cp: MergeCheckpoint) -> Result<()> {
-    let store = idx.run_store();
-    let merge = Merge::resume(&store, &merge_cp)?;
-    let mut loader = BulkLoader::new(&idx.tree)?;
-    let mut prev: Option<IndexEntry> = None;
-    let mut pacer = Ticker::new(KEYS_PER_PACE);
-    for entry in merge {
-        pacer.tick();
-        if idx.def.unique {
-            if let Some(p) = &prev {
-                if p.key == entry.key {
-                    return Err(Error::UniqueViolation {
-                        index: idx.def.id,
-                        existing: p.rid,
-                    });
-                }
+    if let Err(e) = result {
+        if !e.is_crash() {
+            for idx in &idxs {
+                progress::clear(db, idx.def.id);
             }
         }
-        prev = Some(entry.clone());
-        loader.append(entry)?;
+        let _ = db.rollback(tx);
+        return Err(e);
     }
-    force_index_pages(db, idx, "load", |wal| loader.finish(wal))?;
-    Ok(())
+    for idx in &idxs {
+        idx.set_completed_lsn(db.wal.tail_lsn());
+        progress::clear(db, idx.def.id);
+        db.register_index(Arc::clone(idx));
+    }
+    db.commit(tx)?;
+    Ok(idxs.iter().map(|i| i.def.id).collect())
 }
 
 // ===================================================================
@@ -1418,7 +1377,7 @@ fn offline_load(db: &Arc<Db>, idx: &Arc<IndexRuntime>, merge_cp: MergeCheckpoint
 /// Cancelling an in-progress build: quiesce updates (so rollbacks
 /// never meet a half-vanished descriptor), then delete the descriptor
 /// and all build state.
-fn cancel_builds(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>]) -> Result<()> {
+pub(crate) fn cancel_builds(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>]) -> Result<()> {
     let tx = db.begin();
     db.locks
         .lock(tx, LockName::Table(idxs[0].def.table), LockMode::S)?;

@@ -703,9 +703,11 @@ impl Db {
 
     /// ARIES restart: restore catalog state, then analysis / redo /
     /// undo. Interrupted index builds stay in their building state;
-    /// call [`crate::build::resume_build`] to finish them.
+    /// call [`crate::build::resume_build`] to finish them. Progress
+    /// records of builds the catalog does not know are removed.
     pub fn restart(&self) -> Result<RecoveryStats> {
         self.load_catalog()?;
+        crate::progress::clear_orphans(self);
         let stats = mohan_wal::recover(&self.wal, self)?;
         // Losers' deletes were rolled back (records restored); every
         // still-reserved slot belongs to a committed deleter — free

@@ -14,11 +14,14 @@
 //!   record DML with Figure-1 index maintenance, rollback with
 //!   Figure-2 compensation, crash simulation and restart recovery.
 //! * [`build::build_indexes`] — create one or more indexes in one data
-//!   scan (§6.2) with the chosen [`schema::BuildAlgorithm`]:
+//!   scan (§6.2) with the chosen [`schema::BuildAlgorithm`] and
+//!   [`BuildOptions`]:
 //!   [`Offline`](schema::BuildAlgorithm::Offline) (quiesce everything;
 //!   the baseline the paper wants to retire),
 //!   [`Nsf`](schema::BuildAlgorithm::Nsf) or
-//!   [`Sf`](schema::BuildAlgorithm::Sf).
+//!   [`Sf`](schema::BuildAlgorithm::Sf). [`build::build_index`] builds
+//!   one with the default options; [`build::spawn_build_indexes`]
+//!   starts a build without waiting for it.
 //! * [`build::resume_build`] — continue an interrupted build after
 //!   [`engine::Db::restart`], losing at most one checkpoint interval
 //!   of work (§2.2.3, §3.2.4, §5).

@@ -19,20 +19,22 @@
 //! (duplicate-insert rejection / missing-key deletes), so no key is lost
 //! or duplicated.
 
-use crate::build::IndexSpec;
+use crate::build::{
+    cancel_builds, enter_final_phase, force_empty_tree, reduce_phase, BuildOptions, IndexSpec,
+};
 use crate::engine::Db;
-use crate::progress::{self, BuildProgress};
 use crate::runtime::{IndexRuntime, IndexState, KeyCursor};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
 use mohan_btree::scan::for_each_leaf_unlatched;
-use mohan_btree::BulkLoader;
 use mohan_common::pace::{Ticker, KEYS_PER_PACE};
-use mohan_common::{Error, IndexEntry, IndexId, KeyValue, Result};
-use mohan_sort::{ExternalSort, MergeCheckpoint};
+use mohan_common::{Error, IndexId, KeyValue, Result};
+use mohan_sort::RunFormation;
 use std::sync::Arc;
 
 /// Build a secondary index with SF, scanning the (complete, unique)
-/// primary index `primary` in key order.
+/// primary index `primary` in key order. Only the scan is this
+/// module's: the runs go through the RID-based SF build's reduce, load
+/// and drain, and a failed build is cancelled the same way.
 pub fn build_secondary_via_primary(
     db: &Arc<Db>,
     primary: IndexId,
@@ -55,16 +57,15 @@ pub fn build_secondary_via_primary(
     let mut rt = IndexRuntime::new(def, BuildAlgorithm::Sf, IndexState::SfBuilding, &db.cfg)?;
     rt.key_cursor = Some(KeyCursor::for_pk_cols(prim.def.key_cols.clone()));
     let idx = Arc::new(rt);
-    crate::build::force_empty_tree(db, &idx)?;
+    force_empty_tree(db, &idx)?;
     db.register_index(Arc::clone(&idx));
-    let id = idx.def.id;
+    let opts = BuildOptions::default();
 
     let result = (|| -> Result<()> {
         // Scan the primary index leaf by leaf: snapshot the live
         // entries under the latch, advance the cursor past the leaf,
         // then let the latch go and read the records into the sorter.
-        let store = idx.run_store();
-        let mut rf = mohan_sort::RunFormation::new(Arc::clone(&store), db.cfg.sort_workspace_keys);
+        let mut rf = RunFormation::new(idx.run_store(), db.cfg.sort_workspace_keys);
         let mut seq = 0u64;
         let heap = db.table(table)?;
         let kc = idx.key_cursor.as_ref().expect("cursor installed");
@@ -124,58 +125,18 @@ pub fn build_secondary_via_primary(
                 Ok(())
             },
         )?;
-        let runs = rf.finish()?;
-
-        // Reduce + bottom-up load, same as the RID-based SF build.
-        let ext = ExternalSort {
-            store,
-            workspace: db.cfg.sort_workspace_keys,
-            fan_in: db.cfg.merge_fan_in,
-            checkpoint_every: db.cfg.merge_checkpoint_every_keys,
-        };
-        let finals = ext.reduce_runs(runs, &mut |_| Ok(()))?;
-        let merge = mohan_sort::Merge::resume(
-            &ext.store,
-            &MergeCheckpoint {
-                counters: vec![0; finals.len()],
-                inputs: finals,
-                emitted: 0,
-            },
-        )?;
-        // The sorter ran on a sequence number, not the entry order of
-        // the *secondary* key — entries are already key-ordered by the
-        // sort itself; exact repeats from boundary overlap are skipped.
-        let mut loader = BulkLoader::new(&idx.tree)?;
-        let mut prev: Option<IndexEntry> = None;
-        for e in merge {
-            if let Some(p) = &prev {
-                if *p == e {
-                    continue;
-                }
-                if idx.def.unique && p.key == e.key {
-                    return Err(Error::UniqueViolation {
-                        index: id,
-                        existing: p.rid,
-                    });
-                }
-            }
-            pacer.tick();
-            loader.append(e.clone())?;
-            prev = Some(e);
-        }
-        db.wal.flush_all();
-        loader.finish(db.wal.flushed_lsn())?;
-        progress::store(db, id, &BuildProgress::Draining { pos: 0 });
-        crate::build::sf_drain_phase(db, &idx, 0, &crate::build::BuildOptions::default())
+        // The sorter ran on a sequence number, not a RID; a RID read
+        // twice (reused behind the walk) is an exact repeat the load
+        // drops.
+        let finals = reduce_phase(db, &idx, rf.finish()?, None, &opts)?;
+        enter_final_phase(db, &idx, finals, &opts)
     })();
 
     match result {
-        Ok(()) => Ok(id),
+        Ok(()) => Ok(idx.def.id),
+        Err(e) if e.is_crash() => Err(e),
         Err(e) => {
-            if !e.is_crash() {
-                db.unregister_index(id);
-                progress::clear(db, id);
-            }
+            cancel_builds(db, std::slice::from_ref(&idx))?;
             Err(e)
         }
     }

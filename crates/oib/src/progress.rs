@@ -136,6 +136,21 @@ pub fn clear(db: &Db, id: IndexId) {
     db.blobs.remove(&options_key(id));
 }
 
+/// Remove the records of every build whose index the catalog does not
+/// know: those an offline build, whose runtimes are registered only
+/// once it is done, left behind when it crashed. Restart calls this.
+pub(crate) fn clear_orphans(db: &Db) {
+    for key in db.blobs.keys() {
+        let id = key
+            .strip_prefix("build/")
+            .and_then(|rest| rest.split_once('/'))
+            .and_then(|(id, _)| id.parse().ok());
+        if id.is_some_and(|id| db.index(IndexId(id)).is_err()) {
+            db.blobs.remove(&key);
+        }
+    }
+}
+
 /// Durably record the build's [`BuildOptions`], so a resumed build
 /// keeps the worker count, run compression and interval overrides it
 /// started with. The blob is their wire form, [`BuildOptionsWire`].

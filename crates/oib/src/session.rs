@@ -177,44 +177,24 @@ impl Session {
         table: TableId,
         specs: &[IndexSpec],
         algorithm: BuildAlgorithm,
-    ) -> Result<Vec<IndexId>> {
-        self.create_indexes_with(table, specs, algorithm, &BuildOptions::default())
-    }
-
-    /// [`Session::create_indexes`] with explicit [`BuildOptions`].
-    pub fn create_indexes_with(
-        &mut self,
-        table: TableId,
-        specs: &[IndexSpec],
-        algorithm: BuildAlgorithm,
         options: &BuildOptions,
     ) -> Result<Vec<IndexId>> {
         self.check_writable()?;
         if let Some(tx) = self.tx {
             return Err(Error::TxAlreadyOpen(tx));
         }
-        build::build_indexes_with(&self.db, table, specs, algorithm, options)
+        build::build_indexes(&self.db, table, specs, algorithm, options)
     }
 
-    /// [`Session::create_indexes`] for a single spec.
+    /// [`Session::create_indexes`] for a single spec, with the default
+    /// [`BuildOptions`].
     pub fn create_index(
         &mut self,
         table: TableId,
         spec: IndexSpec,
         algorithm: BuildAlgorithm,
     ) -> Result<IndexId> {
-        Ok(self.create_indexes(table, &[spec], algorithm)?[0])
-    }
-
-    /// [`Session::create_index`] with explicit [`BuildOptions`].
-    pub fn create_index_with(
-        &mut self,
-        table: TableId,
-        spec: IndexSpec,
-        algorithm: BuildAlgorithm,
-        options: &BuildOptions,
-    ) -> Result<IndexId> {
-        Ok(self.create_indexes_with(table, &[spec], algorithm, options)?[0])
+        Ok(self.create_indexes(table, &[spec], algorithm, &BuildOptions::default())?[0])
     }
 
     // ----- lifecycle --------------------------------------------------

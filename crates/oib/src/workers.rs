@@ -15,7 +15,7 @@
 //!
 //! An idle worker holds no `Arc<Db>`: only a running job does, so the
 //! engine drops once its last outside handle does, and [`Db`]'s drop
-//! wakes and joins the workers ([`BuildWorkers::shutdown`]). A job runs
+//! wakes and joins the workers (`BuildWorkers::shutdown`). A job runs
 //! under the trace context of the thread that submitted it, removed
 //! again before the worker parks, and a job that panics leaves its
 //! worker alive: the panic is the job's outcome.

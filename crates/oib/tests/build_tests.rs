@@ -4,7 +4,7 @@
 //! descriptor-create quiesce (NSF).
 
 use mohan_common::{EngineConfig, Error, KeyValue, Rid, TableId};
-use mohan_oib::build::{build_index, build_indexes, drop_index, IndexSpec};
+use mohan_oib::build::{build_index, build_indexes, drop_index, BuildOptions, IndexSpec};
 use mohan_oib::gc::garbage_collect;
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
@@ -217,6 +217,7 @@ fn multi_index_single_scan_builds_all() {
                 },
             ],
             algo,
+            &BuildOptions::default(),
         )
         .unwrap();
         assert_eq!(ids.len(), 3);
@@ -332,6 +333,9 @@ fn paper_example_scenario_nonunique() {
 #[test]
 fn unique_violation_cancels_build_and_leaves_no_descriptor() {
     let db = db();
+    // Enough rows for a scan checkpoint: every build has a progress
+    // record before it meets the duplicate.
+    seed(&db, 100);
     let tx = db.begin();
     db.insert_record(tx, T, &rec(5, 1)).unwrap();
     db.insert_record(tx, T, &rec(5, 2)).unwrap(); // duplicate key value
@@ -350,6 +354,9 @@ fn unique_violation_cancels_build_and_leaves_no_descriptor() {
             db.indexes_of(T).is_empty(),
             "{algo:?} left a descriptor behind"
         );
+        let mut left = db.blobs.keys();
+        left.retain(|k| k.starts_with("build/"));
+        assert!(left.is_empty(), "{algo:?} left build records: {left:?}");
     }
     // Updates still work afterwards.
     let tx = db.begin();

@@ -6,7 +6,7 @@
 //! needs.
 
 use mohan_common::{EngineConfig, Lsn, Rid, TableId};
-use mohan_oib::build::{build_index, build_indexes_with, resume_build, BuildOptions, IndexSpec};
+use mohan_oib::build::{build_index, build_indexes, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::checkpointer::CHECKPOINT_TRIGGER_BYTES;
 use mohan_oib::runtime::{IndexRuntime, IndexState};
 use mohan_oib::schema::{BuildAlgorithm, Record};
@@ -109,7 +109,7 @@ fn crash_under_writers(algorithm: BuildAlgorithm, site: &'static str, paced: boo
             unique: false,
         };
         let opts = BuildOptions::new().checkpoint_every(CHECKPOINT_EVERY);
-        let err = build_indexes_with(&db, T, &[spec], algorithm, &opts).unwrap_err();
+        let err = build_indexes(&db, T, &[spec], algorithm, &opts).unwrap_err();
         stop.store(true, Ordering::Release);
         err
     });

@@ -149,6 +149,30 @@ fn sf_crash_during_drain_resumes() {
 }
 
 #[test]
+fn crashed_offline_build_leaves_nothing_after_restart() {
+    // Offline runtimes are registered only once the build is done: the
+    // crash leaves its progress record behind an id the catalog does
+    // not know, and restart removes it.
+    let db = db();
+    seed(&db, 300);
+    db.failpoints.arm_after("build.scan", 2);
+    let err = build_index(&db, T, spec(false), BuildAlgorithm::Offline).unwrap_err();
+    assert!(err.is_crash(), "expected crash, got {err}");
+    db.simulate_crash();
+    db.restart().unwrap();
+    let build_keys = || -> Vec<String> {
+        let mut keys = db.blobs.keys();
+        keys.retain(|k| k.starts_with("build/"));
+        keys
+    };
+    assert_eq!(build_keys(), Vec::<String>::new());
+    assert!(db.indexes_of(T).is_empty(), "no descriptor");
+    let id = build_index(&db, T, spec(false), BuildAlgorithm::Offline).unwrap();
+    verify_index(&db, id).unwrap();
+    assert_eq!(build_keys(), Vec::<String>::new());
+}
+
+#[test]
 fn repeated_crashes_across_phases_still_converge() {
     let db = db();
     seed(&db, 400);

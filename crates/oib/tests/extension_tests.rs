@@ -303,6 +303,79 @@ fn primary_model_requires_complete_unique_primary() {
     assert_eq!(db.indexes_of(T).len(), 1);
 }
 
+/// A table of 200 rows `(k, k)` with a unique Offline primary index on
+/// column 0.
+fn db_with_identity_rows() -> (Arc<Db>, Vec<Rid>, mohan_common::IndexId) {
+    let db = Db::new(EngineConfig::small());
+    db.create_table(T);
+    let tx = db.begin();
+    let rids = (0..200)
+        .map(|k| db.insert_record(tx, T, &rec(k, k)).unwrap())
+        .collect();
+    db.commit(tx).unwrap();
+    let primary = build_index(&db, T, spec("pk", true), BuildAlgorithm::Offline).unwrap();
+    (db, rids, primary)
+}
+
+fn secondary(name: &str, unique: bool) -> IndexSpec {
+    IndexSpec {
+        name: name.into(),
+        key_cols: vec![1],
+        unique,
+    }
+}
+
+#[test]
+fn primary_model_unique_secondary_survives_delete_and_reinsert_of_its_value() {
+    // Behind the walk, one transaction deletes row 0 and inserts a row
+    // with a higher primary key and the same secondary value 0. The
+    // walk read the deleted row and reads the new one: two entries of
+    // key 0, one of them dead. Only the data pages can tell them apart.
+    let (db, rids, primary) = db_with_identity_rows();
+    let db2 = Arc::clone(&db);
+    let first = rids[0];
+    db.failpoints.arm_hook("primary.scan.record", 0, move || {
+        let tx = db2.begin();
+        db2.delete_record(tx, T, first).unwrap();
+        db2.insert_record(tx, T, &rec(100_000, 0)).unwrap();
+        db2.commit(tx).unwrap();
+    });
+    let idx = build_secondary_via_primary(&db, primary, secondary("sec", true)).unwrap();
+    verify_index(&db, idx).unwrap();
+    verify_index(&db, primary).unwrap();
+}
+
+#[test]
+fn primary_model_walk_reading_a_reused_rid_twice_builds() {
+    // Behind the walk, row 0 is deleted and committed; a row with a
+    // higher primary key and the same secondary value then takes its
+    // RID. The walk reads that RID twice: one entry, read twice.
+    for unique in [false, true] {
+        let (db, rids, primary) = db_with_identity_rows();
+        let db2 = Arc::clone(&db);
+        let first = rids[0];
+        let reused = Arc::new(std::sync::Mutex::new(None));
+        let reused2 = Arc::clone(&reused);
+        db.failpoints.arm_hook("primary.scan.record", 0, move || {
+            let tx = db2.begin();
+            db2.delete_record(tx, T, first).unwrap();
+            db2.commit(tx).unwrap();
+            let tx = db2.begin();
+            let rid = db2.insert_record(tx, T, &rec(100_000, 0)).unwrap();
+            db2.commit(tx).unwrap();
+            *reused2.lock().unwrap() = Some(rid);
+        });
+        let idx = build_secondary_via_primary(&db, primary, secondary("sec", unique)).unwrap();
+        assert_eq!(
+            *reused.lock().unwrap(),
+            Some(first),
+            "precondition: the new row reuses the deleted row's RID"
+        );
+        verify_index(&db, idx).unwrap_or_else(|e| panic!("unique {unique}: {e}"));
+        verify_index(&db, primary).unwrap();
+    }
+}
+
 #[test]
 fn primary_model_unique_secondary_detects_duplicates() {
     let (db, _, primary) = db_with_primary(50);

@@ -5,7 +5,7 @@
 //! retries.
 
 use mohan_common::{EngineConfig, IndexEntry, KeyValue, PageId, Rid, TableId};
-use mohan_oib::build::{build_index, build_indexes_with, resume_build, BuildOptions, IndexSpec};
+use mohan_oib::build::{build_index, build_indexes, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
@@ -230,7 +230,7 @@ fn build_under_writers(algorithm: BuildAlgorithm, opts: &BuildOptions) {
                 }
             });
         }
-        let r = build_indexes_with(&db, T, &[spec("clean")], algorithm, opts);
+        let r = build_indexes(&db, T, &[spec("clean")], algorithm, opts);
         stop.store(true, Ordering::Release);
         r.unwrap()[0]
     });

@@ -5,7 +5,7 @@
 
 use mohan_btree::scan::collect_all;
 use mohan_common::{EngineConfig, Error, IndexId, Rid, TableId};
-use mohan_oib::build::{build_indexes_with, resume_build, BuildOptions, IndexSpec};
+use mohan_oib::build::{build_indexes, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
@@ -61,7 +61,7 @@ fn tree_entries(db: &Arc<Db>, id: IndexId) -> Vec<(Vec<u8>, Rid)> {
 fn parallel_compressed_build_is_entry_identical_to_serial() {
     let db = db();
     seed(&db, 600);
-    let serial = build_indexes_with(
+    let serial = build_indexes(
         &db,
         T,
         &[spec("serial")],
@@ -69,7 +69,7 @@ fn parallel_compressed_build_is_entry_identical_to_serial() {
         &BuildOptions::default(),
     )
     .unwrap()[0];
-    let parallel = build_indexes_with(
+    let parallel = build_indexes(
         &db,
         T,
         &[spec("parallel")],
@@ -111,7 +111,7 @@ fn parallel_build_with_concurrent_updates_is_correct() {
                 }
             }
         });
-        let id = build_indexes_with(
+        let id = build_indexes(
             &db,
             T,
             &[spec("churny")],
@@ -136,7 +136,7 @@ fn parallel_crash_resume_cycle(
     skip: u64,
 ) {
     db.failpoints.arm_after(site, skip);
-    let err = build_indexes_with(db, T, &[spec("crashy")], algorithm, opts).unwrap_err();
+    let err = build_indexes(db, T, &[spec("crashy")], algorithm, opts).unwrap_err();
     assert!(err.is_crash(), "expected crash at {site}, got {err}");
     db.simulate_crash();
     db.restart().unwrap();
@@ -210,7 +210,7 @@ fn parallel_repeated_crashes_across_phases_converge() {
     seed(&db, 500);
     let opts = BuildOptions::new().workers(3).compress(true);
     db.failpoints.arm_after("build.scan", 1);
-    let err = build_indexes_with(&db, T, &[spec("multi")], BuildAlgorithm::Sf, &opts).unwrap_err();
+    let err = build_indexes(&db, T, &[spec("multi")], BuildAlgorithm::Sf, &opts).unwrap_err();
     assert!(err.is_crash());
     let id = db.indexes_of(T).last().unwrap().def.id;
 
@@ -235,7 +235,7 @@ fn parallel_repeated_crashes_across_phases_converge() {
 fn multi_index_parallel_single_scan_builds_all() {
     let db = db();
     seed(&db, 400);
-    let ids = build_indexes_with(
+    let ids = build_indexes(
         &db,
         T,
         &[
@@ -260,7 +260,7 @@ fn multi_index_parallel_single_scan_builds_all() {
 fn compressed_runs_shrink_spilled_bytes() {
     let db = db();
     seed(&db, 600);
-    let id = build_indexes_with(
+    let id = build_indexes(
         &db,
         T,
         &[spec("squeezed")],
@@ -289,11 +289,10 @@ fn serial_scan_checkpoint_without_partitions_resumes() {
     let db = db();
     seed(&db, 600);
     let opts = BuildOptions::default();
-    let whole = build_indexes_with(&db, T, &[spec("whole")], BuildAlgorithm::Sf, &opts).unwrap()[0];
+    let whole = build_indexes(&db, T, &[spec("whole")], BuildAlgorithm::Sf, &opts).unwrap()[0];
 
     db.failpoints.arm_after("build.scan", 1);
-    let err =
-        build_indexes_with(&db, T, &[spec("resumed")], BuildAlgorithm::Sf, &opts).unwrap_err();
+    let err = build_indexes(&db, T, &[spec("resumed")], BuildAlgorithm::Sf, &opts).unwrap_err();
     assert!(err.is_crash(), "expected crash, got {err}");
     db.simulate_crash();
     db.restart().unwrap();
@@ -317,7 +316,7 @@ fn serial_scan_checkpoint_without_partitions_resumes() {
 fn worker_gauge_reports_effective_parallelism() {
     let db = db();
     seed(&db, 400);
-    build_indexes_with(
+    build_indexes(
         &db,
         T,
         &[spec("gauged")],
@@ -332,10 +331,9 @@ fn worker_gauge_reports_effective_parallelism() {
 fn invalid_build_arguments_are_statement_errors() {
     let db = db();
     seed(&db, 10);
-    let err =
-        build_indexes_with(&db, T, &[], BuildAlgorithm::Sf, &BuildOptions::default()).unwrap_err();
+    let err = build_indexes(&db, T, &[], BuildAlgorithm::Sf, &BuildOptions::default()).unwrap_err();
     assert!(matches!(err, Error::InvalidArg(_)), "{err}");
-    let err = build_indexes_with(
+    let err = build_indexes(
         &db,
         T,
         &[spec("z")],
@@ -355,7 +353,7 @@ fn invalid_build_arguments_are_statement_errors() {
 fn parallel_offline_build_matches_table() {
     let db = db();
     seed(&db, 300);
-    let id = build_indexes_with(
+    let id = build_indexes(
         &db,
         T,
         &[spec("off")],

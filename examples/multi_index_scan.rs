@@ -45,6 +45,7 @@ fn main() -> Result<()> {
             },
         ],
         BuildAlgorithm::Sf,
+        &BuildOptions::default(),
     )?;
     let pages = db.table(table)?.stats.scan_pages.get() - pages_before;
     println!(

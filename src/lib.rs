@@ -79,7 +79,9 @@ pub mod prelude {
     pub use mohan_common::{
         EngineConfig, Error, IndexEntry, IndexId, KeyValue, Lsn, PageId, Result, Rid, TableId, TxId,
     };
-    pub use mohan_oib::build::{build_index, build_indexes, drop_index, resume_build, IndexSpec};
+    pub use mohan_oib::build::{
+        build_index, build_indexes, drop_index, resume_build, BuildOptions, IndexSpec,
+    };
     pub use mohan_oib::gc::garbage_collect;
     pub use mohan_oib::primary::build_secondary_via_primary;
     pub use mohan_oib::schema::{BuildAlgorithm, Record};

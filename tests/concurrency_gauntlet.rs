@@ -59,6 +59,7 @@ fn every_algorithm_survives_heavy_churn() {
                 },
             ],
             algo,
+            &BuildOptions::default(),
         )
         .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
         let stats = churn.stop();

@@ -114,6 +114,7 @@ fn multi_index_build_crash_resumes_each_independently() {
             },
         ],
         BuildAlgorithm::Sf,
+        &BuildOptions::default(),
     )
     .expect_err("armed crash");
     assert!(err.is_crash());
