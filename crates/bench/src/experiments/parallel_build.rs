@@ -22,20 +22,16 @@ fn one_build(n: i64, specs: &[IndexSpec], opts: &BuildOptions) -> (Duration, u64
     for id in ids {
         verify_index(&db, id).expect("verify");
         let idx = db.index(id).expect("index");
-        let guard = idx.sort_store.lock();
-        if let Some(rs) = guard.as_ref() {
-            raw += rs.raw_bytes.get();
-            stored += rs.stored_bytes.get();
-        }
-        drop(guard);
+        raw += idx.sort_store.raw_bytes.get();
+        stored += idx.sort_store.stored_bytes.get();
     }
     (took, raw, stored)
 }
 
-/// E23: the parallel prefix-compressed build. The serial uncompressed
-/// build is the baseline; worker counts 1/2/4 partition the same scan
-/// (speedup should be monotone), and `compress_runs` shrinks every
-/// spilled byte count at no worker count's expense.
+/// E23: the parallel prefix-compressed build. Worker counts 1/2/4
+/// partition the same scan (speedup over one worker should be
+/// monotone), and every run is stored compressed at the same ratio
+/// whatever the worker count.
 pub fn e23_parallel_build(quick: bool) -> Vec<Table> {
     let n: i64 = if quick {
         super::scaled(40_000)
@@ -47,7 +43,6 @@ pub fn e23_parallel_build(quick: bool) -> Vec<Table> {
         &[
             "rows",
             "workers",
-            "compress",
             "build",
             "speedup",
             "run KB raw",
@@ -55,12 +50,14 @@ pub fn e23_parallel_build(quick: bool) -> Vec<Table> {
             "ratio",
         ],
     );
-    let (base, base_raw, base_stored) = one_build(n, &[spec("e23")], &BuildOptions::default());
-    let mut row = |workers: usize, compress: bool, took: Duration, raw: u64, stored: u64| {
+    let mut base = None;
+    for workers in [1usize, 2, 4] {
+        let opts = BuildOptions::new().workers(workers);
+        let (took, raw, stored) = one_build(n, &[spec("e23")], &opts);
+        let base = *base.get_or_insert(took);
         t.row(vec![
             n.to_string(),
             workers.to_string(),
-            if compress { "on" } else { "off" }.into(),
             ms(took),
             f2(base.as_secs_f64() / took.as_secs_f64().max(1e-9)),
             f2(raw as f64 / 1024.0),
@@ -71,19 +68,12 @@ pub fn e23_parallel_build(quick: bool) -> Vec<Table> {
                 f2(stored as f64 / raw as f64)
             },
         ]);
-    };
-    row(1, false, base, base_raw, base_stored);
-    for workers in [1usize, 2, 4] {
-        let opts = BuildOptions::new().workers(workers).compress(true);
-        let (took, raw, stored) = one_build(n, &[spec("e23")], &opts);
-        row(workers, true, took, raw, stored);
     }
-    t.note("Baseline: serial, uncompressed. Speedup is baseline/run.");
+    t.note("Baseline: one worker. Speedup is baseline/run.");
     t.note("Run formation, spill and merge all happen on the worker partitions.");
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     t.note(format!(
-        "Host exposes {cores} core(s); scan-partition speedup needs cores >= workers, \
-         so single-core hosts show only the compression win."
+        "Host exposes {cores} core(s); scan-partition speedup needs cores >= workers."
     ));
 
     // §6.2 under parallelism: two indexes share the partitioned scan.
@@ -97,10 +87,10 @@ pub fn e23_parallel_build(quick: bool) -> Vec<Table> {
         s
     }];
     let (serial2, _, _) = one_build(n, &two, &BuildOptions::default());
-    let (par2, _, _) = one_build(n, &two, &BuildOptions::new().workers(4).compress(true));
+    let (par2, _, _) = one_build(n, &two, &BuildOptions::new().workers(4));
     t2.row(vec!["2 indexes, serial".into(), ms(serial2), f2(1.0)]);
     t2.row(vec![
-        "2 indexes, 4 workers + compression".into(),
+        "2 indexes, 4 workers".into(),
         ms(par2),
         f2(serial2.as_secs_f64() / par2.as_secs_f64().max(1e-9)),
     ]);

@@ -110,9 +110,6 @@ pub struct BuildOptions {
     /// scan range is split into one contiguous page partition per
     /// worker; each partition checkpoints independently.
     pub parallel_workers: usize,
-    /// Store sorted runs prefix-compressed (common-prefix truncation
-    /// per block, decoded only when the merge reads them back).
-    pub compress_runs: bool,
     /// Per-build override of [`EngineConfig::side_file_sorted_apply`]
     /// (`None` keeps the engine default).
     pub sort_side_file_drain: Option<bool>,
@@ -126,7 +123,6 @@ impl Default for BuildOptions {
     fn default() -> BuildOptions {
         BuildOptions {
             parallel_workers: 1,
-            compress_runs: false,
             sort_side_file_drain: None,
             checkpoint_every: None,
         }
@@ -134,7 +130,7 @@ impl Default for BuildOptions {
 }
 
 impl BuildOptions {
-    /// Engine defaults: serial, uncompressed, config-driven intervals.
+    /// Engine defaults: serial, config-driven intervals.
     #[must_use]
     pub fn new() -> BuildOptions {
         BuildOptions::default()
@@ -144,13 +140,6 @@ impl BuildOptions {
     #[must_use]
     pub fn workers(mut self, n: usize) -> BuildOptions {
         self.parallel_workers = n.max(1);
-        self
-    }
-
-    /// Enable / disable prefix-compressed run storage.
-    #[must_use]
-    pub fn compress(mut self, on: bool) -> BuildOptions {
-        self.compress_runs = on;
         self
     }
 
@@ -275,7 +264,6 @@ fn build_now(
             let idxs = create_descriptors(db, table, specs, algorithm)?;
             let ids: Vec<IndexId> = idxs.iter().map(|i| i.def.id).collect();
             for idx in &idxs {
-                idx.configure_run_store(options.compress_runs);
                 progress::store_options(db, idx.def.id, options);
             }
             on_ids(&ids);
@@ -302,7 +290,6 @@ pub fn resume_build(db: &Arc<Db>, id: IndexId) -> Result<()> {
             return Ok(());
         }
         let options = progress::load_options(db, id);
-        idx.configure_run_store(options.compress_runs);
         match resume_one(db, &idx, &options) {
             Ok(()) => Ok(()),
             Err(e) if e.is_crash() => Err(e),
@@ -607,7 +594,7 @@ fn parallel_scan_and_sort(
         let mut row = Vec::with_capacity(idxs.len());
         let mut frow = Vec::with_capacity(idxs.len());
         for (i, idx) in idxs.iter().enumerate() {
-            let store = idx.run_store();
+            let store = Arc::clone(&idx.sort_store);
             match &resumes[i] {
                 Some(cps) => {
                     let preserve: Vec<u64> = cps
@@ -752,7 +739,7 @@ pub(crate) fn reduce_phase(
 ) -> Result<Vec<u64>> {
     let _phase = PhaseTimer::new(db, "reduce");
     let ext = ExternalSort {
-        store: idx.run_store(),
+        store: Arc::clone(&idx.sort_store),
         workspace: db.cfg.sort_workspace_keys,
         fan_in: db.cfg.merge_fan_in,
         checkpoint_every: opts.merge_checkpoint_keys(&db.cfg),
@@ -798,7 +785,7 @@ pub(crate) fn enter_final_phase(
 }
 
 /// Mark the index complete: record the completion horizon, flip the
-/// state, persist the catalog and drop the progress record.
+/// state, persist the catalog and drop the progress record and the runs.
 fn complete_index(db: &Arc<Db>, idx: &Arc<IndexRuntime>, completed_at: Lsn) -> Result<()> {
     idx.set_completed_lsn(completed_at);
     idx.set_state(IndexState::Complete);
@@ -807,6 +794,7 @@ fn complete_index(db: &Arc<Db>, idx: &Arc<IndexRuntime>, completed_at: Lsn) -> R
         .event("build.phase", "flip", u64::from(idx.def.id.0));
     db.persist_catalog();
     progress::clear(db, idx.def.id);
+    idx.sort_store.clear();
     force_index_pages(db, idx, "complete", |wal| idx.tree.force_all(wal))
 }
 
@@ -823,8 +811,7 @@ fn nsf_insert_phase(
 ) -> Result<()> {
     let _phase = PhaseTimer::new(db, "insert");
     let cp_every = opts.ib_checkpoint_keys(&db.cfg);
-    let store = idx.run_store();
-    let mut merge = Merge::resume(&store, &merge_cp)?;
+    let mut merge = Merge::resume(&idx.sort_store, &merge_cp)?;
     let mut ib = db.begin_ib();
     let mut batch: Vec<IndexEntry> = Vec::with_capacity(db.cfg.ib_multi_key_batch);
     let mut since_cp = 0usize;
@@ -993,6 +980,8 @@ fn sf_load_and_drain(
 ) -> Result<()> {
     load_phase(db, idx, merge_cp, bulk_cp, opts)?;
     progress::store(db, idx.def.id, &BuildProgress::Draining { pos: 0 });
+    // No restart reads the runs again: the drain resumes from here.
+    idx.sort_store.clear();
     sf_drain_phase(db, idx, 0, opts)
 }
 
@@ -1011,8 +1000,7 @@ fn load_phase(
 ) -> Result<()> {
     let _phase = PhaseTimer::new(db, "load");
     let cp_keys = opts.ib_checkpoint_keys(&db.cfg);
-    let store = idx.run_store();
-    let mut merge = Merge::resume(&store, &merge_cp)?;
+    let mut merge = Merge::resume(&idx.sort_store, &merge_cp)?;
     let mut loader = match &bulk_cp {
         Some(cp) => BulkLoader::resume(&idx.tree, cp)?,
         None => {
@@ -1346,7 +1334,6 @@ fn offline_build(
                 IndexState::Complete,
             )?;
             publish_scan_bounds(&rt, &tbl);
-            rt.configure_run_store(opts.compress_runs);
             idxs.push(rt);
         }
         on_ids(&idxs.iter().map(|i| i.def.id).collect::<Vec<_>>());
@@ -1364,6 +1351,7 @@ fn offline_build(
     for idx in &idxs {
         idx.set_completed_lsn(db.wal.tail_lsn());
         progress::clear(db, idx.def.id);
+        idx.sort_store.clear();
         db.register_index(Arc::clone(idx));
     }
     db.commit(tx)?;

@@ -53,7 +53,6 @@ impl From<BuildOptionsWire> for BuildOptions {
     fn from(w: BuildOptionsWire) -> Self {
         BuildOptions {
             parallel_workers: usize::from(w.parallel_workers),
-            compress_runs: w.compress_runs,
             sort_side_file_drain: w.sort_side_file_drain,
             checkpoint_every: if w.checkpoint_every == 0 {
                 None
@@ -68,7 +67,7 @@ impl From<BuildOptions> for BuildOptionsWire {
     fn from(o: BuildOptions) -> Self {
         BuildOptionsWire {
             parallel_workers: o.parallel_workers.min(u16::MAX as usize) as u16,
-            compress_runs: o.compress_runs,
+            compress_runs: false,
             sort_side_file_drain: o.sort_side_file_drain,
             checkpoint_every: o
                 .checkpoint_every
@@ -102,10 +101,9 @@ mod tests {
             (
                 BuildOptions::new()
                     .workers(4)
-                    .compress(true)
                     .sorted_drain(false)
                     .checkpoint_every(10_000),
-                "00040300002710",
+                "00040200002710",
             ),
         ] {
             let wire: BuildOptionsWire = opts.clone().into();
@@ -115,6 +113,20 @@ mod tests {
             assert_eq!(BuildOptionsWire::decode(&bytes), Some(wire));
             assert_eq!(BuildOptions::from(wire), opts);
         }
+    }
+
+    /// Every run is stored compressed: the `compress_runs` bit an older
+    /// build wrote is read and ignored, so its blob still resumes.
+    #[test]
+    fn compress_runs_bit_is_ignored() {
+        let blob = [0x00, 0x04, 0x03, 0x00, 0x00, 0x27, 0x10];
+        let wire = BuildOptionsWire::decode(&blob).expect("an older build's options blob");
+        assert!(wire.compress_runs);
+        let opts = BuildOptions::new()
+            .workers(4)
+            .sorted_drain(false)
+            .checkpoint_every(10_000);
+        assert_eq!(BuildOptions::from(wire), opts);
     }
 
     #[test]

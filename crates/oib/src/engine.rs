@@ -219,14 +219,14 @@ impl Db {
             db.indexes
                 .read()
                 .iter()
-                .filter_map(|i| i.sort_store.lock().as_ref().map(|rs| rs.raw_bytes.get()))
+                .map(|i| i.sort_store.raw_bytes.get())
                 .sum()
         });
         gauge("build.run_bytes_compressed", |db| {
             db.indexes
                 .read()
                 .iter()
-                .filter_map(|i| i.sort_store.lock().as_ref().map(|rs| rs.stored_bytes.get()))
+                .map(|i| i.sort_store.stored_bytes.get())
                 .sum()
         });
         self.obs
@@ -695,9 +695,7 @@ impl Db {
         for i in self.indexes.read().iter() {
             i.tree.cache.crash();
             i.side_file.crash();
-            if let Some(rs) = &*i.sort_store.lock() {
-                rs.crash();
-            }
+            i.sort_store.crash();
         }
     }
 

@@ -65,7 +65,7 @@ pub fn build_secondary_via_primary(
         // Scan the primary index leaf by leaf: snapshot the live
         // entries under the latch, advance the cursor past the leaf,
         // then let the latch go and read the records into the sorter.
-        let mut rf = RunFormation::new(idx.run_store(), db.cfg.sort_workspace_keys);
+        let mut rf = RunFormation::new(Arc::clone(&idx.sort_store), db.cfg.sort_workspace_keys);
         let mut seq = 0u64;
         let heap = db.table(table)?;
         let kc = idx.key_cursor.as_ref().expect("cursor installed");

@@ -152,7 +152,7 @@ pub(crate) fn clear_orphans(db: &Db) {
 }
 
 /// Durably record the build's [`BuildOptions`], so a resumed build
-/// keeps the worker count, run compression and interval overrides it
+/// keeps the worker count, drain and interval overrides it
 /// started with. The blob is their wire form, [`BuildOptionsWire`].
 pub fn store_options(db: &Db, id: IndexId, options: &BuildOptions) {
     let blob = BuildOptionsWire::from(options.clone()).encode();

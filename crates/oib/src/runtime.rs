@@ -121,8 +121,9 @@ pub struct IndexRuntime {
     /// Optional §6.2 key cursor (primary-index storage model).
     pub key_cursor: Option<KeyCursor>,
     /// The build's sorted-run storage; survives across restart so the
-    /// §5 checkpoints have something to reposition.
-    pub sort_store: Mutex<Option<std::sync::Arc<RunStore<mohan_common::IndexEntry>>>>,
+    /// §5 checkpoints have something to reposition. The build frees its
+    /// runs once no restart can read them; the byte counters stay.
+    pub sort_store: std::sync::Arc<RunStore<mohan_common::IndexEntry>>,
     /// Footnote 3: highest key value *committed* by the NSF builder.
     /// When gradual reads are enabled, lookups at or below this
     /// watermark are served even while the build is in flight.
@@ -157,7 +158,7 @@ impl IndexRuntime {
             scan_end_page: AtomicU32::new(u32::MAX),
             completed_lsn: AtomicU64::new(0),
             key_cursor: None,
-            sort_store: Mutex::new(None),
+            sort_store: std::sync::Arc::default(),
             read_watermark: Mutex::new(None),
         })
     }
@@ -175,29 +176,6 @@ impl IndexRuntime {
             .lock()
             .as_ref()
             .is_some_and(|w| key <= w)
-    }
-
-    /// Get (or lazily create) the build's run store.
-    #[must_use]
-    pub fn run_store(&self) -> std::sync::Arc<RunStore<mohan_common::IndexEntry>> {
-        self.configure_run_store(false)
-    }
-
-    /// Get the build's run store, creating it with the given
-    /// compression mode if it does not exist yet. An existing store's
-    /// mode wins: a resumed build keeps whatever layout its runs were
-    /// written in.
-    pub fn configure_run_store(
-        &self,
-        compress: bool,
-    ) -> std::sync::Arc<RunStore<mohan_common::IndexEntry>> {
-        let mut g = self.sort_store.lock();
-        if let Some(rs) = &*g {
-            return std::sync::Arc::clone(rs);
-        }
-        let rs = std::sync::Arc::new(RunStore::with_compression(compress));
-        *g = Some(std::sync::Arc::clone(&rs));
-        rs
     }
 
     /// Current state.

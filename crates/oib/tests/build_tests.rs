@@ -186,6 +186,27 @@ fn all_three_algorithms_agree_on_quiet_tables() {
     }
 }
 
+/// A finished build frees its sorted runs — SF once its `Draining`
+/// record is stored, NSF at completion, offline once its load commits —
+/// and keeps the byte counters the `build.run_bytes*` gauges read.
+#[test]
+fn finished_builds_free_their_runs() {
+    for algo in [
+        BuildAlgorithm::Offline,
+        BuildAlgorithm::Nsf,
+        BuildAlgorithm::Sf,
+    ] {
+        let db = db();
+        seed(&db, 300);
+        let id = build_index(&db, T, spec("freed", false), algo).unwrap();
+        verify_index(&db, id).unwrap();
+        let idx = db.index(id).unwrap();
+        assert!(idx.sort_store.run_ids().is_empty(), "{algo:?} kept runs");
+        let run_bytes = db.obs.snapshot().counter("build.run_bytes").unwrap();
+        assert!(run_bytes > 0, "{algo:?}");
+    }
+}
+
 #[test]
 fn multi_index_single_scan_builds_all() {
     for algo in [

@@ -7,6 +7,7 @@ use mohan_common::{EngineConfig, Error, Lsn, Rid, TableId};
 use mohan_oib::build::{build_index, resume_build, IndexSpec};
 use mohan_oib::checkpointer::CHECKPOINT_TRIGGER_BYTES;
 use mohan_oib::engine::{CHECKPOINT_BEGIN_FAILPOINT, CHECKPOINT_FORCED_FAILPOINT};
+use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
@@ -145,6 +146,40 @@ fn sf_crash_during_drain_resumes() {
     db.simulate_crash();
     db.restart().unwrap();
     resume_build(&db, id).unwrap();
+    verify_index(&db, id).unwrap();
+}
+
+/// SF frees its runs once the `Draining` record is stored: a crash at
+/// the first drained operation resumes from that record alone.
+#[test]
+fn sf_crash_after_the_draining_record_resumes_without_runs() {
+    let db = db();
+    seed(&db, 300);
+    // Crash mid-scan: after restart every update goes to the side-file.
+    db.failpoints.arm("build.scan");
+    let err = build_index(&db, T, spec(false), BuildAlgorithm::Sf).unwrap_err();
+    assert!(err.is_crash());
+    db.simulate_crash();
+    db.restart().unwrap();
+    let id = db.indexes_of(T).last().unwrap().def.id;
+    let tx = db.begin();
+    for k in 0..20 {
+        db.insert_record(tx, T, &rec(800_000 + k, 3)).unwrap();
+    }
+    db.commit(tx).unwrap();
+
+    db.failpoints.arm("sf.drain.op");
+    let err = resume_build(&db, id).unwrap_err();
+    assert!(err.is_crash());
+    assert!(matches!(
+        progress::load(&db, id).unwrap(),
+        Some(BuildProgress::Draining { pos: 0 })
+    ));
+    assert!(db.index(id).unwrap().sort_store.run_ids().is_empty());
+    db.simulate_crash();
+    db.restart().unwrap();
+    resume_build(&db, id).unwrap();
+    assert_eq!(db.index(id).unwrap().state(), IndexState::Complete);
     verify_index(&db, id).unwrap();
 }
 

@@ -241,6 +241,9 @@ fn primary_model_build_on_quiet_table() {
     .unwrap();
     verify_index(&db, idx).unwrap();
     verify_index(&db, primary).unwrap();
+    for id in [idx, primary] {
+        assert!(db.index(id).unwrap().sort_store.run_ids().is_empty());
+    }
 }
 
 #[test]

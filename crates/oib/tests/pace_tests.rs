@@ -257,9 +257,6 @@ fn nsf_build_under_writers_gives_way_holding_nothing() {
 fn parallel_build_under_writers_gives_way_holding_nothing() {
     build_under_writers(
         BuildAlgorithm::Sf,
-        &BuildOptions::new()
-            .workers(2)
-            .compress(true)
-            .checkpoint_every(500),
+        &BuildOptions::new().workers(2).checkpoint_every(500),
     );
 }

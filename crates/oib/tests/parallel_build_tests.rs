@@ -74,7 +74,7 @@ fn parallel_compressed_build_is_entry_identical_to_serial() {
         T,
         &[spec("parallel")],
         BuildAlgorithm::Sf,
-        &BuildOptions::new().workers(4).compress(true),
+        &BuildOptions::new().workers(4),
     )
     .unwrap()[0];
     verify_index(&db, serial).unwrap();
@@ -116,7 +116,7 @@ fn parallel_build_with_concurrent_updates_is_correct() {
             T,
             &[spec("churny")],
             algorithm,
-            &BuildOptions::new().workers(3).compress(true),
+            &BuildOptions::new().workers(3),
         )
         .unwrap()[0];
         stop.store(true, Ordering::Relaxed);
@@ -169,7 +169,7 @@ fn parallel_crash_at_worker_checkpoint_resumes() {
     // that partition's runs and repositions after its scan_pos.
     parallel_crash_resume_cycle(
         &db,
-        &BuildOptions::new().workers(4).compress(true),
+        &BuildOptions::new().workers(4),
         BuildAlgorithm::Sf,
         "build.scan",
         1,
@@ -197,7 +197,7 @@ fn parallel_compressed_crash_during_merge_resumes() {
     // runs; the 4-way reduce checkpoints (and crashes) mid-merge.
     parallel_crash_resume_cycle(
         &db,
-        &BuildOptions::new().workers(4).compress(true),
+        &BuildOptions::new().workers(4),
         BuildAlgorithm::Sf,
         "build.reduce",
         1,
@@ -208,7 +208,7 @@ fn parallel_compressed_crash_during_merge_resumes() {
 fn parallel_repeated_crashes_across_phases_converge() {
     let db = db();
     seed(&db, 500);
-    let opts = BuildOptions::new().workers(3).compress(true);
+    let opts = BuildOptions::new().workers(3);
     db.failpoints.arm_after("build.scan", 1);
     let err = build_indexes(&db, T, &[spec("multi")], BuildAlgorithm::Sf, &opts).unwrap_err();
     assert!(err.is_crash());
@@ -247,7 +247,7 @@ fn multi_index_parallel_single_scan_builds_all() {
             },
         ],
         BuildAlgorithm::Sf,
-        &BuildOptions::new().workers(4).compress(true),
+        &BuildOptions::new().workers(4),
     )
     .unwrap();
     assert_eq!(ids.len(), 2);
@@ -265,14 +265,15 @@ fn compressed_runs_shrink_spilled_bytes() {
         T,
         &[spec("squeezed")],
         BuildAlgorithm::Sf,
-        &BuildOptions::new().workers(2).compress(true),
+        &BuildOptions::new().workers(2),
     )
     .unwrap()[0];
     verify_index(&db, id).unwrap();
     let idx = db.index(id).unwrap();
-    let guard = idx.sort_store.lock();
-    let rs = guard.as_ref().expect("run store exists");
-    let (raw, stored) = (rs.raw_bytes.get(), rs.stored_bytes.get());
+    let (raw, stored) = (
+        idx.sort_store.raw_bytes.get(),
+        idx.sort_store.stored_bytes.get(),
+    );
     assert!(raw > 0, "no spilled bytes accounted");
     assert!(
         stored < raw,
@@ -358,7 +359,7 @@ fn parallel_offline_build_matches_table() {
         T,
         &[spec("off")],
         BuildAlgorithm::Offline,
-        &BuildOptions::new().workers(4).compress(true),
+        &BuildOptions::new().workers(4),
     )
     .unwrap()[0];
     verify_index(&db, id).unwrap();

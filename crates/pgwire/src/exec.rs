@@ -164,7 +164,8 @@ fn parse_build_options(with_options: &[(String, String)]) -> Result<BuildOptions
     for (key, val) in with_options {
         match key.as_str() {
             "parallel_workers" => opts.parallel_workers = as_count(key, val)?,
-            "compress_runs" => opts.compress_runs = as_bool(key, val)?,
+            // Every run is stored compressed: the key is checked, then ignored.
+            "compress_runs" => drop(as_bool(key, val)?),
             "sorted_drain" => opts.sort_side_file_drain = Some(as_bool(key, val)?),
             "checkpoint_every" => opts.checkpoint_every = Some(as_count(key, val)?),
             other => {
@@ -700,7 +701,6 @@ mod tests {
                     options,
                     BuildOptions::new()
                         .workers(4)
-                        .compress(true)
                         .sorted_drain(false)
                         .checkpoint_every(5000)
                 );

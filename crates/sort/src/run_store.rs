@@ -1,42 +1,31 @@
 //! Crash-aware stable storage for sorted runs.
 //!
-//! A run is an append-only sequence of items. Appends are volatile
-//! until [`RunStore::force_run`]; a simulated crash truncates every run
-//! back to its forced prefix and the restart logic (driven by the
-//! checkpoint metadata) then discards runs the checkpoint never knew
-//! about.
+//! A run is an append-only sequence of items, held as its bytes. Appends
+//! are volatile until [`RunStore::force_run`]; a simulated crash
+//! truncates every run back to its forced prefix and the restart logic
+//! (driven by the checkpoint metadata) then discards runs the checkpoint
+//! never knew about.
 //!
-//! A store can be created in **prefix-compressed** mode
-//! ([`RunStore::new_compressed`]): run bytes are held as blocks of
-//! encoded items where every item after a block's first stores only
-//! `(shared-prefix-length, suffix)` against its predecessor's
-//! encoding. Sorted runs share long key prefixes, so this is the
-//! classic compressed-key-sort layout — items are decoded only when a
-//! merge cursor (or the leaf loader at the end of the pipeline) reads
-//! them back. The item-granular API (`append`/`read`/`truncate`/
-//! `force_run`) is identical in both modes, so the §5 checkpoint
-//! machinery never sees the difference.
+//! Every run is prefix-compressed: blocks of 16 encoded items, where a
+//! block's first item is stored whole and every later one only as
+//! `(shared-prefix-length, suffix)` against its predecessor's encoding. Sorted runs share long key prefixes, so this is the classic
+//! compressed-key-sort layout. An item is encoded once, on append, and
+//! decoded only when a merge cursor reads it back.
 
 use crate::item::SortItem;
-use mohan_common::codec::Cursor;
+use mohan_common::codec::decode;
 use mohan_common::stats::Counter;
 use mohan_common::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
-/// Items per compression block: the first is stored in full, the rest
-/// as prefix-truncated deltas. Small enough that point reads decode a
-/// bounded prefix, large enough to amortize the full first item.
+/// Items per block: the first is stored in full, the rest as
+/// prefix-truncated deltas. Small enough that a read from an offset
+/// decodes a bounded prefix, large enough to amortize the full first
+/// item.
 const BLOCK_ITEMS: usize = 16;
-
-/// One prefix-compressed block of up to [`BLOCK_ITEMS`] items.
-struct Block {
-    /// `[u16 len][first-item bytes]` then per delta
-    /// `[u16 shared][u16 suffix_len][suffix bytes]`.
-    bytes: Vec<u8>,
-    /// Items encoded in `bytes`.
-    items: usize,
-}
 
 fn push_u16(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u16).to_be_bytes());
@@ -48,132 +37,133 @@ fn read_u16(buf: &[u8], pos: &mut usize) -> Option<usize> {
     Some(u16::from_be_bytes(b) as usize)
 }
 
-/// Prefix-compressed item storage for one run.
-struct CompressedRun {
-    blocks: Vec<Block>,
-    len: usize,
-    /// Encoding of the last item appended, the delta base for the next.
-    last_enc: Vec<u8>,
+fn corrupt() -> Error {
+    Error::Corruption("run block truncated".into())
 }
 
-impl CompressedRun {
-    fn new() -> CompressedRun {
-        CompressedRun {
-            blocks: Vec::new(),
-            len: 0,
-            last_enc: Vec::new(),
+/// Decode the item at `*pos` of `block` into `cur`, which holds the
+/// previous item's encoding. A block's `first` item is
+/// `[u16 len][bytes]`; every later one `[u16 shared][u16 suffix_len]
+/// [suffix]`.
+fn step(block: &[u8], pos: &mut usize, cur: &mut Vec<u8>, first: bool) -> Result<()> {
+    let shared = if first {
+        0
+    } else {
+        read_u16(block, pos).ok_or_else(corrupt)?
+    };
+    let n = read_u16(block, pos).ok_or_else(corrupt)?;
+    let suffix = block.get(*pos..*pos + n).ok_or_else(corrupt)?;
+    if shared > cur.len() {
+        return Err(corrupt());
+    }
+    cur.truncate(shared);
+    cur.extend_from_slice(suffix);
+    *pos += n;
+    Ok(())
+}
+
+/// One run's bytes.
+#[derive(Default)]
+struct Run {
+    /// Full blocks, each kept at its exact size.
+    closed: Vec<Box<[u8]>>,
+    /// The block being filled: the run's last `len % BLOCK_ITEMS` items.
+    open: Vec<u8>,
+    len: usize,
+    /// Items made durable by the last force.
+    durable: usize,
+    /// Encoding of the last item appended, the delta base for the next.
+    last: Vec<u8>,
+    /// Encoding of the item being appended.
+    next: Vec<u8>,
+}
+
+impl Run {
+    /// Append the item encoded in `next`, returning the bytes stored.
+    fn push_next(&mut self) -> usize {
+        let before = self.open.len();
+        let shared = if self.len.is_multiple_of(BLOCK_ITEMS) {
+            0
+        } else {
+            let shared = self.last.iter().zip(&self.next).take_while(|(a, b)| a == b);
+            let shared = shared.count().min(u16::MAX as usize);
+            push_u16(&mut self.open, shared);
+            shared
+        };
+        push_u16(&mut self.open, self.next.len() - shared);
+        self.open.extend_from_slice(&self.next[shared..]);
+        std::mem::swap(&mut self.last, &mut self.next);
+        self.len += 1;
+        let stored = self.open.len() - before;
+        if self.len.is_multiple_of(BLOCK_ITEMS) {
+            self.closed.push(self.open.as_slice().into());
+            self.open.clear();
         }
+        stored
     }
 
-    /// Append one encoded item, returning the bytes actually stored.
-    fn push_enc(&mut self, enc: &[u8]) -> usize {
-        let stored = if self.len.is_multiple_of(BLOCK_ITEMS) {
-            let mut bytes = Vec::with_capacity(2 + enc.len());
-            push_u16(&mut bytes, enc.len());
-            bytes.extend_from_slice(enc);
-            let n = bytes.len();
-            self.blocks.push(Block { bytes, items: 1 });
-            n
-        } else {
-            let shared = self
-                .last_enc
-                .iter()
-                .zip(enc)
-                .take_while(|(a, b)| a == b)
-                .count()
-                .min(u16::MAX as usize);
-            let block = self.blocks.last_mut().expect("open block");
-            let before = block.bytes.len();
-            push_u16(&mut block.bytes, shared);
-            push_u16(&mut block.bytes, enc.len() - shared);
-            block.bytes.extend_from_slice(&enc[shared..]);
-            block.items += 1;
-            block.bytes.len() - before
-        };
-        self.last_enc.clear();
-        self.last_enc.extend_from_slice(enc);
-        self.len += 1;
-        stored
+    fn block(&self, b: usize) -> &[u8] {
+        self.closed.get(b).map_or(&self.open, |c| c)
     }
 
     /// Decode `count` items starting at item `offset` (clamped).
     fn read<T: SortItem>(&self, offset: usize, count: usize) -> Result<Vec<T>> {
-        let corrupt = || Error::Corruption("compressed run block truncated".into());
-        let mut out = Vec::new();
-        if offset >= self.len || count == 0 {
-            return Ok(out);
-        }
-        let first_block = offset / BLOCK_ITEMS;
-        let mut item_idx = first_block * BLOCK_ITEMS;
-        let mut prev: Vec<u8> = Vec::new();
-        'blocks: for block in &self.blocks[first_block..] {
-            let mut pos = 0;
-            for i in 0..block.items {
-                if i == 0 {
-                    let n = read_u16(&block.bytes, &mut pos).ok_or_else(corrupt)?;
-                    let full = block.bytes.get(pos..pos + n).ok_or_else(corrupt)?;
-                    pos += n;
-                    prev.clear();
-                    prev.extend_from_slice(full);
-                } else {
-                    let shared = read_u16(&block.bytes, &mut pos).ok_or_else(corrupt)?;
-                    let slen = read_u16(&block.bytes, &mut pos).ok_or_else(corrupt)?;
-                    let suffix = block.bytes.get(pos..pos + slen).ok_or_else(corrupt)?;
-                    pos += slen;
-                    if shared > prev.len() {
-                        return Err(corrupt());
-                    }
-                    prev.truncate(shared);
-                    prev.extend_from_slice(suffix);
-                }
-                if item_idx >= offset {
-                    out.push(T::get(&mut Cursor::new(&prev)).ok_or_else(corrupt)?);
-                    if out.len() == count {
-                        break 'blocks;
-                    }
-                }
-                item_idx += 1;
+        let end = offset.saturating_add(count).min(self.len);
+        let mut out = Vec::with_capacity(end.saturating_sub(offset));
+        let mut cur = Vec::new();
+        let mut pos = 0;
+        for i in offset / BLOCK_ITEMS * BLOCK_ITEMS..end {
+            let first = i.is_multiple_of(BLOCK_ITEMS);
+            if first {
+                pos = 0;
+            }
+            step(self.block(i / BLOCK_ITEMS), &mut pos, &mut cur, first)?;
+            if i >= offset {
+                out.push(decode(&cur).ok_or_else(corrupt)?);
             }
         }
         Ok(out)
     }
-}
 
-/// Item storage for one run: plain or prefix-compressed.
-enum RunData<T> {
-    Raw(Vec<T>),
-    Compressed(CompressedRun),
-}
-
-struct Run<T> {
-    data: RunData<T>,
-    durable: usize,
-}
-
-impl<T: SortItem> Run<T> {
-    fn len(&self) -> usize {
-        match &self.data {
-            RunData::Raw(v) => v.len(),
-            RunData::Compressed(c) => c.len,
+    /// Keep the first `len` items: the whole blocks below the cut stay
+    /// as they are, and the block the cut lands in keeps the byte prefix
+    /// that encodes its first `len % BLOCK_ITEMS` items.
+    fn truncate(&mut self, len: usize) -> Result<()> {
+        if len < self.len {
+            let b = len / BLOCK_ITEMS;
+            if b < self.closed.len() {
+                self.closed.truncate(b + 1);
+                let cut = self.closed.pop().expect("the block the cut lands in");
+                self.open.clear();
+                self.open.extend_from_slice(&cut);
+            }
+            let mut pos = 0;
+            self.last.clear();
+            for i in 0..len % BLOCK_ITEMS {
+                step(&self.open, &mut pos, &mut self.last, i == 0)?;
+            }
+            self.open.truncate(pos);
+            self.len = len;
         }
+        self.durable = self.durable.min(len);
+        Ok(())
     }
 }
 
 /// Stable storage for the runs of one sort.
 pub struct RunStore<T: SortItem> {
-    runs: Mutex<HashMap<u64, Run<T>>>,
+    runs: Mutex<HashMap<u64, Arc<Mutex<Run>>>>,
     next_id: Mutex<u64>,
-    compress: bool,
     /// Items appended (volume statistic).
     pub appended: Counter,
     /// Items made durable by forces.
     pub forced: Counter,
-    /// Bytes the appended items would occupy uncompressed (full
-    /// codec size), cumulative.
+    /// Bytes the appended items occupy uncompressed (full codec size),
+    /// cumulative.
     pub raw_bytes: Counter,
-    /// Bytes actually stored for appended items (equals `raw_bytes`
-    /// plus per-item framing for an uncompressed store), cumulative.
+    /// Bytes stored for appended items, cumulative.
     pub stored_bytes: Counter,
+    items: PhantomData<fn() -> T>,
 }
 
 impl<T: SortItem> Default for RunStore<T> {
@@ -183,36 +173,26 @@ impl<T: SortItem> Default for RunStore<T> {
 }
 
 impl<T: SortItem> RunStore<T> {
-    /// Empty store holding runs uncompressed.
+    /// Empty store.
     #[must_use]
     pub fn new() -> RunStore<T> {
-        Self::with_compression(false)
-    }
-
-    /// Empty store holding runs in the prefix-compressed block format.
-    #[must_use]
-    pub fn new_compressed() -> RunStore<T> {
-        Self::with_compression(true)
-    }
-
-    /// Empty store with an explicit compression mode.
-    #[must_use]
-    pub fn with_compression(compress: bool) -> RunStore<T> {
         RunStore {
             runs: Mutex::new(HashMap::new()),
             next_id: Mutex::new(0),
-            compress,
             appended: Counter::new(),
             forced: Counter::new(),
             raw_bytes: Counter::new(),
             stored_bytes: Counter::new(),
+            items: PhantomData,
         }
     }
 
-    /// Does this store hold runs prefix-compressed?
-    #[must_use]
-    pub fn compressed(&self) -> bool {
-        self.compress
+    fn run(&self, run: u64) -> Result<Arc<Mutex<Run>>> {
+        let runs = self.runs.lock();
+        let r = runs
+            .get(&run)
+            .ok_or_else(|| Error::NotFound(format!("run {run}")))?;
+        Ok(Arc::clone(r))
     }
 
     /// Create a new, empty run and return its id.
@@ -220,43 +200,23 @@ impl<T: SortItem> RunStore<T> {
         let mut id = self.next_id.lock();
         let run_id = *id;
         *id += 1;
-        let data = if self.compress {
-            RunData::Compressed(CompressedRun::new())
-        } else {
-            RunData::Raw(Vec::new())
-        };
-        self.runs.lock().insert(run_id, Run { data, durable: 0 });
+        self.runs.lock().insert(run_id, Arc::default());
         run_id
     }
 
-    /// Append items to a run (volatile).
+    /// Append items to a run (volatile). Each is encoded into the run's
+    /// own buffers under the run's lock, not the store's.
     pub fn append(&self, run: u64, items: &[T]) -> Result<()> {
-        let mut runs = self.runs.lock();
-        let r = runs
-            .get_mut(&run)
-            .ok_or_else(|| Error::NotFound(format!("run {run}")))?;
-        let mut scratch = Vec::new();
-        let mut raw = 0u64;
-        let mut stored = 0u64;
-        match &mut r.data {
-            RunData::Raw(v) => {
-                for item in items {
-                    scratch.clear();
-                    item.put(&mut scratch);
-                    raw += scratch.len() as u64;
-                }
-                stored = raw;
-                v.extend_from_slice(items);
-            }
-            RunData::Compressed(c) => {
-                for item in items {
-                    scratch.clear();
-                    item.put(&mut scratch);
-                    raw += scratch.len() as u64;
-                    stored += c.push_enc(&scratch) as u64;
-                }
-            }
+        let run = self.run(run)?;
+        let mut r = run.lock();
+        let (mut raw, mut stored) = (0, 0);
+        for item in items {
+            r.next.clear();
+            item.put(&mut r.next);
+            raw += r.next.len() as u64;
+            stored += r.push_next() as u64;
         }
+        drop(r);
         self.appended.add(items.len() as u64);
         self.raw_bytes.add(raw);
         self.stored_bytes.add(stored);
@@ -265,83 +225,43 @@ impl<T: SortItem> RunStore<T> {
 
     /// Force a run: its current length becomes durable.
     pub fn force_run(&self, run: u64) -> Result<()> {
-        let mut runs = self.runs.lock();
-        let r = runs
-            .get_mut(&run)
-            .ok_or_else(|| Error::NotFound(format!("run {run}")))?;
-        self.forced.add((r.len() - r.durable) as u64);
-        r.durable = r.len();
+        let run = self.run(run)?;
+        let mut r = run.lock();
+        self.forced.add((r.len - r.durable) as u64);
+        r.durable = r.len;
         Ok(())
     }
 
     /// Current (volatile) length of a run.
     pub fn len(&self, run: u64) -> Result<u64> {
-        let runs = self.runs.lock();
-        let r = runs
-            .get(&run)
-            .ok_or_else(|| Error::NotFound(format!("run {run}")))?;
-        Ok(r.len() as u64)
-    }
-
-    /// True if the store has no runs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.runs.lock().is_empty()
+        Ok(self.run(run)?.lock().len as u64)
     }
 
     /// Read `count` items starting at `offset` (for merge cursors and
     /// verification).
     pub fn read(&self, run: u64, offset: u64, count: usize) -> Result<Vec<T>> {
-        let runs = self.runs.lock();
-        let r = runs
-            .get(&run)
-            .ok_or_else(|| Error::NotFound(format!("run {run}")))?;
-        match &r.data {
-            RunData::Raw(v) => {
-                let start = (offset as usize).min(v.len());
-                let end = start.saturating_add(count).min(v.len());
-                Ok(v[start..end].to_vec())
-            }
-            RunData::Compressed(c) => c.read((offset as usize).min(c.len), count),
-        }
+        let offset = usize::try_from(offset).unwrap_or(usize::MAX);
+        self.run(run)?.lock().read(offset, count)
     }
 
     /// Truncate a run to `len` items (restart repositioning, §5.1-5.2).
-    /// The durable mark is clamped too.
+    /// The durable mark is clamped too. Byte counters stay cumulative:
+    /// they count writes, not occupancy, like `appended`/`forced`.
     pub fn truncate(&self, run: u64, len: u64) -> Result<()> {
-        let mut runs = self.runs.lock();
-        let r = runs
-            .get_mut(&run)
-            .ok_or_else(|| Error::NotFound(format!("run {run}")))?;
-        let len = len as usize;
-        match &mut r.data {
-            RunData::Raw(v) => v.truncate(len),
-            RunData::Compressed(c) => {
-                if len < c.len {
-                    // Truncation only happens on restart repositioning:
-                    // decode the kept prefix and rebuild the blocks.
-                    // Byte counters stay cumulative (they count writes,
-                    // not occupancy), matching `appended`/`forced`.
-                    let kept: Vec<T> = c.read(0, len)?;
-                    let mut fresh = CompressedRun::new();
-                    let mut scratch = Vec::new();
-                    for item in &kept {
-                        scratch.clear();
-                        item.put(&mut scratch);
-                        fresh.push_enc(&scratch);
-                    }
-                    *c = fresh;
-                }
-            }
-        }
-        r.durable = r.durable.min(len);
-        Ok(())
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        self.run(run)?.lock().truncate(len)
     }
 
     /// Delete a run (post-merge cleanup, or discarding runs younger
     /// than the checkpoint).
     pub fn delete(&self, run: u64) {
         self.runs.lock().remove(&run);
+    }
+
+    /// Delete every run, once no restart can read them again. The
+    /// cumulative counters stay.
+    pub fn clear(&self) {
+        self.runs.lock().clear();
     }
 
     /// All current run ids (unordered).
@@ -355,15 +275,11 @@ impl<T: SortItem> RunStore<T> {
     /// first force; empty unforced runs simply come back empty, and the
     /// restart logic deletes unknown ones).
     pub fn crash(&self) {
-        let ids = self.run_ids();
-        for id in ids {
-            let durable = {
-                let runs = self.runs.lock();
-                runs.get(&id).map(|r| r.durable)
-            };
-            if let Some(d) = durable {
-                let _ = self.truncate(id, d as u64);
-            }
+        for run in self.runs.lock().values() {
+            let mut r = run.lock();
+            let durable = r.durable;
+            // The kept prefix was encoded by this store: it decodes.
+            r.truncate(durable).expect("a run's forced prefix decodes");
         }
     }
 }
@@ -372,7 +288,8 @@ impl<T: SortItem> RunStore<T> {
 mod tests {
     use super::*;
     use crate::item::entry;
-    use mohan_common::IndexEntry;
+    use mohan_common::{IndexEntry, KeyValue, Rid};
+    use proptest::prelude::*;
 
     #[test]
     fn append_read_roundtrip() {
@@ -415,6 +332,8 @@ mod tests {
         s.delete(a);
         assert!(s.read(a, 0, 1).is_err());
         assert!(s.read(b, 0, 1).is_ok());
+        s.clear();
+        assert!(s.run_ids().is_empty());
     }
 
     #[test]
@@ -428,68 +347,117 @@ mod tests {
         assert_eq!(s.appended.get(), 4);
         assert_eq!(s.forced.get(), 4);
         assert_eq!(s.raw_bytes.get(), 32); // four 8-byte encodings
-        assert_eq!(s.stored_bytes.get(), 32);
-    }
-
-    /// The compressed store must be observationally identical to the
-    /// raw one through the whole item-level API.
-    #[test]
-    fn compressed_matches_raw_through_api() {
-        let raw: RunStore<IndexEntry> = RunStore::new();
-        let comp: RunStore<IndexEntry> = RunStore::new_compressed();
-        assert!(!raw.compressed());
-        assert!(comp.compressed());
-        let items: Vec<IndexEntry> = (0..200).map(|i| entry(1000 + i / 3, i as u32, 0)).collect();
-        for s in [&raw, &comp] {
-            let r = s.create_run();
-            // Append in uneven chunks to cross block boundaries.
-            for chunk in items.chunks(7) {
-                s.append(r, chunk).unwrap();
-            }
-            assert_eq!(s.len(r).unwrap(), items.len() as u64);
-            assert_eq!(s.read(r, 0, usize::MAX).unwrap(), items);
-            // Offset reads inside and across blocks.
-            assert_eq!(s.read(r, 5, 3).unwrap(), items[5..8].to_vec());
-            assert_eq!(s.read(r, 15, 20).unwrap(), items[15..35].to_vec());
-            assert_eq!(s.read(r, 199, 10).unwrap(), items[199..].to_vec());
-            assert!(s.read(r, 500, 10).unwrap().is_empty());
-        }
+                                           // 2 + 8 for the block's first item; 2 + 2 + 1 for each other:
+                                           // consecutive small integers differ in their last byte only.
+        assert_eq!(s.stored_bytes.get(), 10 + 3 * 5);
     }
 
     #[test]
-    fn compressed_runs_shrink_sorted_entries() {
-        let raw: RunStore<IndexEntry> = RunStore::new();
-        let comp: RunStore<IndexEntry> = RunStore::new_compressed();
+    fn runs_shrink_sorted_entries() {
+        let s: RunStore<IndexEntry> = RunStore::new();
         // Sorted entries with a long shared key prefix — the bulk-build
-        // case the compressed format exists for.
+        // case the block format exists for.
         let items: Vec<IndexEntry> = (0..1000).map(|i| entry(5_000_000 + i, 1, 0)).collect();
-        for s in [&raw, &comp] {
-            let r = s.create_run();
-            s.append(r, &items).unwrap();
-            assert_eq!(s.read(r, 0, usize::MAX).unwrap(), items);
-        }
-        assert_eq!(raw.raw_bytes.get(), comp.raw_bytes.get());
+        let r = s.create_run();
+        s.append(r, &items).unwrap();
+        assert_eq!(s.read(r, 0, usize::MAX).unwrap(), items);
         assert!(
-            comp.stored_bytes.get() < raw.stored_bytes.get() * 3 / 4,
-            "compression should shrink sorted entries: {} vs {}",
-            comp.stored_bytes.get(),
-            raw.stored_bytes.get()
+            s.stored_bytes.get() < s.raw_bytes.get() * 3 / 4,
+            "sorted entries should shrink: {} of {}",
+            s.stored_bytes.get(),
+            s.raw_bytes.get()
         );
     }
 
     #[test]
-    fn compressed_truncate_and_crash_reposition_exactly() {
-        let s: RunStore<IndexEntry> = RunStore::new_compressed();
+    fn truncate_keeps_whole_blocks_below_the_cut() {
+        let s: RunStore<IndexEntry> = RunStore::new();
         let items: Vec<IndexEntry> = (0..100).map(|i| entry(i, i as u32, 0)).collect();
         let r = s.create_run();
-        s.append(r, &items[..50]).unwrap();
-        s.force_run(r).unwrap();
-        s.append(r, &items[50..]).unwrap();
-        s.crash();
+        s.append(r, &items).unwrap();
+        let blocks_before: Vec<Box<[u8]>> = s.run(r).unwrap().lock().closed[..2].to_vec();
+        // Mid-block cut in the third block: the two below are untouched.
+        s.truncate(r, 37).unwrap();
+        {
+            let run = s.run(r).unwrap();
+            let run = run.lock();
+            assert_eq!(run.closed, blocks_before);
+            assert_eq!(run.len, 37);
+        }
+        s.append(r, &items[37..50]).unwrap();
         assert_eq!(s.read(r, 0, usize::MAX).unwrap(), items[..50].to_vec());
-        // Mid-block truncation, then appends continue compressed.
-        s.truncate(r, 21).unwrap();
-        s.append(r, &items[21..30]).unwrap();
-        assert_eq!(s.read(r, 0, usize::MAX).unwrap(), items[..30].to_vec());
+        // On a block boundary, and back to nothing.
+        s.truncate(r, 32).unwrap();
+        assert_eq!(s.read(r, 0, usize::MAX).unwrap(), items[..32].to_vec());
+        s.truncate(r, 0).unwrap();
+        s.append(r, &items[..3]).unwrap();
+        assert_eq!(s.read(r, 0, usize::MAX).unwrap(), items[..3].to_vec());
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Append(Vec<IndexEntry>),
+        Force,
+        Truncate(usize),
+        Crash,
+        Read(usize, usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Keys over a three-letter alphabet: neighbours share prefixes
+        // of every length, the empty one included.
+        let item = (
+            prop::collection::vec(0u8..3, 0..24),
+            any::<u32>(),
+            any::<u16>(),
+        )
+            .prop_map(|(k, page, slot)| IndexEntry::new(KeyValue(k), Rid::new(page, slot)));
+        prop_oneof![
+            4 => prop::collection::vec(item, 0..40).prop_map(Op::Append),
+            1 => Just(Op::Force),
+            1 => (0usize..200).prop_map(Op::Truncate),
+            1 => Just(Op::Crash),
+            2 => (0usize..220, 0usize..50).prop_map(|(o, c)| Op::Read(o, c)),
+        ]
+    }
+
+    proptest! {
+        /// Appends in random chunks, forces, truncates, crashes and
+        /// reads from any offset match a `Vec` and its forced length.
+        #[test]
+        fn run_matches_a_vec_model(ops in prop::collection::vec(op(), 1..60)) {
+            let s: RunStore<IndexEntry> = RunStore::new();
+            let r = s.create_run();
+            let (mut model, mut durable): (Vec<IndexEntry>, usize) = (Vec::new(), 0);
+            for op in ops {
+                match op {
+                    Op::Append(items) => {
+                        s.append(r, &items).unwrap();
+                        model.extend(items);
+                    }
+                    Op::Force => {
+                        s.force_run(r).unwrap();
+                        durable = model.len();
+                    }
+                    Op::Truncate(len) => {
+                        s.truncate(r, len as u64).unwrap();
+                        model.truncate(len);
+                        durable = durable.min(len);
+                    }
+                    Op::Crash => {
+                        s.crash();
+                        model.truncate(durable);
+                    }
+                    Op::Read(offset, count) => {
+                        let start = offset.min(model.len());
+                        let end = (offset + count).clamp(start, model.len());
+                        let got = s.read(r, offset as u64, count).unwrap();
+                        prop_assert_eq!(got, model[start..end].to_vec());
+                    }
+                }
+                prop_assert_eq!(s.len(r).unwrap(), model.len() as u64);
+                prop_assert_eq!(s.read(r, 0, usize::MAX).unwrap(), model.clone());
+            }
+        }
     }
 }

@@ -54,7 +54,10 @@ pub const PROTO_MAJOR: u16 = 1;
 /// statement-level argument rejection. Tag 19 is the only encoding
 /// this build sends. Tag 10, the same body without the options, is
 /// what a peer older than minor 3 sends; it is still read, as a
-/// `CreateIndex` with default options, and never written.
+/// `CreateIndex` with default options, and never written. Since every
+/// sorted run is stored compressed, the run-compression bit is still
+/// read and written but ignored: the bytes did not change, so the
+/// minor did not either.
 ///
 /// 4 added [`ErrorCode::LogTruncated`]: a `SubscribeWal` that starts
 /// below the primary's first retained LSN ends with it, and a follower
@@ -164,7 +167,9 @@ pub struct BuildOptionsWire {
     /// Scan/sort worker threads (0 is rejected engine-side; encode
     /// what the user asked for).
     pub parallel_workers: u16,
-    /// Prefix-compress spilled sort runs.
+    /// Ignored: every sorted run is stored prefix-compressed. Kept so
+    /// the body's bytes stay as peers and durable options blobs have
+    /// them.
     pub compress_runs: bool,
     /// Override the engine's sorted side-file drain default
     /// (`None` = use the server's configured default).
