@@ -29,7 +29,7 @@ const ROW: [u8; 34] = [7; 34];
 const FILL_ROWS: usize = 20_000;
 const PAGES: usize = 200;
 
-fn setup(indexes: usize) -> Arc<Db> {
+fn setup(indexes: u16) -> Arc<Db> {
     let (db, _) = seed_table(bench_config(), 5_000, 3);
     if indexes > 0 {
         let specs: Vec<IndexSpec> = (0..indexes)
@@ -53,7 +53,7 @@ fn setup(indexes: usize) -> Arc<Db> {
 
 fn bench_inserts(c: &mut Criterion) {
     let mut group = c.benchmark_group("insert_record");
-    for indexes in [0usize, 1, 3] {
+    for indexes in [0u16, 1, 3] {
         let db = setup(indexes);
         let mut k = 50_000_000i64;
         group.bench_with_input(

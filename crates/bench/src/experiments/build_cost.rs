@@ -166,7 +166,7 @@ pub fn e12_multi_index(quick: bool) -> Vec<Table> {
         "E12: one scan for k indexes (§6.2)",
         &["k", "strategy", "data pages read", "pages/index"],
     );
-    for k in [1usize, 2, 4] {
+    for k in [1u16, 2, 4] {
         let specs: Vec<IndexSpec> = (0..k)
             .map(|i| IndexSpec {
                 name: format!("m{i}"),

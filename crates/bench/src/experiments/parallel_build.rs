@@ -51,7 +51,7 @@ pub fn e23_parallel_build(quick: bool) -> Vec<Table> {
         ],
     );
     let mut base = None;
-    for workers in [1usize, 2, 4] {
+    for workers in [1u16, 2, 4] {
         let opts = BuildOptions::new().workers(workers);
         let (took, raw, stored) = one_build(n, &[spec("e23")], &opts);
         let base = *base.get_or_insert(took);

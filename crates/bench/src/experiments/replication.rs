@@ -26,7 +26,7 @@ use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
 use mohan_replica::{FollowerReader, Replica};
 use mohan_server::{PromoteHook, Promotion, Server, ServerConfig};
-use mohan_wire::message::{BuildAlgo, IndexSpecWire, Request, Response, Role};
+use mohan_wire::message::{BuildAlgorithm, IndexSpec, Request, Response, Role};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -167,8 +167,8 @@ pub fn e18_replication(quick: bool) -> Vec<Table> {
                 let ids = loop {
                     match c.create_index(
                         TABLE,
-                        BuildAlgo::Sf,
-                        vec![IndexSpecWire {
+                        BuildAlgorithm::Sf,
+                        vec![IndexSpec {
                             name: "e18_sf".into(),
                             key_cols: vec![0],
                             unique: false,

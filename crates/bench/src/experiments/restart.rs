@@ -7,7 +7,7 @@ use super::spec;
 use crate::report::{f2, ms, Table};
 use crate::workload::{bench_config, seed_table, TABLE};
 use mohan_common::{IndexEntry, Rid};
-use mohan_oib::build::{build_index, resume_build};
+use mohan_oib::build::{build_index, build_indexes, resume_build, BuildOptions};
 use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::schema::BuildAlgorithm;
 use mohan_oib::verify::verify_index;
@@ -165,7 +165,7 @@ pub fn e8_restartable_merge(quick: bool) -> Vec<Table> {
 /// interval (§2.2.3, §3.2.4).
 pub fn e9_ib_restart(quick: bool) -> Vec<Table> {
     let n: i64 = if quick { 5_000 } else { 20_000 };
-    let intervals: &[usize] = if quick {
+    let intervals: &[u32] = if quick {
         &[500, 2_000]
     } else {
         &[1_000, 4_000, 16_000]
@@ -182,15 +182,15 @@ pub fn e9_ib_restart(quick: bool) -> Vec<Table> {
     );
     for algo in [BuildAlgorithm::Nsf, BuildAlgorithm::Sf] {
         for &interval in intervals {
-            let mut cfg = bench_config();
-            cfg.ib_checkpoint_every_keys = interval;
-            let (db, _) = seed_table(cfg, n, 99);
+            let (db, _) = seed_table(bench_config(), n, 99);
             let site = match algo {
                 BuildAlgorithm::Nsf => "nsf.insert.key",
                 _ => "sf.load.key",
             };
             db.failpoints.arm_after(site, (n / 2) as u64);
-            let err = build_index(&db, TABLE, spec("e9"), algo).expect_err("armed crash");
+            let options = BuildOptions::new().checkpoint_every(interval);
+            let err =
+                build_indexes(&db, TABLE, &[spec("e9")], algo, &options).expect_err("armed crash");
             assert!(err.is_crash());
             db.simulate_crash();
             db.restart().expect("restart");
@@ -238,7 +238,7 @@ fn e9_pages_forced() -> Table {
         ],
     );
     let cfg = bench_config();
-    let interval = cfg.ib_checkpoint_every_keys as i64;
+    let interval = cfg.build_checkpoint_every_keys as i64;
     for rows in [100_000, 300_000, 500_000].map(scaled) {
         let (db, _) = seed_table(cfg.clone(), rows, 99);
         for algo in [BuildAlgorithm::Nsf, BuildAlgorithm::Sf] {

@@ -4,7 +4,7 @@
 use super::spec;
 use crate::report::{f2, ms, Table};
 use crate::workload::{bench_config, seed_table, start_churn, ChurnConfig, TABLE};
-use mohan_oib::build::build_index;
+use mohan_oib::build::{build_index, build_indexes, BuildOptions};
 use mohan_oib::schema::BuildAlgorithm;
 use mohan_oib::verify::verify_index;
 use std::time::Instant;
@@ -27,9 +27,7 @@ pub fn e11_drain(quick: bool) -> Vec<Table> {
     );
     for &upd in threads {
         for sorted in [true, false] {
-            let mut cfg = bench_config();
-            cfg.side_file_sorted_apply = sorted;
-            let (db, rids) = seed_table(cfg, n, 110);
+            let (db, rids) = seed_table(bench_config(), n, 110);
             let churn = start_churn(
                 &db,
                 &rids,
@@ -42,7 +40,9 @@ pub fn e11_drain(quick: bool) -> Vec<Table> {
             // side-file actually sees traffic.
             std::thread::sleep(std::time::Duration::from_millis(40));
             let started = Instant::now();
-            let idx = build_index(&db, TABLE, spec("e11"), BuildAlgorithm::Sf).expect("build");
+            let options = BuildOptions::new().sorted_drain(sorted);
+            let idx = build_indexes(&db, TABLE, &[spec("e11")], BuildAlgorithm::Sf, &options)
+                .expect("build")[0];
             let wall = started.elapsed();
             churn.stop();
             verify_index(&db, idx).expect("verify");

@@ -23,9 +23,7 @@ pub fn bench_config() -> EngineConfig {
     EngineConfig {
         data_page_size: 4096,
         index_page_size: 2048,
-        sort_checkpoint_every_keys: 5_000,
-        merge_checkpoint_every_keys: 5_000,
-        ib_checkpoint_every_keys: 5_000,
+        build_checkpoint_every_keys: 5_000,
         sort_workspace_keys: 1024,
         merge_fan_in: 8,
         lock_timeout_ms: 10_000,

@@ -15,11 +15,12 @@
 
 #![warn(missing_docs)]
 
-use mohan_common::{IndexId, KeyValue, Rid, TableId, TxId};
+use mohan_common::{
+    BuildAlgorithm, BuildOptions, IndexId, IndexSpec, KeyValue, Rid, TableId, TxId,
+};
 use mohan_wire::frame::{read_frame, write_frame};
 use mohan_wire::message::{
-    proto_version, BuildAlgo, BuildOptionsWire, BuildPhase, HistogramSummaryWire, IndexSpecWire,
-    Request, Response, Role,
+    proto_version, BuildPhase, HistogramSummaryWire, Request, Response, Role,
 };
 use parking_lot::Mutex;
 use std::io::{self, BufWriter, Write};
@@ -472,22 +473,22 @@ impl Client {
     pub fn create_index(
         &mut self,
         table: TableId,
-        algo: BuildAlgo,
-        specs: Vec<IndexSpecWire>,
+        algo: BuildAlgorithm,
+        specs: Vec<IndexSpec>,
         on_progress: impl FnMut(IndexId, BuildPhase, u64),
     ) -> ClientResult<Vec<IndexId>> {
-        self.create_index_with(table, algo, specs, BuildOptionsWire::default(), on_progress)
+        self.create_index_with(table, algo, specs, BuildOptions::default(), on_progress)
     }
 
-    /// [`Client::create_index`] with build tuning options (worker
-    /// count, run compression, drain policy, checkpoint interval).
+    /// [`Client::create_index`] with build options (worker count,
+    /// drain policy, checkpoint interval).
     /// Same exchange and connection-occupancy semantics.
     pub fn create_index_with(
         &mut self,
         table: TableId,
-        algo: BuildAlgo,
-        specs: Vec<IndexSpecWire>,
-        options: BuildOptionsWire,
+        algo: BuildAlgorithm,
+        specs: Vec<IndexSpec>,
+        options: BuildOptions,
         mut on_progress: impl FnMut(IndexId, BuildPhase, u64),
     ) -> ClientResult<Vec<IndexId>> {
         self.send(&Request::CreateIndex {

@@ -399,6 +399,7 @@ macro_rules! wire_enum {
             /// Is `tag` some row's tag byte?
             #[must_use]
             #[inline]
+            #[allow(clippy::manual_range_patterns)] // tags are listed, not ranged
             pub fn has_tag(tag: u8) -> bool {
                 matches!(tag, $($tag)|+)
             }
@@ -414,7 +415,7 @@ macro_rules! wire_enum {
 
             /// Append this variant's fields, without its tag byte.
             #[inline]
-            #[allow(clippy::ptr_arg)] // a table of unit rows writes nothing
+            #[allow(clippy::ptr_arg, unused_variables)] // a table of unit rows writes nothing
             pub fn put_fields(&self, out: &mut Vec<u8>) {
                 match self {
                     $($name::$variant $({ $($field),+ })? => {
@@ -426,6 +427,7 @@ macro_rules! wire_enum {
             /// Read the fields of the row tagged `tag`; `None` for an
             /// unknown tag or malformed fields.
             #[inline]
+            #[allow(unused_variables)] // nor reads anything
             pub fn get_fields(tag: u8, c: &mut $crate::codec::Cursor<'_>) -> Option<Self> {
                 Some(match tag {
                     $($tag => $name::$variant $({

@@ -5,9 +5,9 @@
 //! byte codec for everything persisted or shipped ([`codec`]), the
 //! error type ([`error`]), deterministic crash injection
 //! ([`failpoint`]), lightweight atomic counters ([`stats`]), engine
-//! configuration ([`config`]), the index builder's pace points
-//! ([`pace`]) and the read-side API surface shared by sessions, wire
-//! clients and follower reads ([`api`]).
+//! configuration and the build vocabulary ([`config`]), the index
+//! builder's pace points ([`pace`]) and the read-side API surface
+//! shared by sessions, wire clients and follower reads ([`api`]).
 //!
 //! The vocabulary follows Mohan & Narang (SIGMOD 1992): records live on
 //! *data pages* and are addressed by a [`ids::Rid`]; index entries are
@@ -27,7 +27,7 @@ pub mod pace;
 pub mod stats;
 
 pub use api::ReadApi;
-pub use config::{EngineConfig, IoBackendChoice};
+pub use config::{BuildAlgorithm, BuildOptions, EngineConfig, IndexSpec, IoBackendChoice};
 pub use error::{Error, Result};
 pub use ids::{FileId, IndexId, Lsn, PageId, Rid, SlotId, TableId, TxId, WriteAhead};
 pub use key::{IndexEntry, KeyValue};

@@ -8,9 +8,7 @@ use crate::runtime::{IndexRuntime, IndexState};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
 use mohan_btree::{BulkLoader, InsertMode, InsertOutcome};
 use mohan_common::pace::{pace, Ticker, KEYS_PER_PACE, OPS_PER_PACE};
-use mohan_common::{
-    EngineConfig, Error, IndexEntry, IndexId, Lsn, PageId, Result, Rid, SlotId, TableId, TxId,
-};
+use mohan_common::{Error, IndexEntry, IndexId, Lsn, PageId, Result, Rid, SlotId, TableId, TxId};
 use mohan_lock::{LockMode, LockName};
 use mohan_sort::{
     ExternalSort, Merge, MergeCheckpoint, MergePassCheckpoint, RunFormation, SortCheckpoint,
@@ -84,113 +82,7 @@ pub(crate) fn force_index_pages<R>(
     Ok(out)
 }
 
-/// What the caller wants indexed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexSpec {
-    /// Index name.
-    pub name: String,
-    /// Key columns, in order.
-    pub key_cols: Vec<usize>,
-    /// Enforce key-value uniqueness.
-    pub unique: bool,
-}
-
-/// How a build runs. One configuration type shared by every layer:
-/// the engine API ([`build_indexes`] /
-/// [`crate::Session::create_indexes`]), the wire protocol
-/// (`Request::CreateIndex`), the native client, and SQL
-/// `CREATE INDEX ... WITH (...)`.
-///
-/// The durable per-build options blob (`build/{id}/options`) records
-/// the options a build started with, so a post-crash
-/// [`resume_build`] keeps the same worker layout and intervals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuildOptions {
-    /// Worker threads for the scan + run-formation phase (≥ 1). The
-    /// scan range is split into one contiguous page partition per
-    /// worker; each partition checkpoints independently.
-    pub parallel_workers: usize,
-    /// Per-build override of [`EngineConfig::side_file_sorted_apply`]
-    /// (`None` keeps the engine default).
-    pub sort_side_file_drain: Option<bool>,
-    /// Per-build override of every checkpoint interval — sort, merge
-    /// and insert/load keys between checkpoints (`None` keeps the
-    /// engine defaults).
-    pub checkpoint_every: Option<usize>,
-}
-
-impl Default for BuildOptions {
-    fn default() -> BuildOptions {
-        BuildOptions {
-            parallel_workers: 1,
-            sort_side_file_drain: None,
-            checkpoint_every: None,
-        }
-    }
-}
-
-impl BuildOptions {
-    /// Engine defaults: serial, config-driven intervals.
-    #[must_use]
-    pub fn new() -> BuildOptions {
-        BuildOptions::default()
-    }
-
-    /// Set the scan/sort worker count (clamped to at least 1).
-    #[must_use]
-    pub fn workers(mut self, n: usize) -> BuildOptions {
-        self.parallel_workers = n.max(1);
-        self
-    }
-
-    /// Override the sorted side-file drain pass.
-    #[must_use]
-    pub fn sorted_drain(mut self, on: bool) -> BuildOptions {
-        self.sort_side_file_drain = Some(on);
-        self
-    }
-
-    /// Override every checkpoint interval of the build.
-    #[must_use]
-    pub fn checkpoint_every(mut self, keys: usize) -> BuildOptions {
-        self.checkpoint_every = Some(keys);
-        self
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.parallel_workers == 0 {
-            return Err(Error::InvalidArg(
-                "parallel_workers must be at least 1".into(),
-            ));
-        }
-        if self.checkpoint_every == Some(0) {
-            return Err(Error::InvalidArg(
-                "checkpoint_every must be at least 1".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn sort_checkpoint_keys(&self, cfg: &EngineConfig) -> usize {
-        self.checkpoint_every
-            .unwrap_or(cfg.sort_checkpoint_every_keys)
-    }
-
-    pub(crate) fn merge_checkpoint_keys(&self, cfg: &EngineConfig) -> usize {
-        self.checkpoint_every
-            .unwrap_or(cfg.merge_checkpoint_every_keys)
-    }
-
-    pub(crate) fn ib_checkpoint_keys(&self, cfg: &EngineConfig) -> usize {
-        self.checkpoint_every
-            .unwrap_or(cfg.ib_checkpoint_every_keys)
-    }
-
-    pub(crate) fn sorted_apply(&self, cfg: &EngineConfig) -> bool {
-        self.sort_side_file_drain
-            .unwrap_or(cfg.side_file_sorted_apply)
-    }
-}
+pub use mohan_common::config::{BuildOptions, IndexSpec, MAX_BUILD_WORKERS};
 
 /// Build one index with the default [`BuildOptions`].
 pub fn build_index(
@@ -217,7 +109,7 @@ pub fn build_indexes(
     algorithm: BuildAlgorithm,
     options: &BuildOptions,
 ) -> Result<Vec<IndexId>> {
-    let (specs, options) = (specs.to_vec(), options.clone());
+    let (specs, options) = (specs.to_vec(), *options);
     db.on_build_worker(move |db| build_now(db, table, &specs, algorithm, &options, |_| {}))
 }
 
@@ -257,7 +149,7 @@ fn build_now(
     }
     options.validate()?;
     db.build_sort_workers
-        .observe(options.parallel_workers as u64);
+        .observe(u64::from(options.parallel_workers));
     match algorithm {
         BuildAlgorithm::Offline => offline_build(db, table, specs, options, on_ids),
         BuildAlgorithm::Nsf | BuildAlgorithm::Sf => {
@@ -552,7 +444,7 @@ fn parallel_scan_and_sort(
     let _phase = PhaseTimer::new(db, "scan");
     let table = db.table(idxs[0].def.table)?;
     let ws = db.cfg.sort_workspace_keys;
-    let cp_every = opts.sort_checkpoint_keys(&db.cfg);
+    let cp_every = opts.checkpoint_keys(&db.cfg);
     let scan_end = idxs[0].scan_end();
     let empty = scan_end == PageId(u32::MAX) || table.num_pages() == 0;
 
@@ -566,7 +458,7 @@ fn parallel_scan_and_sort(
         None if empty => vec![(0, 0)],
         None => {
             let pages = u64::from(scan_end.0) + 1;
-            let w = (opts.parallel_workers as u64).min(pages).max(1);
+            let w = u64::from(opts.parallel_workers).min(pages).max(1);
             let chunk = pages / w;
             let rem = pages % w;
             let mut out = Vec::with_capacity(w as usize);
@@ -742,7 +634,7 @@ pub(crate) fn reduce_phase(
         store: Arc::clone(&idx.sort_store),
         workspace: db.cfg.sort_workspace_keys,
         fan_in: db.cfg.merge_fan_in,
-        checkpoint_every: opts.merge_checkpoint_keys(&db.cfg),
+        checkpoint_every: opts.checkpoint_keys(&db.cfg),
     };
     let id = idx.def.id;
     let mut persist = |cp: &MergePassCheckpoint| -> Result<()> {
@@ -810,7 +702,7 @@ fn nsf_insert_phase(
     opts: &BuildOptions,
 ) -> Result<()> {
     let _phase = PhaseTimer::new(db, "insert");
-    let cp_every = opts.ib_checkpoint_keys(&db.cfg);
+    let cp_every = opts.checkpoint_keys(&db.cfg);
     let mut merge = Merge::resume(&idx.sort_store, &merge_cp)?;
     let mut ib = db.begin_ib();
     let mut batch: Vec<IndexEntry> = Vec::with_capacity(db.cfg.ib_multi_key_batch);
@@ -999,7 +891,7 @@ fn load_phase(
     opts: &BuildOptions,
 ) -> Result<()> {
     let _phase = PhaseTimer::new(db, "load");
-    let cp_keys = opts.ib_checkpoint_keys(&db.cfg);
+    let cp_keys = opts.checkpoint_keys(&db.cfg);
     let mut merge = Merge::resume(&idx.sort_store, &merge_cp)?;
     let mut loader = match &bulk_cp {
         Some(cp) => BulkLoader::resume(&idx.tree, cp)?,
@@ -1150,7 +1042,7 @@ fn sf_drain_phase(
         // access, preserving the relative order of identical keys
         // (§3.2.5). Applied as one atomic IB transaction; a crash
         // repeats the pass.
-        if opts.sorted_apply(&db.cfg) {
+        if opts.drains_sorted() {
             let snapshot = idx.side_file.len();
             if snapshot > pos {
                 let mut ops = idx.side_file.read(pos, (snapshot - pos) as usize);

@@ -534,7 +534,10 @@ impl Db {
                 IndexState::SfBuilding => {
                     let kc = idx.key_cursor.as_ref().expect("checked");
                     let pk = mohan_common::KeyValue::from_i64s(
-                        &kc.pk_cols.iter().map(|&c| rec.0[c]).collect::<Vec<_>>(),
+                        &kc.pk_cols
+                            .iter()
+                            .map(|&c| rec.0[usize::from(c)])
+                            .collect::<Vec<_>>(),
                     );
                     if idx.sf_visible(rid, Some(&pk)) {
                         let entry = idx.def.entry_of(rec, rid)?;

@@ -788,7 +788,10 @@ impl Db {
                     let pk = idx.key_cursor.as_ref().and_then(|kc| {
                         Record::decode(data).ok().map(|r| {
                             mohan_common::KeyValue::from_i64s(
-                                &kc.pk_cols.iter().map(|&c| r.0[c]).collect::<Vec<_>>(),
+                                &kc.pk_cols
+                                    .iter()
+                                    .map(|&c| r.0[usize::from(c)])
+                                    .collect::<Vec<_>>(),
                             )
                         })
                     });
@@ -821,7 +824,10 @@ impl Db {
                     let pk = idx.key_cursor.as_ref().and_then(|kc| {
                         Record::decode(data).ok().map(|r| {
                             mohan_common::KeyValue::from_i64s(
-                                &kc.pk_cols.iter().map(|&c| r.0[c]).collect::<Vec<_>>(),
+                                &kc.pk_cols
+                                    .iter()
+                                    .map(|&c| r.0[usize::from(c)])
+                                    .collect::<Vec<_>>(),
                             )
                         })
                     });

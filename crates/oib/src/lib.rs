@@ -44,7 +44,6 @@
 
 pub mod build;
 pub mod checkpointer;
-pub mod convert;
 pub mod dml;
 pub mod engine;
 pub mod gc;

@@ -11,9 +11,10 @@ use crate::build::BuildOptions;
 use crate::engine::Db;
 use mohan_btree::BulkCheckpoint;
 use mohan_common::codec::{encode, framed, Cursor, Wire};
+use mohan_common::config::MAX_BUILD_WORKERS;
 use mohan_common::{wire_enum, wire_struct, Error, IndexEntry, IndexId, Result};
 use mohan_sort::{MergeCheckpoint, MergePassCheckpoint, SortCheckpoint};
-use mohan_wire::message::BuildOptionsWire;
+use mohan_wire::message::BuildPhase;
 
 /// One scan partition's restart point in a parallel build: the page
 /// range the worker owns plus its own §5.1 sort checkpoint. Each
@@ -76,6 +77,23 @@ impl BuildProgress {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         encode(self)
+    }
+
+    /// The phase this record stands for, as a progress frame names it,
+    /// and how far into it the build is: the scan partitions' combined
+    /// position, keys merged, inserted or drained (0 while reducing).
+    #[must_use]
+    pub fn phase(&self) -> (BuildPhase, u64) {
+        match self {
+            BuildProgress::ScanningParallel { parts } => (
+                BuildPhase::Scanning,
+                parts.iter().map(|p| p.sort.scan_pos).sum(),
+            ),
+            BuildProgress::Reducing { .. } => (BuildPhase::Reducing, 0),
+            BuildProgress::Loading { merge, .. } => (BuildPhase::Loading, merge.emitted),
+            BuildProgress::Inserting { inserted, .. } => (BuildPhase::Inserting, *inserted),
+            BuildProgress::Draining { pos } => (BuildPhase::Draining, *pos),
+        }
     }
 
     /// Deserialize exactly one record; `None` means malformed.
@@ -152,11 +170,10 @@ pub(crate) fn clear_orphans(db: &Db) {
 }
 
 /// Durably record the build's [`BuildOptions`], so a resumed build
-/// keeps the worker count, drain and interval overrides it
-/// started with. The blob is their wire form, [`BuildOptionsWire`].
+/// keeps the worker count, drain policy and interval it started with.
+/// The blob is the options' bytes as `CreateIndex` carries them.
 pub fn store_options(db: &Db, id: IndexId, options: &BuildOptions) {
-    let blob = BuildOptionsWire::from(options.clone()).encode();
-    db.blobs.put(&options_key(id), blob);
+    db.blobs.put(&options_key(id), options.encode());
 }
 
 /// The options a build was started with ([`BuildOptions::default`]
@@ -165,10 +182,11 @@ pub fn load_options(db: &Db, id: IndexId) -> BuildOptions {
     let mut options = db
         .blobs
         .get(&options_key(id))
-        .and_then(|b| BuildOptionsWire::decode(&b))
-        .map_or_else(BuildOptions::default, BuildOptions::from);
-    // A build never starts with zero workers; never resume with them.
-    options.parallel_workers = options.parallel_workers.max(1);
+        .and_then(|b| BuildOptions::decode(&b))
+        .unwrap_or_default();
+    // A record from before the worker bound, or a damaged one: resume
+    // with a worker count a build may start with.
+    options.parallel_workers = options.parallel_workers.clamp(1, MAX_BUILD_WORKERS);
     options
 }
 
@@ -242,6 +260,19 @@ mod tests {
                 ],
             },
         ];
+        // A progress frame's phase and detail: keys merged, inserted
+        // or drained, the partitions' scan positions summed.
+        let phases: Vec<_> = cases.iter().map(BuildProgress::phase).collect();
+        assert_eq!(
+            phases,
+            [
+                (BuildPhase::Reducing, 0),
+                (BuildPhase::Loading, 2),
+                (BuildPhase::Inserting, 123),
+                (BuildPhase::Draining, 77),
+                (BuildPhase::Scanning, 41),
+            ]
+        );
         for c in cases {
             assert_eq!(BuildProgress::decode(&c.encode()), Some(c));
         }

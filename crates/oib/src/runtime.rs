@@ -51,7 +51,7 @@ const CURRENT_NONE: u64 = 0;
 pub struct KeyCursor {
     /// Column positions of the clustering (primary) key in the
     /// record, used to derive the visibility probe.
-    pub pk_cols: Vec<usize>,
+    pub pk_cols: Vec<u16>,
     current: Mutex<Option<KeyValue>>,
     done: AtomicU8,
 }
@@ -59,7 +59,7 @@ pub struct KeyCursor {
 impl KeyCursor {
     /// Fresh cursor deriving the visibility probe from `pk_cols`.
     #[must_use]
-    pub fn for_pk_cols(pk_cols: Vec<usize>) -> KeyCursor {
+    pub fn for_pk_cols(pk_cols: Vec<u16>) -> KeyCursor {
         KeyCursor {
             pk_cols,
             ..KeyCursor::default()

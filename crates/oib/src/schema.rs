@@ -5,10 +5,8 @@
 //! (§1.1: "key value is the concatenation of the values of the columns
 //! (fields) of the table over which the index is defined").
 
-use mohan_common::codec::{decode, get_items, Cursor, Wire};
-use mohan_common::{
-    wire_enum, wire_struct, Error, IndexEntry, IndexId, KeyValue, Result, Rid, TableId,
-};
+use mohan_common::codec::{decode, Cursor, Wire};
+use mohan_common::{wire_struct, Error, IndexEntry, IndexId, KeyValue, Result, Rid, TableId};
 
 /// A table row: a fixed tuple of integer columns. Stored as its
 /// codec encoding, `[u16 n][n × i64]`.
@@ -39,21 +37,7 @@ impl Record {
     }
 }
 
-wire_enum! {
-    /// Which build algorithm an index was (or is being) created with.
-    /// The tag byte is the catalog's.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum BuildAlgorithm {
-        /// The pre-paper baseline: quiesce all updates for the whole build.
-        Offline = 0,
-        /// §2: no side-file; transactions maintain the index directly
-        /// while the IB inserts into the same tree.
-        Nsf = 1,
-        /// §3: bottom-up build plus a side-file drained at the end; no
-        /// quiesce at any point.
-        Sf = 2,
-    }
-}
+pub use mohan_common::config::BuildAlgorithm;
 
 /// Definition of an index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +51,7 @@ pub struct IndexDef {
     /// Key-value uniqueness enforced?
     pub unique: bool,
     /// Column positions forming the key, in order.
-    pub key_cols: Vec<usize>,
+    pub key_cols: Vec<u16>,
 }
 
 impl IndexDef {
@@ -77,7 +61,7 @@ impl IndexDef {
         for &c in &self.key_cols {
             let v = rec
                 .0
-                .get(c)
+                .get(usize::from(c))
                 .ok_or_else(|| Error::Corruption(format!("column {c} out of range")))?;
             vals.push(*v);
         }
@@ -95,7 +79,7 @@ impl IndexDef {
     }
 }
 
-wire_struct! { IndexDef { id, table, unique, name as u16_len_str, key_cols as u16_cols } }
+wire_struct! { IndexDef { id, table, unique, name as u16_len_str, key_cols } }
 
 /// `IndexDef.name`: a `u16`-length UTF-8 string.
 mod u16_len_str {
@@ -109,23 +93,6 @@ mod u16_len_str {
     pub(super) fn get(c: &mut Cursor<'_>) -> Option<String> {
         let n = u16::get(c)? as usize;
         String::from_utf8(c.take(n)?.to_vec()).ok()
-    }
-}
-
-/// `IndexDef.key_cols`: a `u16`-counted list of `u16` column positions.
-mod u16_cols {
-    use super::{get_items, Cursor, Wire};
-
-    pub(super) fn put(cols: &[usize], out: &mut Vec<u8>) {
-        (cols.len() as u16).put(out);
-        for &col in cols {
-            (col as u16).put(out);
-        }
-    }
-
-    pub(super) fn get(c: &mut Cursor<'_>) -> Option<Vec<usize>> {
-        let n = u16::get(c)? as usize;
-        get_items(c, n, |c| u16::get(c).map(usize::from))
     }
 }
 
@@ -189,17 +156,5 @@ mod tests {
             key_cols: vec![1, 4],
         };
         assert_eq!(decode(&encode(&def)), Some(def));
-    }
-
-    #[test]
-    fn algorithm_tags_roundtrip() {
-        for a in [
-            BuildAlgorithm::Offline,
-            BuildAlgorithm::Nsf,
-            BuildAlgorithm::Sf,
-        ] {
-            assert_eq!(decode(&[a.tag()]), Some(a));
-        }
-        assert_eq!(decode::<BuildAlgorithm>(&[9]), None);
     }
 }

@@ -5,13 +5,13 @@
 use mohan_btree::{BulkCheckpoint, Node};
 use mohan_common::codec::{encode, Wire};
 use mohan_common::{IndexEntry, IndexId, KeyValue, Lsn, PageId, Rid, TableId, TxId};
+use mohan_oib::build::BuildOptions;
 use mohan_oib::progress::{BuildProgress, PartCheckpoint};
 use mohan_oib::runtime::{Catalog, CatalogEntry, IndexState};
 use mohan_oib::schema::{BuildAlgorithm, IndexDef, Record};
 use mohan_sort::{MergeCheckpoint, MergePassCheckpoint, RunMeta, SortCheckpoint};
 use mohan_storage::SlottedPage;
 use mohan_wal::{LogPayload, LogRecord, RecKind, SideFileOp};
-use mohan_wire::message::BuildOptionsWire;
 use std::fmt::Debug;
 
 /// A blob type under test: it travels on the shared codec and can be
@@ -82,7 +82,7 @@ pub fn heap_pages() -> Vec<SlottedPage> {
     vec![empty, full, reserved, compacted]
 }
 
-fn def(id: u32, name: &str, unique: bool, key_cols: Vec<usize>) -> IndexDef {
+fn def(id: u32, name: &str, unique: bool, key_cols: Vec<u16>) -> IndexDef {
     IndexDef {
         id: IndexId(id),
         name: name.into(),
@@ -226,7 +226,12 @@ pub fn samples(sink: &mut impl Sink) {
         for (j, &state) in states.iter().enumerate() {
             let n = (3 * i + j) as u32;
             entries.push(CatalogEntry {
-                def: def(n + 1, &format!("ix{n}"), n.is_multiple_of(2), vec![j, i]),
+                def: def(
+                    n + 1,
+                    &format!("ix{n}"),
+                    n.is_multiple_of(2),
+                    vec![j as u16, i as u16],
+                ),
                 algorithm,
                 state,
                 scan_end: PageId(if j == 1 { 40 + n } else { u32::MAX }),
@@ -344,10 +349,10 @@ pub fn samples(sink: &mut impl Sink) {
         );
     }
 
-    sink.add("options", &BuildOptionsWire::default());
+    sink.add("options", &BuildOptions::default());
     sink.add(
         "options",
-        &BuildOptionsWire {
+        &BuildOptions {
             parallel_workers: 4,
             compress_runs: true,
             sort_side_file_drain: Some(false),

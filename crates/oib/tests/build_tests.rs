@@ -431,7 +431,7 @@ fn sf_side_file_collects_only_behind_scan_updates() {
     let db = Db::new(EngineConfig {
         // Huge checkpoint interval: the scan runs in one sweep, so we
         // can reason about cursor positions.
-        sort_checkpoint_every_keys: usize::MAX,
+        build_checkpoint_every_keys: usize::MAX,
         ..EngineConfig::small()
     });
     db.create_table(T);

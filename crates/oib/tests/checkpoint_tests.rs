@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 const T: TableId = TableId(1);
 const ROWS: i64 = 40_000;
-const CHECKPOINT_EVERY: usize = 5_000;
+const CHECKPOINT_EVERY: u32 = 5_000;
 /// The build dies at its sixth insert/load checkpoint.
 const CHECKPOINTS: u64 = 6;
 const WRITERS: i64 = 2;

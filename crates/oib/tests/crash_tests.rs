@@ -311,7 +311,7 @@ fn checkpoint_interval_bounds_rescan_work() {
     // Quantitative restartability: with frequent checkpoints, the
     // resumed scan re-reads only the tail of the table.
     let db = Db::new(EngineConfig {
-        sort_checkpoint_every_keys: 50,
+        build_checkpoint_every_keys: 50,
         ..EngineConfig::small()
     });
     db.create_table(T);
@@ -345,7 +345,7 @@ fn loser_ib_transaction_is_undone_at_restart() {
     // undo them (IndexBulkRemove CLRs), and the resume re-inserts the
     // tail.
     let db = Db::new(EngineConfig {
-        ib_checkpoint_every_keys: 100,
+        build_checkpoint_every_keys: 100,
         lock_timeout_ms: 5_000,
         ..EngineConfig::small()
     });

@@ -142,7 +142,7 @@ fn nsf_no_quiesce_with_churn_is_exact() {
 fn gradual_reads_serve_the_committed_prefix() {
     let db = Db::new(EngineConfig {
         nsf_gradual_reads: true,
-        ib_checkpoint_every_keys: 100,
+        build_checkpoint_every_keys: 100,
         lock_timeout_ms: 5_000,
         ..EngineConfig::small()
     });

@@ -5,7 +5,7 @@
 
 use mohan_btree::scan::collect_all;
 use mohan_common::{EngineConfig, Error, IndexId, Rid, TableId};
-use mohan_oib::build::{build_indexes, resume_build, BuildOptions, IndexSpec};
+use mohan_oib::build::{build_indexes, resume_build, BuildOptions, IndexSpec, MAX_BUILD_WORKERS};
 use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
@@ -348,6 +348,49 @@ fn invalid_build_arguments_are_statement_errors() {
     assert!(matches!(err, Error::InvalidArg(_)), "{err}");
     // Nothing half-registered after a refused statement.
     assert!(db.indexes_of(T).is_empty());
+}
+
+#[test]
+fn worker_count_beyond_the_bound_is_refused() {
+    let db = db();
+    seed(&db, 10);
+    let too_many = BuildOptions::new().workers(MAX_BUILD_WORKERS + 1);
+    for algorithm in [
+        BuildAlgorithm::Offline,
+        BuildAlgorithm::Nsf,
+        BuildAlgorithm::Sf,
+    ] {
+        let err = build_indexes(&db, T, &[spec("wide")], algorithm, &too_many).unwrap_err();
+        assert!(matches!(err, Error::InvalidArg(_)), "{algorithm:?}: {err}");
+        assert!(db.indexes_of(T).is_empty(), "{algorithm:?}");
+    }
+    assert_eq!(db.build_sort_workers.get(), 0, "no scan worker started");
+}
+
+/// A zero `checkpoint_every` is the engine's interval, in every phase:
+/// the build checkpoints exactly as often as one that names it.
+#[test]
+fn zero_checkpoint_every_builds_at_the_engine_interval() {
+    let checkpoints = |options: BuildOptions| {
+        let db = Db::new(EngineConfig {
+            build_checkpoint_every_keys: 40,
+            ..EngineConfig::small()
+        });
+        db.create_table(T);
+        seed(&db, 400);
+        let forced = || db.obs.histogram("build.checkpoint_us").count();
+        let before = forced();
+        let id = build_indexes(&db, T, &[spec("every")], BuildAlgorithm::Nsf, &options).unwrap()[0];
+        verify_index(&db, id).unwrap();
+        forced() - before
+    };
+    let zero = checkpoints(BuildOptions {
+        checkpoint_every: 0,
+        ..BuildOptions::default()
+    });
+    assert_eq!(zero, checkpoints(BuildOptions::new().checkpoint_every(40)));
+    assert!(zero >= 400 / 40, "{zero} IB checkpoints for 400 keys");
+    assert!(zero > checkpoints(BuildOptions::new().checkpoint_every(400)));
 }
 
 #[test]

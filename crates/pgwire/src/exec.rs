@@ -138,45 +138,60 @@ pub enum StmtOutcome {
 }
 
 /// Validate a `WITH (key = value, ...)` clause into [`BuildOptions`].
-/// Unknown keys and malformed values are statement errors (SQLSTATE
-/// `22023`, invalid_parameter_value), named specifically so the user
-/// can fix the statement.
+/// Unknown keys, malformed values, values the option's field cannot
+/// hold and options [`BuildOptions::validate`] refuses are statement
+/// errors (SQLSTATE `22023`, invalid_parameter_value), named
+/// specifically so the user can fix the statement.
 fn parse_build_options(with_options: &[(String, String)]) -> Result<BuildOptions, PgError> {
-    let invalid = |msg: String| PgError {
-        sqlstate: "22023",
-        message: msg,
-    };
-    let as_bool = |key: &str, val: &str| match val {
-        "on" | "true" | "yes" | "1" => Ok(true),
-        "off" | "false" | "no" | "0" => Ok(false),
-        _ => Err(invalid(format!(
-            "invalid value \"{val}\" for option \"{key}\" (expected on/off)"
-        ))),
-    };
-    let as_count = |key: &str, val: &str| {
-        val.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-            invalid(format!(
-                "invalid value \"{val}\" for option \"{key}\" (expected a positive integer)"
-            ))
-        })
-    };
     let mut opts = BuildOptions::default();
     for (key, val) in with_options {
         match key.as_str() {
-            "parallel_workers" => opts.parallel_workers = as_count(key, val)?,
+            "parallel_workers" => opts.parallel_workers = as_uint(key, val, u16::MAX)?,
             // Every run is stored compressed: the key is checked, then ignored.
             "compress_runs" => drop(as_bool(key, val)?),
             "sorted_drain" => opts.sort_side_file_drain = Some(as_bool(key, val)?),
-            "checkpoint_every" => opts.checkpoint_every = Some(as_count(key, val)?),
+            "checkpoint_every" => opts.checkpoint_every = as_uint(key, val, u32::MAX)?,
             other => {
-                return Err(invalid(format!(
+                return Err(invalid_option(format!(
                     "unknown index build option \"{other}\" (parallel_workers | \
                      compress_runs | sorted_drain | checkpoint_every)"
                 )))
             }
         }
     }
+    opts.validate().map_err(|e| PgError::from_engine(&e))?;
     Ok(opts)
+}
+
+fn invalid_option(message: String) -> PgError {
+    PgError {
+        sqlstate: "22023",
+        message,
+    }
+}
+
+fn as_bool(key: &str, val: &str) -> Result<bool, PgError> {
+    match val {
+        "on" | "true" | "yes" | "1" => Ok(true),
+        "off" | "false" | "no" | "0" => Ok(false),
+        _ => Err(invalid_option(format!(
+            "invalid value \"{val}\" for option \"{key}\" (expected on/off)"
+        ))),
+    }
+}
+
+/// `val` in the option's own width, up to `max`: a value the field
+/// cannot hold is refused, never clamped.
+fn as_uint<T: std::str::FromStr + std::fmt::Display>(
+    key: &str,
+    val: &str,
+    max: T,
+) -> Result<T, PgError> {
+    val.parse().map_err(|_| {
+        invalid_option(format!(
+            "invalid value \"{val}\" for option \"{key}\" (expected an integer from 0 to {max})"
+        ))
+    })
 }
 
 /// Execute one statement against `session`, appending backend
@@ -302,9 +317,14 @@ pub fn execute_statement(
                     message: format!("index \"{name}\" already exists on \"{table}\""),
                 });
             }
+            // A record has at most `u16::MAX` columns, so a position
+            // past that names no column.
             let key_cols = cols
                 .iter()
-                .map(|c| col_position(&meta, c))
+                .map(|c| {
+                    col_position(&meta, c)
+                        .and_then(|p| u16::try_from(p).map_err(|_| PgError::no_column(c)))
+                })
                 .collect::<Result<Vec<_>, _>>()?;
             let algorithm = match algo.as_deref() {
                 // `btree` is what stock clients say; SF is the paper's
@@ -397,7 +417,10 @@ fn complete_index_on(session: &Session, table: TableId, pos: usize) -> Option<In
         .db()
         .indexes_of(table)
         .iter()
-        .find(|rt| rt.state() == IndexState::Complete && rt.def.key_cols == [pos])
+        .find(|rt| {
+            rt.state() == IndexState::Complete
+                && rt.def.key_cols.iter().map(|&c| usize::from(c)).eq([pos])
+        })
         .map(|rt| rt.def.id)
 }
 
@@ -718,10 +741,50 @@ mod tests {
             let err = execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap_err();
             assert_eq!(err.sqlstate, "22023", "{bad}");
         }
+        // A zero interval is the engine's, as in every layer.
+        let stmt = &parse("CREATE INDEX b5 ON kv (v) WITH (checkpoint_every = 0)").unwrap()[0];
+        match execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap() {
+            StmtOutcome::StartBuild { options, .. } => assert_eq!(options, BuildOptions::default()),
+            StmtOutcome::Complete => panic!("expected a build"),
+        }
         // The engine-level empty-spec rejection maps to 22023 too.
         assert_eq!(
             sqlstate_of(&Error::InvalidArg("no index specs".into())),
             "22023"
         );
+    }
+
+    /// Options are parsed in their field's own width and checked by
+    /// `BuildOptions::validate` before a build starts: a value the
+    /// field cannot hold, or more workers than a build may start, is
+    /// `22023`, never clamped into a build that runs with something
+    /// else (the durable options blob could not record it).
+    #[test]
+    fn create_index_options_beyond_their_widths_or_bounds_refuse() {
+        let (_db, mut session, catalog) = setup();
+        let env = ExecEnv::default();
+        run("CREATE TABLE kv (k, v)", &mut session, &catalog, &env).unwrap();
+        let mut out = Vec::new();
+        for bad in [
+            "CREATE INDEX w1 ON kv (v) WITH (checkpoint_every = 4294967296)",
+            "CREATE INDEX w2 ON kv (v) WITH (parallel_workers = 65536)",
+            "CREATE INDEX w3 ON kv (v) WITH (parallel_workers = 65)",
+        ] {
+            let stmt = &parse(bad).unwrap()[0];
+            let err = execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap_err();
+            assert_eq!(err.sqlstate, "22023", "{bad}: {}", err.message);
+        }
+        let stmt = &parse(
+            "CREATE INDEX ok ON kv (v) WITH \
+             (parallel_workers = 64, checkpoint_every = 4294967295)",
+        )
+        .unwrap()[0];
+        match execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap() {
+            StmtOutcome::StartBuild { options, .. } => assert_eq!(
+                options,
+                BuildOptions::new().workers(64).checkpoint_every(u32::MAX)
+            ),
+            StmtOutcome::Complete => panic!("expected a build"),
+        }
     }
 }

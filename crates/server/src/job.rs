@@ -20,7 +20,7 @@ use crate::{Inner, ServerConfig};
 use mohan_common::codec::Wire;
 use mohan_common::{Error, IndexId, TableId};
 use mohan_oib::build::{spawn_build_indexes, BuildOptions, IndexSpec};
-use mohan_oib::progress::{self, BuildProgress};
+use mohan_oib::progress;
 use mohan_oib::schema::BuildAlgorithm;
 use mohan_pgwire::proto as pgproto;
 use mohan_wire::frame::MAX_FRAME;
@@ -396,6 +396,10 @@ pub(crate) fn start_build(
         build_refuse(inner, conn, &Error::InvalidArg("no index specs".into()));
         return false;
     }
+    if let Err(e) = options.validate() {
+        build_refuse(inner, conn, &e);
+        return false;
+    }
     if let Some(tx) = conn.session.current_tx() {
         build_refuse(inner, conn, &Error::TxAlreadyOpen(tx));
         return false;
@@ -516,7 +520,7 @@ fn watch_build(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
     let ids = job.ids.lock().clone();
     let current = ids.into_iter().flatten().find_map(|id| {
         let p = progress::load(&inner.db, id).ok()??;
-        let (phase, detail) = phase_of(&p);
+        let (phase, detail) = p.phase();
         Some((id.0, phase, detail))
     });
     let Some(frame) = current else { return };
@@ -536,18 +540,4 @@ fn watch_build(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
             pgproto::notice_response(out, &format!("index build {index}: {phase:?} ({detail})"));
         },
     );
-}
-
-fn phase_of(p: &BuildProgress) -> (BuildPhase, u64) {
-    match p {
-        // The scan partitions' combined position.
-        BuildProgress::ScanningParallel { parts } => (
-            BuildPhase::Scanning,
-            parts.iter().map(|p| p.sort.scan_pos).sum(),
-        ),
-        BuildProgress::Reducing { .. } => (BuildPhase::Reducing, 0),
-        BuildProgress::Loading { merge, .. } => (BuildPhase::Loading, merge.emitted),
-        BuildProgress::Inserting { inserted, .. } => (BuildPhase::Inserting, *inserted),
-        BuildProgress::Draining { pos } => (BuildPhase::Draining, *pos),
-    }
 }

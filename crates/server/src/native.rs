@@ -342,15 +342,7 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
             specs,
             options,
         } => {
-            return job::start_build(
-                inner,
-                ctx,
-                conn,
-                TableId(table),
-                algo.into(),
-                specs.into_iter().map(Into::into).collect(),
-                options.into(),
-            );
+            return job::start_build(inner, ctx, conn, TableId(table), algo, specs, options);
         }
         Request::Hello {
             proto_version: theirs,

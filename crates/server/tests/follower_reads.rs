@@ -16,7 +16,7 @@ use mohan_oib::Db;
 use mohan_replica::Replica;
 use mohan_server::{PromoteHook, Promotion, Server, ServerConfig};
 use mohan_wire::message::{
-    proto_version, BuildAlgo, ErrorCode, IndexSpecWire, Request, Response, Role, PROTO_MAJOR,
+    proto_version, BuildAlgorithm, ErrorCode, IndexSpec, Request, Response, Role, PROTO_MAJOR,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -141,8 +141,8 @@ fn churn(
         .collect()
 }
 
-fn ix_spec(name: &str) -> IndexSpecWire {
-    IndexSpecWire {
+fn ix_spec(name: &str) -> IndexSpec {
+    IndexSpec {
         name: name.into(),
         key_cols: vec![0],
         unique: false,
@@ -189,7 +189,7 @@ fn follower_serves_reads_under_primary_churn_and_build() {
     let mut builder = Client::connect(&paddr).unwrap();
     let build = std::thread::spawn(move || {
         builder
-            .create_index(T, BuildAlgo::Sf, vec![ix_spec("ix_frd")], |_, _, _| {})
+            .create_index(T, BuildAlgorithm::Sf, vec![ix_spec("ix_frd")], |_, _, _| {})
             .expect("online SF build")[0]
     });
 
@@ -293,7 +293,7 @@ fn follower_bounces_writes_with_leader_hint_and_validates_hello() {
     expect_bounce(c.update(T, Rid::new(1, 0), vec![1, 2]));
     expect_bounce(c.delete(T, Rid::new(1, 0)));
     expect_bounce(
-        c.create_index(T, BuildAlgo::Sf, vec![ix_spec("nope")], |_, _, _| {})
+        c.create_index(T, BuildAlgorithm::Sf, vec![ix_spec("nope")], |_, _, _| {})
             .map(|_| ()),
     );
 
@@ -393,7 +393,12 @@ fn promotion_after_primary_crash_loses_nothing_and_accepts_writes() {
         .expect("post-promotion insert");
     assert_eq!(c.read(T, rid).unwrap(), vec![42_000_000, 9]);
     let ids = c
-        .create_index(T, BuildAlgo::Sf, vec![ix_spec("ix_post")], |_, _, _| {})
+        .create_index(
+            T,
+            BuildAlgorithm::Sf,
+            vec![ix_spec("ix_post")],
+            |_, _, _| {},
+        )
         .expect("post-promotion online build");
     verify_index(&follower, ids[0]).expect("post-promotion index verifies");
     let hits = c.lookup(ids[0], &KeyValue::from_i64(42_000_000)).unwrap();

@@ -11,15 +11,13 @@
 use mohan_btree::scan::collect_all;
 use mohan_client::{Client, ClientError, Pool};
 use mohan_common::{EngineConfig, IndexEntry, IndexId, IoBackendChoice, KeyValue, TableId};
-use mohan_oib::build::{build_index, IndexSpec};
+use mohan_oib::build::{build_index, IndexSpec, MAX_BUILD_WORKERS};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
 use mohan_server::{Server, ServerConfig};
 use mohan_wire::frame::{read_frame, write_frame};
-use mohan_wire::message::{
-    BuildAlgo, BuildOptionsWire, BuildPhase, ErrorCode, IndexSpecWire, Request, Response,
-};
+use mohan_wire::message::{BuildOptions, BuildPhase, ErrorCode, Request, Response};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -251,13 +249,13 @@ fn dropped_connection_mid_build_releases_admission_slot() {
     let mut stream = std::net::TcpStream::connect(srv.addr()).unwrap();
     let req = Request::CreateIndex {
         table: T.0,
-        algo: BuildAlgo::Sf,
-        specs: vec![IndexSpecWire {
+        algo: BuildAlgorithm::Sf,
+        specs: vec![IndexSpec {
             name: "ix_orphan".into(),
             key_cols: vec![0],
             unique: false,
         }],
-        options: BuildOptionsWire::default(),
+        options: BuildOptions::default(),
     };
     write_frame(&mut stream, &req.encode()).unwrap();
     stream.flush().unwrap();
@@ -294,12 +292,16 @@ fn dropped_connection_mid_build_releases_admission_slot() {
 /// for NSF and the offline baseline over the same wire path.
 #[test]
 fn concurrent_dml_sf_build_streams_progress_and_drain_loses_nothing() {
-    for algo in [BuildAlgo::Sf, BuildAlgo::Nsf, BuildAlgo::Offline] {
+    for algo in [
+        BuildAlgorithm::Sf,
+        BuildAlgorithm::Nsf,
+        BuildAlgorithm::Offline,
+    ] {
         dml_while_a_wire_build_runs(algo);
     }
 }
 
-fn dml_while_a_wire_build_runs(algo: BuildAlgo) {
+fn dml_while_a_wire_build_runs(algo: BuildAlgorithm) {
     const CLIENTS: usize = 8;
     let db = engine(20_000);
     seed(&db, 400);
@@ -398,7 +400,7 @@ fn dml_while_a_wire_build_runs(algo: BuildAlgo) {
         .create_index(
             T,
             algo,
-            vec![IndexSpecWire {
+            vec![IndexSpec {
                 name: "ix_wire".into(),
                 key_cols: vec![0],
                 unique: false,
@@ -488,8 +490,8 @@ fn observe_stream_emits_beside_a_live_build() {
         let ids = c
             .create_index(
                 T,
-                BuildAlgo::Sf,
-                vec![IndexSpecWire {
+                BuildAlgorithm::Sf,
+                vec![IndexSpec {
                     name: "ix_observed".into(),
                     key_cols: vec![0],
                     unique: false,
@@ -668,13 +670,13 @@ fn frames_queued_behind_a_build_run_when_it_ends() {
 
     let build = Request::CreateIndex {
         table: T.0,
-        algo: BuildAlgo::Sf,
-        specs: vec![IndexSpecWire {
+        algo: BuildAlgorithm::Sf,
+        specs: vec![IndexSpec {
             name: "ix_pipelined".into(),
             key_cols: vec![0],
             unique: false,
         }],
-        options: BuildOptionsWire::default(),
+        options: BuildOptions::default(),
     };
     let mut both = Vec::new();
     write_frame(&mut both, &build.encode()).unwrap();
@@ -705,16 +707,16 @@ fn create_index_options_reach_the_engine() {
     let ids = c
         .create_index_with(
             T,
-            BuildAlgo::Sf,
-            vec![IndexSpecWire {
+            BuildAlgorithm::Sf,
+            vec![IndexSpec {
                 name: "ix_v2".into(),
                 key_cols: vec![0],
                 unique: false,
             }],
-            BuildOptionsWire {
+            BuildOptions {
                 parallel_workers: 4,
                 compress_runs: true,
-                ..BuildOptionsWire::default()
+                ..BuildOptions::default()
             },
             |_, _, _| frames += 1,
         )
@@ -739,9 +741,9 @@ fn create_index_options_reach_the_engine() {
     // instead of a protocol error, and the connection survives.
     match c.create_index_with(
         T,
-        BuildAlgo::Sf,
+        BuildAlgorithm::Sf,
         vec![],
-        BuildOptionsWire::default(),
+        BuildOptions::default(),
         |_, _, _| {},
     ) {
         Err(ClientError::Server {
@@ -773,8 +775,34 @@ fn create_index_options_reach_the_engine() {
     srv.drain();
 }
 
-fn ix(name: &str) -> Vec<IndexSpecWire> {
-    vec![IndexSpecWire {
+/// A `CreateIndex` asking for more scan workers than a build may
+/// start is refused with `InvalidArg` before any build starts, and the
+/// connection goes on serving: a build it sends next runs.
+#[test]
+fn create_index_over_the_worker_bound_is_invalid_arg() {
+    let db = engine(5_000);
+    seed(&db, 200);
+    let srv = server(&db, ServerConfig::default());
+    let mut c = Client::connect(addr_of(&srv)).unwrap();
+    let too_many = BuildOptions::new().workers(MAX_BUILD_WORKERS + 1);
+    match c.create_index_with(T, BuildAlgorithm::Sf, ix("ix_wide"), too_many, |_, _, _| {}) {
+        Err(ClientError::Server {
+            code: ErrorCode::InvalidArg { msg },
+            ..
+        }) => assert!(msg.contains("parallel_workers"), "{msg}"),
+        other => panic!("expected InvalidArg, got {other:?}"),
+    }
+    assert!(db.indexes_of(T).is_empty(), "nothing registered");
+    c.ping().unwrap();
+    let ids = c
+        .create_index(T, BuildAlgorithm::Sf, ix("ix_after"), |_, _, _| {})
+        .expect("the connection still builds");
+    verify_index(&db, ids[0]).unwrap();
+    srv.drain();
+}
+
+fn ix(name: &str) -> Vec<IndexSpec> {
+    vec![IndexSpec {
         name: name.into(),
         key_cols: vec![0],
         unique: false,
@@ -802,7 +830,7 @@ fn a_panicking_build_answers_its_client() {
     db.failpoints.arm_hook("build.registered", 0, || {
         panic!("build panics at registration")
     });
-    match c.create_index(T, BuildAlgo::Sf, ix("ix_panics"), |_, _, _| {}) {
+    match c.create_index(T, BuildAlgorithm::Sf, ix("ix_panics"), |_, _, _| {}) {
         Err(ClientError::Server {
             code: ErrorCode::Internal,
             message,
@@ -816,7 +844,7 @@ fn a_panicking_build_answers_its_client() {
 
     // With `max_inflight` 1, this build runs only if the slot came back.
     let ids = c
-        .create_index(T, BuildAlgo::Sf, ix("ix_after"), |_, _, _| {})
+        .create_index(T, BuildAlgorithm::Sf, ix("ix_after"), |_, _, _| {})
         .expect("the next build completes");
     verify_index(&db, ids[0]).unwrap();
     srv.drain();
@@ -838,7 +866,12 @@ fn sequential_wire_builds_share_one_worker() {
             seen.lock().unwrap().push(std::thread::current().id());
         });
         let ids = c
-            .create_index(T, BuildAlgo::Sf, ix(&format!("ix_seq{i}")), |_, _, _| {})
+            .create_index(
+                T,
+                BuildAlgorithm::Sf,
+                ix(&format!("ix_seq{i}")),
+                |_, _, _| {},
+            )
             .unwrap();
         verify_index(&db, ids[0]).unwrap();
     }

@@ -20,7 +20,7 @@ use mohan_replica::Replica;
 use mohan_server::{Server, ServerConfig};
 use mohan_wal::{LogPayload, RecKind};
 use mohan_wire::frame::{read_frame, write_frame, MAX_FRAME};
-use mohan_wire::message::{BuildAlgo, ErrorCode, IndexSpecWire, Request, Response};
+use mohan_wire::message::{BuildAlgorithm, ErrorCode, IndexSpec, Request, Response};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -89,8 +89,8 @@ fn surviving_keys(db: &Arc<Db>) -> BTreeSet<i64> {
         .collect()
 }
 
-fn ix_spec(name: &str) -> IndexSpecWire {
-    IndexSpecWire {
+fn ix_spec(name: &str) -> IndexSpec {
+    IndexSpec {
         name: name.into(),
         key_cols: vec![0],
         unique: false,
@@ -246,7 +246,12 @@ fn follower_converges_under_dml_while_sf_build_runs() {
     std::thread::sleep(Duration::from_millis(100));
     let mut builder = Client::connect(&addr).unwrap();
     let ids = builder
-        .create_index(T, BuildAlgo::Sf, vec![ix_spec("ix_repl")], |_, _, _| {})
+        .create_index(
+            T,
+            BuildAlgorithm::Sf,
+            vec![ix_spec("ix_repl")],
+            |_, _, _| {},
+        )
         .expect("online SF build beside a live subscription");
     let built = ids[0];
     std::thread::sleep(Duration::from_millis(200));
@@ -384,7 +389,12 @@ fn primary_crash_restart_mid_subscription_loses_nothing() {
     std::thread::sleep(Duration::from_millis(100));
     let mut builder = Client::connect(&addr1).unwrap();
     let ids = builder
-        .create_index(T, BuildAlgo::Sf, vec![ix_spec("ix_crashy")], |_, _, _| {})
+        .create_index(
+            T,
+            BuildAlgorithm::Sf,
+            vec![ix_spec("ix_crashy")],
+            |_, _, _| {},
+        )
         .expect("online SF build");
     let built = ids[0];
     std::thread::sleep(Duration::from_millis(150));
@@ -780,7 +790,12 @@ fn stalled_follower_survives_a_checkpoint_mid_build() {
     }
     let mut builder = Client::connect(&addr).unwrap();
     let built = builder
-        .create_index(T, BuildAlgo::Sf, vec![ix_spec("ix_stall")], |_, _, _| {})
+        .create_index(
+            T,
+            BuildAlgorithm::Sf,
+            vec![ix_spec("ix_stall")],
+            |_, _, _| {},
+        )
         .expect("SF build while the follower is frozen")[0];
     primary.checkpoint().unwrap();
     // The only stream subscribed from LSN 1 and never resubscribed: its

@@ -18,7 +18,6 @@ use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::Db;
 use mohan_replica::Replica;
 use mohan_server::{Server, ServerConfig};
-use mohan_wire::message::{BuildAlgo, IndexSpecWire};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -282,12 +281,12 @@ fn build_trace_context_follows_the_job_not_the_worker() {
     let mut c = Client::connect(srv.addr()).unwrap();
     let wire_trace = mohan_obs::new_trace_id();
     c.set_trace_id(Some(wire_trace));
-    let wire_spec = IndexSpecWire {
+    let wire_spec = IndexSpec {
         name: "ix_wire".into(),
         key_cols: vec![0],
         unique: false,
     };
-    c.create_index(T, BuildAlgo::Sf, vec![wire_spec], |_, _, _| {})
+    c.create_index(T, BuildAlgorithm::Sf, vec![wire_spec], |_, _, _| {})
         .unwrap();
     c.set_trace_id(None);
 

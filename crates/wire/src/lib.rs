@@ -47,6 +47,7 @@ pub mod message;
 
 pub use frame::{read_frame, take_frame, write_frame, FrameError, MAX_FRAME};
 pub use message::{
-    encode_traced, error_code_of, peel_traced, proto_major, proto_version, BuildAlgo, BuildPhase,
-    ErrorCode, IndexSpecWire, Request, Response, Role, PROTO_MAJOR, PROTO_MINOR, REQ_TRACED,
+    encode_traced, error_code_of, peel_traced, proto_major, proto_version, BuildAlgorithm,
+    BuildPhase, ErrorCode, IndexSpec, Request, Response, Role, PROTO_MAJOR, PROTO_MINOR,
+    REQ_TRACED,
 };

@@ -5,7 +5,7 @@
 //! return `None`, which the peer reports as [`ErrorCode::Malformed`].
 //!
 //! Every enum that travels — [`Request`], [`Response`], [`ErrorCode`],
-//! [`Role`], [`BuildAlgo`], [`BuildPhase`] — is declared once, as a
+//! [`Role`], [`BuildPhase`] — is declared once, as a
 //! [`wire_enum!`] table with **one row per variant**: its doc comment,
 //! `Variant = tag`, an optional `[may_block]`, and its fields in wire
 //! order. The enum, its encoder and decoder, `NAMES`/`index()`/`name()`
@@ -14,6 +14,10 @@
 //! one [`Wire`] impl for that type, in [`mohan_common::codec`] or
 //! here). A tag, once shipped, is never renumbered or reused;
 //! `golden_frames.txt` pins the bytes of every variant.
+//!
+//! The build vocabulary `CreateIndex` carries — [`IndexSpec`],
+//! [`BuildAlgorithm`] and [`BuildOptions`] — is the engine's own,
+//! declared with its bytes in `mohan_common::config`.
 //!
 //! The crate deliberately depends only on `mohan-common`: records
 //! travel as `Vec<i64>` column values (the engine's `Record` is a
@@ -26,6 +30,13 @@ use mohan_common::error::Error;
 use mohan_common::{wire_enum, wire_struct};
 
 pub use mohan_common::codec::MAX_LIST;
+pub use mohan_common::config::{BuildAlgorithm, BuildOptions, IndexSpec};
+
+// The names the protocol's former copies of these types had; nothing
+// in the workspace uses them.
+pub use mohan_common::config::BuildAlgorithm as BuildAlgo; // perfbench names it
+pub use mohan_common::config::BuildOptions as BuildOptionsWire; // perfbench names it
+pub use mohan_common::config::IndexSpec as IndexSpecWire; // perfbench names it
 
 /// Protocol major version. A server rejects a [`Request::Hello`]
 /// whose major differs from its own — majors gate incompatible
@@ -48,7 +59,7 @@ pub const PROTO_MAJOR: u16 = 1;
 /// an older primary sending it decodes a malformed code and reconnects
 /// with backoff, as minor-0 and minor-1 clients always did.
 ///
-/// 3 added a [`BuildOptionsWire`] (parallel workers, run compression,
+/// 3 added a [`BuildOptions`] (parallel workers, run compression,
 /// drain policy, checkpoint interval) to [`Request::CreateIndex`],
 /// under a new tag, 19 — and [`ErrorCode::InvalidArg`] for
 /// statement-level argument rejection. Tag 19 is the only encoding
@@ -105,24 +116,11 @@ wire_enum! {
 }
 
 wire_enum! {
-    /// Build algorithm selector carried by `CreateIndex` (§1: offline
-    /// baseline, §2 NSF, §3 SF).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum BuildAlgo {
-        /// Quiesced baseline build.
-        Offline = 0,
-        /// No-side-file online build (§2).
-        Nsf = 1,
-        /// Side-file online build (§3).
-        Sf = 2,
-    }
-}
-
-wire_enum! {
     /// Phase of an in-flight build, streamed in
-    /// [`Response::Progress`] frames. Mirrors `oib::BuildProgress`
-    /// checkpoints plus a `Starting` state emitted before the build
-    /// has stored its first checkpoint.
+    /// [`Response::Progress`] frames. The engine names the phase of
+    /// each stored checkpoint with `oib::progress::BuildProgress::phase`;
+    /// `Starting` is sent before the build has stored its first one,
+    /// `Done` after its last.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum BuildPhase {
         /// Build accepted; no checkpoint stored yet.
@@ -139,106 +137,6 @@ wire_enum! {
         Draining = 5,
         /// Build finished; `IndexCreated` follows.
         Done = 6,
-    }
-}
-
-/// Index definition as carried on the wire (mirrors `oib::IndexSpec`
-/// without depending on it).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexSpecWire {
-    /// Human-readable index name.
-    pub name: String,
-    /// Column positions forming the key, in order.
-    pub key_cols: Vec<u16>,
-    /// Enforce unique committed key values (§2.2.3).
-    pub unique: bool,
-}
-
-wire_struct! { IndexSpecWire { name, key_cols, unique } }
-
-/// Build tuning options as carried on the wire (mirrors
-/// `oib::BuildOptions` without depending on it). The body is fixed
-/// width: `[u16 workers][u8 flags][u32 checkpoint_every]`, where flag
-/// bit 0 is `compress_runs`, bit 1 says a drain override is present
-/// and bit 2 carries its value, and a zero `checkpoint_every` means
-/// "engine default".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BuildOptionsWire {
-    /// Scan/sort worker threads (0 is rejected engine-side; encode
-    /// what the user asked for).
-    pub parallel_workers: u16,
-    /// Ignored: every sorted run is stored prefix-compressed. Kept so
-    /// the body's bytes stay as peers and durable options blobs have
-    /// them.
-    pub compress_runs: bool,
-    /// Override the engine's sorted side-file drain default
-    /// (`None` = use the server's configured default).
-    pub sort_side_file_drain: Option<bool>,
-    /// Override every build checkpoint interval, in keys
-    /// (0 = use the server's configured defaults).
-    pub checkpoint_every: u32,
-}
-
-impl Default for BuildOptionsWire {
-    fn default() -> Self {
-        BuildOptionsWire {
-            parallel_workers: 1,
-            compress_runs: false,
-            sort_side_file_drain: None,
-            checkpoint_every: 0,
-        }
-    }
-}
-
-impl BuildOptionsWire {
-    /// The body alone, as the engine persists a build's options: the
-    /// bytes `CreateIndex` carries for them.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        encode_payload(self)
-    }
-
-    /// Decode [`BuildOptionsWire::encode`]'s bytes; `None` means
-    /// malformed (truncated, an unknown flag bit, trailing bytes).
-    #[must_use]
-    pub fn decode(buf: &[u8]) -> Option<BuildOptionsWire> {
-        decode(buf)
-    }
-}
-
-impl Wire for BuildOptionsWire {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.parallel_workers.put(out);
-        let mut flags = 0u8;
-        if self.compress_runs {
-            flags |= 1;
-        }
-        if let Some(v) = self.sort_side_file_drain {
-            flags |= 2;
-            if v {
-                flags |= 4;
-            }
-        }
-        out.push(flags);
-        self.checkpoint_every.put(out);
-    }
-
-    fn get(c: &mut Cursor<'_>) -> Option<Self> {
-        let parallel_workers = u16::get(c)?;
-        let flags = c.get_u8()?;
-        if flags & !0b111 != 0 {
-            return None;
-        }
-        Some(BuildOptionsWire {
-            parallel_workers,
-            compress_runs: flags & 1 != 0,
-            sort_side_file_drain: if flags & 2 != 0 {
-                Some(flags & 4 != 0)
-            } else {
-                None
-            },
-            checkpoint_every: Wire::get(c)?,
-        })
     }
 }
 
@@ -336,11 +234,11 @@ wire_enum! {
             /// Table to index.
             table: u32,
             /// Build algorithm.
-            algo: BuildAlgo,
+            algo: BuildAlgorithm,
             /// Index definitions (multiple = §5 multi-index single scan).
-            specs: Vec<IndexSpecWire>,
+            specs: Vec<IndexSpec>,
             /// Parallelism / compression / checkpoint tuning.
-            options: BuildOptionsWire,
+            options: BuildOptions,
         },
         /// Snapshot of the server's counters.
         Stats = 11,
@@ -468,7 +366,7 @@ impl Request {
                     table: Wire::get(&mut c)?,
                     algo: Wire::get(&mut c)?,
                     specs: Wire::get(&mut c)?,
-                    options: BuildOptionsWire::default(),
+                    options: BuildOptions::default(),
                 }
             }
             _ => Request::get(&mut c)?,
@@ -822,30 +720,30 @@ mod tests {
             },
             Request::CreateIndex {
                 table: 1,
-                algo: BuildAlgo::Sf,
+                algo: BuildAlgorithm::Sf,
                 specs: vec![
-                    IndexSpecWire {
+                    IndexSpec {
                         name: "ix_k".into(),
                         key_cols: vec![0],
                         unique: true,
                     },
-                    IndexSpecWire {
+                    IndexSpec {
                         name: "ix_v".into(),
                         key_cols: vec![1, 0],
                         unique: false,
                     },
                 ],
-                options: BuildOptionsWire::default(),
+                options: BuildOptions::default(),
             },
             Request::CreateIndex {
                 table: 1,
-                algo: BuildAlgo::Sf,
-                specs: vec![IndexSpecWire {
+                algo: BuildAlgorithm::Sf,
+                specs: vec![IndexSpec {
                     name: "ix_k".into(),
                     key_cols: vec![0],
                     unique: true,
                 }],
-                options: BuildOptionsWire {
+                options: BuildOptions {
                     parallel_workers: 4,
                     compress_runs: true,
                     sort_side_file_drain: Some(false),
@@ -854,19 +752,19 @@ mod tests {
             },
             Request::CreateIndex {
                 table: 2,
-                algo: BuildAlgo::Nsf,
-                specs: vec![IndexSpecWire {
+                algo: BuildAlgorithm::Nsf,
+                specs: vec![IndexSpec {
                     name: "ix_v".into(),
                     key_cols: vec![1, 0],
                     unique: false,
                 }],
-                options: BuildOptionsWire::default(),
+                options: BuildOptions::default(),
             },
             Request::CreateIndex {
                 table: 3,
-                algo: BuildAlgo::Offline,
+                algo: BuildAlgorithm::Offline,
                 specs: vec![],
-                options: BuildOptionsWire {
+                options: BuildOptions {
                     parallel_workers: 0,
                     compress_runs: false,
                     sort_side_file_drain: Some(true),
@@ -1125,13 +1023,13 @@ mod tests {
         ];
         let req = Request::CreateIndex {
             table: 7,
-            algo: BuildAlgo::Sf,
-            specs: vec![IndexSpecWire {
+            algo: BuildAlgorithm::Sf,
+            specs: vec![IndexSpec {
                 name: "ix".into(),
                 key_cols: vec![1, 0],
                 unique: true,
             }],
-            options: BuildOptionsWire::default(),
+            options: BuildOptions::default(),
         };
         assert_eq!(Request::decode(tag_10), Some(req.clone()));
         assert!(Request::frame_may_block(tag_10));
@@ -1305,9 +1203,9 @@ mod tests {
             },
             Request::CreateIndex {
                 table: 1,
-                algo: BuildAlgo::Sf,
+                algo: BuildAlgorithm::Sf,
                 specs: vec![],
-                options: BuildOptionsWire::default(),
+                options: BuildOptions::default(),
             },
             Request::Promote,
         ];
@@ -1353,13 +1251,13 @@ mod tests {
     fn trace_envelope_peels_and_inner_roundtrips() {
         let req = Request::CreateIndex {
             table: 3,
-            algo: BuildAlgo::Sf,
-            specs: vec![IndexSpecWire {
+            algo: BuildAlgorithm::Sf,
+            specs: vec![IndexSpec {
                 name: "ix".into(),
                 key_cols: vec![0],
                 unique: false,
             }],
-            options: BuildOptionsWire::default(),
+            options: BuildOptions::default(),
         };
         let framed = encode_traced(0xfeed_face_0123_4567, &req);
         let (id, inner) = peel_traced(&framed);
@@ -1470,9 +1368,9 @@ mod tests {
         )
     }
 
-    fn arb_specs(cols: &[i64], bytes: &[u8], text: &str, flag: bool) -> Vec<IndexSpecWire> {
+    fn arb_specs(cols: &[i64], bytes: &[u8], text: &str, flag: bool) -> Vec<IndexSpec> {
         (0..bytes.len() % 3)
-            .map(|i| IndexSpecWire {
+            .map(|i| IndexSpec {
                 name: format!("{text}{i}"),
                 key_cols: cols.iter().map(|&c| c as u16).collect(),
                 unique: flag,
@@ -1500,7 +1398,7 @@ mod tests {
                 table: a,
                 algo,
                 specs: arb_specs(&cols, &bytes, &text, flag),
-                options: BuildOptionsWire {
+                options: BuildOptions {
                     parallel_workers: b as u16,
                     compress_runs: flag,
                     sort_side_file_drain: [None, Some(false), Some(true)][bytes.len() % 3],

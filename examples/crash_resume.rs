@@ -12,8 +12,7 @@ use online_index_build::prelude::*;
 fn main() -> Result<()> {
     let db = Db::new(EngineConfig {
         // Small checkpoint intervals so each crash loses little work.
-        sort_checkpoint_every_keys: 2_000,
-        ib_checkpoint_every_keys: 2_000,
+        build_checkpoint_every_keys: 2_000,
         ..EngineConfig::default()
     });
     let table = TableId(1);

@@ -10,9 +10,7 @@ fn gauntlet_cfg() -> EngineConfig {
     EngineConfig {
         data_page_size: 1024,
         index_page_size: 512,
-        sort_checkpoint_every_keys: 500,
-        merge_checkpoint_every_keys: 500,
-        ib_checkpoint_every_keys: 500,
+        build_checkpoint_every_keys: 500,
         sort_workspace_keys: 128,
         merge_fan_in: 4,
         lock_timeout_ms: 10_000,

@@ -10,9 +10,7 @@ const T: TableId = TableId(1);
 
 fn db() -> std::sync::Arc<Db> {
     let db = Db::new(EngineConfig {
-        sort_checkpoint_every_keys: 100,
-        merge_checkpoint_every_keys: 100,
-        ib_checkpoint_every_keys: 100,
+        build_checkpoint_every_keys: 100,
         sort_workspace_keys: 32,
         merge_fan_in: 4,
         lock_timeout_ms: 5_000,

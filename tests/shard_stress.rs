@@ -17,9 +17,7 @@ fn stress_cfg() -> EngineConfig {
     EngineConfig {
         data_page_size: 1024,
         index_page_size: 512,
-        sort_checkpoint_every_keys: 400,
-        merge_checkpoint_every_keys: 400,
-        ib_checkpoint_every_keys: 400,
+        build_checkpoint_every_keys: 400,
         sort_workspace_keys: 128,
         merge_fan_in: 4,
         lock_timeout_ms: 20_000,
