@@ -101,7 +101,8 @@ fn render(report: &MetricsReport, frame: u64, clear: bool) {
     // lock (`btree.structure_wait_us`), which no latch or lock metric
     // shows; and how often the builders offered the processor to
     // everyone else (`build.pace_points`); and the build worker threads
-    // alive (`build.workers`: the peak number of concurrent builds).
+    // alive (`build.workers`: the peak number of concurrent build
+    // threads, one per build and per scan partition).
     if let Some(cp) = report.hist("build.checkpoint_us") {
         let blocked = report.hist("btree.structure_wait_us");
         out.push_str(&format!(

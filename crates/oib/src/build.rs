@@ -182,6 +182,8 @@ pub fn resume_build(db: &Arc<Db>, id: IndexId) -> Result<()> {
             return Ok(());
         }
         let options = progress::load_options(db, id);
+        db.build_sort_workers
+            .observe(u64::from(options.parallel_workers));
         match resume_one(db, &idx, &options) {
             Ok(()) => Ok(()),
             Err(e) if e.is_crash() => Err(e),
@@ -416,12 +418,14 @@ fn persist_parallel_parts(
 
 /// Scan the data pages once, feeding every index's run formation.
 /// The scan range is split into one contiguous page partition per
-/// worker (`opts.parallel_workers`; a sole partition runs on the
-/// calling thread), and each worker runs its own §5.1 replacement
-/// selection per index into the index's shared run store. Checkpoints
-/// are per-partition ([`PartCheckpoint`]): each worker's checkpoint is
+/// worker (`opts.parallel_workers`), and each partition runs its own
+/// §5.1 replacement selection per index into the index's shared run
+/// store. The partitions run on the build workers ([`Db::fork_join`]):
+/// the first — a sole partition too — on the calling thread, the
+/// build's own worker, the others on parked ones. Checkpoints are
+/// per-partition ([`PartCheckpoint`]): each partition's checkpoint is
 /// a valid serial restart point for its page range, so a crash resumes
-/// every worker from its own position (re-using the checkpointed
+/// every partition from its own position (re-using the checkpointed
 /// partition table; `resumes[i]` repositions index `i`).
 ///
 /// Safety of the §3.2.2 visibility rule under out-of-order page
@@ -444,18 +448,17 @@ fn parallel_scan_and_sort(
     let _phase = PhaseTimer::new(db, "scan");
     let table = db.table(idxs[0].def.table)?;
     let ws = db.cfg.sort_workspace_keys;
-    let cp_every = opts.checkpoint_keys(&db.cfg);
     let scan_end = idxs[0].scan_end();
     let empty = scan_end == PageId(u32::MAX) || table.num_pages() == 0;
 
     // Partition table: a resume re-uses the checkpointed partitions
     // (they define which runs belong to which worker); a fresh build
-    // splits the scan range evenly.
+    // splits the scan range evenly, and an empty one has none.
     let parts: Vec<(u32, u32)> = match resumes.iter().flatten().next() {
         // A checkpoint from before partitions existed covers "to the
         // end of the scan", whatever that was: clamp to the bound.
         Some(cps) => cps.iter().map(|p| (p.lo, p.hi.min(scan_end.0))).collect(),
-        None if empty => vec![(0, 0)],
+        None if empty => Vec::new(),
         None => {
             let pages = u64::from(scan_end.0) + 1;
             let w = u64::from(opts.parallel_workers).min(pages).max(1);
@@ -471,20 +474,17 @@ fn parallel_scan_and_sort(
             out
         }
     };
-    let nw = parts.len();
-    db.build_sort_workers.observe(nw as u64);
 
-    // One RunFormation per (worker, index). Resumed workers reposition
-    // via `resume_keeping`, preserving every sibling partition's
-    // checkpointed runs in the shared store; runs no checkpoint knows
-    // (flushed after the last checkpoint, then lost to the crash) are
-    // deleted once here.
-    let mut worker_rfs: Vec<Vec<RunFormation<IndexEntry>>> = Vec::with_capacity(nw);
-    let mut worker_floors: Vec<Vec<u64>> = Vec::with_capacity(nw);
+    // One RunFormation per (partition, index). Resumed partitions
+    // reposition via `resume_keeping`, preserving every sibling
+    // partition's checkpointed runs in the shared store; runs no
+    // checkpoint knows (flushed after the last checkpoint, then lost to
+    // the crash) are deleted once here.
+    let mut work = Vec::with_capacity(parts.len());
     let mut cp_init: Vec<Vec<SortCheckpoint<IndexEntry>>> = vec![Vec::new(); idxs.len()];
-    for w in 0..nw {
-        let mut row = Vec::with_capacity(idxs.len());
-        let mut frow = Vec::with_capacity(idxs.len());
+    for w in 0..parts.len() {
+        let mut rfs = Vec::with_capacity(idxs.len());
+        let mut floors = Vec::with_capacity(idxs.len());
         for (i, idx) in idxs.iter().enumerate() {
             let store = Arc::clone(&idx.sort_store);
             match &resumes[i] {
@@ -494,113 +494,43 @@ fn parallel_scan_and_sort(
                         .flat_map(|p| p.sort.runs.iter().map(|r| r.id))
                         .collect();
                     let cp = &cps[w].sort;
-                    frow.push(cp.scan_pos);
+                    floors.push(cp.scan_pos);
                     cp_init[i].push(cp.clone());
-                    row.push(RunFormation::resume_keeping(store, ws, cp, &preserve)?);
+                    rfs.push(RunFormation::resume_keeping(store, ws, cp, &preserve)?);
                 }
                 None => {
-                    frow.push(0);
+                    floors.push(0);
                     cp_init[i].push(SortCheckpoint {
                         runs: Vec::new(),
                         scan_pos: 0,
                         last_run_high: None,
                     });
-                    row.push(RunFormation::new(store, ws));
+                    rfs.push(RunFormation::new(store, ws));
                 }
             }
         }
-        worker_rfs.push(row);
-        worker_floors.push(frow);
+        work.push((rfs, floors));
     }
 
-    let stop = AtomicBool::new(false);
-    let first_err: Mutex<Option<Error>> = Mutex::new(None);
-    // cp_state[i][w]: index `i`'s latest checkpoint for partition `w`.
-    let cp_state = Mutex::new(cp_init);
-
-    // One partition's scan: feed `rfs` (one sorter per index) from the
-    // pages `parts[w]`, checkpointing every `cp_every` records.
-    let scan_part = |w: usize, mut rfs: Vec<RunFormation<IndexEntry>>, floors: Vec<u64>| {
-        let (lo, hi) = parts[w];
-        // Resume strictly after the checkpointed position. Scan
-        // positions are `rid.pack() + 1` so that position 0
-        // unambiguously means "nothing fed" (RID (0,0) packs to 0). A
-        // fresh partition starts just before its first page: every RID
-        // of page `lo - 1` compares ≤ `from`, so only the under-latch
-        // hook fires there — harmless, Current-RID only grows.
-        let min_floor = floors.iter().copied().min().unwrap_or(0);
-        let from = if min_floor > 0 {
-            Some(Rid::unpack(min_floor - 1))
-        } else if lo == 0 {
-            None
-        } else {
-            Some(Rid {
-                page: PageId(lo - 1),
-                slot: SlotId(u16::MAX),
-            })
-        };
-        let mut since_cp = 0usize;
-        let r = table.scan_pages(
-            from,
-            PageId(hi),
-            |rid, data| {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(false);
-                }
-                let rec = Record::decode(data)?;
-                let pos = rid.pack() + 1;
-                for (i, idx) in idxs.iter().enumerate() {
-                    if pos > floors[i] {
-                        let entry = idx.def.entry_of(&rec, rid)?;
-                        rfs[i].push(entry, pos)?;
-                    }
-                }
-                db.failpoints.hit("build.scan.record")?;
-                since_cp += 1;
-                if since_cp >= cp_every {
-                    since_cp = 0;
-                    let mut cps = Vec::with_capacity(idxs.len());
-                    for rf in rfs.iter_mut() {
-                        cps.push(rf.checkpoint()?);
-                    }
-                    let mut state = cp_state.lock();
-                    for (i, cp) in cps.into_iter().enumerate() {
-                        state[i][w] = cp;
-                    }
-                    persist_parallel_parts(db, idxs, &parts, &state);
-                    db.failpoints.hit("build.scan")?;
-                }
-                Ok(true)
-            },
-            |page| advance_current_rid(idxs, page),
-        );
-        if let Err(e) = r {
-            stop.store(true, Ordering::Relaxed);
-            first_err.lock().get_or_insert(e);
-        }
-        rfs
-    };
-    if !empty {
-        let work = worker_rfs.drain(..).zip(worker_floors.drain(..));
-        worker_rfs = if nw == 1 {
-            // No spawn: the build worker's name and trace context stay.
-            work.map(|(row, floors)| scan_part(0, row, floors))
-                .collect()
-        } else {
-            std::thread::scope(|s| {
-                let scan_part = &scan_part;
-                let handles: Vec<_> = work
-                    .enumerate()
-                    .map(|(w, (row, floors))| s.spawn(move || scan_part(w, row, floors)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
-                    .collect()
-            })
-        };
-    }
-    if let Some(e) = first_err.into_inner() {
+    let scan = Arc::new(Scan {
+        table,
+        idxs: idxs.to_vec(),
+        parts,
+        cp_every: opts.checkpoint_keys(&db.cfg),
+        stop: AtomicBool::new(false),
+        first_err: Mutex::new(None),
+        cp_state: Mutex::new(cp_init),
+    });
+    let jobs = work
+        .into_iter()
+        .enumerate()
+        .map(|(w, (rfs, floors))| {
+            let scan = Arc::clone(&scan);
+            move |db: &Arc<Db>| scan_part(db, &scan, w, rfs, floors)
+        })
+        .collect();
+    let done = db.fork_join(jobs);
+    if let Some(e) = scan.first_err.lock().take() {
         return Err(e);
     }
     for idx in idxs {
@@ -613,12 +543,99 @@ fn parallel_scan_and_sort(
     // `IndexEntry` makes the merged output identical to the serial
     // build's).
     let mut all_runs: Vec<Vec<u64>> = vec![Vec::new(); idxs.len()];
-    for row in worker_rfs {
-        for (i, rf) in row.into_iter().enumerate() {
+    for rfs in done {
+        for (i, rf) in rfs.into_iter().enumerate() {
             all_runs[i].extend(rf.finish()?);
         }
     }
     Ok(all_runs)
+}
+
+/// What a build's scan partitions share: owned, so a partition can run
+/// on any build worker.
+struct Scan {
+    table: Arc<mohan_heap::HeapTable>,
+    idxs: Vec<Arc<IndexRuntime>>,
+    /// The partition table: `parts[w]` is partition `w`'s page range.
+    parts: Vec<(u32, u32)>,
+    cp_every: usize,
+    /// Set by the first partition that fails: the others end at their
+    /// next record.
+    stop: AtomicBool,
+    first_err: Mutex<Option<Error>>,
+    /// `cp_state[i][w]`: index `i`'s latest checkpoint for partition `w`.
+    cp_state: Mutex<Vec<Vec<SortCheckpoint<IndexEntry>>>>,
+}
+
+/// One partition's scan: feed `rfs` (one sorter per index) from the
+/// pages `scan.parts[w]`, checkpointing every `cp_every` records, and
+/// hand the sorters back.
+fn scan_part(
+    db: &Db,
+    scan: &Scan,
+    w: usize,
+    mut rfs: Vec<RunFormation<IndexEntry>>,
+    floors: Vec<u64>,
+) -> Vec<RunFormation<IndexEntry>> {
+    let (lo, hi) = scan.parts[w];
+    // Resume strictly after the checkpointed position. Scan positions
+    // are `rid.pack() + 1` so that position 0 unambiguously means
+    // "nothing fed" (RID (0,0) packs to 0). A fresh partition starts
+    // just before its first page: every RID of page `lo - 1` compares
+    // ≤ `from`, so only the under-latch hook fires there — harmless,
+    // Current-RID only grows.
+    let min_floor = floors.iter().copied().min().unwrap_or(0);
+    let from = if min_floor > 0 {
+        Some(Rid::unpack(min_floor - 1))
+    } else if lo == 0 {
+        None
+    } else {
+        Some(Rid {
+            page: PageId(lo - 1),
+            slot: SlotId(u16::MAX),
+        })
+    };
+    let idxs = &scan.idxs;
+    let mut since_cp = 0usize;
+    let r = scan.table.scan_pages(
+        from,
+        PageId(hi),
+        |rid, data| {
+            if scan.stop.load(Ordering::Relaxed) {
+                return Ok(false);
+            }
+            let rec = Record::decode(data)?;
+            let pos = rid.pack() + 1;
+            for (i, idx) in idxs.iter().enumerate() {
+                if pos > floors[i] {
+                    let entry = idx.def.entry_of(&rec, rid)?;
+                    rfs[i].push(entry, pos)?;
+                }
+            }
+            db.failpoints.hit("build.scan.record")?;
+            since_cp += 1;
+            if since_cp >= scan.cp_every {
+                since_cp = 0;
+                let mut cps = Vec::with_capacity(idxs.len());
+                for rf in rfs.iter_mut() {
+                    cps.push(rf.checkpoint()?);
+                }
+                let mut state = scan.cp_state.lock();
+                for (i, cp) in cps.into_iter().enumerate() {
+                    state[i][w] = cp;
+                }
+                persist_parallel_parts(db, idxs, &scan.parts, &state);
+                db.failpoints.hit("build.scan")?;
+            }
+            Ok(true)
+        },
+        |page| advance_current_rid(idxs, page),
+    );
+    if let Err(e) = r {
+        scan.stop.store(true, Ordering::Relaxed);
+        scan.first_err.lock().get_or_insert(e);
+    }
+    rfs
 }
 
 /// Reduce runs below the merge fan-in, persisting §5.2 checkpoints.

@@ -79,8 +79,9 @@ pub struct Db {
     /// cache, latch and build metrics register here under the dotted
     /// namespace DESIGN.md documents; the server layer adds its own.
     pub obs: Arc<Registry>,
-    /// High-water worker count across every build this engine ran
-    /// (the `build.sort_workers` gauge).
+    /// The most `parallel_workers` any build or resume on this engine
+    /// asked for (the `build.sort_workers` gauge); the threads builds
+    /// ran on are `build.workers`.
     pub build_sort_workers: MaxGauge,
     tables: RwLock<HashMap<TableId, Arc<HeapTable>>>,
     indexes: RwLock<Vec<Arc<IndexRuntime>>>,

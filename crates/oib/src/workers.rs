@@ -10,8 +10,15 @@
 //! arena no later build is handed stays resident (DESIGN §19). An idle
 //! worker is reused most-recently-used first, since its arena holds
 //! the pages the last build freed; a new one is spawned only when every
-//! worker is busy, so the worker count is the peak number of
-//! concurrent builds.
+//! worker is busy.
+//!
+//! A build's scan partitions run here too (`Db::fork_join`): the
+//! first on the build's own worker, the others on parked workers, so
+//! run formation allocates from the arenas the last build freed. The
+//! worker count is therefore the peak number of concurrent build
+//! threads: a build with `parallel_workers = n` holds n. Every part is
+//! joined before the call returns, and a part's panic is raised again
+//! in the build with its own payload.
 //!
 //! An idle worker holds no `Arc<Db>`: only a running job does, so the
 //! engine drops once its last outside handle does, and [`Db`]'s drop
@@ -173,6 +180,43 @@ impl Db {
             };
             Box::new(move || done(out))
         }));
+    }
+
+    /// Run `parts` at once and return their results in order: part 0
+    /// on this thread (a build worker: a build calls this), the others
+    /// on build workers, most recently used first, under this thread's
+    /// trace context. Returns only once every part has ended, whether
+    /// it returned or panicked; then the first panic, in part order, is
+    /// raised again with its own payload.
+    pub(crate) fn fork_join<R: Send + 'static>(
+        self: &Arc<Db>,
+        parts: Vec<impl FnOnce(&Arc<Db>) -> R + Send + 'static>,
+    ) -> Vec<R> {
+        let n = parts.len();
+        let mut parts = parts.into_iter();
+        let Some(first) = parts.next() else {
+            return Vec::new();
+        };
+        let (tx, rx) = mpsc::channel();
+        for (i, part) in parts.enumerate() {
+            let tx = tx.clone();
+            self.spawn_on_build_worker(part, move |out| {
+                let _ = tx.send((i + 1, out));
+            });
+        }
+        drop(tx);
+        let mut outs: Vec<Option<thread::Result<R>>> = Vec::with_capacity(n);
+        outs.push(Some(panic::catch_unwind(AssertUnwindSafe(|| first(self)))));
+        outs.resize_with(n, || None);
+        for (i, out) in rx {
+            outs[i] = Some(out);
+        }
+        outs.into_iter()
+            .map(|out| match out.expect("a build worker answers every job") {
+                Ok(r) => r,
+                Err(payload) => panic::resume_unwind(payload),
+            })
+            .collect()
     }
 
     /// Run `job` on a build worker and wait for it; a panic in the job

@@ -13,7 +13,7 @@ use mohan_oib::Db;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 const T: TableId = TableId(1);
 
@@ -47,22 +47,26 @@ fn seed(db: &Arc<Db>, n: i64) -> Vec<Rid> {
     rids
 }
 
+type Updater = std::thread::JoinHandle<(u64, Vec<String>)>;
+
 /// Run `updaters` threads doing a random insert/delete/update mix
-/// (with occasional rollbacks) until `stop` is set; returns when all
-/// have finished. Key space is partitioned per thread so unique
-/// indexes stay satisfiable. Each thread returns its operation count
-/// and what every failed `rollback` said (such a transaction stays
-/// open, locks held).
+/// (with occasional rollbacks) until `stop` is set. Key space is
+/// partitioned per thread so unique indexes stay satisfiable. Each
+/// thread returns its operation count and what every failed `rollback`
+/// said (such a transaction stays open, locks held), and signals the
+/// returned receiver once, after its first commit.
 fn churn(
     db: &Arc<Db>,
     stop: &Arc<AtomicBool>,
     updaters: usize,
     base_key: i64,
-) -> Vec<std::thread::JoinHandle<(u64, Vec<String>)>> {
-    (0..updaters)
+) -> (Vec<Updater>, mpsc::Receiver<()>) {
+    let (committed, first_commit) = mpsc::channel();
+    let handles = (0..updaters)
         .map(|u| {
             let db = Arc::clone(db);
             let stop = Arc::clone(stop);
+            let mut committed = Some(committed.clone());
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(1000 + u as u64);
                 let mut mine: Vec<Rid> = Vec::new();
@@ -111,7 +115,11 @@ fn churn(
                         ops += 1;
                     }
                     if op_err.is_none() && !roll {
-                        let _ = db.commit(tx);
+                        if db.commit(tx).is_ok() {
+                            if let Some(committed) = committed.take() {
+                                let _ = committed.send(());
+                            }
+                        }
                     } else if let Err(e) = db.rollback(tx) {
                         rollback_failures.push(match &op_err {
                             Some(op) => format!("{tx:?} after `{op}`: {e}"),
@@ -122,16 +130,17 @@ fn churn(
                 (ops, rollback_failures)
             })
         })
-        .collect()
+        .collect();
+    (handles, first_commit)
 }
 
 fn online_build_with_churn(algorithm: BuildAlgorithm, unique: bool) {
     let db = db();
     seed(&db, 400);
     let stop = Arc::new(AtomicBool::new(false));
-    let handles = churn(&db, &stop, 3, 10_000);
+    let (handles, first_commit) = churn(&db, &stop, 3, 10_000);
     // Let the churn get going.
-    std::thread::sleep(std::time::Duration::from_millis(30));
+    first_commit.recv().expect("an updater commits");
     let built = build_index(&db, T, spec("online", unique), algorithm);
     stop.store(true, Ordering::Relaxed);
     let (mut total_ops, mut rollback_failures) = (0, Vec::new());

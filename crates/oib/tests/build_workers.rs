@@ -1,21 +1,25 @@
 //! Builds run on the engine's build workers (`mohan_oib::workers`):
 //! one worker serves builds that follow each other, a post-crash
-//! resume included; builds that overlap get a worker each; a panic in
-//! a build reaches its caller and leaves the worker alive; and the
-//! workers go when the engine does.
+//! resume included; builds that overlap get a worker each; a parallel
+//! build's scan partitions run on workers too, as many as it asks
+//! for; a panic in a build or in one of its partitions reaches its
+//! caller and leaves the worker alive; and the workers go when the
+//! engine does.
 //!
 //! Which thread ran a build is recorded from a failpoint hook, which
 //! runs on the thread that hits the site.
 
-use mohan_common::{EngineConfig, TableId};
-use mohan_oib::build::{build_index, resume_build, IndexSpec};
+use mohan_common::failpoint::Failpoints;
+use mohan_common::{EngineConfig, IndexId, TableId};
+use mohan_oib::build::{build_index, build_indexes, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::{self, ThreadId};
 
 const T: TableId = TableId(1);
@@ -53,6 +57,17 @@ fn record_at(db: &Db, site: &str, seen: &Seen) {
         seen.lock()
             .unwrap()
             .push((me.id(), me.name().map(str::to_owned)));
+    });
+}
+
+/// Run `hook` at every hit of `site`, on the hitting thread, until the
+/// site is disarmed or the hook panics: a failpoint hook is one-shot,
+/// so this one arms itself again after each run.
+fn on_every_hit(failpoints: &Failpoints, site: &'static str, hook: Arc<dyn Fn() + Send + Sync>) {
+    let again = Arc::clone(failpoints);
+    failpoints.arm_hook(site, 0, move || {
+        hook();
+        on_every_hit(&again, site, hook);
     });
 }
 
@@ -95,6 +110,107 @@ fn sequential_builds_and_a_resume_share_one_worker() {
         seen.iter().all(|(id, _)| id == worker),
         "one worker serves builds that follow each other: {seen:?}"
     );
+}
+
+fn build_parallel(db: &Arc<Db>, name: &str) -> mohan_common::Result<IndexId> {
+    let two_workers = BuildOptions::new().workers(2);
+    build_indexes(db, T, &[spec(name)], BuildAlgorithm::Sf, &two_workers).map(|ids| ids[0])
+}
+
+#[test]
+fn sequential_parallel_builds_and_a_resume_share_two_workers() {
+    let db = db(600);
+    let seen: Seen = Arc::default();
+    {
+        let seen = Arc::clone(&seen);
+        on_every_hit(
+            &db.failpoints,
+            "build.scan.record",
+            Arc::new(move || {
+                let me = thread::current();
+                seen.lock()
+                    .unwrap()
+                    .push((me.id(), me.name().map(str::to_owned)));
+            }),
+        );
+    }
+    for i in 0..3 {
+        let id = build_parallel(&db, &format!("ix{i}")).unwrap();
+        verify_index(&db, id).unwrap();
+        assert_eq!(workers_gauge(&db), 2, "after build {i}");
+    }
+
+    db.failpoints.arm_after("build.scan", 1);
+    let err = build_parallel(&db, "crashy").unwrap_err();
+    assert!(err.is_crash(), "expected a crash, got {err}");
+    assert_eq!(workers_gauge(&db), 2, "after the crash");
+    db.simulate_crash();
+    db.restart().unwrap();
+    let id = db.indexes_of(T).last().unwrap().def.id;
+    resume_build(&db, id).unwrap();
+    verify_index(&db, id).unwrap();
+    assert_eq!(workers_gauge(&db), 2, "after the resume");
+    db.failpoints.disarm("build.scan.record");
+
+    let seen = seen.lock().unwrap();
+    let threads: HashSet<_> = seen.iter().map(|(id, _)| *id).collect();
+    assert!(
+        threads.len() <= 2,
+        "two workers scan every build: {threads:?}"
+    );
+    assert!(
+        !threads.contains(&thread::current().id()),
+        "a partition ran on the caller"
+    );
+    assert!(
+        seen.iter()
+            .all(|(_, name)| name.as_deref() == Some("oib-build")),
+        "every partition runs on a build worker"
+    );
+}
+
+/// Panic with `message` at the first record scanned by a partition on
+/// the build's own worker (`on_build_thread`), or by one on a pooled worker.
+fn panic_in_partition(db: &Db, on_build_thread: bool, message: &'static str) {
+    let build_thread: Arc<OnceLock<ThreadId>> = Arc::default();
+    {
+        let build_thread = Arc::clone(&build_thread);
+        db.failpoints.arm_hook("build.registered", 0, move || {
+            build_thread.set(thread::current().id()).unwrap();
+        });
+    }
+    on_every_hit(
+        &db.failpoints,
+        "build.scan.record",
+        Arc::new(move || {
+            if (build_thread.get() == Some(&thread::current().id())) == on_build_thread {
+                panic::panic_any(message);
+            }
+        }),
+    );
+}
+
+#[test]
+fn a_panicking_partition_reaches_its_caller_intact() {
+    for (on_build_thread, message) in [
+        (true, "partition panics on the build's worker"),
+        (false, "partition panics on a pooled worker"),
+    ] {
+        let db = db(600);
+        let id = build_parallel(&db, "before").unwrap();
+        verify_index(&db, id).unwrap();
+        assert_eq!(workers_gauge(&db), 2);
+
+        panic_in_partition(&db, on_build_thread, message);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| build_parallel(&db, "panics")));
+        let payload = caught.expect_err("the partition's panic is raised in the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&message));
+        assert_eq!(workers_gauge(&db), 2, "{message}");
+
+        let id = build_parallel(&db, "after").unwrap();
+        verify_index(&db, id).unwrap();
+        assert_eq!(workers_gauge(&db), 2, "{message}");
+    }
 }
 
 #[test]

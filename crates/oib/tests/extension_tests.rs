@@ -10,8 +10,7 @@ use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
 
 const T: TableId = TableId(1);
 
@@ -112,6 +111,8 @@ fn nsf_no_quiesce_with_churn_is_exact() {
     let db2 = Arc::clone(&db);
     let stop2 = Arc::clone(&stop);
     let rids2 = rids.clone();
+    let (committed, first_commit) = mpsc::channel();
+    let mut committed = Some(committed);
     let churn = std::thread::spawn(move || {
         let mut k = 500_000i64;
         while !stop2.load(Ordering::Relaxed) {
@@ -122,12 +123,15 @@ fn nsf_no_quiesce_with_churn_is_exact() {
                 && db2.insert_record(tx, T, &rec(k + 1_000_000, 0)).is_ok();
             if !ok || k % 4 == 0 {
                 let _ = db2.rollback(tx);
-            } else {
-                let _ = db2.commit(tx);
+            } else if db2.commit(tx).is_ok() {
+                if let Some(committed) = committed.take() {
+                    let _ = committed.send(());
+                }
             }
         }
     });
-    std::thread::sleep(Duration::from_millis(20));
+    // Let the churn get going.
+    first_commit.recv().expect("the churn commits");
     let idx = build_index(&db, T, spec("nq3", false), BuildAlgorithm::Nsf).unwrap();
     stop.store(true, Ordering::Relaxed);
     churn.join().unwrap();
@@ -252,6 +256,8 @@ fn primary_model_build_under_insert_delete_churn() {
     let stop = Arc::new(AtomicBool::new(false));
     let db2 = Arc::clone(&db);
     let stop2 = Arc::clone(&stop);
+    let (committed, first_commit) = mpsc::channel();
+    let mut committed = Some(committed);
     let churn = std::thread::spawn(move || {
         let mut k = 700_000i64;
         while !stop2.load(Ordering::Relaxed) {
@@ -260,14 +266,17 @@ fn primary_model_build_under_insert_delete_churn() {
             // pk stays immutable: inserts of fresh keys + deletes only.
             let ok = db2.insert_record(tx, T, &rec(k, k % 37)).is_ok()
                 && db2.delete_record(tx, T, rids[(k % 300) as usize]).is_ok();
-            if ok {
-                let _ = db2.commit(tx);
-            } else {
+            if !ok {
                 let _ = db2.rollback(tx);
+            } else if db2.commit(tx).is_ok() {
+                if let Some(committed) = committed.take() {
+                    let _ = committed.send(());
+                }
             }
         }
     });
-    std::thread::sleep(Duration::from_millis(20));
+    // Let the churn get going.
+    first_commit.recv().expect("the churn commits");
     let idx = build_secondary_via_primary(
         &db,
         primary,

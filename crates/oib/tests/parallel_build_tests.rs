@@ -313,8 +313,10 @@ fn serial_scan_checkpoint_without_partitions_resumes() {
     assert_eq!(tree_entries(&db, id), tree_entries(&db, whole));
 }
 
+/// `build.sort_workers` is the parallelism a build asked for (DESIGN
+/// §13.4); the threads it ran on show on `build.workers`.
 #[test]
-fn worker_gauge_reports_effective_parallelism() {
+fn sort_workers_gauge_reports_requested_parallelism() {
     let db = db();
     seed(&db, 400);
     build_indexes(
