@@ -40,9 +40,6 @@ pub struct EngineConfig {
     /// Lock-wait timeout in milliseconds; expiry is treated as a
     /// deadlock and aborts the waiter.
     pub lock_timeout_ms: u64,
-    /// Side-file entries the IB applies per batch (and between
-    /// drain-phase checkpoints) while catching up (§3.2.5).
-    pub side_file_batch: usize,
     /// Maximum keys the NSF IB hands to the index manager in one
     /// multi-key insert call (§2.2.3).
     pub ib_multi_key_batch: usize,
@@ -74,7 +71,6 @@ impl Default for EngineConfig {
             sort_workspace_keys: 4096,
             merge_fan_in: 16,
             lock_timeout_ms: 2_000,
-            side_file_batch: 512,
             ib_multi_key_batch: 64,
             ib_remembered_path: true,
             nsf_descriptor_quiesce: true,
@@ -98,7 +94,6 @@ impl EngineConfig {
             sort_workspace_keys: 16,
             merge_fan_in: 4,
             lock_timeout_ms: 500,
-            side_file_batch: 8,
             ib_multi_key_batch: 4,
             ib_remembered_path: true,
             nsf_descriptor_quiesce: true,

@@ -1090,7 +1090,7 @@ fn sf_drain_phase(
         let result2 = (|| -> Result<()> {
             loop {
                 let backlog = idx.side_file.len().saturating_sub(pos) as usize;
-                let batch = idx.side_file.read(pos, backlog.max(db.cfg.side_file_batch));
+                let batch = idx.side_file.read(pos, backlog);
                 if batch.is_empty() {
                     let completed_at = db.wal.tail_lsn();
                     if idx.side_file.try_close(pos) {

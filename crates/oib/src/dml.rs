@@ -14,7 +14,7 @@
 //!    the latch-free window in which the paper's duplicate-key-insert
 //!    and delete-key races live.
 
-use crate::engine::{Db, Mechanism};
+use crate::engine::{Db, Mechanism, Plan};
 use crate::runtime::{IndexRuntime, IndexState};
 use crate::schema::{IndexDef, Record};
 use mohan_btree::{InsertMode, InsertOutcome};
@@ -23,58 +23,132 @@ use mohan_lock::{LockMode, LockName};
 use mohan_wal::{LogPayload, RecKind, SideFileOp};
 use std::sync::Arc;
 
-/// Key operations an index must eventually reflect for the undo of a
-/// record insert: delete the record's key.
-pub(crate) fn key_ops_for_undo_of_insert(
-    def: &IndexDef,
-    data: &[u8],
-    rid: Rid,
-) -> Result<Vec<SideFileOp>> {
-    let rec = Record::decode(data)?;
-    Ok(vec![SideFileOp {
-        insert: false,
-        entry: def.entry_of(&rec, rid)?,
-    }])
+/// One record change, `from → to`, at `rid` of `table`, as the images
+/// the heap stores: an insert has no `from`, a delete no `to`, and no
+/// change lacks both. Figure 1 maintains the indexes for a change;
+/// Figure 2 compensates them for its [`Change::inverse`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Change<'a> {
+    pub(crate) table: TableId,
+    pub(crate) rid: Rid,
+    pub(crate) from: Option<&'a [u8]>,
+    pub(crate) to: Option<&'a [u8]>,
 }
 
-/// Undo of a record delete: re-insert the record's key.
-pub(crate) fn key_ops_for_undo_of_delete(
-    def: &IndexDef,
-    old: &[u8],
-    rid: Rid,
-) -> Result<Vec<SideFileOp>> {
-    let rec = Record::decode(old)?;
-    Ok(vec![SideFileOp {
-        insert: true,
-        entry: def.entry_of(&rec, rid)?,
-    }])
-}
-
-/// Undo of a record update: remove the new key, restore the old one
-/// (only if the indexed columns actually changed).
-pub(crate) fn key_ops_for_undo_of_update(
-    def: &IndexDef,
-    old: &[u8],
-    new: &[u8],
-    rid: Rid,
-) -> Result<Vec<SideFileOp>> {
-    let old_rec = Record::decode(old)?;
-    let new_rec = Record::decode(new)?;
-    let old_e = def.entry_of(&old_rec, rid)?;
-    let new_e = def.entry_of(&new_rec, rid)?;
-    if old_e == new_e {
-        return Ok(vec![]);
+impl<'a> Change<'a> {
+    /// The change `from → to` at `rid` of `table`.
+    pub(crate) fn new(
+        table: TableId,
+        rid: Rid,
+        from: Option<&'a [u8]>,
+        to: Option<&'a [u8]>,
+    ) -> Change<'a> {
+        Change {
+            table,
+            rid,
+            from,
+            to,
+        }
     }
-    Ok(vec![
-        SideFileOp {
-            insert: false,
-            entry: new_e,
-        },
-        SideFileOp {
-            insert: true,
-            entry: old_e,
-        },
-    ])
+
+    /// The change a heap log record carries, with its logged count of
+    /// visible indexes; `None` for any other payload.
+    pub(crate) fn logged(payload: &'a LogPayload) -> Option<(Change<'a>, u32)> {
+        let (table, rid, from, to, count) = match payload {
+            LogPayload::HeapInsert {
+                table,
+                rid,
+                data,
+                visible_indexes,
+            } => (table, rid, None, Some(data), visible_indexes),
+            LogPayload::HeapDelete {
+                table,
+                rid,
+                old,
+                visible_indexes,
+            } => (table, rid, Some(old), None, visible_indexes),
+            LogPayload::HeapUpdate {
+                table,
+                rid,
+                old,
+                new,
+                visible_indexes,
+            } => (table, rid, Some(old), Some(new), visible_indexes),
+            _ => return None,
+        };
+        let change = Change::new(*table, *rid, from.map(Vec::as_slice), to.map(Vec::as_slice));
+        Some((change, *count))
+    }
+
+    /// The heap log payload recording this change.
+    pub(crate) fn payload(self, visible_indexes: u32) -> LogPayload {
+        let (table, rid) = (self.table, self.rid);
+        match (self.from, self.to) {
+            (Some(old), Some(new)) => LogPayload::HeapUpdate {
+                table,
+                rid,
+                old: old.to_vec(),
+                new: new.to_vec(),
+                visible_indexes,
+            },
+            (Some(old), None) => LogPayload::HeapDelete {
+                table,
+                rid,
+                old: old.to_vec(),
+                visible_indexes,
+            },
+            (None, data) => LogPayload::HeapInsert {
+                table,
+                rid,
+                data: data.unwrap_or_default().to_vec(),
+                visible_indexes,
+            },
+        }
+    }
+
+    /// The change that undoes this one.
+    pub(crate) fn inverse(self) -> Change<'a> {
+        Change {
+            from: self.to,
+            to: self.from,
+            ..self
+        }
+    }
+
+    /// The image the count of visible indexes is judged on: the
+    /// before-image, or an insert's after-image.
+    pub(crate) fn probe(self) -> &'a [u8] {
+        self.from.or(self.to).unwrap_or_default()
+    }
+}
+
+/// The key ops a change of the record at `rid` from image `from` to
+/// image `to` makes in `def`'s index, in order: delete `from`'s entry,
+/// insert `to`'s. Nothing when the two entries are equal.
+pub(crate) fn key_ops(
+    def: &IndexDef,
+    from: Option<&[u8]>,
+    to: Option<&[u8]>,
+    rid: Rid,
+) -> Result<impl Iterator<Item = SideFileOp>> {
+    let entry = |image: Option<&[u8]>| -> Result<Option<IndexEntry>> {
+        image
+            .map(|data| Ok(IndexEntry::new(def.key_of_bytes(data)?, rid)))
+            .transpose()
+    };
+    let (mut old, mut new) = (entry(from)?, entry(to)?);
+    if old == new {
+        (old, new) = (None, None);
+    }
+    let delete = old.map(|entry| SideFileOp {
+        insert: false,
+        entry,
+    });
+    let insert = new.map(|entry| SideFileOp {
+        insert: true,
+        entry,
+    });
+    Ok(delete.into_iter().chain(insert))
 }
 
 impl Db {
@@ -84,39 +158,17 @@ impl Db {
     pub fn insert_record(&self, tx: TxId, table_id: TableId, rec: &Record) -> Result<Rid> {
         self.ensure_active(tx)?;
         self.lock_table_ix(tx, table_id)?;
-        let table = self.table(table_id)?;
         let data = rec.encode();
-        let mut actions = Vec::new();
-        let rid = table.insert_with(&data, |rid| {
-            let (count, acts) = self.plan_forward(table_id, rid, &data);
-            actions = acts;
-            self.log(
-                tx,
-                RecKind::UndoRedo,
-                LogPayload::HeapInsert {
-                    table: table_id,
-                    rid,
-                    data: data.clone(),
-                    visible_indexes: count,
-                },
-            )
-            .unwrap_or(Lsn::NULL)
-        })?;
+        let change = |rid| Change::new(table_id, rid, None, Some(&data));
+        let mut plan = Vec::new();
+        let rid = self
+            .table(table_id)?
+            .insert_with(&data, |rid| self.log_change(tx, change(rid), &mut plan))?;
         self.locks
             .lock(tx, LockName::Record(table_id, rid), LockMode::X)?;
-        for (idx, mech) in &actions {
-            let entry = idx.def.entry_of(rec, rid)?;
-            self.apply_key_op(
-                tx,
-                idx,
-                *mech,
-                SideFileOp {
-                    insert: true,
-                    entry,
-                },
-            )?;
-        }
-        self.recheck_key_cursors(tx, table_id, rid, rec, &actions, true)?;
+        self.maintain(change(rid), &plan, |idx, mech, op| {
+            self.apply_key_op(tx, idx, mech, op)
+        })?;
         Ok(rid)
     }
 
@@ -126,39 +178,16 @@ impl Db {
         self.lock_table_ix(tx, table_id)?;
         self.locks
             .lock(tx, LockName::Record(table_id, rid), LockMode::X)?;
-        let table = self.table(table_id)?;
-        let mut actions = Vec::new();
-        let old = table.delete_with(rid, |old| {
-            let (count, acts) = self.plan_forward(table_id, rid, old);
-            actions = acts;
-            self.log(
-                tx,
-                RecKind::UndoRedo,
-                LogPayload::HeapDelete {
-                    table: table_id,
-                    rid,
-                    old: old.to_vec(),
-                    visible_indexes: count,
-                },
-            )
-            .unwrap_or(Lsn::NULL)
+        let mut plan = Vec::new();
+        let old = self.table(table_id)?.delete_with(rid, |old| {
+            self.log_change(tx, Change::new(table_id, rid, Some(old), None), &mut plan)
         })?;
         self.note_hold(tx, table_id, rid);
-        let old_rec = Record::decode(&old)?;
-        for (idx, mech) in &actions {
-            let entry = idx.def.entry_of(&old_rec, rid)?;
-            self.apply_key_op(
-                tx,
-                idx,
-                *mech,
-                SideFileOp {
-                    insert: false,
-                    entry,
-                },
-            )?;
-        }
-        self.recheck_key_cursors(tx, table_id, rid, &old_rec, &actions, false)?;
-        Ok(old_rec)
+        let change = Change::new(table_id, rid, Some(&old), None);
+        self.maintain(change, &plan, |idx, mech, op| {
+            self.apply_key_op(tx, idx, mech, op)
+        })?;
+        Record::decode(&old)
     }
 
     /// Update a record in place, returning its old contents.
@@ -173,53 +202,27 @@ impl Db {
         self.lock_table_ix(tx, table_id)?;
         self.locks
             .lock(tx, LockName::Record(table_id, rid), LockMode::X)?;
-        let table = self.table(table_id)?;
         let new_data = new.encode();
-        let mut actions = Vec::new();
-        let old = table.update_with(rid, &new_data, |old| {
-            let (count, acts) = self.plan_forward(table_id, rid, old);
-            actions = acts;
-            self.log(
-                tx,
-                RecKind::UndoRedo,
-                LogPayload::HeapUpdate {
-                    table: table_id,
-                    rid,
-                    old: old.to_vec(),
-                    new: new_data.clone(),
-                    visible_indexes: count,
-                },
-            )
-            .unwrap_or(Lsn::NULL)
+        let mut plan = Vec::new();
+        let old = self.table(table_id)?.update_with(rid, &new_data, |old| {
+            let change = Change::new(table_id, rid, Some(old), Some(&new_data));
+            self.log_change(tx, change, &mut plan)
         })?;
         self.note_hold(tx, table_id, rid);
-        let old_rec = Record::decode(&old)?;
-        for (idx, mech) in actions {
-            let old_e = idx.def.entry_of(&old_rec, rid)?;
-            let new_e = idx.def.entry_of(new, rid)?;
-            if old_e == new_e {
-                continue;
-            }
-            self.apply_key_op(
-                tx,
-                &idx,
-                mech,
-                SideFileOp {
-                    insert: false,
-                    entry: old_e,
-                },
-            )?;
-            self.apply_key_op(
-                tx,
-                &idx,
-                mech,
-                SideFileOp {
-                    insert: true,
-                    entry: new_e,
-                },
-            )?;
-        }
-        Ok(old_rec)
+        let change = Change::new(table_id, rid, Some(&old), Some(&new_data));
+        self.maintain(change, &plan, |idx, mech, op| {
+            self.apply_key_op(tx, idx, mech, op)
+        })?;
+        Record::decode(&old)
+    }
+
+    /// Under the data-page latch: plan `change`'s index maintenance
+    /// (Figure 1) and log it with the count of visible indexes.
+    fn log_change(&self, tx: TxId, change: Change<'_>, plan: &mut Plan) -> Lsn {
+        let count;
+        (count, *plan) = self.plan(change, None);
+        self.log(tx, RecKind::UndoRedo, change.payload(count))
+            .unwrap_or(Lsn::NULL)
     }
 
     /// Read one record (physical read; no locking — the experiments
@@ -290,6 +293,55 @@ impl Db {
 
     // ----- index maintenance (Figure 1, §2.2.3) -----------------------
 
+    /// After the data-page latch: hand `emit` each key op of `change`
+    /// with the mechanism `plan` names for its index, in creation
+    /// order. A §6.2 key-cursor index under construction sees only the
+    /// images whose primary key the walk has passed — the walk reads
+    /// the others itself — so each key op is judged on the primary key
+    /// of the image its entry came from, and an update that moves the
+    /// primary key across the walk keeps the side it moved to even if
+    /// the index key is unchanged. The judgment waits until the indexes
+    /// before this one, the primary among them, are maintained: taken
+    /// under the heap latch it could say "not passed" while the walk
+    /// passes the key before the record's primary entry lands. Taken
+    /// now, either the image is behind the walk, or the walk is still
+    /// ahead of that key and will extract the state already placed in
+    /// the primary. A key-cursor index registered after the plan is
+    /// judged the same way, or maintained directly if its build has
+    /// finished since.
+    pub(crate) fn maintain(
+        &self,
+        change: Change<'_>,
+        plan: &[(Arc<IndexRuntime>, Option<Mechanism>)],
+        mut emit: impl FnMut(&Arc<IndexRuntime>, Mechanism, SideFileOp) -> Result<()>,
+    ) -> Result<()> {
+        let mut reach = |idx: &Arc<IndexRuntime>, mech: Mechanism| -> Result<()> {
+            let judged = mech == Mechanism::SideFile && idx.key_cursor.is_some();
+            let [from, to] = [change.from, change.to]
+                .map(|image| image.filter(|image| !judged || idx.sf_visible(change.rid, image)));
+            for op in key_ops(&idx.def, from, to, change.rid)? {
+                emit(idx, mech, op)?;
+            }
+            Ok(())
+        };
+        for (idx, mech) in plan {
+            if let Some(mech) = mech {
+                reach(idx, *mech)?;
+            }
+        }
+        for idx in self.indexes_of(change.table) {
+            if idx.key_cursor.is_none() || plan.iter().any(|(p, _)| Arc::ptr_eq(p, &idx)) {
+                continue;
+            }
+            match idx.state() {
+                IndexState::SfBuilding => reach(&idx, Mechanism::SideFile)?,
+                IndexState::Complete => reach(&idx, Mechanism::Direct)?,
+                IndexState::NsfBuilding => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Route one key operation to an index through the planned
     /// mechanism.
     pub(crate) fn apply_key_op(
@@ -332,7 +384,7 @@ impl Db {
             }
             Mechanism::Direct => {
                 if op.insert {
-                    self.direct_insert_key(tx, idx, op.entry)
+                    self.insert_key(tx, idx, op.entry)
                 } else {
                     self.direct_delete_key(tx, idx, &op.entry)
                 }
@@ -340,143 +392,68 @@ impl Db {
         }
     }
 
-    /// §2.2.3, "IB and Insert Operations" — the transaction side.
-    pub(crate) fn direct_insert_key(
-        &self,
-        tx: TxId,
-        idx: &Arc<IndexRuntime>,
-        entry: IndexEntry,
-    ) -> Result<()> {
-        match idx.tree.insert(entry.clone(), InsertMode::Transaction)? {
-            InsertOutcome::Inserted => {
-                self.log(
-                    tx,
-                    RecKind::UndoRedo,
-                    LogPayload::IndexInsert {
-                        index: idx.def.id,
-                        entry,
-                    },
-                )?;
-                Ok(())
+    /// §2.2.3, "IB and Insert Operations" — the transaction side, with
+    /// unique-key arbitration. The first attempt takes no lock. On a
+    /// duplicate key value, wait (instant S) for the conflicting
+    /// record's owner to commit or roll back, insert again, and on a
+    /// conflict still there re-check whether the duplicate value still
+    /// exists: raise a violation, take over a committed-dead pseudo
+    /// entry (paper's step 9 "replace R with R1"), or retry.
+    fn insert_key(&self, tx: TxId, idx: &Arc<IndexRuntime>, entry: IndexEntry) -> Result<()> {
+        let mut conflict = None;
+        // One attempt, then up to eight after waiting on a conflict.
+        for _ in 0..9 {
+            if let Some(existing) = conflict {
+                self.locks
+                    .instant(tx, LockName::Record(idx.def.table, existing), LockMode::S)?;
             }
-            InsertOutcome::DuplicateEntry { pseudo: false } => {
-                // The IB inserted this key already. Write an undo-only
-                // record so a rollback will still remove it (§2.1.1).
-                self.log(
-                    tx,
-                    RecKind::UndoOnly,
-                    LogPayload::IndexInsert {
-                        index: idx.def.id,
-                        entry,
-                    },
-                )?;
-                Ok(())
-            }
-            InsertOutcome::DuplicateEntry { pseudo: true } => {
-                // Exact entry exists pseudo-deleted (paper's example,
-                // steps 5-8): reset the flag.
-                idx.tree.set_pseudo(&entry, false)?;
-                self.log(
-                    tx,
-                    RecKind::UndoRedo,
-                    LogPayload::IndexReactivate {
-                        index: idx.def.id,
-                        entry,
-                    },
-                )?;
-                Ok(())
-            }
-            InsertOutcome::DuplicateKeyValue {
-                existing,
-                existing_pseudo,
-            } => self.resolve_unique_insert(tx, idx, entry, existing, existing_pseudo),
-        }
-    }
-
-    /// Unique-key arbitration (§2.2.3): wait for the conflicting
-    /// record's owner, re-check whether the duplicate key value still
-    /// exists, and either raise a violation, take over a committed-dead
-    /// pseudo entry (paper's step 9 "replace R with R1"), or retry.
-    fn resolve_unique_insert(
-        &self,
-        tx: TxId,
-        idx: &Arc<IndexRuntime>,
-        entry: IndexEntry,
-        mut existing: Rid,
-        _existing_pseudo: bool,
-    ) -> Result<()> {
-        for _ in 0..8 {
-            // Wait (instant S) for the conflicting record's owner to
-            // commit or roll back.
-            self.locks
-                .instant(tx, LockName::Record(idx.def.table, existing), LockMode::S)?;
-            match idx.tree.insert(entry.clone(), InsertMode::Transaction)? {
-                InsertOutcome::Inserted => {
-                    self.log(
-                        tx,
-                        RecKind::UndoRedo,
-                        LogPayload::IndexInsert {
-                            index: idx.def.id,
-                            entry,
-                        },
-                    )?;
-                    return Ok(());
-                }
-                InsertOutcome::DuplicateEntry { pseudo: false } => {
-                    self.log(
-                        tx,
-                        RecKind::UndoOnly,
-                        LogPayload::IndexInsert {
-                            index: idx.def.id,
-                            entry,
-                        },
-                    )?;
-                    return Ok(());
-                }
-                InsertOutcome::DuplicateEntry { pseudo: true } => {
-                    idx.tree.set_pseudo(&entry, false)?;
-                    self.log(
-                        tx,
-                        RecKind::UndoRedo,
-                        LogPayload::IndexReactivate {
-                            index: idx.def.id,
-                            entry,
-                        },
-                    )?;
-                    return Ok(());
-                }
-                InsertOutcome::DuplicateKeyValue {
-                    existing: e2,
-                    existing_pseudo: p2,
-                } => {
-                    let conflict_key = self.record_key(idx, e2)?;
-                    let still_conflicts = conflict_key.as_ref() == Some(&entry.key);
-                    if still_conflicts && !p2 {
-                        return Err(Error::UniqueViolation {
-                            index: idx.def.id,
-                            existing: e2,
-                        });
+            let (kind, reactivate) =
+                match idx.tree.insert(entry.clone(), InsertMode::Transaction)? {
+                    InsertOutcome::Inserted => (RecKind::UndoRedo, false),
+                    // The IB inserted this key already. Write an undo-only
+                    // record so a rollback will still remove it (§2.1.1).
+                    InsertOutcome::DuplicateEntry { pseudo: false } => (RecKind::UndoOnly, false),
+                    // Exact entry exists pseudo-deleted (paper's example,
+                    // steps 5-8): reset the flag.
+                    InsertOutcome::DuplicateEntry { pseudo: true } => {
+                        idx.tree.set_pseudo(&entry, false)?;
+                        (RecKind::UndoRedo, true)
                     }
-                    if !still_conflicts {
-                        // Committed-dead conflict: take the entry over
-                        // in place (reset flag, replace RID).
-                        if idx.tree.unique_replace(&entry.key, e2, entry.rid)? {
-                            self.log(
-                                tx,
-                                RecKind::UndoRedo,
-                                LogPayload::IndexInsert {
-                                    index: idx.def.id,
-                                    entry,
-                                },
-                            )?;
-                            return Ok(());
+                    InsertOutcome::DuplicateKeyValue {
+                        existing,
+                        existing_pseudo,
+                    } => {
+                        if conflict.replace(existing).is_none() {
+                            continue;
                         }
+                        let still_conflicts =
+                            self.record_key(idx, existing)?.as_ref() == Some(&entry.key);
+                        if still_conflicts && !existing_pseudo {
+                            return Err(Error::UniqueViolation {
+                                index: idx.def.id,
+                                existing,
+                            });
+                        }
+                        // Committed-dead conflict: take the entry over in
+                        // place (reset flag, replace RID). Entry pseudo +
+                        // record alive (a racing deleter is mid-flight), or
+                        // the replace raced away: retry.
+                        if still_conflicts
+                            || !idx.tree.unique_replace(&entry.key, existing, entry.rid)?
+                        {
+                            continue;
+                        }
+                        (RecKind::UndoRedo, false)
                     }
-                    // Entry pseudo + record alive (a racing deleter is
-                    // mid-flight), or the replace raced away: retry.
-                    existing = e2;
-                }
-            }
+                };
+            let index = idx.def.id;
+            let payload = if reactivate {
+                LogPayload::IndexReactivate { index, entry }
+            } else {
+                LogPayload::IndexInsert { index, entry }
+            };
+            self.log(tx, kind, payload)?;
+            return Ok(());
         }
         Err(Error::Corruption(format!(
             "unique arbitration did not converge on {}",
@@ -505,65 +482,6 @@ impl Db {
             }
         };
         self.log(tx, RecKind::UndoRedo, payload)?;
-        Ok(())
-    }
-
-    /// The key-cursor (primary-model) visibility decision is temporal:
-    /// a plan taken under the heap latch can say "invisible" while the
-    /// primary-index walk passes the key's position before the
-    /// record's primary entry lands. Because the (complete) primary
-    /// index is maintained *before* any in-build key-cursor secondary
-    /// (creation order), rechecking after maintenance closes the race:
-    /// either the op is visible now (append it), or the walk is still
-    /// behind the key's position and will extract the already-placed
-    /// primary state.
-    fn recheck_key_cursors(
-        &self,
-        tx: TxId,
-        table: TableId,
-        rid: Rid,
-        rec: &Record,
-        applied: &[(Arc<IndexRuntime>, Mechanism)],
-        insert: bool,
-    ) -> Result<()> {
-        for idx in self.indexes_of(table) {
-            if idx.key_cursor.is_none() || applied.iter().any(|(a, _)| a.def.id == idx.def.id) {
-                continue;
-            }
-            match idx.state() {
-                IndexState::SfBuilding => {
-                    let kc = idx.key_cursor.as_ref().expect("checked");
-                    let pk = mohan_common::KeyValue::from_i64s(
-                        &kc.pk_cols
-                            .iter()
-                            .map(|&c| rec.0[usize::from(c)])
-                            .collect::<Vec<_>>(),
-                    );
-                    if idx.sf_visible(rid, Some(&pk)) {
-                        let entry = idx.def.entry_of(rec, rid)?;
-                        self.apply_key_op(
-                            tx,
-                            &idx,
-                            Mechanism::SideFile,
-                            SideFileOp { insert, entry },
-                        )?;
-                    }
-                    // Still invisible: the walk is provably behind the
-                    // key's position and will extract the current
-                    // primary state.
-                }
-                IndexState::Complete => {
-                    // The build finished between the latch-time plan
-                    // and now: the operation predates completion but
-                    // was routed nowhere. Maintain directly; duplicate
-                    // rejection / tombstones make this idempotent
-                    // against whatever the walk extracted.
-                    let entry = idx.def.entry_of(rec, rid)?;
-                    self.apply_key_op(tx, &idx, Mechanism::Direct, SideFileOp { insert, entry })?;
-                }
-                IndexState::NsfBuilding => {}
-            }
-        }
         Ok(())
     }
 

@@ -11,8 +11,9 @@
 //! maintenance the transaction logged itself.
 
 use crate::checkpointer::Checkpointer;
+use crate::dml::Change;
 use crate::runtime::{Catalog, IndexRuntime, IndexState};
-use crate::schema::{BuildAlgorithm, Record};
+use crate::schema::BuildAlgorithm;
 use crate::workers::BuildWorkers;
 use mohan_common::codec::encode;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
@@ -62,6 +63,10 @@ pub(crate) enum Mechanism {
     /// Append `<operation, key>` to the index's side-file.
     SideFile,
 }
+
+/// Every index of a table, in creation order, with the mechanism one
+/// record change reaches it through (`None`: not at all).
+pub(crate) type Plan = Vec<(Arc<IndexRuntime>, Option<Mechanism>)>;
 
 /// The engine.
 pub struct Db {
@@ -451,7 +456,7 @@ impl Db {
             // absorbs the overlap with the rescanned key range (see
             // DESIGN.md §6).
             if rt.state() == IndexState::SfBuilding {
-                rt.finish_scan_conservative();
+                rt.finish_scan();
             }
         }
         Ok(())
@@ -768,102 +773,81 @@ impl Db {
 
     // ----- visibility planning (Figures 1 and 2) ----------------------
 
-    /// Under the data-page latch: which indexes are visible for this
-    /// operation, and through which mechanism. Returns the count to
-    /// log and the actions to perform after unlatching.
-    pub(crate) fn plan_forward(
-        &self,
-        table: TableId,
-        rid: Rid,
-        data: &[u8],
-    ) -> (u32, Vec<(Arc<IndexRuntime>, Mechanism)>) {
+    /// Under the data-page latch: every index of the table with the
+    /// mechanism `change` reaches it through, `None` for one it must
+    /// not touch, and the count of visible indexes to log, judged on
+    /// [`Change::probe`]. Forward (`undo` is `None`) this is
+    /// Figure 1. Rolling back a change logged at `rec_lsn` with
+    /// `logged_count` visible indexes (`undo` is `Some`), the
+    /// mechanisms are Figure 2's compensations. A §6.2 key-cursor
+    /// index under construction is planned through the side-file, and
+    /// [`Db::maintain`] judges each of its key ops on its own image.
+    pub(crate) fn plan(&self, change: Change<'_>, undo: Option<(u32, Lsn)>) -> (u32, Plan) {
         let mut count = 0u32;
-        let mut acts = Vec::new();
-        for idx in self.indexes_of(table) {
-            match idx.state() {
-                IndexState::Complete | IndexState::NsfBuilding => {
-                    count += 1;
-                    acts.push((idx, Mechanism::Direct));
+        let mut plan = Vec::new();
+        for (p, idx) in self.indexes_of(change.table).into_iter().enumerate() {
+            let p = p as u32;
+            let state = idx.state();
+            let visible =
+                state != IndexState::SfBuilding || idx.sf_visible(change.rid, change.probe());
+            count += u32::from(visible);
+            let mech = match (state, undo) {
+                // Invisible: the IB's (re)scan will extract the state
+                // the change leaves.
+                (IndexState::SfBuilding, _) => {
+                    (visible || idx.key_cursor.is_some()).then_some(Mechanism::SideFile)
                 }
-                IndexState::SfBuilding => {
-                    let pk = idx.key_cursor.as_ref().and_then(|kc| {
-                        Record::decode(data).ok().map(|r| {
-                            mohan_common::KeyValue::from_i64s(
-                                &kc.pk_cols
-                                    .iter()
-                                    .map(|&c| r.0[usize::from(c)])
-                                    .collect::<Vec<_>>(),
-                            )
-                        })
-                    });
-                    if idx.sf_visible(rid, pk.as_ref()) {
-                        count += 1;
-                        acts.push((idx, Mechanism::SideFile));
-                    }
+                (_, None) => Some(Mechanism::Direct),
+                // Only reachable in the no-quiesce extension: the index
+                // appeared after the forward op. Otherwise the
+                // transaction logged its own index operations and the
+                // undo driver handles them.
+                (IndexState::NsfBuilding, Some((logged_count, _))) => {
+                    (p >= logged_count).then_some(Mechanism::Direct)
                 }
-            }
+                // Became visible since the original data change:
+                // traverse the tree (Figure 2). Or forward maintenance
+                // went through the (now drained) side-file: compensate
+                // directly. Otherwise the transaction's own index log
+                // records carry the undo.
+                (IndexState::Complete, Some((logged_count, rec_lsn))) => (p >= logged_count
+                    || idx.algorithm == BuildAlgorithm::Sf && rec_lsn < idx.completed_lsn())
+                .then_some(Mechanism::Direct),
+            };
+            plan.push((idx, mech));
         }
-        (count, acts)
+        (count, plan)
     }
 
-    /// Figure 2: which indexes need *compensation* when this data-page
-    /// log record is undone. `logged_count` is the count of visible
-    /// indexes the forward operation recorded.
-    pub(crate) fn plan_undo(
+    /// Figure 2 for one record: undo `change`, logged with
+    /// `logged_count` visible indexes by `rec`, and log its inverse
+    /// through `clr`; then compensate every index the plan names with
+    /// the inverse's key ops. Returns the transaction's new last LSN.
+    fn undo_change(
         &self,
-        table: TableId,
-        rid: Rid,
-        data: &[u8],
+        rec: &LogRecord,
+        change: Change<'_>,
         logged_count: u32,
-        rec_lsn: Lsn,
-    ) -> Vec<(Arc<IndexRuntime>, Mechanism)> {
-        let mut acts = Vec::new();
-        for (p, idx) in self.indexes_of(table).into_iter().enumerate() {
-            let p = p as u32;
-            match idx.state() {
-                IndexState::SfBuilding => {
-                    let pk = idx.key_cursor.as_ref().and_then(|kc| {
-                        Record::decode(data).ok().map(|r| {
-                            mohan_common::KeyValue::from_i64s(
-                                &kc.pk_cols
-                                    .iter()
-                                    .map(|&c| r.0[usize::from(c)])
-                                    .collect::<Vec<_>>(),
-                            )
-                        })
-                    });
-                    if idx.sf_visible(rid, pk.as_ref()) {
-                        acts.push((idx, Mechanism::SideFile));
-                    }
-                    // Invisible: the IB's (re)scan will extract the
-                    // restored state.
-                }
-                IndexState::NsfBuilding => {
-                    if p >= logged_count {
-                        // Only reachable in the no-quiesce extension:
-                        // the index appeared after the forward op.
-                        acts.push((idx, Mechanism::Direct));
-                    }
-                    // Otherwise the transaction logged its own index
-                    // operations; the undo driver handles them.
-                }
-                IndexState::Complete => {
-                    let was_visible = p < logged_count;
-                    if !was_visible {
-                        // Became visible since the original data
-                        // change: traverse the tree (Figure 2).
-                        acts.push((idx, Mechanism::Direct));
-                    } else if idx.algorithm == BuildAlgorithm::Sf && rec_lsn < idx.completed_lsn() {
-                        // Forward maintenance went through the (now
-                        // drained) side-file; compensate directly.
-                        acts.push((idx, Mechanism::Direct));
-                    }
-                    // Otherwise the transaction's own index log
-                    // records carry the undo.
-                }
-            }
+        clr: impl FnOnce(LogPayload) -> Lsn,
+    ) -> Result<Lsn> {
+        let tbl = self.table(change.table)?;
+        let mut plan = Vec::new();
+        let mut last = Lsn::NULL;
+        let log = || {
+            let count;
+            (count, plan) = self.plan(change, Some((logged_count, rec.lsn)));
+            last = clr(change.inverse().payload(count));
+            last
+        };
+        match change.from {
+            None => drop(tbl.undo_insert(change.rid, log)?),
+            Some(old) => tbl.undo_restore(change.rid, old, log)?,
         }
-        acts
+        self.maintain(change.inverse(), &plan, |idx, mech, op| {
+            last = self.compensate(rec.tx, last, idx, mech, op)?;
+            Ok(())
+        })?;
+        Ok(last)
     }
 
     // ----- absolute (idempotent) index state transitions --------------
@@ -1008,93 +992,10 @@ impl RecoveryTarget for Db {
             self.wal
                 .append(rec.tx, clr_prev, RecKind::Clr { undo_next }, payload)
         };
+        if let Some((change, logged_count)) = Change::logged(&rec.payload) {
+            return self.undo_change(rec, change, logged_count, clr);
+        }
         match &rec.payload {
-            LogPayload::HeapInsert {
-                table,
-                rid,
-                data,
-                visible_indexes,
-            } => {
-                let tbl = self.table(*table)?;
-                let mut plan = Vec::new();
-                let mut clr_lsn = Lsn::NULL;
-                tbl.undo_insert(*rid, || {
-                    let (count_now, _) = self.plan_forward(*table, *rid, data);
-                    plan = self.plan_undo(*table, *rid, data, *visible_indexes, rec.lsn);
-                    clr_lsn = clr(LogPayload::HeapDelete {
-                        table: *table,
-                        rid: *rid,
-                        old: data.clone(),
-                        visible_indexes: count_now,
-                    });
-                    clr_lsn
-                })?;
-                let mut last = clr_lsn;
-                for (idx, mech) in plan {
-                    for op in crate::dml::key_ops_for_undo_of_insert(&idx.def, data, *rid)? {
-                        last = self.compensate(rec.tx, last, &idx, mech, op)?;
-                    }
-                }
-                Ok(last)
-            }
-            LogPayload::HeapDelete {
-                table,
-                rid,
-                old,
-                visible_indexes,
-            } => {
-                let tbl = self.table(*table)?;
-                let mut plan = Vec::new();
-                let mut clr_lsn = Lsn::NULL;
-                tbl.undo_restore(*rid, old, || {
-                    let (count_now, _) = self.plan_forward(*table, *rid, old);
-                    plan = self.plan_undo(*table, *rid, old, *visible_indexes, rec.lsn);
-                    clr_lsn = clr(LogPayload::HeapInsert {
-                        table: *table,
-                        rid: *rid,
-                        data: old.clone(),
-                        visible_indexes: count_now,
-                    });
-                    clr_lsn
-                })?;
-                let mut last = clr_lsn;
-                for (idx, mech) in plan {
-                    for op in crate::dml::key_ops_for_undo_of_delete(&idx.def, old, *rid)? {
-                        last = self.compensate(rec.tx, last, &idx, mech, op)?;
-                    }
-                }
-                Ok(last)
-            }
-            LogPayload::HeapUpdate {
-                table,
-                rid,
-                old,
-                new,
-                visible_indexes,
-            } => {
-                let tbl = self.table(*table)?;
-                let mut plan = Vec::new();
-                let mut clr_lsn = Lsn::NULL;
-                tbl.undo_restore(*rid, old, || {
-                    let (count_now, _) = self.plan_forward(*table, *rid, old);
-                    plan = self.plan_undo(*table, *rid, old, *visible_indexes, rec.lsn);
-                    clr_lsn = clr(LogPayload::HeapUpdate {
-                        table: *table,
-                        rid: *rid,
-                        old: new.clone(),
-                        new: old.clone(),
-                        visible_indexes: count_now,
-                    });
-                    clr_lsn
-                })?;
-                let mut last = clr_lsn;
-                for (idx, mech) in plan {
-                    for op in crate::dml::key_ops_for_undo_of_update(&idx.def, old, new, *rid)? {
-                        last = self.compensate(rec.tx, last, &idx, mech, op)?;
-                    }
-                }
-                Ok(last)
-            }
             LogPayload::IndexInsert { index, entry } => {
                 // §2.2.3: the deleter (here: the rolling-back inserter)
                 // does not physically remove the key — it may already
@@ -1241,22 +1142,6 @@ impl Db {
                 }
             }
         }
-    }
-
-    /// Convenience for tests/benches: is any build currently running
-    /// on this table?
-    #[must_use]
-    pub fn build_in_progress(&self, table: TableId) -> bool {
-        self.indexes_of(table)
-            .iter()
-            .any(|i| i.state() != IndexState::Complete)
-    }
-
-    /// Lock-manager name for a record (data-only locking: key locks
-    /// and record locks coincide, §6.2).
-    #[must_use]
-    pub fn record_lock(table: TableId, rid: Rid) -> LockName {
-        LockName::Record(table, rid)
     }
 
     /// Acquire the table IX intent lock (updaters) for `tx`.

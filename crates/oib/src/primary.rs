@@ -104,15 +104,20 @@ pub fn build_secondary_via_primary(
             |rids| {
                 // The cursor covers this leaf, so operations racing
                 // these reads go to the side-file, where drain
-                // reconciliation absorbs the overlap.
+                // reconciliation absorbs the overlap. A row whose
+                // primary key moved ahead of the walk since the
+                // snapshot is not read here: the walk reads it when it
+                // gets there, and the side-file hears only of images
+                // behind the walk (`Db::maintain`).
                 for rid in rids {
                     pacer.tick();
                     match heap.read(rid) {
-                        Ok(data) => {
+                        Ok(data) if idx.sf_visible(rid, &data) => {
                             let rec = Record::decode(&data)?;
                             seq += 1;
                             rf.push(idx.def.entry_of(&rec, rid)?, seq)?;
                         }
+                        Ok(_) => {}
                         Err(Error::NotFound(_)) => {
                             // Deleted behind the cursor: the deleter's
                             // side-file entry (or the absence of the

@@ -1,7 +1,7 @@
 //! Per-index runtime state: the tree, the build state machine, the
 //! SF visibility cursor and the side-file.
 
-use crate::schema::{BuildAlgorithm, IndexDef};
+use crate::schema::{BuildAlgorithm, IndexDef, Record};
 use crate::side_file::SideFile;
 use mohan_btree::{BTree, BTreeConfig};
 use mohan_common::codec::{decode, framed, get_items, Cursor, Wire};
@@ -51,7 +51,7 @@ const CURRENT_NONE: u64 = 0;
 pub struct KeyCursor {
     /// Column positions of the clustering (primary) key in the
     /// record, used to derive the visibility probe.
-    pub pk_cols: Vec<u16>,
+    pk_cols: Vec<u16>,
     current: Mutex<Option<KeyValue>>,
     done: AtomicU8,
 }
@@ -69,6 +69,18 @@ impl KeyCursor {
     /// Advance to `key` (must be monotone).
     pub fn advance(&self, key: KeyValue) {
         *self.current.lock() = Some(key);
+    }
+
+    /// The clustering key of `rec`, or `None` if the record is too
+    /// short to have one.
+    #[must_use]
+    pub fn primary_key(&self, rec: &Record) -> Option<KeyValue> {
+        let cols: Option<Vec<i64>> = self
+            .pk_cols
+            .iter()
+            .map(|&c| rec.0.get(usize::from(c)).copied())
+            .collect();
+        cols.map(|c| KeyValue::from_i64s(&c))
     }
 
     /// Mark the scan complete (everything visible).
@@ -225,14 +237,6 @@ impl IndexRuntime {
         self.current_rid.fetch_max(rid.pack() + 1, Ordering::AcqRel);
     }
 
-    /// Conservative post-crash visibility: with the exact Current-RID
-    /// lost, treat every record as visible. Safe because visibility
-    /// may only ever grow, and the drain's duplicate-rejection absorbs
-    /// overlap with the rescanned range.
-    pub fn finish_scan_conservative(&self) {
-        self.finish_scan();
-    }
-
     /// Mark the SF scan finished: Current-RID becomes infinity
     /// (§3.2.2).
     pub fn finish_scan(&self) {
@@ -253,36 +257,31 @@ impl IndexRuntime {
         }
     }
 
-    /// The SF visibility rule evaluated for a record (Figure 1):
-    /// the record's page has been *copied* by the scan
+    /// The SF visibility rule (Figure 1) for one image of the record
+    /// at `rid`: the record's page has been *copied* by the scan
     /// (`Target-RID ≤ Current-RID` with the cursor naming the last RID
     /// of the last page copied — the paper's `Target < Current` with a
     /// next-to-process cursor), or the record lives beyond the scan's
-    /// end bound, or (storage-model extension) its primary key is
-    /// behind the key cursor. The inclusive boundary matters: the page
-    /// latch serializes the copy against updaters, so an operation on
-    /// a record of the boundary page necessarily happens *after* the IB
-    /// took its old image and must go to the side-file.
+    /// end bound. The inclusive boundary matters: the page latch
+    /// serializes the copy against updaters, so an operation on a
+    /// record of the boundary page necessarily happens *after* the IB
+    /// took its old image and must go to the side-file. Under the §6.2
+    /// key cursor the rule is the primary key of `image` instead of
+    /// `rid`, so the two images of one update can differ; an image
+    /// without a primary key counts as visible, the side-file being
+    /// the side that reconciles.
     #[must_use]
-    pub fn sf_visible(&self, rid: Rid, primary_key: Option<&KeyValue>) -> bool {
-        if let (Some(kc), Some(pk)) = (&self.key_cursor, primary_key) {
-            return kc.passed(pk);
+    pub fn sf_visible(&self, rid: Rid, image: &[u8]) -> bool {
+        if let Some(kc) = &self.key_cursor {
+            return Record::decode(image)
+                .ok()
+                .and_then(|rec| kc.primary_key(&rec))
+                .is_none_or(|pk| kc.passed(&pk));
         }
         match self.current_rid.load(Ordering::SeqCst) {
             CURRENT_INFINITY => true,
             CURRENT_NONE => rid.page > self.scan_end(),
             cur => rid.pack() < cur || rid.page > self.scan_end(),
-        }
-    }
-
-    /// Is the index visible *for maintenance* to a transaction
-    /// touching `rid`? (Readability is separate: only
-    /// [`IndexState::Complete`] serves queries.)
-    #[must_use]
-    pub fn visible_for(&self, rid: Rid, primary_key: Option<&KeyValue>) -> bool {
-        match self.state() {
-            IndexState::NsfBuilding | IndexState::Complete => true,
-            IndexState::SfBuilding => self.sf_visible(rid, primary_key),
         }
     }
 
@@ -437,19 +436,19 @@ mod tests {
     fn sf_visibility_follows_cursor() {
         let r = rt(IndexState::SfBuilding);
         r.set_scan_end(PageId(10));
-        assert!(!r.visible_for(Rid::new(0, 0), None));
+        assert!(!r.sf_visible(Rid::new(0, 0), &[]));
         r.set_current_rid(Rid::new(5, 3));
-        assert!(r.visible_for(Rid::new(5, 2), None));
-        assert!(r.visible_for(Rid::new(4, 9), None));
+        assert!(r.sf_visible(Rid::new(5, 2), &[]));
+        assert!(r.sf_visible(Rid::new(4, 9), &[]));
         // The just-processed record itself is visible: its old image
         // is already in the IB's hands.
-        assert!(r.visible_for(Rid::new(5, 3), None));
-        assert!(!r.visible_for(Rid::new(5, 4), None));
-        assert!(!r.visible_for(Rid::new(6, 0), None));
+        assert!(r.sf_visible(Rid::new(5, 3), &[]));
+        assert!(!r.sf_visible(Rid::new(5, 4), &[]));
+        assert!(!r.sf_visible(Rid::new(6, 0), &[]));
         // Beyond the scan-end bound: always visible.
-        assert!(r.visible_for(Rid::new(11, 0), None));
+        assert!(r.sf_visible(Rid::new(11, 0), &[]));
         r.finish_scan();
-        assert!(r.visible_for(Rid::new(6, 0), None));
+        assert!(r.sf_visible(Rid::new(6, 0), &[]));
     }
 
     #[test]
@@ -461,39 +460,34 @@ mod tests {
         // A tail insert into page 3's free space now compares *above*
         // the last-record cursor — with only that cursor its key
         // would be lost (neither scanned nor side-filed) ...
-        assert!(!r.sf_visible(Rid::new(3, 8), None));
+        assert!(!r.sf_visible(Rid::new(3, 8), &[]));
         // ... so the scan's under-latch hook advances Current-RID past
         // the whole page before releasing the page latch.
         r.set_current_rid(Rid::new(3, u16::MAX));
-        assert!(r.sf_visible(Rid::new(3, 8), None));
-        assert!(r.sf_visible(Rid::new(3, u16::MAX), None));
+        assert!(r.sf_visible(Rid::new(3, 8), &[]));
+        assert!(r.sf_visible(Rid::new(3, u16::MAX), &[]));
         // Pages the scan has not reached stay its responsibility.
-        assert!(!r.sf_visible(Rid::new(4, 0), None));
-    }
-
-    #[test]
-    fn nsf_and_complete_always_visible() {
-        let r = rt(IndexState::NsfBuilding);
-        assert!(r.visible_for(Rid::new(999, 0), None));
-        r.set_state(IndexState::Complete);
-        assert!(r.visible_for(Rid::MIN, None));
+        assert!(!r.sf_visible(Rid::new(4, 0), &[]));
     }
 
     #[test]
     fn key_cursor_visibility() {
         let mut r = rt(IndexState::SfBuilding);
-        r.key_cursor = Some(KeyCursor::default());
+        r.key_cursor = Some(KeyCursor::for_pk_cols(vec![1]));
         let kc = r.key_cursor.as_ref().unwrap();
-        let k = |v: i64| KeyValue::from_i64(v);
-        assert!(!r.sf_visible(Rid::new(0, 0), Some(&k(5))));
-        kc.advance(k(10));
-        assert!(r.sf_visible(Rid::new(0, 0), Some(&k(5))));
+        // The primary key is column 1; the RID plays no part.
+        let image = |pk: i64| Record::new(vec![0, pk]).encode();
+        assert!(!r.sf_visible(Rid::MAX, &image(5)));
+        kc.advance(KeyValue::from_i64(10));
+        assert!(r.sf_visible(Rid::MIN, &image(5)));
         // Inclusive boundary: the cursor key itself is visible (the
         // leaf-snapshot scan already covers it; drain reconciles).
-        assert!(r.sf_visible(Rid::new(0, 0), Some(&k(10))));
-        assert!(!r.sf_visible(Rid::new(0, 0), Some(&k(11))));
+        assert!(r.sf_visible(Rid::MIN, &image(10)));
+        assert!(!r.sf_visible(Rid::MIN, &image(11)));
+        // An image without a primary key is left to the side-file.
+        assert!(r.sf_visible(Rid::MIN, &Record::new(vec![11]).encode()));
         kc.finish();
-        assert!(r.sf_visible(Rid::new(0, 0), Some(&k(11))));
+        assert!(r.sf_visible(Rid::MIN, &image(11)));
     }
 
     #[test]

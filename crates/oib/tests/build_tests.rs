@@ -550,3 +550,106 @@ fn sf_drain_catches_up_under_continuous_appends() {
     };
     assert_eq!(live(idx), live(oracle));
 }
+
+// ===================================================================
+// Figure 2 for RID-based SF builds
+// ===================================================================
+
+/// The record changes the Figure 2 tests roll back.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Insert a row with key 1000.
+    Insert,
+    /// Move row 7 to key 1007.
+    Update,
+    /// Delete row 9.
+    Delete,
+}
+
+const OPS: [Op; 3] = [Op::Insert, Op::Update, Op::Delete];
+
+impl Op {
+    fn run(self, db: &Db, tx: mohan_common::TxId, rids: &[Rid]) {
+        match self {
+            Op::Insert => drop(db.insert_record(tx, T, &rec(1000, 0)).unwrap()),
+            Op::Update => drop(db.update_record(tx, T, rids[7], &rec(1007, 0)).unwrap()),
+            Op::Delete => drop(db.delete_record(tx, T, rids[9]).unwrap()),
+        }
+    }
+
+    /// Key ops the change makes in an index on column 0.
+    fn key_ops(self) -> u64 {
+        match self {
+            Op::Update => 2,
+            Op::Insert | Op::Delete => 1,
+        }
+    }
+}
+
+/// The index holds the seeded rows 7 and 9 and neither key the
+/// rolled-back changes wrote.
+fn assert_rolled_back(db: &Arc<Db>, idx: mohan_common::IndexId, rids: &[Rid], op: Op) {
+    verify_index(db, idx).unwrap_or_else(|e| panic!("{op:?}: {e}"));
+    for k in [7, 9] {
+        let hits = db.index_lookup(idx, &KeyValue::from_i64(k)).unwrap();
+        assert_eq!(hits, vec![rids[k as usize]], "{op:?}: key {k}");
+    }
+    for k in [1000, 1007] {
+        let hits = db.index_lookup(idx, &KeyValue::from_i64(k)).unwrap();
+        assert!(hits.is_empty(), "{op:?}: key {k}");
+    }
+}
+
+#[test]
+fn sf_rollback_during_the_load_compensates_through_the_side_file() {
+    // The change runs before the build, so its log record counts no
+    // visible index. Its rollback comes once the scan is over and the
+    // index is visible to every RID: Figure 2 compensates through the
+    // side-file, one entry per key op, and the drain applies them.
+    for unique in [false, true] {
+        for op in OPS {
+            let db = db();
+            let rids = seed(&db, 200);
+            let tx = db.begin();
+            op.run(&db, tx, &rids);
+            let db2 = Arc::clone(&db);
+            db.failpoints.arm_hook("sf.load.key", 0, move || {
+                let side_file = &db2.indexes_of(T)[0].side_file;
+                let before = side_file.appended.get();
+                db2.rollback(tx).unwrap();
+                assert_eq!(side_file.appended.get() - before, op.key_ops(), "{op:?}");
+            });
+            let idx = build_index(&db, T, spec("sf", unique), BuildAlgorithm::Sf).unwrap();
+            assert_rolled_back(&db, idx, &rids, op);
+        }
+    }
+}
+
+#[test]
+fn sf_rollback_after_the_build_compensates_directly() {
+    // The change runs during the load, so it reaches the index through
+    // the side-file, and the build completes with its transaction
+    // still open. Figure 2's rollback finds the index complete and the
+    // change older than the completion: it compensates in the tree.
+    for unique in [false, true] {
+        for op in OPS {
+            let db = db();
+            let rids = seed(&db, 200);
+            let (db2, rids2) = (Arc::clone(&db), rids.clone());
+            let (opened, open) = mpsc::channel();
+            db.failpoints.arm_hook("sf.load.key", 0, move || {
+                let tx = db2.begin();
+                op.run(&db2, tx, &rids2);
+                opened.send(tx).unwrap();
+            });
+            let idx = build_index(&db, T, spec("sf", unique), BuildAlgorithm::Sf).unwrap();
+            let tx = open.recv().unwrap();
+            let rt = db.index(idx).unwrap();
+            assert_eq!(rt.side_file.appended.get(), op.key_ops(), "{op:?}");
+            verify_index(&db, idx).unwrap_or_else(|e| panic!("{op:?}: {e}"));
+            db.rollback(tx).unwrap();
+            assert_eq!(rt.side_file.appended.get(), op.key_ops(), "{op:?}");
+            assert_rolled_back(&db, idx, &rids, op);
+        }
+    }
+}

@@ -323,6 +323,7 @@ fn unique_insert_waits_for_inflight_deleter() {
     let deleter = db.begin();
     db.delete_record(deleter, T, victim).unwrap();
 
+    let waits = db.locks.stats.waits.get();
     let db2 = Arc::clone(&db);
     let inserter = std::thread::spawn(move || {
         let tx = db2.begin();
@@ -330,7 +331,12 @@ fn unique_insert_waits_for_inflight_deleter() {
         db2.commit(tx).unwrap();
         rid
     });
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    // Commit only once the inserter waits on the deleter's record: the
+    // lock manager counts a wait with the waiter already queued, so
+    // the commit hands the lock over rather than racing the request.
+    while db.locks.stats.waits.get() == waits {
+        std::thread::yield_now();
+    }
     db.commit(deleter).unwrap();
     let rid = inserter.join().unwrap();
     assert_eq!(

@@ -250,9 +250,13 @@ fn primary_model_build_on_quiet_table() {
     }
 }
 
-#[test]
-fn primary_model_build_under_insert_delete_churn() {
-    let (db, rids, primary) = db_with_primary(400);
+/// A §6.2 build over `rows` seeded rows while one thread churns. Each
+/// churn transaction inserts a fresh primary key and deletes a seeded
+/// row. With `moving`, the inserted row's update then moves it behind
+/// the walk, the seeded row is updated ahead of it instead of deleted
+/// every other time, and every fifth transaction rolls back.
+fn primary_model_build_under_churn(rows: i64, moving: bool) {
+    let (db, rids, primary) = db_with_primary(rows);
     let stop = Arc::new(AtomicBool::new(false));
     let db2 = Arc::clone(&db);
     let stop2 = Arc::clone(&stop);
@@ -263,10 +267,23 @@ fn primary_model_build_under_insert_delete_churn() {
         while !stop2.load(Ordering::Relaxed) {
             let tx = db2.begin();
             k += 1;
-            // pk stays immutable: inserts of fresh keys + deletes only.
-            let ok = db2.insert_record(tx, T, &rec(k, k % 37)).is_ok()
-                && db2.delete_record(tx, T, rids[(k % 300) as usize]).is_ok();
-            if !ok {
+            let victim = rids[(k % 300) as usize];
+            let ok = (|| -> Result<(), Error> {
+                let rid = db2.insert_record(tx, T, &rec(k, k % 37))?;
+                if !moving {
+                    db2.delete_record(tx, T, victim)?;
+                    return Ok(());
+                }
+                db2.update_record(tx, T, rid, &rec(-k, k % 41))?;
+                if k % 2 == 0 {
+                    db2.delete_record(tx, T, victim)?;
+                } else {
+                    db2.update_record(tx, T, victim, &rec(k + 1_000_000, k % 43))?;
+                }
+                Ok(())
+            })()
+            .is_ok();
+            if !ok || moving && k % 5 == 0 {
                 let _ = db2.rollback(tx);
             } else if db2.commit(tx).is_ok() {
                 if let Some(committed) = committed.take() {
@@ -291,6 +308,18 @@ fn primary_model_build_under_insert_delete_churn() {
     churn.join().unwrap();
     verify_index(&db, idx).unwrap();
     verify_index(&db, primary).unwrap();
+}
+
+#[test]
+fn primary_model_build_under_insert_delete_churn() {
+    primary_model_build_under_churn(400, false);
+}
+
+#[test]
+fn primary_model_build_under_churn_moving_primary_keys() {
+    // Enough rows that the walk overlaps thousands of log records of
+    // churn, each update moving a primary key across it.
+    primary_model_build_under_churn(5_000, true);
 }
 
 #[test]
@@ -385,6 +414,109 @@ fn primary_model_walk_reading_a_reused_rid_twice_builds() {
         );
         verify_index(&db, idx).unwrap_or_else(|e| panic!("unique {unique}: {e}"));
         verify_index(&db, primary).unwrap();
+    }
+}
+
+#[test]
+fn primary_model_update_moving_a_row_behind_the_walk_reaches_the_side_file() {
+    // At the walk's first record, a committed update moves row 199 from
+    // a primary key ahead of the walk to one behind it. The walk never
+    // reads the row again, so the new entry's only way in is the
+    // side-file, judged on the primary key of the image it came from.
+    for unique in [false, true] {
+        let (db, rids, primary) = db_with_identity_rows();
+        let db2 = Arc::clone(&db);
+        let moved = rids[199];
+        db.failpoints.arm_hook("primary.scan.record", 0, move || {
+            let tx = db2.begin();
+            db2.update_record(tx, T, moved, &rec(-5, 199)).unwrap();
+            db2.commit(tx).unwrap();
+        });
+        let idx = build_secondary_via_primary(&db, primary, secondary("sec", unique)).unwrap();
+        verify_index(&db, idx).unwrap_or_else(|e| panic!("unique {unique}: {e}"));
+        verify_index(&db, primary).unwrap();
+        assert_eq!(
+            db.index_lookup(idx, &KeyValue::from_i64(199)).unwrap(),
+            vec![moved]
+        );
+    }
+}
+
+#[test]
+fn primary_model_rollback_of_an_update_moving_a_row_behind_the_walk_is_compensated() {
+    // T moves row 190 onto the primary key of row 100, deleted and
+    // committed just before. The walk passes key 100, reads the row
+    // there and extracts T's secondary key 555. Before the walk reaches
+    // key 190, T rolls back: the undo's delete of 555 is judged on key
+    // 100, which the walk has passed, and must reach the side-file.
+    for unique in [false, true] {
+        let (db, rids, primary) = db_with_identity_rows();
+        let db2 = Arc::clone(&db);
+        let (gone, moved) = (rids[100], rids[190]);
+        db.failpoints.arm_hook("primary.scan.record", 0, move || {
+            let tx = db2.begin();
+            db2.delete_record(tx, T, gone).unwrap();
+            db2.commit(tx).unwrap();
+            let t = db2.begin();
+            db2.update_record(t, T, moved, &rec(100, 555)).unwrap();
+            let db3 = Arc::clone(&db2);
+            db2.failpoints
+                .arm_hook("primary.scan.record", 130, move || {
+                    let sec = db3.indexes_of(T).pop().unwrap();
+                    let walk = sec.key_cursor.as_ref().unwrap();
+                    assert!(
+                        walk.passed(&KeyValue::from_i64(100))
+                            && !walk.passed(&KeyValue::from_i64(190)),
+                        "precondition: the walk is between keys 100 and 190"
+                    );
+                    db3.rollback(t).unwrap();
+                });
+        });
+        let idx = build_secondary_via_primary(&db, primary, secondary("sec", unique)).unwrap();
+        verify_index(&db, idx).unwrap_or_else(|e| panic!("unique {unique}: {e}"));
+        verify_index(&db, primary).unwrap();
+        assert!(db
+            .index_lookup(idx, &KeyValue::from_i64(555))
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            db.index_lookup(idx, &KeyValue::from_i64(190)).unwrap(),
+            vec![moved]
+        );
+    }
+}
+
+#[test]
+fn primary_model_walk_skips_a_row_read_after_it_moved_ahead() {
+    // The walk has taken the first leaf's RIDs and read one row when a
+    // committed update moves row 5 from that leaf to primary key 1000,
+    // ahead of the walk. The walk then reads the row at its new key,
+    // and before the walk reaches key 1000 the row is deleted. Nothing
+    // reaches the side-file: both images the side-file could hear of
+    // are ahead of the walk. So the walk must not keep what it read
+    // for key 5: the row no longer sat there.
+    for unique in [false, true] {
+        let (db, rids, primary) = db_with_identity_rows();
+        let db2 = Arc::clone(&db);
+        let moved = rids[5];
+        db.failpoints.arm_hook("primary.scan.record", 0, move || {
+            let tx = db2.begin();
+            db2.update_record(tx, T, moved, &rec(1000, 777)).unwrap();
+            db2.commit(tx).unwrap();
+            let db3 = Arc::clone(&db2);
+            db2.failpoints.arm_hook("primary.scan.record", 20, move || {
+                let tx = db3.begin();
+                db3.delete_record(tx, T, moved).unwrap();
+                db3.commit(tx).unwrap();
+            });
+        });
+        let idx = build_secondary_via_primary(&db, primary, secondary("sec", unique)).unwrap();
+        verify_index(&db, idx).unwrap_or_else(|e| panic!("unique {unique}: {e}"));
+        verify_index(&db, primary).unwrap();
+        assert!(db
+            .index_lookup(idx, &KeyValue::from_i64(5))
+            .unwrap()
+            .is_empty());
     }
 }
 

@@ -186,6 +186,15 @@ fn follower_serves_reads_under_primary_churn_and_build() {
     let stop = Arc::new(AtomicBool::new(false));
     let committed = Arc::new(Mutex::new(BTreeSet::new()));
     let workers = churn(&paddr, 2, &stop, &committed);
+    // Start the build only once the churn has committed: a build that
+    // finishes first leaves the churn nothing to overlap.
+    while committed.lock().unwrap().is_empty() {
+        assert!(
+            !workers.iter().all(JoinHandle::is_finished),
+            "the churn stopped before its first commit"
+        );
+        std::thread::yield_now();
+    }
     let mut builder = Client::connect(&paddr).unwrap();
     let build = std::thread::spawn(move || {
         builder
