@@ -18,7 +18,7 @@ use crate::workers::BuildWorkers;
 use mohan_common::codec::encode;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
 use mohan_common::pace::{Ticker, OPS_PER_PACE};
-use mohan_common::stats::MaxGauge;
+use mohan_common::stats::{Counter, MaxGauge};
 use mohan_common::{EngineConfig, Error, IndexEntry, IndexId, Lsn, Result, Rid, TableId, TxId};
 use mohan_heap::HeapTable;
 use mohan_lock::{LockManager, LockMode, LockName};
@@ -103,9 +103,12 @@ pub struct Db {
     /// applying shipped `CatalogUpdate` snapshots.
     replica: AtomicBool,
     /// Replication lag in LSNs, published by the follower's apply loop
-    /// and read by the server's staleness gate (`max_lag_lsn`). Always
-    /// 0 on a primary.
+    /// and judged by [`Db::stale_lag`]. Always 0 on a primary.
     repl_lag: AtomicU64,
+    /// `repl.reads_served` and `repl.reads_rejected_stale`, bumped by
+    /// [`Db::follower_read`].
+    reads_served: Arc<Counter>,
+    reads_stale: Arc<Counter>,
     /// The background checkpointer's side of this engine.
     checkpointer: Arc<Checkpointer>,
     /// The threads every index build runs on.
@@ -125,13 +128,16 @@ impl Db {
     pub fn new(cfg: EngineConfig) -> Arc<Db> {
         let lock_timeout = Duration::from_millis(cfg.lock_timeout_ms);
         let replica = AtomicBool::new(cfg.replica);
+        let obs = Registry::new();
         let db = Arc::new(Db {
             cfg,
             wal: LogManager::new(),
             locks: LockManager::new(lock_timeout),
             blobs: BlobStore::new(),
             failpoints: FailpointSet::new(),
-            obs: Registry::new(),
+            reads_served: obs.counter("repl.reads_served"),
+            reads_stale: obs.counter("repl.reads_rejected_stale"),
+            obs,
             build_sort_workers: MaxGauge::new(),
             tables: RwLock::new(HashMap::new()),
             indexes: RwLock::new(Vec::new()),
@@ -747,6 +753,36 @@ impl Db {
     /// Publish the current replication lag (follower apply loop).
     pub fn set_repl_lag(&self, lag: u64) {
         self.repl_lag.store(lag, Ordering::Release);
+    }
+
+    /// The one staleness rule for follower reads: the replication lag,
+    /// when this engine is a follower and the lag exceeds
+    /// `max_lag_lsn`. Counts nothing.
+    #[must_use]
+    pub fn stale_lag(&self, max_lag_lsn: u64) -> Option<u64> {
+        let lag = self.repl_lag();
+        (self.is_replica() && lag > max_lag_lsn).then_some(lag)
+    }
+
+    /// Run one read under the staleness rule. A stale follower refuses
+    /// it with [`Error::ReplicaStale`] before it runs (counted in
+    /// `repl.reads_rejected_stale`); otherwise the read's own result
+    /// comes back, and one that succeeds on a follower is counted in
+    /// `repl.reads_served`.
+    pub fn follower_read<T, E>(
+        &self,
+        max_lag_lsn: u64,
+        read: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> Result<std::result::Result<T, E>> {
+        if let Some(lag) = self.stale_lag(max_lag_lsn) {
+            self.reads_stale.bump();
+            return Err(Error::ReplicaStale { lag });
+        }
+        let out = read();
+        if out.is_ok() && self.is_replica() {
+            self.reads_served.bump();
+        }
+        Ok(out)
     }
 
     /// Keep the local transaction-id allocator above every replicated

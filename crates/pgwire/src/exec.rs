@@ -69,12 +69,13 @@ impl PgError {
             message: format!("column \"{name}\" does not exist"),
         }
     }
+}
 
-    /// Map an engine error onto its SQLSTATE.
-    #[must_use]
-    pub fn from_engine(e: &Error) -> PgError {
+/// An engine error as SQL sees it: its SQLSTATE and its message.
+impl From<Error> for PgError {
+    fn from(e: Error) -> PgError {
         PgError {
-            sqlstate: sqlstate_of(e),
+            sqlstate: sqlstate_of(&e),
             message: e.to_string(),
         }
     }
@@ -101,21 +102,6 @@ pub fn sqlstate_of(e: &Error) -> &'static str {
         Error::ReplicaStale { .. } => "72000", // snapshot_too_old
         Error::InvalidArg(_) => "22023",       // invalid_parameter_value
     }
-}
-
-/// Role/staleness context for replica gating, mirrored from the
-/// serving layer's config so the gate lives at the same statement
-/// boundary as the native wire's.
-#[derive(Debug, Clone, Default)]
-pub struct ExecEnv {
-    /// The engine is a replication follower.
-    pub is_replica: bool,
-    /// Where writes should go instead (attached to refusals).
-    pub leader_hint: String,
-    /// Current replication lag in LSNs.
-    pub repl_lag: u64,
-    /// Staleness bound for follower reads.
-    pub max_lag_lsn: u64,
 }
 
 /// What executing one statement produced.
@@ -159,7 +145,7 @@ fn parse_build_options(with_options: &[(String, String)]) -> Result<BuildOptions
             }
         }
     }
-    opts.validate().map_err(|e| PgError::from_engine(&e))?;
+    opts.validate()?;
     Ok(opts)
 }
 
@@ -196,28 +182,26 @@ fn as_uint<T: std::str::FromStr + std::fmt::Display>(
 
 /// Execute one statement against `session`, appending backend
 /// messages to `out`. Errors are returned (not encoded) so the caller
-/// can also flip its transaction-failed state.
+/// can also flip its transaction-failed state. Admission, deadlines
+/// and the follower gate are the serving layer's, decided before a
+/// statement gets here.
 pub fn execute_statement(
     stmt: &Statement,
     session: &mut Session,
     catalog: &Catalog,
-    env: &ExecEnv,
     out: &mut Vec<u8>,
 ) -> Result<StmtOutcome, PgError> {
-    if env.is_replica {
-        gate_replica(stmt, env)?;
-    }
     match stmt {
         Statement::Begin => {
-            session.begin().map_err(|e| PgError::from_engine(&e))?;
+            session.begin()?;
             proto::command_complete(out, "BEGIN");
         }
         Statement::Commit => {
-            session.commit().map_err(|e| PgError::from_engine(&e))?;
+            session.commit()?;
             proto::command_complete(out, "COMMIT");
         }
         Statement::Rollback => {
-            session.rollback().map_err(|e| PgError::from_engine(&e))?;
+            session.rollback()?;
             proto::command_complete(out, "ROLLBACK");
         }
         Statement::CreateTable { name, cols } => {
@@ -240,9 +224,7 @@ pub fn execute_statement(
                         meta.cols.len()
                     )));
                 }
-                session
-                    .insert(meta.id, &Record(row.clone()))
-                    .map_err(|e| PgError::from_engine(&e))?;
+                session.insert(meta.id, &Record(row.clone()))?;
             }
             proto::command_complete(out, &format!("INSERT 0 {}", rows.len()));
         }
@@ -277,9 +259,7 @@ pub fn execute_statement(
                     }
                     new.0[pos] = v;
                 }
-                session
-                    .update(meta.id, rid, &new)
-                    .map_err(|e| PgError::from_engine(&e))?;
+                session.update(meta.id, rid, &new)?;
             }
             proto::command_complete(out, &format!("UPDATE {n}"));
         }
@@ -288,9 +268,7 @@ pub fn execute_statement(
             let rows = matching_rows(session, &meta, Some(filter))?;
             let n = rows.len();
             for (rid, _) in rows {
-                session
-                    .delete(meta.id, rid)
-                    .map_err(|e| PgError::from_engine(&e))?;
+                session.delete(meta.id, rid)?;
             }
             proto::command_complete(out, &format!("DELETE {n}"));
         }
@@ -303,9 +281,6 @@ pub fn execute_statement(
             with_options,
         } => {
             let meta = lookup_table(catalog, table)?;
-            if let Some(tx) = session.current_tx() {
-                return Err(PgError::from_engine(&Error::TxAlreadyOpen(tx)));
-            }
             if session
                 .db()
                 .indexes_of(meta.id)
@@ -354,39 +329,6 @@ pub fn execute_statement(
     Ok(StmtOutcome::Complete)
 }
 
-/// Replica gate, mirroring the native wire's: writes are refused with
-/// a leader hint; reads are bounded by the staleness budget.
-fn gate_replica(stmt: &Statement, env: &ExecEnv) -> Result<(), PgError> {
-    match stmt {
-        Statement::Begin
-        | Statement::Insert { .. }
-        | Statement::Update { .. }
-        | Statement::Delete { .. }
-        | Statement::CreateTable { .. }
-        | Statement::CreateIndex { .. } => {
-            let hint = if env.leader_hint.is_empty() {
-                String::new()
-            } else {
-                format!(" (leader: {})", env.leader_hint)
-            };
-            Err(PgError {
-                sqlstate: "25006",
-                message: format!(
-                    "server is a replication follower; writes go to the primary{hint}"
-                ),
-            })
-        }
-        Statement::Select { .. } if env.repl_lag > env.max_lag_lsn => Err(PgError {
-            sqlstate: "72000",
-            message: format!(
-                "replication lag {} LSNs exceeds max_lag_lsn {}",
-                env.repl_lag, env.max_lag_lsn
-            ),
-        }),
-        _ => Ok(()),
-    }
-}
-
 fn lookup_table(catalog: &Catalog, name: &str) -> Result<std::sync::Arc<TableMeta>, PgError> {
     catalog.get(name).ok_or_else(|| PgError::no_table(name))
 }
@@ -431,18 +373,17 @@ fn matching_rows(
     meta: &TableMeta,
     filter: Option<&Filter>,
 ) -> Result<Vec<(Rid, Record)>, PgError> {
-    let eng = |e: Error| PgError::from_engine(&e);
     match filter {
-        None => session.table_scan(meta.id).map_err(eng),
+        None => Ok(session.table_scan(meta.id)?),
         Some(Filter::Eq(col, v)) => {
             let pos = col_position(meta, col)?;
             match complete_index_on(session, meta.id, pos) {
                 Some(idx) => {
-                    let rids = session.lookup(idx, &KeyValue::from_i64(*v)).map_err(eng)?;
+                    let rids = session.lookup(idx, &KeyValue::from_i64(*v))?;
                     read_all(session, meta.id, rids)
                 }
                 None => {
-                    let mut rows = session.table_scan(meta.id).map_err(eng)?;
+                    let mut rows = session.table_scan(meta.id)?;
                     rows.retain(|(_, rec)| rec.0.get(pos) == Some(v));
                     Ok(rows)
                 }
@@ -455,13 +396,15 @@ fn matching_rows(
             let pos = col_position(meta, col)?;
             match complete_index_on(session, meta.id, pos) {
                 Some(idx) => {
-                    let rids = session
-                        .lookup_range(idx, &KeyValue::from_i64(*lo), &KeyValue::from_i64(*hi))
-                        .map_err(eng)?;
+                    let rids = session.lookup_range(
+                        idx,
+                        &KeyValue::from_i64(*lo),
+                        &KeyValue::from_i64(*hi),
+                    )?;
                     read_all(session, meta.id, rids)
                 }
                 None => {
-                    let mut rows = session.table_scan(meta.id).map_err(eng)?;
+                    let mut rows = session.table_scan(meta.id)?;
                     rows.retain(|(_, rec)| rec.0.get(pos).is_some_and(|v| (lo..=hi).contains(&v)));
                     Ok(rows)
                 }
@@ -480,7 +423,7 @@ fn read_all(
             session
                 .read(table, rid)
                 .map(|rec| (rid, rec))
-                .map_err(|e| PgError::from_engine(&e))
+                .map_err(PgError::from)
         })
         .collect()
 }
@@ -541,15 +484,10 @@ mod tests {
         (db, session, catalog)
     }
 
-    fn run(
-        sql: &str,
-        session: &mut Session,
-        catalog: &Catalog,
-        env: &ExecEnv,
-    ) -> Result<Vec<u8>, PgError> {
+    fn run(sql: &str, session: &mut Session, catalog: &Catalog) -> Result<Vec<u8>, PgError> {
         let mut out = Vec::new();
         for stmt in parse(sql)? {
-            match execute_statement(&stmt, session, catalog, env, &mut out)? {
+            match execute_statement(&stmt, session, catalog, &mut out)? {
                 StmtOutcome::Complete => {}
                 StmtOutcome::StartBuild { .. } => panic!("no builds in this helper"),
             }
@@ -560,7 +498,6 @@ mod tests {
     #[test]
     fn crud_through_sql() {
         let (_db, mut session, catalog) = setup();
-        let env = ExecEnv::default();
         run(
             "CREATE TABLE kv (k bigint, v bigint); \
              INSERT INTO kv VALUES (1, 10), (2, 20), (3, 30); \
@@ -568,26 +505,23 @@ mod tests {
              DELETE FROM kv WHERE k = 3",
             &mut session,
             &catalog,
-            &env,
         )
         .unwrap();
-        let out = run("SELECT v FROM kv WHERE k = 2", &mut session, &catalog, &env).unwrap();
+        let out = run("SELECT v FROM kv WHERE k = 2", &mut session, &catalog).unwrap();
         let text = String::from_utf8_lossy(&out).into_owned();
         assert!(text.contains("99"), "expected updated value in {text:?}");
-        let out = run("SELECT * FROM kv", &mut session, &catalog, &env).unwrap();
+        let out = run("SELECT * FROM kv", &mut session, &catalog).unwrap();
         assert!(String::from_utf8_lossy(&out).contains("SELECT 2"));
     }
 
     #[test]
     fn select_uses_index_when_complete() {
         let (db, mut session, catalog) = setup();
-        let env = ExecEnv::default();
         run(
             "CREATE TABLE kv (k bigint, v bigint); \
              INSERT INTO kv VALUES (5, 50), (6, 60)",
             &mut session,
             &catalog,
-            &env,
         )
         .unwrap();
         let meta = catalog.get("kv").unwrap();
@@ -607,7 +541,6 @@ mod tests {
             "SELECT v FROM kv WHERE k BETWEEN 5 AND 6",
             &mut session,
             &catalog,
-            &env,
         )
         .unwrap();
         let text = String::from_utf8_lossy(&out).into_owned();
@@ -618,74 +551,44 @@ mod tests {
     #[test]
     fn errors_map_to_sqlstates() {
         let (_db, mut session, catalog) = setup();
-        let env = ExecEnv::default();
         assert_eq!(
-            run("SELECT * FROM missing", &mut session, &catalog, &env)
+            run("SELECT * FROM missing", &mut session, &catalog)
                 .unwrap_err()
                 .sqlstate,
             "42P01"
         );
-        run("CREATE TABLE kv (k, v)", &mut session, &catalog, &env).unwrap();
+        run("CREATE TABLE kv (k, v)", &mut session, &catalog).unwrap();
         assert_eq!(
-            run("CREATE TABLE kv (k)", &mut session, &catalog, &env)
+            run("CREATE TABLE kv (k)", &mut session, &catalog)
                 .unwrap_err()
                 .sqlstate,
             "42P07"
         );
         assert_eq!(
-            run("SELECT nope FROM kv", &mut session, &catalog, &env)
+            run("SELECT nope FROM kv", &mut session, &catalog)
                 .unwrap_err()
                 .sqlstate,
             "42703"
         );
         assert_eq!(
-            run("INSERT INTO kv VALUES (1)", &mut session, &catalog, &env)
+            run("INSERT INTO kv VALUES (1)", &mut session, &catalog)
                 .unwrap_err()
                 .sqlstate,
             "42601"
         );
         assert_eq!(
-            run("COMMIT", &mut session, &catalog, &env)
-                .unwrap_err()
-                .sqlstate,
+            run("COMMIT", &mut session, &catalog).unwrap_err().sqlstate,
             "25P01"
         );
     }
 
     #[test]
-    fn replica_gate_maps_writes_and_stale_reads() {
-        let (_db, mut session, catalog) = setup();
-        run(
-            "CREATE TABLE kv (k, v)",
-            &mut session,
-            &catalog,
-            &ExecEnv::default(),
-        )
-        .unwrap();
-        let env = ExecEnv {
-            is_replica: true,
-            leader_hint: "10.0.0.1:4400".into(),
-            repl_lag: 100,
-            max_lag_lsn: 10,
-        };
-        let err = run("INSERT INTO kv VALUES (1, 1)", &mut session, &catalog, &env).unwrap_err();
-        assert_eq!(err.sqlstate, "25006");
-        assert!(err.message.contains("10.0.0.1:4400"));
-        let err = run("SELECT * FROM kv", &mut session, &catalog, &env).unwrap_err();
-        assert_eq!(err.sqlstate, "72000");
-        // Within the staleness budget the read is served.
-        let ok_env = ExecEnv { repl_lag: 5, ..env };
-        run("SELECT * FROM kv", &mut session, &catalog, &ok_env).unwrap();
-    }
-
-    #[test]
     fn create_index_validates_then_defers() {
         let (_db, mut session, catalog) = setup();
-        let env = ExecEnv::default();
-        run("CREATE TABLE kv (k, v)", &mut session, &catalog, &env).unwrap();
+        run("CREATE TABLE kv (k, v)", &mut session, &catalog).unwrap();
         let stmt = &parse("CREATE UNIQUE INDEX kv_k ON kv (k)").unwrap()[0];
         let mut out = Vec::new();
-        match execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap() {
+        match execute_statement(stmt, &mut session, &catalog, &mut out).unwrap() {
             StmtOutcome::StartBuild {
                 specs,
                 algorithm,
@@ -702,15 +605,14 @@ mod tests {
         }
         assert!(out.is_empty());
         let stmt = &parse("CREATE INDEX bad ON kv USING zzz (k)").unwrap()[0];
-        let err = execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap_err();
+        let err = execute_statement(stmt, &mut session, &catalog, &mut out).unwrap_err();
         assert_eq!(err.sqlstate, "0A000");
     }
 
     #[test]
     fn create_index_with_clause_validates_options() {
         let (_db, mut session, catalog) = setup();
-        let env = ExecEnv::default();
-        run("CREATE TABLE kv (k, v)", &mut session, &catalog, &env).unwrap();
+        run("CREATE TABLE kv (k, v)", &mut session, &catalog).unwrap();
         let stmt = &parse(
             "CREATE INDEX kv_v ON kv (v) WITH \
              (parallel_workers = 4, compress_runs = on, \
@@ -718,7 +620,7 @@ mod tests {
         )
         .unwrap()[0];
         let mut out = Vec::new();
-        match execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap() {
+        match execute_statement(stmt, &mut session, &catalog, &mut out).unwrap() {
             StmtOutcome::StartBuild { options, .. } => {
                 assert_eq!(
                     options,
@@ -738,12 +640,12 @@ mod tests {
             "CREATE INDEX b4 ON kv (v) WITH (checkpoint_every = -5)",
         ] {
             let stmt = &parse(bad).unwrap()[0];
-            let err = execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap_err();
+            let err = execute_statement(stmt, &mut session, &catalog, &mut out).unwrap_err();
             assert_eq!(err.sqlstate, "22023", "{bad}");
         }
         // A zero interval is the engine's, as in every layer.
         let stmt = &parse("CREATE INDEX b5 ON kv (v) WITH (checkpoint_every = 0)").unwrap()[0];
-        match execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap() {
+        match execute_statement(stmt, &mut session, &catalog, &mut out).unwrap() {
             StmtOutcome::StartBuild { options, .. } => assert_eq!(options, BuildOptions::default()),
             StmtOutcome::Complete => panic!("expected a build"),
         }
@@ -762,8 +664,7 @@ mod tests {
     #[test]
     fn create_index_options_beyond_their_widths_or_bounds_refuse() {
         let (_db, mut session, catalog) = setup();
-        let env = ExecEnv::default();
-        run("CREATE TABLE kv (k, v)", &mut session, &catalog, &env).unwrap();
+        run("CREATE TABLE kv (k, v)", &mut session, &catalog).unwrap();
         let mut out = Vec::new();
         for bad in [
             "CREATE INDEX w1 ON kv (v) WITH (checkpoint_every = 4294967296)",
@@ -771,7 +672,7 @@ mod tests {
             "CREATE INDEX w3 ON kv (v) WITH (parallel_workers = 65)",
         ] {
             let stmt = &parse(bad).unwrap()[0];
-            let err = execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap_err();
+            let err = execute_statement(stmt, &mut session, &catalog, &mut out).unwrap_err();
             assert_eq!(err.sqlstate, "22023", "{bad}: {}", err.message);
         }
         let stmt = &parse(
@@ -779,7 +680,7 @@ mod tests {
              (parallel_workers = 64, checkpoint_every = 4294967295)",
         )
         .unwrap()[0];
-        match execute_statement(stmt, &mut session, &catalog, &env, &mut out).unwrap() {
+        match execute_statement(stmt, &mut session, &catalog, &mut out).unwrap() {
             StmtOutcome::StartBuild { options, .. } => assert_eq!(
                 options,
                 BuildOptions::new().workers(64).checkpoint_every(u32::MAX)

@@ -18,6 +18,12 @@
 //!   against [`mohan_oib::Session`] so the statement-level API
 //!   boundary stays identical to the native binary protocol.
 //!
+//! Nothing here decides whether a statement runs: admission, the
+//! per-request deadline, drain, the trace root and the follower gate
+//! (writes refused, reads bounded by `Db::stale_lag`) belong to the
+//! serving layer, which decides them once for this protocol and the
+//! native one.
+//!
 //! The point of the subset is the paper's headline capability on a
 //! protocol every client already speaks: `psql` (or any Postgres load
 //! tool) connects, generates insert traffic, and issues
@@ -37,5 +43,5 @@ pub mod proto;
 pub mod sql;
 
 pub use catalog::{Catalog, TableMeta};
-pub use exec::{sqlstate_of, ExecEnv, PgError, StmtOutcome};
+pub use exec::{sqlstate_of, PgError, StmtOutcome};
 pub use sql::{parse, query_may_block, Statement};

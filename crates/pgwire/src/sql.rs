@@ -284,24 +284,13 @@ impl Statement {
         Self::KINDS[self.kind_index()]
     }
 
-    /// Transaction-control statements: exempt from admission control
-    /// (they release locks and slots; refusing them at the cap would
-    /// let a saturated server deadlock against itself, same reasoning
-    /// as the native protocol's `Commit`/`Rollback` exemption).
+    /// `COMMIT`/`ROLLBACK`: the statements that end a transaction. A
+    /// query string of nothing else is what the native `Commit` and
+    /// `Rollback` are to the serving layer — exempt from admission and
+    /// still run while the server drains.
     #[must_use]
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Statement::Begin | Statement::Commit | Statement::Rollback
-        )
-    }
-
-    /// Statements that may sit in engine lock waits. The reactor's
-    /// event loop must never block, so these run on the shard's
-    /// executor thread (mirror of `Request::frame_may_block`).
-    #[must_use]
-    pub fn may_block(&self) -> bool {
-        !self.is_control()
+    pub fn ends_tx(&self) -> bool {
+        matches!(self, Statement::Commit | Statement::Rollback)
     }
 }
 

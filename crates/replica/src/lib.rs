@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 use mohan_client::{Client, ClientError, ErrorCode};
-use mohan_common::stats::Counter;
 use mohan_common::{Error, IndexId, KeyValue, Lsn, ReadApi, Result, Rid, TableId};
 use mohan_obs::Histogram;
 use mohan_oib::Db;
@@ -643,16 +642,14 @@ impl std::fmt::Debug for Replica {
 /// drivers use against an in-process session or a wire client, so E19
 /// can point them at a follower unchanged.
 ///
-/// Every read first compares the follower's current lag against
-/// `max_lag_lsn`; an over-budget read fails with
+/// Every read goes through [`Db::follower_read`], the engine's one
+/// staleness rule: an over-budget read fails with
 /// [`Error::ReplicaStale`] instead of returning data of unknown
-/// staleness. Serving a read bumps `repl.reads_served`; refusing one
-/// bumps `repl.reads_rejected_stale`.
+/// staleness, and both outcomes are counted there
+/// (`repl.reads_served`, `repl.reads_rejected_stale`).
 pub struct FollowerReader {
     replica: Arc<Replica>,
     max_lag_lsn: u64,
-    reads_served: Arc<Counter>,
-    reads_stale: Arc<Counter>,
 }
 
 impl FollowerReader {
@@ -660,23 +657,10 @@ impl FollowerReader {
     /// `max_lag_lsn`.
     #[must_use]
     pub fn new(replica: Arc<Replica>, max_lag_lsn: u64) -> FollowerReader {
-        let reads_served = replica.db.obs.counter("repl.reads_served");
-        let reads_stale = replica.db.obs.counter("repl.reads_rejected_stale");
         FollowerReader {
             replica,
             max_lag_lsn,
-            reads_served,
-            reads_stale,
         }
-    }
-
-    fn check_fresh(&self) -> Result<()> {
-        let lag = self.replica.lag();
-        if lag > self.max_lag_lsn {
-            self.reads_stale.bump();
-            return Err(Error::ReplicaStale { lag });
-        }
-        Ok(())
     }
 }
 
@@ -684,17 +668,14 @@ impl ReadApi for FollowerReader {
     type Err = Error;
 
     fn read(&mut self, table: TableId, rid: Rid) -> Result<Vec<i64>> {
-        self.check_fresh()?;
-        let rec = self.replica.db.read_record(table, rid)?;
-        self.reads_served.bump();
+        let db = &self.replica.db;
+        let rec = db.follower_read(self.max_lag_lsn, || db.read_record(table, rid))??;
         Ok(rec.0)
     }
 
     fn lookup(&mut self, index: IndexId, key: &KeyValue) -> Result<Vec<Rid>> {
-        self.check_fresh()?;
-        let rids = self.replica.db.index_lookup(index, key)?;
-        self.reads_served.bump();
-        Ok(rids)
+        let db = &self.replica.db;
+        db.follower_read(self.max_lag_lsn, || db.index_lookup(index, key))?
     }
 }
 

@@ -133,14 +133,14 @@ pub(crate) fn handle_payload(inner: &Arc<Inner>, conn: &mut Conn, payload: &[u8]
 
 /// Traffic-worthiness and its explanation. Not ready while draining,
 /// and not ready while a follower's replication lag exceeds the
-/// configured staleness budget — the same bound follower reads are
-/// refused under, so a load balancer stops routing to a replica at
-/// exactly the point its reads would start failing with `Stale`.
+/// configured staleness budget — asked of `Db::stale_lag`, the rule
+/// follower reads are refused under (without counting a read), so a
+/// load balancer stops routing to a replica at exactly the point its
+/// reads would start failing with `Stale`.
 fn readiness(inner: &Arc<Inner>, draining: bool) -> (bool, String) {
     let is_replica = inner.db.is_replica();
     let lag = inner.db.repl_lag();
-    let lagging = is_replica && lag > inner.cfg.max_lag_lsn;
-    let ready = !draining && !lagging;
+    let ready = !draining && inner.db.stale_lag(inner.cfg.max_lag_lsn).is_none();
     let body = format!(
         "ready={ready}\nrole={}\ndraining={draining}\nlag_lsn={lag}\nmax_lag_lsn={}\n",
         if is_replica { "replica" } else { "primary" },

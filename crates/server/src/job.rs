@@ -16,6 +16,7 @@
 
 use crate::conn::{send_raw, Conn, Proto, ShardCtx};
 use crate::native::{metrics_response, protocol_err, send};
+use crate::request::{refuse, Refusal};
 use crate::{Inner, ServerConfig};
 use mohan_common::codec::Wire;
 use mohan_common::{Error, IndexId, TableId};
@@ -30,34 +31,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a build deposits its outcome.
-type BuildResult = Arc<Mutex<Option<Result<Vec<IndexId>, Failure>>>>;
-
-/// Why a build answers with an error.
-enum Failure {
-    /// The engine refused or cancelled it.
-    Engine(Error),
-    /// It panicked (the message); the worker it ran on lives on.
-    Panicked(String),
-}
-
-impl Failure {
-    fn native(&self) -> Response {
-        match self {
-            Failure::Engine(e) => Response::from_error(e),
-            Failure::Panicked(msg) => protocol_err(ErrorCode::Internal, msg),
-        }
-    }
-
-    fn pg(&self, out: &mut Vec<u8>) {
-        match self {
-            Failure::Engine(e) => {
-                pgproto::error_response(out, mohan_pgwire::sqlstate_of(e), &e.to_string());
-            }
-            Failure::Panicked(msg) => pgproto::error_response(out, "XX000", msg),
-        }
-    }
-}
+/// Where a build deposits its outcome: its index ids, or why it
+/// failed (the engine refused or cancelled it, or it panicked — the
+/// worker it ran on lives on).
+type BuildResult = Arc<Mutex<Option<Result<Vec<IndexId>, Refusal>>>>;
 
 /// What the client is told of a build's panic: its message, if it was a
 /// string.
@@ -346,32 +323,32 @@ fn ship(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, next: u64, flushed:
 // build watch
 // ===================================================================
 
-/// One frame of a build exchange, rendered per protocol: a native
-/// [`Response`], or pg backend messages appended to a buffer. (HTTP
+/// One progress frame of a build exchange, rendered per protocol: a
+/// native [`Response::Progress`], or a pg `NOTICE` line — visible in
+/// psql mid-build without breaking the simple-query exchange. (HTTP
 /// connections never start builds.)
-fn send_per_proto(
-    inner: &Arc<Inner>,
-    conn: &mut Conn,
-    native: impl FnOnce() -> Response,
-    pg: impl FnOnce(&mut Vec<u8>),
-) {
+fn send_progress(inner: &Arc<Inner>, conn: &mut Conn, frame: (u32, BuildPhase, u64)) {
+    inner.stats.progress_frames.bump();
+    let (index, phase, detail) = frame;
     if let Proto::Pg(_) = conn.proto {
+        let line = match phase {
+            BuildPhase::Starting => "index build: Starting".to_string(),
+            _ => format!("index build {index}: {phase:?} ({detail})"),
+        };
         let mut out = Vec::new();
-        pg(&mut out);
+        pgproto::notice_response(&mut out, &line);
         send_raw(inner, conn, &out);
     } else {
-        send(inner, conn, &native());
+        send(
+            inner,
+            conn,
+            &Response::Progress {
+                index,
+                phase,
+                detail,
+            },
+        );
     }
-}
-
-/// Refuse a build before it starts.
-fn build_refuse(inner: &Arc<Inner>, conn: &mut Conn, e: &Error) {
-    send_per_proto(
-        inner,
-        conn,
-        || Response::from_error(e),
-        |out| pgproto::error_response(out, mohan_pgwire::sqlstate_of(e), &e.to_string()),
-    );
 }
 
 /// Start an online index build on one of the engine's build workers
@@ -392,16 +369,15 @@ pub(crate) fn start_build(
 ) -> bool {
     // The statement-level rejections the engine would raise, answered
     // before a build starts for nothing.
-    if specs.is_empty() {
-        build_refuse(inner, conn, &Error::InvalidArg("no index specs".into()));
-        return false;
-    }
-    if let Err(e) = options.validate() {
-        build_refuse(inner, conn, &e);
-        return false;
-    }
-    if let Some(tx) = conn.session.current_tx() {
-        build_refuse(inner, conn, &Error::TxAlreadyOpen(tx));
+    let refused = if specs.is_empty() {
+        Some(Error::InvalidArg("no index specs".into()))
+    } else if let Err(e) = options.validate() {
+        Some(e)
+    } else {
+        conn.session.current_tx().map(Error::TxAlreadyOpen)
+    };
+    if let Some(e) = refused {
+        refuse(inner, conn, &Refusal::Engine(e));
         return false;
     }
     let result: BuildResult = Arc::new(Mutex::new(None));
@@ -422,22 +398,16 @@ pub(crate) fn start_build(
         move |registered| *ids_slot.lock() = Some(registered.to_vec()),
         move |outcome| {
             *slot.lock() = Some(match outcome {
-                Ok(r) => r.map_err(Failure::Engine),
-                Err(payload) => Err(Failure::Panicked(panic_message(&*payload))),
+                Ok(r) => r.map_err(Refusal::Engine),
+                Err(payload) => Err(Refusal::Internal(panic_message(&*payload))),
             });
             waker.wake();
         },
     );
     // First frame immediately: the client knows the build was admitted
     // before any checkpoint exists to poll.
-    inner.stats.progress_frames.bump();
     let starting = (0, BuildPhase::Starting, 0);
-    send_per_proto(
-        inner,
-        conn,
-        || progress_frame(starting),
-        |out| pgproto::notice_response(out, "index build: Starting"),
-    );
+    send_progress(inner, conn, starting);
     let job = BuildJob {
         result,
         ids,
@@ -446,14 +416,6 @@ pub(crate) fn start_build(
     };
     begin(ctx, conn, Job::Build(job));
     true
-}
-
-fn progress_frame((index, phase, detail): (u32, BuildPhase, u64)) -> Response {
-    Response::Progress {
-        index,
-        phase,
-        detail,
-    }
 }
 
 /// Poll a connection's running build: stream progress on change, and
@@ -470,38 +432,29 @@ fn watch_build(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
     let finished = { job.result.lock().take() };
     if let Some(result) = finished {
         end(inner, ctx, conn);
-        match &result {
-            Ok(_) => {
-                inner.stats.builds_done.bump();
-                inner.stats.progress_frames.bump();
+        let ids = match result {
+            Ok(ids) => ids,
+            Err(refusal) => {
+                inner.stats.builds_failed.bump();
+                return refuse(inner, conn, &refusal);
             }
-            Err(_) => inner.stats.builds_failed.bump(),
-        }
+        };
+        inner.stats.builds_done.bump();
         if let Proto::Pg(_) = conn.proto {
-            // SQL exchange: NOTICE + CommandComplete (or
-            // ErrorResponse), then the ReadyForQuery deferred since
-            // the CREATE INDEX statement.
+            // SQL exchange: NOTICE + CommandComplete, then the
+            // ReadyForQuery deferred since the CREATE INDEX statement.
+            inner.stats.progress_frames.bump();
             let mut out = Vec::new();
-            match result {
-                Ok(ids) => {
-                    let done = format!("index build: Done ({} indexes)", ids.len());
-                    pgproto::notice_response(&mut out, &done);
-                    pgproto::command_complete(&mut out, "CREATE INDEX");
-                }
-                Err(f) => f.pg(&mut out),
-            }
+            let done = format!("index build: Done ({} indexes)", ids.len());
+            pgproto::notice_response(&mut out, &done);
+            pgproto::command_complete(&mut out, "CREATE INDEX");
             pgproto::ready_for_query(&mut out, crate::pg::tx_status(conn));
             send_raw(inner, conn, &out);
-            return;
-        }
-        match result {
-            Ok(ids) => {
-                let first = ids.first().map_or(0, |id| id.0);
-                send(inner, conn, &progress_frame((first, BuildPhase::Done, 0)));
-                let ids = ids.into_iter().map(|id| id.0).collect();
-                send(inner, conn, &Response::IndexCreated { ids });
-            }
-            Err(f) => send(inner, conn, &f.native()),
+        } else {
+            let first = ids.first().map_or(0, |id| id.0);
+            send_progress(inner, conn, (first, BuildPhase::Done, 0));
+            let ids = ids.into_iter().map(|id| id.0).collect();
+            send(inner, conn, &Response::IndexCreated { ids });
         }
         return;
     }
@@ -528,16 +481,5 @@ fn watch_build(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
         return;
     }
     job.last_sent = Some(frame);
-    inner.stats.progress_frames.bump();
-    send_per_proto(
-        inner,
-        conn,
-        || progress_frame(frame),
-        // Progress as NOTICE lines: visible in psql mid-build without
-        // breaking the simple-query exchange.
-        |out| {
-            let (index, phase, detail) = frame;
-            pgproto::notice_response(out, &format!("index build {index}: {phase:?} ({detail})"));
-        },
-    );
+    send_progress(inner, conn, frame);
 }

@@ -20,7 +20,8 @@
 //! (build watch, metrics stream, WAL stream) is one `job::Job`.
 //!
 //! Service behaviours, all bounded by configuration rather than left
-//! to queue without limit:
+//! to queue without limit, and each decided once for the native and
+//! the Postgres front door (the `request` module):
 //!
 //! * **admission control** — a global in-flight cap; requests over the
 //!   cap get an immediate [`mohan_wire::Response::Busy`] instead of
@@ -57,11 +58,11 @@ mod job;
 mod native;
 mod pg;
 mod reactor;
+mod request;
 mod stats;
 
 pub use stats::ServerStats;
 
-use mohan_common::stats::Counter;
 use mohan_common::IoBackendChoice;
 use mohan_obs::Histogram;
 use mohan_oib::Db;
@@ -106,8 +107,9 @@ pub struct ServerConfig {
     /// span (see `mohan_obs::TraceSink`).
     pub slow_request: Duration,
     /// Staleness bound for reads served while the engine is a
-    /// replication follower: a `Read`/`Lookup` is refused with
-    /// [`mohan_wire::message::ErrorCode::Stale`] when the follower's
+    /// replication follower: a `Read`/`Lookup` or SQL `SELECT` is
+    /// refused ([`mohan_wire::message::ErrorCode::Stale`], SQLSTATE
+    /// `72000`) when [`mohan_oib::Db::stale_lag`] says the follower's
     /// replication lag (in LSNs) exceeds this. The default
     /// (`u64::MAX`) never refuses, which is also the right answer on a
     /// primary where the lag is always 0.
@@ -265,12 +267,6 @@ pub(crate) struct Inner {
     /// resolved once at startup so the request hot path records with
     /// plain atomics instead of a registry lookup.
     pub(crate) req_us: Vec<Arc<Histogram>>,
-    /// Follower-read counters (`repl.reads_served` /
-    /// `repl.reads_rejected_stale`), cached off the registry for the
-    /// same reason as `req_us`. Only bumped while the engine is a
-    /// replica.
-    pub(crate) reads_served: Arc<Counter>,
-    pub(crate) reads_stale: Arc<Counter>,
     /// Events delivered per reactor wait (`server.events_per_wait`).
     pub(crate) events_per_wait: Arc<Histogram>,
     /// One waker per shard: cross-thread state changes — a new
@@ -389,8 +385,6 @@ impl Server {
             .map(|op| db.obs.histogram(&format!("server.pg_req_us.{op}")))
             .collect();
         let catalog = Arc::new(mohan_pgwire::Catalog::new(&db));
-        let reads_served = db.obs.counter("repl.reads_served");
-        let reads_stale = db.obs.counter("repl.reads_rejected_stale");
         let events_per_wait = db.obs.histogram("server.events_per_wait");
         db.obs.trace().event("server.io_backend", backend.name(), 0);
 
@@ -428,8 +422,6 @@ impl Server {
             catalog,
             pg_req_us,
             req_us,
-            reads_served,
-            reads_stale,
             events_per_wait,
             wakers,
         });

@@ -1,10 +1,12 @@
 //! The native wire protocol's side of a connection: splitting
-//! [`Request`] frames off the receive buffer, admission control and
-//! per-request deadlines, executing one request through the
-//! connection's `Session`, and framing [`Response`]s.
+//! [`Request`] frames off the receive buffer, decoding them, executing
+//! one request through the connection's `Session`, and framing
+//! [`Response`]s. Whether a request runs at all is decided by the
+//! envelope both protocols share (`crate::request`).
 
 use crate::conn::{send_raw, Conn, ShardCtx};
 use crate::job::{self, Job};
+use crate::request::{self, Access, Class, Head, Refusal};
 use crate::Inner;
 use mohan_common::{IndexId, KeyValue, Rid, TableId};
 use mohan_oib::schema::Record;
@@ -46,6 +48,8 @@ pub(crate) fn protocol_err(code: ErrorCode, message: &str) -> Response {
     }
 }
 
+/// Decode one queued native frame and run it through the envelope
+/// both protocols share, recording `server.req_us.<opcode>`.
 pub(crate) fn handle_payload(
     inner: &Arc<Inner>,
     ctx: &ShardCtx,
@@ -66,222 +70,104 @@ pub(crate) fn handle_payload(
         );
         return;
     };
-
-    // During a drain, only finishing an open transaction is allowed.
-    if draining && !matches!(req, Request::Commit | Request::Rollback) {
-        send(
-            inner,
-            conn,
-            &protocol_err(ErrorCode::Draining, "server is draining"),
-        );
-        return;
-    }
-
-    // Commit/Rollback are exempt from admission control: they release
-    // locks (and the client's next request slot), so refusing them at
-    // the cap would let a saturated server deadlock against itself —
-    // the blocked statements hold every slot while waiting for exactly
-    // those locks. Ping is exempt as a pure liveness probe, and Hello
-    // likewise: a handshake refused with Busy would read as a protocol
-    // mismatch to the peer.
-    let admitted = if matches!(
-        req,
-        Request::Commit | Request::Rollback | Request::Ping | Request::Hello { .. }
-    ) {
-        false
-    } else if inner.admit() {
-        true
-    } else {
-        inner.stats.busy_rejects.bump();
-        send(inner, conn, &Response::Busy);
-        return;
+    let class = match req {
+        Request::Commit | Request::Rollback => Class::EndsTx,
+        Request::Ping | Request::Hello { .. } => Class::Probe,
+        _ => Class::Work,
     };
-
-    // `arrived` is when this frame was completely received; by the
-    // time the worker gets here it may have sat behind pipelined
-    // predecessors or a slow statement on a sibling connection.
-    let waited = arrived.elapsed();
-    if waited >= inner.cfg.request_deadline {
-        inner.stats.deadline_rejects.bump();
-        if admitted {
-            inner.release();
-        }
-        send(
-            inner,
-            conn,
-            &protocol_err(
-                ErrorCode::DeadlineExceeded,
-                &format!("queued {}ms", waited.as_millis()),
-            ),
-        );
-        return;
-    }
-
-    inner.stats.requests.bump();
-    let opcode = req.name();
+    let head = Head {
+        root: "wire.recv",
+        label: req.name(),
+        class,
+        trace: supplied_trace.unwrap_or(0),
+    };
     let op_idx = req.index();
-    // Every executed request runs under a trace context: the client's
-    // id when the frame arrived enveloped, a fresh one otherwise. The
-    // `wire.recv` span is the trace's root on this process — engine
-    // events (lock waits, WAL flushes, build phases) fired during
-    // execution link under it through the thread-local context.
-    let _trace_scope = mohan_obs::install_ctx(mohan_obs::ctx_for(supplied_trace.unwrap_or(0)));
-    let recv_span = inner
-        .db
-        .obs
-        .trace()
-        .span("wire.recv", opcode)
-        .with_detail(waited.as_micros().min(u128::from(u64::MAX)) as u64);
-    let started = Instant::now();
-    let keep_slot = execute(inner, ctx, conn, req);
-    let ran = started.elapsed();
-    inner.req_us[op_idx].record_micros(ran);
-    let slow = ran >= inner.cfg.slow_request;
-    if slow {
-        inner.db.obs.trace().span_event(
-            "server.slow_request",
-            opcode,
-            ran.as_micros().min(u128::from(u64::MAX)) as u64,
-            waited.as_micros().min(u128::from(u64::MAX)) as u64,
-        );
-    }
-    // Commit before the slow dump so the rendered tree has its root.
-    recv_span.commit();
-    if slow {
-        log_slow_trace(inner, opcode, ran);
-    }
-    if ran + waited >= inner.cfg.request_deadline {
-        inner.stats.deadline_overruns.bump();
-    }
-    if admitted && !keep_slot {
-        inner.release();
+    let ran = request::serve(inner, conn, arrived, draining, head, |conn| {
+        execute(inner, ctx, conn, req)
+    });
+    if let Some(ran) = ran {
+        inner.req_us[op_idx].record_micros(ran);
     }
 }
 
-/// Dump the current trace's reconstructed span tree to stderr — the
-/// slow-request log. Only sampled traces have anything to render;
-/// unsampled ones already recorded nothing.
-pub(crate) fn log_slow_trace(inner: &Arc<Inner>, opcode: &str, ran: Duration) {
-    let Some(tctx) = mohan_obs::current_ctx() else {
-        return;
-    };
-    if !tctx.sampled {
-        return;
-    }
-    let tree = mohan_obs::render_span_tree(&inner.db.obs.trace().events_filtered(tctx.trace_id, 0));
-    eprintln!(
-        "slow request: {opcode} took {}ms, trace {:#x}:\n{tree}",
-        ran.as_millis(),
-        tctx.trace_id
-    );
-}
-
-/// Execute one request and send its response(s). Returns true when
-/// the admission slot stays held past this call (a spawned build).
+/// Execute one request behind the follower gate and send its
+/// response(s). Returns true when the admission slot stays held past
+/// this call (a job now owns the connection).
 fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) -> bool {
-    // Role gate: on a replication follower, writes are refused with a
-    // redirect hint and data reads are bounded by the configured
-    // staleness budget. Checked here, at the wire boundary, so the
-    // answer can carry `leader_hint`; the session layer repeats the
-    // write check underneath as defense in depth.
-    if inner.db.is_replica() {
-        match &req {
-            Request::Begin
-            | Request::Insert { .. }
-            | Request::Update { .. }
-            | Request::Delete { .. }
-            | Request::CreateIndex { .. } => {
-                send(
-                    inner,
-                    conn,
-                    &Response::Err {
-                        code: ErrorCode::NotWritable {
-                            leader_hint: inner.cfg.leader_hint.clone(),
-                        },
-                        message: "server is a replication follower; writes go to the primary"
-                            .into(),
-                    },
-                );
-                return false;
-            }
-            Request::Read { .. } | Request::Lookup { .. } => {
-                let lag = inner.db.repl_lag();
-                if lag > inner.cfg.max_lag_lsn {
-                    inner.reads_stale.bump();
-                    send(
-                        inner,
-                        conn,
-                        &Response::Err {
-                            code: ErrorCode::Stale { lag },
-                            message: format!(
-                                "replication lag {lag} LSNs exceeds max_lag_lsn {}",
-                                inner.cfg.max_lag_lsn
-                            ),
-                        },
-                    );
-                    return false;
-                }
-            }
-            _ => {}
+    let access = match req {
+        Request::Begin
+        | Request::Insert { .. }
+        | Request::Update { .. }
+        | Request::Delete { .. }
+        | Request::CreateIndex { .. } => Access::Write,
+        Request::Read { .. } | Request::Lookup { .. } => Access::Read,
+        _ => Access::Other,
+    };
+    // The answer goes out after the gate has counted the read it
+    // served: a client that reads the counters next sees it.
+    match request::follower_gate(inner, access, || dispatch(inner, ctx, conn, req)) {
+        Ok(Ok(Answer::Reply(resp))) => {
+            send(inner, conn, &resp);
+            false
+        }
+        Ok(Ok(Answer::Sent(keep_slot))) => keep_slot,
+        Ok(Err(e)) | Err(e) => {
+            request::refuse(inner, conn, &Refusal::Engine(e));
+            false
         }
     }
+}
+
+/// How [`dispatch`] answered a request.
+enum Answer {
+    /// The one response, still to be sent.
+    Reply(Response),
+    /// Sent already; `true` when a job now owns the connection.
+    Sent(bool),
+}
+
+/// Run one request. An engine error comes back unsent.
+fn dispatch(
+    inner: &Arc<Inner>,
+    ctx: &ShardCtx,
+    conn: &mut Conn,
+    req: Request,
+) -> mohan_common::Result<Answer> {
+    let session = &mut conn.session;
     let resp = match req {
         Request::Ping => Response::Pong,
-        Request::Begin => match conn.session.begin() {
-            Ok(tx) => Response::TxBegun { tx: tx.0 },
-            Err(e) => Response::from_error(&e),
+        Request::Begin => Response::TxBegun {
+            tx: session.begin()?.0,
         },
-        Request::Commit => match conn.session.commit() {
-            Ok(()) => Response::Committed,
-            Err(e) => Response::from_error(&e),
-        },
-        Request::Rollback => match conn.session.rollback() {
-            Ok(()) => Response::RolledBack,
-            Err(e) => Response::from_error(&e),
-        },
-        Request::Insert { table, cols } => {
-            match conn.session.insert(TableId(table), &Record(cols)) {
-                Ok(rid) => Response::Inserted { rid: rid.pack() },
-                Err(e) => Response::from_error(&e),
-            }
+        Request::Commit => {
+            session.commit()?;
+            Response::Committed
         }
+        Request::Rollback => {
+            session.rollback()?;
+            Response::RolledBack
+        }
+        Request::Insert { table, cols } => Response::Inserted {
+            rid: session.insert(TableId(table), &Record(cols))?.pack(),
+        },
         Request::Update { table, rid, cols } => {
-            match conn
-                .session
-                .update(TableId(table), Rid::unpack(rid), &Record(cols))
-            {
-                Ok(_) => Response::Updated,
-                Err(e) => Response::from_error(&e),
-            }
+            session.update(TableId(table), Rid::unpack(rid), &Record(cols))?;
+            Response::Updated
         }
         Request::Delete { table, rid } => {
-            match conn.session.delete(TableId(table), Rid::unpack(rid)) {
-                Ok(_) => Response::Deleted,
-                Err(e) => Response::from_error(&e),
-            }
+            session.delete(TableId(table), Rid::unpack(rid))?;
+            Response::Deleted
         }
-        Request::Read { table, rid } => match conn.session.read(TableId(table), Rid::unpack(rid)) {
-            Ok(rec) => {
-                if inner.db.is_replica() {
-                    inner.reads_served.bump();
-                }
-                Response::Record { cols: rec.0 }
-            }
-            Err(e) => Response::from_error(&e),
+        Request::Read { table, rid } => Response::Record {
+            cols: session.read(TableId(table), Rid::unpack(rid))?.0,
         },
-        Request::Lookup { index, key } => {
-            match conn.session.lookup(IndexId(index), &KeyValue(key)) {
-                Ok(rids) => {
-                    if inner.db.is_replica() {
-                        inner.reads_served.bump();
-                    }
-                    Response::Rids {
-                        rids: rids.into_iter().map(Rid::pack).collect(),
-                    }
-                }
-                Err(e) => Response::from_error(&e),
-            }
-        }
+        Request::Lookup { index, key } => Response::Rids {
+            rids: session
+                .lookup(IndexId(index), &KeyValue(key))?
+                .into_iter()
+                .map(Rid::pack)
+                .collect(),
+        },
         Request::Stats => Response::Stats {
             counters: all_counters(inner, inner.db.obs.snapshot().counters),
         },
@@ -294,7 +180,7 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
             let first = metrics_response(inner);
             send(inner, conn, &first);
             job::begin(ctx, conn, Job::observe(interval));
-            return true; // slot stays held while the stream is live
+            return Ok(Answer::Sent(true)); // slot stays held while the stream is live
         }
         Request::SubscribeWal { from_lsn } => {
             // Only `1 ..= flushed + 1` are valid starting points:
@@ -304,37 +190,26 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
             // state the primary would not recover with.
             let flushed = inner.db.wal.flushed_lsn().0;
             if from_lsn == 0 || from_lsn > flushed + 1 {
-                send(
-                    inner,
-                    conn,
-                    &protocol_err(
-                        ErrorCode::Malformed,
-                        &format!("from_lsn {from_lsn} outside 1..={}", flushed + 1),
-                    ),
-                );
-                return false;
-            }
-            // The stream pins the log at its cursor, so no checkpoint
-            // truncates what it has yet to ship; below the log's first
-            // record there is nothing left to pin.
-            let Some(pin) = inner.db.wal.pin(mohan_common::Lsn(from_lsn)) else {
+                protocol_err(
+                    ErrorCode::Malformed,
+                    &format!("from_lsn {from_lsn} outside 1..={}", flushed + 1),
+                )
+            } else if let Some(pin) = inner.db.wal.pin(mohan_common::Lsn(from_lsn)) {
+                // The stream pins the log at its cursor, so no
+                // checkpoint truncates what it has yet to ship.
+                inner.stats.wal_subs.bump();
+                job::begin(ctx, conn, Job::wal_sub(from_lsn, pin));
+                job::pump(inner, ctx, conn);
+                return Ok(Answer::Sent(true)); // slot stays held while the stream is live
+            } else {
+                // Below the log's first record there is nothing left
+                // to pin.
                 let first_lsn = inner.db.wal.first_lsn().0;
-                send(
-                    inner,
-                    conn,
-                    &protocol_err(
-                        ErrorCode::LogTruncated { first_lsn },
-                        &format!(
-                            "from_lsn {from_lsn} was truncated; the log starts at {first_lsn}"
-                        ),
-                    ),
-                );
-                return false;
-            };
-            inner.stats.wal_subs.bump();
-            job::begin(ctx, conn, Job::wal_sub(from_lsn, pin));
-            job::pump(inner, ctx, conn);
-            return true; // slot stays held while the stream is live
+                protocol_err(
+                    ErrorCode::LogTruncated { first_lsn },
+                    &format!("from_lsn {from_lsn} was truncated; the log starts at {first_lsn}"),
+                )
+            }
         }
         Request::CreateIndex {
             table,
@@ -342,7 +217,8 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
             specs,
             options,
         } => {
-            return job::start_build(inner, ctx, conn, TableId(table), algo, specs, options);
+            let started = job::start_build(inner, ctx, conn, TableId(table), algo, specs, options);
+            return Ok(Answer::Sent(started));
         }
         Request::Hello {
             proto_version: theirs,
@@ -400,8 +276,7 @@ fn execute(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn, req: Request) ->
                 .dump_jsonl_filtered(trace_id, since_seq),
         },
     };
-    send(inner, conn, &resp);
-    false
+    Ok(Answer::Reply(resp))
 }
 
 /// The registry's counters and gauges (`counters`, one snapshot's

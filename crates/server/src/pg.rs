@@ -1,12 +1,12 @@
 //! Postgres-protocol connection service: the second front door.
 //!
 //! Connections accepted on the pg listener run the same shard loops,
-//! admission control, deadlines, idle reaping, and drain as native
-//! connections — only the framing and dispatch differ. The protocol
-//! work (startup packets, typed messages, SQL parsing, statement
-//! execution) lives in `mohan_pgwire`; this module is the glue that
-//! feeds it from a [`Conn`]'s buffers and maps server-side refusals
-//! (busy, deadline, draining) to `ErrorResponse` SQLSTATEs.
+//! idle reaping and request envelope (`crate::request`: drain,
+//! admission, deadline, trace root, follower gate) as native
+//! connections — only the framing, decoding and dispatch differ. The
+//! protocol work (startup packets, typed messages, SQL parsing,
+//! statement execution) lives in `mohan_pgwire`; this module is the
+//! glue that feeds it from a [`Conn`]'s buffers.
 //!
 //! The paper's availability claim extends here unchanged: a
 //! `CREATE INDEX` arriving over SQL runs the same online build as the
@@ -15,10 +15,11 @@
 //! *other* connections keeps flowing throughout.
 
 use crate::conn::{send_raw, Conn, Proto, ShardCtx};
-use crate::{job, native, Inner};
+use crate::request::{self, Access, Class, Head, Refusal};
+use crate::{job, Inner};
 use mohan_pgwire::exec::execute_statement;
 use mohan_pgwire::proto::{self, FrameError, Startup};
-use mohan_pgwire::{sql, ExecEnv, Statement, StmtOutcome};
+use mohan_pgwire::{sql, Statement, StmtOutcome};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,7 +47,7 @@ fn pg_failed(conn: &Conn) -> bool {
     matches!(&conn.proto, Proto::Pg(st) if st.failed)
 }
 
-fn set_failed(conn: &mut Conn, failed: bool) {
+pub(crate) fn set_failed(conn: &mut Conn, failed: bool) {
     if let Proto::Pg(st) = &mut conn.proto {
         st.failed = failed;
     }
@@ -200,10 +201,8 @@ pub(crate) fn handle_payload(
     }
 }
 
-/// Run one simple-query string: parse, then execute each statement
-/// until one fails, refuses, or hands the connection to an index
-/// build. Ends with `ReadyForQuery` unless a build now owns the
-/// connection (its completion sends the deferred one).
+/// Run one simple-query string: parse it, then hand it to the shared
+/// envelope, which runs its statements unless it refuses the string.
 fn handle_query(
     inner: &Arc<Inner>,
     ctx: &ShardCtx,
@@ -222,119 +221,78 @@ fn handle_query(
             return;
         }
     };
-    if stmts.is_empty() {
+    let Some(first) = stmts.first() else {
         let mut out = Vec::new();
         proto::empty_query_response(&mut out);
         proto::ready_for_query(&mut out, tx_status(conn));
         send_raw(inner, conn, &out);
         return;
-    }
-
-    // Admission control: one slot per query string that carries
-    // non-control work. `COMMIT`/`ROLLBACK`-only strings are exempt
-    // for the same reason the native opcodes are — they release the
-    // locks (and slots) a saturated server is waiting on.
-    let needs_slot = stmts.iter().any(|s| !s.is_control());
-    let admitted = if !needs_slot {
-        false
-    } else if inner.admit() {
-        true
-    } else {
-        inner.stats.busy_rejects.bump();
-        send_err_rfq(
-            inner,
-            conn,
-            "53300",
-            "too many concurrent requests; retry after backoff",
-        );
-        return;
     };
-
-    let waited = arrived.elapsed();
-    if waited >= inner.cfg.request_deadline {
-        inner.stats.deadline_rejects.bump();
-        if admitted {
-            inner.release();
-        }
-        send_err_rfq(
-            inner,
-            conn,
-            "57014",
-            &format!("canceling statement: queued {}ms", waited.as_millis()),
-        );
-        return;
-    }
-
-    inner.stats.requests.bump();
-    // Every admitted query runs under a trace context. SQL has no
-    // envelope to carry a client id, so the id is server-generated
-    // here; the `pg.query` span parents every statement's lock waits,
-    // WAL flushes and (for CREATE INDEX) build phases.
-    let _trace_scope = mohan_obs::install_ctx(mohan_obs::ctx_for(0));
-    let query_span = inner
-        .db
-        .obs
-        .trace()
-        .span("pg.query", stmts[0].kind())
-        .with_detail(stmts.len() as u64);
-    let mut slowest: Option<(&'static str, std::time::Duration)> = None;
-    let env = ExecEnv {
-        is_replica: inner.db.is_replica(),
-        leader_hint: inner.cfg.leader_hint.clone(),
-        repl_lag: inner.db.repl_lag(),
-        max_lag_lsn: inner.cfg.max_lag_lsn,
+    // SQL has no envelope to carry a client trace id: the server mints
+    // one.
+    let head = Head {
+        root: "pg.query",
+        label: first.kind(),
+        class: if stmts.iter().all(Statement::ends_tx) {
+            Class::EndsTx
+        } else {
+            Class::Work
+        },
+        trace: 0,
     };
+    request::serve(inner, conn, arrived, draining, head, |conn| {
+        run_statements(inner, ctx, conn, &stmts)
+    });
+}
+
+/// Execute a query string's statements until one fails, refuses, or
+/// hands the connection to an index build, and answer with everything
+/// they produced and `ReadyForQuery` — which a build defers to its
+/// completion. Returns true when a build now owns the connection (and
+/// the query's admission slot).
+fn run_statements(
+    inner: &Arc<Inner>,
+    ctx: &ShardCtx,
+    conn: &mut Conn,
+    stmts: &[Statement],
+) -> bool {
     let mut out = Vec::new();
-    let mut build_started = false;
     for (i, stmt) in stmts.iter().enumerate() {
-        if draining && !stmt.is_control() {
-            proto::error_response(&mut out, "57P01", "server is draining");
-            break;
-        }
         if pg_failed(conn) {
-            match stmt {
+            if stmt.ends_tx() {
                 // Either way out of a failed block is a rollback;
                 // postgres reports `ROLLBACK` even for `COMMIT`.
-                Statement::Commit | Statement::Rollback => {
-                    let _ = conn.session.rollback();
-                    set_failed(conn, false);
-                    proto::command_complete(&mut out, "ROLLBACK");
-                    continue;
-                }
-                _ => {
-                    proto::error_response(
-                        &mut out,
-                        "25P02",
-                        "current transaction is aborted, \
-                         commands ignored until end of transaction block",
-                    );
-                    break;
-                }
+                let _ = conn.session.rollback();
+                set_failed(conn, false);
+                proto::command_complete(&mut out, "ROLLBACK");
+                continue;
             }
-        }
-        let started = Instant::now();
-        let result = execute_statement(stmt, &mut conn.session, &inner.catalog, &env, &mut out);
-        let ran = started.elapsed();
-        inner.pg_req_us[stmt.kind_index()].record_micros(ran);
-        if ran >= inner.cfg.slow_request {
-            inner.db.obs.trace().span_event(
-                "server.slow_request",
-                stmt.kind(),
-                ran.as_micros().min(u128::from(u64::MAX)) as u64,
-                waited.as_micros().min(u128::from(u64::MAX)) as u64,
+            proto::error_response(
+                &mut out,
+                "25P02",
+                "current transaction is aborted, \
+                 commands ignored until end of transaction block",
             );
-            if slowest.is_none_or(|(_, worst)| ran > worst) {
-                slowest = Some((stmt.kind(), ran));
-            }
+            break;
         }
+        let access = match stmt {
+            Statement::Select { .. } => Access::Read,
+            Statement::Commit | Statement::Rollback => Access::Other,
+            _ => Access::Write,
+        };
+        let started = Instant::now();
+        let result = request::follower_gate(inner, access, || {
+            execute_statement(stmt, &mut conn.session, &inner.catalog, &mut out)
+        });
+        inner.pg_req_us[stmt.kind_index()].record_micros(started.elapsed());
         match result {
-            Ok(StmtOutcome::Complete) => {}
-            Ok(StmtOutcome::StartBuild {
+            Ok(Ok(StmtOutcome::Complete)) => {}
+            Ok(Ok(StmtOutcome::StartBuild {
                 table,
                 specs,
                 algorithm,
                 options,
-            }) => {
+            })) => {
                 // The build owns the connection until it finishes;
                 // trailing statements in the same string would never
                 // run, so refuse them instead of dropping silently.
@@ -347,39 +305,28 @@ fn handle_query(
                     break;
                 }
                 // Flush what earlier statements produced, then hand
-                // off; the build's frames follow in order.
+                // off; the build's frames follow in order, and a
+                // refused build answers `ReadyForQuery` itself.
                 send_raw(inner, conn, &out);
-                out.clear();
-                build_started =
-                    job::start_build(inner, ctx, conn, table, algorithm, specs, options);
-                break;
+                return job::start_build(inner, ctx, conn, table, algorithm, specs, options);
             }
-            Err(e) => {
+            Ok(Err(e)) => {
                 if conn.session.current_tx().is_some() {
                     set_failed(conn, true);
                 }
                 proto::error_response(&mut out, e.sqlstate, &e.message);
                 break;
             }
+            Err(e) => {
+                send_raw(inner, conn, &out);
+                request::refuse(inner, conn, &Refusal::Engine(e));
+                return false;
+            }
         }
-    }
-    // Commit the query span before the slow-request dump so the
-    // rendered tree contains its own root.
-    query_span.commit();
-    if let Some((kind, ran)) = slowest {
-        native::log_slow_trace(inner, kind, ran);
-    }
-    if build_started {
-        // `ReadyForQuery` is deferred to build completion, and the
-        // admission slot rides with the build's job, exactly like the
-        // native `CreateIndex` exchange.
-        return;
     }
     proto::ready_for_query(&mut out, tx_status(conn));
     send_raw(inner, conn, &out);
-    if admitted {
-        inner.release();
-    }
+    false
 }
 
 #[cfg(test)]

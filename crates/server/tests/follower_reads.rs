@@ -130,7 +130,7 @@ fn churn(
                         }
                         Err(ClientError::Busy) => {
                             key -= 1;
-                            std::thread::sleep(Duration::from_millis(1));
+                            std::thread::yield_now();
                         }
                         Err(_) => break,
                     }
@@ -356,7 +356,13 @@ fn promotion_after_primary_crash_loses_nothing_and_accepts_writes() {
     let stop = Arc::new(AtomicBool::new(false));
     let committed = Arc::new(Mutex::new(BTreeSet::new()));
     let workers = churn(&paddr, 3, &stop, &committed);
-    std::thread::sleep(Duration::from_millis(150));
+    while committed.lock().unwrap().len() < 200 {
+        assert!(
+            !workers.iter().all(JoinHandle::is_finished),
+            "the churn stopped short of 200 commits"
+        );
+        std::thread::yield_now();
+    }
     stop.store(true, Ordering::Relaxed);
     let ops: u64 = workers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(ops > 0, "no churn committed");

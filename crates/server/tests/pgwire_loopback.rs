@@ -8,17 +8,21 @@
 //! `INSERT` load → online `CREATE INDEX` mid-load (NOTICE progress
 //! lines) → `SELECT` through the new index → `Terminate`, with the
 //! finished index verified against the heap oracle. Replica gating
-//! (`25006`/`72000`), transaction-status bytes, failed-transaction
-//! blocks, and garbage-frame robustness are covered alongside.
+//! (`25006`/`72000`) and its read counters, admission and deadline
+//! parity with the native door, transaction-status bytes,
+//! failed-transaction blocks, and garbage-frame robustness are covered
+//! alongside.
 
+use mohan_client::{Client, ClientError};
 use mohan_common::{EngineConfig, TableId};
 use mohan_oib::verify::verify_index;
 use mohan_oib::{Db, IndexState};
 use mohan_server::{Server, ServerConfig};
+use mohan_wire::message::ErrorCode;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn engine() -> Arc<Db> {
@@ -234,25 +238,29 @@ fn simple_query_session_with_online_build_under_load() {
     );
 
     // Concurrent INSERT load on separate pg connections while the
-    // index builds online.
+    // index builds online. Each loader reports every commit by its
+    // number.
     let stop = Arc::new(AtomicBool::new(false));
+    let (commits, committed) = mpsc::channel::<usize>();
     let loaders: Vec<_> = (0..3)
         .map(|w| {
             let addr = addr.clone();
             let stop = Arc::clone(&stop);
+            let commits = commits.clone();
             std::thread::spawn(move || {
                 let mut c = PgConn::connect(&addr);
                 let mut inserted = Vec::new();
-                let mut k = 1_000 + w * 100_000;
+                let mut k = 1_000 + w as i64 * 100_000;
                 while !stop.load(Ordering::Acquire) {
                     let reply = c.query(&format!("INSERT INTO kv VALUES ({k}, {})", k * 3));
                     match sqlstate(&reply).as_deref() {
-                        // Admission-control pushback: retry later.
-                        Some("53300") => std::thread::sleep(Duration::from_millis(2)),
+                        // Admission-control pushback: retry.
+                        Some("53300") => std::thread::yield_now(),
                         Some(other) => panic!("loader refused with {other}"),
                         None => {
                             assert_eq!(tag(&reply).as_deref(), Some("INSERT 0 1"));
                             inserted.push(k);
+                            let _ = commits.send(w);
                             k += 1;
                         }
                     }
@@ -264,7 +272,7 @@ fn simple_query_session_with_online_build_under_load() {
         .collect();
 
     // Let the loaders get ahead, then build online, mid-load.
-    std::thread::sleep(Duration::from_millis(50));
+    committed.recv().expect("a loader commits");
     let reply = c.query("CREATE INDEX kv_k ON kv USING sf (k)");
     expect_tag(&reply, "CREATE INDEX");
     assert!(
@@ -272,8 +280,17 @@ fn simple_query_session_with_online_build_under_load() {
         "NOTICE progress lines streamed during the build: {reply:?}"
     );
 
-    // Keep loading briefly after the build completes, then stop.
-    std::thread::sleep(Duration::from_millis(30));
+    // Keep loading after the build completes, until every loader has
+    // committed again, then stop.
+    committed.try_iter().for_each(drop);
+    let mut waiting = vec![true; loaders.len()];
+    while waiting.contains(&true) {
+        waiting[committed.recv().expect("a loader commits")] = false;
+        assert!(
+            !loaders.iter().any(std::thread::JoinHandle::is_finished),
+            "a loader stopped"
+        );
+    }
     stop.store(true, Ordering::Release);
     let mut all_keys: Vec<i64> = vec![0, 1, 2];
     for h in loaders {
@@ -367,8 +384,9 @@ fn transaction_blocks_and_failure_states() {
     srv.drain();
 }
 
-#[test]
-fn replica_sessions_map_notwritable_and_stale() {
+/// A follower engine with table 1, behind a pg listener whose
+/// staleness bound is 100 LSNs.
+fn replica_server() -> (Arc<Db>, Server) {
     let db = Db::new(EngineConfig {
         replica: true,
         ..EngineConfig::small()
@@ -386,6 +404,12 @@ fn replica_sessions_map_notwritable_and_stale() {
         },
     )
     .expect("bind replica");
+    (db, srv)
+}
+
+#[test]
+fn replica_sessions_map_notwritable_and_stale() {
+    let (db, srv) = replica_server();
     let addr = srv.pg_addr().unwrap().to_string();
     let mut c = PgConn::connect(&addr);
 
@@ -417,6 +441,137 @@ fn replica_sessions_map_notwritable_and_stale() {
     assert_eq!(sqlstate(&reply).as_deref(), Some("72000"));
 
     c.terminate();
+    srv.drain();
+}
+
+/// A follower counts its SQL reads where it counts native ones: a
+/// served `SELECT` in `repl.reads_served`, one refused with `72000` in
+/// `repl.reads_rejected_stale`.
+#[test]
+fn follower_selects_are_counted_served_or_stale() {
+    let (db, srv) = replica_server();
+    let mut c = PgConn::connect(&srv.pg_addr().unwrap().to_string());
+    let served = db.obs.counter("repl.reads_served");
+    let stale = db.obs.counter("repl.reads_rejected_stale");
+
+    let reply = c.query("SELECT * FROM t1 WHERE c0 = 1");
+    assert_eq!(sqlstate(&reply), None, "{reply:?}");
+    assert_eq!((served.get(), stale.get()), (1, 0));
+
+    db.set_repl_lag(10_000);
+    let reply = c.query("SELECT * FROM t1");
+    assert_eq!(sqlstate(&reply).as_deref(), Some("72000"));
+    assert_eq!((served.get(), stale.get()), (1, 1));
+
+    c.terminate();
+    srv.drain();
+}
+
+/// Both listeners of one server, with the given admission cap and
+/// request deadline.
+fn two_door_server(db: &Arc<Db>, max_inflight: usize, request_deadline: Duration) -> Server {
+    Server::start(
+        Arc::clone(db),
+        ServerConfig {
+            bind_addr: "127.0.0.1:0".into(),
+            pg_bind_addr: Some("127.0.0.1:0".into()),
+            workers: 2,
+            max_inflight,
+            request_deadline,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind both doors")
+}
+
+/// One admission rule for both doors: with the only slot held by a
+/// native `ObserveStats` stream, `BEGIN` is refused — `53300` on pg,
+/// `Busy` natively — while `COMMIT` and `ROLLBACK`, which release
+/// locks, still run.
+#[test]
+fn begin_takes_an_admission_slot_at_both_doors() {
+    let db = engine();
+    let srv = two_door_server(&db, 1, Duration::from_secs(5));
+    let pg_addr = srv.pg_addr().unwrap().to_string();
+    let native_addr = srv.addr().to_string();
+
+    // Transactions opened before the slot is taken. A reply goes out
+    // before its request gives the slot back, so each of these may be
+    // refused while the one before it still holds it.
+    let mut pg_commit = PgConn::connect(&pg_addr);
+    let mut pg_rollback = PgConn::connect(&pg_addr);
+    for c in [&mut pg_commit, &mut pg_rollback] {
+        let reply = loop {
+            let reply = c.query("BEGIN");
+            if sqlstate(&reply).as_deref() != Some("53300") {
+                break reply;
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(tx_status(&reply), b'T');
+    }
+    let mut native = Client::connect(&native_addr).unwrap();
+    while let Err(ClientError::Busy) = native.begin() {
+        std::thread::yield_now();
+    }
+
+    // The stream's first frame means it holds the only slot.
+    let (first_frame, held) = mpsc::channel();
+    let (stop, stopped) = mpsc::channel::<()>();
+    let observer = std::thread::spawn(move || loop {
+        let c = Client::connect(&native_addr).unwrap();
+        let stream = c.observe_stats(10, |_| {
+            let _ = first_frame.send(());
+            stopped.try_recv().is_err()
+        });
+        match stream {
+            Err(ClientError::Busy) => std::thread::yield_now(),
+            done => return done.unwrap(),
+        }
+    });
+    held.recv().expect("the stream's first frame");
+
+    let mut pg = PgConn::connect(&pg_addr);
+    let reply = pg.query("BEGIN");
+    assert_eq!(sqlstate(&reply).as_deref(), Some("53300"), "{reply:?}");
+    assert_eq!(tx_status(&reply), b'I');
+    let mut other = Client::connect(srv.addr()).unwrap();
+    assert!(matches!(other.begin(), Err(ClientError::Busy)));
+
+    expect_tag(&pg_commit.query("COMMIT"), "COMMIT");
+    expect_tag(&pg_rollback.query("ROLLBACK"), "ROLLBACK");
+    native.commit().unwrap();
+    assert!(srv.stats().busy_rejects.get() >= 2);
+
+    stop.send(()).unwrap();
+    observer.join().unwrap();
+    srv.drain();
+}
+
+/// One deadline for both doors: a request that waited out a zero
+/// deadline is refused — native `DeadlineExceeded`, pg `57014` — and
+/// `server.deadline_rejects` counts each.
+#[test]
+fn a_missed_deadline_refuses_at_both_doors() {
+    let db = engine();
+    let srv = two_door_server(&db, 16, Duration::ZERO);
+
+    let mut native = Client::connect(srv.addr()).unwrap();
+    match native.insert(TableId(1), vec![1, 2]) {
+        Err(ClientError::Server {
+            code: ErrorCode::DeadlineExceeded,
+            ..
+        }) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    let mut pg = PgConn::connect(&srv.pg_addr().unwrap().to_string());
+    let reply = pg.query("INSERT INTO kv VALUES (1, 2)");
+    assert_eq!(sqlstate(&reply).as_deref(), Some("57014"), "{reply:?}");
+    assert_eq!(tx_status(&reply), b'I');
+    assert_eq!(srv.stats().deadline_rejects.get(), 2);
+    assert_eq!(srv.stats().requests.get(), 0);
+
+    pg.terminate();
     srv.drain();
 }
 

@@ -21,17 +21,6 @@ use mohan_common::pace::{Ticker, KEYS_PER_PACE};
 use mohan_common::{wire_struct, Error, Result};
 use std::sync::Arc;
 
-/// Where a resumable sort job currently is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortPhase {
-    /// Feeding input / forming runs (§5.1).
-    Forming,
-    /// Reducing runs below the fan-in limit (§5.2).
-    Merging,
-    /// Final streams ready for the pipelined merge.
-    Done,
-}
-
 /// Durable position of the run-reduction phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergePassCheckpoint {

@@ -34,7 +34,7 @@ pub mod run_formation;
 pub mod run_store;
 
 pub use checkpoint::{MergeCheckpoint, RunMeta, SortCheckpoint};
-pub use external::{ExternalSort, MergePassCheckpoint, SortPhase};
+pub use external::{ExternalSort, MergePassCheckpoint};
 pub use item::SortItem;
 pub use loser_tree::LoserTree;
 pub use merge::{Merge, RunCursor};
