@@ -1,14 +1,13 @@
 //! Workload generation and the concurrent-updater (churn) driver used
 //! by every experiment.
 
-use mohan_common::stats::Counter;
 use mohan_common::{EngineConfig, Rid, TableId};
 use mohan_oib::schema::Record;
 use mohan_oib::Db;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -122,6 +121,35 @@ impl ChurnStats {
     }
 }
 
+/// A churn's committed operations, counted live, and a wait for a
+/// count. A commit takes the lock only while someone waits.
+#[derive(Default)]
+pub struct Committed {
+    ops: AtomicU64,
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
+    reached: Condvar,
+}
+
+impl Committed {
+    /// Operations committed so far.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.ops.load(Ordering::SeqCst)
+    }
+
+    fn bump(&self) {
+        self.ops.fetch_add(1, Ordering::SeqCst);
+        // A waiter registers before it reads the count: either it sees
+        // this commit, or this load sees it and the notify, taken under
+        // the lock it holds until it sleeps, wakes it.
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            let _guard = self.lock.lock();
+            self.reached.notify_all();
+        }
+    }
+}
+
 /// A running churn; stop it to collect the stats.
 pub struct ChurnHandle {
     stop: Arc<AtomicBool>,
@@ -129,10 +157,28 @@ pub struct ChurnHandle {
     started: Instant,
     /// Live committed-op counter, readable while the churn runs (used
     /// to window throughput to exactly a build's duration).
-    pub ops_live: Arc<Counter>,
+    pub ops_live: Arc<Committed>,
 }
 
 impl ChurnHandle {
+    /// Block until the churn has committed `n` operations in total.
+    ///
+    /// # Panics
+    /// If it has not within a minute: the churn stalled.
+    pub fn wait_for_ops(&self, n: u64) {
+        let c = &self.ops_live;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        c.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut guard = c.lock.lock();
+        while c.get() < n {
+            if c.reached.wait_until(&mut guard, deadline).timed_out() && c.get() < n {
+                panic!("churn stalled at {} of {n} committed operations", c.get());
+            }
+        }
+        drop(guard);
+        c.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+
     /// Signal all updaters and collect their aggregated stats.
     pub fn stop(self) -> ChurnStats {
         self.stop.store(true, Ordering::Relaxed);
@@ -157,7 +203,7 @@ impl ChurnHandle {
 /// of the seeded records plus its own key range for inserts).
 pub fn start_churn(db: &Arc<Db>, rids: &[Rid], cfg: ChurnConfig) -> ChurnHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let ops_live = Arc::new(Counter::new());
+    let ops_live = Arc::new(Committed::default());
     let shared: Vec<Arc<Mutex<Vec<Rid>>>> = rids
         .chunks(rids.len().max(1) / cfg.threads.max(1) + 1)
         .map(|c| Arc::new(Mutex::new(c.to_vec())))
@@ -190,7 +236,7 @@ fn churn_thread(
     mine: &Mutex<Vec<Rid>>,
     cfg: &ChurnConfig,
     thread_no: u64,
-    ops_live: &Counter,
+    ops_live: &Committed,
 ) -> ChurnStats {
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(7919).wrapping_add(thread_no));
     let mut stats = ChurnStats::default();

@@ -1,12 +1,17 @@
-//! The index-build drivers: offline baseline, NSF (§2), SF (§3),
-//! multi-index single-scan builds (§6.2), restart resume, and drop /
-//! cancel (§2.3.2).
+//! Index builds: offline baseline, NSF (§2), SF (§3), multi-index
+//! single-scan builds (§6.2), restart resume, and drop / cancel
+//! (§2.3.2).
+//!
+//! Every build runs through one driver, `drive`: the durable
+//! progress record ([`BuildProgress`]) is the build's state, each phase
+//! runs from its record alone, and a fresh build is a resume from the
+//! empty record.
 
 use crate::engine::Db;
 use crate::progress::{self, BuildProgress, PartCheckpoint};
 use crate::runtime::{IndexRuntime, IndexState};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
-use mohan_btree::{BulkLoader, InsertMode, InsertOutcome};
+use mohan_btree::{BulkCheckpoint, BulkLoader, InsertMode, InsertOutcome};
 use mohan_common::pace::{pace, Ticker, KEYS_PER_PACE, OPS_PER_PACE};
 use mohan_common::{Error, IndexEntry, IndexId, Lsn, PageId, Result, Rid, SlotId, TableId, TxId};
 use mohan_lock::{LockMode, LockName};
@@ -14,6 +19,7 @@ use mohan_sort::{
     ExternalSort, Merge, MergeCheckpoint, MergePassCheckpoint, RunFormation, SortCheckpoint,
 };
 use mohan_wal::{LogManager, LogPayload, RecKind};
+use mohan_wire::message::BuildPhase;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -159,22 +165,15 @@ fn build_now(
                 progress::store_options(db, idx.def.id, options);
             }
             on_ids(&ids);
-            match run_from_scratch(db, &idxs, options) {
-                Ok(()) => Ok(ids),
-                Err(e) if e.is_crash() => Err(e),
-                Err(e) => {
-                    cancel_builds(db, &idxs)?;
-                    Err(e)
-                }
-            }
+            cancel_unless_crash(db, &idxs, build_fresh(db, &idxs, options)).map(|()| ids)
         }
     }
 }
 
 /// Continue an interrupted build after [`Db::restart`], with the
 /// [`BuildOptions`] the build was started with (from the durable
-/// options blob). Like every build, it runs on a build worker while
-/// the caller waits.
+/// options blob), from its stored progress record. Like every build,
+/// it runs on a build worker while the caller waits.
 pub fn resume_build(db: &Arc<Db>, id: IndexId) -> Result<()> {
     db.on_build_worker(move |db| {
         let idx = db.index(id)?;
@@ -184,14 +183,25 @@ pub fn resume_build(db: &Arc<Db>, id: IndexId) -> Result<()> {
         let options = progress::load_options(db, id);
         db.build_sort_workers
             .observe(u64::from(options.parallel_workers));
-        match resume_one(db, &idx, &options) {
-            Ok(()) => Ok(()),
-            Err(e) if e.is_crash() => Err(e),
-            Err(e) => {
-                cancel_builds(db, std::slice::from_ref(&idx))?;
-                Err(e)
+        let at = match progress::load(db, id)? {
+            Some(at) => at,
+            None => {
+                // Crash before the first record: resume from the empty
+                // one. If it came between registration and the bound's
+                // publication, publish it now (restart made every
+                // record visible, so any bound that covers the table
+                // will do).
+                if idx.scan_end() == PageId(u32::MAX) {
+                    publish_scan_bounds(&idx, &*db.table(idx.def.table)?);
+                    db.persist_catalog();
+                }
+                BuildProgress::ScanningParallel {
+                    parts: empty_scan(db, &idx, &options)?,
+                }
             }
-        }
+        };
+        let idxs = std::slice::from_ref(&idx);
+        cancel_unless_crash(db, idxs, drive(db, &idx, Some(at), &options))
     })
 }
 
@@ -325,49 +335,157 @@ fn publish_scan_bounds(rt: &IndexRuntime, tbl: &mohan_heap::HeapTable) {
 }
 
 // ===================================================================
-// the build pipeline
+// the build driver
 // ===================================================================
 
-fn run_from_scratch(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>], opts: &BuildOptions) -> Result<()> {
-    let runs = parallel_scan_and_sort(db, idxs, &vec![None; idxs.len()], opts)?;
-    for (idx, idx_runs) in idxs.iter().zip(runs) {
-        let finals = reduce_phase(db, idx, idx_runs, None, opts)?;
-        enter_final_phase(db, idx, finals, opts)?;
+/// A fresh build: every index starts from the empty scan record
+/// ([`empty_scan`]). The scan is the one phase a §6.2 batch shares:
+/// one pass over the data feeds every index, and then each goes on
+/// alone, in order, from its own reduce record. Every index stores
+/// that record before the first one goes on, so a crash after the scan
+/// rescans none of them.
+fn build_fresh(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>], opts: &BuildOptions) -> Result<()> {
+    let parts = empty_scan(db, &idxs[0], opts)?;
+    let runs = scan_phase(db, idxs, vec![parts; idxs.len()], opts)?;
+    let records = idxs
+        .iter()
+        .zip(runs)
+        .map(|(idx, runs)| advance(db, idx, BuildPhase::Scanning, runs))
+        .collect::<Result<Vec<_>>>()?;
+    for (idx, at) in idxs.iter().zip(records) {
+        drive(db, idx, at, opts)?;
     }
     Ok(())
 }
 
-fn resume_one(db: &Arc<Db>, idx: &Arc<IndexRuntime>, opts: &BuildOptions) -> Result<()> {
-    match progress::load(db, idx.def.id)? {
-        None => {
-            // Crash before the first sort checkpoint: start over. If it
-            // came between registration and the bound's publication,
-            // publish it now (restart made every record visible, so
-            // any bound that covers the table will do).
-            if idx.scan_end() == PageId(u32::MAX) {
-                publish_scan_bounds(idx, &*db.table(idx.def.table)?);
-                db.persist_catalog();
+/// The build driver: take `idx` from the progress record `at` to
+/// completion. It runs the phase the record names from that record
+/// alone, then [`advance`]s to the next phase with the runs the phase
+/// handed on, until the build is complete. Fresh ([`build_fresh`]),
+/// resumed ([`resume_build`]), offline and §6.2 builds all run here.
+pub(crate) fn drive(
+    db: &Arc<Db>,
+    idx: &Arc<IndexRuntime>,
+    mut at: Option<BuildProgress>,
+    opts: &BuildOptions,
+) -> Result<()> {
+    while let Some(record) = at {
+        let (phase, _) = record.phase();
+        let runs = match record {
+            BuildProgress::ScanningParallel { parts } => {
+                scan_phase(db, std::slice::from_ref(idx), vec![parts], opts)?.remove(0)
             }
-            run_from_scratch(db, std::slice::from_ref(idx), opts)
-        }
-        Some(BuildProgress::ScanningParallel { parts }) => {
-            let runs = parallel_scan_and_sort(db, std::slice::from_ref(idx), &[Some(parts)], opts)?;
-            let finals = reduce_phase(db, idx, runs.into_iter().next().expect("one"), None, opts)?;
-            enter_final_phase(db, idx, finals, opts)
-        }
-        Some(BuildProgress::Reducing { pass }) => {
-            let finals = reduce_phase(db, idx, Vec::new(), Some(pass), opts)?;
-            enter_final_phase(db, idx, finals, opts)
-        }
-        Some(BuildProgress::Loading { merge, bulk }) => {
-            sf_load_and_drain(db, idx, merge, Some(bulk), opts)
-        }
-        Some(BuildProgress::Inserting { merge, inserted }) => {
-            nsf_insert_phase(db, idx, merge, inserted, opts)
-        }
-        Some(BuildProgress::Draining { pos }) => sf_drain_phase(db, idx, pos, opts),
+            BuildProgress::Reducing { pass } => reduce_phase(db, idx, &pass, opts)?,
+            BuildProgress::Loading { merge, bulk } => {
+                load_phase(db, idx, &merge, &bulk, opts)?;
+                Vec::new()
+            }
+            BuildProgress::Inserting { merge, inserted } => {
+                insert_phase(db, idx, &merge, inserted, opts)?;
+                Vec::new()
+            }
+            BuildProgress::Draining { pos } => {
+                drain_phase(db, idx, pos, opts)?;
+                Vec::new()
+            }
+        };
+        at = advance(db, idx, phase, runs)?;
     }
+    Ok(())
 }
+
+/// Enter the phase that follows `done` in `idx`'s build: form its
+/// record from the sorted runs `done` handed on and store it before
+/// the phase touches anything, so a crash from here on resumes in it.
+/// `None` once the build is complete.
+///
+/// This is each algorithm's phase order, written once: NSF scans,
+/// reduces and inserts (§2.2.3); SF scans, reduces, loads and drains
+/// (§3.2.4, §3.2.5); offline scans, reduces and loads.
+pub(crate) fn advance(
+    db: &Db,
+    idx: &IndexRuntime,
+    done: BuildPhase,
+    runs: Vec<u64>,
+) -> Result<Option<BuildProgress>> {
+    let start = |inputs: Vec<u64>| MergeCheckpoint {
+        counters: vec![0; inputs.len()],
+        inputs,
+        emitted: 0,
+    };
+    let next = match (idx.algorithm, done) {
+        (_, BuildPhase::Scanning) => BuildProgress::Reducing {
+            pass: MergePassCheckpoint {
+                remaining: runs,
+                inflight: None,
+            },
+        },
+        (BuildAlgorithm::Nsf, BuildPhase::Reducing) => BuildProgress::Inserting {
+            merge: start(runs),
+            inserted: 0,
+        },
+        (_, BuildPhase::Reducing) => {
+            // The load's record carries an empty loader's checkpoint.
+            let mut loader = BulkLoader::new(&idx.tree)?;
+            BuildProgress::Loading {
+                merge: start(runs),
+                bulk: force_index_pages(db, idx, "load", |wal| loader.checkpoint(wal))?,
+            }
+        }
+        (BuildAlgorithm::Sf, BuildPhase::Loading) => BuildProgress::Draining { pos: 0 },
+        _ => return Ok(None),
+    };
+    progress::store(db, idx.def.id, &next);
+    Ok(Some(next))
+}
+
+/// The partitions of the scan record a build with no progress yet
+/// starts from: the scan range split into one contiguous page range per
+/// worker (`opts.parallel_workers`), each with an empty sort
+/// checkpoint. An empty table has none.
+fn empty_scan(db: &Db, idx: &IndexRuntime, opts: &BuildOptions) -> Result<Vec<PartCheckpoint>> {
+    let scan_end = idx.scan_end();
+    let mut parts = Vec::new();
+    if scan_end != PageId(u32::MAX) && db.table(idx.def.table)?.num_pages() > 0 {
+        let pages = u64::from(scan_end.0) + 1;
+        let w = u64::from(opts.parallel_workers).min(pages).max(1);
+        let (chunk, rem) = (pages / w, pages % w);
+        let mut lo = 0u64;
+        for i in 0..w {
+            let len = chunk + u64::from(i < rem);
+            parts.push(PartCheckpoint {
+                lo: lo as u32,
+                hi: (lo + len - 1) as u32,
+                sort: SortCheckpoint {
+                    runs: Vec::new(),
+                    scan_pos: 0,
+                    last_run_high: None,
+                },
+            });
+            lo += len;
+        }
+    }
+    Ok(parts)
+}
+
+/// Run a phase in an IB transaction ([`Db::begin_ib`]), which the
+/// phase may commit and replace as it goes ([`Db::ib_commit_cycle`]).
+/// A failed phase rolls the current one back; a crashed one leaves it
+/// to restart.
+fn in_ib(db: &Arc<Db>, phase: impl FnOnce(&mut TxId) -> Result<()>) -> Result<()> {
+    let mut ib = db.begin_ib();
+    let result = phase(&mut ib);
+    if let Err(e) = &result {
+        if !e.is_crash() {
+            let _ = db.rollback(ib);
+        }
+    }
+    result
+}
+
+// ===================================================================
+// scan (§5.1) and reduce (§5.2)
+// ===================================================================
 
 /// The scan's under-latch hook (§3.2.2): with page `page` S-latched
 /// and its records copied, advance every SF index's Current-RID past
@@ -388,45 +506,18 @@ fn advance_current_rid(idxs: &[Arc<IndexRuntime>], page: PageId) {
     }
 }
 
-/// Persist one [`BuildProgress::ScanningParallel`] record per index
-/// from the combined per-worker checkpoint state. Callers hold the
-/// state lock, so concurrent workers never interleave half-updated
-/// records.
-fn persist_parallel_parts(
-    db: &Db,
-    idxs: &[Arc<IndexRuntime>],
-    parts: &[(u32, u32)],
-    state: &[Vec<SortCheckpoint<IndexEntry>>],
-) {
-    for (i, idx) in idxs.iter().enumerate() {
-        let pcs: Vec<PartCheckpoint> = parts
-            .iter()
-            .enumerate()
-            .map(|(w, &(lo, hi))| PartCheckpoint {
-                lo,
-                hi,
-                sort: state[i][w].clone(),
-            })
-            .collect();
-        progress::store(
-            db,
-            idx.def.id,
-            &BuildProgress::ScanningParallel { parts: pcs },
-        );
-    }
-}
-
-/// Scan the data pages once, feeding every index's run formation.
-/// The scan range is split into one contiguous page partition per
-/// worker (`opts.parallel_workers`), and each partition runs its own
-/// §5.1 replacement selection per index into the index's shared run
-/// store. The partitions run on the build workers ([`Db::fork_join`]):
-/// the first — a sole partition too — on the calling thread, the
-/// build's own worker, the others on parked ones. Checkpoints are
-/// per-partition ([`PartCheckpoint`]): each partition's checkpoint is
-/// a valid serial restart point for its page range, so a crash resumes
-/// every partition from its own position (re-using the checkpointed
-/// partition table; `resumes[i]` repositions index `i`).
+/// Scan the data pages once, feeding every index's run formation, from
+/// each index's scan record `parts[i]`. The scan range is split into
+/// contiguous page partitions — the record's partition table, which
+/// every index of a batch shares — and each partition runs its own
+/// §5.1 replacement selection per index into the index's run store.
+/// The partitions run on the build workers ([`Db::fork_join`]): the
+/// first — a sole partition too — on the calling thread, the build's
+/// own worker, the others on parked ones. Checkpoints are
+/// per-partition ([`PartCheckpoint`]): each partition's checkpoint is a
+/// valid serial restart point for its page range, so every partition
+/// repositions from its own checkpoint — an empty one for a fresh
+/// build. Returns each index's runs.
 ///
 /// Safety of the §3.2.2 visibility rule under out-of-order page
 /// completion: Current-RID only ever advances (`fetch_max`), so a
@@ -436,78 +527,35 @@ fn persist_parallel_parts(
 /// extracted by the scan — the same over-visibility the post-crash
 /// conservative rescan produces, absorbed the same way: duplicate
 /// inserts are rejected and missing-key deletes are no-ops at drain.
-///
-/// The §6.2 multi-index batch rides the same partitioned scan: one
-/// worker feeds every index's sorter for its page range.
-fn parallel_scan_and_sort(
+fn scan_phase(
     db: &Arc<Db>,
     idxs: &[Arc<IndexRuntime>],
-    resumes: &[Option<Vec<PartCheckpoint>>],
+    parts: Vec<Vec<PartCheckpoint>>,
     opts: &BuildOptions,
 ) -> Result<Vec<Vec<u64>>> {
     let _phase = PhaseTimer::new(db, "scan");
     let table = db.table(idxs[0].def.table)?;
     let ws = db.cfg.sort_workspace_keys;
-    let scan_end = idxs[0].scan_end();
-    let empty = scan_end == PageId(u32::MAX) || table.num_pages() == 0;
+    let ranges: Vec<(u32, u32)> = parts[0].iter().map(|p| (p.lo, p.hi)).collect();
 
-    // Partition table: a resume re-uses the checkpointed partitions
-    // (they define which runs belong to which worker); a fresh build
-    // splits the scan range evenly, and an empty one has none.
-    let parts: Vec<(u32, u32)> = match resumes.iter().flatten().next() {
-        // A checkpoint from before partitions existed covers "to the
-        // end of the scan", whatever that was: clamp to the bound.
-        Some(cps) => cps.iter().map(|p| (p.lo, p.hi.min(scan_end.0))).collect(),
-        None if empty => Vec::new(),
-        None => {
-            let pages = u64::from(scan_end.0) + 1;
-            let w = u64::from(opts.parallel_workers).min(pages).max(1);
-            let chunk = pages / w;
-            let rem = pages % w;
-            let mut out = Vec::with_capacity(w as usize);
-            let mut lo = 0u64;
-            for i in 0..w {
-                let len = chunk + u64::from(i < rem);
-                out.push((lo as u32, (lo + len - 1) as u32));
-                lo += len;
-            }
-            out
-        }
-    };
-
-    // One RunFormation per (partition, index). Resumed partitions
-    // reposition via `resume_keeping`, preserving every sibling
-    // partition's checkpointed runs in the shared store; runs no
-    // checkpoint knows (flushed after the last checkpoint, then lost to
-    // the crash) are deleted once here.
-    let mut work = Vec::with_capacity(parts.len());
-    let mut cp_init: Vec<Vec<SortCheckpoint<IndexEntry>>> = vec![Vec::new(); idxs.len()];
-    for w in 0..parts.len() {
+    // One RunFormation per (partition, index), repositioned by
+    // `resume_keeping`, which preserves every sibling partition's
+    // checkpointed runs in the shared store; runs no checkpoint knows
+    // (flushed after the last checkpoint, then lost to the crash) are
+    // deleted once here.
+    let mut work = Vec::with_capacity(ranges.len());
+    for w in 0..ranges.len() {
         let mut rfs = Vec::with_capacity(idxs.len());
         let mut floors = Vec::with_capacity(idxs.len());
-        for (i, idx) in idxs.iter().enumerate() {
+        for (idx, cps) in idxs.iter().zip(&parts) {
+            let preserve: Vec<u64> = cps
+                .iter()
+                .flat_map(|p| p.sort.runs.iter().map(|r| r.id))
+                .collect();
+            let cp = &cps[w].sort;
+            floors.push(cp.scan_pos);
             let store = Arc::clone(&idx.sort_store);
-            match &resumes[i] {
-                Some(cps) => {
-                    let preserve: Vec<u64> = cps
-                        .iter()
-                        .flat_map(|p| p.sort.runs.iter().map(|r| r.id))
-                        .collect();
-                    let cp = &cps[w].sort;
-                    floors.push(cp.scan_pos);
-                    cp_init[i].push(cp.clone());
-                    rfs.push(RunFormation::resume_keeping(store, ws, cp, &preserve)?);
-                }
-                None => {
-                    floors.push(0);
-                    cp_init[i].push(SortCheckpoint {
-                        runs: Vec::new(),
-                        scan_pos: 0,
-                        last_run_high: None,
-                    });
-                    rfs.push(RunFormation::new(store, ws));
-                }
-            }
+            rfs.push(RunFormation::resume_keeping(store, ws, cp, &preserve)?);
         }
         work.push((rfs, floors));
     }
@@ -515,11 +563,11 @@ fn parallel_scan_and_sort(
     let scan = Arc::new(Scan {
         table,
         idxs: idxs.to_vec(),
-        parts,
+        parts: ranges,
         cp_every: opts.checkpoint_keys(&db.cfg),
         stop: AtomicBool::new(false),
         first_err: Mutex::new(None),
-        cp_state: Mutex::new(cp_init),
+        records: Mutex::new(parts),
     });
     let jobs = work
         .into_iter()
@@ -563,8 +611,9 @@ struct Scan {
     /// next record.
     stop: AtomicBool,
     first_err: Mutex<Option<Error>>,
-    /// `cp_state[i][w]`: index `i`'s latest checkpoint for partition `w`.
-    cp_state: Mutex<Vec<Vec<SortCheckpoint<IndexEntry>>>>,
+    /// `records[i]`: index `i`'s scan record, every partition at its
+    /// latest checkpoint.
+    records: Mutex<Vec<Vec<PartCheckpoint>>>,
 }
 
 /// One partition's scan: feed `rfs` (one sorter per index) from the
@@ -620,11 +669,14 @@ fn scan_part(
                 for rf in rfs.iter_mut() {
                     cps.push(rf.checkpoint()?);
                 }
-                let mut state = scan.cp_state.lock();
-                for (i, cp) in cps.into_iter().enumerate() {
-                    state[i][w] = cp;
+                // Stored under the lock, so concurrent partitions never
+                // interleave half-updated records.
+                let mut records = scan.records.lock();
+                for ((idx, parts), cp) in idxs.iter().zip(records.iter_mut()).zip(cps) {
+                    parts[w].sort = cp;
+                    let parts = parts.clone();
+                    progress::store(db, idx.def.id, &BuildProgress::ScanningParallel { parts });
                 }
-                persist_parallel_parts(db, idxs, &scan.parts, &state);
                 db.failpoints.hit("build.scan")?;
             }
             Ok(true)
@@ -638,12 +690,12 @@ fn scan_part(
     rfs
 }
 
-/// Reduce runs below the merge fan-in, persisting §5.2 checkpoints.
-pub(crate) fn reduce_phase(
+/// Reduce runs below the merge fan-in from the reduce record `pass`,
+/// persisting §5.2 checkpoints. Returns the final merge's inputs.
+fn reduce_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
-    runs: Vec<u64>,
-    resume: Option<MergePassCheckpoint>,
+    pass: &MergePassCheckpoint,
     opts: &BuildOptions,
 ) -> Result<Vec<u64>> {
     let _phase = PhaseTimer::new(db, "reduce");
@@ -654,43 +706,10 @@ pub(crate) fn reduce_phase(
         checkpoint_every: opts.checkpoint_keys(&db.cfg),
     };
     let id = idx.def.id;
-    let mut persist = |cp: &MergePassCheckpoint| -> Result<()> {
+    ext.resume_reduce(pass, &mut |cp| {
         progress::store(db, id, &BuildProgress::Reducing { pass: cp.clone() });
         db.failpoints.hit("build.reduce")
-    };
-    match resume {
-        Some(cp) => ext.resume_reduce(&cp, &mut persist),
-        None => ext.reduce_runs(runs, &mut persist),
-    }
-}
-
-/// Persist the initial final-phase progress record, then run it.
-pub(crate) fn enter_final_phase(
-    db: &Arc<Db>,
-    idx: &Arc<IndexRuntime>,
-    finals: Vec<u64>,
-    opts: &BuildOptions,
-) -> Result<()> {
-    let merge_cp = MergeCheckpoint {
-        counters: vec![0; finals.len()],
-        inputs: finals,
-        emitted: 0,
-    };
-    match idx.algorithm {
-        BuildAlgorithm::Nsf => {
-            progress::store(
-                db,
-                idx.def.id,
-                &BuildProgress::Inserting {
-                    merge: merge_cp.clone(),
-                    inserted: 0,
-                },
-            );
-            nsf_insert_phase(db, idx, merge_cp, 0, opts)
-        }
-        BuildAlgorithm::Sf => sf_load_and_drain(db, idx, merge_cp, None, opts),
-        BuildAlgorithm::Offline => load_phase(db, idx, merge_cp, None, opts),
-    }
+    })
 }
 
 /// Mark the index complete: record the completion horizon, flip the
@@ -711,23 +730,24 @@ fn complete_index(db: &Arc<Db>, idx: &Arc<IndexRuntime>, completed_at: Lsn) -> R
 // NSF: insert into the shared tree (§2.2.3)
 // ===================================================================
 
-fn nsf_insert_phase(
+/// Insert the final merge, from the insert record's position, into the
+/// shared tree, checkpointing as it goes; then complete the index.
+fn insert_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
-    merge_cp: MergeCheckpoint,
+    merge: &MergeCheckpoint,
     mut inserted: u64,
     opts: &BuildOptions,
 ) -> Result<()> {
     let _phase = PhaseTimer::new(db, "insert");
     let cp_every = opts.checkpoint_keys(&db.cfg);
-    let mut merge = Merge::resume(&idx.sort_store, &merge_cp)?;
-    let mut ib = db.begin_ib();
+    let mut merge = Merge::resume(&idx.sort_store, merge)?;
     let mut batch: Vec<IndexEntry> = Vec::with_capacity(db.cfg.ib_multi_key_batch);
     let mut since_cp = 0usize;
     let mut last_key: Option<mohan_common::KeyValue> = None;
     let mut pacer = Ticker::new(KEYS_PER_PACE);
 
-    let result = (|| -> Result<()> {
+    in_ib(db, |ib| {
         while let Some(entry) = merge.next() {
             // The previous key's `tree.insert` has returned: no latch.
             pacer.tick();
@@ -741,21 +761,21 @@ fn nsf_insert_phase(
                     // log record written (§2.2.3).
                 }
                 InsertOutcome::DuplicateKeyValue { existing, .. } => {
-                    ib_resolve_unique(db, ib, idx, entry, existing)?;
+                    ib_resolve_unique(db, *ib, idx, entry, existing)?;
                 }
             }
             inserted += 1;
             since_cp += 1;
             if batch.len() >= db.cfg.ib_multi_key_batch {
-                flush_ib_batch(db, ib, idx, &mut batch)?;
+                flush_ib_batch(db, *ib, idx, &mut batch)?;
             }
             if since_cp >= cp_every {
                 since_cp = 0;
-                flush_ib_batch(db, ib, idx, &mut batch)?;
+                flush_ib_batch(db, *ib, idx, &mut batch)?;
                 // §2.2.3 periodic checkpointing: force the dirty index
                 // pages, commit the inserts, record the position.
                 force_index_pages(db, idx, "insert", |wal| idx.tree.force_all(wal))?;
-                db.ib_commit_cycle(&mut ib)?;
+                db.ib_commit_cycle(ib)?;
                 if db.cfg.nsf_gradual_reads {
                     // Footnote 3: everything at or below the committed
                     // high key is now readable.
@@ -774,18 +794,11 @@ fn nsf_insert_phase(
                 db.failpoints.hit("build.insert")?;
             }
         }
-        flush_ib_batch(db, ib, idx, &mut batch)?;
+        flush_ib_batch(db, *ib, idx, &mut batch)?;
         let completed_at = db.wal.tail_lsn();
-        db.commit(ib)?;
+        db.commit(*ib)?;
         complete_index(db, idx, completed_at)
-    })();
-
-    if let Err(e) = &result {
-        if !e.is_crash() {
-            let _ = db.rollback(ib);
-        }
-    }
-    result
+    })
 }
 
 /// Log one multi-key record for the batch (§2.3.1: "one log record
@@ -879,60 +892,30 @@ fn ib_resolve_unique(
 // bottom-up load (§3.2.4) + SF side-file drain (§3.2.5)
 // ===================================================================
 
-/// SF's last two phases: the bottom-up load, then the side-file drain.
-fn sf_load_and_drain(
-    db: &Arc<Db>,
-    idx: &Arc<IndexRuntime>,
-    merge_cp: MergeCheckpoint,
-    bulk_cp: Option<mohan_btree::BulkCheckpoint>,
-    opts: &BuildOptions,
-) -> Result<()> {
-    load_phase(db, idx, merge_cp, bulk_cp, opts)?;
-    progress::store(db, idx.def.id, &BuildProgress::Draining { pos: 0 });
-    // No restart reads the runs again: the drain resumes from here.
-    idx.sort_store.clear();
-    sf_drain_phase(db, idx, 0, opts)
-}
-
-/// Load the final merge into the empty tree bottom-up, checkpointing
-/// as it goes: the one load every builder but NSF ends with — SF, the
-/// offline baseline and the §6.2 primary-index walk. An entry equal to
-/// the one before it is dropped (the primary-index walk reads a reused
-/// RID twice); a unique index settles each run of equal keys against
-/// the data pages ([`resolve_unique_group`]).
+/// Load the final merge into the empty tree bottom-up, from the load
+/// record's merge and loader positions, checkpointing as it goes: the
+/// one load every builder but NSF ends with — SF, the offline baseline
+/// and the §6.2 primary-index walk. An entry equal to the one before it
+/// is dropped (the primary-index walk reads a reused RID twice); a
+/// unique index settles each run of equal keys against the data pages
+/// ([`resolve_unique_group`]).
 fn load_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
-    merge_cp: MergeCheckpoint,
-    bulk_cp: Option<mohan_btree::BulkCheckpoint>,
+    merge: &MergeCheckpoint,
+    bulk: &BulkCheckpoint,
     opts: &BuildOptions,
 ) -> Result<()> {
     let _phase = PhaseTimer::new(db, "load");
     let cp_keys = opts.checkpoint_keys(&db.cfg);
-    let mut merge = Merge::resume(&idx.sort_store, &merge_cp)?;
-    let mut loader = match &bulk_cp {
-        Some(cp) => BulkLoader::resume(&idx.tree, cp)?,
-        None => {
-            // Persist the phase transition before touching the tree.
-            let init = loader_init_checkpoint(db, idx)?;
-            progress::store(
-                db,
-                idx.def.id,
-                &BuildProgress::Loading {
-                    merge: merge.checkpoint(),
-                    bulk: init.clone(),
-                },
-            );
-            BulkLoader::resume(&idx.tree, &init)?
-        }
-    };
-    let ib = db.begin_ib();
+    let mut merge = Merge::resume(&idx.sort_store, merge)?;
+    let mut loader = BulkLoader::resume(&idx.tree, bulk)?;
     let unique = idx.def.unique;
     let mut since_cp = 0usize;
     let mut pending: Option<IndexEntry> = None;
     let mut pacer = Ticker::new(KEYS_PER_PACE);
 
-    let result = (|| -> Result<()> {
+    in_ib(db, |ib| {
         loop {
             // The loader latches inside `append` only.
             pacer.tick();
@@ -986,7 +969,7 @@ fn load_phase(
                         since_cp += 1;
                     }
                     group.dedup();
-                    if let Some(survivor) = resolve_unique_group(db, ib, idx, group)? {
+                    if let Some(survivor) = resolve_unique_group(db, *ib, idx, group)? {
                         loader.append(survivor)?;
                     }
                 }
@@ -996,23 +979,8 @@ fn load_phase(
             loader.append(p)?;
         }
         force_index_pages(db, idx, "load", |wal| loader.finish(wal))?;
-        db.commit(ib)
-    })();
-
-    if let Err(e) = &result {
-        if !e.is_crash() {
-            let _ = db.rollback(ib);
-        }
-    }
-    result
-}
-
-/// An "empty loader" checkpoint used to enter the loading phase
-/// deterministically even if a crash hits before the first real
-/// checkpoint.
-fn loader_init_checkpoint(db: &Db, idx: &IndexRuntime) -> Result<mohan_btree::BulkCheckpoint> {
-    let mut loader = BulkLoader::new(&idx.tree)?;
-    force_index_pages(db, idx, "load", |wal| loader.checkpoint(wal))
+        db.commit(*ib)
+    })
 }
 
 /// §2.2.3-style arbitration for a sorted group of equal keys during
@@ -1040,42 +1008,36 @@ fn resolve_unique_group(
     Ok(survivor)
 }
 
-fn sf_drain_phase(
+/// Drain the side-file from the drain record's position `pos` into the
+/// loaded tree (§3.2.5), one IB transaction per pass, then close it
+/// and complete the index.
+fn drain_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
     mut pos: u64,
     opts: &BuildOptions,
 ) -> Result<()> {
     let _phase = PhaseTimer::new(db, "drain");
+    // No restart reads the runs again: the drain resumes from its own
+    // record.
+    idx.sort_store.clear();
     idx.side_file.set_drained(pos);
-    let mut ib = db.begin_ib();
     // Each drained operation latches and unlatches inside
     // `apply_drain_op`; between two of them the IB holds only its own
     // transaction — until the final catch-up takes the quiesce lock,
     // which every writer waits for: no giving way from there on.
     let mut pacer = Ticker::new(OPS_PER_PACE);
-    let result = (|| -> Result<()> {
+    in_ib(db, |ib| {
         // First pass: optionally sort the backlog for clustered index
         // access, preserving the relative order of identical keys
         // (§3.2.5). Applied as one atomic IB transaction; a crash
         // repeats the pass.
         if opts.drains_sorted() {
-            let snapshot = idx.side_file.len();
-            if snapshot > pos {
-                let mut ops = idx.side_file.read(pos, (snapshot - pos) as usize);
+            let backlog = idx.side_file.len().saturating_sub(pos) as usize;
+            if backlog > 0 {
+                let mut ops = idx.side_file.read(pos, backlog);
                 ops.sort_by(|a, b| a.entry.cmp(&b.entry)); // stable
-                for op in ops {
-                    apply_drain_op(db, ib, idx, op)?;
-                    pacer.tick();
-                    db.failpoints.hit("sf.drain.op")?;
-                }
-                db.ib_commit_cycle(&mut ib)?;
-                pos = snapshot;
-                idx.side_file.set_drained(pos);
-                idx.side_file.drain_passes.bump();
-                db.obs.trace().event("build.phase", "sf.drain.pass", pos);
-                progress::store(db, idx.def.id, &BuildProgress::Draining { pos });
-                db.failpoints.hit("build.drain")?;
+                drain_pass(db, ib, idx, ops, &mut pos, Some(&mut pacer))?;
             }
         }
         // Catch-up passes: drain the whole visible backlog each pass.
@@ -1087,14 +1049,14 @@ fn sf_drain_phase(
         // DDL implementations use (see DESIGN.md).
         let mut nonempty_passes = 0u32;
         let mut quiesce_tx: Option<TxId> = None;
-        let result2 = (|| -> Result<()> {
+        let result = (|| -> Result<()> {
             loop {
                 let backlog = idx.side_file.len().saturating_sub(pos) as usize;
                 let batch = idx.side_file.read(pos, backlog);
                 if batch.is_empty() {
                     let completed_at = db.wal.tail_lsn();
                     if idx.side_file.try_close(pos) {
-                        db.commit(ib)?;
+                        db.commit(*ib)?;
                         return complete_index(db, idx, completed_at);
                     }
                     // An append slipped in between the read and the
@@ -1104,21 +1066,9 @@ fn sf_drain_phase(
                     }
                     continue;
                 }
-                for op in batch {
-                    apply_drain_op(db, ib, idx, op)?;
-                    pos += 1;
-                    idx.side_file.set_drained(pos);
-                    if quiesce_tx.is_none() {
-                        pacer.tick();
-                    }
-                    db.failpoints.hit("sf.drain.op")?;
-                }
-                db.ib_commit_cycle(&mut ib)?;
-                db.obs.trace().event("build.phase", "sf.drain.pass", pos);
-                progress::store(db, idx.def.id, &BuildProgress::Draining { pos });
-                db.failpoints.hit("build.drain")?;
+                let pacer = quiesce_tx.is_none().then_some(&mut pacer);
+                drain_pass(db, ib, idx, batch, &mut pos, pacer)?;
                 nonempty_passes += 1;
-                idx.side_file.drain_passes.bump();
                 if nonempty_passes >= 3 && quiesce_tx.is_none() {
                     db.obs.trace().event("build.phase", "sf.drain.quiesce", pos);
                     let qtx = db.begin();
@@ -1131,14 +1081,36 @@ fn sf_drain_phase(
         if let Some(qtx) = quiesce_tx {
             let _ = db.commit(qtx);
         }
-        result2
-    })();
-    if let Err(e) = &result {
-        if !e.is_crash() {
-            let _ = db.rollback(ib);
+        result
+    })
+}
+
+/// One drain pass: apply `ops` — the side-file's entries from `pos` on,
+/// in side-file or key order — in the IB transaction, giving way
+/// through `pacer` if there is one, then commit and store the drain
+/// record at the new `pos`.
+fn drain_pass(
+    db: &Arc<Db>,
+    ib: &mut TxId,
+    idx: &Arc<IndexRuntime>,
+    ops: Vec<mohan_wal::SideFileOp>,
+    pos: &mut u64,
+    mut pacer: Option<&mut Ticker>,
+) -> Result<()> {
+    for op in ops {
+        apply_drain_op(db, *ib, idx, op)?;
+        *pos += 1;
+        idx.side_file.set_drained(*pos);
+        if let Some(pacer) = pacer.as_deref_mut() {
+            pacer.tick();
         }
+        db.failpoints.hit("sf.drain.op")?;
     }
-    result
+    db.ib_commit_cycle(ib)?;
+    idx.side_file.drain_passes.bump();
+    db.obs.trace().event("build.phase", "sf.drain.pass", *pos);
+    progress::store(db, idx.def.id, &BuildProgress::Draining { pos: *pos });
+    db.failpoints.hit("build.drain")
 }
 
 /// Apply one side-file entry "as a normal transaction would", with
@@ -1246,7 +1218,7 @@ fn offline_build(
             idxs.push(rt);
         }
         on_ids(&idxs.iter().map(|i| i.def.id).collect::<Vec<_>>());
-        run_from_scratch(db, &idxs, opts)
+        build_fresh(db, &idxs, opts)
     })();
     if let Err(e) = result {
         if !e.is_crash() {
@@ -1271,10 +1243,26 @@ fn offline_build(
 // cancel (§2.3.2)
 // ===================================================================
 
+/// A failed build is cancelled; a crashed one stays
+/// for [`resume_build`].
+pub(crate) fn cancel_unless_crash<T>(
+    db: &Arc<Db>,
+    idxs: &[Arc<IndexRuntime>],
+    result: Result<T>,
+) -> Result<T> {
+    match result {
+        Err(e) if !e.is_crash() => {
+            cancel_builds(db, idxs)?;
+            Err(e)
+        }
+        result => result,
+    }
+}
+
 /// Cancelling an in-progress build: quiesce updates (so rollbacks
 /// never meet a half-vanished descriptor), then delete the descriptor
 /// and all build state.
-pub(crate) fn cancel_builds(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>]) -> Result<()> {
+fn cancel_builds(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>]) -> Result<()> {
     let tx = db.begin();
     db.locks
         .lock(tx, LockName::Table(idxs[0].def.table), LockMode::S)?;

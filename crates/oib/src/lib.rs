@@ -21,10 +21,14 @@
 //!   [`Nsf`](schema::BuildAlgorithm::Nsf) or
 //!   [`Sf`](schema::BuildAlgorithm::Sf). [`build::build_index`] builds
 //!   one with the default options; [`build::spawn_build_indexes`]
-//!   starts a build without waiting for it.
+//!   starts a build without waiting for it. Every build runs through
+//!   one loop over its durable progress record
+//!   ([`progress::BuildProgress`]): each phase runs from its record,
+//!   and the next phase's record is stored before that phase starts.
 //! * [`build::resume_build`] — continue an interrupted build after
-//!   [`engine::Db::restart`], losing at most one checkpoint interval
-//!   of work (§2.2.3, §3.2.4, §5).
+//!   [`engine::Db::restart`] from its stored record — a fresh build is
+//!   the same loop from the empty one — losing at most one checkpoint
+//!   interval of work (§2.2.3, §3.2.4, §5).
 //! * [`gc::garbage_collect`] — background cleanup of pseudo-deleted
 //!   keys (§2.2.4).
 //! * [`checkpointer`] — the background engine checkpoint that keeps
@@ -35,7 +39,8 @@
 //!   finished index must agree entry-for-entry with the table.
 //! * [`primary`] — the §6.2 storage-model extension: building a
 //!   secondary index by scanning a clustering primary index with a
-//!   *current-key* cursor instead of Current-RID.
+//!   *current-key* cursor instead of Current-RID; its runs join the
+//!   build loop at the reduce.
 //! * [`session::Session`] — the per-connection statement API (one
 //!   open transaction, auto-commit DML, rollback on drop) shared by
 //!   the TCP server, the examples, and the tests.

@@ -20,7 +20,7 @@
 //! or duplicated.
 
 use crate::build::{
-    cancel_builds, enter_final_phase, force_empty_tree, reduce_phase, BuildOptions, IndexSpec,
+    advance, cancel_unless_crash, drive, force_empty_tree, BuildOptions, IndexSpec,
 };
 use crate::engine::Db;
 use crate::runtime::{IndexRuntime, IndexState, KeyCursor};
@@ -29,12 +29,15 @@ use mohan_btree::scan::for_each_leaf_unlatched;
 use mohan_common::pace::{Ticker, KEYS_PER_PACE};
 use mohan_common::{Error, IndexId, KeyValue, Result};
 use mohan_sort::RunFormation;
+use mohan_wire::message::BuildPhase;
 use std::sync::Arc;
 
 /// Build a secondary index with SF, scanning the (complete, unique)
 /// primary index `primary` in key order. Only the scan is this
-/// module's: the runs go through the RID-based SF build's reduce, load
-/// and drain, and a failed build is cancelled the same way.
+/// module's: the runs enter the build driver at their reduce record and
+/// go through the RID-based SF build's reduce, load and drain, and a
+/// failed build is cancelled the same way. A crashed walk leaves no
+/// record, so its resume starts from the empty one: a heap scan.
 pub fn build_secondary_via_primary(
     db: &Arc<Db>,
     primary: IndexId,
@@ -133,16 +136,8 @@ pub fn build_secondary_via_primary(
         // The sorter ran on a sequence number, not a RID; a RID read
         // twice (reused behind the walk) is an exact repeat the load
         // drops.
-        let finals = reduce_phase(db, &idx, rf.finish()?, None, &opts)?;
-        enter_final_phase(db, &idx, finals, &opts)
+        let at = advance(db, &idx, BuildPhase::Scanning, rf.finish()?)?;
+        drive(db, &idx, at, &opts)
     })();
-
-    match result {
-        Ok(()) => Ok(idx.def.id),
-        Err(e) if e.is_crash() => Err(e),
-        Err(e) => {
-            cancel_builds(db, std::slice::from_ref(&idx))?;
-            Err(e)
-        }
-    }
+    cancel_unless_crash(db, std::slice::from_ref(&idx), result).map(|()| idx.def.id)
 }

@@ -1,16 +1,16 @@
 //! Durable build-progress records.
 //!
 //! Each in-flight index build keeps one progress record in the stable
-//! blob area, updated at every checkpoint. It tells
-//! [`crate::build::resume_build`] which phase to re-enter and carries
-//! the phase's own checkpoint (§5 sort/merge checkpoints, §2.2.3 NSF
+//! blob area, stored as each phase starts and at every checkpoint. It
+//! is the build's state: it names the phase the build runs and carries
+//! that phase's own checkpoint (§5 sort/merge checkpoints, §2.2.3 NSF
 //! insert position, §3.2.4 SF bulk-load checkpoint, §3.2.5 drain
-//! position).
+//! position), so [`crate::build::resume_build`] goes on from it.
 
 use crate::build::BuildOptions;
 use crate::engine::Db;
 use mohan_btree::BulkCheckpoint;
-use mohan_common::codec::{encode, framed, Cursor, Wire};
+use mohan_common::codec::{decode, encode, framed};
 use mohan_common::config::MAX_BUILD_WORKERS;
 use mohan_common::{wire_enum, wire_struct, Error, IndexEntry, IndexId, Result};
 use mohan_sort::{MergeCheckpoint, MergePassCheckpoint, SortCheckpoint};
@@ -33,8 +33,9 @@ pub struct PartCheckpoint {
 wire_struct! { PartCheckpoint { lo, hi, sort as framed } }
 
 wire_enum! {
-    /// Where an interrupted build resumes. Stored as the table's
-    /// encoding; tag 0 is read by [`BuildProgress::decode`] alone.
+    /// Where a build stands: the phase it runs and that phase's own
+    /// checkpoint. The build driver runs from it, so an interrupted
+    /// build resumes from it; stored as the table's encoding.
     #[derive(Debug, Clone, PartialEq)]
     pub enum BuildProgress {
         /// Scanning data pages and forming sorted runs (§5.1): one
@@ -97,30 +98,9 @@ impl BuildProgress {
     }
 
     /// Deserialize exactly one record; `None` means malformed.
-    ///
-    /// The one encoding the table does not describe is read here, ahead
-    /// of it, and re-encodes in today's form.
     #[must_use]
     pub fn decode(buf: &[u8]) -> Option<BuildProgress> {
-        let mut c = Cursor::new(buf);
-        let progress = match buf {
-            // Tag 0 was the serial scan's bare sort checkpoint (no
-            // longer written): one partition from page 0 to the end
-            // of the scan, which the build clamps to the index's
-            // scan bound.
-            [0, ..] => {
-                c.get_u8()?;
-                BuildProgress::ScanningParallel {
-                    parts: vec![PartCheckpoint {
-                        lo: 0,
-                        hi: u32::MAX,
-                        sort: Wire::get(&mut c)?,
-                    }],
-                }
-            }
-            _ => BuildProgress::get(&mut c)?,
-        };
-        c.finish(progress)
+        decode(buf)
     }
 }
 
@@ -276,27 +256,6 @@ mod tests {
         for c in cases {
             assert_eq!(BuildProgress::decode(&c.encode()), Some(c));
         }
-    }
-
-    #[test]
-    fn serial_scan_blob_decodes_as_one_partition() {
-        let sort = SortCheckpoint {
-            runs: vec![RunMeta { id: 1, len: 10 }],
-            scan_pos: 99,
-            last_run_high: Some(IndexEntry::from_i64(5, Rid::new(1, 1))),
-        };
-        let mut blob = vec![0u8];
-        blob.extend_from_slice(&encode(&sort));
-        assert_eq!(
-            BuildProgress::decode(&blob),
-            Some(BuildProgress::ScanningParallel {
-                parts: vec![PartCheckpoint {
-                    lo: 0,
-                    hi: u32::MAX,
-                    sort,
-                }],
-            })
-        );
     }
 
     #[test]

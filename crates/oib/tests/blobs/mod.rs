@@ -3,7 +3,7 @@
 //! `hostile_bytes.rs` (their decoders under attack).
 
 use mohan_btree::{BulkCheckpoint, Node};
-use mohan_common::codec::{encode, Wire};
+use mohan_common::codec::Wire;
 use mohan_common::{IndexEntry, IndexId, KeyValue, Lsn, PageId, Rid, TableId, TxId};
 use mohan_oib::build::BuildOptions;
 use mohan_oib::progress::{BuildProgress, PartCheckpoint};
@@ -24,9 +24,6 @@ impl<T: Wire + PartialEq + Debug> Blob for T {}
 pub trait Sink {
     /// One sample of a blob type, under its golden-file label.
     fn add<T: Blob>(&mut self, label: &str, value: &T);
-    /// The tag-0 build progress a serial scan used to write — read,
-    /// never written — and the value it must decode to.
-    fn legacy_progress(&mut self, blob: &[u8], decodes_to: &BuildProgress);
 }
 
 pub fn entry(key: i64, page: u32, slot: u16) -> IndexEntry {
@@ -191,18 +188,6 @@ pub fn samples(sink: &mut impl Sink) {
     ] {
         sink.add("progress", &progress);
     }
-    let mut legacy = vec![0u8];
-    legacy.extend_from_slice(&encode(&sort));
-    sink.legacy_progress(
-        &legacy,
-        &BuildProgress::ScanningParallel {
-            parts: vec![PartCheckpoint {
-                lo: 0,
-                hi: u32::MAX,
-                sort: sort.clone(),
-            }],
-        },
-    );
 
     sink.add("record", &Record::new(vec![]));
     sink.add("record", &Record::new(vec![7]));

@@ -216,6 +216,81 @@ fn finished_builds_free_their_runs() {
     }
 }
 
+/// The `build.` rows of DESIGN.md §8.2's metric table, one name per
+/// metric, `{a,b}` alternatives spelled out.
+fn design_build_metrics() -> Vec<String> {
+    let design = include_str!("../../../DESIGN.md");
+    let table = design
+        .split("### 8.2 Metric namespace")
+        .nth(1)
+        .expect("DESIGN.md has §8.2")
+        .split("\n\n")
+        .nth(1)
+        .expect("§8.2 opens with its table");
+    let mut prefix = "";
+    let mut names = Vec::new();
+    for row in table.lines() {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        if cells.len() < 3 {
+            continue;
+        }
+        if !cells[1].is_empty() {
+            prefix = cells[1].trim_matches('`');
+        }
+        if prefix != "build." {
+            continue;
+        }
+        for name in cells[2].split('`').skip(1).step_by(2) {
+            match name.split_once('{') {
+                Some((head, alts)) => names.extend(
+                    alts.trim_end_matches('}')
+                        .split(',')
+                        .map(|alt| format!("build.{head}{alt}")),
+                ),
+                None => names.push(format!("build.{name}")),
+            }
+        }
+    }
+    names.sort();
+    names
+}
+
+/// Perfbench's per-phase rows and DESIGN §8.2 read the `build.*`
+/// metrics by name: after one build of each algorithm an engine has
+/// registered exactly the names §8.2 lists — every phase's
+/// `build.phase_us.<phase>` among them, and no other.
+#[test]
+fn build_metric_names_are_design_s_table() {
+    let db = db();
+    seed(&db, 300);
+    for (name, algo) in [
+        ("by_nsf", BuildAlgorithm::Nsf),
+        ("by_sf", BuildAlgorithm::Sf),
+        ("by_offline", BuildAlgorithm::Offline),
+    ] {
+        let id = build_index(&db, T, spec(name, false), algo).unwrap();
+        verify_index(&db, id).unwrap();
+    }
+    let snap = db.obs.snapshot();
+    let mut registered: Vec<String> = snap
+        .counters
+        .iter()
+        .map(|(name, _)| name)
+        .chain(snap.histograms.iter().map(|(name, _)| name))
+        .filter(|name| name.starts_with("build."))
+        .cloned()
+        .collect();
+    registered.sort();
+    let listed = design_build_metrics();
+    for phase in ["scan", "reduce", "insert", "load", "drain"] {
+        assert!(
+            listed.contains(&format!("build.phase_us.{phase}")),
+            "{listed:?}"
+        );
+    }
+    assert_eq!(registered, listed);
+}
+
 #[test]
 fn multi_index_single_scan_builds_all() {
     for algo in [

@@ -3,7 +3,7 @@
 //! (footnote 3), and the §6.2 primary-index storage model.
 
 use mohan_common::{EngineConfig, Error, KeyValue, Rid, TableId};
-use mohan_oib::build::{build_index, IndexSpec};
+use mohan_oib::build::{build_index, resume_build, IndexSpec};
 use mohan_oib::primary::build_secondary_via_primary;
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
@@ -190,7 +190,7 @@ fn gradual_reads_serve_the_committed_prefix() {
     // Finish the build after a restart; everything becomes readable.
     db.simulate_crash();
     db.restart().unwrap();
-    mohan_oib::build::resume_build(&db, idx).unwrap();
+    resume_build(&db, idx).unwrap();
     assert_eq!(
         db.index_lookup(idx, &KeyValue::from_i64(999))
             .unwrap()
@@ -484,6 +484,52 @@ fn primary_model_rollback_of_an_update_moving_a_row_behind_the_walk_is_compensat
             vec![moved]
         );
     }
+}
+
+#[test]
+fn primary_model_walk_crashed_mid_walk_resumes() {
+    // At the walk's 50th record, committed updates behind it change the
+    // secondary keys of rows 0..20, delete rows 20..25 and insert a
+    // fresh row; the walk then crashes 50 records later. The crash
+    // leaves no progress record, so the resume starts from the empty
+    // one — a heap scan under post-crash visibility.
+    let (db, rids, primary) = db_with_identity_rows();
+    let (db2, changed) = (Arc::clone(&db), rids.clone());
+    db.failpoints.arm_hook("primary.scan.record", 49, move || {
+        let sec = db2.indexes_of(T).pop().unwrap();
+        assert!(
+            sec.key_cursor
+                .as_ref()
+                .unwrap()
+                .passed(&KeyValue::from_i64(24)),
+            "precondition: the rows changed are behind the walk"
+        );
+        let tx = db2.begin();
+        for (k, &rid) in changed.iter().enumerate().take(20) {
+            db2.update_record(tx, T, rid, &rec(k as i64, 5_000 + k as i64))
+                .unwrap();
+        }
+        for &rid in &changed[20..25] {
+            db2.delete_record(tx, T, rid).unwrap();
+        }
+        db2.insert_record(tx, T, &rec(-1, 6_000)).unwrap();
+        db2.commit(tx).unwrap();
+        db2.failpoints.arm_after("primary.scan.record", 49);
+    });
+    let err = build_secondary_via_primary(&db, primary, secondary("sec", false)).unwrap_err();
+    assert!(err.is_crash(), "expected crash, got {err}");
+    let id = db.indexes_of(T).pop().unwrap().def.id;
+    db.simulate_crash();
+    db.restart().unwrap();
+    resume_build(&db, id).unwrap();
+    assert_eq!(db.index(id).unwrap().state(), IndexState::Complete);
+    verify_index(&db, id).unwrap();
+    verify_index(&db, primary).unwrap();
+    assert_eq!(
+        db.index_lookup(id, &KeyValue::from_i64(5_003)).unwrap(),
+        vec![rids[3]]
+    );
+    assert!(db.index(id).unwrap().sort_store.run_ids().is_empty());
 }
 
 #[test]

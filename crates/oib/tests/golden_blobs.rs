@@ -9,7 +9,8 @@
 //! image or a shipped log written before it would not read back after
 //! it — so it needs a reason, not a regenerated file. The six `node`
 //! lines were re-recorded once, when index pages became slotted byte
-//! buffers (DESIGN.md §17); every other line is the original.
+//! buffers (DESIGN.md §17), and the tag-0 progress line went with its
+//! decode (§16); every other line is the original.
 
 mod blobs;
 
@@ -36,18 +37,6 @@ impl Sink for Lines {
         let bytes = encode(value);
         assert_eq!(decode::<T>(&bytes).as_ref(), Some(value), "{label} sample");
         self.0.push(format!("{label} {}", hex(&bytes)));
-    }
-
-    /// `progress.tag0 <blob> <its re-encoding>`: read as one partition,
-    /// written back as tag 5.
-    fn legacy_progress(&mut self, blob: &[u8], decodes_to: &BuildProgress) {
-        let back = BuildProgress::decode(blob).expect("tag 0 still decodes");
-        assert_eq!(&back, decodes_to);
-        self.0.push(format!(
-            "progress.tag0 {} {}",
-            hex(blob),
-            hex(&back.encode())
-        ));
     }
 }
 
@@ -162,5 +151,4 @@ fn every_blob_type_and_variant_has_a_golden_line() {
     assert!(both_ways(&passes, |p| p.inflight.is_some()));
     let bulks: Vec<BulkCheckpoint> = golden_values("bulk");
     assert!(both_ways(&bulks, |b| b.highest.is_some()));
-    assert_eq!(GOLDEN.matches("progress.tag0 ").count(), 1);
 }

@@ -166,14 +166,6 @@ impl Sink for Cases {
             decoder,
         });
     }
-
-    fn legacy_progress(&mut self, blob: &[u8], _: &BuildProgress) {
-        self.0.push(Case {
-            label: "progress.tag0".into(),
-            bytes: blob.to_vec(),
-            decoder: progress,
-        });
-    }
 }
 
 /// Decode `bytes` under the reserve bound; whatever decodes must
@@ -265,7 +257,8 @@ fn tagged(tag: u8, rest: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Tag 0's sort checkpoint claiming 2^64 - 1 runs.
+/// Tag 0, once the serial scan's record of a bare sort checkpoint
+/// (here one claiming 2^64 - 1 runs), is no progress tag.
 #[test]
 fn probe_progress_tag0_run_count() {
     refused("progress tag 0", progress, &tagged(0, &ONES));

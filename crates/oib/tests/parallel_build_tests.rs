@@ -6,7 +6,6 @@
 use mohan_btree::scan::collect_all;
 use mohan_common::{EngineConfig, Error, IndexId, Rid, TableId};
 use mohan_oib::build::{build_indexes, resume_build, BuildOptions, IndexSpec, MAX_BUILD_WORKERS};
-use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
@@ -279,38 +278,6 @@ fn compressed_runs_shrink_spilled_bytes() {
         stored < raw,
         "prefix compression did not shrink spilled runs: raw={raw} stored={stored}"
     );
-}
-
-/// A serial build checkpointed before the scan had one code path left
-/// a tag-0 progress blob: a bare sort checkpoint, no partition table.
-/// It still resumes — as one partition that ends at the scan bound —
-/// into exactly the index an uninterrupted build produces.
-#[test]
-fn serial_scan_checkpoint_without_partitions_resumes() {
-    let db = db();
-    seed(&db, 600);
-    let opts = BuildOptions::default();
-    let whole = build_indexes(&db, T, &[spec("whole")], BuildAlgorithm::Sf, &opts).unwrap()[0];
-
-    db.failpoints.arm_after("build.scan", 1);
-    let err = build_indexes(&db, T, &[spec("resumed")], BuildAlgorithm::Sf, &opts).unwrap_err();
-    assert!(err.is_crash(), "expected crash, got {err}");
-    db.simulate_crash();
-    db.restart().unwrap();
-    let id = db.indexes_of(T).last().unwrap().def.id;
-    let Some(BuildProgress::ScanningParallel { parts }) = progress::load(&db, id).unwrap() else {
-        panic!("the crash was placed at a scan checkpoint");
-    };
-    assert_eq!(parts.len(), 1, "a serial scan is one partition");
-    assert!(parts[0].sort.scan_pos > 0, "checkpoint is mid-scan");
-    let mut blob = vec![0u8];
-    blob.extend_from_slice(&mohan_common::codec::encode(&parts[0].sort));
-    db.blobs.put(&format!("build/{}/progress", id.0), blob);
-
-    resume_build(&db, id).unwrap();
-    assert_eq!(db.index(id).unwrap().state(), IndexState::Complete);
-    verify_index(&db, id).unwrap();
-    assert_eq!(tree_entries(&db, id), tree_entries(&db, whole));
 }
 
 /// `build.sort_workers` is the parallelism a build asked for (DESIGN

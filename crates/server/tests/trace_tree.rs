@@ -110,15 +110,32 @@ fn pg_create_index_links_one_span_tree_across_primary_and_follower() {
         ..EngineConfig::small()
     });
     primary.create_table(T);
-    {
-        let tx = primary.begin();
-        for k in 0..1024 {
+    let tx = primary.begin();
+    let rids: Vec<_> = (0..1024)
+        .map(|k| {
             primary
                 .insert_record(tx, T, &Record(vec![k, k * 3]))
-                .unwrap();
-        }
-        primary.commit(tx).unwrap();
-    }
+                .unwrap()
+        })
+        .collect();
+    primary.commit(tx).unwrap();
+
+    // The drain passes need a side-file backlog: once the scan has
+    // copied its 100th record, the rows on that record's page — behind
+    // Current-RID — change their key.
+    let db = Arc::clone(&primary);
+    primary
+        .failpoints
+        .arm_hook("build.scan.record", 99, move || {
+            let (tx, page) = (db.begin(), rids[99].page);
+            for (k, &rid) in (0..).zip(&rids) {
+                if rid.page == page {
+                    db.update_record(tx, T, rid, &Record(vec![k + 1_000_000, k * 3]))
+                        .unwrap();
+                }
+            }
+            db.commit(tx).unwrap();
+        });
 
     let srv = Server::start(
         Arc::clone(&primary),
@@ -143,8 +160,8 @@ fn pg_create_index_links_one_span_tree_across_primary_and_follower() {
     let replica = Replica::new(Arc::clone(&follower), &native_addr);
     let tail = replica.spawn();
 
-    // Native DML load while the index builds, so the build has drain
-    // passes to trace.
+    // Native DML load while the index builds, so the follower applies
+    // the build's records between the loaders' own.
     let stop = Arc::new(AtomicBool::new(false));
     let loaders: Vec<_> = (0..2)
         .map(|w| {
@@ -153,9 +170,6 @@ fn pg_create_index_links_one_span_tree_across_primary_and_follower() {
             std::thread::spawn(move || {
                 let mut c = Client::connect(&addr).unwrap();
                 let mut k = 10_000 + i64::from(w) * 100_000;
-                // Full-speed inserts: the side file must see a backlog
-                // while the scan runs, or the drain closes on its
-                // first (empty) pass and there is nothing to trace.
                 while !stop.load(Ordering::Acquire) {
                     match c.insert(T, vec![k, k * 3]) {
                         Ok(_) => k += 1,
@@ -166,7 +180,6 @@ fn pg_create_index_links_one_span_tree_across_primary_and_follower() {
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(30));
 
     // The SQL path: `t1` is the positional alias for the natively
     // created table, `c0` its first column. `query` returns once the

@@ -35,7 +35,7 @@ fn every_algorithm_survives_heavy_churn() {
                 ..ChurnConfig::default()
             },
         );
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        churn.wait_for_ops(100);
         let ids = build_indexes(
             &db,
             TABLE,
@@ -202,9 +202,9 @@ fn gc_during_churn_keeps_indexes_consistent() {
         },
     );
     // Several GC passes racing the churn.
-    for _ in 0..5 {
+    for pass in 1..=5 {
         garbage_collect(&db, idx).expect("gc");
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        churn.wait_for_ops(pass * 50);
     }
     churn.stop();
     verify_index(&db, idx).expect("verify");
@@ -226,27 +226,26 @@ fn checkpoint_during_churn_and_build() {
         },
     );
     let db2 = Arc::clone(&db);
-    let checkpointer = std::thread::spawn(move || {
-        for _ in 0..10 {
-            // A page the churn changes after the checkpoint's log flush
-            // is written once the log is forced through its LSN: heavy
-            // traffic never fails a checkpoint.
-            db2.checkpoint().expect("checkpoint under churn");
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+    let builder = std::thread::spawn(move || {
+        build_index(
+            &db2,
+            TABLE,
+            IndexSpec {
+                name: "k".into(),
+                key_cols: vec![0],
+                unique: false,
+            },
+            BuildAlgorithm::Sf,
+        )
     });
-    let idx = build_index(
-        &db,
-        TABLE,
-        IndexSpec {
-            name: "k".into(),
-            key_cols: vec![0],
-            unique: false,
-        },
-        BuildAlgorithm::Sf,
-    )
-    .expect("build");
-    checkpointer.join().expect("checkpointer");
+    for round in 1..=10 {
+        // A page the churn changes after the checkpoint's log flush
+        // is written once the log is forced through its LSN: heavy
+        // traffic never fails a checkpoint.
+        db.checkpoint().expect("checkpoint under churn");
+        churn.wait_for_ops(round * 20);
+    }
+    let idx = builder.join().expect("builder").expect("build");
     churn.stop();
 
     db.simulate_crash();

@@ -54,7 +54,7 @@ fn eight_way_churn_crash_resume_matches_offline_oracle() {
                 ..ChurnConfig::default()
             },
         );
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        churn.wait_for_ops(50);
         db.failpoints.arm_after(site, 400);
         let err = build_index(
             &db,
