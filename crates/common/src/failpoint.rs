@@ -43,6 +43,7 @@ pub const KNOWN_SITES: &[&str] = &[
     "checkpoint.forced",
     "nsf.insert.key",
     "primary.scan.record",
+    "repl.apply.record",
     "sf.drain.op",
     "sf.load.key",
 ];

@@ -21,13 +21,8 @@ use mohan_oib::Db;
 use mohan_replica::Replica;
 use mohan_server::{PromoteHook, Promotion, Server, ServerConfig};
 use std::io::Read;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How often the `--promote-on-disconnect` watchdog samples the
-/// last-frame clock.
-const WATCHDOG_POLL: Duration = Duration::from_millis(500);
 
 fn main() {
     let mut primary: Option<String> = None;
@@ -96,47 +91,36 @@ fn main() {
     println!("following {primary}; serving reads on {}", server.addr());
     println!("close stdin (or send EOF) to stop");
 
-    let watchdog_stop = Arc::new(AtomicBool::new(false));
     let watchdog = promote_after.map(|after| {
         let replica = Arc::clone(&replica);
-        let stop = Arc::clone(&watchdog_stop);
         std::thread::Builder::new()
             .name("oib-replica-watchdog".into())
             .spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(WATCHDOG_POLL);
-                    if replica.is_promoted() {
-                        return;
+                if replica.wait_silence(after) {
+                    eprintln!(
+                        "no WAL frame for {:.1}s; promoting to primary",
+                        after.as_secs_f64()
+                    );
+                    match replica.promote() {
+                        Ok(r) => eprintln!(
+                            "promoted: last LSN {}, {} in-flight txs undone, \
+                             downtime {} ms",
+                            r.last_lsn.0,
+                            r.losers_undone,
+                            r.downtime.as_millis()
+                        ),
+                        Err(e) => eprintln!("promotion failed: {e}"),
                     }
-                    if let Some(first) = replica.severed_at() {
-                        // The primary is alive; it only no longer holds
-                        // what this follower needs. Promoting now would
-                        // make a second primary.
-                        eprintln!(
-                            "the primary's log starts at LSN {}, past this follower's \
-                             applied LSN {}: following stopped; seed the follower again",
-                            first.0,
-                            replica.applied_lsn().0
-                        );
-                        return;
-                    }
-                    if replica.last_frame_elapsed() > after {
-                        eprintln!(
-                            "no WAL frame for {:.1}s; promoting to primary",
-                            after.as_secs_f64()
-                        );
-                        match replica.promote() {
-                            Ok(r) => eprintln!(
-                                "promoted: last LSN {}, {} in-flight txs undone, \
-                                 downtime {} ms",
-                                r.last_lsn.0,
-                                r.losers_undone,
-                                r.downtime.as_millis()
-                            ),
-                            Err(e) => eprintln!("promotion failed: {e}"),
-                        }
-                        return;
-                    }
+                } else if let Some(first) = replica.severed_at() {
+                    // The primary is alive; it only no longer holds
+                    // what this follower needs. Promoting now would
+                    // make a second primary.
+                    eprintln!(
+                        "the primary's log starts at LSN {}, past this follower's \
+                         applied LSN {}: following stopped; seed the follower again",
+                        first.0,
+                        replica.applied_lsn().0
+                    );
                 }
             })
             .expect("spawn watchdog")
@@ -151,7 +135,6 @@ fn main() {
         }
     }
 
-    watchdog_stop.store(true, Ordering::Release);
     replica.stop();
     let _ = apply_thread.join();
     if let Some(w) = watchdog {

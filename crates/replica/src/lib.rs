@@ -21,21 +21,30 @@
 //!   tail — reconnect is always safe because `applied` only advances
 //!   over records the primary has durably flushed.
 //!
-//! The follower is two threads. The *receive* thread owns the
-//! subscription socket: it checks contiguity, publishes the primary's
-//! flushed LSN, and enqueues record batches on a bounded queue (its
-//! depth is the `repl.queue_depth` gauge; a full queue blocks the
-//! receive thread, which turns into TCP backpressure on the primary).
-//! The *apply* thread drains the queue: each record is first
+//! The follower is two threads around one state: its lifecycle
+//! (following, stalled, stopping, promoting, promoted, severed), the
+//! queue of received frames and their record count, whether a frame is
+//! being applied, and when the last frame arrived — behind one mutex,
+//! with one condvar that every change notifies and every wait waits
+//! on. Nothing polls or sleeps.
+//!
+//! The *receive* thread owns the subscription socket: it checks
+//! contiguity, publishes the primary's flushed LSN, and queues frames
+//! (their record count is the `repl.queue_depth` gauge; a full queue
+//! makes the receive thread wait, which turns into TCP backpressure on
+//! the primary). It keeps reading ahead while a frame applies, so the
+//! lag the staleness bound checks sees the primary's flushed tail. The
+//! *apply* thread takes frames off the queue: each record is first
 //! **mirrored into the follower's own log** — the bytes the primary
 //! shipped are stored as they are (`LogManager::append_encoded`); the
 //! log allocates LSNs sequentially, so in-order mirroring reproduces
 //! the primary's LSNs exactly, and a mismatch means divergence and
-//! stalls the apply — then redone, then the batch is made durable with
-//! one `flush_to` per frame. Mirroring is what makes [`Replica::promote`]
-//! possible: promotion stops the stream and runs ordinary ARIES
-//! restart over the mirrored log, so the undo pass rolls back
-//! whatever transactions were still in flight on the dead primary.
+//! stalls the apply — then redone, then the frame is made durable with
+//! one `flush_to`. Mirroring is what makes [`Replica::promote`]
+//! possible: promotion stops the stream, waits while a frame is being
+//! applied, and runs ordinary ARIES restart over the mirrored log, so
+//! the undo pass rolls back whatever transactions were still in flight
+//! on the dead primary.
 //!
 //! Index DDL rides the same stream as `CatalogUpdate` snapshot
 //! records; the engine applies them while `Db::is_replica()` holds
@@ -48,9 +57,9 @@ use mohan_common::{Error, IndexId, KeyValue, Lsn, ReadApi, Result, Rid, TableId}
 use mohan_obs::Histogram;
 use mohan_oib::Db;
 use mohan_wal::{decode_record, LogRecord, RecoveryTarget};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -68,14 +77,6 @@ const READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// ahead of the apply thread stops reading the socket, which
 /// backpressures the primary through TCP instead of growing memory.
 const QUEUE_MAX: u64 = 8192;
-
-/// Poll interval for the queue and the catch-up/drain waits.
-const POLL: Duration = Duration::from_millis(1);
-
-/// Follower life-cycle states (`state` field).
-const STATE_FOLLOWING: u8 = 0;
-const STATE_PROMOTING: u8 = 1;
-const STATE_PROMOTED: u8 = 2;
 
 /// What [`Replica::promote`] reports back.
 #[derive(Debug, Clone, Copy)]
@@ -119,6 +120,47 @@ impl Frame {
     }
 }
 
+/// Where a follower is in its life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Subscribed, or between subscriptions, applying what arrives.
+    Following,
+    /// A frame failed to apply: the queue was discarded, and the
+    /// receive thread drops the connection and resubscribes from
+    /// `applied + 1`.
+    Stalled,
+    /// [`Replica::stop`] was called.
+    Stopping,
+    /// [`Replica::promote`] is running, or its restart failed.
+    Promoting,
+    /// [`Replica::promote`] completed.
+    Promoted,
+    /// The primary refused the subscription with `LogTruncated`: its
+    /// log starts at this LSN, past what this follower needs.
+    Severed(Lsn),
+}
+
+impl Phase {
+    /// The receive and apply loops run in these phases only.
+    fn following(self) -> bool {
+        matches!(self, Phase::Following | Phase::Stalled)
+    }
+}
+
+/// Everything the follower's threads decide together.
+struct Follow {
+    phase: Phase,
+    /// Received frames not yet applied, oldest first.
+    queue: VecDeque<Frame>,
+    /// Records in `queue` and in the frame being applied: the
+    /// `repl.queue_depth` gauge, bounded by [`QUEUE_MAX`].
+    queued: u64,
+    /// The apply thread is applying a frame it took off `queue`.
+    applying: bool,
+    /// When the last frame (heartbeats included) arrived.
+    last_frame: Instant,
+}
+
 /// A replication follower: owns the local engine's apply position,
 /// the reconnect loop, and the promotion state machine.
 pub struct Replica {
@@ -131,33 +173,11 @@ pub struct Replica {
     /// advance it even when no records flow).
     primary_flushed: AtomicU64,
     reconnects: AtomicU64,
-    /// The primary's first LSN when it answered a subscription with
-    /// `ErrorCode::LogTruncated` (0 until then): it no longer holds
-    /// records this follower needs, so following has stopped for good.
-    severed: AtomicU64,
     apply_errors: AtomicU64,
-    stop: AtomicBool,
-    /// A frame was received since the last disconnect (resets backoff).
-    progressed: AtomicBool,
-    /// Received-but-unapplied record batches, each with the frame's
-    /// trace tags (`(lsn, trace_id)` pairs). `queued_records` is the
-    /// total record count across them; both are only updated with the
-    /// queue lock held so clear-and-stall can never interleave with an
-    /// enqueue.
-    queue: Mutex<VecDeque<Frame>>,
-    queued_records: AtomicU64,
-    /// Held for the duration of each frame's apply. Promotion takes it
-    /// to wait out (and then exclude) the apply thread without joining
-    /// anything — the subscription socket can take seconds to notice a
-    /// dead primary, and promotion must not wait on that.
-    apply_gate: Mutex<()>,
-    /// The apply thread hit an error: the receive thread must drop the
-    /// connection and resubscribe from `applied + 1`.
-    apply_stalled: AtomicBool,
-    /// When the last frame (including heartbeats) arrived; the
-    /// `--promote-on-disconnect` watchdog reads this.
-    last_frame: Mutex<Instant>,
-    state: AtomicU8,
+    /// The one state the threads share; every change to it notifies
+    /// `changed`.
+    state: Mutex<Follow>,
+    changed: Condvar,
     batch_us: Arc<Histogram>,
     apply_us: Arc<Histogram>,
 }
@@ -187,16 +207,15 @@ impl Replica {
             applied: AtomicU64::new(0),
             primary_flushed: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
-            severed: AtomicU64::new(0),
             apply_errors: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            progressed: AtomicBool::new(false),
-            queue: Mutex::new(VecDeque::new()),
-            queued_records: AtomicU64::new(0),
-            apply_gate: Mutex::new(()),
-            apply_stalled: AtomicBool::new(false),
-            last_frame: Mutex::new(Instant::now()),
-            state: AtomicU8::new(STATE_FOLLOWING),
+            state: Mutex::new(Follow {
+                phase: Phase::Following,
+                queue: VecDeque::new(),
+                queued: 0,
+                applying: false,
+                last_frame: Instant::now(),
+            }),
+            changed: Condvar::new(),
             batch_us,
             apply_us,
         });
@@ -208,9 +227,7 @@ impl Replica {
         gauge("repl.lag_lsn", Replica::lag);
         gauge("repl.applied_lsn", |r| r.applied_lsn().0);
         gauge("repl.primary_flushed_lsn", |r| r.primary_flushed().0);
-        gauge("repl.queue_depth", |r| {
-            r.queued_records.load(Ordering::Relaxed)
-        });
+        gauge("repl.queue_depth", |r| r.state.lock().queued);
         gauge("repl.reconnects", Replica::reconnects);
         gauge("repl.apply_errors", |r| {
             r.apply_errors.load(Ordering::Relaxed)
@@ -269,31 +286,35 @@ impl Replica {
     /// and must be seeded again — reconnecting cannot help it.
     #[must_use]
     pub fn severed_at(&self) -> Option<Lsn> {
-        match self.severed.load(Ordering::Acquire) {
-            0 => None,
-            first => Some(Lsn(first)),
+        match self.state.lock().phase {
+            Phase::Severed(first) => Some(first),
+            _ => None,
         }
     }
 
     /// How long since the last frame (heartbeats included) arrived
-    /// from the primary. The `--promote-on-disconnect` watchdog
-    /// promotes when this exceeds its threshold.
+    /// from the primary.
     #[must_use]
     pub fn last_frame_elapsed(&self) -> Duration {
-        self.last_frame.lock().elapsed()
+        self.state.lock().last_frame.elapsed()
     }
 
     /// True once [`Replica::promote`] has completed.
     #[must_use]
     pub fn is_promoted(&self) -> bool {
-        self.state.load(Ordering::Acquire) == STATE_PROMOTED
+        self.state.lock().phase == Phase::Promoted
     }
 
-    /// Ask the loops to exit. The receive thread notices on the next
-    /// frame (heartbeats arrive every ~200ms) or connect attempt; the
-    /// apply thread drains its queue and exits.
+    /// Ask the loops to exit. The receive thread notices on its next
+    /// frame (heartbeats arrive every ~200ms), or at once between
+    /// connections; the apply thread finishes the frame it is applying
+    /// and exits, leaving the rest of the queue unapplied.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        let mut s = self.state.lock();
+        if s.phase.following() {
+            s.phase = Phase::Stopping;
+        }
+        self.changed.notify_all();
     }
 
     /// Run the subscribe/apply/reconnect machinery until
@@ -308,16 +329,25 @@ impl Replica {
                 .expect("spawn replica apply thread")
         };
         let mut backoff = BACKOFF_MIN;
-        while !self.stop.load(Ordering::Acquire) {
-            // Never resubscribe with batches still queued: the
-            // resubscribe point is `applied + 1`, which only reflects
-            // reality once the apply thread has drained.
-            if self.queued_records.load(Ordering::Acquire) > 0 {
-                std::thread::sleep(POLL);
-                continue;
-            }
-            self.apply_stalled.store(false, Ordering::Release);
-            let addr = self.addr.lock().clone();
+        loop {
+            let attempt = {
+                let mut s = self.state.lock();
+                // Never resubscribe with frames still queued or being
+                // applied: the resubscribe point is `applied + 1`,
+                // which only reflects reality once the apply thread
+                // has drained.
+                while s.phase.following() && s.queued > 0 {
+                    self.changed.wait(&mut s);
+                }
+                if !s.phase.following() {
+                    break;
+                }
+                // A stall ends here: nothing is queued any more.
+                s.phase = Phase::Following;
+                self.changed.notify_all();
+                Instant::now()
+            };
+            let addr = self.addr();
             let outcome = Client::connect(&addr).and_then(|client| {
                 client.set_read_timeout(Some(READ_TIMEOUT))?;
                 let from = self.applied.load(Ordering::Acquire) + 1;
@@ -333,12 +363,13 @@ impl Replica {
                     Ok(me.on_frame(flushed, frame, &mut expected))
                 })
             });
-            if self.stop.load(Ordering::Acquire) {
+            let mut s = self.state.lock();
+            if !s.phase.following() {
                 break;
             }
             match outcome {
-                // `on_frame` returned false: stop, stall, backpressure
-                // abort or a gap — all roads lead to resubscribing.
+                // `on_frame` returned false: stop, stall, promotion or
+                // a gap — all roads lead to resubscribing.
                 Ok(()) => {}
                 Err(ClientError::Server {
                     code: ErrorCode::LogTruncated { first_lsn },
@@ -349,13 +380,13 @@ impl Replica {
                     // only be told so again. The queue is empty (the
                     // loop resubscribes only once it is), so stopping
                     // loses nothing applied.
-                    self.severed.store(first_lsn.max(1), Ordering::Release);
+                    s.phase = Phase::Severed(Lsn(first_lsn.max(1)));
+                    self.changed.notify_all();
                     self.db.obs.trace().event(
                         "repl.severed",
                         format!("primary's log starts at {first_lsn}"),
                         self.applied.load(Ordering::Acquire),
                     );
-                    self.stop.store(true, Ordering::Release);
                     break;
                 }
                 Err(e) => {
@@ -365,11 +396,13 @@ impl Replica {
                         .event("repl.disconnect", e.to_string(), 0);
                 }
             }
-            if self.progressed.swap(false, Ordering::AcqRel) {
+            if s.last_frame >= attempt {
                 backoff = BACKOFF_MIN;
             }
             self.reconnects.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(backoff);
+            // Back off; `stop` and `promote` end the wait early.
+            let until = Instant::now() + backoff;
+            while s.phase.following() && !self.changed.wait_until(&mut s, until).timed_out() {}
             backoff = (backoff * 2).min(BACKOFF_MAX);
         }
         let _ = apply.join();
@@ -390,25 +423,41 @@ impl Replica {
     #[must_use]
     pub fn wait_applied(&self, target: Lsn, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while self.applied_lsn() < target {
-            if Instant::now() >= deadline || self.severed_at().is_some() {
-                return false;
+        let mut s = self.state.lock();
+        while self.applied_lsn() < target
+            && !matches!(s.phase, Phase::Severed(_))
+            && !self.changed.wait_until(&mut s, deadline).timed_out()
+        {}
+        self.applied_lsn() >= target
+    }
+
+    /// Block until no frame (heartbeats included) has arrived from the
+    /// primary for `window`, and return true; or return false as soon
+    /// as the follower stops following — promoted, severed or stopped.
+    /// The `--promote-on-disconnect` watchdog promotes on true.
+    #[must_use]
+    pub fn wait_silence(&self, window: Duration) -> bool {
+        let mut s = self.state.lock();
+        while s.phase.following() {
+            let quiet_until = s.last_frame + window;
+            if Instant::now() >= quiet_until {
+                return true;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            self.changed.wait_until(&mut s, quiet_until);
         }
-        true
+        false
     }
 
     /// Promote this follower to primary.
     ///
-    /// The sequence: leave the `FOLLOWING` state (exactly one caller
-    /// wins), stop the receive loop, take the apply gate — which waits
-    /// out at most one in-flight frame, never the multi-second socket
-    /// timeout — discard the received-but-unapplied tail, then run
-    /// ordinary ARIES restart over the mirrored log. Redo is
-    /// idempotent against the already-applied pages; the undo pass
-    /// rolls back the old primary's in-flight transactions with CLRs.
-    /// Finally the engine's dynamic role flips and writes are
+    /// The sequence: leave the following states (exactly one caller
+    /// wins), which stops both loops; wait while a frame is being
+    /// applied — at most the one in-flight frame, never the
+    /// multi-second socket timeout; discard the received-but-unapplied
+    /// tail; then run ordinary ARIES restart over the mirrored log.
+    /// Redo is idempotent against the already-applied pages; the undo
+    /// pass rolls back the old primary's in-flight transactions with
+    /// CLRs. Finally the engine's dynamic role flips and writes are
     /// accepted.
     ///
     /// Discarding the queued tail is sound for the same reason a crash
@@ -420,44 +469,37 @@ impl Replica {
     /// running), or when the restart pass fails — the latter leaves
     /// the follower stopped but unpromoted.
     pub fn promote(&self) -> std::result::Result<PromotionReport, String> {
-        if self
-            .state
-            .compare_exchange(
-                STATE_FOLLOWING,
-                STATE_PROMOTING,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_err()
-        {
-            return Err("promotion already started or completed".into());
-        }
         let started = Instant::now();
-        self.db.obs.trace().event(
-            "repl.promote_begin",
-            self.addr.lock().clone(),
-            self.applied_lsn().0,
-        );
-        self.stop.store(true, Ordering::Release);
-        let _gate = self.apply_gate.lock();
-        {
-            let mut q = self.queue.lock();
-            let dropped = self.queued_records.load(Ordering::Acquire);
-            q.clear();
-            self.queued_records.store(0, Ordering::Release);
-            if dropped > 0 {
-                self.db.obs.trace().event(
-                    "repl.promote_discard_tail",
-                    "unapplied records",
-                    dropped,
-                );
+        let dropped = {
+            let mut s = self.state.lock();
+            if matches!(s.phase, Phase::Promoting | Phase::Promoted) {
+                return Err("promotion already started or completed".into());
             }
+            s.phase = Phase::Promoting;
+            self.changed.notify_all();
+            self.db
+                .obs
+                .trace()
+                .event("repl.promote_begin", self.addr(), self.applied_lsn().0);
+            while s.applying {
+                self.changed.wait(&mut s);
+            }
+            s.queue.clear();
+            std::mem::take(&mut s.queued)
+        };
+        self.changed.notify_all();
+        if dropped > 0 {
+            self.db
+                .obs
+                .trace()
+                .event("repl.promote_discard_tail", "unapplied records", dropped);
         }
         let stats = self
             .db
             .promote_to_primary()
             .map_err(|e| format!("promotion restart failed: {e}"))?;
-        self.state.store(STATE_PROMOTED, Ordering::Release);
+        self.state.lock().phase = Phase::Promoted;
+        self.changed.notify_all();
         let downtime = started.elapsed();
         self.db.obs.trace().event(
             "repl.promote_done",
@@ -475,10 +517,11 @@ impl Replica {
     /// drops the connection; the outer loop resubscribes from
     /// `applied + 1`.
     fn on_frame(&self, flushed: u64, frame: Frame, expected: &mut u64) -> bool {
-        if self.stop.load(Ordering::Acquire) || self.apply_stalled.load(Ordering::Acquire) {
+        let mut s = self.state.lock();
+        if s.phase != Phase::Following {
             return false;
         }
-        *self.last_frame.lock() = Instant::now();
+        s.last_frame = Instant::now();
         self.primary_flushed.fetch_max(flushed, Ordering::AcqRel);
         self.db.set_repl_lag(self.lag());
         for (rec, _) in &frame.records {
@@ -493,121 +536,104 @@ impl Replica {
             }
             *expected += 1;
         }
-        self.progressed.store(true, Ordering::Release);
-        if frame.records.is_empty() {
-            return true; // heartbeat
-        }
         let n = frame.records.len() as u64;
-        while self.queued_records.load(Ordering::Acquire) + n > QUEUE_MAX {
-            if self.stop.load(Ordering::Acquire) || self.apply_stalled.load(Ordering::Acquire) {
+        if n > 0 {
+            while s.phase == Phase::Following && s.queued + n > QUEUE_MAX {
+                self.changed.wait(&mut s);
+            }
+            if s.phase != Phase::Following {
                 return false;
             }
-            std::thread::sleep(POLL);
+            s.queue.push_back(frame);
+            s.queued += n;
         }
-        let mut q = self.queue.lock();
-        // Re-check under the lock: a stall clears the queue, and an
-        // enqueue racing past that clear would survive it.
-        if self.apply_stalled.load(Ordering::Acquire) {
-            return false;
-        }
-        q.push_back(frame);
-        self.queued_records.fetch_add(n, Ordering::AcqRel);
+        self.changed.notify_all();
         true
     }
 
-    /// The apply thread: drain the queue until stopped.
+    /// The apply thread: take frames off the queue until the follower
+    /// stops following.
     fn apply_loop(&self) {
+        let mut s = self.state.lock();
         loop {
-            let Some(frame) = self.queue.lock().pop_front() else {
-                if self.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(POLL);
-                continue;
-            };
-            let n = frame.records.len() as u64;
-            let gate = self.apply_gate.lock();
-            if self.stop.load(Ordering::Acquire) {
-                // Promotion or shutdown raced in between pop and gate:
-                // this frame dies unapplied, like the rest of the
-                // queue.
-                drop(gate);
-                self.sub_queued(n);
-                continue;
+            while s.phase.following() && s.queue.is_empty() {
+                self.changed.wait(&mut s);
             }
-            let started = Instant::now();
-            let mut failed = false;
-            let mut last = Lsn::NULL;
-            let mut start = 0;
-            for (rec, end) in &frame.records {
-                let encoded = &frame.bytes[start..*end];
-                start = *end;
-                let t = Instant::now();
-                // A trace tag on this record's LSN means the primary
-                // sampled the originating request: continue the same
-                // trace across the process boundary so one id links
-                // wire receive, WAL flush, and follower apply.
-                let tag = frame.traces.iter().find(|&&(lsn, _)| lsn == rec.lsn.0);
-                let _trace_scope =
-                    tag.map(|&(_, tid)| mohan_obs::install_ctx(mohan_obs::ctx_for(tid)));
-                let apply_span = tag.map(|_| {
-                    self.db
-                        .obs
-                        .trace()
-                        .span("repl.apply", format!("{:?}", rec.kind))
-                        .with_detail(rec.lsn.0)
-                });
-                if let Err(e) = self.apply_record(rec, encoded) {
-                    self.apply_errors.fetch_add(1, Ordering::Relaxed);
-                    self.db
-                        .obs
-                        .trace()
-                        .event("repl.apply_error", e.to_string(), rec.lsn.0);
-                    failed = true;
-                    break;
-                }
-                self.apply_us.record_micros(t.elapsed());
-                if let Some(span) = apply_span {
-                    span.commit();
-                }
-                self.applied.store(rec.lsn.0, Ordering::Release);
-                last = rec.lsn;
+            if !s.phase.following() {
+                return;
             }
-            if last != Lsn::NULL {
-                // One durability point per frame, not per record (the
-                // mirrored appends above only hit the in-memory tail).
-                self.db.wal.flush_to(last);
-            }
-            drop(gate);
-            if failed {
-                // Stall: wipe the queue and make the receive thread
+            let frame = s.queue.pop_front().expect("a frame is queued");
+            s.applying = true;
+            drop(s);
+            let applied = self.apply_frame(&frame);
+            s = self.state.lock();
+            s.applying = false;
+            s.queued -= frame.records.len() as u64;
+            if !applied && s.phase == Phase::Following {
+                // Stall: discard the queue and make the receive thread
                 // drop the connection; the resubscribe from
                 // `applied + 1` re-fetches everything discarded here.
-                let mut q = self.queue.lock();
-                q.clear();
-                self.queued_records.store(0, Ordering::Release);
-                self.apply_stalled.store(true, Ordering::Release);
-            } else {
-                self.sub_queued(n);
-                self.batch_us.record_micros(started.elapsed());
+                s.queue.clear();
+                s.queued = 0;
+                s.phase = Phase::Stalled;
             }
+            self.changed.notify_all();
             self.db.set_repl_lag(self.lag());
         }
     }
 
-    /// Decrement the queued-record count without racing a concurrent
-    /// clear-to-zero (all counter updates happen under the queue lock).
-    fn sub_queued(&self, n: u64) {
-        let q = self.queue.lock();
-        let cur = self.queued_records.load(Ordering::Acquire);
-        self.queued_records
-            .store(cur.saturating_sub(n), Ordering::Release);
-        drop(q);
+    /// Apply one frame's records in LSN order, then make them durable
+    /// with one flush. False when a record failed (counted in
+    /// `repl.apply_errors` and traced); the records before it stay
+    /// applied.
+    fn apply_frame(&self, frame: &Frame) -> bool {
+        let started = Instant::now();
+        let mut start = 0;
+        let applied = frame.records.iter().all(|(rec, end)| {
+            let encoded = &frame.bytes[start..*end];
+            start = *end;
+            let t = Instant::now();
+            // A trace tag on this record's LSN means the primary
+            // sampled the originating request: continue the same
+            // trace across the process boundary so one id links
+            // wire receive, WAL flush, and follower apply.
+            let tag = frame.traces.iter().find(|&&(lsn, _)| lsn == rec.lsn.0);
+            let _trace_scope = tag.map(|&(_, tid)| mohan_obs::install_ctx(mohan_obs::ctx_for(tid)));
+            let apply_span = tag.map(|_| {
+                self.db
+                    .obs
+                    .trace()
+                    .span("repl.apply", format!("{:?}", rec.kind))
+                    .with_detail(rec.lsn.0)
+            });
+            if let Err(e) = self.apply_record(rec, encoded) {
+                self.apply_errors.fetch_add(1, Ordering::Relaxed);
+                self.db
+                    .obs
+                    .trace()
+                    .event("repl.apply_error", e.to_string(), rec.lsn.0);
+                return false;
+            }
+            self.apply_us.record_micros(t.elapsed());
+            if let Some(span) = apply_span {
+                span.commit();
+            }
+            self.applied.store(rec.lsn.0, Ordering::Release);
+            true
+        });
+        // One durability point per frame, not per record (the mirrored
+        // appends above only hit the in-memory tail).
+        self.db.wal.flush_to(self.applied_lsn());
+        if applied {
+            self.batch_us.record_micros(started.elapsed());
+        }
+        applied
     }
 
     /// Mirror one record into the local log — `encoded` is the bytes
     /// `rec` was decoded from — then redo it.
     fn apply_record(&self, rec: &LogRecord, encoded: &[u8]) -> Result<()> {
+        self.db.failpoints.hit("repl.apply.record")?;
         // Mirror first: promotion's restart pass reads the local log,
         // so every applied record must exist in it. The local
         // allocator hands out LSNs sequentially and nothing else

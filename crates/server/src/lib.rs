@@ -168,8 +168,8 @@ pub struct Promotion {
 ///
 /// Runs synchronously on the worker thread servicing the `Promote`
 /// request; implementations must not block on multi-second waits (the
-/// replica layer's promotion takes an apply gate, never a socket
-/// timeout, for exactly this reason).
+/// replica layer's promotion waits out at most the frame being
+/// applied, never a socket timeout, for exactly this reason).
 #[derive(Clone)]
 pub struct PromoteHook(Arc<dyn Fn() -> Result<Promotion, String> + Send + Sync>);
 

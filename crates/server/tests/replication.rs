@@ -97,6 +97,53 @@ fn ix_spec(name: &str) -> IndexSpec {
     }
 }
 
+/// What the churn has committed: the keys that must survive, and how
+/// many operations committed.
+#[derive(Default)]
+struct Committed {
+    keys: BTreeSet<i64>,
+    ops: u64,
+}
+
+/// [`Committed`], and a wake-up for every commit.
+#[derive(Default)]
+struct Ledger {
+    committed: Mutex<Committed>,
+    grew: Condvar,
+}
+
+impl Ledger {
+    /// Record one committed operation's effect on the surviving keys.
+    fn commit(&self, f: impl FnOnce(&mut BTreeSet<i64>)) {
+        let mut c = self.committed.lock().unwrap();
+        f(&mut c.keys);
+        c.ops += 1;
+        self.grew.notify_all();
+    }
+
+    /// Block until `n` more operations have committed.
+    ///
+    /// # Panics
+    /// If they have not within a minute: the churn stalled.
+    fn wait_for_more_ops(&self, n: u64) {
+        let c = self.committed.lock().unwrap();
+        let target = c.ops + n;
+        let (c, _) = self
+            .grew
+            .wait_timeout_while(c, Duration::from_secs(60), |c| c.ops < target)
+            .unwrap();
+        assert!(
+            c.ops >= target,
+            "churn stalled at {} of {target} committed operations",
+            c.ops
+        );
+    }
+
+    fn keys(&self) -> BTreeSet<i64> {
+        self.committed.lock().unwrap().keys.clone()
+    }
+}
+
 /// Closed-loop DML churn: each worker auto-commits inserts, updates
 /// and deletes in its own key space, recording a key as committed only
 /// once its success response was read back.
@@ -104,13 +151,13 @@ fn churn(
     addr: &str,
     clients: usize,
     stop: &Arc<AtomicBool>,
-    committed: &Arc<Mutex<BTreeSet<i64>>>,
+    ledger: &Arc<Ledger>,
 ) -> Vec<JoinHandle<u64>> {
     (0..clients)
         .map(|i| {
             let addr = addr.to_owned();
             let stop = Arc::clone(stop);
-            let committed = Arc::clone(committed);
+            let ledger = Arc::clone(ledger);
             std::thread::spawn(move || {
                 let mut c = match Client::connect(&addr) {
                     Ok(c) => c,
@@ -139,18 +186,22 @@ fn churn(
                     };
                     match result {
                         Ok(Done::Inserted(rid)) => {
-                            committed.lock().unwrap().insert(key);
+                            ledger.commit(|keys| {
+                                keys.insert(key);
+                            });
                             mine.push((rid, key));
                         }
                         Ok(Done::Updated(j, old_key)) => {
-                            let mut set = committed.lock().unwrap();
-                            set.remove(&old_key);
-                            set.insert(key);
-                            drop(set);
+                            ledger.commit(|keys| {
+                                keys.remove(&old_key);
+                                keys.insert(key);
+                            });
                             mine[j].1 = key;
                         }
                         Ok(Done::Deleted(j, old_key)) => {
-                            committed.lock().unwrap().remove(&old_key);
+                            ledger.commit(|keys| {
+                                keys.remove(&old_key);
+                            });
                             mine.swap_remove(j);
                             key -= 1; // key unused
                         }
@@ -237,13 +288,13 @@ fn follower_converges_under_dml_while_sf_build_runs() {
     let apply = replica.spawn();
 
     let stop = Arc::new(AtomicBool::new(false));
-    let committed = Arc::new(Mutex::new(BTreeSet::new()));
-    let workers = churn(&addr, 4, &stop, &committed);
+    let ledger = Arc::new(Ledger::default());
+    let workers = churn(&addr, 4, &stop, &ledger);
 
     // Let traffic establish, then build online over the wire; keep the
     // churn running afterwards so the *completed* index sees
     // maintenance through the stream too.
-    std::thread::sleep(Duration::from_millis(100));
+    ledger.wait_for_more_ops(50);
     let mut builder = Client::connect(&addr).unwrap();
     let ids = builder
         .create_index(
@@ -254,7 +305,7 @@ fn follower_converges_under_dml_while_sf_build_runs() {
         )
         .expect("online SF build beside a live subscription");
     let built = ids[0];
-    std::thread::sleep(Duration::from_millis(200));
+    ledger.wait_for_more_ops(100);
 
     stop.store(true, Ordering::Relaxed);
     let total_ops: u64 = workers.into_iter().map(|h| h.join().unwrap()).sum();
@@ -264,7 +315,7 @@ fn follower_converges_under_dml_while_sf_build_runs() {
     assert!(replica.lag() == 0, "lag {} after catch-up", replica.lag());
     assert_identical(&primary, &follower, built);
 
-    let committed = committed.lock().unwrap();
+    let committed = ledger.keys();
     let visible = surviving_keys(&follower);
     for key in committed.iter() {
         assert!(
@@ -384,9 +435,9 @@ fn primary_crash_restart_mid_subscription_loses_nothing() {
 
     // Phase 1: churn + online SF build, follower subscribed throughout.
     let stop = Arc::new(AtomicBool::new(false));
-    let committed = Arc::new(Mutex::new(BTreeSet::new()));
-    let workers = churn(&addr1, 4, &stop, &committed);
-    std::thread::sleep(Duration::from_millis(100));
+    let ledger = Arc::new(Ledger::default());
+    let workers = churn(&addr1, 4, &stop, &ledger);
+    ledger.wait_for_more_ops(50);
     let mut builder = Client::connect(&addr1).unwrap();
     let ids = builder
         .create_index(
@@ -397,7 +448,7 @@ fn primary_crash_restart_mid_subscription_loses_nothing() {
         )
         .expect("online SF build");
     let built = ids[0];
-    std::thread::sleep(Duration::from_millis(150));
+    ledger.wait_for_more_ops(50);
     stop.store(true, Ordering::Relaxed);
     let total_ops: u64 = workers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(total_ops > 0);
@@ -421,7 +472,9 @@ fn primary_crash_restart_mid_subscription_loses_nothing() {
     for k in 0..60 {
         let key = 9_000_000 + k;
         c.insert(T, vec![key, 3]).unwrap();
-        committed.lock().unwrap().insert(key);
+        ledger.commit(|keys| {
+            keys.insert(key);
+        });
     }
     drop(c);
 
@@ -430,7 +483,7 @@ fn primary_crash_restart_mid_subscription_loses_nothing() {
     assert_identical(&primary, &follower, built);
 
     // Zero committed writes lost — on either side.
-    let committed = committed.lock().unwrap();
+    let committed = ledger.keys();
     let on_primary = surviving_keys(&primary);
     let on_follower = surviving_keys(&follower);
     for key in committed.iter() {
@@ -535,13 +588,18 @@ fn oversized_record_ships_alone_without_breaking_stream() {
     // `tail` is 0 until the writer below is done; the subscriber keeps
     // listening until it has everything up to the final flushed LSN.
     let tail = Arc::new(AtomicU64::new(0));
+    let (subscribed, on_first_frame) = std::sync::mpsc::channel();
     let sub = {
         let tail = Arc::clone(&tail);
         let c = Client::connect(&addr).unwrap();
         std::thread::spawn(move || {
             let mut next = 1u64;
             let mut big_frame_records = 0usize;
+            let mut subscribed = Some(subscribed);
             let res = c.subscribe_wal(1, |_flushed, records, _traces| {
+                if let Some(tx) = subscribed.take() {
+                    tx.send(()).unwrap();
+                }
                 if records.iter().any(|r| {
                     matches!(&r.payload, LogPayload::CatalogUpdate { bytes } if bytes.len() == BIG)
                 }) {
@@ -558,8 +616,9 @@ fn oversized_record_ships_alone_without_breaking_stream() {
         })
     };
 
-    // Live records on both sides of a record ~3x the frame budget.
-    std::thread::sleep(Duration::from_millis(100));
+    // Live records on both sides of a record ~3x the frame budget,
+    // written once the stream is live.
+    on_first_frame.recv().unwrap();
     let tx = primary.begin();
     for k in 0..10 {
         primary
@@ -866,10 +925,8 @@ fn a_subscription_below_the_truncation_point_is_refused_for_good() {
     let follower = replica_engine();
     let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv));
     let run = replica.spawn();
-    let deadline = std::time::Instant::now() + CATCH_UP;
-    while replica.severed_at().is_none() && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // Returns as soon as the follower is severed.
+    assert!(!replica.wait_applied(Lsn(1), CATCH_UP));
     let severed = replica.severed_at();
     replica.stop();
     run.join().unwrap();
@@ -936,4 +993,147 @@ fn a_stalled_subscriber_pins_the_log_at_its_cursor() {
     // appended more since).
     assert!(sub.join().unwrap().unwrap() >= tail);
     srv.drain();
+}
+
+/// A follower whose apply fails stalls: it discards its queue, drops
+/// the connection, resubscribes from `applied + 1` and converges.
+#[test]
+fn a_failed_apply_stalls_resubscribes_and_converges() {
+    let primary = primary_engine();
+    seed(&primary, 200);
+    let srv = server(
+        &primary,
+        ServerConfig {
+            workers: 4,
+            max_inflight: 32,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = addr_of(&srv);
+    let follower = replica_engine();
+    let replica = Replica::new(Arc::clone(&follower), &addr);
+    let apply = replica.spawn();
+    converge(&primary, &replica);
+
+    // The 50th record the follower applies from here on fails, once.
+    follower.failpoints.arm_after("repl.apply.record", 49);
+    let stop = Arc::new(AtomicBool::new(false));
+    let ledger = Arc::new(Ledger::default());
+    let workers = churn(&addr, 4, &stop, &ledger);
+    ledger.wait_for_more_ops(50);
+    let built = Client::connect(&addr)
+        .unwrap()
+        .create_index(
+            T,
+            BuildAlgorithm::Sf,
+            vec![ix_spec("ix_stall")],
+            |_, _, _| {},
+        )
+        .expect("online SF build")[0];
+    ledger.wait_for_more_ops(100);
+    stop.store(true, Ordering::Relaxed);
+    for w in workers {
+        w.join().unwrap();
+    }
+
+    converge(&primary, &replica);
+    let metrics = follower.obs.snapshot();
+    assert_eq!(metrics.counter("repl.apply_errors"), Some(1));
+    assert!(replica.reconnects() >= 1, "follower never resubscribed");
+    assert_identical(&primary, &follower, built);
+    let visible = surviving_keys(&follower);
+    for key in &ledger.keys() {
+        assert!(visible.contains(key), "committed key {key} lost");
+    }
+
+    replica.stop();
+    srv.drain();
+    apply.join().unwrap();
+}
+
+/// Promotion waits out the frame being applied: it returns only once
+/// that frame's apply has finished, and the promoted engine takes
+/// writes with every index whole and nothing left queued.
+#[test]
+fn promotion_waits_out_the_frame_being_applied() {
+    let primary = primary_engine();
+    seed(&primary, 100);
+    let srv = server(&primary, ServerConfig::default());
+    let addr = addr_of(&srv);
+    let built = Client::connect(&addr)
+        .unwrap()
+        .create_index(
+            T,
+            BuildAlgorithm::Sf,
+            vec![ix_spec("ix_promote")],
+            |_, _, _| {},
+        )
+        .expect("SF build")[0];
+    let follower = replica_engine();
+    let replica = Replica::new(Arc::clone(&follower), &addr);
+    let run = replica.spawn();
+    converge(&primary, &replica);
+
+    // The next record the follower applies blocks until released.
+    let (entered, on_entered) = std::sync::mpsc::channel();
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    follower
+        .failpoints
+        .arm_hook("repl.apply.record", 0, move || {
+            entered.send(()).unwrap();
+            released.recv().unwrap();
+        });
+    let tx = primary.begin();
+    for k in 0..100 {
+        primary
+            .insert_record(tx, T, &Record(vec![10_000 + k, 0]))
+            .unwrap();
+    }
+    primary.commit(tx).unwrap();
+    on_entered.recv().unwrap();
+
+    let released_first = Arc::new(AtomicBool::new(false));
+    let (done, on_done) = std::sync::mpsc::channel();
+    let promoting = {
+        let replica = Arc::clone(&replica);
+        let released_first = Arc::clone(&released_first);
+        std::thread::spawn(move || {
+            let report = replica.promote();
+            done.send((report, released_first.load(Ordering::Acquire)))
+                .unwrap();
+        })
+    };
+    // The follower stops following as promotion begins. A promotion
+    // that did not wait would be done well within the window below.
+    assert!(!replica.wait_silence(Duration::from_secs(3600)));
+    assert!(
+        on_done.recv_timeout(Duration::from_millis(200)).is_err(),
+        "promote returned while a frame was being applied"
+    );
+    released_first.store(true, Ordering::Release);
+    release.send(()).unwrap();
+    let (report, after_release) = on_done.recv().unwrap();
+    promoting.join().unwrap();
+    report.expect("promotion");
+    assert!(
+        after_release,
+        "promote returned while a frame was being applied"
+    );
+    assert!(replica.is_promoted());
+
+    let tx = follower.begin();
+    follower
+        .insert_record(tx, T, &Record(vec![20_000, 0]))
+        .expect("the promoted engine takes writes");
+    follower.commit(tx).unwrap();
+    let indexes = follower.indexes_of(T);
+    assert!(indexes.iter().any(|idx| idx.def.id == built));
+    for idx in indexes {
+        verify_index(&follower, idx.def.id).expect("index verifies after promotion");
+    }
+    assert_eq!(follower.obs.snapshot().counter("repl.queue_depth"), Some(0));
+
+    replica.stop();
+    srv.drain();
+    run.join().unwrap();
 }
