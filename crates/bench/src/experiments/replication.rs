@@ -26,7 +26,7 @@ use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
 use mohan_replica::{FollowerReader, Replica};
 use mohan_server::{PromoteHook, Promotion, Server, ServerConfig};
-use mohan_wire::message::{BuildAlgorithm, IndexSpec, Request, Response, Role};
+use mohan_wire::message::{BuildAlgorithm, IndexSpec, Role};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -473,16 +473,11 @@ pub fn e19_follower_reads(quick: bool) -> Vec<Table> {
     vec![t, t2]
 }
 
-/// One named counter out of a `Request::Stats` round trip — how E22
-/// reads the primary's stream counters without touching internals.
+/// One named counter out of a `Metrics` round trip — how E22 reads
+/// the primary's stream counters without touching internals.
 fn stat(c: &mut Client, key: &str) -> u64 {
-    match c.call(&Request::Stats).expect("stats round trip") {
-        Response::Stats { counters } => counters
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |(_, v)| *v),
-        other => panic!("expected Stats, got {other:?}"),
-    }
+    let report = c.metrics().expect("metrics round trip");
+    report.counter(key).unwrap_or(0)
 }
 
 /// E22: WAL fan-out — every subscriber ships from the log at its own

@@ -4,11 +4,12 @@
 //! oib-top [--addr HOST:PORT] [--interval MS] [--frames N] [--once]
 //! ```
 //!
-//! Subscribes to the server's `ObserveStats` stream and redraws a
-//! table of histogram summaries and counters once per frame; `--once`
-//! does a single `Metrics` request and prints the same table without
-//! clearing the screen (useful in scripts). `--frames N` stops after
-//! `N` frames (0 = forever), disconnecting to end the subscription.
+//! Polls the server with `Metrics` requests, one per `--interval`
+//! milliseconds, and redraws a table of histogram summaries and
+//! counters after each. `--frames N` stops after `N` frames (0 =
+//! forever); `--once` is one frame that leaves the screen uncleared
+//! (useful in scripts). `Metrics` is exempt from admission, so the
+//! view keeps drawing while a saturated server refuses work.
 
 use mohan_client::{Client, MetricsReport};
 
@@ -184,26 +185,19 @@ fn main() {
         std::process::exit(1);
     });
 
-    if opts.once {
+    let interval = std::time::Duration::from_millis(opts.interval_ms.into());
+    let frames = if opts.once { 1 } else { opts.frames };
+    for frame in 1.. {
         match client.metrics() {
-            Ok(report) => render(&report, 0, false),
+            Ok(report) => render(&report, frame, !opts.once),
             Err(e) => {
                 eprintln!("metrics: {e}");
                 std::process::exit(1);
             }
         }
-        return;
-    }
-
-    let max_frames = opts.frames;
-    let mut seen = 0u64;
-    let result = client.observe_stats(opts.interval_ms, |report| {
-        seen += 1;
-        render(&report, seen, true);
-        max_frames == 0 || seen < max_frames
-    });
-    if let Err(e) = result {
-        eprintln!("stream ended: {e}");
-        std::process::exit(1);
+        if frame == frames {
+            break;
+        }
+        std::thread::sleep(interval);
     }
 }

@@ -350,14 +350,6 @@ impl Client {
         }
     }
 
-    /// Snapshot of the server's counters.
-    pub fn stats(&mut self) -> ClientResult<Vec<(String, u64)>> {
-        match self.expect(&Request::Stats)? {
-            Response::Stats { counters } => Ok(counters),
-            other => Self::protocol("Stats", &other),
-        }
-    }
-
     /// Dump the server's span trace ring as JSON lines (one completed
     /// span per line, newest last). `trace_id` restricts the dump to
     /// one trace (0 = all traces); `since_seq` skips events below
@@ -373,39 +365,14 @@ impl Client {
         }
     }
 
-    /// One full metrics snapshot: engine + server counters/gauges and
-    /// histogram summaries, both lists sorted by name.
+    /// One metrics snapshot: every counter and gauge of the engine's
+    /// registry, the server's own included, and every histogram's
+    /// summary, both lists sorted by name. The server answers it even
+    /// when every admission slot is taken.
     pub fn metrics(&mut self) -> ClientResult<MetricsReport> {
         match self.expect(&Request::Metrics)? {
             Response::Metrics { counters, hists } => Ok(MetricsReport { counters, hists }),
             other => Self::protocol("Metrics", &other),
-        }
-    }
-
-    /// Subscribe to a periodic metrics stream. The server emits one
-    /// [`MetricsReport`] per `interval_ms` (clamped server-side) until
-    /// this connection closes; `on_frame` returning `false` ends the
-    /// stream by disconnecting, which is the protocol's way to
-    /// unsubscribe — hence the method consumes the client.
-    pub fn observe_stats(
-        mut self,
-        interval_ms: u32,
-        mut on_frame: impl FnMut(MetricsReport) -> bool,
-    ) -> ClientResult<()> {
-        self.send(&Request::ObserveStats { interval_ms })?;
-        loop {
-            match self.recv()? {
-                Response::Metrics { counters, hists } => {
-                    if !on_frame(MetricsReport { counters, hists }) {
-                        return Ok(()); // drop disconnects
-                    }
-                }
-                Response::Err { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                Response::Busy => return Err(ClientError::Busy),
-                other => return Self::protocol("Metrics", &other),
-            }
         }
     }
 

@@ -75,6 +75,13 @@ impl Registry {
         )
     }
 
+    /// Adopt an externally owned counter under `name`, replacing any
+    /// counter registered under it before (a server started on an
+    /// engine that an earlier server served adopts its own).
+    pub fn adopt_counter(&self, name: &str, c: Arc<Counter>) {
+        self.counters.write().insert(name.to_owned(), c);
+    }
+
     /// Register a gauge: `f` is called at snapshot time. Replaces any
     /// previous gauge of the same name.
     pub fn gauge_fn(&self, name: &str, f: impl Fn() -> u64 + Send + Sync + 'static) {
@@ -227,6 +234,16 @@ mod tests {
         a.bump();
         b.bump();
         assert_eq!(r.snapshot().counter("x"), Some(2));
+    }
+
+    #[test]
+    fn an_adopted_counter_replaces_the_earlier_one() {
+        let r = Registry::new();
+        r.counter("server.requests").add(5);
+        let adopted = Arc::new(Counter::new());
+        r.adopt_counter("server.requests", Arc::clone(&adopted));
+        adopted.bump();
+        assert_eq!(r.snapshot().counter("server.requests"), Some(1));
     }
 
     #[test]

@@ -260,11 +260,8 @@ fn create_descriptors(
     algorithm: BuildAlgorithm,
 ) -> Result<Vec<Arc<IndexRuntime>>> {
     let tbl = db.table(table)?;
-    let state = match algorithm {
-        BuildAlgorithm::Nsf => IndexState::NsfBuilding,
-        BuildAlgorithm::Sf => IndexState::SfBuilding,
-        BuildAlgorithm::Offline => unreachable!("offline uses offline_build"),
-    };
+    // Offline builds register through `offline_build`, not here.
+    let state = IndexState::building(algorithm);
     let runtimes = specs
         .iter()
         .map(|spec| make_runtime(db, table, spec, algorithm, state))

@@ -12,7 +12,7 @@
 
 use crate::checkpointer::Checkpointer;
 use crate::dml::Change;
-use crate::runtime::{Catalog, IndexRuntime, IndexState};
+use crate::runtime::{Catalog, CatalogEntry, IndexRuntime, IndexState};
 use crate::schema::BuildAlgorithm;
 use crate::workers::BuildWorkers;
 use mohan_common::codec::encode;
@@ -388,6 +388,12 @@ impl Db {
     /// any index records the stream carried *before* the index's
     /// creation record (the registration/first-maintenance race)
     /// harmless: the completion rebuild supersedes them.
+    ///
+    /// Readers never see `Complete` over a tree being rebuilt: under
+    /// the index-list lock a completing index takes its entry with its
+    /// building state (an index first seen complete is created in it),
+    /// and only after the rebuild, outside the lock, does it flip to
+    /// `Complete`. Until then a lookup answers `IndexNotReadable`.
     pub(crate) fn apply_catalog_update(&self, bytes: &[u8]) -> Result<()> {
         let Catalog(entries) = Catalog::decode(bytes)?;
         let mut completed = Vec::new();
@@ -400,33 +406,38 @@ impl Db {
                 // primary ever created, in case this engine is later
                 // promoted.
                 self.next_index.fetch_max(e.def.id.0 + 1, Ordering::Relaxed);
-                if let Some(rt) = idxs.iter().find(|i| i.def.id == e.def.id) {
-                    let was = rt.state();
-                    rt.apply_catalog_entry(&e);
-                    if was != IndexState::Complete && e.state == IndexState::Complete {
-                        completed.push(Arc::clone(rt));
+                let building = IndexState::building(e.algorithm);
+                let rt = match idxs.iter().find(|i| i.def.id == e.def.id) {
+                    Some(rt) => Arc::clone(rt),
+                    None => {
+                        let rt = Arc::new(IndexRuntime::new(
+                            e.def.clone(),
+                            e.algorithm,
+                            building,
+                            &self.cfg,
+                        )?);
+                        self.adopt_tree_histograms(&rt);
+                        idxs.push(Arc::clone(&rt));
+                        rt
                     }
+                };
+                if e.state == IndexState::Complete && rt.state() != IndexState::Complete {
+                    rt.apply_catalog_entry(&CatalogEntry {
+                        state: building,
+                        ..e.clone()
+                    });
+                    completed.push((rt, e));
                 } else {
-                    let rt = Arc::new(IndexRuntime::new(
-                        e.def.clone(),
-                        e.algorithm,
-                        e.state,
-                        &self.cfg,
-                    )?);
                     rt.apply_catalog_entry(&e);
-                    self.adopt_tree_histograms(&rt);
-                    if e.state == IndexState::Complete {
-                        completed.push(Arc::clone(&rt));
-                    }
-                    idxs.push(rt);
                 }
             }
         }
         // Keep the local blob coherent so the replica's own restart
         // starts from the same catalog it had applied.
         self.blobs.put("catalog", bytes.to_vec());
-        for rt in completed {
+        for (rt, e) in completed {
             self.replica_materialize(&rt)?;
+            rt.apply_catalog_entry(&e);
         }
         Ok(())
     }

@@ -28,6 +28,18 @@ wire_enum! {
 }
 
 impl IndexState {
+    /// The state an index built by `algorithm` holds until its build
+    /// completes: SF's Current-RID visibility (§3.1), or NSF's direct
+    /// maintenance without reads (§2.2.1), which an offline build's
+    /// index shares on a follower until it is rebuilt there.
+    #[must_use]
+    pub fn building(algorithm: BuildAlgorithm) -> IndexState {
+        match algorithm {
+            BuildAlgorithm::Sf => IndexState::SfBuilding,
+            BuildAlgorithm::Nsf | BuildAlgorithm::Offline => IndexState::NsfBuilding,
+        }
+    }
+
     /// Inverse of `tag()` for the runtime's own atomic, which only
     /// ever holds a tag it stored.
     fn from_tag(t: u8) -> IndexState {

@@ -116,15 +116,12 @@ impl Conn {
         self.out_pos < self.out.len()
     }
 
-    /// A streaming exchange owns this connection.
+    /// A streaming exchange owns this connection. Its job advances on
+    /// another thread's say-so — a build worker depositing its result,
+    /// a WAL flush past a subscriber — so a shard wake is a reason to
+    /// service it.
     pub(crate) fn has_job(&self) -> bool {
         self.job.is_some()
-    }
-
-    /// The connection's job advances on another thread's say-so, so a
-    /// shard wake is a reason to service it.
-    pub(crate) fn wants_wake(&self) -> bool {
-        self.job.as_ref().is_some_and(Job::wants_wake)
     }
 
     /// The earliest instant at which this connection needs servicing

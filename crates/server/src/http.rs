@@ -5,10 +5,11 @@
 //! routes, all answerable without touching engine locks (so the
 //! reactor event loop serves them inline, never via the executor):
 //!
-//! * `/metrics` — the engine registry plus the server's own counters
-//!   as OpenMetrics text exposition: counters as `_total`, gauges
-//!   plain, histograms as cumulative `_bucket{le=...}` series derived
-//!   from the log-linear buckets' exact upper bounds.
+//! * `/metrics` — one engine registry snapshot (the server's own
+//!   counters are in it) as OpenMetrics text exposition: counters as
+//!   `_total`, gauges plain, histograms as cumulative
+//!   `_bucket{le=...}` series derived from the log-linear buckets'
+//!   exact upper bounds.
 //! * `/healthz` — process liveness; 200 as long as a worker can
 //!   answer at all.
 //! * `/readyz` — traffic-worthiness: 503 while draining or while a
@@ -163,9 +164,9 @@ fn metric_name(name: &str) -> String {
     out
 }
 
-/// The whole registry plus the server's own counters as OpenMetrics
-/// text exposition, `# EOF` terminated.
-pub(crate) fn render_metrics(inner: &Arc<Inner>) -> String {
+/// One registry snapshot, the server's own counters and levels
+/// included, as OpenMetrics text exposition, `# EOF` terminated.
+fn render_metrics(inner: &Arc<Inner>) -> String {
     use std::fmt::Write as _;
     let snap = inner.db.obs.snapshot();
     let mut out = String::new();
@@ -177,25 +178,6 @@ pub(crate) fn render_metrics(inner: &Arc<Inner>) -> String {
         } else {
             let _ = writeln!(out, "# TYPE {m} counter\n{m}_total {v}");
         }
-    }
-
-    // Server-side counters live outside the registry; `inflight` and
-    // the per-shard connection counts are instantaneous levels, the
-    // rest only ever increase.
-    for (name, v) in inner.stats.snapshot() {
-        let m = metric_name(&name);
-        if name.starts_with("server.conn_shard.") {
-            let _ = writeln!(out, "# TYPE {m} gauge\n{m} {v}");
-        } else {
-            let _ = writeln!(out, "# TYPE {m} counter\n{m}_total {v}");
-        }
-    }
-    {
-        let v = inner.inflight.load(std::sync::atomic::Ordering::Acquire);
-        let _ = writeln!(
-            out,
-            "# TYPE mohan_server_inflight gauge\nmohan_server_inflight {v}"
-        );
     }
 
     for (name, h) in &snap.histograms {

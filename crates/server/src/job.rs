@@ -4,8 +4,6 @@
 //! * **build watch** — `CreateIndex` runs the build on one of the
 //!   engine's build workers while the shard streams progress from the
 //!   build's durable checkpoints, then the final answer;
-//! * **`ObserveStats`** — one [`Response::Metrics`] frame per interval
-//!   until the client disconnects;
 //! * **`SubscribeWal`** — the log's *flushed* prefix in batched
 //!   [`Response::WalFrame`]s, copied out of the log at the stream's
 //!   own cursor, until the client disconnects.
@@ -15,7 +13,7 @@
 //! takes them, [`end`] — and nothing else — gives them back.
 
 use crate::conn::{send_raw, Conn, Proto, ShardCtx};
-use crate::native::{metrics_response, protocol_err, send};
+use crate::native::{protocol_err, send};
 use crate::request::{refuse, Refusal};
 use crate::{Inner, ServerConfig};
 use mohan_common::codec::Wire;
@@ -63,12 +61,6 @@ pub(crate) struct BuildJob {
     last_poll: Instant,
 }
 
-/// An `ObserveStats` subscription.
-pub(crate) struct ObserveJob {
-    interval: Duration,
-    last_emit: Instant,
-}
-
 /// A `SubscribeWal` subscription: a cursor into the log, and the pin
 /// that keeps the log from truncating under it.
 pub(crate) struct WalSubJob {
@@ -97,18 +89,10 @@ impl WalSubJob {
 /// The streaming exchange that owns a connection.
 pub(crate) enum Job {
     Build(BuildJob),
-    Observe(ObserveJob),
     WalSub(WalSubJob),
 }
 
 impl Job {
-    pub(crate) fn observe(interval: Duration) -> Job {
-        Job::Observe(ObserveJob {
-            interval,
-            last_emit: Instant::now(),
-        })
-    }
-
     pub(crate) fn wal_sub(from_lsn: u64, pin: mohan_wal::LogPin) -> Job {
         Job::WalSub(WalSubJob {
             next: from_lsn,
@@ -120,22 +104,14 @@ impl Job {
 
     /// When the job next needs a [`pump`] absent any event. `blocked`:
     /// the socket is not taking the connection's backlog — progress
-    /// and metrics frames pause until it drains, so they set no
-    /// deadline, but a WAL stream still owes heartbeats (the
-    /// follower's liveness signal).
+    /// frames pause until it drains, so they set no deadline, but a
+    /// WAL stream still owes heartbeats (the follower's liveness
+    /// signal).
     pub(crate) fn deadline(&self, cfg: &ServerConfig, blocked: bool) -> Option<Instant> {
         match self {
             Job::Build(j) => (!blocked).then(|| j.last_poll + cfg.progress_interval),
-            Job::Observe(j) => (!blocked).then(|| j.last_emit + j.interval),
             Job::WalSub(j) => Some(j.last_emit + WAL_SUB_HEARTBEAT),
         }
-    }
-
-    /// Another thread moves this job along and wakes the shard when it
-    /// has: a build worker depositing its result, a WAL flush past a
-    /// subscriber. (A metrics stream moves on its timer alone.)
-    pub(crate) fn wants_wake(&self) -> bool {
-        matches!(self, Job::Build(_) | Job::WalSub(_))
     }
 }
 
@@ -172,35 +148,12 @@ pub(crate) fn pump(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
     }
     match conn.job {
         Some(Job::Build(_)) => watch_build(inner, ctx, conn),
-        Some(Job::Observe(_)) => pump_observe(inner, conn),
         // One step ships one frame; a flush that published a large
         // suffix keeps stepping until nothing is ready or the socket
         // pushes back.
         Some(Job::WalSub(_)) => while pump_wal_sub(inner, ctx, conn) {},
         None => {}
     }
-}
-
-// ===================================================================
-// ObserveStats
-// ===================================================================
-
-/// Emit the next frame of a connection's `ObserveStats` stream when
-/// its interval has elapsed. Paused while a backlog exists — the
-/// frames would only pile onto a socket that is not draining.
-fn pump_observe(inner: &Arc<Inner>, conn: &mut Conn) {
-    if conn.has_backlog() {
-        return;
-    }
-    match &mut conn.job {
-        Some(Job::Observe(job)) if job.last_emit.elapsed() >= job.interval => {
-            job.last_emit = Instant::now();
-        }
-        _ => return,
-    }
-    inner.stats.observe_frames.bump();
-    let frame = metrics_response(inner);
-    send(inner, conn, &frame);
 }
 
 // ===================================================================

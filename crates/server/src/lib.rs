@@ -17,7 +17,7 @@
 //! timeouts) arrives. Idle connections therefore cost zero wakeups.
 //! Whatever the reason, a connection is moved forward by one function
 //! (`conn::service`), and the streaming exchange that may own it
-//! (build watch, metrics stream, WAL stream) is one `job::Job`.
+//! (build watch or WAL stream) is one `job::Job`.
 //!
 //! Service behaviours, all bounded by configuration rather than left
 //! to queue without limit, and each decided once for the native and
@@ -425,6 +425,7 @@ impl Server {
             events_per_wait,
             wakers,
         });
+        stats::register(&inner);
 
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -556,11 +557,6 @@ impl Server {
             self.inner.db.wal.unregister_flush_waker(id);
         }
         let drained_in = drain_started.elapsed();
-        self.inner
-            .db
-            .obs
-            .histogram("server.drain_us")
-            .record_micros(drained_in);
         self.inner.db.obs.trace().span_event(
             "server.drain",
             "drain",

@@ -15,9 +15,8 @@ use mohan_wire::message::{
     proto_major, proto_version, ErrorCode, HistogramSummaryWire, Request, Response, Role,
     PROTO_MAJOR,
 };
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Split complete native frames off `conn.buf` into `conn.pending`.
 pub(crate) fn split_frames(inner: &Arc<Inner>, conn: &mut Conn) {
@@ -72,7 +71,7 @@ pub(crate) fn handle_payload(
     };
     let class = match req {
         Request::Commit | Request::Rollback => Class::EndsTx,
-        Request::Ping | Request::Hello { .. } => Class::Probe,
+        Request::Ping | Request::Hello { .. } | Request::Metrics => Class::Probe,
         _ => Class::Work,
     };
     let head = Head {
@@ -168,20 +167,7 @@ fn dispatch(
                 .map(Rid::pack)
                 .collect(),
         },
-        Request::Stats => Response::Stats {
-            counters: all_counters(inner, inner.db.obs.snapshot().counters),
-        },
         Request::Metrics => metrics_response(inner),
-        Request::ObserveStats { interval_ms } => {
-            let interval = Duration::from_millis(u64::from(interval_ms).clamp(10, 60_000));
-            // First frame immediately: the subscriber gets a baseline
-            // before the first interval elapses.
-            inner.stats.observe_frames.bump();
-            let first = metrics_response(inner);
-            send(inner, conn, &first);
-            job::begin(ctx, conn, Job::observe(interval));
-            return Ok(Answer::Sent(true)); // slot stays held while the stream is live
-        }
         Request::SubscribeWal { from_lsn } => {
             // Only `1 ..= flushed + 1` are valid starting points:
             // below 1 no record exists, and past the flushed tail the
@@ -279,24 +265,10 @@ fn dispatch(
     Ok(Answer::Reply(resp))
 }
 
-/// The registry's counters and gauges (`counters`, one snapshot's
-/// worth) merged with the server's own counters and its in-flight
-/// level, sorted by name so responses are deterministic and clients
-/// can binary-search. The one counter list: `Stats` answers with it,
-/// `Metrics` adds the histograms.
-fn all_counters(inner: &Inner, mut counters: Vec<(String, u64)>) -> Vec<(String, u64)> {
-    counters.extend(inner.stats.snapshot());
-    counters.push((
-        "server.inflight".into(),
-        inner.inflight.load(Ordering::Acquire) as u64,
-    ));
-    counters.sort_by(|a, b| a.0.cmp(&b.0));
-    counters
-}
-
-/// Assemble one [`Response::Metrics`] frame: [`all_counters`] plus
-/// the engine registry's histogram summaries, sorted by name.
-pub(crate) fn metrics_response(inner: &Arc<Inner>) -> Response {
+/// One [`Response::Metrics`] frame: the engine registry's snapshot,
+/// the server's own counters and levels included, with each histogram
+/// cut to its summary.
+fn metrics_response(inner: &Inner) -> Response {
     let snap = inner.db.obs.snapshot();
     let hists = snap
         .histograms
@@ -314,7 +286,7 @@ pub(crate) fn metrics_response(inner: &Arc<Inner>) -> Response {
         })
         .collect();
     Response::Metrics {
-        counters: all_counters(inner, snap.counters),
+        counters: snap.counters,
         hists,
     }
 }

@@ -255,7 +255,7 @@ pub(crate) fn run(
         // A wake also means a job's other thread may have moved it: a
         // build result deposited, the WAL flushed past a subscriber.
         if woke {
-            shard.slab.tokens_where(&mut tokens, Conn::wants_wake);
+            shard.slab.tokens_where(&mut tokens, Conn::has_job);
             for token in tokens.drain(..) {
                 shard.service(token, false, draining);
             }

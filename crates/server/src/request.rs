@@ -28,9 +28,10 @@ pub(crate) enum Class {
     /// blocked statements hold every slot while waiting for exactly
     /// those locks.
     EndsTx,
-    /// A liveness probe or handshake (`Ping`/`Hello`): exempt from
-    /// admission — a handshake refused with `Busy` would read as a
-    /// protocol mismatch — but refused while draining.
+    /// A liveness probe, handshake or metrics read (`Ping`/`Hello`/
+    /// `Metrics`): exempt from admission — a handshake refused with
+    /// `Busy` would read as a protocol mismatch, and a dashboard must
+    /// still read a saturated server — but refused while draining.
     Probe,
 }
 

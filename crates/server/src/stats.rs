@@ -1,39 +1,42 @@
 //! The server's own counters (everything the engine's registry does
-//! not already count), exposed over the wire via `Request::Stats` /
-//! `Request::Metrics` and over HTTP at `/metrics`.
+//! not already count). [`register`] puts them into the engine's
+//! registry, so a `Metrics` snapshot and `/metrics` read them with
+//! everything else.
 
+use crate::Inner;
 use mohan_common::stats::{Counter, ShardDist};
+use mohan_obs::Registry;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Weak};
 
 /// Declares [`ServerStats`] from one list: each counter is a field
 /// and, under the same name prefixed `server.`, a metric.
 macro_rules! server_counters {
     ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
-        /// Server-side counters, exposed over the wire via `Request::Stats`.
+        /// Server-side counters, each also in the engine's registry as
+        /// `server.<field>`.
         #[derive(Debug)]
         pub struct ServerStats {
-            $($(#[$doc])* pub $field: Counter,)+
-            /// Connection count per worker shard.
+            $($(#[$doc])* pub $field: Arc<Counter>,)+
+            /// Connections handed to each worker shard (cumulative).
             pub conn_shards: ShardDist,
         }
 
         impl ServerStats {
             pub(crate) fn new(workers: usize) -> ServerStats {
                 ServerStats {
-                    $($field: Counter::default(),)+
+                    $($field: Arc::default(),)+
                     conn_shards: ShardDist::new(workers.max(1)),
                 }
             }
 
-            /// Flat `(name, value)` snapshot for the `Stats` response.
-            #[must_use]
-            pub fn snapshot(&self) -> Vec<(String, u64)> {
-                let mut out = vec![
-                    $((concat!("server.", stringify!($field)).into(), self.$field.get()),)+
-                ];
-                for (i, n) in self.conn_shards.snapshot().into_iter().enumerate() {
-                    out.push((format!("server.conn_shard.{i}"), n));
-                }
-                out
+            /// Adopt every counter into `obs` under `server.<field>`,
+            /// replacing an earlier server's.
+            fn adopt(&self, obs: &Registry) {
+                $(obs.adopt_counter(
+                    concat!("server.", stringify!($field)),
+                    Arc::clone(&self.$field),
+                );)+
             }
         }
     };
@@ -68,8 +71,6 @@ server_counters! {
     builds_failed,
     /// Progress frames streamed.
     progress_frames,
-    /// Metrics frames streamed to `ObserveStats` subscribers.
-    observe_frames,
     /// `SubscribeWal` subscriptions accepted.
     wal_subs,
     /// WAL frames streamed to subscribers (heartbeats included).
@@ -90,4 +91,33 @@ server_counters! {
     /// queued frame could block on engine locks (the event loop never
     /// sits in a lock wait).
     exec_offloads,
+}
+
+/// Put the server's metrics into its engine's registry: the counters
+/// as `server.<field>`, and two levels as gauges, `server.inflight`
+/// and `server.conn_shard.<i>`.
+pub(crate) fn register(inner: &Arc<Inner>) {
+    let obs = &inner.db.obs;
+    inner.stats.adopt(obs);
+    obs.gauge_fn(
+        "server.inflight",
+        level(inner, |i| i.inflight.load(Ordering::Acquire) as u64),
+    );
+    for shard in 0..inner.stats.conn_shards.shard_count() {
+        obs.gauge_fn(
+            &format!("server.conn_shard.{shard}"),
+            level(inner, move |i| i.stats.conn_shards.get(shard)),
+        );
+    }
+}
+
+/// A gauge reading `read` of the server. It holds the server weakly,
+/// since the engine's registry outlives it, and reads 0 once it is
+/// gone.
+fn level(
+    inner: &Arc<Inner>,
+    read: impl Fn(&Inner) -> u64 + Send + Sync + 'static,
+) -> impl Fn() -> u64 + Send + Sync + 'static {
+    let weak: Weak<Inner> = Arc::downgrade(inner);
+    move || weak.upgrade().map_or(0, |inner| read(&inner))
 }

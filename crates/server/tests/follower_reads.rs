@@ -6,7 +6,9 @@
 //! the follower under a staleness bound, get structured refusals for
 //! writes (with a leader hint) and over-budget reads (`Stale`), and —
 //! after the primary dies — promote the follower in place and keep
-//! writing to it, with zero committed writes lost.
+//! writing to it, with zero committed writes lost. A follower never
+//! serves an index before its tree is rebuilt, and the metric names a
+//! primary and its follower show are DESIGN.md §8.2's table.
 
 use mohan_client::{Client, ClientError};
 use mohan_common::{EngineConfig, KeyValue, ReadApi, Rid, TableId};
@@ -234,9 +236,165 @@ fn follower_serves_reads_under_primary_churn_and_build() {
     apply.join().unwrap();
 }
 
+/// A follower never serves an index as `Complete` before its tree is
+/// rebuilt. A reader on the follower looks up seeded keys, never
+/// deleted, through every index while the primary builds one by SF and
+/// then one by NSF. When a build's completion arrives the follower
+/// rebuilds the tree from its heap; until that is done the index must
+/// answer `IndexNotReadable`, never an empty result.
+#[test]
+fn follower_lookups_never_miss_a_committed_key_across_a_build_flip() {
+    const ROWS: i64 = 5_000;
+    let primary = primary_engine();
+    seed(&primary, ROWS);
+    let psrv = Server::start(Arc::clone(&primary), ServerConfig::default()).expect("bind primary");
+    let paddr = psrv.addr().to_string();
+    let follower = replica_engine();
+    let replica = Replica::new(Arc::clone(&follower), &paddr);
+    let apply = replica.spawn();
+    converge(&primary, &replica);
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let follower = Arc::clone(&follower);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let (mut misses, mut served) = (0u64, 0u64);
+            let mut key = 0;
+            while !stop.load(Ordering::Acquire) {
+                key = (key + 7_919) % ROWS;
+                for ix in follower.indexes_of(T) {
+                    match follower.index_lookup(ix.def.id, &KeyValue::from_i64(key)) {
+                        Ok(rids) if rids.is_empty() => misses += 1,
+                        Ok(_) => served += 1,
+                        Err(mohan_common::Error::IndexNotReadable(_)) => {}
+                        Err(e) => panic!("lookup of key {key}: {e}"),
+                    }
+                }
+            }
+            (misses, served)
+        })
+    };
+
+    let mut builder = Client::connect(&paddr).unwrap();
+    for (name, algo) in [
+        ("ix_sf", BuildAlgorithm::Sf),
+        ("ix_nsf", BuildAlgorithm::Nsf),
+    ] {
+        builder
+            .create_index(T, algo, vec![ix_spec(name)], |_, _, _| {})
+            .expect("online build");
+    }
+    converge(&primary, &replica);
+    stop.store(true, Ordering::Release);
+    let (misses, served) = reader.join().unwrap();
+    assert_eq!(
+        misses, 0,
+        "the follower answered {misses} lookups of committed keys with nothing"
+    );
+    assert!(served > 0, "no lookup was served");
+    for ix in follower.indexes_of(T) {
+        verify_index(&follower, ix.def.id).expect("replicated index verifies");
+    }
+
+    replica.stop();
+    psrv.drain();
+    apply.join().unwrap();
+}
+
+/// The names of DESIGN.md §8.2's metric table, one per metric:
+/// `{a,b}` alternatives spelled out, `<Opcode>` as every request
+/// name, `<kind>` as every SQL statement kind, and `<i>` as each of
+/// `shards` worker shards.
+fn design_metric_names(shards: usize) -> BTreeSet<String> {
+    let design = include_str!("../../../DESIGN.md");
+    let table = design
+        .split("### 8.2 Metric namespace")
+        .nth(1)
+        .expect("DESIGN.md has §8.2")
+        .split("\n\n")
+        .nth(1)
+        .expect("§8.2 opens with its table");
+    let mut prefix = "";
+    let mut names = BTreeSet::new();
+    for row in table.lines().skip(2) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        if !cells[1].is_empty() {
+            prefix = cells[1].trim_matches('`');
+        }
+        for name in cells[2].split('`').skip(1).step_by(2) {
+            let (head, tail) = name.split_once(['{', '<']).unwrap_or((name, ""));
+            let alts: Vec<String> = match tail.trim_end_matches(['}', '>']) {
+                "" => vec![String::new()],
+                "Opcode" => Request::NAMES.iter().map(|n| n.to_string()).collect(),
+                "kind" => mohan_pgwire::Statement::KINDS
+                    .iter()
+                    .map(|k| k.to_string())
+                    .collect(),
+                "i" => (0..shards).map(|i| i.to_string()).collect(),
+                alts => alts.split(',').map(str::to_owned).collect(),
+            };
+            names.extend(alts.iter().map(|alt| format!("{prefix}{head}{alt}")));
+        }
+    }
+    names
+}
+
+/// One `Metrics` snapshot's names, counters, gauges and histograms.
+fn metric_names(addr: &str) -> BTreeSet<String> {
+    let report = Client::connect(addr).unwrap().metrics().unwrap();
+    let counters = report.counters.into_iter().map(|(name, _)| name);
+    counters
+        .chain(report.hists.into_iter().map(|(name, _)| name))
+        .collect()
+}
+
+/// Every metric a server can show is in DESIGN.md §8.2's table, and
+/// every name there is one a server shows: the union of a primary's
+/// `Metrics` snapshot, after DML, an SF and an NSF build and a
+/// follower's `SubscribeWal` stream, and its follower's.
+#[test]
+fn metric_names_are_design_s_table() {
+    let primary = primary_engine();
+    let psrv = Server::start(Arc::clone(&primary), ServerConfig::default()).expect("bind primary");
+    let paddr = psrv.addr().to_string();
+    let follower = replica_engine();
+    let replica = Arc::new(Replica::new(Arc::clone(&follower), &paddr));
+    let apply = replica.spawn();
+    let fsrv = follower_server(&follower, &replica, u64::MAX, &paddr);
+
+    let mut c = Client::connect(&paddr).unwrap();
+    for k in 0..100 {
+        c.insert(T, vec![k, 0]).unwrap();
+    }
+    for (name, algo) in [
+        ("ix_sf", BuildAlgorithm::Sf),
+        ("ix_nsf", BuildAlgorithm::Nsf),
+    ] {
+        c.create_index(T, algo, vec![ix_spec(name)], |_, _, _| {})
+            .expect("online build");
+    }
+    converge(&primary, &replica);
+
+    let mut shown = metric_names(&paddr);
+    shown.extend(metric_names(&fsrv.addr().to_string()));
+    let listed = design_metric_names(ServerConfig::default().workers);
+    let unlisted: Vec<_> = shown.difference(&listed).collect();
+    let unshown: Vec<_> = listed.difference(&shown).collect();
+    assert!(
+        unlisted.is_empty() && unshown.is_empty(),
+        "not in §8.2: {unlisted:?}; in §8.2 but not shown: {unshown:?}"
+    );
+
+    replica.stop();
+    psrv.drain();
+    fsrv.drain();
+    apply.join().unwrap();
+}
+
 /// Reads over the staleness budget are refused with `Stale { lag }`,
-/// and the refusal is visible in `repl.reads_rejected_stale`; stats
-/// and metrics stay answerable regardless of lag.
+/// and the refusal is visible in `repl.reads_rejected_stale`; metrics
+/// stay answerable regardless of lag.
 #[test]
 fn stale_follower_rejects_reads_but_answers_observability() {
     let follower = replica_engine();
@@ -258,7 +416,6 @@ fn stale_follower_rejects_reads_but_answers_observability() {
 
     // Observability is exempt from the staleness gate: a stalled
     // follower must still be diagnosable.
-    assert!(!c.stats().unwrap().is_empty());
     let m = c.metrics().unwrap();
     assert_eq!(m.counter("repl.reads_rejected_stale"), Some(1));
     assert!(m.counter("repl.lag_lsn").is_some(), "lag gauge missing");

@@ -110,14 +110,12 @@ fn dml_and_errors_over_the_wire() {
         other => panic!("expected NoSuchIndex, got {other:?}"),
     }
 
-    // Stats include server counters and engine gauges.
-    let stats = c.stats().unwrap();
+    // One metrics snapshot holds server counters and engine gauges.
+    let report = c.metrics().unwrap();
     let get = |name: &str| {
-        stats
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("stat {name} missing"))
-            .1
+        report
+            .counter(name)
+            .unwrap_or_else(|| panic!("metric {name} missing"))
     };
     assert!(get("server.requests") >= 10);
     assert_eq!(get("engine.active_txs"), 0);
@@ -163,6 +161,76 @@ fn malformed_payload_gets_structured_error() {
     write_frame(&mut stream, &Request::Ping.encode()).unwrap();
     let resp = Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
     assert_eq!(resp, Response::Pong);
+    srv.drain();
+}
+
+/// Request tags 11 and 13, the metrics reads retired at protocol
+/// minor 5, are what an older peer may still send: each is
+/// answered `Malformed` and counted in `server.malformed`, and the
+/// connection keeps serving.
+#[test]
+fn retired_request_tags_are_malformed() {
+    let db = engine(2_000);
+    let srv = server(&db, ServerConfig::default());
+    let mut stream = std::net::TcpStream::connect(srv.addr()).unwrap();
+    for retired in [&[11][..], &[13, 0, 0, 0, 250]] {
+        write_frame(&mut stream, retired).unwrap();
+        stream.flush().unwrap();
+        match Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap() {
+            Response::Err { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("tag {}: expected Malformed, got {other:?}", retired[0]),
+        }
+        write_frame(&mut stream, &Request::Ping.encode()).unwrap();
+        let resp = Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+        assert_eq!(resp, Response::Pong);
+    }
+    let report = Client::connect(srv.addr()).unwrap().metrics().unwrap();
+    assert_eq!(report.counter("server.malformed"), Some(2));
+    srv.drain();
+}
+
+/// `Metrics` takes no admission slot: with the only one held by a WAL
+/// stream, DML is refused `Busy` and a metrics read still answers.
+#[test]
+fn metrics_answers_when_every_slot_is_held() {
+    let db = engine(2_000);
+    seed(&db, 10);
+    let srv = server(
+        &db,
+        ServerConfig {
+            max_inflight: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = addr_of(&srv);
+
+    // The stream's first frame means it holds the only slot.
+    let (first_frame, held) = std::sync::mpsc::channel();
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
+    let addr2 = addr.clone();
+    let subscriber = std::thread::spawn(move || {
+        Client::connect(&addr2)
+            .unwrap()
+            .subscribe_wal(1, |_, _, _| {
+                let _ = first_frame.send(());
+                stopped.try_recv().is_err()
+            })
+            .unwrap();
+    });
+    held.recv().expect("the stream's first frame");
+
+    let mut c = Client::connect(&addr).unwrap();
+    assert!(matches!(
+        c.insert(T, vec![1_000, 0]),
+        Err(ClientError::Busy)
+    ));
+    let report = c.metrics().expect("a metrics read takes no slot");
+    assert_eq!(report.counter("server.inflight"), Some(1));
+    assert_eq!(report.counter("repl.fanout.subscribers"), Some(1));
+    assert!(report.counter("server.busy_rejects").unwrap() >= 1);
+
+    stop.send(()).unwrap();
+    subscriber.join().unwrap();
     srv.drain();
 }
 
@@ -464,12 +532,12 @@ fn dml_while_a_wire_build_runs(algo: BuildAlgorithm) {
     assert_eq!(live_entries(&db, built), live_entries(&db, oracle));
 }
 
-/// An `ObserveStats` subscription keeps emitting metrics frames while
-/// a `CreateIndex` streams progress on another connection, and the
-/// frames carry sorted names (so clients can binary-search them) and
-/// the stats the retired E17b table read mid-build.
+/// A metrics read taken while a `CreateIndex` streams progress on
+/// another connection carries sorted names (so clients can
+/// binary-search them) and every layer the retired E17b table read
+/// mid-build.
 #[test]
-fn observe_stream_emits_beside_a_live_build() {
+fn metrics_read_mid_build_carries_every_layer() {
     let db = engine(5_000);
     seed(&db, 2_000);
     let srv = server(
@@ -482,114 +550,40 @@ fn observe_stream_emits_beside_a_live_build() {
     );
     let addr = addr_of(&srv);
 
-    let build_done = Arc::new(AtomicBool::new(false));
-    let build_done2 = Arc::clone(&build_done);
-    let addr2 = addr.clone();
-    let builder = std::thread::spawn(move || {
-        let mut c = Client::connect(&addr2).unwrap();
-        let ids = c
-            .create_index(
-                T,
-                BuildAlgorithm::Sf,
-                vec![IndexSpec {
-                    name: "ix_observed".into(),
-                    key_cols: vec![0],
-                    unique: false,
-                }],
-                |_, _, _| {},
-            )
-            .unwrap();
-        build_done2.store(true, Ordering::Release);
-        ids
-    });
-
-    // Subscribe while the build runs; keep consuming frames until the
-    // build finishes and at least three frames arrived.
-    let observer = Client::connect(&addr).unwrap();
-    let frames: Arc<Mutex<Vec<mohan_client::MetricsReport>>> = Arc::new(Mutex::new(Vec::new()));
-    let frames2 = Arc::clone(&frames);
-    observer
-        .observe_stats(25, move |report| {
-            let mut f = frames2.lock().unwrap();
-            f.push(report);
-            !(f.len() >= 3 && build_done.load(Ordering::Acquire))
-        })
+    // Read on the build's first progress frame: the build has started
+    // and its exchange has not ended.
+    let mut observer = Client::connect(&addr).unwrap();
+    let mut mid_build = None;
+    let ids = Client::connect(&addr)
+        .unwrap()
+        .create_index(
+            T,
+            BuildAlgorithm::Sf,
+            vec![IndexSpec {
+                name: "ix_observed".into(),
+                key_cols: vec![0],
+                unique: false,
+            }],
+            |_, _, _| {
+                if mid_build.is_none() {
+                    mid_build = Some(observer.metrics().unwrap());
+                }
+            },
+        )
         .unwrap();
-
-    let ids = builder.join().unwrap();
     assert_eq!(ids.len(), 1);
-    let frames = frames.lock().unwrap();
-    assert!(frames.len() >= 3, "only {} metrics frames", frames.len());
-    let last = frames.last().unwrap();
-    // Both lists sorted by name — the determinism the satellite asks for.
-    assert!(last.counters.windows(2).all(|w| w[0].0 < w[1].0));
-    assert!(last.hists.windows(2).all(|w| w[0].0 < w[1].0));
-    assert_eq!(last.counter("server.builds_started"), Some(1));
-    assert!(last.counter("server.observe_frames").unwrap() >= 3);
+    let report = mid_build.expect("the build streamed no progress");
+    // Both lists sorted by name.
+    assert!(report.counters.windows(2).all(|w| w[0].0 < w[1].0));
+    assert!(report.hists.windows(2).all(|w| w[0].0 < w[1].0));
+    assert_eq!(report.counter("server.builds_started"), Some(1));
     // Engine-side instrumentation crossed the wire: WAL flush latency,
     // cache traffic, the drain-lag gauge, per-opcode latency.
-    assert!(last.hist("wal.flush_us").is_some());
-    assert!(last.counter("cache.hit").is_some());
-    assert!(last.counter("build.drain_lag").is_some());
-    assert!(last.hist("server.req_us.ObserveStats").is_some());
-    assert!(last.hist("server.req_us.Insert").is_some());
-    drop(frames);
-    srv.drain();
-}
-
-/// An observer holds an admission slot like a build does; hanging up
-/// must release it through the same reap path, or the server wedges
-/// at max_inflight.
-#[test]
-fn observer_disconnect_releases_its_admission_slot() {
-    let db = engine(2_000);
-    seed(&db, 10);
-    let srv = server(
-        &db,
-        ServerConfig {
-            max_inflight: 1,
-            ..ServerConfig::default()
-        },
-    );
-    let addr = addr_of(&srv);
-
-    let (first_frame_tx, first_frame_rx) = std::sync::mpsc::channel::<()>();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let addr2 = addr.clone();
-    let observer = std::thread::spawn(move || {
-        let c = Client::connect(&addr2).unwrap();
-        c.observe_stats(25, move |_| {
-            let _ = first_frame_tx.send(());
-            !stop2.load(Ordering::Acquire)
-        })
-        .unwrap();
-    });
-
-    // The stream is live, so the only slot is held: DML gets Busy.
-    first_frame_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("no metrics frame arrived");
-    let mut c = Client::connect(&addr).unwrap();
-    match c.insert(T, vec![1_000, 0]) {
-        Err(ClientError::Busy) => {}
-        other => panic!("expected Busy while observer holds the slot, got {other:?}"),
-    }
-
-    // Disconnect the observer; the worker's reap must give the slot
-    // back even though no response was outstanding.
-    stop.store(true, Ordering::Release);
-    observer.join().unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        match c.insert(T, vec![1_001, 0]) {
-            Ok(_) => break,
-            Err(ClientError::Busy) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => panic!("observer slot never released: {e}"),
-        }
-    }
+    assert!(report.hist("wal.flush_us").is_some());
+    assert!(report.counter("cache.hit").is_some());
+    assert!(report.counter("build.drain_lag").is_some());
+    assert!(report.hist("server.req_us.Metrics").is_some());
+    assert!(report.hist("server.req_us.Insert").is_some());
     srv.drain();
 }
 

@@ -485,7 +485,7 @@ fn two_door_server(db: &Arc<Db>, max_inflight: usize, request_deadline: Duration
 }
 
 /// One admission rule for both doors: with the only slot held by a
-/// native `ObserveStats` stream, `BEGIN` is refused — `53300` on pg,
+/// native `SubscribeWal` stream, `BEGIN` is refused — `53300` on pg,
 /// `Busy` natively — while `COMMIT` and `ROLLBACK`, which release
 /// locks, still run.
 #[test]
@@ -520,7 +520,7 @@ fn begin_takes_an_admission_slot_at_both_doors() {
     let (stop, stopped) = mpsc::channel::<()>();
     let observer = std::thread::spawn(move || loop {
         let c = Client::connect(&native_addr).unwrap();
-        let stream = c.observe_stats(10, |_| {
+        let stream = c.subscribe_wal(1, |_, _, _| {
             let _ = first_frame.send(());
             stopped.try_recv().is_err()
         });

@@ -75,7 +75,15 @@ pub const PROTO_MAJOR: u16 = 1;
 /// stops following on it instead of resubscribing. An older follower
 /// decodes it as a malformed error code and keeps reconnecting, to the
 /// same answer.
-pub const PROTO_MINOR: u16 = 4;
+///
+/// 5 retired request tag 11 (a read of the counters alone), request
+/// tag 13 (a stream of metrics snapshots, one per interval) and
+/// response tag 12 (the counters' answer): [`Request::Metrics`] is the
+/// one read of the server's metrics, and a dashboard polls it. The three tags are
+/// never reused. An older peer that sends tag 11 or 13 is answered
+/// `Malformed`, as minor 2 answered a peer that still sent error tag
+/// 39.
+pub const PROTO_MINOR: u16 = 5;
 
 /// This build's packed protocol version (`major << 16 | minor`).
 #[must_use]
@@ -240,23 +248,16 @@ wire_enum! {
             /// Parallelism / compression / checkpoint tuning.
             options: BuildOptions,
         },
-        /// Snapshot of the server's counters.
-        Stats = 11,
-        /// Full metrics snapshot: engine + server counters/gauges and
-        /// histogram summaries, sorted by name.
+        // Tag 11 is retired (see `PROTO_MINOR`); never reuse it.
+        /// The one read of the server's metrics: a snapshot of the
+        /// engine's registry, the server's own counters and levels
+        /// included, with every histogram cut to its summary. Exempt
+        /// from admission, so a saturated server still answers it.
         Metrics = 12,
-        /// Subscribe this connection to periodic [`Response::Metrics`]
-        /// frames until it disconnects. The stream occupies the
-        /// connection (like `CreateIndex`); other requests on it are
-        /// serviced after disconnect only.
-        ObserveStats = 13 {
-            /// Emission interval in milliseconds (server clamps to its
-            /// supported range).
-            interval_ms: u32,
-        },
+        // Tag 13 is retired (see `PROTO_MINOR`); never reuse it.
         /// Subscribe this connection to the primary's WAL stream,
         /// starting at `from_lsn`. The connection becomes a tail-following
-        /// subscription (same occupancy semantics as `ObserveStats`)
+        /// subscription (it occupies the connection like `CreateIndex`)
         /// carrying [`Response::WalFrame`]s that cover only the *flushed*
         /// prefix of the log. Valid starts are `1 ..= flushed + 1`;
         /// anything else is answered with an error, since those records
@@ -593,11 +594,7 @@ wire_enum! {
             /// Ids of the created indexes, in spec order.
             ids: Vec<u32>,
         },
-        /// Counter snapshot, answer to [`Request::Stats`].
-        Stats = 12 {
-            /// `(name, value)` pairs, sorted by name.
-            counters: Vec<(String, u64)>,
-        },
+        // Tag 12 is retired (see `PROTO_MINOR`); never reuse it.
         /// Admission control rejected the request; retry after backoff.
         Busy = 13,
         /// The request failed; terminal frame for its exchange.
@@ -607,8 +604,7 @@ wire_enum! {
             /// Human-readable detail (the engine error's `Display`).
             message: String,
         },
-        /// Metrics snapshot, answer to [`Request::Metrics`] and the
-        /// periodic frame of an [`Request::ObserveStats`] stream.
+        /// Metrics snapshot, answer to [`Request::Metrics`].
         Metrics = 15 {
             /// `(name, value)` for every counter and gauge, sorted by
             /// name.
@@ -771,15 +767,14 @@ mod tests {
                     checkpoint_every: u32::MAX,
                 },
             },
-            Request::Stats,
             Request::Metrics,
-            Request::ObserveStats { interval_ms: 250 },
             Request::SubscribeWal { from_lsn: 1 },
             Request::SubscribeWal {
                 from_lsn: u64::MAX - 1,
             },
+            // A fixed version, so that a minor bump changes no line.
             Request::Hello {
-                proto_version: proto_version(),
+                proto_version: (1 << 16) | 4,
                 role: Role::Client,
             },
             Request::Hello {
@@ -877,9 +872,6 @@ mod tests {
                 detail: 12345,
             },
             Response::IndexCreated { ids: vec![9, 10] },
-            Response::Stats {
-                counters: vec![("server.requests".into(), 7), ("server.busy".into(), 0)],
-            },
             Response::Metrics {
                 counters: vec![("cache.hit".into(), 901), ("cache.miss".into(), 33)],
                 hists: vec![
@@ -945,7 +937,7 @@ mod tests {
                 message: "invalid argument: no index specs".into(),
             },
             Response::Welcome {
-                proto_version: proto_version(),
+                proto_version: (1 << 16) | 4,
                 role: Role::Replica,
                 flushed_lsn: 7_777,
             },
@@ -1176,6 +1168,24 @@ mod tests {
         }
     }
 
+    /// Minor 5 retired request tags 11 and 13 and response tag 12: each,
+    /// as an older peer sends it, is malformed.
+    #[test]
+    fn retired_tags_decode_to_none() {
+        assert_eq!(Request::decode(&[11]), None);
+        assert_eq!(Request::decode(&[13, 0, 0, 0, 250]), None);
+        #[rustfmt::skip]
+        let stats: &[u8] = &[
+            12,                                       // retired
+            0, 1,                                     // one counter:
+            0, 0, 0, 1, b'x',                         //   "x"
+            0, 0, 0, 0, 0, 0, 0, 7,                   //   7
+        ];
+        assert_eq!(Response::decode(stats), None);
+        assert!(!Request::frame_may_block(&[11]));
+        assert!(!Request::frame_may_block(&[13, 0, 0, 0, 250]));
+    }
+
     #[test]
     fn unknown_tags_are_rejected() {
         assert_eq!(Request::decode(&[0xEE]), None);
@@ -1217,9 +1227,7 @@ mod tests {
             Request::Begin,
             Request::Commit,
             Request::Rollback,
-            Request::Stats,
             Request::Metrics,
-            Request::ObserveStats { interval_ms: 10 },
             Request::SubscribeWal { from_lsn: 0 },
             Request::Hello {
                 proto_version: 1,
@@ -1405,7 +1413,6 @@ mod tests {
                     checkpoint_every: a,
                 },
             },
-            Request::ObserveStats { .. } => Request::ObserveStats { interval_ms: a },
             Request::SubscribeWal { .. } => Request::SubscribeWal { from_lsn: b },
             Request::Hello { role, .. } => Request::Hello {
                 proto_version: a,
@@ -1438,9 +1445,6 @@ mod tests {
             },
             Response::IndexCreated { .. } => Response::IndexCreated {
                 ids: bytes.iter().map(|&x| u32::from(x) ^ a).collect(),
-            },
-            Response::Stats { .. } => Response::Stats {
-                counters: named(cols.len()).into_iter().map(|n| (n, b)).collect(),
             },
             Response::Metrics { .. } => Response::Metrics {
                 counters: named(cols.len()).into_iter().map(|n| (n, b)).collect(),
