@@ -20,7 +20,7 @@
 use crate::report::{f2, ms, us, Table};
 use crate::workload::{bench_config, seed_table, TABLE};
 use mohan_client::{Client, ClientError};
-use mohan_common::{EngineConfig, ReadApi, Rid};
+use mohan_common::{ReadApi, Rid};
 use mohan_oib::schema::Record;
 use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
@@ -120,10 +120,7 @@ pub fn e18_replication(quick: bool) -> Vec<Table> {
     .expect("bind");
     let addr = srv.addr().to_string();
 
-    let follower = Db::new(EngineConfig {
-        replica: true,
-        ..bench_config()
-    });
+    let follower = Db::new(bench_config());
     follower.create_table(TABLE);
     let replica = Replica::new(Arc::clone(&follower), &addr);
     let apply = replica.spawn();
@@ -309,10 +306,7 @@ pub fn e19_follower_reads(quick: bool) -> Vec<Table> {
     .expect("bind primary");
     let paddr = psrv.addr().to_string();
 
-    let follower = Db::new(EngineConfig {
-        replica: true,
-        ..bench_config()
-    });
+    let follower = Db::new(bench_config());
     follower.create_table(TABLE);
     let replica = Replica::new(Arc::clone(&follower), &paddr);
     let apply = replica.spawn();

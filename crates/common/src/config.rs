@@ -53,11 +53,6 @@ pub struct EngineConfig {
     /// Footnote 3: make an NSF index *gradually* readable for key
     /// ranges below the builder's committed high-key watermark.
     pub nsf_gradual_reads: bool,
-    /// This engine is a replication follower: redo applies
-    /// `CatalogUpdate` records (index DDL shipped in the WAL stream)
-    /// instead of treating them as no-ops the way a primary's own
-    /// restart does, where the catalog blob is authoritative.
-    pub replica: bool,
 }
 
 impl Default for EngineConfig {
@@ -75,7 +70,6 @@ impl Default for EngineConfig {
             ib_remembered_path: true,
             nsf_descriptor_quiesce: true,
             nsf_gradual_reads: false,
-            replica: false,
         }
     }
 }
@@ -98,7 +92,6 @@ impl EngineConfig {
             ib_remembered_path: true,
             nsf_descriptor_quiesce: true,
             nsf_gradual_reads: false,
-            replica: false,
         }
     }
 }

@@ -146,7 +146,7 @@ impl<T: WriteAhead + ?Sized> WriteAhead for &T {
 }
 
 /// Transaction identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
 
 impl fmt::Display for TxId {

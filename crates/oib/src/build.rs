@@ -1259,7 +1259,7 @@ pub(crate) fn cancel_unless_crash<T>(
 /// Cancelling an in-progress build: quiesce updates (so rollbacks
 /// never meet a half-vanished descriptor), then delete the descriptor
 /// and all build state.
-fn cancel_builds(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>]) -> Result<()> {
+pub(crate) fn cancel_builds(db: &Db, idxs: &[Arc<IndexRuntime>]) -> Result<()> {
     let tx = db.begin();
     db.locks
         .lock(tx, LockName::Table(idxs[0].def.table), LockMode::S)?;

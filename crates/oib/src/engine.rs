@@ -98,9 +98,9 @@ pub struct Db {
     tx_holds: Mutex<HashMap<TxId, Vec<(TableId, Rid)>>>,
     next_tx: AtomicU64,
     next_index: AtomicU32,
-    /// Dynamic role. Seeded from `cfg.replica`; promotion flips it to
-    /// false at runtime, which re-enables writes and stops redo from
-    /// applying shipped `CatalogUpdate` snapshots.
+    /// The engine's role: true while it is a replication follower. A
+    /// `Replica` sets it; promotion clears it, which re-enables writes
+    /// and stops redo from applying shipped `CatalogUpdate` snapshots.
     replica: AtomicBool,
     /// Replication lag in LSNs, published by the follower's apply loop
     /// and judged by [`Db::stale_lag`]. Always 0 on a primary.
@@ -127,7 +127,6 @@ impl Db {
     #[must_use]
     pub fn new(cfg: EngineConfig) -> Arc<Db> {
         let lock_timeout = Duration::from_millis(cfg.lock_timeout_ms);
-        let replica = AtomicBool::new(cfg.replica);
         let obs = Registry::new();
         let db = Arc::new(Db {
             cfg,
@@ -145,7 +144,7 @@ impl Db {
             tx_holds: Mutex::new(HashMap::new()),
             next_tx: AtomicU64::new(1),
             next_index: AtomicU32::new(1),
-            replica,
+            replica: AtomicBool::new(false),
             repl_lag: AtomicU64::new(0),
             checkpointer: Arc::default(),
             workers: Arc::default(),
@@ -722,34 +721,43 @@ impl Db {
         }
     }
 
-    /// ARIES restart: restore catalog state, then analysis / redo /
-    /// undo. Interrupted index builds stay in their building state;
-    /// call [`crate::build::resume_build`] to finish them. Progress
-    /// records of builds the catalog does not know are removed.
+    /// ARIES restart after [`Db::simulate_crash`]: restore catalog
+    /// state, then analysis, redo from the last checkpoint's
+    /// `redo_start`, undo and the reserved-slot sweep. Interrupted
+    /// index builds stay in their building state; call
+    /// [`crate::build::resume_build`] to finish them. Progress records
+    /// of builds the catalog does not know are removed.
     pub fn restart(&self) -> Result<RecoveryStats> {
         self.load_catalog()?;
         crate::progress::clear_orphans(self);
-        let stats = mohan_wal::recover(&self.wal, self)?;
-        // Losers' deletes were rolled back (records restored); every
-        // still-reserved slot belongs to a committed deleter — free
-        // them.
+        let stats = self.recover(mohan_wal::checkpoint_redo_start(&self.wal))?;
+        self.recovering.store(false, Ordering::Release);
+        Ok(stats)
+    }
+
+    /// Analysis, redo of the records after `redo_start`, and undo; then
+    /// number new transactions above every id in the log, and free the
+    /// slots still reserved — the losers' deletes were rolled back
+    /// (records restored), so each belongs to a committed deleter.
+    fn recover(&self, redo_start: Lsn) -> Result<RecoveryStats> {
+        let stats = mohan_wal::recover(&self.wal, self, redo_start)?;
+        self.next_tx.fetch_max(stats.max_tx.0 + 1, Ordering::AcqRel);
         for t in self.tables.read().values() {
             t.sweep_reserved()?;
         }
-        self.recovering.store(false, Ordering::Release);
         Ok(stats)
     }
 
     // ----- replication role --------------------------------------------
 
-    /// True while the engine is a replication follower. Seeded from
-    /// `cfg.replica`, cleared by [`Db::promote_to_primary`].
+    /// True while the engine is a replication follower: set by
+    /// [`Db::set_replica`], cleared by [`Db::promote_to_primary`].
     #[must_use]
     pub fn is_replica(&self) -> bool {
         self.replica.load(Ordering::Acquire)
     }
 
-    /// Flip the dynamic role (promotion path; tests).
+    /// Set the engine's role (a follower sets it as it starts).
     pub fn set_replica(&self, replica: bool) {
         self.replica.store(replica, Ordering::Release);
     }
@@ -796,23 +804,25 @@ impl Db {
         Ok(out)
     }
 
-    /// Keep the local transaction-id allocator above every replicated
-    /// transaction id, so transactions begun after promotion never
-    /// collide with ids the old primary handed out.
-    pub fn bump_tx_floor(&self, tx: TxId) {
-        self.next_tx.fetch_max(tx.0 + 1, Ordering::AcqRel);
-    }
-
-    /// Promote a replication follower to primary: force the mirrored
-    /// log, run ARIES restart over it (redo is idempotent against the
-    /// already-applied state thanks to page LSNs; the undo pass rolls
-    /// back whatever transactions were still in flight on the dead
-    /// primary), then flip the role so writes are accepted. The caller
-    /// must have stopped the WAL subscription first — nothing may be
-    /// applying records concurrently.
+    /// Promote a replication follower to primary: the rest of the
+    /// restart its apply thread has been running. The follower redid
+    /// every record of its mirrored log, so redo starts at the log's
+    /// tail and offers nothing; analysis finds the old primary's
+    /// in-flight transactions and undo rolls them back with CLRs.
+    /// Builds still in flight are cancelled (§2.3.2): their progress
+    /// records and runs stayed in the old primary's blob store, so
+    /// nothing can resume them. Then the role flips and writes are
+    /// accepted. The caller must have stopped the WAL subscription
+    /// first — nothing may be applying records concurrently.
     pub fn promote_to_primary(&self) -> Result<RecoveryStats> {
         self.wal.flush_all();
-        let stats = self.restart()?;
+        let stats = self.recover(self.wal.tail_lsn())?;
+        let indexes = self.indexes.read().clone();
+        for idx in indexes {
+            if idx.state() != IndexState::Complete {
+                crate::build::cancel_builds(self, &[idx])?;
+            }
+        }
         self.set_replica(false);
         self.set_repl_lag(0);
         Ok(stats)
@@ -1018,8 +1028,8 @@ impl RecoveryTarget for Db {
                 Ok(())
             }
             LogPayload::CatalogUpdate { bytes } => {
-                // Dynamic role, not `cfg.replica`: a promoted follower
-                // replays its own snapshots as no-ops, like a primary.
+                // A follower applies shipped DDL; a primary's restart
+                // takes its catalog from the blob instead.
                 if self.is_replica() {
                     self.apply_catalog_update(bytes)
                 } else {

@@ -310,9 +310,8 @@ mod tests {
 
     #[test]
     fn replica_session_refuses_writes_until_promoted() {
-        let mut cfg = EngineConfig::small();
-        cfg.replica = true;
-        let db = Db::new(cfg);
+        let db = Db::new(EngineConfig::small());
+        db.set_replica(true);
         db.create_table(TableId(1));
         assert!(db.is_replica());
         let mut s = Session::new(db.clone());

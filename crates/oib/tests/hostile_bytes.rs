@@ -543,10 +543,8 @@ fn unknown_catalog_state_byte_is_corruption() {
 /// reserve them all before reading one.
 #[test]
 fn forged_catalog_update_count_is_corruption() {
-    let replica = Db::new(EngineConfig {
-        replica: true,
-        ..EngineConfig::small()
-    });
+    let replica = Db::new(EngineConfig::small());
+    replica.set_replica(true);
     let rec = LogRecord {
         lsn: Lsn(1),
         tx: TxId(0),

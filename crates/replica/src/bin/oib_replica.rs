@@ -5,7 +5,7 @@
 //!             [--max-lag-lsn N] [--promote-on-disconnect[=SECS]]
 //! ```
 //!
-//! Creates a fresh replica engine with table 1 (matching
+//! Creates a fresh engine with table 1 (matching
 //! `oib-server`'s schema), tails the primary's WAL stream, and serves
 //! its *own* wire endpoint. The endpoint answers bounded-staleness
 //! reads (`Read`/`Lookup` are refused with `Stale` whenever
@@ -67,10 +67,7 @@ fn main() {
         std::process::exit(2);
     };
 
-    let db = Db::new(EngineConfig {
-        replica: true,
-        ..EngineConfig::default()
-    });
+    let db = Db::new(EngineConfig::default());
     db.create_table(TableId(1));
 
     let replica = Replica::new(Arc::clone(&db), &primary);

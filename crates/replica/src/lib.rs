@@ -15,11 +15,12 @@
 //!   sent, and the LSNs it reuses reach the follower as fresh
 //!   records.
 //! * **Contiguous apply.** Records are applied strictly in LSN order
-//!   with no gaps. A frame that skips ahead (or repeats) makes the
-//!   follower drop the connection and resubscribe from
-//!   `applied + 1`, which the server validates against its flushed
-//!   tail — reconnect is always safe because `applied` only advances
-//!   over records the primary has durably flushed.
+//!   with no gaps, and the follower's own log holds exactly the
+//!   records it has redone: its tail is the apply point. A frame that
+//!   skips ahead (or repeats) makes the follower drop the connection
+//!   and resubscribe from `tail + 1`, which the server validates
+//!   against its flushed tail — reconnect is always safe because the
+//!   tail only advances over records the primary has durably flushed.
 //!
 //! The follower is two threads around one state: its lifecycle
 //! (following, stalled, stopping, promoting, promoted, severed), the
@@ -35,20 +36,24 @@
 //! the primary). It keeps reading ahead while a frame applies, so the
 //! lag the staleness bound checks sees the primary's flushed tail. The
 //! *apply* thread takes frames off the queue: each record is first
-//! **mirrored into the follower's own log** — the bytes the primary
-//! shipped are stored as they are (`LogManager::append_encoded`); the
-//! log allocates LSNs sequentially, so in-order mirroring reproduces
-//! the primary's LSNs exactly, and a mismatch means divergence and
-//! stalls the apply — then redone, then the frame is made durable with
-//! one `flush_to`. Mirroring is what makes [`Replica::promote`]
-//! possible: promotion stops the stream, waits while a frame is being
-//! applied, and runs ordinary ARIES restart over the mirrored log, so
+//! redone, then **mirrored into the follower's own log** — the bytes
+//! the primary shipped are stored as they are
+//! (`LogManager::append_encoded`); the log allocates LSNs
+//! sequentially, so in-order mirroring reproduces the primary's LSNs
+//! exactly, and a mismatch means divergence and stalls the apply —
+//! and the frame is made durable with one flush. A record whose redo
+//! fails is not mirrored, so the resubscribe fetches it again.
+//!
+//! Replication is restart's redo pass, run continuously; promotion is
+//! the rest of restart. [`Replica::promote`] stops the stream, waits
+//! while a frame is being applied, and runs analysis and undo over the
+//! mirrored log (`Db::promote_to_primary`) with nothing left to redo:
 //! the undo pass rolls back whatever transactions were still in flight
 //! on the dead primary.
 //!
 //! Index DDL rides the same stream as `CatalogUpdate` snapshot
-//! records; the engine applies them while `Db::is_replica()` holds
-//! (see `mohan_oib`).
+//! records; the engine applies them while `Db::is_replica()` holds,
+//! which [`Replica::new`] sets (see `mohan_oib`).
 
 #![warn(missing_docs)]
 
@@ -81,8 +86,9 @@ const QUEUE_MAX: u64 = 8192;
 /// What [`Replica::promote`] reports back.
 #[derive(Debug, Clone, Copy)]
 pub struct PromotionReport {
-    /// The new primary's log tail after restart (mirrored records
-    /// plus the CLRs the undo pass appended).
+    /// The new primary's log tail after promotion (mirrored records,
+    /// plus the CLRs the undo pass appended and the records of any
+    /// cancelled build).
     pub last_lsn: Lsn,
     /// In-flight transactions of the old primary rolled back by the
     /// restart-undo pass.
@@ -126,8 +132,8 @@ enum Phase {
     /// Subscribed, or between subscriptions, applying what arrives.
     Following,
     /// A frame failed to apply: the queue was discarded, and the
-    /// receive thread drops the connection and resubscribes from
-    /// `applied + 1`.
+    /// receive thread drops the connection and resubscribes from the
+    /// log's tail + 1.
     Stalled,
     /// [`Replica::stop`] was called.
     Stopping,
@@ -161,14 +167,12 @@ struct Follow {
     last_frame: Instant,
 }
 
-/// A replication follower: owns the local engine's apply position,
-/// the reconnect loop, and the promotion state machine.
+/// A replication follower: owns the reconnect loop, the apply loop
+/// and the promotion state machine. Its apply position is the local
+/// engine's log tail.
 pub struct Replica {
     db: Arc<Db>,
     addr: Mutex<String>,
-    /// Highest LSN applied locally; the resubscribe point is
-    /// `applied + 1`.
-    applied: AtomicU64,
     /// The primary's flushed LSN as of the last frame (heartbeats
     /// advance it even when no records flow).
     primary_flushed: AtomicU64,
@@ -184,9 +188,10 @@ pub struct Replica {
 
 impl Replica {
     /// Create a follower replaying into `db` from the primary at
-    /// `addr`. `db` must have been built with
-    /// `EngineConfig::replica = true`, or shipped index DDL
-    /// (`CatalogUpdate` records) would be silently dropped.
+    /// `addr`, and make `db` a follower (`Db::set_replica`): it refuses
+    /// writes and applies shipped index DDL (`CatalogUpdate` records).
+    /// Following starts after `db`'s log tail, so that log must be
+    /// empty or a mirror of the primary's.
     ///
     /// Registers the follower's gauges and histograms on the engine's
     /// registry: `repl.lag_lsn`, `repl.applied_lsn`,
@@ -195,16 +200,12 @@ impl Replica {
     /// `repl.batch_us`, `repl.apply_us`.
     #[must_use]
     pub fn new(db: Arc<Db>, addr: &str) -> Arc<Replica> {
-        assert!(
-            db.cfg.replica,
-            "Replica requires EngineConfig::replica = true"
-        );
+        db.set_replica(true);
         let batch_us = db.obs.histogram("repl.batch_us");
         let apply_us = db.obs.histogram("repl.apply_us");
         let r = Arc::new(Replica {
             db,
             addr: Mutex::new(addr.to_owned()),
-            applied: AtomicU64::new(0),
             primary_flushed: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             apply_errors: AtomicU64::new(0),
@@ -253,10 +254,11 @@ impl Replica {
         self.addr.lock().clone()
     }
 
-    /// Highest LSN applied locally.
+    /// Highest LSN applied locally: the local log's tail, which holds
+    /// exactly the records redone.
     #[must_use]
     pub fn applied_lsn(&self) -> Lsn {
-        Lsn(self.applied.load(Ordering::Acquire))
+        self.db.wal.tail_lsn()
     }
 
     /// The primary's flushed LSN as of the last received frame.
@@ -333,7 +335,7 @@ impl Replica {
             let attempt = {
                 let mut s = self.state.lock();
                 // Never resubscribe with frames still queued or being
-                // applied: the resubscribe point is `applied + 1`,
+                // applied: the resubscribe point is the log's tail + 1,
                 // which only reflects reality once the apply thread
                 // has drained.
                 while s.phase.following() && s.queued > 0 {
@@ -350,7 +352,7 @@ impl Replica {
             let addr = self.addr();
             let outcome = Client::connect(&addr).and_then(|client| {
                 client.set_read_timeout(Some(READ_TIMEOUT))?;
-                let from = self.applied.load(Ordering::Acquire) + 1;
+                let from = self.applied_lsn().0 + 1;
                 self.db
                     .obs
                     .trace()
@@ -375,7 +377,7 @@ impl Replica {
                     code: ErrorCode::LogTruncated { first_lsn },
                     ..
                 }) => {
-                    // Terminal: the records from `applied + 1` are gone
+                    // Terminal: the records from `tail + 1` are gone
                     // from the primary's log, and resubscribing would
                     // only be told so again. The queue is empty (the
                     // loop resubscribes only once it is), so stopping
@@ -385,7 +387,7 @@ impl Replica {
                     self.db.obs.trace().event(
                         "repl.severed",
                         format!("primary's log starts at {first_lsn}"),
-                        self.applied.load(Ordering::Acquire),
+                        self.applied_lsn().0,
                     );
                     break;
                 }
@@ -454,10 +456,11 @@ impl Replica {
     /// wins), which stops both loops; wait while a frame is being
     /// applied — at most the one in-flight frame, never the
     /// multi-second socket timeout; discard the received-but-unapplied
-    /// tail; then run ordinary ARIES restart over the mirrored log.
-    /// Redo is idempotent against the already-applied pages; the undo
-    /// pass rolls back the old primary's in-flight transactions with
-    /// CLRs. Finally the engine's dynamic role flips and writes are
+    /// tail; then finish restart over the mirrored log
+    /// (`Db::promote_to_primary`): nothing is redone — the apply thread
+    /// already did that — the undo pass rolls back the old primary's
+    /// in-flight transactions with CLRs, and builds still in flight are
+    /// cancelled. Finally the engine's role flips and writes are
     /// accepted.
     ///
     /// Discarding the queued tail is sound for the same reason a crash
@@ -514,8 +517,8 @@ impl Replica {
     }
 
     /// Receive one frame (runs on the receive thread). Returning false
-    /// drops the connection; the outer loop resubscribes from
-    /// `applied + 1`.
+    /// drops the connection; the outer loop resubscribes from the log's
+    /// tail + 1.
     fn on_frame(&self, flushed: u64, frame: Frame, expected: &mut u64) -> bool {
         let mut s = self.state.lock();
         if s.phase != Phase::Following {
@@ -571,8 +574,9 @@ impl Replica {
             s.queued -= frame.records.len() as u64;
             if !applied && s.phase == Phase::Following {
                 // Stall: discard the queue and make the receive thread
-                // drop the connection; the resubscribe from
-                // `applied + 1` re-fetches everything discarded here.
+                // drop the connection; the resubscribe from the log's
+                // tail + 1 re-fetches the failed record and everything
+                // discarded here.
                 s.queue.clear();
                 s.queued = 0;
                 s.phase = Phase::Stalled;
@@ -618,36 +622,32 @@ impl Replica {
             if let Some(span) = apply_span {
                 span.commit();
             }
-            self.applied.store(rec.lsn.0, Ordering::Release);
             true
         });
         // One durability point per frame, not per record (the mirrored
         // appends above only hit the in-memory tail).
-        self.db.wal.flush_to(self.applied_lsn());
+        self.db.wal.flush_all();
         if applied {
             self.batch_us.record_micros(started.elapsed());
         }
         applied
     }
 
-    /// Mirror one record into the local log — `encoded` is the bytes
-    /// `rec` was decoded from — then redo it.
+    /// Redo one record, then mirror it into the local log — `encoded`
+    /// is the bytes `rec` was decoded from.
     fn apply_record(&self, rec: &LogRecord, encoded: &[u8]) -> Result<()> {
         self.db.failpoints.hit("repl.apply.record")?;
-        // Mirror first: promotion's restart pass reads the local log,
-        // so every applied record must exist in it. The local
-        // allocator hands out LSNs sequentially and nothing else
-        // appends on a follower (sessions refuse writes), so in-order
-        // mirroring reproduces the primary's LSNs exactly — anything
-        // else is divergence (the append reports it) and must stall
-        // the apply.
-        self.db.wal.append_encoded(encoded)?;
-        // Transactions begun after promotion must never collide with
-        // ids the old primary handed out.
-        self.db.bump_tx_floor(rec.tx);
         if rec.is_redoable() {
             self.db.redo(rec)?;
         }
+        // Mirror second, so the log holds exactly what was redone: it
+        // is the apply point, and promotion's analysis and undo read
+        // it. The local allocator hands out LSNs sequentially and
+        // nothing else appends on a follower (sessions refuse writes),
+        // so in-order mirroring reproduces the primary's LSNs exactly —
+        // anything else is divergence (the append reports it) and must
+        // stall the apply.
+        self.db.wal.append_encoded(encoded)?;
         Ok(())
     }
 }

@@ -29,18 +29,10 @@ use std::time::Duration;
 const T: TableId = TableId(1);
 const CATCH_UP: Duration = Duration::from_secs(30);
 
-fn primary_engine() -> Arc<Db> {
+/// An engine with table 1: a primary, or — once a [`Replica`] runs
+/// over it — a follower.
+fn engine() -> Arc<Db> {
     let db = Db::new(EngineConfig {
-        lock_timeout_ms: 20_000,
-        ..EngineConfig::small()
-    });
-    db.create_table(T);
-    db
-}
-
-fn replica_engine() -> Arc<Db> {
-    let db = Db::new(EngineConfig {
-        replica: true,
         lock_timeout_ms: 20_000,
         ..EngineConfig::small()
     });
@@ -157,7 +149,7 @@ fn ix_spec(name: &str) -> IndexSpec {
 /// and `repl.reads_served` accounts for every follower read.
 #[test]
 fn follower_serves_reads_under_primary_churn_and_build() {
-    let primary = primary_engine();
+    let primary = engine();
     let rids = seed(&primary, 200);
     let psrv = Server::start(
         Arc::clone(&primary),
@@ -170,7 +162,7 @@ fn follower_serves_reads_under_primary_churn_and_build() {
     .expect("bind primary");
     let paddr = psrv.addr().to_string();
 
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &paddr);
     let apply = replica.spawn();
     converge(&primary, &replica);
@@ -245,11 +237,11 @@ fn follower_serves_reads_under_primary_churn_and_build() {
 #[test]
 fn follower_lookups_never_miss_a_committed_key_across_a_build_flip() {
     const ROWS: i64 = 5_000;
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, ROWS);
     let psrv = Server::start(Arc::clone(&primary), ServerConfig::default()).expect("bind primary");
     let paddr = psrv.addr().to_string();
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &paddr);
     let apply = replica.spawn();
     converge(&primary, &replica);
@@ -355,10 +347,10 @@ fn metric_names(addr: &str) -> BTreeSet<String> {
 /// follower's `SubscribeWal` stream, and its follower's.
 #[test]
 fn metric_names_are_design_s_table() {
-    let primary = primary_engine();
+    let primary = engine();
     let psrv = Server::start(Arc::clone(&primary), ServerConfig::default()).expect("bind primary");
     let paddr = psrv.addr().to_string();
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Arc::new(Replica::new(Arc::clone(&follower), &paddr));
     let apply = replica.spawn();
     let fsrv = follower_server(&follower, &replica, u64::MAX, &paddr);
@@ -397,7 +389,7 @@ fn metric_names_are_design_s_table() {
 /// stay answerable regardless of lag.
 #[test]
 fn stale_follower_rejects_reads_but_answers_observability() {
-    let follower = replica_engine();
+    let follower = engine();
     // No live replication needed: the gate reads `repl_lag`, which the
     // apply loop normally maintains and the test sets directly.
     follower.set_repl_lag(500);
@@ -439,7 +431,7 @@ fn stale_follower_rejects_reads_but_answers_observability() {
 /// client still gets served) and unknown protocol majors are refused.
 #[test]
 fn follower_bounces_writes_with_leader_hint_and_validates_hello() {
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), "127.0.0.1:1");
     let fsrv = follower_server(&follower, &replica, u64::MAX, "10.0.0.7:7878");
     let mut c = Client::connect(fsrv.addr().to_string()).unwrap();
@@ -488,7 +480,7 @@ fn follower_bounces_writes_with_leader_hint_and_validates_hello() {
 /// — immediately afterwards.
 #[test]
 fn promotion_after_primary_crash_loses_nothing_and_accepts_writes() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 100);
     let psrv = Server::start(
         Arc::clone(&primary),
@@ -501,7 +493,7 @@ fn promotion_after_primary_crash_loses_nothing_and_accepts_writes() {
     .expect("bind primary");
     let paddr = psrv.addr().to_string();
 
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &paddr);
     let apply = replica.spawn();
 

@@ -16,10 +16,10 @@ const T: TableId = TableId(1);
 
 fn engine(replica: bool) -> Arc<Db> {
     let db = Db::new(EngineConfig {
-        replica,
         lock_timeout_ms: 5_000,
         ..EngineConfig::small()
     });
+    db.set_replica(replica);
     db.create_table(T);
     db
 }

@@ -387,10 +387,8 @@ fn transaction_blocks_and_failure_states() {
 /// A follower engine with table 1, behind a pg listener whose
 /// staleness bound is 100 LSNs.
 fn replica_server() -> (Arc<Db>, Server) {
-    let db = Db::new(EngineConfig {
-        replica: true,
-        ..EngineConfig::small()
-    });
+    let db = Db::new(EngineConfig::small());
+    db.set_replica(true);
     db.create_table(TableId(1));
     let srv = Server::start(
         Arc::clone(&db),

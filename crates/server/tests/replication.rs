@@ -12,6 +12,7 @@
 use mohan_btree::scan::collect_all;
 use mohan_client::{Client, ClientError};
 use mohan_common::{EngineConfig, IndexEntry, IndexId, Lsn, TableId, TxId};
+use mohan_oib::build::build_index;
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::Record;
 use mohan_oib::verify::verify_index;
@@ -32,20 +33,10 @@ use std::time::Duration;
 const T: TableId = TableId(1);
 const CATCH_UP: Duration = Duration::from_secs(30);
 
-fn primary_engine() -> Arc<Db> {
+/// An engine with table 1: a primary, or — once a [`Replica`] runs
+/// over it — a follower.
+fn engine() -> Arc<Db> {
     let db = Db::new(EngineConfig {
-        lock_timeout_ms: 20_000,
-        ..EngineConfig::small()
-    });
-    db.create_table(T);
-    db
-}
-
-/// A follower engine: same schema, `replica` set so shipped
-/// `CatalogUpdate` records are applied instead of ignored.
-fn replica_engine() -> Arc<Db> {
-    let db = Db::new(EngineConfig {
-        replica: true,
         lock_timeout_ms: 20_000,
         ..EngineConfig::small()
     });
@@ -205,10 +196,6 @@ fn churn(
                             mine.swap_remove(j);
                             key -= 1; // key unused
                         }
-                        Err(ClientError::Busy) => {
-                            key -= 1; // not committed; retry a new op
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
                         Err(ClientError::Server {
                             code: ErrorCode::Draining,
                             ..
@@ -271,7 +258,7 @@ fn assert_identical(primary: &Arc<Db>, follower: &Arc<Db>, built: IndexId) {
 /// contents while the primary runs DML beside an online SF build.
 #[test]
 fn follower_converges_under_dml_while_sf_build_runs() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 300);
     let srv = server(
         &primary,
@@ -283,7 +270,7 @@ fn follower_converges_under_dml_while_sf_build_runs() {
     );
     let addr = addr_of(&srv);
 
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &addr);
     let apply = replica.spawn();
 
@@ -330,14 +317,14 @@ fn follower_converges_under_dml_while_sf_build_runs() {
 }
 
 /// Satellite (b): a dropped subscription (server drain) is survived by
-/// reconnecting and resubscribing from `applied + 1`.
+/// reconnecting and resubscribing from its log's tail + 1.
 #[test]
 fn follower_reconnects_after_server_restart_and_catches_up() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 50);
     let srv1 = server(&primary, ServerConfig::default());
 
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv1));
     let apply = replica.spawn();
     converge(&primary, &replica);
@@ -377,9 +364,9 @@ fn follower_reconnects_after_server_restart_and_catches_up() {
 /// insert into the bytes two of them released still applies.
 #[test]
 fn follower_applies_an_insert_into_bytes_committed_deletes_released() {
-    let primary = primary_engine();
+    let primary = engine();
     let srv = server(&primary, ServerConfig::default());
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv));
     let apply = replica.spawn();
 
@@ -417,7 +404,7 @@ fn follower_applies_an_insert_into_bytes_committed_deletes_released() {
 /// writes lost.
 #[test]
 fn primary_crash_restart_mid_subscription_loses_nothing() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 200);
     let srv1 = server(
         &primary,
@@ -429,7 +416,7 @@ fn primary_crash_restart_mid_subscription_loses_nothing() {
     );
     let addr1 = addr_of(&srv1);
 
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &addr1);
     let apply = replica.spawn();
 
@@ -461,8 +448,8 @@ fn primary_crash_restart_mid_subscription_loses_nothing() {
     primary.restart().expect("primary restart recovery");
 
     // The restarted primary serves from a fresh port; repoint the
-    // follower, which resubscribes from applied + 1 — always a valid
-    // start because `applied` only covers durably flushed records.
+    // follower, which resubscribes from its log's tail + 1 — always a
+    // valid start because the tail only covers durably flushed records.
     let srv2 = server(&primary, ServerConfig::default());
     let addr2 = addr_of(&srv2);
     replica.set_addr(&addr2);
@@ -508,7 +495,7 @@ fn primary_crash_restart_mid_subscription_loses_nothing() {
 /// structured error rather than hanging the flush/tail machinery.
 #[test]
 fn subscribe_from_lsn_is_validated() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 10);
     primary.wal.flush_all();
     let flushed = primary.wal.flushed_lsn().0;
@@ -531,7 +518,7 @@ fn subscribe_from_lsn_is_validated() {
 /// hanging up must release it through the reap path.
 #[test]
 fn subscriber_disconnect_releases_admission_slot() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 10);
     primary.wal.flush_all();
     let srv = server(
@@ -579,7 +566,7 @@ fn subscriber_disconnect_releases_admission_slot() {
 #[test]
 fn oversized_record_ships_alone_without_breaking_stream() {
     const BIG: usize = 3 << 20;
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 20);
     primary.wal.flush_all();
     let srv = server(&primary, ServerConfig::default());
@@ -660,7 +647,7 @@ fn oversized_record_ships_alone_without_breaking_stream() {
 /// runs, without the client sending another byte.
 #[test]
 fn frame_queued_behind_an_unshippable_record_runs() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 10);
     // The record below grows the log past the background checkpointer's
     // trigger; this pin keeps everything from LSN 1 on.
@@ -810,7 +797,7 @@ impl Proxy {
 /// with every committed key and a verifying index.
 #[test]
 fn stalled_follower_survives_a_checkpoint_mid_build() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 300);
     let srv = server(
         &primary,
@@ -825,7 +812,7 @@ fn stalled_follower_survives_a_checkpoint_mid_build() {
     let addr = addr_of(&srv);
     let proxy = Proxy::start(addr.clone());
 
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &proxy.addr);
     let apply = replica.spawn();
     converge(&primary, &replica);
@@ -902,7 +889,7 @@ fn filler(db: &Db, mib: usize) {
 /// it stops, instead of resubscribing to the same answer forever.
 #[test]
 fn a_subscription_below_the_truncation_point_is_refused_for_good() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 200);
     primary.checkpoint().unwrap();
     let first = primary.wal.first_lsn().0;
@@ -922,7 +909,7 @@ fn a_subscription_below_the_truncation_point_is_refused_for_good() {
     }
     drop(c);
 
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv));
     let run = replica.spawn();
     // Returns as soon as the follower is severed.
@@ -945,7 +932,7 @@ fn a_subscription_below_the_truncation_point_is_refused_for_good() {
 /// order.
 #[test]
 fn a_stalled_subscriber_pins_the_log_at_its_cursor() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 50);
     // Below the checkpoint trigger, and far more than the socket
     // buffers hold.
@@ -996,10 +983,10 @@ fn a_stalled_subscriber_pins_the_log_at_its_cursor() {
 }
 
 /// A follower whose apply fails stalls: it discards its queue, drops
-/// the connection, resubscribes from `applied + 1` and converges.
+/// the connection, resubscribes from its log's tail + 1 and converges.
 #[test]
 fn a_failed_apply_stalls_resubscribes_and_converges() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 200);
     let srv = server(
         &primary,
@@ -1010,7 +997,7 @@ fn a_failed_apply_stalls_resubscribes_and_converges() {
         },
     );
     let addr = addr_of(&srv);
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &addr);
     let apply = replica.spawn();
     converge(&primary, &replica);
@@ -1056,7 +1043,7 @@ fn a_failed_apply_stalls_resubscribes_and_converges() {
 /// writes with every index whole and nothing left queued.
 #[test]
 fn promotion_waits_out_the_frame_being_applied() {
-    let primary = primary_engine();
+    let primary = engine();
     seed(&primary, 100);
     let srv = server(&primary, ServerConfig::default());
     let addr = addr_of(&srv);
@@ -1069,7 +1056,7 @@ fn promotion_waits_out_the_frame_being_applied() {
             |_, _, _| {},
         )
         .expect("SF build")[0];
-    let follower = replica_engine();
+    let follower = engine();
     let replica = Replica::new(Arc::clone(&follower), &addr);
     let run = replica.spawn();
     converge(&primary, &replica);
@@ -1136,4 +1123,152 @@ fn promotion_waits_out_the_frame_being_applied() {
     replica.stop();
     srv.drain();
     run.join().unwrap();
+}
+
+/// A record whose redo fails is not mirrored, so the resubscribe offers
+/// it again. The primary inserts into a table the follower lacks
+/// (`create_table` is not logged): the redo fails, and a hook creates
+/// the table as the record comes round a second time.
+#[test]
+fn a_record_whose_redo_failed_is_fetched_again() {
+    const T2: TableId = TableId(2);
+    let primary = engine();
+    seed(&primary, 20);
+    let srv = server(&primary, ServerConfig::default());
+    let follower = engine();
+    let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv));
+    let run = replica.spawn();
+    converge(&primary, &replica);
+
+    // The follower applies the transaction's begin (hit 1) and its
+    // insert (hit 2, whose redo fails), then, resubscribed, the insert
+    // again (hit 3).
+    let again = Arc::clone(&follower);
+    follower
+        .failpoints
+        .arm_hook("repl.apply.record", 2, move || {
+            again.create_table(T2);
+        });
+    primary.create_table(T2);
+    let tx = primary.begin();
+    primary.insert_record(tx, T2, &Record(vec![7, 7])).unwrap();
+    primary.commit(tx).unwrap();
+
+    let flushed = converge(&primary, &replica);
+    let metrics = follower.obs.snapshot();
+    assert_eq!(metrics.counter("repl.apply_errors"), Some(1));
+    assert_eq!(
+        follower.wal.tail_lsn(),
+        flushed,
+        "the mirror is the apply point"
+    );
+    assert_eq!(
+        primary.table_scan(T2).unwrap(),
+        follower.table_scan(T2).unwrap()
+    );
+
+    replica.stop();
+    srv.drain();
+    run.join().unwrap();
+}
+
+/// Promotion cancels the builds it cannot finish (§2.3.2): their
+/// progress records stayed in the old primary's blob store. An SF build
+/// dies mid-load on the primary and committed inserts go to its
+/// side-file; the promoted follower drops the index, its side-file no
+/// longer holds the log back, and the same build then completes.
+#[test]
+fn promotion_cancels_the_builds_it_cannot_finish() {
+    let primary = engine();
+    seed(&primary, 200);
+    let srv = server(&primary, ServerConfig::default());
+    let follower = engine();
+    let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv));
+    let run = replica.spawn();
+    converge(&primary, &replica);
+    primary.checkpoint().unwrap();
+
+    primary.failpoints.arm("sf.load.key");
+    let err = build_index(&primary, T, ix_spec("ix_half"), BuildAlgorithm::Sf).unwrap_err();
+    assert!(err.is_crash(), "{err}");
+    let half = primary.indexes_of(T)[0].def.id;
+    let tx = primary.begin();
+    for k in 0..50 {
+        primary
+            .insert_record(tx, T, &Record(vec![1_000 + k, 0]))
+            .unwrap();
+    }
+    primary.commit(tx).unwrap();
+    converge(&primary, &replica);
+    let idx = follower.index(half).expect("the build's index replicated");
+    assert_eq!(idx.state(), IndexState::SfBuilding);
+    let first_append = idx
+        .side_file
+        .open_first_lsn()
+        .expect("the inserts went to the side-file");
+
+    replica.promote().expect("promotion");
+    assert!(
+        follower.indexes_of(T).is_empty(),
+        "the half-built index survived promotion"
+    );
+    let tx = follower.begin();
+    for k in 0..50 {
+        follower
+            .insert_record(tx, T, &Record(vec![2_000 + k, 0]))
+            .unwrap();
+    }
+    follower.commit(tx).unwrap();
+    follower.checkpoint().unwrap();
+    assert!(
+        follower.wal.first_lsn() > first_append,
+        "the log is held at the cancelled side-file's first append {}",
+        first_append.0
+    );
+    let rebuilt = build_index(&follower, T, ix_spec("ix_half"), BuildAlgorithm::Sf)
+        .expect("the same build on the promoted engine");
+    verify_index(&follower, rebuilt).expect("the rebuilt index verifies");
+
+    replica.stop();
+    srv.drain();
+    run.join().unwrap();
+}
+
+/// Promotion is the rest of restart: the follower has redone every
+/// record it mirrored, so promotion redoes none, undoes the transaction
+/// the primary left open, and numbers new transactions above every id
+/// in the log.
+#[test]
+fn promotion_redoes_nothing_and_keeps_transaction_ids_ahead() {
+    let primary = engine();
+    seed(&primary, 100);
+    let srv = server(&primary, ServerConfig::default());
+    let follower = engine();
+    let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv));
+    let run = replica.spawn();
+    converge(&primary, &replica);
+    primary.checkpoint().unwrap();
+    seed(&primary, 100);
+    let open = primary.begin();
+    let orphan = primary
+        .insert_record(open, T, &Record(vec![-1, 0]))
+        .unwrap();
+    converge(&primary, &replica);
+    replica.stop();
+    run.join().unwrap();
+
+    let max_tx = follower.wal.iter_from(Lsn::NULL).map(|r| r.tx).max();
+    assert_eq!(max_tx, Some(open));
+    let stats = follower.promote_to_primary().expect("promotion");
+    assert_eq!((stats.redone, stats.losers), (0, 1), "{stats:?}");
+    assert!(
+        follower.read_record(T, orphan).is_err(),
+        "the open transaction's row survived promotion"
+    );
+    let next = follower.begin();
+    assert!(next > open, "{next:?} reuses an id of the old primary's");
+    follower.commit(next).unwrap();
+
+    primary.rollback(open).unwrap();
+    srv.drain();
 }

@@ -152,7 +152,6 @@ fn pg_create_index_links_one_span_tree_across_primary_and_follower() {
     let pg_addr = srv.pg_addr().expect("pg listener").to_string();
 
     let follower = Db::new(EngineConfig {
-        replica: true,
         lock_timeout_ms: 20_000,
         ..EngineConfig::small()
     });

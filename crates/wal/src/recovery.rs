@@ -45,6 +45,8 @@ pub struct AnalysisResult {
     pub losers: HashMap<TxId, Lsn>,
     /// Records scanned.
     pub scanned: u64,
+    /// The highest transaction id any scanned record carries.
+    pub max_tx: TxId,
 }
 
 /// Scan the log and find loser transactions. Analysis starts from the
@@ -59,6 +61,7 @@ pub fn analyze(log: &LogManager) -> AnalysisResult {
     let mut res = AnalysisResult::default();
     for rec in log.headers_from(Lsn(log.first_lsn().0 - 1)) {
         res.scanned += 1;
+        res.max_tx = res.max_tx.max(rec.tx);
         match rec.tag {
             TX_BEGIN => {
                 res.losers.insert(rec.tx, rec.lsn);
@@ -142,28 +145,38 @@ pub struct RecoveryStats {
     pub redone: u64,
     /// Loser transactions rolled back.
     pub losers: u64,
-    /// Where redo began (the last checkpoint's `redo_start`, or
-    /// [`Lsn::NULL`] when the log had no checkpoint).
+    /// Where redo began: it offered the records after this LSN.
     pub redo_start: Lsn,
+    /// The highest transaction id in the log (analysis): new
+    /// transactions must be numbered above it.
+    pub max_tx: TxId,
 }
 
-/// Full restart recovery: analysis, redo (repeat history), then a
-/// single merged undo pass over all losers in globally descending LSN
-/// order (true ARIES order — interleaved losers' inverses apply
-/// newest-first), ending each loser with `TxEnd`.
-pub fn recover<T: RecoveryTarget>(log: &LogManager, target: &T) -> Result<RecoveryStats> {
+/// Full restart recovery: analysis, redo (repeat history) of the
+/// records after `redo_start`, then a single merged undo pass over all
+/// losers in globally descending LSN order (true ARIES order —
+/// interleaved losers' inverses apply newest-first), ending each loser
+/// with `TxEnd`.
+///
+/// After a crash, `redo_start` is [`checkpoint_redo_start`]: the
+/// checkpoint forced every page, so earlier records can only re-apply
+/// as no-ops — skipping them is what keeps restart cost proportional to
+/// work since the checkpoint. A state that has already redone the
+/// whole log (a replication follower being promoted) passes the log's
+/// tail, and nothing is redone.
+pub fn recover<T: RecoveryTarget>(
+    log: &LogManager,
+    target: &T,
+    redo_start: Lsn,
+) -> Result<RecoveryStats> {
     let analysis = analyze(log);
-    let redo_start = checkpoint_redo_start(log);
     let mut stats = RecoveryStats {
         analyzed: analysis.scanned,
         redo_start,
+        max_tx: analysis.max_tx,
         ..RecoveryStats::default()
     };
 
-    // Redo repeats history from the last checkpoint's redo window, not
-    // the log head: the checkpoint forced every page, so earlier
-    // records can only re-apply as no-ops — skipping them is what
-    // keeps restart cost proportional to work since the checkpoint.
     // Each record is decoded as the walk reaches it and dropped after.
     for rec in log.iter_from(redo_start) {
         if rec.is_redoable() {
@@ -329,7 +342,7 @@ mod tests {
         // Crash without commit. Redo must skip the undo-only record,
         // undo must apply its inverse.
         let _ = l1;
-        recover(&log, &target).unwrap();
+        recover(&log, &target, checkpoint_redo_start(&log)).unwrap();
         assert_eq!(target.state.lock()[&b'y'], -3);
     }
 
@@ -345,7 +358,7 @@ mod tests {
         log.append(TxId(2), b2, RecKind::UndoRedo, delta_payload(b'z', 100));
         log.flush_all();
 
-        let stats = recover(&log, &target).unwrap();
+        let stats = recover(&log, &target, checkpoint_redo_start(&log)).unwrap();
         assert_eq!(target.state.lock()[&b'z'], 10);
         assert_eq!(stats.losers, 1);
         // The loser's chain ends with TxEnd so a second recovery
@@ -378,7 +391,7 @@ mod tests {
 
         // ToyTarget redo is deliberately not idempotent (it re-adds
         // deltas), so redoing the pre-checkpoint +5 would be visible.
-        let stats = recover(&log, &target).unwrap();
+        let stats = recover(&log, &target, checkpoint_redo_start(&log)).unwrap();
         assert_eq!(target.state.lock()[&b'a'], 7);
         assert_eq!(stats.redo_start, redo_start);
         // Redo covered only the checkpoint + tx 2's records.
@@ -386,6 +399,29 @@ mod tests {
         // Analysis still walked the full history.
         assert_eq!(stats.analyzed, 7);
         assert_eq!(checkpoint_redo_start(&log), redo_start);
+    }
+
+    #[test]
+    fn redo_from_the_tail_offers_nothing_and_still_undoes_losers() {
+        let (log, target) = setup();
+        // Committed tx 3 (+4) and loser tx 7 (+9), both already applied
+        // to the target, as on a follower that redid every record.
+        let b3 = log.append(TxId(3), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxBegin);
+        let l3 = log.append(TxId(3), b3, RecKind::UndoRedo, delta_payload(b'p', 4));
+        log.append(TxId(3), l3, RecKind::RedoOnly, LogPayload::TxCommit);
+        let b7 = log.append(TxId(7), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxBegin);
+        let l7 = log.append(TxId(7), b7, RecKind::UndoRedo, delta_payload(b'p', 9));
+        for lsn in [l3, l7] {
+            target.redo(&log.get(lsn).unwrap()).unwrap();
+        }
+        log.flush_all();
+
+        // ToyTarget redo is not idempotent: a redone record would show.
+        let stats = recover(&log, &target, log.tail_lsn()).unwrap();
+        assert_eq!(stats.redone, 0);
+        assert_eq!(stats.losers, 1);
+        assert_eq!(stats.max_tx, TxId(7));
+        assert_eq!(target.state.lock()[&b'p'], 4);
     }
 
     #[test]
@@ -398,7 +434,7 @@ mod tests {
 
         // First recovery on a fresh state replays +1 +2 then undoes
         // both via CLRs.
-        recover(&log, &target).unwrap();
+        recover(&log, &target, checkpoint_redo_start(&log)).unwrap();
         assert_eq!(target.state.lock()[&b'w'], 0);
         let _ = l2;
 
@@ -411,7 +447,7 @@ mod tests {
         };
         // Reuse the same log but a fresh target whose CLRs would go to
         // a scratch log (none are written since no losers remain).
-        recover(&log, &target2).unwrap();
+        recover(&log, &target2, checkpoint_redo_start(&log)).unwrap();
         assert_eq!(target2.state.lock()[&b'w'], 0);
     }
 }
