@@ -18,8 +18,9 @@
 //! * a leaf cursor every reader streams through, structural
 //!   verification and the clustering statistics experiment E4 reports.
 //!
-//! Pages are bytes ([`node`]): a slotted layout of `page_size` bytes
-//! that the cache frame holds and the durable image copies.
+//! Pages are bytes ([`node`]): a slotted layout of `page_size` bytes in
+//! one shared buffer, which the cache frame and the durable image both
+//! hold until the page's next change copies it.
 //!
 //! Latching: descents crab from an anchor page (which names the root)
 //! downward — share mode for reads, exclusive for updates, releasing

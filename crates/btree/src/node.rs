@@ -1,9 +1,10 @@
 //! Index pages as bytes.
 //!
-//! A [`Node`] *is* its page: one buffer of the tree's `page_size` bytes.
-//! The cache frame holds it, and the durable image is a copy of it.
-//! Searches, flag flips, inserts, deletes and splits work on the bytes in
-//! place; no entry is ever decoded into an object of its own.
+//! A [`Node`] *is* its page: one shared buffer of the tree's `page_size`
+//! bytes. The cache frame and the page's durable image hold the same
+//! buffer; the first change after a force copies it. Searches, flag
+//! flips, inserts, deletes and splits work on the bytes in place; no
+//! entry is ever decoded into an object of its own.
 //!
 //! ```text
 //! [0]        kind: 0 anchor, 1 internal, 2 leaf
@@ -34,19 +35,21 @@
 //! metadata.
 //!
 //! **Validation.** A page read from bytes is checked once, as it is
-//! copied in: a known kind, the length field equal to the buffer's
-//! length, the directory below the cells, every slot and the fence naming
-//! a whole cell at or above `cells`, flags 0 or 1 (0 in an internal page
-//! and the fence), a fence only on a leaf, no entries on the anchor, and
-//! `dead` equal to the bytes the named cells leave unclaimed. Every
-//! accessor a page of its kind serves then reads in bounds. Order is not
-//! checked here; `scan::verify_structure` checks it.
+//! adopted (a cache read-back) or copied in (a blob): a known kind, the
+//! length field equal to the buffer's length, the directory below the
+//! cells, every slot and the fence naming a whole cell at or above
+//! `cells`, flags 0 or 1 (0 in an internal page and the fence), a fence
+//! only on a leaf, no entries on the anchor, and `dead` equal to the
+//! bytes the named cells leave unclaimed. Every accessor a page of its
+//! kind serves then reads in bounds. Order is not checked here;
+//! `scan::verify_structure` checks it.
 
-use mohan_common::codec::{decode, Cursor, Wire};
+use mohan_common::codec::{Cursor, Wire};
 use mohan_common::{Error, IndexEntry, KeyValue, PageId, Result, Rid};
 use mohan_storage::PagePayload;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Header bytes of every page.
 pub const HDR: usize = 19;
@@ -111,10 +114,11 @@ impl EntryRef<'_> {
     }
 }
 
-/// An index page: its bytes (module doc).
+/// An index page: its bytes (module doc). A clone shares them until
+/// either side changes.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Node {
-    buf: Box<[u8]>,
+    buf: Arc<[u8]>,
 }
 
 /// Where a split prefers to divide a page.
@@ -134,15 +138,15 @@ impl Node {
             (HDR..=usize::from(u16::MAX)).contains(&len),
             "index page size {len} out of range"
         );
-        let mut n = Node {
-            buf: vec![0; len].into_boxed_slice(),
-        };
-        n.buf[KIND] = kind as u8;
-        n.put16(LEN, len);
-        n.put16(CELLS, len);
-        n.put32(LINK, NO_PAGE);
-        n.put32(CHILD, NO_PAGE);
-        n
+        // Collected straight into the shared buffer: one allocation.
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        let b = Arc::make_mut(&mut buf);
+        b[KIND] = kind as u8;
+        put16(b, LEN, len);
+        put16(b, CELLS, len);
+        put32(b, LINK, NO_PAGE);
+        put32(b, CHILD, NO_PAGE);
+        Node { buf }
     }
 
     /// The anchor page naming `root` and the tree `height`.
@@ -164,7 +168,7 @@ impl Node {
     #[must_use]
     pub fn internal(page_size: usize, leftmost: PageId) -> Node {
         let mut n = Node::blank(Kind::Internal, page_size);
-        n.put32(CHILD, leftmost.0);
+        put32(n.bytes_mut(), CHILD, leftmost.0);
         n
     }
 
@@ -189,34 +193,24 @@ impl Node {
     // ----- header ------------------------------------------------------
 
     fn get16(&self, at: usize) -> usize {
-        usize::from(u16::from_be_bytes([self.buf[at], self.buf[at + 1]]))
+        get16(&self.buf, at)
     }
 
     fn get32(&self, at: usize) -> u32 {
-        u32::from_be_bytes([
-            self.buf[at],
-            self.buf[at + 1],
-            self.buf[at + 2],
-            self.buf[at + 3],
-        ])
+        get32(&self.buf, at)
     }
 
-    fn put16(&mut self, at: usize, v: usize) {
-        self.buf[at..at + 2].copy_from_slice(&(v as u16).to_be_bytes());
-    }
-
-    fn put32(&mut self, at: usize, v: u32) {
-        self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
+    /// The bytes to write. Copies them first if an image or a clone
+    /// still shares them, so each change takes this once and writes
+    /// through it.
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.buf)
     }
 
     /// What the page holds.
     #[must_use]
     pub fn kind(&self) -> Kind {
-        match self.buf[KIND] {
-            0 => Kind::Anchor,
-            1 => Kind::Internal,
-            _ => Kind::Leaf,
-        }
+        kind(&self.buf)
     }
 
     /// Is this a leaf?
@@ -241,13 +235,13 @@ impl Node {
     /// cell a slot or the fence names.
     #[must_use]
     pub fn size(&self) -> usize {
-        HDR + SLOT * self.count() + self.buf.len() - self.get16(CELLS) - self.get16(DEAD)
+        size(&self.buf)
     }
 
     /// Bytes an insert can still use (after compaction).
     #[must_use]
     pub fn free(&self) -> usize {
-        self.buf.len() - self.size()
+        free(&self.buf)
     }
 
     /// The anchor's root page.
@@ -267,8 +261,9 @@ impl Node {
     /// Point the anchor at `root` with `height`.
     pub fn set_anchor(&mut self, root: PageId, height: u32) {
         debug_assert_eq!(self.kind(), Kind::Anchor);
-        self.put32(CHILD, root.0);
-        self.put32(LINK, height);
+        let b = self.bytes_mut();
+        put32(b, CHILD, root.0);
+        put32(b, LINK, height);
     }
 
     /// A leaf's right sibling.
@@ -282,7 +277,7 @@ impl Node {
     /// Set a leaf's right sibling.
     pub fn set_next(&mut self, next: Option<PageId>) {
         debug_assert_eq!(self.kind(), Kind::Leaf);
-        self.put32(LINK, next.map_or(NO_PAGE, |p| p.0));
+        put32(self.bytes_mut(), LINK, next.map_or(NO_PAGE, |p| p.0));
     }
 
     /// Upper bound of a leaf's key range, fixed at split time (`None` =
@@ -300,15 +295,15 @@ impl Node {
     // ----- cells -------------------------------------------------------
 
     fn slot(&self, i: usize) -> usize {
-        self.get16(HDR + SLOT * i)
+        slot(&self.buf, i)
     }
 
     fn cell_len(&self, off: usize, with_child: bool) -> usize {
-        CELL_FIXED + self.get16(off + 1) + if with_child { CHILD_BYTES } else { 0 }
+        cell_len(&self.buf, off, with_child)
     }
 
     fn slot_cell_len(&self, off: usize) -> usize {
-        self.cell_len(off, self.kind() == Kind::Internal)
+        slot_cell_len(&self.buf, off)
     }
 
     fn read(&self, off: usize) -> EntryRef<'_> {
@@ -394,47 +389,13 @@ impl Node {
 
     // ----- in-place changes ----------------------------------------------
 
-    /// Make `cell + slot` contiguous bytes free, compacting if the gap
-    /// between directory and cells is too small.
-    fn make_room(&mut self, cell: usize, slot: usize) -> Result<()> {
-        if self.free() < cell + slot {
-            return Err(Error::Corruption(format!(
-                "index page overflow: {} bytes free, {} needed",
-                self.free(),
-                cell + slot
-            )));
-        }
-        if self.get16(CELLS) - (HDR + SLOT * self.count()) < cell + slot {
-            self.compact();
-        }
-        Ok(())
-    }
-
-    /// Claim `len` cell bytes below the lowest cell; room was made.
-    fn carve(&mut self, len: usize) -> usize {
-        let off = self.get16(CELLS) - len;
-        self.put16(CELLS, off);
-        off
-    }
-
-    /// Open slot `i` for a cell of `len` bytes and return its offset.
-    fn open_slot(&mut self, i: usize, len: usize) -> Result<usize> {
-        self.make_room(len, SLOT)?;
-        let n = self.count();
-        let at = HDR + SLOT * i;
-        self.buf.copy_within(at..HDR + SLOT * n, at + SLOT);
-        let off = self.carve(len);
-        self.put16(at, off);
-        self.put16(COUNT, n + 1);
-        Ok(off)
-    }
-
     /// Insert `e` as leaf entry `i`.
     pub fn insert(&mut self, i: usize, e: &IndexEntry, pseudo: bool) -> Result<()> {
         debug_assert_eq!(self.kind(), Kind::Leaf);
         let len = CELL_FIXED + e.key.len();
-        let off = self.open_slot(i, len)?;
-        put_cell(&mut self.buf[off..off + len], u8::from(pseudo), e, None);
+        let b = self.bytes_mut();
+        let off = open_slot(b, i, len)?;
+        put_cell(&mut b[off..off + len], u8::from(pseudo), e, None);
         Ok(())
     }
 
@@ -442,84 +403,41 @@ impl Node {
     pub fn insert_sep(&mut self, i: usize, e: &IndexEntry, child: PageId) -> Result<()> {
         debug_assert_eq!(self.kind(), Kind::Internal);
         let len = CELL_FIXED + e.key.len() + CHILD_BYTES;
-        let off = self.open_slot(i, len)?;
-        put_cell(&mut self.buf[off..off + len], 0, e, Some(child));
+        let b = self.bytes_mut();
+        let off = open_slot(b, i, len)?;
+        put_cell(&mut b[off..off + len], 0, e, Some(child));
         Ok(())
-    }
-
-    /// Append a cell copied from another page of the same kind; room
-    /// was checked by the caller.
-    fn push_raw(&mut self, cell: &[u8]) {
-        let n = self.count();
-        let off = self
-            .open_slot(n, cell.len())
-            .expect("split halves are sized to fit");
-        self.buf[off..off + cell.len()].copy_from_slice(cell);
     }
 
     /// Remove entry (or separator) `i`; its bytes become dead.
     pub fn remove(&mut self, i: usize) {
-        let n = self.count();
-        let len = self.slot_cell_len(self.slot(i));
-        self.put16(DEAD, self.get16(DEAD) + len);
+        let b = self.bytes_mut();
+        let n = count(b);
+        let len = slot_cell_len(b, slot(b, i));
+        put16(b, DEAD, get16(b, DEAD) + len);
         let at = HDR + SLOT * i;
-        self.buf.copy_within(at + SLOT..HDR + SLOT * n, at);
-        self.put16(COUNT, n - 1);
+        b.copy_within(at + SLOT..HDR + SLOT * n, at);
+        put16(b, COUNT, n - 1);
     }
 
     /// Keep the first `n` entries (or separators).
     pub fn truncate(&mut self, n: usize) {
-        let gone: usize = (n..self.count())
-            .map(|i| self.slot_cell_len(self.slot(i)))
-            .sum();
-        self.put16(DEAD, self.get16(DEAD) + gone);
-        self.put16(COUNT, n.min(self.count()));
+        let b = self.bytes_mut();
+        let gone: usize = (n..count(b)).map(|i| slot_cell_len(b, slot(b, i))).sum();
+        put16(b, DEAD, get16(b, DEAD) + gone);
+        put16(b, COUNT, n.min(count(b)));
     }
 
     /// Set or clear leaf entry `i`'s pseudo-deleted bit.
     pub fn set_pseudo(&mut self, i: usize, pseudo: bool) {
-        let off = self.slot(i);
-        self.buf[off] = u8::from(pseudo);
+        let b = self.bytes_mut();
+        let off = slot(b, i);
+        b[off] = u8::from(pseudo);
     }
 
     /// Replace a leaf's high fence.
     pub fn set_high_fence(&mut self, fence: Option<&IndexEntry>) -> Result<()> {
-        let old = self.get16(FENCE);
-        if old != 0 {
-            let len = self.cell_len(old, false);
-            self.put16(DEAD, self.get16(DEAD) + len);
-            self.put16(FENCE, 0);
-        }
-        if let Some(f) = fence {
-            let len = Node::fence_cost(f);
-            self.make_room(len, 0)?;
-            let off = self.carve(len);
-            put_cell(&mut self.buf[off..off + len], 0, f, None);
-            self.put16(FENCE, off);
-        }
-        Ok(())
-    }
-
-    /// Rewrite the named cells end to end at the top of the page.
-    fn compact(&mut self) {
-        let from = self.clone();
-        let mut end = self.buf.len();
-        for i in 0..from.count() {
-            let off = from.slot(i);
-            let len = from.slot_cell_len(off);
-            end -= len;
-            self.buf[end..end + len].copy_from_slice(&from.buf[off..off + len]);
-            self.put16(HDR + SLOT * i, end);
-        }
-        let fence = from.get16(FENCE);
-        if fence != 0 {
-            let len = from.cell_len(fence, false);
-            end -= len;
-            self.buf[end..end + len].copy_from_slice(&from.buf[fence..fence + len]);
-            self.put16(FENCE, end);
-        }
-        self.put16(CELLS, end);
-        self.put16(DEAD, 0);
+        set_high_fence(self.bytes_mut(), fence)
     }
 
     // ----- splits ----------------------------------------------------------
@@ -624,15 +542,16 @@ impl Node {
             let right = Node::internal(page, cell_child(up));
             (Node::internal(page, self.child(0)), right, at + 1)
         };
+        let (l, r) = (left.bytes_mut(), right.bytes_mut());
         for i in 0..at {
-            left.push_raw(self.combined(pos, cell, i));
+            push_raw(l, self.combined(pos, cell, i));
         }
         for i in right_from..m {
-            right.push_raw(self.combined(pos, cell, i));
+            push_raw(r, self.combined(pos, cell, i));
         }
         if self.is_leaf() {
-            left.set_high_fence(Some(&sep))?;
-            right.set_high_fence(self.high_fence().map(|f| f.to_entry()).as_ref())?;
+            set_high_fence(l, Some(&sep))?;
+            set_high_fence(r, self.high_fence().map(|f| f.to_entry()).as_ref())?;
         }
         Ok((left, sep, right))
     }
@@ -655,7 +574,7 @@ impl Node {
     }
 
     /// The module doc's validation rule.
-    fn checked(buf: Box<[u8]>) -> Option<Node> {
+    fn checked(buf: Arc<[u8]>) -> Option<Node> {
         let n = Node { buf };
         let len = n.buf.len();
         if len < HDR || n.get16(LEN) != len || n.buf[KIND] > Kind::Leaf as u8 {
@@ -682,6 +601,140 @@ impl Node {
         }
         (live + dead == len - cells).then_some(n)
     }
+}
+
+// ----- the bytes, read and written in place ---------------------------------
+
+fn get16(b: &[u8], at: usize) -> usize {
+    usize::from(u16::from_be_bytes([b[at], b[at + 1]]))
+}
+
+fn get32(b: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+fn put16(b: &mut [u8], at: usize, v: usize) {
+    b[at..at + 2].copy_from_slice(&(v as u16).to_be_bytes());
+}
+
+fn put32(b: &mut [u8], at: usize, v: u32) {
+    b[at..at + 4].copy_from_slice(&v.to_be_bytes());
+}
+
+fn kind(b: &[u8]) -> Kind {
+    match b[KIND] {
+        0 => Kind::Anchor,
+        1 => Kind::Internal,
+        _ => Kind::Leaf,
+    }
+}
+
+fn count(b: &[u8]) -> usize {
+    get16(b, COUNT)
+}
+
+fn slot(b: &[u8], i: usize) -> usize {
+    get16(b, HDR + SLOT * i)
+}
+
+fn cell_len(b: &[u8], off: usize, with_child: bool) -> usize {
+    CELL_FIXED + get16(b, off + 1) + if with_child { CHILD_BYTES } else { 0 }
+}
+
+fn slot_cell_len(b: &[u8], off: usize) -> usize {
+    cell_len(b, off, kind(b) == Kind::Internal)
+}
+
+/// [`Node::size`].
+fn size(b: &[u8]) -> usize {
+    HDR + SLOT * count(b) + b.len() - get16(b, CELLS) - get16(b, DEAD)
+}
+
+/// [`Node::free`].
+fn free(b: &[u8]) -> usize {
+    b.len() - size(b)
+}
+
+/// Make `cell + slot` contiguous bytes free, compacting if the gap
+/// between directory and cells is too small.
+fn make_room(b: &mut [u8], cell: usize, slot: usize) -> Result<()> {
+    if free(b) < cell + slot {
+        return Err(Error::Corruption(format!(
+            "index page overflow: {} bytes free, {} needed",
+            free(b),
+            cell + slot
+        )));
+    }
+    if get16(b, CELLS) - (HDR + SLOT * count(b)) < cell + slot {
+        compact(b);
+    }
+    Ok(())
+}
+
+/// Claim `len` cell bytes below the lowest cell; room was made.
+fn carve(b: &mut [u8], len: usize) -> usize {
+    let off = get16(b, CELLS) - len;
+    put16(b, CELLS, off);
+    off
+}
+
+/// Open slot `i` for a cell of `len` bytes and return its offset.
+fn open_slot(b: &mut [u8], i: usize, len: usize) -> Result<usize> {
+    make_room(b, len, SLOT)?;
+    let n = count(b);
+    let at = HDR + SLOT * i;
+    b.copy_within(at..HDR + SLOT * n, at + SLOT);
+    let off = carve(b, len);
+    put16(b, at, off);
+    put16(b, COUNT, n + 1);
+    Ok(off)
+}
+
+/// Append a cell copied from another page of the same kind; room was
+/// checked by the caller.
+fn push_raw(b: &mut [u8], cell: &[u8]) {
+    let off = open_slot(b, count(b), cell.len()).expect("split halves are sized to fit");
+    b[off..off + cell.len()].copy_from_slice(cell);
+}
+
+/// [`Node::set_high_fence`].
+fn set_high_fence(b: &mut [u8], fence: Option<&IndexEntry>) -> Result<()> {
+    let old = get16(b, FENCE);
+    if old != 0 {
+        let len = cell_len(b, old, false);
+        put16(b, DEAD, get16(b, DEAD) + len);
+        put16(b, FENCE, 0);
+    }
+    if let Some(f) = fence {
+        let len = Node::fence_cost(f);
+        make_room(b, len, 0)?;
+        let off = carve(b, len);
+        put_cell(&mut b[off..off + len], 0, f, None);
+        put16(b, FENCE, off);
+    }
+    Ok(())
+}
+
+/// Rewrite the named cells end to end at the top of the page.
+fn compact(b: &mut [u8]) {
+    let from = b.to_vec();
+    let mut end = b.len();
+    for i in 0..count(&from) {
+        let off = slot(&from, i);
+        let len = slot_cell_len(&from, off);
+        end -= len;
+        b[end..end + len].copy_from_slice(&from[off..off + len]);
+        put16(b, HDR + SLOT * i, end);
+    }
+    let fence = get16(&from, FENCE);
+    if fence != 0 {
+        let len = cell_len(&from, fence, false);
+        end -= len;
+        b[end..end + len].copy_from_slice(&from[fence..fence + len]);
+        put16(b, FENCE, end);
+    }
+    put16(b, CELLS, end);
+    put16(b, DEAD, 0);
 }
 
 /// The cell that holds `e` (with its pseudo-deleted bit, and for a
@@ -742,20 +795,20 @@ impl Wire for Node {
         let head = c.take(LEN + 2)?;
         let len = usize::from(u16::from_be_bytes([head[LEN], head[LEN + 1]]));
         let rest = c.take(len.checked_sub(head.len())?)?;
-        let mut buf = Vec::with_capacity(len);
-        buf.extend_from_slice(head);
-        buf.extend_from_slice(rest);
-        Node::checked(buf.into_boxed_slice())
+        // Both parts are there: one allocation of their length.
+        Node::checked(head.iter().chain(rest).copied().collect())
     }
 }
 
+/// A page's durable image is its buffer; a read-back checks it in
+/// place and copies nothing.
 impl PagePayload for Node {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.put(out);
+    fn image(&self) -> Arc<[u8]> {
+        Arc::clone(&self.buf)
     }
 
-    fn decode(buf: &[u8]) -> Result<Node> {
-        decode(buf).ok_or_else(|| Error::Corruption("malformed index page".into()))
+    fn from_image(bytes: Arc<[u8]>) -> Result<Node> {
+        Node::checked(bytes).ok_or(Error::Malformed("index page"))
     }
 }
 
@@ -799,6 +852,7 @@ impl fmt::Debug for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mohan_common::codec::decode;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -815,10 +869,10 @@ mod tests {
     }
 
     fn roundtrip(n: &Node) {
-        let mut b = Vec::new();
-        n.encode(&mut b);
+        let b = n.image();
         assert_eq!(b.len(), n.page_size());
-        assert_eq!(&Node::decode(&b).unwrap(), n);
+        assert_eq!(&Node::from_image(b.clone()).unwrap(), n);
+        assert_eq!(&decode::<Node>(&b).unwrap(), n);
     }
 
     type Model = BTreeMap<(Vec<u8>, Rid), bool>;
@@ -955,9 +1009,8 @@ mod tests {
 
     #[test]
     fn decode_refuses_malformed_pages() {
-        let mut good = Vec::new();
-        leaf(&[(e(1, 1), false), (e(2, 2), true)]).encode(&mut good);
-        let refused = |b: &[u8]| Node::decode(b).is_err();
+        let good = leaf(&[(e(1, 1), false), (e(2, 2), true)]).image().to_vec();
+        let refused = |b: &[u8]| Node::from_image(b.into()).is_err() && decode::<Node>(b).is_none();
         assert!(refused(&[]));
         assert!(refused(&[99]));
         assert!(refused(&good[..good.len() - 1]));

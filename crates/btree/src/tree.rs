@@ -237,10 +237,11 @@ impl BTree {
 
     /// Force all dirty index pages (IB checkpoints and engine
     /// checkpoints), in two phases so that writers never wait for more
-    /// than a handful of page copies.
+    /// than a handful of page references to be taken.
     ///
-    /// Phase 1 holds no structure lock: each dirty page is copied
-    /// under its own S latch into the cache's volatile staging area;
+    /// Phase 1 holds no structure lock: each dirty page's bytes are
+    /// referenced under its own S latch from the cache's volatile
+    /// staging area, not copied (a writer's next change copies them);
     /// writers keep running and re-dirty what they touch. Phase 2 holds
     /// the structure lock exclusively: with every writer out of the
     /// tree it stages the few pages dirtied again meanwhile and
@@ -255,7 +256,7 @@ impl BTree {
     /// Phase 2 must not: every writer of the tree waits for it.
     ///
     /// Both phases obey the WAL rule through `wal` (see
-    /// [`PageCache::force`]).
+    /// [`PageCache::stage_dirty`]).
     pub fn force_all(&self, wal: impl WriteAhead) -> Result<()> {
         let _force = self.force.lock();
         let mut pacer = Ticker::new(OPS_PER_PACE);

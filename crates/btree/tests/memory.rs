@@ -1,10 +1,10 @@
 //! An index costs its page bytes.
 //!
 //! A counting global allocator tracks the bytes this test's thread holds.
-//! A tree of 50 000 entries, bulk-loaded and again inserted top-down, may
-//! hold two copies of each page — the cache frame and the durable image —
-//! plus a little bookkeeping per page; and verifying it holds a few pages'
-//! worth at most, however many entries there are.
+//! A tree of 50 000 entries, bulk-loaded and again inserted top-down, and
+//! forced, holds one copy of each page — the cache frame and the durable
+//! image share it — plus a little bookkeeping per page; and verifying it
+//! holds a few pages' worth at most, however many entries there are.
 
 use mohan_btree::scan::verify_structure;
 use mohan_btree::{BTree, BTreeConfig, BulkLoader, InsertMode};
@@ -52,9 +52,9 @@ static COUNTING: Counting = Counting;
 
 const ENTRIES: u64 = 50_000;
 const PAGE: usize = 2048;
-/// Per page beside its two copies: the frame and its latch, and the
-/// cache's volatile, durable and staging map slots (measured ≈ 250–300
-/// bytes, the maps' power-of-two growth making the spread).
+/// Per page beside its bytes: the frame and its latch, and the cache's
+/// volatile, durable and staging map slots (measured ≈ 250–300 bytes,
+/// the maps' power-of-two growth making the spread).
 const PER_PAGE: usize = 384;
 /// Independent of the tree's size: shard maps' first allocations.
 const FIXED: usize = 64 << 10;
@@ -85,13 +85,13 @@ fn entry(i: u64) -> IndexEntry {
     )
 }
 
-/// Bytes `t` holds (every page forced, so both copies exist) against
-/// the bound, then what verifying it holds at its peak.
+/// Bytes `t` holds (every page forced, its image sharing its bytes)
+/// against the bound, then what verifying it holds at its peak.
 fn check(t: &BTree, before: isize, how: &str) {
     t.force_all(Lsn::NULL).unwrap();
     let held = (live() - before) as usize;
     let pages = t.cache.num_pages() as usize;
-    let bound = 2 * pages * PAGE + pages * PER_PAGE + FIXED;
+    let bound = pages * PAGE + pages * PER_PAGE + FIXED;
     assert!(
         held <= bound,
         "{how}: {held} bytes for {pages} pages, bound {bound}"

@@ -33,6 +33,10 @@ pub enum Error {
     PageFull,
     /// An internal invariant was violated; indicates a bug.
     Corruption(String),
+    /// Stored bytes do not form a valid value of the named kind (an
+    /// index page read back). Corruption, reported without allocating,
+    /// so a refusal costs no more than the bytes it refused.
+    Malformed(&'static str),
     /// The index build was cancelled by the user.
     BuildCancelled,
     /// A simulated system failure injected through
@@ -88,6 +92,7 @@ impl fmt::Display for Error {
             Error::NotFound(what) => write!(f, "not found: {what}"),
             Error::PageFull => write!(f, "page full"),
             Error::Corruption(msg) => write!(f, "corruption: {msg}"),
+            Error::Malformed(what) => write!(f, "corruption: malformed {what}"),
             Error::BuildCancelled => write!(f, "index build cancelled"),
             Error::InjectedCrash(site) => write!(f, "injected system crash at failpoint '{site}'"),
             Error::TxNotActive(tx) => write!(f, "{tx} is not active"),

@@ -937,7 +937,7 @@ mod tests {
     fn forced_pages_survive_crash_with_contents() {
         let t = table();
         let rid = t.insert_with(b"durable", |_| Lsn(1)).unwrap();
-        t.cache.force(rid.page, Lsn(1)).unwrap();
+        t.cache.force_all(Lsn(1), || {}).unwrap();
         t.crash();
         assert_eq!(t.read(rid).unwrap(), b"durable");
     }

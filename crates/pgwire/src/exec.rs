@@ -90,7 +90,7 @@ pub fn sqlstate_of(e: &Error) -> &'static str {
         Error::LockBusy => "55P03",           // lock_not_available
         Error::NotFound(_) => "42704",        // undefined_object
         Error::PageFull => "53100",           // disk_full (closest resource class)
-        Error::Corruption(_) => "XX001",      // data_corrupted
+        Error::Corruption(_) | Error::Malformed(_) => "XX001", // data_corrupted
         Error::BuildCancelled => "57014",     // query_canceled
         Error::InjectedCrash(_) => "XX000",   // internal_error
         Error::TxNotActive(_) => "25000",     // invalid_transaction_state

@@ -2,12 +2,19 @@
 //! boundary.
 //!
 //! Real DBMS pages live on disk and are cached in a buffer pool. We
-//! invert the emphasis: the *volatile* image (a decoded Rust value
-//! behind a [`Latch`]) is primary, and the *durable* image (encoded
-//! bytes, updated only by [`PageCache::force`]) models the disk. A
-//! simulated system failure ([`PageCache::crash`]) discards every
-//! volatile frame and all allocations that were never forced; restart
-//! decodes the durable images on demand.
+//! invert the emphasis: the *volatile* image (a Rust value behind a
+//! [`Latch`]) is primary, and the *durable* image (the page's bytes as
+//! last forced) models the disk. A simulated system failure
+//! ([`PageCache::crash`]) discards every volatile frame and all
+//! allocations that were never forced; restart reads the durable images
+//! back on demand.
+//!
+//! A page's bytes are one immutable shared buffer (`Arc<[u8]>`,
+//! [`PagePayload::image`]). A force takes a reference to the frame's
+//! buffer instead of copying it, and a read-back adopts the image's
+//! buffer after checking it, so a clean page is held once. The page's
+//! first writer after a force copies the buffer before it changes it
+//! (`Arc::make_mut`): an image never sees a write that was not forced.
 //!
 //! The cache is partitioned into [`PAGE_SHARDS`] shards keyed by a
 //! page-id hash. Each shard owns its own volatile frame map and
@@ -22,14 +29,14 @@
 //! the page ("write-ahead logging", §1.1).
 //!
 //! Forcing costs what was dirtied. A frame is *dirty* iff its latch
-//! has been granted exclusively since the frame was last encoded; the
+//! has been granted exclusively since its image was last taken; the
 //! latch keeps the bit and lists the page in its shard's dirty list on
 //! the clean→dirty transition, so [`PageCache::force_all`] visits only
-//! those pages, and encodes each into its durable image in place.
+//! those pages, and makes each one's bytes its durable image.
 //! A caller that needs the durable image to change as a unit (the
-//! B+-tree) encodes and publishes in separate steps instead:
-//! [`PageCache::stage_dirty`] encodes dirty pages into a volatile
-//! staging area without excluding writers, and
+//! B+-tree) takes and publishes images in separate steps instead:
+//! [`PageCache::stage_dirty`] takes the images of dirty pages into a
+//! volatile staging area without excluding writers, and
 //! [`PageCache::publish_staged`] moves the staged images into the
 //! durable maps at an instant of its choosing; a crash in between
 //! drops the staging area and leaves the previous durable image whole.
@@ -47,14 +54,19 @@ use std::sync::Arc;
 /// page id).
 pub const PAGE_SHARDS: usize = 16;
 
-/// Something that can live in a page: encodable to / decodable from the
-/// durable byte image.
+/// Something that can live in a page: a value over one shared byte
+/// buffer, which is its durable image.
 pub trait PagePayload: Send + Sync + Sized + 'static {
-    /// Serialize the page contents.
-    fn encode(&self, out: &mut Vec<u8>);
-    /// Deserialize page contents. Errors indicate corruption.
-    fn decode(buf: &[u8]) -> Result<Self>;
+    /// The page's bytes: a reference to the buffer, not a copy. The
+    /// page's next write copies the buffer while the image is held.
+    fn image(&self) -> Arc<[u8]>;
+    /// Adopt `bytes` as a page after checking them; copies nothing.
+    /// Errors indicate corruption.
+    fn from_image(bytes: Arc<[u8]>) -> Result<Self>;
 }
+
+/// A page as forced or staged: its recovery LSN and its bytes.
+type Image = (Lsn, Arc<[u8]>);
 
 /// A page's volatile image: its payload plus the recovery LSN of the
 /// last logged change applied to it.
@@ -82,10 +94,10 @@ pub struct Frame<T> {
 pub struct CacheStats {
     /// Frame lookups that found a volatile image.
     pub hits: Counter,
-    /// Frame lookups that had to decode the durable image (a read
+    /// Frame lookups that had to read the durable image back (a read
     /// I/O in the simulation).
     pub misses: Counter,
-    /// Pages forced to the durable image (write I/Os).
+    /// Images made durable, by a force or a publish (write I/Os).
     pub forces: Counter,
     /// Pages allocated.
     pub allocations: Counter,
@@ -114,13 +126,13 @@ impl Default for CacheStats {
 /// of the pages that hash here.
 struct Shard<T> {
     volatile: RwLock<HashMap<PageId, Arc<Frame<T>>>>,
-    durable: Mutex<HashMap<PageId, Vec<u8>>>,
+    durable: Mutex<HashMap<PageId, Image>>,
     /// Pages whose frames went clean→dirty since the list was last
     /// taken (shared with those frames' latches).
     dirty: Arc<DirtyList>,
-    /// Encoded images not yet published to `durable`. Volatile: a
-    /// crash drops them.
-    staged: Mutex<HashMap<PageId, Vec<u8>>>,
+    /// Images not yet published to `durable`. Volatile: a crash drops
+    /// them.
+    staged: Mutex<HashMap<PageId, Image>>,
 }
 
 impl<T> Shard<T> {
@@ -182,7 +194,7 @@ impl<T: PagePayload> PageCache<T> {
     }
 
     /// `dirty`: does the volatile image differ from the durable one
-    /// from the start (a fresh page) or not (one just decoded from it)?
+    /// from the start (a fresh page) or not (one just read back from it)?
     /// A dirty frame must be put on its shard's dirty list *after* it
     /// is in the volatile map ([`Self::list_dirty`]).
     fn make_frame(&self, id: PageId, lsn: Lsn, payload: T, dirty: bool) -> Arc<Frame<T>> {
@@ -229,7 +241,7 @@ impl<T: PagePayload> PageCache<T> {
         self.next_page.load(Ordering::SeqCst)
     }
 
-    /// Fetch a page frame, decoding the durable image on a miss.
+    /// Fetch a page frame, reading the durable image back on a miss.
     /// Returns `NotFound` for never-allocated or crash-lost pages.
     pub fn frame(&self, id: PageId) -> Result<Arc<Frame<T>>> {
         let si = Self::shard_of(id);
@@ -241,22 +253,17 @@ impl<T: PagePayload> PageCache<T> {
         }
         // Miss: try the durable image. Hold the shard's volatile write
         // lock across the check-and-insert so two threads don't both
-        // decode.
+        // read it back.
         let mut v = shard.volatile.write();
         if let Some(f) = v.get(&id) {
             self.stats.hits.bump();
             self.stats.shard_hits.bump(si);
             return Ok(Arc::clone(f));
         }
-        let d = shard.durable.lock();
-        let Some(bytes) = d.get(&id) else {
+        let Some((lsn, bytes)) = shard.durable.lock().get(&id).cloned() else {
             return Err(Error::NotFound(format!("{} {id}", self.file)));
         };
-        let payload = T::decode(&bytes[8..])?;
-        let mut l8 = [0u8; 8];
-        l8.copy_from_slice(&bytes[..8]);
-        let lsn = Lsn(u64::from_be_bytes(l8));
-        drop(d);
+        let payload = T::from_image(bytes)?;
         let frame = self.make_frame(id, lsn, payload, false);
         v.insert(id, Arc::clone(&frame));
         self.stats.misses.bump();
@@ -291,63 +298,23 @@ impl<T: PagePayload> PageCache<T> {
         shard.volatile.read().contains_key(&id) || shard.durable.lock().contains_key(&id)
     }
 
-    /// Under `frame`'s S latch: clear its dirty bit and hand the page to
-    /// `sink`, which encodes it ([`encode_image`]). Does nothing if
-    /// `only_dirty` is set and the frame is clean. `sink` runs before
-    /// the latch is released, so images of one page reach it in the
-    /// order the page went through them even when two forcers meet.
-    /// Enforces the WAL rule: a page whose LSN the log is not yet
-    /// durable through is written only after `wal` made it so; one it
-    /// cannot be made durable through is refused and stays dirty.
-    fn write_out(
-        &self,
-        frame: &Frame<T>,
-        wal: &impl WriteAhead,
-        only_dirty: bool,
-        sink: impl FnOnce(&PageBuf<T>),
-    ) -> Result<()> {
-        let buf = frame.latch.share();
-        if only_dirty && !frame.latch.is_dirty() {
-            return Ok(());
-        }
-        if !wal.durable_through(buf.lsn) {
-            return Err(Error::Corruption(format!(
-                "WAL violation: forcing {} {} with page LSN {} the log cannot reach",
-                self.file, frame.id, buf.lsn
-            )));
-        }
-        frame.latch.clear_dirty();
-        sink(&buf);
-        Ok(())
-    }
-
-    /// Force one page to the durable image, dirty or not, under the WAL
-    /// rule.
-    pub fn force(&self, id: PageId, wal: impl WriteAhead) -> Result<()> {
-        let frame = self.frame(id)?;
-        let shard = &self.shards[Self::shard_of(id)];
-        self.write_out(&frame, &wal, false, |buf| {
-            // An older staged image must not overwrite this one later.
-            shard.staged.lock().remove(&id);
-            encode_image(buf, shard.durable.lock().entry(id).or_default());
-        })?;
-        self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
-        self.stats.forces.bump();
-        Ok(())
-    }
-
-    /// Visit every dirty page, handing it to `write` under its S latch
-    /// and clearing its dirty bit. Each page is held for one encode, so
-    /// writers wait that long at most, and a page they touch afterwards
-    /// is dirty again: work is proportional to the pages dirtied since
-    /// the last visit. On a WAL-rule refusal the refused page and those
-    /// not yet visited stay dirty. `between_pages` runs after each page,
-    /// with that page's latch released and no lock of the cache held —
-    /// the one place a caller that holds nothing itself may give way.
+    /// Visit every dirty page: under its S latch, clear its dirty bit
+    /// and hand its image to `write`. Each page is held only while its
+    /// buffer is referenced, and a page writers touch afterwards is
+    /// dirty again: work is proportional to the pages dirtied since the
+    /// last visit. `write` runs before the latch is released, so images
+    /// of one page reach it in the order the page went through them even
+    /// when two forcers meet. Enforces the WAL rule: a page whose LSN the
+    /// log is not yet durable through is written only after `wal` made
+    /// it so; on a page it cannot be made durable through, the visit
+    /// stops with an error and that page and those not yet visited stay
+    /// dirty. `between_pages` runs after each page, with that page's
+    /// latch released and no lock of the cache held — the one place a
+    /// caller that holds nothing itself may give way.
     fn write_dirty(
         &self,
         wal: &impl WriteAhead,
-        mut write: impl FnMut(&Shard<T>, PageId, &PageBuf<T>),
+        mut write: impl FnMut(&Shard<T>, PageId, Image),
         mut between_pages: impl FnMut(),
     ) -> Result<()> {
         for shard in &self.shards {
@@ -358,31 +325,43 @@ impl<T: PagePayload> PageCache<T> {
                 let Some(frame) = shard.volatile.read().get(&id).cloned() else {
                     continue;
                 };
-                // A clean frame was listed twice, or forced singly in
-                // between: nothing to write.
-                if let Err(e) = self.write_out(&frame, wal, true, |buf| write(shard, id, buf)) {
-                    shard.dirty.extend(std::iter::once(raw).chain(ids));
-                    return Err(e);
+                let buf = frame.latch.share();
+                // A clean frame was listed twice: nothing to write.
+                if frame.latch.is_dirty() {
+                    if !wal.durable_through(buf.lsn) {
+                        shard.dirty.extend(std::iter::once(raw).chain(ids));
+                        return Err(Error::Corruption(format!(
+                            "WAL violation: forcing {} {id} with page LSN {} the log cannot reach",
+                            self.file, buf.lsn
+                        )));
+                    }
+                    frame.latch.clear_dirty();
+                    write(shard, id, (buf.lsn, buf.payload.image()));
                 }
+                drop(buf);
                 between_pages();
             }
         }
         Ok(())
     }
 
-    /// Encode every dirty page into the staging area ([`Self::write_dirty`]);
-    /// the durable image does not change until [`Self::publish_staged`].
+    /// Take the image of every dirty page into the staging area, each
+    /// under its page's S latch; the durable image does not change until
+    /// [`Self::publish_staged`]. `between_pages` runs after each page,
+    /// with no latch or lock of the cache held. On a WAL-rule refusal
+    /// the refused page and those not yet visited stay dirty.
     pub fn stage_dirty(&self, wal: impl WriteAhead, between_pages: impl FnMut()) -> Result<()> {
         self.write_dirty(
             &wal,
-            |shard, id, buf| encode_image(buf, shard.staged.lock().entry(id).or_default()),
+            |shard, id, image| {
+                shard.staged.lock().insert(id, image);
+            },
             between_pages,
         )
     }
 
     /// Move every staged image into the durable maps (the write I/Os)
-    /// and advance the durable high-water mark. The images are moved,
-    /// not copied.
+    /// and advance the durable high-water mark.
     pub fn publish_staged(&self) {
         let mut written = 0u64;
         for shard in &self.shards {
@@ -392,9 +371,9 @@ impl<T: PagePayload> PageCache<T> {
             }
             let mut durable = shard.durable.lock();
             durable.reserve(staged.len());
-            for (id, bytes) in staged.drain() {
+            for (id, image) in staged.drain() {
                 self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
-                durable.insert(id, bytes);
+                durable.insert(id, image);
                 written += 1;
             }
         }
@@ -402,9 +381,11 @@ impl<T: PagePayload> PageCache<T> {
     }
 
     /// Force every dirty page (checkpoints, §2.2.3 and §3.2.4: "all
-    /// the dirty pages"), each encoded straight into its durable image,
-    /// whose buffer it reuses ([`Self::write_dirty`]). Writers are not
-    /// excluded, so the pages are written as they stood at different
+    /// the dirty pages"): each page's bytes, taken under its S latch,
+    /// become its durable image. `between_pages` runs after each page,
+    /// with no latch or lock of the cache held. On a WAL-rule refusal
+    /// the refused page and those not yet visited stay dirty. Writers
+    /// are not excluded, so the pages are written as they stood at different
     /// instants — right for heap pages, whose page-LSN redo tolerates
     /// any mix of old and new images; a structure spanning pages must
     /// publish at a consistent instant instead, through
@@ -413,8 +394,8 @@ impl<T: PagePayload> PageCache<T> {
     pub fn force_all(&self, wal: impl WriteAhead, between_pages: impl FnMut()) -> Result<()> {
         self.write_dirty(
             &wal,
-            |shard, id, buf| {
-                encode_image(buf, shard.durable.lock().entry(id).or_default());
+            |shard, id, image| {
+                shard.durable.lock().insert(id, image);
                 self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
                 self.stats.forces.bump();
             },
@@ -459,14 +440,6 @@ impl<T: PagePayload> PageCache<T> {
     }
 }
 
-/// Overwrite `image` with the page's durable form: its LSN (8 bytes,
-/// big-endian), then its payload. The buffer's allocation is kept.
-fn encode_image<T: PagePayload>(buf: &PageBuf<T>, image: &mut Vec<u8>) {
-    image.clear();
-    image.extend_from_slice(&buf.lsn.0.to_be_bytes());
-    buf.payload.encode(image);
-}
-
 impl<T: PagePayload> std::fmt::Debug for PageCache<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageCache")
@@ -481,15 +454,27 @@ impl<T: PagePayload> std::fmt::Debug for PageCache<T> {
 mod tests {
     use super::*;
 
+    /// A page of bytes that copies them before a write while an image
+    /// shares them, as the real page kinds do.
     #[derive(Debug, Clone, PartialEq)]
-    struct Blob(Vec<u8>);
+    struct Blob(Arc<[u8]>);
+
+    fn blob(bytes: &[u8]) -> Blob {
+        Blob(bytes.into())
+    }
+
+    impl Blob {
+        fn set(&mut self, i: usize, v: u8) {
+            Arc::make_mut(&mut self.0)[i] = v;
+        }
+    }
 
     impl PagePayload for Blob {
-        fn encode(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.0);
+        fn image(&self) -> Arc<[u8]> {
+            Arc::clone(&self.0)
         }
-        fn decode(buf: &[u8]) -> Result<Self> {
-            Ok(Blob(buf.to_vec()))
+        fn from_image(bytes: Arc<[u8]>) -> Result<Self> {
+            Ok(Blob(bytes))
         }
     }
 
@@ -497,18 +482,28 @@ mod tests {
         PageCache::new(FileId(1))
     }
 
+    /// X-latch page `id` and set its first byte to `v`.
+    fn write(c: &PageCache<Blob>, id: u32, v: u8) {
+        c.frame(PageId(id))
+            .unwrap()
+            .latch
+            .exclusive()
+            .payload
+            .set(0, v);
+    }
+
     #[test]
     fn allocate_assigns_dense_ids() {
         let c = cache();
-        assert_eq!(c.allocate(Blob(vec![1])).id, PageId(0));
-        assert_eq!(c.allocate(Blob(vec![2])).id, PageId(1));
+        assert_eq!(c.allocate(blob(&[1])).id, PageId(0));
+        assert_eq!(c.allocate(blob(&[2])).id, PageId(1));
         assert_eq!(c.num_pages(), 2);
     }
 
     #[test]
     fn unforced_pages_die_in_a_crash() {
         let c = cache();
-        let f = c.allocate(Blob(vec![1, 2, 3]));
+        let f = c.allocate(blob(&[1, 2, 3]));
         assert_eq!(f.id, PageId(0));
         c.crash();
         assert_eq!(c.num_pages(), 0);
@@ -518,43 +513,41 @@ mod tests {
     #[test]
     fn forced_pages_survive_a_crash() {
         let c = cache();
-        let f = c.allocate(Blob(vec![9, 9]));
+        let f = c.allocate(blob(&[9, 9, 0]));
         {
             let mut b = f.latch.exclusive();
             b.lsn = Lsn(5);
-            b.payload.0.push(7);
+            b.payload.set(2, 7);
         }
-        c.force(PageId(0), Lsn(5)).unwrap();
+        c.force_all(Lsn(5), || {}).unwrap();
         c.crash();
         assert_eq!(c.num_pages(), 1);
         let f2 = c.frame(PageId(0)).unwrap();
         let b = f2.latch.share();
-        assert_eq!(b.payload, Blob(vec![9, 9, 7]));
+        assert_eq!(b.payload, blob(&[9, 9, 7]));
         assert_eq!(b.lsn, Lsn(5));
     }
 
     #[test]
     fn crash_loses_unforced_changes_to_forced_pages() {
         let c = cache();
-        let f = c.allocate(Blob(vec![1]));
-        c.force(PageId(0), Lsn::NULL).unwrap();
-        {
-            let mut b = f.latch.exclusive();
-            b.payload.0.push(2);
-        }
+        let f = c.allocate(blob(&[1]));
+        c.force_all(Lsn::NULL, || {}).unwrap();
+        f.latch.exclusive().payload.set(0, 2);
         c.crash();
         let f2 = c.frame(PageId(0)).unwrap();
-        assert_eq!(f2.latch.share().payload, Blob(vec![1]));
+        assert_eq!(f2.latch.share().payload, blob(&[1]));
     }
 
     #[test]
     fn force_enforces_wal_rule() {
         let c = cache();
-        let f = c.allocate(Blob(vec![]));
+        let f = c.allocate(blob(&[]));
         f.latch.exclusive().lsn = Lsn(10);
-        let err = c.force(PageId(0), Lsn(9)).unwrap_err();
+        let err = c.force_all(Lsn(9), || {}).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)));
-        c.force(PageId(0), Lsn(10)).unwrap();
+        c.force_all(Lsn(10), || {}).unwrap();
+        assert_eq!(c.stats.forces.get(), 1);
     }
 
     /// A log that can always be forced, and remembers how far it was.
@@ -570,7 +563,7 @@ mod tests {
     #[test]
     fn a_page_past_the_flushed_mark_forces_the_log_then_itself() {
         let c = cache();
-        let f = c.allocate(Blob(vec![1]));
+        let f = c.allocate(blob(&[1]));
         f.latch.exclusive().lsn = Lsn(10);
         let log = Forceable(3.into());
         c.force_all(&log, || {}).unwrap();
@@ -579,37 +572,46 @@ mod tests {
         assert_eq!(c.frame(PageId(0)).unwrap().latch.share().lsn, Lsn(10));
     }
 
+    /// The durable image of page 0, if it has one.
+    fn durable(c: &PageCache<Blob>) -> Option<Image> {
+        c.shards[PageCache::<Blob>::shard_of(PageId(0))]
+            .durable
+            .lock()
+            .get(&PageId(0))
+            .cloned()
+    }
+
     #[test]
-    fn force_all_encodes_into_the_durable_image_it_replaces() {
+    fn a_forced_page_shares_its_bytes_until_a_writer_copies_them() {
         let c = cache();
-        let f = c.allocate(Blob(vec![1; 100]));
+        let f = c.allocate(blob(&[1; 100]));
         c.force_all(Lsn::NULL, || {}).unwrap();
-        let image = |c: &PageCache<Blob>| {
-            let d = c.shards[PageCache::<Blob>::shard_of(PageId(0))]
-                .durable
-                .lock();
-            let v = &d[&PageId(0)];
-            (v.as_ptr() as usize, v[8])
-        };
-        let (before, _) = image(&c);
-        f.latch.exclusive().payload.0[0] = 2;
-        c.force_all(Lsn::NULL, || {}).unwrap();
-        assert_eq!(image(&c), (before, 2), "same buffer, new bytes");
+        let (_, image) = durable(&c).unwrap();
+        assert!(Arc::ptr_eq(&image, &f.latch.share().payload.0));
+        f.latch.exclusive().payload.set(0, 2);
+        let frame = Arc::clone(&f.latch.share().payload.0);
+        assert!(!Arc::ptr_eq(&image, &frame), "the writer copied");
+        assert_eq!((image[0], frame[0]), (1, 2));
+        assert!(Arc::ptr_eq(&durable(&c).unwrap().1, &image));
+        // A read-back adopts the image's bytes.
+        c.crash();
+        let back = c.frame(PageId(0)).unwrap();
+        assert!(Arc::ptr_eq(&back.latch.share().payload.0, &image));
     }
 
     #[test]
     fn truncate_from_deallocates_tail() {
         let c = cache();
         for i in 0..5u8 {
-            let f = c.allocate(Blob(vec![i]));
-            c.force(f.id, Lsn::NULL).unwrap();
+            c.allocate(blob(&[i]));
         }
+        c.force_all(Lsn::NULL, || {}).unwrap();
         c.truncate_from(PageId(2));
         assert_eq!(c.num_pages(), 2);
         assert!(c.frame(PageId(2)).is_err());
         assert!(c.frame(PageId(1)).is_ok());
         // Reallocation reuses the truncated ids.
-        assert_eq!(c.allocate(Blob(vec![])).id, PageId(2));
+        assert_eq!(c.allocate(blob(&[])).id, PageId(2));
         // Durable state was truncated too.
         c.crash();
         assert_eq!(c.num_pages(), 2);
@@ -618,11 +620,11 @@ mod tests {
     #[test]
     fn stats_count_hits_misses_forces() {
         let c = cache();
-        let f = c.allocate(Blob(vec![1]));
-        c.force(f.id, Lsn::NULL).unwrap();
-        let _ = c.frame(PageId(0)).unwrap(); // hit (inside force there was one too)
+        c.allocate(blob(&[1]));
+        c.force_all(Lsn::NULL, || {}).unwrap();
+        let _ = c.frame(PageId(0)).unwrap(); // hit
         c.crash();
-        let _ = c.frame(PageId(0)).unwrap(); // miss -> decode
+        let _ = c.frame(PageId(0)).unwrap(); // miss -> read-back
         assert!(c.stats.hits.get() >= 1);
         assert_eq!(c.stats.misses.get(), 1);
         assert_eq!(c.stats.forces.get(), 1);
@@ -632,7 +634,7 @@ mod tests {
     fn force_all_then_crash_preserves_everything() {
         let c = cache();
         for i in 0..10u8 {
-            let f = c.allocate(Blob(vec![i]));
+            let f = c.allocate(blob(&[i]));
             f.latch.exclusive().lsn = Lsn(u64::from(i));
         }
         c.force_all(Lsn(100), || {}).unwrap();
@@ -640,7 +642,7 @@ mod tests {
         assert_eq!(c.num_pages(), 10);
         for i in 0..10u8 {
             let f = c.frame(PageId(u32::from(i))).unwrap();
-            assert_eq!(f.latch.share().payload, Blob(vec![i]));
+            assert_eq!(f.latch.share().payload, blob(&[i]));
         }
     }
 
@@ -648,7 +650,7 @@ mod tests {
     fn force_all_forces_only_what_was_x_latched_since() {
         let c = cache();
         for i in 0..10u8 {
-            c.allocate(Blob(vec![i]));
+            c.allocate(blob(&[i]));
         }
         // Fresh pages start dirty.
         c.force_all(Lsn::NULL, || {}).unwrap();
@@ -658,8 +660,8 @@ mod tests {
         c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 10);
         // Each way of getting the X latch re-dirties, once per page.
-        c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 33;
-        c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 34;
+        write(&c, 3, 33);
+        write(&c, 3, 34);
         drop(c.frame(PageId(4)).unwrap().latch.exclusive_arc());
         drop(c.frame(PageId(5)).unwrap().latch.try_exclusive().unwrap());
         c.force_all(Lsn::NULL, || {}).unwrap();
@@ -667,14 +669,14 @@ mod tests {
         c.crash();
         assert_eq!(
             c.frame(PageId(3)).unwrap().latch.share().payload,
-            Blob(vec![34])
+            blob(&[34])
         );
     }
 
     #[test]
     fn decoded_frames_start_clean() {
         let c = cache();
-        c.allocate(Blob(vec![1]));
+        c.allocate(blob(&[1]));
         c.force_all(Lsn::NULL, || {}).unwrap();
         c.crash();
         let f = c.frame(PageId(0)).unwrap();
@@ -686,9 +688,9 @@ mod tests {
     #[test]
     fn wal_rule_refusal_leaves_the_page_dirty() {
         let c = cache();
-        let early = c.allocate(Blob(vec![0]));
-        let late = c.allocate(Blob(vec![1]));
-        let other = c.allocate(Blob(vec![2]));
+        let early = c.allocate(blob(&[0]));
+        let late = c.allocate(blob(&[1]));
+        let other = c.allocate(blob(&[2]));
         early.latch.exclusive().lsn = Lsn(5);
         late.latch.exclusive().lsn = Lsn(10);
         other.latch.exclusive().lsn = Lsn(5);
@@ -709,17 +711,17 @@ mod tests {
     fn reallocation_after_truncate_yields_a_dirty_frame() {
         let c = cache();
         for i in 0..4u8 {
-            c.allocate(Blob(vec![i]));
+            c.allocate(blob(&[i]));
         }
         c.force_all(Lsn::NULL, || {}).unwrap();
         // Dirty, then truncated away: the stale listing must neither
         // fail the next force nor resurrect the page.
-        c.frame(PageId(3)).unwrap().latch.exclusive().payload.0[0] = 9;
+        write(&c, 3, 9);
         c.truncate_from(PageId(2));
         c.force_all(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 4);
         assert_eq!(c.durable_pages(), 2);
-        let f = c.allocate(Blob(vec![7]));
+        let f = c.allocate(blob(&[7]));
         assert_eq!(f.id, PageId(2));
         assert!(f.latch.is_dirty());
         c.force_all(Lsn::NULL, || {}).unwrap();
@@ -727,22 +729,22 @@ mod tests {
         c.crash();
         assert_eq!(
             c.frame(PageId(2)).unwrap().latch.share().payload,
-            Blob(vec![7])
+            blob(&[7])
         );
     }
 
     #[test]
     fn staged_images_are_volatile_until_published() {
         let c = cache();
-        let f = c.allocate(Blob(vec![1]));
+        let f = c.allocate(blob(&[1]));
         c.force_all(Lsn::NULL, || {}).unwrap();
-        f.latch.exclusive().payload.0[0] = 2;
+        f.latch.exclusive().payload.set(0, 2);
         c.stage_dirty(Lsn::NULL, || {}).unwrap();
         assert_eq!(c.stats.forces.get(), 1, "staging writes nothing");
         c.crash();
         assert_eq!(
             c.frame(PageId(0)).unwrap().latch.share().payload,
-            Blob(vec![1])
+            blob(&[1])
         );
         c.publish_staged();
         assert_eq!(
@@ -753,16 +755,16 @@ mod tests {
         // Staged, dirtied again, staged again: one image is published,
         // the newer one.
         let f = c.frame(PageId(0)).unwrap();
-        f.latch.exclusive().payload.0[0] = 3;
+        f.latch.exclusive().payload.set(0, 3);
         c.stage_dirty(Lsn::NULL, || {}).unwrap();
-        f.latch.exclusive().payload.0[0] = 4;
+        f.latch.exclusive().payload.set(0, 4);
         c.stage_dirty(Lsn::NULL, || {}).unwrap();
         c.publish_staged();
         assert_eq!(c.stats.forces.get(), 2);
         c.crash();
         assert_eq!(
             c.frame(PageId(0)).unwrap().latch.share().payload,
-            Blob(vec![4])
+            blob(&[4])
         );
     }
 
@@ -776,7 +778,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..20_000u32 {
-                    c.allocate(Blob(i.to_be_bytes().to_vec()));
+                    c.allocate(blob(&i.to_be_bytes()));
                 }
                 allocating.store(false, Ordering::Release);
             });
@@ -791,7 +793,7 @@ mod tests {
         for i in (0..20_000u32).step_by(97) {
             assert_eq!(
                 c.frame(PageId(i)).unwrap().latch.share().payload,
-                Blob(i.to_be_bytes().to_vec())
+                blob(&i.to_be_bytes())
             );
         }
     }
@@ -799,8 +801,8 @@ mod tests {
     #[test]
     fn concurrent_fetch_decodes_once() {
         let c = Arc::new(cache());
-        let f = c.allocate(Blob(vec![42]));
-        c.force(f.id, Lsn::NULL).unwrap();
+        c.allocate(blob(&[42]));
+        c.force_all(Lsn::NULL, || {}).unwrap();
         c.crash();
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -823,7 +825,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     (0..50)
-                        .map(|_| c.allocate(Blob(vec![t])).id.0)
+                        .map(|_| c.allocate(blob(&[t])).id.0)
                         .collect::<Vec<_>>()
                 })
             })
@@ -845,7 +847,7 @@ mod tests {
         let c = cache();
         let n = 64u32;
         for i in 0..n {
-            c.allocate(Blob(vec![i as u8]));
+            c.allocate(blob(&[i as u8]));
         }
         for i in 0..n {
             let _ = c.frame(PageId(i)).unwrap();
@@ -862,5 +864,138 @@ mod tests {
             populated > PAGE_SHARDS / 2,
             "hash clustered: {populated} shards hit"
         );
+    }
+
+    /// The cache as the model sees it: every page it resolves (the
+    /// volatile view), the staged and durable images, the pages written
+    /// since their image was last taken, and the two cursors.
+    #[derive(Default)]
+    struct Model {
+        volatile: std::collections::BTreeMap<u32, (Lsn, Vec<u8>)>,
+        staged: std::collections::BTreeMap<u32, (Lsn, Vec<u8>)>,
+        durable: std::collections::BTreeMap<u32, (Lsn, Vec<u8>)>,
+        dirty: std::collections::BTreeSet<u32>,
+        next: u32,
+        durable_count: u32,
+    }
+
+    impl Model {
+        /// Take the image of every dirty page, as a force or a stage
+        /// does, leaving every page clean.
+        fn take_dirty(&mut self) -> Vec<(u32, (Lsn, Vec<u8>))> {
+            let dirty = std::mem::take(&mut self.dirty);
+            dirty
+                .into_iter()
+                .map(|id| (id, self.volatile[&id].clone()))
+                .collect()
+        }
+
+        fn make_durable(&mut self, images: Vec<(u32, (Lsn, Vec<u8>))>) {
+            for (id, image) in images {
+                self.durable_count = self.durable_count.max(id + 1);
+                self.durable.insert(id, image);
+            }
+        }
+    }
+
+    /// One shard map's images as the model writes them.
+    fn images(
+        c: &PageCache<Blob>,
+        map: impl Fn(&Shard<Blob>) -> &Mutex<HashMap<PageId, Image>>,
+    ) -> std::collections::BTreeMap<u32, (Lsn, Vec<u8>)> {
+        c.shards
+            .iter()
+            .flat_map(|s| {
+                map(s)
+                    .lock()
+                    .iter()
+                    .map(|(id, (lsn, bytes))| (id.0, (*lsn, bytes.to_vec())))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Random allocations and writes, forces, stages, publishes,
+        /// truncations and crashes against a model of the volatile,
+        /// staged and durable pages. After every step each page reads
+        /// back what the model holds, and the staged and durable images
+        /// are exactly the model's: a written byte reaches an image only
+        /// through a force or a stage, however the bytes are shared.
+        #[test]
+        fn images_change_only_through_a_force_or_a_publish(
+            ops in proptest::prop::collection::vec(
+                (0u8..12, proptest::prelude::any::<u16>(), 0usize..8, proptest::prelude::any::<u8>()),
+                0..120)) {
+            let c = cache();
+            let mut m = Model::default();
+            for (step, (op, pick, at, v)) in ops.into_iter().enumerate() {
+                let lsn = Lsn(step as u64 + 1);
+                match op {
+                    0 | 1 => {
+                        let f = c.allocate(blob(&[v; 8]));
+                        proptest::prop_assert_eq!(f.id.0, m.next);
+                        m.volatile.insert(m.next, (Lsn::NULL, vec![v; 8]));
+                        m.dirty.insert(m.next);
+                        m.next += 1;
+                    }
+                    2..=5 => {
+                        let Some(&id) = m.volatile.keys().nth(usize::from(pick) % m.volatile.len().max(1)) else {
+                            continue;
+                        };
+                        let f = c.frame(PageId(id)).unwrap();
+                        let mut b = f.latch.exclusive();
+                        b.payload.set(at, v);
+                        b.lsn = lsn;
+                        let page = m.volatile.get_mut(&id).unwrap();
+                        page.1[at] = v;
+                        page.0 = lsn;
+                        m.dirty.insert(id);
+                    }
+                    6 => {
+                        c.force_all(Lsn(u64::MAX), || {}).unwrap();
+                        let images = m.take_dirty();
+                        m.make_durable(images);
+                    }
+                    7 => {
+                        c.stage_dirty(Lsn(u64::MAX), || {}).unwrap();
+                        let images = m.take_dirty();
+                        m.staged.extend(images);
+                    }
+                    8 => {
+                        c.publish_staged();
+                        let images = std::mem::take(&mut m.staged).into_iter().collect();
+                        m.make_durable(images);
+                    }
+                    9 => {
+                        let from = u32::from(pick) % (m.next + 1);
+                        c.truncate_from(PageId(from));
+                        for map in [&mut m.volatile, &mut m.staged, &mut m.durable] {
+                            map.retain(|id, _| *id < from);
+                        }
+                        m.dirty.retain(|id| *id < from);
+                        m.next = m.next.min(from);
+                        m.durable_count = m.durable_count.min(from);
+                    }
+                    _ => {
+                        c.crash();
+                        m.volatile = m.durable.clone();
+                        m.staged.clear();
+                        m.dirty.clear();
+                        m.next = m.durable_count;
+                    }
+                }
+                proptest::prop_assert_eq!(images(&c, |s| &s.staged), m.staged.clone());
+                proptest::prop_assert_eq!(images(&c, |s| &s.durable), m.durable.clone());
+                proptest::prop_assert_eq!((c.num_pages(), c.durable_pages()), (m.next, m.durable_count));
+                for id in 0..=m.next {
+                    let got = c.frame(PageId(id)).ok().map(|f| {
+                        let b = f.latch.share();
+                        (b.lsn, b.payload.0.to_vec())
+                    });
+                    proptest::prop_assert_eq!(got.as_ref(), m.volatile.get(&id));
+                }
+            }
+        }
     }
 }

@@ -8,9 +8,10 @@
 //!   very cheap", §1.1), with acquisition counters so benches can
 //!   reproduce the paper's pathlength arguments.
 //! * [`cache`] — a typed page cache, [`cache::PageCache`], that keeps a
-//!   *volatile* in-memory image of every page plus a *durable* encoded
-//!   image updated only by `force`. A simulated system failure drops
-//!   all volatile state; restart decodes the durable images. This is
+//!   *volatile* in-memory image of every page plus a *durable* image
+//!   changed only by a force or a publish; a clean page's two images
+//!   are one shared byte buffer. A simulated system failure drops all
+//!   volatile state; restart reads the durable images back. This is
 //!   the substitution for real disks documented in `DESIGN.md` §2.
 //! * [`slotted`] — a byte-accurate slotted data-page layout for heap
 //!   records.

@@ -48,13 +48,14 @@
 //!
 //! The space accounting is kept, not recomputed: the frame carries the
 //! sums the slot directory gives (`Counts`), derived in one pass when
-//! the page is made or decoded and changed only where a slot entry is
+//! the page is made or read back and changed only where a slot entry is
 //! written, so the room checks every insert and update makes under the
 //! X latch cost O(1) however many slots the page has. They live beside
 //! the bytes, not in them: the page format is unchanged.
 
 use crate::cache::PagePayload;
 use mohan_common::{Error, Result, SlotId};
+use std::sync::Arc;
 
 const HDR: usize = 4;
 const SLOT_BYTES: usize = 4;
@@ -62,7 +63,9 @@ const SLOT_BYTES: usize = 4;
 /// One slotted heap page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlottedPage {
-    buf: Vec<u8>,
+    /// The page's bytes, shared with its durable image until a write
+    /// copies them ([`SlottedPage::edit`]).
+    buf: Arc<[u8]>,
     /// Holds of shrunk records whose updater has not ended: the slot
     /// and the longest length the record had under that updater.
     held: Vec<(u16, u16)>,
@@ -110,9 +113,9 @@ impl SlottedPage {
             size >= 64 && size <= u16::MAX as usize,
             "page size out of range"
         );
-        let mut buf = vec![0u8; size];
-        write_u16(&mut buf, 0, 0);
-        write_u16(&mut buf, 2, HDR as u16);
+        // Collected straight into the shared buffer: one allocation.
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, size).collect();
+        write_u16(Arc::make_mut(&mut buf), 2, HDR as u16);
         SlottedPage {
             buf,
             held: Vec::new(),
@@ -120,90 +123,28 @@ impl SlottedPage {
         }
     }
 
+    /// The bytes to write, with the accounting beside them. Copies the
+    /// bytes first if an image still shares them, so each change takes
+    /// this once and writes through it.
+    fn edit(&mut self) -> (&mut [u8], &mut Counts) {
+        (Arc::make_mut(&mut self.buf), &mut self.counts)
+    }
+
     fn slot_count(&self) -> usize {
-        read_u16(&self.buf, 0) as usize
+        slot_count(&self.buf)
     }
 
     fn free_start(&self) -> usize {
-        read_u16(&self.buf, 2) as usize
-    }
-
-    fn set_slot_count(&mut self, n: usize) {
-        write_u16(&mut self.buf, 0, n as u16);
-    }
-
-    fn set_free_start(&mut self, off: usize) {
-        write_u16(&mut self.buf, 2, off as u16);
-    }
-
-    fn slot_entry_pos(&self, slot: usize) -> usize {
-        self.buf.len() - (slot + 1) * SLOT_BYTES
+        free_start(&self.buf)
     }
 
     fn slot_entry(&self, slot: usize) -> (usize, usize) {
-        let p = self.slot_entry_pos(slot);
-        (
-            read_u16(&self.buf, p) as usize,
-            read_u16(&self.buf, p + 2) as usize,
-        )
-    }
-
-    fn set_slot_entry(&mut self, slot: usize, off: usize, len: usize) {
-        self.counts.remove(self.slot_entry(slot));
-        let p = self.slot_entry_pos(slot);
-        write_u16(&mut self.buf, p, off as u16);
-        write_u16(&mut self.buf, p + 2, len as u16);
-        self.counts.add((off, len));
-    }
-
-    /// Extend the directory to `n` free slots. The bytes under a new
-    /// entry are whatever the record heap left there: they are
-    /// overwritten, never counted as an old entry.
-    fn grow_directory(&mut self, n: usize) {
-        for s in self.slot_count()..n {
-            let p = self.slot_entry_pos(s);
-            self.buf[p..p + SLOT_BYTES].fill(0);
-            self.counts.add((0, 0));
-        }
-        self.set_slot_count(n);
+        slot_entry(&self.buf, slot)
     }
 
     /// Bytes between the header and the slot directory.
     fn space(&self) -> usize {
         self.buf.len() - HDR - self.slot_count() * SLOT_BYTES
-    }
-
-    /// The accounting as the bytes give it, checking on the way that
-    /// every accessor reads in bounds: the directory fits in the page,
-    /// `free_start` lies between the header and the directory, and every
-    /// live record between the header and `free_start`, with no more
-    /// record bytes than that span holds.
-    fn tally(&self) -> Result<Counts> {
-        let refuse = |what: String| Err(Error::Corruption(format!("slotted page: {what}")));
-        let size = self.buf.len();
-        if !(HDR..=usize::from(u16::MAX)).contains(&size) {
-            return refuse(format!("{size} bytes"));
-        }
-        let slots = self.slot_count();
-        if slots * SLOT_BYTES > size - HDR {
-            return refuse(format!("{slots} slots in {size} bytes"));
-        }
-        let free_start = self.free_start();
-        if !(HDR..=size - slots * SLOT_BYTES).contains(&free_start) {
-            return refuse(format!("free space starts at {free_start}"));
-        }
-        let mut counts = Counts::default();
-        for s in 0..slots {
-            let (off, len) = self.slot_entry(s);
-            if off != 0 && (off < HDR || off + len > free_start) {
-                return refuse(format!("slot {s} at {off}..{}", off + len));
-            }
-            counts.add((off, len));
-        }
-        if counts.live > free_start - HDR {
-            return refuse(format!("{} record bytes below {free_start}", counts.live));
-        }
-        Ok(counts)
     }
 
     /// Number of slots ever used (including now-empty ones).
@@ -323,24 +264,17 @@ impl SlottedPage {
         if room(self) < data.len() + dir_growth {
             return Err(Error::PageFull);
         }
-        if new_slots > self.slot_count() {
+        let (b, counts) = self.edit();
+        if new_slots > slot_count(b) {
             // Growing the directory moves its start downward; make sure
             // no record bytes live where the new entries will go.
-            let new_dir_start = self.buf.len() - new_slots * SLOT_BYTES;
-            if self.free_start() > new_dir_start {
-                self.compact();
+            let new_dir_start = b.len() - new_slots * SLOT_BYTES;
+            if free_start(b) > new_dir_start {
+                compact(b, counts);
             }
-            self.grow_directory(new_slots);
+            grow_directory(b, counts, new_slots);
         }
-        let dir_start = self.buf.len() - self.slot_count() * SLOT_BYTES;
-        if dir_start - self.free_start() < data.len() {
-            self.compact();
-        }
-        let off = self.free_start();
-        debug_assert!(off + data.len() <= self.buf.len() - self.slot_count() * SLOT_BYTES);
-        self.buf[off..off + data.len()].copy_from_slice(data);
-        self.set_free_start(off + data.len());
-        self.set_slot_entry(s, off, data.len());
+        put_record(b, counts, s, data);
         Ok(())
     }
 
@@ -370,7 +304,8 @@ impl SlottedPage {
         let s = slot.0 as usize;
         let held = self.take_hold(s).unwrap_or(0);
         // An empty record still reserves one byte: `(0, 0)` is free.
-        self.set_slot_entry(s, 0, old.len().max(held).max(1));
+        let (b, counts) = self.edit();
+        set_slot_entry(b, counts, s, 0, old.len().max(held).max(1));
         Ok(old)
     }
 
@@ -382,7 +317,8 @@ impl SlottedPage {
     pub fn free_slot(&mut self, slot: SlotId) -> bool {
         let reserved = self.is_reserved(slot);
         if reserved {
-            self.set_slot_entry(slot.0 as usize, 0, 0);
+            let (b, counts) = self.edit();
+            set_slot_entry(b, counts, slot.0 as usize, 0, 0);
         }
         self.take_hold(slot.0 as usize).is_some() || reserved
     }
@@ -450,25 +386,24 @@ impl SlottedPage {
         // The record's own hold is room for it.
         let prior = self.take_hold(s);
         if data.len() <= old_len {
-            self.buf[off..off + data.len()].copy_from_slice(data);
-            self.set_slot_entry(s, off, data.len());
+            let (b, counts) = self.edit();
+            b[off..off + data.len()].copy_from_slice(data);
+            set_slot_entry(b, counts, s, off, data.len());
         } else {
-            // Needs more room: logically delete, then re-place.
-            self.set_slot_entry(s, 0, 0);
+            // Needs more room: the room is what the page has with the
+            // record gone. Only the sums say so until it fits.
+            let kept = self.counts;
+            self.counts.remove((off, old_len));
+            self.counts.add((0, 0));
             if room(self) < data.len() {
-                // Roll the deletion back so the page is unchanged.
-                self.set_slot_entry(s, off, old_len);
+                self.counts = kept;
                 self.held.extend(prior.map(|len| (slot.0, len as u16)));
                 return Err(Error::PageFull);
             }
-            let dir_start = self.buf.len() - self.slot_count() * SLOT_BYTES;
-            if dir_start - self.free_start() < data.len() {
-                self.compact();
-            }
-            let noff = self.free_start();
-            self.buf[noff..noff + data.len()].copy_from_slice(data);
-            self.set_free_start(noff + data.len());
-            self.set_slot_entry(s, noff, data.len());
+            let (b, counts) = self.edit();
+            // The sums already count the entry as free.
+            write_slot_entry(b, s, 0, 0);
+            put_record(b, counts, s, data);
         }
         let longest = prior.unwrap_or(0).max(old_len);
         if hold && data.len() < longest {
@@ -492,41 +427,142 @@ impl SlottedPage {
 
     /// Defragment the record heap (slot numbers are preserved).
     pub fn compact(&mut self) {
-        let live: Vec<(usize, Vec<u8>)> = (0..self.slot_count())
-            .filter_map(|s| {
-                let (off, len) = self.slot_entry(s);
-                if off == 0 {
-                    None
-                } else {
-                    Some((s, self.buf[off..off + len].to_vec()))
-                }
-            })
-            .collect();
-        let mut cursor = HDR;
-        for (s, data) in live {
-            self.buf[cursor..cursor + data.len()].copy_from_slice(&data);
-            self.set_slot_entry(s, cursor, data.len());
-            cursor += data.len();
-        }
-        self.set_free_start(cursor);
+        let (b, counts) = self.edit();
+        compact(b, counts);
     }
 }
 
+// ----- the bytes, read and written in place ------------------------------
+
+fn slot_count(b: &[u8]) -> usize {
+    read_u16(b, 0) as usize
+}
+
+fn free_start(b: &[u8]) -> usize {
+    read_u16(b, 2) as usize
+}
+
+fn set_free_start(b: &mut [u8], off: usize) {
+    write_u16(b, 2, off as u16);
+}
+
+fn slot_entry_pos(b: &[u8], slot: usize) -> usize {
+    b.len() - (slot + 1) * SLOT_BYTES
+}
+
+fn slot_entry(b: &[u8], slot: usize) -> (usize, usize) {
+    let p = slot_entry_pos(b, slot);
+    (read_u16(b, p) as usize, read_u16(b, p + 2) as usize)
+}
+
+/// Write slot `slot`'s entry, leaving the sums alone.
+fn write_slot_entry(b: &mut [u8], slot: usize, off: usize, len: usize) {
+    let p = slot_entry_pos(b, slot);
+    write_u16(b, p, off as u16);
+    write_u16(b, p + 2, len as u16);
+}
+
+/// Write slot `slot`'s entry and move the sums with it.
+fn set_slot_entry(b: &mut [u8], counts: &mut Counts, slot: usize, off: usize, len: usize) {
+    counts.remove(slot_entry(b, slot));
+    write_slot_entry(b, slot, off, len);
+    counts.add((off, len));
+}
+
+/// Extend the directory to `n` free slots. The bytes under a new entry
+/// are whatever the record heap left there: they are overwritten, never
+/// counted as an old entry.
+fn grow_directory(b: &mut [u8], counts: &mut Counts, n: usize) {
+    for s in slot_count(b)..n {
+        let p = slot_entry_pos(b, s);
+        b[p..p + SLOT_BYTES].fill(0);
+        counts.add((0, 0));
+    }
+    write_u16(b, 0, n as u16);
+}
+
+/// Append `data` to the record heap as slot `s`'s record, compacting
+/// first if the contiguous free bytes are too few; room was checked.
+fn put_record(b: &mut [u8], counts: &mut Counts, s: usize, data: &[u8]) {
+    let dir_start = b.len() - slot_count(b) * SLOT_BYTES;
+    if dir_start - free_start(b) < data.len() {
+        compact(b, counts);
+    }
+    let off = free_start(b);
+    debug_assert!(off + data.len() <= b.len() - slot_count(b) * SLOT_BYTES);
+    b[off..off + data.len()].copy_from_slice(data);
+    set_free_start(b, off + data.len());
+    set_slot_entry(b, counts, s, off, data.len());
+}
+
+/// Defragment the record heap (slot numbers are preserved).
+fn compact(b: &mut [u8], counts: &mut Counts) {
+    let live: Vec<(usize, Vec<u8>)> = (0..slot_count(b))
+        .filter_map(|s| {
+            let (off, len) = slot_entry(b, s);
+            if off == 0 {
+                None
+            } else {
+                Some((s, b[off..off + len].to_vec()))
+            }
+        })
+        .collect();
+    let mut cursor = HDR;
+    for (s, data) in live {
+        b[cursor..cursor + data.len()].copy_from_slice(&data);
+        set_slot_entry(b, counts, s, cursor, data.len());
+        cursor += data.len();
+    }
+    set_free_start(b, cursor);
+}
+
+/// The accounting as the bytes give it, checking on the way that every
+/// accessor reads in bounds: the directory fits in the page, `free_start`
+/// lies between the header and the directory, and every live record
+/// between the header and `free_start`, with no more record bytes than
+/// that span holds.
+fn tally(b: &[u8]) -> Result<Counts> {
+    let refuse = |what: String| Err(Error::Corruption(format!("slotted page: {what}")));
+    let size = b.len();
+    if !(HDR..=usize::from(u16::MAX)).contains(&size) {
+        return refuse(format!("{size} bytes"));
+    }
+    let slots = slot_count(b);
+    if slots * SLOT_BYTES > size - HDR {
+        return refuse(format!("{slots} slots in {size} bytes"));
+    }
+    let free_start = free_start(b);
+    if !(HDR..=size - slots * SLOT_BYTES).contains(&free_start) {
+        return refuse(format!("free space starts at {free_start}"));
+    }
+    let mut counts = Counts::default();
+    for s in 0..slots {
+        let (off, len) = slot_entry(b, s);
+        if off != 0 && (off < HDR || off + len > free_start) {
+            return refuse(format!("slot {s} at {off}..{}", off + len));
+        }
+        counts.add((off, len));
+    }
+    if counts.live > free_start - HDR {
+        return refuse(format!("{} record bytes below {free_start}", counts.live));
+    }
+    Ok(counts)
+}
+
 impl PagePayload for SlottedPage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.buf);
+    fn image(&self) -> Arc<[u8]> {
+        Arc::clone(&self.buf)
     }
 
     /// Refuses a page some accessor could not read in bounds (see
     /// `tally`), so every page it returns serves every method.
-    fn decode(buf: &[u8]) -> Result<Self> {
-        let mut page = SlottedPage {
-            buf: buf.to_vec(),
+    fn from_image(buf: Arc<[u8]>) -> Result<Self> {
+        let counts = tally(&buf)?;
+        Ok(SlottedPage {
+            buf,
             held: Vec::new(),
-            counts: Counts::default(),
-        };
-        page.counts = page.tally()?;
-        Ok(page)
+            counts,
+        })
     }
 }
 
@@ -661,9 +697,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let mut p = SlottedPage::new(256);
         p.insert(b"persist me").unwrap();
-        let mut bytes = Vec::new();
-        p.encode(&mut bytes);
-        let q = SlottedPage::decode(&bytes).unwrap();
+        let q = SlottedPage::from_image(p.image()).unwrap();
         assert_eq!(p, q);
     }
 
@@ -677,7 +711,7 @@ mod tests {
             free_slots: entries.iter().filter(|&&e| e == (0, 0)).count(),
         };
         assert_eq!(p.counts, recount);
-        assert_eq!(p.tally().unwrap(), recount);
+        assert_eq!(tally(&p.buf).unwrap(), recount);
         let held: usize = p
             .held
             .iter()
@@ -717,11 +751,9 @@ mod tests {
         p.free_slot(b);
         assert_eq!(p.insert(&[5; 56]).unwrap(), c);
         p.insert_at(SlotId(5), &[6; 4]).unwrap();
-        let mut bytes = Vec::new();
-        p.encode(&mut bytes);
-        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let hex: String = p.image().iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, IMAGE);
-        let q = SlottedPage::decode(&bytes).unwrap();
+        let q = SlottedPage::from_image(p.image()).unwrap();
         assert_eq!(q.counts, p.counts);
         assert_eq!(
             q.counts,
@@ -795,11 +827,7 @@ mod tests {
             (0u8..10, prop::collection::vec(any::<u8>(), 1..24)), 0..80),
             image_at in 0usize..80) {
             use std::collections::HashMap;
-            let durable = |p: &SlottedPage| {
-                let mut bytes = Vec::new();
-                p.encode(&mut bytes);
-                SlottedPage::decode(&bytes).unwrap()
-            };
+            let durable = |p: &SlottedPage| SlottedPage::from_image(p.image()).unwrap();
             let mut p = SlottedPage::new(128);
             let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
             // The transaction of each slot it deleted or updated and that

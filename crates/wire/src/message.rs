@@ -481,7 +481,7 @@ pub fn error_code_of(e: &Error) -> ErrorCode {
         Error::LockBusy => ErrorCode::LockBusy,
         Error::NotFound(_) => ErrorCode::NotFound,
         Error::PageFull => ErrorCode::PageFull,
-        Error::Corruption(_) => ErrorCode::Corruption,
+        Error::Corruption(_) | Error::Malformed(_) => ErrorCode::Corruption,
         Error::BuildCancelled => ErrorCode::BuildCancelled,
         Error::InjectedCrash(_) => ErrorCode::InjectedCrash,
         Error::TxNotActive(_) => ErrorCode::TxNotActive,
