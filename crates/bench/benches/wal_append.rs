@@ -6,7 +6,7 @@
 //!   row image (what seeding logs), an `IndexBulkInsert` of 64 entries
 //!   (what the NSF builder logs per leaf; `BULK_RECORDS` of them, so
 //!   divide by that). The payloads are built outside the timed region:
-//!   the time is encode + allocate + reserve + publish.
+//!   the time is encode + reserve + copy into chunks + publish.
 //! * `append_txbegin_threads/N`: the same `RECORDS` appends split over
 //!   N threads — a flat line means the appenders are not serializing.
 //! * `append_flush64/4`: 4 threads, a `flush_to` every 64 records —
@@ -70,8 +70,8 @@ fn append_all(log: &LogManager, payloads: Vec<LogPayload>) {
 fn bench_append(c: &mut Criterion) {
     let mut g = c.benchmark_group("wal_append");
     g.sample_size(25);
-    // Finished logs are parked here so their teardown (one free per
-    // record) stays out of the timed region.
+    // Finished logs are parked here so their teardown (their segments
+    // and chunks) stays out of the timed region.
     let mut parked: Vec<LogManager> = Vec::new();
     for (name, records, make) in SHAPES {
         g.bench_function(BenchmarkId::new("append", name), |b| {

@@ -27,6 +27,7 @@
 //! ancestors as soon as the child cannot split. No transaction locks
 //! are taken here; that is the engine's business.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bulk;

@@ -14,6 +14,7 @@
 //! latch released, and accounts simulated sequential-prefetch I/O
 //! batches (§2.2.2).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mohan_common::pace::pace;

@@ -206,7 +206,7 @@ fn the_background_checkpointer_keeps_the_log_bounded() {
     });
     assert!(
         held_max <= 3 * CHECKPOINT_TRIGGER_BYTES,
-        "the log held {held_max} bytes of records"
+        "the log held {held_max} bytes of chunks"
     );
     assert!(counter(&db, "checkpoint.count") >= 4);
     assert_eq!(counter(&db, "checkpoint.failed"), 0);

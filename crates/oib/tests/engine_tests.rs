@@ -450,24 +450,25 @@ fn lock_table_holds_exactly_what_open_transactions_hold() {
     assert_eq!(sizes(&db), (0, 0));
 }
 
-/// `wal.resident_bytes` is the log's real footprint: the stored
-/// encoding of every record it holds plus the slot directory — counted,
-/// not estimated — and a crash keeps at least the flushed prefix.
+/// `wal.resident_bytes` is the log's real footprint: the chunks its
+/// segments pack records' bytes into, free ones included, plus the slot
+/// directory — counted, not estimated. A crash keeps at least the
+/// flushed prefix, and the chunks a checkpoint's truncation frees serve
+/// the appends after it.
 #[test]
-fn wal_resident_gauges_count_the_stored_bytes_exactly() {
+fn wal_resident_gauges_count_the_chunks_and_slots_the_log_holds() {
     let db = db();
     let gauge = |db: &Db, name: &str| db.obs.snapshot().counter(name).expect("registered gauge");
-    // The stored size of records 1..=through, re-encoded from `get`.
-    let encoded_sum = |db: &Db, through: u64| -> u64 {
-        let mut buf = Vec::new();
-        (1..=through)
-            .map(|lsn| {
-                let rec = db.wal.get(mohan_common::Lsn(lsn)).expect("below the tail");
-                buf.clear();
-                mohan_wal::encode_record(&rec, &mut buf);
-                buf.len() as u64
-            })
-            .sum()
+    let chunk = mohan_wal::log::CHUNK_BYTES as u64;
+    // The gauge is the chunks and the slots; the chunks hold the stored
+    // records `from..=to` in whole words, and at most one chunk a
+    // segment more.
+    let footprint = |db: &Db, from: u64, to: u64| {
+        let resident = gauge(db, "wal.resident_bytes");
+        assert_eq!(resident, db.wal.chunk_bytes() + db.wal.directory_bytes());
+        assert_eq!(db.wal.chunk_bytes() % chunk, 0);
+        assert!(db.wal.chunk_bytes() >= words_from(db, from, to));
+        resident
     };
     for batch in 0..6 {
         let tx = db.begin();
@@ -479,11 +480,11 @@ fn wal_resident_gauges_count_the_stored_bytes_exactly() {
     let tail = db.wal.tail_lsn().0;
     assert_eq!(tail, 6 * 502, "begin + 500 inserts + commit per batch");
     assert_eq!(gauge(&db, "wal.resident_records"), tail);
-    assert_eq!(
-        gauge(&db, "wal.resident_bytes") - db.wal.directory_bytes(),
-        encoded_sum(&db, tail)
-    );
-    assert_eq!(gauge(&db, "wal.bytes"), encoded_sum(&db, tail));
+    assert_eq!(gauge(&db, "wal.bytes"), encoded_sum_from(&db, 1, tail));
+    footprint(&db, 1, tail);
+    let segments = db.wal.directory_bytes() / (mohan_wal::log::SEGMENT_SLOTS * 8);
+    assert_eq!(segments, 1);
+    assert!(db.wal.chunk_bytes() < words_from(&db, 1, tail) + chunk);
 
     // An open transaction's tail burns in the crash, but its slots keep
     // their bytes until a truncation drops their segment: the gauge
@@ -495,13 +496,11 @@ fn wal_resident_gauges_count_the_stored_bytes_exactly() {
     let before = gauge(&db, "wal.resident_bytes");
     db.simulate_crash();
     assert_eq!(db.wal.tail_lsn().0, flushed);
-    assert_eq!(gauge(&db, "wal.resident_bytes"), before);
-    assert!(before - db.wal.directory_bytes() > encoded_sum(&db, flushed));
+    assert_eq!(footprint(&db, 1, flushed), before);
     db.restart().unwrap();
 
-    // A checkpoint truncates: the gauges fall, and still count exactly
-    // what the log holds — the records from the first LSN on, plus
-    // those below it (and the burned ones) that share its segment.
+    // A checkpoint truncates: the records and the slots fall, and the
+    // dropped segments' chunks go to the free list, still counted.
     let more = |db: &Db| {
         for batch in 0..4 {
             let tx = db.begin();
@@ -513,9 +512,10 @@ fn wal_resident_gauges_count_the_stored_bytes_exactly() {
         }
     };
     more(&db);
-    let (bytes, records) = (
+    let (bytes, records, chunks) = (
         gauge(&db, "wal.resident_bytes"),
         gauge(&db, "wal.resident_records"),
+        db.wal.chunk_bytes(),
     );
     db.checkpoint().unwrap();
     let first = db.wal.first_lsn().0;
@@ -524,6 +524,8 @@ fn wal_resident_gauges_count_the_stored_bytes_exactly() {
     assert_eq!(gauge(&db, "wal.first_lsn"), first);
     assert!(gauge(&db, "wal.resident_bytes") < bytes);
     assert!(gauge(&db, "wal.resident_records") < records);
+    assert!(db.wal.free_chunks() > 0);
+    assert!(db.wal.chunk_bytes() >= chunks);
     let truncated = gauge(&db, "wal.truncated_records");
     assert!(truncated > 0);
     assert_eq!(
@@ -534,11 +536,14 @@ fn wal_resident_gauges_count_the_stored_bytes_exactly() {
     // segment's worth below the first LSN.
     let held = gauge(&db, "wal.resident_records");
     assert!(held > tail - first && held - (tail - first + 1) < mohan_wal::log::SEGMENT_SLOTS);
-    assert!(
-        gauge(&db, "wal.resident_bytes") - db.wal.directory_bytes()
-            >= encoded_sum_from(&db, first, tail)
-    );
+    footprint(&db, first, tail);
+    // The next records go into the freed chunks: the log allocates one
+    // only once none is free.
+    let (chunks, appended) = (db.wal.chunk_bytes(), gauge(&db, "wal.bytes"));
     more(&db);
+    let appended = gauge(&db, "wal.bytes") - appended;
+    assert!(db.wal.free_chunks() == 0 || db.wal.chunk_bytes() == chunks);
+    assert!(db.wal.chunk_bytes() - chunks < appended);
     db.checkpoint().unwrap();
     assert!(gauge(&db, "wal.truncated_records") > truncated);
 }
@@ -553,6 +558,14 @@ fn encoded_sum_from(db: &Db, from: u64, to: u64) -> u64 {
             mohan_wal::encode_record(&rec, &mut buf);
             buf.len() as u64
         })
+        .sum()
+}
+
+/// What records `from..=to` take in the log's chunks: each stored
+/// encoding in whole words.
+fn words_from(db: &Db, from: u64, to: u64) -> u64 {
+    (from..=to)
+        .map(|lsn| encoded_sum_from(db, lsn, lsn).next_multiple_of(8))
         .sum()
 }
 

@@ -23,6 +23,7 @@
 //! merging under a fan-in limit, plus a single resumable driver.
 //! [`run_store`] is the crash-aware stable storage for runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

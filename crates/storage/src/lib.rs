@@ -19,6 +19,7 @@
 //!   checkpoint metadata (sort checkpoints, IB progress, catalog),
 //!   standing in for the paper's "recording on stable storage".
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blob;

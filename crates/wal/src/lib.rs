@@ -12,8 +12,9 @@
 //! * [`record`] — typed log records and payloads.
 //! * [`codec`] — byte encoding of records: what a log slot stores and
 //!   what WAL stream replication ships.
-//! * [`log`] — the log manager: encoded write-once slots in segments
-//!   that truncation frees, append/flush, flushed-prefix crash
+//! * [`log`] — the log manager: encoded records packed into reused
+//!   chunks behind write-once slots, in segments that truncation
+//!   frees, append/flush, flushed-prefix crash
 //!   semantics, per-transaction `prev_lsn` chains, and the pins and
 //!   range copies WAL subscribers ship from.
 //! * [`recovery`] — the analysis / redo / undo driver, generic over a
@@ -21,6 +22,7 @@
 //!   undo machinery performs normal transaction rollback, including
 //!   partial rollbacks, writing compensation log records (CLRs).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

@@ -1,38 +1,51 @@
 //! The log manager.
 //!
-//! The log keeps bytes, not object graphs: a slot holds a record's
-//! codec encoding ([`crate::codec`], the format a `WalFrame` carries)
-//! in one exact-size allocation, written once. Readers decode on
-//! demand ([`LogManager::get`], [`LogManager::iter_from`]), parse only
-//! the fixed header ([`LogManager::header`],
-//! [`LogManager::headers_from`]) or copy the stored bytes
-//! ([`LogManager::copy_range`]).
+//! The log keeps bytes, not object graphs: a record is stored as its
+//! codec encoding ([`crate::codec`], the format a `WalFrame` carries),
+//! written once. Readers decode on demand ([`LogManager::get`],
+//! [`LogManager::iter_from`]), parse only the fixed header
+//! ([`LogManager::header`], [`LogManager::headers_from`]) or copy the
+//! stored bytes ([`LogManager::copy_range`]).
 //!
-//! Slots live in fixed-size segments of [`SEGMENT_SLOTS`], and the log
-//! is as long as the work since the last checkpoint: once a checkpoint
-//! no longer needs the records below some LSN,
-//! [`LogManager::truncate_below`] drops every segment that holds only
-//! such records, and nothing below [`LogManager::first_lsn`] can be
-//! read any more. A reader holds an `Arc` of the segment it reads, so
+//! Records live in fixed-size segments of [`SEGMENT_SLOTS`] slots. A
+//! segment packs its records' encodings back to back into
+//! [`CHUNK_BYTES`] chunks of 8-byte words, which it owns; a record may
+//! span chunks. A slot is one word: where its record's words start in
+//! the segment and how many bytes it has, or zero until it is
+//! published. The log is as long as the work since the last
+//! checkpoint: once a checkpoint no longer needs the records below some
+//! LSN, [`LogManager::truncate_below`] drops every segment that holds
+//! only such records, and nothing below [`LogManager::first_lsn`] can
+//! be read any more. A reader holds an `Arc` of the segment it reads, so
 //! a segment dropped under it stays whole until the reader lets go.
 //! Anyone who must read records a checkpoint would drop — a WAL
 //! subscriber that has not shipped them yet — holds a [`LogPin`].
 //!
-//! Appends encode, reserve an LSN with a single `fetch_add`, and then
-//! publish the bytes into their pre-addressed slot. The hot path takes
-//! **no lock**: each thread keeps the segment it last appended to, so
-//! the directory lock is taken once per thread per segment. Durability
+//! A dropped segment's chunks go to the log's free list, and an append
+//! that needs a chunk takes one from that list before it allocates, so
+//! the chunks a log owns never exceed its own high-water mark,
+//! whichever threads append and truncate.
+//!
+//! Appends encode into a per-thread buffer, reserve an LSN with a
+//! single `fetch_add`, reserve the record's words with one more on its
+//! segment's word cursor, copy the bytes in with plain atomic stores
+//! and publish the slot with a release store. The hot path takes **no
+//! lock** and allocates nothing: each thread keeps a weak reference to
+//! the segment it last appended to, so the directory lock is taken once
+//! per thread per segment and the free list's once per chunk. The
+//! reference is weak so that a thread that stops appending does not
+//! keep a truncated segment's chunks off the free list. Durability
 //! happens at [`LogManager::flush_to`] / [`LogManager::flush_all`];
 //! concurrent flushers coalesce into one durable-prefix advance (group
 //! flush).
 //!
 //! A simulated crash truncates the log back to the flushed prefix,
 //! which is what lets tests observe the difference between, say, SF's
-//! unlogged bulk load and NSF's logged inserts. Because slots are
-//! write-once (`OnceLock`) and appends never lock the directory, a
-//! crash cannot scrub the truncated slots in place; instead it *burns*
-//! them: a new epoch remaps the reused logical LSN range onto fresh
-//! physical slots, and the abandoned ones go with their segment. Crash
+//! unlogged bulk load and NSF's logged inserts. Because a slot is
+//! published once and appends never lock the directory, a crash cannot
+//! scrub the truncated slots in place; instead it *burns* them: a new
+//! epoch remaps the reused logical LSN range onto fresh physical
+//! slots, and the abandoned ones go with their segment. Crash
 //! simulation is quiescent by contract — callers join their worker
 //! threads before calling [`LogManager::crash`], exactly as a real
 //! failure stops all appenders.
@@ -43,13 +56,36 @@ use mohan_common::stats::{Counter, StripedCounter};
 use mohan_common::{Error, Lsn, Result, TxId, WriteAhead};
 use mohan_obs::{Histogram, TraceSink};
 use parking_lot::{Mutex, RwLock};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 /// Slots in a log segment, the unit the log is allocated and freed in.
 pub const SEGMENT_SLOTS: u64 = 4096;
+
+/// Bytes in a chunk, the unit a segment stores its records' bytes in
+/// and the log reuses.
+pub const CHUNK_BYTES: usize = 64 << 10;
+
+/// Words in a chunk.
+const CHUNK_WORDS: usize = CHUNK_BYTES / 8;
+
+/// A chunk: words a segment packs record bytes into, native-endian.
+type Chunk = Box<[AtomicU64; CHUNK_WORDS]>;
+
+/// Chunks in the first block of a segment's chunk table; block `b ≥ 1`
+/// holds `FIRST_CHUNKS << (b - 1)`, so each block doubles what the
+/// table can address.
+const FIRST_CHUNKS: usize = 16;
+
+/// Blocks in a segment's chunk table: together they address 2³² words
+/// (32 GiB), every offset a slot can name.
+const TABLE_BLOCKS: usize = 16;
+
+/// The longest record header: 26 bytes, 34 for a CLR, read as whole
+/// words.
+const HEADER_BYTES: usize = 40;
 
 /// Pads a hot atomic onto its own cache line so unrelated writers do
 /// not false-share it.
@@ -64,45 +100,204 @@ impl<T> std::ops::Deref for Pad<T> {
     }
 }
 
-/// A log slot: the record's encoding, set exactly once by the
-/// appender that reserved its LSN. `OnceLock` gives that publish its
-/// release/acquire pairing without any per-slot lock.
-type Slot = OnceLock<Box<[u8]>>;
-
 /// Encode buffers larger than this are not kept by the per-thread
 /// scratch (a catalog snapshot can run to megabytes; a thread that
 /// logged one should not hold that much for good).
 const SCRATCH_KEEP: usize = 64 << 10;
 
 thread_local! {
-    /// Where [`LogManager::append`] encodes before it knows the size
-    /// of the slot's allocation.
-    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// Where [`LogManager::append`] encodes and [`LogManager::get`]
+    /// copies a record out.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
     /// The segment this thread last appended to: `(log id, segment
-    /// number, segment)`. A thread that stops appending keeps one
-    /// segment alive after a truncation dropped it, until it appends
-    /// again or exits.
-    static APPEND_SEGMENT: RefCell<Option<(u64, u64, Arc<Segment>)>> =
+    /// number, segment)`. Weak, so a truncation frees the segment's
+    /// chunks whether or not this thread appends again.
+    static APPEND_SEGMENT: RefCell<Option<(u64, u64, Weak<Segment>)>> =
         const { RefCell::new(None) };
+}
+
+/// Run `f` on the per-thread scratch buffer, emptied.
+fn with_scratch<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let mut buf = SCRATCH.take();
+    buf.clear();
+    let r = f(&mut buf);
+    if buf.capacity() <= SCRATCH_KEEP {
+        SCRATCH.set(buf);
+    }
+    r
 }
 
 /// Source of [`LogManager`] ids, which key the per-thread segment.
 static NEXT_LOG_ID: AtomicU64 = AtomicU64::new(0);
 
-/// One run of [`SEGMENT_SLOTS`] log slots. Slots are deliberately *not*
-/// padded to cache lines: adjacent publishes share a line, but
-/// reservation order makes the sharing sequential (at most one handoff
-/// per line quarter), and the dense layout keeps the prefetcher
-/// effective for appends and scans alike — measured, the padded variant
-/// is ~2x slower single-threaded and no faster at 4 threads.
+/// The chunks a log owns and no segment holds.
+#[derive(Default)]
+struct ChunkPool {
+    free: Mutex<Vec<Chunk>>,
+    /// Chunks allocated so far: none is ever handed back to the
+    /// allocator while the log lives.
+    owned: AtomicU64,
+}
+
+impl ChunkPool {
+    /// A free chunk, or a new one when none is free. Its words hold
+    /// whatever its last segment left there.
+    fn take(&self) -> Chunk {
+        if let Some(chunk) = self.free.lock().pop() {
+            return chunk;
+        }
+        self.owned.fetch_add(1, Ordering::Relaxed);
+        (0..CHUNK_WORDS)
+            .map(|_| AtomicU64::new(0))
+            .collect::<Box<[AtomicU64]>>()
+            .try_into()
+            .expect("CHUNK_WORDS words")
+    }
+}
+
+/// Where a published record lies in its segment.
+#[derive(Clone, Copy)]
+struct Extent {
+    /// First word.
+    word: u64,
+    /// Length in bytes.
+    len: usize,
+}
+
+/// Block and index within it of chunk `c` in a segment's chunk table.
+fn locate(c: usize) -> (usize, usize) {
+    if c < FIRST_CHUNKS {
+        return (0, c);
+    }
+    let b = (c / FIRST_CHUNKS).ilog2() as usize + 1;
+    (b, c - (FIRST_CHUNKS << (b - 1)))
+}
+
+/// Chunks in block `b` of a segment's chunk table.
+fn block_len(b: usize) -> usize {
+    FIRST_CHUNKS << b.saturating_sub(1)
+}
+
+/// One run of [`SEGMENT_SLOTS`] log slots and the chunks their records'
+/// bytes are packed into. Slots are deliberately *not* padded to cache
+/// lines: adjacent publishes share a line, but reservation order makes
+/// the sharing sequential, and the dense layout keeps the prefetcher
+/// effective for appends and scans alike.
 struct Segment {
-    slots: Box<[Slot]>,
+    /// `(first word << 32) | byte length` of each slot's record; zero
+    /// until published (no record is empty).
+    slots: Box<[AtomicU64]>,
+    /// Words reserved so far.
+    cursor: Pad<AtomicU64>,
+    /// Chunk `c` of the segment is `table[b][i]` for `(b, i) =
+    /// locate(c)`; blocks and chunks are filled in on first touch.
+    table: [OnceLock<Box<[OnceLock<Chunk>]>>; TABLE_BLOCKS],
+    /// Where the chunks go when the segment is dropped.
+    pool: Arc<ChunkPool>,
 }
 
 impl Segment {
-    fn new() -> Segment {
+    fn new(pool: Arc<ChunkPool>) -> Segment {
         Segment {
-            slots: (0..SEGMENT_SLOTS).map(|_| OnceLock::new()).collect(),
+            slots: (0..SEGMENT_SLOTS).map(|_| AtomicU64::new(0)).collect(),
+            cursor: Pad::default(),
+            table: Default::default(),
+            pool,
+        }
+    }
+
+    /// Chunk `c`, if an append has filled it in.
+    fn chunk(&self, c: usize) -> Option<&Chunk> {
+        let (b, i) = locate(c);
+        self.table[b].get()?[i].get()
+    }
+
+    /// Chunk `c`, taken from the pool on first touch.
+    fn chunk_for_append(&self, c: usize) -> &Chunk {
+        let (b, i) = locate(c);
+        self.table[b].get_or_init(|| (0..block_len(b)).map(|_| OnceLock::new()).collect())[i]
+            .get_or_init(|| self.pool.take())
+    }
+
+    /// Copy `words` into freshly reserved words of the segment and
+    /// publish them as slot `slot`'s record of `len` bytes.
+    fn store(&self, slot: usize, words: &[[u8; 8]], len: usize) {
+        debug_assert!(len > 0, "an empty record would read as unpublished");
+        let n = words.len() as u64;
+        let first = self.cursor.fetch_add(n, Ordering::Relaxed);
+        assert!(
+            first + n <= 1 << 32 && len <= u32::MAX as usize,
+            "a log segment addresses 2^32 words and a record 2^32 bytes"
+        );
+        let mut at = first as usize;
+        let mut rest = words;
+        while !rest.is_empty() {
+            let chunk = self.chunk_for_append(at / CHUNK_WORDS);
+            let dst = &chunk[at % CHUNK_WORDS..];
+            let (now, later) = rest.split_at(rest.len().min(dst.len()));
+            for (w, b) in dst.iter().zip(now) {
+                w.store(u64::from_ne_bytes(*b), Ordering::Relaxed);
+            }
+            at += now.len();
+            rest = later;
+        }
+        // Pairs with the acquire in `record`: a reader that sees the
+        // slot sees the words.
+        self.slots[slot].store(first << 32 | len as u64, Ordering::Release);
+    }
+
+    /// Where slot `slot`'s record lies, once it is published.
+    fn record(&self, slot: usize) -> Option<Extent> {
+        match self.slots[slot].load(Ordering::Acquire) {
+            0 => None,
+            v => Some(Extent {
+                word: v >> 32,
+                len: (v & u64::from(u32::MAX)) as usize,
+            }),
+        }
+    }
+
+    /// Fill `out`, a whole number of words, from the segment's words
+    /// from `word` on.
+    fn read_words(&self, mut word: usize, out: &mut [u8]) {
+        let (mut rest, tail) = out.as_chunks_mut::<8>();
+        debug_assert!(tail.is_empty());
+        while !rest.is_empty() {
+            let chunk = self
+                .chunk(word / CHUNK_WORDS)
+                .expect("a published record's chunks are filled in");
+            let src = &chunk[word % CHUNK_WORDS..];
+            let (now, later) = rest.split_at_mut(rest.len().min(src.len()));
+            for (b, w) in now.iter_mut().zip(src) {
+                *b = w.load(Ordering::Relaxed).to_ne_bytes();
+            }
+            word += now.len();
+            rest = later;
+        }
+    }
+
+    /// Append the record at `at` to `out`.
+    fn read_into(&self, at: Extent, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + at.len.next_multiple_of(8), 0);
+        self.read_words(at.word as usize, &mut out[start..]);
+        out.truncate(start + at.len);
+    }
+
+    /// The header of the record at `at`, read without its payload.
+    fn header(&self, at: Extent) -> RecordHeader {
+        let mut head = [0u8; HEADER_BYTES];
+        let n = at.len.min(HEADER_BYTES);
+        self.read_words(at.word as usize, &mut head[..n.next_multiple_of(8)]);
+        header_of(&head[..n])
+    }
+}
+
+impl Drop for Segment {
+    fn drop(&mut self) {
+        let mut free = self.pool.free.lock();
+        for block in self.table.iter_mut().filter_map(OnceLock::get_mut) {
+            free.extend(block.iter_mut().filter_map(OnceLock::take));
         }
     }
 }
@@ -132,15 +327,16 @@ impl Directory {
 struct SegmentCursor(Option<(u64, Arc<Segment>)>);
 
 impl SegmentCursor {
-    /// Physical slot `phys`, or `None` if its segment is not held
-    /// (dropped by truncation, or not yet allocated).
-    fn slot(&mut self, dir: &RwLock<Directory>, phys: u64) -> Option<&Slot> {
+    /// The segment holding physical slot `phys` and the slot's index in
+    /// it, or `None` if that segment is not held (dropped by
+    /// truncation, or not yet allocated).
+    fn slot(&mut self, dir: &RwLock<Directory>, phys: u64) -> Option<(&Segment, usize)> {
         let no = phys / SEGMENT_SLOTS;
         if self.0.as_ref().map(|(n, _)| *n) != Some(no) {
             self.0 = Some((no, dir.read().get(no)?));
         }
         let (_, seg) = self.0.as_ref()?;
-        Some(&seg.slots[(phys % SEGMENT_SLOTS) as usize])
+        Some((seg, (phys % SEGMENT_SLOTS) as usize))
     }
 }
 
@@ -209,6 +405,8 @@ type FlushWaker = (u64, Box<dyn Fn() + Send + Sync>);
 pub struct LogManager {
     /// Key of this log's entry in a thread's append segment.
     id: u64,
+    /// The chunks no segment holds, and the count of all the log owns.
+    pool: Arc<ChunkPool>,
     /// The segments holding every record at or above `first`. Appends
     /// take it once per thread per segment, readers once per segment
     /// they walk into, truncation to drop segments from the front.
@@ -284,6 +482,7 @@ impl LogManager {
     pub fn new() -> LogManager {
         LogManager {
             id: NEXT_LOG_ID.fetch_add(1, Ordering::Relaxed),
+            pool: Arc::default(),
             dir: RwLock::new(Directory {
                 base: 0,
                 segs: VecDeque::new(),
@@ -377,7 +576,7 @@ impl LogManager {
             if let Some(seg) = self.dir.read().get(no) {
                 return seg;
             }
-            let fresh = Arc::new(Segment::new());
+            let fresh = Arc::new(Segment::new(Arc::clone(&self.pool)));
             let mut dir = self.dir.write();
             assert!(
                 no >= dir.base,
@@ -396,15 +595,34 @@ impl LogManager {
         Lsn(self.first.load(Ordering::Acquire))
     }
 
-    /// Run `f` on the stored encoding of the record at `lsn`. `None`
+    /// Segment `no` for this thread's append: the one it last appended
+    /// to while that one lives, else the directory's.
+    fn append_segment(&self, no: u64) -> Arc<Segment> {
+        APPEND_SEGMENT.with(|cached| {
+            let mut cached = cached.borrow_mut();
+            if let Some((log, n, seg)) = &*cached {
+                if (*log, *n) == (self.id, no) {
+                    if let Some(seg) = seg.upgrade() {
+                        return seg;
+                    }
+                }
+            }
+            let seg = self.segment_for_append(no);
+            *cached = Some((self.id, no, Arc::downgrade(&seg)));
+            seg
+        })
+    }
+
+    /// Run `f` on the segment and extent of the record at `lsn`. `None`
     /// for the null LSN, a truncated record or a truncated tail.
-    fn with_stored<R>(&self, lsn: Lsn, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    fn with_stored<R>(&self, lsn: Lsn, f: impl FnOnce(&Segment, Extent) -> R) -> Option<R> {
         if lsn < self.first_lsn() || lsn.0 > self.next.load(Ordering::Acquire) {
             return None;
         }
         let phys = translate(&self.epochs.read(), lsn.0 - 1);
         let mut segs = SegmentCursor::default();
-        segs.slot(&self.dir, phys)?.get().map(|bytes| f(bytes))
+        let (seg, slot) = segs.slot(&self.dir, phys)?;
+        seg.record(slot).map(|at| f(seg, at))
     }
 
     /// Advance the contiguous published watermark past every slot that
@@ -424,7 +642,7 @@ impl LogManager {
         while p < next
             && segs
                 .slot(&self.dir, translate(&epochs, p))
-                .is_some_and(|slot| slot.get().is_some())
+                .is_some_and(|(seg, slot)| seg.record(slot).is_some())
         {
             p += 1;
         }
@@ -435,15 +653,16 @@ impl LogManager {
 
     /// Append a record and return its LSN. LSNs are dense and start
     /// at 1 (so [`Lsn::NULL`] never names a record). The record is
-    /// encoded into its slot-sized allocation first; the LSN is then
+    /// encoded into the thread's scratch buffer first; the LSN is then
     /// reserved with one `fetch_add`, patched into the bytes, and the
-    /// slot published without taking any lock.
+    /// bytes copied into their segment and published without taking
+    /// any lock.
     pub fn append(&self, tx: TxId, prev: Lsn, kind: RecKind, payload: LogPayload) -> Lsn {
         // Encode *before* reserving: every instruction between
         // reservation and publish is a hole in the log that flushers
         // must wait out (fatal if this thread is descheduled in that
-        // window), so the encode, the allocation and the release of
-        // the payload's own buffers all stay outside it.
+        // window), so the encode and the release of the payload's own
+        // buffers stay outside it.
         let rec = LogRecord {
             lsn: Lsn::NULL,
             tx,
@@ -451,18 +670,11 @@ impl LogManager {
             kind,
             payload,
         };
-        let bytes = SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            scratch.clear();
-            encode_record(&rec, &mut scratch);
-            let bytes = Box::<[u8]>::from(scratch.as_slice());
-            if scratch.capacity() > SCRATCH_KEEP {
-                *scratch = Vec::new();
-            }
-            bytes
-        });
-        drop(rec);
-        self.publish(tx, bytes)
+        with_scratch(|bytes| {
+            encode_record(&rec, bytes);
+            drop(rec);
+            self.publish(tx, bytes)
+        })
     }
 
     /// Append a record that is already encoded — a follower mirroring
@@ -482,7 +694,10 @@ impl LogManager {
             },
             "append_encoded wants exactly one well-formed record"
         );
-        let lsn = self.publish(header.tx, Box::from(encoded));
+        let lsn = with_scratch(|bytes| {
+            bytes.extend_from_slice(encoded);
+            self.publish(header.tx, bytes)
+        });
         if lsn != header.lsn {
             return Err(Error::Corruption(format!(
                 "log mirror diverged: local {} vs primary {}",
@@ -492,29 +707,23 @@ impl LogManager {
         Ok(lsn)
     }
 
-    /// Reserve the next LSN, stamp it into `bytes` and publish them.
-    fn publish(&self, tx: TxId, mut bytes: Box<[u8]>) -> Lsn {
+    /// Pad `bytes` to whole words, reserve the next LSN, stamp it in
+    /// and publish the record.
+    fn publish(&self, tx: TxId, bytes: &mut Vec<u8>) -> Lsn {
         let size = bytes.len() as u64;
+        bytes.resize(bytes.len().next_multiple_of(8), 0);
         let idx = self.next.fetch_add(1, Ordering::AcqRel);
         let lsn = Lsn(idx + 1);
         bytes[LSN_BYTES].copy_from_slice(&lsn.0.to_be_bytes());
         let phys = idx - self.epoch_logical.load(Ordering::Acquire)
             + self.epoch_physical.load(Ordering::Acquire);
         let (no, off) = (phys / SEGMENT_SLOTS, (phys % SEGMENT_SLOTS) as usize);
-        let fresh = APPEND_SEGMENT.with(|cached| {
-            let mut cached = cached.borrow_mut();
-            match &*cached {
-                Some((log, n, seg)) if *log == self.id && *n == no => seg.slots[off].set(bytes),
-                _ => {
-                    let seg = self.segment_for_append(no);
-                    let set = seg.slots[off].set(bytes);
-                    *cached = Some((self.id, no, seg));
-                    set
-                }
-            }
-            .is_ok()
-        });
-        debug_assert!(fresh, "log slot {phys} double-published");
+        let seg = self.append_segment(no);
+        debug_assert!(
+            seg.record(off).is_none(),
+            "log slot {phys} double-published"
+        );
+        seg.store(off, bytes.as_chunks::<8>().0, size as usize);
         self.stats.records.bump();
         self.stats.bytes.add(size);
         if self.has_ib.load(Ordering::Acquire) && self.ib_txs.read().contains(&tx) {
@@ -656,14 +865,19 @@ impl LogManager {
     /// truncated record or a truncated tail.
     #[must_use]
     pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
-        self.with_stored(lsn, decode_stored)
+        self.with_stored(lsn, |seg, at| {
+            with_scratch(|bytes| {
+                seg.read_into(at, bytes);
+                decode_stored(bytes)
+            })
+        })
     }
 
     /// Header of the record at `lsn` — the first 26 bytes (34 for a
-    /// CLR) of its slot; the payload is neither read nor allocated.
+    /// CLR) of its encoding; the payload is neither read nor allocated.
     #[must_use]
     pub fn header(&self, lsn: Lsn) -> Option<RecordHeader> {
-        self.with_stored(lsn, header_of)
+        self.with_stored(lsn, |seg, at| seg.header(at))
     }
 
     /// Walk the stored encodings of `(after, through]` in LSN order,
@@ -691,7 +905,13 @@ impl LogManager {
     /// when `after` is below [`LogManager::first_lsn`] − 1.
     pub fn iter_from(&self, after: Lsn) -> impl Iterator<Item = LogRecord> + '_ {
         let mut walk = self.walk(after, Lsn(u64::MAX));
-        std::iter::from_fn(move || walk.next_with(decode_stored))
+        let mut bytes = Vec::new();
+        std::iter::from_fn(move || {
+            let (seg, at) = walk.next()?;
+            bytes.clear();
+            seg.read_into(at, &mut bytes);
+            Some(decode_stored(&bytes))
+        })
     }
 
     /// Headers of the records after `after` in LSN order (restart
@@ -699,17 +919,18 @@ impl LogManager {
     /// payload.
     pub fn headers_from(&self, after: Lsn) -> impl Iterator<Item = RecordHeader> + '_ {
         let mut walk = self.walk(after, Lsn(u64::MAX));
-        std::iter::from_fn(move || walk.next_with(header_of))
+        std::iter::from_fn(move || walk.next().map(|(seg, at)| seg.header(at)))
     }
 
     /// Append the stored encodings of `(after, through]` to `out`,
-    /// back-to-back — a `WalFrame` body, by copy. Stops at the
-    /// published tail, after `max_records` records, or before the
-    /// record that would take the bytes added past `max_bytes`; the
-    /// first record is always taken, so one larger than the budget
-    /// travels alone. Copies nothing when `after` is below
-    /// [`LogManager::first_lsn`] − 1. Returns the number of records
-    /// copied and the LSN of the last ([`Lsn::NULL`] when none).
+    /// back-to-back — a `WalFrame` body, copied straight out of the
+    /// chunks. Stops at the published tail, after `max_records`
+    /// records, or before the record that would take the bytes added
+    /// past `max_bytes`; the first record is always taken, so one
+    /// larger than the budget travels alone. Copies nothing when
+    /// `after` is below [`LogManager::first_lsn`] − 1. Returns the
+    /// number of records copied and the LSN of the last ([`Lsn::NULL`]
+    /// when none).
     pub fn copy_range(
         &self,
         after: Lsn,
@@ -722,16 +943,11 @@ impl LogManager {
         let mut count = 0;
         let mut walk = self.walk(after, through);
         while count < max_records {
-            let taken = walk.next_with(|bytes| {
-                let fits = count == 0 || out.len() - start + bytes.len() <= max_bytes;
-                if fits {
-                    out.extend_from_slice(bytes);
-                }
-                fits
-            });
-            if taken != Some(true) {
+            let Some((seg, at)) = walk.next() else { break };
+            if count > 0 && out.len() - start + at.len > max_bytes {
                 break;
             }
+            seg.read_into(at, out);
             count += 1;
         }
         let last = if count == 0 {
@@ -788,28 +1004,46 @@ impl LogManager {
             dir.base = dir.base.max(keep_from);
             dir.segs.drain(..n as usize).collect()
         };
-        for slot in dropped.iter().flat_map(|seg| seg.slots.iter()) {
-            if let Some(bytes) = slot.get() {
+        for seg in &dropped {
+            for at in (0..SEGMENT_SLOTS as usize).filter_map(|slot| seg.record(slot)) {
                 self.stats.truncated_records.bump();
-                self.stats.truncated_bytes.add(bytes.len() as u64);
+                self.stats.truncated_bytes.add(at.len as u64);
             }
         }
+        // Each segment's chunks go to the free list as its last holder
+        // lets go: here, unless a reader is still on it.
+        drop(dropped);
         Lsn(floor)
     }
 
-    /// Bytes of the slot directory the log holds: every slot of every
-    /// segment it holds, filled or not.
+    /// Bytes of the slot directory the log holds: every slot (8 B) of
+    /// every segment it holds, filled or not.
     #[must_use]
     pub fn directory_bytes(&self) -> u64 {
-        self.dir.read().segs.len() as u64 * SEGMENT_SLOTS * std::mem::size_of::<Slot>() as u64
+        self.dir.read().segs.len() as u64 * SEGMENT_SLOTS * 8
     }
 
-    /// Memory the log holds: the stored encoding of every record in a
-    /// segment it holds — burned ones and truncated ones that share a
-    /// segment with later records included — plus the slot directory.
+    /// Bytes of the chunks the log owns: those its segments hold and
+    /// those on its free list.
+    #[must_use]
+    pub fn chunk_bytes(&self) -> u64 {
+        self.pool.owned.load(Ordering::Relaxed) * CHUNK_BYTES as u64
+    }
+
+    /// Chunks on the log's free list: owned, held by no segment, and
+    /// the next to serve an append.
+    #[must_use]
+    pub fn free_chunks(&self) -> usize {
+        self.pool.free.lock().len()
+    }
+
+    /// Memory the log holds: its chunks, free ones included, plus the
+    /// slot directory. The chunks hold every record in a segment the
+    /// log holds — burned ones and truncated ones that share a segment
+    /// with later records included — each rounded up to whole words.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.stats.bytes.get() - self.stats.truncated_bytes.get() + self.directory_bytes()
+        self.chunk_bytes() + self.directory_bytes()
     }
 
     /// Records the log holds in memory (counted as in
@@ -821,9 +1055,9 @@ impl LogManager {
 
     /// Simulated system failure: everything after the flushed prefix
     /// is gone. The truncated logical LSN range is remapped onto fresh
-    /// physical slots (a published `OnceLock` slot cannot be un-set in
-    /// place); the abandoned slots keep their bytes until a truncation
-    /// drops their segment, bounded by the unflushed tail per crash.
+    /// physical slots (a published slot is never un-set in place); the
+    /// abandoned slots keep their bytes until a truncation drops their
+    /// segment, bounded by the unflushed tail per crash.
     pub fn crash(&self) {
         let mut epochs = self.epochs.write();
         let flushed = self.flushed.load(Ordering::Acquire);
@@ -861,8 +1095,9 @@ impl WriteAhead for LogManager {
     }
 }
 
-/// Decode a slot's bytes. Slots only ever hold what `encode_record`
-/// wrote (or what `decode_record` delimited, on a follower).
+/// Decode a record's stored bytes. The log only ever stores what
+/// `encode_record` wrote (or what `decode_record` delimited, on a
+/// follower).
 fn decode_stored(bytes: &[u8]) -> LogRecord {
     decode_record(bytes, &mut 0).expect("log slot holds a well-formed record")
 }
@@ -890,8 +1125,8 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
-    /// Run `f` on the next record's bytes.
-    fn next_with<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    /// The next record's segment and extent.
+    fn next(&mut self) -> Option<(&Segment, Extent)> {
         if self.idx >= self.end {
             self.end = self.log.tail_lsn().0.min(self.through);
             if self.idx >= self.end {
@@ -899,13 +1134,12 @@ impl Walk<'_> {
             }
         }
         let phys = translate(&self.epochs, self.idx);
-        let bytes = self
-            .segs
-            .slot(&self.log.dir, phys)?
-            .get()
+        let (seg, slot) = self.segs.slot(&self.log.dir, phys)?;
+        let at = seg
+            .record(slot)
             .expect("record below published watermark must be set");
         self.idx += 1;
-        Some(f(bytes))
+        Some((seg, at))
     }
 }
 
@@ -988,10 +1222,15 @@ mod tests {
             assert_eq!(mirror.tail_lsn(), Lsn(lsn.0 + 1));
         }
         assert_eq!(log.stats.bytes.get(), stored);
-        assert_eq!(log.resident_bytes(), stored + log.directory_bytes());
+        // One segment: its slots, and its records' words in whole chunks.
+        assert_eq!(log.directory_bytes(), SEGMENT_SLOTS * 8);
         assert_eq!(
-            log.directory_bytes(),
-            SEGMENT_SLOTS * std::mem::size_of::<Slot>() as u64
+            log.chunk_bytes(),
+            stored_words(&log, 1, log.tail_lsn().0).next_multiple_of(CHUNK_BYTES as u64)
+        );
+        assert_eq!(
+            log.resident_bytes(),
+            log.chunk_bytes() + log.directory_bytes()
         );
     }
 
@@ -1121,11 +1360,13 @@ mod tests {
                 }
                 walks
             });
-            for a in appenders {
-                a.join().unwrap();
-            }
+            // The walker stops even if an appender panicked.
+            let appended: Vec<_> = appenders.into_iter().map(|a| a.join()).collect();
             done.store(true, Ordering::Release);
             assert!(walker.join().unwrap() >= 1);
+            for a in appended {
+                a.unwrap();
+            }
         });
         assert_eq!(walk(&log), THREADS * PER);
     }
@@ -1408,40 +1649,54 @@ mod tests {
         assert!(forces + coalesced <= threads * per);
     }
 
-    /// The stored size of records `from..=to`, as `get` reads them back.
-    fn stored_bytes(log: &LogManager, from: u64, to: u64) -> u64 {
+    /// The bytes records `from..=to` take in their segments' chunks:
+    /// each encoding, as `get` reads it back, in whole words.
+    fn stored_words(log: &LogManager, from: u64, to: u64) -> u64 {
         let mut buf = Vec::new();
         (from..=to)
             .map(|lsn| {
                 buf.clear();
                 encode_record(&log.get(Lsn(lsn)).expect("held record"), &mut buf);
-                buf.len() as u64
+                buf.len().next_multiple_of(8) as u64
             })
             .sum()
     }
 
     #[test]
-    fn truncation_drops_whole_segments_and_the_gauges_fall_exactly() {
+    fn truncation_drops_whole_segments_and_frees_their_chunks() {
         let log = LogManager::new();
         let n = 3 * SEGMENT_SLOTS + 100;
         for i in 0..n {
             log.append(TxId(i), Lsn::NULL, RecKind::UndoRedo, mixed(i));
         }
-        let before = log.resident_bytes();
+        // Each segment holds its records' words, rounded up to chunks.
+        let held: Vec<u64> = (0..4)
+            .map(|seg| {
+                let to = ((seg + 1) * SEGMENT_SLOTS).min(n);
+                stored_words(&log, seg * SEGMENT_SLOTS + 1, to).div_ceil(CHUNK_BYTES as u64)
+            })
+            .collect();
+        let chunk = CHUNK_BYTES as u64;
+        assert_eq!(log.chunk_bytes(), held.iter().sum::<u64>() * chunk);
+        assert_eq!(log.directory_bytes(), 4 * SEGMENT_SLOTS * 8);
+        assert_eq!(
+            log.resident_bytes(),
+            log.chunk_bytes() + log.directory_bytes()
+        );
+        assert_eq!(log.free_chunks(), 0);
         assert_eq!(log.resident_records(), n);
         // Nothing past the flushed mark goes.
         log.flush_to(Lsn(SEGMENT_SLOTS + 10));
         assert_eq!(log.truncate_below(Lsn(n)), Lsn(SEGMENT_SLOTS + 11));
         assert_eq!(log.first_lsn(), Lsn(SEGMENT_SLOTS + 11));
-        // One whole segment went; the records below the first LSN in
-        // the second stay in memory, unreadable.
+        // One whole segment went, and its chunks to the free list; the
+        // records below the first LSN in the second stay in memory,
+        // unreadable.
         assert_eq!(log.stats.truncated_records.get(), SEGMENT_SLOTS);
         assert_eq!(log.resident_records(), n - SEGMENT_SLOTS);
-        assert_eq!(
-            log.directory_bytes(),
-            3 * SEGMENT_SLOTS * std::mem::size_of::<Slot>() as u64
-        );
-        assert!(log.resident_bytes() < before);
+        assert_eq!(log.directory_bytes(), 3 * SEGMENT_SLOTS * 8);
+        assert_eq!(log.free_chunks() as u64, held[0]);
+        assert_eq!(log.chunk_bytes(), held.iter().sum::<u64>() * chunk);
         assert!(log.get(Lsn(SEGMENT_SLOTS + 10)).is_none());
         assert!(log.header(Lsn(1)).is_none());
         assert_eq!(
@@ -1464,26 +1719,31 @@ mod tests {
             n - first + 1
         );
 
-        // Everything flushed goes; the gauges count exactly what is held.
+        // Everything flushed goes: all but the last segment, which the
+        // next appends go on filling.
         log.flush_all();
         assert_eq!(log.truncate_below(Lsn(u64::MAX)), Lsn(n + 1));
         assert_eq!(log.resident_records(), n % SEGMENT_SLOTS);
+        assert_eq!(log.free_chunks() as u64, held[0] + held[1] + held[2]);
+        assert_eq!(log.directory_bytes(), SEGMENT_SLOTS * 8);
+        // Two segments' worth of new records take free chunks and
+        // allocate none.
+        let owned = log.chunk_bytes();
+        for i in 0..2 * SEGMENT_SLOTS {
+            let lsn = log.append(TxId(i), Lsn::NULL, RecKind::UndoRedo, mixed(i));
+            assert_eq!(lsn, Lsn(n + 1 + i));
+        }
+        assert_eq!(log.chunk_bytes(), owned);
+        assert!(log.free_chunks() < (held[0] + held[1] + held[2]) as usize);
+        assert_eq!(log.get(Lsn(n + 1)).unwrap().tx, TxId(0));
         assert_eq!(
-            log.resident_bytes(),
-            log.stats.bytes.get() - log.stats.truncated_bytes.get() + log.directory_bytes()
+            log.iter_from(Lsn(n)).map(|r| r.tx.0).collect::<Vec<_>>(),
+            (0..2 * SEGMENT_SLOTS).collect::<Vec<_>>()
         );
-        // New records are appended and read as ever.
-        let lsn = begin(&log, 7);
-        assert_eq!(lsn, Lsn(n + 1));
-        assert_eq!(log.get(lsn).unwrap().tx, TxId(7));
-        let held_from = n - n % SEGMENT_SLOTS + 1;
-        log.flush_all();
         assert_eq!(
-            log.resident_bytes() - log.directory_bytes(),
-            log.stats.bytes.get() - log.stats.truncated_bytes.get()
+            log.resident_records(),
+            n % SEGMENT_SLOTS + 2 * SEGMENT_SLOTS
         );
-        assert!(log.resident_bytes() - log.directory_bytes() > stored_bytes(&log, n + 1, n + 1));
-        assert_eq!(log.resident_records(), n + 1 - held_from + 1);
     }
 
     #[test]
@@ -1605,5 +1865,327 @@ mod tests {
             log.resident_records(),
             THREADS * PER - log.stats.truncated_records.get()
         );
+    }
+
+    /// A row image of `len` bytes, for records of a chosen size.
+    fn row(len: usize, fill: u8) -> LogPayload {
+        LogPayload::HeapInsert {
+            table: mohan_common::TableId(1),
+            rid: mohan_common::Rid::new(len as u32, 0),
+            data: vec![fill; len],
+            visible_indexes: 0,
+        }
+    }
+
+    /// A thread that appended and then went idle keeps no claim on its
+    /// segment: once a truncation drops the segment, its chunks are on
+    /// the free list while that thread is still parked.
+    #[test]
+    fn an_idle_appender_does_not_keep_a_truncated_segment() {
+        let log = LogManager::new();
+        std::thread::scope(|s| {
+            let log = &log;
+            let (appended, parked) = std::sync::mpsc::channel();
+            // Dropped if this thread panics, which frees the idle one.
+            let (release, wait) = std::sync::mpsc::channel::<()>();
+            let idle = s.spawn(move || {
+                for i in 0..100 {
+                    log.append(TxId(1), Lsn::NULL, RecKind::UndoRedo, row(1000, i));
+                }
+                appended.send(()).unwrap();
+                let _ = wait.recv();
+            });
+            parked.recv().unwrap();
+            // This thread fills the rest of the segment and starts the
+            // next one, so only the idle thread last appended to it.
+            while log.tail_lsn().0 <= SEGMENT_SLOTS {
+                begin(log, 2);
+            }
+            let chunks = stored_words(log, 1, SEGMENT_SLOTS).div_ceil(CHUNK_BYTES as u64);
+            assert!(chunks > 1);
+            log.flush_all();
+            assert_eq!(log.truncate_below(Lsn(u64::MAX)), Lsn(SEGMENT_SLOTS + 2));
+            assert_eq!(
+                log.free_chunks() as u64,
+                chunks,
+                "the parked appender's segment kept its chunks"
+            );
+            release.send(()).unwrap();
+            idle.join().unwrap();
+        });
+    }
+
+    /// One step of the model test, decoded from three random numbers.
+    #[derive(Debug)]
+    enum Step {
+        /// Append a row image of this many bytes.
+        Append(usize),
+        /// Append this many header-only records.
+        Many(u64),
+        /// Mirror a record of this many bytes with `append_encoded`,
+        /// naming the right LSN or, when `false`, the one after it.
+        Mirror(usize, bool),
+        FlushTo(u64),
+        Crash,
+        /// Take a pin at this LSN, advance pin `i % pins` to it, or drop
+        /// pin `i % pins`.
+        Pin(u64),
+        Advance(usize, u64),
+        Unpin(usize),
+        TruncateBelow(u64),
+    }
+
+    /// A record size: mostly small, sometimes past a chunk, now and
+    /// then past the chunk table's first block on its own.
+    fn record_size(r: u32) -> usize {
+        let r16 = (r >> 4) as usize;
+        match r % 32 {
+            0..=21 => r16 % 300,
+            22..=27 => r16 % 5000,
+            28..=30 => 60_000 + r16 % 200_000,
+            _ => FIRST_CHUNKS * CHUNK_BYTES + r16 % 100_000,
+        }
+    }
+
+    fn step(op: u8, a: u32, b: u32, tail: u64) -> Step {
+        let near = |x: u32| u64::from(x) % (tail + 4);
+        match op % 16 {
+            0..=4 => Step::Append(record_size(a)),
+            5 => Step::Many(u64::from(a % 3000)),
+            6 | 7 => Step::Mirror(record_size(a), !b.is_multiple_of(8)),
+            8 | 9 => Step::FlushTo(near(a)),
+            10 => Step::Crash,
+            11 => Step::Pin(near(a)),
+            12 => Step::Advance(a as usize, near(b)),
+            13 => Step::Unpin(a as usize),
+            _ => Step::TruncateBelow(if b.is_multiple_of(4) {
+                u64::MAX
+            } else {
+                near(a)
+            }),
+        }
+    }
+
+    /// What the log should hold: every record's stored bytes by LSN,
+    /// the first readable LSN, the flushed mark and the live pins.
+    #[derive(Default)]
+    struct Model {
+        recs: Vec<Vec<u8>>,
+        first: u64,
+        flushed: u64,
+        pins: Vec<(LogPin, u64)>,
+    }
+
+    impl Model {
+        fn tail(&self) -> u64 {
+            self.recs.len() as u64
+        }
+
+        fn push(&mut self, mut rec: LogRecord) -> Vec<u8> {
+            rec.lsn = Lsn(self.tail() + 1);
+            let mut bytes = Vec::new();
+            encode_record(&rec, &mut bytes);
+            self.recs.push(bytes.clone());
+            bytes
+        }
+    }
+
+    /// Every reader of `log` against the model: `get` and `header` at
+    /// the edges and at a spread of LSNs, both walks from just below the
+    /// first LSN, and range copies with record and byte caps.
+    fn check(log: &LogManager, m: &Model, probe: u32) {
+        let tail = m.tail();
+        assert_eq!(log.tail_lsn(), Lsn(tail));
+        assert_eq!(log.first_lsn(), Lsn(m.first));
+        assert_eq!(log.flushed_lsn(), Lsn(m.flushed));
+        let stored = |lsn: u64| {
+            let mut pos = 0;
+            decode_record(&m.recs[lsn as usize - 1], &mut pos).unwrap()
+        };
+        let spread = (0..8).map(|k| m.first + (u64::from(probe) * (k + 1)) % (tail + 1));
+        for lsn in [0, m.first.saturating_sub(1), m.first, tail, tail + 1]
+            .into_iter()
+            .chain(spread)
+        {
+            let held = lsn >= m.first && (1..=tail).contains(&lsn);
+            let want = held.then(|| stored(lsn));
+            assert_eq!(log.get(Lsn(lsn)), want, "get {lsn}");
+            let head = want.map(|_| RecordHeader::parse(&m.recs[lsn as usize - 1]).unwrap());
+            assert_eq!(log.header(Lsn(lsn)), head, "header {lsn}");
+        }
+        let held = m.first..=tail;
+        let iter: Vec<LogRecord> = log.iter_from(Lsn(m.first - 1)).collect();
+        assert_eq!(iter, held.clone().map(stored).collect::<Vec<_>>());
+        let heads: Vec<RecordHeader> = log.headers_from(Lsn(m.first - 1)).collect();
+        assert_eq!(heads.len() as u64, tail + 1 - m.first);
+        assert!(heads.iter().zip(held).all(|(h, lsn)| h.lsn == Lsn(lsn)));
+        if m.first > 1 {
+            assert_eq!(log.iter_from(Lsn(m.first - 2)).count(), 0);
+        }
+        for k in 0..4u64 {
+            let r = u64::from(probe).wrapping_mul(k + 7);
+            let after = (m.first + r % (tail + 2)).saturating_sub(2);
+            let through = after + r % 40;
+            let max_records = [1, 3, 100, usize::MAX][k as usize];
+            // Odd steps cap the bytes at exactly what some records take.
+            let max_bytes = if k % 2 == 0 {
+                (r % 400_000) as usize
+            } else {
+                let upto = through.min(tail);
+                (after + 1..=upto.min(after + r % 5))
+                    .filter(|&lsn| lsn >= m.first)
+                    .map(|lsn| m.recs[lsn as usize - 1].len())
+                    .sum()
+            };
+            let mut want = Vec::new();
+            let mut count = 0;
+            if after + 1 >= m.first {
+                for lsn in after + 1..=through.min(tail) {
+                    let rec = &m.recs[lsn as usize - 1];
+                    if count == max_records || (count > 0 && want.len() + rec.len() > max_bytes) {
+                        break;
+                    }
+                    want.extend_from_slice(rec);
+                    count += 1;
+                }
+            }
+            let mut out = vec![7];
+            let (n, last) =
+                log.copy_range(Lsn(after), Lsn(through), max_records, max_bytes, &mut out);
+            assert_eq!(
+                (n, &out[1..]),
+                (count, &want[..]),
+                "copy_range after {after}"
+            );
+            let want_last = if count == 0 {
+                Lsn::NULL
+            } else {
+                Lsn(after + count as u64)
+            };
+            assert_eq!(last, want_last);
+        }
+        assert_eq!(
+            log.resident_bytes(),
+            log.chunk_bytes() + log.directory_bytes()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+        /// The packed log against a `Vec<Vec<u8>>` of encodings: appends
+        /// of every size (records past a chunk and segments past the
+        /// first block of the chunk table among them), mirrored appends
+        /// that name the right or the wrong LSN, flushes, crashes, pins
+        /// and truncations, with every reader checked after every step.
+        /// A chunk is allocated only when the free list is empty.
+        #[test]
+        fn the_packed_log_matches_a_model(
+            steps in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..48)
+        ) {
+            let log = LogManager::new();
+            let mut m = Model { first: 1, ..Model::default() };
+            let mut tx = 0;
+            for (op, a, b) in steps {
+                tx += 1;
+                let rec = |len: usize| LogRecord {
+                    lsn: Lsn::NULL,
+                    tx: TxId(tx),
+                    prev: Lsn(u64::from(b)),
+                    kind: RecKind::UndoRedo,
+                    payload: row(len, op),
+                };
+                let owned = log.chunk_bytes();
+                match step(op, a, b, m.tail()) {
+                    Step::Append(len) => {
+                        let want = rec(len);
+                        m.push(want.clone());
+                        log.append(want.tx, want.prev, want.kind, want.payload);
+                    }
+                    Step::Many(n) => {
+                        for _ in 0..n {
+                            m.push(LogRecord {
+                                lsn: Lsn::NULL,
+                                tx: TxId(tx),
+                                prev: Lsn::NULL,
+                                kind: RecKind::RedoOnly,
+                                payload: LogPayload::TxBegin,
+                            });
+                            begin(&log, tx);
+                        }
+                    }
+                    Step::Mirror(len, right) => {
+                        let mut bytes = m.push(rec(len));
+                        if !right {
+                            bytes[LSN_BYTES].copy_from_slice(&(m.tail() + 1).to_be_bytes());
+                        }
+                        let got = log.append_encoded(&bytes);
+                        prop_assert_eq!(got.is_ok(), right);
+                    }
+                    Step::FlushTo(lsn) => {
+                        log.flush_to(Lsn(lsn));
+                        m.flushed = m.flushed.max(lsn.min(m.tail()));
+                    }
+                    Step::Crash => {
+                        log.crash();
+                        m.recs.truncate(m.flushed as usize);
+                    }
+                    Step::Pin(lsn) => match log.pin(Lsn(lsn)) {
+                        Some(pin) => {
+                            prop_assert!(lsn >= m.first);
+                            m.pins.push((pin, lsn));
+                        }
+                        None => prop_assert!(lsn < m.first),
+                    },
+                    Step::Advance(i, lsn) => {
+                        if !m.pins.is_empty() {
+                            let n = m.pins.len();
+                            let (pin, at) = &mut m.pins[i % n];
+                            pin.advance(Lsn(lsn));
+                            *at = (*at).max(lsn);
+                        }
+                    }
+                    Step::Unpin(i) => {
+                        if !m.pins.is_empty() {
+                            let i = i % m.pins.len();
+                            m.pins.swap_remove(i);
+                        }
+                    }
+                    Step::TruncateBelow(floor) => {
+                        let low = m.pins.iter().map(|p| p.1).min().unwrap_or(u64::MAX);
+                        m.first = m.first.max(floor.min(m.flushed + 1).min(low));
+                        prop_assert_eq!(log.truncate_below(Lsn(floor)), Lsn(m.first));
+                    }
+                }
+                if log.chunk_bytes() > owned {
+                    prop_assert_eq!(log.free_chunks(), 0, "allocated with chunks free");
+                }
+                check(&log, &m, a ^ b);
+            }
+        }
+    }
+
+    /// The model test's sizes do reach past the chunk table's first
+    /// block: one segment holding more than `FIRST_CHUNKS` chunks reads
+    /// back whole, and gives them all back when it is dropped.
+    #[test]
+    fn a_segment_outgrows_the_first_block_of_its_chunk_table() {
+        let log = LogManager::new();
+        let big = 3 * CHUNK_BYTES + 5;
+        let n = 2 * FIRST_CHUNKS as u64 / 3 + 2;
+        for i in 0..n {
+            log.append(TxId(i), Lsn::NULL, RecKind::UndoRedo, row(big, i as u8));
+        }
+        assert!(log.dir.read().segs[0].table[1].get().is_some());
+        for (i, rec) in log.iter_from(Lsn::NULL).enumerate() {
+            assert_eq!(rec.payload, row(big, i as u8));
+        }
+        let chunks = log.chunk_bytes() / CHUNK_BYTES as u64;
+        assert!(chunks > FIRST_CHUNKS as u64);
+        while log.tail_lsn().0 <= SEGMENT_SLOTS {
+            begin(&log, 0);
+        }
+        log.flush_all();
+        log.truncate_below(Lsn(u64::MAX));
+        assert!(log.free_chunks() as u64 >= chunks);
     }
 }
