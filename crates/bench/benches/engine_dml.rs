@@ -1,5 +1,5 @@
 //! Criterion bench: record DML throughput with 0..3 maintained
-//! indexes (the per-update index-maintenance cost E6 measures during
+//! indexes (the per-update index-maintenance cost E6 was about during
 //! builds, here at steady state), and the heap insert alone.
 //!
 //! `heap_insert` times the heap layer without the engine around it:

@@ -1,7 +1,8 @@
-//! Experiment runner: regenerates every table in `EXPERIMENTS.md`.
+//! Experiment runner: prints the replication tables of `EXPERIMENTS.md`
+//! (E18, E19, E22).
 //!
 //! ```text
-//! experiments [--full] [--smoke] [e1 e4 e7 ...]   # default: all, quick sizes
+//! experiments [--full] [--smoke] [e18 e19 e22]   # default: all, quick sizes
 //! ```
 //!
 //! `--smoke` shrinks workloads a further 10x (floored at 1k rows) so

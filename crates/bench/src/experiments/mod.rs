@@ -1,22 +1,12 @@
-//! The experiment suite. Each experiment regenerates one of the
-//! paper's qualitative claims as a quantitative table; the mapping to
+//! The replication experiments, E18, E19 and E22: each prints a table
+//! of what a follower does under a loaded primary. The paper's own
+//! claims are asserted tests (`tests/paper_claims.rs`); the mapping to
 //! paper sections lives in `DESIGN.md` §3 and the expected shapes in
 //! `EXPERIMENTS.md`. [`EXPERIMENTS`] is the list.
 
-pub mod availability;
-pub mod build_cost;
-pub mod clustering;
-pub mod contention;
-pub mod parallel_build;
-pub mod pseudo;
 pub mod replication;
-pub mod restart;
-pub mod side_file;
-pub mod storage_model;
-pub mod unique;
 
 use crate::report::Table;
-use mohan_oib::build::IndexSpec;
 use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Runs one experiment; `quick` shrinks the workloads for CI-speed
@@ -25,25 +15,9 @@ pub type Experiment = fn(bool) -> Vec<Table>;
 
 /// Every experiment, in run order, by id.
 pub const EXPERIMENTS: &[(&str, Experiment)] = &[
-    ("e1", build_cost::e1_build_time),
-    ("e2", build_cost::e2_logging),
-    ("e3", build_cost::e3_traversals),
-    ("e4", clustering::e4_clustering),
-    ("e5", availability::e5_availability),
-    ("e6", availability::e6_updater_cost),
-    ("e7", restart::e7_restartable_sort),
-    ("e8", restart::e8_restartable_merge),
-    ("e9", restart::e9_ib_restart),
-    ("e10", pseudo::e10_pseudo_delete),
-    ("e11", side_file::e11_drain),
-    ("e12", build_cost::e12_multi_index),
-    ("e13", unique::e13_unique_correctness),
-    ("e14", storage_model::e14_primary_model),
-    ("e15", contention::e15_contention),
     ("e18", replication::e18_replication),
     ("e19", replication::e19_follower_reads),
     ("e22", replication::e22_fanout),
-    ("e23", parallel_build::e23_parallel_build),
 ];
 
 /// Run one experiment by id; `None` for an id not in [`EXPERIMENTS`].
@@ -57,10 +31,9 @@ pub fn run(id: &str, quick: bool) -> Option<Vec<Table>> {
 /// Global workload shrink factor for smoke runs (CI). 1 = no shrink.
 static SIZE_DIVISOR: AtomicI64 = AtomicI64::new(1);
 
-/// Shrink every [`scaled`] workload size by `divisor` (floored at 1k
-/// rows so experiments still cross checkpoint boundaries). Used by the
-/// runner's `--smoke` flag so CI can exercise the full code path of an
-/// experiment in seconds.
+/// Shrink every workload size `scaled` returns by `divisor` (floored at 1k
+/// rows). Used by the runner's `--smoke` flag so CI can exercise the
+/// full code path of an experiment in seconds.
 pub fn set_size_divisor(divisor: i64) {
     SIZE_DIVISOR.store(divisor.max(1), Ordering::Relaxed);
 }
@@ -68,14 +41,4 @@ pub fn set_size_divisor(divisor: i64) {
 /// Apply the smoke divisor to a workload size.
 pub(crate) fn scaled(n: i64) -> i64 {
     (n / SIZE_DIVISOR.load(Ordering::Relaxed)).max(1_000)
-}
-
-/// A non-unique index on column 0 — the key every experiment builds
-/// unless it says otherwise.
-pub(crate) fn spec(name: impl Into<String>) -> IndexSpec {
-    IndexSpec {
-        name: name.into(),
-        key_cols: vec![0],
-        unique: false,
-    }
 }

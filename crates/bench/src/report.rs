@@ -80,12 +80,6 @@ pub fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Format a ratio as a percentage.
-#[must_use]
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
-}
-
 /// Format a millisecond duration.
 #[must_use]
 pub fn ms(d: std::time::Duration) -> String {
@@ -96,19 +90,6 @@ pub fn ms(d: std::time::Duration) -> String {
 #[must_use]
 pub fn us(d: std::time::Duration) -> String {
     format!("{:.0}µs", d.as_secs_f64() * 1e6)
-}
-
-/// Render a per-shard distribution compactly: total, hottest shard's
-/// multiple of an even spread, and a sparkline-ish bucket list.
-#[must_use]
-pub fn dist(d: &mohan_common::stats::ShardDist) -> String {
-    let snap = d.snapshot();
-    let total = d.total();
-    if total == 0 {
-        return "0 (idle)".to_string();
-    }
-    let cells: Vec<String> = snap.iter().map(ToString::to_string).collect();
-    format!("{total} ×{:.2} [{}]", d.imbalance(), cells.join(" "))
 }
 
 #[cfg(test)]

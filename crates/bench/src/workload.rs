@@ -1,5 +1,5 @@
 //! Workload generation and the concurrent-updater (churn) driver used
-//! by every experiment.
+//! by `perfbench`, the benches, the experiments and the root suites.
 
 use mohan_common::{EngineConfig, Rid, TableId};
 use mohan_oib::schema::Record;
@@ -59,8 +59,6 @@ pub fn seed_table(cfg: EngineConfig, rows: i64, seed: u64) -> (Arc<Db>, Vec<Rid>
 pub struct ChurnConfig {
     /// Updater threads.
     pub threads: usize,
-    /// Target operations per second per thread (`None` = unthrottled).
-    pub ops_per_sec: Option<u64>,
     /// Fraction of transactions rolled back.
     pub rollback_fraction: f64,
     /// Insert / delete / update weights.
@@ -73,7 +71,6 @@ impl Default for ChurnConfig {
     fn default() -> Self {
         ChurnConfig {
             threads: 2,
-            ops_per_sec: None,
             rollback_fraction: 0.1,
             mix: (1, 1, 1),
             seed: 42,
@@ -93,38 +90,12 @@ pub struct ChurnStats {
     /// What each failed `rollback` said: the transaction is still open
     /// and still holds its locks.
     pub rollback_failures: Vec<String>,
-    /// Total operation latency (for mean latency).
-    pub total_latency: Duration,
-    /// Wall-clock the churn ran.
-    pub elapsed: Duration,
-}
-
-impl ChurnStats {
-    /// Committed operations per second.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            self.ops as f64 / self.elapsed.as_secs_f64()
-        }
-    }
-
-    /// Mean latency per operation.
-    #[must_use]
-    pub fn mean_latency(&self) -> Duration {
-        if self.ops == 0 {
-            Duration::ZERO
-        } else {
-            self.total_latency / (self.ops as u32).max(1)
-        }
-    }
 }
 
 /// A churn's committed operations, counted live, and a wait for a
 /// count. A commit takes the lock only while someone waits.
 #[derive(Default)]
-pub struct Committed {
+struct Committed {
     ops: AtomicU64,
     waiters: AtomicUsize,
     lock: Mutex<()>,
@@ -132,9 +103,7 @@ pub struct Committed {
 }
 
 impl Committed {
-    /// Operations committed so far.
-    #[must_use]
-    pub fn get(&self) -> u64 {
+    fn get(&self) -> u64 {
         self.ops.load(Ordering::SeqCst)
     }
 
@@ -154,10 +123,7 @@ impl Committed {
 pub struct ChurnHandle {
     stop: Arc<AtomicBool>,
     handles: Vec<std::thread::JoinHandle<ChurnStats>>,
-    started: Instant,
-    /// Live committed-op counter, readable while the churn runs (used
-    /// to window throughput to exactly a build's duration).
-    pub ops_live: Arc<Committed>,
+    committed: Arc<Committed>,
 }
 
 impl ChurnHandle {
@@ -166,7 +132,7 @@ impl ChurnHandle {
     /// # Panics
     /// If it has not within a minute: the churn stalled.
     pub fn wait_for_ops(&self, n: u64) {
-        let c = &self.ops_live;
+        let c = &self.committed;
         let deadline = Instant::now() + Duration::from_secs(60);
         c.waiters.fetch_add(1, Ordering::SeqCst);
         let mut guard = c.lock.lock();
@@ -182,18 +148,13 @@ impl ChurnHandle {
     /// Signal all updaters and collect their aggregated stats.
     pub fn stop(self) -> ChurnStats {
         self.stop.store(true, Ordering::Relaxed);
-        let elapsed = self.started.elapsed();
-        let mut agg = ChurnStats {
-            elapsed,
-            ..ChurnStats::default()
-        };
+        let mut agg = ChurnStats::default();
         for h in self.handles {
             let s = h.join().expect("churn thread");
             agg.ops += s.ops;
             agg.rollbacks += s.rollbacks;
             agg.errors += s.errors;
             agg.rollback_failures.extend(s.rollback_failures);
-            agg.total_latency += s.total_latency;
         }
         agg
     }
@@ -203,7 +164,7 @@ impl ChurnHandle {
 /// of the seeded records plus its own key range for inserts).
 pub fn start_churn(db: &Arc<Db>, rids: &[Rid], cfg: ChurnConfig) -> ChurnHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let ops_live = Arc::new(Committed::default());
+    let committed = Arc::new(Committed::default());
     let shared: Vec<Arc<Mutex<Vec<Rid>>>> = rids
         .chunks(rids.len().max(1) / cfg.threads.max(1) + 1)
         .map(|c| Arc::new(Mutex::new(c.to_vec())))
@@ -217,16 +178,15 @@ pub fn start_churn(db: &Arc<Db>, rids: &[Rid], cfg: ChurnConfig) -> ChurnHandle 
             .cloned()
             .unwrap_or_else(|| Arc::new(Mutex::new(Vec::new())));
         let cfg = cfg.clone();
-        let ops_live = Arc::clone(&ops_live);
+        let committed = Arc::clone(&committed);
         handles.push(std::thread::spawn(move || {
-            churn_thread(&db, &stop, &mine, &cfg, t as u64, &ops_live)
+            churn_thread(&db, &stop, &mine, &cfg, t as u64, &committed)
         }));
     }
     ChurnHandle {
         stop,
         handles,
-        started: Instant::now(),
-        ops_live,
+        committed,
     }
 }
 
@@ -236,21 +196,17 @@ fn churn_thread(
     mine: &Mutex<Vec<Rid>>,
     cfg: &ChurnConfig,
     thread_no: u64,
-    ops_live: &Committed,
+    committed: &Committed,
 ) -> ChurnStats {
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(7919).wrapping_add(thread_no));
     let mut stats = ChurnStats::default();
     let mut next_key = 10_000_000 + (thread_no as i64) * 100_000_000;
     let (wi, wd, wu) = cfg.mix;
     let total_w = wi + wd + wu;
-    let pacing = cfg
-        .ops_per_sec
-        .map(|r| Duration::from_secs_f64(1.0 / r as f64));
 
     while !stop.load(Ordering::Relaxed) {
         let roll = rng.random_bool(cfg.rollback_fraction);
         let tx = db.begin();
-        let started = Instant::now();
         let pick = rng.random_range(0..total_w);
         let mut local = mine.lock();
         let res = if pick < wi || local.is_empty() {
@@ -285,8 +241,7 @@ fn churn_thread(
                     stats.rollbacks += 1;
                 } else if db.commit(tx).is_ok() {
                     stats.ops += 1;
-                    ops_live.bump();
-                    stats.total_latency += started.elapsed();
+                    committed.bump();
                 }
             }
             Err(op_err) => {
@@ -297,9 +252,6 @@ fn churn_thread(
                 }
                 stats.errors += 1;
             }
-        }
-        if let Some(p) = pacing {
-            std::thread::sleep(p);
         }
     }
     stats
@@ -322,28 +274,11 @@ mod tests {
                 ..ChurnConfig::default()
             },
         );
-        std::thread::sleep(Duration::from_millis(50));
+        churn.wait_for_ops(10);
         let stats = churn.stop();
-        assert!(stats.ops > 0);
+        assert!(stats.ops >= 10);
         assert_eq!(db.active_txs(), 0);
         // No index yet; verify_all trivially passes.
         assert_eq!(verify_all(&db, TABLE).unwrap(), 0);
-    }
-
-    #[test]
-    fn throttled_churn_is_slower() {
-        let (db, rids) = seed_table(EngineConfig::small(), 100, 2);
-        let churn = start_churn(
-            &db,
-            &rids,
-            ChurnConfig {
-                threads: 1,
-                ops_per_sec: Some(100),
-                ..ChurnConfig::default()
-            },
-        );
-        std::thread::sleep(Duration::from_millis(200));
-        let stats = churn.stop();
-        assert!(stats.ops < 60, "throttle failed: {} ops", stats.ops);
     }
 }

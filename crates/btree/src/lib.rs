@@ -16,7 +16,7 @@
 //!   resets the index so "the keys higher than the checkpointed key
 //!   disappear" (§3.2.4);
 //! * a leaf cursor every reader streams through, structural
-//!   verification and the clustering statistics experiment E4 reports.
+//!   verification and the clustering statistics the E4 test asserts on.
 //!
 //! Pages are bytes ([`node`]): a slotted layout of `page_size` bytes in
 //! one shared buffer, which the cache frame and the durable image both

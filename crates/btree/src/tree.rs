@@ -37,7 +37,7 @@ pub struct BTreeConfig {
     /// Enforce key-value uniqueness.
     pub unique: bool,
     /// Use the remembered-path insert hint for IB-mode inserts
-    /// (ablation switch for experiment E3).
+    /// (ablation switch for the E3 test).
     pub hint_enabled: bool,
 }
 

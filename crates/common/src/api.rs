@@ -1,13 +1,13 @@
 //! The read-side API shared by every way of querying the engine.
 //!
 //! [`ReadApi`] is the narrow waist between read drivers (the bench
-//! verify-oracle, closed-loop readers, experiments) and the three
-//! places a read can be answered: an in-process `oib::Session`, a
-//! primary over the wire (`client::Client`), or a replication
-//! follower's bounded-staleness read path. Drivers written against the
-//! trait run unchanged across all three, which is what lets E19
-//! measure follower reads with the same oracle the loopback suites use
-//! against the primary.
+//! verify-oracle, closed-loop readers, the replication experiments)
+//! and the three places a read can be answered: an in-process
+//! `oib::Session`, a primary over the wire (`client::Client`), or a
+//! replication follower's bounded-staleness read path. Drivers written
+//! against the trait run unchanged across all three, which is what
+//! lets E19 measure follower reads with the same oracle the loopback
+//! suites use against the primary.
 //!
 //! The trait deliberately mirrors the wire protocol's `Read`/`Lookup`
 //! shapes — records travel as `Vec<i64>` column values and index

@@ -225,9 +225,9 @@ impl Db {
             .unwrap_or(Lsn::NULL)
     }
 
-    /// Read one record (physical read; no locking — the experiments
-    /// read at quiescent points or accept uncommitted reads, as the IB
-    /// itself does).
+    /// Read one record (physical read; no locking — sessions, tests
+    /// and a follower's reads take it at quiescent points or accept
+    /// uncommitted reads, as the IB itself does).
     pub fn read_record(&self, table_id: TableId, rid: Rid) -> Result<Record> {
         Record::decode(&self.table(table_id)?.read(rid)?)
     }

@@ -45,14 +45,20 @@ pub const CHECKPOINT_BEGIN_FAILPOINT: &str = "checkpoint.begin";
 /// before the checkpoint record is written.
 pub const CHECKPOINT_FORCED_FAILPOINT: &str = "checkpoint.forced";
 
-/// The log span of an active transaction.
-#[derive(Debug, Clone, Copy)]
-struct TxLsns {
+/// An active transaction: its log span and what it holds on data
+/// pages.
+#[derive(Debug)]
+struct TxState {
     /// Its first record — or, until that is appended, an LSN no higher
     /// than the one it will get. Truncation stays below it.
     first: Lsn,
     /// Its newest record, which the next one chains to.
     last: Lsn,
+    /// Records it deleted or updated: the slots its deletes reserved
+    /// and the bytes its shrinking updates (and its undo steps) held
+    /// are released when it ends — at commit, or once its rollback has
+    /// put every record back.
+    holds: Vec<(TableId, Rid)>,
 }
 
 /// How a transaction's key change reaches an index (Figure 1 / 2).
@@ -90,12 +96,7 @@ pub struct Db {
     pub build_sort_workers: MaxGauge,
     tables: RwLock<HashMap<TableId, Arc<HeapTable>>>,
     indexes: RwLock<Vec<Arc<IndexRuntime>>>,
-    txs: Mutex<HashMap<TxId, TxLsns>>,
-    /// Records each transaction deleted or updated: the slots its
-    /// deletes reserved and the bytes its shrinking updates (and its
-    /// undo steps) held are released when it ends — at commit, or once
-    /// its rollback has put every record back.
-    tx_holds: Mutex<HashMap<TxId, Vec<(TableId, Rid)>>>,
+    txs: Mutex<HashMap<TxId, TxState>>,
     next_tx: AtomicU64,
     next_index: AtomicU32,
     /// The engine's role: true while it is a replication follower. A
@@ -141,7 +142,6 @@ impl Db {
             tables: RwLock::new(HashMap::new()),
             indexes: RwLock::new(Vec::new()),
             txs: Mutex::new(HashMap::new()),
-            tx_holds: Mutex::new(HashMap::new()),
             next_tx: AtomicU64::new(1),
             next_index: AtomicU32::new(1),
             replica: AtomicBool::new(false),
@@ -491,9 +491,10 @@ impl Db {
         let first = Lsn(self.wal.flushed_lsn().0 + 1);
         self.txs.lock().insert(
             tx,
-            TxLsns {
+            TxState {
                 first,
                 last: Lsn::NULL,
+                holds: Vec::new(),
             },
         );
         let _ = self.failpoints.hit(BEGIN_REGISTERED_FAILPOINT);
@@ -538,37 +539,40 @@ impl Db {
         Ok(lsn)
     }
 
-    /// Commit: log, force the log, release locks, reserved slots and
-    /// held bytes.
+    /// Commit: log, force the log, release reserved slots, held bytes
+    /// and locks.
     pub fn commit(&self, tx: TxId) -> Result<()> {
-        let lsn = self.log(tx, RecKind::RedoOnly, LogPayload::TxCommit)?;
+        let (lsn, holds) = {
+            let mut txs = self.txs.lock();
+            let state = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
+            state.last = self
+                .wal
+                .append(tx, state.last, RecKind::RedoOnly, LogPayload::TxCommit);
+            (state.last, std::mem::take(&mut state.holds))
+        };
         self.wal.flush_to(lsn);
-        self.release_holds(tx);
-        self.locks.release_all(tx);
-        self.txs.lock().remove(&tx);
+        self.end(tx, holds);
         Ok(())
     }
 
     /// `tx` ended: release the slots its deletes reserved and the bytes
-    /// its updates and undo steps held.
-    fn release_holds(&self, tx: TxId) {
-        if let Some(held) = self.tx_holds.lock().remove(&tx) {
-            for (table, rid) in held {
-                if let Ok(t) = self.table(table) {
-                    let _ = t.release_slot(rid);
-                }
+    /// its updates and undo steps held, then its locks, and forget it.
+    fn end(&self, tx: TxId, holds: Vec<(TableId, Rid)>) {
+        for (table, rid) in holds {
+            if let Ok(t) = self.table(table) {
+                let _ = t.release_slot(rid);
             }
         }
+        self.locks.release_all(tx);
+        self.txs.lock().remove(&tx);
     }
 
     /// Record that `tx` deleted or updated `rid` (its reservation or
     /// hold is released when `tx` ends).
     pub(crate) fn note_hold(&self, tx: TxId, table: TableId, rid: Rid) {
-        self.tx_holds
-            .lock()
-            .entry(tx)
-            .or_default()
-            .push((table, rid));
+        if let Some(state) = self.txs.lock().get_mut(&tx) {
+            state.holds.push((table, rid));
+        }
     }
 
     /// Roll back: undo the whole chain with CLRs, then end.
@@ -600,9 +604,13 @@ impl Db {
         self.wal.flush_to(end);
         // Rollback restored the deleted and updated records in place,
         // each step keeping the record's hold so the next one fits.
-        self.release_holds(tx);
-        self.locks.release_all(tx);
-        self.txs.lock().remove(&tx);
+        let holds = self
+            .txs
+            .lock()
+            .get_mut(&tx)
+            .map(|state| std::mem::take(&mut state.holds))
+            .unwrap_or_default();
+        self.end(tx, holds);
         Ok(())
     }
 
@@ -710,7 +718,6 @@ impl Db {
         self.wal.crash();
         self.locks.crash();
         self.txs.lock().clear();
-        self.tx_holds.lock().clear();
         for t in self.tables.read().values() {
             t.crash();
         }

@@ -5,7 +5,7 @@
 //! replacement selection outputs a key only when it is no smaller than
 //! the last key output, runs average twice the workspace size — unless
 //! checkpoints drain the workspace, which is precisely the trade-off
-//! experiment E7 measures.
+//! the E7 test (`tests/paper_claims.rs`) prints.
 
 use crate::checkpoint::{RunMeta, SortCheckpoint};
 use crate::item::SortItem;
