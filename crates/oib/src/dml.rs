@@ -182,7 +182,6 @@ impl Db {
         let old = self.table(table_id)?.delete_with(rid, |old| {
             self.log_change(tx, Change::new(table_id, rid, Some(old), None), &mut plan)
         })?;
-        self.note_hold(tx, table_id, rid);
         let change = Change::new(table_id, rid, Some(&old), None);
         self.maintain(change, &plan, |idx, mech, op| {
             self.apply_key_op(tx, idx, mech, op)
@@ -208,7 +207,6 @@ impl Db {
             let change = Change::new(table_id, rid, Some(old), Some(&new_data));
             self.log_change(tx, change, &mut plan)
         })?;
-        self.note_hold(tx, table_id, rid);
         let change = Change::new(table_id, rid, Some(&old), Some(&new_data));
         self.maintain(change, &plan, |idx, mech, op| {
             self.apply_key_op(tx, idx, mech, op)

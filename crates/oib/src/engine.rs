@@ -45,8 +45,9 @@ pub const CHECKPOINT_BEGIN_FAILPOINT: &str = "checkpoint.begin";
 /// before the checkpoint record is written.
 pub const CHECKPOINT_FORCED_FAILPOINT: &str = "checkpoint.forced";
 
-/// An active transaction: its log span and what it holds on data
-/// pages.
+/// An active transaction: its log span, what it holds on data pages,
+/// and whether it is an index builder's. The one record the engine
+/// keeps of a transaction; [`Db::log`] reads and advances it.
 #[derive(Debug)]
 struct TxState {
     /// Its first record — or, until that is appended, an LSN no higher
@@ -59,6 +60,9 @@ struct TxState {
     /// are released when it ends — at commit, or once its rollback has
     /// put every record back.
     holds: Vec<(TableId, Rid)>,
+    /// An index builder's transaction: its records count in
+    /// `wal.ib_records`.
+    builder: bool,
 }
 
 /// How a transaction's key change reaches an index (Figure 1 / 2).
@@ -480,12 +484,23 @@ impl Db {
 
     // ----- transactions ----------------------------------------------
 
-    /// Begin an ordinary transaction. It is registered before its
-    /// begin record is appended, under a first LSN no higher than the
-    /// record's: a checkpoint that computes its truncation floor in
-    /// between keeps the record, which restart's analysis needs to
-    /// find the transaction.
+    /// Begin an ordinary transaction.
     pub fn begin(&self) -> TxId {
+        self.open(false)
+    }
+
+    /// Begin an index-builder transaction (its records count in
+    /// `wal.ib_records`).
+    pub(crate) fn begin_ib(&self) -> TxId {
+        self.open(true)
+    }
+
+    /// Register a transaction, then append its begin record. It is
+    /// registered under a first LSN no higher than the record's: a
+    /// checkpoint that computes its truncation floor in between keeps
+    /// the record, which restart's analysis needs to find the
+    /// transaction.
+    fn open(&self, builder: bool) -> TxId {
         let tx = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
         // Every LSN still to be reserved is above the flushed mark.
         let first = Lsn(self.wal.flushed_lsn().0 + 1);
@@ -495,24 +510,12 @@ impl Db {
                 first,
                 last: Lsn::NULL,
                 holds: Vec::new(),
+                builder,
             },
         );
         let _ = self.failpoints.hit(BEGIN_REGISTERED_FAILPOINT);
-        let lsn = self
-            .wal
-            .append(tx, Lsn::NULL, RecKind::RedoOnly, LogPayload::TxBegin);
-        let mut txs = self.txs.lock();
-        let span = txs.get_mut(&tx).expect("registered above");
-        span.first = lsn;
-        span.last = lsn;
-        tx
-    }
-
-    /// Begin an index-builder transaction (log volume attributed to
-    /// the IB).
-    pub fn begin_ib(&self) -> TxId {
-        let tx = self.begin();
-        self.wal.register_ib_tx(tx);
+        self.log(tx, RecKind::RedoOnly, LogPayload::TxBegin)
+            .expect("registered above");
         tx
     }
 
@@ -530,61 +533,54 @@ impl Db {
         }
     }
 
-    /// Append a log record for `tx`, chaining `prev_lsn`.
+    /// Append a record for `tx`, chained to its last one, in one
+    /// acquisition of the transaction table. The first record fixes
+    /// the transaction's first LSN; a delete or update of a heap record
+    /// holds that record until the transaction ends; a builder's
+    /// records are counted.
     pub(crate) fn log(&self, tx: TxId, kind: RecKind, payload: LogPayload) -> Result<Lsn> {
+        let hold = match &payload {
+            LogPayload::HeapDelete { table, rid, .. }
+            | LogPayload::HeapUpdate { table, rid, .. } => Some((*table, *rid)),
+            _ => None,
+        };
         let mut txs = self.txs.lock();
-        let span = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
-        let lsn = self.wal.append(tx, span.last, kind, payload);
-        span.last = lsn;
+        let state = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
+        let lsn = self.wal.append(tx, state.last, kind, payload);
+        if !state.last.is_valid() {
+            state.first = lsn;
+        }
+        state.last = lsn;
+        state.holds.extend(hold);
+        if state.builder {
+            self.wal.stats.ib_records.bump();
+        }
         Ok(lsn)
     }
 
-    /// Commit: log, force the log, release reserved slots, held bytes
-    /// and locks.
+    /// Commit: log, force the log, then end.
     pub fn commit(&self, tx: TxId) -> Result<()> {
-        let (lsn, holds) = {
-            let mut txs = self.txs.lock();
-            let state = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
-            state.last = self
-                .wal
-                .append(tx, state.last, RecKind::RedoOnly, LogPayload::TxCommit);
-            (state.last, std::mem::take(&mut state.holds))
-        };
+        let lsn = self.log(tx, RecKind::RedoOnly, LogPayload::TxCommit)?;
         self.wal.flush_to(lsn);
-        self.end(tx, holds);
+        self.end(tx);
         Ok(())
     }
 
-    /// `tx` ended: release the slots its deletes reserved and the bytes
-    /// its updates and undo steps held, then its locks, and forget it.
-    fn end(&self, tx: TxId, holds: Vec<(TableId, Rid)>) {
-        for (table, rid) in holds {
+    /// `tx` ended: forget it, release the slots its deletes reserved
+    /// and the bytes its updates and undo steps held, then its locks.
+    fn end(&self, tx: TxId) {
+        let holds = self.txs.lock().remove(&tx).map(|state| state.holds);
+        for (table, rid) in holds.unwrap_or_default() {
             if let Ok(t) = self.table(table) {
                 let _ = t.release_slot(rid);
             }
         }
         self.locks.release_all(tx);
-        self.txs.lock().remove(&tx);
-    }
-
-    /// Record that `tx` deleted or updated `rid` (its reservation or
-    /// hold is released when `tx` ends).
-    pub(crate) fn note_hold(&self, tx: TxId, table: TableId, rid: Rid) {
-        if let Some(state) = self.txs.lock().get_mut(&tx) {
-            state.holds.push((table, rid));
-        }
     }
 
     /// Roll back: undo the whole chain with CLRs, then end.
     pub fn rollback(&self, tx: TxId) -> Result<()> {
-        let last = {
-            let mut txs = self.txs.lock();
-            let span = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
-            span.last = self
-                .wal
-                .append(tx, span.last, RecKind::RedoOnly, LogPayload::TxAbort);
-            span.last
-        };
+        let last = self.log(tx, RecKind::RedoOnly, LogPayload::TxAbort)?;
         let new_last = match mohan_wal::rollback_tx(&self.wal, self, tx, last, Lsn::NULL) {
             Ok(new_last) => new_last,
             Err(e) => {
@@ -598,25 +594,22 @@ impl Db {
                 return Err(e);
             }
         };
-        let end = self
-            .wal
-            .append(tx, new_last, RecKind::RedoOnly, LogPayload::TxEnd);
+        // The CLRs chain outside the entry (undo is restart's too, where
+        // no entry exists): the end record follows the last of them.
+        if let Some(state) = self.txs.lock().get_mut(&tx) {
+            state.last = new_last;
+        }
+        let end = self.log(tx, RecKind::RedoOnly, LogPayload::TxEnd)?;
         self.wal.flush_to(end);
         // Rollback restored the deleted and updated records in place,
         // each step keeping the record's hold so the next one fits.
-        let holds = self
-            .txs
-            .lock()
-            .get_mut(&tx)
-            .map(|state| std::mem::take(&mut state.holds))
-            .unwrap_or_default();
-        self.end(tx, holds);
+        self.end(tx);
         Ok(())
     }
 
     /// IB helper: commit the current builder transaction and open the
     /// next one (periodic checkpoint commits, §2.2.3 / §3.2.5).
-    pub fn ib_commit_cycle(&self, tx: &mut TxId) -> Result<()> {
+    pub(crate) fn ib_commit_cycle(&self, tx: &mut TxId) -> Result<()> {
         self.commit(*tx)?;
         *tx = self.begin_ib();
         Ok(())

@@ -2,11 +2,13 @@
 //! recovery, and Figure-1/Figure-2 index maintenance on completed
 //! indexes.
 
-use mohan_common::{EngineConfig, KeyValue, Rid, TableId};
+use mohan_common::{EngineConfig, KeyValue, Lsn, Rid, TableId, TxId};
 use mohan_oib::build::{build_index, IndexSpec};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
-use mohan_oib::Db;
+use mohan_oib::{Db, Session};
+use mohan_wal::{LogPayload, RecKind};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const T: TableId = TableId(1);
@@ -652,4 +654,98 @@ fn a_checkpoint_between_registration_and_begin_record_keeps_the_record() {
     let stats = db.restart().unwrap();
     assert_eq!(stats.losers, 1);
     assert_eq!(db.read_record(T, rids[3]).unwrap(), rec(3, 30));
+}
+
+/// Every transaction with a record after `from`: walking `prev` from
+/// its newest record visits exactly its records, newest first, and
+/// stops at its `TxBegin`. Returns how many transactions it walked.
+fn assert_prev_chains(db: &Db, from: Lsn) -> usize {
+    let mut records: BTreeMap<TxId, Vec<Lsn>> = BTreeMap::new();
+    for r in db.wal.iter_from(from) {
+        if r.tx != TxId(0) {
+            records.entry(r.tx).or_default().push(r.lsn);
+        }
+    }
+    for (tx, lsns) in &records {
+        let mut walked = Vec::new();
+        let mut cur = *lsns.last().expect("a transaction's records");
+        let mut oldest = None;
+        while cur.is_valid() {
+            let r = db.wal.get(cur).expect("a chained record is in the log");
+            assert_eq!(r.tx, *tx, "{tx}'s chain crossed into another");
+            walked.push(cur);
+            cur = r.prev;
+            oldest = Some(r.payload);
+        }
+        walked.reverse();
+        assert_eq!(&walked, lsns, "{tx}'s chain");
+        assert!(
+            matches!(oldest, Some(LogPayload::TxBegin)),
+            "{tx}'s chain ends at {oldest:?}"
+        );
+    }
+    records.len()
+}
+
+/// Each transaction's records form one `prev` chain, on an indexed
+/// table: auto-commit statements through a session, a multi-statement
+/// commit, a rollback (its CLRs, and the Figure 2 compensations of an
+/// index built while it was open), and an NSF build's commit cycles.
+#[test]
+fn each_transaction_s_records_form_one_prev_chain() {
+    let db = db();
+    let rids = seed(&db, 200);
+    let first = build_index(&db, T, spec("k", false), BuildAlgorithm::Sf).unwrap();
+
+    let from = db.wal.tail_lsn();
+    let mut s = Session::new(Arc::clone(&db));
+    let rid = s.insert(T, &rec(1_000, 0)).unwrap();
+    s.update(T, rid, &rec(1_001, 0)).unwrap();
+    s.delete(T, rid).unwrap();
+    assert_eq!(assert_prev_chains(&db, from), 3, "auto-commit statements");
+
+    let from = db.wal.tail_lsn();
+    s.begin().unwrap();
+    let rid = s.insert(T, &rec(2_000, 0)).unwrap();
+    s.update(T, rids[0], &rec(2_001, 0)).unwrap();
+    s.delete(T, rid).unwrap();
+    s.commit().unwrap();
+    assert_eq!(assert_prev_chains(&db, from), 1, "a multi-statement commit");
+
+    // The second index is built, and complete, between the forward
+    // changes and their rollback: Figure 2 compensates it directly.
+    let from = db.wal.tail_lsn();
+    let tx = db.begin();
+    db.update_record(tx, T, rids[1], &rec(3_001, 0)).unwrap();
+    db.delete_record(tx, T, rids[2]).unwrap();
+    let second = build_index(&db, T, spec("k2", false), BuildAlgorithm::Sf).unwrap();
+    let from_rollback = db.wal.tail_lsn();
+    db.rollback(tx).unwrap();
+    let compensated = db
+        .wal
+        .iter_from(from_rollback)
+        .filter(|r| r.tx == tx && r.kind == RecKind::RedoOnly)
+        .filter(|r| matches!(&r.payload, LogPayload::IndexInsert { index, .. } | LogPayload::IndexPseudoDelete { index, .. } if *index == second))
+        .count();
+    assert_eq!(
+        compensated, 3,
+        "the update's two key ops and the delete's one"
+    );
+    // The rolled-back transaction and the build's load and drain.
+    assert_eq!(
+        assert_prev_chains(&db, from),
+        3,
+        "a rollback beside a build"
+    );
+    assert_eq!(db.read_record(T, rids[1]).unwrap(), rec(1, 10));
+    assert_eq!(db.read_record(T, rids[2]).unwrap(), rec(2, 20));
+
+    // The descriptor's quiesce transaction, and the builder's four: 200
+    // keys at a checkpoint every 64 make three commit cycles.
+    let from = db.wal.tail_lsn();
+    let third = build_index(&db, T, spec("k3", false), BuildAlgorithm::Nsf).unwrap();
+    assert_eq!(assert_prev_chains(&db, from), 5, "an NSF build");
+    for idx in [first, second, third] {
+        verify_index(&db, idx).unwrap();
+    }
 }

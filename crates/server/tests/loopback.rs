@@ -21,7 +21,7 @@ use mohan_wire::message::{BuildOptions, BuildPhase, ErrorCode, Request, Response
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const T: TableId = TableId(1);
@@ -244,10 +244,19 @@ fn idle_connections_are_reaped() {
             ..ServerConfig::default()
         },
     );
-    let mut c = Client::connect(addr_of(&srv)).unwrap();
-    c.ping().unwrap();
-    std::thread::sleep(Duration::from_millis(600));
-    assert!(c.ping().is_err(), "idle connection must be closed");
+    let mut stream = std::net::TcpStream::connect(srv.addr()).unwrap();
+    write_frame(&mut stream, &Request::Ping.encode()).unwrap();
+    let resp = Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+    assert_eq!(resp, Response::Pong);
+    // Silent from here: the read returns once the server hangs up.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match read_frame(&mut stream) {
+        Ok(None) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("idle connection must be closed, read {other:?}"),
+    }
     assert!(srv.stats().idle_closed.get() >= 1);
     srv.drain();
 }
@@ -371,6 +380,7 @@ fn concurrent_dml_sf_build_streams_progress_and_drain_loses_nothing() {
 
 fn dml_while_a_wire_build_runs(algo: BuildAlgorithm) {
     const CLIENTS: usize = 8;
+    const WARM_WRITES: u64 = 10;
     let db = engine(20_000);
     seed(&db, 400);
     let srv = server(
@@ -386,6 +396,7 @@ fn dml_while_a_wire_build_runs(algo: BuildAlgorithm) {
 
     let stop = Arc::new(AtomicBool::new(false));
     let committed: Arc<Mutex<BTreeSet<i64>>> = Arc::new(Mutex::new(BTreeSet::new()));
+    let (warm, warmed) = mpsc::channel();
 
     // 8 closed-loop DML clients, each in its own key space. A key goes
     // into `committed` only once its statement's success response (or
@@ -396,6 +407,7 @@ fn dml_while_a_wire_build_runs(algo: BuildAlgorithm) {
             let addr = addr.clone();
             let stop = Arc::clone(&stop);
             let committed = Arc::clone(&committed);
+            let warm = warm.clone();
             std::thread::spawn(move || {
                 let mut c = match Client::connect(&addr) {
                     Ok(c) => c,
@@ -406,7 +418,7 @@ fn dml_while_a_wire_build_runs(algo: BuildAlgorithm) {
                 // a record's key, so the *old* key rightfully leaves
                 // both the table and the committed set.
                 let mut mine: Vec<(mohan_common::Rid, i64)> = Vec::new();
-                let mut ops = 0u64;
+                let (mut ops, mut writes) = (0u64, 0u64);
                 while !stop.load(Ordering::Relaxed) {
                     key += 1;
                     ops += 1;
@@ -430,6 +442,10 @@ fn dml_while_a_wire_build_runs(algo: BuildAlgorithm) {
                     } else {
                         c.insert(T, vec![key, 0]).map(Done::Inserted)
                     };
+                    writes += u64::from(result.is_ok());
+                    if writes == WARM_WRITES && result.is_ok() {
+                        warm.send(()).unwrap();
+                    }
                     match result {
                         Ok(Done::Inserted(rid)) => {
                             committed.lock().unwrap().insert(key);
@@ -459,9 +475,14 @@ fn dml_while_a_wire_build_runs(algo: BuildAlgorithm) {
         })
         .collect();
 
-    // Let DML traffic establish, then build online over the wire on a
-    // ninth connection, collecting the progress stream.
-    std::thread::sleep(Duration::from_millis(150));
+    // Once every client has written `WARM_WRITES` times, build online
+    // over the wire on a ninth connection, collecting the progress
+    // stream.
+    for _ in 0..CLIENTS {
+        warmed
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every client writes");
+    }
     let mut builder = Client::connect(&addr).unwrap();
     let mut frames: Vec<(IndexId, BuildPhase, u64)> = Vec::new();
     let ids = builder

@@ -46,10 +46,6 @@ impl BlobStore {
         self.inner.lock().remove(key);
     }
 
-    /// Crash simulation hook: stable storage survives by definition,
-    /// so this is a no-op kept for symmetry with the page caches.
-    pub fn crash(&self) {}
-
     /// Keys currently present (diagnostics).
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
@@ -69,14 +65,6 @@ mod tests {
         b.remove("ib/progress");
         assert_eq!(b.get("ib/progress"), None);
         assert_eq!(b.writes.get(), 2);
-    }
-
-    #[test]
-    fn survives_crash() {
-        let b = BlobStore::new();
-        b.put("k", vec![9]);
-        b.crash();
-        assert_eq!(b.get("k"), Some(vec![9]));
     }
 
     #[test]

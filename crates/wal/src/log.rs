@@ -374,10 +374,10 @@ pub struct WalStats {
     pub records: StripedCounter,
     /// Bytes appended in total (length of each stored encoding).
     pub bytes: StripedCounter,
-    /// Records appended by index-builder transactions.
+    /// Records appended by index-builder transactions. The log does
+    /// not know whose transaction a record is: the engine counts them
+    /// as it chains each builder record.
     pub ib_records: Counter,
-    /// Bytes appended by index-builder transactions.
-    pub ib_bytes: Counter,
     /// Flush (force) calls that actually advanced the durable prefix.
     pub flushes: Counter,
     /// Flush calls whose target became durable via another caller's
@@ -431,19 +431,12 @@ pub struct LogManager {
     epoch_physical: Pad<AtomicU64>,
     /// Full epoch history for readers of pre-crash records.
     epochs: RwLock<Vec<(u64, u64)>>,
-    /// Fast-path flag: false until the first `register_ib_tx`, so the
-    /// per-append IB attribution check skips the `ib_txs` lock
-    /// entirely when no builder is running.
-    has_ib: AtomicBool,
     /// Highest LSN guaranteed durable. Invariant: `flushed <=
     /// published` — the durable prefix never contains a hole.
     flushed: Pad<AtomicU64>,
     /// Highest LSN any flusher has asked for; the group-flush leader
     /// forces up to this point on behalf of everyone waiting.
     flush_request: Pad<AtomicU64>,
-    /// Transactions registered as index builders (their appends are
-    /// counted separately).
-    ib_txs: RwLock<Vec<TxId>>,
     /// Callbacks fired after the durable prefix actually advances
     /// (see [`LogManager::register_flush_waker`]).
     flush_wakers: RwLock<Vec<FlushWaker>>,
@@ -494,10 +487,8 @@ impl LogManager {
             epoch_logical: Pad(AtomicU64::new(0)),
             epoch_physical: Pad(AtomicU64::new(0)),
             epochs: RwLock::new(vec![(0, 0)]),
-            has_ib: AtomicBool::new(false),
             flushed: Pad(AtomicU64::new(0)),
             flush_request: Pad(AtomicU64::new(0)),
-            ib_txs: RwLock::new(Vec::new()),
             flush_wakers: RwLock::new(Vec::new()),
             has_flush_wakers: AtomicBool::new(false),
             next_flush_waker_id: AtomicU64::new(0),
@@ -560,12 +551,6 @@ impl LogManager {
         for (_, f) in self.flush_wakers.read().iter() {
             f();
         }
-    }
-
-    /// Mark `tx` as an index-builder transaction for stats attribution.
-    pub fn register_ib_tx(&self, tx: TxId) {
-        self.ib_txs.write().push(tx);
-        self.has_ib.store(true, Ordering::Release);
     }
 
     /// Segment `no` for an append, allocating it (and any before it a
@@ -673,7 +658,7 @@ impl LogManager {
         with_scratch(|bytes| {
             encode_record(&rec, bytes);
             drop(rec);
-            self.publish(tx, bytes)
+            self.publish(bytes)
         })
     }
 
@@ -696,7 +681,7 @@ impl LogManager {
         );
         let lsn = with_scratch(|bytes| {
             bytes.extend_from_slice(encoded);
-            self.publish(header.tx, bytes)
+            self.publish(bytes)
         });
         if lsn != header.lsn {
             return Err(Error::Corruption(format!(
@@ -709,7 +694,7 @@ impl LogManager {
 
     /// Pad `bytes` to whole words, reserve the next LSN, stamp it in
     /// and publish the record.
-    fn publish(&self, tx: TxId, bytes: &mut Vec<u8>) -> Lsn {
+    fn publish(&self, bytes: &mut Vec<u8>) -> Lsn {
         let size = bytes.len() as u64;
         bytes.resize(bytes.len().next_multiple_of(8), 0);
         let idx = self.next.fetch_add(1, Ordering::AcqRel);
@@ -726,10 +711,6 @@ impl LogManager {
         seg.store(off, bytes.as_chunks::<8>().0, size as usize);
         self.stats.records.bump();
         self.stats.bytes.add(size);
-        if self.has_ib.load(Ordering::Acquire) && self.ib_txs.read().contains(&tx) {
-            self.stats.ib_records.bump();
-            self.stats.ib_bytes.add(size);
-        }
         if let Some(ctx) = mohan_obs::current_ctx() {
             if ctx.sampled {
                 let mut tags = self.trace_tags.lock();
@@ -1078,8 +1059,6 @@ impl LogManager {
             self.published.store(flushed, Ordering::Release);
         }
         self.flush_request.store(flushed, Ordering::Release);
-        self.ib_txs.write().clear();
-        self.has_ib.store(false, Ordering::Release);
         // Truncated LSNs get reused densely; attribution for the
         // burned tail would name records that no longer exist.
         self.trace_tags.lock().retain(|&(lsn, _)| lsn <= flushed);
@@ -1503,17 +1482,6 @@ mod tests {
         let empty = LogManager::new();
         empty.flush_to(Lsn(42));
         assert_eq!(empty.flushed_lsn(), Lsn::NULL);
-    }
-
-    #[test]
-    fn ib_attribution() {
-        let log = LogManager::new();
-        log.register_ib_tx(TxId(99));
-        begin(&log, 1);
-        begin(&log, 99);
-        assert_eq!(log.stats.records.get(), 2);
-        assert_eq!(log.stats.ib_records.get(), 1);
-        assert!(log.stats.ib_bytes.get() > 0);
     }
 
     #[test]

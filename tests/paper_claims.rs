@@ -132,13 +132,16 @@ fn e2_sf_logs_no_key_insert_before_its_drain_and_nsf_one_record_per_batch() {
     let in_drain = logged_key_inserts(&db, id, load_end, db.wal.tail_lsn());
     let ib_before_drain = ib_at_load_end - ib0;
     let ib_total = db.wal.stats.ib_records.get() - ib0;
-    let appended = db.index(id).unwrap().side_file.appended.get();
+    let side_file = &db.index(id).unwrap().side_file;
+    let (appended, passes) = (side_file.appended.get(), side_file.drain_passes.get());
     println!(
         "E2 SF: {N} keys loaded; IB records before the drain {ib_before_drain}, in all \
          {ib_total}; key inserts logged before the drain {before_drain}, by the drain \
-         {in_drain}; side-file entries {appended}"
+         {in_drain}; side-file entries {appended} in {passes} drain pass(es)"
     );
     assert_eq!(before_drain, 0, "SF's load logged key inserts");
+    // The load transaction's begin, and no key insert.
+    assert_eq!(ib_before_drain, 1, "IB records before the drain");
     assert_eq!(
         appended,
         2 * MOVED as u64,
@@ -148,6 +151,11 @@ fn e2_sf_logs_no_key_insert_before_its_drain_and_nsf_one_record_per_batch() {
         in_drain, MOVED as u64,
         "the drain logs each insert it applies"
     );
+    // The drain logs a pseudo-delete and an insert per move. Each
+    // builder transaction adds its begin and its commit: the load's,
+    // the drain's first, and one more per drain pass's commit cycle.
+    assert_eq!(passes, 1, "drain passes");
+    assert_eq!(ib_total, 2 * MOVED as u64 + 2 * (2 + passes));
 
     // NSF: every key is logged, `ib_multi_key_batch` to a record.
     let (db, _) = seed_table(bench_config(), N, 22);
@@ -168,7 +176,7 @@ fn e2_sf_logs_no_key_insert_before_its_drain_and_nsf_one_record_per_batch() {
     assert_eq!(records, (N as u64).div_ceil(batch));
     // Besides: a begin and a commit for each of the IB's two
     // transactions (one commit cycle at the 5 000-key checkpoint).
-    assert!(ib >= records && ib <= records + 4, "IB records {ib}");
+    assert_eq!(ib, records + 4, "IB records");
 }
 
 /// E3 (§2.3.1, §4). SF "does not require tree traversals from the root
