@@ -349,44 +349,41 @@ impl Db {
         mech: Mechanism,
         op: SideFileOp,
     ) -> Result<()> {
-        match mech {
-            Mechanism::SideFile => {
-                let mut log_err = None;
-                let appended = idx.side_file.append_with(op.clone(), |op| {
-                    match self.log(
-                        tx,
-                        RecKind::RedoOnly,
-                        LogPayload::SideFileAppend {
-                            index: idx.def.id,
-                            op: op.clone(),
-                        },
-                    ) {
-                        Ok(lsn) => lsn,
-                        Err(e) => {
-                            log_err = Some(e);
-                            Lsn::NULL
-                        }
-                    }
-                });
-                if let Some(e) = log_err {
-                    return Err(e);
-                }
-                match appended {
-                    crate::side_file::Append::Appended(_) => Ok(()),
-                    crate::side_file::Append::BuildDone => {
-                        // The build finished between the latch-time
-                        // plan and now: maintain the index directly.
-                        self.apply_key_op(tx, idx, Mechanism::Direct, op)
-                    }
-                }
-            }
-            Mechanism::Direct => {
-                if op.insert {
-                    self.insert_key(tx, idx, op.entry)
-                } else {
-                    self.direct_delete_key(tx, idx, &op.entry)
-                }
-            }
+        if mech == Mechanism::SideFile && self.append_side_file(tx, idx, &op)? {
+            return Ok(());
+        }
+        if op.insert {
+            self.insert_key(tx, idx, op.entry)
+        } else {
+            self.direct_delete_key(tx, idx, &op.entry)
+        }
+    }
+
+    /// Append `op` to `idx`'s side-file, logged under `tx`, for a
+    /// change or its compensation. False when the build finished
+    /// between the latch-time plan and now: the caller maintains the
+    /// index directly.
+    pub(crate) fn append_side_file(
+        &self,
+        tx: TxId,
+        idx: &Arc<IndexRuntime>,
+        op: &SideFileOp,
+    ) -> Result<bool> {
+        let mut log_err = None;
+        let appended = idx.side_file.append_with(op.clone(), |op| {
+            let payload = LogPayload::SideFileAppend {
+                index: idx.def.id,
+                op: op.clone(),
+            };
+            self.log(tx, RecKind::RedoOnly, payload)
+                .unwrap_or_else(|e| {
+                    log_err = Some(e);
+                    Lsn::NULL
+                })
+        });
+        match log_err {
+            Some(e) => Err(e),
+            None => Ok(matches!(appended, crate::side_file::Append::Appended(_))),
         }
     }
 

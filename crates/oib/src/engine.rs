@@ -535,13 +535,18 @@ impl Db {
 
     /// Append a record for `tx`, chained to its last one, in one
     /// acquisition of the transaction table. The first record fixes
-    /// the transaction's first LSN; a delete or update of a heap record
-    /// holds that record until the transaction ends; a builder's
-    /// records are counted.
+    /// the transaction's first LSN; a forward delete or update of a
+    /// heap record holds that record until the transaction ends (a CLR
+    /// holds nothing: its record's forward change already does); a
+    /// builder's records are counted.
     pub(crate) fn log(&self, tx: TxId, kind: RecKind, payload: LogPayload) -> Result<Lsn> {
         let hold = match &payload {
             LogPayload::HeapDelete { table, rid, .. }
-            | LogPayload::HeapUpdate { table, rid, .. } => Some((*table, *rid)),
+            | LogPayload::HeapUpdate { table, rid, .. }
+                if !matches!(kind, RecKind::Clr { .. }) =>
+            {
+                Some((*table, *rid))
+            }
             _ => None,
         };
         let mut txs = self.txs.lock();
@@ -578,33 +583,19 @@ impl Db {
         self.locks.release_all(tx);
     }
 
-    /// Roll back: undo the whole chain with CLRs, then end.
+    /// Roll back: undo the whole chain with CLRs, then end — the undo
+    /// pass restart runs over its losers, for one transaction.
     pub fn rollback(&self, tx: TxId) -> Result<()> {
         let last = self.log(tx, RecKind::RedoOnly, LogPayload::TxAbort)?;
-        let new_last = match mohan_wal::rollback_tx(&self.wal, self, tx, last, Lsn::NULL) {
-            Ok(new_last) => new_last,
-            Err(e) => {
-                // The transaction stays open with its locks held: undo
-                // stopped part-way, so nothing it touched may be let
-                // go. Say so where an operator will see it.
-                self.obs.counter("tx.rollback_failed").bump();
-                self.obs
-                    .trace()
-                    .event("tx.rollback_failed", e.to_string(), tx.0);
-                return Err(e);
-            }
-        };
-        // The CLRs chain outside the entry (undo is restart's too, where
-        // no entry exists): the end record follows the last of them.
-        if let Some(state) = self.txs.lock().get_mut(&tx) {
-            state.last = new_last;
-        }
-        let end = self.log(tx, RecKind::RedoOnly, LogPayload::TxEnd)?;
-        self.wal.flush_to(end);
-        // Rollback restored the deleted and updated records in place,
-        // each step keeping the record's hold so the next one fits.
-        self.end(tx);
-        Ok(())
+        mohan_wal::undo(&self.wal, self, [(tx, last)]).inspect_err(|e| {
+            // The transaction stays open with its locks held: undo
+            // stopped part-way, so nothing it touched may be let go.
+            // Say so where an operator will see it.
+            self.obs.counter("tx.rollback_failed").bump();
+            self.obs
+                .trace()
+                .event("tx.rollback_failed", e.to_string(), tx.0);
+        })
     }
 
     /// IB helper: commit the current builder transaction and open the
@@ -877,34 +868,32 @@ impl Db {
     }
 
     /// Figure 2 for one record: undo `change`, logged with
-    /// `logged_count` visible indexes by `rec`, and log its inverse
-    /// through `clr`; then compensate every index the plan names with
-    /// the inverse's key ops. Returns the transaction's new last LSN.
-    fn undo_change(
-        &self,
-        rec: &LogRecord,
-        change: Change<'_>,
-        logged_count: u32,
-        clr: impl FnOnce(LogPayload) -> Lsn,
-    ) -> Result<Lsn> {
+    /// `logged_count` visible indexes by `rec`, and log its inverse as
+    /// `rec`'s CLR; then compensate every index the plan names with the
+    /// inverse's key ops.
+    fn undo_change(&self, rec: &LogRecord, change: Change<'_>, logged_count: u32) -> Result<()> {
         let tbl = self.table(change.table)?;
         let mut plan = Vec::new();
-        let mut last = Lsn::NULL;
         let log = || {
             let count;
             (count, plan) = self.plan(change, Some((logged_count, rec.lsn)));
-            last = clr(change.inverse().payload(count));
-            last
+            self.clr(rec, change.inverse().payload(count))
+                .unwrap_or(Lsn::NULL)
         };
         match change.from {
             None => drop(tbl.undo_insert(change.rid, log)?),
             Some(old) => tbl.undo_restore(change.rid, old, log)?,
         }
         self.maintain(change.inverse(), &plan, |idx, mech, op| {
-            last = self.compensate(rec.tx, last, idx, mech, op)?;
-            Ok(())
-        })?;
-        Ok(last)
+            self.compensate(rec.tx, idx, mech, op)
+        })
+    }
+
+    /// Log `payload`, the inverse of `rec`, as `rec`'s CLR: the next
+    /// record its transaction's undo visits is the one before `rec`.
+    fn clr(&self, rec: &LogRecord, payload: LogPayload) -> Result<Lsn> {
+        let undo_next = rec.prev;
+        self.log(rec.tx, RecKind::Clr { undo_next }, payload)
     }
 
     // ----- absolute (idempotent) index state transitions --------------
@@ -1044,14 +1033,23 @@ impl RecoveryTarget for Db {
         }
     }
 
-    fn undo(&self, rec: &LogRecord, clr_prev: Lsn, undo_next: Lsn) -> Result<Lsn> {
-        let clr = |payload: LogPayload| -> Lsn {
-            self.wal
-                .append(rec.tx, clr_prev, RecKind::Clr { undo_next }, payload)
+    /// A loser becomes an open transaction like any other: its undo
+    /// chains through `Db::log`, as a rollback's does.
+    fn adopt(&self, tx: TxId, first: Lsn, last: Lsn) {
+        let state = TxState {
+            first,
+            last,
+            holds: Vec::new(),
+            builder: false,
         };
+        self.txs.lock().insert(tx, state);
+    }
+
+    fn undo(&self, rec: &LogRecord) -> Result<()> {
         if let Some((change, logged_count)) = Change::logged(&rec.payload) {
-            return self.undo_change(rec, change, logged_count, clr);
+            return self.undo_change(rec, change, logged_count);
         }
+        let clr = |payload| self.clr(rec, payload).map(drop);
         match &rec.payload {
             LogPayload::IndexInsert { index, entry } => {
                 // §2.2.3: the deleter (here: the rolling-back inserter)
@@ -1060,19 +1058,19 @@ impl RecoveryTarget for Db {
                 if let Ok(idx) = self.index(*index) {
                     Self::tree_ensure_pseudo(&idx, entry)?;
                 }
-                Ok(clr(LogPayload::IndexPseudoDelete {
+                clr(LogPayload::IndexPseudoDelete {
                     index: *index,
                     entry: entry.clone(),
-                }))
+                })
             }
             LogPayload::IndexReactivate { index, entry } => {
                 if let Ok(idx) = self.index(*index) {
                     Self::tree_ensure_pseudo(&idx, entry)?;
                 }
-                Ok(clr(LogPayload::IndexPseudoDelete {
+                clr(LogPayload::IndexPseudoDelete {
                     index: *index,
                     entry: entry.clone(),
-                }))
+                })
             }
             LogPayload::IndexPseudoDelete { index, entry }
             | LogPayload::IndexInsertTombstone { index, entry } => {
@@ -1081,10 +1079,10 @@ impl RecoveryTarget for Db {
                 if let Ok(idx) = self.index(*index) {
                     Self::tree_ensure_live(&idx, entry)?;
                 }
-                Ok(clr(LogPayload::IndexReactivate {
+                clr(LogPayload::IndexReactivate {
                     index: *index,
                     entry: entry.clone(),
-                }))
+                })
             }
             LogPayload::IndexPhysicalDelete {
                 index,
@@ -1109,7 +1107,7 @@ impl RecoveryTarget for Db {
                         entry: entry.clone(),
                     }
                 };
-                Ok(clr(payload))
+                clr(payload)
             }
             LogPayload::IndexBulkInsert { index, entries } => {
                 // Undo only the entries that are still live: one a
@@ -1127,78 +1125,50 @@ impl RecoveryTarget for Db {
                         }
                     }
                 }
-                Ok(clr(LogPayload::IndexBulkRemove {
+                clr(LogPayload::IndexBulkRemove {
                     index: *index,
                     entries: removed,
-                }))
+                })
             }
             other => Err(Error::Corruption(format!(
                 "undo of non-undoable payload {other:?}"
             ))),
         }
     }
+
+    /// Force the end record before the holds and locks go: rollback
+    /// restored the deleted and updated records in place, each step
+    /// keeping the record's hold so the next one fits.
+    fn rolled_back(&self, tx: TxId) -> Result<()> {
+        let end = self.log(tx, RecKind::RedoOnly, LogPayload::TxEnd)?;
+        self.wal.flush_to(end);
+        self.end(tx);
+        Ok(())
+    }
 }
 
 impl Db {
     /// Apply one compensation during rollback, through the right
-    /// mechanism, logging it redo-only under the transaction. Returns
-    /// the transaction's new last LSN.
+    /// mechanism, logging it redo-only under the transaction.
     pub(crate) fn compensate(
         &self,
         tx: TxId,
-        last: Lsn,
         idx: &Arc<IndexRuntime>,
         mech: Mechanism,
         op: SideFileOp,
-    ) -> Result<Lsn> {
-        match mech {
-            Mechanism::SideFile => {
-                let mut lsn = last;
-                let appended = idx.side_file.append_with(op.clone(), |op| {
-                    lsn = self.wal.append(
-                        tx,
-                        last,
-                        RecKind::RedoOnly,
-                        LogPayload::SideFileAppend {
-                            index: idx.def.id,
-                            op: op.clone(),
-                        },
-                    );
-                    lsn
-                });
-                match appended {
-                    crate::side_file::Append::Appended(_) => Ok(lsn),
-                    crate::side_file::Append::BuildDone => {
-                        self.compensate(tx, last, idx, Mechanism::Direct, op)
-                    }
-                }
-            }
-            Mechanism::Direct => {
-                if op.insert {
-                    Self::tree_ensure_live(idx, &op.entry)?;
-                    Ok(self.wal.append(
-                        tx,
-                        last,
-                        RecKind::RedoOnly,
-                        LogPayload::IndexInsert {
-                            index: idx.def.id,
-                            entry: op.entry,
-                        },
-                    ))
-                } else {
-                    Self::tree_ensure_pseudo(idx, &op.entry)?;
-                    Ok(self.wal.append(
-                        tx,
-                        last,
-                        RecKind::RedoOnly,
-                        LogPayload::IndexPseudoDelete {
-                            index: idx.def.id,
-                            entry: op.entry,
-                        },
-                    ))
-                }
-            }
+    ) -> Result<()> {
+        if mech == Mechanism::SideFile && self.append_side_file(tx, idx, &op)? {
+            return Ok(());
         }
+        let (index, entry) = (idx.def.id, op.entry);
+        let payload = if op.insert {
+            Self::tree_ensure_live(idx, &entry)?;
+            LogPayload::IndexInsert { index, entry }
+        } else {
+            Self::tree_ensure_pseudo(idx, &entry)?;
+            LogPayload::IndexPseudoDelete { index, entry }
+        };
+        self.log(tx, RecKind::RedoOnly, payload).map(drop)
     }
 
     /// Acquire the table IX intent lock (updaters) for `tx`.

@@ -745,7 +745,51 @@ fn each_transaction_s_records_form_one_prev_chain() {
     let from = db.wal.tail_lsn();
     let third = build_index(&db, T, spec("k3", false), BuildAlgorithm::Nsf).unwrap();
     assert_eq!(assert_prev_chains(&db, from), 5, "an NSF build");
-    for idx in [first, second, third] {
+
+    // Restart: a loser's undo chains through the same entry, now one
+    // analysis registered. The fourth index is built, and complete,
+    // after the loser's changes: undo compensates it (Figure 2).
+    let from = db.wal.tail_lsn();
+    let loser = db.begin();
+    db.update_record(loser, T, rids[3], &rec(4_001, 0)).unwrap();
+    db.delete_record(loser, T, rids[4]).unwrap();
+    let fourth = build_index(&db, T, spec("k4", false), BuildAlgorithm::Sf).unwrap();
+    db.simulate_crash();
+    let stats = db.restart().unwrap();
+    assert_eq!(stats.losers, 1);
+    assert_eq!(db.active_txs(), 0);
+    let end = db
+        .wal
+        .iter_from(from)
+        .filter(|r| r.tx == loser)
+        .last()
+        .expect("the loser's records");
+    assert_eq!(end.payload, LogPayload::TxEnd, "the loser's newest record");
+    let undone = db.wal.iter_from(from).filter(|r| r.tx == loser);
+    let (mut clrs, mut compensated) = (0, 0);
+    for r in undone {
+        clrs += usize::from(matches!(r.kind, RecKind::Clr { .. }));
+        compensated += usize::from(
+            r.kind == RecKind::RedoOnly
+                && matches!(&r.payload, LogPayload::IndexInsert { index, .. } | LogPayload::IndexPseudoDelete { index, .. } if *index == fourth),
+        );
+    }
+    // The two heap records and their key records in the three indexes
+    // the loser maintained: the update's two key ops, the delete's one.
+    assert_eq!(clrs, 2 + 3 * 3, "one CLR per undone record");
+    assert_eq!(
+        compensated, 3,
+        "the update's two key ops and the delete's one"
+    );
+    // The loser, and the build's load and drain.
+    assert_eq!(
+        assert_prev_chains(&db, from),
+        3,
+        "a loser undone at restart"
+    );
+    assert_eq!(db.read_record(T, rids[3]).unwrap(), rec(3, 30));
+    assert_eq!(db.read_record(T, rids[4]).unwrap(), rec(4, 40));
+    for idx in [first, second, third, fourth] {
         verify_index(&db, idx).unwrap();
     }
 }

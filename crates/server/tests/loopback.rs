@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const T: TableId = TableId(1);
 
@@ -289,7 +289,13 @@ fn admission_control_rejects_over_cap() {
             b.delete(T, rid)
         })
     };
-    std::thread::sleep(Duration::from_millis(300));
+    // The lock manager counts B's wait with its ticket already queued,
+    // so by then B holds the slot.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while db.locks.stats.waits.get() < 1 {
+        assert!(Instant::now() < deadline, "B never waited on A's lock");
+        std::thread::yield_now();
+    }
 
     // Connection C (a third worker shard) is refused immediately.
     let mut c = Client::connect(&addr).unwrap();
@@ -351,12 +357,12 @@ fn dropped_connection_mid_build_releases_admission_slot() {
 
     // The slot comes back when the worker reaps the dead connection,
     // whether or not the detached build has finished by then.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(10);
     let mut c = Client::connect(&addr).unwrap();
     loop {
         match c.insert(T, vec![9_999_999, 0]) {
             Ok(_) => break,
-            Err(ClientError::Busy) if std::time::Instant::now() < deadline => {
+            Err(ClientError::Busy) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(20));
             }
             Err(e) => panic!("admission slot never released: {e}"),

@@ -19,8 +19,8 @@
 //!   range copies WAL subscribers ship from.
 //! * [`recovery`] — the analysis / redo / undo driver, generic over a
 //!   [`recovery::RecoveryTarget`] implemented by the engine. The same
-//!   undo machinery performs normal transaction rollback, including
-//!   partial rollbacks, writing compensation log records (CLRs).
+//!   undo pass performs normal transaction rollback, the target writing
+//!   compensation log records (CLRs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +34,5 @@ pub use codec::{decode_record, decode_records, encode_record, encode_records, Re
 pub use log::{LogManager, LogPin, WalStats};
 pub use record::{LogPayload, LogRecord, RecKind, SideFileOp};
 pub use recovery::{
-    checkpoint_redo_start, recover, rollback_tx, AnalysisResult, RecoveryStats, RecoveryTarget,
+    checkpoint_redo_start, recover, undo, AnalysisResult, Loser, RecoveryStats, RecoveryTarget,
 };

@@ -6,10 +6,12 @@
 //! Redo *repeats history* — every redoable record is offered to the
 //! target, which applies it idempotently (heap pages via page-LSN
 //! comparison, index operations via logical absolute ops; see
-//! `DESIGN.md` §2). Undo walks each loser transaction's `prev_lsn`
-//! chain backwards, writing compensation log records (CLRs) whose
-//! `undo_next` pointer guarantees no update is undone twice even if
-//! recovery itself crashes.
+//! `DESIGN.md` §2). Analysis registers each loser with the target, as
+//! an open transaction like any other; [`undo`] then walks the losers'
+//! `prev_lsn` chains backwards — the same pass a rollback makes for one
+//! transaction — and the target writes compensation log records (CLRs)
+//! whose `undo_next` pointer guarantees no update is undone twice even
+//! if recovery itself crashes.
 
 use crate::log::LogManager;
 use crate::record::{LogPayload, LogRecord, RecKind};
@@ -25,24 +27,43 @@ const CHECKPOINT: u8 = LogPayload::Checkpoint {
 }
 .tag();
 
-/// What the engine must provide for redo and undo.
+/// What the engine must provide for redo and undo. The target keeps
+/// the table of open transactions, and chains every record it logs for
+/// one — CLRs included — to that transaction's last record.
 pub trait RecoveryTarget {
     /// Re-apply the effect of `rec` idempotently.
     fn redo(&self, rec: &LogRecord) -> Result<()>;
 
+    /// Analysis found `tx` in flight: register it as an open
+    /// transaction whose records run from `first` (its `TxBegin`) to
+    /// `last`, so its undo chains like a rollback's.
+    fn adopt(&self, tx: TxId, first: Lsn, last: Lsn);
+
     /// Undo the effect of `rec` on behalf of its transaction's
-    /// rollback: apply the inverse, append a CLR with
-    /// `kind = Clr { undo_next }` and `prev = clr_prev`, and return the
-    /// CLR's LSN (the transaction's new last LSN).
-    fn undo(&self, rec: &LogRecord, clr_prev: Lsn, undo_next: Lsn) -> Result<Lsn>;
+    /// rollback: apply the inverse and log it as a CLR with
+    /// `kind = Clr { undo_next: rec.prev }`, chained to the
+    /// transaction's last record.
+    fn undo(&self, rec: &LogRecord) -> Result<()>;
+
+    /// The undo walk of `tx` reached its start: log its `TxEnd`, force
+    /// the log through it, and end the transaction.
+    fn rolled_back(&self, tx: TxId) -> Result<()>;
+}
+
+/// A transaction analysis found in flight at the crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Loser {
+    /// Its `TxBegin`.
+    pub first: Lsn,
+    /// Its newest record.
+    pub last: Lsn,
 }
 
 /// Outcome of the analysis pass.
 #[derive(Debug, Default)]
 pub struct AnalysisResult {
-    /// In-flight ("loser") transactions at the crash, with the LSN of
-    /// their newest log record.
-    pub losers: HashMap<TxId, Lsn>,
+    /// In-flight ("loser") transactions at the crash.
+    pub losers: HashMap<TxId, Loser>,
     /// Records scanned.
     pub scanned: u64,
     /// The highest transaction id any scanned record carries.
@@ -64,14 +85,18 @@ pub fn analyze(log: &LogManager) -> AnalysisResult {
         res.max_tx = res.max_tx.max(rec.tx);
         match rec.tag {
             TX_BEGIN => {
-                res.losers.insert(rec.tx, rec.lsn);
+                let loser = Loser {
+                    first: rec.lsn,
+                    last: rec.lsn,
+                };
+                res.losers.insert(rec.tx, loser);
             }
             TX_COMMIT | TX_END => {
                 res.losers.remove(&rec.tx);
             }
             _ => {
-                if let Some(last) = res.losers.get_mut(&rec.tx) {
-                    *last = rec.lsn;
+                if let Some(loser) = res.losers.get_mut(&rec.tx) {
+                    loser.last = rec.lsn;
                 }
             }
         }
@@ -102,38 +127,38 @@ pub fn checkpoint_redo_start(log: &LogManager) -> Lsn {
     Lsn::NULL
 }
 
-/// Undo one transaction's chain from `last` down to (but not past)
-/// `upto`; `upto = Lsn::NULL` means a complete rollback. Returns the
-/// transaction's new last LSN (tail CLR, or `last` if nothing was
-/// undoable).
-pub fn rollback_tx<T: RecoveryTarget>(
+/// The one undo pass, for a rollback (one transaction) and for restart
+/// (every loser): walk the chains of `txs`, each from its newest
+/// record, merged in globally descending LSN order (true ARIES order —
+/// interleaved transactions' inverses apply newest-first). An undoable
+/// record is undone by the target, which logs its CLR; a CLR sends the
+/// walk to its `undo_next`, past what is already undone. A transaction
+/// whose walk reaches its start is handed to
+/// [`RecoveryTarget::rolled_back`].
+pub fn undo<T: RecoveryTarget>(
     log: &LogManager,
     target: &T,
-    tx: TxId,
-    last: Lsn,
-    upto: Lsn,
-) -> Result<Lsn> {
-    let mut cur = last;
-    let mut new_last = last;
-    while cur.is_valid() && cur > upto {
-        let Some(rec) = log.get(cur) else {
-            break;
+    txs: impl IntoIterator<Item = (TxId, Lsn)>,
+) -> Result<()> {
+    let mut cursors: HashMap<TxId, Lsn> = txs.into_iter().collect();
+    while let Some((&tx, &cur)) = cursors.iter().max_by_key(|&(_, &cur)| cur) {
+        let Some(rec) = cur.is_valid().then(|| log.get(cur)).flatten() else {
+            cursors.remove(&tx);
+            target.rolled_back(tx)?;
+            continue;
         };
         debug_assert_eq!(rec.tx, tx, "undo chain crossed transactions");
-        match rec.kind {
-            RecKind::Clr { undo_next } => {
-                cur = undo_next;
-            }
+        let next = match rec.kind {
+            RecKind::Clr { undo_next } => undo_next,
             _ if rec.is_undoable() => {
-                new_last = target.undo(&rec, new_last, rec.prev)?;
-                cur = rec.prev;
+                target.undo(&rec)?;
+                rec.prev
             }
-            _ => {
-                cur = rec.prev;
-            }
-        }
+            _ => rec.prev,
+        };
+        cursors.insert(tx, next);
     }
-    Ok(new_last)
+    Ok(())
 }
 
 /// Statistics from a completed restart recovery.
@@ -152,11 +177,9 @@ pub struct RecoveryStats {
     pub max_tx: TxId,
 }
 
-/// Full restart recovery: analysis, redo (repeat history) of the
-/// records after `redo_start`, then a single merged undo pass over all
-/// losers in globally descending LSN order (true ARIES order —
-/// interleaved losers' inverses apply newest-first), ending each loser
-/// with `TxEnd`.
+/// Full restart recovery: analysis, which registers each loser with
+/// the target, redo (repeat history) of the records after
+/// `redo_start`, then [`undo`] over every loser at once.
 ///
 /// After a crash, `redo_start` is [`checkpoint_redo_start`]: the
 /// checkpoint forced every page, so earlier records can only re-apply
@@ -170,10 +193,14 @@ pub fn recover<T: RecoveryTarget>(
     redo_start: Lsn,
 ) -> Result<RecoveryStats> {
     let analysis = analyze(log);
+    for (&tx, loser) in &analysis.losers {
+        target.adopt(tx, loser.first, loser.last);
+    }
     let mut stats = RecoveryStats {
         analyzed: analysis.scanned,
         redo_start,
         max_tx: analysis.max_tx,
+        losers: analysis.losers.len() as u64,
         ..RecoveryStats::default()
     };
 
@@ -185,39 +212,8 @@ pub fn recover<T: RecoveryTarget>(
         }
     }
 
-    // Per-loser cursors: (next record to consider, tx's current last
-    // LSN for CLR chaining).
-    let mut cursors: HashMap<TxId, (Lsn, Lsn)> = analysis
-        .losers
-        .iter()
-        .map(|(&tx, &last)| (tx, (last, last)))
-        .collect();
-    stats.losers = cursors.len() as u64;
-    while let Some((&tx, &(cur, _))) = cursors.iter().max_by_key(|&(_, &(cur, _))| cur) {
-        if !cur.is_valid() {
-            let (_, last) = cursors.remove(&tx).expect("cursor exists");
-            log.append(tx, last, RecKind::RedoOnly, LogPayload::TxEnd);
-            continue;
-        }
-        let Some(rec) = log.get(cur) else {
-            cursors.get_mut(&tx).expect("cursor").0 = Lsn::NULL;
-            continue;
-        };
-        let slot = cursors.get_mut(&tx).expect("cursor");
-        match rec.kind {
-            RecKind::Clr { undo_next } => slot.0 = undo_next,
-            _ if rec.is_undoable() => {
-                let clr_prev = slot.1;
-                // Release the borrow before calling into the target.
-                let undo_next = rec.prev;
-                let new_last = target.undo(&rec, clr_prev, undo_next)?;
-                let slot = cursors.get_mut(&tx).expect("cursor");
-                slot.0 = rec.prev;
-                slot.1 = new_last;
-            }
-            _ => slot.0 = rec.prev,
-        }
-    }
+    let losers = analysis.losers.iter().map(|(&tx, loser)| (tx, loser.last));
+    undo(log, target, losers)?;
     log.flush_all();
     Ok(stats)
 }
@@ -230,11 +226,24 @@ mod tests {
     /// A toy target: state is a map name -> i64; payload `Checkpoint`
     /// is abused as noise; `HeapInsert`'s data holds (name, delta).
     /// This exercises the *driver* (chain walking, CLR jumps), not the
-    /// engine semantics, which live in the engine crate's tests.
+    /// engine semantics, which live in the engine crate's tests. Like
+    /// the engine, it chains its CLRs and end records through a table
+    /// of open transactions' last LSNs.
     #[derive(Default)]
     struct ToyTarget {
         state: Mutex<HashMap<u8, i64>>,
+        txs: Mutex<HashMap<TxId, Lsn>>,
         log: std::sync::Arc<LogManager>,
+    }
+
+    impl ToyTarget {
+        /// Append a record for `tx`, chained to its last one.
+        fn log(&self, tx: TxId, kind: RecKind, payload: LogPayload) -> Lsn {
+            let mut txs = self.txs.lock();
+            let last = txs.get_mut(&tx).expect("an open transaction");
+            *last = self.log.append(tx, *last, kind, payload);
+            *last
+        }
     }
 
     fn delta_payload(name: u8, delta: i64) -> LogPayload {
@@ -264,27 +273,35 @@ mod tests {
             }
             Ok(())
         }
-        fn undo(&self, rec: &LogRecord, clr_prev: Lsn, undo_next: Lsn) -> Result<Lsn> {
+        fn adopt(&self, tx: TxId, _first: Lsn, last: Lsn) {
+            self.txs.lock().insert(tx, last);
+        }
+        fn undo(&self, rec: &LogRecord) -> Result<()> {
             if let LogPayload::HeapInsert { data, .. } = &rec.payload {
                 let (name, delta) = parse(data);
                 *self.state.lock().entry(name).or_insert(0) -= delta;
-                let clr = self.log.append(
+                let undo_next = rec.prev;
+                self.log(
                     rec.tx,
-                    clr_prev,
                     RecKind::Clr { undo_next },
                     delta_payload(name, -delta),
                 );
-                return Ok(clr);
             }
-            Ok(clr_prev)
+            Ok(())
+        }
+        fn rolled_back(&self, tx: TxId) -> Result<()> {
+            let end = self.log(tx, RecKind::RedoOnly, LogPayload::TxEnd);
+            self.log.flush_to(end);
+            self.txs.lock().remove(&tx);
+            Ok(())
         }
     }
 
     fn setup() -> (std::sync::Arc<LogManager>, ToyTarget) {
         let log = std::sync::Arc::new(LogManager::new());
         let target = ToyTarget {
-            state: Mutex::new(HashMap::new()),
             log: std::sync::Arc::clone(&log),
+            ..ToyTarget::default()
         };
         (log, target)
     }
@@ -298,7 +315,13 @@ mod tests {
         log.append(TxId(2), b2, RecKind::RedoOnly, LogPayload::TxCommit);
         let a = analyze(&log);
         assert_eq!(a.losers.len(), 1);
-        assert_eq!(a.losers[&TxId(1)], Lsn(2));
+        assert_eq!(
+            a.losers[&TxId(1)],
+            Loser {
+                first: b1,
+                last: Lsn(2)
+            }
+        );
     }
 
     #[test]
@@ -312,25 +335,14 @@ mod tests {
         target.redo(&log.get(l2).unwrap()).unwrap();
         assert_eq!(target.state.lock()[&b'x'], 12);
 
-        let new_last = rollback_tx(&log, &target, TxId(1), l2, Lsn::NULL).unwrap();
+        // Registered as the engine's `Db::begin` would have.
+        target.adopt(TxId(1), b, l2);
+        undo(&log, &target, [(TxId(1), l2)]).unwrap();
         assert_eq!(target.state.lock()[&b'x'], 0);
-        let tail = log.get(new_last).unwrap();
+        let end = log.get(log.tail_lsn()).unwrap();
+        assert_eq!(end.payload, LogPayload::TxEnd);
+        let tail = log.get(end.prev).unwrap();
         assert!(matches!(tail.kind, RecKind::Clr { .. }));
-    }
-
-    #[test]
-    fn partial_rollback_stops_at_savepoint() {
-        let (log, target) = setup();
-        let b = log.append(TxId(1), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxBegin);
-        let l1 = log.append(TxId(1), b, RecKind::UndoRedo, delta_payload(b'x', 5));
-        let save = l1;
-        let l2 = log.append(TxId(1), l1, RecKind::UndoRedo, delta_payload(b'x', 7));
-        target.redo(&log.get(l1).unwrap()).unwrap();
-        target.redo(&log.get(l2).unwrap()).unwrap();
-
-        rollback_tx(&log, &target, TxId(1), l2, save).unwrap();
-        // Only the post-savepoint delta (7) was undone.
-        assert_eq!(target.state.lock()[&b'x'], 5);
     }
 
     #[test]
@@ -441,10 +453,7 @@ mod tests {
         // Second recovery on ANOTHER fresh state (as after a crash that
         // lost all volatile data): redo now includes the CLRs, and the
         // TxEnd means no further undo. Net effect must still be zero.
-        let target2 = ToyTarget {
-            state: Mutex::new(HashMap::new()),
-            log: std::sync::Arc::new(LogManager::new()),
-        };
+        let target2 = ToyTarget::default();
         // Reuse the same log but a fresh target whose CLRs would go to
         // a scratch log (none are written since no losers remain).
         recover(&log, &target2, checkpoint_redo_start(&log)).unwrap();
