@@ -1,27 +1,43 @@
 //! Criterion bench: side-file append vs direct tree maintenance — the
 //! §4 claim that SF's transaction-side cost during the build is an
-//! append, not a traversal.
+//! append, not a traversal — and the drain's read of a batch of
+//! appends out of the log, which is where the side-file's entries are
+//! kept.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mohan_btree::{BTree, BTreeConfig, InsertMode};
-use mohan_common::{FileId, IndexEntry, Rid};
-use mohan_oib::side_file::SideFile;
-use mohan_wal::SideFileOp;
+use mohan_common::{FileId, IndexEntry, IndexId, Lsn, Rid, TxId};
+use mohan_oib::side_file::{logged_ops, SideFile};
+use mohan_wal::{LogManager, LogPayload, RecKind, SideFileOp};
+
+const INDEX: IndexId = IndexId(1);
 
 fn entry(k: i64) -> IndexEntry {
     IndexEntry::from_i64(k, Rid::new((k / 100) as u32, (k % 100) as u16))
 }
 
+/// Log the append of `k` as a transaction does: one redo-only
+/// `SideFileAppend` record.
+fn log_append(wal: &LogManager, k: i64) -> Lsn {
+    let payload = LogPayload::SideFileAppend {
+        index: INDEX,
+        op: SideFileOp {
+            insert: true,
+            entry: entry(k),
+        },
+    };
+    wal.append(TxId(1), Lsn::NULL, RecKind::RedoOnly, payload)
+}
+
 fn bench_append_vs_tree(c: &mut Criterion) {
+    let wal = LogManager::new();
     let sf = SideFile::new();
     let mut k = 0i64;
     c.bench_function("side_file_append", |b| {
         b.iter(|| {
             k += 1;
-            sf.append(SideFileOp {
-                insert: true,
-                entry: entry(k),
-            })
+            sf.append_with(&wal, || Ok(log_append(&wal, k)))
+                .expect("append")
         });
     });
 
@@ -49,17 +65,14 @@ fn bench_append_vs_tree(c: &mut Criterion) {
 }
 
 fn bench_drain_read(c: &mut Criterion) {
-    let sf = SideFile::new();
+    let wal = LogManager::new();
     for k in 0..100_000i64 {
-        sf.append(SideFileOp {
-            insert: true,
-            entry: entry(k),
-        });
+        log_append(&wal, k);
     }
     c.bench_function("side_file_read_batch_512", |b| {
         let mut pos = 0u64;
         b.iter(|| {
-            let batch = sf.read(pos, 512);
+            let batch = logged_ops(&wal, INDEX, Lsn(pos), Lsn(pos + 512));
             pos = (pos + batch.len() as u64) % 99_000;
             batch.len()
         });

@@ -1005,20 +1005,17 @@ fn resolve_unique_group(
     Ok(survivor)
 }
 
-/// Drain the side-file from the drain record's position `pos` into the
-/// loaded tree (§3.2.5), one IB transaction per pass, then close it
-/// and complete the index.
-fn drain_phase(
-    db: &Arc<Db>,
-    idx: &Arc<IndexRuntime>,
-    mut pos: u64,
-    opts: &BuildOptions,
-) -> Result<()> {
+/// Drain the side-file from the drain record's position `pos` — the
+/// LSN through which the log has been read — into the loaded tree
+/// (§3.2.5), one IB transaction per pass, then close it and complete
+/// the index.
+fn drain_phase(db: &Arc<Db>, idx: &Arc<IndexRuntime>, pos: u64, opts: &BuildOptions) -> Result<()> {
     let _phase = PhaseTimer::new(db, "drain");
     // No restart reads the runs again: the drain resumes from its own
     // record.
     idx.sort_store.clear();
-    idx.side_file.set_drained(pos);
+    let mut pos = Lsn(pos);
+    let pending = |pos| idx.side_file.pending(&db.wal, idx.def.id, pos);
     // Each drained operation latches and unlatches inside
     // `apply_drain_op`; between two of them the IB holds only its own
     // transaction — until the final catch-up takes the quiesce lock,
@@ -1030,11 +1027,10 @@ fn drain_phase(
         // (§3.2.5). Applied as one atomic IB transaction; a crash
         // repeats the pass.
         if opts.drains_sorted() {
-            let backlog = idx.side_file.len().saturating_sub(pos) as usize;
-            if backlog > 0 {
-                let mut ops = idx.side_file.read(pos, backlog);
+            let (mut ops, through) = pending(pos);
+            if !ops.is_empty() {
                 ops.sort_by(|a, b| a.entry.cmp(&b.entry)); // stable
-                drain_pass(db, ib, idx, ops, &mut pos, Some(&mut pacer))?;
+                drain_pass(db, ib, idx, ops, through, &mut pos, Some(&mut pacer))?;
             }
         }
         // Catch-up passes: drain the whole visible backlog each pass.
@@ -1048,26 +1044,28 @@ fn drain_phase(
         let mut quiesce_tx: Option<TxId> = None;
         let result = (|| -> Result<()> {
             loop {
-                let backlog = idx.side_file.len().saturating_sub(pos) as usize;
-                let batch = idx.side_file.read(pos, backlog);
+                let (batch, through) = pending(pos);
                 if batch.is_empty() {
                     let completed_at = db.wal.tail_lsn();
-                    if idx.side_file.try_close(pos) {
+                    if idx.side_file.try_close(through) {
                         db.commit(*ib)?;
                         return complete_index(db, idx, completed_at);
                     }
                     // An append slipped in between the read and the
                     // close: go round again.
+                    pos = through;
                     if quiesce_tx.is_none() {
                         pace();
                     }
                     continue;
                 }
                 let pacer = quiesce_tx.is_none().then_some(&mut pacer);
-                drain_pass(db, ib, idx, batch, &mut pos, pacer)?;
+                drain_pass(db, ib, idx, batch, through, &mut pos, pacer)?;
                 nonempty_passes += 1;
                 if nonempty_passes >= 3 && quiesce_tx.is_none() {
-                    db.obs.trace().event("build.phase", "sf.drain.quiesce", pos);
+                    db.obs
+                        .trace()
+                        .event("build.phase", "sf.drain.quiesce", pos.0);
                     let qtx = db.begin();
                     db.locks
                         .lock(qtx, LockName::Table(idx.def.table), LockMode::S)?;
@@ -1082,31 +1080,34 @@ fn drain_phase(
     })
 }
 
-/// One drain pass: apply `ops` — the side-file's entries from `pos` on,
-/// in side-file or key order — in the IB transaction, giving way
-/// through `pacer` if there is one, then commit and store the drain
-/// record at the new `pos`.
+/// One drain pass: apply `ops` — the side-file's entries logged after
+/// `pos` through `through`, in log or key order — in the IB
+/// transaction, giving way through `pacer` if there is one, then
+/// commit, store the drain record at `through` and let the log go
+/// below it.
 fn drain_pass(
     db: &Arc<Db>,
     ib: &mut TxId,
     idx: &Arc<IndexRuntime>,
     ops: Vec<mohan_wal::SideFileOp>,
-    pos: &mut u64,
+    through: Lsn,
+    pos: &mut Lsn,
     mut pacer: Option<&mut Ticker>,
 ) -> Result<()> {
     for op in ops {
         apply_drain_op(db, *ib, idx, op)?;
-        *pos += 1;
-        idx.side_file.set_drained(*pos);
+        idx.side_file.applied();
         if let Some(pacer) = pacer.as_deref_mut() {
             pacer.tick();
         }
         db.failpoints.hit("sf.drain.op")?;
     }
     db.ib_commit_cycle(ib)?;
+    *pos = through;
     idx.side_file.drain_passes.bump();
-    db.obs.trace().event("build.phase", "sf.drain.pass", *pos);
-    progress::store(db, idx.def.id, &BuildProgress::Draining { pos: *pos });
+    db.obs.trace().event("build.phase", "sf.drain.pass", pos.0);
+    progress::store(db, idx.def.id, &BuildProgress::Draining { pos: pos.0 });
+    idx.side_file.drained_through(*pos);
     db.failpoints.hit("build.drain")
 }
 
@@ -1267,6 +1268,7 @@ pub(crate) fn cancel_builds(db: &Db, idxs: &[Arc<IndexRuntime>]) -> Result<()> {
         db.unregister_index(idx.def.id);
         progress::clear(db, idx.def.id);
         idx.tree.clear();
+        idx.side_file.force_close();
     }
     db.commit(tx)
 }

@@ -369,22 +369,13 @@ impl Db {
         idx: &Arc<IndexRuntime>,
         op: &SideFileOp,
     ) -> Result<bool> {
-        let mut log_err = None;
-        let appended = idx.side_file.append_with(op.clone(), |op| {
+        idx.side_file.append_with(&self.wal, || {
             let payload = LogPayload::SideFileAppend {
                 index: idx.def.id,
                 op: op.clone(),
             };
             self.log(tx, RecKind::RedoOnly, payload)
-                .unwrap_or_else(|e| {
-                    log_err = Some(e);
-                    Lsn::NULL
-                })
-        });
-        match log_err {
-            Some(e) => Err(e),
-            None => Ok(matches!(appended, crate::side_file::Append::Appended(_))),
-        }
+        })
     }
 
     /// §2.2.3, "IB and Insert Operations" — the transaction side, with

@@ -474,9 +474,11 @@ impl Db {
             // exact Current-RID died with the crash treats *everything*
             // as visible. Duplicate-insert rejection at drain time
             // absorbs the overlap with the rescanned key range (see
-            // DESIGN.md §6).
+            // DESIGN.md §6). Its side-file pins the log again before
+            // any checkpoint may truncate it.
             if rt.state() == IndexState::SfBuilding {
                 rt.finish_scan();
+                rt.side_file.reopen(&self.wal);
             }
         }
         Ok(())
@@ -610,14 +612,14 @@ impl Db {
 
     /// Engine checkpoint: force the log, then every dirty page of
     /// every table and index, write a checkpoint record, and truncate
-    /// the log below the oldest record restart, rollback or a WAL
-    /// subscriber still needs. Writers are not held up: a page a
-    /// writer changed after the log flush is written once the log is
-    /// forced through its LSN (the WAL rule), not refused. Refused
-    /// between [`Db::simulate_crash`] and the end of [`Db::restart`],
-    /// where a checkpoint record would tell restart to skip redo it has
-    /// not done. Counted in `checkpoint.count` or `checkpoint.failed`,
-    /// timed in `checkpoint.us`.
+    /// the log below the oldest record restart, rollback, an open
+    /// side-file or a WAL subscriber still needs. Writers are not held
+    /// up: a page a writer changed after the log flush is written once
+    /// the log is forced through its LSN (the WAL rule), not refused.
+    /// Refused between [`Db::simulate_crash`] and the end of
+    /// [`Db::restart`], where a checkpoint record would tell restart to
+    /// skip redo it has not done. Counted in `checkpoint.count` or
+    /// `checkpoint.failed`, timed in `checkpoint.us`.
     pub fn checkpoint(&self) -> Result<()> {
         self.failpoints.hit(CHECKPOINT_BEGIN_FAILPOINT)?;
         let started = Instant::now();
@@ -657,23 +659,14 @@ impl Db {
             i.tree.force_all(&self.wal)?;
         }
         self.failpoints.hit(CHECKPOINT_FORCED_FAILPOINT)?;
-        // Redo after a crash may start at the flushed horizon — except
-        // that open side-files are volatile and rebuilt purely from
-        // redo of their logged appends, so the bound must not advance
-        // past any open side-file's first logged append. Appends racing
-        // with this computation get LSNs above `flushed` and cannot
-        // lower the bound.
-        let mut redo_start = flushed;
-        for i in &indexes {
-            if let Some(first) = i.side_file.open_first_lsn() {
-                redo_start = redo_start.min(Lsn(first.0.saturating_sub(1)));
-            }
-        }
+        // Redo after a crash may start at the flushed horizon.
         let lsn = self.wal.append(
             TxId(0),
             Lsn::NULL,
             RecKind::RedoOnly,
-            LogPayload::Checkpoint { redo_start },
+            LogPayload::Checkpoint {
+                redo_start: flushed,
+            },
         );
         self.wal.flush_to(lsn);
         // Restart redoes from `redo_start` + 1, and rollback and
@@ -681,13 +674,13 @@ impl Db {
         // record. A transaction that begins after this read gets LSNs
         // above `flushed`; one still active at a later crash either
         // began after it or is in it. The log keeps what its pins hold
-        // as well (WAL subscribers).
+        // as well (WAL subscribers, open side-files).
         let floor = self
             .txs
             .lock()
             .values()
             .map(|span| span.first)
-            .fold(Lsn(redo_start.0 + 1), Lsn::min);
+            .fold(Lsn(flushed.0 + 1), Lsn::min);
         self.wal.truncate_below(floor);
         Ok(())
     }
@@ -1008,14 +1001,6 @@ impl RecoveryTarget for Db {
                 }
                 Ok(())
             }
-            LogPayload::SideFileAppend { index, op } => {
-                if let Ok(idx) = self.index(*index) {
-                    if !idx.side_file.closed() {
-                        idx.side_file.redo_append(op.clone(), rec.lsn);
-                    }
-                }
-                Ok(())
-            }
             LogPayload::CatalogUpdate { bytes } => {
                 // A follower applies shipped DDL; a primary's restart
                 // takes its catalog from the blob instead.
@@ -1025,7 +1010,10 @@ impl RecoveryTarget for Db {
                     Ok(())
                 }
             }
-            LogPayload::TxBegin
+            // The log is the side-file: the drain reads the append
+            // where it stands.
+            LogPayload::SideFileAppend { .. }
+            | LogPayload::TxBegin
             | LogPayload::TxCommit
             | LogPayload::TxAbort
             | LogPayload::TxEnd

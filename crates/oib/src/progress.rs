@@ -67,7 +67,8 @@ wire_enum! {
         },
         /// SF: draining the side-file (§3.2.5).
         Draining = 4 {
-            /// Entries applied so far.
+            /// LSN through which the drain has read the log and
+            /// applied its side-file entries (0 before the first pass).
             pos: u64,
         },
     }
@@ -82,7 +83,9 @@ impl BuildProgress {
 
     /// The phase this record stands for, as a progress frame names it,
     /// and how far into it the build is: the scan partitions' combined
-    /// position, keys merged, inserted or drained (0 while reducing).
+    /// position (packed RIDs), keys merged or inserted, or the log
+    /// position the drain has read through (0 while reducing). Only
+    /// the merge and insert figures count keys.
     #[must_use]
     pub fn phase(&self) -> (BuildPhase, u64) {
         match self {

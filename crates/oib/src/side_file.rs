@@ -1,46 +1,45 @@
 //! The side-file: an append-only table of `<operation, key>` entries
-//! (§3.1).
+//! (§3.1), kept by the log.
+//!
+//! A transaction logs each append as a redo-only `SideFileAppend`
+//! record carrying the whole entry, so the log already holds every
+//! entry, in order, and the side-file keeps no copy of its own. The
+//! IB's drain reads its index's appends out of the log
+//! ([`SideFile::pending`]); a [`LogPin`] taken at the first append
+//! keeps the undrained ones from truncation and moves up as drain
+//! passes commit. A crash leaves nothing to rebuild: restart pins the
+//! log again ([`SideFile::reopen`]) and the drain resumes from the log
+//! position its progress record names.
 //!
 //! "Transactions append entries without doing any locking of the
-//! appended entries" — a single mutex guards the tail pointer, which
-//! is the moral equivalent: no entry is ever locked, and appends never
-//! wait on the index builder's work.
+//! appended entries" — a single mutex orders the appends, which is the
+//! moral equivalent: no entry is ever locked, and appends never wait
+//! on the index builder's work. Each append logs under it, so the
+//! side-file's order is the log's.
 //!
 //! The end-of-drain handshake closes the race the paper leaves
 //! implicit: a transaction that saw `Index_Build = '1'` under the data
 //! page latch might append only after the IB checked for the last
 //! entry. Here the close decision and every append share the mutex:
-//! [`SideFile::try_close`] succeeds only if the drain position equals
-//! the tail, and any append that arrives after a successful close is
-//! refused with [`Append::BuildDone`] so the transaction updates the
-//! index directly instead.
+//! [`SideFile::try_close`] succeeds only if the drain has read through
+//! the last append's LSN, and any append that arrives after a
+//! successful close is refused, so the transaction updates the index
+//! directly instead.
 
 use mohan_common::stats::{Counter, MaxGauge};
-use mohan_common::Lsn;
-use mohan_wal::SideFileOp;
+use mohan_common::{IndexId, Lsn, Result};
+use mohan_wal::{LogManager, LogPayload, LogPin, SideFileOp};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Result of an append attempt.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Append {
-    /// Entry appended at this position.
-    Appended(u64),
-    /// The build finished concurrently; the caller must apply the
-    /// operation to the index directly.
-    BuildDone,
-}
-
 #[derive(Default)]
 struct Inner {
-    entries: Vec<SideFileOp>,
     closed: bool,
-    /// LSN of the first logged append (0 = none yet). Side-file
-    /// contents are volatile and rebuilt purely from redo of
-    /// `SideFileAppend` records, so a checkpoint's `redo_start` must
-    /// not advance past the logged history of any open side-file —
-    /// this is where that lower bound comes from.
-    first_lsn: u64,
+    /// LSN of the last logged append ([`Lsn::NULL`] before the first).
+    last: Lsn,
+    /// Holds the undrained appends in the log, with the LSN it holds
+    /// from. `None` until the first append, and again once closed.
+    pin: Option<(LogPin, Lsn)>,
 }
 
 /// One index build's side-file.
@@ -49,16 +48,30 @@ pub struct SideFile {
     inner: Mutex<Inner>,
     /// Entries appended over the build's lifetime.
     pub appended: Counter,
-    /// Peak backlog (appended − drained) observed at drain time.
+    /// Peak backlog (entries one drain pass found) observed at drain
+    /// time.
     pub max_backlog: MaxGauge,
     /// Non-empty catch-up passes the drain executed (§3.2.5): how many
     /// times the IB found new entries appended since its last pass.
     /// Stays small when the drain converges on its own; hitting the
     /// quiesce fallback shows up as a value ≥ 3.
     pub drain_passes: Counter,
-    /// Entries the IB has applied so far (its drain position),
-    /// published for the live `build.drain_lag` gauge.
+    /// Entries the IB has applied, published for the live
+    /// `build.drain_lag` gauge. A crash sets it to `appended`.
     drained: AtomicU64,
+}
+
+/// `index`'s side-file entries logged in `(after, through]`, in log
+/// order. Nothing when `after` is below the log's first LSN − 1.
+#[must_use]
+pub fn logged_ops(wal: &LogManager, index: IndexId, after: Lsn, through: Lsn) -> Vec<SideFileOp> {
+    wal.iter_from(after)
+        .take_while(|r| r.lsn <= through)
+        .filter_map(|r| match r.payload {
+            LogPayload::SideFileAppend { index: i, op } if i == index => Some(op),
+            _ => None,
+        })
+        .collect()
 }
 
 impl SideFile {
@@ -68,89 +81,72 @@ impl SideFile {
         SideFile::default()
     }
 
-    /// Transaction append (Figure 1). Returns [`Append::BuildDone`]
-    /// if the build already completed.
-    pub fn append(&self, op: SideFileOp) -> Append {
-        self.append_with(op, |_| Lsn::NULL)
-    }
-
-    /// Append and run `log` under the same critical section, so the
-    /// side-file's entry order always equals the WAL order of the
-    /// `SideFileAppend` records — which is what makes the rebuilt
-    /// side-file's drain position meaningful after a crash. `log`
-    /// returns the appended record's LSN ([`Lsn::NULL`] if it logged
-    /// nothing); the first valid one is remembered as the open
-    /// side-file's redo lower bound.
-    pub fn append_with(&self, op: SideFileOp, log: impl FnOnce(&SideFileOp) -> Lsn) -> Append {
+    /// Transaction append (Figure 1): run `log`, which logs the entry's
+    /// `SideFileAppend` record and returns its LSN, under the
+    /// side-file's mutex. `Ok(false)` without running it if the build
+    /// already completed: the caller must apply the operation to the
+    /// index directly. The first append pins the log at its record;
+    /// until the pin exists, the appending transaction's own first
+    /// record holds it.
+    pub fn append_with(&self, wal: &LogManager, log: impl FnOnce() -> Result<Lsn>) -> Result<bool> {
         let mut g = self.inner.lock();
         if g.closed {
-            return Append::BuildDone;
+            return Ok(false);
         }
-        let lsn = log(&op);
-        if g.first_lsn == 0 && lsn.is_valid() {
-            g.first_lsn = lsn.0;
+        let lsn = log()?;
+        if g.pin.is_none() {
+            g.pin = wal.pin(lsn).map(|pin| (pin, lsn));
         }
-        g.entries.push(op);
+        g.last = lsn;
         self.appended.bump();
-        Append::Appended(g.entries.len() as u64 - 1)
+        Ok(true)
     }
 
-    /// Recovery replay of a logged append (always accepted; the
-    /// side-file is rebuilt from the log in LSN order). `lsn` is the
-    /// replayed record's own LSN, re-establishing the redo lower
-    /// bound for checkpoints taken after the restart.
-    pub fn redo_append(&self, op: SideFileOp, lsn: Lsn) {
-        let mut g = self.inner.lock();
-        if g.first_lsn == 0 && lsn.is_valid() {
-            g.first_lsn = lsn.0;
+    /// The drain's next batch: `index`'s entries logged after `pos`,
+    /// through the log's tail as it stands now, and that tail — the
+    /// position the batch reads through. Entries below the pin are
+    /// drained already, and none lies past the last append, so the
+    /// walk stops there: with nothing appended since `pos` it reads
+    /// nothing, and the close that follows an empty batch races no
+    /// walk.
+    pub fn pending(&self, wal: &LogManager, index: IndexId, pos: Lsn) -> (Vec<SideFileOp>, Lsn) {
+        let (window, through) = {
+            let g = self.inner.lock();
+            let through = wal.tail_lsn();
+            let window = g
+                .pin
+                .as_ref()
+                .map(|(_, at)| (pos.max(Lsn(at.0 - 1)), g.last.min(through)));
+            (window, through)
+        };
+        let ops = match window {
+            Some((after, upto)) if after < upto => logged_ops(wal, index, after, upto),
+            _ => Vec::new(),
+        };
+        self.max_backlog.observe(ops.len() as u64);
+        (ops, through)
+    }
+
+    /// A drain pass that read through `pos` committed: the log may let
+    /// go of the appends up to it.
+    pub fn drained_through(&self, pos: Lsn) {
+        if let Some((pin, at)) = &mut self.inner.lock().pin {
+            *at = (*at).max(Lsn(pos.0 + 1));
+            pin.advance(*at);
         }
-        g.entries.push(op);
     }
 
-    /// LSN of the first logged append while the side-file is still
-    /// open; `None` once closed (its history no longer constrains
-    /// checkpoints) or before any logged append.
+    /// Atomically close the side-file if the drain has read through
+    /// the last append (`drained_through` ≥ its LSN), and let go of the
+    /// log. On success transactions switch to direct index maintenance
+    /// (§3.2.5: "after processing the last entry in the side-file, IB
+    /// resets the Index_Build flag").
     #[must_use]
-    pub fn open_first_lsn(&self) -> Option<Lsn> {
-        let g = self.inner.lock();
-        if g.closed || g.first_lsn == 0 {
-            None
-        } else {
-            Some(Lsn(g.first_lsn))
-        }
-    }
-
-    /// Current length.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.inner.lock().entries.len() as u64
-    }
-
-    /// True if no entries exist.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Read up to `n` entries starting at `pos` (the IB's drain).
-    #[must_use]
-    pub fn read(&self, pos: u64, n: usize) -> Vec<SideFileOp> {
-        let g = self.inner.lock();
-        let start = (pos as usize).min(g.entries.len());
-        let end = start.saturating_add(n).min(g.entries.len());
-        self.max_backlog.observe((g.entries.len() - start) as u64);
-        g.entries[start..end].to_vec()
-    }
-
-    /// Atomically close the side-file if everything up to `drained`
-    /// has been applied. On success transactions switch to direct
-    /// index maintenance (§3.2.5: "after processing the last entry in
-    /// the side-file, IB resets the Index_Build flag").
-    #[must_use]
-    pub fn try_close(&self, drained: u64) -> bool {
+    pub fn try_close(&self, drained_through: Lsn) -> bool {
         let mut g = self.inner.lock();
-        if g.entries.len() as u64 == drained {
+        if g.last <= drained_through {
             g.closed = true;
+            g.pin = None;
             true
         } else {
             false
@@ -163,74 +159,125 @@ impl SideFile {
         self.inner.lock().closed
     }
 
-    /// Publish the IB's drain position (entries applied so far).
-    pub fn set_drained(&self, pos: u64) {
-        self.drained.store(pos, Ordering::Relaxed);
+    /// The IB applied one entry.
+    pub fn applied(&self) {
+        self.drained.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Live drain lag: entries appended but not yet applied by the IB.
-    /// 0 once the build closes the side-file.
+    /// After a restart it counts only the entries appended since, so
+    /// it reads low by the backlog the crash left until the drain has
+    /// passed that.
     #[must_use]
     pub fn backlog(&self) -> u64 {
-        self.len()
+        self.appended
+            .get()
             .saturating_sub(self.drained.load(Ordering::Relaxed))
     }
 
-    /// Crash: contents are volatile (rebuilt from redo), the closed
-    /// flag is re-derived from the catalog state.
+    /// Crash: the pin and the close flag are volatile; the close flag
+    /// is re-derived from the catalog state at restart.
     pub fn crash(&self) {
-        let mut g = self.inner.lock();
-        g.entries.clear();
-        g.closed = false;
-        g.first_lsn = 0;
-        self.drained.store(0, Ordering::Relaxed);
+        *self.inner.lock() = Inner::default();
+        self.drained.store(self.appended.get(), Ordering::Relaxed);
     }
 
-    /// Mark closed without a position check (restart of a build whose
-    /// completion was already durable in the catalog).
+    /// Restart of a build still draining or yet to drain: pin the log
+    /// at its first record, and take its tail as the last append.
+    /// Every append the crash left is in between — a pin or its
+    /// transaction held it, and no checkpoint runs before restart ends.
+    pub fn reopen(&self, wal: &LogManager) {
+        let mut g = self.inner.lock();
+        let first = wal.first_lsn();
+        g.pin = wal.pin(first).map(|pin| (pin, first));
+        g.last = wal.tail_lsn();
+    }
+
+    /// Close without a position check, and let go of the log: a build
+    /// whose completion was already durable in the catalog, or one
+    /// being cancelled.
     pub fn force_close(&self) {
-        self.inner.lock().closed = true;
+        let mut g = self.inner.lock();
+        g.closed = true;
+        g.pin = None;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mohan_common::{IndexEntry, Rid};
+    use mohan_common::{Rid, TxId};
+    use mohan_wal::RecKind;
+    use std::sync::Arc;
+
+    const IX: IndexId = IndexId(7);
 
     fn op(k: i64, insert: bool) -> SideFileOp {
         SideFileOp {
             insert,
-            entry: IndexEntry::from_i64(k, Rid::new(1, k as u16)),
+            entry: mohan_common::IndexEntry::from_i64(k, Rid::new(1, k as u16)),
         }
     }
 
-    #[test]
-    fn append_read_in_order() {
-        let sf = SideFile::new();
-        assert_eq!(sf.append(op(1, true)), Append::Appended(0));
-        assert_eq!(sf.append(op(2, false)), Append::Appended(1));
-        let got = sf.read(0, 10);
-        assert_eq!(got.len(), 2);
-        assert!(got[0].insert && !got[1].insert);
-        assert_eq!(sf.read(1, 10).len(), 1);
+    fn log_op(wal: &LogManager, index: IndexId, op: SideFileOp) -> Lsn {
+        let payload = LogPayload::SideFileAppend { index, op };
+        wal.append(TxId(1), Lsn::NULL, RecKind::RedoOnly, payload)
+    }
+
+    /// Append `op` to `sf` (index [`IX`]), logged in `wal`.
+    fn append(sf: &SideFile, wal: &LogManager, op: SideFileOp) -> bool {
+        sf.append_with(wal, || Ok(log_op(wal, IX, op))).unwrap()
     }
 
     #[test]
-    fn close_only_when_fully_drained() {
+    fn pending_reads_the_index_appends_in_log_order() {
+        let wal = LogManager::new();
         let sf = SideFile::new();
-        sf.append(op(1, true));
-        assert!(!sf.try_close(0));
-        assert!(sf.try_close(1));
+        assert!(append(&sf, &wal, op(1, true)));
+        // Another index's append and a record of no side-file between.
+        log_op(&wal, IndexId(8), op(5, true));
+        wal.append(TxId(2), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxBegin);
+        assert!(append(&sf, &wal, op(2, false)));
+        let (got, through) = sf.pending(&wal, IX, Lsn::NULL);
+        assert_eq!(got, vec![op(1, true), op(2, false)]);
+        assert_eq!(through, wal.tail_lsn());
+        assert_eq!(sf.pending(&wal, IX, Lsn(1)).0, vec![op(2, false)]);
+        assert!(sf.pending(&wal, IX, through).0.is_empty());
+    }
+
+    #[test]
+    fn close_only_when_read_through_the_last_append() {
+        let wal = LogManager::new();
+        let sf = SideFile::new();
+        assert!(sf.pending(&wal, IX, Lsn::NULL).0.is_empty(), "no pin");
+        append(&sf, &wal, op(1, true));
+        assert!(!sf.try_close(Lsn::NULL));
+        let (_, through) = sf.pending(&wal, IX, Lsn::NULL);
+        assert!(sf.try_close(through));
         assert!(sf.closed());
     }
 
     #[test]
-    fn appends_after_close_are_refused() {
+    fn appends_after_close_are_refused_and_log_nothing() {
+        let wal = LogManager::new();
         let sf = SideFile::new();
-        assert!(sf.try_close(0));
-        assert_eq!(sf.append(op(9, true)), Append::BuildDone);
-        assert_eq!(sf.len(), 0);
+        assert!(sf.try_close(Lsn::NULL));
+        let appended = sf
+            .append_with(&wal, || panic!("a closed side-file logged"))
+            .unwrap();
+        assert!(!appended);
+        assert_eq!(wal.tail_lsn(), Lsn::NULL);
+        assert_eq!(sf.appended.get(), 0);
+    }
+
+    #[test]
+    fn a_failed_log_call_appends_nothing() {
+        let wal = LogManager::new();
+        let sf = SideFile::new();
+        let err = sf.append_with(&wal, || Err(mohan_common::Error::TxNotActive(TxId(3))));
+        assert!(err.is_err());
+        assert_eq!(sf.appended.get(), 0);
+        assert!(sf.try_close(Lsn::NULL), "no append to wait for");
     }
 
     #[test]
@@ -238,77 +285,89 @@ mod tests {
         // Hammer append vs try_close from two threads: either the
         // entry lands before the close (and the close fails) or the
         // appender is told the build is done.
-        use std::sync::Arc;
         for _ in 0..200 {
+            let wal = Arc::new(LogManager::new());
             let sf = Arc::new(SideFile::new());
+            let read_through = wal.tail_lsn();
             let sf2 = Arc::clone(&sf);
-            let closer = std::thread::spawn(move || sf2.try_close(0));
-            let res = sf.append(op(1, true));
+            let closer = std::thread::spawn(move || sf2.try_close(read_through));
+            let appended = append(&sf, &wal, op(1, true));
             let closed = closer.join().unwrap();
-            match res {
-                Append::Appended(_) => assert!(!closed, "closed while an entry was pending"),
-                Append::BuildDone => assert!(closed),
+            assert_ne!(appended, closed, "appended {appended}, closed {closed}");
+            if appended {
+                assert_eq!(sf.pending(&wal, IX, read_through).0, vec![op(1, true)]);
             }
         }
     }
 
     #[test]
-    fn crash_clears_and_reopens() {
+    fn the_pin_holds_the_undrained_appends() {
+        let wal = LogManager::new();
         let sf = SideFile::new();
-        sf.append(op(1, true));
-        assert!(sf.try_close(1));
+        wal.append(TxId(2), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxBegin);
+        append(&sf, &wal, op(1, true));
+        let first = wal.tail_lsn();
+        append(&sf, &wal, op(2, true));
+        let second = wal.tail_lsn();
+        wal.flush_all();
+        assert_eq!(wal.truncate_below(Lsn(u64::MAX)), first);
+        // A committed pass through the first append lets it go.
+        sf.drained_through(first);
+        assert_eq!(wal.truncate_below(Lsn(u64::MAX)), second);
+        assert_eq!(sf.pending(&wal, IX, first).0, vec![op(2, true)]);
+        // Closing lets go of the rest.
+        assert!(sf.try_close(second));
+        assert!(wal.truncate_below(Lsn(u64::MAX)) > second);
+    }
+
+    #[test]
+    fn crash_drops_the_pin_and_reopen_pins_the_whole_log() {
+        let wal = LogManager::new();
+        let sf = SideFile::new();
+        append(&sf, &wal, op(1, true));
+        let appended = wal.tail_lsn();
+        wal.flush_all();
         sf.crash();
-        assert_eq!(sf.len(), 0);
         assert!(!sf.closed());
-        sf.redo_append(op(1, true), Lsn(9));
-        assert_eq!(sf.len(), 1);
-        assert_eq!(sf.open_first_lsn(), Some(Lsn(9)));
+        assert!(sf.pending(&wal, IX, Lsn::NULL).0.is_empty(), "no pin");
+        sf.reopen(&wal);
+        assert_eq!(wal.truncate_below(Lsn(u64::MAX)), Lsn(1));
+        // The tail is the last append: nothing closes before the drain
+        // has read through it.
+        assert!(!sf.try_close(Lsn::NULL));
+        assert_eq!(sf.pending(&wal, IX, Lsn::NULL).0, vec![op(1, true)]);
+        assert!(sf.try_close(appended));
     }
 
     #[test]
-    fn first_logged_lsn_bounds_open_history() {
-        let sf = SideFile::new();
-        // Unlogged appends leave no bound.
-        sf.append(op(1, true));
-        assert_eq!(sf.open_first_lsn(), None);
-        // The first *logged* append sets it; later ones don't move it.
-        sf.append_with(op(2, true), |_| Lsn(41));
-        sf.append_with(op(3, true), |_| Lsn(55));
-        assert_eq!(sf.open_first_lsn(), Some(Lsn(41)));
-        // A closed side-file no longer constrains checkpoints.
-        assert!(sf.try_close(3));
-        assert_eq!(sf.open_first_lsn(), None);
-        // Crash clears the bound along with the contents.
-        sf.crash();
-        assert_eq!(sf.open_first_lsn(), None);
-    }
-
-    #[test]
-    fn live_backlog_follows_drain_position() {
+    fn live_backlog_follows_the_applied_entries() {
+        let wal = LogManager::new();
         let sf = SideFile::new();
         for i in 0..10 {
-            sf.append(op(i, true));
+            append(&sf, &wal, op(i, true));
         }
         assert_eq!(sf.backlog(), 10);
-        sf.set_drained(4);
+        (0..4).for_each(|_| sf.applied());
         assert_eq!(sf.backlog(), 6);
-        sf.set_drained(10);
-        assert_eq!(sf.backlog(), 0);
-        // A stale (over-large) position never underflows.
-        sf.set_drained(99);
-        assert_eq!(sf.backlog(), 0);
+        (0..7).for_each(|_| sf.applied());
+        assert_eq!(sf.backlog(), 0, "never underflows");
+        append(&sf, &wal, op(10, true));
         sf.crash();
         assert_eq!(sf.backlog(), 0);
     }
 
     #[test]
     fn backlog_gauge_tracks_peak() {
+        let wal = LogManager::new();
         let sf = SideFile::new();
         for i in 0..10 {
-            sf.append(op(i, true));
+            append(&sf, &wal, op(i, true));
         }
-        let _ = sf.read(0, 2);
-        let _ = sf.read(8, 2);
+        let (batch, through) = sf.pending(&wal, IX, Lsn::NULL);
+        assert_eq!(batch.len(), 10);
+        sf.drained_through(through);
+        append(&sf, &wal, op(10, true));
+        assert_eq!(sf.pending(&wal, IX, through).0.len(), 1);
         assert_eq!(sf.max_backlog.get(), 10);
     }
 }

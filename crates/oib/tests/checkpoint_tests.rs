@@ -3,15 +3,17 @@
 //! a crash into an exact index. And what an engine checkpoint leaves of
 //! the log: no more than the work since it, however long the history,
 //! and never a record that restart, rollback or an open side-file still
-//! needs.
+//! needs — and what a restart then redoes: nothing before it.
 
-use mohan_common::{EngineConfig, Lsn, Rid, TableId};
+use mohan_common::{EngineConfig, IndexId, Lsn, Rid, TableId};
 use mohan_oib::build::{build_index, build_indexes, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::checkpointer::CHECKPOINT_TRIGGER_BYTES;
+use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::runtime::{IndexRuntime, IndexState};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
 use mohan_oib::{Db, Session};
+use mohan_wal::LogPayload;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -267,19 +269,32 @@ fn an_open_transaction_holds_truncation_at_its_first_record() {
     assert_eq!(db.read_record(T, rids[2]).unwrap(), rec(4, 1));
 }
 
-/// An open side-file holds truncation at its first logged append: its
-/// entries are rebuilt from the log after a crash, and the resumed
-/// build then comes out exact.
-#[test]
-fn an_open_side_file_holds_truncation_at_its_first_append() {
-    let (db, rids) = seeded_db();
-    db.failpoints.arm_after("sf.load.key", 1_000);
-    let spec = IndexSpec {
-        name: "sf_open".into(),
+/// `index`'s side-file appends the log holds, with their LSNs.
+fn side_file_appends(db: &Db, index: IndexId) -> Vec<Lsn> {
+    db.wal
+        .iter_from(Lsn(db.wal.first_lsn().0 - 1))
+        .filter(|r| matches!(r.payload, LogPayload::SideFileAppend { index: i, .. } if i == index))
+        .map(|r| r.lsn)
+        .collect()
+}
+
+fn sf_spec(name: &str) -> IndexSpec {
+    IndexSpec {
+        name: name.into(),
         key_cols: vec![0],
         unique: false,
-    };
-    let err = build_index(&db, T, spec, BuildAlgorithm::Sf).unwrap_err();
+    }
+}
+
+/// An open side-file holds truncation at its first logged append, yet
+/// restart redoes nothing before the checkpoint: the log is the
+/// side-file, so the resumed build reads the appends where they stand
+/// and comes out exact.
+#[test]
+fn an_open_side_file_holds_the_log_and_restart_redoes_only_past_the_checkpoint() {
+    let (db, rids) = seeded_db();
+    db.failpoints.arm_after("sf.load.key", 1_000);
+    let err = build_index(&db, T, sf_spec("sf_open"), BuildAlgorithm::Sf).unwrap_err();
     assert!(err.is_crash(), "{err}");
     let idx = db.indexes_of(T).last().cloned().unwrap();
     assert_eq!(idx.state(), IndexState::SfBuilding);
@@ -290,16 +305,80 @@ fn an_open_side_file_holds_truncation_at_its_first_append() {
             .update(T, rid, &rec(10 * ROWS + i as i64, 3))
             .unwrap();
     }
-    let side_file_first = idx.side_file.open_first_lsn().expect("logged appends");
+    let side_file_first = side_file_appends(&db, idx.def.id)[0];
     for k in 0..500 {
         session.insert(T, &rec(-k - 1, 0)).unwrap();
     }
     db.checkpoint().unwrap();
+    let checkpoint = db.wal.tail_lsn();
     assert!(db.wal.first_lsn() > Lsn(1));
     assert!(db.wal.first_lsn() <= side_file_first);
 
     db.simulate_crash();
+    let stats = db.restart().unwrap();
+    assert_eq!(
+        stats.redone, 1,
+        "redo offered more than the checkpoint record"
+    );
+    assert_eq!(stats.redo_start, Lsn(checkpoint.0 - 1));
+    resume_build(&db, idx.def.id).unwrap();
+    assert_eq!(db.index(idx.def.id).unwrap().state(), IndexState::Complete);
+    verify_index(&db, idx.def.id).unwrap();
+}
+
+/// A drain pass that committed lets the log go below what it read,
+/// though the side-file stays open; what is appended after it stays.
+#[test]
+fn a_drained_prefix_of_an_open_side_file_releases_the_log() {
+    let (db, rids) = seeded_db();
+    // Halfway through the scan, 50 rows it has passed move: their
+    // changes go to the side-file.
+    let (db2, moved) = (Arc::clone(&db), rids[..50].to_vec());
+    db.failpoints
+        .arm_hook("build.scan.record", ROWS as u64 / 2, move || {
+            let mut session = Session::new(db2);
+            for (i, &rid) in moved.iter().enumerate() {
+                session
+                    .update(T, rid, &rec(10 * ROWS + i as i64, 3))
+                    .unwrap();
+            }
+        });
+    // The first drain pass commits, stores its record and dies.
+    db.failpoints.arm("build.drain");
+    let err = build_index(&db, T, sf_spec("sf_drained"), BuildAlgorithm::Sf).unwrap_err();
+    assert!(err.is_crash(), "{err}");
+    let idx = db.indexes_of(T).last().cloned().unwrap();
+    assert_eq!(idx.state(), IndexState::SfBuilding);
+    let Some(BuildProgress::Draining { pos }) = progress::load(&db, idx.def.id).unwrap() else {
+        panic!("no drain record");
+    };
+    let drained = side_file_appends(&db, idx.def.id);
+    assert_eq!(drained.len(), 100, "a delete and an insert per move");
+    let last_drained = *drained.last().unwrap();
+    // The side-file is still open: these go to it, after the pass.
+    let mut session = Session::new(Arc::clone(&db));
+    for (i, &rid) in rids[50..60].iter().enumerate() {
+        session
+            .update(T, rid, &rec(11 * ROWS + i as i64, 4))
+            .unwrap();
+    }
+    let first_undrained = side_file_appends(&db, idx.def.id)[100];
+
+    db.checkpoint().unwrap();
+    assert!(
+        db.wal.first_lsn() > last_drained,
+        "the log is held at {} below the drained append {}",
+        db.wal.first_lsn().0,
+        last_drained.0
+    );
+    assert!(db.wal.first_lsn() <= first_undrained);
+    assert!(last_drained <= Lsn(pos) && Lsn(pos) < first_undrained);
+
+    db.simulate_crash();
     db.restart().unwrap();
+    // Restart pinned the side-file again: the undrained appends stay.
+    db.checkpoint().unwrap();
+    assert!(db.wal.first_lsn() <= first_undrained);
     resume_build(&db, idx.def.id).unwrap();
     assert_eq!(db.index(idx.def.id).unwrap().state(), IndexState::Complete);
     verify_index(&db, idx.def.id).unwrap();

@@ -10,6 +10,7 @@ use mohan_oib::engine::{CHECKPOINT_BEGIN_FAILPOINT, CHECKPOINT_FORCED_FAILPOINT}
 use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
+use mohan_oib::side_file::logged_ops;
 use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -131,7 +132,13 @@ fn sf_crash_during_drain_resumes() {
         db.delete_record(tx, T, rids[(k * 5) as usize]).unwrap();
     }
     db.commit(tx).unwrap();
-    assert!(db.index(id).unwrap().side_file.len() >= 80);
+    let appends = logged_ops(
+        &db.wal,
+        id,
+        Lsn(db.wal.first_lsn().0 - 1),
+        db.wal.tail_lsn(),
+    );
+    assert!(appends.len() >= 80, "{} side-file appends", appends.len());
 
     // Now crash in the drain itself, twice (mid-op and at the
     // checkpoint), resuming each time.

@@ -4,10 +4,11 @@
 //! failpoint hook on the builder's own thread; nothing sleeps or
 //! retries.
 
-use mohan_common::{EngineConfig, IndexEntry, KeyValue, PageId, Rid, TableId};
+use mohan_common::{EngineConfig, IndexEntry, KeyValue, Lsn, PageId, Rid, TableId};
 use mohan_oib::build::{build_index, build_indexes, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
+use mohan_oib::side_file::logged_ops;
 use mohan_oib::verify::verify_index;
 use mohan_oib::{Db, Session};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -182,8 +183,12 @@ fn dml_on_the_page_being_processed_goes_to_the_side_file() {
         .lock()
         .unwrap()
         .expect("no insert landed on the page");
-    let rt = db.index(idx).unwrap();
-    let ops = rt.side_file.read(0, rt.side_file.len() as usize);
+    let ops = logged_ops(
+        &db.wal,
+        idx,
+        Lsn(db.wal.first_lsn().0 - 1),
+        db.wal.tail_lsn(),
+    );
     let has = |insert: bool, key: i64, rid: Rid| {
         ops.iter()
             .any(|op| op.insert == insert && op.entry == IndexEntry::from_i64(key, rid))

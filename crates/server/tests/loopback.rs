@@ -353,21 +353,23 @@ fn dropped_connection_mid_build_releases_admission_slot() {
         ),
         "expected Starting frame, got {first:?}"
     );
+    let closed = srv.stats().conns_closed.get();
     drop(stream); // client dies while the build thread keeps running
 
     // The slot comes back when the worker reaps the dead connection,
-    // whether or not the detached build has finished by then.
+    // whether or not the detached build has finished by then: the reap
+    // ends the connection's job before it counts the close.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut c = Client::connect(&addr).unwrap();
-    loop {
-        match c.insert(T, vec![9_999_999, 0]) {
-            Ok(_) => break,
-            Err(ClientError::Busy) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => panic!("admission slot never released: {e}"),
-        }
+    while srv.stats().conns_closed.get() == closed {
+        assert!(
+            Instant::now() < deadline,
+            "the dead connection was never reaped"
+        );
+        std::thread::yield_now();
     }
+    let mut c = Client::connect(&addr).unwrap();
+    c.insert(T, vec![9_999_999, 0])
+        .expect("the reap released the admission slot");
     srv.drain();
 }
 

@@ -543,18 +543,20 @@ fn subscriber_disconnect_releases_admission_slot() {
         other => panic!("expected Busy while subscriber holds the slot, got {other:?}"),
     }
 
-    // Hang up; the worker's reap must give the slot back.
+    // Hang up; the worker's reap must give the slot back, and it ends
+    // the connection's job before it counts the close.
+    let closed = srv.stats().conns_closed.get();
     drop(sub);
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        match c.insert(T, vec![1_001, 0]) {
-            Ok(_) => break,
-            Err(ClientError::Busy) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => panic!("subscriber slot never released: {e}"),
-        }
+    while srv.stats().conns_closed.get() == closed {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the subscriber was never reaped"
+        );
+        std::thread::yield_now();
     }
+    c.insert(T, vec![1_001, 0])
+        .expect("the reap released the subscriber's slot");
     assert!(srv.stats().wal_subs.get() >= 1);
     srv.drain();
 }
@@ -1175,8 +1177,8 @@ fn a_record_whose_redo_failed_is_fetched_again() {
 /// Promotion cancels the builds it cannot finish (§2.3.2): their
 /// progress records stayed in the old primary's blob store. An SF build
 /// dies mid-load on the primary and committed inserts go to its
-/// side-file; the promoted follower drops the index, its side-file no
-/// longer holds the log back, and the same build then completes.
+/// side-file; the promoted follower drops the index, nothing holds its
+/// log at the side-file's appends, and the same build then completes.
 #[test]
 fn promotion_cancels_the_builds_it_cannot_finish() {
     let primary = engine();
@@ -1202,10 +1204,12 @@ fn promotion_cancels_the_builds_it_cannot_finish() {
     converge(&primary, &replica);
     let idx = follower.index(half).expect("the build's index replicated");
     assert_eq!(idx.state(), IndexState::SfBuilding);
-    let first_append = idx
-        .side_file
-        .open_first_lsn()
-        .expect("the inserts went to the side-file");
+    let first_append = follower
+        .wal
+        .iter_from(Lsn(follower.wal.first_lsn().0 - 1))
+        .find(|r| matches!(r.payload, LogPayload::SideFileAppend { index, .. } if index == half))
+        .expect("the inserts went to the side-file")
+        .lsn;
 
     replica.promote().expect("promotion");
     assert!(

@@ -172,8 +172,9 @@ wire_enum! {
         },
 
         /// Append of `<operation, key>` to the side-file of an index under
-        /// SF construction. Redo-only: the side-file is reconstructed from
-        /// the log at restart.
+        /// SF construction. Redo-only, and a no-op at redo: these records
+        /// are the side-file, which the index builder's drain reads out of
+        /// the log.
         SideFileAppend = 15 {
             /// Index being built.
             index: IndexId,
@@ -183,10 +184,7 @@ wire_enum! {
 
         /// Engine checkpoint marker (all page caches were forced when this
         /// was logged). `redo_start` is the LSN restart redo may begin
-        /// *after*: the flushed watermark at checkpoint time, lowered to
-        /// cover the first logged append of any still-open side-file
-        /// (side-file contents are volatile and rebuilt purely from redo,
-        /// so their logged history must stay inside the redo window).
+        /// *after*: the flushed watermark at checkpoint time.
         Checkpoint = 16 {
             /// Redo may start with LSN `redo_start + 1`.
             redo_start: Lsn,
