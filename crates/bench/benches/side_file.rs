@@ -2,12 +2,13 @@
 //! §4 claim that SF's transaction-side cost during the build is an
 //! append, not a traversal — and the drain's read of a batch of
 //! appends out of the log, which is where the side-file's entries are
-//! kept.
+//! kept: a log of appends alone, and one where they sit between the
+//! foreground's heap records and the builder's own index records.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mohan_btree::{BTree, BTreeConfig, InsertMode};
-use mohan_common::{FileId, IndexEntry, IndexId, Lsn, Rid, TxId};
-use mohan_oib::side_file::{logged_ops, SideFile};
+use mohan_common::{FileId, IndexEntry, IndexId, Lsn, Rid, TableId, TxId};
+use mohan_oib::side_file::SideFile;
 use mohan_wal::{LogManager, LogPayload, RecKind, SideFileOp};
 
 const INDEX: IndexId = IndexId(1);
@@ -72,12 +73,52 @@ fn bench_drain_read(c: &mut Criterion) {
     c.bench_function("side_file_read_batch_512", |b| {
         let mut pos = 0u64;
         b.iter(|| {
-            let batch = logged_ops(&wal, INDEX, Lsn(pos), Lsn(pos + 512));
+            let batch: Vec<_> = wal
+                .side_file_appends(INDEX, Lsn(pos), Lsn(pos + 512))
+                .collect();
             pos = (pos + batch.len() as u64) % 99_000;
             batch.len()
         });
     });
 }
 
-criterion_group!(benches, bench_append_vs_tree, bench_drain_read);
+/// One record in four is an append: each sits with a heap insert of a
+/// 64-byte row, another index's key insert and a commit.
+fn bench_drain_read_mixed(c: &mut Criterion) {
+    let wal = LogManager::new();
+    for k in 0..25_000i64 {
+        log_append(&wal, k);
+        let rid = Rid::new((k / 100) as u32, (k % 100) as u16);
+        let heap = LogPayload::HeapInsert {
+            table: TableId(1),
+            rid,
+            data: vec![7; 64],
+            visible_indexes: 1,
+        };
+        wal.append(TxId(2), Lsn::NULL, RecKind::UndoRedo, heap);
+        let key = LogPayload::IndexInsert {
+            index: IndexId(2),
+            entry: entry(k),
+        };
+        wal.append(TxId(3), Lsn::NULL, RecKind::UndoRedo, key);
+        wal.append(TxId(2), Lsn::NULL, RecKind::RedoOnly, LogPayload::TxCommit);
+    }
+    c.bench_function("side_file_read_mixed_512", |b| {
+        let mut pos = 0u64;
+        b.iter(|| {
+            let batch: Vec<_> = wal
+                .side_file_appends(INDEX, Lsn(pos), Lsn(pos + 512))
+                .collect();
+            pos = (pos + 512) % 99_000;
+            batch.len()
+        });
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_append_vs_tree,
+    bench_drain_read,
+    bench_drain_read_mixed
+);
 criterion_main!(benches);

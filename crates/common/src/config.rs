@@ -274,13 +274,6 @@ impl Wire for BuildOptions {
     }
 }
 
-/// Environment variable overriding the server's I/O backend choice
-/// (same spellings as [`IoBackendChoice::parse`]). Read by
-/// `ServerConfig::default`, so every test server and tool in the
-/// workspace can be switched without touching call sites — how CI
-/// runs the loopback suites under each backend.
-pub const IO_BACKEND_ENV: &str = "MOHAN_IO_BACKEND";
-
 /// Environment variable enabling the server's Postgres-protocol
 /// listener. A bare port number binds `127.0.0.1:<port>`; a value
 /// containing `:` is used as the full bind address. Read by
@@ -299,80 +292,20 @@ pub const HTTP_PORT_ENV: &str = "MOHAN_HTTP_PORT";
 /// `ServerConfig::default` and applied process-wide at server start.
 pub const TRACE_SAMPLE_ENV: &str = "MOHAN_TRACE_SAMPLE";
 
-/// Which I/O readiness backend the server's connection layer uses.
-///
-/// Lives in `mohan-common` (not the server crate) so binaries and
-/// benches can parse/carry the choice without depending on server
-/// internals. Resolution against what the host actually supports
-/// happens in the server's reactor module.
+/// Does nothing: the server's platform picks its I/O readiness backend
+/// at compile time (epoll on Linux, poll(2) on every other unix).
+/// `ServerConfig::io_backend` still carries it so that existing struct
+/// literals that name it build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackendChoice {
-    /// Pick the best available: epoll where it exists, else poll(2).
+    /// The platform's backend, the only one.
     #[default]
     Auto,
-    /// Linux epoll(7) — O(ready) dispatch. Startup fails if the host
-    /// has no epoll.
-    Epoll,
-    /// Portable poll(2) — O(registered fds) per wait, still
-    /// event-driven.
-    Poll,
-}
-
-impl IoBackendChoice {
-    /// Parse a CLI/env spelling: `auto`, `epoll` or `poll`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<IoBackendChoice> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(IoBackendChoice::Auto),
-            "epoll" => Some(IoBackendChoice::Epoll),
-            "poll" => Some(IoBackendChoice::Poll),
-            _ => None,
-        }
-    }
-
-    /// The choice from [`IO_BACKEND_ENV`]. `Ok(None)` when unset;
-    /// `Err` (with the offending value) when set to something
-    /// unparsable — a typo in a CI matrix must not silently test the
-    /// default backend.
-    pub fn from_env() -> Result<Option<IoBackendChoice>, String> {
-        match std::env::var(IO_BACKEND_ENV) {
-            Ok(v) => IoBackendChoice::parse(&v).map(Some).ok_or(v),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// Canonical spelling, round-trips through [`IoBackendChoice::parse`].
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            IoBackendChoice::Auto => "auto",
-            IoBackendChoice::Epoll => "epoll",
-            IoBackendChoice::Poll => "poll",
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn io_backend_choice_parses_and_round_trips() {
-        for c in [
-            IoBackendChoice::Auto,
-            IoBackendChoice::Epoll,
-            IoBackendChoice::Poll,
-        ] {
-            assert_eq!(IoBackendChoice::parse(c.name()), Some(c));
-        }
-        assert_eq!(
-            IoBackendChoice::parse(" EPoll "),
-            Some(IoBackendChoice::Epoll)
-        );
-        assert_eq!(IoBackendChoice::parse("uring"), None);
-        // The sleep-polling driver is gone, and so is its spelling.
-        assert_eq!(IoBackendChoice::parse("threaded"), None);
-    }
 
     #[test]
     fn defaults_are_sane() {

@@ -12,6 +12,7 @@
 
 use crate::checkpointer::Checkpointer;
 use crate::dml::Change;
+use crate::progress::BuildProgress;
 use crate::runtime::{Catalog, CatalogEntry, IndexRuntime, IndexState};
 use crate::schema::BuildAlgorithm;
 use crate::workers::BuildWorkers;
@@ -478,7 +479,11 @@ impl Db {
             // any checkpoint may truncate it.
             if rt.state() == IndexState::SfBuilding {
                 rt.finish_scan();
-                rt.side_file.reopen(&self.wal);
+                let pos = match crate::progress::load(self, rt.def.id)? {
+                    Some(BuildProgress::Draining { pos }) => Lsn(pos),
+                    _ => Lsn::NULL,
+                };
+                rt.side_file.reopen(&self.wal, rt.def.id, pos);
             }
         }
         Ok(())

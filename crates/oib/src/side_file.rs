@@ -28,7 +28,7 @@
 
 use mohan_common::stats::{Counter, MaxGauge};
 use mohan_common::{IndexId, Lsn, Result};
-use mohan_wal::{LogManager, LogPayload, LogPin, SideFileOp};
+use mohan_wal::{LogManager, LogPin, SideFileOp};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,22 +56,10 @@ pub struct SideFile {
     /// Stays small when the drain converges on its own; hitting the
     /// quiesce fallback shows up as a value ≥ 3.
     pub drain_passes: Counter,
-    /// Entries the IB has applied, published for the live
-    /// `build.drain_lag` gauge. A crash sets it to `appended`.
-    drained: AtomicU64,
-}
-
-/// `index`'s side-file entries logged in `(after, through]`, in log
-/// order. Nothing when `after` is below the log's first LSN − 1.
-#[must_use]
-pub fn logged_ops(wal: &LogManager, index: IndexId, after: Lsn, through: Lsn) -> Vec<SideFileOp> {
-    wal.iter_from(after)
-        .take_while(|r| r.lsn <= through)
-        .filter_map(|r| match r.payload {
-            LogPayload::SideFileAppend { index: i, op } if i == index => Some(op),
-            _ => None,
-        })
-        .collect()
+    /// Entries appended and not yet applied by the IB: the live
+    /// `build.drain_lag` gauge. Restart counts the backlog the crash
+    /// left ([`SideFile::reopen`]).
+    backlog: AtomicU64,
 }
 
 impl SideFile {
@@ -99,6 +87,7 @@ impl SideFile {
         }
         g.last = lsn;
         self.appended.bump();
+        self.backlog.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
@@ -120,7 +109,9 @@ impl SideFile {
             (window, through)
         };
         let ops = match window {
-            Some((after, upto)) if after < upto => logged_ops(wal, index, after, upto),
+            Some((after, upto)) if after < upto => {
+                wal.side_file_appends(index, after, upto).collect()
+            }
             _ => Vec::new(),
         };
         self.max_backlog.observe(ops.len() as u64);
@@ -161,36 +152,42 @@ impl SideFile {
 
     /// The IB applied one entry.
     pub fn applied(&self) {
-        self.drained.fetch_add(1, Ordering::Relaxed);
+        let _ = self
+            .backlog
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                Some(n.saturating_sub(1))
+            });
     }
 
-    /// Live drain lag: entries appended but not yet applied by the IB.
-    /// After a restart it counts only the entries appended since, so
-    /// it reads low by the backlog the crash left until the drain has
-    /// passed that.
+    /// Live drain lag: entries appended but not yet applied by the IB,
+    /// the ones a crash left included.
     #[must_use]
     pub fn backlog(&self) -> u64 {
-        self.appended
-            .get()
-            .saturating_sub(self.drained.load(Ordering::Relaxed))
+        self.backlog.load(Ordering::Relaxed)
     }
 
-    /// Crash: the pin and the close flag are volatile; the close flag
-    /// is re-derived from the catalog state at restart.
+    /// Crash: the pin, the close flag and the backlog are volatile; the
+    /// close flag is re-derived from the catalog state at restart, the
+    /// backlog from the log.
     pub fn crash(&self) {
         *self.inner.lock() = Inner::default();
-        self.drained.store(self.appended.get(), Ordering::Relaxed);
+        self.backlog.store(0, Ordering::Relaxed);
     }
 
-    /// Restart of a build still draining or yet to drain: pin the log
-    /// at its first record, and take its tail as the last append.
-    /// Every append the crash left is in between — a pin or its
-    /// transaction held it, and no checkpoint runs before restart ends.
-    pub fn reopen(&self, wal: &LogManager) {
+    /// Restart of `index`'s build, still draining or yet to drain, whose
+    /// drain has read through `pos` ([`Lsn::NULL`] before it starts):
+    /// pin the log at its first record, take its tail as the last
+    /// append, and count the appends past `pos` as the backlog. Every
+    /// append the crash left is in between — a pin or its transaction
+    /// held it, and no checkpoint runs before restart ends.
+    pub fn reopen(&self, wal: &LogManager, index: IndexId, pos: Lsn) {
         let mut g = self.inner.lock();
         let first = wal.first_lsn();
         g.pin = wal.pin(first).map(|pin| (pin, first));
         g.last = wal.tail_lsn();
+        let after = pos.max(Lsn(first.0.saturating_sub(1)));
+        let undrained = wal.side_file_appends(index, after, g.last).count();
+        self.backlog.store(undrained as u64, Ordering::Relaxed);
     }
 
     /// Close without a position check, and let go of the log: a build
@@ -207,7 +204,7 @@ impl SideFile {
 mod tests {
     use super::*;
     use mohan_common::{Rid, TxId};
-    use mohan_wal::RecKind;
+    use mohan_wal::{LogPayload, RecKind};
     use std::sync::Arc;
 
     const IX: IndexId = IndexId(7);
@@ -330,7 +327,8 @@ mod tests {
         sf.crash();
         assert!(!sf.closed());
         assert!(sf.pending(&wal, IX, Lsn::NULL).0.is_empty(), "no pin");
-        sf.reopen(&wal);
+        sf.reopen(&wal, IX, Lsn::NULL);
+        assert_eq!(sf.backlog(), 1, "the crash left one append undrained");
         assert_eq!(wal.truncate_below(Lsn(u64::MAX)), Lsn(1));
         // The tail is the last append: nothing closes before the drain
         // has read through it.
@@ -352,8 +350,18 @@ mod tests {
         (0..7).for_each(|_| sf.applied());
         assert_eq!(sf.backlog(), 0, "never underflows");
         append(&sf, &wal, op(10, true));
+        let drained = wal.tail_lsn();
+        append(&sf, &wal, op(11, true));
+        log_op(&wal, IndexId(8), op(12, true));
+        append(&sf, &wal, op(13, true));
+        wal.flush_all();
         sf.crash();
         assert_eq!(sf.backlog(), 0);
+        // Restart counts the index's appends past the drain's position.
+        sf.reopen(&wal, IX, drained);
+        assert_eq!(sf.backlog(), 2);
+        sf.reopen(&wal, IX, Lsn::NULL);
+        assert_eq!(sf.backlog(), 13);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use mohan_oib::engine::{CHECKPOINT_BEGIN_FAILPOINT, CHECKPOINT_FORCED_FAILPOINT}
 use mohan_oib::progress::{self, BuildProgress};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
-use mohan_oib::side_file::logged_ops;
 use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -132,13 +131,11 @@ fn sf_crash_during_drain_resumes() {
         db.delete_record(tx, T, rids[(k * 5) as usize]).unwrap();
     }
     db.commit(tx).unwrap();
-    let appends = logged_ops(
-        &db.wal,
-        id,
-        Lsn(db.wal.first_lsn().0 - 1),
-        db.wal.tail_lsn(),
-    );
-    assert!(appends.len() >= 80, "{} side-file appends", appends.len());
+    let appends = db
+        .wal
+        .side_file_appends(id, Lsn(db.wal.first_lsn().0 - 1), db.wal.tail_lsn())
+        .count();
+    assert!(appends >= 80, "{appends} side-file appends");
 
     // Now crash in the drain itself, twice (mid-op and at the
     // checkpoint), resuming each time.
@@ -153,6 +150,56 @@ fn sf_crash_during_drain_resumes() {
     db.simulate_crash();
     db.restart().unwrap();
     resume_build(&db, id).unwrap();
+    verify_index(&db, id).unwrap();
+}
+
+fn drain_lag(db: &Db) -> u64 {
+    db.obs.snapshot().counter("build.drain_lag").unwrap()
+}
+
+/// `build.drain_lag` after a restart counts the appends the crash left
+/// undrained: all of them before the drain starts, and those past the
+/// `Draining { pos }` record once a pass has committed.
+#[test]
+fn drain_lag_counts_the_backlog_a_crash_left() {
+    let db = db();
+    seed(&db, 300);
+    db.failpoints.arm("build.scan");
+    let err = build_index(&db, T, spec(false), BuildAlgorithm::Sf).unwrap_err();
+    assert!(err.is_crash());
+    db.simulate_crash();
+    db.restart().unwrap();
+    let id = db.indexes_of(T).last().unwrap().def.id;
+    let insert = |from: i64, n: i64| {
+        let tx = db.begin();
+        for k in from..from + n {
+            db.insert_record(tx, T, &rec(900_000 + k, 4)).unwrap();
+        }
+        db.commit(tx).unwrap();
+    };
+
+    insert(0, 20);
+    assert_eq!(drain_lag(&db), 20);
+    db.simulate_crash();
+    db.restart().unwrap();
+    assert_eq!(drain_lag(&db), 20, "no drain pass ran: every append");
+
+    // The first pass drains all 20 and stores its position, then dies.
+    db.failpoints.arm("build.drain");
+    let err = resume_build(&db, id).unwrap_err();
+    assert!(err.is_crash());
+    insert(20, 7);
+    db.simulate_crash();
+    db.restart().unwrap();
+    assert!(matches!(
+        progress::load(&db, id).unwrap(),
+        Some(BuildProgress::Draining { pos }) if pos > 0
+    ));
+    assert_eq!(drain_lag(&db), 7, "the appends past the drain's position");
+
+    resume_build(&db, id).unwrap();
+    assert_eq!(drain_lag(&db), 0);
+    assert_eq!(db.index(id).unwrap().side_file.backlog(), 0);
     verify_index(&db, id).unwrap();
 }
 

@@ -8,7 +8,6 @@ use mohan_common::{EngineConfig, IndexEntry, KeyValue, Lsn, PageId, Rid, TableId
 use mohan_oib::build::{build_index, build_indexes, resume_build, BuildOptions, IndexSpec};
 use mohan_oib::runtime::IndexState;
 use mohan_oib::schema::{BuildAlgorithm, Record};
-use mohan_oib::side_file::logged_ops;
 use mohan_oib::verify::verify_index;
 use mohan_oib::{Db, Session};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -183,12 +182,10 @@ fn dml_on_the_page_being_processed_goes_to_the_side_file() {
         .lock()
         .unwrap()
         .expect("no insert landed on the page");
-    let ops = logged_ops(
-        &db.wal,
-        idx,
-        Lsn(db.wal.first_lsn().0 - 1),
-        db.wal.tail_lsn(),
-    );
+    let ops: Vec<_> = db
+        .wal
+        .side_file_appends(idx, Lsn(db.wal.first_lsn().0 - 1), db.wal.tail_lsn())
+        .collect();
     let has = |insert: bool, key: i64, rid: Rid| {
         ops.iter()
             .any(|op| op.insert == insert && op.entry == IndexEntry::from_i64(key, rid))

@@ -1,9 +1,9 @@
-//! Accept threads: one per listener, each blocked in its own
-//! readiness backend until the listener is readable or a drain wakes
-//! it, handing every accepted connection to the least-occupied shard.
+//! The accept thread: one for every listener, blocked in its own
+//! readiness backend until a listener is readable or a drain wakes it,
+//! handing every accepted connection to the least-occupied shard.
 
 use crate::conn::{uncount_conn, Proto};
-use crate::reactor::{self, Interest, IoBackend};
+use crate::reactor::{self, Backend, Interest, IoBackend, Waker};
 use crate::Inner;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -38,33 +38,84 @@ fn classify_accept_error(e: &io::Error) -> AcceptError {
     }
 }
 
-/// Spawn one accept thread for `listener`, tagging every accepted
-/// connection with `proto` so the shard knows which protocol to speak.
-/// The thread's backend is built (and both fds registered) here, so a
-/// host that cannot is an error from `Server::start`, not a dead
-/// listener. Returns the waker that ends the thread's wait at drain
-/// time.
-pub(crate) fn spawn(
-    inner: &Arc<Inner>,
-    listener: TcpListener,
-    senders: Vec<mpsc::Sender<(TcpStream, Proto)>>,
-    proto: Proto,
-    backend: reactor::ResolvedBackend,
-    name: &str,
-) -> io::Result<(reactor::Waker, JoinHandle<()>)> {
-    let (mut backend, wake_rx, waker) = reactor::open(backend)?;
-    backend.register(listener.as_raw_fd(), 0, Interest::READ)?;
-    let inner = Arc::clone(inner);
-    let handle = std::thread::Builder::new()
-        .name(name.into())
-        .spawn(move || accept_loop(&inner, &listener, &senders, proto, backend, &wake_rx))
-        .expect("spawn acceptor");
-    Ok((waker, handle))
+/// The accept thread's event source: a backend watching the wake
+/// pipe and every listener, each under its index in `listeners`, with
+/// the protocol its connections speak.
+pub(crate) struct Acceptor {
+    backend: Backend,
+    wake_rx: UnixStream,
+    listeners: Vec<(TcpListener, Proto)>,
+}
+
+impl Acceptor {
+    /// Register every listener. `Server::start` calls this before any
+    /// thread exists, so a host that cannot is an error from the
+    /// start, not a dead listener. Returns the waker that ends the
+    /// thread's wait at drain time.
+    pub(crate) fn open(listeners: Vec<(TcpListener, Proto)>) -> io::Result<(Acceptor, Waker)> {
+        let (mut backend, wake_rx, waker) = reactor::open::<Backend>()?;
+        for (token, (listener, _)) in listeners.iter().enumerate() {
+            backend.register(listener.as_raw_fd(), token, Interest::READ)?;
+        }
+        let acceptor = Acceptor {
+            backend,
+            wake_rx,
+            listeners,
+        };
+        Ok((acceptor, waker))
+    }
+
+    /// Run the accept thread, handing connections to the shards
+    /// through `senders`. It drops every listener when a drain ends it.
+    pub(crate) fn spawn(
+        self,
+        inner: &Arc<Inner>,
+        senders: Vec<mpsc::Sender<(TcpStream, Proto)>>,
+    ) -> JoinHandle<()> {
+        let inner = Arc::clone(inner);
+        std::thread::Builder::new()
+            .name("oib-accept".into())
+            .spawn(move || self.run(&inner, &senders))
+            .expect("spawn acceptor")
+    }
+
+    /// Block until a listener is readable or the drain waker fires,
+    /// then accept everything waiting on the readable listeners.
+    fn run(mut self, inner: &Arc<Inner>, senders: &[mpsc::Sender<(TcpStream, Proto)>]) {
+        let mut events = Vec::new();
+        let mut next = 0usize;
+        let mut burst_logged = false;
+        while !inner.draining() {
+            if let Err(e) = self.backend.wait(&mut events, None) {
+                inner
+                    .db
+                    .obs
+                    .trace()
+                    .event("server.accept_wait_error", e.to_string(), 0);
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+            for ev in &events {
+                if ev.token == reactor::WAKE_TOKEN {
+                    reactor::drain_wake(&self.wake_rx);
+                } else if let Some((listener, proto)) = self.listeners.get(ev.token) {
+                    accept_burst(
+                        inner,
+                        listener,
+                        senders,
+                        *proto,
+                        &mut next,
+                        &mut burst_logged,
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Pick the shard with the fewest live connections, starting the scan
-/// at a rotating offset so ties spread round-robin. Both listeners
-/// route through here, so a shard loaded with long-lived pg sessions
+/// at a rotating offset so ties spread round-robin. Every listener
+/// routes through here, so a shard loaded with long-lived pg sessions
 /// receives fewer native connections and vice versa.
 fn pick_shard(inner: &Arc<Inner>, next: &mut usize) -> usize {
     let n = inner.shard_conns.len();
@@ -164,42 +215,5 @@ fn accept_burst(
                 }
             }
         }
-    }
-}
-
-/// Block until the listener is readable or the drain waker fires,
-/// then accept everything that is waiting.
-fn accept_loop(
-    inner: &Arc<Inner>,
-    listener: &TcpListener,
-    senders: &[mpsc::Sender<(TcpStream, Proto)>],
-    proto: Proto,
-    mut backend: Box<dyn IoBackend>,
-    wake_rx: &UnixStream,
-) {
-    let mut events = Vec::new();
-    let mut next = 0usize;
-    let mut burst_logged = false;
-    while !inner.draining() {
-        if let Err(e) = backend.wait(&mut events, None) {
-            inner
-                .db
-                .obs
-                .trace()
-                .event("server.accept_wait_error", e.to_string(), 0);
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        if events.iter().any(|ev| ev.token == reactor::WAKE_TOKEN) {
-            reactor::drain_wake(wake_rx);
-        }
-        accept_burst(
-            inner,
-            listener,
-            senders,
-            proto,
-            &mut next,
-            &mut burst_logged,
-        );
     }
 }

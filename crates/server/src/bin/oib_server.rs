@@ -4,7 +4,6 @@
 //! oib-server [--addr HOST:PORT] [--pg-port PORT|HOST:PORT]
 //!            [--http-port PORT|HOST:PORT] [--workers N]
 //!            [--max-inflight N] [--seed-rows N]
-//!            [--io-backend auto|epoll|poll]
 //! ```
 //!
 //! Creates a fresh in-memory engine with table 1 (optionally
@@ -35,8 +34,8 @@ fn main() {
         };
         match arg.as_str() {
             "--addr" => cfg.bind_addr = value("--addr"),
-            // Overrides MOHAN_PG_PORT (same precedence rule as
-            // --io-backend). A bare port binds 127.0.0.1.
+            // Overrides MOHAN_PG_PORT (the flag is the more deliberate
+            // of the two). A bare port binds 127.0.0.1.
             "--pg-port" => {
                 let v = value("--pg-port");
                 cfg.pg_bind_addr = Some(if v.contains(':') {
@@ -59,15 +58,6 @@ fn main() {
                 cfg.max_inflight = value("--max-inflight").parse().expect("--max-inflight N");
             }
             "--seed-rows" => seed_rows = value("--seed-rows").parse().expect("--seed-rows N"),
-            // Overrides MOHAN_IO_BACKEND (the flag is the more
-            // deliberate of the two).
-            "--io-backend" => {
-                let v = value("--io-backend");
-                cfg.io_backend = mohan_common::IoBackendChoice::parse(&v).unwrap_or_else(|| {
-                    eprintln!("bad --io-backend {v:?}: want auto|epoll|poll");
-                    std::process::exit(2);
-                });
-            }
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);

@@ -135,7 +135,7 @@ impl Conn {
         let job_at = self
             .job
             .as_ref()
-            .and_then(|j| j.deadline(cfg, self.blocked_since.is_some()));
+            .and_then(|j| j.deadline(self.blocked_since.is_some()));
         let own_at = match self.blocked_since {
             Some(since) => Some(since + cfg.write_timeout),
             None if self.job.is_none() => Some(self.last_activity + cfg.idle_timeout),

@@ -15,7 +15,7 @@
 use crate::conn::{send_raw, Conn, Proto, ShardCtx};
 use crate::native::{protocol_err, send};
 use crate::request::{refuse, Refusal};
-use crate::{Inner, ServerConfig};
+use crate::Inner;
 use mohan_common::codec::Wire;
 use mohan_common::{Error, IndexId, TableId};
 use mohan_oib::build::{spawn_build_indexes, BuildOptions, IndexSpec};
@@ -28,6 +28,9 @@ use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How often a build's checkpoints are polled for progress frames.
+const PROGRESS_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Where a build deposits its outcome: its index ids, or why it
 /// failed (the engine refused or cancelled it, or it panicked — the
@@ -107,9 +110,9 @@ impl Job {
     /// frames pause until it drains, so they set no deadline, but a
     /// WAL stream still owes heartbeats (the follower's liveness
     /// signal).
-    pub(crate) fn deadline(&self, cfg: &ServerConfig, blocked: bool) -> Option<Instant> {
+    pub(crate) fn deadline(&self, blocked: bool) -> Option<Instant> {
         match self {
-            Job::Build(j) => (!blocked).then(|| j.last_poll + cfg.progress_interval),
+            Job::Build(j) => (!blocked).then(|| j.last_poll + PROGRESS_INTERVAL),
             Job::WalSub(j) => Some(j.last_emit + WAL_SUB_HEARTBEAT),
         }
     }
@@ -412,7 +415,7 @@ fn watch_build(inner: &Arc<Inner>, ctx: &ShardCtx, conn: &mut Conn) {
         return;
     }
 
-    if backlog || job.last_poll.elapsed() < inner.cfg.progress_interval {
+    if backlog || job.last_poll.elapsed() < PROGRESS_INTERVAL {
         return;
     }
     job.last_poll = Instant::now();

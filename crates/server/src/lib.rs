@@ -68,6 +68,7 @@ use mohan_obs::Histogram;
 use mohan_oib::Db;
 use mohan_wire::Request;
 use parking_lot::Mutex;
+use reactor::IoBackend;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -100,8 +101,6 @@ pub struct ServerConfig {
     /// How long a drain waits for open transactions and running builds
     /// before rolling back / abandoning them.
     pub drain_timeout: Duration,
-    /// How often a build's checkpoints are polled for progress frames.
-    pub progress_interval: Duration,
     /// A request whose execution runs at least this long is recorded
     /// in the engine's trace ring buffer as a `server.slow_request`
     /// span (see `mohan_obs::TraceSink`).
@@ -147,11 +146,9 @@ pub struct ServerConfig {
     /// The default honors the `MOHAN_TRACE_SAMPLE` environment
     /// variable.
     pub trace_sample_one_in: u32,
-    /// Which I/O readiness backend drives the connection layer.
-    /// `Auto` detects at startup (epoll where available, else
-    /// poll(2)). The default honors the `MOHAN_IO_BACKEND` environment
-    /// variable when set, so whole test suites can be re-run under a
-    /// different backend without touching call sites.
+    /// Does nothing: the platform picks the I/O readiness backend at
+    /// compile time (epoll on Linux, poll(2) on every other unix).
+    /// Kept so existing struct literals that name it still build.
     pub io_backend: IoBackendChoice,
 }
 
@@ -201,7 +198,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(2),
             drain_timeout: Duration::from_secs(10),
-            progress_interval: Duration::from_millis(25),
             slow_request: Duration::from_millis(100),
             max_lag_lsn: u64::MAX,
             leader_hint: String::new(),
@@ -212,15 +208,7 @@ impl Default for ServerConfig {
                 .ok()
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(1),
-            io_backend: IoBackendChoice::from_env()
-                .unwrap_or_else(|bad| {
-                    eprintln!(
-                        "warning: {}={bad:?} is not a backend (auto|epoll|poll); using auto",
-                        mohan_common::config::IO_BACKEND_ENV
-                    );
-                    None
-                })
-                .unwrap_or_default(),
+            io_backend: IoBackendChoice::Auto,
         }
     }
 }
@@ -329,7 +317,8 @@ pub struct DrainReport {
     pub conns_closed: u64,
 }
 
-/// A running server: accept threads + worker pool over a shared [`Db`].
+/// A running server: the accept thread + worker pool over a shared
+/// [`Db`].
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
@@ -337,23 +326,19 @@ pub struct Server {
     pg_addr: Option<SocketAddr>,
     /// Bound address of the HTTP sidecar listener, when configured.
     http_addr: Option<SocketAddr>,
-    /// One accept thread per listener, each with the waker that ends
-    /// its wait at drain time.
-    acceptors: Vec<(reactor::Waker, JoinHandle<()>)>,
+    /// The accept thread, serving every listener, with the waker that
+    /// ends its wait at drain time.
+    acceptor: (reactor::Waker, JoinHandle<()>),
     workers: Vec<JoinHandle<()>>,
     /// WAL flush-waker registrations to undo after the workers join.
     flush_hooks: Vec<u64>,
-    /// What the configured `io_backend` resolved to on this host.
-    backend: reactor::ResolvedBackend,
 }
 
 impl Server {
     /// Bind and start serving `db` per `cfg`. Fails if an address
-    /// cannot be bound, if `cfg.io_backend` names a backend this host
-    /// cannot run (e.g. epoll elsewhere than Linux), or if a thread's
-    /// backend cannot be set up (out of descriptors).
+    /// cannot be bound or a thread's backend cannot be set up (out of
+    /// descriptors).
     pub fn start(db: Arc<Db>, cfg: ServerConfig) -> io::Result<Server> {
-        let backend = reactor::resolve(cfg.io_backend)?;
         // Process-wide by design: the sampling decision must be a pure
         // function of the trace id so every layer (and every follower
         // configured with the same rate) agrees which traces record.
@@ -386,7 +371,9 @@ impl Server {
             .collect();
         let catalog = Arc::new(mohan_pgwire::Catalog::new(&db));
         let events_per_wait = db.obs.histogram("server.events_per_wait");
-        db.obs.trace().event("server.io_backend", backend.name(), 0);
+        db.obs
+            .trace()
+            .event("server.io_backend", reactor::Backend::NAME, 0);
 
         // Each shard's live `SubscribeWal` count, which gates its flush
         // waker; their sum is the subscriber gauge.
@@ -399,12 +386,16 @@ impl Server {
                 .sum()
         });
 
-        // Every shard's event source, before any thread exists: a host
-        // that cannot provide one fails the start, not a shard.
+        // Every thread's event source, before any thread exists: a host
+        // that cannot provide one fails the start, not a thread.
+        let mut listeners = vec![(listener, conn::Proto::Native)];
+        listeners.extend(pg_listener.map(|l| (l, conn::Proto::Pg(Default::default()))));
+        listeners.extend(http_listener.map(|l| (l, conn::Proto::Http)));
+        let (acceptor, accept_waker) = accept::Acceptor::open(listeners)?;
         let mut wakers = Vec::with_capacity(workers);
         let mut sources = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (io, wake_rx, waker) = reactor::open(backend)?;
+            let (io, wake_rx, waker) = reactor::open()?;
             wakers.push(Arc::new(waker));
             sources.push((io, wake_rx));
         }
@@ -454,51 +445,23 @@ impl Server {
             );
         }
 
-        let mut server = Server {
+        let acceptor = (accept_waker, acceptor.spawn(&inner, senders));
+        Ok(Server {
             inner,
             addr,
             pg_addr,
             http_addr,
-            acceptors: Vec::new(),
+            acceptor,
             workers: handles,
             flush_hooks,
-            backend,
-        };
-        let listeners = [
-            (Some(listener), conn::Proto::Native, "oib-accept"),
-            (
-                pg_listener,
-                conn::Proto::Pg(Default::default()),
-                "oib-pg-accept",
-            ),
-            (http_listener, conn::Proto::Http, "oib-http-accept"),
-        ];
-        for (listener, proto, name) in listeners {
-            let Some(listener) = listener else { continue };
-            match accept::spawn(
-                &server.inner,
-                listener,
-                senders.clone(),
-                proto,
-                backend,
-                name,
-            ) {
-                Ok(acceptor) => server.acceptors.push(acceptor),
-                Err(e) => {
-                    // Stop the threads already running before failing.
-                    server.drain();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(server)
+        })
     }
 
-    /// The backend name the configured choice resolved to
-    /// (`"epoll"` or `"poll"`).
+    /// The name of the readiness backend this platform compiles in
+    /// (`"epoll"` on Linux, `"poll"` elsewhere).
     #[must_use]
     pub fn io_backend(&self) -> &'static str {
-        self.backend.name()
+        reactor::Backend::NAME
     }
 
     /// The bound address (useful with port 0).
@@ -543,13 +506,10 @@ impl Server {
         self.inner.state.store(STATE_DRAINING, Ordering::Release);
         // Threads may be blocked in wait() with no deadline; kick them
         // so they observe the drain immediately.
-        for (waker, _) in &self.acceptors {
-            waker.wake();
-        }
+        let (accept_waker, acceptor) = self.acceptor;
+        accept_waker.wake();
         self.inner.wake_all();
-        for (_, h) in self.acceptors.drain(..) {
-            let _ = h.join();
-        }
+        let _ = acceptor.join();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }

@@ -1,5 +1,5 @@
-//! The event-driven shard loop: one [`IoBackend`] instance per shard
-//! drives every connection the shard owns.
+//! The event-driven shard loop: one [`Backend`] per shard drives every
+//! connection the shard owns.
 //!
 //! Each connection's fd is registered under its slab index; the wake
 //! pipe is registered under [`WAKE_TOKEN`]. The loop blocks in
@@ -34,7 +34,7 @@
 //! the peer's `Commit` holding the contended lock.
 
 use super::timer::TimerWheel;
-use super::{Event, Interest, IoBackend, WAKE_TOKEN};
+use super::{Backend, Event, Interest, IoBackend, WAKE_TOKEN};
 use crate::conn::{self, Conn, Proto, ShardCtx};
 use crate::Inner;
 use std::net::TcpStream;
@@ -162,7 +162,7 @@ impl Slab {
 struct Shard<'a> {
     inner: &'a Arc<Inner>,
     ctx: &'a ShardCtx,
-    backend: Box<dyn IoBackend>,
+    backend: Backend,
     slab: Slab,
     wheel: TimerWheel,
     /// Connections on their way to the executor thread.
@@ -175,7 +175,7 @@ pub(crate) fn run(
     inner: &Arc<Inner>,
     ctx: &ShardCtx,
     rx: &mpsc::Receiver<(TcpStream, Proto)>,
-    backend: Box<dyn IoBackend>,
+    backend: Backend,
     wake_rx: &UnixStream,
 ) {
     // The executor: receives checked-out connections, runs their
@@ -224,7 +224,7 @@ pub(crate) fn run(
             // the shard alive (timers still make progress).
             inner.db.obs.trace().event(
                 "server.reactor_wait_error",
-                format!("{}: {e}", shard.backend.name()),
+                format!("{}: {e}", Backend::NAME),
                 0,
             );
             std::thread::sleep(Duration::from_millis(1));
@@ -304,7 +304,7 @@ impl Shard<'_> {
         if conn::service(self.inner, self.ctx, conn, readable, draining) {
             self.check_out(token);
         } else if !conn.dead {
-            sync_interest(&mut *self.backend, conn, token);
+            sync_interest(&mut self.backend, conn, token);
             arm(self.inner, &mut self.wheel, conn, token);
         }
     }
@@ -360,7 +360,7 @@ impl Shard<'_> {
 
 /// Reconcile registered interest with the connection's actual state:
 /// read always, write only while a backlog exists.
-fn sync_interest(backend: &mut dyn IoBackend, conn: &mut Conn, token: usize) {
+fn sync_interest(backend: &mut Backend, conn: &mut Conn, token: usize) {
     let want = conn.has_backlog();
     if want != conn.want_write {
         let interest = if want {

@@ -1,6 +1,6 @@
-//! epoll(7) implementation of [`IoBackend`] — the production backend
-//! on Linux. Level-triggered, O(ready) dispatch: a shard with ten
-//! thousand idle connections and one readable socket pays for one.
+//! epoll(7) implementation of [`IoBackend`] — the backend on Linux.
+//! Level-triggered, O(ready) dispatch: a shard with ten thousand idle
+//! connections and one readable socket pays for one.
 
 use super::sys::epoll::{
     EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLL_CTL_MOD,
@@ -21,15 +21,6 @@ pub(crate) struct Epoll {
     buf: Vec<epoll_event>,
 }
 
-impl Epoll {
-    pub(crate) fn new() -> io::Result<Epoll> {
-        Ok(Epoll {
-            epfd: sys::epoll::create()?,
-            buf: vec![epoll_event { events: 0, data: 0 }; WAIT_BATCH],
-        })
-    }
-}
-
 fn mask(interest: Interest) -> u32 {
     let mut m = EPOLLRDHUP; // always: a half-close must wake the read path
     if interest.read {
@@ -42,8 +33,13 @@ fn mask(interest: Interest) -> u32 {
 }
 
 impl IoBackend for Epoll {
-    fn name(&self) -> &'static str {
-        "epoll"
+    const NAME: &'static str = "epoll";
+
+    fn new() -> io::Result<Epoll> {
+        Ok(Epoll {
+            epfd: sys::epoll::create()?,
+            buf: vec![epoll_event { events: 0, data: 0 }; WAIT_BATCH],
+        })
     }
 
     fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {

@@ -1,16 +1,15 @@
-//! Readiness reactor: the server's I/O backends.
+//! Readiness reactor: the server's I/O backend.
 //!
-//! Each shard (and each accept thread) owns an [`IoBackend`]
-//! instance, registers the fds it cares about, and blocks in `wait`
-//! until the kernel reports readiness, another thread wakes it, or
-//! the shard's earliest timer deadline arrives — an idle connection
-//! costs no wakeups. Two implementations exist behind
-//! [`mohan_common::config::IoBackendChoice`]:
+//! Each shard and the accept thread own a [`Backend`], register the
+//! fds they care about, and block in `wait` until the kernel reports
+//! readiness, another thread wakes them, or the shard's earliest timer
+//! deadline arrives — an idle connection costs no wakeups. The
+//! platform picks the backend at compile time:
 //!
-//! * **epoll** ([`epoll::Epoll`]) — Linux, O(ready) dispatch, the
-//!   production path;
-//! * **poll(2)** ([`poll::Poll`]) — portable POSIX fallback, O(fds)
-//!   per wait but still zero wakeups while nothing is ready.
+//! * **epoll** ([`epoll::Epoll`]) on Linux — O(ready) dispatch;
+//! * **poll(2)** (`poll::Poll`) on every other unix — O(fds) per
+//!   wait but still zero wakeups while nothing is ready. Linux builds
+//!   compile it for its unit tests only.
 //!
 //! Both backends are level-triggered: interest is re-armed by
 //! simply not draining the source, and write interest is only
@@ -18,6 +17,7 @@
 //! writable socket never busy-wakes a shard.
 
 pub(crate) mod driver;
+#[cfg(any(test, not(target_os = "linux")))]
 pub(crate) mod poll;
 pub(crate) mod sys;
 pub(crate) mod timer;
@@ -25,11 +25,17 @@ pub(crate) mod timer;
 #[cfg(target_os = "linux")]
 pub(crate) mod epoll;
 
-use mohan_common::config::IoBackendChoice;
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
+
+/// This platform's readiness backend.
+#[cfg(target_os = "linux")]
+pub(crate) type Backend = epoll::Epoll;
+/// This platform's readiness backend.
+#[cfg(not(target_os = "linux"))]
+pub(crate) type Backend = poll::Poll;
 
 /// Which readiness the caller wants to hear about for one fd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,15 +69,17 @@ pub(crate) struct Event {
     pub failed: bool,
 }
 
-/// A pluggable readiness-notification backend.
-///
-/// Registration is keyed by fd; the token is opaque payload echoed
-/// back in events (the driver uses slab indexes). Implementations are
-/// level-triggered and single-threaded — each shard owns its own
-/// instance, so no interior synchronization is needed.
-pub(crate) trait IoBackend: Send {
-    /// Backend name for logs/metrics (`"epoll"`, `"poll"`).
-    fn name(&self) -> &'static str;
+/// What a readiness backend does. Registration is keyed by fd; the
+/// token is opaque payload echoed back in events (the driver uses
+/// slab indexes). Implementations are level-triggered and
+/// single-threaded — each thread owns its own instance, so no
+/// interior synchronization is needed.
+pub(crate) trait IoBackend: Sized {
+    /// Backend name for logs (`"epoll"`, `"poll"`).
+    const NAME: &'static str;
+
+    /// A backend watching nothing.
+    fn new() -> io::Result<Self>;
 
     /// Start watching `fd`.
     fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
@@ -89,81 +97,6 @@ pub(crate) trait IoBackend: Send {
     fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
 }
 
-/// The backend a [`IoBackendChoice`] resolves to on this machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ResolvedBackend {
-    Epoll,
-    Poll,
-}
-
-impl ResolvedBackend {
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            ResolvedBackend::Epoll => "epoll",
-            ResolvedBackend::Poll => "poll",
-        }
-    }
-}
-
-/// Does this machine support epoll? Probed by actually creating (and
-/// closing) an instance, not by `cfg`, so a kernel with epoll compiled
-/// out falls back gracefully.
-pub(crate) fn epoll_available() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        match sys::epoll::create() {
-            Ok(fd) => {
-                sys::close_fd(fd);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
-}
-
-/// Resolve a configured choice against what the machine supports.
-/// `Auto` prefers epoll, then poll; an explicit `Epoll` on a machine
-/// without it is an error (the operator asked for something this host
-/// cannot do), while `Poll` always works.
-pub(crate) fn resolve(choice: IoBackendChoice) -> io::Result<ResolvedBackend> {
-    match choice {
-        IoBackendChoice::Auto => Ok(if epoll_available() {
-            ResolvedBackend::Epoll
-        } else {
-            ResolvedBackend::Poll
-        }),
-        IoBackendChoice::Epoll => {
-            if epoll_available() {
-                Ok(ResolvedBackend::Epoll)
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "io_backend=epoll requested but epoll is unavailable on this host",
-                ))
-            }
-        }
-        IoBackendChoice::Poll => Ok(ResolvedBackend::Poll),
-    }
-}
-
-/// Instantiate a backend.
-fn new_backend(kind: ResolvedBackend) -> io::Result<Box<dyn IoBackend>> {
-    match kind {
-        #[cfg(target_os = "linux")]
-        ResolvedBackend::Epoll => Ok(Box::new(epoll::Epoll::new()?)),
-        #[cfg(not(target_os = "linux"))]
-        ResolvedBackend::Epoll => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll backend is Linux-only",
-        )),
-        ResolvedBackend::Poll => Ok(Box::new(poll::Poll::new())),
-    }
-}
-
 /// Cross-thread wakeup for a blocked [`IoBackend::wait`]: a
 /// non-blocking socketpair whose read end is registered with the
 /// shard's reactor under [`WAKE_TOKEN`]. `wake` writes one byte; a
@@ -179,8 +112,8 @@ pub(crate) const WAKE_TOKEN: usize = usize::MAX;
 /// One thread's event source: a backend with a wake pipe's read end
 /// already registered under [`WAKE_TOKEN`], that read end (to drain
 /// with [`drain_wake`]), and the waker other threads hold.
-pub(crate) fn open(kind: ResolvedBackend) -> io::Result<(Box<dyn IoBackend>, UnixStream, Waker)> {
-    let mut backend = new_backend(kind)?;
+pub(crate) fn open<B: IoBackend>() -> io::Result<(B, UnixStream, Waker)> {
+    let mut backend = B::new()?;
     let (waker, wake_rx) = Waker::new()?;
     backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
     Ok((backend, wake_rx, waker))
@@ -220,14 +153,15 @@ pub(crate) fn drain_wake(rx: &UnixStream) {
 mod tests {
     use super::*;
 
-    fn backend_roundtrip(mut b: Box<dyn IoBackend>) {
+    fn backend_roundtrip<B: IoBackend>() {
+        let mut b = B::new().unwrap();
         let (mut a, c) = UnixStream::pair().unwrap();
         c.set_nonblocking(true).unwrap();
         b.register(c.as_raw_fd(), 3, Interest::READ).unwrap();
 
         let mut out = Vec::new();
         b.wait(&mut out, Some(Duration::ZERO)).unwrap();
-        assert!(out.is_empty(), "{}: nothing ready yet", b.name());
+        assert!(out.is_empty(), "{}: nothing ready yet", B::NAME);
 
         a.write_all(b"hi").unwrap();
         b.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
@@ -240,33 +174,30 @@ mod tests {
         let mut c = c;
         c.read_exact(&mut [0u8; 2]).unwrap();
         b.wait(&mut out, Some(Duration::ZERO)).unwrap();
-        assert!(out.is_empty(), "{}: drained, read interest only", b.name());
+        assert!(out.is_empty(), "{}: drained, read interest only", B::NAME);
         b.modify(c.as_raw_fd(), 3, Interest::READ_WRITE).unwrap();
         b.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
         assert!(out.iter().any(|e| e.token == 3 && !e.readable));
 
         b.deregister(c.as_raw_fd()).unwrap();
         b.wait(&mut out, Some(Duration::ZERO)).unwrap();
-        assert!(out.is_empty(), "{}: deregistered fd still fires", b.name());
+        assert!(out.is_empty(), "{}: deregistered fd still fires", B::NAME);
     }
 
     #[test]
     fn poll_backend_roundtrip() {
-        backend_roundtrip(new_backend(ResolvedBackend::Poll).unwrap());
+        backend_roundtrip::<poll::Poll>();
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_backend_roundtrip() {
-        if !epoll_available() {
-            return;
-        }
-        backend_roundtrip(new_backend(ResolvedBackend::Epoll).unwrap());
+        backend_roundtrip::<epoll::Epoll>();
     }
 
     #[test]
     fn waker_wakes_a_blocked_wait() {
-        let (mut b, rx, waker) = open(ResolvedBackend::Poll).unwrap();
+        let (mut b, rx, waker) = open::<poll::Poll>().unwrap();
         let mut out = Vec::new();
         waker.wake();
         waker.wake(); // coalesces, no error
@@ -276,15 +207,5 @@ mod tests {
         drain_wake(&rx);
         b.wait(&mut out, Some(Duration::ZERO)).unwrap();
         assert!(out.is_empty(), "wake pipe drained, no level re-fire");
-    }
-
-    #[test]
-    fn auto_resolves_to_a_reactor() {
-        let want = if epoll_available() {
-            ResolvedBackend::Epoll
-        } else {
-            ResolvedBackend::Poll
-        };
-        assert_eq!(resolve(IoBackendChoice::Auto).unwrap(), want);
     }
 }

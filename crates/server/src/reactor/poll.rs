@@ -1,11 +1,13 @@
-//! poll(2) implementation of [`IoBackend`] — the portable fallback.
+//! poll(2) implementation of [`IoBackend`] — the backend on every unix
+//! but Linux, where it is compiled for its unit tests only.
 //!
 //! O(registered fds) per wait (the kernel rescans the whole array),
 //! but crucially still *event-driven*: a shard of idle connections
 //! blocks in one syscall instead of waking on a timer, so the
 //! per-idle-connection cost is paid in scan width, not wakeups.
 
-use super::sys::{self, pollfd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
+use super::sys;
+use super::sys::poll::{pollfd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use super::{Event, Interest, IoBackend};
 use std::io;
 use std::os::fd::RawFd;
@@ -20,13 +22,6 @@ pub(crate) struct Poll {
 }
 
 impl Poll {
-    pub(crate) fn new() -> Poll {
-        Poll {
-            fds: Vec::new(),
-            tokens: Vec::new(),
-        }
-    }
-
     fn position(&self, fd: RawFd) -> Option<usize> {
         self.fds.iter().position(|p| p.fd == fd)
     }
@@ -44,8 +39,13 @@ fn mask(interest: Interest) -> i16 {
 }
 
 impl IoBackend for Poll {
-    fn name(&self) -> &'static str {
-        "poll"
+    const NAME: &'static str = "poll";
+
+    fn new() -> io::Result<Poll> {
+        Ok(Poll {
+            fds: Vec::new(),
+            tokens: Vec::new(),
+        })
     }
 
     fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
@@ -96,7 +96,7 @@ impl IoBackend for Poll {
                 "indefinite wait with nothing registered would never return",
             ));
         }
-        let n = match sys::sys_poll(&mut self.fds, sys::timeout_ms(timeout)) {
+        let n = match sys::poll::wait(&mut self.fds, sys::timeout_ms(timeout)) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
             Err(e) => return Err(e),

@@ -2,24 +2,26 @@
 //!
 //! The build environment has no crates.io access, so instead of the
 //! `libc` crate these are hand-written `extern "C"` declarations for
-//! exactly the five symbols the reactor needs (`epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `poll`, `close`), following the same
-//! in-tree-shim policy as `crates/shim-*`. Every constant is copied
-//! from the Linux UAPI / POSIX headers and cross-checked by the unit
-//! tests at the bottom, which drive the real syscalls against a
-//! loopback socket pair.
+//! exactly the symbols the reactor needs (`epoll_create1`,
+//! `epoll_ctl`, `epoll_wait` and `close` on Linux, `poll` elsewhere
+//! and in tests), following the same in-tree-shim policy as
+//! `crates/shim-*`. Every constant is copied from the Linux UAPI /
+//! POSIX headers and cross-checked by the unit tests at the bottom,
+//! which drive the real syscalls against a loopback socket pair.
 
 #![allow(non_camel_case_types)]
 
 use std::io;
-use std::os::raw::{c_int, c_short};
+use std::os::raw::c_int;
 
 // `close(2)` — the epoll instance fd is not wrapped by any std type.
+#[cfg(target_os = "linux")]
 extern "C" {
     fn close(fd: c_int) -> c_int;
 }
 
 /// Close a raw fd, ignoring the (unactionable) result.
+#[cfg(target_os = "linux")]
 pub(crate) fn close_fd(fd: c_int) {
     // SAFETY: `fd` is an fd this module opened and owns; double-close
     // is excluded by the owning types' Drop running at most once.
@@ -54,41 +56,49 @@ pub(crate) fn timeout_ms(timeout: Option<std::time::Duration>) -> c_int {
 
 // ---------------------------------------------------------------- poll
 
-/// `struct pollfd` from `<poll.h>`; identical layout on every POSIX
-/// target.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub(crate) struct pollfd {
-    pub fd: c_int,
-    pub events: c_short,
-    pub revents: c_short,
-}
+/// poll(2): the backend on every unix but Linux, where only its unit
+/// tests use it.
+#[cfg(any(test, not(target_os = "linux")))]
+pub(crate) mod poll {
+    use super::{c_int, io, last_errno};
+    use std::os::raw::c_short;
 
-pub(crate) const POLLIN: c_short = 0x001;
-pub(crate) const POLLOUT: c_short = 0x004;
-pub(crate) const POLLERR: c_short = 0x008;
-pub(crate) const POLLHUP: c_short = 0x010;
-pub(crate) const POLLNVAL: c_short = 0x020;
+    /// `struct pollfd` from `<poll.h>`; identical layout on every POSIX
+    /// target.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub(crate) struct pollfd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
 
-#[cfg(target_os = "linux")]
-type nfds_t = std::os::raw::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type nfds_t = std::os::raw::c_uint;
+    pub(crate) const POLLIN: c_short = 0x001;
+    pub(crate) const POLLOUT: c_short = 0x004;
+    pub(crate) const POLLERR: c_short = 0x008;
+    pub(crate) const POLLHUP: c_short = 0x010;
+    pub(crate) const POLLNVAL: c_short = 0x020;
 
-extern "C" {
-    fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
-}
+    #[cfg(target_os = "linux")]
+    type nfds_t = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type nfds_t = std::os::raw::c_uint;
 
-/// `poll(2)` over a caller-owned pollfd array. Returns the number of
-/// entries with non-zero `revents` (0 on timeout).
-pub(crate) fn sys_poll(fds: &mut [pollfd], timeout: c_int) -> io::Result<usize> {
-    // SAFETY: `fds` is a valid, exclusively borrowed slice for the
-    // duration of the call, and `len` matches its length.
-    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as nfds_t, timeout) };
-    if n < 0 {
-        Err(last_errno())
-    } else {
-        Ok(n as usize)
+    extern "C" {
+        fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
+    }
+
+    /// `poll(2)` over a caller-owned pollfd array. Returns the number of
+    /// entries with non-zero `revents` (0 on timeout).
+    pub(crate) fn wait(fds: &mut [pollfd], timeout: c_int) -> io::Result<usize> {
+        // SAFETY: `fds` is a valid, exclusively borrowed slice for the
+        // duration of the call, and `len` matches its length.
+        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as nfds_t, timeout) };
+        if n < 0 {
+            Err(last_errno())
+        } else {
+            Ok(n as usize)
+        }
     }
 }
 
@@ -143,8 +153,7 @@ pub(crate) mod epoll {
         ) -> c_int;
     }
 
-    /// New epoll instance fd. This doubling as the runtime-detection
-    /// probe: failure means "no epoll here", not a fatal error.
+    /// New epoll instance fd.
     pub(crate) fn create() -> io::Result<c_int> {
         // SAFETY: no pointers involved; the kernel validates flags.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -191,15 +200,15 @@ mod tests {
     #[test]
     fn poll_sees_readable_socket() {
         let (mut a, b) = UnixStream::pair().unwrap();
-        let mut fds = [pollfd {
+        let mut fds = [poll::pollfd {
             fd: b.as_raw_fd(),
-            events: POLLIN,
+            events: poll::POLLIN,
             revents: 0,
         }];
-        assert_eq!(sys_poll(&mut fds, 0).unwrap(), 0, "nothing written yet");
+        assert_eq!(poll::wait(&mut fds, 0).unwrap(), 0, "nothing written yet");
         a.write_all(b"x").unwrap();
-        assert_eq!(sys_poll(&mut fds, 1000).unwrap(), 1);
-        assert_ne!(fds[0].revents & POLLIN, 0);
+        assert_eq!(poll::wait(&mut fds, 1000).unwrap(), 1);
+        assert_ne!(fds[0].revents & poll::POLLIN, 0);
     }
 
     #[cfg(target_os = "linux")]

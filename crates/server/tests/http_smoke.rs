@@ -10,7 +10,7 @@ use mohan_server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const T: TableId = TableId(1);
 
@@ -198,9 +198,11 @@ fn readyz_flips_during_drain_and_probes_survive_the_early_reap() {
 
     // The pre-drain connection keeps answering (HTTP probes are
     // exempt from the early reap) until it observes not-ready; that
-    // draining response closes it.
+    // draining response closes it. The drain starts on another
+    // thread: yield between probes until it shows (10 s deadline).
+    let deadline = Instant::now() + Duration::from_secs(10);
     let mut saw_draining = false;
-    for _ in 0..200 {
+    while Instant::now() < deadline {
         let Some(r) = get_on(&mut probe, "/readyz") else {
             break;
         };
@@ -211,7 +213,7 @@ fn readyz_flips_during_drain_and_probes_survive_the_early_reap() {
             saw_draining = true;
             break;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::yield_now();
     }
     assert!(saw_draining, "probe never observed the drain");
 

@@ -10,7 +10,7 @@
 
 use mohan_btree::scan::collect_all;
 use mohan_client::{Client, ClientError, Pool};
-use mohan_common::{EngineConfig, IndexEntry, IndexId, IoBackendChoice, KeyValue, TableId};
+use mohan_common::{EngineConfig, IndexEntry, IndexId, KeyValue, TableId};
 use mohan_oib::build::{build_index, IndexSpec, MAX_BUILD_WORKERS};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::verify::verify_index;
@@ -573,7 +573,6 @@ fn metrics_read_mid_build_carries_every_layer() {
         &db,
         ServerConfig {
             max_inflight: 4,
-            progress_interval: Duration::from_millis(5),
             ..ServerConfig::default()
         },
     );
@@ -622,24 +621,12 @@ fn metrics_read_mid_build_carries_every_layer() {
 /// wake bytes — but nothing like the thousands per second a loop that
 /// polled its connections on a timer would make. A ceiling of 200
 /// wakeups over the window fails a regression to tick-polling loudly.
-/// Each backend is requested explicitly: `Poll`, the one every unix
-/// host has and whose idle cost is easiest to get wrong, and `Epoll`
-/// where it exists.
+/// It runs on the platform's backend (epoll on Linux, poll(2)
+/// elsewhere).
 #[test]
 fn reactor_idle_shards_quiesce() {
-    idle_shards_quiesce(IoBackendChoice::Poll);
-    if cfg!(target_os = "linux") {
-        idle_shards_quiesce(IoBackendChoice::Epoll);
-    }
-}
-
-fn idle_shards_quiesce(io_backend: IoBackendChoice) {
     let db = engine(2_000);
-    let cfg = ServerConfig {
-        io_backend,
-        ..ServerConfig::default()
-    };
-    let srv = server(&db, cfg);
+    let srv = server(&db, ServerConfig::default());
     let addr = addr_of(&srv);
     let mut conns: Vec<Client> = (0..8).map(|_| Client::connect(&addr).unwrap()).collect();
     for c in &mut conns {
@@ -655,7 +642,7 @@ fn idle_shards_quiesce(io_backend: IoBackendChoice) {
     assert!(
         woke < 200,
         "idle {} shards woke {woke} times in 1s; reactor is tick-polling",
-        io_backend.name()
+        srv.io_backend()
     );
 
     // Quiescent, not dead: every connection still answers.

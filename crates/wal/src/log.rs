@@ -51,15 +51,20 @@
 //! failure stops all appenders.
 
 use crate::codec::{decode_record, encode_record, RecordHeader, LSN_BYTES};
-use crate::record::{LogPayload, LogRecord, RecKind};
+use crate::record::{LogPayload, LogRecord, RecKind, SideFileOp};
 use mohan_common::stats::{Counter, StripedCounter};
-use mohan_common::{Error, Lsn, Result, TxId, WriteAhead};
+use mohan_common::{Error, IndexId, Lsn, Result, TxId, WriteAhead};
 use mohan_obs::{Histogram, TraceSink};
 use parking_lot::{Mutex, RwLock};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
+
+/// [`LogPayload::SideFileAppend`]'s tag byte, which
+/// [`LogManager::side_file_appends`] matches in each record's first
+/// byte.
+const SIDE_FILE_APPEND_TAG: u8 = 15;
 
 /// Slots in a log segment, the unit the log is allocated and freed in.
 pub const SEGMENT_SLOTS: u64 = 4096;
@@ -282,6 +287,13 @@ impl Segment {
         out.resize(start + at.len.next_multiple_of(8), 0);
         self.read_words(at.word as usize, &mut out[start..]);
         out.truncate(start + at.len);
+    }
+
+    /// The payload tag of the record at `at`: its first byte.
+    fn tag(&self, at: Extent) -> u8 {
+        let mut word = [0u8; 8];
+        self.read_words(at.word as usize, &mut word);
+        word[0]
     }
 
     /// The header of the record at `at`, read without its payload.
@@ -895,6 +907,33 @@ impl LogManager {
         })
     }
 
+    /// `index`'s side-file entries — its [`LogPayload::SideFileAppend`]
+    /// records — in `(after, through]`, in LSN order: the SF drain's
+    /// read. Each record's tag byte is read, and only an append is
+    /// decoded. Nothing when `after` is below [`LogManager::first_lsn`]
+    /// − 1.
+    pub fn side_file_appends(
+        &self,
+        index: IndexId,
+        after: Lsn,
+        through: Lsn,
+    ) -> impl Iterator<Item = SideFileOp> + '_ {
+        let mut walk = self.walk(after, through);
+        let mut bytes = Vec::new();
+        std::iter::from_fn(move || loop {
+            let (seg, at) = walk.next()?;
+            if seg.tag(at) != SIDE_FILE_APPEND_TAG {
+                continue;
+            }
+            bytes.clear();
+            seg.read_into(at, &mut bytes);
+            match decode_stored(&bytes).payload {
+                LogPayload::SideFileAppend { index: i, op } if i == index => return Some(op),
+                _ => {}
+            }
+        })
+    }
+
     /// Headers of the records after `after` in LSN order (restart
     /// analysis): like [`LogManager::iter_from`] without decoding a
     /// payload.
@@ -1173,6 +1212,49 @@ mod tests {
             prop_assert_eq!(lsn, Lsn(2));
             assert_stored(&log, lsn, &want);
         }
+    }
+
+    /// The side-file walk keeps exactly the appends a decoding walk
+    /// finds, over every window of a log that holds every variant
+    /// (two appends to index 9, and one to index 4 between them).
+    #[test]
+    fn side_file_appends_are_the_decoded_walk_s_appends() {
+        let log = LogManager::new();
+        let other = LogPayload::SideFileAppend {
+            index: IndexId(4),
+            op: SideFileOp {
+                insert: true,
+                entry: entry(5, 5),
+            },
+        };
+        for rec in samples() {
+            log.append(rec.tx, rec.prev, rec.kind, rec.payload);
+        }
+        log.append(TxId(1), Lsn::NULL, RecKind::RedoOnly, other);
+        for rec in samples() {
+            log.append(rec.tx, rec.prev, rec.kind, rec.payload);
+        }
+        let tail = log.tail_lsn().0;
+        for index in [IndexId(9), IndexId(4), IndexId(5)] {
+            for after in 0..=tail {
+                for through in after..=tail + 1 {
+                    let want: Vec<_> = log
+                        .iter_from(Lsn(after))
+                        .take_while(|r| r.lsn.0 <= through)
+                        .filter_map(|r| match r.payload {
+                            LogPayload::SideFileAppend { index: i, op } if i == index => Some(op),
+                            _ => None,
+                        })
+                        .collect();
+                    let got: Vec<_> = log
+                        .side_file_appends(index, Lsn(after), Lsn(through))
+                        .collect();
+                    assert_eq!(got, want, "{index:?} ({after}, {through}]");
+                }
+            }
+        }
+        let count = |index| log.side_file_appends(index, Lsn::NULL, Lsn(tail)).count();
+        assert_eq!((count(IndexId(9)), count(IndexId(4))), (2, 1));
     }
 
     #[test]
