@@ -5,6 +5,9 @@
 //! than removing it, leaving a trail that makes the index builder's
 //! later insert of the same key rejectable. The tree supports:
 //!
+//! * one mutation, [`BTree::edit`]: decide on what the leaf holds, change
+//!   it and log the change under one leaf latch, stamping the record's
+//!   LSN on the leaf;
 //! * duplicate-entry rejection (exact `<key value, RID>` match for a
 //!   nonunique index; key-value match for a unique one, §2.2.3);
 //! * the NSF builder's **specialized split** — move only the keys
@@ -38,4 +41,4 @@ pub mod tree;
 pub use bulk::{BulkCheckpoint, BulkLoader};
 pub use node::{EntryRef, Kind, Node};
 pub use scan::{ClusteringStats, LeafCursor, PrefetchStrategy, RangeScanStats};
-pub use tree::{BTree, BTreeConfig, BTreeStats, EntryState, InsertMode, InsertOutcome};
+pub use tree::{unlogged, BTree, BTreeConfig, BTreeStats, Edit, Found, InsertMode, InsertOutcome};

@@ -339,7 +339,7 @@ impl Walk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{BTreeConfig, InsertMode};
+    use crate::tree::{unlogged, BTreeConfig, Edit, InsertMode};
     use mohan_common::FileId;
 
     fn tree() -> BTree {
@@ -375,7 +375,8 @@ mod tests {
         for k in 0..10i64 {
             t.insert(e(k), InsertMode::Transaction).unwrap();
         }
-        t.pseudo_delete_or_tombstone(&e(4)).unwrap();
+        t.edit(&e(4), InsertMode::Transaction, Edit::pseudo, unlogged)
+            .unwrap();
         assert_eq!(collect_all(&t, true).unwrap().len(), 10);
         assert_eq!(collect_all(&t, false).unwrap().len(), 9);
     }
@@ -453,7 +454,8 @@ mod tests {
             t.insert(e(k), InsertMode::Transaction).unwrap();
         }
         for k in 0..10i64 {
-            t.pseudo_delete_or_tombstone(&e(k)).unwrap();
+            t.edit(&e(k), InsertMode::Transaction, Edit::pseudo, unlogged)
+                .unwrap();
         }
         let c = clustering(&t).unwrap();
         assert_eq!(c.entries, 50);
@@ -571,7 +573,7 @@ pub fn range_scan(
 mod range_tests {
     use super::*;
     use crate::bulk::BulkLoader;
-    use crate::tree::{BTreeConfig, InsertMode};
+    use crate::tree::{unlogged, BTreeConfig, Edit, InsertMode};
     use mohan_common::{FileId, Lsn};
 
     fn cfg() -> BTreeConfig {
@@ -612,7 +614,8 @@ mod range_tests {
         for key in 0..50i64 {
             t.insert(e(key), InsertMode::Transaction).unwrap();
         }
-        t.pseudo_delete_or_tombstone(&e(25)).unwrap();
+        t.edit(&e(25), InsertMode::Transaction, Edit::pseudo, unlogged)
+            .unwrap();
         let (got, _) = range_scan(&t, &k(20), &k(29), 4, PrefetchStrategy::ParentGuided).unwrap();
         assert_eq!(got.len(), 9);
         assert!(got.iter().all(|x| x.key != k(25)));

@@ -1,10 +1,15 @@
 //! The latched B+-tree.
 //!
-//! All mutating operations descend with exclusive-latch crabbing:
-//! ancestors stay latched only while the child could split, so
-//! concurrent inserts to different subtrees proceed in parallel —
-//! which is what lets NSF's index builder and transactions work in the
-//! same tree at once.
+//! Every change to an entry is one [`BTree::edit`]: one descent with
+//! exclusive-latch crabbing (ancestors stay latched only while the
+//! child could split, so concurrent writers in different subtrees
+//! proceed in parallel — which is what lets NSF's index builder and
+//! transactions work in the same tree at once), then, under the leaf's
+//! X latch, the caller's decision on what it found there, the change,
+//! the caller's log append and the stamp of its LSN on every page the
+//! change touched: the heap's protocol, so the WAL rule holds for index
+//! pages too. [`BTree::insert`] is the edit that inserts an absent
+//! entry and logs nothing.
 //!
 //! Unique indexes keep every run of equal key values inside a single
 //! leaf (splits are adjusted to run boundaries), so uniqueness checks
@@ -16,7 +21,7 @@ use crate::scan::LeafCursor;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
 use mohan_common::pace::{Ticker, OPS_PER_PACE};
 use mohan_common::stats::Counter;
-use mohan_common::{Error, FileId, IndexEntry, KeyValue, PageId, Result, Rid, WriteAhead};
+use mohan_common::{Error, FileId, IndexEntry, KeyValue, Lsn, PageId, Result, Rid, WriteAhead};
 use mohan_storage::cache::PageBuf;
 use mohan_storage::{ExclusiveGuard, Latch, LatchStats, PageCache, ShareGuard, ShareRef};
 use parking_lot::Mutex;
@@ -123,16 +128,100 @@ pub enum InsertOutcome {
     },
 }
 
-/// State of a looked-up entry.
+/// What [`BTree::edit`] found for its entry, under the leaf's X latch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntryState {
-    /// Pseudo-deleted flag.
-    pub pseudo_deleted: bool,
+pub enum Found {
+    /// The entry is absent, and (unique index) so is its key value.
+    Absent,
+    /// The exact entry, with its pseudo-deleted flag.
+    Present {
+        /// Pseudo-deleted.
+        pseudo: bool,
+    },
+    /// Unique index only: the entry is absent and `rid` carries its key
+    /// value. A live conflict is reported before a pseudo-deleted one.
+    Conflict {
+        /// The conflicting record.
+        rid: Rid,
+        /// Whether the conflicting entry is pseudo-deleted.
+        pseudo: bool,
+    },
 }
+
+/// The change a `decide` closure asks of [`BTree::edit`]. Each applies
+/// to some of the [`Found`] states only; any other pairing is refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edit {
+    /// Change nothing, and log nothing.
+    Keep,
+    /// Put the entry in with this pseudo-deleted flag: set the flag of
+    /// the present entry — a change to log even where the flag has that
+    /// value already — or insert the absent one, live or as a tombstone
+    /// (§2.2.3); beside a unique conflict, only as a tombstone.
+    Put(bool),
+    /// Remove the present entry.
+    Remove,
+    /// Replace the conflicting entry by the entry, live, in place: the
+    /// take-over of a committed-dead key (§2.2.3, the example's step 9).
+    TakeOver,
+}
+
+impl Edit {
+    /// Insert the entry if it is absent; keep whatever is there.
+    pub fn present(found: Found) -> Edit {
+        match found {
+            Found::Absent => Edit::Put(false),
+            _ => Edit::Keep,
+        }
+    }
+
+    /// Make the entry live: insert it, or clear its flag; keep it if it
+    /// is live. A unique conflict is kept; the caller arbitrates.
+    pub fn live(found: Found) -> Edit {
+        match found {
+            Found::Present { pseudo: true } => Edit::Put(false),
+            found => Edit::present(found),
+        }
+    }
+
+    /// Make the entry live, a change even if it is live already, and
+    /// take over any unique conflict whatever its flag: for the callers
+    /// that restore a state the log already decided — redo, undo and
+    /// rollback compensations.
+    pub fn restore_live(found: Found) -> Edit {
+        match found {
+            Found::Conflict { .. } => Edit::TakeOver,
+            _ => Edit::Put(false),
+        }
+    }
+
+    /// Make the entry pseudo-deleted: flag it, or plant a tombstone.
+    pub fn pseudo(_: Found) -> Edit {
+        Edit::Put(true)
+    }
+
+    /// Remove the entry whatever its flag: only redo and the SF drain,
+    /// whose side-file delete is checked against the record, remove an
+    /// entry unconditionally.
+    pub fn remove_any(found: Found) -> Edit {
+        match found {
+            Found::Present { .. } => Edit::Remove,
+            _ => Edit::Keep,
+        }
+    }
+}
+
+/// A `log` for [`BTree::edit`] that logs nothing: redo, and the inserts
+/// an index builder logs in batches.
+pub fn unlogged(_: Found, _: Edit) -> Result<Lsn> {
+    Ok(Lsn::NULL)
+}
+
+type PageGuard = ExclusiveGuard<PageBuf<Node>>;
 
 struct PathFrame {
     page: PageId,
-    guard: ExclusiveGuard<PageBuf<Node>>,
+    guard: PageGuard,
 }
 
 /// The B+-tree.
@@ -324,25 +413,31 @@ impl BTree {
         }
     }
 
-    /// Exclusive descent with the ordinary (full-page) leaf threshold.
-    fn descend_x(&self, entry: &IndexEntry) -> Result<Vec<PathFrame>> {
-        self.descend_x_with(entry, self.cfg.page_size)
-    }
-
     // ----- split machinery ------------------------------------------
 
-    /// Split the leaf at the top of `path` around `entry`, which is
-    /// absent from it, and insert the entry into its half. `path` must
-    /// still contain the leaf's retained ancestors. `ib` selects the
-    /// specialized split. Returns the page the entry landed on.
+    /// Allocate a page holding `node`, X-latched into `fresh` until the
+    /// edit that split stamps it. Nobody can reach it before the split's
+    /// latches go.
+    fn allocate_latched(&self, node: Node, fresh: &mut Vec<PageGuard>) -> PageId {
+        let frame = self.cache.allocate(node);
+        fresh.push(frame.latch.exclusive_arc());
+        frame.id
+    }
+
+    /// Split the leaf at the end of `path` around `entry`, which is
+    /// absent from it, and insert the entry into its half. `path` holds
+    /// the leaf's retained ancestors before it; every page the split
+    /// allocates is latched into `fresh`. `ib` selects the specialized
+    /// split. Returns the page the entry landed on.
     fn split_leaf_and_insert(
         &self,
-        mut path: Vec<PathFrame>,
+        path: &mut [PathFrame],
+        fresh: &mut Vec<PageGuard>,
         entry: &IndexEntry,
         pseudo: bool,
         ib: bool,
     ) -> Result<PageId> {
-        let mut leaf_frame = path.pop().expect("leaf frame");
+        let (leaf_frame, ancestors) = path.split_last_mut().expect("leaf frame");
         let leaf = &leaf_frame.guard.payload;
         if !leaf.is_leaf() {
             return Err(Error::Corruption("split target not a leaf".into()));
@@ -364,25 +459,26 @@ impl BTree {
         // The right page is complete before anyone can reach it: readers
         // find it through the left page's chain pointer, which is set
         // under the left page's X latch, or through the parent.
-        let new_page = self.cache.allocate(right).id;
+        let new_page = self.allocate_latched(right, fresh);
         left.set_next(Some(new_page));
         leaf_frame.guard.payload = left;
         let left_page = leaf_frame.page;
-        drop(leaf_frame);
-        self.insert_separator(path, left_page, sep, new_page)?;
+        self.insert_separator(ancestors, fresh, left_page, sep, new_page)?;
         Ok(if pos < at { left_page } else { new_page })
     }
 
     /// Propagate a split: link `(sep, new_child)` to the right of
-    /// `left_child` in its parent, splitting upward as needed.
+    /// `left_child` in its parent, the last frame of `path`, splitting
+    /// upward as needed.
     fn insert_separator(
         &self,
-        mut path: Vec<PathFrame>,
+        path: &mut [PathFrame],
+        fresh: &mut Vec<PageGuard>,
         left_child: PageId,
         sep: IndexEntry,
         new_child: PageId,
     ) -> Result<()> {
-        let Some(mut parent) = path.pop() else {
+        let Some((parent, ancestors)) = path.split_last_mut() else {
             return Err(Error::Corruption(
                 "split cascaded past retained path".into(),
             ));
@@ -394,9 +490,9 @@ impl BTree {
                 debug_assert_eq!(node.root(), left_child);
                 let mut root = Node::internal(self.cfg.page_size, left_child);
                 root.insert_sep(0, &sep, new_child)?;
-                let new_root = self.cache.allocate(root);
+                let new_root = self.allocate_latched(root, fresh);
                 let height = node.height();
-                node.set_anchor(new_root.id, height + 1);
+                node.set_anchor(new_root, height + 1);
                 Ok(())
             }
             Kind::Internal => {
@@ -410,17 +506,15 @@ impl BTree {
                 let cell = node::cell(&sep, false, Some(new_child));
                 let at = node.split_point(pos, &cell, Prefer::Half, false)?;
                 let (left, up, right) = node.split(pos, &cell, at)?;
-                let new_node = self.cache.allocate(right).id;
+                let new_node = self.allocate_latched(right, fresh);
                 parent.guard.payload = left;
-                let left_page = parent.page;
-                drop(parent);
-                self.insert_separator(path, left_page, up, new_node)
+                self.insert_separator(ancestors, fresh, parent.page, up, new_node)
             }
             Kind::Leaf => Err(Error::Corruption("leaf as split parent".into())),
         }
     }
 
-    // ----- inserts ---------------------------------------------------
+    // ----- the edit ----------------------------------------------------
 
     pub(crate) fn check_entry_size(&self, entry: &IndexEntry) -> Result<()> {
         if entry.encoded_size() + 1 > self.cfg.max_entry() {
@@ -465,160 +559,139 @@ impl BTree {
         Some(vec![PathFrame { page, guard }])
     }
 
-    /// Insert `entry` (live). See [`InsertOutcome`] for the cases.
-    pub fn insert(&self, entry: IndexEntry, mode: InsertMode) -> Result<InsertOutcome> {
+    /// The one mutation of the tree. One descent to `entry`'s leaf (the
+    /// remembered-path hint first when `mode` is [`InsertMode::Ib`]);
+    /// under the leaf's X latch `decide` gets what is [`Found`] there
+    /// and returns the [`Edit`] to apply; then `log` gets both, still
+    /// under the latch, and the LSN it returns is stamped on the leaf
+    /// and on every page a split touched. So a force cannot publish the
+    /// change before its log record exists: the WAL rule of
+    /// [`PageCache::stage_dirty`] holds a stamped page back until the
+    /// log is durable through its LSN. `log` is not called for
+    /// [`Edit::Keep`], and an [`Lsn::NULL`] it returns stamps nothing.
+    /// Both closures run under the latch, so neither may wait: a
+    /// conditional lock request is the most they may make.
+    ///
+    /// Returns what was found and the edit applied. An edit that does
+    /// not apply to what was found is refused, with nothing changed.
+    pub fn edit(
+        &self,
+        entry: &IndexEntry,
+        mode: InsertMode,
+        decide: impl FnOnce(Found) -> Edit,
+        log: impl FnOnce(Found, Edit) -> Result<Lsn>,
+    ) -> Result<(Found, Edit)> {
         let _structure = self.structure_shared();
-        self.check_entry_size(&entry)?;
-        let mut path = match mode {
-            InsertMode::Ib => self
-                .try_hint(&entry)
-                .map_or_else(|| self.descend_x_with(&entry, self.cfg.fill_target()), Ok)?,
-            InsertMode::Transaction => self.descend_x(&entry)?,
+        self.check_entry_size(entry)?;
+        let (ib, capacity) = match mode {
+            InsertMode::Ib => (true, self.cfg.fill_target()),
+            InsertMode::Transaction => (false, self.cfg.page_size),
         };
-        let leaf = path.last_mut().expect("leaf");
-        let leaf_page = leaf.page;
-
-        // Duplicate / uniqueness checks under the leaf latch.
-        let pos = match leaf.guard.payload.search(&entry) {
-            Ok(i) => {
-                let pseudo = leaf.guard.payload.entry(i).pseudo;
-                self.stats.duplicate_rejects.bump();
-                return Ok(InsertOutcome::DuplicateEntry { pseudo });
-            }
-            Err(pos) => pos,
+        let mut path = match ib.then(|| self.try_hint(entry)).flatten() {
+            Some(path) => path,
+            None => self.descend_x_with(entry, capacity)?,
         };
-        if self.cfg.unique {
-            if let Some((rid, pseudo)) = find_key_conflict(&leaf.guard.payload, &entry) {
-                return Ok(InsertOutcome::DuplicateKeyValue {
-                    existing: rid,
-                    existing_pseudo: pseudo,
-                });
-            }
-        }
-
-        let threshold = match mode {
-            InsertMode::Ib => self.cfg.fill_target(),
-            InsertMode::Transaction => self.cfg.page_size,
-        };
-        let landed = if leaf.guard.payload.size() + Node::leaf_cost(&entry) <= threshold {
-            leaf.guard.payload.insert(pos, &entry, false)?;
-            leaf_page
-        } else {
-            self.split_leaf_and_insert(path, &entry, false, mode == InsertMode::Ib)?
-        };
-        self.stats.inserts.bump();
-        if mode == InsertMode::Ib {
-            *self.hint.lock() = Some(landed);
-        }
-        Ok(InsertOutcome::Inserted)
-    }
-
-    // ----- flag operations ------------------------------------------
-
-    /// Set or clear the pseudo-deleted flag of the exact entry.
-    /// Returns whether the entry was found.
-    pub fn set_pseudo(&self, entry: &IndexEntry, pseudo: bool) -> Result<bool> {
-        let _structure = self.structure_shared();
-        let mut path = self.descend_x(entry)?;
+        let mut fresh = Vec::new();
+        let leaf_page = path.last().expect("leaf").page;
         let leaf = &mut path.last_mut().expect("leaf").guard.payload;
-        let Ok(i) = leaf.search(entry) else {
-            return Ok(false);
-        };
-        if leaf.entry(i).pseudo != pseudo {
-            leaf.set_pseudo(i, pseudo);
-            if pseudo {
-                self.stats.pseudo_deletes.bump();
-            } else {
-                self.stats.reactivations.bump();
-            }
-        }
-        Ok(true)
-    }
-
-    /// Deleter path: mark the exact entry pseudo-deleted, or plant a
-    /// pseudo-deleted tombstone if it is absent (§2.2.3). Returns
-    /// `true` if the key existed (marked), `false` if a tombstone was
-    /// inserted.
-    pub fn pseudo_delete_or_tombstone(&self, entry: &IndexEntry) -> Result<bool> {
-        let _structure = self.structure_shared();
-        let mut path = self.descend_x(entry)?;
-        let leaf = &mut path.last_mut().expect("leaf").guard.payload;
-        match leaf.search(entry) {
+        let (found, pos, conflict_pos) = match leaf.search(entry) {
             Ok(i) => {
-                leaf.set_pseudo(i, true);
-                self.stats.pseudo_deletes.bump();
-                Ok(true)
+                let pseudo = leaf.entry(i).pseudo;
+                (Found::Present { pseudo }, i, i)
             }
-            Err(pos) => {
-                if leaf.size() + Node::leaf_cost(entry) <= self.cfg.page_size {
-                    leaf.insert(pos, entry, true)?;
-                } else {
-                    self.split_leaf_and_insert(path, entry, true, false)?;
+            Err(pos) if self.cfg.unique => {
+                let (found, at) = find_key_conflict(leaf, entry);
+                (found, pos, at)
+            }
+            Err(pos) => (Found::Absent, pos, pos),
+        };
+        let edit = decide(found);
+        let stats = &self.stats;
+        match (found, edit) {
+            (_, Edit::Keep) => {}
+            (Found::Present { pseudo }, Edit::Put(to)) => {
+                if pseudo != to {
+                    leaf.set_pseudo(pos, to);
+                    if to {
+                        stats.pseudo_deletes.bump();
+                    } else {
+                        stats.reactivations.bump();
+                    }
                 }
-                self.stats.tombstones.bump();
-                Ok(false)
+            }
+            (Found::Present { .. }, Edit::Remove) => {
+                leaf.remove(pos);
+                stats.physical_deletes.bump();
+            }
+            // A unique tree takes a second entry of a key value only as
+            // a tombstone.
+            (Found::Absent, Edit::Put(pseudo))
+            | (Found::Conflict { .. }, Edit::Put(pseudo @ true)) => {
+                let landed = if leaf.size() + Node::leaf_cost(entry) <= capacity {
+                    leaf.insert(pos, entry, pseudo)?;
+                    leaf_page
+                } else {
+                    self.split_leaf_and_insert(&mut path, &mut fresh, entry, pseudo, ib)?
+                };
+                if pseudo {
+                    stats.tombstones.bump();
+                } else {
+                    stats.inserts.bump();
+                }
+                if ib {
+                    *self.hint.lock() = Some(landed);
+                }
+            }
+            // Equal key values share a leaf in a unique tree, and an
+            // entry of the same size replaces the one removed.
+            (Found::Conflict { .. }, Edit::TakeOver) => {
+                leaf.remove(conflict_pos);
+                leaf.insert(pos - usize::from(conflict_pos < pos), entry, false)?;
+                stats.reactivations.bump();
+            }
+            (found, edit) => {
+                return Err(Error::InvalidArg(format!(
+                    "edit {edit:?} does not apply to {found:?}"
+                )))
             }
         }
-    }
-
-    /// Physically remove the exact entry (GC, drain deletes, cancel).
-    pub fn physical_delete(&self, entry: &IndexEntry) -> Result<bool> {
-        self.remove_if(entry, |_| true)
-    }
-
-    /// Physically remove the exact entry only if it is still live.
-    /// The IB's batch-insert undo goes through here: an entry a
-    /// committed deleter has pseudo-deleted since the IB inserted it
-    /// is that deleter's tombstone — removing it would let the
-    /// resumed IB re-insert the stale key (§2.2.3) — so it stays.
-    /// Returns `true` if the entry was removed.
-    pub fn physical_delete_if_live(&self, entry: &IndexEntry) -> Result<bool> {
-        self.remove_if(entry, |pseudo| !pseudo)
-    }
-
-    /// Remove the exact entry if present and `when` accepts its
-    /// pseudo-deleted flag.
-    fn remove_if(&self, entry: &IndexEntry, when: impl Fn(bool) -> bool) -> Result<bool> {
-        let _structure = self.structure_shared();
-        let mut path = self.descend_x(entry)?;
-        let leaf = &mut path.last_mut().expect("leaf").guard.payload;
-        match leaf.search(entry) {
-            Ok(i) if when(leaf.entry(i).pseudo) => {
-                leaf.remove(i);
-                self.stats.physical_deletes.bump();
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Unique-index repair from the paper's example (§2.2.3 item 9):
-    /// the committed-dead pseudo entry `<key, old_rid>` is replaced by
-    /// a live `<key, new_rid>` in place.
-    pub fn unique_replace(&self, key: &KeyValue, old_rid: Rid, new_rid: Rid) -> Result<bool> {
-        let _structure = self.structure_shared();
-        let probe = IndexEntry::new(key.clone(), old_rid);
-        let mut path = self.descend_x(&probe)?;
-        let leaf = &mut path.last_mut().expect("leaf").guard.payload;
-        let Ok(i) = leaf.search(&probe) else {
-            return Ok(false);
+        let lsn = if edit == Edit::Keep {
+            Lsn::NULL
+        } else {
+            log(found, edit)?
         };
-        leaf.remove(i);
-        let fresh = IndexEntry::new(key.clone(), new_rid);
-        let pos = leaf.search(&fresh).unwrap_or_else(|p| p);
-        leaf.insert(pos, &fresh, false)?;
-        self.stats.reactivations.bump();
-        Ok(true)
+        if lsn.is_valid() {
+            for page in path.iter_mut().map(|f| &mut f.guard).chain(&mut fresh) {
+                page.lsn = page.lsn.max(lsn);
+            }
+        }
+        Ok((found, edit))
+    }
+
+    /// Insert `entry` (live) if neither it nor (unique index) its key
+    /// value is there, logging nothing: [`BTree::edit`] with
+    /// [`Edit::present`]. See [`InsertOutcome`] for the cases.
+    pub fn insert(&self, entry: IndexEntry, mode: InsertMode) -> Result<InsertOutcome> {
+        Ok(match self.edit(&entry, mode, Edit::present, unlogged)?.0 {
+            Found::Absent => InsertOutcome::Inserted,
+            Found::Present { pseudo } => {
+                self.stats.duplicate_rejects.bump();
+                InsertOutcome::DuplicateEntry { pseudo }
+            }
+            Found::Conflict { rid, pseudo } => InsertOutcome::DuplicateKeyValue {
+                existing: rid,
+                existing_pseudo: pseudo,
+            },
+        })
     }
 
     // ----- lookups ---------------------------------------------------
 
-    /// Look up the exact entry.
-    pub fn lookup_exact(&self, entry: &IndexEntry) -> Result<Option<EntryState>> {
+    /// Look up the exact entry: its pseudo-deleted flag, if present.
+    pub fn lookup_exact(&self, entry: &IndexEntry) -> Result<Option<bool>> {
         let (_, guard) = self.descend_s(entry)?;
-        Ok(guard.payload.search(entry).ok().map(|i| EntryState {
-            pseudo_deleted: guard.payload.entry(i).pseudo,
-        }))
+        let leaf = &guard.payload;
+        Ok(leaf.search(entry).ok().map(|i| leaf.entry(i).pseudo))
     }
 
     /// All `(RID, pseudo)` pairs carrying `key`, in RID order. Walks
@@ -637,25 +710,26 @@ impl BTree {
 }
 
 /// Find a live-or-pseudo entry in `leaf` with the same key value but a
-/// different RID (unique-index conflict). Thanks to the leaf-local
-/// group invariant, the leaf alone is authoritative. Prefers a live
-/// conflict over a pseudo-deleted one.
-fn find_key_conflict(leaf: &Node, entry: &IndexEntry) -> Option<(Rid, bool)> {
-    let mut pseudo_hit: Option<(Rid, bool)> = None;
+/// different RID (unique-index conflict), and its slot. Thanks to the
+/// leaf-local group invariant, the leaf alone is authoritative. Prefers
+/// a live conflict over a pseudo-deleted one; [`Found::Absent`] if
+/// there is none.
+fn find_key_conflict(leaf: &Node, entry: &IndexEntry) -> (Found, usize) {
+    let mut found = (Found::Absent, 0);
     for i in leaf.lower_bound(&entry.key)..leaf.count() {
         let le = leaf.entry(i);
         if le.key != entry.key.as_bytes() {
             break;
         }
-        if le.rid != entry.rid {
-            if le.pseudo {
-                pseudo_hit.get_or_insert((le.rid, true));
-            } else {
-                return Some((le.rid, false));
+        let (rid, pseudo) = (le.rid, le.pseudo);
+        if rid != entry.rid && (!pseudo || found.0 == Found::Absent) {
+            found = (Found::Conflict { rid, pseudo }, i);
+            if !pseudo {
+                break;
             }
         }
     }
-    pseudo_hit
+    found
 }
 
 #[cfg(test)]
@@ -682,6 +756,16 @@ mod tests {
         IndexEntry::from_i64(k, Rid::new(page, slot))
     }
 
+    /// Edit `entry` as a transaction would, logging nothing.
+    fn apply(t: &BTree, entry: &IndexEntry, decide: impl FnOnce(Found) -> Edit) -> (Found, Edit) {
+        t.edit(entry, InsertMode::Transaction, decide, unlogged)
+            .unwrap()
+    }
+
+    fn state(t: &BTree, entry: &IndexEntry) -> Option<bool> {
+        t.lookup_exact(entry).unwrap()
+    }
+
     #[test]
     fn insert_and_lookup_small() {
         let t = tree(false);
@@ -692,35 +776,116 @@ mod tests {
                 InsertOutcome::Inserted
             );
         }
-        assert_eq!(
-            t.lookup_exact(&e(5, 1, 5)).unwrap(),
-            Some(EntryState {
-                pseudo_deleted: false
-            })
-        );
+        assert_eq!(t.lookup_exact(&e(5, 1, 5)).unwrap(), Some(false));
         assert_eq!(t.lookup_exact(&e(7, 1, 7)).unwrap(), None);
     }
 
     #[test]
-    fn physical_delete_if_live_spares_tombstones() {
+    fn decide_sees_the_flag_and_a_keep_changes_nothing() {
         let t = tree(false);
         t.insert(e(5, 1, 1), InsertMode::Transaction).unwrap();
         t.insert(e(7, 1, 2), InsertMode::Transaction).unwrap();
-        // 5 gets pseudo-deleted (a committed deleter's tombstone):
-        // the conditional delete must leave it in place.
-        t.set_pseudo(&e(5, 1, 1), true).unwrap();
-        assert!(!t.physical_delete_if_live(&e(5, 1, 1)).unwrap());
-        assert_eq!(
-            t.lookup_exact(&e(5, 1, 1)).unwrap(),
-            Some(EntryState {
-                pseudo_deleted: true
-            })
-        );
+        let if_live = |found| match found {
+            Found::Present { pseudo: false } => Edit::Remove,
+            _ => Edit::Keep,
+        };
+        // 5 gets pseudo-deleted (a committed deleter's tombstone): a
+        // remove-if-live leaves it in place.
+        apply(&t, &e(5, 1, 1), Edit::pseudo);
+        let kept = (Found::Present { pseudo: true }, Edit::Keep);
+        assert_eq!(apply(&t, &e(5, 1, 1), if_live), kept);
+        assert_eq!(state(&t, &e(5, 1, 1)), Some(true));
         // 7 is live: removed outright.
-        assert!(t.physical_delete_if_live(&e(7, 1, 2)).unwrap());
-        assert_eq!(t.lookup_exact(&e(7, 1, 2)).unwrap(), None);
-        // Absent entries report false.
-        assert!(!t.physical_delete_if_live(&e(9, 1, 3)).unwrap());
+        let removed = (Found::Present { pseudo: false }, Edit::Remove);
+        assert_eq!(apply(&t, &e(7, 1, 2), if_live), removed);
+        assert_eq!(state(&t, &e(7, 1, 2)), None);
+        assert_eq!(apply(&t, &e(9, 1, 3), if_live), (Found::Absent, Edit::Keep));
+    }
+
+    #[test]
+    fn an_edit_that_does_not_apply_is_refused() {
+        let t = tree(true);
+        t.insert(e(5, 1, 1), InsertMode::Transaction).unwrap();
+        for (entry, edit) in [
+            (e(7, 1, 2), Edit::Remove),
+            (e(7, 1, 2), Edit::TakeOver),
+            (e(5, 1, 1), Edit::TakeOver),
+            (e(5, 2, 2), Edit::Remove),
+            (e(5, 2, 2), Edit::Put(false)),
+        ] {
+            let out = t.edit(&entry, InsertMode::Transaction, |_| edit, unlogged);
+            assert!(
+                matches!(out, Err(Error::InvalidArg(_))),
+                "{edit:?}: {out:?}"
+            );
+        }
+        assert_eq!(
+            crate::scan::collect_all(&t, true).unwrap(),
+            vec![(e(5, 1, 1), false)]
+        );
+    }
+
+    #[test]
+    fn the_logged_lsn_holds_the_leaf_back_until_the_log_reaches_it() {
+        let t = tree(false);
+        t.insert(e(1, 1, 1), InsertMode::Transaction).unwrap();
+        t.force_all(Lsn::NULL).unwrap();
+        let logged = |_: Found, _: Edit| Ok(Lsn(7));
+        for _ in 0..2 {
+            t.edit(&e(2, 1, 2), InsertMode::Transaction, Edit::live, logged)
+                .unwrap();
+            let (leaf, _) = t.descend_s(&e(2, 1, 2)).unwrap();
+            assert_eq!(t.cache.frame(leaf).unwrap().latch.share().lsn, Lsn(7));
+            // The WAL rule refuses the leaf: nothing is published.
+            assert!(t.force_all(Lsn(6)).is_err());
+            t.cache.crash();
+            assert_eq!(state(&t, &e(2, 1, 2)), None);
+        }
+        t.edit(&e(2, 1, 2), InsertMode::Transaction, Edit::live, logged)
+            .unwrap();
+        t.force_all(Lsn(7)).unwrap();
+        t.cache.crash();
+        assert_eq!(state(&t, &e(2, 1, 2)), Some(false));
+    }
+
+    #[test]
+    fn an_edit_that_splits_stamps_every_page_it_touched() {
+        let t = tree(false);
+        // Logged inserts into the root leaf, each published, until one
+        // splits it.
+        let mut k = 0i64;
+        let lsn = loop {
+            k += 1;
+            let lsn = Lsn(k as u64);
+            let splits = t.stats.splits.get();
+            t.edit(&e(k, 1, 1), InsertMode::Transaction, Edit::live, |_, _| {
+                Ok(lsn)
+            })
+            .unwrap();
+            if t.stats.splits.get() > splits {
+                break lsn;
+            }
+            t.force_all(lsn).unwrap();
+        };
+        // The old root leaf, its new sibling, the new root and the
+        // anchor that names it.
+        let stamped = (0..t.cache.num_pages())
+            .filter(|&p| t.cache.frame(PageId(p)).unwrap().latch.share().lsn == lsn)
+            .count();
+        assert_eq!((t.root().unwrap().1, stamped), (2, 4));
+        assert!(t.force_all(Lsn(lsn.0 - 1)).is_err());
+        t.cache.crash();
+        crate::scan::verify_structure(&t).unwrap();
+        assert_eq!(t.root().unwrap().1, 1, "the split was not published");
+        assert_eq!(state(&t, &e(k, 1, 1)), None);
+        t.edit(&e(k, 1, 1), InsertMode::Transaction, Edit::live, |_, _| {
+            Ok(lsn)
+        })
+        .unwrap();
+        t.force_all(lsn).unwrap();
+        t.cache.crash();
+        crate::scan::verify_structure(&t).unwrap();
+        assert_eq!(state(&t, &e(k, 1, 1)), Some(false));
     }
 
     #[test]
@@ -765,7 +930,7 @@ mod tests {
     fn unique_conflict_with_pseudo_reports_pseudo() {
         let t = tree(true);
         t.insert(e(5, 1, 1), InsertMode::Transaction).unwrap();
-        t.set_pseudo(&e(5, 1, 1), true).unwrap();
+        apply(&t, &e(5, 1, 1), Edit::pseudo);
         let out = t.insert(e(5, 2, 2), InsertMode::Transaction).unwrap();
         assert_eq!(
             out,
@@ -776,68 +941,90 @@ mod tests {
         );
     }
 
+    /// The §2.2.3 take-over of a committed-dead `<5, (1,1)>`, decided
+    /// under the latch: only while it is still pseudo-deleted.
+    fn take_over_dead(found: Found) -> Edit {
+        match found {
+            Found::Conflict { rid, pseudo: true } if rid == Rid::new(1, 1) => Edit::TakeOver,
+            _ => Edit::Keep,
+        }
+    }
+
     #[test]
-    fn unique_replace_swaps_rid() {
+    fn take_over_swaps_rid() {
         let t = tree(true);
         t.insert(e(5, 1, 1), InsertMode::Transaction).unwrap();
-        t.set_pseudo(&e(5, 1, 1), true).unwrap();
-        assert!(t
-            .unique_replace(&KeyValue::from_i64(5), Rid::new(1, 1), Rid::new(9, 9))
-            .unwrap());
-        assert_eq!(t.lookup_exact(&e(5, 1, 1)).unwrap(), None);
+        apply(&t, &e(5, 1, 1), Edit::pseudo);
+        let conflict = Found::Conflict {
+            rid: Rid::new(1, 1),
+            pseudo: true,
+        };
         assert_eq!(
-            t.lookup_exact(&e(5, 9, 9)).unwrap(),
-            Some(EntryState {
-                pseudo_deleted: false
-            })
+            apply(&t, &e(5, 9, 9), take_over_dead),
+            (conflict, Edit::TakeOver)
         );
+        assert_eq!(state(&t, &e(5, 1, 1)), None);
+        assert_eq!(state(&t, &e(5, 9, 9)), Some(false));
+    }
+
+    #[test]
+    fn take_over_of_a_reactivated_conflict_is_refused() {
+        let t = tree(true);
+        t.insert(e(5, 1, 1), InsertMode::Transaction).unwrap();
+        apply(&t, &e(5, 1, 1), Edit::pseudo);
+        // The deleter rolls back before the inserter's edit.
+        apply(&t, &e(5, 1, 1), Edit::live);
+        let conflict = Found::Conflict {
+            rid: Rid::new(1, 1),
+            pseudo: false,
+        };
+        assert_eq!(
+            apply(&t, &e(5, 9, 9), take_over_dead),
+            (conflict, Edit::Keep)
+        );
+        assert_eq!(state(&t, &e(5, 1, 1)), Some(false));
+        assert_eq!(state(&t, &e(5, 9, 9)), None);
     }
 
     #[test]
     fn pseudo_delete_and_reactivate() {
         let t = tree(false);
         t.insert(e(7, 1, 1), InsertMode::Transaction).unwrap();
-        assert!(t.pseudo_delete_or_tombstone(&e(7, 1, 1)).unwrap());
-        assert_eq!(
-            t.lookup_exact(&e(7, 1, 1)).unwrap(),
-            Some(EntryState {
-                pseudo_deleted: true
-            })
-        );
+        let flagged = (Found::Present { pseudo: false }, Edit::Put(true));
+        assert_eq!(apply(&t, &e(7, 1, 1), Edit::pseudo), flagged);
+        assert_eq!(state(&t, &e(7, 1, 1)), Some(true));
         // Insert of the exact pseudo entry is *rejected* (caller must
         // reactivate explicitly).
         assert_eq!(
             t.insert(e(7, 1, 1), InsertMode::Transaction).unwrap(),
             InsertOutcome::DuplicateEntry { pseudo: true }
         );
-        assert!(t.set_pseudo(&e(7, 1, 1), false).unwrap());
-        assert_eq!(
-            t.lookup_exact(&e(7, 1, 1)).unwrap(),
-            Some(EntryState {
-                pseudo_deleted: false
-            })
-        );
+        let reactivated = (Found::Present { pseudo: true }, Edit::Put(false));
+        assert_eq!(apply(&t, &e(7, 1, 1), Edit::live), reactivated);
+        assert_eq!(state(&t, &e(7, 1, 1)), Some(false));
+        assert_eq!(t.stats.reactivations.get(), 1);
     }
 
     #[test]
     fn tombstone_planted_when_absent() {
         let t = tree(false);
-        assert!(!t.pseudo_delete_or_tombstone(&e(3, 1, 1)).unwrap());
-        assert_eq!(
-            t.lookup_exact(&e(3, 1, 1)).unwrap(),
-            Some(EntryState {
-                pseudo_deleted: true
-            })
-        );
+        let planted = (Found::Absent, Edit::Put(true));
+        assert_eq!(apply(&t, &e(3, 1, 1), Edit::pseudo), planted);
+        assert_eq!(state(&t, &e(3, 1, 1)), Some(true));
         assert_eq!(t.stats.tombstones.get(), 1);
     }
 
     #[test]
-    fn physical_delete_removes() {
+    fn remove_any_removes_whatever_the_flag() {
         let t = tree(false);
         t.insert(e(1, 1, 1), InsertMode::Transaction).unwrap();
-        assert!(t.physical_delete(&e(1, 1, 1)).unwrap());
-        assert!(!t.physical_delete(&e(1, 1, 1)).unwrap());
+        apply(&t, &e(1, 1, 1), Edit::pseudo);
+        let removed = (Found::Present { pseudo: true }, Edit::Remove);
+        assert_eq!(apply(&t, &e(1, 1, 1), Edit::remove_any), removed);
+        assert_eq!(
+            apply(&t, &e(1, 1, 1), Edit::remove_any),
+            (Found::Absent, Edit::Keep)
+        );
         assert_eq!(t.lookup_exact(&e(1, 1, 1)).unwrap(), None);
     }
 
@@ -920,8 +1107,7 @@ mod tests {
         }
         // A burst of tombstones with one key value.
         for slot in 0..4u16 {
-            let probe = e(100, 7, slot);
-            t.pseudo_delete_or_tombstone(&probe).unwrap();
+            apply(&t, &e(100, 7, slot), Edit::pseudo);
         }
         for k in 200..400i64 {
             t.insert(e(k, 1, (k % 100) as u16), InsertMode::Transaction)

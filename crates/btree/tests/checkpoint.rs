@@ -6,7 +6,7 @@
 
 use mohan_btree::scan::{collect_all, verify_structure};
 use mohan_btree::tree::FORCE_STAGED_FAILPOINT;
-use mohan_btree::{BTree, BTreeConfig, InsertMode};
+use mohan_btree::{unlogged, BTree, BTreeConfig, Edit, InsertMode};
 use mohan_common::{FileId, IndexEntry, Lsn, Rid};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -39,7 +39,8 @@ fn write(t: &BTree, w: usize, i: usize) {
     let e = entry(w, i);
     t.insert(e.clone(), InsertMode::Transaction).unwrap();
     if i.is_multiple_of(7) {
-        t.pseudo_delete_or_tombstone(&e).unwrap();
+        t.edit(&e, InsertMode::Transaction, Edit::pseudo, unlogged)
+            .unwrap();
     }
 }
 
@@ -102,12 +103,12 @@ fn assert_recovers(t: &BTree, published: &[usize; WRITERS]) {
     verify_structure(t).unwrap();
     for (w, &n) in published.iter().enumerate() {
         for i in 0..n {
-            let state = t
+            let pseudo = t
                 .lookup_exact(&entry(w, i))
                 .unwrap()
                 .unwrap_or_else(|| panic!("writer {w} entry {i} of {n} lost"));
             if !i.is_multiple_of(7) {
-                assert!(!state.pseudo_deleted, "writer {w} entry {i}");
+                assert!(!pseudo, "writer {w} entry {i}");
             }
         }
     }
@@ -161,7 +162,13 @@ fn crash_between_staging_and_publication_keeps_the_previous_image() {
         }
     }
     for i in (0..300).step_by(3) {
-        t.pseudo_delete_or_tombstone(&entry(0, i)).unwrap();
+        t.edit(
+            &entry(0, i),
+            InsertMode::Transaction,
+            Edit::pseudo,
+            unlogged,
+        )
+        .unwrap();
     }
     t.failpoints.arm(FORCE_STAGED_FAILPOINT);
     assert!(t.force_all(Lsn::NULL).unwrap_err().is_crash());

@@ -41,6 +41,8 @@ pub const KNOWN_SITES: &[&str] = &[
     "build.scan.record",
     "checkpoint.begin",
     "checkpoint.forced",
+    "gc.probe",
+    "index.edited",
     "nsf.insert.key",
     "primary.scan.record",
     "repl.apply.record",

@@ -11,7 +11,7 @@ use crate::engine::Db;
 use crate::progress::{self, BuildProgress, PartCheckpoint};
 use crate::runtime::{IndexRuntime, IndexState};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
-use mohan_btree::{BulkCheckpoint, BulkLoader, InsertMode, InsertOutcome};
+use mohan_btree::{BulkCheckpoint, BulkLoader, Edit, Found, InsertMode, InsertOutcome};
 use mohan_common::pace::{pace, Ticker, KEYS_PER_PACE, OPS_PER_PACE};
 use mohan_common::{Error, IndexEntry, IndexId, Lsn, PageId, Result, Rid, SlotId, TableId, TxId};
 use mohan_lock::{LockMode, LockName};
@@ -822,14 +822,22 @@ fn flush_ib_batch(
 
 /// §2.2.3 IB unique arbitration: lock *both* records (share, instant),
 /// re-verify the duplicate condition against the data pages, and abort
-/// the build only if it genuinely holds.
+/// the build only if it genuinely holds. Otherwise take the conflicting
+/// entry over, in one edit that also inserts the entry if the conflict
+/// has gone. The NSF IB shares the tree with transactions, so it takes
+/// over only an entry still pseudo-deleted under the latch: a live one
+/// is a deleter's in flight, or a reactivation since the records were
+/// read (DESIGN §7 item 6), and the IB tries again. The SF drain is the
+/// only writer of its tree, and there a live entry whose record lost
+/// the key waits for its side-file delete: it takes that one over too.
 fn ib_resolve_unique(
     db: &Arc<Db>,
     ib: TxId,
     idx: &Arc<IndexRuntime>,
     entry: IndexEntry,
-    existing: Rid,
+    mut existing: Rid,
 ) -> Result<()> {
+    let sole_writer = idx.state() == IndexState::SfBuilding;
     for _ in 0..8 {
         db.locks
             .instant(ib, LockName::Record(idx.def.table, entry.rid), LockMode::S)?;
@@ -850,33 +858,21 @@ fn ib_resolve_unique(
                 existing,
             });
         }
-        // The conflicting entry is committed-dead: take it over.
-        if idx.tree.unique_replace(&entry.key, existing, entry.rid)? {
-            db.log(
-                ib,
-                RecKind::UndoRedo,
-                LogPayload::IndexInsert {
-                    index: idx.def.id,
-                    entry,
-                },
-            )?;
-            return Ok(());
-        }
-        // Raced away; re-attempt the plain insert.
-        match idx.tree.insert(entry.clone(), InsertMode::Ib)? {
-            InsertOutcome::Inserted => {
-                db.log(
-                    ib,
-                    RecKind::UndoRedo,
-                    LogPayload::IndexInsert {
-                        index: idx.def.id,
-                        entry,
-                    },
-                )?;
-                return Ok(());
+        // The conflicting record is committed-dead.
+        let decide = |found| match found {
+            Found::Conflict { rid, pseudo } if rid == existing && (pseudo || sole_writer) => {
+                Edit::TakeOver
             }
-            InsertOutcome::DuplicateEntry { .. } => return Ok(()),
-            InsertOutcome::DuplicateKeyValue { .. } => {}
+            found => Edit::present(found),
+        };
+        let log = |_, _| {
+            let (index, entry) = (idx.def.id, entry.clone());
+            let payload = LogPayload::IndexInsert { index, entry };
+            db.log(ib, RecKind::UndoRedo, payload)
+        };
+        match db.edit_index(idx, &entry, InsertMode::Ib, decide, log)? {
+            (Found::Conflict { rid, .. }, Edit::Keep) => existing = rid,
+            _ => return Ok(()),
         }
     }
     Err(Error::Corruption(format!(
@@ -1132,53 +1128,33 @@ fn apply_drain_op(
     idx: &Arc<IndexRuntime>,
     op: mohan_wal::SideFileOp,
 ) -> Result<()> {
+    use LogPayload::{IndexInsert, IndexPhysicalDelete, IndexReactivate};
     let current = db.record_key(idx, op.entry.rid)?;
     let record_has_key = current.as_ref() == Some(&op.entry.key);
     if op.insert != record_has_key {
         return Ok(());
     }
-    if op.insert {
-        match idx.tree.insert(op.entry.clone(), InsertMode::Transaction)? {
-            InsertOutcome::Inserted => {
-                db.log(
-                    ib,
-                    RecKind::UndoRedo,
-                    LogPayload::IndexInsert {
-                        index: idx.def.id,
-                        entry: op.entry,
-                    },
-                )?;
-            }
-            InsertOutcome::DuplicateEntry { pseudo: true } => {
-                idx.tree.set_pseudo(&op.entry, false)?;
-                db.log(
-                    ib,
-                    RecKind::UndoRedo,
-                    LogPayload::IndexReactivate {
-                        index: idx.def.id,
-                        entry: op.entry,
-                    },
-                )?;
-            }
-            InsertOutcome::DuplicateEntry { pseudo: false } => {}
-            InsertOutcome::DuplicateKeyValue { existing, .. } => {
-                ib_resolve_unique(db, ib, idx, op.entry, existing)?;
-            }
-        }
+    let (index, entry) = (idx.def.id, op.entry.clone());
+    let log = |found, edit| {
+        let payload = match (found, edit) {
+            (Found::Present { pseudo }, Edit::Remove) => IndexPhysicalDelete {
+                index,
+                entry,
+                was_pseudo: pseudo,
+            },
+            (Found::Present { .. }, _) => IndexReactivate { index, entry },
+            _ => IndexInsert { index, entry },
+        };
+        db.log(ib, RecKind::UndoRedo, payload)
+    };
+    let decide = if op.insert {
+        Edit::live
     } else {
-        let was = idx.tree.lookup_exact(&op.entry)?;
-        if let Some(state) = was {
-            idx.tree.physical_delete(&op.entry)?;
-            db.log(
-                ib,
-                RecKind::UndoRedo,
-                LogPayload::IndexPhysicalDelete {
-                    index: idx.def.id,
-                    entry: op.entry,
-                    was_pseudo: state.pseudo_deleted,
-                },
-            )?;
-        }
+        Edit::remove_any
+    };
+    let edited = db.edit_index(idx, &op.entry, InsertMode::Transaction, decide, log)?;
+    if let (Found::Conflict { rid, .. }, true) = (edited.0, op.insert) {
+        ib_resolve_unique(db, ib, idx, op.entry, rid)?;
     }
     Ok(())
 }

@@ -17,7 +17,7 @@
 use crate::engine::{Db, Mechanism, Plan};
 use crate::runtime::{IndexRuntime, IndexState};
 use crate::schema::{IndexDef, Record};
-use mohan_btree::{InsertMode, InsertOutcome};
+use mohan_btree::{Edit, Found, InsertMode};
 use mohan_common::{Error, IndexEntry, KeyValue, Lsn, Result, Rid, TableId, TxId};
 use mohan_lock::{LockMode, LockName};
 use mohan_wal::{LogPayload, RecKind, SideFileOp};
@@ -379,71 +379,63 @@ impl Db {
     }
 
     /// §2.2.3, "IB and Insert Operations" — the transaction side, with
-    /// unique-key arbitration. The first attempt takes no lock. On a
-    /// duplicate key value, wait (instant S) for the conflicting
-    /// record's owner to commit or roll back, insert again, and on a
-    /// conflict still there re-check whether the duplicate value still
-    /// exists: raise a violation, take over a committed-dead pseudo
-    /// entry (paper's step 9 "replace R with R1"), or retry.
+    /// unique-key arbitration, one edit per attempt. The entry goes in
+    /// live: inserted, or its pseudo-deleted flag cleared (the paper's
+    /// example, steps 5-8). A live entry the IB inserted already gets an
+    /// undo-only record, so a rollback still removes it (§2.1.1). A
+    /// duplicate key value is taken over in place (step 9, "replace R
+    /// with R1") if, under the leaf latch, it is still pseudo-deleted and
+    /// a conditional instant S lock on its record is granted: §2.2.4's
+    /// test for a committed-dead key. Otherwise wait (instant S) for the
+    /// conflicting record's owner and try again; a live conflict seen
+    /// again after that wait, whose record still has the key, is a
+    /// violation.
     fn insert_key(&self, tx: TxId, idx: &Arc<IndexRuntime>, entry: IndexEntry) -> Result<()> {
+        use LogPayload::{IndexInsert, IndexReactivate};
+        let record = |rid| LockName::Record(idx.def.table, rid);
+        let index = idx.def.id;
         let mut conflict = None;
         // One attempt, then up to eight after waiting on a conflict.
         for _ in 0..9 {
             if let Some(existing) = conflict {
-                self.locks
-                    .instant(tx, LockName::Record(idx.def.table, existing), LockMode::S)?;
+                self.locks.instant(tx, record(existing), LockMode::S)?;
             }
-            let (kind, reactivate) =
-                match idx.tree.insert(entry.clone(), InsertMode::Transaction)? {
-                    InsertOutcome::Inserted => (RecKind::UndoRedo, false),
-                    // The IB inserted this key already. Write an undo-only
-                    // record so a rollback will still remove it (§2.1.1).
-                    InsertOutcome::DuplicateEntry { pseudo: false } => (RecKind::UndoOnly, false),
-                    // Exact entry exists pseudo-deleted (paper's example,
-                    // steps 5-8): reset the flag.
-                    InsertOutcome::DuplicateEntry { pseudo: true } => {
-                        idx.tree.set_pseudo(&entry, false)?;
-                        (RecKind::UndoRedo, true)
-                    }
-                    InsertOutcome::DuplicateKeyValue {
-                        existing,
-                        existing_pseudo,
-                    } => {
-                        if conflict.replace(existing).is_none() {
-                            continue;
-                        }
-                        let still_conflicts =
-                            self.record_key(idx, existing)?.as_ref() == Some(&entry.key);
-                        if still_conflicts && !existing_pseudo {
-                            return Err(Error::UniqueViolation {
-                                index: idx.def.id,
-                                existing,
-                            });
-                        }
-                        // Committed-dead conflict: take the entry over in
-                        // place (reset flag, replace RID). Entry pseudo +
-                        // record alive (a racing deleter is mid-flight), or
-                        // the replace raced away: retry.
-                        if still_conflicts
-                            || !idx.tree.unique_replace(&entry.key, existing, entry.rid)?
-                        {
-                            continue;
-                        }
-                        (RecKind::UndoRedo, false)
-                    }
-                };
-            let index = idx.def.id;
-            let payload = if reactivate {
-                LogPayload::IndexReactivate { index, entry }
-            } else {
-                LogPayload::IndexInsert { index, entry }
+            let decide = |found| match found {
+                Found::Conflict { rid, pseudo: true }
+                    if self.locks.try_instant(tx, record(rid), LockMode::S).is_ok() =>
+                {
+                    Edit::TakeOver
+                }
+                Found::Conflict { .. } => Edit::Keep,
+                found => Edit::restore_live(found),
             };
-            self.log(tx, kind, payload)?;
-            return Ok(());
+            let log = |found, _| {
+                let entry = entry.clone();
+                let (kind, payload) = match found {
+                    Found::Present { pseudo: false } => {
+                        (RecKind::UndoOnly, IndexInsert { index, entry })
+                    }
+                    Found::Present { .. } => (RecKind::UndoRedo, IndexReactivate { index, entry }),
+                    _ => (RecKind::UndoRedo, IndexInsert { index, entry }),
+                };
+                self.log(tx, kind, payload)
+            };
+            let edited = self.edit_index(idx, &entry, InsertMode::Transaction, decide, log)?;
+            let (Found::Conflict { rid, pseudo }, Edit::Keep) = edited else {
+                return Ok(());
+            };
+            if conflict.replace(rid) == Some(rid)
+                && !pseudo
+                && self.record_key(idx, rid)?.as_ref() == Some(&entry.key)
+            {
+                return Err(Error::UniqueViolation {
+                    index,
+                    existing: rid,
+                });
+            }
         }
         Err(Error::Corruption(format!(
-            "unique arbitration did not converge on {}",
-            idx.def.id
+            "unique arbitration did not converge on {index}"
         )))
     }
 
@@ -455,19 +447,16 @@ impl Db {
         idx: &Arc<IndexRuntime>,
         entry: &IndexEntry,
     ) -> Result<()> {
-        let found = idx.tree.pseudo_delete_or_tombstone(entry)?;
-        let payload = if found {
-            LogPayload::IndexPseudoDelete {
-                index: idx.def.id,
-                entry: entry.clone(),
-            }
-        } else {
-            LogPayload::IndexInsertTombstone {
-                index: idx.def.id,
-                entry: entry.clone(),
-            }
+        let log = |found, _| {
+            let (index, entry) = (idx.def.id, entry.clone());
+            let payload = if matches!(found, Found::Present { .. }) {
+                LogPayload::IndexPseudoDelete { index, entry }
+            } else {
+                LogPayload::IndexInsertTombstone { index, entry }
+            };
+            self.log(tx, RecKind::UndoRedo, payload)
         };
-        self.log(tx, RecKind::UndoRedo, payload)?;
+        self.edit_index(idx, entry, InsertMode::Transaction, Edit::pseudo, log)?;
         Ok(())
     }
 

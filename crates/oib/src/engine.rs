@@ -16,6 +16,7 @@ use crate::progress::BuildProgress;
 use crate::runtime::{Catalog, CatalogEntry, IndexRuntime, IndexState};
 use crate::schema::BuildAlgorithm;
 use crate::workers::BuildWorkers;
+use mohan_btree::{unlogged, Edit, Found, InsertMode};
 use mohan_common::codec::encode;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
 use mohan_common::pace::{Ticker, OPS_PER_PACE};
@@ -45,6 +46,11 @@ pub const CHECKPOINT_BEGIN_FAILPOINT: &str = "checkpoint.begin";
 /// Failpoint in [`Db::checkpoint`] once every dirty page is forced and
 /// before the checkpoint record is written.
 pub const CHECKPOINT_FORCED_FAILPOINT: &str = "checkpoint.forced";
+
+/// Failpoint after every index edit a logging caller makes
+/// (`Db::edit_index`): the tree change and its log record are both in
+/// place, and no latch is held.
+pub const INDEX_EDITED_FAILPOINT: &str = "index.edited";
 
 /// An active transaction: its log span, what it holds on data pages,
 /// and whether it is an index builder's. The one record the engine
@@ -451,7 +457,13 @@ impl Db {
     fn replica_materialize(&self, idx: &Arc<IndexRuntime>) -> Result<()> {
         idx.tree.clear();
         for (rid, rec) in self.table_scan(idx.def.table)? {
-            Self::tree_ensure_live(idx, &idx.def.entry_of(&rec, rid)?)?;
+            let entry = idx.def.entry_of(&rec, rid)?;
+            idx.tree.edit(
+                &entry,
+                InsertMode::Transaction,
+                Edit::restore_live,
+                unlogged,
+            )?;
         }
         Ok(())
     }
@@ -894,50 +906,85 @@ impl Db {
         self.log(rec.tx, RecKind::Clr { undo_next }, payload)
     }
 
-    // ----- absolute (idempotent) index state transitions --------------
+    // ----- index edits -------------------------------------------------
 
-    /// Make `entry` present and live, replaying a forward insert or
-    /// reactivation. Handles unique-replace replays.
-    pub(crate) fn tree_ensure_live(idx: &IndexRuntime, entry: &IndexEntry) -> Result<()> {
-        use mohan_btree::{InsertMode, InsertOutcome};
-        match idx.tree.insert(entry.clone(), InsertMode::Transaction)? {
-            InsertOutcome::Inserted => Ok(()),
-            InsertOutcome::DuplicateEntry { pseudo: true } => {
-                idx.tree.set_pseudo(entry, false)?;
-                Ok(())
-            }
-            InsertOutcome::DuplicateEntry { pseudo: false } => Ok(()),
-            InsertOutcome::DuplicateKeyValue { existing, .. } => {
-                // Forward execution performed a unique replace; replay
-                // it.
-                idx.tree.unique_replace(&entry.key, existing, entry.rid)?;
-                Ok(())
-            }
-        }
+    /// Edit `entry` in `idx`'s tree: `decide` picks the change from what
+    /// the leaf holds, and `log` appends its record, both under the
+    /// leaf's X latch ([`mohan_btree::BTree::edit`]). Then, with no
+    /// latch held, the [`INDEX_EDITED_FAILPOINT`].
+    pub(crate) fn edit_index(
+        &self,
+        idx: &IndexRuntime,
+        entry: &IndexEntry,
+        mode: InsertMode,
+        decide: impl FnOnce(Found) -> Edit,
+        log: impl FnOnce(Found, Edit) -> Result<Lsn>,
+    ) -> Result<(Found, Edit)> {
+        let done = idx.tree.edit(entry, mode, decide, log)?;
+        self.failpoints.hit(INDEX_EDITED_FAILPOINT)?;
+        Ok(done)
     }
 
-    /// Make `entry` present, preserving its pseudo flag if it already
-    /// exists. Replays the IB's batched inserts: the batch log record
-    /// is written *after* the tree mutations it describes, so a
-    /// committed pseudo-delete logged in between has a smaller LSN
-    /// than the batch yet reflects a *later* tree state — replaying
-    /// the batch as "ensure live" would resurrect that deleted key.
-    pub(crate) fn tree_ensure_present(idx: &IndexRuntime, entry: &IndexEntry) -> Result<()> {
-        use mohan_btree::{InsertMode, InsertOutcome};
-        match idx.tree.insert(entry.clone(), InsertMode::Ib)? {
-            InsertOutcome::Inserted | InsertOutcome::DuplicateEntry { .. } => Ok(()),
-            InsertOutcome::DuplicateKeyValue { .. } => {
-                // Unique arbitration already ran forward; the entry's
-                // fate is carried by other log records.
-                Ok(())
+    /// Redo: apply `decide` to each of `entries` in `index`'s tree,
+    /// logging nothing, if the index still exists. Index redo is
+    /// logical: each decision is an idempotent absolute state.
+    fn replay<'a>(
+        &self,
+        index: IndexId,
+        entries: impl IntoIterator<Item = &'a IndexEntry>,
+        mode: InsertMode,
+        decide: Decide,
+    ) -> Result<()> {
+        if let Ok(idx) = self.index(index) {
+            for entry in entries {
+                idx.tree.edit(entry, mode, decide, unlogged)?;
             }
         }
-    }
-
-    /// Make `entry` present and pseudo-deleted.
-    pub(crate) fn tree_ensure_pseudo(idx: &IndexRuntime, entry: &IndexEntry) -> Result<()> {
-        let _ = idx.tree.pseudo_delete_or_tombstone(entry)?;
         Ok(())
+    }
+
+    /// Bring the entry of `payload`, a one-entry index record, to the
+    /// state the record states, and log it through `log` under the leaf
+    /// latch — or only log it, if `idx` is gone: a rollback's
+    /// compensations and the CLRs of undo.
+    fn log_entry(
+        &self,
+        idx: Option<&IndexRuntime>,
+        payload: LogPayload,
+        log: impl FnOnce(LogPayload) -> Result<Lsn>,
+    ) -> Result<()> {
+        let (_, entry, decide) = entry_state(&payload).expect("a one-entry index record");
+        let entry = entry.clone();
+        match idx {
+            Some(idx) => {
+                let log = |_, _| log(payload);
+                self.edit_index(idx, &entry, InsertMode::Transaction, decide, log)
+                    .map(drop)
+            }
+            None => log(payload).map(drop),
+        }
+    }
+}
+
+/// A named `decide` for [`mohan_btree::BTree::edit`].
+type Decide = fn(Found) -> Edit;
+
+/// The index, the entry and the absolute state a one-entry index record
+/// leaves that entry in, as the `decide` that makes it so: what redo
+/// replays, and what a compensation applies. Index redo is logical, and
+/// each state is idempotent. A take-over forward processing performed
+/// is replayed as one: the live entry takes over any conflict.
+fn entry_state(payload: &LogPayload) -> Option<(IndexId, &IndexEntry, Decide)> {
+    match payload {
+        LogPayload::IndexInsert { index, entry } | LogPayload::IndexReactivate { index, entry } => {
+            Some((*index, entry, Edit::restore_live))
+        }
+        LogPayload::IndexPseudoDelete { index, entry }
+        | LogPayload::IndexInsertTombstone { index, entry } => Some((*index, entry, Edit::pseudo)),
+        LogPayload::IndexPhysicalDelete { index, entry, .. } => {
+            Some((*index, entry, Edit::remove_any))
+        }
+        _ => None,
     }
 }
 
@@ -970,41 +1017,24 @@ impl RecoveryTarget for Db {
             LogPayload::HeapUpdate {
                 table, rid, new, ..
             } => self.table(*table)?.redo_update(*rid, new, rec.lsn),
-            LogPayload::IndexInsert { index, entry }
-            | LogPayload::IndexReactivate { index, entry } => {
-                if let Ok(idx) = self.index(*index) {
-                    Self::tree_ensure_live(&idx, entry)?;
-                }
-                Ok(())
+            payload @ (LogPayload::IndexInsert { .. }
+            | LogPayload::IndexReactivate { .. }
+            | LogPayload::IndexPseudoDelete { .. }
+            | LogPayload::IndexInsertTombstone { .. }
+            | LogPayload::IndexPhysicalDelete { .. }) => {
+                let (index, entry, decide) = entry_state(payload).expect("a one-entry record");
+                self.replay(index, [entry], InsertMode::Transaction, decide)
             }
-            LogPayload::IndexPseudoDelete { index, entry }
-            | LogPayload::IndexInsertTombstone { index, entry } => {
-                if let Ok(idx) = self.index(*index) {
-                    Self::tree_ensure_pseudo(&idx, entry)?;
-                }
-                Ok(())
-            }
-            LogPayload::IndexPhysicalDelete { index, entry, .. } => {
-                if let Ok(idx) = self.index(*index) {
-                    let _ = idx.tree.physical_delete(entry)?;
-                }
-                Ok(())
-            }
+            // The IB logs a batch *after* the tree changes it describes,
+            // so a committed pseudo-delete logged in between has a
+            // smaller LSN than the batch yet reflects a *later* tree
+            // state: the batch makes its entries present, never live,
+            // or it would resurrect that deleted key.
             LogPayload::IndexBulkInsert { index, entries } => {
-                if let Ok(idx) = self.index(*index) {
-                    for e in entries {
-                        Self::tree_ensure_present(&idx, e)?;
-                    }
-                }
-                Ok(())
+                self.replay(*index, entries, InsertMode::Ib, Edit::present)
             }
             LogPayload::IndexBulkRemove { index, entries } => {
-                if let Ok(idx) = self.index(*index) {
-                    for e in entries {
-                        let _ = idx.tree.physical_delete(e)?;
-                    }
-                }
-                Ok(())
+                self.replay(*index, entries, InsertMode::Transaction, Edit::remove_any)
             }
             LogPayload::CatalogUpdate { bytes } => {
                 // A follower applies shipped DDL; a primary's restart
@@ -1042,66 +1072,34 @@ impl RecoveryTarget for Db {
         if let Some((change, logged_count)) = Change::logged(&rec.payload) {
             return self.undo_change(rec, change, logged_count);
         }
-        let clr = |payload| self.clr(rec, payload).map(drop);
-        match &rec.payload {
-            LogPayload::IndexInsert { index, entry } => {
-                // §2.2.3: the deleter (here: the rolling-back inserter)
-                // does not physically remove the key — it may already
-                // have been extracted by the IB — it pseudo-deletes it.
-                if let Ok(idx) = self.index(*index) {
-                    Self::tree_ensure_pseudo(&idx, entry)?;
-                }
-                clr(LogPayload::IndexPseudoDelete {
-                    index: *index,
-                    entry: entry.clone(),
-                })
-            }
-            LogPayload::IndexReactivate { index, entry } => {
-                if let Ok(idx) = self.index(*index) {
-                    Self::tree_ensure_pseudo(&idx, entry)?;
-                }
-                clr(LogPayload::IndexPseudoDelete {
-                    index: *index,
-                    entry: entry.clone(),
-                })
-            }
+        let clr = match &rec.payload {
+            // §2.2.3: the deleter (here: the rolling-back inserter) does
+            // not physically remove the key — it may already have been
+            // extracted by the IB — it pseudo-deletes it.
+            LogPayload::IndexInsert { index, entry }
+            | LogPayload::IndexReactivate { index, entry } => LogPayload::IndexPseudoDelete {
+                index: *index,
+                entry: entry.clone(),
+            },
+            // Rollback of a delete puts the key back in the inserted
+            // state (§2.2.3).
             LogPayload::IndexPseudoDelete { index, entry }
-            | LogPayload::IndexInsertTombstone { index, entry } => {
-                // Rollback of a delete puts the key back in the
-                // inserted state (§2.2.3).
-                if let Ok(idx) = self.index(*index) {
-                    Self::tree_ensure_live(&idx, entry)?;
-                }
-                clr(LogPayload::IndexReactivate {
-                    index: *index,
-                    entry: entry.clone(),
-                })
-            }
+            | LogPayload::IndexInsertTombstone { index, entry } => LogPayload::IndexReactivate {
+                index: *index,
+                entry: entry.clone(),
+            },
             LogPayload::IndexPhysicalDelete {
                 index,
                 entry,
-                was_pseudo,
-            } => {
-                if let Ok(idx) = self.index(*index) {
-                    if *was_pseudo {
-                        Self::tree_ensure_pseudo(&idx, entry)?;
-                    } else {
-                        Self::tree_ensure_live(&idx, entry)?;
-                    }
-                }
-                let payload = if *was_pseudo {
-                    LogPayload::IndexInsertTombstone {
-                        index: *index,
-                        entry: entry.clone(),
-                    }
-                } else {
-                    LogPayload::IndexInsert {
-                        index: *index,
-                        entry: entry.clone(),
-                    }
-                };
-                clr(payload)
-            }
+                was_pseudo: true,
+            } => LogPayload::IndexInsertTombstone {
+                index: *index,
+                entry: entry.clone(),
+            },
+            LogPayload::IndexPhysicalDelete { index, entry, .. } => LogPayload::IndexInsert {
+                index: *index,
+                entry: entry.clone(),
+            },
             LogPayload::IndexBulkInsert { index, entries } => {
                 // Undo only the entries that are still live: one a
                 // committed deleter has pseudo-deleted since the IB
@@ -1109,24 +1107,39 @@ impl RecoveryTarget for Db {
                 // resumed IB relies on it to reject the stale key
                 // (§2.2.3). The CLR lists only what was actually
                 // removed so its redo cannot destroy a kept tombstone
-                // after a second crash either.
+                // after a second crash either. A removal published
+                // before this CLR is harmless: after a crash, restart
+                // redoes the batch and undoes it again (DESIGN §7
+                // item 1).
                 let mut removed = Vec::new();
+                let if_live = |found| match found {
+                    Found::Present { pseudo: false } => Edit::Remove,
+                    _ => Edit::Keep,
+                };
                 if let Ok(idx) = self.index(*index) {
                     for e in entries {
-                        if idx.tree.physical_delete_if_live(e)? {
+                        let edit = idx
+                            .tree
+                            .edit(e, InsertMode::Transaction, if_live, unlogged)?;
+                        if edit.1 == Edit::Remove {
                             removed.push(e.clone());
                         }
                     }
                 }
-                clr(LogPayload::IndexBulkRemove {
+                let clr = LogPayload::IndexBulkRemove {
                     index: *index,
                     entries: removed,
-                })
+                };
+                return self.clr(rec, clr).map(drop);
             }
-            other => Err(Error::Corruption(format!(
-                "undo of non-undoable payload {other:?}"
-            ))),
-        }
+            other => {
+                return Err(Error::Corruption(format!(
+                    "undo of non-undoable payload {other:?}"
+                )))
+            }
+        };
+        let idx = entry_state(&clr).and_then(|(index, ..)| self.index(index).ok());
+        self.log_entry(idx.as_deref(), clr, |clr| self.clr(rec, clr))
     }
 
     /// Force the end record before the holds and locks go: rollback
@@ -1155,13 +1168,13 @@ impl Db {
         }
         let (index, entry) = (idx.def.id, op.entry);
         let payload = if op.insert {
-            Self::tree_ensure_live(idx, &entry)?;
             LogPayload::IndexInsert { index, entry }
         } else {
-            Self::tree_ensure_pseudo(idx, &entry)?;
             LogPayload::IndexPseudoDelete { index, entry }
         };
-        self.log(tx, RecKind::RedoOnly, payload).map(drop)
+        self.log_entry(Some(idx), payload, |payload| {
+            self.log(tx, RecKind::RedoOnly, payload)
+        })
     }
 
     /// Acquire the table IX intent lock (updaters) for `tx`.

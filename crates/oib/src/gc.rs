@@ -10,13 +10,29 @@
 //! so the conditional instant probe targets the record's lock name.
 //! (The Commit_LSN shortcut of \[Moha90b\] is approximated by the lock
 //! probe itself; see DESIGN.md.)
+//!
+//! Noting a leaf's pseudo-deleted keys and deleting them are two latch
+//! holds, so the deletion checks again, in one [`BTree::edit`] per key:
+//! under the leaf's X latch the key must still be pseudo-deleted *and*
+//! the probe must be granted. A rollback between the two holds puts the
+//! key back live (and lets its lock go); a second deleter may mark it
+//! again, still holding the lock. Either way the key stays. A
+//! conditional request never waits, so it may be made under a latch.
+//!
+//! [`BTree::edit`]: mohan_btree::BTree::edit
 
 use crate::engine::Db;
 use mohan_btree::scan::for_each_leaf_unlatched;
+use mohan_btree::{Edit, Found, InsertMode};
 use mohan_common::{IndexId, Result};
 use mohan_lock::{LockMode, LockName};
 use mohan_wal::{LogPayload, RecKind};
 use std::sync::Arc;
+
+/// Failpoint in [`garbage_collect`], after a leaf's pseudo-deleted keys
+/// are noted and its latch is let go, before they are edited. Hit only
+/// for a leaf that has some.
+pub const GC_PROBE_FAILPOINT: &str = "gc.probe";
 
 /// Outcome of one garbage-collection pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,7 +47,8 @@ pub struct GcStats {
 
 /// One background GC pass over an index, one leaf at a time: under the
 /// leaf's S latch note its pseudo-deleted keys and its right sibling,
-/// then let the latch go, probe and delete, and go on at the sibling.
+/// then let the latch go, edit each noted key, and go on at the
+/// sibling.
 pub fn garbage_collect(db: &Arc<Db>, index: IndexId) -> Result<GcStats> {
     let idx = db.index(index)?;
     let mut stats = GcStats::default();
@@ -47,32 +64,32 @@ pub fn garbage_collect(db: &Arc<Db>, index: IndexId) -> Result<GcStats> {
                 .collect::<Vec<_>>()
         },
         |pseudo| {
+            if !pseudo.is_empty() {
+                db.failpoints.hit(GC_PROBE_FAILPOINT)?;
+            }
             for entry in pseudo {
-                match db.locks.try_instant(
-                    tx,
-                    LockName::Record(idx.def.table, entry.rid),
-                    LockMode::S,
-                ) {
-                    Ok(()) => {
-                        // The marking transaction has finished. A
-                        // rollback would have reactivated the key, so a
-                        // still-pseudo key is committed-dead: remove it.
-                        if idx.tree.physical_delete(&entry)? {
-                            db.log(
-                                tx,
-                                RecKind::UndoRedo,
-                                LogPayload::IndexPhysicalDelete {
-                                    index,
-                                    entry,
-                                    was_pseudo: true,
-                                },
-                            )?;
-                            removed += 1;
-                        }
+                let lock = LockName::Record(idx.def.table, entry.rid);
+                let decide = |found| match found {
+                    Found::Present { pseudo: true }
+                        if db.locks.try_instant(tx, lock, LockMode::S).is_ok() =>
+                    {
+                        Edit::Remove
                     }
-                    Err(_) => {
-                        skipped += 1;
-                    }
+                    _ => Edit::Keep,
+                };
+                let log = |_, _| {
+                    let payload = LogPayload::IndexPhysicalDelete {
+                        index,
+                        entry: entry.clone(),
+                        was_pseudo: true,
+                    };
+                    db.log(tx, RecKind::UndoRedo, payload)
+                };
+                match db.edit_index(&idx, &entry, InsertMode::Transaction, decide, log)? {
+                    (_, Edit::Remove) => removed += 1,
+                    (Found::Present { pseudo: true }, _) => skipped += 1,
+                    // Reactivated or gone since it was noted.
+                    _ => {}
                 }
             }
             Ok(())

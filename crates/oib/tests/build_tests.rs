@@ -411,10 +411,7 @@ fn paper_example_scenario_nonunique() {
     db.rollback(t1).unwrap();
     let entry = idx.def.entry_of(&rec(424_242, 0), rid).unwrap();
     assert_eq!(
-        idx.tree
-            .lookup_exact(&entry)
-            .unwrap()
-            .map(|s| s.pseudo_deleted),
+        idx.tree.lookup_exact(&entry).unwrap(),
         Some(true),
         "rollback leaves a pseudo-deleted key, not a hole"
     );
@@ -425,13 +422,7 @@ fn paper_example_scenario_nonunique() {
     let rid2 = db.insert_record(t2, T, &rec(424_242, 1)).unwrap();
     assert_eq!(rid2, rid, "slot is reused");
     db.commit(t2).unwrap();
-    assert_eq!(
-        idx.tree
-            .lookup_exact(&entry)
-            .unwrap()
-            .map(|s| s.pseudo_deleted),
-        Some(false)
-    );
+    assert_eq!(idx.tree.lookup_exact(&entry).unwrap(), Some(false));
     verify_index(&db, idx_id).unwrap();
 }
 
