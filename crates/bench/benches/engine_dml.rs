@@ -2,16 +2,22 @@
 //! indexes (the per-update index-maintenance cost E6 was about during
 //! builds, here at steady state), and the heap insert alone.
 //!
+//! `insert_record/maintained_indexes/<k>` is one auto-commit insert.
+//! `insert_record/seed_5000_per_tx` is the seeding shape of
+//! `seed_table` and perfbench's set-up: one sample is `SEED_TX_ROWS`
+//! inserts in one transaction and its commit, into one table that
+//! grows from sample to sample. Divide by `SEED_TX_ROWS`.
+//!
 //! `heap_insert` times the heap layer without the engine around it:
 //!
 //! * `fill_pages`: a fresh table of 4 KiB pages takes `FILL_ROWS` rows
 //!   of 34 bytes — a seeded row — through `HeapTable::insert_with`
 //!   with a logging closure that does nothing. Divide by `FILL_ROWS`.
 //! * `first_10_slots` / `last_10_slots`: what the heap does under the
-//!   X latch for one row — `insert`, then `fits(64)` for the free-space
-//!   map — into `PAGES` pages holding 0, or all but room for the last
-//!   ten, rows. Divide by `PAGES` × 10. A cost that grows with the
-//!   slot count shows as a gap between the two.
+//!   X latch for one row — `insert` — into `PAGES` pages holding 0, or
+//!   all but room for the last ten, rows. Divide by `PAGES` × 10. A
+//!   cost that grows with the slot count shows as a gap between the
+//!   two.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mohan_bench::workload::{bench_config, seed_table, TABLE};
@@ -28,6 +34,7 @@ const PAGE: usize = 4096;
 const ROW: [u8; 34] = [7; 34];
 const FILL_ROWS: usize = 20_000;
 const PAGES: usize = 200;
+const SEED_TX_ROWS: i64 = 5_000;
 
 fn setup(indexes: u16) -> Arc<Db> {
     let (db, _) = seed_table(bench_config(), 5_000, 3);
@@ -70,6 +77,25 @@ fn bench_inserts(c: &mut Criterion) {
             },
         );
     }
+    let db = setup(0);
+    let mut k = 60_000_000i64;
+    group.bench_function("seed_5000_per_tx", |b| {
+        b.iter_batched(
+            || {
+                k += SEED_TX_ROWS;
+                k - SEED_TX_ROWS..k
+            },
+            |keys| {
+                let tx = db.begin();
+                for k in keys {
+                    db.insert_record(tx, TABLE, &Record::new(vec![k, 1]))
+                        .expect("insert");
+                }
+                db.commit(tx).expect("commit");
+            },
+            BatchSize::LargeInput,
+        );
+    });
     group.finish();
 }
 
@@ -130,8 +156,7 @@ fn bench_heap_insert(c: &mut Criterion) {
                 |mut pages| {
                     for page in &mut pages {
                         for _ in 0..10 {
-                            page.insert(&ROW).expect("ten rows fit");
-                            black_box(page.fits(64));
+                            black_box(page.insert(&ROW).expect("ten rows fit"));
                         }
                     }
                     parked.push(pages);

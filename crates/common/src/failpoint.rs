@@ -22,6 +22,7 @@
 use crate::error::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Environment variable read by [`FailpointSet::arm_from_env`].
@@ -54,6 +55,9 @@ pub const KNOWN_SITES: &[&str] = &[
 #[derive(Default, Debug)]
 pub struct FailpointSet {
     inner: Mutex<HashMap<String, Trigger>>,
+    /// Triggers in `inner`, stored under its mutex after every change:
+    /// a hit that reads 0 returns without taking the mutex.
+    armed: AtomicUsize,
 }
 
 struct Trigger {
@@ -84,26 +88,33 @@ impl FailpointSet {
 
     /// Arm `site` to fire on the `(skip + 1)`-th hit.
     pub fn arm_after(&self, site: &str, skip: u64) {
-        self.inner.lock().insert(
-            site.to_owned(),
-            Trigger {
-                remaining: skip,
-                hook: None,
-            },
-        );
+        self.set(site, skip, None);
     }
 
     /// Arm `site` to run `hook` on its `(skip + 1)`-th hit, on the
     /// thread that hits it and in place of the crash; the site then
     /// continues. One-shot, like a crash trigger.
     pub fn arm_hook(&self, site: &str, skip: u64, hook: impl FnOnce() + Send + 'static) {
-        self.inner.lock().insert(
-            site.to_owned(),
-            Trigger {
-                remaining: skip,
-                hook: Some(Box::new(hook)),
-            },
-        );
+        self.set(site, skip, Some(Box::new(hook)));
+    }
+
+    fn set(&self, site: &str, remaining: u64, hook: Option<Box<dyn FnOnce() + Send>>) {
+        self.edit(|map| {
+            map.insert(site.to_owned(), Trigger { remaining, hook });
+        });
+    }
+
+    /// Change the triggers, and keep [`FailpointSet::armed`] their count.
+    fn edit<R>(&self, f: impl FnOnce(&mut HashMap<String, Trigger>) -> R) -> R {
+        let mut map = self.inner.lock();
+        let out = f(&mut map);
+        self.armed.store(map.len(), Ordering::Release);
+        out
+    }
+
+    /// Triggers armed and not yet fired.
+    fn armed(&self) -> usize {
+        self.armed.load(Ordering::Acquire)
     }
 
     /// Arm `site` to fire on the next hit.
@@ -161,30 +172,35 @@ impl FailpointSet {
 
     /// Disarm `site`.
     pub fn disarm(&self, site: &str) {
-        self.inner.lock().remove(site);
+        self.edit(|map| map.remove(site));
     }
 
     /// Disarm everything.
     pub fn clear(&self) {
-        self.inner.lock().clear();
+        self.edit(HashMap::clear);
     }
 
     /// Called by instrumented code. Returns `Err(InjectedCrash)` when
     /// the armed countdown for `site` expires (or runs the trigger's
-    /// hook and returns `Ok`); otherwise `Ok(())`.
+    /// hook and returns `Ok`); otherwise `Ok(())`. With nothing armed a
+    /// hit is one atomic load.
     pub fn hit(&self, site: &'static str) -> Result<()> {
-        let mut map = self.inner.lock();
-        let Some(t) = map.get_mut(site) else {
-            return Ok(());
-        };
-        if t.remaining > 0 {
-            t.remaining -= 1;
+        if self.armed() == 0 {
             return Ok(());
         }
-        // One-shot: a fired trigger disarms itself so recovery code
-        // re-running the same path does not crash again.
-        let hook = map.remove(site).and_then(|t| t.hook);
-        drop(map);
+        let fired = self.edit(|map| {
+            let t = map.get_mut(site)?;
+            if t.remaining > 0 {
+                t.remaining -= 1;
+                return None;
+            }
+            // One-shot: a fired trigger disarms itself so recovery code
+            // re-running the same path does not crash again.
+            map.remove(site).map(|t| t.hook)
+        });
+        let Some(hook) = fired else {
+            return Ok(());
+        };
         match hook {
             // Outside the lock: a hook is free to hit other sites.
             Some(hook) => {
@@ -316,6 +332,43 @@ mod tests {
         let mut sorted = KNOWN_SITES.to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, KNOWN_SITES);
+    }
+
+    #[test]
+    fn the_armed_count_returns_to_zero_as_each_trigger_fires() {
+        let fp = FailpointSet::new();
+        assert_eq!(fp.armed(), 0);
+        fp.arm_after("a", 1);
+        fp.arm_hook("h", 0, || {});
+        fp.arm("c");
+        // Re-arming a site replaces its trigger.
+        fp.arm("c");
+        assert_eq!(fp.armed(), 3);
+        fp.hit("a").unwrap();
+        assert_eq!(fp.armed(), 3, "a countdown hit fires nothing");
+        assert!(fp.hit("a").unwrap_err().is_crash());
+        assert_eq!(fp.armed(), 2);
+        fp.hit("h").unwrap();
+        assert_eq!(fp.armed(), 1);
+        assert!(fp.hit("c").unwrap_err().is_crash());
+        assert_eq!(fp.armed(), 0);
+        fp.hit("c").unwrap();
+        assert_eq!(fp.armed(), 0);
+
+        assert_eq!(fp.arm_from_spec("x:2, y").unwrap(), 2);
+        assert_eq!(fp.armed(), 2);
+        assert!(fp.hit("y").unwrap_err().is_crash());
+        fp.hit("x").unwrap();
+        assert!(fp.hit("x").unwrap_err().is_crash());
+        assert_eq!(fp.armed(), 0);
+
+        fp.arm("d");
+        fp.arm("e");
+        fp.disarm("d");
+        assert_eq!(fp.armed(), 1);
+        fp.clear();
+        assert_eq!(fp.armed(), 0);
+        assert!(fp.hit("e").is_ok());
     }
 
     #[test]

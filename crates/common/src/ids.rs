@@ -4,6 +4,7 @@
 //! keeps pages, slots, log sequence numbers and transactions apart.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a page within one page file.
 ///
@@ -186,6 +187,60 @@ impl fmt::Display for IndexId {
     }
 }
 
+/// A hash map keyed by engine ids: transactions, pages, lock names.
+/// The engine picks these keys, so no client can choose a set that
+/// collides, and SipHash's flood resistance buys nothing on them; maps
+/// keyed by strings or bytes a client sends keep `RandomState`.
+pub type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The [`IdMap`] hasher: each integer word is folded in with a rotate,
+/// an xor and a multiply (the Fx hash of the Rust compiler), and the
+/// result is rotated so the table's bucket bits are its best-mixed ones.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    const SEED: u64 = 0xF135_7AEA_2E62_A9C5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,5 +296,32 @@ mod tests {
         assert_eq!(IndexId(1).to_string(), "idx1");
         assert_eq!(TableId(1).to_string(), "tbl1");
         assert_eq!(FileId(1).to_string(), "F1");
+    }
+
+    #[test]
+    fn id_map_spreads_dense_ids_over_the_buckets() {
+        use std::hash::{BuildHasher, Hash};
+        // Dense transaction ids and the slots of one page, as the
+        // transaction table and the lock table see them: the low bits
+        // a map indexes by must not pile up, at 4 keys a bucket.
+        fn worst<K: Hash>(bits: u32, keys: impl Iterator<Item = K>) -> u32 {
+            let hasher = BuildHasherDefault::<IdHasher>::default();
+            let mut hit = vec![0u32; 1 << bits];
+            for k in keys {
+                hit[(hasher.hash_one(k) & ((1 << bits) - 1)) as usize] += 1;
+            }
+            hit.into_iter().max().unwrap_or(0)
+        }
+        for bits in [4u32, 8, 12] {
+            let n = 4u64 << bits;
+            assert!(worst(bits, (0..n).map(TxId)) <= 16, "{bits} bits, tx ids");
+            let rids = (0..n).map(|s| Rid::new(7, s as u16));
+            assert!(worst(bits, rids) <= 16, "{bits} bits, slots");
+        }
+        let mut map: IdMap<Rid, u32> = IdMap::default();
+        for slot in 0..1000u16 {
+            map.insert(Rid::new(7, slot), u32::from(slot));
+        }
+        assert_eq!(map[&Rid::new(7, 999)], 999);
     }
 }

@@ -29,5 +29,5 @@ pub mod stats;
 pub use api::ReadApi;
 pub use config::{BuildAlgorithm, BuildOptions, EngineConfig, IndexSpec, IoBackendChoice};
 pub use error::{Error, Result};
-pub use ids::{FileId, IndexId, Lsn, PageId, Rid, SlotId, TableId, TxId, WriteAhead};
+pub use ids::{FileId, IdMap, IndexId, Lsn, PageId, Rid, SlotId, TableId, TxId, WriteAhead};
 pub use key::{IndexEntry, KeyValue};

@@ -22,10 +22,17 @@ use mohan_common::stats::{Counter, ShardDist};
 use mohan_common::{Error, Lsn, PageId, Result, Rid, TableId};
 use mohan_storage::{PageCache, SlottedPage};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Number of free-space-map shards per table (power of two).
 pub const FSM_SHARDS: usize = 8;
+
+/// Free bytes a page needs to be in the FSM: a thread's target page
+/// that refused a record rejoins the map only with this much, and
+/// restart registers the pages that have it.
+const ROOM: usize = 64;
 
 /// Event counters for one table.
 #[derive(Debug)]
@@ -62,11 +69,17 @@ impl Default for HeapStats {
 /// by page-id hash so concurrent inserters don't serialize on one
 /// list. A shard lock is only ever held for a push/pop — never across
 /// a page latch — so the old whole-insert serialization is gone.
+///
+/// A page an inserting thread keeps as its target ([`Target`]) is out
+/// of the map, so each thread keeps at most one page with room out of
+/// it.
 struct FreeSpaceMap {
     shards: Vec<Mutex<Vec<PageId>>>,
     /// Round-robin probe cursor: concurrent inserters start their
     /// probe at different shards instead of all hammering shard 0.
     cursor: AtomicUsize,
+    /// Bumped by a crash: a target taken before it is stale.
+    epoch: AtomicU64,
 }
 
 impl FreeSpaceMap {
@@ -74,7 +87,12 @@ impl FreeSpaceMap {
         FreeSpaceMap {
             shards: (0..FSM_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             cursor: AtomicUsize::new(0),
+            epoch: AtomicU64::new(0),
         }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
     }
 
     fn shard_of(page: PageId) -> usize {
@@ -108,11 +126,60 @@ impl FreeSpaceMap {
         None
     }
 
+    /// Forget every page, and every thread's target (a crash).
     fn clear(&self) {
+        self.epoch.fetch_add(1, Ordering::AcqRel);
         for shard in &self.shards {
             shard.lock().clear();
         }
     }
+}
+
+/// The page an inserting thread put its last record on: its next
+/// insert into the same table tries it first, and goes to the map only
+/// when the page refuses the record or is gone (PostgreSQL's
+/// per-backend target block). Each thread has its own, so concurrent
+/// inserters fill different pages.
+struct Target {
+    /// The table's map: which table the page is of, and where it goes
+    /// back when the thread moves on.
+    fsm: Weak<FreeSpaceMap>,
+    /// The map's epoch when the page was taken.
+    epoch: u64,
+    page: PageId,
+}
+
+impl Target {
+    /// The page, if this is `fsm`'s target and no crash came since.
+    fn page_in(&self, fsm: &Arc<FreeSpaceMap>) -> Option<PageId> {
+        (std::ptr::eq(self.fsm.as_ptr(), Arc::as_ptr(fsm)) && self.epoch == fsm.epoch())
+            .then_some(self.page)
+    }
+
+    /// The thread moves on: the page rejoins its table's map, unless
+    /// the table or the epoch is gone.
+    fn give_back(self) {
+        if let Some(fsm) = self.fsm.upgrade() {
+            if self.epoch == fsm.epoch() {
+                fsm.note_free(self.page);
+            }
+        }
+    }
+}
+
+/// A thread's [`Target`]; a thread that ends gives it back.
+struct TargetSlot(Option<Target>);
+
+impl Drop for TargetSlot {
+    fn drop(&mut self) {
+        if let Some(target) = self.0.take() {
+            target.give_back();
+        }
+    }
+}
+
+thread_local! {
+    static TARGET: RefCell<TargetSlot> = const { RefCell::new(TargetSlot(None)) };
 }
 
 /// A heap table.
@@ -124,7 +191,7 @@ pub struct HeapTable {
     page_size: usize,
     prefetch: usize,
     /// Pages believed to have free space, sharded by page-id hash.
-    fsm: FreeSpaceMap,
+    fsm: Arc<FreeSpaceMap>,
     /// Event counters.
     pub stats: HeapStats,
 }
@@ -138,7 +205,7 @@ impl HeapTable {
             cache: PageCache::new(mohan_common::FileId(id.0)),
             page_size,
             prefetch: prefetch.max(1),
-            fsm: FreeSpaceMap::new(),
+            fsm: Arc::new(FreeSpaceMap::new()),
             stats: HeapStats::default(),
         }
     }
@@ -159,42 +226,39 @@ impl HeapTable {
                 self.page_size
             )));
         }
-        // Pick a page: a recently freed candidate from the sharded
-        // FSM first, else the last page, else a new one. Taking a
-        // candidate *removes* it from the map, so no FSM lock is ever
-        // held across the page latch and two inserters never chase
-        // the same candidate; a page that still has room is
-        // re-registered after the latch is dropped.
-        let candidate = self
-            .fsm
-            .take_candidate(self.fsm.preferred_shard())
-            .map(|(page, shard)| {
-                self.stats.fsm_shard_hits.bump(shard);
-                page
-            });
-        let last = (self.cache.num_pages().checked_sub(1))
-            .map(PageId)
-            .filter(|&last| Some(last) != candidate);
-        // Candidates are heuristics, not guarantees: the last-page
-        // candidate can be mid-allocation (cursor published before the
-        // frame) or a crash-lost hole, and is skipped. After them come
-        // fresh pages. A new frame is visible to every other inserter
-        // (as their last-page candidate) the moment it is allocated, so
-        // by the time this thread holds the latch the page may already
-        // be full — those inserts were served, ours was not. Allocate
-        // again rather than surface a spurious `PageFull`.
+        // Pick a page: this thread's target first, then a candidate
+        // from the sharded FSM, else a new page. Taking a candidate
+        // *removes* it from the map, so no FSM lock is ever held across
+        // the page latch and two inserters never chase the same
+        // candidate. Candidates are heuristics, not guarantees: a
+        // crash-lost page has no frame and is skipped, and a full one
+        // stays out of the map.
+        let target = TARGET.with_borrow(|slot| slot.0.as_ref().and_then(|t| t.page_in(&self.fsm)));
+        let candidate = std::iter::once_with(|| {
+            let (page, shard) = self.fsm.take_candidate(self.fsm.preferred_shard())?;
+            self.stats.fsm_shard_hits.bump(shard);
+            Some(page)
+        })
+        .flatten();
         let fresh =
             std::iter::repeat_with(|| self.cache.allocate(SlottedPage::new(self.page_size)));
-        let frames = (candidate.into_iter().chain(last))
+        let frames = (target.into_iter().chain(candidate))
             .filter_map(|page| self.cache.frame(page).ok())
             .chain(fresh);
+        // The target refused the record but has room for smaller ones.
+        let mut target_room = false;
         for frame in frames {
             let mut g = frame.latch.exclusive();
             // The insert is its own room check: a full page is left as
-            // it was, and stays out of the map.
+            // it was.
             let slot = match g.payload.insert(data) {
                 Ok(slot) => slot,
-                Err(Error::PageFull) => continue,
+                Err(Error::PageFull) => {
+                    if Some(frame.id) == target {
+                        target_room = g.payload.fits(ROOM);
+                    }
+                    continue;
+                }
                 Err(e) => return Err(e),
             };
             let rid = Rid {
@@ -202,15 +266,30 @@ impl HeapTable {
                 slot,
             };
             g.lsn = log(rid);
-            let still_free = g.payload.fits(64);
             drop(g);
-            if still_free {
-                self.fsm.note_free(rid.page);
+            if Some(rid.page) != target {
+                self.retarget(rid.page, target_room);
             }
             self.stats.inserts.bump();
             return Ok(rid);
         }
         unreachable!("fresh pages never run out")
+    }
+
+    /// Make `page` this thread's target. The page it replaces rejoins
+    /// its table's map, unless it is a page of this table with less
+    /// than [`ROOM`] free (`room` false).
+    fn retarget(&self, page: PageId, room: bool) {
+        let next = Target {
+            fsm: Arc::downgrade(&self.fsm),
+            epoch: self.fsm.epoch(),
+            page,
+        };
+        match TARGET.with_borrow_mut(|slot| slot.0.replace(next)) {
+            Some(old) if old.page_in(&self.fsm).is_none() => old.give_back(),
+            Some(old) if room => self.fsm.note_free(old.page),
+            _ => {}
+        }
     }
 
     /// Delete a record, returning its before-image. `log` runs under
@@ -245,7 +324,8 @@ impl HeapTable {
     /// Post-recovery sweep: every still-reserved slot belonged to a
     /// committed deleter (losers were rolled back, restoring their
     /// records), so free them all, and end the holds the losers'
-    /// rollbacks kept.
+    /// rollbacks kept. Every page left with room joins the FSM, which
+    /// the crash emptied.
     pub fn sweep_reserved(&self) -> Result<u64> {
         let mut freed = 0;
         for pnum in 0..self.cache.num_pages() {
@@ -253,7 +333,14 @@ impl HeapTable {
             let Ok(frame) = self.cache.frame(page) else {
                 continue;
             };
-            freed += frame.latch.exclusive().payload.sweep() as u64;
+            let room = {
+                let mut g = frame.latch.exclusive();
+                freed += g.payload.sweep() as u64;
+                g.payload.fits(ROOM)
+            };
+            if room {
+                self.fsm.note_free(page);
+            }
         }
         Ok(freed)
     }
@@ -822,7 +909,13 @@ mod tests {
 
         t.update_with(rid, &[4; 8], |_| Lsn(4)).unwrap();
         t.release_slot(rid).unwrap();
-        let after = t.insert_with(&[6; 18], no_log).unwrap();
+        // This thread's target is `other`'s page; an inserter with no
+        // target takes the page the release put back in the map.
+        let after = std::thread::scope(|s| {
+            s.spawn(|| t.insert_with(&[6; 18], no_log).unwrap())
+                .join()
+                .unwrap()
+        });
         assert_eq!(after.page, rid.page, "the committed shrink freed them");
     }
 

@@ -36,11 +36,10 @@
 #![warn(missing_docs)]
 
 use mohan_common::stats::Counter;
-use mohan_common::{Error, Result, Rid, TableId, TxId};
+use mohan_common::{Error, IdMap, Result, Rid, TableId, TxId};
 use mohan_obs::{Histogram, TraceSink};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::hash_map::{Entry, OccupiedEntry};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -231,7 +230,7 @@ fn settle(entry: OccupiedEntry<'_, LockName, Grants>) -> bool {
 
 #[derive(Debug, Default)]
 struct ShardState {
-    entries: HashMap<LockName, Grants>,
+    entries: IdMap<LockName, Grants>,
     /// Never reset, so a ticket stays unique in its shard even across
     /// `crash()` and its entry's removal and recreation.
     next_ticket: u64,
@@ -247,7 +246,7 @@ struct Shard {
     state: Mutex<ShardState>,
     cv: Condvar,
     /// Names each transaction holds, once per name, for `release_all`.
-    held: Mutex<HashMap<TxId, Vec<LockName>>>,
+    held: Mutex<IdMap<TxId, Vec<LockName>>>,
 }
 
 /// Lock-manager event counters (the paper's pathlength arguments count
@@ -314,7 +313,7 @@ impl LockManager {
         }
     }
 
-    fn held_of(&self, tx: TxId) -> &Mutex<HashMap<TxId, Vec<LockName>>> {
+    fn held_of(&self, tx: TxId) -> &Mutex<IdMap<TxId, Vec<LockName>>> {
         &self.shards[tx.0 as usize & (LOCK_SHARDS - 1)].held
     }
 

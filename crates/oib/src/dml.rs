@@ -156,8 +156,7 @@ impl Db {
 
     /// Insert a record.
     pub fn insert_record(&self, tx: TxId, table_id: TableId, rec: &Record) -> Result<Rid> {
-        self.ensure_active(tx)?;
-        self.lock_table_ix(tx, table_id)?;
+        self.intend(tx, table_id)?;
         let data = rec.encode();
         let change = |rid| Change::new(table_id, rid, None, Some(&data));
         let mut plan = Vec::new();
@@ -174,8 +173,7 @@ impl Db {
 
     /// Delete a record, returning its old contents.
     pub fn delete_record(&self, tx: TxId, table_id: TableId, rid: Rid) -> Result<Record> {
-        self.ensure_active(tx)?;
-        self.lock_table_ix(tx, table_id)?;
+        self.intend(tx, table_id)?;
         self.locks
             .lock(tx, LockName::Record(table_id, rid), LockMode::X)?;
         let mut plan = Vec::new();
@@ -197,8 +195,7 @@ impl Db {
         rid: Rid,
         new: &Record,
     ) -> Result<Record> {
-        self.ensure_active(tx)?;
-        self.lock_table_ix(tx, table_id)?;
+        self.intend(tx, table_id)?;
         self.locks
             .lock(tx, LockName::Record(table_id, rid), LockMode::X)?;
         let new_data = new.encode();

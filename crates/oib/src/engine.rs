@@ -21,7 +21,9 @@ use mohan_common::codec::encode;
 use mohan_common::failpoint::{FailpointSet, Failpoints};
 use mohan_common::pace::{Ticker, OPS_PER_PACE};
 use mohan_common::stats::{Counter, MaxGauge};
-use mohan_common::{EngineConfig, Error, IndexEntry, IndexId, Lsn, Result, Rid, TableId, TxId};
+use mohan_common::{
+    EngineConfig, Error, IdMap, IndexEntry, IndexId, Lsn, Result, Rid, TableId, TxId,
+};
 use mohan_heap::HeapTable;
 use mohan_lock::{LockManager, LockMode, LockName};
 use mohan_obs::Registry;
@@ -29,7 +31,6 @@ use mohan_storage::blob::BlobStore;
 use mohan_wal::recovery::RecoveryStats;
 use mohan_wal::{LogManager, LogPayload, LogRecord, RecKind, RecoveryTarget, SideFileOp};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,6 +68,9 @@ struct TxState {
     /// are released when it ends — at commit, or once its rollback has
     /// put every record back.
     holds: Vec<(TableId, Rid)>,
+    /// Tables it holds the IX intent lock on, to its end — or, during
+    /// its first DML call on a table, is asking for ([`Db::intend`]).
+    intents: Vec<TableId>,
     /// An index builder's transaction: its records count in
     /// `wal.ib_records`.
     builder: bool,
@@ -105,9 +109,9 @@ pub struct Db {
     /// asked for (the `build.sort_workers` gauge); the threads builds
     /// ran on are `build.workers`.
     pub build_sort_workers: MaxGauge,
-    tables: RwLock<HashMap<TableId, Arc<HeapTable>>>,
+    tables: RwLock<IdMap<TableId, Arc<HeapTable>>>,
     indexes: RwLock<Vec<Arc<IndexRuntime>>>,
-    txs: Mutex<HashMap<TxId, TxState>>,
+    txs: Mutex<IdMap<TxId, TxState>>,
     next_tx: AtomicU64,
     next_index: AtomicU32,
     /// The engine's role: true while it is a replication follower. A
@@ -150,9 +154,9 @@ impl Db {
             reads_stale: obs.counter("repl.reads_rejected_stale"),
             obs,
             build_sort_workers: MaxGauge::new(),
-            tables: RwLock::new(HashMap::new()),
+            tables: RwLock::new(IdMap::default()),
             indexes: RwLock::new(Vec::new()),
-            txs: Mutex::new(HashMap::new()),
+            txs: Mutex::new(IdMap::default()),
             next_tx: AtomicU64::new(1),
             next_index: AtomicU32::new(1),
             replica: AtomicBool::new(false),
@@ -529,6 +533,7 @@ impl Db {
                 first,
                 last: Lsn::NULL,
                 holds: Vec::new(),
+                intents: Vec::new(),
                 builder,
             },
         );
@@ -544,12 +549,30 @@ impl Db {
         self.txs.lock().len()
     }
 
-    pub(crate) fn ensure_active(&self, tx: TxId) -> Result<()> {
-        if self.txs.lock().contains_key(&tx) {
-            Ok(())
-        } else {
-            Err(Error::TxNotActive(tx))
+    /// Start a DML call of `tx` on `table`: in one visit to the
+    /// transaction table, check that `tx` is active and note the table
+    /// among its intents. Only its first call on a table asks the lock
+    /// manager for the IX; a refusal takes the note back. The IX is held
+    /// to the end either way, so a quiesce's table S waits for `tx`
+    /// exactly as it would if every call asked again. A transaction's
+    /// calls come one at a time, so no call of its own finds the note
+    /// before the grant.
+    pub(crate) fn intend(&self, tx: TxId, table: TableId) -> Result<()> {
+        {
+            let mut txs = self.txs.lock();
+            let state = txs.get_mut(&tx).ok_or(Error::TxNotActive(tx))?;
+            if state.intents.contains(&table) {
+                return Ok(());
+            }
+            state.intents.push(table);
         }
+        self.locks
+            .lock(tx, LockName::Table(table), LockMode::IX)
+            .inspect_err(|_| {
+                if let Some(state) = self.txs.lock().get_mut(&tx) {
+                    state.intents.retain(|&t| t != table);
+                }
+            })
     }
 
     /// Append a record for `tx`, chained to its last one, in one
@@ -1063,6 +1086,7 @@ impl RecoveryTarget for Db {
             first,
             last,
             holds: Vec::new(),
+            intents: Vec::new(),
             builder: false,
         };
         self.txs.lock().insert(tx, state);
@@ -1175,10 +1199,5 @@ impl Db {
         self.log_entry(Some(idx), payload, |payload| {
             self.log(tx, RecKind::RedoOnly, payload)
         })
-    }
-
-    /// Acquire the table IX intent lock (updaters) for `tx`.
-    pub(crate) fn lock_table_ix(&self, tx: TxId, table: TableId) -> Result<()> {
-        self.locks.lock(tx, LockName::Table(table), LockMode::IX)
     }
 }

@@ -401,9 +401,19 @@ fn primary_model_walk_reading_a_reused_rid_twice_builds() {
             let tx = db2.begin();
             db2.delete_record(tx, T, first).unwrap();
             db2.commit(tx).unwrap();
-            let tx = db2.begin();
-            let rid = db2.insert_record(tx, T, &rec(100_000, 0)).unwrap();
-            db2.commit(tx).unwrap();
+            // This thread seeded the table and still has room on its
+            // insert target page; a thread with none takes the freed
+            // slot from the free-space map.
+            let rid = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let tx = db2.begin();
+                    let rid = db2.insert_record(tx, T, &rec(100_000, 0)).unwrap();
+                    db2.commit(tx).unwrap();
+                    rid
+                })
+                .join()
+                .unwrap()
+            });
             *reused2.lock().unwrap() = Some(rid);
         });
         let idx = build_secondary_via_primary(&db, primary, secondary("sec", unique)).unwrap();

@@ -43,7 +43,7 @@
 
 use crate::latch::{DirtyList, Latch, LatchStats};
 use mohan_common::stats::{Counter, ShardDist};
-use mohan_common::{Error, FileId, Lsn, PageId, Result, WriteAhead};
+use mohan_common::{Error, FileId, IdMap, Lsn, PageId, Result, WriteAhead};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -125,7 +125,7 @@ impl Default for CacheStats {
 /// One cache partition: a volatile frame map plus the durable images
 /// of the pages that hash here.
 struct Shard<T> {
-    volatile: RwLock<HashMap<PageId, Arc<Frame<T>>>>,
+    volatile: RwLock<IdMap<PageId, Arc<Frame<T>>>>,
     durable: Mutex<HashMap<PageId, Image>>,
     /// Pages whose frames went clean→dirty since the list was last
     /// taken (shared with those frames' latches).
@@ -138,7 +138,7 @@ struct Shard<T> {
 impl<T> Shard<T> {
     fn new() -> Shard<T> {
         Shard {
-            volatile: RwLock::new(HashMap::new()),
+            volatile: RwLock::new(IdMap::default()),
             durable: Mutex::new(HashMap::new()),
             dirty: Arc::default(),
             staged: Mutex::new(HashMap::new()),
