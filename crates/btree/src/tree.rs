@@ -85,16 +85,10 @@ pub struct BTreeStats {
     pub ib_splits: Counter,
     /// Entries physically inserted.
     pub inserts: Counter,
-    /// Inserts rejected because the exact entry already existed.
-    pub duplicate_rejects: Counter,
     /// Keys marked pseudo-deleted.
     pub pseudo_deletes: Counter,
     /// Tombstones planted by deleters that found no key.
     pub tombstones: Counter,
-    /// Pseudo-deleted keys put back in the inserted state.
-    pub reactivations: Counter,
-    /// Keys physically removed.
-    pub physical_deletes: Counter,
 }
 
 /// Who is inserting, which selects split behaviour and hint usage.
@@ -238,9 +232,11 @@ pub struct BTree {
     /// captures a half-applied split. Per-entry content staleness
     /// across pages is fine — logical redo repairs it — but a torn
     /// *structure* (an internal page naming a never-forced child) would
-    /// not be recoverable. A [`Latch`] with stats of its own, so time
-    /// spent blocked on it is measured the way page-latch waits are.
+    /// not be recoverable. A [`Latch`] with stats of its own,
+    /// `structure_stats`, so time spent blocked on it is measured the
+    /// way page-latch waits are.
     structure: Latch<()>,
+    structure_stats: Arc<LatchStats>,
     /// Serializes checkpointers (an IB checkpoint and an engine
     /// checkpoint may meet on one tree) and [`BTree::clear`] against
     /// them; never taken by readers or writers of the tree.
@@ -264,12 +260,14 @@ impl BTree {
         debug_assert_eq!(anchor.id, PageId(0));
         let root = cache.allocate(Node::leaf(cfg.page_size));
         debug_assert_eq!(root.id, PageId(1));
+        let structure_stats = LatchStats::new();
         BTree {
             cache,
             cfg,
             stats: BTreeStats::default(),
             hint: Mutex::new(None),
-            structure: Latch::new((), LatchStats::new()),
+            structure: Latch::new((), Arc::clone(&structure_stats)),
+            structure_stats,
             force: Mutex::new(()),
             failpoints: FailpointSet::new(),
         }
@@ -281,12 +279,12 @@ impl BTree {
         self.structure.share()
     }
 
-    /// Acquisition and wait counters of the structure lock. Its
-    /// `wait_us` is the time writers spent blocked behind a checkpoint's
-    /// publication (and the checkpoint behind writers).
+    /// Wait counters of the structure lock. Its `wait_us` is the time
+    /// writers spent blocked behind a checkpoint's publication (and the
+    /// checkpoint behind writers).
     #[must_use]
     pub fn structure_stats(&self) -> &Arc<LatchStats> {
-        self.structure.stats()
+        &self.structure_stats
     }
 
     /// Configuration in force.
@@ -614,15 +612,10 @@ impl BTree {
                     leaf.set_pseudo(pos, to);
                     if to {
                         stats.pseudo_deletes.bump();
-                    } else {
-                        stats.reactivations.bump();
                     }
                 }
             }
-            (Found::Present { .. }, Edit::Remove) => {
-                leaf.remove(pos);
-                stats.physical_deletes.bump();
-            }
+            (Found::Present { .. }, Edit::Remove) => leaf.remove(pos),
             // A unique tree takes a second entry of a key value only as
             // a tombstone.
             (Found::Absent, Edit::Put(pseudo))
@@ -647,7 +640,6 @@ impl BTree {
             (Found::Conflict { .. }, Edit::TakeOver) => {
                 leaf.remove(conflict_pos);
                 leaf.insert(pos - usize::from(conflict_pos < pos), entry, false)?;
-                stats.reactivations.bump();
             }
             (found, edit) => {
                 return Err(Error::InvalidArg(format!(
@@ -674,10 +666,7 @@ impl BTree {
     pub fn insert(&self, entry: IndexEntry, mode: InsertMode) -> Result<InsertOutcome> {
         Ok(match self.edit(&entry, mode, Edit::present, unlogged)?.0 {
             Found::Absent => InsertOutcome::Inserted,
-            Found::Present { pseudo } => {
-                self.stats.duplicate_rejects.bump();
-                InsertOutcome::DuplicateEntry { pseudo }
-            }
+            Found::Present { pseudo } => InsertOutcome::DuplicateEntry { pseudo },
             Found::Conflict { rid, pseudo } => InsertOutcome::DuplicateKeyValue {
                 existing: rid,
                 existing_pseudo: pseudo,
@@ -896,7 +885,7 @@ mod tests {
             t.insert(e(5, 1, 1), InsertMode::Ib).unwrap(),
             InsertOutcome::DuplicateEntry { pseudo: false }
         );
-        assert_eq!(t.stats.duplicate_rejects.get(), 1);
+        assert_eq!(t.stats.inserts.get(), 1);
     }
 
     #[test]
@@ -1002,7 +991,6 @@ mod tests {
         let reactivated = (Found::Present { pseudo: true }, Edit::Put(false));
         assert_eq!(apply(&t, &e(7, 1, 1), Edit::live), reactivated);
         assert_eq!(state(&t, &e(7, 1, 1)), Some(false));
-        assert_eq!(t.stats.reactivations.get(), 1);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The 1992 paper argues in *pathlengths*: lock calls saved, log
 //! records avoided, tree traversals skipped. The benchmark harness
 //! reproduces those arguments by counting the events exactly, so every
-//! subsystem exposes a stats struct built from [`Counter`]s.
+//! subsystem exposes a stats struct built from [`Counter`]s. Each
+//! field is there because a metric exports it or a test reads it as
+//! an oracle (DESIGN §8).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,11 +34,6 @@ impl Counter {
     #[must_use]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero, returning the previous value.
-    pub fn reset(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -99,14 +96,6 @@ impl StripedCounter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
-
-    /// Reset to zero, returning the previous value.
-    pub fn reset(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.swap(0, Ordering::Relaxed))
-            .sum()
-    }
 }
 
 /// A relaxed atomic maximum tracker (e.g. peak side-file backlog).
@@ -138,78 +127,6 @@ impl Clone for MaxGauge {
     }
 }
 
-/// Per-shard event distribution for a partitioned structure (buffer
-/// pool shards, free-space-map shards). Beyond the total, the *shape*
-/// of the distribution is the interesting datum: a hot shard means the
-/// hash is not spreading the load and the partitioning buys nothing.
-#[derive(Debug)]
-pub struct ShardDist {
-    shards: Vec<Counter>,
-}
-
-impl ShardDist {
-    /// New distribution over `n` shards (all zero).
-    #[must_use]
-    pub fn new(n: usize) -> ShardDist {
-        ShardDist {
-            shards: (0..n).map(|_| Counter::new()).collect(),
-        }
-    }
-
-    /// Number of shards tracked.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Add one event to `shard`.
-    pub fn bump(&self, shard: usize) {
-        self.shards[shard].bump();
-    }
-
-    /// Add `n` events to `shard`.
-    pub fn add(&self, shard: usize, n: u64) {
-        self.shards[shard].add(n);
-    }
-
-    /// Events recorded on `shard`.
-    #[must_use]
-    pub fn get(&self, shard: usize) -> u64 {
-        self.shards[shard].get()
-    }
-
-    /// Sum over all shards.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.shards.iter().map(Counter::get).sum()
-    }
-
-    /// Point-in-time copy of every shard's count.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.shards.iter().map(Counter::get).collect()
-    }
-
-    /// Hottest shard's count (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.shards.iter().map(Counter::get).max().unwrap_or(0)
-    }
-
-    /// Load-balance quality: hottest shard's share of a perfectly even
-    /// spread (1.0 = even, `shard_count` = everything on one shard).
-    /// Returns 0.0 when no events were recorded.
-    #[must_use]
-    pub fn imbalance(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let even = total as f64 / self.shards.len() as f64;
-        self.max() as f64 / even
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,8 +138,6 @@ mod tests {
         c.bump();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.reset(), 5);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -242,29 +157,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get(), 8000);
-    }
-
-    #[test]
-    fn shard_dist_tracks_shape() {
-        let d = ShardDist::new(4);
-        d.bump(0);
-        d.add(1, 3);
-        d.bump(1);
-        assert_eq!(d.shard_count(), 4);
-        assert_eq!(d.get(1), 4);
-        assert_eq!(d.total(), 5);
-        assert_eq!(d.max(), 4);
-        assert_eq!(d.snapshot(), vec![1, 4, 0, 0]);
-        // 4 events on the hottest of 4 shards vs an even spread of
-        // 5/4: imbalance = 4 / 1.25 = 3.2.
-        assert!((d.imbalance() - 3.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shard_dist_empty_is_balanced() {
-        let d = ShardDist::new(8);
-        assert_eq!(d.total(), 0);
-        assert_eq!(d.imbalance(), 0.0);
     }
 
     #[test]

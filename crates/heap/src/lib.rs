@@ -9,25 +9,29 @@
 //! what creates the paper's race conditions between transactions and
 //! the index builder.
 //!
+//! An insert tries its thread's target page first, then the lowest
+//! page of the free-space map, then a new page. The map is one ordered
+//! set of the pages with room; a thread visits it once per page it
+//! fills, not once per row.
+//!
 //! The scan side ([`HeapTable::scan_pages`]) latches each page in share
 //! mode only to copy its records, hands them out in RID order with the
 //! latch released, and accounts simulated sequential-prefetch I/O
-//! batches (§2.2.2).
+//! batches (§2.2.2). Those scan counters are the table's only ones:
+//! row operations count nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mohan_common::pace::pace;
-use mohan_common::stats::{Counter, ShardDist};
+use mohan_common::stats::Counter;
 use mohan_common::{Error, Lsn, PageId, Result, Rid, TableId};
 use mohan_storage::{PageCache, SlottedPage};
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-
-/// Number of free-space-map shards per table (power of two).
-pub const FSM_SHARDS: usize = 8;
 
 /// Free bytes a page needs to be in the FSM: a thread's target page
 /// that refused a record rejoins the map only with this much, and
@@ -35,103 +39,49 @@ pub const FSM_SHARDS: usize = 8;
 const ROOM: usize = 64;
 
 /// Event counters for one table.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HeapStats {
-    /// Records inserted.
-    pub inserts: Counter,
-    /// Records deleted.
-    pub deletes: Counter,
-    /// Records updated.
-    pub updates: Counter,
     /// Pages visited by scans.
     pub scan_pages: Counter,
     /// Simulated prefetch I/O batches issued by scans.
     pub io_batches: Counter,
-    /// Free-page candidates taken from each FSM shard (shows whether
-    /// concurrent inserters spread over the shards or pile up on one).
-    pub fsm_shard_hits: ShardDist,
 }
 
-impl Default for HeapStats {
-    fn default() -> Self {
-        HeapStats {
-            inserts: Counter::new(),
-            deletes: Counter::new(),
-            updates: Counter::new(),
-            scan_pages: Counter::new(),
-            io_batches: Counter::new(),
-            fsm_shard_hits: ShardDist::new(FSM_SHARDS),
-        }
-    }
-}
-
-/// A sharded free-space map: pages believed to have room, partitioned
-/// by page-id hash so concurrent inserters don't serialize on one
-/// list. A shard lock is only ever held for a push/pop — never across
-/// a page latch — so the old whole-insert serialization is gone.
+/// The free-space map: pages believed to have room, in one ordered set
+/// that offers the lowest page first. Its lock is only ever held for an
+/// insert or a pop — never across a page latch.
 ///
 /// A page an inserting thread keeps as its target ([`Target`]) is out
 /// of the map, so each thread keeps at most one page with room out of
-/// it.
+/// it, and an inserter visits the map once per page it fills.
+#[derive(Default)]
 struct FreeSpaceMap {
-    shards: Vec<Mutex<Vec<PageId>>>,
-    /// Round-robin probe cursor: concurrent inserters start their
-    /// probe at different shards instead of all hammering shard 0.
-    cursor: AtomicUsize,
+    pages: Mutex<BTreeSet<PageId>>,
     /// Bumped by a crash: a target taken before it is stale.
     epoch: AtomicU64,
 }
 
 impl FreeSpaceMap {
-    fn new() -> FreeSpaceMap {
-        FreeSpaceMap {
-            shards: (0..FSM_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            cursor: AtomicUsize::new(0),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
     fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    fn shard_of(page: PageId) -> usize {
-        (u64::from(page.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as usize & (FSM_SHARDS - 1)
-    }
-
-    /// Where the next probe should start.
-    fn preferred_shard(&self) -> usize {
-        self.cursor.fetch_add(1, Ordering::Relaxed) & (FSM_SHARDS - 1)
-    }
-
     /// Record `page` as having free space (idempotent).
     fn note_free(&self, page: PageId) {
-        let mut shard = self.shards[Self::shard_of(page)].lock();
-        if !shard.contains(&page) {
-            shard.push(page);
-        }
+        self.pages.lock().insert(page);
     }
 
-    /// Take a candidate page out of the map (most recently freed
-    /// first within a shard), probing all shards starting at `start`.
-    /// The caller either re-registers the page via `note_free` or
-    /// lets a full page stay dropped. Returns the shard it came from.
-    fn take_candidate(&self, start: usize) -> Option<(PageId, usize)> {
-        for i in 0..FSM_SHARDS {
-            let s = (start + i) & (FSM_SHARDS - 1);
-            if let Some(p) = self.shards[s].lock().pop() {
-                return Some((p, s));
-            }
-        }
-        None
+    /// Take a candidate page out of the map, the lowest first. The
+    /// caller either re-registers the page via `note_free` or lets a
+    /// full page stay dropped.
+    fn take_candidate(&self) -> Option<PageId> {
+        self.pages.lock().pop_first()
     }
 
     /// Forget every page, and every thread's target (a crash).
     fn clear(&self) {
         self.epoch.fetch_add(1, Ordering::AcqRel);
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.pages.lock().clear();
     }
 }
 
@@ -190,7 +140,7 @@ pub struct HeapTable {
     pub cache: PageCache<SlottedPage>,
     page_size: usize,
     prefetch: usize,
-    /// Pages believed to have free space, sharded by page-id hash.
+    /// Pages believed to have free space.
     fsm: Arc<FreeSpaceMap>,
     /// Event counters.
     pub stats: HeapStats,
@@ -205,7 +155,7 @@ impl HeapTable {
             cache: PageCache::new(mohan_common::FileId(id.0)),
             page_size,
             prefetch: prefetch.max(1),
-            fsm: Arc::new(FreeSpaceMap::new()),
+            fsm: Arc::default(),
             stats: HeapStats::default(),
         }
     }
@@ -227,19 +177,14 @@ impl HeapTable {
             )));
         }
         // Pick a page: this thread's target first, then a candidate
-        // from the sharded FSM, else a new page. Taking a candidate
+        // from the FSM, else a new page. Taking a candidate
         // *removes* it from the map, so no FSM lock is ever held across
         // the page latch and two inserters never chase the same
         // candidate. Candidates are heuristics, not guarantees: a
         // crash-lost page has no frame and is skipped, and a full one
         // stays out of the map.
         let target = TARGET.with_borrow(|slot| slot.0.as_ref().and_then(|t| t.page_in(&self.fsm)));
-        let candidate = std::iter::once_with(|| {
-            let (page, shard) = self.fsm.take_candidate(self.fsm.preferred_shard())?;
-            self.stats.fsm_shard_hits.bump(shard);
-            Some(page)
-        })
-        .flatten();
+        let candidate = std::iter::once_with(|| self.fsm.take_candidate()).flatten();
         let fresh =
             std::iter::repeat_with(|| self.cache.allocate(SlottedPage::new(self.page_size)));
         let frames = (target.into_iter().chain(candidate))
@@ -270,7 +215,6 @@ impl HeapTable {
             if Some(rid.page) != target {
                 self.retarget(rid.page, target_room);
             }
-            self.stats.inserts.bump();
             return Ok(rid);
         }
         unreachable!("fresh pages never run out")
@@ -304,7 +248,6 @@ impl HeapTable {
         // The slot and the record's bytes stay *reserved* until the
         // deleter commits ([`HeapTable::release_slot`]), so a rollback
         // always fits; only then does the page rejoin the free list.
-        self.stats.deletes.bump();
         Ok(old)
     }
 
@@ -360,7 +303,6 @@ impl HeapTable {
         let old = g.payload.update(rid.slot, new)?;
         let lsn = log(&old);
         g.lsn = lsn;
-        self.stats.updates.bump();
         Ok(old)
     }
 
@@ -551,7 +493,6 @@ impl HeapTable {
         g.lsn = log();
         drop(g);
         self.fsm.note_free(rid.page);
-        self.stats.deletes.bump();
         Ok(old)
     }
 
@@ -1004,6 +945,18 @@ mod tests {
     }
 
     #[test]
+    fn a_page_noted_free_three_times_is_taken_once() {
+        let fsm = FreeSpaceMap::default();
+        for _ in 0..3 {
+            fsm.note_free(PageId(4));
+        }
+        fsm.note_free(PageId(2));
+        assert_eq!(fsm.take_candidate(), Some(PageId(2)), "lowest first");
+        assert_eq!(fsm.take_candidate(), Some(PageId(4)));
+        assert_eq!(fsm.take_candidate(), None);
+    }
+
+    #[test]
     fn concurrent_inserters_never_lose_or_duplicate_rids() {
         let t = std::sync::Arc::new(HeapTable::new(TableId(1), 256, 4));
         let handles: Vec<_> = (0..8u8)
@@ -1024,7 +977,6 @@ mod tests {
         rids.dedup();
         assert_eq!(rids.len(), 400, "duplicate RID handed out under contention");
         assert_eq!(t.count().unwrap(), 400);
-        assert_eq!(t.stats.inserts.get(), 400);
     }
 
     #[test]

@@ -259,8 +259,6 @@ pub struct LockStats {
     pub waits: Counter,
     /// Waits that timed out (treated as deadlock).
     pub timeouts: Counter,
-    /// Conditional requests denied immediately.
-    pub conditional_denials: Counter,
     /// Time spent queued behind other holders, per wait (µs).
     /// `Arc` so an observability registry can adopt it.
     pub wait_us: Arc<Histogram>,
@@ -357,10 +355,7 @@ impl LockManager {
                 o.into_mut().waiters.push(ticket);
                 return self.wait_turn(st, ticket, tx, name, mode, retain);
             }
-            Entry::Occupied(_) => {
-                self.stats.conditional_denials.bump();
-                return Err(Error::LockBusy);
-            }
+            Entry::Occupied(_) => return Err(Error::LockBusy),
         };
         drop(st);
         if newly_held {

@@ -170,7 +170,7 @@ fn accept_burst(
                 }
                 inner.stats.conns_accepted.bump();
                 let shard = pick_shard(inner, next);
-                inner.stats.conn_shards.bump(shard);
+                inner.stats.conn_shards[shard].bump();
                 inner.shard_conns[shard].fetch_add(1, Ordering::AcqRel);
                 // A worker only disappears at drain time; if the send
                 // races that, the stream just drops (client sees EOF).

@@ -4,7 +4,7 @@
 //! everything else.
 
 use crate::Inner;
-use mohan_common::stats::{Counter, ShardDist};
+use mohan_common::stats::Counter;
 use mohan_obs::Registry;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
@@ -19,14 +19,14 @@ macro_rules! server_counters {
         pub struct ServerStats {
             $($(#[$doc])* pub $field: Arc<Counter>,)+
             /// Connections handed to each worker shard (cumulative).
-            pub conn_shards: ShardDist,
+            pub conn_shards: Vec<Counter>,
         }
 
         impl ServerStats {
             pub(crate) fn new(workers: usize) -> ServerStats {
                 ServerStats {
                     $($field: Arc::default(),)+
-                    conn_shards: ShardDist::new(workers.max(1)),
+                    conn_shards: (0..workers.max(1)).map(|_| Counter::new()).collect(),
                 }
             }
 
@@ -103,10 +103,10 @@ pub(crate) fn register(inner: &Arc<Inner>) {
         "server.inflight",
         level(inner, |i| i.inflight.load(Ordering::Acquire) as u64),
     );
-    for shard in 0..inner.stats.conn_shards.shard_count() {
+    for shard in 0..inner.stats.conn_shards.len() {
         obs.gauge_fn(
             &format!("server.conn_shard.{shard}"),
-            level(inner, move |i| i.stats.conn_shards.get(shard)),
+            level(inner, move |i| i.stats.conn_shards[shard].get()),
         );
     }
 }

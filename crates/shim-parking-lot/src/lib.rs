@@ -13,8 +13,17 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
+use std::sync::{Arc, PoisonError, TryLockError, TryLockResult};
 use std::time::Instant;
+
+/// A try-lock's guard, if it was granted; a poisoned grant counts.
+fn granted<G>(tried: TryLockResult<G>) -> Option<G> {
+    match tried {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
 
 /// A non-poisoning mutual-exclusion lock.
 pub struct Mutex<T: ?Sized> {
@@ -53,13 +62,7 @@ impl<T: ?Sized> Mutex<T> {
 
     /// Acquire without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { guard: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                guard: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        granted(self.inner.try_lock()).map(|g| MutexGuard { guard: Some(g) })
     }
 
     /// Mutable access without locking.
@@ -225,29 +228,31 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Acquire in share mode without blocking.
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { guard: g }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(RwLockReadGuard {
-                guard: p.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        granted(self.inner.try_read()).map(|guard| RwLockReadGuard { guard })
     }
 
     /// Acquire in exclusive mode without blocking.
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { guard: g }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(RwLockWriteGuard {
-                guard: p.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        granted(self.inner.try_write()).map(|guard| RwLockWriteGuard { guard })
     }
 
     /// Mutable access without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: 'static> RwLock<T> {
+    /// Acquire in share mode without blocking, returning an owned guard
+    /// (parking_lot's `arc_lock` name).
+    pub fn try_read_arc(self: &Arc<Self>) -> Option<lock_api::ArcRwLockReadGuard<RawRwLock, T>> {
+        granted(self.inner.try_read()).map(|g| lock_api::ArcRwLockReadGuard::own(g, self))
+    }
+
+    /// Acquire in exclusive mode without blocking, returning an owned
+    /// guard (parking_lot's `arc_lock` name).
+    pub fn try_write_arc(self: &Arc<Self>) -> Option<lock_api::ArcRwLockWriteGuard<RawRwLock, T>> {
+        granted(self.inner.try_write()).map(|g| lock_api::ArcRwLockWriteGuard::own(g, self))
     }
 }
 
@@ -316,14 +321,19 @@ pub mod lock_api {
         /// Acquire `lock` in share mode, taking ownership of the `Arc`.
         pub fn lock(lock: Arc<RwLock<T>>) -> Self {
             let guard = lock.inner.read().unwrap_or_else(PoisonError::into_inner);
+            Self::own(guard, &lock)
+        }
+
+        /// Own `guard`, a grant on `lock`'s lock.
+        pub(crate) fn own(guard: std::sync::RwLockReadGuard<'_, T>, lock: &Arc<RwLock<T>>) -> Self {
             // SAFETY: the guard borrows the RwLock inside `lock`; we
-            // extend the lifetime to 'static but hold the Arc alongside
-            // and drop the guard first (see Drop).
+            // extend the lifetime to 'static but hold a clone of the Arc
+            // alongside and drop the guard first (see Drop).
             let guard: std::sync::RwLockReadGuard<'static, T> =
                 unsafe { std::mem::transmute(guard) };
             ArcRwLockReadGuard {
                 guard: ManuallyDrop::new(guard),
-                lock: ManuallyDrop::new(lock),
+                lock: ManuallyDrop::new(Arc::clone(lock)),
                 _raw: PhantomData,
             }
         }
@@ -334,12 +344,20 @@ pub mod lock_api {
         /// `Arc`.
         pub fn lock(lock: Arc<RwLock<T>>) -> Self {
             let guard = lock.inner.write().unwrap_or_else(PoisonError::into_inner);
+            Self::own(guard, &lock)
+        }
+
+        /// Own `guard`, a grant on `lock`'s lock.
+        pub(crate) fn own(
+            guard: std::sync::RwLockWriteGuard<'_, T>,
+            lock: &Arc<RwLock<T>>,
+        ) -> Self {
             // SAFETY: as for the read guard above.
             let guard: std::sync::RwLockWriteGuard<'static, T> =
                 unsafe { std::mem::transmute(guard) };
             ArcRwLockWriteGuard {
                 guard: ManuallyDrop::new(guard),
-                lock: ManuallyDrop::new(lock),
+                lock: ManuallyDrop::new(Arc::clone(lock)),
                 _raw: PhantomData,
             }
         }
@@ -389,7 +407,6 @@ pub mod lock_api {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -452,5 +469,25 @@ mod tests {
         *w = 6;
         drop(w);
         assert_eq!(*lock.read(), 6);
+    }
+
+    #[test]
+    fn owned_try_guards_hold_and_refuse() {
+        let lock = Arc::new(RwLock::new(5u64));
+        let r1 = lock.try_read_arc().unwrap();
+        let r2 = lock.try_read_arc().unwrap();
+        assert_eq!(*r1 + *r2, 10);
+        assert!(lock.try_write_arc().is_none());
+        drop((r1, r2));
+        let mut w = lock.try_write_arc().unwrap();
+        assert!(lock.try_read_arc().is_none());
+        assert!(lock.try_write_arc().is_none());
+        *w = 6;
+        // The guard keeps the lock alive past its last other owner.
+        let weak = Arc::downgrade(&lock);
+        drop(lock);
+        assert_eq!(*w, 6);
+        drop(w);
+        assert!(weak.upgrade().is_none());
     }
 }

@@ -154,10 +154,6 @@ impl Run {
 pub struct RunStore<T: SortItem> {
     runs: Mutex<HashMap<u64, Arc<Mutex<Run>>>>,
     next_id: Mutex<u64>,
-    /// Items appended (volume statistic).
-    pub appended: Counter,
-    /// Items made durable by forces.
-    pub forced: Counter,
     /// Bytes the appended items occupy uncompressed (full codec size),
     /// cumulative.
     pub raw_bytes: Counter,
@@ -179,8 +175,6 @@ impl<T: SortItem> RunStore<T> {
         RunStore {
             runs: Mutex::new(HashMap::new()),
             next_id: Mutex::new(0),
-            appended: Counter::new(),
-            forced: Counter::new(),
             raw_bytes: Counter::new(),
             stored_bytes: Counter::new(),
             items: PhantomData,
@@ -217,7 +211,6 @@ impl<T: SortItem> RunStore<T> {
             stored += r.push_next() as u64;
         }
         drop(r);
-        self.appended.add(items.len() as u64);
         self.raw_bytes.add(raw);
         self.stored_bytes.add(stored);
         Ok(())
@@ -227,7 +220,6 @@ impl<T: SortItem> RunStore<T> {
     pub fn force_run(&self, run: u64) -> Result<()> {
         let run = self.run(run)?;
         let mut r = run.lock();
-        self.forced.add((r.len - r.durable) as u64);
         r.durable = r.len;
         Ok(())
     }
@@ -245,8 +237,8 @@ impl<T: SortItem> RunStore<T> {
     }
 
     /// Truncate a run to `len` items (restart repositioning, §5.1-5.2).
-    /// The durable mark is clamped too. Byte counters stay cumulative:
-    /// they count writes, not occupancy, like `appended`/`forced`.
+    /// The durable mark is clamped too. The byte counters stay
+    /// cumulative: they count writes, not occupancy.
     pub fn truncate(&self, run: u64, len: u64) -> Result<()> {
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         self.run(run)?.lock().truncate(len)
@@ -344,12 +336,14 @@ mod tests {
         s.force_run(r).unwrap();
         s.append(r, &[4]).unwrap();
         s.force_run(r).unwrap();
-        assert_eq!(s.appended.get(), 4);
-        assert_eq!(s.forced.get(), 4);
+        assert_eq!(s.len(r).unwrap(), 4);
         assert_eq!(s.raw_bytes.get(), 32); // four 8-byte encodings
                                            // 2 + 8 for the block's first item; 2 + 2 + 1 for each other:
                                            // consecutive small integers differ in their last byte only.
         assert_eq!(s.stored_bytes.get(), 10 + 3 * 5);
+        s.append(r, &[5]).unwrap();
+        s.crash();
+        assert_eq!(s.len(r).unwrap(), 4, "both forces survive the crash");
     }
 
     #[test]

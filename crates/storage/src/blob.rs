@@ -8,7 +8,6 @@
 //! write of a checkpoint record), so its contents survive a simulated
 //! crash unchanged.
 
-use mohan_common::stats::Counter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -16,8 +15,6 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct BlobStore {
     inner: Mutex<HashMap<String, Vec<u8>>>,
-    /// Forced writes performed (each `put` is one stable-storage I/O).
-    pub writes: Counter,
 }
 
 impl BlobStore {
@@ -29,7 +26,6 @@ impl BlobStore {
 
     /// Durably record `value` under `key`, replacing any prior value.
     pub fn put(&self, key: &str, value: Vec<u8>) {
-        self.writes.bump();
         self.inner.lock().insert(key.to_string(), value);
     }
 
@@ -42,7 +38,6 @@ impl BlobStore {
     /// Durably remove a value (e.g. a completed build's progress
     /// record).
     pub fn remove(&self, key: &str) {
-        self.writes.bump();
         self.inner.lock().remove(key);
     }
 
@@ -64,7 +59,7 @@ mod tests {
         assert_eq!(b.get("ib/progress"), Some(vec![1, 2, 3]));
         b.remove("ib/progress");
         assert_eq!(b.get("ib/progress"), None);
-        assert_eq!(b.writes.get(), 2);
+        assert!(b.keys().is_empty());
     }
 
     #[test]

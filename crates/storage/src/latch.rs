@@ -4,8 +4,9 @@
 //! instructions executed. It provides physical consistency of the data
 //! when a page is being examined. Readers of the page acquire a share
 //! (S) latch, while updaters acquire an exclusive (X) latch" (§1.1,
-//! footnote 2). We wrap `parking_lot::RwLock` and count acquisitions so
-//! the benchmark harness can report latch pathlengths.
+//! footnote 2). We wrap `parking_lot::RwLock`, and a grant costs one
+//! try of the lock word: only a grant that has to block counts,
+//! timing its wait into the family's [`LatchStats`].
 //!
 //! Every guard handed out here is a [`Guard`]: the lock's own guard
 //! plus a [`Held`] token, so that [`mohan_common::pace::pace`] can
@@ -64,22 +65,15 @@ pub type ShareRef<'a, T> = Guard<RwLockReadGuard<'a, T>>;
 /// Exclusive-mode latch guard borrowing the latch.
 pub type ExclusiveRef<'a, T> = Guard<RwLockWriteGuard<'a, T>>;
 
-/// Shared acquisition counters for a family of latches (e.g. all data
-/// pages of a table, or all pages of one index).
+/// Wait counters shared by a family of latches (e.g. all data pages of
+/// a table, or all pages of one index). Only a grant that blocks
+/// writes them; an uncontended grant touches no shared line.
 #[derive(Debug, Default)]
 pub struct LatchStats {
-    /// Share-mode acquisitions.
-    pub share: Counter,
-    /// Exclusive-mode acquisitions.
-    pub exclusive: Counter,
-    /// Try-acquisitions that failed (used by crabbing retries).
-    pub contended_tries: Counter,
     /// Blocking acquisitions that found the latch held and had to
-    /// wait (a latch-contention event; cheap uncontended acquisitions
-    /// never count here).
+    /// wait (`latch.wait_events`).
     pub wait_events: Counter,
-    /// Time spent blocked per wait event (µs). Only the blocked branch
-    /// records, so the uncontended fast path stays two atomic bumps.
+    /// Time spent blocked per wait event, µs (`latch.wait_us`).
     pub wait_us: Arc<Histogram>,
 }
 
@@ -211,29 +205,18 @@ impl<T> Latch<T> {
     /// Acquire in share mode, returning an owned guard suitable for
     /// storing in a descent path.
     pub fn share_arc(&self) -> ShareGuard<T> {
-        self.stats.share.bump();
-        if self.lock.try_read().is_none() {
-            self.stats.wait_events.bump();
-            let started = Instant::now();
-            let g = ArcRwLockReadGuard::lock(Arc::clone(&self.lock));
-            self.stats.wait_us.record_micros(started.elapsed());
-            return Guard::granted(g);
-        }
-        Guard::granted(ArcRwLockReadGuard::lock(Arc::clone(&self.lock)))
+        Guard::granted(match self.lock.try_read_arc() {
+            Some(g) => g,
+            None => self.wait(|| ArcRwLockReadGuard::lock(Arc::clone(&self.lock))),
+        })
     }
 
     /// Acquire in exclusive mode, returning an owned guard suitable
     /// for storing in a descent path (latch crabbing).
     pub fn exclusive_arc(&self) -> ExclusiveGuard<T> {
-        self.stats.exclusive.bump();
-        let g = if self.lock.try_write().is_none() {
-            self.stats.wait_events.bump();
-            let started = Instant::now();
-            let g = ArcRwLockWriteGuard::lock(Arc::clone(&self.lock));
-            self.stats.wait_us.record_micros(started.elapsed());
-            g
-        } else {
-            ArcRwLockWriteGuard::lock(Arc::clone(&self.lock))
+        let g = match self.lock.try_write_arc() {
+            Some(g) => g,
+            None => self.wait(|| ArcRwLockWriteGuard::lock(Arc::clone(&self.lock))),
         };
         self.mark_dirty();
         Guard::granted(g)
@@ -241,70 +224,43 @@ impl<T> Latch<T> {
 
     /// Acquire in share (S) mode; blocks until granted.
     pub fn share(&self) -> ShareRef<'_, T> {
-        self.stats.share.bump();
         Guard::granted(match self.lock.try_read() {
             Some(g) => g,
-            None => {
-                self.stats.wait_events.bump();
-                let started = Instant::now();
-                let g = self.lock.read();
-                self.stats.wait_us.record_micros(started.elapsed());
-                g
-            }
+            None => self.wait(|| self.lock.read()),
         })
     }
 
     /// Acquire in exclusive (X) mode; blocks until granted.
     pub fn exclusive(&self) -> ExclusiveRef<'_, T> {
-        self.stats.exclusive.bump();
         let g = match self.lock.try_write() {
             Some(g) => g,
-            None => {
-                self.stats.wait_events.bump();
-                let started = Instant::now();
-                let g = self.lock.write();
-                self.stats.wait_us.record_micros(started.elapsed());
-                g
-            }
+            None => self.wait(|| self.lock.write()),
         };
         self.mark_dirty();
         Guard::granted(g)
     }
 
+    /// Block in `lock`, a grant the latch refused without waiting, and
+    /// count the wait.
+    fn wait<G>(&self, lock: impl FnOnce() -> G) -> G {
+        self.stats.wait_events.bump();
+        let started = Instant::now();
+        let g = lock();
+        self.stats.wait_us.record_micros(started.elapsed());
+        g
+    }
+
     /// Conditional exclusive acquisition (never blocks). Used by
     /// lock-free-ish paths that retry rather than risk latch deadlock.
     pub fn try_exclusive(&self) -> Option<ExclusiveRef<'_, T>> {
-        match self.lock.try_write() {
-            Some(g) => {
-                self.stats.exclusive.bump();
-                self.mark_dirty();
-                Some(Guard::granted(g))
-            }
-            None => {
-                self.stats.contended_tries.bump();
-                None
-            }
-        }
+        let g = self.lock.try_write()?;
+        self.mark_dirty();
+        Some(Guard::granted(g))
     }
 
     /// Conditional share acquisition (never blocks).
     pub fn try_share(&self) -> Option<ShareRef<'_, T>> {
-        match self.lock.try_read() {
-            Some(g) => {
-                self.stats.share.bump();
-                Some(Guard::granted(g))
-            }
-            None => {
-                self.stats.contended_tries.bump();
-                None
-            }
-        }
-    }
-
-    /// Access the stats this latch reports to.
-    #[must_use]
-    pub fn stats(&self) -> &Arc<LatchStats> {
-        &self.stats
+        self.lock.try_read().map(Guard::granted)
     }
 }
 
@@ -312,29 +268,13 @@ impl<T> Latch<T> {
 mod tests {
     use super::*;
     use std::thread;
-
-    #[test]
-    fn counts_acquisitions() {
-        let stats = LatchStats::new();
-        let l = Latch::new(5u32, Arc::clone(&stats));
-        {
-            let g = l.share();
-            assert_eq!(*g, 5);
-        }
-        {
-            let mut g = l.exclusive();
-            *g = 6;
-        }
-        assert_eq!(stats.share.get(), 1);
-        assert_eq!(stats.exclusive.get(), 1);
-    }
+    use std::time::Duration;
 
     #[test]
     fn try_exclusive_fails_under_share() {
         let l = Latch::new((), LatchStats::new());
         let _s = l.share();
         assert!(l.try_exclusive().is_none());
-        assert_eq!(l.stats().contended_tries.get(), 1);
     }
 
     #[test]
@@ -373,6 +313,50 @@ mod tests {
             assert!(l.try_exclusive().is_none());
         }
         mohan_common::pace::pace();
+    }
+
+    /// Each blocking grant that finds the latch held in the conflicting
+    /// mode counts one wait event and one `wait_us` sample. Uncontended
+    /// grants and refused tries count none.
+    #[test]
+    fn a_blocked_grant_counts_one_wait() {
+        type Grant = fn(&Latch<u8>);
+        let grants: [(&str, bool, Grant); 4] = [
+            ("share", false, |l| drop(l.share())),
+            ("exclusive", true, |l| drop(l.exclusive())),
+            ("share_arc", false, |l| drop(l.share_arc())),
+            ("exclusive_arc", true, |l| drop(l.exclusive_arc())),
+        ];
+        for (name, exclusive, grant) in grants {
+            let stats = LatchStats::new();
+            let l = Arc::new(Latch::new(0u8, Arc::clone(&stats)));
+            for (_, _, uncontended) in grants {
+                uncontended(&l);
+            }
+            drop(l.try_share());
+            drop(l.try_exclusive());
+            let x_held = (!exclusive).then(|| l.exclusive());
+            let s_held = exclusive.then(|| l.share());
+            assert!(l.try_exclusive().is_none());
+            if x_held.is_some() {
+                assert!(l.try_share().is_none());
+            }
+            assert_eq!(stats.wait_events.get(), 0, "{name}: counted unblocked");
+            let asker = {
+                let l = Arc::clone(&l);
+                thread::spawn(move || grant(&l))
+            };
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while stats.wait_events.get() == 0 {
+                assert!(Instant::now() < deadline, "{name}: the grant never waited");
+                thread::yield_now();
+            }
+            drop(x_held);
+            drop(s_held);
+            asker.join().unwrap();
+            assert_eq!(stats.wait_events.get(), 1, "{name}");
+            assert_eq!(stats.wait_us.count(), 1, "{name}");
+        }
     }
 
     #[test]

@@ -395,12 +395,8 @@ pub struct WalStats {
     /// Flush calls whose target became durable via another caller's
     /// group flush (the caller waited instead of forcing again).
     pub group_flush_coalesced: Counter,
-    /// Log segments allocated.
-    pub segment_allocs: Counter,
     /// Records freed by truncation (burned ones included).
     pub truncated_records: Counter,
-    /// Stored bytes freed by truncation.
-    pub truncated_bytes: Counter,
     /// Latency of flush calls that reached the slow path (µs) —
     /// both actual forces and coalesced waiters; the fast path
     /// (already durable) records nothing.
@@ -581,7 +577,6 @@ impl LogManager {
             );
             if dir.end() <= no {
                 dir.segs.push_back(fresh);
-                self.stats.segment_allocs.bump();
             }
         }
     }
@@ -1025,10 +1020,8 @@ impl LogManager {
             dir.segs.drain(..n as usize).collect()
         };
         for seg in &dropped {
-            for at in (0..SEGMENT_SLOTS as usize).filter_map(|slot| seg.record(slot)) {
-                self.stats.truncated_records.bump();
-                self.stats.truncated_bytes.add(at.len as u64);
-            }
+            let records = (0..SEGMENT_SLOTS as usize).filter_map(|slot| seg.record(slot));
+            self.stats.truncated_records.add(records.count() as u64);
         }
         // Each segment's chunks go to the free list as its last holder
         // lets go: here, unless a reader is still on it.
@@ -1593,7 +1586,7 @@ mod tests {
             begin(&log, i);
         }
         assert_eq!(log.tail_lsn(), Lsn(n));
-        assert!(log.stats.segment_allocs.get() >= 2);
+        assert_eq!(log.directory_bytes(), 2 * SEGMENT_SLOTS * 8, "two segments");
         // Reads across the boundary.
         let boundary = SEGMENT_SLOTS;
         assert_eq!(log.get(Lsn(boundary)).unwrap().tx, TxId(boundary - 1));
