@@ -10,9 +10,10 @@
 //!   ordinary transactions. With *data-only locking* (§6.2, ARIES/IM)
 //!   a key lock and the lock on the record it came from are the same
 //!   lock, so there is no separate key-lock namespace.
-//! * **Table locks**: NSF's short quiesce acquires S on the table
-//!   while update transactions hold IX (§2.2.1); dropping or
-//!   cancelling an index build does the same (§2.3.2, footnote 6).
+//! * **Table locks**: update transactions hold IX; a quiesce (NSF's
+//!   descriptor creation, §2.2.1, and dropping an index, footnote 6)
+//!   acquires S on the table, through the engine's one quiesce guard.
+//!   Cancelling a build asks for no table lock.
 //! * **Conditional and instant requests**: garbage collection of
 //!   pseudo-deleted keys asks for a *conditional instant* S lock — if
 //!   it cannot be granted at once, the key's delete is probably

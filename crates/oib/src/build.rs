@@ -206,16 +206,14 @@ pub fn resume_build(db: &Arc<Db>, id: IndexId) -> Result<()> {
 }
 
 /// Drop a completed index (or abandon one mid-build from the outside):
-/// quiesce updates with a table S lock (footnote 6), then remove the
-/// descriptor.
+/// quiesce the table (footnote 6), cancel the index, and end the
+/// quiesce, which removes the descriptor. A refused quiesce leaves the
+/// index as it was and nothing open.
 pub fn drop_index(db: &Arc<Db>, id: IndexId) -> Result<()> {
     let idx = db.index(id)?;
-    let tx = db.begin();
-    db.locks
-        .lock(tx, LockName::Table(idx.def.table), LockMode::S)?;
-    db.unregister_index(id);
-    progress::clear(db, id);
-    db.commit(tx)
+    let quiesce = db.quiesce(idx.def.table)?;
+    cancel_builds(db, &[idx]);
+    quiesce.end()
 }
 
 // ===================================================================
@@ -240,11 +238,12 @@ fn make_runtime(
 }
 
 /// Create and register the descriptors, then fix the scan bound.
-/// NSF: short quiesce (table S lock) around it so no update
-/// transaction straddles it (§2.2.1) — or the §3.2.3 no-quiesce
-/// alternative, where transactions straddling the creation are
-/// compensated via the visible-index-count comparison at rollback.
-/// SF: no quiesce (§3.2.1).
+/// NSF: a short [`Db::quiesce`] around it so no update transaction
+/// straddles it (§2.2.1) — or the §3.2.3 no-quiesce alternative, where
+/// transactions straddling the creation are compensated via the
+/// visible-index-count comparison at rollback. SF: no quiesce (§3.2.1).
+/// A refused quiesce registers nothing; a failure after it ends the
+/// quiesce as it returns.
 ///
 /// The order matters (§2.3.1, §3.2.1): every record must be on a page
 /// at or below the bound, or have been written by a transaction that
@@ -266,10 +265,8 @@ fn create_descriptors(
         .iter()
         .map(|spec| make_runtime(db, table, spec, algorithm, state))
         .collect::<Result<Vec<_>>>()?;
-    let quiesce_tx = if algorithm == BuildAlgorithm::Nsf && db.cfg.nsf_descriptor_quiesce {
-        let tx = db.begin();
-        db.locks.lock(tx, LockName::Table(table), LockMode::S)?;
-        Some(tx)
+    let quiesce = if algorithm == BuildAlgorithm::Nsf && db.cfg.nsf_descriptor_quiesce {
+        Some(db.quiesce(table)?)
     } else {
         None
     };
@@ -285,9 +282,8 @@ fn create_descriptors(
     }
     // The catalog written at registration has no bound yet.
     db.persist_catalog();
-    if let Some(tx) = quiesce_tx {
-        // End the quiesce: update transactions may run again.
-        db.commit(tx)?;
+    if let Some(quiesce) = quiesce {
+        quiesce.end()?;
     }
     Ok(out)
 }
@@ -1014,8 +1010,8 @@ fn drain_phase(db: &Arc<Db>, idx: &Arc<IndexRuntime>, pos: u64, opts: &BuildOpti
     let pending = |pos| idx.side_file.pending(&db.wal, idx.def.id, pos);
     // Each drained operation latches and unlatches inside
     // `apply_drain_op`; between two of them the IB holds only its own
-    // transaction — until the final catch-up takes the quiesce lock,
-    // which every writer waits for: no giving way from there on.
+    // transaction — until the final catch-up quiesces the table, which
+    // every writer waits for: no giving way from there on.
     let mut pacer = Ticker::new(OPS_PER_PACE);
     in_ib(db, |ib| {
         // First pass: optionally sort the backlog for clustered index
@@ -1031,48 +1027,41 @@ fn drain_phase(db: &Arc<Db>, idx: &Arc<IndexRuntime>, pos: u64, opts: &BuildOpti
         }
         // Catch-up passes: drain the whole visible backlog each pass.
         // If sustained appends outpace the drain for several passes,
-        // fall back to a short table quiesce for the final catch-up —
-        // the paper assumes the IB eventually reaches the last entry
-        // (§3.2.5); against adversarial unthrottled updaters that
-        // assumption needs the same brief lock phase production online
-        // DDL implementations use (see DESIGN.md).
+        // fall back to a short table quiesce ([`Db::quiesce`]) for the
+        // final catch-up — the paper assumes the IB eventually reaches
+        // the last entry (§3.2.5); against adversarial unthrottled
+        // updaters that assumption needs the same brief lock phase
+        // production online DDL implementations use (DESIGN §7 item 4).
+        // The quiesce ends when the phase returns, completed or not; a
+        // refused one fails the build, which is then cancelled.
         let mut nonempty_passes = 0u32;
-        let mut quiesce_tx: Option<TxId> = None;
-        let result = (|| -> Result<()> {
-            loop {
-                let (batch, through) = pending(pos);
-                if batch.is_empty() {
-                    let completed_at = db.wal.tail_lsn();
-                    if idx.side_file.try_close(through) {
-                        db.commit(*ib)?;
-                        return complete_index(db, idx, completed_at);
-                    }
-                    // An append slipped in between the read and the
-                    // close: go round again.
-                    pos = through;
-                    if quiesce_tx.is_none() {
-                        pace();
-                    }
-                    continue;
+        let mut quiesce = None;
+        loop {
+            let (batch, through) = pending(pos);
+            if batch.is_empty() {
+                let completed_at = db.wal.tail_lsn();
+                if idx.side_file.try_close(through) {
+                    db.commit(*ib)?;
+                    return complete_index(db, idx, completed_at);
                 }
-                let pacer = quiesce_tx.is_none().then_some(&mut pacer);
-                drain_pass(db, ib, idx, batch, through, &mut pos, pacer)?;
-                nonempty_passes += 1;
-                if nonempty_passes >= 3 && quiesce_tx.is_none() {
-                    db.obs
-                        .trace()
-                        .event("build.phase", "sf.drain.quiesce", pos.0);
-                    let qtx = db.begin();
-                    db.locks
-                        .lock(qtx, LockName::Table(idx.def.table), LockMode::S)?;
-                    quiesce_tx = Some(qtx);
+                // An append slipped in between the read and the close:
+                // go round again.
+                pos = through;
+                if quiesce.is_none() {
+                    pace();
                 }
+                continue;
             }
-        })();
-        if let Some(qtx) = quiesce_tx {
-            let _ = db.commit(qtx);
+            let pacer = quiesce.is_none().then_some(&mut pacer);
+            drain_pass(db, ib, idx, batch, through, &mut pos, pacer)?;
+            nonempty_passes += 1;
+            if nonempty_passes >= 3 && quiesce.is_none() {
+                db.obs
+                    .trace()
+                    .event("build.phase", "sf.drain.quiesce", pos.0);
+                quiesce = Some(db.quiesce(idx.def.table)?);
+            }
         }
-        result
     })
 }
 
@@ -1167,7 +1156,8 @@ fn apply_drain_op(
 /// run the shared scan, reduce and load. The runtimes stay unregistered
 /// until the load is done, so a crash leaves nothing to resume (the
 /// offline strategy is restart-from-scratch); restart removes the
-/// progress records the build left ([`progress::clear_orphans`]).
+/// progress records the build left ([`progress::clear_orphans`]). The
+/// quiesce ends as the build returns, whatever its outcome.
 fn offline_build(
     db: &Arc<Db>,
     table: TableId,
@@ -1175,8 +1165,7 @@ fn offline_build(
     opts: &BuildOptions,
     on_ids: impl FnOnce(&[IndexId]),
 ) -> Result<Vec<IndexId>> {
-    let tx = db.begin();
-    db.locks.lock(tx, LockName::Table(table), LockMode::S)?;
+    let quiesce = db.quiesce(table)?;
     let mut idxs = Vec::with_capacity(specs.len());
     let result = (|| -> Result<()> {
         let tbl = db.table(table)?;
@@ -1200,7 +1189,6 @@ fn offline_build(
                 progress::clear(db, idx.def.id);
             }
         }
-        let _ = db.rollback(tx);
         return Err(e);
     }
     for idx in &idxs {
@@ -1209,7 +1197,7 @@ fn offline_build(
         idx.sort_store.clear();
         db.register_index(Arc::clone(idx));
     }
-    db.commit(tx)?;
+    quiesce.end()?;
     Ok(idxs.iter().map(|i| i.def.id).collect())
 }
 
@@ -1217,34 +1205,31 @@ fn offline_build(
 // cancel (§2.3.2)
 // ===================================================================
 
-/// A failed build is cancelled; a crashed one stays
-/// for [`resume_build`].
+/// A failed build is cancelled, and the build's own error returned; a
+/// crashed one stays for [`resume_build`].
 pub(crate) fn cancel_unless_crash<T>(
     db: &Arc<Db>,
     idxs: &[Arc<IndexRuntime>],
     result: Result<T>,
 ) -> Result<T> {
-    match result {
-        Err(e) if !e.is_crash() => {
-            cancel_builds(db, idxs)?;
-            Err(e)
-        }
-        result => result,
+    if result.as_ref().is_err_and(|e| !e.is_crash()) {
+        cancel_builds(db, idxs);
     }
+    result
 }
 
-/// Cancelling an in-progress build: quiesce updates (so rollbacks
-/// never meet a half-vanished descriptor), then delete the descriptor
-/// and all build state.
-pub(crate) fn cancel_builds(db: &Db, idxs: &[Arc<IndexRuntime>]) -> Result<()> {
-    let tx = db.begin();
-    db.locks
-        .lock(tx, LockName::Table(idxs[0].def.table), LockMode::S)?;
+/// Cancel the indexes `idxs` (§2.3.2), or drop them: each becomes
+/// [`IndexState::Cancelled`] ([`IndexRuntime::cancel`]), and its build
+/// records go. This takes no lock and cannot be refused. The
+/// descriptors stay in place, maintained by no one, so a rollback never
+/// meets a shifted index list; the table's next [`Db::quiesce`], or
+/// restart after undo, removes them (DESIGN §7 item 13).
+pub(crate) fn cancel_builds(db: &Db, idxs: &[Arc<IndexRuntime>]) {
     for idx in idxs {
-        db.unregister_index(idx.def.id);
-        progress::clear(db, idx.def.id);
-        idx.tree.clear();
-        idx.side_file.force_close();
+        idx.cancel();
     }
-    db.commit(tx)
+    db.persist_catalog();
+    for idx in idxs {
+        progress::clear(db, idx.def.id);
+    }
 }

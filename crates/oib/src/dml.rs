@@ -331,7 +331,7 @@ impl Db {
             match idx.state() {
                 IndexState::SfBuilding => reach(&idx, Mechanism::SideFile)?,
                 IndexState::Complete => reach(&idx, Mechanism::Direct)?,
-                IndexState::NsfBuilding => {}
+                IndexState::NsfBuilding | IndexState::Cancelled => {}
             }
         }
         Ok(())

@@ -89,6 +89,39 @@ pub(crate) enum Mechanism {
 /// record change reaches it through (`None`: not at all).
 pub(crate) type Plan = Vec<(Arc<IndexRuntime>, Option<Mechanism>)>;
 
+/// A table quiesce (§2.2.1, footnote 6): a transaction that holds the
+/// table's S lock, so no transaction that writes the table is active
+/// while it lasts. [`Db::quiesce`] is the only code that asks for a
+/// table S. Ending the quiesce ([`Quiesce::end`]), or dropping it,
+/// removes the table's cancelled descriptors and commits; its
+/// transaction logs nothing but its begin and its commit.
+#[must_use = "the table stays quiesced until this is ended or dropped"]
+pub struct Quiesce<'a> {
+    db: &'a Db,
+    tx: TxId,
+    table: TableId,
+}
+
+impl Quiesce<'_> {
+    /// End the quiesce: updates of the table may run again.
+    pub fn end(self) -> Result<()> {
+        let ended = self.finish();
+        std::mem::forget(self);
+        ended
+    }
+
+    fn finish(&self) -> Result<()> {
+        self.db.remove_cancelled(Some(self.table));
+        self.db.commit(self.tx)
+    }
+}
+
+impl Drop for Quiesce<'_> {
+    fn drop(&mut self) {
+        let _ = self.finish();
+    }
+}
+
 /// The engine.
 pub struct Db {
     /// Configuration.
@@ -321,23 +354,26 @@ impl Db {
             .ok_or_else(|| Error::NotFound(format!("{id}")))
     }
 
-    /// All indexes of `table`, in creation (= visibility) order.
+    /// The indexes of `table`, in creation (= visibility) order; a
+    /// cancelled one is not among them.
     #[must_use]
     pub fn indexes_of(&self, table: TableId) -> Vec<Arc<IndexRuntime>> {
         self.indexes
             .read()
             .iter()
-            .filter(|i| i.def.table == table)
+            .filter(|i| i.def.table == table && i.state() != IndexState::Cancelled)
             .cloned()
             .collect()
     }
 
-    /// Look up an index.
+    /// Look up an index. A cancelled one is [`Error::NoSuchIndex`]: so
+    /// redo and undo, which edit an index only if it exists, leave its
+    /// tree alone.
     pub fn index(&self, id: IndexId) -> Result<Arc<IndexRuntime>> {
         self.indexes
             .read()
             .iter()
-            .find(|i| i.def.id == id)
+            .find(|i| i.def.id == id && i.state() != IndexState::Cancelled)
             .cloned()
             .ok_or(Error::NoSuchIndex(id))
     }
@@ -369,10 +405,45 @@ impl Db {
         self.persist_catalog();
     }
 
-    /// Remove an index descriptor (drop / cancelled build).
-    pub(crate) fn unregister_index(&self, id: IndexId) {
-        self.indexes.write().retain(|i| i.def.id != id);
-        self.persist_catalog();
+    /// Quiesce `table`: begin a transaction and take the table's S
+    /// lock, which waits for every transaction that holds the table's
+    /// IX to end and holds back every new one (FIFO tickets, DESIGN
+    /// §14). A refused lock ends the transaction before the error
+    /// returns.
+    pub fn quiesce(&self, table: TableId) -> Result<Quiesce<'_>> {
+        let tx = self.begin();
+        match self.locks.lock(tx, LockName::Table(table), LockMode::S) {
+            Ok(()) => Ok(Quiesce {
+                db: self,
+                tx,
+                table,
+            }),
+            Err(e) => {
+                self.commit(tx)?;
+                Err(e)
+            }
+        }
+    }
+
+    /// Remove the cancelled descriptors of `table` (of every table for
+    /// `None`), their build records with them, and persist the catalog
+    /// if any went. Safe only where no transaction that could have
+    /// logged a visible-index count on the table is active: under a
+    /// granted [`Quiesce`], and at restart or promotion after undo.
+    fn remove_cancelled(&self, table: Option<TableId>) {
+        let removed: Vec<_> = self
+            .indexes
+            .write()
+            .extract_if(.., |i| {
+                i.state() == IndexState::Cancelled && table.is_none_or(|t| t == i.def.table)
+            })
+            .collect();
+        for idx in &removed {
+            crate::progress::clear(self, idx.def.id);
+        }
+        if !removed.is_empty() {
+            self.persist_catalog();
+        }
     }
 
     /// Durably record every index's descriptor + state. Called at
@@ -750,11 +821,13 @@ impl Db {
     /// `redo_start`, undo and the reserved-slot sweep. Interrupted
     /// index builds stay in their building state; call
     /// [`crate::build::resume_build`] to finish them. Progress records
-    /// of builds the catalog does not know are removed.
+    /// of builds the catalog does not know are removed, and so are
+    /// cancelled descriptors, once undo has ended every loser.
     pub fn restart(&self) -> Result<RecoveryStats> {
         self.load_catalog()?;
         crate::progress::clear_orphans(self);
         let stats = self.recover(mohan_wal::checkpoint_redo_start(&self.wal))?;
+        self.remove_cancelled(None);
         self.recovering.store(false, Ordering::Release);
         Ok(stats)
     }
@@ -835,18 +908,20 @@ impl Db {
     /// in-flight transactions and undo rolls them back with CLRs.
     /// Builds still in flight are cancelled (§2.3.2): their progress
     /// records and runs stayed in the old primary's blob store, so
-    /// nothing can resume them. Then the role flips and writes are
-    /// accepted. The caller must have stopped the WAL subscription
-    /// first — nothing may be applying records concurrently.
+    /// nothing can resume them. With undo done, their descriptors go,
+    /// and so do those the old primary had cancelled. Then the role
+    /// flips and writes are accepted. The caller must have stopped the
+    /// WAL subscription first — nothing may be applying records
+    /// concurrently.
     pub fn promote_to_primary(&self) -> Result<RecoveryStats> {
         self.wal.flush_all();
         let stats = self.recover(self.wal.tail_lsn())?;
-        let indexes = self.indexes.read().clone();
-        for idx in indexes {
+        for idx in self.indexes.read().iter() {
             if idx.state() != IndexState::Complete {
-                crate::build::cancel_builds(self, &[idx])?;
+                idx.cancel();
             }
         }
+        self.remove_cancelled(None);
         self.set_replica(false);
         self.set_repl_lag(0);
         Ok(stats)
@@ -862,17 +937,28 @@ impl Db {
     /// `logged_count` visible indexes (`undo` is `Some`), the
     /// mechanisms are Figure 2's compensations. A §6.2 key-cursor
     /// index under construction is planned through the side-file, and
-    /// [`Db::maintain`] judges each of its key ops on its own image.
+    /// [`Db::maintain`] judges each of its key ops on its own image. A
+    /// cancelled index keeps its position and counts as visible, as it
+    /// did while it was built, so every later index keeps the position
+    /// the counts were logged against; no change reaches it.
     pub(crate) fn plan(&self, change: Change<'_>, undo: Option<(u32, Lsn)>) -> (u32, Plan) {
         let mut count = 0u32;
         let mut plan = Vec::new();
-        for (p, idx) in self.indexes_of(change.table).into_iter().enumerate() {
+        let idxs: Vec<_> = self
+            .indexes
+            .read()
+            .iter()
+            .filter(|i| i.def.table == change.table)
+            .cloned()
+            .collect();
+        for (p, idx) in idxs.into_iter().enumerate() {
             let p = p as u32;
             let state = idx.state();
             let visible =
                 state != IndexState::SfBuilding || idx.sf_visible(change.rid, change.probe());
             count += u32::from(visible);
             let mech = match (state, undo) {
+                (IndexState::Cancelled, _) => None,
                 // Invisible: the IB's (re)scan will extract the state
                 // the change leaves.
                 (IndexState::SfBuilding, _) => {

@@ -62,7 +62,7 @@ pub mod verify;
 pub mod workers;
 
 pub use build::{BuildOptions, IndexSpec};
-pub use engine::Db;
+pub use engine::{Db, Quiesce};
 pub use runtime::{IndexRuntime, IndexState};
 pub use schema::{BuildAlgorithm, IndexDef, Record};
 pub use session::Session;

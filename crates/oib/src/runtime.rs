@@ -24,6 +24,13 @@ wire_enum! {
         SfBuilding = 1,
         /// Fully built: readable, maintained directly.
         Complete = 2,
+        /// Cancelled or dropped: neither readable nor maintained, its
+        /// tree and build state gone. The descriptor keeps its position
+        /// in the table's index list, which the visible-index counts in
+        /// logged records depend on, until no transaction that could
+        /// have logged such a count is active: a granted table quiesce
+        /// (`Db::quiesce`), or restart after undo.
+        Cancelled = 3,
     }
 }
 
@@ -46,6 +53,7 @@ impl IndexState {
         match t {
             0 => IndexState::NsfBuilding,
             1 => IndexState::SfBuilding,
+            3 => IndexState::Cancelled,
             _ => IndexState::Complete,
         }
     }
@@ -213,6 +221,17 @@ impl IndexRuntime {
         self.state.store(s.tag(), Ordering::Release);
     }
 
+    /// Cancel the index (§2.3.2), or drop it: mark it
+    /// [`IndexState::Cancelled`] first, so a change planned from here on
+    /// reaches it through no mechanism, then free its tree, its runs and
+    /// its side-file's pin on the log. The caller persists the catalog.
+    pub(crate) fn cancel(&self) {
+        self.set_state(IndexState::Cancelled);
+        self.tree.clear();
+        self.sort_store.clear();
+        self.side_file.force_close();
+    }
+
     /// Record the completion LSN when the build finishes.
     pub fn set_completed_lsn(&self, lsn: Lsn) {
         self.completed_lsn.store(lsn.0, Ordering::Release);
@@ -330,6 +349,9 @@ impl IndexRuntime {
     /// by the primary's restart ([`IndexRuntime::restore_catalog`])
     /// and the replica's redo of shipped catalog snapshots.
     pub fn apply_catalog_entry(&self, e: &CatalogEntry) {
+        if e.state == IndexState::Cancelled {
+            self.cancel();
+        }
         self.set_state(e.state);
         self.scan_end_page.store(e.scan_end.0, Ordering::Release);
         self.completed_lsn

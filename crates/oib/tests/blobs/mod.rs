@@ -344,4 +344,20 @@ pub fn samples(sink: &mut impl Sink) {
             checkpoint_every: 10_000,
         },
     );
+
+    // Added with the cancelled state (tag 3), after every older line:
+    // a cancelled entry keeps its place between two others.
+    let cancelled = CatalogEntry {
+        def: def(10, "ix_cancelled", false, vec![2]),
+        algorithm: BuildAlgorithm::Nsf,
+        state: IndexState::Cancelled,
+        scan_end: PageId(12),
+        completed_lsn: Lsn::NULL,
+        has_key_cursor: false,
+    };
+    sink.add("catalog_entry", &cancelled);
+    sink.add(
+        "catalog",
+        &Catalog(vec![entries[2].clone(), cancelled, entries[8].clone()]),
+    );
 }

@@ -10,7 +10,9 @@
 //! it — so it needs a reason, not a regenerated file. The six `node`
 //! lines were re-recorded once, when index pages became slotted byte
 //! buffers (DESIGN.md §17), and the tag-0 progress line went with its
-//! decode (§16); every other line is the original.
+//! decode (§16); every other line is the original. The last two lines,
+//! a cancelled catalog entry (state tag 3) and a catalog that holds
+//! one, were added with that state.
 
 mod blobs;
 

@@ -27,7 +27,7 @@ use mohan_common::{
 };
 use mohan_oib::build::{build_index, IndexSpec};
 use mohan_oib::progress::{BuildProgress, PartCheckpoint};
-use mohan_oib::runtime::{CatalogEntry, IndexState};
+use mohan_oib::runtime::{Catalog, CatalogEntry, IndexState};
 use mohan_oib::schema::{BuildAlgorithm, Record};
 use mohan_oib::Db;
 use mohan_sort::{MergeCheckpoint, RunMeta, SortCheckpoint};
@@ -538,6 +538,29 @@ fn unknown_catalog_state_byte_is_corruption() {
     catalog[state_at] = 7;
     let err = restart_with_catalog(&db, catalog).unwrap_err();
     assert!(matches!(err, Error::Corruption(_)), "{err}");
+}
+
+/// (b') State tag 3 is `Cancelled`: restart reads it, undoes, and then
+/// removes the descriptor, so the index is gone rather than readable.
+/// Tag 4, one past the last state, is still corruption.
+#[test]
+fn cancelled_catalog_state_byte_is_removed_at_restart() {
+    let (db, mut catalog) = db_with_an_index();
+    let index = db.indexes_of(T).pop().expect("one index");
+    let state_at = 4 + 4 + encode(&index.def).len() + 1;
+    let mut past_the_last = catalog.clone();
+    past_the_last[state_at] = 4;
+    let err = restart_with_catalog(&db, past_the_last).unwrap_err();
+    assert!(matches!(err, Error::Corruption(_)), "{err}");
+
+    let (db, _) = db_with_an_index();
+    catalog[state_at] = IndexState::Cancelled.tag();
+    assert_eq!(IndexState::Cancelled.tag(), 3);
+    restart_with_catalog(&db, catalog).unwrap();
+    assert!(db.index(index.def.id).is_err());
+    assert!(db.indexes_of(T).is_empty());
+    let Catalog(left) = Catalog::decode(&db.blobs.get("catalog").unwrap()).unwrap();
+    assert!(left.is_empty(), "{left:?}");
 }
 
 /// (c) A shipped catalog snapshot claiming 2^32 - 1 entries used to

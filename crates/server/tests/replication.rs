@@ -13,7 +13,7 @@ use mohan_btree::scan::collect_all;
 use mohan_client::{Client, ClientError};
 use mohan_common::{EngineConfig, IndexEntry, IndexId, Lsn, TableId, TxId};
 use mohan_oib::build::build_index;
-use mohan_oib::runtime::IndexState;
+use mohan_oib::runtime::{Catalog, IndexState};
 use mohan_oib::schema::Record;
 use mohan_oib::verify::verify_index;
 use mohan_oib::Db;
@@ -1232,6 +1232,93 @@ fn promotion_cancels_the_builds_it_cannot_finish() {
     let rebuilt = build_index(&follower, T, ix_spec("ix_half"), BuildAlgorithm::Sf)
         .expect("the same build on the promoted engine");
     verify_index(&follower, rebuilt).expect("the rebuilt index verifies");
+
+    replica.stop();
+    srv.drain();
+    run.join().unwrap();
+}
+
+/// The index a record maintains, if it maintains one.
+fn maintained(payload: &LogPayload) -> Option<IndexId> {
+    match payload {
+        LogPayload::IndexInsert { index, .. }
+        | LogPayload::IndexReactivate { index, .. }
+        | LogPayload::IndexPseudoDelete { index, .. }
+        | LogPayload::IndexInsertTombstone { index, .. }
+        | LogPayload::IndexPhysicalDelete { index, .. }
+        | LogPayload::IndexBulkInsert { index, .. }
+        | LogPayload::IndexBulkRemove { index, .. }
+        | LogPayload::SideFileAppend { index, .. } => Some(*index),
+        _ => None,
+    }
+}
+
+/// The states of the descriptors an engine's catalog holds, cancelled
+/// ones included.
+fn catalog_states(db: &Db) -> Vec<(IndexId, IndexState)> {
+    let Catalog(entries) = Catalog::decode(&db.blobs.get("catalog").unwrap()).unwrap();
+    entries.iter().map(|e| (e.def.id, e.state)).collect()
+}
+
+/// A cancelled index replicates as a `Cancelled` catalog entry: the
+/// follower keeps the descriptor, reads and maintains nothing through
+/// it, and drops it when the primary's next quiesce of the table
+/// removes it. The build is NSF, so the follower redid index records
+/// for it before the cancel.
+#[test]
+fn a_cancelled_index_replicates_and_nothing_maintains_it() {
+    let primary = engine();
+    seed(&primary, 200);
+    let tx = primary.begin();
+    primary.insert_record(tx, T, &Record(vec![150, 1])).unwrap();
+    primary.commit(tx).unwrap();
+    let srv = server(&primary, ServerConfig::default());
+    let follower = engine();
+    let replica = Replica::new(Arc::clone(&follower), &addr_of(&srv));
+    let run = replica.spawn();
+    converge(&primary, &replica);
+
+    let unique = IndexSpec {
+        unique: true,
+        ..ix_spec("ix_unique")
+    };
+    let err = build_index(&primary, T, unique, BuildAlgorithm::Nsf).unwrap_err();
+    assert!(
+        matches!(err, mohan_common::Error::UniqueViolation { .. }),
+        "{err}"
+    );
+    let cancelled_at = primary.wal.tail_lsn();
+    let (id, state) = catalog_states(&primary)[0];
+    assert_eq!(state, IndexState::Cancelled);
+    let tx = primary.begin();
+    for k in 0..50 {
+        primary
+            .insert_record(tx, T, &Record(vec![1_000 + k, 0]))
+            .unwrap();
+    }
+    primary.commit(tx).unwrap();
+    converge(&primary, &replica);
+    assert_eq!(catalog_states(&follower), [(id, IndexState::Cancelled)]);
+    assert!(
+        follower.index(id).is_err(),
+        "a cancelled index is not readable"
+    );
+    assert!(follower.indexes_of(T).is_empty());
+    let after_cancel: Vec<_> = follower
+        .wal
+        .iter_from(cancelled_at)
+        .filter(|r| maintained(&r.payload) == Some(id))
+        .map(|r| r.lsn)
+        .collect();
+    assert!(
+        after_cancel.is_empty(),
+        "maintained after the cancel: {after_cancel:?}"
+    );
+    assert_eq!(surviving_keys(&primary), surviving_keys(&follower));
+
+    primary.quiesce(T).unwrap().end().unwrap();
+    converge(&primary, &replica);
+    assert!(catalog_states(&follower).is_empty());
 
     replica.stop();
     srv.drain();

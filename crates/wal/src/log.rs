@@ -52,6 +52,7 @@
 
 use crate::codec::{decode_record, encode_record, RecordHeader, LSN_BYTES};
 use crate::record::{LogPayload, LogRecord, RecKind, SideFileOp};
+use mohan_common::codec::{Cursor, Wire};
 use mohan_common::stats::{Counter, StripedCounter};
 use mohan_common::{Error, IndexId, Lsn, Result, TxId, WriteAhead};
 use mohan_obs::{Histogram, TraceSink};
@@ -904,9 +905,11 @@ impl LogManager {
 
     /// `index`'s side-file entries — its [`LogPayload::SideFileAppend`]
     /// records — in `(after, through]`, in LSN order: the SF drain's
-    /// read. Each record's tag byte is read, and only an append is
-    /// decoded. Nothing when `after` is below [`LogManager::first_lsn`]
-    /// − 1.
+    /// read. Each record's tag byte is read in place; an append is
+    /// copied out and read field by field where it lies in the copy —
+    /// its header skipped, its index id compared — and only the
+    /// operation of one of `index`'s is decoded. Nothing when `after`
+    /// is below [`LogManager::first_lsn`] − 1.
     pub fn side_file_appends(
         &self,
         index: IndexId,
@@ -922,9 +925,11 @@ impl LogManager {
             }
             bytes.clear();
             seg.read_into(at, &mut bytes);
-            match decode_stored(&bytes).payload {
-                LogPayload::SideFileAppend { index: i, op } if i == index => return Some(op),
-                _ => {}
+            let mut c = Cursor::new(&bytes);
+            let of = RecordHeader::get(&mut c).and_then(|_| IndexId::get(&mut c));
+            if of.expect("log slot holds a well-formed record") == index {
+                let op = SideFileOp::get(&mut c);
+                return Some(op.expect("log slot holds a well-formed record"));
             }
         })
     }
