@@ -46,7 +46,7 @@
 
 use mohan_common::codec::{Cursor, Wire};
 use mohan_common::{Error, IndexEntry, KeyValue, PageId, Result, Rid};
-use mohan_storage::PagePayload;
+use mohan_storage::{spare, PagePayload};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -138,9 +138,8 @@ impl Node {
             (HDR..=usize::from(u16::MAX)).contains(&len),
             "index page size {len} out of range"
         );
-        // Collected straight into the shared buffer: one allocation.
-        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
-        let b = Arc::make_mut(&mut buf);
+        let mut buf = spare::zeroed(len);
+        let b = spare::make_mut(&mut buf);
         b[KIND] = kind as u8;
         put16(b, LEN, len);
         put16(b, CELLS, len);
@@ -200,11 +199,11 @@ impl Node {
         get32(&self.buf, at)
     }
 
-    /// The bytes to write. Copies them first if an image or a clone
-    /// still shares them, so each change takes this once and writes
-    /// through it.
+    /// The bytes to write. Copies them first, into a spare buffer if
+    /// the process has one, if an image or a clone still shares them,
+    /// so each change takes this once and writes through it.
     fn bytes_mut(&mut self) -> &mut [u8] {
-        Arc::make_mut(&mut self.buf)
+        spare::make_mut(&mut self.buf)
     }
 
     /// What the page holds.

@@ -91,8 +91,9 @@ pub(crate) type Plan = Vec<(Arc<IndexRuntime>, Option<Mechanism>)>;
 
 /// A table quiesce (§2.2.1, footnote 6): a transaction that holds the
 /// table's S lock, so no transaction that writes the table is active
-/// while it lasts. [`Db::quiesce`] is the only code that asks for a
-/// table S. Ending the quiesce ([`Quiesce::end`]), or dropping it,
+/// while it lasts. [`Db::quiesce`], with its zero-wait form at the end
+/// of a checkpoint, is the only code that asks for a table S. Ending
+/// the quiesce ([`Quiesce::end`]), or dropping it,
 /// removes the table's cancelled descriptors and commits; its
 /// transaction logs nothing but its begin and its commit.
 #[must_use = "the table stays quiesced until this is ended or dropped"]
@@ -249,6 +250,7 @@ impl Db {
         gauge("cache.hit", |db| db.fold_caches(|s| s.hits.get()));
         gauge("cache.miss", |db| db.fold_caches(|s| s.misses.get()));
         gauge("cache.force", |db| db.fold_caches(|s| s.forces.get()));
+        gauge("cache.spare_bytes", |_| mohan_storage::spare::bytes());
         gauge("build.drain_lag", |db| {
             db.indexes
                 .read()
@@ -411,8 +413,19 @@ impl Db {
     /// §14). A refused lock ends the transaction before the error
     /// returns.
     pub fn quiesce(&self, table: TableId) -> Result<Quiesce<'_>> {
+        self.quiesce_by(table, LockManager::lock)
+    }
+
+    /// The one request for a table S lock, made by `ask`: waiting
+    /// ([`Db::quiesce`]), or the zero-wait form a checkpoint offers
+    /// (`LockManager::try_lock`, refused at once with `LockBusy`).
+    fn quiesce_by(
+        &self,
+        table: TableId,
+        ask: fn(&LockManager, TxId, LockName, LockMode) -> Result<()>,
+    ) -> Result<Quiesce<'_>> {
         let tx = self.begin();
-        match self.locks.lock(tx, LockName::Table(table), LockMode::S) {
+        match ask(&self.locks, tx, LockName::Table(table), LockMode::S) {
             Ok(()) => Ok(Quiesce {
                 db: self,
                 tx,
@@ -421,6 +434,31 @@ impl Db {
             Err(e) => {
                 self.commit(tx)?;
                 Err(e)
+            }
+        }
+    }
+
+    /// Remove every cancelled descriptor whose table has no writer
+    /// now: each such table gets a zero-wait quiesce, which a writer
+    /// refuses without waiting; its table keeps the descriptor until
+    /// its next granted quiesce. A follower removes nothing of its own:
+    /// its catalog is the primary's.
+    fn sweep_cancelled(&self) {
+        if self.is_replica() {
+            return;
+        }
+        let mut tables: Vec<TableId> = self
+            .indexes
+            .read()
+            .iter()
+            .filter(|i| i.state() == IndexState::Cancelled)
+            .map(|i| i.def.table)
+            .collect();
+        tables.sort_unstable();
+        tables.dedup();
+        for table in tables {
+            if let Ok(quiesce) = self.quiesce_by(table, LockManager::try_lock) {
+                let _ = quiesce.end();
             }
         }
     }
@@ -730,7 +768,11 @@ impl Db {
     /// Refused between [`Db::simulate_crash`] and the end of
     /// [`Db::restart`], where a checkpoint record would tell restart to
     /// skip redo it has not done. Counted in `checkpoint.count` or
-    /// `checkpoint.failed`, timed in `checkpoint.us`.
+    /// `checkpoint.failed`, timed in `checkpoint.us`. A completed
+    /// checkpoint then removes the cancelled descriptors of every table
+    /// no writer holds, still behind the gate: a crash waits it out, so
+    /// none lands between the sweep's table lock and its removal, where
+    /// restart's undo would find a loser's counted index gone.
     pub fn checkpoint(&self) -> Result<()> {
         self.failpoints.hit(CHECKPOINT_BEGIN_FAILPOINT)?;
         let started = Instant::now();
@@ -742,6 +784,7 @@ impl Db {
                 ))
             } else {
                 self.checkpoint_locked()
+                    .inspect(|()| self.sweep_cancelled())
             }
         };
         match outcome {

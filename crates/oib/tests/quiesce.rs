@@ -11,8 +11,9 @@
 //!
 //! The last tests pin the cancelled descriptor (`IndexState::Cancelled`):
 //! it keeps its place in the table's index list, which rollback's
-//! visible-index counts depend on, until a quiesce of the table or a
-//! restart after undo removes it.
+//! visible-index counts depend on, until a quiesce of the table — a
+//! checkpoint's zero-wait one included — or a restart after undo
+//! removes it.
 
 use mohan_common::{EngineConfig, Error, Lsn, TableId, TxId};
 use mohan_oib::build::{build_index, drop_index, IndexSpec};
@@ -168,25 +169,32 @@ fn insert_on_each_drain_pass(db: &Arc<Db>, k: i64, left: u32) {
     });
 }
 
-#[test]
-fn a_refused_drain_quiesce_cancels_the_build_and_frees_its_side_file() {
-    let db = db();
+/// Run an SF build whose drain falls back to its quiesce while an idle
+/// writer holds the table's IX: the build fails with a lock timeout and
+/// its descriptor is left cancelled.
+fn refused_drain(db: &Arc<Db>) {
     // The load leaves the drain one entry; each pass's operation leaves
     // the next pass one, so the drain falls back to its quiesce after
     // the third non-empty catch-up pass.
-    let hook_db = Arc::clone(&db);
+    let hook_db = Arc::clone(db);
     db.failpoints.arm_hook("sf.load.key", 0, move || {
         std::thread::scope(|s| {
             s.spawn(|| commit_row(&hook_db, 1_000));
         });
     });
-    insert_on_each_drain_pass(&db, 1_001, 6);
+    insert_on_each_drain_pass(db, 1_001, 6);
+    let err = build_index(db, T, spec("ix", false), BuildAlgorithm::Sf).unwrap_err();
+    assert_lock_timeout(&err);
+    db.failpoints.clear();
+}
+
+#[test]
+fn a_refused_drain_quiesce_cancels_the_build_and_frees_its_side_file() {
+    let db = db();
     let idle = idle_writer(&db);
     let open = db.active_txs();
-    let err = build_index(&db, T, spec("ix", false), BuildAlgorithm::Sf).unwrap_err();
-    assert_lock_timeout(&err);
+    refused_drain(&db);
     let failed_at = db.wal.tail_lsn();
-    db.failpoints.clear();
     assert!(
         db.obs.snapshot().counter("build.drain_passes") >= Some(4),
         "the drain never reached its quiesce"
@@ -194,6 +202,28 @@ fn a_refused_drain_quiesce_cancels_the_build_and_frees_its_side_file() {
     assert!(db.indexes_of(T).is_empty());
     assert_eq!(catalog_states(&db), [IndexState::Cancelled]);
     assert_nothing_left(&db, open, idle, failed_at);
+    rebuild(&db, false, BuildAlgorithm::Sf);
+}
+
+/// A checkpoint removes a cancelled descriptor once no writer holds
+/// its table, so `Db::plan` stops walking it and the catalog stops
+/// shipping it; while a writer is open it leaves it, without waiting.
+#[test]
+fn a_checkpoint_removes_a_cancelled_descriptor_no_writer_holds() {
+    let db = db();
+    let idle = idle_writer(&db);
+    refused_drain(&db);
+    assert_eq!(catalog_states(&db), [IndexState::Cancelled]);
+    let waits = || db.obs.snapshot().counter("lock.waits").unwrap();
+    let (open, before) = (db.active_txs(), waits());
+    db.checkpoint().unwrap();
+    assert_eq!(catalog_states(&db), [IndexState::Cancelled]);
+    assert_eq!(waits(), before, "the checkpoint's quiesce waited");
+    assert_eq!(db.active_txs(), open, "a transaction leaked");
+    db.commit(idle).unwrap();
+    db.checkpoint().unwrap();
+    assert!(catalog_states(&db).is_empty(), "{:?}", catalog_states(&db));
+    assert_eq!(db.active_txs(), 0);
     rebuild(&db, false, BuildAlgorithm::Sf);
 }
 

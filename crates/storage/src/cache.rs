@@ -14,7 +14,13 @@
 //! buffer instead of copying it, and a read-back adopts the image's
 //! buffer after checking it, so a clean page is held once. The page's
 //! first writer after a force copies the buffer before it changes it
-//! (`Arc::make_mut`): an image never sees a write that was not forced.
+//! ([`spare::make_mut`]): an image never sees a write that was not
+//! forced. The copy goes into a spare buffer when the process has one
+//! of the page's length: a force, a publish or a stage hands back the
+//! image it replaced, and a crash every copy it drops, once nothing
+//! else refers to it, so a forced page's old image becomes its next
+//! copy, whichever thread freed it ([`crate::spare`]). A dropped cache
+//! hands nothing back.
 //!
 //! The cache is partitioned into [`PAGE_SHARDS`] shards keyed by a
 //! page-id hash. Each shard owns its own volatile frame map and
@@ -47,6 +53,7 @@
 //! [`LatchStats`], which only a blocked grant writes.
 
 use crate::latch::{DirtyList, Latch, LatchStats};
+use crate::spare;
 use mohan_common::stats::Counter;
 use mohan_common::{Error, FileId, IdMap, Lsn, PageId, Result, WriteAhead};
 use parking_lot::{Mutex, RwLock};
@@ -337,16 +344,21 @@ impl<T: PagePayload> PageCache<T> {
         self.write_dirty(
             &wal,
             |shard, id, image| {
-                shard.staged.lock().insert(id, image);
+                let replaced = shard.staged.lock().insert(id, image);
+                if let Some((_, replaced)) = replaced {
+                    spare::give(replaced);
+                }
             },
             between_pages,
         )
     }
 
     /// Move every staged image into the durable maps (the write I/Os)
-    /// and advance the durable high-water mark.
+    /// and advance the durable high-water mark. The images they replace
+    /// go to the spare list once the shards' locks are released.
     pub fn publish_staged(&self) {
         let mut written = 0u64;
+        let mut replaced = Vec::new();
         for shard in &self.shards {
             let mut staged = shard.staged.lock();
             if staged.is_empty() {
@@ -356,11 +368,14 @@ impl<T: PagePayload> PageCache<T> {
             durable.reserve(staged.len());
             for (id, image) in staged.drain() {
                 self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
-                durable.insert(id, image);
+                replaced.extend(durable.insert(id, image));
                 written += 1;
             }
         }
         self.stats.forces.add(written);
+        for (_, bytes) in replaced {
+            spare::give(bytes);
+        }
     }
 
     /// Force every dirty page (checkpoints, §2.2.3 and §3.2.4: "all
@@ -378,9 +393,12 @@ impl<T: PagePayload> PageCache<T> {
         self.write_dirty(
             &wal,
             |shard, id, image| {
-                shard.durable.lock().insert(id, image);
+                let replaced = shard.durable.lock().insert(id, image);
                 self.durable_count.fetch_max(id.0 + 1, Ordering::AcqRel);
                 self.stats.forces.bump();
+                if let Some((_, replaced)) = replaced {
+                    spare::give(replaced);
+                }
             },
             between_pages,
         )
@@ -403,12 +421,25 @@ impl<T: PagePayload> PageCache<T> {
 
     /// Simulated system failure: drop all volatile frames (in every
     /// shard) together with the dirty lists and the staging area, and
-    /// reset the allocation cursor to the durable high-water mark.
+    /// reset the allocation cursor to the durable high-water mark. The
+    /// frames' and staged images' buffers that nothing else refers to
+    /// go to the spare list.
     pub fn crash(&self) {
         for shard in &self.shards {
-            shard.volatile.write().clear();
-            shard.staged.lock().clear();
+            let frames = std::mem::take(&mut *shard.volatile.write());
+            let staged = std::mem::take(&mut *shard.staged.lock());
             shard.dirty.clear();
+            for frame in frames.into_values() {
+                // A frame someone still latches keeps its buffer.
+                let bytes = frame.latch.try_share().map(|b| b.payload.image());
+                drop(frame);
+                if let Some(bytes) = bytes {
+                    spare::give(bytes);
+                }
+            }
+            for (_, (_, bytes)) in staged {
+                spare::give(bytes);
+            }
         }
         self.next_page.store(
             self.durable_count.load(Ordering::Acquire),
@@ -448,7 +479,7 @@ mod tests {
 
     impl Blob {
         fn set(&mut self, i: usize, v: u8) {
-            Arc::make_mut(&mut self.0)[i] = v;
+            spare::make_mut(&mut self.0)[i] = v;
         }
     }
 
@@ -580,6 +611,48 @@ mod tests {
         c.crash();
         let back = c.frame(PageId(0)).unwrap();
         assert!(Arc::ptr_eq(&back.latch.share().payload.0, &image));
+    }
+
+    /// The address of a page's buffer, which holds no reference to it.
+    fn address(f: &Frame<Blob>) -> *const u8 {
+        Arc::as_ptr(&f.latch.share().payload.0).cast()
+    }
+
+    #[test]
+    fn an_image_nobody_else_holds_becomes_the_next_copy() {
+        // A length no other test uses: the spare list is the process's.
+        let c = cache();
+        let f = c.allocate(blob(&[1; 1_003]));
+        c.force_all(Lsn::NULL, || {}).unwrap();
+        let first = address(&f);
+        f.latch.exclusive().payload.set(0, 2);
+        let second = address(&f);
+        assert_ne!(first, second, "the writer copied");
+        // The force replaces the first image; nothing else holds it, so
+        // the next write copies into it.
+        c.force_all(Lsn::NULL, || {}).unwrap();
+        f.latch.exclusive().payload.set(0, 3);
+        assert_eq!(address(&f), first);
+        assert_eq!(f.latch.share().payload.0[..2], [3, 1]);
+        assert_eq!(durable(&c).unwrap().1[..2], [2, 1]);
+    }
+
+    #[test]
+    fn an_image_held_elsewhere_is_never_reused() {
+        let c = cache();
+        let pages: Vec<_> = (0..40u8).map(|i| c.allocate(blob(&[i; 1_005]))).collect();
+        c.force_all(Lsn::NULL, || {}).unwrap();
+        // Held as a read-back would hold it.
+        let (_, held) = durable(&c).unwrap();
+        let kept = held.to_vec();
+        for round in 1..=6u8 {
+            for f in &pages {
+                f.latch.exclusive().payload.set(usize::from(round), round);
+            }
+            c.force_all(Lsn::NULL, || {}).unwrap();
+            assert!(pages.iter().all(|f| address(f) != held.as_ptr()));
+        }
+        assert_eq!(*held, kept[..], "a held image was written");
     }
 
     #[test]

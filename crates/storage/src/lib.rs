@@ -13,6 +13,9 @@
 //!   are one shared byte buffer. A simulated system failure drops all
 //!   volatile state; restart reads the durable images back. This is
 //!   the substitution for real disks documented in `DESIGN.md` §2.
+//! * [`spare`] — the process's spare page buffers: a buffer no image
+//!   or frame refers to any more is the next page copy's, whichever
+//!   thread freed it.
 //! * [`slotted`] — a byte-accurate slotted data-page layout for heap
 //!   records.
 //! * [`blob`] — a tiny forced-write key/value area used for
@@ -26,6 +29,7 @@ pub mod blob;
 pub mod cache;
 pub mod latch;
 pub mod slotted;
+pub mod spare;
 
 pub use cache::{PageCache, PagePayload};
 pub use latch::{ExclusiveGuard, ExclusiveRef, Latch, LatchStats, ShareGuard, ShareRef};

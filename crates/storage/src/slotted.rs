@@ -54,6 +54,7 @@
 //! the bytes, not in them: the page format is unchanged.
 
 use crate::cache::PagePayload;
+use crate::spare;
 use mohan_common::{Error, Result, SlotId};
 use std::sync::Arc;
 
@@ -113,9 +114,8 @@ impl SlottedPage {
             size >= 64 && size <= u16::MAX as usize,
             "page size out of range"
         );
-        // Collected straight into the shared buffer: one allocation.
-        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, size).collect();
-        write_u16(Arc::make_mut(&mut buf), 2, HDR as u16);
+        let mut buf = spare::zeroed(size);
+        write_u16(spare::make_mut(&mut buf), 2, HDR as u16);
         SlottedPage {
             buf,
             held: Vec::new(),
@@ -124,10 +124,11 @@ impl SlottedPage {
     }
 
     /// The bytes to write, with the accounting beside them. Copies the
-    /// bytes first if an image still shares them, so each change takes
-    /// this once and writes through it.
+    /// bytes first, into a spare buffer if the process has one, if an
+    /// image still shares them, so each change takes this once and
+    /// writes through it.
     fn edit(&mut self) -> (&mut [u8], &mut Counts) {
-        (Arc::make_mut(&mut self.buf), &mut self.counts)
+        (spare::make_mut(&mut self.buf), &mut self.counts)
     }
 
     fn slot_count(&self) -> usize {
