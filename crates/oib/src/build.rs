@@ -784,6 +784,7 @@ fn insert_phase(
                         inserted,
                     },
                 );
+                merge.release()?;
                 db.failpoints.hit("build.insert")?;
             }
         }
@@ -929,6 +930,7 @@ fn load_phase(
                             bulk,
                         },
                     );
+                    merge.release()?;
                     db.failpoints.hit("build.load")?;
                 }
             }

@@ -290,6 +290,13 @@ impl Db {
                 .map(|i| i.sort_store.stored_bytes.get())
                 .sum()
         });
+        gauge("build.run_bytes_resident", |db| {
+            db.indexes
+                .read()
+                .iter()
+                .map(|i| i.sort_store.resident_bytes())
+                .sum()
+        });
         self.obs
             .adopt_histogram("lock.wait_us", Arc::clone(&self.locks.stats.wait_us));
         gauge("lock.calls", |db| db.locks.stats.calls.get());

@@ -99,6 +99,7 @@ impl<T: SortItem> ExternalSort<T> {
                     remaining: remaining.to_vec(),
                     inflight: Some((output, merge.checkpoint())),
                 })?;
+                merge.release()?;
                 since_cp = 0;
             }
         }

@@ -52,6 +52,7 @@ impl<T: SortItem> Iterator for RunCursor<T> {
 
 /// A restartable N-way merge.
 pub struct Merge<T: SortItem> {
+    store: Arc<RunStore<T>>,
     tree: LoserTree<T, RunCursor<T>>,
     inputs: Vec<u64>,
     counters: Vec<u64>,
@@ -68,6 +69,7 @@ impl<T: SortItem> Merge<T> {
             .collect();
         let counters = vec![0; inputs.len()];
         Merge {
+            store: Arc::clone(store),
             tree: LoserTree::new(cursors),
             inputs,
             counters,
@@ -83,6 +85,12 @@ impl<T: SortItem> Merge<T> {
         if cp.inputs.len() != cp.counters.len() {
             return Err(Error::Corruption("merge checkpoint arity mismatch".into()));
         }
+        // A cursor ends its input at a read error, so a position below
+        // a release (or in a missing run) is refused here, not merged
+        // as an empty input.
+        for (&run, &at) in cp.inputs.iter().zip(&cp.counters) {
+            store.read(run, at, 0)?;
+        }
         let cursors = cp
             .inputs
             .iter()
@@ -90,6 +98,7 @@ impl<T: SortItem> Merge<T> {
             .map(|(&r, &c)| RunCursor::new(Arc::clone(store), r, c))
             .collect();
         Ok(Merge {
+            store: Arc::clone(store),
             tree: LoserTree::new(cursors),
             inputs: cp.inputs.clone(),
             counters: cp.counters.clone(),
@@ -105,6 +114,17 @@ impl<T: SortItem> Merge<T> {
             counters: self.counters.clone(),
             emitted: self.emitted,
         }
+    }
+
+    /// Free each input's whole blocks below its counter. Call it only
+    /// once this position is durable: a restart then repositions every
+    /// cursor at or above it (§5.2), and a cursor reads ahead of its
+    /// counter, never behind.
+    pub fn release(&self) -> Result<()> {
+        for (&run, &below) in self.inputs.iter().zip(&self.counters) {
+            self.store.release(run, below)?;
+        }
+        Ok(())
     }
 
     /// Items emitted so far.
@@ -204,6 +224,36 @@ mod tests {
         let m = Merge::resume(&store, &cp).unwrap();
         out.extend(m);
         assert_eq!(out, expected, "no key lost, none duplicated");
+    }
+
+    #[test]
+    fn release_behind_the_counters_keeps_the_merge_and_its_resume_whole() {
+        let runs: Vec<Vec<i64>> = (0..3)
+            .map(|r| (0..200).map(|i| i * 3 + r).collect())
+            .collect();
+        let (store, ids) = store_with_runs(&runs);
+        let mut m = Merge::new(&store, ids.clone());
+        let mut out: Vec<i64> = m.by_ref().take(300).collect();
+        m.release().unwrap();
+        let cp = m.checkpoint();
+        for (&run, &c) in ids.iter().zip(&cp.counters) {
+            assert_eq!(c, 100);
+            assert!(store.read(run, 95, 1).is_err(), "block 5 is freed");
+            assert_eq!(store.read(run, 96, 1).unwrap().len(), 1);
+        }
+        out.extend(m.by_ref().take(50));
+        drop(m);
+        store.crash();
+        out.truncate(300);
+        out.extend(Merge::resume(&store, &cp).unwrap());
+        assert_eq!(out, (0..600).collect::<Vec<_>>());
+        // An older position lies below the release: refused.
+        let stale = MergeCheckpoint {
+            counters: vec![95, 100, 100],
+            emitted: 295,
+            ..cp
+        };
+        assert!(Merge::resume(&store, &stale).is_err());
     }
 
     #[test]

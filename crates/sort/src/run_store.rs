@@ -11,13 +11,17 @@
 //! `(shared-prefix-length, suffix)` against its predecessor's encoding. Sorted runs share long key prefixes, so this is the classic
 //! compressed-key-sort layout. An item is encoded once, on append, and
 //! decoded only when a merge cursor reads it back.
+//!
+//! A merge input gives back its whole blocks below the durable merge
+//! position ([`RunStore::release`]): §5.2 restarts a merge at its
+//! counters, so no restart reads below them again.
 
 use crate::item::SortItem;
 use mohan_common::codec::decode;
 use mohan_common::stats::Counter;
 use mohan_common::{Error, Result};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -39,6 +43,10 @@ fn read_u16(buf: &[u8], pos: &mut usize) -> Option<usize> {
 
 fn corrupt() -> Error {
     Error::Corruption("run block truncated".into())
+}
+
+fn released() -> Error {
+    Error::Corruption("run block released".into())
 }
 
 /// Decode the item at `*pos` of `block` into `cur`, which holds the
@@ -65,8 +73,11 @@ fn step(block: &[u8], pos: &mut usize, cur: &mut Vec<u8>, first: bool) -> Result
 /// One run's bytes.
 #[derive(Default)]
 struct Run {
-    /// Full blocks, each kept at its exact size.
-    closed: Vec<Box<[u8]>>,
+    /// Full blocks not yet released, each kept at its exact size; the
+    /// first is the run's block `released`.
+    closed: VecDeque<Box<[u8]>>,
+    /// Full blocks given back by `release`, all at the run's front.
+    released: usize,
     /// The block being filled: the run's last `len % BLOCK_ITEMS` items.
     open: Vec<u8>,
     len: usize,
@@ -96,18 +107,28 @@ impl Run {
         self.len += 1;
         let stored = self.open.len() - before;
         if self.len.is_multiple_of(BLOCK_ITEMS) {
-            self.closed.push(self.open.as_slice().into());
+            self.closed.push_back(self.open.as_slice().into());
             self.open.clear();
         }
         stored
     }
 
-    fn block(&self, b: usize) -> &[u8] {
-        self.closed.get(b).map_or(&self.open, |c| c)
+    /// Items in the released blocks: nothing below it can be read.
+    fn floor(&self) -> usize {
+        self.released * BLOCK_ITEMS
     }
 
-    /// Decode `count` items starting at item `offset` (clamped).
+    /// Block `b`, which is not released.
+    fn block(&self, b: usize) -> &[u8] {
+        self.closed.get(b - self.released).map_or(&self.open, |c| c)
+    }
+
+    /// Decode `count` items starting at item `offset` (clamped); an
+    /// offset in a released block is refused.
     fn read<T: SortItem>(&self, offset: usize, count: usize) -> Result<Vec<T>> {
+        if offset < self.floor() {
+            return Err(released());
+        }
         let end = offset.saturating_add(count).min(self.len);
         let mut out = Vec::with_capacity(end.saturating_sub(offset));
         let mut cur = Vec::new();
@@ -127,13 +148,17 @@ impl Run {
 
     /// Keep the first `len` items: the whole blocks below the cut stay
     /// as they are, and the block the cut lands in keeps the byte prefix
-    /// that encodes its first `len % BLOCK_ITEMS` items.
+    /// that encodes its first `len % BLOCK_ITEMS` items. A cut in a
+    /// released block is refused and changes nothing.
     fn truncate(&mut self, len: usize) -> Result<()> {
         if len < self.len {
-            let b = len / BLOCK_ITEMS;
+            if len < self.floor() {
+                return Err(released());
+            }
+            let b = len / BLOCK_ITEMS - self.released;
             if b < self.closed.len() {
                 self.closed.truncate(b + 1);
-                let cut = self.closed.pop().expect("the block the cut lands in");
+                let cut = self.closed.pop_back().expect("the block the cut lands in");
                 self.open.clear();
                 self.open.extend_from_slice(&cut);
             }
@@ -147,6 +172,34 @@ impl Run {
         }
         self.durable = self.durable.min(len);
         Ok(())
+    }
+
+    /// Drop the closed blocks that lie wholly below item `below`, up to
+    /// the durable mark: a crash never cuts into a released block.
+    fn release(&mut self, below: usize) {
+        let upto = below.min(self.durable) / BLOCK_ITEMS;
+        let n = upto.saturating_sub(self.released).min(self.closed.len());
+        self.closed.drain(..n);
+        self.released += n;
+        // The block table shrinks with the run, a halving at a time.
+        if self.closed.capacity() > 2 * self.closed.len() {
+            self.closed.shrink_to_fit();
+        }
+        // A merge input is read, not written: its write buffers keep
+        // only what they hold, and the encoding scratch goes.
+        self.open.shrink_to_fit();
+        self.last.shrink_to_fit();
+        self.next = Vec::new();
+    }
+
+    /// Bytes the run holds: its closed blocks and their table, the open
+    /// block and the two encoding buffers.
+    fn held(&self) -> usize {
+        self.closed.iter().map(|b| b.len()).sum::<usize>()
+            + self.closed.capacity() * std::mem::size_of::<Box<[u8]>>()
+            + self.open.capacity()
+            + self.last.capacity()
+            + self.next.capacity()
     }
 }
 
@@ -238,10 +291,28 @@ impl<T: SortItem> RunStore<T> {
 
     /// Truncate a run to `len` items (restart repositioning, §5.1-5.2).
     /// The durable mark is clamped too. The byte counters stay
-    /// cumulative: they count writes, not occupancy.
+    /// cumulative: they count writes, not occupancy. `Corruption` if
+    /// the cut lands in a released block.
     pub fn truncate(&self, run: u64, len: u64) -> Result<()> {
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         self.run(run)?.lock().truncate(len)
+    }
+
+    /// Free the whole blocks of a run that lie below item `below` and
+    /// were forced. Call it only once no restart reads them: a merge
+    /// input below its durable counter (§5.2). A later `read` or
+    /// `truncate` that lands in a freed block is `Corruption`.
+    pub fn release(&self, run: u64, below: u64) -> Result<()> {
+        let below = usize::try_from(below).unwrap_or(usize::MAX);
+        self.run(run)?.lock().release(below);
+        Ok(())
+    }
+
+    /// Bytes the runs hold now: blocks, block tables and buffers.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        let runs = self.runs.lock();
+        runs.values().map(|r| r.lock().held() as u64).sum()
     }
 
     /// Delete a run (post-merge cleanup, or discarding runs younger
@@ -270,7 +341,8 @@ impl<T: SortItem> RunStore<T> {
         for run in self.runs.lock().values() {
             let mut r = run.lock();
             let durable = r.durable;
-            // The kept prefix was encoded by this store: it decodes.
+            // The kept prefix was encoded by this store and holds every
+            // released block: it decodes.
             r.truncate(durable).expect("a run's forced prefix decodes");
         }
     }
@@ -369,13 +441,20 @@ mod tests {
         let items: Vec<IndexEntry> = (0..100).map(|i| entry(i, i as u32, 0)).collect();
         let r = s.create_run();
         s.append(r, &items).unwrap();
-        let blocks_before: Vec<Box<[u8]>> = s.run(r).unwrap().lock().closed[..2].to_vec();
+        let blocks_before: Vec<Box<[u8]>> = s
+            .run(r)
+            .unwrap()
+            .lock()
+            .closed
+            .range(..2)
+            .cloned()
+            .collect();
         // Mid-block cut in the third block: the two below are untouched.
         s.truncate(r, 37).unwrap();
         {
             let run = s.run(r).unwrap();
             let run = run.lock();
-            assert_eq!(run.closed, blocks_before);
+            assert!(run.closed.iter().eq(&blocks_before));
             assert_eq!(run.len, 37);
         }
         s.append(r, &items[37..50]).unwrap();
@@ -395,6 +474,7 @@ mod tests {
         Truncate(usize),
         Crash,
         Read(usize, usize),
+        Release(usize),
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -412,17 +492,22 @@ mod tests {
             1 => (0usize..200).prop_map(Op::Truncate),
             1 => Just(Op::Crash),
             2 => (0usize..220, 0usize..50).prop_map(|(o, c)| Op::Read(o, c)),
+            1 => (0usize..220).prop_map(Op::Release),
         ]
     }
 
     proptest! {
-        /// Appends in random chunks, forces, truncates, crashes and
-        /// reads from any offset match a `Vec` and its forced length.
+        /// Appends in random chunks, forces, truncates, crashes,
+        /// releases and reads from any offset match a `Vec`, its forced
+        /// length and its released floor: the whole blocks below the
+        /// smaller of the release mark and the forced length. A read or
+        /// cut below the floor is refused.
         #[test]
         fn run_matches_a_vec_model(ops in prop::collection::vec(op(), 1..60)) {
             let s: RunStore<IndexEntry> = RunStore::new();
             let r = s.create_run();
             let (mut model, mut durable): (Vec<IndexEntry>, usize) = (Vec::new(), 0);
+            let mut floor = 0;
             for op in ops {
                 match op {
                     Op::Append(items) => {
@@ -433,6 +518,9 @@ mod tests {
                         s.force_run(r).unwrap();
                         durable = model.len();
                     }
+                    Op::Truncate(len) if len < floor => {
+                        prop_assert!(s.truncate(r, len as u64).is_err());
+                    }
                     Op::Truncate(len) => {
                         s.truncate(r, len as u64).unwrap();
                         model.truncate(len);
@@ -442,16 +530,28 @@ mod tests {
                         s.crash();
                         model.truncate(durable);
                     }
+                    Op::Read(offset, count) if offset < floor => {
+                        prop_assert!(s.read(r, offset as u64, count).is_err());
+                    }
                     Op::Read(offset, count) => {
                         let start = offset.min(model.len());
                         let end = (offset + count).clamp(start, model.len());
                         let got = s.read(r, offset as u64, count).unwrap();
                         prop_assert_eq!(got, model[start..end].to_vec());
                     }
+                    Op::Release(below) => {
+                        let held = s.resident_bytes();
+                        s.release(r, below as u64).unwrap();
+                        floor = floor.max(below.min(durable) / 16 * 16);
+                        prop_assert!(s.resident_bytes() <= held);
+                    }
                 }
                 prop_assert_eq!(s.len(r).unwrap(), model.len() as u64);
-                prop_assert_eq!(s.read(r, 0, usize::MAX).unwrap(), model.clone());
+                let kept = s.read(r, floor as u64, usize::MAX).unwrap();
+                prop_assert_eq!(kept, model[floor..].to_vec());
             }
+            s.delete(r);
+            prop_assert_eq!(s.resident_bytes(), 0);
         }
     }
 }

@@ -6,13 +6,17 @@
 //! time in sorted runs of 2 048 as run formation emits them, must cost at
 //! most 40 bytes each. Held as items, an entry is a 32-byte struct plus
 //! its key's own 32-byte chunk: 64 bytes.
+//!
+//! Merged with a release every 5 000 keys, the store then holds at most
+//! 40 bytes for each entry not yet consumed, plus one block per input.
 
 use mohan_common::{IndexEntry, KeyValue, Rid};
-use mohan_sort::RunStore;
+use mohan_sort::{Merge, RunStore};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Passes every request to the system allocator, counting the chunk
 /// bytes this thread holds.
@@ -57,15 +61,20 @@ static COUNTING: Counting = Counting;
 const ENTRIES: usize = 100_000;
 const RUN: usize = 2_048;
 const MAX_BYTES_PER_ENTRY: f64 = 40.0;
+/// Keys merged between two releases.
+const RELEASE_EVERY: usize = 5_000;
+/// Items in a run's block: the most a release must leave behind its
+/// counter.
+const BLOCK_ITEMS: usize = 16;
 
 fn live() -> isize {
     LIVE.with(Cell::get)
 }
 
-#[test]
-fn a_sorted_run_costs_at_most_40_bytes_an_entry() {
+/// The store's runs of `ENTRIES` random keys, as run formation emits
+/// them, each forced; and the bytes the store took for them.
+fn sorted_runs(store: &RunStore<IndexEntry>) -> (Vec<u64>, isize) {
     let mut rng = StdRng::seed_from_u64(34);
-    let store: RunStore<IndexEntry> = RunStore::new();
     let mut runs = Vec::with_capacity(ENTRIES.div_ceil(RUN));
     let before = live();
     let mut rid = 0u32;
@@ -86,7 +95,14 @@ fn a_sorted_run_costs_at_most_40_bytes_an_entry() {
         store.force_run(run).unwrap();
         runs.push(run);
     }
-    let per_entry = (live() - before) as f64 / ENTRIES as f64;
+    (runs, live() - before)
+}
+
+#[test]
+fn a_sorted_run_costs_at_most_40_bytes_an_entry() {
+    let store: RunStore<IndexEntry> = RunStore::new();
+    let (runs, held) = sorted_runs(&store);
+    let per_entry = held as f64 / ENTRIES as f64;
     eprintln!("{per_entry:.1} B per entry held by the run store");
     assert!(
         per_entry <= MAX_BYTES_PER_ENTRY,
@@ -94,4 +110,35 @@ fn a_sorted_run_costs_at_most_40_bytes_an_entry() {
     );
     let held: u64 = runs.iter().map(|&r| store.len(r).unwrap()).sum();
     assert_eq!(held, ENTRIES as u64);
+}
+
+#[test]
+fn a_merge_that_releases_keeps_only_what_it_has_not_consumed() {
+    let store: Arc<RunStore<IndexEntry>> = Arc::new(RunStore::new());
+    let (runs, mut held) = sorted_runs(&store);
+    let per_input = (BLOCK_ITEMS as f64 * MAX_BYTES_PER_ENTRY) as isize;
+    let slack = runs.len() as isize * per_input;
+    let mut merge = Merge::new(&store, runs);
+    let mut consumed = 0;
+    while merge.next().is_some() {
+        consumed += 1;
+        if consumed % RELEASE_EVERY != 0 && consumed != ENTRIES {
+            continue;
+        }
+        // The store allocates nothing between releases (the cursors'
+        // reads are theirs), so what a release frees is what it holds
+        // less.
+        let before = live();
+        merge.release().unwrap();
+        held -= before - live();
+        let bound = ((ENTRIES - consumed) as f64 * MAX_BYTES_PER_ENTRY) as isize + slack;
+        assert!(
+            held <= bound,
+            "{held} B held after {consumed} keys, over {bound}"
+        );
+        // The gauge counts bytes the allocator charges more for.
+        assert!(store.resident_bytes() as isize <= held);
+    }
+    assert_eq!(consumed, ENTRIES);
+    eprintln!("{held} B held by the run store once the merge is done");
 }

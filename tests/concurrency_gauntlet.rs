@@ -125,9 +125,13 @@ fn back_to_back_builds_with_continuous_churn() {
 
 #[test]
 fn crash_mid_build_with_churn_then_resume_with_new_churn() {
-    for (algo, site) in [
-        (BuildAlgorithm::Nsf, "nsf.insert.key"),
-        (BuildAlgorithm::Sf, "sf.load.key"),
+    // Keys between checkpoints. The churn decides how many rows the
+    // scan sees (650 or fewer under load), so the crash is armed from
+    // the phase's first checkpoint, half an interval before the next.
+    const EVERY: u32 = 100;
+    for (algo, checkpoint, site) in [
+        (BuildAlgorithm::Nsf, "build.insert", "nsf.insert.key"),
+        (BuildAlgorithm::Sf, "build.load", "sf.load.key"),
     ] {
         let (db, rids) = seed_table(gauntlet_cfg(), 1_500, 9);
         let churn = start_churn(
@@ -138,16 +142,23 @@ fn crash_mid_build_with_churn_then_resume_with_new_churn() {
                 ..ChurnConfig::default()
             },
         );
-        db.failpoints.arm_after(site, 700);
-        let err = build_index(
+        let failpoints = Arc::clone(&db.failpoints);
+        db.failpoints.arm_hook(checkpoint, 0, move || {
+            failpoints.arm_after(site, u64::from(EVERY / 2));
+        });
+        let err = build_indexes(
             &db,
             TABLE,
-            IndexSpec {
+            &[IndexSpec {
                 name: "x".into(),
                 key_cols: vec![0],
                 unique: false,
-            },
+            }],
             algo,
+            &BuildOptions {
+                checkpoint_every: EVERY,
+                ..BuildOptions::default()
+            },
         )
         .expect_err("armed crash");
         assert!(err.is_crash(), "{algo:?}");
