@@ -2,14 +2,17 @@
 //! single-scan builds (§6.2), restart resume, and drop / cancel
 //! (§2.3.2).
 //!
-//! Every build runs through one driver, `drive`: the durable
+//! Every build goes one way: its descriptors register before its scan
+//! (`create_descriptors`), it runs on a build worker through one
+//! driver, `drive`, it completes only in `complete_index`, and a failed
+//! one is cancelled only through `cancel_unless_crash`. The durable
 //! progress record ([`BuildProgress`]) is the build's state, each phase
 //! runs from its record alone, and a fresh build is a resume from the
 //! empty record.
 
 use crate::engine::Db;
 use crate::progress::{self, BuildProgress, PartCheckpoint};
-use crate::runtime::{IndexRuntime, IndexState};
+use crate::runtime::{IndexRuntime, IndexState, KeyCursor};
 use crate::schema::{BuildAlgorithm, IndexDef, Record};
 use mohan_btree::{BulkCheckpoint, BulkLoader, Edit, Found, InsertMode, InsertOutcome};
 use mohan_common::pace::{pace, Ticker, KEYS_PER_PACE, OPS_PER_PACE};
@@ -116,16 +119,16 @@ pub fn build_indexes(
     options: &BuildOptions,
 ) -> Result<Vec<IndexId>> {
     let (specs, options) = (specs.to_vec(), *options);
-    db.on_build_worker(move |db| build_now(db, table, &specs, algorithm, &options, |_| {}))
+    db.on_build_worker(move |db| build_now(db, table, &specs, algorithm, &options, |_| {}, None))
 }
 
 /// [`build_indexes`] without the wait: the build starts on a build
 /// worker and this returns at once. `on_ids` fires once the batch's
-/// index ids are allocated (descriptors registered for NSF/SF,
-/// runtimes created for offline), before any scan work, so an observer
-/// — e.g. a server streaming progress frames — can poll
-/// [`progress::load`] for exactly these ids. `done` gets the outcome on
-/// the worker — `Err` with the panic payload if the build panicked.
+/// descriptors are registered, whatever the algorithm, before any scan
+/// work, so an observer — e.g. a server streaming progress frames —
+/// can poll [`progress::load`] for exactly these ids. `done` gets the
+/// outcome on the worker — `Err` with the panic payload if the build
+/// panicked.
 pub fn spawn_build_indexes(
     db: &Arc<Db>,
     table: TableId,
@@ -136,19 +139,25 @@ pub fn spawn_build_indexes(
     done: impl FnOnce(std::thread::Result<Result<Vec<IndexId>>>) + Send + 'static,
 ) {
     db.spawn_on_build_worker(
-        move |db| build_now(db, table, &specs, algorithm, &options, on_ids),
+        move |db| build_now(db, table, &specs, algorithm, &options, on_ids, None),
         done,
     );
 }
 
-/// A build, on the thread it runs on.
-fn build_now(
+/// A build, on the build worker it runs on: register the descriptors,
+/// store the options, then scan and drive every index to completion.
+/// The offline baseline quiesces the table from before the
+/// registration until the build returns, whatever its outcome. A §6.2
+/// build names its `primary` index, which it walks in place of the
+/// heap scan.
+pub(crate) fn build_now(
     db: &Arc<Db>,
     table: TableId,
     specs: &[IndexSpec],
     algorithm: BuildAlgorithm,
     options: &BuildOptions,
     on_ids: impl FnOnce(&[IndexId]),
+    primary: Option<&IndexRuntime>,
 ) -> Result<Vec<IndexId>> {
     if specs.is_empty() {
         return Err(Error::InvalidArg("no index specs".into()));
@@ -156,18 +165,20 @@ fn build_now(
     options.validate()?;
     db.build_sort_workers
         .observe(u64::from(options.parallel_workers));
-    match algorithm {
-        BuildAlgorithm::Offline => offline_build(db, table, specs, options, on_ids),
-        BuildAlgorithm::Nsf | BuildAlgorithm::Sf => {
-            let idxs = create_descriptors(db, table, specs, algorithm)?;
-            let ids: Vec<IndexId> = idxs.iter().map(|i| i.def.id).collect();
-            for idx in &idxs {
-                progress::store_options(db, idx.def.id, options);
-            }
-            on_ids(&ids);
-            cancel_unless_crash(db, &idxs, build_fresh(db, &idxs, options)).map(|()| ids)
-        }
+    let offline = algorithm == BuildAlgorithm::Offline;
+    let quiesce = offline.then(|| db.quiesce(table)).transpose()?;
+    let idxs = create_descriptors(db, table, specs, algorithm, primary)?;
+    let ids: Vec<IndexId> = idxs.iter().map(|i| i.def.id).collect();
+    let stored = ids
+        .iter()
+        .try_for_each(|&id| progress::store_options(db, id, options));
+    on_ids(&ids);
+    let built = stored.and_then(|()| build_fresh(db, &idxs, options, primary));
+    cancel_unless_crash(db, &idxs, built)?;
+    if let Some(quiesce) = quiesce {
+        quiesce.end()?;
     }
+    Ok(ids)
 }
 
 /// Continue an interrupted build after [`Db::restart`], with the
@@ -220,30 +231,15 @@ pub fn drop_index(db: &Arc<Db>, id: IndexId) -> Result<()> {
 // descriptor creation
 // ===================================================================
 
-fn make_runtime(
-    db: &Db,
-    table: TableId,
-    spec: &IndexSpec,
-    algorithm: BuildAlgorithm,
-    state: IndexState,
-) -> Result<Arc<IndexRuntime>> {
-    let def = IndexDef {
-        id: db.next_index_id(),
-        name: spec.name.clone(),
-        table,
-        unique: spec.unique,
-        key_cols: spec.key_cols.clone(),
-    };
-    Ok(Arc::new(IndexRuntime::new(def, algorithm, state, &db.cfg)?))
-}
-
-/// Create and register the descriptors, then fix the scan bound.
-/// NSF: a short [`Db::quiesce`] around it so no update transaction
-/// straddles it (§2.2.1) — or the §3.2.3 no-quiesce alternative, where
-/// transactions straddling the creation are compensated via the
-/// visible-index-count comparison at rollback. SF: no quiesce (§3.2.1).
-/// A refused quiesce registers nothing; a failure after it ends the
-/// quiesce as it returns.
+/// Create and register the descriptors, in the algorithm's building
+/// state, then fix the scan bound. NSF: a short [`Db::quiesce`] around
+/// it so no update transaction straddles it (§2.2.1) — or the §3.2.3
+/// no-quiesce alternative, where transactions straddling the creation
+/// are compensated via the visible-index-count comparison at rollback.
+/// SF: no quiesce (§3.2.1). Offline: the caller's quiesce covers the
+/// whole build. A refused quiesce registers nothing; a failure after
+/// it ends the quiesce as it returns. A §6.2 descriptor carries a key
+/// cursor on its `primary` index's key.
 ///
 /// The order matters (§2.3.1, §3.2.1): every record must be on a page
 /// at or below the bound, or have been written by a transaction that
@@ -257,13 +253,24 @@ fn create_descriptors(
     table: TableId,
     specs: &[IndexSpec],
     algorithm: BuildAlgorithm,
+    primary: Option<&IndexRuntime>,
 ) -> Result<Vec<Arc<IndexRuntime>>> {
     let tbl = db.table(table)?;
-    // Offline builds register through `offline_build`, not here.
-    let state = IndexState::building(algorithm);
     let runtimes = specs
         .iter()
-        .map(|spec| make_runtime(db, table, spec, algorithm, state))
+        .map(|spec| {
+            let def = IndexDef {
+                id: db.next_index_id(),
+                name: spec.name.clone(),
+                table,
+                unique: spec.unique,
+                key_cols: spec.key_cols.clone(),
+            };
+            let state = IndexState::building(algorithm);
+            let mut rt = IndexRuntime::new(def, algorithm, state, &db.cfg)?;
+            rt.key_cursor = primary.map(|p| KeyCursor::for_pk_cols(p.def.key_cols.clone()));
+            Ok(Arc::new(rt))
+        })
         .collect::<Result<Vec<_>>>()?;
     let quiesce = if algorithm == BuildAlgorithm::Nsf && db.cfg.nsf_descriptor_quiesce {
         Some(db.quiesce(table)?)
@@ -272,27 +279,28 @@ fn create_descriptors(
     };
     let mut out = Vec::with_capacity(specs.len());
     for rt in runtimes {
-        force_empty_tree(db, &rt)?;
+        // Registration is a durable catalog update: force the empty
+        // tree (anchor + root) so restart always finds a structurally
+        // valid index to recover into.
+        force_index_pages(db, &rt, "create", |wal| rt.tree.force_all(wal))?;
         db.register_index(Arc::clone(&rt));
         out.push(rt);
     }
     db.failpoints.hit("build.registered")?;
-    for rt in &out {
-        publish_scan_bounds(rt, &tbl);
+    // A §6.2 walk goes by its key cursor, not by a page bound. Its
+    // bound stays unset, so a crashed walk's resume, a heap scan,
+    // publishes one that covers every row the walk left behind.
+    if primary.is_none() {
+        for rt in &out {
+            publish_scan_bounds(rt, &tbl);
+        }
+        // The catalog written at registration has no bound yet.
+        db.persist_catalog();
     }
-    // The catalog written at registration has no bound yet.
-    db.persist_catalog();
     if let Some(quiesce) = quiesce {
         quiesce.end()?;
     }
     Ok(out)
-}
-
-/// Descriptor creation is a durable catalog update: force the empty
-/// tree (anchor + root) so restart always finds a structurally valid
-/// index to recover into.
-pub(crate) fn force_empty_tree(db: &Db, rt: &IndexRuntime) -> Result<()> {
-    force_index_pages(db, rt, "create", |wal| rt.tree.force_all(wal))
 }
 
 /// Note the last data page before the scan starts (§2.3.1): records
@@ -336,10 +344,22 @@ fn publish_scan_bounds(rt: &IndexRuntime, tbl: &mohan_heap::HeapTable) {
 /// one pass over the data feeds every index, and then each goes on
 /// alone, in order, from its own reduce record. Every index stores
 /// that record before the first one goes on, so a crash after the scan
-/// rescans none of them.
-fn build_fresh(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>], opts: &BuildOptions) -> Result<()> {
-    let parts = empty_scan(db, &idxs[0], opts)?;
-    let runs = scan_phase(db, idxs, vec![parts; idxs.len()], opts)?;
+/// rescans none of them. A build on a `primary` index walks it
+/// ([`crate::primary::walk`]) in place of the scan, and its crashed
+/// walk resumes from the empty scan record: a heap scan.
+fn build_fresh(
+    db: &Arc<Db>,
+    idxs: &[Arc<IndexRuntime>],
+    opts: &BuildOptions,
+    primary: Option<&IndexRuntime>,
+) -> Result<()> {
+    let runs = match primary {
+        Some(primary) => vec![crate::primary::walk(db, primary, &idxs[0])?],
+        None => {
+            let parts = empty_scan(db, &idxs[0], opts)?;
+            scan_phase(db, idxs, vec![parts; idxs.len()], opts)?
+        }
+    };
     let records = idxs
         .iter()
         .zip(runs)
@@ -356,7 +376,7 @@ fn build_fresh(db: &Arc<Db>, idxs: &[Arc<IndexRuntime>], opts: &BuildOptions) ->
 /// alone, then [`advance`]s to the next phase with the runs the phase
 /// handed on, until the build is complete. Fresh ([`build_fresh`]),
 /// resumed ([`resume_build`]), offline and §6.2 builds all run here.
-pub(crate) fn drive(
+fn drive(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
     mut at: Option<BuildProgress>,
@@ -395,7 +415,7 @@ pub(crate) fn drive(
 /// This is each algorithm's phase order, written once: NSF scans,
 /// reduces and inserts (§2.2.3); SF scans, reduces, loads and drains
 /// (§3.2.4, §3.2.5); offline scans, reduces and loads.
-pub(crate) fn advance(
+fn advance(
     db: &Db,
     idx: &IndexRuntime,
     done: BuildPhase,
@@ -428,7 +448,7 @@ pub(crate) fn advance(
         (BuildAlgorithm::Sf, BuildPhase::Loading) => BuildProgress::Draining { pos: 0 },
         _ => return Ok(None),
     };
-    progress::store(db, idx.def.id, &next);
+    progress::store(db, idx.def.id, &next)?;
     Ok(Some(next))
 }
 
@@ -668,7 +688,7 @@ fn scan_part(
                 for ((idx, parts), cp) in idxs.iter().zip(records.iter_mut()).zip(cps) {
                     parts[w].sort = cp;
                     let parts = parts.clone();
-                    progress::store(db, idx.def.id, &BuildProgress::ScanningParallel { parts });
+                    progress::store(db, idx.def.id, &BuildProgress::ScanningParallel { parts })?;
                 }
                 db.failpoints.hit("build.scan")?;
             }
@@ -700,16 +720,20 @@ fn reduce_phase(
     };
     let id = idx.def.id;
     ext.resume_reduce(pass, &mut |cp| {
-        progress::store(db, id, &BuildProgress::Reducing { pass: cp.clone() });
+        progress::store(db, id, &BuildProgress::Reducing { pass: cp.clone() })?;
         db.failpoints.hit("build.reduce")
     })
 }
 
-/// Mark the index complete: record the completion horizon, flip the
-/// state, persist the catalog and drop the progress record and the runs.
+/// Mark the index complete, the one way every build ends: record the
+/// completion horizon, flip the state, persist the catalog and drop the
+/// progress record and the runs. An index cancelled or dropped under
+/// its build stays cancelled: [`Error::BuildCancelled`].
 fn complete_index(db: &Arc<Db>, idx: &Arc<IndexRuntime>, completed_at: Lsn) -> Result<()> {
     idx.set_completed_lsn(completed_at);
-    idx.set_state(IndexState::Complete);
+    if !idx.complete() {
+        return Err(Error::BuildCancelled);
+    }
     db.obs
         .trace()
         .event("build.phase", "flip", u64::from(idx.def.id.0));
@@ -741,7 +765,7 @@ fn insert_phase(
     let mut pacer = Ticker::new(KEYS_PER_PACE);
 
     in_ib(db, |ib| {
-        while let Some(entry) = merge.next() {
+        while let Some(entry) = merge.try_next()? {
             // The previous key's `tree.insert` has returned: no latch.
             pacer.tick();
             db.failpoints.hit("nsf.insert.key")?;
@@ -783,7 +807,7 @@ fn insert_phase(
                         merge: merge.checkpoint(),
                         inserted,
                     },
-                );
+                )?;
                 merge.release()?;
                 db.failpoints.hit("build.insert")?;
             }
@@ -888,7 +912,8 @@ fn ib_resolve_unique(
 /// and the §6.2 primary-index walk. An entry equal to the one before it
 /// is dropped (the primary-index walk reads a reused RID twice); a
 /// unique index settles each run of equal keys against the data pages
-/// ([`resolve_unique_group`]).
+/// ([`resolve_unique_group`]). The offline baseline has no drain: its
+/// load completes the index.
 fn load_phase(
     db: &Arc<Db>,
     idx: &Arc<IndexRuntime>,
@@ -929,12 +954,14 @@ fn load_phase(
                             merge: merge.checkpoint(),
                             bulk,
                         },
-                    );
+                    )?;
                     merge.release()?;
                     db.failpoints.hit("build.load")?;
                 }
             }
-            let Some(entry) = merge.next() else { break };
+            let Some(entry) = merge.try_next()? else {
+                break;
+            };
             db.failpoints.hit("sf.load.key")?;
             since_cp += 1;
             if pending.as_ref().or(loader.highest()) == Some(&entry) {
@@ -956,7 +983,7 @@ fn load_phase(
                 Some(prev) => {
                     let mut group = vec![prev, entry];
                     while merge.peek().is_some_and(|e| e.key == group[0].key) {
-                        group.push(merge.next().expect("peeked"));
+                        group.push(merge.try_next()?.expect("peeked"));
                         since_cp += 1;
                     }
                     group.dedup();
@@ -970,7 +997,12 @@ fn load_phase(
             loader.append(p)?;
         }
         force_index_pages(db, idx, "load", |wal| loader.finish(wal))?;
-        db.commit(*ib)
+        let completed_at = db.wal.tail_lsn();
+        db.commit(*ib)?;
+        match idx.algorithm {
+            BuildAlgorithm::Offline => complete_index(db, idx, completed_at),
+            _ => Ok(()),
+        }
     })
 }
 
@@ -1093,7 +1125,7 @@ fn drain_pass(
     *pos = through;
     idx.side_file.drain_passes.bump();
     db.obs.trace().event("build.phase", "sf.drain.pass", pos.0);
-    progress::store(db, idx.def.id, &BuildProgress::Draining { pos: pos.0 });
+    progress::store(db, idx.def.id, &BuildProgress::Draining { pos: pos.0 })?;
     idx.side_file.drained_through(*pos);
     db.failpoints.hit("build.drain")
 }
@@ -1151,73 +1183,25 @@ fn apply_drain_op(
 }
 
 // ===================================================================
-// Offline baseline
-// ===================================================================
-
-/// The pre-paper way: quiesce *all* updates for the whole build, then
-/// run the shared scan, reduce and load. The runtimes stay unregistered
-/// until the load is done, so a crash leaves nothing to resume (the
-/// offline strategy is restart-from-scratch); restart removes the
-/// progress records the build left ([`progress::clear_orphans`]). The
-/// quiesce ends as the build returns, whatever its outcome.
-fn offline_build(
-    db: &Arc<Db>,
-    table: TableId,
-    specs: &[IndexSpec],
-    opts: &BuildOptions,
-    on_ids: impl FnOnce(&[IndexId]),
-) -> Result<Vec<IndexId>> {
-    let quiesce = db.quiesce(table)?;
-    let mut idxs = Vec::with_capacity(specs.len());
-    let result = (|| -> Result<()> {
-        let tbl = db.table(table)?;
-        for spec in specs {
-            let rt = make_runtime(
-                db,
-                table,
-                spec,
-                BuildAlgorithm::Offline,
-                IndexState::Complete,
-            )?;
-            publish_scan_bounds(&rt, &tbl);
-            idxs.push(rt);
-        }
-        on_ids(&idxs.iter().map(|i| i.def.id).collect::<Vec<_>>());
-        build_fresh(db, &idxs, opts)
-    })();
-    if let Err(e) = result {
-        if !e.is_crash() {
-            for idx in &idxs {
-                progress::clear(db, idx.def.id);
-            }
-        }
-        return Err(e);
-    }
-    for idx in &idxs {
-        idx.set_completed_lsn(db.wal.tail_lsn());
-        progress::clear(db, idx.def.id);
-        idx.sort_store.clear();
-        db.register_index(Arc::clone(idx));
-    }
-    quiesce.end()?;
-    Ok(idxs.iter().map(|i| i.def.id).collect())
-}
-
-// ===================================================================
 // cancel (§2.3.2)
 // ===================================================================
 
-/// A failed build is cancelled, and the build's own error returned; a
-/// crashed one stays for [`resume_build`].
-pub(crate) fn cancel_unless_crash<T>(
+/// A failed build is cancelled, and the build's own error returned —
+/// [`Error::BuildCancelled`] if an index of it was cancelled or dropped
+/// before it failed; a crashed one stays for [`resume_build`].
+fn cancel_unless_crash<T>(
     db: &Arc<Db>,
     idxs: &[Arc<IndexRuntime>],
     result: Result<T>,
 ) -> Result<T> {
-    if result.as_ref().is_err_and(|e| !e.is_crash()) {
-        cancel_builds(db, idxs);
+    match result {
+        Err(e) if !e.is_crash() => {
+            let dropped = idxs.iter().any(|i| i.state() == IndexState::Cancelled);
+            cancel_builds(db, idxs);
+            Err(if dropped { Error::BuildCancelled } else { e })
+        }
+        result => result,
     }
-    result
 }
 
 /// Cancel the indexes `idxs` (§2.3.2), or drop them: each becomes

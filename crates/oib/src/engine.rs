@@ -868,18 +868,30 @@ impl Db {
 
     /// ARIES restart after [`Db::simulate_crash`]: restore catalog
     /// state, then analysis, redo from the last checkpoint's
-    /// `redo_start`, undo and the reserved-slot sweep. Interrupted
-    /// index builds stay in their building state; call
-    /// [`crate::build::resume_build`] to finish them. Progress records
-    /// of builds the catalog does not know are removed, and so are
-    /// cancelled descriptors, once undo has ended every loser.
+    /// `redo_start`, undo and the reserved-slot sweep. Interrupted NSF
+    /// and SF builds stay in their building state; call
+    /// [`crate::build::resume_build`] to finish them. The offline
+    /// baseline restarts from scratch: once undo has ended every loser,
+    /// an unfinished offline build is cancelled, and every cancelled
+    /// descriptor goes with its build records.
     pub fn restart(&self) -> Result<RecoveryStats> {
         self.load_catalog()?;
-        crate::progress::clear_orphans(self);
         let stats = self.recover(mohan_wal::checkpoint_redo_start(&self.wal))?;
-        self.remove_cancelled(None);
+        self.cancel_unfinished(|idx| idx.algorithm == BuildAlgorithm::Offline);
         self.recovering.store(false, Ordering::Release);
         Ok(stats)
+    }
+
+    /// Cancel every unfinished build whose index `which` picks, then
+    /// remove every cancelled descriptor (restart and promotion, after
+    /// undo).
+    fn cancel_unfinished(&self, which: impl Fn(&IndexRuntime) -> bool) {
+        for idx in self.indexes.read().iter() {
+            if idx.state() != IndexState::Complete && which(idx) {
+                idx.cancel();
+            }
+        }
+        self.remove_cancelled(None);
     }
 
     /// Analysis, redo of the records after `redo_start`, and undo; then
@@ -966,12 +978,7 @@ impl Db {
     pub fn promote_to_primary(&self) -> Result<RecoveryStats> {
         self.wal.flush_all();
         let stats = self.recover(self.wal.tail_lsn())?;
-        for idx in self.indexes.read().iter() {
-            if idx.state() != IndexState::Complete {
-                idx.cancel();
-            }
-        }
-        self.remove_cancelled(None);
+        self.cancel_unfinished(|_| true);
         self.set_replica(false);
         self.set_repl_lag(0);
         Ok(stats)

@@ -115,9 +115,25 @@ fn options_key(id: IndexId) -> String {
     format!("build/{}/options", id.0)
 }
 
-/// Durably record build progress.
-pub fn store(db: &Db, id: IndexId, progress: &BuildProgress) {
-    db.blobs.put(&key(id), progress.encode());
+/// Durably record build progress. [`Error::BuildCancelled`], and
+/// nothing stored, if the index was cancelled or dropped.
+pub fn store(db: &Db, id: IndexId, progress: &BuildProgress) -> Result<()> {
+    put_live(db, id, &key(id), progress.encode())
+}
+
+/// Store a build record of index `id`, then check that the index is
+/// still live; if it is not, take the record back. A cancel marks the
+/// index first and clears its records second, and the blob store's
+/// mutex orders that clear against this put: either the clear comes
+/// later and removes the record, or this check sees the mark. No
+/// record outlives its index either way.
+fn put_live(db: &Db, id: IndexId, key: &str, bytes: Vec<u8>) -> Result<()> {
+    db.blobs.put(key, bytes);
+    if db.index(id).is_err() {
+        db.blobs.remove(key);
+        return Err(Error::BuildCancelled);
+    }
+    Ok(())
 }
 
 /// Load build progress, if any.
@@ -137,26 +153,12 @@ pub fn clear(db: &Db, id: IndexId) {
     db.blobs.remove(&options_key(id));
 }
 
-/// Remove the records of every build whose index the catalog does not
-/// know: those an offline build, whose runtimes are registered only
-/// once it is done, left behind when it crashed. Restart calls this.
-pub(crate) fn clear_orphans(db: &Db) {
-    for key in db.blobs.keys() {
-        let id = key
-            .strip_prefix("build/")
-            .and_then(|rest| rest.split_once('/'))
-            .and_then(|(id, _)| id.parse().ok());
-        if id.is_some_and(|id| db.index(IndexId(id)).is_err()) {
-            db.blobs.remove(&key);
-        }
-    }
-}
-
 /// Durably record the build's [`BuildOptions`], so a resumed build
 /// keeps the worker count, drain policy and interval it started with.
 /// The blob is the options' bytes as `CreateIndex` carries them.
-pub fn store_options(db: &Db, id: IndexId, options: &BuildOptions) {
-    db.blobs.put(&options_key(id), options.encode());
+/// [`Error::BuildCancelled`], like [`store`], if the index is gone.
+pub fn store_options(db: &Db, id: IndexId, options: &BuildOptions) -> Result<()> {
+    put_live(db, id, &options_key(id), options.encode())
 }
 
 /// The options a build was started with ([`BuildOptions::default`]

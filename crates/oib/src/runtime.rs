@@ -9,6 +9,7 @@ use mohan_common::{wire_enum, wire_struct};
 use mohan_common::{EngineConfig, Error, FileId, KeyValue, Lsn, PageId, Result, Rid};
 use mohan_sort::RunStore;
 use parking_lot::Mutex;
+use std::sync::atomic::Ordering::{AcqRel, Acquire};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 wire_enum! {
@@ -35,10 +36,12 @@ wire_enum! {
 }
 
 impl IndexState {
-    /// The state an index built by `algorithm` holds until its build
-    /// completes: SF's Current-RID visibility (§3.1), or NSF's direct
-    /// maintenance without reads (§2.2.1), which an offline build's
-    /// index shares on a follower until it is rebuilt there.
+    /// The state an index built by `algorithm` holds from its
+    /// registration until its build completes: SF's Current-RID
+    /// visibility (§3.1), or NSF's direct maintenance without reads
+    /// (§2.2.1), which an offline build's index shares — on the
+    /// primary, whose quiesce lets no writer reach it, and on a
+    /// follower until it is rebuilt there.
     #[must_use]
     pub fn building(algorithm: BuildAlgorithm) -> IndexState {
         match algorithm {
@@ -219,6 +222,17 @@ impl IndexRuntime {
     /// Transition the state (caller persists the catalog).
     pub fn set_state(&self, s: IndexState) {
         self.state.store(s.tag(), Ordering::Release);
+    }
+
+    /// Flip the index from its building state to
+    /// [`IndexState::Complete`] in one atomic step, so a cancel racing
+    /// the flip is never overwritten: `false`, and nothing changed, if
+    /// the index is no longer building. The caller persists the
+    /// catalog.
+    pub(crate) fn complete(&self) -> bool {
+        let (from, to) = (IndexState::building(self.algorithm), IndexState::Complete);
+        let flip = (self.state).compare_exchange(from.tag(), to.tag(), AcqRel, Acquire);
+        flip.is_ok()
     }
 
     /// Cancel the index (§2.3.2), or drop it: mark it

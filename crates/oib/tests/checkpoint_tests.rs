@@ -44,10 +44,6 @@ fn seeded_db() -> (Arc<Db>, Vec<Rid>) {
     (db, rids)
 }
 
-fn cache_force(db: &Db) -> u64 {
-    db.obs.snapshot().counter("cache.force").unwrap()
-}
-
 fn tree_height(idx: &IndexRuntime) -> u64 {
     u64::from(idx.tree.root().unwrap().1)
 }
@@ -63,7 +59,6 @@ fn tree_height(idx: &IndexRuntime) -> u64 {
 /// by the test's speed); unpaced it runs flat out.
 fn crash_under_writers(algorithm: BuildAlgorithm, site: &'static str, paced: bool) {
     let (db, rids) = seeded_db();
-    let forced_before = cache_force(&db);
     db.failpoints.arm_after(site, CHECKPOINTS - 1);
     let stop = AtomicBool::new(false);
     let index_ops = AtomicU64::new(0);
@@ -118,7 +113,10 @@ fn crash_under_writers(algorithm: BuildAlgorithm, site: &'static str, paced: boo
     assert!(err.is_crash(), "{algorithm:?}: {err}");
 
     let idx = db.indexes_of(T).last().cloned().unwrap();
-    let forced = cache_force(&db) - forced_before;
+    // The index's own cache: `cache.force` sums every cache, and a
+    // background checkpoint the writers' log set off forces heap pages
+    // the bound below does not count.
+    let forced = idx.tree.cache.stats.forces.get();
     let pages = u64::from(idx.tree.cache.num_pages());
     let height = tree_height(&idx);
     // Every page once, when the builder moves past it; per checkpoint

@@ -239,9 +239,9 @@ fn sf_crash_after_the_draining_record_resumes_without_runs() {
 
 #[test]
 fn crashed_offline_build_leaves_nothing_after_restart() {
-    // Offline runtimes are registered only once the build is done: the
-    // crash leaves its progress record behind an id the catalog does
-    // not know, and restart removes it.
+    // The offline baseline restarts from scratch: restart cancels the
+    // crashed build's registered index after undo, and removes it with
+    // its progress record.
     let db = db();
     seed(&db, 300);
     db.failpoints.arm_after("build.scan", 2);
@@ -259,6 +259,42 @@ fn crashed_offline_build_leaves_nothing_after_restart() {
     let id = build_index(&db, T, spec(false), BuildAlgorithm::Offline).unwrap();
     verify_index(&db, id).unwrap();
     assert_eq!(build_keys(), Vec::<String>::new());
+}
+
+#[test]
+fn an_offline_build_crashed_past_a_load_checkpoint_leaves_nothing_after_restart() {
+    let db = Db::new(EngineConfig {
+        lock_timeout_ms: 5_000,
+        build_checkpoint_every_keys: 100,
+        ..EngineConfig::small()
+    });
+    db.create_table(T);
+    seed(&db, 1_000);
+    // Die at the second load checkpoint: the first stored its record.
+    db.failpoints.arm_after("build.load", 1);
+    let err = build_index(&db, T, spec(true), BuildAlgorithm::Offline).unwrap_err();
+    assert!(err.is_crash(), "expected crash, got {err}");
+    let id = db
+        .indexes_of(T)
+        .pop()
+        .expect("registered before its scan")
+        .def
+        .id;
+    assert!(matches!(
+        progress::load(&db, id).unwrap(),
+        Some(BuildProgress::Loading { ref merge, .. }) if merge.emitted > 0
+    ));
+    db.simulate_crash();
+    db.restart().unwrap();
+    let mut keys = db.blobs.keys();
+    keys.retain(|k| k.starts_with("build/"));
+    assert_eq!(keys, Vec::<String>::new());
+    assert!(db.indexes_of(T).is_empty(), "no descriptor");
+    assert!(matches!(db.index(id), Err(Error::NoSuchIndex(_))));
+    assert_eq!(db.active_txs(), 0);
+    let id = build_index(&db, T, spec(true), BuildAlgorithm::Offline).unwrap();
+    assert_eq!(db.index(id).unwrap().state(), IndexState::Complete);
+    verify_index(&db, id).unwrap();
 }
 
 #[test]

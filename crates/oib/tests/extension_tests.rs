@@ -250,6 +250,19 @@ fn primary_model_build_on_quiet_table() {
     }
 }
 
+#[test]
+fn primary_model_build_runs_on_a_build_worker() {
+    let (db, _, primary) = db_with_primary(400);
+    let (tx, rx) = mpsc::channel();
+    db.failpoints.arm_hook("primary.scan.record", 0, move || {
+        let name = std::thread::current().name().map(str::to_owned);
+        tx.send(name).unwrap();
+    });
+    let idx = build_secondary_via_primary(&db, primary, secondary("sec", false)).unwrap();
+    assert_eq!(rx.recv().unwrap().as_deref(), Some("oib-build"));
+    verify_index(&db, idx).unwrap();
+}
+
 /// A §6.2 build over `rows` seeded rows while one thread churns. Each
 /// churn transaction inserts a fresh primary key and deletes a seeded
 /// row. With `moving`, the inserted row's update then moves it behind
@@ -500,11 +513,16 @@ fn primary_model_rollback_of_an_update_moving_a_row_behind_the_walk_is_compensat
 fn primary_model_walk_crashed_mid_walk_resumes() {
     // At the walk's 50th record, committed updates behind it change the
     // secondary keys of rows 0..20, delete rows 20..25 and insert a
-    // fresh row; the walk then crashes 50 records later. The crash
-    // leaves no progress record, so the resume starts from the empty
-    // one — a heap scan under post-crash visibility.
+    // fresh row, and rows ahead of it fill heap pages allocated since
+    // the index registered; the walk then crashes 50 records later.
+    // The crash leaves no progress record, so the resume starts from
+    // the empty one — a heap scan under post-crash visibility, which
+    // must reach the new pages: nothing side-filed the rows ahead.
     let (db, rids, primary) = db_with_identity_rows();
     let (db2, changed) = (Arc::clone(&db), rids.clone());
+    let last_seeded_page = rids.iter().map(|r| r.page).max().unwrap();
+    let ahead = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let ahead2 = Arc::clone(&ahead);
     db.failpoints.arm_hook("primary.scan.record", 49, move || {
         let sec = db2.indexes_of(T).pop().unwrap();
         assert!(
@@ -523,7 +541,16 @@ fn primary_model_walk_crashed_mid_walk_resumes() {
             db2.delete_record(tx, T, rid).unwrap();
         }
         db2.insert_record(tx, T, &rec(-1, 6_000)).unwrap();
+        let mut ahead = ahead2.lock().unwrap();
+        for k in 0..2_000 {
+            let rid = db2.insert_record(tx, T, &rec(10_000 + k, 7_000 + k));
+            ahead.push(rid.unwrap());
+        }
         db2.commit(tx).unwrap();
+        assert!(
+            ahead.last().unwrap().page > last_seeded_page,
+            "precondition: the rows ahead reach a page the seed did not"
+        );
         db2.failpoints.arm_after("primary.scan.record", 49);
     });
     let err = build_secondary_via_primary(&db, primary, secondary("sec", false)).unwrap_err();
@@ -538,6 +565,11 @@ fn primary_model_walk_crashed_mid_walk_resumes() {
     assert_eq!(
         db.index_lookup(id, &KeyValue::from_i64(5_003)).unwrap(),
         vec![rids[3]]
+    );
+    let last = *ahead.lock().unwrap().last().unwrap();
+    assert_eq!(
+        db.index_lookup(id, &KeyValue::from_i64(8_999)).unwrap(),
+        vec![last]
     );
     assert!(db.index(id).unwrap().sort_store.run_ids().is_empty());
 }

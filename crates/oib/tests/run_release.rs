@@ -97,11 +97,12 @@ fn crash_and_resume(db: &Arc<Db>, site: &'static str, n: usize, then: fn(&Db)) -
 
 #[test]
 fn the_gauge_falls_at_every_merge_checkpoint_and_reads_0_once_complete() {
-    // An offline build registers its index only once it is done, so
-    // the gauge, summed over registered indexes, never sees its runs.
+    // Every build registers its index before its scan, so the gauge,
+    // summed over registered indexes, sees every algorithm's runs.
     for (algo, site) in [
         (BuildAlgorithm::Sf, "build.load"),
         (BuildAlgorithm::Nsf, "build.insert"),
+        (BuildAlgorithm::Offline, "build.load"),
     ] {
         let db = db(load_cfg());
         let seen = Seen::default();

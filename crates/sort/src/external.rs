@@ -83,7 +83,7 @@ impl<T: SortItem> ExternalSort<T> {
         // Between keys the step holds nothing (the run store's locks
         // are taken and dropped inside `append` and the cursor reads).
         let mut pacer = Ticker::new(KEYS_PER_PACE);
-        while let Some(item) = merge.next() {
+        while let Some(item) = merge.try_next()? {
             pacer.tick();
             batch.push(item);
             since_cp += 1;
@@ -187,7 +187,8 @@ impl<T: SortItem> ExternalSort<T> {
         }
         let runs = rf.finish()?;
         let runs = self.reduce_runs(runs, &mut |_| Ok(()))?;
-        Ok(self.final_merge(runs)?.collect())
+        let mut merge = self.final_merge(runs)?;
+        std::iter::from_fn(|| merge.try_next().transpose()).collect()
     }
 }
 

@@ -132,6 +132,12 @@ impl<T: Ord, I: Iterator<Item = T>> LoserTree<T, I> {
     pub fn fan_in(&self) -> usize {
         self.sources.len()
     }
+
+    /// The input sources, by source index.
+    #[must_use]
+    pub fn sources(&self) -> &[I] {
+        &self.sources
+    }
 }
 
 impl<T: Ord, I: Iterator<Item = T>> Iterator for LoserTree<T, I> {

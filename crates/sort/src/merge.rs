@@ -17,12 +17,14 @@ use std::sync::Arc;
 /// stream; each refill is one simulated read I/O).
 const CURSOR_BATCH: usize = 256;
 
-/// A buffered read cursor over one run.
+/// A buffered read cursor over one run. A failed read ends it and is
+/// kept in `error`.
 pub struct RunCursor<T: SortItem> {
     store: Arc<RunStore<T>>,
     run: u64,
     pos: u64,
     buf: VecDeque<T>,
+    error: Option<Error>,
 }
 
 impl<T: SortItem> RunCursor<T> {
@@ -34,6 +36,7 @@ impl<T: SortItem> RunCursor<T> {
             run,
             pos,
             buf: VecDeque::new(),
+            error: None,
         }
     }
 }
@@ -42,7 +45,8 @@ impl<T: SortItem> Iterator for RunCursor<T> {
     type Item = T;
     fn next(&mut self) -> Option<T> {
         if self.buf.is_empty() {
-            let batch = self.store.read(self.run, self.pos, CURSOR_BATCH).ok()?;
+            let read = self.store.read(self.run, self.pos, CURSOR_BATCH);
+            let batch = read.map_err(|e| self.error = Some(e)).ok()?;
             self.pos += batch.len() as u64;
             self.buf.extend(batch);
         }
@@ -85,9 +89,8 @@ impl<T: SortItem> Merge<T> {
         if cp.inputs.len() != cp.counters.len() {
             return Err(Error::Corruption("merge checkpoint arity mismatch".into()));
         }
-        // A cursor ends its input at a read error, so a position below
-        // a release (or in a missing run) is refused here, not merged
-        // as an empty input.
+        // A position below a release, or in a missing run, is refused
+        // here, not merged as an empty input.
         for (&run, &at) in cp.inputs.iter().zip(&cp.counters) {
             store.read(run, at, 0)?;
         }
@@ -138,15 +141,33 @@ impl<T: SortItem> Merge<T> {
     pub fn peek(&self) -> Option<&T> {
         self.tree.peek()
     }
+
+    /// The next item, `Ok(None)` at the end, or the read error of an
+    /// input that ended early — a run deleted or cut under the merge.
+    /// The error comes as soon as the failed input is due to refill,
+    /// so a failed merge does no more work; the item popped with it is
+    /// not emitted, and the position stays at the item before.
+    pub fn try_next(&mut self) -> Result<Option<T>> {
+        let Some((item, src)) = self.tree.pop() else {
+            // An input that failed on its first fill never had a head.
+            let failed = self.tree.sources().iter().find_map(|c| c.error.clone());
+            return failed.map_or(Ok(None), Err);
+        };
+        if let Some(e) = &self.tree.sources()[src].error {
+            return Err(e.clone());
+        }
+        self.counters[src] += 1;
+        self.emitted += 1;
+        Ok(Some(item))
+    }
 }
 
+/// As an iterator the merge answers `None` at a read error;
+/// [`Merge::try_next`] tells the two apart.
 impl<T: SortItem> Iterator for Merge<T> {
     type Item = T;
     fn next(&mut self) -> Option<T> {
-        let (item, src) = self.tree.pop()?;
-        self.counters[src] += 1;
-        self.emitted += 1;
-        Some(item)
+        self.try_next().ok().flatten()
     }
 }
 
